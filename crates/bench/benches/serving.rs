@@ -11,7 +11,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mogul_core::{OutOfSampleIndex, RetrievalEngine};
 use mogul_data::sift::{sift_like, SiftLikeConfig};
-use mogul_serve::{Dispatch, QueryRequest, QueryServer, ServeOptions};
+use mogul_serve::{QueryRequest, QueryServer, ServeOptions};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -91,31 +91,18 @@ fn bench_serving(c: &mut Criterion) {
         );
     }
 
-    // Panel vs scalar dispatch on one core over homogeneous in-database
-    // batches — the acceptance metric of the batched query engine. The
-    // human-readable throughput table lives in `examples/serving.rs`, the
-    // machine-readable trajectory in BENCH_query.json (perf_baseline bin).
+    // One core over a homogeneous in-database batch: full-width panels,
+    // the traffic shape the panel engine targets. The human-readable
+    // batch-size table lives in `examples/serving.rs`.
     let n = index.index().num_nodes();
     let homogeneous: Vec<QueryRequest> = (0..32)
         .map(|i| QueryRequest::in_database((i * 131) % n, 10))
         .collect();
-    for (label, options) in [
-        (
-            "dispatch_scalar_b32",
-            ServeOptions::builder()
-                .workers(1)
-                .dispatch(Dispatch::Scalar)
-                .build()
-                .expect("valid options"),
-        ),
-        ("dispatch_panel_b32", ServeOptions::with_workers(1)),
-    ] {
-        let server = QueryServer::new(Arc::clone(&index), options);
-        server.serve_batch(&homogeneous);
-        group.bench_with_input(BenchmarkId::new(label, 32), &32usize, |b, _| {
-            b.iter(|| server.serve_batch(&homogeneous))
-        });
-    }
+    let server = QueryServer::new(Arc::clone(&index), ServeOptions::with_workers(1));
+    server.serve_batch(&homogeneous);
+    group.bench_with_input(BenchmarkId::new("panel_b32", 32), &32usize, |b, _| {
+        b.iter(|| server.serve_batch(&homogeneous))
+    });
     group.finish();
 }
 

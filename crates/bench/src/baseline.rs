@@ -462,7 +462,7 @@ mod tests {
     fn rows() -> Vec<ScenarioRow> {
         vec![
             ScenarioRow {
-                name: "search_scalar".into(),
+                name: "search_batch32".into(),
                 p50_us: 10.5,
                 p95_us: 20.25,
                 qps: 95_000.0,
@@ -482,7 +482,7 @@ mod tests {
         validate_json(&json).unwrap();
         let back = parse_scenarios(&json).unwrap();
         assert_eq!(back.len(), 2);
-        assert_eq!(back[0].name, "search_scalar");
+        assert_eq!(back[0].name, "search_batch32");
         assert!((back[0].p50_us - 10.5).abs() < 1e-9);
         assert!((back[1].qps - 16_000.5).abs() < 1e-6);
     }
@@ -506,7 +506,7 @@ mod tests {
         ];
         let merged = merge_rows(&existing, &fresh);
         assert_eq!(merged.len(), 3);
-        assert_eq!(merged[0].name, "search_scalar"); // untouched, in place
+        assert_eq!(merged[0].name, "search_batch32"); // untouched, in place
         assert!((merged[1].p50_us - 99.0).abs() < 1e-9); // replaced in place
         assert_eq!(merged[2].name, "net_open_10x"); // appended
     }
@@ -533,12 +533,12 @@ mod tests {
     #[test]
     fn validate_document_accepts_rendered_output() {
         let json = render_json(&rows(), false);
-        let doc = validate_document(&json, &["search_scalar", "net_closed_c2"]).unwrap();
+        let doc = validate_document(&json, &["search_batch32", "net_closed_c2"]).unwrap();
         assert!(!doc.smoke);
         assert_eq!(doc.date, today_utc());
         assert_eq!(doc.rows.len(), 2);
         // Required-row coverage is enforced.
-        let err = validate_document(&json, &["search_scalar", "kernel_scale_diag"]).unwrap_err();
+        let err = validate_document(&json, &["search_batch32", "kernel_scale_diag"]).unwrap_err();
         assert!(err.contains("kernel_scale_diag"), "{err}");
     }
 
@@ -566,7 +566,7 @@ mod tests {
             .unwrap_err()
             .contains("exceeds"));
         // Duplicate scenario name.
-        let duplicated = good.replacen("\"net_closed_c2\"", "\"search_scalar\"", 1);
+        let duplicated = good.replacen("\"net_closed_c2\"", "\"search_batch32\"", 1);
         assert!(validate_document(&duplicated, &[])
             .unwrap_err()
             .contains("duplicate"));
@@ -583,7 +583,7 @@ mod tests {
         // same check via `perf_baseline --validate`.
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_query.json");
         let json = std::fs::read_to_string(path).expect("BENCH_query.json at repo root");
-        let doc = validate_document(&json, &["search_scalar", "serve_panel_b32"]).unwrap();
+        let doc = validate_document(&json, &["search_batch32", "serve_panel_b32"]).unwrap();
         assert!(
             !doc.smoke,
             "committed baseline must be a full run, not smoke"

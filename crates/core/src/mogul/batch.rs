@@ -1,50 +1,56 @@
-//! Batched multi-RHS execution of Algorithm 2 (panel search).
+//! The Algorithm 2 engine: restricted forward substitution, back
+//! substitution cluster by cluster, upper-bound pruning, top-k offers and
+//! workspace cleanup — the only implementation in this crate.
 //!
-//! A scalar search traverses the factor `L`'s row pointers and indices once
-//! per query; under batched traffic that means a batch of `B` queries
-//! streams the index structure `B` times. The batched engine packs up to
-//! [`PANEL_WIDTH`] query vectors into an `n × B` panel stored with the `B`
+//! Every search, single or batched, runs as a **panel**: up to
+//! [`PANEL_WIDTH`] query vectors packed into an `n × B` buffer with the `B`
 //! lane values of each node adjacent (`panel[node * width + lane]`), so one
 //! traversal of the CSR structure applies every nonzero to all lanes through
 //! a short, contiguous, auto-vectorizable inner loop — the same blocking the
-//! `mogul-sparse` `*_multi_into` kernels use for unrestricted solves.
+//! `mogul-sparse` `*_multi_into` kernels use for unrestricted solves. A
+//! single query is the panel of width one; the public single-query entry
+//! points in [`super::search`] stage one lane and run this engine.
 //!
-//! Algorithm 2's semantics are preserved **per column**:
+//! Algorithm 2's semantics hold **per column**:
 //!
-//! * the restricted forward substitution covers the union of the lanes'
-//!   query clusters plus the border: clusters shared by many lanes (and the
-//!   border, which every lane shares) are swept once at full width, while
-//!   clusters owned by one or two lanes run as tight per-lane recurrences —
-//!   either way each lane's arithmetic is bit-identical to its scalar
-//!   counterpart;
+//! * the restricted forward substitution (Lemma 4) covers the union of the
+//!   lanes' query clusters plus the border: clusters shared by many lanes
+//!   (and the border, which every lane shares) are swept once at full width,
+//!   while clusters owned by one or two lanes run as tight per-lane
+//!   recurrences;
 //! * every lane keeps its own top-k collector and threshold `θ`, and the
 //!   upper-bounding estimation is evaluated per lane
-//!   ([`ClusterBounds::cluster_estimates_panel`](crate::mogul::ClusterBounds::cluster_estimates_panel));
+//!   ([`ClusterBounds::cluster_estimates_panel`](crate::mogul::ClusterBounds::cluster_estimates_panel),
+//!   or [`cluster_estimate_lane`](crate::mogul::ClusterBounds::cluster_estimate_lane)
+//!   when few lanes need it);
 //! * a column whose bound falls below its own threshold **prunes out** of
-//!   the panel for that cluster: the back substitution runs over the masked
-//!   set of still-active lanes, shrinking the effective width as the search
-//!   proceeds. A fully pruned cluster is skipped outright, exactly as in the
-//!   scalar search.
+//!   the panel for that cluster: the back substitution (Lemma 5) runs over
+//!   the masked set of still-active lanes, shrinking the effective width as
+//!   the search proceeds. A cluster every lane pruned is skipped outright.
 //!
-//! Because every lane performs the same floating-point operations in the
-//! same order as the scalar path, batched results (scores, ranking, pruning
-//! decisions and work counters) are bit-identical to running the scalar
-//! search per query — the equivalence suite in
-//! `crates/core/tests/batch_equivalence.rs` pins this with exact `==`
-//! comparisons. See `docs/PERFORMANCE.md` for the layout diagram and tuning
-//! notes.
+//! Each lane performs the same floating-point operations in the same order
+//! whatever the panel width, its position in the panel and the other lanes'
+//! queries, so a query's result (scores, ranking, pruning decisions and work
+//! counters) does not depend on what it was batched with —
+//! `crates/core/tests/engine_properties.rs` pins this with exact `==`
+//! comparisons, and `crates/core/tests/reference_oracle.rs` compares the
+//! engine against a textbook substitution. See `docs/PERFORMANCE.md` for the
+//! layout diagram and tuning notes.
 
 use crate::mogul::index::MogulIndex;
-use crate::mogul::search::{HeapEntry, SearchMode, SearchStats, TopKCollector};
-use crate::ranking::{check_k, check_query, TopKResult};
+use crate::mogul::search::{SearchMode, SearchStats};
+use crate::out_of_sample::NeighborScratch;
+use crate::ranking::{check_k, check_query, RankedNode, TopKResult};
+use crate::topk::BoundedTopK;
 use crate::Result;
 use mogul_graph::ordering::ClusterRange;
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 use mogul_sparse::kernel::Avx2Kernel;
 use mogul_sparse::kernel::{LaneKernel, ScalarKernel};
-use mogul_sparse::{CsrMatrix, MultiSolveWorkspace};
+use mogul_sparse::{CsrMatrix, MultiSolveWorkspace, SolveWorkspace};
+use std::cmp::Ordering as CmpOrdering;
 
-/// Panel width the batched engine blocks queries into.
+/// Panel width the engine blocks queries into.
 ///
 /// Eight lanes make a panel row exactly one cache line (8 × 8 bytes), so a
 /// row stays resident while the factor structure streams past and the lane
@@ -56,81 +62,89 @@ use mogul_sparse::{CsrMatrix, MultiSolveWorkspace};
 /// width remains.
 pub const PANEL_WIDTH: usize = 8;
 
-/// Above this many active lanes a masked substitution runs the full-width
+/// Above this many active lanes a substitution sweep runs the full-width
 /// vectorized kernel (over-computing the inactive lanes, which is provably
-/// harmless — see the masked kernels); at or below it, per-lane strided
-/// scalar recurrences win.
+/// harmless — see [`MogulIndex::forward_rows`]); at or below it, per-lane
+/// strided scalar recurrences win (and likewise one register-accumulated
+/// bound per lane beats the shared traversal). A panel no wider than this —
+/// a single query above all — therefore never reaches the lane kernels.
 const MASKED_LANE_CUTOFF: usize = 2;
 
-/// Reusable scratch for the batched (panel) query paths.
+/// Every lane of a panel, for sweeps no lane is masked out of.
+const ALL_LANES: [usize; PANEL_WIDTH] = [0, 1, 2, 3, 4, 5, 6, 7];
+
+/// Reusable scratch of the Algorithm 2 engine — the one struct that holds
+/// substitution buffers, for single queries and batches alike
+/// ([`BatchWorkspace`] and [`OosWorkspace`](crate::OosWorkspace) are aliases
+/// of it).
 ///
-/// The panel counterpart of [`SearchWorkspace`](crate::SearchWorkspace):
-/// three `n × B` panels (query, forward result, scores), the staged lane
-/// descriptors, one top-k collector buffer per lane, and the phase-1 /
-/// full-solve scratch of the batched out-of-sample and corrected-snapshot
-/// paths. Like every workspace in this crate it is an inert buffer bag — it
-/// carries no index state, any workspace works with any index, and results
-/// are bit-identical to fresh allocation.
+/// Three `n × B` panels (query, forward result, scores), the staged lane
+/// descriptors, one top-k collector per lane, and the phase-1 / full-solve
+/// scratch of the out-of-sample and unrestricted-solve paths. It is an inert
+/// buffer bag — it carries no index state, any workspace works with any
+/// index, and results are bit-identical to fresh allocation; once the
+/// buffers have grown to the index size the substitution/pruning path
+/// performs no heap allocation.
+///
 /// # Panel zeroing invariant
 ///
-/// The three panels are kept **all-zero between searches**: a panel search
+/// The three panels are kept **all-zero between searches**: a search
 /// re-zeroes exactly the rows it visited (the query scatter, the forwarded
 /// cluster ranges and the scored cluster ranges) instead of clearing the
 /// whole `n × B` buffers up front. On heavily pruned workloads a query
 /// touches a few dozen rows of a many-thousand-row index, so this turns the
-/// dominant per-panel cost — three `O(n · B)` memsets — into `O(visited)`.
-/// The scalar path cannot play this trick (its workspace makes no such
-/// invariant), which is a large part of the panel path's single-core win.
+/// dominant per-search cost — three `O(n · B)` memsets — into `O(visited)`.
 #[derive(Debug, Clone, Default)]
-pub struct BatchWorkspace {
+pub struct SearchWorkspace {
     /// Densified query panel `Q'` (node-major, stride = staged width).
-    pub(crate) q_panel: Vec<f64>,
+    q_panel: Vec<f64>,
     /// Forward-substitution panel `Y` of `L' Y = Q'`.
-    pub(crate) y_panel: Vec<f64>,
+    y_panel: Vec<f64>,
     /// Score panel `X'` of `U X' = Y`.
-    pub(crate) x_panel: Vec<f64>,
+    x_panel: Vec<f64>,
     /// Cluster ranges whose panel rows were written by the current search
     /// (re-zeroed afterwards to restore the all-zero invariant).
-    pub(crate) dirty_ranges: Vec<ClusterRange>,
+    dirty_ranges: Vec<ClusterRange>,
     /// Flattened per-lane scaled, permuted query entries.
-    pub(crate) lane_entries: Vec<(usize, f64)>,
+    lane_entries: Vec<(usize, f64)>,
     /// Lane boundaries in `lane_entries` (`lanes + 1` offsets).
-    pub(crate) lane_offsets: Vec<usize>,
+    lane_offsets: Vec<usize>,
     /// Flattened per-lane interior query clusters (sorted, deduplicated).
-    pub(crate) lane_clusters: Vec<usize>,
+    lane_clusters: Vec<usize>,
     /// Lane boundaries in `lane_clusters`.
-    pub(crate) lane_cluster_offsets: Vec<usize>,
+    lane_cluster_offsets: Vec<usize>,
     /// Per-lane excluded permuted node (the in-database query itself).
-    pub(crate) excludes: Vec<Option<usize>>,
+    excludes: Vec<Option<usize>>,
     /// Union of the staged lanes' query clusters (sorted, deduplicated).
-    pub(crate) union_clusters: Vec<usize>,
+    union_clusters: Vec<usize>,
+    /// The per-lane collectors of the running search (empty between
+    /// searches; kept for its capacity).
+    collectors: Vec<TopKCollector>,
     /// Recycled per-lane top-k heap buffers.
-    pub(crate) heap_bufs: Vec<Vec<HeapEntry>>,
-    /// Active-lane mask of the cluster currently being scored.
-    pub(crate) active: Vec<usize>,
-    /// Phase-1 scratch of the batched out-of-sample path.
-    pub(crate) oos: crate::out_of_sample::OosWorkspace,
+    heap_bufs: Vec<Vec<HeapEntry>>,
+    /// Per-lane `(result, stats)` of the last panel, in lane order; the
+    /// entry points drain it.
+    pub(crate) results: Vec<(TopKResult, SearchStats)>,
+    /// Phase-1 scratch of the out-of-sample path.
+    pub(crate) neighbors: NeighborScratch,
+    /// Permuted right-hand side, intermediate and solution of the
+    /// unrestricted [`MogulIndex::solve_ranking_system_in`].
+    pub(crate) solve_rhs: Vec<f64>,
+    pub(crate) solve: SolveWorkspace,
+    pub(crate) solve_out: Vec<f64>,
     /// Panel scratch of the unrestricted multi-RHS `L D Lᵀ` solve
     /// ([`MogulIndex::solve_ranking_system_batch_in`]).
-    pub(crate) multi: MultiSolveWorkspace,
+    multi: MultiSolveWorkspace,
 }
 
-impl BatchWorkspace {
+/// The workspace of the batched entry points — the same struct as
+/// [`SearchWorkspace`].
+pub type BatchWorkspace = SearchWorkspace;
+
+impl SearchWorkspace {
     /// An empty workspace; buffers grow to the index size on first use.
     pub fn new() -> Self {
-        BatchWorkspace::default()
-    }
-
-    /// A workspace whose panels are pre-sized for an index over `n` nodes at
-    /// the tuned [`PANEL_WIDTH`].
-    pub fn with_capacity(n: usize) -> Self {
-        BatchWorkspace {
-            q_panel: Vec::with_capacity(n * PANEL_WIDTH),
-            y_panel: Vec::with_capacity(n * PANEL_WIDTH),
-            x_panel: Vec::with_capacity(n * PANEL_WIDTH),
-            multi: MultiSolveWorkspace::with_capacity(n, PANEL_WIDTH),
-            ..BatchWorkspace::default()
-        }
+        SearchWorkspace::default()
     }
 
     /// Number of currently staged lanes.
@@ -170,29 +184,93 @@ impl BatchWorkspace {
     }
 }
 
-impl MogulIndex {
-    /// Batched [`MogulIndex::search_with_stats`] over many in-database query
-    /// nodes: results (including work counters) are bit-identical to the
-    /// scalar search per query, but the factor structure is traversed once
-    /// per [`PANEL_WIDTH`]-wide panel instead of once per query.
-    ///
-    /// Allocates fresh scratch per call; serving loops should reuse a
-    /// [`BatchWorkspace`] via [`MogulIndex::search_batch_in`].
-    pub fn search_batch(
-        &self,
-        queries: &[usize],
-        k: usize,
-        mode: SearchMode,
-    ) -> Result<Vec<(TopKResult, SearchStats)>> {
-        self.search_batch_in(&mut BatchWorkspace::new(), queries, k, mode)
+/// Top-k collector mirroring Algorithm 2's set `K`: it starts with `k`
+/// implicit dummy nodes of score 0, so the threshold `θ` is never negative
+/// and nodes with negative approximate scores are ignored. Built on the
+/// shared [`BoundedTopK`] selector; a panel keeps one collector per lane.
+#[derive(Debug, Clone)]
+struct TopKCollector {
+    inner: BoundedTopK<HeapEntry>,
+    /// Cached threshold `θ` — the hot offer path is dominated by rejected
+    /// offers, which only need one comparison against this field; it is
+    /// recomputed from the heap only when an offer is accepted.
+    threshold: f64,
+}
+
+#[derive(Debug, Clone, PartialEq)]
+struct HeapEntry {
+    score: f64,
+    node: usize,
+}
+
+impl Eq for HeapEntry {}
+
+impl PartialOrd for HeapEntry {
+    fn partial_cmp(&self, other: &Self) -> Option<CmpOrdering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for HeapEntry {
+    fn cmp(&self, other: &Self) -> CmpOrdering {
+        // Reversed on score so the binary max-heap acts as a min-heap on score.
+        other
+            .score
+            .partial_cmp(&self.score)
+            .unwrap_or(CmpOrdering::Equal)
+            .then(other.node.cmp(&self.node))
+    }
+}
+
+impl TopKCollector {
+    /// Build a collector on top of a recycled heap buffer (cleared here); the
+    /// buffer is handed back by [`TopKCollector::finish`].
+    fn with_buffer(k: usize, buf: Vec<HeapEntry>) -> Self {
+        TopKCollector {
+            inner: BoundedTopK::with_buffer(k, buf),
+            threshold: 0.0,
+        }
     }
 
-    /// [`MogulIndex::search_batch`] with caller-owned scratch: zero heap
-    /// allocation on the substitution/pruning path once the workspace is
-    /// warm.
+    /// Current threshold `θ`: the lowest score in `K` (0 while dummies remain).
+    fn threshold(&self) -> f64 {
+        self.threshold
+    }
+
+    #[inline]
+    fn offer(&mut self, node: usize, score: f64) {
+        if !score.is_finite() || score < self.threshold {
+            return;
+        }
+        if self.inner.offer(HeapEntry { score, node }) && self.inner.is_full() {
+            self.threshold = self.inner.worst().map_or(0.0, |e| e.score);
+        }
+    }
+
+    /// Extract the result and return the (cleared) heap buffer for reuse.
+    fn finish(self) -> (TopKResult, Vec<HeapEntry>) {
+        let mut buf = self.inner.into_unsorted_vec();
+        let result = TopKResult::new(
+            buf.iter()
+                .map(|e| RankedNode {
+                    node: e.node,
+                    score: e.score,
+                })
+                .collect(),
+        );
+        buf.clear();
+        (result, buf)
+    }
+}
+
+impl MogulIndex {
+    /// [`MogulIndex::search_with_stats`] over many in-database query nodes:
+    /// the factor structure is traversed once per [`PANEL_WIDTH`]-wide panel
+    /// instead of once per query, and each query's result (including its
+    /// work counters) is the one it would get on its own.
     pub fn search_batch_in(
         &self,
-        ws: &mut BatchWorkspace,
+        ws: &mut SearchWorkspace,
         queries: &[usize],
         k: usize,
         mode: SearchMode,
@@ -208,85 +286,61 @@ impl MogulIndex {
                 let permuted = self.ordering.permutation.new_index(query);
                 self.batch_push_lane(ws, &[(query, 1.0)], Some(permuted))?;
             }
-            self.search_panel_staged(ws, k, mode, &mut out)?;
+            self.search_panel_staged(ws, k, mode);
+            out.append(&mut ws.results);
         }
         Ok(out)
     }
 
-    /// Batched [`MogulIndex::search_weighted`] over many weighted query
-    /// vectors (original node ids) — the panel entry point of batched
-    /// out-of-sample queries.
-    pub fn search_weighted_batch_in(
+    /// One weighted query vector (original node ids) as a panel of one: the
+    /// body of every single-query search entry point. `exclude` is the
+    /// permuted node to drop from the result.
+    pub(crate) fn search_lane_in(
         &self,
-        ws: &mut BatchWorkspace,
-        lanes: &[&[(usize, f64)]],
+        ws: &mut SearchWorkspace,
+        weights: &[(usize, f64)],
+        exclude: Option<usize>,
         k: usize,
         mode: SearchMode,
-    ) -> Result<Vec<(TopKResult, SearchStats)>> {
-        check_k(k)?;
-        let mut out = Vec::with_capacity(lanes.len());
-        for chunk in lanes.chunks(PANEL_WIDTH) {
-            self.batch_begin(ws);
-            for &weights in chunk {
-                self.batch_push_lane(ws, weights, None)?;
-            }
-            self.search_panel_staged(ws, k, mode, &mut out)?;
-        }
-        Ok(out)
+    ) -> Result<(TopKResult, SearchStats)> {
+        self.batch_begin(ws);
+        self.batch_push_lane(ws, weights, exclude)?;
+        self.search_panel_staged(ws, k, mode);
+        Ok(ws.results.pop().expect("a panel of one yields one result"))
     }
 
-    /// Batched [`MogulIndex::all_scores`]: the full approximate score vector
-    /// of every query (original node order), computed panel-wise without
-    /// pruning. Each returned vector is bit-identical to the scalar
-    /// [`MogulIndex::all_scores_in`] of the same query.
-    pub fn all_scores_batch(&self, queries: &[usize]) -> Result<Vec<Vec<f64>>> {
-        self.all_scores_batch_in(&mut BatchWorkspace::new(), queries)
-    }
-
-    /// [`MogulIndex::all_scores_batch`] with caller-owned scratch.
-    pub fn all_scores_batch_in(
+    /// Approximate scores of **all** nodes (original node order) for one
+    /// weighted query vector, as a panel of one: the restricted forward pass,
+    /// then back substitution over every cluster, no pruning.
+    pub(crate) fn scores_lane_in(
         &self,
-        ws: &mut BatchWorkspace,
-        queries: &[usize],
-    ) -> Result<Vec<Vec<f64>>> {
-        for &query in queries {
-            check_query(query, self.num_nodes())?;
-        }
+        ws: &mut SearchWorkspace,
+        weights: &[(usize, f64)],
+    ) -> Result<Vec<f64>> {
+        self.batch_begin(ws);
+        self.batch_push_lane(ws, weights, None)?;
         let n = self.num_nodes();
-        let mut out = Vec::with_capacity(queries.len());
-        for chunk in queries.chunks(PANEL_WIDTH) {
-            self.batch_begin(ws);
-            for &query in chunk {
-                self.batch_push_lane(ws, &[(query, 1.0)], None)?;
-            }
-            let width = ws.staged();
-            if n == 0 {
-                out.extend((0..width).map(|_| Vec::new()));
-                continue;
-            }
-            self.forward_staged(ws, width, false);
-            // Unrestricted backward pass: border first, then every cluster
-            // (the whole panel becomes dirty).
-            ws.dirty_ranges.push(ClusterRange { start: 0, len: n });
-            let border_idx = self.ordering.border_cluster();
-            self.back_panel_full(self.ordering.clusters[border_idx], ws, width);
-            for (ci, &range) in self.ordering.clusters.iter().enumerate() {
-                if ci == border_idx {
-                    continue;
-                }
-                self.back_panel_full(range, ws, width);
-            }
-            for lane in 0..width {
-                let mut scores = vec![0.0; n];
-                for new in 0..n {
-                    scores[self.ordering.permutation.old_index(new)] =
-                        ws.x_panel[new * width + lane];
-                }
-                out.push(scores);
-            }
-            ws.cleanup_panels(width);
+        let mut scores = vec![0.0; n];
+        if n == 0 {
+            return Ok(scores);
         }
-        Ok(out)
+        let lane = &ALL_LANES[..1];
+        self.forward_staged(ws, 1, false);
+        // Border first (its scores feed every other cluster via Lemma 5),
+        // then every cluster: the whole panel becomes dirty.
+        ws.dirty_ranges.push(ClusterRange { start: 0, len: n });
+        let border_idx = self.ordering.border_cluster();
+        self.back_rows(self.ordering.clusters[border_idx], ws, 1, lane);
+        for (ci, &range) in self.ordering.clusters.iter().enumerate() {
+            if ci != border_idx {
+                self.back_rows(range, ws, 1, lane);
+            }
+        }
+        for (new, &score) in ws.x_panel[..n].iter().enumerate() {
+            scores[self.ordering.permutation.old_index(new)] = score;
+        }
+        ws.cleanup_panels(1);
+        Ok(scores)
     }
 
     /// Multi-RHS [`MogulIndex::solve_ranking_system_in`]: solve the
@@ -296,7 +350,7 @@ impl MogulIndex {
     /// to the scalar solve of lane `l`'s right-hand side.
     pub fn solve_ranking_system_batch_in(
         &self,
-        ws: &mut BatchWorkspace,
+        ws: &mut SearchWorkspace,
         rhs: &[f64],
         width: usize,
         out: &mut Vec<f64>,
@@ -363,7 +417,7 @@ impl MogulIndex {
     // ----------------------------------------------------------------------
 
     /// Reset the staged-lane state for a fresh panel.
-    pub(crate) fn batch_begin(&self, ws: &mut BatchWorkspace) {
+    pub(crate) fn batch_begin(&self, ws: &mut SearchWorkspace) {
         ws.lane_entries.clear();
         ws.lane_offsets.clear();
         ws.lane_offsets.push(0);
@@ -371,6 +425,7 @@ impl MogulIndex {
         ws.lane_cluster_offsets.clear();
         ws.lane_cluster_offsets.push(0);
         ws.excludes.clear();
+        ws.results.clear();
     }
 
     /// Stage one lane: validate, `(1 − α)`-scale and permute its weighted
@@ -379,7 +434,7 @@ impl MogulIndex {
     /// result (the in-database query itself).
     pub(crate) fn batch_push_lane(
         &self,
-        ws: &mut BatchWorkspace,
+        ws: &mut SearchWorkspace,
         weights: &[(usize, f64)],
         exclude: Option<usize>,
     ) -> Result<()> {
@@ -398,18 +453,16 @@ impl MogulIndex {
             ws.lane_entries
                 .push((self.ordering.permutation.new_index(node), weight * scale));
         }
-        // Interior clusters touched by this lane (sorted, deduplicated),
-        // mirroring the scalar `query_clusters_into`.
+        // Interior clusters touched by this lane (sorted, deduplicated).
         let border_idx = self.ordering.border_cluster();
         let cluster_start = ws.lane_clusters.len();
         for idx in entry_start..ws.lane_entries.len() {
             let cluster = self.ordering.cluster_of_permuted(ws.lane_entries[idx].0);
-            if cluster != border_idx {
+            if cluster != border_idx && !ws.lane_clusters[cluster_start..].contains(&cluster) {
                 ws.lane_clusters.push(cluster);
             }
         }
         ws.lane_clusters[cluster_start..].sort_unstable();
-        ws.lane_clusters.dedup_in_suffix(cluster_start);
         ws.excludes.push(exclude);
         ws.lane_offsets.push(ws.lane_entries.len());
         ws.lane_cluster_offsets.push(ws.lane_clusters.len());
@@ -419,31 +472,24 @@ impl MogulIndex {
     /// Restricted forward substitution `L' Y = Q'` over the staged panel.
     ///
     /// Interior query clusters are swept at **masked width** — only the
-    /// lanes whose query actually touches a cluster pay for its rows, so a
-    /// panel performs exactly the per-lane work of the scalar searches — and
-    /// the border cluster (the work every lane shares) is swept once at full
-    /// width, which is where the batching wins: one structure traversal, one
-    /// `B`-wide independent-accumulator inner loop instead of `B` serial
-    /// dependency chains. With `full` set the whole index is swept at full
-    /// width instead (the `FullSubstitution` mode).
-    fn forward_staged(&self, ws: &mut BatchWorkspace, width: usize, full: bool) {
+    /// lanes whose query actually touches a cluster pay for its rows — and
+    /// the border cluster (the work every lane shares) is swept once for
+    /// every lane, which is where the batching wins: one structure
+    /// traversal, one `B`-wide independent-accumulator inner loop instead of
+    /// `B` serial dependency chains. With `full` set the whole index is
+    /// swept for every lane instead (the `FullSubstitution` mode).
+    fn forward_staged(&self, ws: &mut SearchWorkspace, width: usize, full: bool) {
         let n = self.num_nodes();
         ws.union_clusters.clear();
         if !full {
-            for lane in 0..width {
-                let start = ws.lane_cluster_offsets[lane];
-                let end = ws.lane_cluster_offsets[lane + 1];
-                for idx in start..end {
-                    ws.union_clusters.push(ws.lane_clusters[idx]);
-                }
-            }
+            ws.union_clusters.extend_from_slice(&ws.lane_clusters);
             ws.union_clusters.sort_unstable();
             ws.union_clusters.dedup();
         }
 
-        BatchWorkspace::ensure_panel(&mut ws.q_panel, n * width);
-        BatchWorkspace::ensure_panel(&mut ws.y_panel, n * width);
-        BatchWorkspace::ensure_panel(&mut ws.x_panel, n * width);
+        SearchWorkspace::ensure_panel(&mut ws.q_panel, n * width);
+        SearchWorkspace::ensure_panel(&mut ws.y_panel, n * width);
+        SearchWorkspace::ensure_panel(&mut ws.x_panel, n * width);
         for lane in 0..width {
             let start = ws.lane_offsets[lane];
             let end = ws.lane_offsets[lane + 1];
@@ -456,33 +502,49 @@ impl MogulIndex {
         if full {
             let all = ClusterRange { start: 0, len: n };
             ws.dirty_ranges.push(all);
-            self.forward_rows_full(all, ws, width);
+            self.forward_rows(all, ws, width, &ALL_LANES[..width]);
             return;
         }
-        let union = std::mem::take(&mut ws.union_clusters);
-        for &c in &union {
-            let range = self.ordering.clusters[c];
+        for idx in 0..ws.union_clusters.len() {
+            let cluster = ws.union_clusters[idx];
+            let range = self.ordering.clusters[cluster];
             ws.dirty_ranges.push(range);
-            mask_lanes_with_cluster(ws, width, c, true);
-            let active = std::mem::take(&mut ws.active);
-            if active.len() == width {
-                self.forward_rows_full(range, ws, width);
-            } else {
-                self.forward_rows_masked(range, ws, width, &active);
-            }
-            ws.active = active;
+            let (lanes, len) = lanes_with_cluster(ws, width, cluster);
+            self.forward_rows(range, ws, width, &lanes[..len]);
         }
-        ws.union_clusters = union;
         let border = self.ordering.clusters[self.ordering.border_cluster()];
         ws.dirty_ranges.push(border);
-        self.forward_rows_full(border, ws, width);
+        self.forward_rows(border, ws, width, &ALL_LANES[..width]);
     }
 
-    /// One cluster range of the forward recurrence at full panel width,
-    /// dispatched to the active lane kernel (scalar, or AVX2 under the
-    /// `simd` feature when the CPU supports it — bit-identical either way,
-    /// see `mogul_sparse::kernel`).
-    fn forward_rows_full(&self, range: ClusterRange, ws: &mut BatchWorkspace, width: usize) {
+    /// One cluster range of the forward recurrence for the `active` lanes;
+    /// the other lanes' entries stay zero.
+    ///
+    /// With more than [`MASKED_LANE_CUTOFF`] lanes active this runs the
+    /// full-width sweep through the active lane kernel (scalar, or AVX2
+    /// under the `simd` feature when the CPU supports it — bit-identical
+    /// either way, see `mogul_sparse::kernel`): an inactive lane's query
+    /// panel is zero on the cluster, so the recurrence computes exact zeros
+    /// for it, and the shared structure traversal beats per-lane passes.
+    /// With only a few active lanes — always, on a panel that narrow — the
+    /// over-compute and the kernel call per nonzero stop paying, and each
+    /// active lane gets one tight strided scalar recurrence instead. The
+    /// choice is made here, before kernel dispatch, so both `simd` feature
+    /// configurations take the same path.
+    fn forward_rows(
+        &self,
+        range: ClusterRange,
+        ws: &mut SearchWorkspace,
+        width: usize,
+        active: &[usize],
+    ) {
+        if active.len() <= MASKED_LANE_CUTOFF {
+            let (l, d) = (&self.factors.l, &self.factors.d);
+            for &lane in active {
+                forward_range_lane(l, d, range, &ws.q_panel, &mut ws.y_panel, width, lane);
+            }
+            return;
+        }
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
         if let Some(kernel) = avx2_if_active() {
             // SAFETY: `try_new` inside `avx2_if_active` proved AVX2 is
@@ -511,46 +573,36 @@ impl MogulIndex {
         );
     }
 
-    /// One cluster range of the forward recurrence for a masked subset of
-    /// lanes; the other lanes' entries stay zero, exactly as in the scalar
-    /// restricted substitution.
+    /// Back substitution `U X' = Y` restricted to one cluster range for the
+    /// `active` lanes — the shrinking-width path taken once columns prune
+    /// out; assumes the border rows of `X'` are already computed.
     ///
-    /// When most lanes are active this simply runs the full-width vectorized
-    /// sweep: an inactive lane's query panel is zero on the cluster, so the
-    /// recurrence computes exact zeros for it — the same zeros the scalar
-    /// restricted substitution leaves untouched — and the shared structure
-    /// traversal beats per-lane passes. With only a few active lanes the
-    /// over-compute stops paying, and each active lane gets one tight
-    /// strided scalar recurrence instead.
-    fn forward_rows_masked(
+    /// The same width rule as [`MogulIndex::forward_rows`]. On the
+    /// full-width side, recomputing an already-scored lane reproduces the
+    /// identical values (the recurrence is deterministic over unchanged
+    /// inputs), and a pruned-out lane's rows are never read and are
+    /// re-zeroed by the cleanup pass — so over-compute is harmless and the
+    /// offers stay masked.
+    fn back_rows(
         &self,
         range: ClusterRange,
-        ws: &mut BatchWorkspace,
+        ws: &mut SearchWorkspace,
         width: usize,
         active: &[usize],
     ) {
-        if active.len() > MASKED_LANE_CUTOFF {
-            self.forward_rows_full(range, ws, width);
+        if active.len() <= MASKED_LANE_CUTOFF {
+            for &lane in active {
+                back_range_lane(
+                    &self.factors.u,
+                    range,
+                    &ws.y_panel,
+                    &mut ws.x_panel,
+                    width,
+                    lane,
+                );
+            }
             return;
         }
-        let d = &self.factors.d;
-        for &b in active {
-            for i in range.indices() {
-                let mut acc = ws.q_panel[i * width + b];
-                let (cols, vals) = self.factors.l.row(i);
-                for (&j, &v) in cols.iter().zip(vals.iter()) {
-                    if j < i {
-                        acc -= v * d[j] * ws.y_panel[j * width + b];
-                    }
-                }
-                ws.y_panel[i * width + b] = acc / d[i];
-            }
-        }
-    }
-
-    /// Back substitution `U X' = Y` restricted to one cluster range, for
-    /// every lane of the panel, dispatched to the active lane kernel.
-    fn back_panel_full(&self, range: ClusterRange, ws: &mut BatchWorkspace, width: usize) {
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
         if let Some(kernel) = avx2_if_active() {
             // SAFETY: `try_new` inside `avx2_if_active` proved AVX2 is
@@ -577,78 +629,39 @@ impl MogulIndex {
         );
     }
 
-    /// Back substitution restricted to one cluster range for a masked subset
-    /// of lanes — the shrinking-width path taken once columns prune out.
-    ///
-    /// Like the forward sweep, a mostly-active panel runs the full-width
-    /// vectorized kernel: recomputing an already-scored lane reproduces the
-    /// identical values (the recurrence is deterministic over unchanged
-    /// inputs), and a pruned-out lane's rows are never read and are
-    /// re-zeroed by the cleanup pass — so over-compute is harmless and the
-    /// offers stay masked. Sparse masks run one tight strided scalar
-    /// recurrence per active lane instead.
-    fn back_panel_masked(
-        &self,
-        range: ClusterRange,
-        ws: &mut BatchWorkspace,
-        width: usize,
-        active: &[usize],
-    ) {
-        if active.len() > MASKED_LANE_CUTOFF {
-            self.back_panel_full(range, ws, width);
-            return;
-        }
-        for &b in active {
-            for i in range.indices().rev() {
-                let mut acc = ws.y_panel[i * width + b];
-                let (cols, vals) = self.factors.u.row(i);
-                for (&j, &v) in cols.iter().zip(vals.iter()) {
-                    if j > i {
-                        acc -= v * ws.x_panel[j * width + b];
-                    }
-                }
-                ws.x_panel[i * width + b] = acc;
-            }
-        }
-    }
-
-    /// Run Algorithm 2 over the staged panel, appending one
-    /// `(result, stats)` pair per lane to `out`. Per-lane semantics
-    /// (thresholds, pruning decisions, tie-breaks, work counters) match the
-    /// scalar [`MogulIndex::search_with_stats_in`] exactly.
-    pub(crate) fn search_panel_staged(
-        &self,
-        ws: &mut BatchWorkspace,
-        k: usize,
-        mode: SearchMode,
-        out: &mut Vec<(TopKResult, SearchStats)>,
-    ) -> Result<()> {
+    /// Run Algorithm 2 over the staged panel, leaving one `(result, stats)`
+    /// pair per lane, in lane order, in `ws.results`. Thresholds, pruning
+    /// decisions, tie-breaks and work counters are per lane.
+    pub(crate) fn search_panel_staged(&self, ws: &mut SearchWorkspace, k: usize, mode: SearchMode) {
         let width = ws.staged();
-        if width == 0 {
-            return Ok(());
-        }
         let n = self.num_nodes();
         if n == 0 {
-            out.extend((0..width).map(|_| (TopKResult::default(), SearchStats::default())));
-            return Ok(());
+            ws.results
+                .extend((0..width).map(|_| (TopKResult::default(), SearchStats::default())));
+            return;
         }
 
         let mut stats = [SearchStats::default(); PANEL_WIDTH];
-        let mut collectors: Vec<TopKCollector> = (0..width)
-            .map(|_| TopKCollector::with_buffer(k, ws.heap_bufs.pop().unwrap_or_default()))
-            .collect();
+        let mut collectors = std::mem::take(&mut ws.collectors);
+        collectors.extend(
+            (0..width)
+                .map(|_| TopKCollector::with_buffer(k, ws.heap_bufs.pop().unwrap_or_default())),
+        );
+        let lanes = &ALL_LANES[..width];
 
         let full_substitution = mode == SearchMode::FullSubstitution;
         self.forward_staged(ws, width, full_substitution);
 
         if full_substitution {
+            // Ignore the sparse structure entirely: one pass of forward and
+            // back substitution over every node.
             let full = ClusterRange { start: 0, len: n };
-            self.back_panel_full(full, ws, width);
+            self.back_rows(full, ws, width, lanes);
             for s in stats.iter_mut().take(width) {
                 s.nodes_scored = n;
             }
-            self.offer_range_all(full, ws, width, &mut collectors);
-            return self.finish_panel(ws, collectors, &stats, out);
+            self.offer_range(full, ws, width, lanes, &mut collectors);
+            return self.finish_panel(ws, collectors, &stats);
         }
 
         let border_idx = self.ordering.border_cluster();
@@ -656,33 +669,25 @@ impl MogulIndex {
 
         // Back substitution for C_N first (its scores feed every other
         // cluster via Lemma 5), then for each lane's query clusters.
-        self.back_panel_full(border_range, ws, width);
+        self.back_rows(border_range, ws, width, lanes);
         for s in stats.iter_mut().take(width) {
             s.nodes_scored += border_range.len;
         }
-        let union = std::mem::take(&mut ws.union_clusters);
-        for &c in &union {
-            let range = self.ordering.clusters[c];
-            mask_lanes_with_cluster(ws, width, c, true);
-            if ws.active.is_empty() {
-                continue;
-            }
-            let active = std::mem::take(&mut ws.active);
-            self.back_panel_masked(range, ws, width, &active);
-            for &b in &active {
+        for idx in 0..ws.union_clusters.len() {
+            let cluster = ws.union_clusters[idx];
+            let range = self.ordering.clusters[cluster];
+            let (members, len) = lanes_with_cluster(ws, width, cluster);
+            self.back_rows(range, ws, width, &members[..len]);
+            for &b in &members[..len] {
                 stats[b].nodes_scored += range.len;
             }
-            ws.active = active;
         }
-        self.offer_range_all(border_range, ws, width, &mut collectors);
-        for &c in &union {
-            let range = self.ordering.clusters[c];
-            mask_lanes_with_cluster(ws, width, c, true);
-            let active = std::mem::take(&mut ws.active);
-            self.offer_range_masked(range, ws, width, &active, &mut collectors);
-            ws.active = active;
+        self.offer_range(border_range, ws, width, lanes, &mut collectors);
+        for &cluster in &ws.union_clusters {
+            let (members, len) = lanes_with_cluster(ws, width, cluster);
+            let range = self.ordering.clusters[cluster];
+            self.offer_range(range, ws, width, &members[..len], &mut collectors);
         }
-        ws.union_clusters = union;
 
         // Remaining interior clusters: per-lane prune-or-score with a
         // shrinking active-lane mask. Each lane walks its (sorted) query
@@ -709,12 +714,16 @@ impl MogulIndex {
                 stats[b].clusters_considered += 1;
             }
             if mode == SearchMode::Pruned {
-                // A cluster with no stored border columns has `X_i = 0`
-                // exactly, for every lane — skip the panel evaluation and
-                // compare 0 against each lane's threshold directly (the
-                // scalar path computes the same empty sum).
-                let no_border_columns = self.bounds.border_columns(ci).is_empty();
-                if !no_border_columns {
+                // The sweeps' width rule: few lanes get one register
+                // accumulation each, many share one traversal of the
+                // cluster's border columns.
+                if active_len <= MASKED_LANE_CUTOFF {
+                    for &b in &active[..active_len] {
+                        estimates[b] =
+                            self.bounds
+                                .cluster_estimate_lane(ci, range.len, &ws.x_panel, width, b);
+                    }
+                } else {
                     self.bounds.cluster_estimates_panel(
                         ci,
                         range.len,
@@ -727,8 +736,7 @@ impl MogulIndex {
                 for idx in 0..active_len {
                     let b = active[idx];
                     stats[b].bound_evaluations += 1;
-                    let estimate = if no_border_columns { 0.0 } else { estimates[b] };
-                    if estimate < collectors[b].threshold() {
+                    if estimates[b] < collectors[b].threshold() {
                         stats[b].clusters_pruned += 1;
                     } else {
                         active[keep] = b;
@@ -741,34 +749,21 @@ impl MogulIndex {
                 continue;
             }
             ws.dirty_ranges.push(range);
-            self.back_panel_masked(range, ws, width, &active[..active_len]);
+            self.back_rows(range, ws, width, &active[..active_len]);
             for &b in &active[..active_len] {
                 stats[b].nodes_scored += range.len;
             }
-            self.offer_range_masked(range, ws, width, &active[..active_len], &mut collectors);
+            self.offer_range(range, ws, width, &active[..active_len], &mut collectors);
         }
 
-        self.finish_panel(ws, collectors, &stats, out)
+        self.finish_panel(ws, collectors, &stats)
     }
 
-    /// Offer one cluster range's scores to every lane's collector.
-    fn offer_range_all(
+    /// Offer one cluster range's scores to the `active` lanes' collectors.
+    fn offer_range(
         &self,
         range: ClusterRange,
-        ws: &BatchWorkspace,
-        width: usize,
-        collectors: &mut [TopKCollector],
-    ) {
-        for (b, collector) in collectors.iter_mut().enumerate() {
-            self.offer_range_lane(range, ws, width, b, collector);
-        }
-    }
-
-    /// Offer one cluster range's scores to the active lanes' collectors.
-    fn offer_range_masked(
-        &self,
-        range: ClusterRange,
-        ws: &BatchWorkspace,
+        ws: &SearchWorkspace,
         width: usize,
         active: &[usize],
         collectors: &mut [TopKCollector],
@@ -778,14 +773,13 @@ impl MogulIndex {
         }
     }
 
-    /// Offer one cluster range's scores to a single lane's collector. The
-    /// offer order within a range (ascending permuted index) matches the
-    /// scalar search, and offers are lane-local, so the per-lane results are
-    /// independent of the lane iteration order above.
+    /// Offer one cluster range's scores to a single lane's collector, in
+    /// ascending permuted index. Offers are lane-local, so the per-lane
+    /// results are independent of the lane iteration order above.
     fn offer_range_lane(
         &self,
         range: ClusterRange,
-        ws: &BatchWorkspace,
+        ws: &SearchWorkspace,
         width: usize,
         lane: usize,
         collector: &mut TopKCollector,
@@ -806,32 +800,75 @@ impl MogulIndex {
         }
     }
 
-    /// Extract every lane's result, recycle the heap buffers and restore the
-    /// panel zeroing invariant.
+    /// Extract every lane's result into `ws.results`, recycle the collector
+    /// storage and restore the panel zeroing invariant.
     fn finish_panel(
         &self,
-        ws: &mut BatchWorkspace,
-        collectors: Vec<TopKCollector>,
+        ws: &mut SearchWorkspace,
+        mut collectors: Vec<TopKCollector>,
         stats: &[SearchStats; PANEL_WIDTH],
-        out: &mut Vec<(TopKResult, SearchStats)>,
-    ) -> Result<()> {
-        let width = ws.staged();
-        for (b, collector) in collectors.into_iter().enumerate() {
+    ) {
+        for (b, collector) in collectors.drain(..).enumerate() {
             let (result, buf) = collector.finish();
             ws.heap_bufs.push(buf);
-            out.push((result, stats[b]));
+            ws.results.push((result, stats[b]));
         }
-        ws.cleanup_panels(width);
-        Ok(())
+        ws.collectors = collectors;
+        ws.cleanup_panels(ws.staged());
     }
 }
 
-/// The forward-recurrence sweep body, generic over the lane kernel. The
-/// masked adaptive sweeps route through this too: a mostly-active mask
-/// delegates to the full-width sweep (over-computing inactive lanes is
-/// provably harmless, see [`MogulIndex`'s masked kernels]), while sparse
-/// masks run per-lane strided scalar recurrences where SIMD has nothing to
-/// vectorize.
+/// The forward recurrence of one lane over one cluster range: a strided
+/// scalar loop over plain slices. Kept out of line: inlined into the
+/// engine's per-cluster loop it loses its registers to the caller (7 % of a
+/// width-1 search on the `web_indb` benchmark corpus).
+#[inline(never)]
+fn forward_range_lane(
+    l: &CsrMatrix,
+    d: &[f64],
+    range: ClusterRange,
+    q_panel: &[f64],
+    y_panel: &mut [f64],
+    width: usize,
+    lane: usize,
+) {
+    for i in range.indices() {
+        let mut acc = q_panel[i * width + lane];
+        let (cols, vals) = l.row(i);
+        for (&j, &v) in cols.iter().zip(vals.iter()) {
+            if j < i {
+                acc -= v * d[j] * y_panel[j * width + lane];
+            }
+        }
+        y_panel[i * width + lane] = acc / d[i];
+    }
+}
+
+/// The back substitution of one lane over one cluster range (out of line
+/// for the reason given at [`forward_range_lane`]).
+#[inline(never)]
+fn back_range_lane(
+    u: &CsrMatrix,
+    range: ClusterRange,
+    y_panel: &[f64],
+    x_panel: &mut [f64],
+    width: usize,
+    lane: usize,
+) {
+    for i in range.indices().rev() {
+        let mut acc = y_panel[i * width + lane];
+        let (cols, vals) = u.row(i);
+        for (&j, &v) in cols.iter().zip(vals.iter()) {
+            if j > i {
+                acc -= v * x_panel[j * width + lane];
+            }
+        }
+        x_panel[i * width + lane] = acc;
+    }
+}
+
+/// The full-width forward-recurrence sweep body, generic over the lane
+/// kernel (see [`MogulIndex::forward_rows`] for when it runs).
 ///
 /// `#[inline(always)]` so that instantiating this inside a
 /// `#[target_feature(enable = "avx2")]` shell inlines the kernel's
@@ -934,35 +971,20 @@ mod avx2_shells {
     }
 }
 
-/// Fill `ws.active` with the lanes whose query-cluster list does (`member ==
-/// true`) or does not (`member == false`) contain `cluster`.
-fn mask_lanes_with_cluster(ws: &mut BatchWorkspace, width: usize, cluster: usize, member: bool) {
-    let mut active = std::mem::take(&mut ws.active);
-    active.clear();
+/// The lanes whose query-cluster list contains `cluster`, as a stack mask
+/// and its length.
+fn lanes_with_cluster(
+    ws: &SearchWorkspace,
+    width: usize,
+    cluster: usize,
+) -> ([usize; PANEL_WIDTH], usize) {
+    let mut lanes = [0usize; PANEL_WIDTH];
+    let mut len = 0;
     for b in 0..width {
-        if ws.lane_clusters(b).binary_search(&cluster).is_ok() == member {
-            active.push(b);
+        if ws.lane_clusters(b).binary_search(&cluster).is_ok() {
+            lanes[len] = b;
+            len += 1;
         }
     }
-    ws.active = active;
-}
-
-/// `Vec::dedup` restricted to the suffix starting at `from` — used to
-/// deduplicate one lane's cluster list in place inside the shared flattened
-/// buffer.
-trait DedupSuffix {
-    fn dedup_in_suffix(&mut self, from: usize);
-}
-
-impl DedupSuffix for Vec<usize> {
-    fn dedup_in_suffix(&mut self, from: usize) {
-        let mut write = from;
-        for read in from..self.len() {
-            if write == from || self[write - 1] != self[read] {
-                self[write] = self[read];
-                write += 1;
-            }
-        }
-        self.truncate(write);
-    }
+    (lanes, len)
 }

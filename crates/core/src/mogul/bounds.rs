@@ -115,14 +115,37 @@ impl ClusterBounds {
         &self.border_columns[cluster]
     }
 
-    /// Panel form of [`ClusterBounds::cluster_estimate`]: evaluate the upper
-    /// bound for every lane of an `n × width` score panel
-    /// (`x_panel[j * width + lane]`) in one traversal of the stored border
-    /// columns, writing the per-lane bounds into `out[..width]`.
+    /// Evaluate the upper bound `x̄'_{C_i} = X_i (1 + Ū_i)^{N_i − 1}` for
+    /// one lane of an `n × width` score panel (`x_panel[j * width + lane]`;
+    /// only border rows `j ≥ c_N` are read), accumulating in a register —
+    /// the form to use when few lanes of the panel need a bound.
+    pub fn cluster_estimate_lane(
+        &self,
+        cluster: usize,
+        cluster_len: usize,
+        x_panel: &[f64],
+        width: usize,
+        lane: usize,
+    ) -> f64 {
+        let mut x_i = 0.0;
+        for &(j, u_max) in &self.border_columns[cluster] {
+            x_i += u_max * x_panel[j * width + lane].abs();
+        }
+        if x_i == 0.0 || cluster_len <= 1 {
+            return x_i;
+        }
+        // The geometric factor can overflow for large clusters; `inf` means
+        // "cannot prune", which is always safe.
+        x_i * (1.0 + self.max_within[cluster]).powf((cluster_len - 1) as f64)
+    }
+
+    /// [`ClusterBounds::cluster_estimate_lane`] for every lane at once, in
+    /// one traversal of the stored border columns, writing the per-lane
+    /// bounds into `out[..width]`.
     ///
-    /// Lane `l`'s arithmetic matches the scalar estimate operation for
-    /// operation (same accumulation order, same geometric factor), so the
-    /// batched search prunes exactly the clusters the scalar search prunes.
+    /// A lane's arithmetic is that of the single-lane form (same
+    /// accumulation order, same geometric factor), so a query prunes the
+    /// same clusters whatever it is batched with.
     pub fn cluster_estimates_panel(
         &self,
         cluster: usize,
@@ -133,52 +156,28 @@ impl ClusterBounds {
     ) {
         let out = &mut out[..width];
         out.fill(0.0);
-        for &(j, u_max) in &self.border_columns[cluster] {
+        let columns = &self.border_columns[cluster];
+        for &(j, u_max) in columns {
             let row = &x_panel[j * width..(j + 1) * width];
             for (acc, &x) in out.iter_mut().zip(row.iter()) {
                 *acc += u_max * x.abs();
             }
         }
-        if cluster_len <= 1 {
+        // A cluster with no stored border columns has `X_i = 0` for every
+        // lane; on a corpus with an empty border that is every cluster.
+        if columns.is_empty() || cluster_len <= 1 {
             return;
         }
         let base = 1.0 + self.max_within[cluster];
         let exponent = (cluster_len - 1) as f64;
         // The geometric factor is shared by every lane; compute it at most
-        // once and only if some lane needs it. Same overflow semantics as
-        // the scalar path: `inf` means "cannot prune", which is always safe.
+        // once and only if some lane needs it.
         let mut factor = None;
         for acc in out.iter_mut() {
             if *acc != 0.0 {
                 *acc *= *factor.get_or_insert_with(|| base.powf(exponent));
             }
         }
-    }
-
-    /// Evaluate the upper bound `x̄'_{C_i} = X_i (1 + Ū_i)^{N_i − 1}` given
-    /// the border scores `x_border(j)` (the caller passes the permuted score
-    /// vector restricted to `j ≥ c_N`; other indices are never requested).
-    pub fn cluster_estimate(
-        &self,
-        cluster: usize,
-        cluster_len: usize,
-        x_border: impl Fn(usize) -> f64,
-    ) -> f64 {
-        let x_i: f64 = self.border_columns[cluster]
-            .iter()
-            .map(|&(j, u_max)| u_max * x_border(j).abs())
-            .sum();
-        if x_i == 0.0 {
-            return 0.0;
-        }
-        if cluster_len <= 1 {
-            return x_i;
-        }
-        let base = 1.0 + self.max_within[cluster];
-        // The geometric factor can overflow for large clusters; `inf` simply
-        // means "cannot prune", which is always safe.
-        let exponent = (cluster_len - 1) as f64;
-        x_i * base.powf(exponent)
     }
 }
 
@@ -239,37 +238,56 @@ mod tests {
         assert_eq!(cols1, &[(4, 0.1)]);
     }
 
+    /// The bound of a lone lane whose border scores are `x4`, `x5`.
+    fn estimate(bounds: &ClusterBounds, cluster: usize, len: usize, x4: f64, x5: f64) -> f64 {
+        bounds.cluster_estimate_lane(cluster, len, &[0.0, 0.0, 0.0, 0.0, x4, x5], 1, 0)
+    }
+
     #[test]
     fn estimate_formula() {
         let bounds = ClusterBounds::precompute(&u_factor(), &ordering());
         // Border scores: x'_4 = 2, x'_5 = -1.
-        let x = |j: usize| if j == 4 { 2.0 } else { -1.0 };
         // Cluster 0: X_0 = 0.2*2 + 0.3*1 = 0.7, bound = 0.7 * 1.5^(2-1) = 1.05.
-        let est0 = bounds.cluster_estimate(0, 2, x);
-        assert!((est0 - 1.05).abs() < 1e-12);
+        assert!((estimate(&bounds, 0, 2, 2.0, -1.0) - 1.05).abs() < 1e-12);
         // Cluster 1: X_1 = 0.1*2 = 0.2, bound = 0.2 * 1.25.
-        let est1 = bounds.cluster_estimate(1, 2, x);
-        assert!((est1 - 0.25).abs() < 1e-12);
+        assert!((estimate(&bounds, 1, 2, 2.0, -1.0) - 0.25).abs() < 1e-12);
+    }
+
+    #[test]
+    fn panel_form_bounds_each_lane_like_the_lane_form() {
+        let bounds = ClusterBounds::precompute(&u_factor(), &ordering());
+        // Lane 0 carries the scores above, lane 1 is all zero, lane 2 differs.
+        let mut x_panel = [0.0; 18];
+        x_panel[12..].copy_from_slice(&[2.0, 0.0, 0.3, -1.0, 0.0, 7.0]);
+        for (cluster, len) in [(0, 2), (1, 2), (0, 1), (0, 100_000)] {
+            let mut out = [f64::NAN; 3];
+            bounds.cluster_estimates_panel(cluster, len, &x_panel, 3, &mut out);
+            for (lane, &bound) in out.iter().enumerate() {
+                let alone = bounds.cluster_estimate_lane(cluster, len, &x_panel, 3, lane);
+                assert_eq!(bound, alone, "cluster {cluster} len {len} lane {lane}");
+            }
+            assert_eq!(out[0], estimate(&bounds, cluster, len, 2.0, -1.0));
+            assert_eq!(out[1], 0.0);
+        }
     }
 
     #[test]
     fn zero_coupling_gives_zero_estimate() {
         let bounds = ClusterBounds::precompute(&u_factor(), &ordering());
-        let est = bounds.cluster_estimate(1, 2, |_| 0.0);
-        assert_eq!(est, 0.0);
+        assert_eq!(estimate(&bounds, 1, 2, 0.0, 0.0), 0.0);
     }
 
     #[test]
     fn singleton_cluster_estimate_is_just_x() {
         let bounds = ClusterBounds::precompute(&u_factor(), &ordering());
-        let est = bounds.cluster_estimate(0, 1, |_| 1.0);
-        assert!((est - 0.5).abs() < 1e-12); // 0.2 + 0.3, no geometric factor
+        // 0.2 + 0.3, no geometric factor.
+        assert!((estimate(&bounds, 0, 1, 1.0, 1.0) - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn huge_clusters_do_not_panic_on_overflow() {
         let bounds = ClusterBounds::precompute(&u_factor(), &ordering());
-        let est = bounds.cluster_estimate(0, 100_000, |_| 1.0);
+        let est = estimate(&bounds, 0, 100_000, 1.0, 1.0);
         assert!(est.is_infinite() || est > 1e100);
     }
 }

@@ -23,7 +23,7 @@ mod bounds;
 mod index;
 mod search;
 
-pub use batch::{BatchWorkspace, PANEL_WIDTH};
+pub use batch::{BatchWorkspace, SearchWorkspace, PANEL_WIDTH};
 pub use bounds::ClusterBounds;
 pub use index::{Factorization, MogulConfig, MogulIndex, PrecomputeStats};
-pub use search::{SearchMode, SearchStats, SearchWorkspace};
+pub use search::{SearchMode, SearchStats};

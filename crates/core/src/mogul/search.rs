@@ -14,18 +14,17 @@
 //! The search also supports weighted multi-node query vectors, which is how
 //! out-of-sample queries are processed (Section 4.6.2).
 //!
-//! Every entry point comes in two flavours: a convenient allocating form
-//! ([`MogulIndex::search`], …) and a `*_in` form taking a caller-owned
-//! [`SearchWorkspace`] so repeated queries reuse the `O(n)` scratch vectors —
-//! the form the concurrent serving layer (`mogul-serve`) runs per worker.
-//! Both produce bit-identical results.
+//! The procedure itself lives in the panel engine ([`super::batch`]); the
+//! entry points here stage one query as a panel of one and run it. Each comes
+//! in two flavours: a convenient allocating form ([`MogulIndex::search`], …)
+//! and a `*_in` form taking a caller-owned [`SearchWorkspace`] so repeated
+//! queries reuse the scratch — the form the concurrent serving layer
+//! (`mogul-serve`) runs per worker. Both produce bit-identical results.
 
+use crate::mogul::batch::SearchWorkspace;
 use crate::mogul::index::{Factorization, MogulIndex};
-use crate::ranking::{check_k, check_query, RankedNode, Ranker, TopKResult};
-use crate::topk::BoundedTopK;
+use crate::ranking::{check_k, check_query, Ranker, TopKResult};
 use crate::Result;
-use mogul_graph::ordering::ClusterRange;
-use std::cmp::Ordering as CmpOrdering;
 
 /// How much of Mogul's machinery the search uses. The three modes correspond
 /// to the three curves of Figure 5 in the paper.
@@ -65,140 +64,6 @@ impl SearchStats {
         self.clusters_pruned += other.clusters_pruned;
         self.nodes_scored += other.nodes_scored;
         self.bound_evaluations += other.bound_evaluations;
-    }
-}
-
-/// Reusable per-query scratch for Algorithm 2.
-///
-/// One search touches three `O(n)` vectors (the densified query vector, the
-/// forward-substitution result `y` and the score vector `x'`) plus a handful
-/// of small per-query lists. Allocating them fresh per query is fine for
-/// one-off use, but a serving loop answering thousands of queries per second
-/// wants them reused: pass the same workspace to the `*_in` entry points
-/// ([`MogulIndex::search_in`], [`MogulIndex::search_weighted_in`], …) and the
-/// hot substitution/pruning path performs zero heap allocations after the
-/// buffers have grown to the index size once.
-///
-/// A workspace is an inert buffer bag: it carries no index state, any
-/// workspace works with any index, and a fresh workspace behaves identically
-/// to a warm one (results are bit-identical either way).
-#[derive(Debug, Clone, Default)]
-pub struct SearchWorkspace {
-    /// Densified (scattered) query vector `q'`, zeroed between queries.
-    q_vec: Vec<f64>,
-    /// Forward-substitution result `y` of `L' y = q'`.
-    y: Vec<f64>,
-    /// Score vector `x'` of `U x' = y`, zeroed between queries.
-    x: Vec<f64>,
-    /// Scaled sparse query entries `(index, (1-α)·w)`.
-    q_scaled: Vec<(usize, f64)>,
-    /// Permuted sparse query entries for weighted (multi-node) queries.
-    permuted: Vec<(usize, f64)>,
-    /// Cluster ranges visited by the restricted forward substitution.
-    forward_ranges: Vec<ClusterRange>,
-    /// Deduplicated interior clusters touched by the query.
-    query_clusters: Vec<usize>,
-    /// Backing storage of the top-k heap, recycled between queries.
-    heap_buf: Vec<HeapEntry>,
-    /// Scratch of the unrestricted [`MogulIndex::solve_ranking_system_in`]
-    /// path (the `mogul_sparse::triangular::ldl_solve_into` intermediate).
-    solve: mogul_sparse::SolveWorkspace,
-}
-
-impl SearchWorkspace {
-    /// An empty workspace; buffers grow to the index size on first use.
-    pub fn new() -> Self {
-        SearchWorkspace::default()
-    }
-
-    /// A workspace whose three `O(n)` vectors are pre-sized for an index
-    /// over `n` nodes (the small per-query lists still grow on first use).
-    pub fn with_capacity(n: usize) -> Self {
-        SearchWorkspace {
-            q_vec: Vec::with_capacity(n),
-            y: Vec::with_capacity(n),
-            x: Vec::with_capacity(n),
-            ..SearchWorkspace::default()
-        }
-    }
-}
-
-/// Top-k collector mirroring Algorithm 2's set `K`: it starts with `k`
-/// implicit dummy nodes of score 0, so the threshold `θ` is never negative
-/// and nodes with negative approximate scores are ignored. Built on the
-/// shared [`BoundedTopK`] selector; the batched panel search keeps one
-/// collector per lane.
-pub(crate) struct TopKCollector {
-    inner: BoundedTopK<HeapEntry>,
-    /// Cached threshold `θ` — the hot offer path is dominated by rejected
-    /// offers, which only need one comparison against this field; it is
-    /// recomputed from the heap only when an offer is accepted.
-    threshold: f64,
-}
-
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct HeapEntry {
-    score: f64,
-    node: usize,
-}
-
-impl Eq for HeapEntry {}
-
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<CmpOrdering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> CmpOrdering {
-        // Reversed on score so the binary max-heap acts as a min-heap on score.
-        other
-            .score
-            .partial_cmp(&self.score)
-            .unwrap_or(CmpOrdering::Equal)
-            .then(other.node.cmp(&self.node))
-    }
-}
-
-impl TopKCollector {
-    /// Build a collector on top of a recycled heap buffer (cleared here); the
-    /// buffer is handed back by [`TopKCollector::finish`].
-    pub(crate) fn with_buffer(k: usize, buf: Vec<HeapEntry>) -> Self {
-        TopKCollector {
-            inner: BoundedTopK::with_buffer(k, buf),
-            threshold: 0.0,
-        }
-    }
-
-    /// Current threshold `θ`: the lowest score in `K` (0 while dummies remain).
-    pub(crate) fn threshold(&self) -> f64 {
-        self.threshold
-    }
-
-    #[inline]
-    pub(crate) fn offer(&mut self, node: usize, score: f64) {
-        if !score.is_finite() || score < self.threshold {
-            return;
-        }
-        if self.inner.offer(HeapEntry { score, node }) && self.inner.is_full() {
-            self.threshold = self.inner.worst().map_or(0.0, |e| e.score);
-        }
-    }
-
-    /// Extract the result and return the (cleared) heap buffer for reuse.
-    pub(crate) fn finish(self) -> (TopKResult, Vec<HeapEntry>) {
-        let mut buf = self.inner.into_unsorted_vec();
-        let result = TopKResult::new(
-            buf.iter()
-                .map(|e| RankedNode {
-                    node: e.node,
-                    score: e.score,
-                })
-                .collect(),
-        );
-        buf.clear();
-        (result, buf)
     }
 }
 
@@ -248,9 +113,7 @@ impl MogulIndex {
         check_query(query, self.num_nodes())?;
         check_k(k)?;
         let permuted_query = self.ordering.permutation.new_index(query);
-        ws.permuted.clear();
-        ws.permuted.push((permuted_query, 1.0));
-        self.search_permuted(ws, k, mode, Some(permuted_query))
+        self.search_lane_in(ws, &[(query, 1.0)], Some(permuted_query), k, mode)
     }
 
     /// Top-k search for a weighted query vector given in *original* node ids
@@ -273,18 +136,7 @@ impl MogulIndex {
         mode: SearchMode,
     ) -> Result<(TopKResult, SearchStats)> {
         check_k(k)?;
-        ws.permuted.clear();
-        for &(node, weight) in query_weights {
-            check_query(node, self.num_nodes())?;
-            if !weight.is_finite() {
-                return Err(crate::CoreError::InvalidInput(format!(
-                    "query weight for node {node} is not finite"
-                )));
-            }
-            ws.permuted
-                .push((self.ordering.permutation.new_index(node), weight));
-        }
-        self.search_permuted(ws, k, mode, None)
+        self.search_lane_in(ws, query_weights, None, k, mode)
     }
 
     /// Approximate ranking scores of **all** nodes (original node order),
@@ -297,12 +149,7 @@ impl MogulIndex {
     /// [`MogulIndex::all_scores`] with caller-owned scratch (the returned
     /// score vector itself is still freshly allocated).
     pub fn all_scores_in(&self, ws: &mut SearchWorkspace, query: usize) -> Result<Vec<f64>> {
-        check_query(query, self.num_nodes())?;
-        let permuted_query = self.ordering.permutation.new_index(query);
-        ws.permuted.clear();
-        ws.permuted.push((permuted_query, 1.0));
-        self.scores_permuted(ws)?;
-        self.ordering.permutation.unpermute_vec(&ws.x)
+        self.scores_lane_in(ws, &[(query, 1.0)])
     }
 
     /// Solve the factorized ranking system `W x = rhs` for an arbitrary dense
@@ -341,10 +188,10 @@ impl MogulIndex {
             });
         }
         // Permute the right-hand side: q'[P(i)] = rhs[i].
-        ws.q_vec.clear();
-        ws.q_vec.resize(n, 0.0);
+        ws.solve_rhs.clear();
+        ws.solve_rhs.resize(n, 0.0);
         for (old, &value) in rhs.iter().enumerate() {
-            ws.q_vec[self.ordering.permutation.new_index(old)] = value;
+            ws.solve_rhs[self.ordering.permutation.new_index(old)] = value;
         }
         // Full two-phase substitution `L D Lᵀ x' = q'` — the shared sparse
         // kernel, not a local re-implementation.
@@ -352,221 +199,17 @@ impl MogulIndex {
             &self.factors.l,
             &self.factors.u,
             &self.factors.d,
-            &ws.q_vec,
+            &ws.solve_rhs,
             &mut ws.solve,
-            &mut ws.x,
+            &mut ws.solve_out,
         )?;
         // Unpermute: out[i] = x'[P(i)].
         out.clear();
         out.resize(n, 0.0);
-        for (new, &value) in ws.x.iter().enumerate() {
+        for (new, &value) in ws.solve_out.iter().enumerate() {
             out[self.ordering.permutation.old_index(new)] = value;
         }
         Ok(())
-    }
-
-    // ----------------------------------------------------------------------
-    // Internals
-    // ----------------------------------------------------------------------
-
-    /// Forward substitution `L' y = q'` restricted to `ranges` (ascending),
-    /// writing into caller-owned buffers: `q_vec` receives the densified
-    /// query vector and `y` the substitution result (both zeroed here).
-    fn forward_selected(
-        &self,
-        q_scaled: &[(usize, f64)],
-        ranges: &[ClusterRange],
-        q_vec: &mut Vec<f64>,
-        y: &mut Vec<f64>,
-    ) {
-        let n = self.num_nodes();
-        q_vec.clear();
-        q_vec.resize(n, 0.0);
-        for &(idx, value) in q_scaled {
-            q_vec[idx] += value;
-        }
-        y.clear();
-        y.resize(n, 0.0);
-        let d = &self.factors.d;
-        for range in ranges {
-            for i in range.indices() {
-                let (cols, vals) = self.factors.l.row(i);
-                let mut sum = q_vec[i];
-                for (&j, &v) in cols.iter().zip(vals.iter()) {
-                    if j < i {
-                        sum -= v * d[j] * y[j];
-                    }
-                }
-                y[i] = sum / d[i];
-            }
-        }
-    }
-
-    /// Back substitution `U x' = y` restricted to one cluster range; assumes
-    /// all later ranges this cluster couples to (i.e. the border) are already
-    /// in `x`.
-    fn back_substitute_range(&self, range: ClusterRange, y: &[f64], x: &mut [f64]) {
-        for i in range.indices().rev() {
-            let (cols, vals) = self.factors.u.row(i);
-            let mut sum = y[i];
-            for (&j, &v) in cols.iter().zip(vals.iter()) {
-                if j > i {
-                    sum -= v * x[j];
-                }
-            }
-            x[i] = sum;
-        }
-    }
-
-    /// The interior clusters touched by the query vector (deduplicated,
-    /// ascending), excluding the border cluster, written into `out`.
-    fn query_clusters_into(&self, q_entries: &[(usize, f64)], out: &mut Vec<usize>) {
-        let border_idx = self.ordering.border_cluster();
-        out.clear();
-        out.extend(
-            q_entries
-                .iter()
-                .map(|&(idx, _)| self.ordering.cluster_of_permuted(idx))
-                .filter(|&c| c != border_idx),
-        );
-        out.sort_unstable();
-        out.dedup();
-    }
-
-    /// Scale the query entries in `ws.permuted` by `(1 − α)` into
-    /// `ws.q_scaled` and collect the touched interior clusters.
-    fn prepare_query(&self, ws: &mut SearchWorkspace) {
-        let scale = self.params.query_scale();
-        ws.q_scaled.clear();
-        ws.q_scaled
-            .extend(ws.permuted.iter().map(|&(idx, w)| (idx, w * scale)));
-        self.query_clusters_into(&ws.q_scaled, &mut ws.query_clusters);
-    }
-
-    /// Scores of all nodes in permuted order (left in `ws.x`), computed with
-    /// the restricted forward pass and an unrestricted (every cluster)
-    /// backward pass. The query entries are read from `ws.permuted`.
-    fn scores_permuted(&self, ws: &mut SearchWorkspace) -> Result<()> {
-        let n = self.num_nodes();
-        if n == 0 {
-            ws.x.clear();
-            return Ok(());
-        }
-        self.prepare_query(ws);
-        let border_idx = self.ordering.border_cluster();
-        ws.forward_ranges.clear();
-        for &c in &ws.query_clusters {
-            ws.forward_ranges.push(self.ordering.clusters[c]);
-        }
-        ws.forward_ranges.push(self.ordering.clusters[border_idx]);
-        self.forward_selected(&ws.q_scaled, &ws.forward_ranges, &mut ws.q_vec, &mut ws.y);
-
-        ws.x.clear();
-        ws.x.resize(n, 0.0);
-        self.back_substitute_range(self.ordering.clusters[border_idx], &ws.y, &mut ws.x);
-        for (ci, &range) in self.ordering.clusters.iter().enumerate() {
-            if ci == border_idx {
-                continue;
-            }
-            self.back_substitute_range(range, &ws.y, &mut ws.x);
-        }
-        Ok(())
-    }
-
-    /// Algorithm 2 proper, over the permuted weighted query vector held in
-    /// `ws.permuted`.
-    fn search_permuted(
-        &self,
-        ws: &mut SearchWorkspace,
-        k: usize,
-        mode: SearchMode,
-        exclude_permuted: Option<usize>,
-    ) -> Result<(TopKResult, SearchStats)> {
-        let n = self.num_nodes();
-        let mut stats = SearchStats::default();
-        if n == 0 {
-            return Ok((TopKResult::default(), stats));
-        }
-        self.prepare_query(ws);
-
-        let mut collector = TopKCollector::with_buffer(k, std::mem::take(&mut ws.heap_buf));
-        let offer_range = |collector: &mut TopKCollector, range: ClusterRange, x: &[f64]| {
-            for i in range.indices() {
-                if Some(i) == exclude_permuted {
-                    continue;
-                }
-                collector.offer(self.ordering.permutation.old_index(i), x[i]);
-            }
-        };
-        let finish = |collector: TopKCollector, ws: &mut SearchWorkspace, stats| {
-            let (result, buf) = collector.finish();
-            ws.heap_buf = buf;
-            Ok((result, stats))
-        };
-
-        if mode == SearchMode::FullSubstitution {
-            // Ignore the sparse structure entirely: one pass of forward and
-            // back substitution over every node.
-            let full = ClusterRange { start: 0, len: n };
-            ws.forward_ranges.clear();
-            ws.forward_ranges.push(full);
-            self.forward_selected(&ws.q_scaled, &ws.forward_ranges, &mut ws.q_vec, &mut ws.y);
-            ws.x.clear();
-            ws.x.resize(n, 0.0);
-            self.back_substitute_range(full, &ws.y, &mut ws.x);
-            stats.nodes_scored = n;
-            offer_range(&mut collector, full, &ws.x);
-            return finish(collector, ws, stats);
-        }
-
-        let border_idx = self.ordering.border_cluster();
-        let border_range = self.ordering.clusters[border_idx];
-
-        // Forward substitution restricted to C_Q ∪ C_N (Lemma 4).
-        ws.forward_ranges.clear();
-        for &c in &ws.query_clusters {
-            ws.forward_ranges.push(self.ordering.clusters[c]);
-        }
-        ws.forward_ranges.push(border_range);
-        self.forward_selected(&ws.q_scaled, &ws.forward_ranges, &mut ws.q_vec, &mut ws.y);
-
-        // Back substitution for C_N first (its scores feed every other
-        // cluster via Lemma 5), then for the query clusters.
-        ws.x.clear();
-        ws.x.resize(n, 0.0);
-        self.back_substitute_range(border_range, &ws.y, &mut ws.x);
-        stats.nodes_scored += border_range.len;
-        for &c in &ws.query_clusters {
-            let range = self.ordering.clusters[c];
-            self.back_substitute_range(range, &ws.y, &mut ws.x);
-            stats.nodes_scored += range.len;
-        }
-        offer_range(&mut collector, border_range, &ws.x);
-        for &c in &ws.query_clusters {
-            offer_range(&mut collector, self.ordering.clusters[c], &ws.x);
-        }
-
-        // Remaining interior clusters: prune or score.
-        for (ci, &range) in self.ordering.clusters.iter().enumerate() {
-            if ci == border_idx || ws.query_clusters.contains(&ci) || range.is_empty() {
-                continue;
-            }
-            stats.clusters_considered += 1;
-            if mode == SearchMode::Pruned {
-                stats.bound_evaluations += 1;
-                let x = &ws.x;
-                let estimate = self.bounds.cluster_estimate(ci, range.len, |j| x[j]);
-                if estimate < collector.threshold() {
-                    stats.clusters_pruned += 1;
-                    continue;
-                }
-            }
-            self.back_substitute_range(range, &ws.y, &mut ws.x);
-            stats.nodes_scored += range.len;
-            offer_range(&mut collector, range, &ws.x);
-        }
-
-        finish(collector, ws, stats)
     }
 }
 
@@ -738,50 +381,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn workspace_reuse_is_bit_identical_to_allocating_search() {
-        // One workspace reused across queries, k values, modes and even two
-        // different indices (Mogul and MogulE) must reproduce the allocating
-        // API bit for bit — scores compared with exact equality.
-        let (_, graph) = coil_graph();
-        let approx = MogulIndex::build(&graph, MogulConfig::default()).unwrap();
-        let exact = MogulIndex::build(&graph, MogulConfig::exact()).unwrap();
-        let mut ws = SearchWorkspace::new();
-        for index in [&approx, &exact] {
-            for query in [0usize, 13, 51, 107] {
-                for mode in [
-                    SearchMode::Pruned,
-                    SearchMode::NoPruning,
-                    SearchMode::FullSubstitution,
-                ] {
-                    let (fresh, fresh_stats) = index.search_with_stats(query, 5, mode).unwrap();
-                    let (reused, reused_stats) =
-                        index.search_with_stats_in(&mut ws, query, 5, mode).unwrap();
-                    assert_eq!(fresh, reused, "query {query}, mode {mode:?}");
-                    assert_eq!(fresh_stats, reused_stats);
-                }
-                assert_eq!(
-                    index.all_scores(query).unwrap(),
-                    index.all_scores_in(&mut ws, query).unwrap()
-                );
-            }
-            let weighted = [(3usize, 0.5), (20usize, 0.5)];
-            let (fresh, _) = index
-                .search_weighted(&weighted, 4, SearchMode::Pruned)
-                .unwrap();
-            let (reused, _) = index
-                .search_weighted_in(&mut ws, &weighted, 4, SearchMode::Pruned)
-                .unwrap();
-            assert_eq!(fresh, reused);
-        }
-        // Workspaces presized for a larger index still behave identically.
-        let mut big = SearchWorkspace::with_capacity(10_000);
-        assert_eq!(
-            approx.search(1, 3).unwrap(),
-            approx.search_in(&mut big, 1, 3).unwrap()
-        );
     }
 
     #[test]

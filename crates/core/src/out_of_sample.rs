@@ -9,61 +9,37 @@
 //! Algorithm 2 search. Both phases are `O(n)`; Table 2 of the paper breaks
 //! the total time into exactly these two parts.
 
-use crate::mogul::{
-    BatchWorkspace, MogulIndex, SearchMode, SearchStats, SearchWorkspace, PANEL_WIDTH,
-};
+use crate::mogul::{MogulIndex, SearchMode, SearchStats, SearchWorkspace, PANEL_WIDTH};
 use crate::ranking::{check_k, TopKResult};
 use crate::topk::{f64_sort_key, BoundedTopK, Entry};
 use crate::{CoreError, Result};
 use std::time::Instant;
 
-/// Reusable scratch for [`OutOfSampleIndex::query_in`].
+/// The workspace of the out-of-sample entry points — the same struct as
+/// [`SearchWorkspace`], which also carries the phase-1 scratch.
 ///
 /// An out-of-sample query has two phases (Section 4.6.2): the nearest-cluster
 /// / nearest-neighbour scan that builds the weighted query vector, and the
-/// ordinary Algorithm 2 search over it. Both touch `O(n)` scratch; keeping it
-/// in a caller-owned workspace lets a serving loop (see `mogul-serve`) answer
+/// ordinary Algorithm 2 search over it. Keeping the scratch of both in a
+/// caller-owned workspace lets a serving loop (see `mogul-serve`) answer
 /// repeated queries with zero heap allocations on the substitution/pruning
-/// path after warm-up. Like [`SearchWorkspace`], the workspace carries no
-/// index state: any workspace works with any index and results are
-/// bit-identical to the allocating [`OutOfSampleIndex::query`].
+/// path after warm-up; results are bit-identical to the allocating
+/// [`OutOfSampleIndex::query`].
+pub type OosWorkspace = SearchWorkspace;
+
+/// Recycled phase-1 buffers (held by [`SearchWorkspace`]).
 #[derive(Debug, Clone, Default)]
-pub struct OosWorkspace {
-    /// Scratch of the Algorithm 2 search phase.
-    search: SearchWorkspace,
-    /// Recycled buffer of the bounded nearest-cluster selection
+pub(crate) struct NeighborScratch {
+    /// Buffer of the bounded nearest-cluster selection
     /// (`(centroid distance² key, cluster)` pairs).
     cluster_order: Vec<(u64, usize)>,
-    /// Recycled buffer of the bounded nearest-neighbour selection.
+    /// Buffer of the bounded nearest-neighbour selection.
     candidates: Vec<Entry<(u64, usize), (usize, f64)>>,
     /// `(node, euclidean distance)` pairs of the selected neighbours,
     /// nearest first.
     scored: Vec<(usize, f64)>,
     /// Normalized heat-kernel weighted multi-node query vector.
     weights: Vec<(usize, f64)>,
-}
-
-impl OosWorkspace {
-    /// An empty workspace; buffers grow to the index size on first use.
-    pub fn new() -> Self {
-        OosWorkspace::default()
-    }
-
-    /// A workspace whose search scratch is pre-sized for an index over `n`
-    /// nodes (the phase-1 buffers grow on first use either way).
-    pub fn with_capacity(n: usize) -> Self {
-        OosWorkspace {
-            search: SearchWorkspace::with_capacity(n),
-            ..OosWorkspace::default()
-        }
-    }
-
-    /// The embedded Algorithm 2 search scratch, for callers that interleave
-    /// in-database and out-of-sample queries over a single workspace (the
-    /// `mogul-serve` workers do exactly that).
-    pub fn search_mut(&mut self) -> &mut SearchWorkspace {
-        &mut self.search
-    }
 }
 
 /// Configuration of the out-of-sample query path.
@@ -214,95 +190,70 @@ impl OutOfSampleIndex {
         self.query_in(&mut OosWorkspace::new(), feature, k)
     }
 
-    /// [`OutOfSampleIndex::query`] with caller-owned scratch: bit-identical
-    /// results, with the `O(n)` substitution/pruning buffers reused across
-    /// calls instead of reallocated.
+    /// [`OutOfSampleIndex::query`] with caller-owned scratch: the batch of
+    /// one feature.
     pub fn query_in(
         &self,
         ws: &mut OosWorkspace,
         feature: &[f64],
         k: usize,
     ) -> Result<OutOfSampleResult> {
-        check_k(k)?;
-
-        // Phase 1: nearest cluster(s) by centroid, then nearest neighbours
-        // inside them, turned into a normalized weighted query vector.
-        let nn_start = Instant::now();
-        self.collect_query_weights(ws, feature)?;
-        let nearest_neighbor_secs = nn_start.elapsed().as_secs_f64();
-
-        // Phase 2: ordinary Mogul search with the weighted query vector.
-        let search_start = Instant::now();
-        let OosWorkspace {
-            search, weights, ..
-        } = ws;
-        let (top_k, stats) =
-            self.index
-                .search_weighted_in(search, weights, k, SearchMode::Pruned)?;
-        let top_k_secs = search_start.elapsed().as_secs_f64();
-
-        Ok(OutOfSampleResult {
-            top_k,
-            neighbors: ws.scored.iter().map(|&(node, _)| node).collect(),
-            nearest_neighbor_secs,
-            top_k_secs,
-            stats,
-        })
+        let mut results = self.query_batch_in(ws, &[feature], k)?;
+        Ok(results.pop().expect("a batch of one yields one result"))
     }
 
-    /// Batched [`OutOfSampleIndex::query`] over many feature vectors.
+    /// [`OutOfSampleIndex::query`] over many feature vectors.
     ///
     /// Phase 1 (nearest cluster / nearest neighbours / weight construction)
-    /// runs per query exactly as in the scalar path; phase 2 packs the
-    /// weighted query vectors into [`PANEL_WIDTH`]-wide panels and runs the
-    /// batched Algorithm 2 engine, so the factor structure is traversed once
-    /// per panel instead of once per query. Rankings, neighbours and work
-    /// counters are bit-identical to [`OutOfSampleIndex::query_in`] per
-    /// query; only the timing split differs — `top_k_secs` reports each
-    /// lane's even share of its panel's phase-2 wall clock.
+    /// runs per query; phase 2 packs the weighted query vectors into
+    /// [`PANEL_WIDTH`]-wide panels and runs the Algorithm 2 engine, so the
+    /// factor structure is traversed once per panel instead of once per
+    /// query. Rankings, neighbours and work counters of a query do not
+    /// depend on what it is batched with; only the timing split does —
+    /// `top_k_secs` reports each lane's even share of its panel's phase-2
+    /// wall clock.
     ///
     /// One invalid feature fails the whole call (callers needing per-query
-    /// error isolation, like `mogul-serve`, fall back to scalar queries for
-    /// the affected batch).
+    /// error isolation, like `mogul-serve`, re-run the affected batch query
+    /// by query).
     pub fn query_batch_in(
         &self,
-        ws: &mut BatchWorkspace,
+        ws: &mut SearchWorkspace,
         features: &[&[f64]],
         k: usize,
     ) -> Result<Vec<OutOfSampleResult>> {
         check_k(k)?;
-        let mut out = Vec::with_capacity(features.len());
-        let mut panel_results: Vec<(TopKResult, SearchStats)> = Vec::new();
-        let mut phase1: Vec<(f64, Vec<usize>)> = Vec::with_capacity(PANEL_WIDTH);
+        let mut out: Vec<OutOfSampleResult> = Vec::with_capacity(features.len());
         for chunk in features.chunks(PANEL_WIDTH) {
+            // Phase 1: nearest cluster(s) by centroid, then nearest
+            // neighbours inside them, turned into a normalized weighted
+            // query vector — one staged lane per feature.
             self.index.batch_begin(ws);
-            phase1.clear();
             for &feature in chunk {
                 let nn_start = Instant::now();
-                self.collect_query_weights(&mut ws.oos, feature)?;
-                let nn_secs = nn_start.elapsed().as_secs_f64();
-                let neighbors = ws.oos.scored.iter().map(|&(node, _)| node).collect();
-                let weights = std::mem::take(&mut ws.oos.weights);
+                self.collect_query_weights(&mut ws.neighbors, feature)?;
+                let nearest_neighbor_secs = nn_start.elapsed().as_secs_f64();
+                let weights = std::mem::take(&mut ws.neighbors.weights);
                 let pushed = self.index.batch_push_lane(ws, &weights, None);
-                ws.oos.weights = weights;
+                ws.neighbors.weights = weights;
                 pushed?;
-                phase1.push((nn_secs, neighbors));
-            }
-            let search_start = Instant::now();
-            panel_results.clear();
-            self.index
-                .search_panel_staged(ws, k, SearchMode::Pruned, &mut panel_results)?;
-            let per_lane_secs = search_start.elapsed().as_secs_f64() / chunk.len() as f64;
-            for ((top_k, stats), (nearest_neighbor_secs, neighbors)) in
-                panel_results.drain(..).zip(phase1.drain(..))
-            {
                 out.push(OutOfSampleResult {
-                    top_k,
-                    neighbors,
+                    top_k: TopKResult::default(),
+                    neighbors: ws.neighbors.scored.iter().map(|&(node, _)| node).collect(),
                     nearest_neighbor_secs,
-                    top_k_secs: per_lane_secs,
-                    stats,
+                    top_k_secs: 0.0,
+                    stats: SearchStats::default(),
                 });
+            }
+            // Phase 2: ordinary Mogul search over the weighted query vectors.
+            let search_start = Instant::now();
+            self.index.search_panel_staged(ws, k, SearchMode::Pruned);
+            let per_lane_secs = search_start.elapsed().as_secs_f64() / chunk.len() as f64;
+            let first = out.len() - chunk.len();
+            for (result, (top_k, stats)) in out[first..].iter_mut().zip(ws.results.drain(..)) {
+                result.top_k = top_k;
+                result.top_k_secs = per_lane_secs;
+                result.stats = stats;
             }
         }
         Ok(out)
@@ -328,20 +279,15 @@ impl OutOfSampleIndex {
             .min_by(f64::total_cmp)
     }
 
-    /// Phase 1 of Section 4.6.2 (shared by the scalar and batched paths):
-    /// validate `feature`, find the nearest non-empty cluster(s), select the
-    /// `num_neighbors` nearest members, and leave the selected `(node,
-    /// distance)` pairs in `ws.scored` (nearest first) and the normalized
-    /// heat-kernel query vector in `ws.weights`.
+    /// Phase 1 of Section 4.6.2: validate `feature`, find the nearest
+    /// non-empty cluster(s), select the `num_neighbors` nearest members, and
+    /// leave the selected `(node, distance)` pairs in `ws.scored` (nearest
+    /// first) and the normalized heat-kernel query vector in `ws.weights`.
     ///
     /// Both selections run through the shared bounded top-k collector
     /// (`O(n log k)`, no full sort); ties are pinned to the earlier
     /// candidate, matching the stable sort this replaced.
-    pub(crate) fn collect_query_weights(
-        &self,
-        ws: &mut OosWorkspace,
-        feature: &[f64],
-    ) -> Result<()> {
+    fn collect_query_weights(&self, ws: &mut NeighborScratch, feature: &[f64]) -> Result<()> {
         let dim = self.features.first().map_or(0, |f| f.len());
         if feature.len() != dim {
             return Err(CoreError::DimensionMismatch {
@@ -497,11 +443,6 @@ mod tests {
             assert_eq!(fresh.neighbors, reused.neighbors);
             assert_eq!(fresh.stats, reused.stats);
         }
-        // A presized workspace behaves identically too.
-        let mut big = OosWorkspace::with_capacity(10_000);
-        let fresh = oos.query(&queries[0].0, 3).unwrap();
-        let reused = oos.query_in(&mut big, &queries[0].0, 3).unwrap();
-        assert_eq!(fresh.top_k, reused.top_k);
     }
 
     #[test]

@@ -996,8 +996,8 @@ fn decode_oos(sections: &[RawSection<'_>], meta: &Meta) -> Result<OutOfSampleInd
             ),
         });
     }
-    // Border columns index the permuted score vector at query time
-    // (`cluster_estimate`'s `x[j]`); an out-of-range column would defer a
+    // Border columns index the permuted score panel at query time
+    // (`cluster_estimates_panel`'s row `j`); an out-of-range column would defer a
     // panic into a serving worker, so reject it at load.
     for cluster in 0..bounds.num_clusters() {
         if let Some(&(j, _)) = bounds

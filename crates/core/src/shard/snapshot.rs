@@ -18,7 +18,7 @@
 use std::cmp::Reverse;
 use std::sync::Arc;
 
-use super::{route_by_centroid, ShardRouter};
+use super::ShardRouter;
 use crate::mogul::SearchStats;
 use crate::out_of_sample::OutOfSampleResult;
 use crate::ranking::{RankedNode, TopKResult};
@@ -228,22 +228,19 @@ impl ShardedSnapshot {
                 "item {global} is not in this sharded snapshot (never inserted, or removed)"
             ))
         })?;
-        let top = self.shards[shard].query_by_id_in(&mut ws.inner, local, k)?;
-        let stats = ShardScatterStats {
-            shards_total: self.shards.len(),
-            shards_probed: 1,
-            shards_skipped: self.shards.len() - 1,
-            shards_failed: 0,
-            search: SearchStats::default(),
-        };
-        Ok((self.translate_top_k(shard, &top), stats))
+        let (top, search) =
+            self.shards[shard].query_by_id_with_stats_in(&mut ws.inner, local, k)?;
+        Ok((
+            self.translate_top_k(shard, &top),
+            self.scatter_stats(1, search),
+        ))
     }
 
     /// Batched in-database queries: ids are grouped by owning shard, each
-    /// group runs through the shard's panel-blocked batch engine, and the
-    /// answers scatter back into request order — bit-identical to the
-    /// scalar path per query. Like the monolithic batch call, one unknown
-    /// id fails the whole call.
+    /// group runs through the shard's panel-blocked batch entry point, and
+    /// the answers scatter back into request order — bit-identical to
+    /// [`Self::query_by_id_in`] per query. Like the monolithic batch call,
+    /// one unknown id fails the whole call.
     pub fn query_batch_by_id_in(
         &self,
         ws: &mut ShardedWorkspace,
@@ -373,56 +370,6 @@ impl ShardedSnapshot {
             },
             stats,
         ))
-    }
-
-    /// Batched out-of-sample queries. With a single probe per query (the
-    /// default), features are grouped by routed shard and run through each
-    /// shard's panel-blocked batch engine; multi-probe configurations fall
-    /// back to per-query scatter-gather. Either way every answer is
-    /// bit-identical to the scalar path. One unroutable feature fails the
-    /// whole call, mirroring the monolithic batch semantics.
-    pub fn query_batch_by_feature_in(
-        &self,
-        ws: &mut ShardedWorkspace,
-        features: &[&[f64]],
-        k: usize,
-    ) -> Result<Vec<OutOfSampleResult>> {
-        if self.shard_probes != 1 {
-            let mut out = Vec::with_capacity(features.len());
-            for &feature in features {
-                out.push(self.query_by_feature_in(ws, feature, k)?);
-            }
-            return Ok(out);
-        }
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        for (pos, &feature) in features.iter().enumerate() {
-            let shard = route_by_centroid(self.shards.iter().cloned(), feature)?;
-            groups[shard].push(pos);
-        }
-        let mut out: Vec<Option<OutOfSampleResult>> = (0..features.len()).map(|_| None).collect();
-        for (shard, group) in groups.iter().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            let group_features: Vec<&[f64]> = group.iter().map(|&pos| features[pos]).collect();
-            let results =
-                self.shards[shard].query_batch_by_feature_in(&mut ws.inner, &group_features, k)?;
-            for (&pos, res) in group.iter().zip(results) {
-                out[pos] = Some(OutOfSampleResult {
-                    top_k: self.translate_top_k(shard, &res.top_k),
-                    neighbors: res
-                        .neighbors
-                        .iter()
-                        .map(|&local| self.global_of_local(shard, local))
-                        .collect(),
-                    ..res
-                });
-            }
-        }
-        Ok(out
-            .into_iter()
-            .map(|r| r.expect("every request position was answered by its shard group"))
-            .collect())
     }
 
     /// Shards in probe order: ascending minimum centroid distance, ties to

@@ -47,9 +47,9 @@
 
 use crate::engine::RetrievalEngineBuilder;
 use crate::mogul::{
-    BatchWorkspace, MogulConfig, MogulIndex, SearchMode, SearchStats, SearchWorkspace, PANEL_WIDTH,
+    MogulConfig, MogulIndex, SearchMode, SearchStats, SearchWorkspace, PANEL_WIDTH,
 };
-use crate::out_of_sample::{OosWorkspace, OutOfSampleConfig, OutOfSampleIndex, OutOfSampleResult};
+use crate::out_of_sample::{OutOfSampleConfig, OutOfSampleIndex, OutOfSampleResult};
 use crate::ranking::{check_k, RankedNode, TopKResult};
 use crate::topk::BoundedTopK;
 use crate::{CoreError, Result};
@@ -851,7 +851,7 @@ impl UpdatableIndex {
         }
 
         let base = Arc::clone(&self.base);
-        let mut solve_ws = SearchWorkspace::with_capacity(base_len);
+        let mut solve_ws = SearchWorkspace::new();
         let mut base_part = Vec::with_capacity(base_len);
         let correction = WoodburyCorrection::new(total, &u_cols, v_cols, |rhs, out| {
             base.index().solve_ranking_system_in(
@@ -1038,15 +1038,13 @@ enum SnapshotState {
 
 /// Reusable scratch for the snapshot query paths (one per serving worker).
 ///
-/// Wraps an [`OosWorkspace`] (whose embedded search scratch also drives the
-/// base solves) plus the correction buffers. Carries no snapshot state: any
-/// workspace works with any snapshot and results are identical either way.
+/// Wraps the one [`SearchWorkspace`] every clean path and base solve runs on,
+/// plus the correction buffers. Carries no snapshot state: any workspace
+/// works with any snapshot and results are identical either way.
 #[derive(Debug, Clone, Default)]
 pub struct SnapshotWorkspace {
-    /// Scratch of the clean (pruned Algorithm 2) paths.
-    oos: OosWorkspace,
-    /// Scratch of the batched (panel) query paths.
-    batch: BatchWorkspace,
+    /// Scratch of the Algorithm 2 paths and of the base solves.
+    search: SearchWorkspace,
     /// Densified right-hand side of the corrected solve (a panel of up to
     /// [`PANEL_WIDTH`] columns on the batched path).
     rhs: Vec<f64>,
@@ -1066,16 +1064,6 @@ impl SnapshotWorkspace {
     /// An empty workspace; buffers grow to the index size on first use.
     pub fn new() -> Self {
         SnapshotWorkspace::default()
-    }
-
-    /// The embedded out-of-sample / search scratch.
-    pub fn oos_mut(&mut self) -> &mut OosWorkspace {
-        &mut self.oos
-    }
-
-    /// The embedded batched (panel) scratch.
-    pub fn batch_mut(&mut self) -> &mut BatchWorkspace {
-        &mut self.batch
     }
 }
 
@@ -1192,6 +1180,17 @@ impl IndexSnapshot {
         id: usize,
         k: usize,
     ) -> Result<TopKResult> {
+        Ok(self.query_by_id_with_stats_in(ws, id, k)?.0)
+    }
+
+    /// [`IndexSnapshot::query_by_id_in`] plus the search's work counters (a
+    /// corrected snapshot scores every node and prunes nothing).
+    pub fn query_by_id_with_stats_in(
+        &self,
+        ws: &mut SnapshotWorkspace,
+        id: usize,
+        k: usize,
+    ) -> Result<(TopKResult, SearchStats)> {
         check_k(k)?;
         let node = self.node_of_id.get(id).copied().flatten().ok_or_else(|| {
             CoreError::InvalidInput(format!(
@@ -1200,41 +1199,40 @@ impl IndexSnapshot {
         })?;
         match &self.state {
             SnapshotState::Clean => {
-                let top = self.oos.index().search_in(ws.oos.search_mut(), node, k)?;
-                Ok(self.remap_top_k(&top))
+                let (top, stats) = self.oos.index().search_with_stats_in(
+                    &mut ws.search,
+                    node,
+                    k,
+                    SearchMode::Pruned,
+                )?;
+                Ok((self.remap_top_k(&top), stats))
             }
             SnapshotState::Corrected {
                 correction, live, ..
             } => {
                 let SnapshotWorkspace {
-                    oos,
+                    search,
                     rhs,
                     scores,
                     corr,
                     ..
                 } = ws;
-                self.corrected_scores(
-                    oos.search_mut(),
-                    rhs,
-                    scores,
-                    corr,
-                    correction,
-                    &[(node, 1.0)],
-                )?;
-                Ok(self.select_top_k(scores, live, k, Some(node)))
+                self.corrected_scores(search, rhs, scores, corr, correction, &[(node, 1.0)])?;
+                let top = self.select_top_k(scores, live, k, Some(node));
+                Ok((top, Self::full_solve_stats(scores.len())))
             }
         }
     }
 
     /// Batched [`IndexSnapshot::query_by_id`]: one call answers many
-    /// in-database queries, panel-blocked through the batched Algorithm 2
-    /// engine (clean snapshots) or the multi-RHS `L D Lᵀ` solve plus
-    /// per-lane Woodbury corrections (corrected snapshots). Results are
-    /// bit-identical to the scalar path per query.
+    /// in-database queries, panel-blocked through the Algorithm 2 engine
+    /// (clean snapshots) or the multi-RHS `L D Lᵀ` solve plus per-lane
+    /// Woodbury corrections (corrected snapshots). Results are bit-identical
+    /// to [`IndexSnapshot::query_by_id_in`] per query.
     ///
     /// One unknown id fails the whole call (callers needing per-request
-    /// error isolation, like `mogul-serve`, fall back to scalar queries for
-    /// the affected batch).
+    /// error isolation, like `mogul-serve`, re-run the affected batch query
+    /// by query).
     pub fn query_batch_by_id_in(
         &self,
         ws: &mut SnapshotWorkspace,
@@ -1253,7 +1251,7 @@ impl IndexSnapshot {
         match &self.state {
             SnapshotState::Clean => {
                 let results = self.oos.index().search_batch_in(
-                    &mut ws.batch,
+                    &mut ws.search,
                     &nodes,
                     k,
                     SearchMode::Pruned,
@@ -1271,7 +1269,7 @@ impl IndexSnapshot {
                 let scale = self.oos.index().params().query_scale();
                 let mut out = Vec::with_capacity(ids.len());
                 let SnapshotWorkspace {
-                    batch,
+                    search,
                     rhs,
                     scores,
                     solved,
@@ -1289,7 +1287,7 @@ impl IndexSnapshot {
                         rhs[node * width + lane] += scale;
                     }
                     self.oos.index().solve_ranking_system_batch_in(
-                        batch,
+                        search,
                         &rhs[..base_len * width],
                         width,
                         solved,
@@ -1326,7 +1324,7 @@ impl IndexSnapshot {
     ) -> Result<OutOfSampleResult> {
         match &self.state {
             SnapshotState::Clean => {
-                let mut result = self.oos.query_in(&mut ws.oos, feature, k)?;
+                let mut result = self.oos.query_in(&mut ws.search, feature, k)?;
                 result.top_k = self.remap_top_k(&result.top_k);
                 for node in result.neighbors.iter_mut() {
                     *node = self.ids[*node];
@@ -1404,7 +1402,7 @@ impl IndexSnapshot {
                 // Phase 2: corrected solve over the weighted query vector.
                 let search_start = Instant::now();
                 let SnapshotWorkspace {
-                    oos,
+                    search,
                     rhs,
                     scores,
                     corr,
@@ -1412,7 +1410,7 @@ impl IndexSnapshot {
                     weights,
                     ..
                 } = ws;
-                self.corrected_scores(oos.search_mut(), rhs, scores, corr, correction, weights)?;
+                self.corrected_scores(search, rhs, scores, corr, correction, weights)?;
                 let top_k = self.select_top_k(scores, live, k, None);
                 let top_k_secs = search_start.elapsed().as_secs_f64();
 
@@ -1421,12 +1419,7 @@ impl IndexSnapshot {
                     neighbors: scored.iter().map(|&(node, _)| self.ids[node]).collect(),
                     nearest_neighbor_secs,
                     top_k_secs,
-                    stats: SearchStats {
-                        clusters_considered: 0,
-                        clusters_pruned: 0,
-                        nodes_scored: scores.len(),
-                        bound_evaluations: 0,
-                    },
+                    stats: Self::full_solve_stats(scores.len()),
                 })
             }
         }
@@ -1435,9 +1428,10 @@ impl IndexSnapshot {
     /// Batched [`IndexSnapshot::query_by_feature`]: on a clean snapshot the
     /// batch runs through the panel-blocked
     /// [`OutOfSampleIndex::query_batch_in`]; on a corrected snapshot each
-    /// feature takes the scalar corrected path (phase 1 — the exact
+    /// feature takes the corrected path on its own (phase 1 — the exact
     /// nearest-neighbour scan — dominates there, and it is per-query work
-    /// either way). Results are bit-identical to the scalar path per query.
+    /// either way). Results are bit-identical to
+    /// [`IndexSnapshot::query_by_feature_in`] per query.
     pub fn query_batch_by_feature_in(
         &self,
         ws: &mut SnapshotWorkspace,
@@ -1446,7 +1440,7 @@ impl IndexSnapshot {
     ) -> Result<Vec<OutOfSampleResult>> {
         match &self.state {
             SnapshotState::Clean => {
-                let mut results = self.oos.query_batch_in(&mut ws.batch, features, k)?;
+                let mut results = self.oos.query_batch_in(&mut ws.search, features, k)?;
                 for result in results.iter_mut() {
                     result.top_k = self.remap_top_k(&result.top_k);
                     for node in result.neighbors.iter_mut() {
@@ -1492,6 +1486,15 @@ impl IndexSnapshot {
         Ok(())
     }
 
+    /// Work counters of a corrected query: one unrestricted solve scores
+    /// every node and evaluates no bound.
+    fn full_solve_stats(nodes_scored: usize) -> SearchStats {
+        SearchStats {
+            nodes_scored,
+            ..SearchStats::default()
+        }
+    }
+
     /// Top-k over a dense score vector, filtered to live nodes, excluding
     /// the query node, reported by stable id. Mirrors Algorithm 2's
     /// threshold semantics: only non-negative scores are eligible.
@@ -1507,8 +1510,10 @@ impl IndexSnapshot {
         // "better" (higher score, ties to the lower id); eligible scores are
         // finite and ≥ 0, so their IEEE bit patterns order like the values
         // once −0.0 is normalized.
+        // `k` arrives off the wire unbounded; it must not size the buffer.
         use std::cmp::Reverse;
-        let mut top: BoundedTopK<(Reverse<u64>, usize)> = BoundedTopK::new(k);
+        let mut top: BoundedTopK<(Reverse<u64>, usize)> =
+            BoundedTopK::with_buffer(k, Vec::with_capacity(k.min(scores.len())));
         for (node, &score) in scores.iter().enumerate() {
             if !live[node] || Some(node) == exclude || !score.is_finite() || score < 0.0 {
                 continue;

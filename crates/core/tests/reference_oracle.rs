@@ -1,0 +1,168 @@
+//! An independent oracle for the Algorithm 2 engine: a textbook
+//! substitution written against the index's public accessors only, compared
+//! with exact `==` (it performs the same floating-point operations in the
+//! same order), and MogulE compared against the dense inverse of `exact.rs`.
+
+use mogul_core::{
+    InverseSolver, MogulConfig, MogulIndex, MrParams, RankedNode, Ranker, SearchMode,
+    SearchWorkspace, TopKResult,
+};
+use mogul_data::coil::{coil_like, CoilLikeConfig};
+use mogul_data::web::{web_like, WebLikeConfig};
+use mogul_graph::knn::{knn_graph, KnnConfig};
+use mogul_graph::Graph;
+
+/// Scores of every node (original order) for a weighted query vector:
+/// forward substitution restricted to `C_Q ∪ C_N` (Lemma 4), then back
+/// substitution for the border and for every other cluster (Lemma 5).
+fn reference_scores(index: &MogulIndex, weights: &[(usize, f64)]) -> Vec<f64> {
+    let ordering = index.ordering();
+    let (l, d) = (index.factor_l(), index.factor_d());
+    let u = l.transpose();
+    let n = ordering.len();
+    let border = ordering.border_cluster();
+
+    let mut q = vec![0.0; n];
+    let mut forwarded = vec![false; ordering.num_clusters()];
+    forwarded[border] = true;
+    for &(node, weight) in weights {
+        let permuted = ordering.permutation.new_index(node);
+        q[permuted] += weight * index.params().query_scale();
+        forwarded[ordering.cluster_of_permuted(permuted)] = true;
+    }
+
+    let mut y = vec![0.0; n];
+    for (cluster, range) in ordering.clusters.iter().enumerate() {
+        if !forwarded[cluster] {
+            continue;
+        }
+        for i in range.indices() {
+            let (cols, vals) = l.row(i);
+            let mut sum = q[i];
+            for (&j, &v) in cols.iter().zip(vals) {
+                if j < i {
+                    sum -= v * d[j] * y[j];
+                }
+            }
+            y[i] = sum / d[i];
+        }
+    }
+
+    let mut x = vec![0.0; n];
+    for cluster in std::iter::once(border).chain(0..border) {
+        for i in ordering.clusters[cluster].indices().rev() {
+            let (cols, vals) = u.row(i);
+            let mut sum = y[i];
+            for (&j, &v) in cols.iter().zip(vals) {
+                if j > i {
+                    sum -= v * x[j];
+                }
+            }
+            x[i] = sum;
+        }
+    }
+    (0..n)
+        .map(|node| x[ordering.permutation.new_index(node)])
+        .collect()
+}
+
+/// Algorithm 2's answer set: `K` starts as `k` dummies of score 0, so only
+/// finite non-negative scores enter; ties at the cut go to the larger id.
+fn reference_top_k(scores: &[f64], k: usize, exclude: Option<usize>) -> TopKResult {
+    let mut ranked: Vec<RankedNode> = scores
+        .iter()
+        .enumerate()
+        .filter(|&(node, &score)| Some(node) != exclude && score.is_finite() && score >= 0.0)
+        .map(|(node, &score)| RankedNode { node, score })
+        .collect();
+    ranked.sort_by(|a, b| {
+        let by_score = b.score.partial_cmp(&a.score).expect("finite scores");
+        by_score.then(b.node.cmp(&a.node))
+    });
+    ranked.truncate(k);
+    TopKResult::new(ranked)
+}
+
+/// A clean corpus (separated clusters, empty border) and a noisy one (a
+/// 47-node border, partial pruning), each as `(graph, Mogul, MogulE)`.
+fn fixtures() -> Vec<(Graph, MogulIndex, MogulIndex)> {
+    let clean = coil_like(&CoilLikeConfig {
+        num_objects: 8,
+        poses_per_object: 18,
+        dim: 12,
+        noise: 0.02,
+        ..Default::default()
+    })
+    .unwrap();
+    let noisy = web_like(&WebLikeConfig {
+        num_points: 300,
+        num_topics: 6,
+        dim: 12,
+        background_fraction: 0.2,
+        ..Default::default()
+    })
+    .unwrap();
+    [clean, noisy]
+        .iter()
+        .map(|data| {
+            let graph = knn_graph(data.features(), KnnConfig::with_k(5)).unwrap();
+            let approx = MogulIndex::build(&graph, MogulConfig::default()).unwrap();
+            let exact = MogulIndex::build(&graph, MogulConfig::exact()).unwrap();
+            (graph, approx, exact)
+        })
+        .collect()
+}
+
+#[test]
+fn engine_matches_the_textbook_substitution_exactly() {
+    let mut ws = SearchWorkspace::new();
+    for (_, approx, exact) in &fixtures() {
+        for index in [approx, exact] {
+            let n = index.num_nodes();
+            for query in (0..n).step_by(7) {
+                let scores = reference_scores(index, &[(query, 1.0)]);
+                assert_eq!(index.all_scores_in(&mut ws, query).unwrap(), scores);
+                for k in [1, 10, n] {
+                    let want = reference_top_k(&scores, k, Some(query));
+                    for mode in [
+                        SearchMode::Pruned,
+                        SearchMode::NoPruning,
+                        SearchMode::FullSubstitution,
+                    ] {
+                        let (got, stats) =
+                            index.search_with_stats_in(&mut ws, query, k, mode).unwrap();
+                        assert_eq!(got, want, "query {query} k {k} {mode:?}");
+                        if mode != SearchMode::Pruned {
+                            assert_eq!((stats.nodes_scored, stats.clusters_pruned), (n, 0));
+                        }
+                    }
+                }
+                // A weighted multi-node vector spanning several clusters.
+                let weights = [
+                    (query, 0.6),
+                    ((query * 31 + 7) % n, 0.3),
+                    ((query + 1) % n, 0.1),
+                ];
+                let want = reference_top_k(&reference_scores(index, &weights), 6, None);
+                let (got, _) = index
+                    .search_weighted_in(&mut ws, &weights, 6, SearchMode::Pruned)
+                    .unwrap();
+                assert_eq!(got, want, "weighted query {query}");
+            }
+        }
+    }
+}
+
+#[test]
+fn mogul_e_matches_the_dense_inverse() {
+    let mut ws = SearchWorkspace::new();
+    for (graph, _, exact) in &fixtures() {
+        let dense = InverseSolver::new(graph, MrParams::default()).unwrap();
+        for query in (0..exact.num_nodes()).step_by(5) {
+            let got = exact.all_scores_in(&mut ws, query).unwrap();
+            let want = dense.scores(query).unwrap();
+            let err = mogul_sparse::vector::max_abs_diff(&got, &want).unwrap();
+            assert!(err < 1e-9, "query {query}: MogulE is off by {err}");
+        }
+    }
+}

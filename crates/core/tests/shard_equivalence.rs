@@ -296,7 +296,7 @@ proptest! {
         }
 
         // Out-of-sample: the sharded answer is the routed reference shard's
-        // answer after id translation — scalar and batch paths agree.
+        // answer after id translation.
         for probe in &s.probes {
             let routed = sharded.route_insert(probe).unwrap();
             let got = snap.query_by_feature_in(&mut ws, probe, QUERY_K).unwrap();
@@ -315,10 +315,6 @@ proptest! {
                 prop_assert_eq!(x.score.to_bits(), y.score.to_bits());
             }
             prop_assert_eq!(got.stats, want.stats);
-            let batch = snap
-                .query_batch_by_feature_in(&mut ws, &[probe.as_slice()], QUERY_K)
-                .unwrap();
-            assert_bit_identical(&batch[0].top_k, &got.top_k, "oos batch vs scalar");
         }
     }
 }
@@ -510,4 +506,67 @@ fn multi_probe_stats_aggregate_per_shard_instead_of_clobbering() {
         .unwrap();
     assert_eq!(scatter.shards_probed, 1);
     assert_eq!(scatter.shards_skipped, 2);
+}
+
+#[test]
+fn in_database_scatter_stats_carry_the_owning_shards_search_counters() {
+    // S = 1: the sharded counters are the unsharded search's, on a clean
+    // epoch (pruned Algorithm 2) and on a corrected one (one dense solve).
+    let features = translated_clusters(3, 8, 3);
+    let lazy = || builder(false).rebuild_policy(mogul_core::RebuildPolicy::never());
+    let mut mono = lazy().build(features.clone()).unwrap();
+    let (mut sharded, _) = ShardedIndex::build(
+        features.clone(),
+        ShardedConfig::with_shards(1).builder(lazy()),
+    )
+    .unwrap();
+    let mut ws = ShardedWorkspace::new();
+    let mut mono_ws = mogul_core::update::SnapshotWorkspace::new();
+    for corrected in [false, true] {
+        if corrected {
+            let mut delta = IndexDelta::new();
+            delta.insert(vec![0.3, 0.5, 0.2]).remove(5);
+            mono.apply(&delta).unwrap();
+            sharded.apply(&delta).unwrap();
+        }
+        let (snap, mono_snap) = (sharded.snapshot(), mono.snapshot());
+        assert_eq!(snap.is_clean(), !corrected);
+        for id in snap.item_ids() {
+            let (top, scatter) = snap
+                .query_by_id_with_stats_in(&mut ws, id, QUERY_K)
+                .unwrap();
+            let (mono_top, mono_stats) = mono_snap
+                .query_by_id_with_stats_in(&mut mono_ws, id, QUERY_K)
+                .unwrap();
+            assert_bit_identical(&top, &mono_top, &format!("corrected={corrected} id {id}"));
+            assert_eq!(scatter.search, mono_stats, "corrected={corrected} id {id}");
+            if corrected {
+                assert_eq!(mono_stats.nodes_scored, features.len() + 1);
+            } else {
+                let (_, direct) = mono_snap
+                    .base()
+                    .index()
+                    .search_with_stats(id, QUERY_K, mogul_core::SearchMode::Pruned)
+                    .unwrap();
+                assert_eq!(scatter.search, direct, "id {id}");
+                assert!(direct.clusters_considered > 0, "premise: pruning ran");
+            }
+        }
+    }
+
+    // S = 4: only the owning shard searches, and its work is reported.
+    let (sharded, _) = ShardedIndex::build(
+        translated_clusters(4, 8, 3),
+        ShardedConfig::with_shards(4).builder(builder(false)),
+    )
+    .unwrap();
+    let snap = sharded.snapshot();
+    for id in snap.item_ids() {
+        let (_, scatter) = snap
+            .query_by_id_with_stats_in(&mut ws, id, QUERY_K)
+            .unwrap();
+        assert_eq!((scatter.shards_probed, scatter.shards_skipped), (1, 3));
+        assert!(scatter.search.nodes_scored > 0, "id {id} reported no work");
+        assert!(scatter.search.nodes_scored <= 8);
+    }
 }

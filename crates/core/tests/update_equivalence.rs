@@ -183,3 +183,46 @@ proptest! {
         prop_assert_eq!(initial.len(), s.features.len());
     }
 }
+
+#[test]
+fn an_unbounded_k_returns_every_eligible_item_in_rank_order() {
+    // `k` arrives off the wire unchecked beyond `k > 0`; the largest one
+    // must select (and size its buffers) like `k = number of items`.
+    let features: Vec<Vec<f64>> = (0..20)
+        .map(|i| vec![0.1 * i as f64, 0.05 * (i % 3) as f64])
+        .collect();
+    let mut index = IndexBuilder::new()
+        .knn_k(3)
+        .exact_ranking()
+        .rebuild_policy(RebuildPolicy::never())
+        .build(features)
+        .unwrap();
+    for corrected in [false, true] {
+        if corrected {
+            let mut delta = IndexDelta::new();
+            delta.insert(vec![0.55, 0.02]).remove(19); // the chain stays connected
+            index.apply(&delta).unwrap();
+        }
+        let snapshot = index.snapshot();
+        assert_eq!(snapshot.is_clean(), !corrected);
+        let live = snapshot.item_ids();
+        for &id in &live {
+            let all = snapshot.query_by_id(id, usize::MAX).unwrap();
+            assert_eq!(all, snapshot.query_by_id(id, live.len()).unwrap());
+            assert_eq!(
+                all.len(),
+                live.len() - 1,
+                "corrected={corrected} id={id}: one chain, every other item scores > 0"
+            );
+            assert!(all.nodes().iter().all(|n| live.contains(n) && *n != id));
+            assert!(all.items().windows(2).all(|w| w[0].score >= w[1].score));
+        }
+        let probe = [0.42, 0.03];
+        let all = snapshot.query_by_feature(&probe, usize::MAX).unwrap().top_k;
+        assert_eq!(
+            all,
+            snapshot.query_by_feature(&probe, live.len()).unwrap().top_k
+        );
+        assert_eq!(all.len(), live.len());
+    }
+}

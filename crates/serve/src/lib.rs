@@ -28,9 +28,9 @@
 //!   worker pool, reading from an epoch-versioned
 //!   [`IndexSnapshot`](mogul_core::update::IndexSnapshot). Batch dispatch is
 //!   **panel-blocked**: workers claim contiguous runs of compatible
-//!   requests (same kind, same `k`) and answer each run through the batched
-//!   multi-RHS substitution engine of `mogul-core` (see
-//!   `docs/PERFORMANCE.md`); singletons fall back to the scalar path.
+//!   requests (same kind, same `k`) and answer each run as one panel of the
+//!   Algorithm 2 engine of `mogul-core` (see `docs/PERFORMANCE.md`); a lone
+//!   request is a panel of one.
 //! * [`net`] — the **network front door**: a plain-`std` TCP server
 //!   ([`net::NetServer`]) speaking a length-prefixed, checksummed, versioned
 //!   frame codec, with a bounded admission queue that sheds excess load as
@@ -60,8 +60,8 @@
 //!   rebuild debt, and warm start from a manifested shard directory. See
 //!   `docs/SHARDING.md`.
 //! * [`ServeOptions`] — validated configuration through
-//!   [`ServeOptions::builder`]: worker count, batch [`Dispatch`] strategy,
-//!   admission-queue capacity and per-connection cap. Invalid configurations
+//!   [`ServeOptions::builder`]: worker count, admission-queue capacity and
+//!   per-connection cap. Invalid configurations
 //!   are rejected with [`ServeError::Config`], never silently clamped.
 //! * **Cold start** — [`QueryServer::warm_start`] and
 //!   [`IndexWriter::warm_start`] reconstruct a serving index from a
@@ -94,7 +94,7 @@ mod sharded;
 mod updater;
 
 pub use error::{ServeError, ServeResult};
-pub use options::{Dispatch, ServeOptions, ServeOptionsBuilder, MAX_QUEUE_CAPACITY, MAX_WORKERS};
+pub use options::{ServeOptions, ServeOptionsBuilder, MAX_QUEUE_CAPACITY, MAX_WORKERS};
 pub use request::{QueryRequest, QueryResponse, ResponseStatus, UpdateRequest};
 pub use server::QueryServer;
 pub use sharded::{DegradedPolicy, ShardFault, ShardFaultFn, ShardedServer, ShardedWriter};

@@ -4,8 +4,8 @@
 //! **rejects invalid configurations with a typed
 //! [`ServeError::Config`](crate::ServeError::Config) instead of silently
 //! clamping them**. One options value configures both the in-process
-//! [`QueryServer`](crate::QueryServer) (worker count, dispatch strategy) and
-//! the network front door of [`crate::net`] (admission-queue capacity,
+//! [`QueryServer`](crate::QueryServer) (worker count) and the network front
+//! door of [`crate::net`] (admission-queue capacity,
 //! per-connection in-flight cap).
 
 use crate::error::{ServeError, ServeResult};
@@ -21,35 +21,19 @@ pub const MAX_WORKERS: usize = 4096;
 /// mistake, not a bigger server.
 pub const MAX_QUEUE_CAPACITY: usize = 1 << 20;
 
-/// How [`QueryServer::serve_batch`](crate::QueryServer::serve_batch) executes
-/// a batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Dispatch {
-    /// Blocked multi-RHS panels: contiguous runs of compatible requests
-    /// (same kind, same `k`) are answered through the batched substitution
-    /// engine, up to [`mogul_core::PANEL_WIDTH`] per panel. Bit-identical to
-    /// scalar dispatch, ~2-3x the single-core throughput at batch 32.
-    #[default]
-    Panel,
-    /// One request at a time — the baseline the serving benchmarks compare
-    /// against.
-    Scalar,
-}
-
 /// Configuration of a [`QueryServer`](crate::QueryServer) and of the network
 /// front door ([`crate::net::NetServer`]).
 ///
 /// Build one with [`ServeOptions::builder`]; the fields are private because
 /// every constructed value is guaranteed valid. [`ServeOptions::default`] is
-/// the validated default configuration (auto worker count, panel dispatch,
-/// 1024-deep admission queue, 64 in-flight requests per connection).
+/// the validated default configuration (auto worker count, 1024-deep
+/// admission queue, 64 in-flight requests per connection).
 ///
 /// ```
-/// use mogul_serve::{Dispatch, ServeOptions};
+/// use mogul_serve::ServeOptions;
 ///
 /// let options = ServeOptions::builder()
 ///     .workers(2)
-///     .dispatch(Dispatch::Panel)
 ///     .queue_capacity(256)
 ///     .max_inflight_per_conn(32)
 ///     .build()?;
@@ -62,7 +46,6 @@ pub enum Dispatch {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeOptions {
     workers: usize,
-    dispatch: Dispatch,
     queue_capacity: usize,
     max_inflight_per_conn: usize,
     queue_deadline: Option<Duration>,
@@ -95,11 +78,6 @@ impl ServeOptions {
     /// Configured worker count (`0` = auto-detect at server construction).
     pub fn workers(&self) -> usize {
         self.workers
-    }
-
-    /// Configured batch-dispatch strategy.
-    pub fn dispatch(&self) -> Dispatch {
-        self.dispatch
     }
 
     /// Bound of the network admission queue: requests arriving while
@@ -139,7 +117,6 @@ impl ServeOptions {
 #[derive(Debug, Clone, Copy)]
 pub struct ServeOptionsBuilder {
     workers: usize,
-    dispatch: Dispatch,
     queue_capacity: usize,
     max_inflight_per_conn: usize,
     queue_deadline: Option<Duration>,
@@ -149,7 +126,6 @@ impl Default for ServeOptionsBuilder {
     fn default() -> Self {
         ServeOptionsBuilder {
             workers: 0,
-            dispatch: Dispatch::Panel,
             queue_capacity: 1024,
             max_inflight_per_conn: 64,
             queue_deadline: None,
@@ -163,12 +139,6 @@ impl ServeOptionsBuilder {
     /// (via [`mogul_sparse::effective_threads`]).
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers;
-        self
-    }
-
-    /// Batch-dispatch strategy (default [`Dispatch::Panel`]).
-    pub fn dispatch(mut self, dispatch: Dispatch) -> Self {
-        self.dispatch = dispatch;
         self
     }
 
@@ -236,7 +206,6 @@ impl ServeOptionsBuilder {
         }
         Ok(ServeOptions {
             workers: self.workers,
-            dispatch: self.dispatch,
             queue_capacity: self.queue_capacity,
             max_inflight_per_conn: self.max_inflight_per_conn,
             queue_deadline: self.queue_deadline,
@@ -249,10 +218,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn defaults_are_valid_and_panel_dispatched() {
+    fn defaults_are_valid() {
         let options = ServeOptions::default();
         assert_eq!(options.workers(), 0);
-        assert_eq!(options.dispatch(), Dispatch::Panel);
         assert!(options.queue_capacity() >= 1);
         assert!(options.max_inflight_per_conn() <= options.queue_capacity());
         assert!(options.resolve_workers() >= 1);
@@ -325,6 +293,5 @@ mod tests {
     fn with_workers_is_a_valid_shorthand() {
         let options = ServeOptions::with_workers(3);
         assert_eq!(options.workers(), 3);
-        assert_eq!(options.dispatch(), Dispatch::Panel);
     }
 }

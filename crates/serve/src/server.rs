@@ -20,7 +20,7 @@
 //! solve path.
 
 use crate::error::{ServeError, ServeResult};
-use crate::options::{Dispatch, ServeOptions};
+use crate::options::ServeOptions;
 use crate::request::{QueryRequest, QueryResponse};
 use mogul_core::update::{IndexSnapshot, SnapshotWorkspace};
 use mogul_core::{OutOfSampleIndex, OutOfSampleResult, PersistError, RetrievalEngine};
@@ -110,13 +110,12 @@ impl WorkspacePool {
 pub struct QueryServer {
     state: RwLock<Arc<IndexSnapshot>>,
     workers: usize,
-    dispatch: Dispatch,
     pool: WorkspacePool,
 }
 
-/// One unit of work a batch worker claims: `len == 1` is a scalar request,
-/// `len > 1` a contiguous panel of compatible requests (same kind, same `k`)
-/// answered through the batched multi-RHS engine.
+/// One unit of work a batch worker claims: a contiguous panel of compatible
+/// requests (same kind, same `k`), possibly of one, answered through the
+/// batched snapshot entry points.
 #[derive(Debug, Clone, Copy)]
 struct Job {
     start: usize,
@@ -192,7 +191,6 @@ impl QueryServer {
         QueryServer {
             state: RwLock::new(snapshot),
             workers,
-            dispatch: options.dispatch(),
             // One retained workspace per worker covers the steady state; a
             // spike of concurrent batches allocates extras and drops them.
             pool: WorkspacePool::with_capacity(workers),
@@ -285,10 +283,10 @@ impl QueryServer {
     /// The batch is first cut into **jobs**: contiguous runs of compatible
     /// requests (same kind, same `k`) become panels of up to
     /// [`mogul_core::PANEL_WIDTH`] requests answered through the batched
-    /// multi-RHS engine; singletons (and everything, under
-    /// [`Dispatch::Scalar`]) take the scalar path. A panel whose batched
-    /// call fails re-runs its requests individually, so error reporting
-    /// stays per-request. Answers are bit-identical to scalar dispatch.
+    /// snapshot entry points; a request with no compatible neighbour is a
+    /// panel of one. A panel whose batched call fails re-runs its requests
+    /// individually, so error reporting stays per-request. `answers[i]` is
+    /// bit-identical to [`QueryServer::query`] of `requests[i]`.
     ///
     /// The snapshot is read once per batch, so all answers of one batch come
     /// from one epoch even if a writer swaps mid-batch. Jobs are spread over
@@ -305,7 +303,7 @@ impl QueryServer {
             .iter()
             .map(|r| r.validate(&snapshot).err())
             .collect();
-        let jobs = Self::build_jobs(requests, &admission, self.dispatch);
+        let jobs = Self::build_jobs(requests, &admission);
         let workers = self.workers.min(jobs.len()).max(1);
         if workers == 1 {
             let mut ws = self.pool.checkout();
@@ -353,20 +351,11 @@ impl QueryServer {
         Self::stitch(per_worker.into_iter().flatten().collect(), requests.len())
     }
 
-    /// Cut a batch into panel/scalar jobs (see [`QueryServer::serve_batch`]).
+    /// Cut a batch into panel jobs (see [`QueryServer::serve_batch`]).
     /// Requests that failed admission are always singleton jobs — they are
     /// answered from the admission table and must not drag a healthy panel
-    /// onto the scalar fallback path.
-    fn build_jobs(
-        requests: &[QueryRequest],
-        admission: &[Option<ServeError>],
-        dispatch: Dispatch,
-    ) -> Vec<Job> {
-        if dispatch == Dispatch::Scalar {
-            return (0..requests.len())
-                .map(|start| Job { start, len: 1 })
-                .collect();
-        }
+    /// onto the request-by-request re-run.
+    fn build_jobs(requests: &[QueryRequest], admission: &[Option<ServeError>]) -> Vec<Job> {
         let compatible = |a: &QueryRequest, b: &QueryRequest| match (a, b) {
             (QueryRequest::InDatabase { k: ka, .. }, QueryRequest::InDatabase { k: kb, .. }) => {
                 ka == kb
@@ -407,12 +396,8 @@ impl QueryServer {
         job: Job,
         local: &mut Vec<(usize, ServeResult<QueryResponse>)>,
     ) {
-        if job.len == 1 {
-            let answer = match &admission[job.start] {
-                Some(err) => Err(err.clone()),
-                None => Self::answer(snapshot, ws, &requests[job.start]),
-            };
-            local.push((job.start, answer));
+        if let Some(err) = &admission[job.start] {
+            local.push((job.start, Err(err.clone())));
             return;
         }
         let slice = &requests[job.start..job.start + job.len];

@@ -9,7 +9,7 @@
 use mogul_core::{OutOfSampleResult, RetrievalEngine};
 use mogul_data::coil::{coil_like, CoilLikeConfig};
 use mogul_data::Dataset;
-use mogul_serve::{Dispatch, QueryRequest, QueryResponse, QueryServer, ServeError, ServeOptions};
+use mogul_serve::{QueryRequest, QueryResponse, QueryServer, ServeError, ServeOptions};
 use std::sync::Arc;
 use std::thread;
 
@@ -192,10 +192,11 @@ fn single_query_paths_match_the_engine() {
 }
 
 #[test]
-fn panel_dispatch_matches_scalar_dispatch_on_homogeneous_runs() {
-    // Homogeneous runs are where panels actually form (mixed batches with
-    // alternating kinds degrade to scalar jobs); the panel and scalar
-    // dispatchers must agree bit for bit, for Mogul and MogulE alike.
+fn batched_answers_match_single_queries_across_worker_counts() {
+    // `serve_batch(batch)[i] == query(&batch[i])`: homogeneous runs are
+    // where panels actually form (alternating kinds make panels of one), and
+    // a request's answer must not depend on the panel or the worker it lands
+    // in, for Mogul and MogulE alike.
     let (db, queries) = dataset();
     for exact in [false, true] {
         let mut builder = RetrievalEngine::builder();
@@ -218,26 +219,14 @@ fn panel_dispatch_matches_scalar_dispatch_on_homogeneous_runs() {
         batch.push(QueryRequest::in_database(2, 9));
         batch.push(QueryRequest::in_database(3, 4));
 
-        let panel = QueryServer::new(Arc::clone(&index), ServeOptions::with_workers(1));
-        let scalar = QueryServer::new(
-            Arc::clone(&index),
-            ServeOptions::builder()
-                .workers(1)
-                .dispatch(Dispatch::Scalar)
-                .build()
-                .expect("valid options"),
-        );
-        let threaded = QueryServer::new(Arc::clone(&index), ServeOptions::with_workers(3));
-        let from_panel = panel.serve_batch(&batch);
-        let from_scalar = scalar.serve_batch(&batch);
-        let from_threads = threaded.serve_batch(&batch);
-        for i in 0..batch.len() {
-            let want = from_scalar[i].as_ref().unwrap();
-            for got in [&from_panel[i], &from_threads[i]] {
-                let got = got.as_ref().unwrap();
-                match (want, got) {
+        for workers in [1usize, 2, 3, 8] {
+            let server = QueryServer::new(Arc::clone(&index), ServeOptions::with_workers(workers));
+            let batched = server.serve_batch(&batch);
+            for (i, request) in batch.iter().enumerate() {
+                let want = server.query(request).unwrap();
+                match (&want, batched[i].as_ref().unwrap()) {
                     (QueryResponse::InDatabase(a), QueryResponse::InDatabase(b)) => {
-                        assert_eq!(a, b, "request {i} (exact={exact})")
+                        assert_eq!(a, b, "request {i} (exact={exact}, workers={workers})")
                     }
                     (QueryResponse::OutOfSample(a), QueryResponse::OutOfSample(b)) => {
                         assert_eq!(a.top_k, b.top_k, "request {i} (exact={exact})");
@@ -253,9 +242,8 @@ fn panel_dispatch_matches_scalar_dispatch_on_homogeneous_runs() {
 
 #[test]
 fn panel_jobs_keep_per_request_error_isolation() {
-    // An invalid request in the middle of a compatible run makes the panel
-    // call fail; the job must fall back to scalar execution so its healthy
-    // neighbours still get answers.
+    // An invalid request in the middle of a compatible run must not cost
+    // its healthy neighbours their answers.
     let (db, _) = dataset();
     let engine = RetrievalEngine::builder()
         .build(db.features().to_vec())

@@ -138,6 +138,10 @@ fn scatter_stats_report_skipped_shards() {
         stats.shards_skipped >= 1,
         "in-db query must skip the foreign shard"
     );
+    assert!(
+        stats.search.nodes_scored > 0,
+        "the owning shard's search counters must reach the caller"
+    );
 
     // shard_probes defaults to 1: the scatter prunes the far shard.
     let (response, stats) = server

@@ -14,7 +14,7 @@
 
 use mogul_suite::core::RetrievalEngine;
 use mogul_suite::data::sift::{sift_like, SiftLikeConfig};
-use mogul_suite::serve::{Dispatch, QueryRequest, QueryServer, ServeOptions};
+use mogul_suite::serve::{QueryRequest, QueryServer, ServeOptions};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -101,43 +101,30 @@ fn main() {
     }
     println!("answers are bit-identical at every worker count (see crates/serve tests)");
 
-    // Scalar vs panel dispatch on a single core: homogeneous in-database
-    // batches are where the multi-RHS panel engine shines — one traversal of
-    // the factor structure per 8-wide panel instead of per query (see
-    // docs/PERFORMANCE.md; BENCH_query.json tracks this across commits).
-    println!("\nscalar vs panel dispatch (1 worker, in-database requests, k = 10):");
-    let scalar_server = QueryServer::new(
-        Arc::clone(&index),
-        ServeOptions::builder()
-            .workers(1)
-            .dispatch(Dispatch::Scalar)
-            .build()
-            .expect("valid options"),
-    );
-    let panel_server = QueryServer::new(Arc::clone(&index), ServeOptions::with_workers(1));
+    // Batch-size scaling on a single core: homogeneous in-database batches
+    // are where the panel engine shines — one traversal of the factor
+    // structure per 8-wide panel instead of per query (see
+    // docs/PERFORMANCE.md; `web_indb` vs `web_batch` in BENCHMARK.json tracks
+    // this across commits).
+    println!("\nbatch-size scaling (1 worker, in-database requests, k = 10):");
+    let server = QueryServer::new(Arc::clone(&index), ServeOptions::with_workers(1));
     let n = db.len();
+    let mut single = None;
     for batch_size in [1usize, 8, 32, 128] {
         let homogeneous: Vec<QueryRequest> = (0..batch_size)
             .map(|i| QueryRequest::in_database((i * 131) % n, 10))
             .collect();
-        let mut qps = [0.0f64; 2];
-        for (slot, server) in [&scalar_server, &panel_server].into_iter().enumerate() {
-            server.serve_batch(&homogeneous); // warm
-            let reps = (512 / batch_size).max(4);
-            let start = Instant::now();
-            for _ in 0..reps {
-                for answer in server.serve_batch(&homogeneous) {
-                    answer.expect("query failed");
-                }
+        server.serve_batch(&homogeneous); // warm
+        let reps = (512 / batch_size).max(4);
+        let start = Instant::now();
+        for _ in 0..reps {
+            for answer in server.serve_batch(&homogeneous) {
+                answer.expect("query failed");
             }
-            qps[slot] = (reps * batch_size) as f64 / start.elapsed().as_secs_f64();
         }
-        println!(
-            "  batch {batch_size:>4}: scalar {:>9.0} q/s   panel {:>9.0} q/s   ({:.2}x)",
-            qps[0],
-            qps[1],
-            qps[1] / qps[0]
-        );
+        let qps = (reps * batch_size) as f64 / start.elapsed().as_secs_f64();
+        let speedup = qps / *single.get_or_insert(qps);
+        println!("  batch {batch_size:>4}: {qps:>9.0} q/s   ({speedup:.2}x vs batch 1)");
     }
-    println!("panel answers are bit-identical to scalar dispatch (crates/serve tests)");
+    println!("a request's answer does not depend on its batch (crates/serve tests)");
 }
