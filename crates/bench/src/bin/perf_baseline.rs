@@ -462,7 +462,6 @@ fn main() {
         );
 
         let factors = &serial.factors;
-        let kind = mogul_sparse::kernel::active_kernel();
         let width = 8usize;
         let b: Vec<f64> = (0..kn * width)
             .map(|i| {
@@ -472,13 +471,11 @@ fn main() {
             .collect();
         let mut x = Vec::new();
         use mogul_sparse::triangular::{
-            scale_diag_multi_into_with, solve_unit_lower_multi_into_with,
-            solve_unit_upper_multi_into_with,
+            scale_diag_multi_into, solve_unit_lower_multi_into, solve_unit_upper_multi_into,
         };
-        solve_unit_lower_multi_into_with(kind, &factors.l, &b, width, &mut x).expect("warm lower");
+        solve_unit_lower_multi_into(&factors.l, &b, width, &mut x).expect("warm lower");
         let (latencies, per_iter) = time_rounds(rounds * 8, width, || {
-            solve_unit_lower_multi_into_with(kind, &factors.l, &b, width, &mut x)
-                .expect("kernel lower");
+            solve_unit_lower_multi_into(&factors.l, &b, width, &mut x).expect("kernel lower");
         });
         results.push(ScenarioResult {
             name: "kernel_unit_lower_b8",
@@ -486,8 +483,7 @@ fn main() {
             queries_per_iter: per_iter,
         });
         let (latencies, per_iter) = time_rounds(rounds * 8, width, || {
-            solve_unit_upper_multi_into_with(kind, &factors.u, &b, width, &mut x)
-                .expect("kernel upper");
+            solve_unit_upper_multi_into(&factors.u, &b, width, &mut x).expect("kernel upper");
         });
         results.push(ScenarioResult {
             name: "kernel_unit_upper_b8",
@@ -499,7 +495,7 @@ fn main() {
         let mut panel = b.clone();
         let (latencies, per_iter) = time_rounds(rounds * 8, width, || {
             panel.copy_from_slice(&b);
-            scale_diag_multi_into_with(kind, &factors.d, width, &mut panel).expect("kernel scale");
+            scale_diag_multi_into(&factors.d, width, &mut panel).expect("kernel scale");
         });
         results.push(ScenarioResult {
             name: "kernel_scale_diag",

@@ -47,7 +47,7 @@ use mogul_graph::ordering::ClusterRange;
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 use mogul_sparse::kernel::Avx2Kernel;
 use mogul_sparse::kernel::{LaneKernel, ScalarKernel};
-use mogul_sparse::{CsrMatrix, MultiSolveWorkspace, SolveWorkspace};
+use mogul_sparse::{CsrMatrix, SolveWorkspace};
 use std::cmp::Ordering as CmpOrdering;
 
 /// Panel width the engine blocks queries into.
@@ -127,14 +127,13 @@ pub struct SearchWorkspace {
     pub(crate) results: Vec<(TopKResult, SearchStats)>,
     /// Phase-1 scratch of the out-of-sample path.
     pub(crate) neighbors: NeighborScratch,
-    /// Permuted right-hand side, intermediate and solution of the
-    /// unrestricted [`MogulIndex::solve_ranking_system_in`].
-    pub(crate) solve_rhs: Vec<f64>,
-    pub(crate) solve: SolveWorkspace,
-    pub(crate) solve_out: Vec<f64>,
-    /// Panel scratch of the unrestricted multi-RHS `L D Lᵀ` solve
-    /// ([`MogulIndex::solve_ranking_system_batch_in`]).
-    multi: MultiSolveWorkspace,
+    /// Permuted right-hand-side panel, intermediate and permuted solution
+    /// panel of the unrestricted
+    /// [`MogulIndex::solve_ranking_system_batch_in`]. Dense, and its own: the
+    /// three panels above stay untouched and all-zero.
+    solve_rhs: Vec<f64>,
+    solve: SolveWorkspace,
+    solve_out: Vec<f64>,
 }
 
 /// The workspace of the batched entry points — the same struct as
@@ -343,11 +342,21 @@ impl MogulIndex {
         Ok(scores)
     }
 
-    /// Multi-RHS [`MogulIndex::solve_ranking_system_in`]: solve the
-    /// factorized ranking system for a panel of dense right-hand sides
-    /// (`rhs[i * width + lane]`, original node order) through the blocked
-    /// `mogul-sparse` kernels. Lane `l` of the output panel is bit-identical
-    /// to the scalar solve of lane `l`'s right-hand side.
+    /// Solve the factorized ranking system `W X = rhs` for a panel of dense
+    /// right-hand sides (`rhs[i * width + lane]`, **original** node order).
+    ///
+    /// The solve runs in permuted space (`L D Lᵀ X' = P rhs`, full forward
+    /// and back substitution through the `mogul-sparse` panel sweeps — no
+    /// restriction, no pruning) and unpermutes the result. With the complete
+    /// (MogulE) factorization this is the exact `W⁻¹ rhs`; with the
+    /// incomplete factorization it is the same approximation every search in
+    /// this index is built on. Lane `l` of the output panel does not depend
+    /// on the panel's width or its other lanes.
+    ///
+    /// This is the base solver of the incremental-update module
+    /// ([`crate::update`]): inserts and removals are applied as Woodbury
+    /// corrections *around* this solve, and note that no `(1 − α)` query
+    /// scaling is applied here — callers scale the right-hand side.
     pub fn solve_ranking_system_batch_in(
         &self,
         ws: &mut SearchWorkspace,
@@ -367,48 +376,31 @@ impl MogulIndex {
                 (rhs.len(), 1)
             };
             return Err(crate::CoreError::DimensionMismatch {
-                op: "ranking system batch solve",
+                op: "ranking system solve",
                 left: (n, width),
                 right,
             });
         }
         // Permute the right-hand sides: Q'[P(i)] = rhs[i], lane-wise.
-        ws.q_panel.clear();
-        ws.q_panel.resize(n * width, 0.0);
-        for old in 0..n {
-            let new = self.ordering.permutation.new_index(old);
-            ws.q_panel[new * width..(new + 1) * width]
-                .copy_from_slice(&rhs[old * width..(old + 1) * width]);
-        }
-        let solved = mogul_sparse::triangular::ldl_solve_multi_into(
+        ws.solve_rhs.clear();
+        ws.solve_rhs.resize(n * width, 0.0);
+        let permutation = &self.ordering.permutation;
+        scatter_rows(rhs, width, &mut ws.solve_rhs, |old| {
+            permutation.new_index(old)
+        });
+        mogul_sparse::triangular::ldl_solve_multi_into(
             &self.factors.l,
             &self.factors.u,
             &self.factors.d,
-            &ws.q_panel,
+            &ws.solve_rhs,
             width,
-            &mut ws.multi,
-            &mut ws.x_panel,
-        );
-        if let Err(err) = solved {
-            // Restore the all-zero invariant before surfacing the error —
-            // the workspace may be recycled into a panel search, which
-            // relies on it.
-            ws.q_panel.fill(0.0);
-            ws.x_panel.fill(0.0);
-            return Err(err);
-        }
+            &mut ws.solve,
+            &mut ws.solve_out,
+        )?;
         // Unpermute: out[i] = X'[P(i)], lane-wise.
         out.clear();
         out.resize(n * width, 0.0);
-        for new in 0..n {
-            let old = self.ordering.permutation.old_index(new);
-            out[old * width..(old + 1) * width]
-                .copy_from_slice(&ws.x_panel[new * width..(new + 1) * width]);
-        }
-        // This path writes the panels densely; restore the all-zero
-        // invariant the restricted searches rely on.
-        ws.q_panel.fill(0.0);
-        ws.x_panel.fill(0.0);
+        scatter_rows(&ws.solve_out, width, out, |new| permutation.old_index(new));
         Ok(())
     }
 
@@ -546,9 +538,9 @@ impl MogulIndex {
             return;
         }
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        if let Some(kernel) = avx2_if_active() {
-            // SAFETY: `try_new` inside `avx2_if_active` proved AVX2 is
-            // available on this CPU.
+        if let Some(kernel) = Avx2Kernel::if_active() {
+            // SAFETY: `try_new` inside `Avx2Kernel::if_active` proved AVX2
+            // is available on this CPU.
             unsafe {
                 avx2_shells::forward(
                     kernel,
@@ -604,9 +596,9 @@ impl MogulIndex {
             return;
         }
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        if let Some(kernel) = avx2_if_active() {
-            // SAFETY: `try_new` inside `avx2_if_active` proved AVX2 is
-            // available on this CPU.
+        if let Some(kernel) = Avx2Kernel::if_active() {
+            // SAFETY: `try_new` inside `Avx2Kernel::if_active` proved AVX2
+            // is available on this CPU.
             unsafe {
                 avx2_shells::back(
                     kernel,
@@ -818,6 +810,22 @@ impl MogulIndex {
     }
 }
 
+/// `dst[target(i)] = src[i]` for every `width`-lane row `i` of a panel. A
+/// panel of one moves scalars: a slice copy per row would be a `memcpy` call
+/// per node there (7 % of a 2 000-node exact solve).
+fn scatter_rows(src: &[f64], width: usize, dst: &mut [f64], target: impl Fn(usize) -> usize) {
+    if width == 1 {
+        for (i, &value) in src.iter().enumerate() {
+            dst[target(i)] = value;
+        }
+        return;
+    }
+    for (i, row) in src.chunks_exact(width).enumerate() {
+        let t = target(i);
+        dst[t * width..(t + 1) * width].copy_from_slice(row);
+    }
+}
+
 /// The forward recurrence of one lane over one cluster range: a strided
 /// scalar loop over plain slices. Kept out of line: inlined into the
 /// engine's per-cluster loop it loses its registers to the caller (7 % of a
@@ -921,15 +929,6 @@ fn back_range_sweep<K: LaneKernel>(
             }
         }
         x_panel[i * width..(i + 1) * width].copy_from_slice(acc);
-    }
-}
-
-/// The AVX2 kernel iff the dispatcher currently selects the SIMD path.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-fn avx2_if_active() -> Option<Avx2Kernel> {
-    match mogul_sparse::kernel::active_kernel() {
-        mogul_sparse::kernel::KernelKind::Simd => Avx2Kernel::try_new(),
-        mogul_sparse::kernel::KernelKind::Scalar => None,
     }
 }
 

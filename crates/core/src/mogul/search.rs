@@ -152,64 +152,15 @@ impl MogulIndex {
         self.scores_lane_in(ws, &[(query, 1.0)])
     }
 
-    /// Solve the factorized ranking system `W x = rhs` for an arbitrary dense
-    /// right-hand side in **original** node order.
-    ///
-    /// The solve runs in permuted space (`L D Lᵀ x' = P rhs`, full forward
-    /// and back substitution — no restriction, no pruning) and unpermutes the
-    /// result. With the complete (MogulE) factorization this is the exact
-    /// `W⁻¹ rhs`; with the incomplete factorization it is the same
-    /// approximation every search in this index is built on.
-    ///
-    /// This is the base-solver entry point of the incremental-update module
-    /// ([`crate::update`]): inserts and removals are applied as Woodbury
-    /// corrections *around* this solve, and note that no `(1 − α)` query
-    /// scaling is applied here — callers scale the right-hand side.
-    pub fn solve_ranking_system(&self, rhs: &[f64]) -> Result<Vec<f64>> {
-        let mut out = Vec::new();
-        self.solve_ranking_system_in(&mut SearchWorkspace::new(), rhs, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`MogulIndex::solve_ranking_system`] with caller-owned scratch and
-    /// output buffer: bit-identical results, zero allocation once warm.
+    /// [`MogulIndex::solve_ranking_system_batch_in`] for one dense right-hand
+    /// side — the panel of width one.
     pub fn solve_ranking_system_in(
         &self,
         ws: &mut SearchWorkspace,
         rhs: &[f64],
         out: &mut Vec<f64>,
     ) -> Result<()> {
-        let n = self.num_nodes();
-        if rhs.len() != n {
-            return Err(crate::CoreError::DimensionMismatch {
-                op: "ranking system solve",
-                left: (n, 1),
-                right: (rhs.len(), 1),
-            });
-        }
-        // Permute the right-hand side: q'[P(i)] = rhs[i].
-        ws.solve_rhs.clear();
-        ws.solve_rhs.resize(n, 0.0);
-        for (old, &value) in rhs.iter().enumerate() {
-            ws.solve_rhs[self.ordering.permutation.new_index(old)] = value;
-        }
-        // Full two-phase substitution `L D Lᵀ x' = q'` — the shared sparse
-        // kernel, not a local re-implementation.
-        mogul_sparse::triangular::ldl_solve_into(
-            &self.factors.l,
-            &self.factors.u,
-            &self.factors.d,
-            &ws.solve_rhs,
-            &mut ws.solve,
-            &mut ws.solve_out,
-        )?;
-        // Unpermute: out[i] = x'[P(i)].
-        out.clear();
-        out.resize(n, 0.0);
-        for (new, &value) in ws.solve_out.iter().enumerate() {
-            out[self.ordering.permutation.old_index(new)] = value;
-        }
-        Ok(())
+        self.solve_ranking_system_batch_in(ws, rhs, 1, out)
     }
 }
 
@@ -408,21 +359,23 @@ mod tests {
         let mut rhs = vec![0.0; g.num_nodes()];
         rhs[3] = 1.0;
         rhs[11] = -0.5;
+        let mut ws = SearchWorkspace::new();
+        let (mut x, mut x_approx) = (Vec::new(), Vec::new());
         // Complete factorization: exact inverse application.
-        let x = exact.solve_ranking_system(&rhs).unwrap();
+        exact
+            .solve_ranking_system_in(&mut ws, &rhs, &mut x)
+            .unwrap();
         let x_ref = w.to_dense().solve(&rhs).unwrap();
         assert!(mogul_sparse::vector::max_abs_diff(&x, &x_ref).unwrap() < 1e-9);
         // Incomplete factorization: the usual approximation quality.
-        let x_approx = approx.solve_ranking_system(&rhs).unwrap();
-        assert!(mogul_sparse::vector::max_abs_diff(&x_approx, &x_ref).unwrap() < 0.05);
-        // Workspace variant is bit-identical and validation rejects bad rhs.
-        let mut ws = SearchWorkspace::new();
-        let mut out = Vec::new();
-        exact
-            .solve_ranking_system_in(&mut ws, &rhs, &mut out)
+        approx
+            .solve_ranking_system_in(&mut ws, &rhs, &mut x_approx)
             .unwrap();
-        assert_eq!(x, out);
-        assert!(exact.solve_ranking_system(&[1.0]).is_err());
+        assert!(mogul_sparse::vector::max_abs_diff(&x_approx, &x_ref).unwrap() < 0.05);
+        // Validation rejects a right-hand side of the wrong length.
+        assert!(exact
+            .solve_ranking_system_in(&mut ws, &[1.0], &mut x)
+            .is_err());
     }
 
     #[test]

@@ -1045,12 +1045,12 @@ enum SnapshotState {
 pub struct SnapshotWorkspace {
     /// Scratch of the Algorithm 2 paths and of the base solves.
     search: SearchWorkspace,
-    /// Densified right-hand side of the corrected solve (a panel of up to
-    /// [`PANEL_WIDTH`] columns on the batched path).
+    /// Densified right-hand-side panel of the corrected solve (up to
+    /// [`PANEL_WIDTH`] columns; one for a single query).
     rhs: Vec<f64>,
-    /// Corrected score vector.
+    /// Corrected score vector of the lane being answered.
     scores: Vec<f64>,
-    /// Output panel of the batched corrected base solve.
+    /// Output panel of the corrected base solve.
     solved: Vec<f64>,
     /// Woodbury scratch.
     corr: CorrectionWorkspace,
@@ -1210,16 +1210,11 @@ impl IndexSnapshot {
             SnapshotState::Corrected {
                 correction, live, ..
             } => {
-                let SnapshotWorkspace {
-                    search,
-                    rhs,
-                    scores,
-                    corr,
-                    ..
-                } = ws;
-                self.corrected_scores(search, rhs, scores, corr, correction, &[(node, 1.0)])?;
-                let top = self.select_top_k(scores, live, k, Some(node));
-                Ok((top, Self::full_solve_stats(scores.len())))
+                let mut top = TopKResult::default();
+                self.corrected_scores(ws, correction, &[[(node, 1.0)]], |_, scores| {
+                    top = self.select_top_k(scores, live, k, Some(node));
+                })?;
+                Ok((top, Self::full_solve_stats(correction.dim())))
             }
         }
     }
@@ -1264,41 +1259,13 @@ impl IndexSnapshot {
             SnapshotState::Corrected {
                 correction, live, ..
             } => {
-                let total = correction.dim();
-                let base_len = self.oos.index().num_nodes();
-                let scale = self.oos.index().params().query_scale();
                 let mut out = Vec::with_capacity(ids.len());
-                let SnapshotWorkspace {
-                    search,
-                    rhs,
-                    scores,
-                    solved,
-                    corr,
-                    ..
-                } = ws;
-                for chunk in nodes.chunks(PANEL_WIDTH) {
-                    let width = chunk.len();
-                    // Panel of `(1 − α)`-scaled unit queries in dense node
-                    // space; rows `0..base_len` form the contiguous prefix
-                    // handed to the factorized base solve.
-                    rhs.clear();
-                    rhs.resize(total * width, 0.0);
-                    for (lane, &node) in chunk.iter().enumerate() {
-                        rhs[node * width + lane] += scale;
-                    }
-                    self.oos.index().solve_ranking_system_batch_in(
-                        search,
-                        &rhs[..base_len * width],
-                        width,
-                        solved,
-                    )?;
-                    for (lane, &node) in chunk.iter().enumerate() {
-                        scores.clear();
-                        scores.extend((0..base_len).map(|i| solved[i * width + lane]));
-                        scores.extend((base_len..total).map(|i| rhs[i * width + lane]));
-                        correction.apply_in(corr, scores)?;
-                        out.push(self.select_top_k(scores, live, k, Some(node)));
-                    }
+                let queries: Vec<[(usize, f64); 1]> =
+                    nodes.iter().map(|&node| [(node, 1.0)]).collect();
+                for chunk in queries.chunks(PANEL_WIDTH) {
+                    self.corrected_scores(ws, correction, chunk, |lane, scores| {
+                        out.push(self.select_top_k(scores, live, k, Some(chunk[lane][0].0)));
+                    })?;
                 }
                 Ok(out)
             }
@@ -1401,25 +1368,21 @@ impl IndexSnapshot {
 
                 // Phase 2: corrected solve over the weighted query vector.
                 let search_start = Instant::now();
-                let SnapshotWorkspace {
-                    search,
-                    rhs,
-                    scores,
-                    corr,
-                    scored,
-                    weights,
-                    ..
-                } = ws;
-                self.corrected_scores(search, rhs, scores, corr, correction, weights)?;
-                let top_k = self.select_top_k(scores, live, k, None);
+                let weights = std::mem::take(&mut ws.weights);
+                let mut top_k = TopKResult::default();
+                let solved = self.corrected_scores(ws, correction, &[&weights], |_, scores| {
+                    top_k = self.select_top_k(scores, live, k, None);
+                });
+                ws.weights = weights;
+                solved?;
                 let top_k_secs = search_start.elapsed().as_secs_f64();
 
                 Ok(OutOfSampleResult {
                     top_k,
-                    neighbors: scored.iter().map(|&(node, _)| self.ids[node]).collect(),
+                    neighbors: ws.scored.iter().map(|&(node, _)| self.ids[node]).collect(),
                     nearest_neighbor_secs,
                     top_k_secs,
-                    stats: Self::full_solve_stats(scores.len()),
+                    stats: Self::full_solve_stats(correction.dim()),
                 })
             }
         }
@@ -1458,31 +1421,57 @@ impl IndexSnapshot {
 
     // -- internals ----------------------------------------------------------
 
-    /// `(1 − α)`-scaled corrected score vector for a sparse weighted query
-    /// (dense node space): base solve on the factorized block, identity on
-    /// the appended block, then the Woodbury correction.
+    /// The one corrected-scores path: stage a panel of sparse weighted
+    /// queries (dense node space, at most [`PANEL_WIDTH`] lanes,
+    /// `(1 − α)`-scaled), run the base solve on the factorized block
+    /// (identity on the appended block), then hand each lane's
+    /// Woodbury-corrected score vector to `visit`, in lane order. A single
+    /// query is the panel of one, whose solved panel *is* its score vector.
     fn corrected_scores(
         &self,
-        solve_ws: &mut SearchWorkspace,
-        rhs: &mut Vec<f64>,
-        scores: &mut Vec<f64>,
-        corr: &mut CorrectionWorkspace,
+        ws: &mut SnapshotWorkspace,
         correction: &WoodburyCorrection,
-        query_weights: &[(usize, f64)],
+        queries: &[impl AsRef<[(usize, f64)]>],
+        mut visit: impl FnMut(usize, &[f64]),
     ) -> Result<()> {
+        let SnapshotWorkspace {
+            search,
+            rhs,
+            scores,
+            solved,
+            corr,
+            ..
+        } = ws;
+        let width = queries.len();
         let total = correction.dim();
         let base_len = self.oos.index().num_nodes();
         let scale = self.oos.index().params().query_scale();
+        // Rows `0..base_len` of the panel form the contiguous prefix handed
+        // to the factorized base solve.
         rhs.clear();
-        rhs.resize(total, 0.0);
-        for &(node, weight) in query_weights {
-            rhs[node] += weight * scale;
+        rhs.resize(total * width, 0.0);
+        for (lane, query) in queries.iter().enumerate() {
+            for &(node, weight) in query.as_ref() {
+                rhs[node * width + lane] += weight * scale;
+            }
         }
-        self.oos
-            .index()
-            .solve_ranking_system_in(solve_ws, &rhs[..base_len], scores)?;
-        scores.extend_from_slice(&rhs[base_len..]);
-        correction.apply_in(corr, scores)?;
+        self.oos.index().solve_ranking_system_batch_in(
+            search,
+            &rhs[..base_len * width],
+            width,
+            solved,
+        )?;
+        for lane in 0..width {
+            if width == 1 {
+                std::mem::swap(scores, solved);
+            } else {
+                scores.clear();
+                scores.extend(solved.iter().skip(lane).step_by(width));
+            }
+            scores.extend(rhs[base_len * width..].iter().skip(lane).step_by(width));
+            correction.apply_in(corr, scores)?;
+            visit(lane, scores);
+        }
         Ok(())
     }
 
@@ -1549,6 +1538,7 @@ impl IndexSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exact::InverseSolver;
 
     /// Two well-separated clusters of 2-D points.
     fn two_cluster_features() -> Vec<Vec<f64>> {
@@ -1638,6 +1628,80 @@ mod tests {
                     (x.score - y.score).abs() < 1e-9,
                     "query {id}: {x:?} vs {y:?}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn corrected_arms_agree_with_each_other_and_with_the_dense_solve() {
+        use crate::ranking::Ranker;
+        // Three clusters of distinct seeded points; two deltas of inserts and
+        // removals leave the exact-ranking index corrected. One out-of-sample
+        // neighbour, so an item's own feature is the unit query of its id.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut jitter = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut point = |cluster: usize| vec![4.0 * cluster as f64 + jitter(), jitter()];
+        let features: Vec<Vec<f64>> = (0..36).map(|i| point(i % 3)).collect();
+        let mut index = builder()
+            .out_of_sample_neighbors(1)
+            .build(features)
+            .unwrap();
+        for round in 0..2usize {
+            let mut delta = IndexDelta::new();
+            for i in 0..4 {
+                delta.insert(point(i % 3));
+            }
+            delta.remove(5 + 11 * round).remove(7 + 11 * round);
+            index.apply(&delta).unwrap();
+        }
+        let snapshot = index.snapshot();
+        assert!(snapshot.correction_rank() > 0);
+        let ids = snapshot.item_ids();
+        let k = ids.len();
+        let ws = &mut SnapshotWorkspace::new();
+
+        // One path: single, batched (ragged and multi-panel sizes) and
+        // by-feature answers are the same bits.
+        let singles: Vec<TopKResult> = ids
+            .iter()
+            .map(|&id| snapshot.query_by_id_in(ws, id, k).unwrap())
+            .collect();
+        for size in [1usize, 2, 3, 8, 11] {
+            for (chunk, want) in ids.chunks(size).zip(singles.chunks(size)) {
+                assert_eq!(snapshot.query_batch_by_id_in(ws, chunk, k).unwrap(), want);
+            }
+        }
+        for (&id, single) in ids.iter().zip(&singles) {
+            let node = snapshot.node_of_id[id].unwrap();
+            let by_feature = snapshot
+                .query_by_feature_in(ws, &index.features[node], k)
+                .unwrap();
+            assert_eq!(by_feature.neighbors, vec![id]);
+            let others: Vec<RankedNode> = by_feature
+                .top_k
+                .items()
+                .iter()
+                .filter(|item| item.node != id)
+                .cloned()
+                .collect();
+            assert_eq!(others, single.items(), "by feature vs by id {id}");
+        }
+
+        // The oracle: the dense inverse over the current graph (tombstones
+        // are isolated nodes there).
+        let oracle = InverseSolver::new(&index.graph, index.config.params).unwrap();
+        for (&id, single) in ids.iter().zip(&singles) {
+            let scores = oracle.scores(snapshot.node_of_id[id].unwrap()).unwrap();
+            for &other in ids.iter().filter(|&&other| other != id) {
+                let want = scores[snapshot.node_of_id[other].unwrap()];
+                match single.score_of(other) {
+                    Some(got) => assert!((got - want).abs() < 1e-9, "{id} -> {other}"),
+                    // Only non-negative scores are eligible for an answer.
+                    None => assert!(want < 1e-9, "{id} -> {other} missing, oracle {want}"),
+                }
             }
         }
     }

@@ -319,8 +319,9 @@ fn an_invalid_lane_rejects_the_batch_and_leaves_the_workspace_usable() {
 #[test]
 fn one_workspace_serves_every_entry_point_like_a_fresh_one() {
     // Widths 1, 3 and 8, indices of different sizes and factors, restricted
-    // searches, full score vectors and the dense solves (which write the
-    // panels wholesale) all interleaved on one workspace.
+    // searches, full score vectors and the dense solves (which keep to
+    // their own buffers and must leave the engine's panels all-zero) all
+    // interleaved on one workspace.
     let indices = fixtures();
     let mut ws = SearchWorkspace::new();
     for round in 0..3 {

@@ -12,8 +12,8 @@
 use mogul_core::update::{IndexBuilder, RebuildPolicy};
 use mogul_core::{ShardedConfig, ShardedIndex};
 use mogul_serve::{QueryRequest, ServeError, ShardedWriter, UpdateRequest};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc};
 use std::thread;
 
 const QUERY_K: usize = 4;
@@ -162,8 +162,19 @@ fn scatter_stats_report_skipped_shards() {
 /// Duplicates inside one batch must answer bit-identically (one snapshot,
 /// therefore one epoch per shard, for the whole batch), and the epoch
 /// observed by each reader must be monotone.
+///
+/// The overlap is forced, not hoped for: the writer starts only once every
+/// reader has completed a batch, and keeps stepping until every reader has
+/// seen the epoch advance [`MIN_EPOCHS_SEEN`] times (or the step bound trips
+/// the final assertion) — in release builds the base 40 steps alone finish
+/// before a reader's first batch does.
 #[test]
 fn batches_racing_shard_rebuilds_never_tear() {
+    const READERS: usize = 3;
+    const BASE_STEPS: usize = 40;
+    const MAX_STEPS: usize = 4_000;
+    const MIN_EPOCHS_SEEN: usize = 3;
+
     // Tiny support ceiling: corrected epochs and full per-shard
     // refactorizations both occur during the run.
     let index = build_sharded(RebuildPolicy {
@@ -173,14 +184,23 @@ fn batches_racing_shard_rebuilds_never_tear() {
     let (server, writer) = ShardedWriter::new(index);
     let writer = Arc::new(writer);
     let done = Arc::new(AtomicBool::new(false));
+    // Each reader sends once, after its first batch, and drops its sender; a
+    // reader that panics first drops it too, so the writer never waits on a
+    // dead thread.
+    let (warmed_up_tx, warmed_up_rx) = mpsc::channel::<()>();
+    // Per reader: how many times it saw the epoch advance between batches.
+    let epochs_seen: Arc<Vec<AtomicUsize>> =
+        Arc::new((0..READERS).map(|_| AtomicUsize::new(0)).collect());
 
     let mut readers = Vec::new();
-    for reader in 0..3 {
+    for reader in 0..READERS {
         let server = Arc::clone(&server);
         let done = Arc::clone(&done);
+        let mut warmed_up = Some(warmed_up_tx.clone());
+        let epochs_seen = Arc::clone(&epochs_seen);
         readers.push(thread::spawn(move || {
             let probe = reader % 6;
-            let mut last_epoch = 0u64;
+            let mut last_epoch = server.epoch();
             let mut batches = 0usize;
             while !done.load(Ordering::Relaxed) {
                 let requests = vec![
@@ -209,23 +229,43 @@ fn batches_racing_shard_rebuilds_never_tear() {
                     epoch >= last_epoch,
                     "epoch went backwards: {epoch} < {last_epoch}"
                 );
+                if epoch > last_epoch {
+                    epochs_seen[reader].fetch_add(1, Ordering::Relaxed);
+                }
                 last_epoch = epoch;
                 batches += 1;
+                if let Some(tx) = warmed_up.take() {
+                    tx.send(()).expect("the writer waits for every reader");
+                }
             }
             batches
         }));
     }
+    drop(warmed_up_tx);
+    assert_eq!(
+        warmed_up_rx.iter().count(),
+        READERS,
+        "a reader failed its first batch"
+    );
 
     // Writer: insert into alternating clusters (so both shards change and
     // both answers drift between epochs), remove the previous insert, and
     // rebuild each shard in turn.
     let mut pending: Option<usize> = None;
-    for step in 0..40 {
+    for step in 0..MAX_STEPS {
+        let overlapped = epochs_seen
+            .iter()
+            .all(|seen| seen.load(Ordering::Relaxed) >= MIN_EPOCHS_SEEN);
+        // A reader only finishes before `done` by failing an assertion.
+        if (step >= BASE_STEPS && overlapped) || readers.iter().any(|r| r.is_finished()) {
+            break;
+        }
         let near_zero = step % 2 == 0;
+        let drift = 0.005 * (step % BASE_STEPS) as f64;
         let feature = if near_zero {
-            vec![0.4 + 0.005 * step as f64, 0.06]
+            vec![0.4 + drift, 0.06]
         } else {
-            vec![100.4 + 0.005 * step as f64, 9.06]
+            vec![100.4 + drift, 9.06]
         };
         let mut updates = vec![UpdateRequest::insert(feature)];
         if let Some(id) = pending.take() {
@@ -239,16 +279,17 @@ fn batches_racing_shard_rebuilds_never_tear() {
     }
     done.store(true, Ordering::Relaxed);
 
-    let mut total = 0usize;
-    for reader in readers {
-        total += reader
+    for (reader, handle) in readers.into_iter().enumerate() {
+        let batches = handle
             .join()
             .expect("reader panicked (tearing assertion failed)");
+        let seen = epochs_seen[reader].load(Ordering::Relaxed);
+        assert!(
+            seen >= MIN_EPOCHS_SEEN,
+            "reader {reader} saw the epoch advance {seen} times over {batches} batches: \
+             no real overlap with the writer within {MAX_STEPS} steps"
+        );
     }
-    assert!(
-        total > 0,
-        "readers must have observed batches during the run"
-    );
 
     // Post-race sanity: the final published snapshot and the writer's own
     // state agree shard by shard.

@@ -59,9 +59,13 @@ impl LdlFactors {
             .expect("shape mismatch in LDL reconstruction")
     }
 
-    /// Solve `L D Lᵀ x = b` using the stored factors.
+    /// Solve `L D Lᵀ x = b` using the stored factors — the allocating
+    /// convenience over [`crate::triangular::ldl_solve_multi_into`] at width 1.
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>> {
-        crate::triangular::ldl_solve(&self.l, &self.u, &self.d, b)
+        let mut x = Vec::new();
+        let ws = &mut crate::triangular::SolveWorkspace::new();
+        crate::triangular::ldl_solve_multi_into(&self.l, &self.u, &self.d, b, 1, ws, &mut x)?;
+        Ok(x)
     }
 }
 

@@ -1,7 +1,7 @@
 //! Lane kernels: the vectorizable primitives under every panel sweep.
 //!
 //! The panel layout (`panel[node * width + lane]`, see
-//! [`MultiSolveWorkspace`](crate::MultiSolveWorkspace)) keeps the `width` lane
+//! [`triangular`](crate::triangular)) keeps the `width` lane
 //! values of a node adjacent precisely so the per-node inner loops can run as
 //! SIMD instructions. This module names those inner loops as an explicit
 //! [`LaneKernel`] trait with two implementations:
@@ -37,6 +37,11 @@
 //! off, non-x86 target, or no AVX2 at runtime) silently falls back to the
 //! scalar kernel — the request is a performance hint, never a correctness
 //! switch.
+//!
+//! A sweep over a panel too narrow to feed a lane kernel (width 1 in
+//! [`triangular`](crate::triangular), at most two active lanes in
+//! `mogul-core`'s engine) runs one strided scalar recurrence per lane instead
+//! and never dispatches; the sweep decides that from the width it is given.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -111,7 +116,7 @@ pub trait LaneKernel: Copy {
     fn axpy_neg(self, acc: &mut [f64], x: &[f64], v: f64);
 
     /// `out[b] = acc[b] / d` for every lane `b` — the pivot division of the
-    /// non-unit triangular solves.
+    /// Algorithm 2 engine's forward sweep, which fuses the `D` scaling.
     fn div_store(self, out: &mut [f64], acc: &[f64], d: f64);
 
     /// `row[b] /= d` for every lane `b` — the in-place diagonal scaling of
@@ -163,6 +168,15 @@ impl Avx2Kernel {
             Some(Avx2Kernel(()))
         } else {
             None
+        }
+    }
+
+    /// The AVX2 kernel iff [`active_kernel`] currently selects the SIMD path
+    /// — what a sweep asks once, before choosing its instantiation.
+    pub fn if_active() -> Option<Self> {
+        match active_kernel() {
+            KernelKind::Simd => Self::try_new(),
+            KernelKind::Scalar => None,
         }
     }
 }

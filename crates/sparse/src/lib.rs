@@ -11,12 +11,11 @@
 //!   k-NN adjacency matrix and everything derived from it.
 //! * [`Permutation`] — the node permutation matrix `P` of Section 4.2.2
 //!   (`A' = P A Pᵀ`).
-//! * [`triangular`] — forward/back substitution (Equations (4) and (5)),
-//!   each solve also available as a `*_into` variant writing into
-//!   caller-owned buffers (see [`SolveWorkspace`]) for allocation-free loops,
-//!   and as a blocked `*_multi_into` variant that solves a whole panel of
-//!   right-hand sides per traversal of the factor (see
-//!   [`MultiSolveWorkspace`]) — the substrate of the batched query engine.
+//! * [`triangular`] — forward/back substitution (Equations (4) and (5)) over
+//!   the unit-triangular `L D Lᵀ` factors: one family of `*_multi_into`
+//!   solves that take a whole panel of right-hand sides per traversal of the
+//!   factor and write into caller-owned buffers (see [`SolveWorkspace`]); a
+//!   lone right-hand side is the panel of width 1.
 //! * [`kernel`] — the lane-kernel trait under every panel sweep: a scalar
 //!   reference implementation and a runtime-dispatched AVX2 implementation
 //!   (behind the `simd` cargo feature), bit-identical by construction.
@@ -71,5 +70,5 @@ pub use kernel::{active_kernel, set_kernel_override, simd_available, KernelKind}
 pub use ldl::{complete_ldl, complete_ldl_threaded, CompleteLdl};
 pub use parallel::effective_threads;
 pub use permutation::Permutation;
-pub use triangular::{MultiSolveWorkspace, SolveWorkspace, MAX_PANEL_WIDTH};
+pub use triangular::SolveWorkspace;
 pub use woodbury::{CorrectionWorkspace, WoodburyCorrection};

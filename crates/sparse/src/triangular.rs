@@ -1,43 +1,54 @@
-//! Forward and back substitution for sparse triangular systems.
+//! Forward and back substitution for sparse unit-triangular systems.
 //!
 //! Mogul obtains the approximate ranking scores by forward substitution on
 //! `L' y = q'` (Equation (4)) followed by back substitution on `U x' = y`
 //! (Equation (5)); both factors come from the `L D Lᵀ` factorization of `W`
 //! and are stored row-wise (CSR), which is exactly the access pattern the two
-//! substitutions need.
+//! substitutions need. The factors are unit-triangular by construction, so
+//! the only division is the diagonal scaling between the two sweeps.
+//!
+//! There is one solve family: every function takes a **panel** of `width`
+//! right-hand sides with the `width` lane values of each node adjacent
+//! (`panel[node * width + lane]`, length `n · width`), so one traversal of
+//! the factor's CSR structure applies every non-zero to all lanes through a
+//! short contiguous inner loop (see [`crate::kernel`]). A lone right-hand
+//! side is the panel of width 1. Each lane performs the same floating-point
+//! operations in the same order whatever the width, its position in the
+//! panel and the kernel in use, so lane `l` of a panel result is
+//! **bit-identical** to the width-1 solve of lane `l`'s right-hand side.
 
 use crate::csr::CsrMatrix;
 use crate::error::{Result, SparseError};
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 use crate::kernel::Avx2Kernel;
-use crate::kernel::{self, KernelKind, LaneKernel, ScalarKernel};
+use crate::kernel::{LaneKernel, ScalarKernel};
 
 /// Smallest pivot magnitude accepted before a solve is declared singular.
 const PIVOT_TOL: f64 = 1e-300;
 
-/// Reusable scratch for the composite [`ldl_solve_into`] operation.
-///
-/// Holding the intermediate vector of the two-phase solve in a caller-owned
-/// workspace lets hot query loops (for example the concurrent serving layer
-/// in `mogul-serve`) run the substitution path with zero heap allocations
-/// after the first call: the buffer is resized once and then reused.
+/// Panels this narrow run one strided scalar recurrence per lane instead of
+/// a lane-kernel sweep: a kernel call on one-element slices per non-zero
+/// costs more than the arithmetic it performs (2.1× on a 2 000-node exact
+/// factor at width 1). Same operations in the same order per lane, so bits
+/// do not change. The choice is made from the width alone, before kernel
+/// dispatch, so both `simd` feature configurations take the same path — the
+/// rule `mogul-core`'s engine applies to its masked sweeps.
+const NARROW_PANEL_WIDTH: usize = 1;
+
+/// Reusable scratch for the composite [`ldl_solve_multi_into`] operation: the
+/// intermediate `n × width` panel of the two-phase solve, so a warm loop of
+/// solves (for example a serving worker of `mogul-serve`) performs no heap
+/// allocation — the buffer grows once and is then reused.
 #[derive(Debug, Clone, Default)]
 pub struct SolveWorkspace {
-    /// Intermediate `y` of `L y = b` before the diagonal scaling.
+    /// Intermediate panel of `L Y = B` before the diagonal scaling.
     intermediate: Vec<f64>,
 }
 
 impl SolveWorkspace {
-    /// An empty workspace; buffers grow on first use.
+    /// An empty workspace; the panel grows on first use.
     pub fn new() -> Self {
         SolveWorkspace::default()
-    }
-
-    /// A workspace pre-sized for systems of dimension `n`.
-    pub fn with_capacity(n: usize) -> Self {
-        SolveWorkspace {
-            intermediate: Vec::with_capacity(n),
-        }
     }
 }
 
@@ -45,223 +56,6 @@ impl SolveWorkspace {
 fn reset(out: &mut Vec<f64>, n: usize) {
     out.clear();
     out.resize(n, 0.0);
-}
-
-fn check_square_and_rhs(m: &CsrMatrix, b: &[f64], op: &'static str) -> Result<()> {
-    if m.nrows() != m.ncols() {
-        return Err(SparseError::NotSquare {
-            nrows: m.nrows(),
-            ncols: m.ncols(),
-        });
-    }
-    if b.len() != m.nrows() {
-        return Err(SparseError::DimensionMismatch {
-            op,
-            left: (m.nrows(), m.ncols()),
-            right: (b.len(), 1),
-        });
-    }
-    Ok(())
-}
-
-/// Solve `L x = b` where `L` is lower triangular with a non-zero stored
-/// diagonal. Entries above the diagonal are ignored.
-pub fn solve_lower_triangular(l: &CsrMatrix, b: &[f64]) -> Result<Vec<f64>> {
-    let mut x = Vec::new();
-    solve_lower_triangular_into(l, b, &mut x)?;
-    Ok(x)
-}
-
-/// [`solve_lower_triangular`] writing into a caller-owned buffer (resized and
-/// zeroed in place, so repeated solves never reallocate).
-pub fn solve_lower_triangular_into(l: &CsrMatrix, b: &[f64], x: &mut Vec<f64>) -> Result<()> {
-    check_square_and_rhs(l, b, "solve_lower_triangular")?;
-    let n = l.nrows();
-    reset(x, n);
-    for i in 0..n {
-        let (cols, vals) = l.row(i);
-        let mut sum = b[i];
-        let mut diag = 0.0;
-        for (&j, &v) in cols.iter().zip(vals.iter()) {
-            if j < i {
-                sum -= v * x[j];
-            } else if j == i {
-                diag = v;
-            }
-        }
-        if diag.abs() < PIVOT_TOL {
-            return Err(SparseError::SingularMatrix { pivot: i });
-        }
-        x[i] = sum / diag;
-    }
-    Ok(())
-}
-
-/// Solve `L x = b` where `L` is *unit* lower triangular (implicit or explicit
-/// diagonal of ones). Entries above the diagonal are ignored.
-pub fn solve_unit_lower(l: &CsrMatrix, b: &[f64]) -> Result<Vec<f64>> {
-    let mut x = Vec::new();
-    solve_unit_lower_into(l, b, &mut x)?;
-    Ok(x)
-}
-
-/// [`solve_unit_lower`] writing into a caller-owned buffer (resized and
-/// zeroed in place, so repeated solves never reallocate).
-pub fn solve_unit_lower_into(l: &CsrMatrix, b: &[f64], x: &mut Vec<f64>) -> Result<()> {
-    check_square_and_rhs(l, b, "solve_unit_lower")?;
-    let n = l.nrows();
-    reset(x, n);
-    for i in 0..n {
-        let (cols, vals) = l.row(i);
-        let mut sum = b[i];
-        for (&j, &v) in cols.iter().zip(vals.iter()) {
-            if j < i {
-                sum -= v * x[j];
-            }
-        }
-        x[i] = sum;
-    }
-    Ok(())
-}
-
-/// Solve `U x = b` where `U` is upper triangular with a non-zero stored
-/// diagonal. Entries below the diagonal are ignored.
-pub fn solve_upper_triangular(u: &CsrMatrix, b: &[f64]) -> Result<Vec<f64>> {
-    let mut x = Vec::new();
-    solve_upper_triangular_into(u, b, &mut x)?;
-    Ok(x)
-}
-
-/// [`solve_upper_triangular`] writing into a caller-owned buffer (resized and
-/// zeroed in place, so repeated solves never reallocate).
-pub fn solve_upper_triangular_into(u: &CsrMatrix, b: &[f64], x: &mut Vec<f64>) -> Result<()> {
-    check_square_and_rhs(u, b, "solve_upper_triangular")?;
-    let n = u.nrows();
-    reset(x, n);
-    for i in (0..n).rev() {
-        let (cols, vals) = u.row(i);
-        let mut sum = b[i];
-        let mut diag = 0.0;
-        for (&j, &v) in cols.iter().zip(vals.iter()) {
-            if j > i {
-                sum -= v * x[j];
-            } else if j == i {
-                diag = v;
-            }
-        }
-        if diag.abs() < PIVOT_TOL {
-            return Err(SparseError::SingularMatrix { pivot: i });
-        }
-        x[i] = sum / diag;
-    }
-    Ok(())
-}
-
-/// Solve `U x = b` where `U` is *unit* upper triangular (implicit or explicit
-/// diagonal of ones). Entries below the diagonal are ignored.
-pub fn solve_unit_upper(u: &CsrMatrix, b: &[f64]) -> Result<Vec<f64>> {
-    let mut x = Vec::new();
-    solve_unit_upper_into(u, b, &mut x)?;
-    Ok(x)
-}
-
-/// [`solve_unit_upper`] writing into a caller-owned buffer (resized and
-/// zeroed in place, so repeated solves never reallocate).
-pub fn solve_unit_upper_into(u: &CsrMatrix, b: &[f64], x: &mut Vec<f64>) -> Result<()> {
-    check_square_and_rhs(u, b, "solve_unit_upper")?;
-    let n = u.nrows();
-    reset(x, n);
-    for i in (0..n).rev() {
-        let (cols, vals) = u.row(i);
-        let mut sum = b[i];
-        for (&j, &v) in cols.iter().zip(vals.iter()) {
-            if j > i {
-                sum -= v * x[j];
-            }
-        }
-        x[i] = sum;
-    }
-    Ok(())
-}
-
-/// Solve `L D Lᵀ x = b` given the unit-lower factor `L` (rows, CSR), its
-/// transpose `U = Lᵀ` (rows, CSR) and the diagonal `D`.
-///
-/// This is the composite operation Mogul performs when it computes the
-/// approximate scores of *all* nodes (the "Incomplete Cholesky" baseline of
-/// Figure 5); the selective per-cluster variant lives in `mogul-core`.
-pub fn ldl_solve(l: &CsrMatrix, u: &CsrMatrix, d: &[f64], b: &[f64]) -> Result<Vec<f64>> {
-    let mut ws = SolveWorkspace::new();
-    let mut x = Vec::new();
-    ldl_solve_into(l, u, d, b, &mut ws, &mut x)?;
-    Ok(x)
-}
-
-/// [`ldl_solve`] with caller-owned scratch and output buffers: the
-/// intermediate of the forward phase lives in `ws` and the solution is
-/// written to `x`, so a warm loop of solves performs no heap allocation.
-pub fn ldl_solve_into(
-    l: &CsrMatrix,
-    u: &CsrMatrix,
-    d: &[f64],
-    b: &[f64],
-    ws: &mut SolveWorkspace,
-    x: &mut Vec<f64>,
-) -> Result<()> {
-    if d.len() != l.nrows() {
-        return Err(SparseError::DimensionMismatch {
-            op: "ldl_solve diagonal",
-            left: (l.nrows(), l.ncols()),
-            right: (d.len(), 1),
-        });
-    }
-    solve_unit_lower_into(l, b, &mut ws.intermediate)?;
-    for (i, yi) in ws.intermediate.iter_mut().enumerate() {
-        let di = d[i];
-        if di.abs() < PIVOT_TOL {
-            return Err(SparseError::SingularMatrix { pivot: i });
-        }
-        *yi /= di;
-    }
-    solve_unit_upper_into(u, &ws.intermediate, x)
-}
-
-// ---------------------------------------------------------------------------
-// Blocked multi-RHS (panel) solves
-// ---------------------------------------------------------------------------
-
-/// Widest panel the blocked solves are tuned for. Callers may pass any
-/// `width >= 1`; widths up to this constant keep the per-row lane loop inside
-/// one or two cache lines, which is what makes it auto-vectorize well.
-pub const MAX_PANEL_WIDTH: usize = 16;
-
-/// Reusable scratch for the composite [`ldl_solve_multi_into`] operation.
-///
-/// The panel counterpart of [`SolveWorkspace`]: it holds the intermediate
-/// `n × B` panel of the two-phase solve so a warm loop of batched solves
-/// performs no heap allocation. Panels are stored with the `B` lane values of
-/// each node adjacent (`panel[node * width + lane]`), i.e. a `B × n` matrix
-/// in column-major order: one traversal of the factor's CSR structure applies
-/// every nonzero to all `B` right-hand sides through a short contiguous
-/// inner loop.
-#[derive(Debug, Clone, Default)]
-pub struct MultiSolveWorkspace {
-    /// Intermediate panel of `L Y = B` before the diagonal scaling.
-    intermediate: Vec<f64>,
-}
-
-impl MultiSolveWorkspace {
-    /// An empty workspace; the panel grows on first use.
-    pub fn new() -> Self {
-        MultiSolveWorkspace::default()
-    }
-
-    /// A workspace pre-sized for systems of dimension `n` at panel width `w`.
-    pub fn with_capacity(n: usize, w: usize) -> Self {
-        MultiSolveWorkspace {
-            intermediate: Vec::with_capacity(n * w),
-        }
-    }
 }
 
 /// The actual shape of a flat panel for error payloads: `rows × width` when
@@ -300,47 +94,32 @@ fn check_square_and_panel(
     Ok(())
 }
 
-/// Run `solve_block` over the panel in lane blocks of at most
-/// [`MAX_PANEL_WIDTH`].
-///
-/// This is the cache-blocking of the CSR substitution traversals: a sweep
-/// over a factor row reads one `width`-lane panel row per non-zero, so for
-/// wide panels each block is gathered into a contiguous `n × bw` scratch
-/// (`bw ≤ MAX_PANEL_WIDTH`, at most two cache lines per node) before the
-/// substitution runs and scattered back after. Gather/scatter only copies
-/// values — each lane's arithmetic is untouched, so bit-identity per lane is
-/// preserved. Narrow panels (`width ≤ MAX_PANEL_WIDTH`) run in place.
-fn run_lane_blocked(
-    b: &[f64],
-    width: usize,
-    x: &mut [f64],
-    mut solve_block: impl FnMut(&[f64], usize, &mut [f64]) -> Result<()>,
-) -> Result<()> {
-    if width <= MAX_PANEL_WIDTH {
-        return solve_block(b, width, x);
-    }
-    let n = b.len() / width;
-    let mut b_block = Vec::new();
-    let mut x_block = Vec::new();
-    let mut start = 0usize;
-    while start < width {
-        let bw = MAX_PANEL_WIDTH.min(width - start);
-        b_block.clear();
-        b_block.resize(n * bw, 0.0);
-        x_block.clear();
-        x_block.resize(n * bw, 0.0);
-        for i in 0..n {
-            let src = &b[i * width + start..i * width + start + bw];
-            b_block[i * bw..(i + 1) * bw].copy_from_slice(src);
+// --- Narrow panels: one strided scalar recurrence per lane -----------------
+
+fn unit_lower_lane(l: &CsrMatrix, b: &[f64], width: usize, lane: usize, x: &mut [f64]) {
+    for i in 0..l.nrows() {
+        let (cols, vals) = l.row(i);
+        let mut sum = b[i * width + lane];
+        for (&j, &v) in cols.iter().zip(vals.iter()) {
+            if j < i {
+                sum -= v * x[j * width + lane];
+            }
         }
-        solve_block(&b_block, bw, &mut x_block)?;
-        for i in 0..n {
-            let dst = &mut x[i * width + start..i * width + start + bw];
-            dst.copy_from_slice(&x_block[i * bw..(i + 1) * bw]);
-        }
-        start += bw;
+        x[i * width + lane] = sum;
     }
-    Ok(())
+}
+
+fn unit_upper_lane(u: &CsrMatrix, b: &[f64], width: usize, lane: usize, x: &mut [f64]) {
+    for i in (0..u.nrows()).rev() {
+        let (cols, vals) = u.row(i);
+        let mut sum = b[i * width + lane];
+        for (&j, &v) in cols.iter().zip(vals.iter()) {
+            if j > i {
+                sum -= v * x[j * width + lane];
+            }
+        }
+        x[i * width + lane] = sum;
+    }
 }
 
 // --- Kernel-generic sweep bodies -------------------------------------------
@@ -349,50 +128,13 @@ fn run_lane_blocked(
 // its per-node lane loops, and instantiated twice: with [`ScalarKernel`]
 // directly, and with [`Avx2Kernel`] inside an `#[target_feature(enable =
 // "avx2")]` shell so the whole sweep (not just the primitives) is compiled
-// for AVX2 and the intrinsics inline into the traversal. The shells are the
-// only `unsafe` entry points; the runtime CPU check in `Avx2Kernel::try_new`
-// is what discharges their safety obligation.
+// for AVX2 and the intrinsics inline into the traversal. Only the shells need
+// a safety argument; the runtime CPU check in `Avx2Kernel::try_new` is what
+// discharges it.
 
 #[inline(always)]
-fn lower_sweep<K: LaneKernel>(
-    kern: K,
-    l: &CsrMatrix,
-    b: &[f64],
-    width: usize,
-    x: &mut [f64],
-) -> Result<()> {
-    let n = l.nrows();
-    let mut spill = [0.0f64; MAX_PANEL_WIDTH];
-    let acc = &mut spill[..width];
-    for i in 0..n {
-        let (cols, vals) = l.row(i);
-        acc.copy_from_slice(&b[i * width..(i + 1) * width]);
-        let mut diag = 0.0;
-        for (&j, &v) in cols.iter().zip(vals.iter()) {
-            if j < i {
-                kern.axpy_neg(acc, &x[j * width..(j + 1) * width], v);
-            } else if j == i {
-                diag = v;
-            }
-        }
-        if diag.abs() < PIVOT_TOL {
-            return Err(SparseError::SingularMatrix { pivot: i });
-        }
-        kern.div_store(&mut x[i * width..(i + 1) * width], acc, diag);
-    }
-    Ok(())
-}
-
-#[inline(always)]
-fn unit_lower_sweep<K: LaneKernel>(
-    kern: K,
-    l: &CsrMatrix,
-    b: &[f64],
-    width: usize,
-    x: &mut [f64],
-) -> Result<()> {
-    let n = l.nrows();
-    for i in 0..n {
+fn unit_lower_sweep<K: LaneKernel>(kern: K, l: &CsrMatrix, b: &[f64], width: usize, x: &mut [f64]) {
+    for i in 0..l.nrows() {
         let (cols, vals) = l.row(i);
         let (done, rest) = x.split_at_mut(i * width);
         let xi = &mut rest[..width];
@@ -403,49 +145,11 @@ fn unit_lower_sweep<K: LaneKernel>(
             }
         }
     }
-    Ok(())
 }
 
 #[inline(always)]
-fn upper_sweep<K: LaneKernel>(
-    kern: K,
-    u: &CsrMatrix,
-    b: &[f64],
-    width: usize,
-    x: &mut [f64],
-) -> Result<()> {
-    let n = u.nrows();
-    let mut spill = [0.0f64; MAX_PANEL_WIDTH];
-    let acc = &mut spill[..width];
-    for i in (0..n).rev() {
-        let (cols, vals) = u.row(i);
-        acc.copy_from_slice(&b[i * width..(i + 1) * width]);
-        let mut diag = 0.0;
-        for (&j, &v) in cols.iter().zip(vals.iter()) {
-            if j > i {
-                kern.axpy_neg(acc, &x[j * width..(j + 1) * width], v);
-            } else if j == i {
-                diag = v;
-            }
-        }
-        if diag.abs() < PIVOT_TOL {
-            return Err(SparseError::SingularMatrix { pivot: i });
-        }
-        kern.div_store(&mut x[i * width..(i + 1) * width], acc, diag);
-    }
-    Ok(())
-}
-
-#[inline(always)]
-fn unit_upper_sweep<K: LaneKernel>(
-    kern: K,
-    u: &CsrMatrix,
-    b: &[f64],
-    width: usize,
-    x: &mut [f64],
-) -> Result<()> {
-    let n = u.nrows();
-    for i in (0..n).rev() {
+fn unit_upper_sweep<K: LaneKernel>(kern: K, u: &CsrMatrix, b: &[f64], width: usize, x: &mut [f64]) {
+    for i in (0..u.nrows()).rev() {
         let (cols, vals) = u.row(i);
         let (head, tail) = x.split_at_mut((i + 1) * width);
         let xi = &mut head[i * width..];
@@ -456,7 +160,6 @@ fn unit_upper_sweep<K: LaneKernel>(
             }
         }
     }
-    Ok(())
 }
 
 #[inline(always)]
@@ -485,46 +188,12 @@ mod avx2_shells {
     // construction performed the runtime AVX2 check; the attribute merely
     // lets LLVM compile the monomorphized sweep body with AVX2 enabled.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn lower(
-        k: Avx2Kernel,
-        l: &CsrMatrix,
-        b: &[f64],
-        w: usize,
-        x: &mut [f64],
-    ) -> Result<()> {
-        lower_sweep(k, l, b, w, x)
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn unit_lower(
-        k: Avx2Kernel,
-        l: &CsrMatrix,
-        b: &[f64],
-        w: usize,
-        x: &mut [f64],
-    ) -> Result<()> {
+    pub unsafe fn unit_lower(k: Avx2Kernel, l: &CsrMatrix, b: &[f64], w: usize, x: &mut [f64]) {
         unit_lower_sweep(k, l, b, w, x)
     }
 
     #[target_feature(enable = "avx2")]
-    pub unsafe fn upper(
-        k: Avx2Kernel,
-        u: &CsrMatrix,
-        b: &[f64],
-        w: usize,
-        x: &mut [f64],
-    ) -> Result<()> {
-        upper_sweep(k, u, b, w, x)
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn unit_upper(
-        k: Avx2Kernel,
-        u: &CsrMatrix,
-        b: &[f64],
-        w: usize,
-        x: &mut [f64],
-    ) -> Result<()> {
+    pub unsafe fn unit_upper(k: Avx2Kernel, u: &CsrMatrix, b: &[f64], w: usize, x: &mut [f64]) {
         unit_upper_sweep(k, u, b, w, x)
     }
 
@@ -534,74 +203,11 @@ mod avx2_shells {
     }
 }
 
-/// Try to resolve `kind` to a runnable AVX2 kernel.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[inline]
-fn avx2_for(kind: KernelKind) -> Option<Avx2Kernel> {
-    match kind {
-        KernelKind::Simd => Avx2Kernel::try_new(),
-        KernelKind::Scalar => None,
-    }
-}
-
-/// Solve `L X = B` for `width` right-hand sides at once, where `L` is lower
-/// triangular with a non-zero stored diagonal.
-///
-/// `b` and `x` are panels in the [`MultiSolveWorkspace`] layout
-/// (`panel[i * width + lane]`, length `n · width`). Each lane's arithmetic
-/// matches [`solve_lower_triangular_into`] operation for operation — under
-/// **either** kernel (see [`crate::kernel`]) — so lane `l` of the panel
-/// result is **bit-identical** to the scalar solve of lane `l`'s right-hand
-/// side; the panel only amortizes the traversal of `L`'s row pointers and
-/// indices across lanes. Dispatches on [`kernel::active_kernel`]; use
-/// [`solve_lower_multi_into_with`] to pin a kernel explicitly.
-pub fn solve_lower_multi_into(
-    l: &CsrMatrix,
-    b: &[f64],
-    width: usize,
-    x: &mut Vec<f64>,
-) -> Result<()> {
-    solve_lower_multi_into_with(kernel::active_kernel(), l, b, width, x)
-}
-
-/// [`solve_lower_multi_into`] with an explicit kernel choice (an unavailable
-/// SIMD request falls back to scalar, preserving results bit for bit).
-pub fn solve_lower_multi_into_with(
-    kind: KernelKind,
-    l: &CsrMatrix,
-    b: &[f64],
-    width: usize,
-    x: &mut Vec<f64>,
-) -> Result<()> {
-    check_square_and_panel(l, b.len(), width, "solve_lower_multi")?;
-    reset(x, l.nrows() * width);
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-    let _ = kind;
-    run_lane_blocked(b, width, x, |bb, bw, xb| {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        if let Some(k) = avx2_for(kind) {
-            // SAFETY: `avx2_for` returned a kernel, so AVX2 is available.
-            return unsafe { avx2_shells::lower(k, l, bb, bw, xb) };
-        }
-        lower_sweep(ScalarKernel, l, bb, bw, xb)
-    })
-}
-
-/// Solve `L X = B` for `width` right-hand sides where `L` is *unit* lower
-/// triangular. Panel layout and bit-identity guarantees as in
-/// [`solve_lower_multi_into`]; each lane matches [`solve_unit_lower_into`].
+/// Solve `L X = B` for `width` right-hand sides at once, where `L` is *unit*
+/// lower triangular (implicit or explicit diagonal of ones; entries above the
+/// diagonal are ignored). `b` and `x` are panels in the module's layout; `x`
+/// is resized and overwritten in place, so repeated solves never reallocate.
 pub fn solve_unit_lower_multi_into(
-    l: &CsrMatrix,
-    b: &[f64],
-    width: usize,
-    x: &mut Vec<f64>,
-) -> Result<()> {
-    solve_unit_lower_multi_into_with(kernel::active_kernel(), l, b, width, x)
-}
-
-/// [`solve_unit_lower_multi_into`] with an explicit kernel choice.
-pub fn solve_unit_lower_multi_into_with(
-    kind: KernelKind,
     l: &CsrMatrix,
     b: &[f64],
     width: usize,
@@ -609,68 +215,26 @@ pub fn solve_unit_lower_multi_into_with(
 ) -> Result<()> {
     check_square_and_panel(l, b.len(), width, "solve_unit_lower_multi")?;
     reset(x, l.nrows() * width);
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-    let _ = kind;
-    run_lane_blocked(b, width, x, |bb, bw, xb| {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        if let Some(k) = avx2_for(kind) {
-            // SAFETY: `avx2_for` returned a kernel, so AVX2 is available.
-            return unsafe { avx2_shells::unit_lower(k, l, bb, bw, xb) };
+    if width <= NARROW_PANEL_WIDTH {
+        for lane in 0..width {
+            unit_lower_lane(l, b, width, lane, x);
         }
-        unit_lower_sweep(ScalarKernel, l, bb, bw, xb)
-    })
+        return Ok(());
+    }
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    if let Some(k) = Avx2Kernel::if_active() {
+        // SAFETY: holding an `Avx2Kernel` proves AVX2 is available.
+        unsafe { avx2_shells::unit_lower(k, l, b, width, x) };
+        return Ok(());
+    }
+    unit_lower_sweep(ScalarKernel, l, b, width, x);
+    Ok(())
 }
 
-/// Solve `U X = B` for `width` right-hand sides at once, where `U` is upper
-/// triangular with a non-zero stored diagonal. Panel layout and bit-identity
-/// guarantees as in [`solve_lower_multi_into`]; each lane matches
-/// [`solve_upper_triangular_into`].
-pub fn solve_upper_multi_into(
-    u: &CsrMatrix,
-    b: &[f64],
-    width: usize,
-    x: &mut Vec<f64>,
-) -> Result<()> {
-    solve_upper_multi_into_with(kernel::active_kernel(), u, b, width, x)
-}
-
-/// [`solve_upper_multi_into`] with an explicit kernel choice.
-pub fn solve_upper_multi_into_with(
-    kind: KernelKind,
-    u: &CsrMatrix,
-    b: &[f64],
-    width: usize,
-    x: &mut Vec<f64>,
-) -> Result<()> {
-    check_square_and_panel(u, b.len(), width, "solve_upper_multi")?;
-    reset(x, u.nrows() * width);
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-    let _ = kind;
-    run_lane_blocked(b, width, x, |bb, bw, xb| {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        if let Some(k) = avx2_for(kind) {
-            // SAFETY: `avx2_for` returned a kernel, so AVX2 is available.
-            return unsafe { avx2_shells::upper(k, u, bb, bw, xb) };
-        }
-        upper_sweep(ScalarKernel, u, bb, bw, xb)
-    })
-}
-
-/// Solve `U X = B` for `width` right-hand sides where `U` is *unit* upper
-/// triangular. Panel layout and bit-identity guarantees as in
-/// [`solve_lower_multi_into`]; each lane matches [`solve_unit_upper_into`].
+/// Solve `U X = B` for `width` right-hand sides at once, where `U` is *unit*
+/// upper triangular (entries below the diagonal are ignored). Layout and
+/// buffer reuse as in [`solve_unit_lower_multi_into`].
 pub fn solve_unit_upper_multi_into(
-    u: &CsrMatrix,
-    b: &[f64],
-    width: usize,
-    x: &mut Vec<f64>,
-) -> Result<()> {
-    solve_unit_upper_multi_into_with(kernel::active_kernel(), u, b, width, x)
-}
-
-/// [`solve_unit_upper_multi_into`] with an explicit kernel choice.
-pub fn solve_unit_upper_multi_into_with(
-    kind: KernelKind,
     u: &CsrMatrix,
     b: &[f64],
     width: usize,
@@ -678,33 +242,26 @@ pub fn solve_unit_upper_multi_into_with(
 ) -> Result<()> {
     check_square_and_panel(u, b.len(), width, "solve_unit_upper_multi")?;
     reset(x, u.nrows() * width);
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-    let _ = kind;
-    run_lane_blocked(b, width, x, |bb, bw, xb| {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        if let Some(k) = avx2_for(kind) {
-            // SAFETY: `avx2_for` returned a kernel, so AVX2 is available.
-            return unsafe { avx2_shells::unit_upper(k, u, bb, bw, xb) };
+    if width <= NARROW_PANEL_WIDTH {
+        for lane in 0..width {
+            unit_upper_lane(u, b, width, lane, x);
         }
-        unit_upper_sweep(ScalarKernel, u, bb, bw, xb)
-    })
+        return Ok(());
+    }
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    if let Some(k) = Avx2Kernel::if_active() {
+        // SAFETY: holding an `Avx2Kernel` proves AVX2 is available.
+        unsafe { avx2_shells::unit_upper(k, u, b, width, x) };
+        return Ok(());
+    }
+    unit_upper_sweep(ScalarKernel, u, b, width, x);
+    Ok(())
 }
 
 /// Scale every row of an `n × width` panel by the inverse diagonal, in place:
-/// `panel[i, lane] /= d[i]` for every lane. Each lane's arithmetic matches
-/// the scalar diagonal phase of [`ldl_solve_into`] bit for bit, under either
-/// kernel.
+/// `panel[i, lane] /= d[i]` for every lane. A diagonal entry too small to
+/// divide by is reported as [`SparseError::SingularMatrix`].
 pub fn scale_diag_multi_into(d: &[f64], width: usize, panel: &mut [f64]) -> Result<()> {
-    scale_diag_multi_into_with(kernel::active_kernel(), d, width, panel)
-}
-
-/// [`scale_diag_multi_into`] with an explicit kernel choice.
-pub fn scale_diag_multi_into_with(
-    kind: KernelKind,
-    d: &[f64],
-    width: usize,
-    panel: &mut [f64],
-) -> Result<()> {
     if width == 0 || panel.len() != d.len() * width {
         // As in `check_square_and_panel`: report the requested shape
         // verbatim, never a `.max(1)`-garbled rounding of it.
@@ -714,43 +271,37 @@ pub fn scale_diag_multi_into_with(
             right: panel_shape(panel.len(), width),
         });
     }
+    // At narrow widths the scalar kernel's one-element loop *is* the per-lane
+    // recurrence; only the AVX2 shell is skipped.
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if let Some(k) = avx2_for(kind) {
-        // SAFETY: `avx2_for` returned a kernel, so AVX2 is available.
-        return unsafe { avx2_shells::scale_diag(k, d, width, panel) };
+    if width > NARROW_PANEL_WIDTH {
+        if let Some(k) = Avx2Kernel::if_active() {
+            // SAFETY: holding an `Avx2Kernel` proves AVX2 is available.
+            return unsafe { avx2_shells::scale_diag(k, d, width, panel) };
+        }
     }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-    let _ = kind;
     scale_diag_sweep(ScalarKernel, d, width, panel)
 }
 
-/// Solve `L D Lᵀ X = B` for `width` right-hand sides at once — the panel
-/// counterpart of [`ldl_solve_into`]: one unit-lower sweep, one diagonal
-/// scaling and one unit-upper sweep, each traversing the factor structure
-/// once for the whole panel. Lane `l` of the result is bit-identical to
-/// [`ldl_solve_into`] on lane `l`'s right-hand side.
+/// Solve `L D Lᵀ X = B` for `width` right-hand sides at once, given the
+/// unit-lower factor `L` (rows, CSR), its transpose `U = Lᵀ` (rows, CSR) and
+/// the diagonal `D`: one unit-lower sweep, one diagonal scaling and one
+/// unit-upper sweep, each traversing the factor structure once for the whole
+/// panel.
+///
+/// This is the composite operation Mogul performs when it computes the
+/// approximate scores of *all* nodes (the "Incomplete Cholesky" baseline of
+/// Figure 5, and the base solve of the update path); the selective
+/// per-cluster variant lives in `mogul-core`. The intermediate of the forward
+/// phase lives in `ws` and the solution is written to `x`, so a warm loop of
+/// solves performs no heap allocation.
 pub fn ldl_solve_multi_into(
     l: &CsrMatrix,
     u: &CsrMatrix,
     d: &[f64],
     b: &[f64],
     width: usize,
-    ws: &mut MultiSolveWorkspace,
-    x: &mut Vec<f64>,
-) -> Result<()> {
-    ldl_solve_multi_into_with(kernel::active_kernel(), l, u, d, b, width, ws, x)
-}
-
-/// [`ldl_solve_multi_into`] with an explicit kernel choice.
-#[allow(clippy::too_many_arguments)] // composite of three kernel-dispatched phases
-pub fn ldl_solve_multi_into_with(
-    kind: KernelKind,
-    l: &CsrMatrix,
-    u: &CsrMatrix,
-    d: &[f64],
-    b: &[f64],
-    width: usize,
-    ws: &mut MultiSolveWorkspace,
+    ws: &mut SolveWorkspace,
     x: &mut Vec<f64>,
 ) -> Result<()> {
     if d.len() != l.nrows() {
@@ -760,51 +311,175 @@ pub fn ldl_solve_multi_into_with(
             right: (d.len(), 1),
         });
     }
-    solve_unit_lower_multi_into_with(kind, l, b, width, &mut ws.intermediate)?;
-    scale_diag_multi_into_with(kind, d, width, &mut ws.intermediate)?;
-    solve_unit_upper_multi_into_with(kind, u, &ws.intermediate, width, x)
+    solve_unit_lower_multi_into(l, b, width, &mut ws.intermediate)?;
+    scale_diag_multi_into(d, width, &mut ws.intermediate)?;
+    solve_unit_upper_multi_into(u, &ws.intermediate, width, x)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coo::CooMatrix;
     use crate::dense::DenseMatrix;
+    use crate::ichol::{incomplete_ldl, LdlFactors};
+    use crate::ldl::complete_ldl;
     use crate::vector::max_abs_diff;
 
-    fn lower_example() -> CsrMatrix {
-        // [ 2 0 0 ]
-        // [ 1 3 0 ]
-        // [ 0 2 4 ]
-        CsrMatrix::from_triplets(
-            3,
-            3,
-            &[
-                (0, 0, 2.0),
-                (1, 0, 1.0),
-                (1, 1, 3.0),
-                (2, 1, 2.0),
-                (2, 2, 4.0),
-            ],
-        )
-        .unwrap()
+    // --- The oracle: textbook substitutions on `CsrMatrix::row` only. Same
+    // operations in the same order as every lane of the panel family, so the
+    // comparisons below are exact `==`.
+
+    fn ref_unit_lower(l: &CsrMatrix, b: &[f64]) -> Vec<f64> {
+        let mut x = vec![0.0; b.len()];
+        for i in 0..b.len() {
+            let (cols, vals) = l.row(i);
+            let mut sum = b[i];
+            for (&j, &v) in cols.iter().zip(vals) {
+                if j < i {
+                    sum -= v * x[j];
+                }
+            }
+            x[i] = sum;
+        }
+        x
+    }
+
+    fn ref_unit_upper(u: &CsrMatrix, b: &[f64]) -> Vec<f64> {
+        let mut x = vec![0.0; b.len()];
+        for i in (0..b.len()).rev() {
+            let (cols, vals) = u.row(i);
+            let mut sum = b[i];
+            for (&j, &v) in cols.iter().zip(vals) {
+                if j > i {
+                    sum -= v * x[j];
+                }
+            }
+            x[i] = sum;
+        }
+        x
+    }
+
+    fn ref_ldl(f: &LdlFactors, b: &[f64]) -> Vec<f64> {
+        let mut y = ref_unit_lower(&f.l, b);
+        for (yi, &di) in y.iter_mut().zip(&f.d) {
+            *yi /= di;
+        }
+        ref_unit_upper(&f.u, &y)
+    }
+
+    /// Complete and incomplete factors of a ring-with-chords SPD matrix (the
+    /// chords create fill, so the two flavours differ).
+    fn both_flavours(n: usize) -> [LdlFactors; 2] {
+        let mut coo = CooMatrix::new(n, n);
+        for i in 0..n {
+            coo.push(i, i, 3.0 + 0.1 * i as f64).unwrap();
+            coo.push_symmetric(i, (i + 1) % n, -0.7).unwrap();
+            if i % 3 == 0 && i + 4 < n {
+                coo.push_symmetric(i, i + 4, -0.3).unwrap();
+            }
+        }
+        let w = coo.to_csr();
+        [
+            complete_ldl(&w).unwrap().factors,
+            incomplete_ldl(&w).unwrap(),
+        ]
+    }
+
+    /// Lane-distinct right-hand sides whose values round at every operation.
+    fn lane_rhs(n: usize, lane: usize) -> Vec<f64> {
+        (0..n)
+            .map(|i| ((i + 1) as f64) * 0.7 - (lane as f64) * 1.3 + 0.01 / (i + lane + 1) as f64)
+            .collect()
+    }
+
+    fn pack(lanes: &[Vec<f64>]) -> Vec<f64> {
+        let (n, width) = (lanes[0].len(), lanes.len());
+        let mut panel = vec![0.0; n * width];
+        for (lane, b) in lanes.iter().enumerate() {
+            for i in 0..n {
+                panel[i * width + lane] = b[i];
+            }
+        }
+        panel
+    }
+
+    fn lane_of(panel: &[f64], width: usize, lane: usize) -> Vec<f64> {
+        panel.iter().skip(lane).step_by(width).copied().collect()
+    }
+
+    /// `[unit lower, unit upper, scaled, composite]` of one panel.
+    fn solve_all(f: &LdlFactors, panel: &[f64], width: usize) -> [Vec<f64>; 4] {
+        let mut out = [Vec::new(), Vec::new(), panel.to_vec(), Vec::new()];
+        solve_unit_lower_multi_into(&f.l, panel, width, &mut out[0]).unwrap();
+        solve_unit_upper_multi_into(&f.u, panel, width, &mut out[1]).unwrap();
+        scale_diag_multi_into(&f.d, width, &mut out[2]).unwrap();
+        let ws = &mut SolveWorkspace::new();
+        ldl_solve_multi_into(&f.l, &f.u, &f.d, panel, width, ws, &mut out[3]).unwrap();
+        out
     }
 
     #[test]
-    fn lower_solve_matches_dense() {
-        let l = lower_example();
-        let b = vec![2.0, 7.0, 14.0];
-        let x = solve_lower_triangular(&l, &b).unwrap();
-        let lx = l.matvec(&x).unwrap();
-        assert!(max_abs_diff(&lx, &b).unwrap() < 1e-12);
+    fn every_solve_matches_the_textbook_substitution_exactly() {
+        // Width 1 takes the narrow-panel recurrence, width 3 the lane kernels.
+        for f in &both_flavours(11) {
+            for width in [1usize, 3] {
+                let lanes: Vec<Vec<f64>> = (0..width).map(|lane| lane_rhs(11, lane)).collect();
+                let got = solve_all(f, &pack(&lanes), width);
+                for (lane, b) in lanes.iter().enumerate() {
+                    let scaled: Vec<f64> = b.iter().zip(&f.d).map(|(bi, di)| bi / di).collect();
+                    assert_eq!(lane_of(&got[0], width, lane), ref_unit_lower(&f.l, b));
+                    assert_eq!(lane_of(&got[1], width, lane), ref_unit_upper(&f.u, b));
+                    assert_eq!(lane_of(&got[2], width, lane), scaled);
+                    assert_eq!(lane_of(&got[3], width, lane), ref_ldl(f, b));
+                }
+            }
+        }
     }
 
     #[test]
-    fn upper_solve_matches_dense() {
-        let u = lower_example().transpose();
-        let b = vec![5.0, 4.0, 8.0];
-        let x = solve_upper_triangular(&u, &b).unwrap();
-        let ux = u.matvec(&x).unwrap();
-        assert!(max_abs_diff(&ux, &b).unwrap() < 1e-12);
+    fn a_lane_does_not_depend_on_the_panel_around_it() {
+        // Lane `l` of a width-`w` panel == the width-1 solve of lane `l`'s
+        // right-hand side, for every lane position of every width (ragged
+        // ones and one well past a vector register included) — across the
+        // narrow-panel boundary on purpose.
+        for n in [13usize, 6] {
+            for f in &both_flavours(n) {
+                for width in [1usize, 2, 3, 4, 5, 6, 7, 8, 17] {
+                    let lanes: Vec<Vec<f64>> = (0..width).map(|lane| lane_rhs(n, lane)).collect();
+                    let got = solve_all(f, &pack(&lanes), width);
+                    for (lane, b) in lanes.iter().enumerate() {
+                        let alone = solve_all(f, b, 1);
+                        for (kind, (panel, alone)) in got.iter().zip(&alone).enumerate() {
+                            assert_eq!(
+                                &lane_of(panel, width, lane),
+                                alone,
+                                "solve {kind} n={n} w={width} l={lane}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn buffers_are_reusable_across_widths_and_dimensions() {
+        // One output buffer and one workspace, reused across solve kinds,
+        // widths and dimensions (growing and shrinking), answer like fresh ones.
+        let (mut out, mut ws) = (vec![f64::NAN; 3], SolveWorkspace::new());
+        for (n, width) in [(13usize, 8usize), (6, 1), (13, 3), (6, 17)] {
+            for f in &both_flavours(n) {
+                let lanes: Vec<Vec<f64>> = (0..width).map(|lane| lane_rhs(n, lane)).collect();
+                let panel = pack(&lanes);
+                let fresh = solve_all(f, &panel, width);
+                solve_unit_lower_multi_into(&f.l, &panel, width, &mut out).unwrap();
+                assert_eq!(out, fresh[0]);
+                solve_unit_upper_multi_into(&f.u, &panel, width, &mut out).unwrap();
+                assert_eq!(out, fresh[1]);
+                ldl_solve_multi_into(&f.l, &f.u, &f.d, &panel, width, &mut ws, &mut out).unwrap();
+                assert_eq!(out, fresh[3]);
+            }
+        }
     }
 
     #[test]
@@ -812,181 +487,83 @@ mod tests {
         // Strictly lower part only; diagonal treated as 1.
         let l = CsrMatrix::from_triplets(3, 3, &[(1, 0, 0.5), (2, 1, 0.25)]).unwrap();
         let b = vec![1.0, 1.0, 1.0];
-        let x = solve_unit_lower(&l, &b).unwrap();
+        let mut x = Vec::new();
+        solve_unit_lower_multi_into(&l, &b, 1, &mut x).unwrap();
         assert_eq!(x, vec![1.0, 0.5, 0.875]);
-
-        let u = l.transpose();
-        let xu = solve_unit_upper(&u, &b).unwrap();
-        assert_eq!(xu, vec![0.625, 0.75, 1.0]);
+        solve_unit_upper_multi_into(&l.transpose(), &b, 1, &mut x).unwrap();
+        assert_eq!(x, vec![0.625, 0.75, 1.0]);
     }
 
     #[test]
     fn singular_diagonals_are_reported() {
-        let l = CsrMatrix::from_triplets(2, 2, &[(0, 0, 1.0), (1, 0, 1.0)]).unwrap();
+        // Both sides of the narrow-panel rule, alone and through the composite.
         assert!(matches!(
-            solve_lower_triangular(&l, &[1.0, 1.0]),
+            scale_diag_multi_into(&[1.0, 0.0], 1, &mut [1.0; 2]),
             Err(SparseError::SingularMatrix { pivot: 1 })
         ));
-        let u = CsrMatrix::from_triplets(2, 2, &[(0, 1, 1.0), (1, 1, 1.0)]).unwrap();
         assert!(matches!(
-            solve_upper_triangular(&u, &[1.0, 1.0]),
+            scale_diag_multi_into(&[0.0, 1.0], 2, &mut [1.0; 4]),
             Err(SparseError::SingularMatrix { pivot: 0 })
         ));
+        let l = CsrMatrix::from_triplets(2, 2, &[(1, 0, 1.0)]).unwrap();
+        let (mut ws, mut out) = (SolveWorkspace::new(), Vec::new());
+        for width in [1usize, 2] {
+            let b = vec![1.0; 2 * width];
+            assert!(matches!(
+                ldl_solve_multi_into(
+                    &l,
+                    &l.transpose(),
+                    &[1.0, 0.0],
+                    &b,
+                    width,
+                    &mut ws,
+                    &mut out
+                ),
+                Err(SparseError::SingularMatrix { pivot: 1 })
+            ));
+        }
     }
 
     #[test]
     fn shape_validation() {
-        let l = lower_example();
-        assert!(solve_lower_triangular(&l, &[1.0]).is_err());
-        let rect = CsrMatrix::from_triplets(2, 3, &[(0, 0, 1.0)]).unwrap();
-        assert!(solve_unit_lower(&rect, &[1.0, 1.0]).is_err());
-        assert!(solve_unit_upper(&rect, &[1.0, 1.0]).is_err());
-        assert!(solve_upper_triangular(&rect, &[1.0, 1.0]).is_err());
-    }
-
-    #[test]
-    fn into_variants_are_bit_identical_and_reusable() {
-        let l = lower_example();
-        let u = l.transpose();
-        let unit_l = CsrMatrix::from_triplets(3, 3, &[(1, 0, 0.5), (2, 1, 0.25)]).unwrap();
-        let unit_u = unit_l.transpose();
-        let d = vec![2.0, 3.0, 4.0];
-
-        // One shared output buffer reused across every solve kind and several
-        // right-hand sides: results must equal the allocating API bit for bit.
+        let l = CsrMatrix::from_triplets(3, 3, &[(1, 0, 0.5), (2, 1, 0.25)]).unwrap();
         let mut out = Vec::new();
-        let mut ws = SolveWorkspace::with_capacity(3);
-        for b in [vec![2.0, 7.0, 14.0], vec![-1.0, 0.5, 3.25], vec![0.0; 3]] {
-            solve_lower_triangular_into(&l, &b, &mut out).unwrap();
-            assert_eq!(out, solve_lower_triangular(&l, &b).unwrap());
-            solve_upper_triangular_into(&u, &b, &mut out).unwrap();
-            assert_eq!(out, solve_upper_triangular(&u, &b).unwrap());
-            solve_unit_lower_into(&unit_l, &b, &mut out).unwrap();
-            assert_eq!(out, solve_unit_lower(&unit_l, &b).unwrap());
-            solve_unit_upper_into(&unit_u, &b, &mut out).unwrap();
-            assert_eq!(out, solve_unit_upper(&unit_u, &b).unwrap());
-            ldl_solve_into(&unit_l, &unit_u, &d, &b, &mut ws, &mut out).unwrap();
-            assert_eq!(out, ldl_solve(&unit_l, &unit_u, &d, &b).unwrap());
-        }
-
-        // Shape errors are reported through the `_into` path as well.
-        assert!(solve_lower_triangular_into(&l, &[1.0], &mut out).is_err());
-        assert!(ldl_solve_into(&unit_l, &unit_u, &[1.0], &[1.0; 3], &mut ws, &mut out).is_err());
-    }
-
-    #[test]
-    fn multi_solves_are_bit_identical_to_scalar_lanes() {
-        // Every panel width (including ragged widths and widths past the
-        // tuned maximum) must reproduce the scalar solves lane for lane,
-        // bit for bit.
-        let l = lower_example();
-        let u = l.transpose();
-        let unit_l = CsrMatrix::from_triplets(3, 3, &[(1, 0, 0.5), (2, 1, 0.25)]).unwrap();
-        let unit_u = unit_l.transpose();
-        let d = vec![2.0, 3.0, 4.0];
-        let n = 3usize;
-
-        for width in [1usize, 2, 3, 5, 8, MAX_PANEL_WIDTH + 1] {
-            // Deterministic, lane-distinct right-hand sides.
-            let lanes: Vec<Vec<f64>> = (0..width)
-                .map(|lane| {
-                    (0..n)
-                        .map(|i| ((i + 1) as f64) * 0.7 - (lane as f64) * 1.3)
-                        .collect()
-                })
-                .collect();
-            let mut panel = vec![0.0; n * width];
-            for (lane, b) in lanes.iter().enumerate() {
-                for i in 0..n {
-                    panel[i * width + lane] = b[i];
-                }
-            }
-
-            let mut out = Vec::new();
-            let mut ws = MultiSolveWorkspace::with_capacity(n, width);
-            let mut scalar = Vec::new();
-            let mut scalar_ws = SolveWorkspace::new();
-
-            solve_lower_multi_into(&l, &panel, width, &mut out).unwrap();
-            for (lane, b) in lanes.iter().enumerate() {
-                solve_lower_triangular_into(&l, b, &mut scalar).unwrap();
-                for i in 0..n {
-                    assert_eq!(out[i * width + lane], scalar[i], "lower w={width} l={lane}");
-                }
-            }
-            solve_upper_multi_into(&u, &panel, width, &mut out).unwrap();
-            for (lane, b) in lanes.iter().enumerate() {
-                solve_upper_triangular_into(&u, b, &mut scalar).unwrap();
-                for i in 0..n {
-                    assert_eq!(out[i * width + lane], scalar[i], "upper w={width} l={lane}");
-                }
-            }
-            solve_unit_lower_multi_into(&unit_l, &panel, width, &mut out).unwrap();
-            for (lane, b) in lanes.iter().enumerate() {
-                solve_unit_lower_into(&unit_l, b, &mut scalar).unwrap();
-                for i in 0..n {
-                    assert_eq!(out[i * width + lane], scalar[i], "ul w={width} l={lane}");
-                }
-            }
-            solve_unit_upper_multi_into(&unit_u, &panel, width, &mut out).unwrap();
-            for (lane, b) in lanes.iter().enumerate() {
-                solve_unit_upper_into(&unit_u, b, &mut scalar).unwrap();
-                for i in 0..n {
-                    assert_eq!(out[i * width + lane], scalar[i], "uu w={width} l={lane}");
-                }
-            }
-            ldl_solve_multi_into(&unit_l, &unit_u, &d, &panel, width, &mut ws, &mut out).unwrap();
-            for (lane, b) in lanes.iter().enumerate() {
-                ldl_solve_into(&unit_l, &unit_u, &d, b, &mut scalar_ws, &mut scalar).unwrap();
-                for i in 0..n {
-                    assert_eq!(out[i * width + lane], scalar[i], "ldl w={width} l={lane}");
-                }
-            }
-
-            // The in-place diagonal scaling matches the scalar phase too.
-            let mut scaled = panel.clone();
-            scale_diag_multi_into(&d, width, &mut scaled).unwrap();
-            for (lane, b) in lanes.iter().enumerate() {
-                for i in 0..n {
-                    assert_eq!(scaled[i * width + lane], b[i] / d[i]);
-                }
-            }
-        }
+        assert!(solve_unit_lower_multi_into(&l, &[1.0], 1, &mut out).is_err());
+        assert!(solve_unit_upper_multi_into(&l, &[1.0; 4], 1, &mut out).is_err());
+        let rect = CsrMatrix::from_triplets(2, 3, &[(0, 0, 1.0)]).unwrap();
+        assert!(matches!(
+            solve_unit_lower_multi_into(&rect, &[1.0, 1.0], 1, &mut out),
+            Err(SparseError::NotSquare { nrows: 2, ncols: 3 })
+        ));
+        assert!(solve_unit_upper_multi_into(&rect, &[1.0, 1.0], 1, &mut out).is_err());
     }
 
     #[test]
     fn multi_solve_validation() {
-        let l = lower_example();
+        let l = CsrMatrix::from_triplets(3, 3, &[(1, 0, 0.5), (2, 1, 0.25)]).unwrap();
         let mut out = Vec::new();
         // Panel length must be n * width; width must be positive.
-        assert!(solve_lower_multi_into(&l, &[1.0; 5], 2, &mut out).is_err());
-        assert!(solve_lower_multi_into(&l, &[], 0, &mut out).is_err());
+        assert!(solve_unit_lower_multi_into(&l, &[1.0; 5], 2, &mut out).is_err());
+        assert!(solve_unit_lower_multi_into(&l, &[], 0, &mut out).is_err());
         assert!(solve_unit_lower_multi_into(&l, &[1.0; 4], 2, &mut out).is_err());
-        assert!(solve_upper_multi_into(&l, &[1.0; 4], 3, &mut out).is_err());
+        assert!(solve_unit_upper_multi_into(&l, &[1.0; 4], 3, &mut out).is_err());
         assert!(solve_unit_upper_multi_into(&l, &[1.0; 7], 2, &mut out).is_err());
         let rect = CsrMatrix::from_triplets(2, 3, &[(0, 0, 1.0)]).unwrap();
-        assert!(solve_lower_multi_into(&rect, &[1.0; 4], 2, &mut out).is_err());
-        // Singular pivots are still reported per row.
-        let sing = CsrMatrix::from_triplets(2, 2, &[(0, 0, 1.0), (1, 0, 1.0)]).unwrap();
-        assert!(matches!(
-            solve_lower_multi_into(&sing, &[1.0; 4], 2, &mut out),
-            Err(SparseError::SingularMatrix { pivot: 1 })
-        ));
-        assert!(scale_diag_multi_into(&[1.0, 0.0], 2, &mut [1.0; 4]).is_err());
+        assert!(solve_unit_lower_multi_into(&rect, &[1.0; 4], 2, &mut out).is_err());
         assert!(scale_diag_multi_into(&[1.0], 2, &mut [1.0; 3]).is_err());
-        let mut ws = MultiSolveWorkspace::new();
+        let mut ws = SolveWorkspace::new();
         assert!(ldl_solve_multi_into(&l, &l, &[1.0], &[1.0; 6], 2, &mut ws, &mut out).is_err());
     }
 
     #[test]
     fn multi_solve_mismatch_payload_carries_requested_shape() {
-        let l = lower_example(); // 3 × 3
+        let l = CsrMatrix::from_triplets(3, 3, &[(1, 0, 0.5), (2, 1, 0.25)]).unwrap();
         let mut out = Vec::new();
         // width == 0: the left side reports the requested width verbatim, the
         // right side reports the supplied panel as a single column — not the
         // shape divided by `width.max(1)` the payload used to fabricate.
         assert!(matches!(
-            solve_lower_multi_into(&l, &[1.0; 4], 0, &mut out),
+            solve_unit_lower_multi_into(&l, &[1.0; 4], 0, &mut out),
             Err(SparseError::DimensionMismatch {
                 left: (3, 0),
                 right: (4, 1),
@@ -1006,7 +583,7 @@ mod tests {
         // Evenly divisible but wrong row count: re-expressed against the
         // requested width.
         assert!(matches!(
-            solve_upper_multi_into(&l, &[1.0; 8], 2, &mut out),
+            solve_unit_upper_multi_into(&l, &[1.0; 8], 2, &mut out),
             Err(SparseError::DimensionMismatch {
                 left: (3, 2),
                 right: (4, 2),
@@ -1034,7 +611,7 @@ mod tests {
 
     #[test]
     fn ldl_solve_reconstructs_spd_solution() {
-        // Build an SPD matrix A = L D L^T and verify ldl_solve(A factors) inverts it.
+        // Build an SPD matrix A = L D L^T and verify the solve inverts it.
         let l = CsrMatrix::from_triplets(
             3,
             3,
@@ -1058,11 +635,12 @@ mod tests {
         let a = ld.matmul(&l.to_dense().transpose()).unwrap();
 
         let b = vec![1.0, -2.0, 3.0];
-        let x = ldl_solve(&l, &u, &d, &b).unwrap();
+        let (mut ws, mut x) = (SolveWorkspace::new(), Vec::new());
+        ldl_solve_multi_into(&l, &u, &d, &b, 1, &mut ws, &mut x).unwrap();
         let ax = a.matvec(&x).unwrap();
         assert!(max_abs_diff(&ax, &b).unwrap() < 1e-12);
+        assert!(max_abs_diff(&x, &a.solve(&b).unwrap()).unwrap() < 1e-12);
 
-        assert!(ldl_solve(&l, &u, &[1.0], &b).is_err());
-        assert!(ldl_solve(&l, &u, &[1.0, 0.0, 1.0], &b).is_err());
+        assert!(ldl_solve_multi_into(&l, &u, &[1.0], &b, 1, &mut ws, &mut x).is_err());
     }
 }

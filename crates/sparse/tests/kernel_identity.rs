@@ -13,14 +13,13 @@
 //! breakdown), because the waves only ever parallelize provably disjoint
 //! rows.
 
-use mogul_sparse::kernel::KernelKind;
+use mogul_sparse::kernel::{set_kernel_override, KernelKind};
 use mogul_sparse::triangular::{
-    ldl_solve_multi_into_with, scale_diag_multi_into_with, solve_lower_multi_into_with,
-    solve_unit_lower_multi_into_with, solve_unit_upper_multi_into_with,
-    solve_upper_multi_into_with,
+    ldl_solve_multi_into, scale_diag_multi_into, solve_unit_lower_multi_into,
+    solve_unit_upper_multi_into,
 };
 use mogul_sparse::{
-    complete_ldl_threaded, incomplete_ldl_threaded, CooMatrix, CsrMatrix, MultiSolveWorkspace,
+    complete_ldl_threaded, incomplete_ldl_threaded, CooMatrix, CsrMatrix, SolveWorkspace,
     SparseError,
 };
 use proptest::prelude::*;
@@ -67,65 +66,38 @@ fn panel(n: usize, width: usize, salt: u64) -> Vec<f64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Every multi-RHS entry point produces bit-identical panels under the
-    /// scalar and SIMD kernels, across narrow, full, misaligned and blocked
-    /// (wider than `MAX_PANEL_WIDTH`) widths, for both factorization
-    /// flavors' factors.
+    /// The three sweeps and their composite produce bit-identical panels
+    /// under the scalar and SIMD kernels, across narrow, full and misaligned
+    /// widths, for both factorization flavors' factors. The kernel is pinned
+    /// through the process-wide override; this is the only test in this
+    /// binary that dispatches one, so nothing races it.
     #[test]
     fn simd_solves_are_bit_identical_to_scalar((n, edges) in edge_strategy(20), w in 0.05f64..0.45) {
         let matrix = spd_matrix(n, &edges, w);
         let complete = complete_ldl_threaded(&matrix, 1).unwrap().factors;
         let incomplete = incomplete_ldl_threaded(&matrix, 1).unwrap();
-        let mut ws = MultiSolveWorkspace::new();
+        let mut ws = SolveWorkspace::new();
         for factors in [&complete, &incomplete] {
             let (l, u, d) = (&factors.l, &factors.u, &factors.d);
-            // Widths 1..=8 cover every lane remainder of the 4-wide AVX2
-            // chunking; 17 exercises the cache-blocked gather/scatter path.
+            // Widths 1..=8 cover the narrow-panel rule and every lane
+            // remainder of the 4-wide AVX2 chunking; 17 is four chunks and
+            // a remainder.
             for width in [1usize, 2, 3, 4, 5, 6, 7, 8, 17] {
                 let b = panel(n, width, width as u64);
-                let (mut x_s, mut x_v) = (Vec::new(), Vec::new());
-                for (kind, x) in [(KernelKind::Scalar, &mut x_s), (KernelKind::Simd, &mut x_v)] {
-                    solve_unit_lower_multi_into_with(kind, l, &b, width, x).unwrap();
+                // Per kernel: [unit lower, unit upper, composite, scaled].
+                let mut got: Vec<[Vec<f64>; 4]> = Vec::new();
+                for kind in [KernelKind::Scalar, KernelKind::Simd] {
+                    set_kernel_override(Some(kind));
+                    let mut out = [Vec::new(), Vec::new(), Vec::new(), b.clone()];
+                    solve_unit_lower_multi_into(l, &b, width, &mut out[0]).unwrap();
+                    solve_unit_upper_multi_into(u, &b, width, &mut out[1]).unwrap();
+                    ldl_solve_multi_into(l, u, d, &b, width, &mut ws, &mut out[2]).unwrap();
+                    scale_diag_multi_into(d, width, &mut out[3]).unwrap();
+                    got.push(out);
                 }
-                prop_assert_eq!(&x_s, &x_v, "unit_lower width {}", width);
-                for (kind, x) in [(KernelKind::Scalar, &mut x_s), (KernelKind::Simd, &mut x_v)] {
-                    solve_unit_upper_multi_into_with(kind, u, &b, width, x).unwrap();
-                }
-                prop_assert_eq!(&x_s, &x_v, "unit_upper width {}", width);
-                for (kind, x) in [(KernelKind::Scalar, &mut x_s), (KernelKind::Simd, &mut x_v)] {
-                    ldl_solve_multi_into_with(kind, l, u, d, &b, width, &mut ws, x).unwrap();
-                }
-                prop_assert_eq!(&x_s, &x_v, "ldl width {}", width);
-                let (mut p_s, mut p_v) = (b.clone(), b);
-                scale_diag_multi_into_with(KernelKind::Scalar, d, width, &mut p_s).unwrap();
-                scale_diag_multi_into_with(KernelKind::Simd, d, width, &mut p_v).unwrap();
-                prop_assert_eq!(&p_s, &p_v, "scale_diag width {}", width);
+                set_kernel_override(None);
+                prop_assert_eq!(&got[0], &got[1], "width {}", width);
             }
-        }
-        // The non-unit solves over the lower factor with explicit diagonal
-        // (the substitutions of the unrestricted baselines).
-        let mut with_diag = CooMatrix::new(n, n);
-        for (i, j, v) in complete.l.iter() {
-            if i != j {
-                with_diag.push(i, j, v).unwrap();
-            }
-        }
-        for (i, &di) in complete.d.iter().enumerate() {
-            with_diag.push(i, i, di + 1.5).unwrap();
-        }
-        let lower = with_diag.to_csr();
-        let upper = lower.transpose();
-        for width in [3usize, 8, 17] {
-            let b = panel(n, width, 99);
-            let (mut x_s, mut x_v) = (Vec::new(), Vec::new());
-            for (kind, x) in [(KernelKind::Scalar, &mut x_s), (KernelKind::Simd, &mut x_v)] {
-                solve_lower_multi_into_with(kind, &lower, &b, width, x).unwrap();
-            }
-            prop_assert_eq!(&x_s, &x_v, "lower width {}", width);
-            for (kind, x) in [(KernelKind::Scalar, &mut x_s), (KernelKind::Simd, &mut x_v)] {
-                solve_upper_multi_into_with(kind, &upper, &b, width, x).unwrap();
-            }
-            prop_assert_eq!(&x_s, &x_v, "upper width {}", width);
         }
     }
 }
