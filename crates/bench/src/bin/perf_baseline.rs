@@ -249,6 +249,29 @@ fn time_rounds(
     (latencies, queries_per_iter)
 }
 
+/// How much faster two spinning threads finish two units of work than one
+/// thread would: about 2 when two cores are really there, about 1 when the
+/// second is withheld.
+fn two_thread_speedup() -> f64 {
+    fn spin() -> f64 {
+        let mut x = 1.0f64;
+        for i in 0..std::hint::black_box(2_000_000u64) {
+            x = x * 1.000_000_1 + i as f64 * 1e-12;
+        }
+        x
+    }
+    let start = Instant::now();
+    std::hint::black_box(spin());
+    let one = start.elapsed().as_secs_f64();
+    let start = Instant::now();
+    std::thread::scope(|scope| {
+        for _ in 0..2 {
+            scope.spawn(|| std::hint::black_box(spin()));
+        }
+    });
+    2.0 * one / start.elapsed().as_secs_f64().max(1e-12)
+}
+
 fn main() {
     // Replica-child mode never benchmarks: it serves until killed.
     if let Some(addr_file) = std::env::var_os(REPLICA_ADDR_FILE_ENV) {
@@ -593,8 +616,10 @@ fn main() {
     // Gates: the partitioned build must not be slower than the monolithic
     // one (each shard's k-NN graph and factorization are superlinear in
     // shard size, so partitioning alone pays even on one core); the
-    // parallel-vs-serial ratio is asserted only when this container
-    // actually has more than one core.
+    // parallel-vs-serial ratio — best of three alternating builds a side —
+    // is asserted only when this container actually runs two threads at
+    // once, which is measured around the builds rather than read off the
+    // core count: a hypervisor can withhold a vCPU for seconds at a time.
     let shard_ratio;
     {
         let shards = 4usize;
@@ -603,17 +628,26 @@ fn main() {
         let sharded_builder = mogul_core::update::IndexBuilder::new().knn_k(10);
         let config = mogul_core::ShardedConfig::with_shards(shards).builder(sharded_builder);
 
-        let start = Instant::now();
-        let (sharded, report) =
-            mogul_core::ShardedIndex::build(shard_features.clone(), config.parallel(true))
-                .expect("sharded build");
-        let parallel_secs = start.elapsed().as_secs_f64();
+        let capacity_before = two_thread_speedup();
+        let (mut parallel_latencies, mut serial_latencies) = (Vec::new(), Vec::new());
+        let mut built = None;
+        for _ in 0..3 {
+            let start = Instant::now();
+            built = Some(
+                mogul_core::ShardedIndex::build(shard_features.clone(), config.parallel(true))
+                    .expect("sharded build"),
+            );
+            parallel_latencies.push(start.elapsed().as_secs_f64());
 
-        let start = Instant::now();
-        let (_serial, _) =
+            let start = Instant::now();
             mogul_core::ShardedIndex::build(shard_features.clone(), config.parallel(false))
                 .expect("serial sharded build");
-        let serial_secs = start.elapsed().as_secs_f64();
+            serial_latencies.push(start.elapsed().as_secs_f64());
+        }
+        let capacity = capacity_before.min(two_thread_speedup());
+        let (sharded, report) = built.expect("three rounds ran");
+        let best = |secs: &[f64]| secs.iter().copied().fold(f64::INFINITY, f64::min);
+        let (parallel_secs, serial_secs) = (best(&parallel_latencies), best(&serial_latencies));
 
         let start = Instant::now();
         let (single, _) = mogul_core::ShardedIndex::build(
@@ -625,12 +659,12 @@ fn main() {
 
         results.push(ScenarioResult {
             name: "shard_precompute",
-            latencies: vec![parallel_secs],
+            latencies: parallel_latencies,
             queries_per_iter: 1,
         });
         results.push(ScenarioResult {
             name: "shard_precompute_serial",
-            latencies: vec![serial_secs],
+            latencies: serial_latencies,
             queries_per_iter: 1,
         });
 
@@ -639,18 +673,21 @@ fn main() {
         let cores = mogul_sparse::effective_threads(0);
         eprintln!(
             "  sharded precompute: {shard_ratio:.2}x vs monolithic, parallel {parallel_ratio:.2}x \
-             vs serial ({cores} cores; s1 build {s1_secs:.2}s)"
+             vs serial ({cores} cores, two spinning threads ran {capacity:.2}x one; \
+             s1 build {s1_secs:.2}s)"
         );
         assert!(
             report.parallel || cores == 1,
             "the parallel build must use scoped threads when cores are available"
         );
-        if cores > 1 {
+        if cores > 1 && capacity >= 1.5 {
             assert!(
                 parallel_ratio >= 1.0,
                 "gate: the parallel sharded build must not be slower than the serial one \
                  on a {cores}-core container (got {parallel_ratio:.2}x)"
             );
+        } else {
+            eprintln!("  parallel-vs-serial gate not asserted: one core's worth of CPU");
         }
 
         // Scatter-gather query rows: identical ids against S=1 and S=4.

@@ -13,7 +13,11 @@ use crate::out_of_sample::{OosWorkspace, OutOfSampleConfig, OutOfSampleIndex, Ou
 use crate::params::MrParams;
 use crate::ranking::TopKResult;
 use crate::{CoreError, Result};
-use mogul_graph::knn::{approximate_knn_graph, knn_graph, KnnConfig};
+use mogul_graph::knn::{
+    approximate_knn_indices, exact_knn_indices, graph_from_neighbor_lists, EdgeWeighting,
+};
+use mogul_sparse::FeatureMatrix;
+use std::sync::Arc;
 
 /// How the k-NN graph is constructed.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -93,9 +97,9 @@ impl RetrievalEngineBuilder {
             ));
         }
         let params = MrParams::new(self.alpha)?;
-        let knn_config = KnnConfig::with_k(self.knn_k);
-        let graph = match self.graph {
-            GraphConstruction::Exact => knn_graph(&features, knn_config)?,
+        let features = Arc::new(FeatureMatrix::from_rows(&features)?);
+        let lists = match self.graph {
+            GraphConstruction::Exact => exact_knn_indices(&features, self.knn_k, 0)?,
             GraphConstruction::Approximate { partitions, probes } => {
                 // The low-level builder silently clamps out-of-range values;
                 // at this level a nonsensical configuration is a caller bug
@@ -112,9 +116,10 @@ impl RetrievalEngineBuilder {
                          only {partitions} exist (probes must be ≤ partitions)"
                     )));
                 }
-                approximate_knn_graph(&features, knn_config, partitions, probes, self.seed)?
+                approximate_knn_indices(&features, self.knn_k, partitions, probes, self.seed)?
             }
         };
+        let graph = graph_from_neighbor_lists(&lists, EdgeWeighting::HeatKernel { sigma: None })?;
         let index = MogulIndex::build(
             &graph,
             MogulConfig {
@@ -123,7 +128,7 @@ impl RetrievalEngineBuilder {
                 ..MogulConfig::default()
             },
         )?;
-        let oos = OutOfSampleIndex::new(
+        let oos = OutOfSampleIndex::with_features(
             index,
             features,
             OutOfSampleConfig {

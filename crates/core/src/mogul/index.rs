@@ -10,7 +10,7 @@ use crate::mogul::bounds::ClusterBounds;
 use crate::params::MrParams;
 use crate::Result;
 use mogul_graph::adjacency::ranking_system_matrix;
-use mogul_graph::clustering::modularity::{modularity_clustering, ModularityConfig};
+use mogul_graph::clustering::modularity::{modularity_clustering_threaded, ModularityConfig};
 use mogul_graph::ordering::{mogul_ordering, NodeOrdering};
 use mogul_graph::Graph;
 use mogul_sparse::ichol::{incomplete_ldl, LdlFactors};
@@ -105,8 +105,17 @@ impl MogulIndex {
     /// Build the index with the default pipeline: modularity clustering →
     /// Algorithm 1 ordering → permuted factorization → bound precomputation.
     pub fn build(graph: &Graph, config: MogulConfig) -> Result<Self> {
+        Self::build_threaded(graph, config, 0)
+    }
+
+    /// [`MogulIndex::build`] on `threads` workers (`0` = one per core).
+    pub(crate) fn build_threaded(
+        graph: &Graph,
+        config: MogulConfig,
+        threads: usize,
+    ) -> Result<Self> {
         let start = Instant::now();
-        let clustering = modularity_clustering(graph, &config.clustering);
+        let clustering = modularity_clustering_threaded(graph, &config.clustering, threads);
         let ordering = mogul_ordering(graph, &clustering)?;
         let ordering_secs = start.elapsed().as_secs_f64();
         Self::build_with_ordering_timed(graph, config, ordering, ordering_secs)

@@ -13,6 +13,9 @@ use crate::mogul::{MogulIndex, SearchMode, SearchStats, SearchWorkspace, PANEL_W
 use crate::ranking::{check_k, TopKResult};
 use crate::topk::{f64_sort_key, BoundedTopK, Entry};
 use crate::{CoreError, Result};
+use mogul_sparse::vector::squared_euclidean_unchecked;
+use mogul_sparse::FeatureMatrix;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// The workspace of the out-of-sample entry points — the same struct as
@@ -90,19 +93,35 @@ impl OutOfSampleResult {
 #[derive(Debug, Clone)]
 pub struct OutOfSampleIndex {
     index: MogulIndex,
-    features: Vec<Vec<f64>>,
-    /// Centroid of each ordering cluster (empty clusters get an empty vector).
-    centroids: Vec<Vec<f64>>,
+    /// Shared with the writer and the snapshots of an updatable index.
+    features: Arc<FeatureMatrix>,
+    /// Centroid of each ordering cluster, one row per cluster (the row of an
+    /// empty cluster is never read).
+    centroids: FeatureMatrix,
     /// Members (original node ids) of each ordering cluster.
     members: Vec<Vec<usize>>,
     config: OutOfSampleConfig,
 }
 
 impl OutOfSampleIndex {
-    /// Attach database features to a prebuilt [`MogulIndex`].
+    /// Attach database features to a prebuilt [`MogulIndex`], packing them
+    /// into a [`FeatureMatrix`] (which rejects ragged or non-finite vectors).
     pub fn new(
         index: MogulIndex,
         features: Vec<Vec<f64>>,
+        config: OutOfSampleConfig,
+    ) -> Result<Self> {
+        Self::with_features(
+            index,
+            Arc::new(FeatureMatrix::from_rows(&features)?),
+            config,
+        )
+    }
+
+    /// [`OutOfSampleIndex::new`] over features that are already packed.
+    pub fn with_features(
+        index: MogulIndex,
+        features: Arc<FeatureMatrix>,
         config: OutOfSampleConfig,
     ) -> Result<Self> {
         if features.len() != index.num_nodes() {
@@ -117,15 +136,6 @@ impl OutOfSampleIndex {
                 "out-of-sample queries need at least one neighbour".into(),
             ));
         }
-        let dim = features.first().map_or(0, |f| f.len());
-        for (i, f) in features.iter().enumerate() {
-            if f.len() != dim {
-                return Err(CoreError::InvalidInput(format!(
-                    "feature {i} has dimension {} but expected {dim}",
-                    f.len()
-                )));
-            }
-        }
 
         // Cluster membership and centroids in the original node id space.
         let ordering = index.ordering();
@@ -135,28 +145,25 @@ impl OutOfSampleIndex {
             let cluster = ordering.cluster_of_permuted(permuted);
             members[cluster].push(ordering.permutation.old_index(permuted));
         }
-        let mut centroids = Vec::with_capacity(num_clusters);
-        for cluster_members in &members {
-            if cluster_members.is_empty() || dim == 0 {
-                centroids.push(Vec::new());
-                continue;
-            }
-            let mut centroid = vec![0.0; dim];
+        let dim = features.dim();
+        let mut centroids = vec![0.0; num_clusters * dim];
+        for (centroid, cluster_members) in centroids.chunks_exact_mut(dim).zip(&members) {
             for &node in cluster_members {
-                for (c, v) in centroid.iter_mut().zip(features[node].iter()) {
+                for (c, v) in centroid.iter_mut().zip(features.row(node)) {
                     *c += v;
                 }
             }
-            for c in centroid.iter_mut() {
-                *c /= cluster_members.len() as f64;
+            if !cluster_members.is_empty() {
+                for c in centroid.iter_mut() {
+                    *c /= cluster_members.len() as f64;
+                }
             }
-            centroids.push(centroid);
         }
 
         Ok(OutOfSampleIndex {
             index,
             features,
-            centroids,
+            centroids: FeatureMatrix::from_vec(dim, centroids)?,
             members,
             config,
         })
@@ -167,14 +174,22 @@ impl OutOfSampleIndex {
         &self.index
     }
 
-    /// The database feature vectors, indexed by original node id.
-    pub fn features(&self) -> &[Vec<f64>] {
+    /// The database feature vectors, row `i` being original node `i`.
+    pub fn features(&self) -> &Arc<FeatureMatrix> {
         &self.features
     }
 
     /// Dimensionality of the database feature vectors.
     pub fn feature_dim(&self) -> usize {
-        self.features.first().map_or(0, |f| f.len())
+        self.features.dim()
+    }
+
+    /// Centroids of the non-empty clusters, with their cluster numbers.
+    fn live_centroids(&self) -> impl Iterator<Item = (usize, &[f64])> {
+        self.centroids
+            .rows()
+            .enumerate()
+            .filter(|&(cluster, _)| !self.members[cluster].is_empty())
     }
 
     /// The out-of-sample query configuration.
@@ -268,14 +283,11 @@ impl OutOfSampleIndex {
     /// centroids phase 1 of the out-of-sample search probes, so routing and
     /// in-shard cluster selection agree with each other.
     pub fn min_centroid_distance2(&self, feature: &[f64]) -> Option<f64> {
-        let dim = self.features.first().map_or(0, |f| f.len());
-        if feature.len() != dim || !feature.iter().all(|v| v.is_finite()) {
+        if feature.len() != self.feature_dim() || !feature.iter().all(|v| v.is_finite()) {
             return None;
         }
-        self.centroids
-            .iter()
-            .filter(|c| !c.is_empty())
-            .map(|c| mogul_sparse::vector::squared_euclidean_unchecked(feature, c))
+        self.live_centroids()
+            .map(|(_, c)| squared_euclidean_unchecked(feature, c))
             .min_by(f64::total_cmp)
     }
 
@@ -288,7 +300,7 @@ impl OutOfSampleIndex {
     /// (`O(n log k)`, no full sort); ties are pinned to the earlier
     /// candidate, matching the stable sort this replaced.
     fn collect_query_weights(&self, ws: &mut NeighborScratch, feature: &[f64]) -> Result<()> {
-        let dim = self.features.first().map_or(0, |f| f.len());
+        let dim = self.feature_dim();
         if feature.len() != dim {
             return Err(CoreError::DimensionMismatch {
                 op: "out-of-sample query feature",
@@ -302,7 +314,7 @@ impl OutOfSampleIndex {
             ));
         }
 
-        let non_empty = self.centroids.iter().filter(|c| !c.is_empty()).count();
+        let non_empty = self.live_centroids().count();
         if non_empty == 0 {
             return Err(CoreError::InvalidInput(
                 "the database holds no non-empty clusters".into(),
@@ -311,12 +323,9 @@ impl OutOfSampleIndex {
         let probes = self.config.cluster_probes.max(1).min(non_empty);
         let mut nearest_clusters =
             BoundedTopK::with_buffer(probes, std::mem::take(&mut ws.cluster_order));
-        for (idx, c) in self.centroids.iter().enumerate() {
-            if c.is_empty() {
-                continue;
-            }
-            let d2 = mogul_sparse::vector::squared_euclidean_unchecked(feature, c);
-            nearest_clusters.offer((f64_sort_key(d2), idx));
+        for (cluster, c) in self.live_centroids() {
+            let d2 = squared_euclidean_unchecked(feature, c);
+            nearest_clusters.offer((f64_sort_key(d2), cluster));
         }
         let cluster_order = nearest_clusters.into_sorted_vec();
 
@@ -330,11 +339,7 @@ impl OutOfSampleIndex {
         let mut position = 0usize;
         for &(_, cluster) in &cluster_order {
             for &node in &self.members[cluster] {
-                let d = mogul_sparse::vector::squared_euclidean_unchecked(
-                    feature,
-                    &self.features[node],
-                )
-                .sqrt();
+                let d = squared_euclidean_unchecked(feature, self.features.row(node)).sqrt();
                 nearest.offer(Entry {
                     key: (f64_sort_key(d), position),
                     value: (node, d),
@@ -486,6 +491,13 @@ mod tests {
             OutOfSampleConfig::default()
         )
         .is_err());
+        // A non-finite or ragged database feature.
+        for bad in [vec![f64::NAN; 12], vec![0.0; 11]] {
+            let mut features = db.features().to_vec();
+            features[2] = bad;
+            let result = OutOfSampleIndex::new(index.clone(), features, Default::default());
+            assert!(matches!(result, Err(CoreError::InvalidInput(_))));
+        }
         // Zero neighbours.
         assert!(OutOfSampleIndex::new(
             index,

@@ -56,6 +56,7 @@ use mogul_graph::clustering::modularity::ModularityConfig;
 use mogul_graph::persist as graph_codec;
 use mogul_sparse::persist as codec;
 use mogul_sparse::persist::{checksum64, ByteReader};
+use mogul_sparse::FeatureMatrix;
 use std::fmt;
 use std::io::Write;
 use std::path::Path;
@@ -646,20 +647,21 @@ fn decode_bounds(bytes: &[u8]) -> Result<ClusterBounds, PersistError> {
     ClusterBounds::from_raw_parts(max_within, border_columns).map_err(&err)
 }
 
-fn encode_features(features: &[Vec<f64>]) -> Vec<u8> {
-    let dim = features.first().map_or(0, |f| f.len());
-    let mut out = Vec::with_capacity(16 + features.len() * dim * 8);
+fn encode_features(features: &FeatureMatrix) -> Vec<u8> {
+    let values = features.as_slice();
+    let mut out = Vec::with_capacity(16 + values.len() * 8);
     codec::put_usize(&mut out, features.len());
-    codec::put_usize(&mut out, dim);
-    for row in features {
-        for &v in row {
-            codec::put_f64(&mut out, v);
-        }
+    codec::put_usize(&mut out, features.dim());
+    for &v in values {
+        codec::put_f64(&mut out, v);
     }
     out
 }
 
-fn decode_features(bytes: &[u8]) -> Result<Vec<Vec<f64>>, PersistError> {
+/// The features section. A checksum only proves the bytes are the ones that
+/// were written: a NaN or infinity in them is rejected here, by the
+/// [`FeatureMatrix`] constructor, before it can reach a distance.
+fn decode_features(bytes: &[u8]) -> Result<FeatureMatrix, PersistError> {
     let err = decode_err(SectionKind::Features);
     let mut r = ByteReader::new(bytes);
     let n = r.take_usize("features row count").map_err(&err)?;
@@ -674,15 +676,11 @@ fn decode_features(bytes: &[u8]) -> Result<Vec<Vec<f64>>, PersistError> {
             ))))
         }
     }
-    let mut features = Vec::with_capacity(n);
-    for _ in 0..n {
-        let mut row = Vec::with_capacity(dim);
-        for _ in 0..dim {
-            row.push(r.take_f64("feature value").map_err(&err)?);
-        }
-        features.push(row);
+    let mut values = Vec::with_capacity(n * dim);
+    for _ in 0..n * dim {
+        values.push(r.take_f64("feature value").map_err(&err)?);
     }
-    Ok(features)
+    FeatureMatrix::from_vec(dim, values).map_err(&err)
 }
 
 fn encode_stats(stats: &PrecomputeStats) -> Vec<u8> {
@@ -1013,13 +1011,13 @@ fn decode_oos(sections: &[RawSection<'_>], meta: &Meta) -> Result<OutOfSampleInd
             });
         }
     }
-    if features.first().map_or(0, |f| f.len()) != meta.dim {
+    if features.dim() != meta.dim {
         return Err(PersistError::Corrupt {
             what: "cross-section consistency",
             detail: format!(
                 "meta declares dimensionality {} but features have {}",
                 meta.dim,
-                features.first().map_or(0, |f| f.len())
+                features.dim()
             ),
         });
     }
@@ -1032,7 +1030,8 @@ fn decode_oos(sections: &[RawSection<'_>], meta: &Meta) -> Result<OutOfSampleInd
         bounds,
         stats,
     };
-    OutOfSampleIndex::new(index, features, meta.oos_config).map_err(decode_err(SectionKind::Meta))
+    OutOfSampleIndex::with_features(index, Arc::new(features), meta.oos_config)
+        .map_err(decode_err(SectionKind::Meta))
 }
 
 /// Load an immutable serving index from raw container bytes.

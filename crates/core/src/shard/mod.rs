@@ -53,6 +53,7 @@ use std::sync::Arc;
 use crate::update::{IndexBuilder, IndexDelta, RebuildDebt, UpdatableIndex, UpdateOp};
 use crate::{CoreError, Result};
 use mogul_graph::clustering::partition::{partition_points, PartitionConfig};
+use mogul_sparse::FeatureMatrix;
 
 /// Hard ceiling on the shard count (also enforced by the manifest loader —
 /// a hostile manifest cannot make the loader allocate unbounded state).
@@ -329,17 +330,29 @@ impl ShardedIndex {
             },
         )?;
 
-        let mut per_shard_features: Vec<Vec<Vec<f64>>> = groups
+        let per_shard_features = groups
             .iter()
-            .map(|group| group.iter().map(|&pos| features[pos].clone()).collect())
-            .collect();
+            .map(|group| {
+                let rows: Vec<&[f64]> = group.iter().map(|&pos| features[pos].as_slice()).collect();
+                FeatureMatrix::from_rows(&rows).map(Arc::new)
+            })
+            .collect::<Result<Vec<_>>>()?;
+        let items = features.len();
+        drop(features);
 
         let parallel = config.parallel && config.shards > 1;
-        let shards = build_shards(&mut per_shard_features, config.builder, parallel)?;
+        // One thread budget: shards that build at once share the cores, and
+        // a serial build is serial all the way down.
+        let threads = if config.parallel {
+            (mogul_sparse::effective_threads(0) / config.shards).max(1)
+        } else {
+            1
+        };
+        let shards = build_shards(per_shard_features, config.builder, parallel, threads)?;
 
         let lens: Vec<usize> = groups.iter().map(Vec::len).collect();
         let router = ShardRouter::from_bases(&lens);
-        let mut id_of_position = vec![0usize; features.len()];
+        let mut id_of_position = vec![0usize; items];
         for (s, group) in groups.iter().enumerate() {
             let (base, _) = router.base_range(s).expect("shard exists");
             for (local, &pos) in group.iter().enumerate() {
@@ -647,25 +660,24 @@ pub(crate) fn route_by_centroid(
     })
 }
 
-/// Build one index per feature group, optionally with scoped threads.
+/// Build one index per feature group on `threads` workers each, one after
+/// the other or (`parallel`) all at once on scoped threads.
 fn build_shards(
-    per_shard_features: &mut [Vec<Vec<f64>>],
+    per_shard_features: Vec<Arc<FeatureMatrix>>,
     builder: IndexBuilder,
     parallel: bool,
+    threads: usize,
 ) -> Result<Vec<UpdatableIndex>> {
     if !parallel {
         return per_shard_features
-            .iter_mut()
-            .map(|f| builder.build(std::mem::take(f)))
+            .into_iter()
+            .map(|features| builder.build_packed(features, threads))
             .collect();
     }
     let results: Vec<Result<UpdatableIndex>> = std::thread::scope(|scope| {
         let handles: Vec<_> = per_shard_features
-            .iter_mut()
-            .map(|f| {
-                let features = std::mem::take(f);
-                scope.spawn(move || builder.build(features))
-            })
+            .into_iter()
+            .map(|features| scope.spawn(move || builder.build_packed(features, threads)))
             .collect();
         handles
             .into_iter()

@@ -54,10 +54,11 @@ use crate::ranking::{check_k, RankedNode, TopKResult};
 use crate::topk::BoundedTopK;
 use crate::{CoreError, Result};
 use mogul_graph::knn::{
-    estimate_sigma, exact_knn_indices, graph_from_neighbor_lists, EdgeWeighting,
+    by_distance, estimate_sigma, exact_knn_indices, graph_from_neighbor_lists, nearest_rows,
+    EdgeWeighting,
 };
 use mogul_graph::Graph;
-use mogul_sparse::{CorrectionWorkspace, WoodburyCorrection};
+use mogul_sparse::{CorrectionWorkspace, FeatureMatrix, WoodburyCorrection};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Instant;
@@ -265,8 +266,21 @@ impl IndexBuilder {
                 "cannot build an updatable index over zero items".into(),
             ));
         }
+        let packed = FeatureMatrix::from_rows(&features)?;
+        drop(features);
+        self.build_packed(Arc::new(packed), 0)
+    }
+
+    /// [`IndexBuilder::build`] over packed features on `threads` workers
+    /// (`0` = one per core): a sharded build hands each shard its share of
+    /// the cores here.
+    pub(crate) fn build_packed(
+        self,
+        features: Arc<FeatureMatrix>,
+        threads: usize,
+    ) -> Result<UpdatableIndex> {
         let params = crate::MrParams::new(self.engine.alpha)?;
-        let lists = exact_knn_indices(&features, self.engine.knn_k, 0)?;
+        let lists = exact_knn_indices(&features, self.engine.knn_k, threads)?;
         // Pin the heat-kernel bandwidth now: inserted edges must be weighted
         // on the same scale as the initial graph.
         let sigma = estimate_sigma(&lists);
@@ -282,9 +296,13 @@ impl IndexBuilder {
             cluster_probes: 1,
         };
         let n = features.len();
-        let dim = features[0].len();
-        let index = MogulIndex::build(&graph, config)?;
-        let oos = Arc::new(OutOfSampleIndex::new(index, features.clone(), oos_config)?);
+        let dim = features.dim();
+        let index = MogulIndex::build_threaded(&graph, config, threads)?;
+        let oos = Arc::new(OutOfSampleIndex::with_features(
+            index,
+            Arc::clone(&features),
+            oos_config,
+        )?);
 
         let ids: Vec<usize> = (0..n).collect();
         let node_of_id: Vec<Option<usize>> = (0..n).map(Some).collect();
@@ -366,7 +384,9 @@ pub struct UpdatableIndex {
     sigma: f64,
     // Current collection state in dense node space (tombstones included).
     graph: Graph,
-    features: Vec<Vec<f64>>,
+    /// Shared with the published snapshot and, on a clean epoch, with the
+    /// base index; an insert copies the matrix once before appending.
+    features: Arc<FeatureMatrix>,
     live: Vec<bool>,
     /// Dense node → stable id.
     ids: Vec<usize>,
@@ -466,7 +486,7 @@ impl UpdatableIndex {
         let mut removed = 0usize;
         for op in delta.ops() {
             match op {
-                UpdateOp::Insert { feature } => inserted.push(self.insert_item(feature.clone())?),
+                UpdateOp::Insert { feature } => inserted.push(self.insert_item(feature)?),
                 UpdateOp::Remove { id } => {
                     self.remove_item(*id)?;
                     removed += 1;
@@ -589,7 +609,7 @@ impl UpdatableIndex {
             )));
         }
         let node_of_id = node_map_from_ids(&ids, next_id)?;
-        let features = base.features().to_vec();
+        let features = Arc::clone(base.features());
         let dim = base.feature_dim();
         let snapshot = Arc::new(IndexSnapshot {
             epoch,
@@ -673,36 +693,16 @@ impl UpdatableIndex {
 
     // -- mutation -----------------------------------------------------------
 
-    fn insert_item(&mut self, feature: Vec<f64>) -> Result<usize> {
+    fn insert_item(&mut self, feature: &[f64]) -> Result<usize> {
+        // k nearest live items of the new feature, as a neighbour list.
+        let scored = by_distance(nearest_rows(&self.features, feature, self.knn_k, |u| {
+            !self.live[u]
+        }));
+
+        Arc::make_mut(&mut self.features).push_row(feature)?;
         let node = self.graph.add_node();
         let id = self.next_id;
         self.next_id += 1;
-
-        // k nearest live items of the new feature: one O(n·d) scan through
-        // the shared bounded top-k collector (no full sort). Candidates are
-        // ordered by (distance, id); distances are finite and non-negative,
-        // so their IEEE bit patterns order like the values.
-        let k = self.knn_k;
-        let mut nearest: BoundedTopK<(u64, usize)> = BoundedTopK::new(k);
-        for u in 0..self.features.len() {
-            if !self.live[u] {
-                continue;
-            }
-            let d2 = mogul_sparse::vector::squared_euclidean_unchecked(&feature, &self.features[u]);
-            nearest.offer((d2.to_bits(), u));
-        }
-        let mut scored: Vec<(usize, f64)> = nearest
-            .into_sorted_vec()
-            .into_iter()
-            .map(|(bits, u)| (u, f64::from_bits(bits).sqrt()))
-            .collect();
-        scored.sort_by(|a, b| {
-            a.1.partial_cmp(&b.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.0.cmp(&b.0))
-        });
-
-        self.features.push(feature);
         self.live.push(true);
         self.ids.push(id);
         self.node_of_id.push(Some(node));
@@ -871,7 +871,7 @@ impl UpdatableIndex {
             oos: Arc::clone(&self.base),
             state: SnapshotState::Corrected {
                 correction,
-                features: self.features.clone(),
+                features: Arc::clone(&self.features),
                 live: self.live.clone(),
             },
             ids: self.ids.clone(),
@@ -888,16 +888,18 @@ impl UpdatableIndex {
     fn rebuild_epoch(&mut self) -> Result<()> {
         let total = self.graph.num_nodes();
         let mut new_of_old = vec![usize::MAX; total];
-        let mut new_features = Vec::with_capacity(self.live_count);
         let mut new_ids = Vec::with_capacity(self.live_count);
         for old in 0..total {
             if self.live[old] {
-                new_of_old[old] = new_features.len();
-                new_features.push(self.features[old].clone());
+                new_of_old[old] = new_ids.len();
                 new_ids.push(self.ids[old]);
             }
         }
-        let m = new_features.len();
+        let m = new_ids.len();
+        let new_features = Arc::new(
+            self.features
+                .select_rows((0..total).filter(|&old| self.live[old])),
+        );
         let mut new_graph = Graph::empty(m);
         for old in 0..total {
             if !self.live[old] {
@@ -912,9 +914,9 @@ impl UpdatableIndex {
         }
 
         let index = MogulIndex::build(&new_graph, self.config)?;
-        let oos = Arc::new(OutOfSampleIndex::new(
+        let oos = Arc::new(OutOfSampleIndex::with_features(
             index,
-            new_features.clone(),
+            Arc::clone(&new_features),
             self.oos_config,
         )?);
 
@@ -1029,8 +1031,8 @@ enum SnapshotState {
     Corrected {
         correction: WoodburyCorrection,
         /// Current features in dense node space (phase 1 of out-of-sample
-        /// queries scans these).
-        features: Vec<Vec<f64>>,
+        /// queries scans these), shared with the writer.
+        features: Arc<FeatureMatrix>,
         /// Live flags in dense node space.
         live: Vec<bool>,
     },
@@ -1319,28 +1321,14 @@ impl IndexSnapshot {
 
                 // Phase 1: exact nearest neighbours among live items, then
                 // normalized heat-kernel weights (mirrors
-                // `OutOfSampleIndex::query_in`). The shared bounded top-k
-                // collector keeps the scan at O(n log num_neighbors) instead
-                // of sorting all n candidates; finite non-negative distances
-                // order by their IEEE bit patterns, so the key is
-                // `(bits, node)`.
+                // `OutOfSampleIndex::query_in`).
                 let nn_start = Instant::now();
                 let num_neighbors = self.oos.config().num_neighbors;
-                let mut nearest: BoundedTopK<(u64, usize)> = BoundedTopK::new(num_neighbors);
-                for u in 0..features.len() {
-                    if !live[u] {
-                        continue;
-                    }
-                    let d2 =
-                        mogul_sparse::vector::squared_euclidean_unchecked(feature, &features[u]);
-                    nearest.offer((d2.to_bits(), u));
-                }
                 ws.scored.clear();
                 ws.scored.extend(
-                    nearest
-                        .into_sorted_vec()
+                    nearest_rows(features, feature, num_neighbors, |u| !live[u])
                         .into_iter()
-                        .map(|(bits, u)| (u, f64::from_bits(bits).sqrt())),
+                        .map(|(u, d2)| (u, d2.sqrt())),
                 );
                 let sigma = {
                     let mean: f64 = ws.scored.iter().map(|&(_, d)| d).sum::<f64>()
@@ -1677,7 +1665,7 @@ mod tests {
         for (&id, single) in ids.iter().zip(&singles) {
             let node = snapshot.node_of_id[id].unwrap();
             let by_feature = snapshot
-                .query_by_feature_in(ws, &index.features[node], k)
+                .query_by_feature_in(ws, index.features.row(node), k)
                 .unwrap();
             assert_eq!(by_feature.neighbors, vec![id]);
             let others: Vec<RankedNode> = by_feature

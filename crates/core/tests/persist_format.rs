@@ -296,6 +296,59 @@ fn hostile_counts_fail_closed_without_allocating() {
 }
 
 #[test]
+fn non_finite_feature_values_are_rejected_at_load() {
+    // A checksum proves the bytes are the ones that were written, not that
+    // they are numbers a distance can be taken over: a well-formed file
+    // whose features section holds a NaN or an infinity must
+    // fail typed, naming the section, from every loader.
+    let index_file = index_bytes();
+    let updatable_file = updatable_bytes();
+    let info = persist::inspect_bytes(&index_file).unwrap();
+    let features = info.sections.iter().find(|s| s.name == "features").unwrap();
+    let clean = &index_file[features.offset..features.offset + features.len];
+    // Layout: row count, dimensionality, then the values row by row.
+    let value = 16 + 8 * (3 * 5 + 1);
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let mut payload = clean.to_vec();
+        payload[value..value + 8].copy_from_slice(&bad.to_bits().to_le_bytes());
+        let loads = [
+            persist::load_index_from_bytes(&rebuild_with_section(
+                &index_file,
+                "features",
+                &payload,
+            ))
+            .map(|_| ()),
+            persist::load_serving_from_bytes(&rebuild_with_section(
+                &index_file,
+                "features",
+                &payload,
+            ))
+            .map(|_| ()),
+            persist::load_updatable_from_bytes(&rebuild_with_section(
+                &updatable_file,
+                "features",
+                &payload,
+            ))
+            .map(|_| ()),
+        ];
+        for load in loads {
+            match load {
+                Err(PersistError::SectionDecode { section, source }) => {
+                    assert_eq!(section, SectionKind::Features.name());
+                    assert!(source.to_string().contains("vector 5"), "{source}");
+                }
+                other => panic!("{bad} in the features section gave {other:?}"),
+            }
+        }
+    }
+    // The untouched payload still loads through the same rebuild.
+    assert!(
+        persist::load_index_from_bytes(&rebuild_with_section(&index_file, "features", clean))
+            .is_ok()
+    );
+}
+
+#[test]
 fn flavor_mismatches_are_typed_not_garbled() {
     let index = index_bytes();
     let updatable = updatable_bytes();

@@ -6,17 +6,28 @@
 //! `A_ij = exp(−d²(u_i, u_j) / 2σ²)` (Section 3 of the paper, k is typically
 //! 5–20).
 //!
-//! Two construction paths are provided:
+//! Two construction paths are provided, both over a
+//! [`FeatureMatrix`] (the `&[Vec<f64>]` entry points [`knn_graph`] and
+//! [`approximate_knn_graph`] pack one first):
 //!
 //! * [`exact_knn_indices`] — threaded brute-force search (exact, `O(n² m)`),
-//!   the reference used for small and medium datasets.
+//!   the reference used for small and medium datasets: a blocked scan that
+//!   hands tiles of rows to the lane-across-rows distance kernel
+//!   ([`tile_sq_distances`]).
 //! * [`approximate_knn_indices`] — partition-based approximate search that
 //!   only scans a few nearby partitions per query, for the larger synthetic
 //!   datasets (the paper's INRIA-scale regime).
+//!
+//! [`nearest_rows`] is the single-query counterpart: the nearest rows of one
+//! vector, used by incremental inserts and corrected out-of-sample queries.
 
 use crate::graph::Graph;
 use crate::{GraphError, Result};
+use mogul_sparse::kernel::tile_sq_distances;
+use mogul_sparse::vector::squared_euclidean_unchecked;
+use mogul_sparse::FeatureMatrix;
 use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 /// How edge weights are derived from distances.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -65,38 +76,12 @@ impl KnnConfig {
     }
 }
 
-fn validate_features(features: &[Vec<f64>]) -> Result<usize> {
-    if features.is_empty() {
-        return Err(GraphError::InvalidInput(
-            "cannot build a k-NN graph over zero points".into(),
-        ));
-    }
-    let dim = features[0].len();
-    if dim == 0 {
-        return Err(GraphError::InvalidInput(
-            "feature vectors must have at least one dimension".into(),
-        ));
-    }
-    for (i, f) in features.iter().enumerate() {
-        if f.len() != dim {
-            return Err(GraphError::InvalidInput(format!(
-                "feature vector {i} has dimension {} but expected {dim}",
-                f.len()
-            )));
-        }
-        if !f.iter().all(|v| v.is_finite()) {
-            return Err(GraphError::InvalidInput(format!(
-                "feature vector {i} contains non-finite values"
-            )));
-        }
-    }
-    Ok(dim)
-}
-
+/// A row and its squared distance to a query, ordered by `(d², row)`: the
+/// one total order every nearest-row selection in the workspace ranks by.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Candidate {
-    distance: f64,
-    index: usize,
+    d2: f64,
+    row: usize,
 }
 
 impl Eq for Candidate {}
@@ -109,96 +94,182 @@ impl PartialOrd for Candidate {
 
 impl Ord for Candidate {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Total order on finite distances; ties broken by index.
-        self.distance
-            .partial_cmp(&other.distance)
-            .unwrap_or(Ordering::Equal)
-            .then(self.index.cmp(&other.index))
+        // Distances over a `FeatureMatrix` are finite and non-negative.
+        self.d2.total_cmp(&other.d2).then(self.row.cmp(&other.row))
     }
 }
 
-fn squared_distance(a: &[f64], b: &[f64]) -> f64 {
-    mogul_sparse::vector::squared_euclidean_unchecked(a, b)
+/// The `k` least [`Candidate`]s of a stream: a max-heap whose root is the
+/// worst one kept.
+struct KBest {
+    k: usize,
+    heap: BinaryHeap<Candidate>,
 }
 
-/// k nearest neighbours of a single query among `features`, excluding
-/// `exclude` (set to `usize::MAX` to exclude nothing). Returns `(index,
-/// distance)` pairs sorted by ascending distance.
-pub fn nearest_neighbors(
-    features: &[Vec<f64>],
-    query: &[f64],
-    k: usize,
-    exclude: usize,
-) -> Vec<(usize, f64)> {
-    // Max-heap of the k closest candidates seen so far.
-    let mut heap: std::collections::BinaryHeap<Candidate> = std::collections::BinaryHeap::new();
-    for (j, f) in features.iter().enumerate() {
-        if j == exclude {
-            continue;
+impl KBest {
+    fn new(k: usize) -> Self {
+        // `k` may come from a file or off the wire: it must not size a buffer.
+        KBest {
+            k,
+            heap: BinaryHeap::new(),
         }
-        let d2 = squared_distance(query, f);
-        let cand = Candidate {
-            distance: d2,
-            index: j,
-        };
-        if heap.len() < k {
-            heap.push(cand);
-        } else if let Some(worst) = heap.peek() {
-            if cand < *worst {
-                heap.pop();
-                heap.push(cand);
+    }
+
+    /// The `d²` above which no row can be admitted any more (`∞` until `k`
+    /// are held).
+    fn bound(&self) -> f64 {
+        match self.heap.peek() {
+            Some(worst) if self.heap.len() >= self.k => worst.d2,
+            _ => f64::INFINITY,
+        }
+    }
+
+    fn offer(&mut self, d2: f64, row: usize) {
+        let candidate = Candidate { d2, row };
+        if self.heap.len() < self.k {
+            self.heap.push(candidate);
+        } else if let Some(mut worst) = self.heap.peek_mut() {
+            if candidate < *worst {
+                *worst = candidate;
             }
         }
     }
-    let mut out: Vec<(usize, f64)> = heap
-        .into_iter()
-        .map(|c| (c.index, c.distance.sqrt()))
-        .collect();
-    out.sort_by(|a, b| {
-        a.1.partial_cmp(&b.1)
-            .unwrap_or(Ordering::Equal)
-            .then(a.0.cmp(&b.0))
-    });
-    out
+
+    /// `(row, d²)` pairs, least first.
+    fn into_sorted(self) -> Vec<(usize, f64)> {
+        self.heap
+            .into_sorted_vec()
+            .into_iter()
+            .map(|c| (c.row, c.d2))
+            .collect()
+    }
 }
 
-/// Exact k-NN lists for every point (brute force, threaded with scoped
-/// threads). Entry `i` holds the `k` nearest other points of point `i` as
-/// `(index, distance)` pairs sorted by ascending distance.
+/// The `k` rows of `features` nearest to `query` among those `skip` does not
+/// reject, as `(row, d²)` pairs in ascending `(d², row)` order — the one
+/// single-query scan behind incremental inserts and the out-of-sample phase 1
+/// of a corrected snapshot. `query` must be `features.dim()` wide.
+pub fn nearest_rows(
+    features: &FeatureMatrix,
+    query: &[f64],
+    k: usize,
+    skip: impl Fn(usize) -> bool,
+) -> Vec<(usize, f64)> {
+    assert_eq!(query.len(), features.dim(), "query and feature widths");
+    let mut best = KBest::new(k);
+    for (row, x) in features.rows().enumerate() {
+        if !skip(row) {
+            best.offer(squared_euclidean_unchecked(query, x), row);
+        }
+    }
+    best.into_sorted()
+}
+
+/// Rows per tile of the blocked scan (the width of the lane kernels' panels).
+const TILE_LANES: usize = 8;
+
+/// Queries that take turns on a tile while it is hot in L1. A block streams
+/// the whole corpus past the core once, so the block size divides that
+/// traffic; past 16 the scan is compute-bound and nothing more is gained.
+const QUERY_BLOCK: usize = 16;
+
+/// Exact k-NN lists for every point (brute force over tiles of rows, threaded
+/// with scoped threads). Entry `i` holds the `k` nearest other points of
+/// point `i` as `(index, distance)` pairs sorted by ascending distance.
+///
+/// The lists do not depend on the thread count or on the tiling: each pair's
+/// squared distance has the bits of `squared_euclidean_unchecked` (see
+/// [`tile_sq_distances`]), and the `k` kept are the least under `(d², index)`.
 pub fn exact_knn_indices(
-    features: &[Vec<f64>],
+    features: &FeatureMatrix,
     k: usize,
     threads: usize,
 ) -> Result<Vec<Vec<(usize, f64)>>> {
-    validate_features(features)?;
+    blocked_knn::<TILE_LANES, QUERY_BLOCK>(features, k, threads)
+}
+
+fn blocked_knn<const LANES: usize, const BLOCK: usize>(
+    features: &FeatureMatrix,
+    k: usize,
+    threads: usize,
+) -> Result<Vec<Vec<(usize, f64)>>> {
     let n = features.len();
+    if n == 0 {
+        return Err(GraphError::InvalidInput(
+            "cannot build a k-NN graph over zero points".into(),
+        ));
+    }
     if k == 0 {
         return Err(GraphError::InvalidInput("k must be at least 1".into()));
     }
-    let k = k.min(n.saturating_sub(1));
-    let worker_count = mogul_sparse::effective_threads(threads).min(n.max(1));
-
+    let k = k.min(n - 1);
     let mut results: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
     if k == 0 {
         return Ok(results);
     }
-    let chunk = n.div_ceil(worker_count);
+    let tiles = features.pack_tiles(LANES);
+    let blocks = n.div_ceil(BLOCK);
+    let workers = mogul_sparse::effective_threads(threads).min(blocks);
+    // Whole query blocks per worker.
+    let chunk = blocks.div_ceil(workers) * BLOCK;
     std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (chunk_idx, slot) in results.chunks_mut(chunk).enumerate() {
-            let start = chunk_idx * chunk;
-            handles.push(scope.spawn(move || {
-                for (offset, out) in slot.iter_mut().enumerate() {
-                    let i = start + offset;
-                    *out = nearest_neighbors(features, &features[i], k, i);
-                }
-            }));
-        }
-        for h in handles {
-            h.join().expect("knn worker thread panicked");
+        for (idx, slot) in results.chunks_mut(chunk).enumerate() {
+            let tiles = &tiles;
+            scope
+                .spawn(move || scan_queries::<LANES, BLOCK>(features, tiles, k, idx * chunk, slot));
         }
     });
     Ok(results)
+}
+
+/// Fill `out[i]` with the neighbour list of point `first + i`: per block of
+/// queries, one pass over the tiles, each tile visited by every query of the
+/// block before the next tile is loaded.
+fn scan_queries<const LANES: usize, const BLOCK: usize>(
+    features: &FeatureMatrix,
+    tiles: &[f64],
+    k: usize,
+    first: usize,
+    out: &mut [Vec<(usize, f64)>],
+) {
+    let n = features.len();
+    for (b, block) in out.chunks_mut(BLOCK).enumerate() {
+        let first = first + b * BLOCK;
+        let mut best: Vec<KBest> = block.iter().map(|_| KBest::new(k)).collect();
+        for (t, tile) in tiles.chunks_exact(features.dim() * LANES).enumerate() {
+            for (i, best) in best.iter_mut().enumerate() {
+                let query = first + i;
+                // A tile whose every row is already beyond the k-th best is
+                // dropped part-way through its coordinates.
+                let Some(d2) = tile_sq_distances::<LANES>(tile, features.row(query), best.bound())
+                else {
+                    continue;
+                };
+                for (lane, &d2) in d2.iter().enumerate() {
+                    let row = t * LANES + lane;
+                    // Lanes past `n` pad the last tile.
+                    if row < n && row != query {
+                        best.offer(d2, row);
+                    }
+                }
+            }
+        }
+        for (list, best) in block.iter_mut().zip(best) {
+            *list = by_distance(best.into_sorted());
+        }
+    }
+}
+
+/// Turn `(row, d²)` pairs into a neighbour list: `(row, distance)` pairs in
+/// ascending `(distance, row)` order. Not the order of the input even when
+/// that was sorted: `sqrt` can merge two distinct `d²`.
+pub fn by_distance(nearest: Vec<(usize, f64)>) -> Vec<(usize, f64)> {
+    let mut list: Vec<(usize, f64)> = nearest
+        .into_iter()
+        .map(|(row, d2)| (row, d2.sqrt()))
+        .collect();
+    list.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+    list
 }
 
 /// Approximate k-NN lists using random-center partitioning: points are
@@ -206,18 +277,17 @@ pub fn exact_knn_indices(
 /// each query only scans its own partition plus the `probes − 1` next-nearest
 /// partitions. Falls back to exact search for tiny inputs.
 pub fn approximate_knn_indices(
-    features: &[Vec<f64>],
+    features: &FeatureMatrix,
     k: usize,
     num_partitions: usize,
     probes: usize,
     seed: u64,
 ) -> Result<Vec<Vec<(usize, f64)>>> {
-    validate_features(features)?;
     let n = features.len();
     if k == 0 {
         return Err(GraphError::InvalidInput("k must be at least 1".into()));
     }
-    let num_partitions = num_partitions.clamp(1, n);
+    let num_partitions = num_partitions.clamp(1, n.max(1));
     if num_partitions <= 1 || n <= 4 * k {
         return exact_knn_indices(features, k, 0);
     }
@@ -247,7 +317,7 @@ pub fn approximate_knn_indices(
         let mut best = 0usize;
         let mut best_d = f64::INFINITY;
         for (p, &c) in centers.iter().enumerate() {
-            let d = squared_distance(&features[i], &features[c]);
+            let d = squared_euclidean_unchecked(features.row(i), features.row(c));
             if d < best_d {
                 best_d = d;
                 best = p;
@@ -263,7 +333,12 @@ pub fn approximate_knn_indices(
         let mut center_order: Vec<(usize, f64)> = centers
             .iter()
             .enumerate()
-            .map(|(p, &c)| (p, squared_distance(&features[i], &features[c])))
+            .map(|(p, &c)| {
+                (
+                    p,
+                    squared_euclidean_unchecked(features.row(i), features.row(c)),
+                )
+            })
             .collect();
         center_order.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(Ordering::Equal));
         let mut candidates: Vec<usize> = Vec::new();
@@ -276,7 +351,10 @@ pub fn approximate_knn_indices(
         let mut scored: Vec<(usize, f64)> = candidates
             .into_iter()
             .filter(|&j| j != i)
-            .map(|j| (j, squared_distance(&features[i], &features[j]).sqrt()))
+            .map(|j| {
+                let d2 = squared_euclidean_unchecked(features.row(i), features.row(j));
+                (j, d2.sqrt())
+            })
             .collect();
         scored.sort_by(|a, b| {
             a.1.partial_cmp(&b.1)
@@ -366,11 +444,14 @@ pub fn graph_from_neighbor_lists(
     Ok(graph)
 }
 
-/// Build the k-NN graph of a feature matrix with exact (brute force) search.
+/// Build the k-NN graph of a set of feature vectors with exact (brute force)
+/// search: pack them into a [`FeatureMatrix`] (which rejects an empty, ragged
+/// or non-finite set) and run [`exact_knn_indices`].
 ///
 /// This is the paper's preprocessing step shared by every ranking method.
 pub fn knn_graph(features: &[Vec<f64>], config: KnnConfig) -> Result<Graph> {
-    let lists = exact_knn_indices(features, config.k, config.threads)?;
+    let features = FeatureMatrix::from_rows(features)?;
+    let lists = exact_knn_indices(&features, config.k, config.threads)?;
     graph_from_neighbor_lists(&lists, config.weighting)
 }
 
@@ -382,7 +463,8 @@ pub fn approximate_knn_graph(
     probes: usize,
     seed: u64,
 ) -> Result<Graph> {
-    let lists = approximate_knn_indices(features, config.k, num_partitions, probes, seed)?;
+    let features = FeatureMatrix::from_rows(features)?;
+    let lists = approximate_knn_indices(&features, config.k, num_partitions, probes, seed)?;
     graph_from_neighbor_lists(&lists, config.weighting)
 }
 
@@ -390,7 +472,7 @@ pub fn approximate_knn_graph(
 mod tests {
     use super::*;
 
-    fn two_clusters() -> Vec<Vec<f64>> {
+    fn two_cluster_rows() -> Vec<Vec<f64>> {
         // 6 points: two tight clusters far apart.
         vec![
             vec![0.0, 0.0],
@@ -400,6 +482,122 @@ mod tests {
             vec![10.1, 10.0],
             vec![10.0, 10.1],
         ]
+    }
+
+    fn two_clusters() -> FeatureMatrix {
+        FeatureMatrix::from_rows(&two_cluster_rows()).unwrap()
+    }
+
+    /// The textbook: every pair, a full sort, the first `k`.
+    fn brute_force(rows: &[Vec<f64>], k: usize) -> Vec<Vec<(usize, f64)>> {
+        (0..rows.len())
+            .map(|i| {
+                let mut all: Vec<(f64, usize)> = (0..rows.len())
+                    .filter(|&j| j != i)
+                    .map(|j| {
+                        let mut d2 = 0.0;
+                        for (a, b) in rows[i].iter().zip(&rows[j]) {
+                            d2 += (a - b) * (a - b);
+                        }
+                        (d2, j)
+                    })
+                    .collect();
+                all.sort_by(|a, b| a.partial_cmp(b).unwrap());
+                all.truncate(k);
+                let mut list: Vec<(usize, f64)> =
+                    all.into_iter().map(|(d2, j)| (j, d2.sqrt())).collect();
+                list.sort_by(|a, b| (a.1, a.0).partial_cmp(&(b.1, b.0)).unwrap());
+                list
+            })
+            .collect()
+    }
+
+    fn bits(lists: &[Vec<(usize, f64)>]) -> Vec<Vec<(usize, u64)>> {
+        lists
+            .iter()
+            .map(|l| l.iter().map(|&(j, d)| (j, d.to_bits())).collect())
+            .collect()
+    }
+
+    /// Every tiling and thread count against the textbook, ids and bits.
+    fn check_against_brute_force(rows: &[Vec<f64>], k: usize) {
+        let n = rows.len();
+        let features = FeatureMatrix::from_rows(rows).unwrap();
+        let want = bits(&brute_force(rows, k.min(n - 1)));
+        for threads in [1, 2, 3, n] {
+            let scans = [
+                blocked_knn::<1, 1>(&features, k, threads),
+                blocked_knn::<3, 2>(&features, k, threads),
+                blocked_knn::<8, 4>(&features, k, threads),
+                blocked_knn::<16, 5>(&features, k, threads),
+                exact_knn_indices(&features, k, threads),
+            ];
+            for (scan, got) in scans.into_iter().enumerate() {
+                assert_eq!(
+                    bits(&got.unwrap()),
+                    want,
+                    "n {n} dim {} k {k} threads {threads} tiling {scan}",
+                    features.dim()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn blocked_scan_equals_brute_force_on_seeded_points() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64 * 4.0 - 2.0
+        };
+        for n in [1usize, 2, 7, 8, 9, 65] {
+            for dim in [1usize, 7, 8, 9, 33] {
+                let rows: Vec<Vec<f64>> =
+                    (0..n).map(|_| (0..dim).map(|_| next()).collect()).collect();
+                for k in [1, 3, n.saturating_sub(1).max(1), n + 4] {
+                    check_against_brute_force(&rows, k);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn blocked_scan_equals_brute_force_under_exact_ties() {
+        // All-duplicate points: every d² is 0 and only the index ranks.
+        check_against_brute_force(&vec![vec![1.5, -2.0, 0.25]; 19], 4);
+        // An integer grid: most k-th distances are shared by several points,
+        // so rows whose d² equals the bound are offered (and lose on index),
+        // and tiles whose partial sums only equal it must not be dropped.
+        let grid: Vec<Vec<f64>> = (0..81)
+            .map(|i| vec![(i % 9) as f64, (i / 9) as f64])
+            .collect();
+        for k in [1, 2, 4, 5, 8, 80] {
+            check_against_brute_force(&grid, k);
+        }
+        // The same grid along 12 coordinates, so ties survive past the first
+        // abandonment check.
+        let deep: Vec<Vec<f64>> = grid
+            .iter()
+            .map(|p| (0..12).map(|d| p[d % 2]).collect())
+            .collect();
+        check_against_brute_force(&deep, 4);
+    }
+
+    #[test]
+    fn k_best_ranks_by_distance_then_row() {
+        let mut best = KBest::new(2);
+        assert_eq!(best.bound(), f64::INFINITY);
+        for (d2, row) in [(4.0, 9), (1.0, 5), (1.0, 7), (1.0, 3), (0.5, 8), (1.0, 4)] {
+            best.offer(d2, row);
+        }
+        // A tie with the bound and a smaller row displaces the larger row.
+        assert_eq!(best.bound(), 1.0);
+        assert_eq!(best.into_sorted(), vec![(8, 0.5), (3, 1.0)]);
+        let mut none = KBest::new(0);
+        none.offer(1.0, 0);
+        assert!(none.into_sorted().is_empty());
     }
 
     #[test]
@@ -431,7 +629,7 @@ mod tests {
 
     #[test]
     fn k_larger_than_dataset_is_clamped() {
-        let feats = vec![vec![0.0], vec![1.0], vec![2.0]];
+        let feats = FeatureMatrix::from_vec(1, vec![0.0, 1.0, 2.0]).unwrap();
         let lists = exact_knn_indices(&feats, 10, 1).unwrap();
         for list in lists {
             assert_eq!(list.len(), 2);
@@ -440,17 +638,21 @@ mod tests {
 
     #[test]
     fn input_validation() {
-        assert!(exact_knn_indices(&[], 3, 1).is_err());
-        assert!(exact_knn_indices(&[vec![]], 3, 1).is_err());
-        assert!(exact_knn_indices(&[vec![1.0], vec![1.0, 2.0]], 1, 1).is_err());
-        assert!(exact_knn_indices(&[vec![f64::NAN], vec![0.0]], 1, 1).is_err());
+        let config = KnnConfig::with_k(3);
+        assert!(knn_graph(&[], config).is_err());
+        assert!(knn_graph(&[vec![]], config).is_err());
+        assert!(knn_graph(&[vec![1.0], vec![1.0, 2.0]], config).is_err());
+        assert!(knn_graph(&[vec![f64::NAN], vec![0.0]], config).is_err());
+        assert!(approximate_knn_graph(&[vec![f64::INFINITY], vec![0.0]], config, 1, 1, 7).is_err());
         assert!(exact_knn_indices(&two_clusters(), 0, 1).is_err());
+        let empty = FeatureMatrix::from_vec(2, Vec::new()).unwrap();
+        assert!(exact_knn_indices(&empty, 3, 1).is_err());
+        assert!(approximate_knn_indices(&empty, 3, 4, 1, 7).is_err());
     }
 
     #[test]
     fn heat_kernel_graph_weights_are_in_unit_interval() {
-        let feats = two_clusters();
-        let g = knn_graph(&feats, KnnConfig::with_k(2)).unwrap();
+        let g = knn_graph(&two_cluster_rows(), KnnConfig::with_k(2)).unwrap();
         assert_eq!(g.num_nodes(), 6);
         assert!(g.num_edges() >= 6);
         for u in 0..g.num_nodes() {
@@ -528,9 +730,10 @@ mod tests {
         let mut feats = Vec::new();
         for i in 0..12 {
             for j in 0..12 {
-                feats.push(vec![i as f64, j as f64]);
+                feats.extend([i as f64, j as f64]);
             }
         }
+        let feats = FeatureMatrix::from_vec(2, feats).unwrap();
         let exact = exact_knn_indices(&feats, 4, 0).unwrap();
         let approx = approximate_knn_indices(&feats, 4, 9, 4, 42).unwrap();
         let mut hits = 0usize;
@@ -557,12 +760,17 @@ mod tests {
     }
 
     #[test]
-    fn nearest_neighbors_for_external_query() {
+    fn nearest_rows_ranks_by_distance_then_row_and_honours_the_skip() {
         let feats = two_clusters();
-        let hits = nearest_neighbors(&feats, &[0.05, 0.05], 3, usize::MAX);
-        assert_eq!(hits.len(), 3);
-        for &(j, _) in &hits {
-            assert!(j < 3);
-        }
+        // Rows 1 and 2 are equidistant from the query: the lower row first.
+        let hits = nearest_rows(&feats, &[0.05, 0.05], 3, |_| false);
+        let d2 = |row: usize| squared_euclidean_unchecked(&[0.05, 0.05], feats.row(row));
+        assert_eq!(hits, vec![(0, d2(0)), (1, d2(1)), (2, d2(2))]);
+        assert_eq!(d2(1), d2(2));
+        let hits = nearest_rows(&feats, &[0.05, 0.05], 2, |row| row == 1);
+        assert_eq!(hits, vec![(0, d2(0)), (2, d2(2))]);
+        // Fewer eligible rows than `k`, and an unbounded `k`.
+        let hits = nearest_rows(&feats, &[0.05, 0.05], usize::MAX, |row| row < 4);
+        assert_eq!(hits, vec![(4, d2(4)), (5, d2(5))]);
     }
 }

@@ -128,6 +128,20 @@ impl DenseMatrix {
         &mut self.data[i * self.ncols..(i + 1) * self.ncols]
     }
 
+    /// Append one row of `ncols` values below the last one.
+    pub fn push_row(&mut self, row: &[f64]) -> Result<()> {
+        if row.len() != self.ncols {
+            return Err(SparseError::DimensionMismatch {
+                op: "dense push_row",
+                left: (self.nrows, self.ncols),
+                right: (1, row.len()),
+            });
+        }
+        self.data.extend_from_slice(row);
+        self.nrows += 1;
+        Ok(())
+    }
+
     /// Copy column `j` into a new vector.
     pub fn column(&self, j: usize) -> Vec<f64> {
         (0..self.nrows).map(|i| self.get(i, j)).collect()
@@ -476,6 +490,13 @@ mod tests {
         assert_eq!(m.get(1, 2), 1.0);
         assert_eq!(m.row(0), &[4.0, 1.0, 0.0]);
         assert_eq!(m.column(1), vec![1.0, 3.0, 1.0]);
+
+        let mut grown = m.clone();
+        grown.push_row(&[7.0, 8.0, 9.0]).unwrap();
+        assert_eq!(grown.nrows(), 4);
+        assert_eq!(grown.row(3), &[7.0, 8.0, 9.0]);
+        assert_eq!(grown.row(2), m.row(2));
+        assert!(grown.push_row(&[1.0]).is_err());
     }
 
     #[test]

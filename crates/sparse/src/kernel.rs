@@ -16,12 +16,18 @@
 //!
 //! Both kernels produce **bit-identical** results. Every primitive operates on
 //! per-lane-independent accumulator chains (`acc[lane] -= v * x[lane]`,
-//! `row[lane] /= d`): lane `b`'s value never feeds lane `b'`, so evaluating
-//! lanes in parallel performs exactly the same IEEE-754 operations in exactly
-//! the same order per lane as the scalar loop. The AVX2 implementation uses
-//! separate multiply and subtract instructions — never fused multiply-add,
-//! which would change rounding — so the SIMD fast path is a pure reordering
-//! across (independent) lanes, not a renumbering of any lane's arithmetic.
+//! `row[lane] /= d`, `acc[lane] += (q − x[lane])²`): lane `b`'s value never
+//! feeds lane `b'`, so evaluating lanes in parallel performs exactly the same
+//! IEEE-754 operations in exactly the same order per lane as the scalar loop.
+//! The AVX2 implementation uses separate multiply and add/subtract
+//! instructions — never fused multiply-add, which would change rounding — so
+//! the SIMD fast path is a pure reordering across (independent) lanes, not a
+//! renumbering of any lane's arithmetic.
+//!
+//! The same contract covers [`tile_sq_distances`], the kernel under exact
+//! k-NN graph construction: there a lane is a database row rather than a
+//! right-hand side, and a lane's sum has the bits of the row-by-row
+//! `squared_euclidean_unchecked` it replaces.
 //!
 //! # Dispatch rules
 //!
@@ -122,6 +128,11 @@ pub trait LaneKernel: Copy {
     /// `row[b] /= d` for every lane `b` — the in-place diagonal scaling of
     /// `scale_diag_multi_into`.
     fn div_assign(self, row: &mut [f64], d: f64);
+
+    /// `acc[b] += (q − x[b])²` for every lane `b` — one coordinate of the
+    /// squared distances from a query to the rows of a tile
+    /// ([`tile_sq_distances`]).
+    fn sq_diff_acc(self, acc: &mut [f64], x: &[f64], q: f64);
 }
 
 /// The reference scalar implementation: plain `f64` loops.
@@ -147,6 +158,14 @@ impl LaneKernel for ScalarKernel {
     fn div_assign(self, row: &mut [f64], d: f64) {
         for v in row.iter_mut() {
             *v /= d;
+        }
+    }
+
+    #[inline(always)]
+    fn sq_diff_acc(self, acc: &mut [f64], x: &[f64], q: f64) {
+        for (a, &xv) in acc.iter_mut().zip(x.iter()) {
+            let d = q - xv;
+            *a += d * d;
         }
     }
 }
@@ -250,13 +269,104 @@ impl LaneKernel for Avx2Kernel {
             }
         }
     }
+
+    #[inline(always)]
+    fn sq_diff_acc(self, acc: &mut [f64], x: &[f64], q: f64) {
+        use std::arch::x86_64::*;
+        let len = acc.len();
+        debug_assert_eq!(len, x.len());
+        // SAFETY: as in `axpy_neg`.
+        unsafe {
+            let qv = _mm256_set1_pd(q);
+            let mut i = 0usize;
+            while i + 4 <= len {
+                let a = _mm256_loadu_pd(acc.as_ptr().add(i));
+                let d = _mm256_sub_pd(qv, _mm256_loadu_pd(x.as_ptr().add(i)));
+                // mul + add, never FMA (see `axpy_neg`).
+                let sq = _mm256_mul_pd(d, d);
+                _mm256_storeu_pd(acc.as_mut_ptr().add(i), _mm256_add_pd(a, sq));
+                i += 4;
+            }
+            while i < len {
+                let d = q - *x.get_unchecked(i);
+                *acc.get_unchecked_mut(i) += d * d;
+                i += 1;
+            }
+        }
+    }
+}
+
+/// Coordinates accumulated between two abandonment checks of
+/// [`tile_sq_distances`].
+const ABANDON_STRIDE: usize = 8;
+
+/// Squared Euclidean distances from `query` to the `LANES` rows of one tile
+/// (the layout of
+/// [`FeatureMatrix::pack_tiles`](crate::features::FeatureMatrix::pack_tiles)),
+/// or `None` once every lane's partial sum exceeds `bound`.
+///
+/// Lane `b` adds `(query[d] − row_b[d])²` for `d = 0, 1, …` in that order —
+/// subtract, multiply, add, never fused, never the `‖q‖² + ‖x‖² − 2 q·x`
+/// expansion — so a returned distance has the bits of
+/// [`squared_euclidean_unchecked`](crate::vector::squared_euclidean_unchecked)
+/// over the same two vectors under either kernel. Giving up early is exact
+/// too: the terms are non-negative and round-to-nearest addition is monotone,
+/// so a partial sum above `bound` ends above `bound`.
+pub fn tile_sq_distances<const LANES: usize>(
+    tile: &[f64],
+    query: &[f64],
+    bound: f64,
+) -> Option<[f64; LANES]> {
+    assert_eq!(tile.len(), query.len() * LANES, "tile and query widths");
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    if let Some(k) = Avx2Kernel::if_active() {
+        // SAFETY: holding an `Avx2Kernel` proves AVX2 is available.
+        return unsafe { tile_sq_distances_avx2(k, tile, query, bound) };
+    }
+    tile_sq_distances_with(ScalarKernel, tile, query, bound)
+}
+
+#[inline(always)]
+fn tile_sq_distances_with<K: LaneKernel, const LANES: usize>(
+    kern: K,
+    tile: &[f64],
+    query: &[f64],
+    bound: f64,
+) -> Option<[f64; LANES]> {
+    let mut acc = [0.0; LANES];
+    let strides = tile
+        .chunks(ABANDON_STRIDE * LANES)
+        .zip(query.chunks(ABANDON_STRIDE));
+    for (xs, qs) in strides {
+        for (x, &q) in xs.chunks_exact(LANES).zip(qs) {
+            kern.sq_diff_acc(&mut acc, x, q);
+        }
+        if acc.iter().all(|&a| a > bound) {
+            return None;
+        }
+    }
+    Some(acc)
+}
+
+// SAFETY: callable only with an `Avx2Kernel`, whose construction performed the
+// runtime AVX2 check; the attribute lets LLVM compile the monomorphized body,
+// intrinsics inlined, with AVX2 enabled (as the shells in `triangular`).
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[target_feature(enable = "avx2")]
+unsafe fn tile_sq_distances_avx2<const LANES: usize>(
+    kern: Avx2Kernel,
+    tile: &[f64],
+    query: &[f64],
+    bound: f64,
+) -> Option<[f64; LANES]> {
+    tile_sq_distances_with(kern, tile, query, bound)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn exercise<K: LaneKernel>(k: K) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
+    fn exercise<K: LaneKernel>(k: K) -> (Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>) {
         // Lengths straddle the 4-lane SIMD chunking (remainders 1..3) and the
         // values are "ragged" decimals that round at every operation.
         let x: Vec<f64> = (0..11).map(|i| 0.1 + i as f64 * 0.3).collect();
@@ -266,18 +376,65 @@ mod tests {
         k.div_store(&mut out, &acc, 0.7);
         let mut row = x.clone();
         k.div_assign(&mut row, -3.3);
-        (acc, out, row)
+        let mut sq = out.clone();
+        k.sq_diff_acc(&mut sq, &x, 0.37);
+        (acc, out, row, sq)
     }
 
     #[test]
     fn scalar_kernel_matches_reference_loops() {
-        let (acc, out, row) = exercise(ScalarKernel);
+        let (acc, out, row, sq) = exercise(ScalarKernel);
         for i in 0..11 {
             let x = 0.1 + i as f64 * 0.3;
             let a = (1.7 - i as f64 * 0.913) - 0.37 * x;
             assert_eq!(acc[i], a);
             assert_eq!(out[i], a / 0.7);
             assert_eq!(row[i], x / -3.3);
+            assert_eq!(sq[i], a / 0.7 + (0.37 - x) * (0.37 - x));
+        }
+    }
+
+    /// One tile of `LANES` seeded rows of `dim` ragged decimals.
+    fn check_tile<const LANES: usize>(dim: usize) {
+        use crate::vector::squared_euclidean_unchecked;
+        let rows: Vec<Vec<f64>> = (0..LANES)
+            .map(|r| {
+                (0..dim)
+                    .map(|d| ((r * 31 + d * 17) % 23) as f64 * 0.37 - 3.1)
+                    .collect()
+            })
+            .collect();
+        let tile = crate::FeatureMatrix::from_rows(&rows)
+            .unwrap()
+            .pack_tiles(LANES);
+        let query: Vec<f64> = (0..dim).map(|d| 0.29 * d as f64 - 1.3).collect();
+        let want: Vec<f64> = rows
+            .iter()
+            .map(|row| squared_euclidean_unchecked(&query, row))
+            .collect();
+        let got = tile_sq_distances::<LANES>(&tile, &query, f64::INFINITY).unwrap();
+        for (g, w) in got.iter().zip(&want) {
+            assert_eq!(g.to_bits(), w.to_bits(), "{LANES} lanes, dim {dim}");
+        }
+        // A bound some row meets exactly is never a reason to give up; a
+        // bound below every row's first stride always is.
+        let nearest = want.iter().copied().fold(f64::INFINITY, f64::min);
+        assert_eq!(
+            tile_sq_distances::<LANES>(&tile, &query, nearest),
+            Some(got)
+        );
+        assert_eq!(tile_sq_distances::<LANES>(&tile, &query, -1.0), None);
+    }
+
+    #[test]
+    fn tile_distances_have_the_bits_of_the_row_by_row_sum() {
+        // Dimensions straddle the abandonment stride, lane counts the SIMD
+        // chunking.
+        for dim in [1usize, 7, 8, 9, 16, 33] {
+            check_tile::<1>(dim);
+            check_tile::<3>(dim);
+            check_tile::<8>(dim);
+            check_tile::<11>(dim);
         }
     }
 
@@ -303,6 +460,10 @@ mod tests {
             ScalarKernel.div_assign(&mut r_s, -3.3);
             avx2.div_assign(&mut r_v, -3.3);
             assert_eq!(r_s, r_v, "div_assign len {len}");
+            let (mut q_s, mut q_v) = (o_s.clone(), o_v.clone());
+            ScalarKernel.sq_diff_acc(&mut q_s, &x, 0.37);
+            avx2.sq_diff_acc(&mut q_v, &x, 0.37);
+            assert_eq!(q_s, q_v, "sq_diff_acc len {len}");
         }
     }
 

@@ -16,9 +16,12 @@
 //!   solves that take a whole panel of right-hand sides per traversal of the
 //!   factor and write into caller-owned buffers (see [`SolveWorkspace`]); a
 //!   lone right-hand side is the panel of width 1.
-//! * [`kernel`] — the lane-kernel trait under every panel sweep: a scalar
-//!   reference implementation and a runtime-dispatched AVX2 implementation
-//!   (behind the `simd` cargo feature), bit-identical by construction.
+//! * [`kernel`] — the lane-kernel trait under every panel sweep and under the
+//!   tile distance kernel of k-NN graph construction: a scalar reference
+//!   implementation and a runtime-dispatched AVX2 implementation (behind the
+//!   `simd` cargo feature), bit-identical by construction.
+//! * [`FeatureMatrix`] — the one contiguous, validated store of item feature
+//!   vectors every layer above reads from.
 //! * [`parallel`] — the audited `available_parallelism` policy
 //!   ([`effective_threads`]) and the wave-scheduling machinery behind the
 //!   scoped-thread parallel factorizations.
@@ -49,6 +52,7 @@ pub mod csr;
 pub mod dense;
 pub mod eigen;
 pub mod error;
+pub mod features;
 pub mod ichol;
 pub mod kernel;
 pub mod ldl;
@@ -65,6 +69,7 @@ pub use coo::CooMatrix;
 pub use csr::CsrMatrix;
 pub use dense::DenseMatrix;
 pub use error::{Result, SparseError};
+pub use features::FeatureMatrix;
 pub use ichol::{incomplete_ldl, incomplete_ldl_threaded, LdlFactors};
 pub use kernel::{active_kernel, set_kernel_override, simd_available, KernelKind};
 pub use ldl::{complete_ldl, complete_ldl_threaded, CompleteLdl};

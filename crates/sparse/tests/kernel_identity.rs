@@ -13,16 +13,22 @@
 //! breakdown), because the waves only ever parallelize provably disjoint
 //! rows.
 
-use mogul_sparse::kernel::{set_kernel_override, KernelKind};
+use mogul_sparse::kernel::{set_kernel_override, tile_sq_distances, KernelKind};
 use mogul_sparse::triangular::{
     ldl_solve_multi_into, scale_diag_multi_into, solve_unit_lower_multi_into,
     solve_unit_upper_multi_into,
 };
+use mogul_sparse::vector::squared_euclidean_unchecked;
 use mogul_sparse::{
-    complete_ldl_threaded, incomplete_ldl_threaded, CooMatrix, CsrMatrix, SolveWorkspace,
-    SparseError,
+    complete_ldl_threaded, incomplete_ldl_threaded, CooMatrix, CsrMatrix, FeatureMatrix,
+    SolveWorkspace, SparseError,
 };
 use proptest::prelude::*;
+use std::sync::Mutex;
+
+/// The kernel override is process-wide and tests run on parallel threads:
+/// whoever pins a kernel holds this for as long as the pin matters.
+static KERNEL_PIN: Mutex<()> = Mutex::new(());
 
 /// A random symmetric diagonally-dominant (hence SPD) matrix built from an
 /// edge list, mimicking the `I − α S` matrices Mogul factorizes.
@@ -69,10 +75,10 @@ proptest! {
     /// The three sweeps and their composite produce bit-identical panels
     /// under the scalar and SIMD kernels, across narrow, full and misaligned
     /// widths, for both factorization flavors' factors. The kernel is pinned
-    /// through the process-wide override; this is the only test in this
-    /// binary that dispatches one, so nothing races it.
+    /// through the process-wide override, under [`KERNEL_PIN`].
     #[test]
     fn simd_solves_are_bit_identical_to_scalar((n, edges) in edge_strategy(20), w in 0.05f64..0.45) {
+        let _pin = KERNEL_PIN.lock().unwrap_or_else(|e| e.into_inner());
         let matrix = spd_matrix(n, &edges, w);
         let complete = complete_ldl_threaded(&matrix, 1).unwrap().factors;
         let incomplete = incomplete_ldl_threaded(&matrix, 1).unwrap();
@@ -99,6 +105,70 @@ proptest! {
                 prop_assert_eq!(&got[0], &got[1], "width {}", width);
             }
         }
+    }
+}
+
+/// The k-NN distance kernel: every (query, tile) of a seeded corpus, with no
+/// bound and with a bound that drops some tiles part-way, under both kernels.
+/// The distances have the bits of the row-by-row sum, and a tile is dropped
+/// only when all its rows end above the bound — identically under both.
+#[test]
+fn simd_knn_distances_are_bit_identical_to_scalar() {
+    const LANES: usize = 8;
+    let _pin = KERNEL_PIN.lock().unwrap_or_else(|e| e.into_inner());
+    // 21 rows leave a padded last tile; the widths straddle the abandonment
+    // stride and the 4-wide AVX2 chunking. Each tile's rows sit within 1 of
+    // each other per coordinate and 9 or more from every other tile's.
+    for dim in [1usize, 7, 8, 9, 33] {
+        let mut values = panel(21, dim, dim as u64);
+        for (i, v) in values.iter_mut().enumerate() {
+            *v += 10.0 * (i / (dim * LANES)) as f64;
+        }
+        let features = FeatureMatrix::from_vec(dim, values).unwrap();
+        let tiles = features.pack_tiles(LANES);
+        let exact = |q: usize, row: usize| {
+            let row = features.row(row.min(features.len() - 1));
+            squared_euclidean_unchecked(features.row(q), row)
+        };
+        let bound = dim as f64;
+        let mut got = Vec::new();
+        for kind in [KernelKind::Scalar, KernelKind::Simd] {
+            set_kernel_override(Some(kind));
+            let mut all = Vec::new();
+            for q in 0..features.len() {
+                for tile in tiles.chunks_exact(dim * LANES) {
+                    all.push((
+                        tile_sq_distances::<LANES>(tile, features.row(q), f64::INFINITY),
+                        tile_sq_distances::<LANES>(tile, features.row(q), bound),
+                    ));
+                }
+            }
+            got.push(all);
+        }
+        set_kernel_override(None);
+        assert_eq!(got[0], got[1], "dim {dim}");
+        let per_query = tiles.len() / (dim * LANES);
+        let mut dropped = 0usize;
+        for (i, (unbounded, bounded)) in got[0].iter().enumerate() {
+            let (q, t) = (i / per_query, i % per_query);
+            let want: Vec<u64> = (0..LANES)
+                .map(|lane| exact(q, t * LANES + lane).to_bits())
+                .collect();
+            let have = unbounded.expect("nothing exceeds an infinite bound");
+            assert_eq!(
+                have.map(f64::to_bits).to_vec(),
+                want,
+                "dim {dim} q {q} tile {t}"
+            );
+            match bounded {
+                Some(kept) => assert_eq!(*kept, have),
+                None => {
+                    assert!(have.iter().all(|&d2| d2 > bound));
+                    dropped += 1;
+                }
+            }
+        }
+        assert!(dropped > 0, "dim {dim}: the bound never dropped a tile");
     }
 }
 
