@@ -168,7 +168,7 @@ fn run_replica_child(addr_file: std::path::PathBuf) {
         .queue_capacity(64)
         .build()
         .expect("serve options");
-    let net = NetServer::bind_sharded("127.0.0.1:0", server, options).expect("bind replica");
+    let net = NetServer::bind("127.0.0.1:0", server, options).expect("bind replica");
     let tmp = addr_file.with_extension("tmp");
     std::fs::write(&tmp, format!("{}\n", net.local_addr())).expect("write addr file");
     std::fs::rename(&tmp, &addr_file).expect("publish addr file");

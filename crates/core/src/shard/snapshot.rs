@@ -36,11 +36,6 @@ pub struct ShardScatterStats {
     /// Shards skipped by the zero cross-shard bound (in-database queries)
     /// or by centroid-distance routing (out-of-sample queries).
     pub shards_skipped: usize,
-    /// Probed shards that failed to answer. Always `0` on the in-process
-    /// query paths of this module (a shard error fails the whole query);
-    /// the serving layer's degraded scatter-gather sets it when it drops a
-    /// faulted shard from the merge.
-    pub shards_failed: usize,
     /// Per-shard search counters, summed over every probed shard — never
     /// clobbered by whichever shard answered last.
     pub search: SearchStats,
@@ -51,7 +46,7 @@ pub struct ShardScatterStats {
 /// path allocation-free once the buffers have grown.
 #[derive(Debug, Default)]
 pub struct ShardedWorkspace {
-    pub(crate) inner: SnapshotWorkspace,
+    inner: SnapshotWorkspace,
     merge: Vec<Entry<(Reverse<u64>, usize), RankedNode>>,
 }
 
@@ -59,12 +54,6 @@ impl ShardedWorkspace {
     /// Fresh workspace with empty buffers.
     pub fn new() -> Self {
         ShardedWorkspace::default()
-    }
-
-    /// The per-shard snapshot workspace (for callers mixing sharded and
-    /// monolithic queries over one scratch allocation).
-    pub fn inner_mut(&mut self) -> &mut SnapshotWorkspace {
-        &mut self.inner
     }
 }
 
@@ -176,6 +165,16 @@ impl ShardedSnapshot {
             .filter(|&(s, local)| self.shards[s].contains(local))
     }
 
+    /// The `(shard, local id)` of a query item, or the error every
+    /// in-database entry point reports for an id that is not live.
+    fn locate_query(&self, global: usize) -> Result<(usize, usize)> {
+        self.locate_live(global).ok_or_else(|| {
+            CoreError::InvalidInput(format!(
+                "item {global} is not in this sharded snapshot (never inserted, or removed)"
+            ))
+        })
+    }
+
     fn global_of_local(&self, shard: usize, local: usize) -> usize {
         self.router
             .global_of_local(shard, local)
@@ -223,11 +222,7 @@ impl ShardedSnapshot {
         global: usize,
         k: usize,
     ) -> Result<(TopKResult, ShardScatterStats)> {
-        let (shard, local) = self.locate_live(global).ok_or_else(|| {
-            CoreError::InvalidInput(format!(
-                "item {global} is not in this sharded snapshot (never inserted, or removed)"
-            ))
-        })?;
+        let (shard, local) = self.locate_query(global)?;
         let (top, search) =
             self.shards[shard].query_by_id_with_stats_in(&mut ws.inner, local, k)?;
         Ok((
@@ -249,24 +244,19 @@ impl ShardedSnapshot {
     ) -> Result<Vec<TopKResult>> {
         let mut located = Vec::with_capacity(globals.len());
         for &global in globals {
-            located.push(self.locate_live(global).ok_or_else(|| {
-                CoreError::InvalidInput(format!(
-                    "item {global} is not in this sharded snapshot (never inserted, or removed)"
-                ))
-            })?);
+            located.push(self.locate_query(global)?);
         }
-        let mut groups: Vec<Vec<(usize, usize)>> = vec![Vec::new(); self.shards.len()];
-        for (pos, &(shard, local)) in located.iter().enumerate() {
-            groups[shard].push((pos, local));
-        }
-        let mut out: Vec<Option<TopKResult>> = (0..globals.len()).map(|_| None).collect();
-        for (shard, group) in groups.iter().enumerate() {
-            if group.is_empty() {
+        let mut out: Vec<Option<TopKResult>> = vec![None; globals.len()];
+        for shard in 0..self.shards.len() {
+            let members: Vec<usize> = (0..globals.len())
+                .filter(|&pos| located[pos].0 == shard)
+                .collect();
+            if members.is_empty() {
                 continue;
             }
-            let locals: Vec<usize> = group.iter().map(|&(_, local)| local).collect();
+            let locals: Vec<usize> = members.iter().map(|&pos| located[pos].1).collect();
             let results = self.shards[shard].query_batch_by_id_in(&mut ws.inner, &locals, k)?;
-            for (&(pos, _), top) in group.iter().zip(results) {
+            for (&pos, top) in members.iter().zip(results) {
                 out[pos] = Some(self.translate_top_k(shard, &top));
             }
         }
@@ -310,66 +300,52 @@ impl ShardedSnapshot {
     ) -> Result<(OutOfSampleResult, ShardScatterStats)> {
         let probe_order = self.probe_order(feature)?;
         let probes = &probe_order[..self.shard_probes.min(probe_order.len())];
-
-        if let [only] = probes {
-            // Single-probe fast path (the paper-faithful default): the
-            // shard's answer is the global answer after id translation.
-            let res = self.shards[*only].query_by_feature_in(&mut ws.inner, feature, k)?;
-            let stats = self.scatter_stats(1, res.stats);
-            let translated = OutOfSampleResult {
-                top_k: self.translate_top_k(*only, &res.top_k),
-                neighbors: res
-                    .neighbors
-                    .iter()
-                    .map(|&local| self.global_of_local(*only, local))
-                    .collect(),
-                ..res
-            };
-            return Ok((translated, stats));
-        }
-
-        let mut merged = BoundedTopK::with_buffer(k, std::mem::take(&mut ws.merge));
-        let mut neighbors = Vec::new();
-        let mut nearest_neighbor_secs = 0.0;
-        let mut top_k_secs = 0.0;
-        let mut search = SearchStats::default();
+        let mut legs = Vec::with_capacity(probes.len());
         for &shard in probes {
-            let res = self.shards[shard].query_by_feature_in(&mut ws.inner, feature, k)?;
-            for item in res.top_k.items() {
-                let global = self.global_of_local(shard, item.node);
-                merged.offer(Entry {
-                    key: (Reverse(f64_sort_key(item.score)), global),
-                    value: RankedNode {
-                        node: global,
-                        score: item.score,
-                    },
-                });
-            }
-            neighbors.extend(
-                res.neighbors
-                    .iter()
-                    .map(|&local| self.global_of_local(shard, local)),
-            );
-            nearest_neighbor_secs += res.nearest_neighbor_secs;
-            top_k_secs += res.top_k_secs;
-            search.merge(&res.stats);
+            legs.push(self.query_shard_by_feature_in(ws, shard, feature, k)?);
         }
-        let mut picked = merged.into_sorted_vec();
-        let top_k = TopKResult::new(picked.iter().map(|e| e.value).collect());
-        picked.clear();
-        ws.merge = picked;
+        let merged = Self::merge_scatter(ws, k, &legs);
+        let stats = self.scatter_stats(probes.len(), merged.stats);
+        Ok((merged, stats))
+    }
 
-        let stats = self.scatter_stats(probes.len(), search);
-        Ok((
-            OutOfSampleResult {
-                top_k,
-                neighbors,
-                nearest_neighbor_secs,
-                top_k_secs,
-                stats: search,
-            },
-            stats,
-        ))
+    /// Batched [`Self::query_by_feature_in`]: for each probe rank, the
+    /// features whose probe of that rank is the same shard run as one call
+    /// of the shard's panel-blocked batch entry point, and every feature's
+    /// legs (in its probe order) go through [`Self::merge_scatter`] —
+    /// bit-identical to [`Self::query_by_feature_in`] per feature. Like the
+    /// in-database batch call, one unroutable feature fails the whole call.
+    pub fn query_batch_by_feature_in(
+        &self,
+        ws: &mut ShardedWorkspace,
+        features: &[&[f64]],
+        k: usize,
+    ) -> Result<Vec<OutOfSampleResult>> {
+        let mut orders = Vec::with_capacity(features.len());
+        for feature in features {
+            orders.push(self.probe_order(feature)?);
+        }
+        let mut legs: Vec<Vec<OutOfSampleResult>> = vec![Vec::new(); features.len()];
+        for rank in 0..self.shard_probes {
+            for shard in 0..self.shards.len() {
+                let members: Vec<usize> = (0..features.len())
+                    .filter(|&pos| orders[pos].get(rank) == Some(&shard))
+                    .collect();
+                if members.is_empty() {
+                    continue;
+                }
+                let panel: Vec<&[f64]> = members.iter().map(|&pos| features[pos]).collect();
+                let results =
+                    self.shards[shard].query_batch_by_feature_in(&mut ws.inner, &panel, k)?;
+                for (&pos, leg) in members.iter().zip(results) {
+                    legs[pos].push(self.translate_leg(shard, leg));
+                }
+            }
+        }
+        Ok(legs
+            .iter()
+            .map(|legs| Self::merge_scatter(ws, k, legs))
+            .collect())
     }
 
     /// Shards in probe order: ascending minimum centroid distance, ties to
@@ -404,26 +380,24 @@ impl ShardedSnapshot {
             shards_total: self.shards.len(),
             shards_probed: probed,
             shards_skipped: self.shards.len() - probed,
-            shards_failed: 0,
             search,
         }
     }
 
-    // -- degraded scatter-gather building blocks ----------------------------
+    // -- scatter-gather building blocks --------------------------------------
     //
-    // The serving layer's fault-tolerant scatter loop (per-shard fault
-    // containment, deadlines, partial answers) lives in `mogul_serve`; these
-    // primitives let it probe one shard at a time and merge whatever subset
-    // survived with exactly the gather semantics of
-    // [`Self::query_by_feature_in`].
+    // One scatter leg and one gather. The healthy paths above compose them
+    // over every probed shard; the serving layer's fault-tolerant scatter
+    // loop (per-shard fault containment, deadlines, partial answers, in
+    // `mogul_serve`) composes them over whatever subset survived.
 
     /// Probe a **single** shard for an out-of-sample query, translating the
     /// shard-local ids of the answer to global stable ids.
     ///
-    /// This is one scatter leg of [`Self::query_by_feature_in`]: merging
-    /// every probed shard's leg with [`Self::merge_scatter`] reproduces the
-    /// full scatter-gather answer bit-identically, and merging a subset is
-    /// the degraded-mode answer (a true sub-merge of the healthy shards).
+    /// This is one scatter leg of [`Self::query_by_feature_in`], which is
+    /// [`Self::merge_scatter`] over every probed shard's leg; merging a
+    /// subset is the degraded-mode answer (a true sub-merge of the healthy
+    /// shards).
     pub fn query_shard_by_feature_in(
         &self,
         ws: &mut ShardedWorkspace,
@@ -437,27 +411,37 @@ impl ShardedSnapshot {
                 self.shards.len()
             ))
         })?;
-        let res = snap.query_by_feature_in(&mut ws.inner, feature, k)?;
-        Ok(OutOfSampleResult {
-            top_k: self.translate_top_k(shard, &res.top_k),
-            neighbors: res
+        let leg = snap.query_by_feature_in(&mut ws.inner, feature, k)?;
+        Ok(self.translate_leg(shard, leg))
+    }
+
+    /// A shard's out-of-sample answer with its shard-local ids translated
+    /// to global stable ids.
+    fn translate_leg(&self, shard: usize, leg: OutOfSampleResult) -> OutOfSampleResult {
+        OutOfSampleResult {
+            top_k: self.translate_top_k(shard, &leg.top_k),
+            neighbors: leg
                 .neighbors
                 .iter()
                 .map(|&local| self.global_of_local(shard, local))
                 .collect(),
-            ..res
-        })
+            ..leg
+        }
     }
 
     /// Gather already-translated per-shard legs (see
     /// [`Self::query_shard_by_feature_in`]) into one answer: bounded top-k
     /// under the `(score desc, global id asc)` tie-break, neighbours
     /// concatenated in leg order, phase timings and search counters summed
-    /// in leg order — exactly the gather phase of
-    /// [`Self::query_by_feature_in`], so the merge of all legs (in probe
-    /// order) is bit-identical to the undegraded answer.
-    pub fn merge_scatter(k: usize, legs: &[OutOfSampleResult]) -> OutOfSampleResult {
-        let mut merged = BoundedTopK::with_buffer(k, Vec::new());
+    /// in leg order. This is the gather phase of
+    /// [`Self::query_by_feature_in`]; the workspace lends the collector its
+    /// recycled buffer.
+    pub fn merge_scatter(
+        ws: &mut ShardedWorkspace,
+        k: usize,
+        legs: &[OutOfSampleResult],
+    ) -> OutOfSampleResult {
+        let mut merged = BoundedTopK::with_buffer(k, std::mem::take(&mut ws.merge));
         let mut neighbors = Vec::new();
         let mut nearest_neighbor_secs = 0.0;
         let mut top_k_secs = 0.0;
@@ -474,7 +458,10 @@ impl ShardedSnapshot {
             top_k_secs += leg.top_k_secs;
             search.merge(&leg.stats);
         }
-        let top_k = TopKResult::new(merged.into_sorted_vec().iter().map(|e| e.value).collect());
+        let mut picked = merged.into_sorted_vec();
+        let top_k = TopKResult::new(picked.iter().map(|e| e.value).collect());
+        picked.clear();
+        ws.merge = picked;
         OutOfSampleResult {
             top_k,
             neighbors,

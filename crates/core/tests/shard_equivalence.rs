@@ -570,3 +570,72 @@ fn in_database_scatter_stats_carry_the_owning_shards_search_counters() {
         assert!(scatter.search.nodes_scored <= 8);
     }
 }
+
+// ---------------------------------------------------------------------------
+// The healthy scatter-gather is leg + merge
+// ---------------------------------------------------------------------------
+
+#[test]
+fn scatter_gather_is_merge_scatter_over_the_probed_legs() {
+    // At one probe, two probes and all of them: the out-of-sample answer is
+    // `merge_scatter` over one `query_shard_by_feature_in` leg per probed
+    // shard, in `probe_order` — ids, score bits, neighbours and the summed
+    // counters — and a batch answers each feature the same way, on a clean
+    // epoch and on a corrected one.
+    let shards = 3usize;
+    let probes_between = [
+        vec![500.0, 0.4, 0.4],
+        vec![0.2, 0.1, 0.3],
+        vec![1000.3, 0.6, 0.1],
+        vec![1900.0, 0.2, 0.9],
+    ];
+    for shard_probes in [1, 2, shards] {
+        let lazy = builder(false).rebuild_policy(mogul_core::RebuildPolicy::never());
+        let (mut sharded, _) = ShardedIndex::build(
+            translated_clusters(shards, 8, 3),
+            ShardedConfig::with_shards(shards)
+                .shard_probes(shard_probes)
+                .builder(lazy),
+        )
+        .unwrap();
+        for corrected in [false, true] {
+            if corrected {
+                let mut delta = IndexDelta::new();
+                delta.insert(vec![0.3, 0.5, 0.2]).remove(5);
+                sharded.apply(&delta).unwrap();
+            }
+            let snap = sharded.snapshot();
+            assert_eq!(snap.is_clean(), !corrected);
+            let mut ws = ShardedWorkspace::new();
+            let panel: Vec<&[f64]> = probes_between.iter().map(Vec::as_slice).collect();
+            let batched = snap
+                .query_batch_by_feature_in(&mut ws, &panel, QUERY_K)
+                .unwrap();
+            for (feature, batched) in probes_between.iter().zip(&batched) {
+                let what = format!("probes={shard_probes} corrected={corrected} {feature:?}");
+                let order = snap.probe_order(feature).unwrap();
+                let legs: Vec<_> = order[..shard_probes]
+                    .iter()
+                    .map(|&shard| {
+                        snap.query_shard_by_feature_in(&mut ws, shard, feature, QUERY_K)
+                            .unwrap()
+                    })
+                    .collect();
+                let want = mogul_core::ShardedSnapshot::merge_scatter(&mut ws, QUERY_K, &legs);
+                let (got, scatter) = snap
+                    .query_by_feature_with_stats_in(&mut ws, feature, QUERY_K)
+                    .unwrap();
+                for (answer, path) in [(&got, "single"), (batched, "batch")] {
+                    assert_bit_identical(&answer.top_k, &want.top_k, &format!("{what} {path}"));
+                    assert_eq!(answer.neighbors, want.neighbors, "{what} {path}");
+                    assert_eq!(answer.stats, want.stats, "{what} {path}");
+                }
+                let mut summed = SearchStats::default();
+                legs.iter().for_each(|leg| summed.merge(&leg.stats));
+                assert_eq!(scatter.search, summed, "{what}");
+                assert_eq!(scatter.shards_probed, shard_probes, "{what}");
+                assert_eq!(scatter.shards_skipped, shards - shard_probes, "{what}");
+            }
+        }
+    }
+}

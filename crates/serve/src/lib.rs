@@ -15,7 +15,7 @@
 //!
 //! * [`QueryRequest`] / [`QueryResponse`] — the **canonical query
 //!   vocabulary**. Every way into the serving layer speaks it: the
-//!   in-process [`QueryServer::query`] and [`QueryServer::serve_batch`],
+//!   in-process [`Server::query`] and [`Server::serve_batch`],
 //!   the `query_by_*` conveniences layered on top of them, and the `MGW1`
 //!   wire protocol of [`net`]. Requests are validated at admission
 //!   ([`QueryRequest::validate`]) — a malformed request is rejected with a
@@ -23,14 +23,15 @@
 //! * [`ServeError`] — the **typed error contract** shared by every entry
 //!   point, in-process and on the wire: `Overloaded` (load shed, with queue
 //!   depth and bound), `Draining`, `BadRequest`, `Index`, `Config`.
-//! * [`QueryServer`] — dispatches single, batched, and mixed in-database /
-//!   out-of-sample top-k requests across a [`std::thread::scope`]-based
-//!   worker pool, reading from an epoch-versioned
-//!   [`IndexSnapshot`](mogul_core::update::IndexSnapshot). Batch dispatch is
+//! * [`Server`] — the **one serving shell**: dispatches single, batched,
+//!   and mixed in-database / out-of-sample top-k requests across a
+//!   [`std::thread::scope`]-based worker pool, reading from an
+//!   epoch-versioned snapshot (a [`ServeSnapshot`]). Batch dispatch is
 //!   **panel-blocked**: workers claim contiguous runs of compatible
 //!   requests (same kind, same `k`) and answer each run as one panel of the
 //!   Algorithm 2 engine of `mogul-core` (see `docs/PERFORMANCE.md`); a lone
-//!   request is a panel of one.
+//!   request is a panel of one. [`QueryServer`] is the shell over a single
+//!   index, [`ShardedServer`] the same shell over a sharded one.
 //! * [`net`] — the **network front door**: a plain-`std` TCP server
 //!   ([`net::NetServer`]) speaking a length-prefixed, checksummed, versioned
 //!   frame codec, with a bounded admission queue that sheds excess load as
@@ -41,7 +42,7 @@
 //! * [`UpdateRequest`] / [`IndexWriter`] — the write side: updates are
 //!   applied to an [`UpdatableIndex`](mogul_core::update::UpdatableIndex)
 //!   off the query path and the resulting snapshot is swapped in atomically
-//!   ([`QueryServer::install_snapshot`]). In-flight queries finish on the
+//!   ([`Server::install_snapshot`]). In-flight queries finish on the
 //!   epoch they started with — **zero downtime**, no query ever waits on a
 //!   writer.
 //! * [`resilience`] — the **fault-tolerant serving tier**: a replica
@@ -52,8 +53,8 @@
 //!   [`ResponseStatus::Degraded`] when a shard fails); and a deterministic
 //!   fault-injection harness ([`resilience::FaultProxy`]) that proves the
 //!   typed-outcome contract under kills, corruption and stalls.
-//! * [`ShardedServer`] / [`ShardedWriter`] — the same serving contract over
-//!   a [`ShardedIndex`](mogul_core::ShardedIndex): scatter-gather queries
+//! * [`ShardedServer`] / [`ShardedWriter`] — the shell over a
+//!   [`ShardedIndex`](mogul_core::ShardedIndex): scatter-gather queries
 //!   against an epoch-versioned sharded snapshot (each batch observes every
 //!   shard at exactly one epoch, even while shards rebuild one at a time),
 //!   updates routed to their owning shard so only the touched shard accrues
@@ -70,11 +71,10 @@
 //!   [`IndexWriter::set_checkpoint`] re-saves the index after every full
 //!   refactorization so restarts pick up from the last rebuild.
 //!
-//! Each worker owns a reusable
-//! [`SnapshotWorkspace`](mogul_core::update::SnapshotWorkspace), so after
-//! warm-up the substitution/pruning path performs zero heap allocations;
-//! workspaces are recycled across batches through an internal
-//! checkout/checkin pool. Answers are **bit-identical** to the sequential
+//! Each worker owns a reusable workspace
+//! ([`ServeSnapshot::Workspace`]), so after warm-up the
+//! substitution/pruning path performs zero heap allocations; workspaces
+//! are recycled across batches through an internal pool. Answers are **bit-identical** to the sequential
 //! [`RetrievalEngine`](mogul_core::RetrievalEngine) — concurrency changes
 //! throughput, never results.
 //!
@@ -83,6 +83,8 @@
 //! `docs/NETWORKING.md` covers the wire protocol and the load harness.
 
 #![deny(missing_docs)]
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 mod error;
 pub mod net;
@@ -96,7 +98,7 @@ mod updater;
 pub use error::{ServeError, ServeResult};
 pub use options::{ServeOptions, ServeOptionsBuilder, MAX_QUEUE_CAPACITY, MAX_WORKERS};
 pub use request::{QueryRequest, QueryResponse, ResponseStatus, UpdateRequest};
-pub use server::QueryServer;
+pub use server::{QueryServer, ServeSnapshot, Server};
 pub use sharded::{DegradedPolicy, ShardFault, ShardFaultFn, ShardedServer, ShardedWriter};
 pub use updater::IndexWriter;
 
@@ -109,6 +111,14 @@ pub use mogul_core::persist::PersistError;
 /// [`IndexWriter::warm_start_durable`],
 /// [`QueryServer::warm_start_replay`]).
 pub use mogul_core::wal::{RecoveryOutcome, WalError, WalSync};
+
+/// Lock a mutex, poisoned or not — the crate's one poisoning policy. What
+/// the serving layer guards (queues, pools, latency windows, the writers'
+/// indexes) is used as a panicking thread left it, so one failed request or
+/// update never takes the lock, and the server, down with it.
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 // The serving layer is sound only because every shared piece of query state
 // is immutable and thread-safe; keep that audited at compile time.

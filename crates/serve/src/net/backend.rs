@@ -2,25 +2,28 @@
 //! [`NetServer`](crate::net::NetServer).
 //!
 //! The front door does admission control, framing and statistics; *what*
-//! answers an admitted query is this trait. Two engines implement it:
+//! answers an admitted query is this trait, implemented once for every
+//! [`Server`] — admission, epoch and item count are the shell's, and only
+//! the handling of `require_complete` differs per engine
+//! ([`ServeSnapshot::answer_tagged`]):
 //!
-//! * [`QueryServer`] — the single-index server. Always answers
-//!   [`ResponseStatus::Complete`]; there is no shard to lose.
-//! * [`ShardedServer`] — the sharded scatter-gather server, answering
-//!   through [`ShardedServer::query_degraded`]: a probed shard that fails
-//!   (injected fault, panic, per-scatter deadline) is dropped from the
-//!   merge and the answer is tagged [`ResponseStatus::Degraded`] — unless
-//!   the request demanded completeness, in which case it fails typed with
+//! * [`QueryServer`](crate::QueryServer) — the single-index server. Always
+//!   answers [`ResponseStatus::Complete`]; there is no shard to lose.
+//! * [`ShardedServer`](crate::ShardedServer) — the sharded scatter-gather
+//!   server, answering through
+//!   [`ShardedServer::query_degraded`](crate::ShardedServer::query_degraded):
+//!   a probed shard that fails (injected fault, panic, per-scatter
+//!   deadline) is dropped from the merge and the answer is tagged
+//!   [`ResponseStatus::Degraded`] — unless the request demanded
+//!   completeness, in which case it fails typed with
 //!   [`ServeError::Incomplete`](crate::ServeError::Incomplete).
 
 use crate::error::ServeResult;
 use crate::request::{QueryRequest, QueryResponse, ResponseStatus};
-use crate::server::QueryServer;
-use crate::sharded::ShardedServer;
+use crate::server::{ServeSnapshot, Server};
 
 /// The answering engine behind a network front door. Object-safe so one
-/// [`NetServer`](crate::net::NetServer) implementation serves both engine
-/// shapes.
+/// [`NetServer`](crate::net::NetServer) serves both engine shapes.
 pub trait ServeBackend: Send + Sync + 'static {
     /// Admission-time validation against the engine's current snapshot
     /// (never touches the solve path; see [`QueryRequest::validate`]).
@@ -43,34 +46,9 @@ pub trait ServeBackend: Send + Sync + 'static {
     fn items(&self) -> u64;
 }
 
-impl ServeBackend for QueryServer {
+impl<S: ServeSnapshot> ServeBackend for Server<S> {
     fn validate(&self, request: &QueryRequest) -> ServeResult<()> {
-        request.validate(&self.snapshot())
-    }
-
-    fn answer(
-        &self,
-        request: &QueryRequest,
-        _require_complete: bool,
-    ) -> ServeResult<(QueryResponse, ResponseStatus)> {
-        // A single index has no shards to lose: every answer is complete,
-        // and `require_complete` is trivially satisfied.
-        self.query(request)
-            .map(|response| (response, ResponseStatus::Complete))
-    }
-
-    fn epoch(&self) -> u64 {
-        QueryServer::epoch(self)
-    }
-
-    fn items(&self) -> u64 {
-        self.len() as u64
-    }
-}
-
-impl ServeBackend for ShardedServer {
-    fn validate(&self, request: &QueryRequest) -> ServeResult<()> {
-        request.validate_sharded(&self.snapshot())
+        request.validate(&*self.snapshot())
     }
 
     fn answer(
@@ -78,11 +56,11 @@ impl ServeBackend for ShardedServer {
         request: &QueryRequest,
         require_complete: bool,
     ) -> ServeResult<(QueryResponse, ResponseStatus)> {
-        self.query_degraded(request, require_complete)
+        S::answer_tagged(self, request, require_complete)
     }
 
     fn epoch(&self) -> u64 {
-        ShardedServer::epoch(self)
+        Server::epoch(self)
     }
 
     fn items(&self) -> u64 {

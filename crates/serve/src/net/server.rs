@@ -1,5 +1,6 @@
-//! The [`NetServer`]: a TCP front door over a [`QueryServer`], with
-//! admission control and graceful drain.
+//! The [`NetServer`]: a TCP front door over a [`ServeBackend`] — either
+//! instantiation of the serving shell — with admission control and graceful
+//! drain.
 //!
 //! # Threading model
 //!
@@ -37,6 +38,7 @@
 //! process shutdown, not for index updates.
 
 use crate::error::ServeError;
+use crate::lock;
 use crate::net::backend::ServeBackend;
 use crate::net::stats::{NetStats, ServerStatsReport};
 use crate::net::wire::{
@@ -45,8 +47,6 @@ use crate::net::wire::{
 };
 use crate::options::ServeOptions;
 use crate::request::QueryRequest;
-use crate::server::QueryServer;
-use crate::sharded::ShardedServer;
 use crate::updater::IndexWriter;
 use std::collections::VecDeque;
 use std::io::Write;
@@ -72,7 +72,7 @@ impl Conn {
     /// swallowed: the client is gone, and its reader thread will notice.
     fn send(&self, kind: FrameKind, request_id: u64, payload: &[u8]) {
         if let Ok(frame) = encode_frame(kind, request_id, payload) {
-            let mut writer = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
+            let mut writer = lock(&self.writer);
             let _ = writer.write_all(&frame);
         }
     }
@@ -130,11 +130,7 @@ impl Shared {
     }
 
     fn stats_report(&self) -> ServerStatsReport {
-        let queue_depth = self
-            .queue
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len() as u64;
+        let queue_depth = lock(&self.queue).len() as u64;
         let (p50_us, p95_us, qps) = self.stats.latency_summary();
         let (rebuild_support, rebuild_fraction) = match &self.writer {
             Some(writer) => {
@@ -186,7 +182,7 @@ impl Shared {
             conn.send_error(request_id, &err);
             return;
         }
-        let mut queue = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut queue = lock(&self.queue);
         let queue_depth = queue.len();
         if queue_depth >= self.options.queue_capacity()
             || conn.inflight.load(Ordering::SeqCst) >= self.options.max_inflight_per_conn()
@@ -219,7 +215,7 @@ impl Shared {
     fn worker_loop(&self) {
         loop {
             let work = {
-                let mut queue = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
+                let mut queue = lock(&self.queue);
                 loop {
                     if let Some(work) = queue.pop_front() {
                         break work;
@@ -255,11 +251,7 @@ impl Shared {
             if work.admitted.elapsed() > deadline {
                 self.stats.shed_overloaded.fetch_add(1, Ordering::Relaxed);
                 self.stats.shed_deadline.fetch_add(1, Ordering::Relaxed);
-                let queue_depth = self
-                    .queue
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .len();
+                let queue_depth = lock(&self.queue).len();
                 work.conn.send_error(
                     work.request_id,
                     &ServeError::Overloaded {
@@ -360,7 +352,9 @@ impl Shared {
     }
 }
 
-/// A TCP server speaking the `MGW1` wire protocol over a [`QueryServer`].
+/// A TCP server speaking the `MGW1` wire protocol over a
+/// [`QueryServer`](crate::QueryServer) or a
+/// [`ShardedServer`](crate::ShardedServer).
 ///
 /// Construct with [`NetServer::bind`], optionally attach the
 /// [`IndexWriter`] whose rebuild debt the stats endpoint should report
@@ -390,35 +384,16 @@ pub struct NetServer {
 }
 
 impl NetServer {
-    /// Bind a listener and assemble the server state. `addr` may be
+    /// Bind a listener and assemble the server state over either engine: a
+    /// [`QueryServer`](crate::QueryServer), or a
+    /// [`ShardedServer`](crate::ShardedServer), whose admitted queries may
+    /// come back degraded (see [`ServeBackend`]). `addr` may be
     /// `"127.0.0.1:0"` to let the OS pick a free port (read it back with
     /// [`NetServer::local_addr`]). The same [`ServeOptions`] value that
-    /// configured the `QueryServer` usually configures the front door too —
-    /// here it contributes the worker count, queue capacity and
-    /// per-connection cap.
+    /// configured the engine usually configures the front door too — here
+    /// it contributes the worker count, queue capacity and per-connection
+    /// cap.
     pub fn bind(
-        addr: impl ToSocketAddrs,
-        query: Arc<QueryServer>,
-        options: ServeOptions,
-    ) -> std::io::Result<NetServer> {
-        NetServer::bind_backend(addr, query, options)
-    }
-
-    /// [`NetServer::bind`] over a sharded scatter-gather engine. Admitted
-    /// queries are answered through
-    /// [`ShardedServer::query_degraded`], so a probed shard that fails
-    /// yields a degraded (tagged-partial) answer instead of failing the
-    /// whole query — unless the request set the `require_complete` flag.
-    pub fn bind_sharded(
-        addr: impl ToSocketAddrs,
-        sharded: Arc<ShardedServer>,
-        options: ServeOptions,
-    ) -> std::io::Result<NetServer> {
-        NetServer::bind_backend(addr, sharded, options)
-    }
-
-    /// [`NetServer::bind`] over any [`ServeBackend`] implementation.
-    pub fn bind_backend(
         addr: impl ToSocketAddrs,
         backend: Arc<impl ServeBackend>,
         options: ServeOptions,
@@ -504,11 +479,7 @@ impl NetServer {
                 inflight: AtomicUsize::new(0),
                 id: self.shared.next_conn_id.fetch_add(1, Ordering::Relaxed),
             });
-            self.shared
-                .conns
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .push(Arc::clone(&conn));
+            lock(&self.shared.conns).push(Arc::clone(&conn));
             self.shared
                 .stats
                 .connections
@@ -517,11 +488,7 @@ impl NetServer {
             reader_handles.push(std::thread::spawn(move || {
                 shared.reader_loop(&shared, &conn, &mut stream);
                 let _ = stream.shutdown(Shutdown::Both);
-                shared
-                    .conns
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .retain(|c| c.id != conn.id);
+                lock(&shared.conns).retain(|c| c.id != conn.id);
                 shared.stats.connections.fetch_sub(1, Ordering::Relaxed);
             }));
         }
@@ -532,11 +499,7 @@ impl NetServer {
         // the unsynchronized gap between a worker's final decrement and its
         // notify.
         {
-            let mut queue = self
-                .shared
-                .queue
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
+            let mut queue = lock(&self.shared.queue);
             while !queue.is_empty() || self.shared.inflight_total() > 0 {
                 let (guard, _timeout) = self
                     .shared
@@ -556,27 +519,15 @@ impl NetServer {
         // buffer runs dry (`read_frame` surfaces the timeout and the loop
         // breaks). The clone shares the socket, so the option reaches the
         // reader's handle too.
-        for conn in self
-            .shared
-            .conns
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-        {
-            let writer = conn.writer.lock().unwrap_or_else(PoisonError::into_inner);
+        for conn in lock(&self.shared.conns).iter() {
+            let writer = lock(&conn.writer);
             let _ = writer.set_read_timeout(Some(Duration::from_millis(20)));
         }
         // Readers deregister themselves from `conns` as they exit; poll for
         // that instead of joining, which has no timeout.
         let grace_deadline = Instant::now() + Duration::from_millis(500);
         while Instant::now() < grace_deadline {
-            if self
-                .shared
-                .conns
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .is_empty()
-            {
+            if lock(&self.shared.conns).is_empty() {
                 break;
             }
             std::thread::sleep(Duration::from_millis(5));
@@ -585,14 +536,8 @@ impl NetServer {
         // timeout landed never observes it — but such a read means its
         // buffer was empty, so closing the socket under it loses nothing.
         // This also bounds drain against a client trickling partial frames.
-        for conn in self
-            .shared
-            .conns
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-        {
-            let writer = conn.writer.lock().unwrap_or_else(PoisonError::into_inner);
+        for conn in lock(&self.shared.conns).iter() {
+            let writer = lock(&conn.writer);
             let _ = writer.shutdown(Shutdown::Both);
         }
         for handle in reader_handles {

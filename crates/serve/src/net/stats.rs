@@ -1,8 +1,9 @@
 //! Serving statistics: lock-cheap counters plus a latency ring, snapshotted
 //! into the wire-visible [`ServerStatsReport`].
 
+use crate::lock;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Number of completed-query latency samples the sliding window retains.
@@ -119,7 +120,7 @@ impl NetStats {
         let now = Instant::now();
         let at = now.duration_since(self.started).as_secs_f64();
         let latency = now.duration_since(admitted).as_secs_f64();
-        let mut window = self.window.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut window = lock(&self.window);
         if window.samples.len() < LATENCY_WINDOW {
             window.samples.push((at, latency));
         } else {
@@ -132,7 +133,7 @@ impl NetStats {
     /// p50/p95 latency (microseconds) and throughput (queries/second) over
     /// the current window.
     pub(crate) fn latency_summary(&self) -> (f64, f64, f64) {
-        let window = self.window.lock().unwrap_or_else(PoisonError::into_inner);
+        let window = lock(&self.window);
         if window.samples.is_empty() {
             return (0.0, 0.0, 0.0);
         }

@@ -2,8 +2,8 @@
 //!
 //! [`QueryRequest`] / [`QueryResponse`] are the **single query surface**:
 //! every way into the serving layer — the in-process
-//! [`QueryServer::query`](crate::QueryServer::query) and
-//! [`QueryServer::serve_batch`](crate::QueryServer::serve_batch), the
+//! [`Server::query`](crate::Server::query) and
+//! [`Server::serve_batch`](crate::Server::serve_batch) of either engine, the
 //! `query_by_*` conveniences, and the `MGW1` wire protocol of [`crate::net`]
 //! — speaks exactly this vocabulary. A batch may mix both request kinds
 //! freely; each request carries its own `k`.
@@ -21,9 +21,10 @@
 //! queue, which is what keeps the query hot path lock-free.
 
 use crate::error::ServeResult;
+use crate::server::ServeSnapshot;
 use crate::ServeError;
-use mogul_core::update::IndexSnapshot;
-use mogul_core::{OutOfSampleResult, ShardedSnapshot, TopKResult};
+use mogul_core::update::IndexDelta;
+use mogul_core::{OutOfSampleResult, TopKResult};
 
 /// One top-k request — the canonical query shape of the serving layer,
 /// in-process and on the wire alike.
@@ -70,35 +71,21 @@ impl QueryRequest {
     }
 
     /// Admission-time validation against the snapshot that would answer the
-    /// request.
+    /// request — a single index or a sharded one, where a global id is live
+    /// iff its owning shard still holds it.
     ///
     /// Checks everything that can be checked without running the solve:
     ///
     /// * `k >= 1` for both kinds;
     /// * [`QueryRequest::InDatabase`] — the stable id refers to a live item
     ///   of the snapshot;
-    /// * [`QueryRequest::OutOfSample`] — the feature dimension matches
-    ///   [`IndexSnapshot::feature_dim`] and every component is finite
-    ///   (historically a mismatched dimension surfaced as an error deep in
-    ///   the solve path; it is now rejected here, before the request is
-    ///   admitted).
+    /// * [`QueryRequest::OutOfSample`] — the feature dimension matches the
+    ///   snapshot's and every component is finite (historically a
+    ///   mismatched dimension surfaced as an error deep in the solve path;
+    ///   it is now rejected here, before the request is admitted).
     ///
     /// Returns [`ServeError::BadRequest`] naming the violation.
-    pub fn validate(&self, snapshot: &IndexSnapshot) -> ServeResult<()> {
-        self.validate_against(|node| snapshot.contains(node), snapshot.feature_dim())
-    }
-
-    /// Admission-time validation against a [`ShardedSnapshot`] — exactly
-    /// the checks of [`QueryRequest::validate`], with item liveness resolved
-    /// through the shard router (a global id is live iff its owning shard
-    /// still holds it).
-    pub fn validate_sharded(&self, snapshot: &ShardedSnapshot) -> ServeResult<()> {
-        self.validate_against(|node| snapshot.contains(node), snapshot.feature_dim())
-    }
-
-    /// The shared admission checks, abstracted over how a snapshot answers
-    /// "is this stable id live?" and what feature dimension it serves.
-    fn validate_against(&self, contains: impl Fn(usize) -> bool, dim: usize) -> ServeResult<()> {
+    pub fn validate(&self, snapshot: &impl ServeSnapshot) -> ServeResult<()> {
         if self.k() == 0 {
             return Err(ServeError::bad_request(
                 "the number of requested answer nodes k must be at least 1",
@@ -106,13 +93,14 @@ impl QueryRequest {
         }
         match self {
             QueryRequest::InDatabase { node, .. } => {
-                if !contains(*node) {
+                if !snapshot.contains(*node) {
                     return Err(ServeError::bad_request(format!(
                         "item {node} is not in this snapshot (never inserted, or removed)"
                     )));
                 }
             }
             QueryRequest::OutOfSample { feature, .. } => {
+                let dim = snapshot.feature_dim();
                 if feature.len() != dim {
                     return Err(ServeError::bad_request(format!(
                         "query feature has dimension {} but the index holds \
@@ -162,6 +150,23 @@ impl UpdateRequest {
     /// Convenience constructor for a removal.
     pub fn remove(id: usize) -> Self {
         UpdateRequest::Remove { id }
+    }
+
+    /// Stage a slice of update requests, in order, as the one
+    /// [`IndexDelta`] a writer applies atomically.
+    pub(crate) fn stage(updates: &[UpdateRequest]) -> IndexDelta {
+        let mut delta = IndexDelta::new();
+        for update in updates {
+            match update {
+                UpdateRequest::Insert { feature } => {
+                    delta.insert(feature.clone());
+                }
+                UpdateRequest::Remove { id } => {
+                    delta.remove(*id);
+                }
+            }
+        }
+        delta
     }
 }
 

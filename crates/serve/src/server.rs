@@ -1,88 +1,204 @@
-//! The [`QueryServer`]: a worker pool over an epoch-versioned snapshot.
+//! The one serving shell, [`Server<S>`]: a worker pool over an
+//! epoch-versioned snapshot. [`QueryServer`] is the shell over a single
+//! index; [`ShardedServer`](crate::ShardedServer) is the same shell over a
+//! sharded one.
 //!
-//! Concurrency model: queries run against an immutable
-//! [`IndexSnapshot`](mogul_core::update::IndexSnapshot) shared behind an
-//! `Arc`, so workers never lock on the per-query hot path. The snapshot
-//! itself sits in an [`RwLock<Arc<…>>`]: readers clone the `Arc` (one
-//! uncontended read-lock + refcount bump per dispatch — no allocation),
-//! writers swap in a new `Arc` ([`QueryServer::install_snapshot`]). In-flight
-//! queries keep the `Arc` they started with, so a swap is zero-downtime:
-//! old-epoch queries drain on the old snapshot while new queries see the new
-//! one. Per-worker scratch workspaces are recycled across batches through a
-//! small checkout/checkin pool guarded by a [`Mutex`] touched exactly twice
-//! per worker per batch. Batch items are handed out through an atomic
-//! cursor, so workers self-balance.
-//!
-//! Every entry point funnels through the canonical
-//! [`QueryRequest`]/[`QueryResponse`] vocabulary and answers failures with
-//! the typed [`ServeError`](crate::ServeError) contract: requests are
-//! [validated at admission](QueryRequest::validate) before they touch the
-//! solve path.
+//! Concurrency model: queries run against an immutable [`ServeSnapshot`]
+//! shared behind an `Arc`, so workers never lock on the per-query hot path.
+//! The snapshot itself sits in an [`RwLock<Arc<…>>`]: readers clone the
+//! `Arc` (one uncontended read-lock + refcount bump per dispatch — no
+//! allocation), writers swap in a new `Arc` ([`Server::install_snapshot`]).
+//! In-flight queries keep the `Arc` they started with, so a swap is
+//! zero-downtime. Per-worker scratch workspaces are recycled across batches
+//! through a small pool guarded by a [`Mutex`] touched exactly twice per
+//! worker per batch. Batch jobs are handed out through an atomic cursor, so
+//! workers self-balance.
 
 use crate::error::{ServeError, ServeResult};
+use crate::lock;
 use crate::options::ServeOptions;
-use crate::request::{QueryRequest, QueryResponse};
+use crate::request::{QueryRequest, QueryResponse, ResponseStatus};
 use mogul_core::update::{IndexSnapshot, SnapshotWorkspace};
-use mogul_core::{OutOfSampleIndex, OutOfSampleResult, PersistError, RetrievalEngine};
+use mogul_core::{OutOfSampleIndex, OutOfSampleResult, PersistError, RetrievalEngine, TopKResult};
+use std::fmt::Debug;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::thread;
 
+pub(crate) mod sealed {
+    /// Keeps [`ServeSnapshot`](super::ServeSnapshot) closed to this crate.
+    pub trait Sealed {}
+}
+
+/// What the serving shell needs from the immutable, epoch-stamped snapshot
+/// it answers from. Sealed: implemented for [`IndexSnapshot`] and for
+/// [`ShardedSnapshot`](mogul_core::ShardedSnapshot).
+#[allow(clippy::len_without_is_empty)]
+pub trait ServeSnapshot: sealed::Sealed + Debug + Send + Sync + Sized + 'static {
+    /// Per-worker scratch of the query paths.
+    type Workspace: Debug + Default + Send;
+    /// Server state only this engine has (`()` for a single index).
+    type Engine: Debug + Default + Send + Sync;
+
+    /// Epoch the snapshot was published at.
+    fn epoch(&self) -> u64;
+    /// Number of live items.
+    fn len(&self) -> usize;
+    /// Whether a stable id refers to a live item.
+    fn contains(&self, id: usize) -> bool;
+    /// Dimensionality of the indexed feature vectors.
+    fn feature_dim(&self) -> usize;
+    /// Longest run of compatible requests one batch job may take.
+    fn max_job_len(&self) -> usize;
+
+    /// Top-k for a live item, by stable id.
+    fn by_id(
+        &self,
+        ws: &mut Self::Workspace,
+        id: usize,
+        k: usize,
+    ) -> mogul_core::Result<TopKResult>;
+    /// Top-k for an arbitrary feature vector.
+    fn by_feature(
+        &self,
+        ws: &mut Self::Workspace,
+        feature: &[f64],
+        k: usize,
+    ) -> mogul_core::Result<OutOfSampleResult>;
+    /// A panel of in-database queries sharing `k`; bit-identical to
+    /// [`ServeSnapshot::by_id`] per query, and one failure fails the panel.
+    fn panel_by_id(
+        &self,
+        ws: &mut Self::Workspace,
+        ids: &[usize],
+        k: usize,
+    ) -> mogul_core::Result<Vec<TopKResult>>;
+    /// A panel of out-of-sample queries sharing `k`; bit-identical to
+    /// [`ServeSnapshot::by_feature`] per query, and one failure fails the
+    /// panel.
+    fn panel_by_feature(
+        &self,
+        ws: &mut Self::Workspace,
+        features: &[&[f64]],
+        k: usize,
+    ) -> mogul_core::Result<Vec<OutOfSampleResult>>;
+
+    /// Answer one request for the network front door, honouring the wire's
+    /// `require_complete` flag. An engine with no shards to lose answers
+    /// every request complete, so the flag is trivially satisfied.
+    fn answer_tagged(
+        server: &Server<Self>,
+        request: &QueryRequest,
+        _require_complete: bool,
+    ) -> ServeResult<(QueryResponse, ResponseStatus)> {
+        server
+            .query(request)
+            .map(|response| (response, ResponseStatus::Complete))
+    }
+}
+
+impl sealed::Sealed for IndexSnapshot {}
+
+impl ServeSnapshot for IndexSnapshot {
+    type Workspace = SnapshotWorkspace;
+    type Engine = ();
+
+    fn epoch(&self) -> u64 {
+        IndexSnapshot::epoch(self)
+    }
+    fn len(&self) -> usize {
+        IndexSnapshot::len(self)
+    }
+    fn contains(&self, id: usize) -> bool {
+        IndexSnapshot::contains(self, id)
+    }
+    fn feature_dim(&self) -> usize {
+        IndexSnapshot::feature_dim(self)
+    }
+    fn max_job_len(&self) -> usize {
+        mogul_core::PANEL_WIDTH
+    }
+    fn by_id(
+        &self,
+        ws: &mut SnapshotWorkspace,
+        id: usize,
+        k: usize,
+    ) -> mogul_core::Result<TopKResult> {
+        self.query_by_id_in(ws, id, k)
+    }
+    fn by_feature(
+        &self,
+        ws: &mut SnapshotWorkspace,
+        feature: &[f64],
+        k: usize,
+    ) -> mogul_core::Result<OutOfSampleResult> {
+        self.query_by_feature_in(ws, feature, k)
+    }
+    fn panel_by_id(
+        &self,
+        ws: &mut SnapshotWorkspace,
+        ids: &[usize],
+        k: usize,
+    ) -> mogul_core::Result<Vec<TopKResult>> {
+        self.query_batch_by_id_in(ws, ids, k)
+    }
+    fn panel_by_feature(
+        &self,
+        ws: &mut SnapshotWorkspace,
+        features: &[&[f64]],
+        k: usize,
+    ) -> mogul_core::Result<Vec<OutOfSampleResult>> {
+        self.query_batch_by_feature_in(ws, features, k)
+    }
+}
+
 /// Recycles per-worker scratch workspaces across batches so the hot
-/// substitution/pruning path allocates nothing after warm-up.
-///
-/// The pool retains at most `cap` workspaces: a transient spike of
-/// concurrent batches checks out extra (freshly allocated) workspaces, but
-/// the surplus is dropped on checkin instead of pinning index-sized buffers
-/// for the server's lifetime.
+/// substitution/pruning path allocates nothing after warm-up. Retains at
+/// most `cap`: a spike of concurrent batches allocates extras, and the
+/// surplus is dropped on the way back instead of pinning index-sized
+/// buffers for the server's lifetime.
 #[derive(Debug)]
-struct WorkspacePool {
-    stack: Mutex<Vec<SnapshotWorkspace>>,
+pub(crate) struct WorkspacePool<W> {
+    stack: Mutex<Vec<W>>,
     cap: usize,
 }
 
-impl WorkspacePool {
-    fn with_capacity(cap: usize) -> Self {
-        WorkspacePool {
-            stack: Mutex::new(Vec::new()),
-            cap,
-        }
-    }
-
-    fn checkout(&self) -> SnapshotWorkspace {
-        self.stack
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .pop()
-            .unwrap_or_default()
-    }
-
-    fn checkin(&self, ws: SnapshotWorkspace) {
-        let mut stack = self.stack.lock().unwrap_or_else(PoisonError::into_inner);
+impl<W: Default> WorkspacePool<W> {
+    /// Run `work` on a checked-out workspace. The workspace goes back to
+    /// the pool however `work` returns — a typed failure leaves it sound —
+    /// and is discarded only when `work` unwinds, since a panic may have
+    /// caught it mid-mutation.
+    pub(crate) fn with<R>(&self, work: impl FnOnce(&mut W) -> R) -> R {
+        let mut ws = lock(&self.stack).pop().unwrap_or_default();
+        let result = work(&mut ws);
+        let mut stack = lock(&self.stack);
         if stack.len() < self.cap {
             stack.push(ws);
         }
+        result
     }
 }
 
 /// A thread-safe query server over an epoch-versioned, `Arc`-shared
-/// [`IndexSnapshot`].
+/// snapshot `S` — the one serving shell, instantiated as [`QueryServer`]
+/// and [`ShardedServer`](crate::ShardedServer).
 ///
-/// The canonical entry points are [`QueryServer::query`] (one
-/// [`QueryRequest`] of either kind) and [`QueryServer::serve_batch`] (a
-/// mixed batch); [`QueryServer::query_by_id`] and
-/// [`QueryServer::query_by_feature`] are thin documented conveniences over
-/// them. The server is itself `Send + Sync`: any number of threads may
-/// submit batches concurrently, each dispatch spawning scoped workers that
-/// die with the call (no background threads, no channels, no extra
-/// dependencies). Answers are bit-identical to the sequential
-/// [`RetrievalEngine`] paths; failures use the typed
+/// The canonical entry points are [`Server::query`] (one [`QueryRequest`]
+/// of either kind) and [`Server::serve_batch`] (a mixed batch);
+/// [`Server::query_by_id`] and [`Server::query_by_feature`] are thin
+/// conveniences over them. Requests are validated at admission
+/// ([`QueryRequest::validate`]) and failures use the typed
 /// [`ServeError`](crate::ServeError) contract shared with the network front
-/// door ([`crate::net`]).
+/// door ([`crate::net`]). The server is itself `Send + Sync`: any number of
+/// threads may submit batches concurrently, each dispatch spawning scoped
+/// workers that die with the call (no background threads, no channels, no
+/// extra dependencies). Answers are bit-identical to the sequential
+/// snapshot paths (and, for a single index, to [`RetrievalEngine`]).
 ///
-/// When the collection changes, a writer (see
-/// [`IndexWriter`](crate::IndexWriter)) produces the next snapshot off the
-/// hot path and publishes it with [`QueryServer::install_snapshot`]; each
+/// When the collection changes, a writer ([`IndexWriter`](crate::IndexWriter),
+/// [`ShardedWriter`](crate::ShardedWriter)) produces the next snapshot off
+/// the hot path and publishes it with [`Server::install_snapshot`]; each
 /// batch reads its snapshot exactly once, so every batch observes one
 /// consistent epoch.
 ///
@@ -107,22 +223,23 @@ impl WorkspacePool {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug)]
-pub struct QueryServer {
-    state: RwLock<Arc<IndexSnapshot>>,
+pub struct Server<S: ServeSnapshot> {
+    state: RwLock<Arc<S>>,
     workers: usize,
-    pool: WorkspacePool,
+    pub(crate) pool: WorkspacePool<S::Workspace>,
+    pub(crate) engine: S::Engine,
 }
 
-/// One unit of work a batch worker claims: a contiguous panel of compatible
-/// requests (same kind, same `k`), possibly of one, answered through the
-/// batched snapshot entry points.
-#[derive(Debug, Clone, Copy)]
-struct Job {
-    start: usize,
-    len: usize,
-}
+/// The serving shell over a single index: a [`Server`] answering from an
+/// [`IndexSnapshot`].
+pub type QueryServer = Server<IndexSnapshot>;
 
-impl QueryServer {
+/// One unit of work a batch worker claims: the index range of a contiguous
+/// panel of compatible requests (same kind, same `k`), possibly of one,
+/// answered through the snapshot's panel entry points.
+type Job = Range<usize>;
+
+impl Server<IndexSnapshot> {
     /// Build a server over an already-shared immutable index (wrapped as an
     /// epoch-0 snapshot with identity item ids; the `Arc` may also be held
     /// by other servers or by non-serving code).
@@ -183,23 +300,30 @@ impl QueryServer {
         mogul_core::wal::replay(&mut index, &records)?;
         Ok(QueryServer::from_snapshot(index.snapshot(), options))
     }
+}
 
+impl<S: ServeSnapshot> Server<S> {
     /// Build a server over an existing snapshot (e.g. the current epoch of
-    /// an [`UpdatableIndex`](mogul_core::update::UpdatableIndex)).
-    pub fn from_snapshot(snapshot: Arc<IndexSnapshot>, options: ServeOptions) -> Self {
+    /// an [`UpdatableIndex`](mogul_core::update::UpdatableIndex) or of a
+    /// [`ShardedIndex`](mogul_core::ShardedIndex)).
+    pub fn from_snapshot(snapshot: Arc<S>, options: ServeOptions) -> Self {
         let workers = options.resolve_workers();
-        QueryServer {
+        Server {
             state: RwLock::new(snapshot),
             workers,
             // One retained workspace per worker covers the steady state; a
             // spike of concurrent batches allocates extras and drops them.
-            pool: WorkspacePool::with_capacity(workers),
+            pool: WorkspacePool {
+                stack: Mutex::new(Vec::new()),
+                cap: workers,
+            },
+            engine: S::Engine::default(),
         }
     }
 
     /// The snapshot new queries are answered from (cheap `Arc` clone; the
     /// returned snapshot stays valid and queryable even after later swaps).
-    pub fn snapshot(&self) -> Arc<IndexSnapshot> {
+    pub fn snapshot(&self) -> Arc<S> {
         Arc::clone(&self.state.read().unwrap_or_else(PoisonError::into_inner))
     }
 
@@ -213,7 +337,7 @@ impl QueryServer {
     /// Queries dispatched before the swap finish on the old snapshot;
     /// queries dispatched after it see the new one. Nothing blocks: the
     /// write lock is held only for the pointer swap.
-    pub fn install_snapshot(&self, next: Arc<IndexSnapshot>) -> Arc<IndexSnapshot> {
+    pub fn install_snapshot(&self, next: Arc<S>) -> Arc<S> {
         let mut slot = self.state.write().unwrap_or_else(PoisonError::into_inner);
         std::mem::replace(&mut *slot, next)
     }
@@ -241,19 +365,16 @@ impl QueryServer {
     /// touching the solve path.
     pub fn query(&self, request: &QueryRequest) -> ServeResult<QueryResponse> {
         let snapshot = self.snapshot();
-        request.validate(&snapshot)?;
-        let mut ws = self.pool.checkout();
-        let result = Self::answer(&snapshot, &mut ws, request);
-        self.pool.checkin(ws);
-        result
+        request.validate(&*snapshot)?;
+        self.pool.with(|ws| Self::answer(&snapshot, ws, request))
     }
 
     /// Top-k for an item already in the database, by stable item id (the
     /// item itself is excluded from the result).
     ///
-    /// Thin convenience over [`QueryServer::query`] with a
+    /// Thin convenience over [`Server::query`] with a
     /// [`QueryRequest::InDatabase`] request.
-    pub fn query_by_id(&self, item: usize, k: usize) -> ServeResult<mogul_core::TopKResult> {
+    pub fn query_by_id(&self, item: usize, k: usize) -> ServeResult<TopKResult> {
         match self.query(&QueryRequest::in_database(item, k))? {
             QueryResponse::InDatabase(top_k) => Ok(top_k),
             QueryResponse::OutOfSample(_) => unreachable!("in-database request"),
@@ -262,10 +383,9 @@ impl QueryServer {
 
     /// Top-k for an arbitrary feature vector (out-of-sample query).
     ///
-    /// Thin convenience over [`QueryServer::query`] with a
-    /// [`QueryRequest::OutOfSample`] request (the feature is borrowed, not
-    /// copied: the request is assembled only after validation would pass
-    /// anyway, so the clone is one allocation per call).
+    /// Thin convenience over [`Server::query`] with a
+    /// [`QueryRequest::OutOfSample`] request; the feature is copied into
+    /// the request, one allocation per call.
     pub fn query_by_feature(&self, feature: &[f64], k: usize) -> ServeResult<OutOfSampleResult> {
         match self.query(&QueryRequest::out_of_sample(feature.to_vec(), k))? {
             QueryResponse::OutOfSample(result) => Ok(*result),
@@ -282,18 +402,20 @@ impl QueryServer {
     ///
     /// The batch is first cut into **jobs**: contiguous runs of compatible
     /// requests (same kind, same `k`) become panels of up to
-    /// [`mogul_core::PANEL_WIDTH`] requests answered through the batched
-    /// snapshot entry points; a request with no compatible neighbour is a
-    /// panel of one. A panel whose batched call fails re-runs its requests
-    /// individually, so error reporting stays per-request. `answers[i]` is
-    /// bit-identical to [`QueryServer::query`] of `requests[i]`.
+    /// [`ServeSnapshot::max_job_len`] requests —
+    /// [`mogul_core::PANEL_WIDTH`] for a single index, that many per shard
+    /// for a sharded one, so every shard still receives whole panels —
+    /// answered through the snapshot's panel entry points; a request with
+    /// no compatible neighbour is a panel of one. A panel whose batched call
+    /// fails re-runs its requests individually, so error reporting stays
+    /// per-request. `answers[i]` is bit-identical to [`Server::query`] of
+    /// `requests[i]`.
     ///
     /// The snapshot is read once per batch, so all answers of one batch come
-    /// from one epoch even if a writer swaps mid-batch. Jobs are spread over
-    /// `min(workers, jobs)` scoped worker threads through an atomic cursor;
-    /// a single-worker server (or a one-job batch) runs inline with no
-    /// thread spawned at all. `serve_batch` takes `&self`, so any number of
-    /// batches may be in flight concurrently on one server.
+    /// from one epoch (and, sharded, see every shard at one epoch) even if
+    /// a writer swaps mid-batch. Jobs are spread over `min(workers, jobs)`
+    /// workers through an atomic cursor; a single-worker server (or a
+    /// one-job batch) runs on the calling thread with no thread spawned.
     pub fn serve_batch(&self, requests: &[QueryRequest]) -> Vec<ServeResult<QueryResponse>> {
         let snapshot = self.snapshot();
         // Admission: validate every request against the batch's snapshot
@@ -301,69 +423,52 @@ impl QueryServer {
         // excluded from panel formation.
         let admission: Vec<Option<ServeError>> = requests
             .iter()
-            .map(|r| r.validate(&snapshot).err())
+            .map(|r| r.validate(&*snapshot).err())
             .collect();
-        let jobs = Self::build_jobs(requests, &admission);
-        let workers = self.workers.min(jobs.len()).max(1);
-        if workers == 1 {
-            let mut ws = self.pool.checkout();
-            let mut local = Vec::with_capacity(requests.len());
-            for &job in &jobs {
-                Self::answer_job(&snapshot, &mut ws, requests, &admission, job, &mut local);
-            }
-            self.pool.checkin(ws);
-            return Self::stitch(local, requests.len());
-        }
+        let jobs = Self::build_jobs(requests, &admission, snapshot.max_job_len());
 
-        // Atomic cursor hands jobs to whichever worker is free next; workers
-        // buffer `(index, answer)` pairs locally and the results are
-        // stitched back into request order afterwards.
+        // Atomic cursor hands jobs to whichever worker is free next; each
+        // worker buffers `(index, answer)` pairs locally — every request is
+        // answered exactly once — and sorting by index puts them back into
+        // request order afterwards.
         let next = AtomicUsize::new(0);
-        let snapshot = &snapshot;
-        let jobs = &jobs;
-        let admission = &admission;
-        let per_worker: Vec<Vec<(usize, ServeResult<QueryResponse>)>> = thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut ws = self.pool.checkout();
-                        let mut local = Vec::new();
-                        loop {
-                            let j = next.fetch_add(1, Ordering::Relaxed);
-                            if j >= jobs.len() {
-                                break;
-                            }
-                            Self::answer_job(
-                                snapshot, &mut ws, requests, admission, jobs[j], &mut local,
-                            );
-                        }
-                        self.pool.checkin(ws);
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("serve worker panicked"))
-                .collect()
-        });
-
-        Self::stitch(per_worker.into_iter().flatten().collect(), requests.len())
+        let drain = || {
+            let mut local = Vec::new();
+            self.pool.with(|ws| {
+                while let Some(job) = jobs.get(next.fetch_add(1, Ordering::Relaxed)) {
+                    Self::answer_job(&snapshot, ws, requests, &admission, job.clone(), &mut local);
+                }
+            });
+            local
+        };
+        let workers = self.workers.min(jobs.len());
+        let mut answered = if workers <= 1 {
+            drain()
+        } else {
+            thread::scope(|scope| {
+                let handles: Vec<_> = (0..workers).map(|_| scope.spawn(drain)).collect();
+                handles
+                    .into_iter()
+                    .flat_map(|h| h.join().expect("serve worker panicked"))
+                    .collect::<Vec<_>>()
+            })
+        };
+        debug_assert_eq!(answered.len(), requests.len());
+        answered.sort_unstable_by_key(|&(i, _)| i);
+        answered.into_iter().map(|(_, answer)| answer).collect()
     }
 
-    /// Cut a batch into panel jobs (see [`QueryServer::serve_batch`]).
-    /// Requests that failed admission are always singleton jobs — they are
-    /// answered from the admission table and must not drag a healthy panel
-    /// onto the request-by-request re-run.
-    fn build_jobs(requests: &[QueryRequest], admission: &[Option<ServeError>]) -> Vec<Job> {
-        let compatible = |a: &QueryRequest, b: &QueryRequest| match (a, b) {
-            (QueryRequest::InDatabase { k: ka, .. }, QueryRequest::InDatabase { k: kb, .. }) => {
-                ka == kb
-            }
-            (QueryRequest::OutOfSample { k: ka, .. }, QueryRequest::OutOfSample { k: kb, .. }) => {
-                ka == kb
-            }
-            _ => false,
+    /// Cut a batch into panel jobs of at most `max_len` requests (see
+    /// [`Server::serve_batch`]). Requests that failed admission are always
+    /// singleton jobs — they are answered from the admission table and must
+    /// not drag a healthy panel onto the request-by-request re-run.
+    fn build_jobs(
+        requests: &[QueryRequest],
+        admission: &[Option<ServeError>],
+        max_len: usize,
+    ) -> Vec<Job> {
+        let compatible = |a: &QueryRequest, b: &QueryRequest| {
+            std::mem::discriminant(a) == std::mem::discriminant(b) && a.k() == b.k()
         };
         let mut jobs = Vec::new();
         let mut start = 0usize;
@@ -371,17 +476,14 @@ impl QueryServer {
             let mut end = start + 1;
             if admission[start].is_none() {
                 while end < requests.len()
-                    && end - start < mogul_core::PANEL_WIDTH
+                    && end - start < max_len
                     && admission[end].is_none()
                     && compatible(&requests[start], &requests[end])
                 {
                     end += 1;
                 }
             }
-            jobs.push(Job {
-                start,
-                len: end - start,
-            });
+            jobs.push(start..end);
             start = end;
         }
         jobs
@@ -389,18 +491,19 @@ impl QueryServer {
 
     /// Answer one job, appending `(request index, answer)` pairs to `local`.
     fn answer_job(
-        snapshot: &IndexSnapshot,
-        ws: &mut SnapshotWorkspace,
+        snapshot: &S,
+        ws: &mut S::Workspace,
         requests: &[QueryRequest],
         admission: &[Option<ServeError>],
         job: Job,
         local: &mut Vec<(usize, ServeResult<QueryResponse>)>,
     ) {
-        if let Some(err) = &admission[job.start] {
-            local.push((job.start, Err(err.clone())));
+        let start = job.start;
+        if let Some(err) = &admission[start] {
+            local.push((start, Err(err.clone())));
             return;
         }
-        let slice = &requests[job.start..job.start + job.len];
+        let slice = &requests[job];
         let batched = match &slice[0] {
             QueryRequest::InDatabase { k, .. } => {
                 let ids: Vec<usize> = slice
@@ -410,7 +513,7 @@ impl QueryServer {
                         QueryRequest::OutOfSample { .. } => unreachable!("homogeneous job"),
                     })
                     .collect();
-                snapshot.query_batch_by_id_in(ws, &ids, *k).map(|results| {
+                snapshot.panel_by_id(ws, &ids, *k).map(|results| {
                     results
                         .into_iter()
                         .map(QueryResponse::InDatabase)
@@ -425,61 +528,44 @@ impl QueryServer {
                         QueryRequest::InDatabase { .. } => unreachable!("homogeneous job"),
                     })
                     .collect();
-                snapshot
-                    .query_batch_by_feature_in(ws, &features, *k)
-                    .map(|results| {
-                        results
-                            .into_iter()
-                            .map(|r| QueryResponse::OutOfSample(Box::new(r)))
-                            .collect::<Vec<_>>()
-                    })
+                snapshot.panel_by_feature(ws, &features, *k).map(|results| {
+                    results
+                        .into_iter()
+                        .map(|r| QueryResponse::OutOfSample(Box::new(r)))
+                        .collect::<Vec<_>>()
+                })
             }
         };
         match batched {
             Ok(answers) => {
                 for (offset, answer) in answers.into_iter().enumerate() {
-                    local.push((job.start + offset, Ok(answer)));
+                    local.push((start + offset, Ok(answer)));
                 }
             }
             // Panels contain only admission-validated requests, but the
-            // batched entry points still fail the whole panel on an
-            // execution fault; re-run the job's requests individually so
-            // each gets its precise per-request result or error.
+            // panel entry points still fail the whole panel on an execution
+            // fault; re-run the job's requests individually so each gets its
+            // precise per-request result or error.
             Err(_) => {
                 for (offset, request) in slice.iter().enumerate() {
-                    local.push((job.start + offset, Self::answer(snapshot, ws, request)));
+                    local.push((start + offset, Self::answer(snapshot, ws, request)));
                 }
             }
         }
-    }
-
-    /// Reassemble `(index, answer)` pairs into request order.
-    fn stitch(
-        flat: Vec<(usize, ServeResult<QueryResponse>)>,
-        len: usize,
-    ) -> Vec<ServeResult<QueryResponse>> {
-        let mut answers: Vec<Option<ServeResult<QueryResponse>>> = (0..len).map(|_| None).collect();
-        for (i, answer) in flat {
-            answers[i] = Some(answer);
-        }
-        answers
-            .into_iter()
-            .map(|a| a.expect("every request is answered exactly once"))
-            .collect()
     }
 
     /// Dispatch one request onto the right snapshot entry point.
     fn answer(
-        snapshot: &IndexSnapshot,
-        ws: &mut SnapshotWorkspace,
+        snapshot: &S,
+        ws: &mut S::Workspace,
         request: &QueryRequest,
     ) -> ServeResult<QueryResponse> {
         match request {
-            QueryRequest::InDatabase { node, k } => Ok(QueryResponse::InDatabase(
-                snapshot.query_by_id_in(ws, *node, *k)?,
-            )),
+            QueryRequest::InDatabase { node, k } => {
+                Ok(QueryResponse::InDatabase(snapshot.by_id(ws, *node, *k)?))
+            }
             QueryRequest::OutOfSample { feature, k } => Ok(QueryResponse::OutOfSample(Box::new(
-                snapshot.query_by_feature_in(ws, feature, *k)?,
+                snapshot.by_feature(ws, feature, *k)?,
             ))),
         }
     }

@@ -20,6 +20,7 @@
 //! crate spawns.
 
 use crate::error::{ServeError, ServeResult};
+use crate::lock;
 use crate::options::ServeOptions;
 use crate::request::UpdateRequest;
 use crate::server::QueryServer;
@@ -27,7 +28,7 @@ use mogul_core::persist::{self, PersistError};
 use mogul_core::update::{IndexDelta, RebuildDebt, UpdatableIndex, UpdateReport};
 use mogul_core::wal::{self, RecoveryOutcome, Wal, WalError, WalOp, WalSync};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// The single-writer handle pairing an [`UpdatableIndex`] with the
 /// [`QueryServer`] that serves its snapshots.
@@ -120,7 +121,7 @@ impl IndexWriter {
         let (index, log, outcome) = wal::recover_updatable(&checkpoint, wal_dir, sync)?;
         let (server, writer) = IndexWriter::new(index, options);
         writer.set_checkpoint(Some(checkpoint));
-        *writer.wal.lock().unwrap_or_else(PoisonError::into_inner) = Some(log);
+        *lock(&writer.wal) = Some(log);
         Ok((server, writer, outcome))
     }
 
@@ -148,8 +149,8 @@ impl IndexWriter {
                     .into(),
             )
         })?;
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        let mut wal = self.wal.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut inner = lock(&self.inner);
+        let mut wal = lock(&self.wal);
         if wal.is_some() {
             return Err(WalError::InvalidState("the wal is already enabled".into()));
         }
@@ -171,17 +172,12 @@ impl IndexWriter {
 
     /// `true` while the write-ahead log is enabled.
     pub fn wal_enabled(&self) -> bool {
-        self.wal
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .is_some()
+        lock(&self.wal).is_some()
     }
 
     /// Path of the log's open segment file, when the wal is enabled.
     pub fn wal_segment_path(&self) -> Option<PathBuf> {
-        self.wal
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
+        lock(&self.wal)
             .as_ref()
             .map(|w| w.segment_path().to_path_buf())
     }
@@ -200,27 +196,18 @@ impl IndexWriter {
     /// reported by [`IndexWriter::take_checkpoint_error`] instead of failing
     /// the update (the new snapshot is already serving at that point).
     pub fn set_checkpoint(&self, path: Option<PathBuf>) {
-        *self
-            .checkpoint
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner) = path;
+        *lock(&self.checkpoint) = path;
     }
 
     /// The configured checkpoint file, if any.
     pub fn checkpoint_path(&self) -> Option<PathBuf> {
-        self.checkpoint
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
+        lock(&self.checkpoint).clone()
     }
 
     /// The error of the most recent failed automatic checkpoint, if any
     /// (clears on read; successful checkpoints also clear it).
     pub fn take_checkpoint_error(&self) -> Option<PersistError> {
-        self.checkpoint_error
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take()
+        lock(&self.checkpoint_error).take()
     }
 
     /// Checkpoint the current state to the configured path right now,
@@ -236,8 +223,8 @@ impl IndexWriter {
                 "no checkpoint path is configured; call set_checkpoint first".into(),
             )
         })?;
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        let mut wal = self.wal.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut inner = lock(&self.inner);
+        let mut wal = lock(&self.wal);
         if !inner.snapshot().is_clean() {
             if let Some(log) = wal.as_mut() {
                 log.append(inner.epoch() + 1, &WalOp::Rebuild)
@@ -272,10 +259,7 @@ impl IndexWriter {
         }
         // The checkpoint on disk is now fresh; clear any stale auto-
         // checkpoint failure so monitoring does not keep reporting it.
-        *self
-            .checkpoint_error
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner) = None;
+        *lock(&self.checkpoint_error) = None;
         Ok(path)
     }
 
@@ -307,10 +291,7 @@ impl IndexWriter {
             },
             Err(e) => Some(e),
         };
-        *self
-            .checkpoint_error
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner) = outcome;
+        *lock(&self.checkpoint_error) = outcome;
     }
 
     /// The server this writer publishes to.
@@ -323,18 +304,7 @@ impl IndexWriter {
     /// Index-level rejections surface as
     /// [`ServeError::Index`](crate::ServeError::Index).
     pub fn apply(&self, updates: &[UpdateRequest]) -> ServeResult<UpdateReport> {
-        let mut delta = IndexDelta::new();
-        for update in updates {
-            match update {
-                UpdateRequest::Insert { feature } => {
-                    delta.insert(feature.clone());
-                }
-                UpdateRequest::Remove { id } => {
-                    delta.remove(*id);
-                }
-            }
-        }
-        self.apply_delta(&delta)
+        self.apply_delta(&UpdateRequest::stage(updates))
     }
 
     /// Apply an already-staged [`IndexDelta`] and publish the resulting
@@ -349,8 +319,8 @@ impl IndexWriter {
     /// [`ServeError::Durability`] *without* applying it; an apply failure
     /// after the append truncates the record back off the log.
     pub fn apply_delta(&self, delta: &IndexDelta) -> ServeResult<UpdateReport> {
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        let mut wal = self.wal.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut inner = lock(&self.inner);
+        let mut wal = lock(&self.wal);
         self.apply_logged(&mut inner, &mut wal, delta)
     }
 
@@ -400,8 +370,8 @@ impl IndexWriter {
     /// enabled the refactorization is logged append-before-apply like any
     /// delta (it advances the epoch, so replay must reproduce it).
     pub fn rebuild(&self) -> ServeResult<UpdateReport> {
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        let mut wal = self.wal.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut inner = lock(&self.inner);
+        let mut wal = lock(&self.wal);
         if let Some(log) = wal.as_mut() {
             log.append(inner.epoch() + 1, &WalOp::Rebuild)
                 .map_err(ServeError::durability)?;
@@ -422,17 +392,11 @@ impl IndexWriter {
 
     /// Current rebuild debt of the writer state.
     pub fn debt(&self) -> RebuildDebt {
-        self.inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .debt()
+        lock(&self.inner).debt()
     }
 
     /// `true` when the next apply would trigger a full refactorization.
     pub fn needs_rebuild(&self) -> bool {
-        self.inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .needs_rebuild()
+        lock(&self.inner).needs_rebuild()
     }
 }

@@ -130,7 +130,7 @@ fn degraded_answer_is_the_exact_merge_of_the_surviving_legs() {
                 .unwrap()
         })
         .collect();
-    let want = ShardedSnapshot::merge_scatter(K, &legs);
+    let want = ShardedSnapshot::merge_scatter(&mut ws, K, &legs);
     let got = match &response {
         QueryResponse::OutOfSample(result) => result,
         other => panic!("wrong response shape: {other:?}"),
@@ -257,7 +257,7 @@ fn in_database_queries_have_one_owning_shard_and_fail_incomplete() {
 }
 
 #[test]
-fn all_shards_failed_is_incomplete_regardless_of_strictness() {
+fn every_probed_shard_failing_is_incomplete_regardless_of_strictness() {
     let (server, _snapshot) = build_server();
     fail_shards(&server, &[0, 1, 2]);
     let request = QueryRequest::out_of_sample(probe_feature(), K);

@@ -114,7 +114,7 @@ fn replica_child_process() {
     };
     let addr_file = PathBuf::from(addr_file);
     let (server, _writer) = ShardedWriter::new(build_index());
-    let net = NetServer::bind_sharded("127.0.0.1:0", server, serve_options()).unwrap();
+    let net = NetServer::bind("127.0.0.1:0", server, serve_options()).unwrap();
     // Publish the bound address atomically (write + rename), then serve
     // until killed.
     let tmp = addr_file.with_extension("tmp");
@@ -317,7 +317,7 @@ fn degraded_answers_cross_the_wire_and_strict_requests_fail_typed() {
             })
         })
     })));
-    let net = NetServer::bind_sharded("127.0.0.1:0", Arc::clone(&server), serve_options()).unwrap();
+    let net = NetServer::bind("127.0.0.1:0", Arc::clone(&server), serve_options()).unwrap();
     let handle = net.handle();
     let join = std::thread::spawn(move || net.run());
 
@@ -349,7 +349,7 @@ fn degraded_answers_cross_the_wire_and_strict_requests_fail_typed() {
                 .unwrap()
         })
         .collect();
-    let want = ShardedSnapshot::merge_scatter(K, &legs);
+    let want = ShardedSnapshot::merge_scatter(&mut ws, K, &legs);
     match &response {
         QueryResponse::OutOfSample(got) => {
             assert_eq!(

@@ -1,15 +1,24 @@
 //! Equivalence and concurrency coverage of the serving layer.
 //!
 //! The contract under test: concurrency changes throughput, never results.
-//! Every answer produced by a multi-worker [`QueryServer`] — under
-//! concurrent load, with recycled workspaces, in Mogul and MogulE (exact)
-//! mode alike — must be **bit-identical** to the sequential
-//! [`RetrievalEngine`] answer for the same request.
+//! Every answer produced by a multi-worker [`Server`] — under concurrent
+//! load, with recycled workspaces, in Mogul and MogulE (exact) mode alike —
+//! must be **bit-identical** to the sequential answer for the same request:
+//! the [`RetrievalEngine`]'s for a [`QueryServer`] built from one, and the
+//! snapshot's own single-query paths for every engine.
+//!
+//! There is one serving shell, so there is one battery: every check takes
+//! the engine as an input and runs over a single index and over S = 1 and
+//! S = 4 sharded indexes built on the same database.
 
-use mogul_core::{OutOfSampleResult, RetrievalEngine};
+use mogul_core::update::{IndexBuilder, IndexSnapshot};
+use mogul_core::{RetrievalEngine, ShardedConfig, ShardedIndex, ShardedSnapshot, PANEL_WIDTH};
 use mogul_data::coil::{coil_like, CoilLikeConfig};
 use mogul_data::Dataset;
-use mogul_serve::{QueryRequest, QueryResponse, QueryServer, ServeError, ServeOptions};
+use mogul_serve::{
+    QueryRequest, QueryResponse, QueryServer, ServeError, ServeOptions, ServeSnapshot, Server,
+    ShardedServer,
+};
 use std::sync::Arc;
 use std::thread;
 
@@ -26,6 +35,59 @@ fn dataset() -> (Dataset, Vec<(Vec<f64>, usize)>) {
     data.split_out_queries(6, 11).unwrap()
 }
 
+/// The snapshots the battery serves, all built from `db` with one
+/// [`IndexBuilder`]: a single index, a one-shard sharding of it (whose
+/// answers must equal the single index's), and a four-shard sharding that
+/// probes two shards per out-of-sample query, so its batches exercise the
+/// leg merge.
+struct Snapshots {
+    single: Arc<IndexSnapshot>,
+    s1: Arc<ShardedSnapshot>,
+    s4: Arc<ShardedSnapshot>,
+}
+
+/// One server per snapshot, all with the same worker count.
+struct Engines {
+    single: QueryServer,
+    s1: ShardedServer,
+    s4: ShardedServer,
+}
+
+fn snapshots(db: &Dataset, exact: bool) -> Snapshots {
+    let mut builder = IndexBuilder::new();
+    if exact {
+        builder = builder.exact_ranking();
+    }
+    let sharded = |shards: usize, probes: usize| {
+        let config = ShardedConfig::with_shards(shards)
+            .shard_probes(probes)
+            .builder(builder);
+        let (index, _) = ShardedIndex::build(db.features().to_vec(), config).unwrap();
+        assert_eq!(index.num_shards(), shards);
+        index.snapshot()
+    };
+    Snapshots {
+        single: builder.build(db.features().to_vec()).unwrap().snapshot(),
+        s1: sharded(1, 1),
+        s4: sharded(4, 2),
+    }
+}
+
+impl Snapshots {
+    fn servers(&self, workers: usize) -> Engines {
+        let options = ServeOptions::with_workers(workers);
+        Engines {
+            single: QueryServer::from_snapshot(Arc::clone(&self.single), options),
+            s1: ShardedServer::from_snapshot(Arc::clone(&self.s1), options),
+            s4: ShardedServer::from_snapshot(Arc::clone(&self.s4), options),
+        }
+    }
+}
+
+fn engines(db: &Dataset, workers: usize) -> Engines {
+    snapshots(db, false).servers(workers)
+}
+
 /// A mixed batch alternating in-database and out-of-sample requests with
 /// varying k.
 fn mixed_batch(db: &Dataset, queries: &[(Vec<f64>, usize)]) -> Vec<QueryRequest> {
@@ -37,66 +99,97 @@ fn mixed_batch(db: &Dataset, queries: &[(Vec<f64>, usize)]) -> Vec<QueryRequest>
     batch
 }
 
-/// The sequential reference answer for one request.
-fn sequential_answer(engine: &RetrievalEngine, request: &QueryRequest) -> SequentialAnswer {
+/// The sequential reference answer of a [`RetrievalEngine`].
+fn engine_answer(engine: &RetrievalEngine, request: &QueryRequest) -> QueryResponse {
     match request {
         QueryRequest::InDatabase { node, k } => {
-            SequentialAnswer::InDatabase(engine.query_by_id(*node, *k).unwrap())
+            QueryResponse::InDatabase(engine.query_by_id(*node, *k).unwrap())
         }
         QueryRequest::OutOfSample { feature, k } => {
-            SequentialAnswer::OutOfSample(engine.query_by_feature(feature, *k).unwrap())
+            QueryResponse::OutOfSample(Box::new(engine.query_by_feature(feature, *k).unwrap()))
         }
     }
 }
 
-enum SequentialAnswer {
-    InDatabase(mogul_core::TopKResult),
-    OutOfSample(OutOfSampleResult),
+/// The sequential reference answer of whatever snapshot a server serves:
+/// its single-query path on a fresh workspace, no server involved.
+fn sequential_answer<S: ServeSnapshot>(
+    server: &Server<S>,
+    request: &QueryRequest,
+) -> QueryResponse {
+    let snapshot = server.snapshot();
+    let mut ws = S::Workspace::default();
+    match request {
+        QueryRequest::InDatabase { node, k } => {
+            QueryResponse::InDatabase(snapshot.by_id(&mut ws, *node, *k).unwrap())
+        }
+        QueryRequest::OutOfSample { feature, k } => {
+            QueryResponse::OutOfSample(Box::new(snapshot.by_feature(&mut ws, feature, *k).unwrap()))
+        }
+    }
 }
 
 /// Bit-exact comparison (scores compared with `==`, not a tolerance).
-fn assert_matches(expected: &SequentialAnswer, got: &QueryResponse) {
-    match (expected, got) {
-        (SequentialAnswer::InDatabase(want), QueryResponse::InDatabase(have)) => {
-            assert_eq!(want, have);
+fn assert_same(want: &QueryResponse, got: &QueryResponse, what: &str) {
+    match (want, got) {
+        (QueryResponse::InDatabase(want), QueryResponse::InDatabase(have)) => {
+            assert_eq!(want, have, "{what}");
         }
-        (SequentialAnswer::OutOfSample(want), QueryResponse::OutOfSample(have)) => {
-            assert_eq!(want.top_k, have.top_k);
-            assert_eq!(want.neighbors, have.neighbors);
-            assert_eq!(want.stats, have.stats);
+        (QueryResponse::OutOfSample(want), QueryResponse::OutOfSample(have)) => {
+            assert_eq!(want.top_k, have.top_k, "{what}");
+            assert_eq!(want.neighbors, have.neighbors, "{what}");
+            assert_eq!(want.stats, have.stats, "{what}");
         }
-        _ => panic!("response kind does not match the request kind"),
+        _ => panic!("{what}: response kind does not match the request kind"),
+    }
+}
+
+/// Serve the same batch twice — the second pass runs entirely on recycled
+/// (warm) workspaces and must not change a single bit.
+fn check_batches_match<S: ServeSnapshot>(
+    server: &Server<S>,
+    batch: &[QueryRequest],
+    expected: &[QueryResponse],
+    what: &str,
+) {
+    for pass in 0..2 {
+        let answers = server.serve_batch(batch);
+        assert_eq!(answers.len(), batch.len());
+        for (i, answer) in answers.iter().enumerate() {
+            let got = answer
+                .as_ref()
+                .unwrap_or_else(|e| panic!("{what}: pass {pass}, request {i} failed: {e}"));
+            assert_same(
+                &expected[i],
+                got,
+                &format!("{what}: pass {pass}, request {i}"),
+            );
+        }
     }
 }
 
 #[test]
 fn concurrent_batches_are_bit_identical_to_sequential_engine() {
     let (db, queries) = dataset();
+    let batch = mixed_batch(&db, &queries);
     for exact in [false, true] {
         let mut builder = RetrievalEngine::builder();
         if exact {
             builder = builder.exact_ranking();
         }
         let engine = builder.build(db.features().to_vec()).unwrap();
-        let batch = mixed_batch(&db, &queries);
-        let expected: Vec<SequentialAnswer> = batch
-            .iter()
-            .map(|r| sequential_answer(&engine, r))
-            .collect();
-
+        let expected: Vec<_> = batch.iter().map(|r| engine_answer(&engine, r)).collect();
         let server = QueryServer::from_engine(engine, ServeOptions::with_workers(4));
-        // Serve the same batch twice: the second pass runs entirely on
-        // recycled (warm) workspaces and must not change a single bit.
-        for pass in 0..2 {
-            let answers = server.serve_batch(&batch);
-            assert_eq!(answers.len(), batch.len());
-            for (i, answer) in answers.iter().enumerate() {
-                let got = answer
-                    .as_ref()
-                    .unwrap_or_else(|e| panic!("pass {pass}, request {i} failed: {e}"));
-                assert_matches(&expected[i], got);
-            }
+        check_batches_match(&server, &batch, &expected, "engine");
+
+        fn check<S: ServeSnapshot>(server: &Server<S>, batch: &[QueryRequest], what: &str) {
+            let expected: Vec<_> = batch.iter().map(|r| sequential_answer(server, r)).collect();
+            check_batches_match(server, batch, &expected, what);
         }
+        let engines = snapshots(&db, exact).servers(4);
+        check(&engines.single, &batch, "single index");
+        check(&engines.s1, &batch, "S = 1");
+        check(&engines.s4, &batch, "S = 4");
     }
 }
 
@@ -105,55 +198,51 @@ fn more_inflight_batches_than_workers() {
     // 8 submitting threads × 3 rounds against a 2-worker server: far more
     // in-flight batches than workers, exercising the workspace pool and the
     // scoped-dispatch path under real contention.
-    let (db, queries) = dataset();
-    let engine = RetrievalEngine::builder()
-        .build(db.features().to_vec())
-        .unwrap();
-    let batch = mixed_batch(&db, &queries);
-    let expected: Vec<SequentialAnswer> = batch
-        .iter()
-        .map(|r| sequential_answer(&engine, r))
-        .collect();
-
-    let server = Arc::new(QueryServer::from_engine(
-        engine,
-        ServeOptions::with_workers(2),
-    ));
-    thread::scope(|scope| {
-        for _ in 0..8 {
-            scope.spawn(|| {
-                for _ in 0..3 {
-                    let answers = server.serve_batch(&batch);
-                    for (i, answer) in answers.iter().enumerate() {
-                        assert_matches(&expected[i], answer.as_ref().unwrap());
+    fn check<S: ServeSnapshot>(server: &Server<S>, batch: &[QueryRequest], what: &str) {
+        let expected: Vec<_> = batch.iter().map(|r| sequential_answer(server, r)).collect();
+        thread::scope(|scope| {
+            for _ in 0..8 {
+                scope.spawn(|| {
+                    for _ in 0..3 {
+                        let answers = server.serve_batch(batch);
+                        for (i, answer) in answers.iter().enumerate() {
+                            assert_same(&expected[i], answer.as_ref().unwrap(), what);
+                        }
                     }
-                }
-            });
-        }
-    });
+                });
+            }
+        });
+    }
+    let (db, queries) = dataset();
+    let batch = mixed_batch(&db, &queries);
+    let engines = engines(&db, 2);
+    check(&engines.single, &batch, "single index");
+    check(&engines.s1, &batch, "S = 1");
+    check(&engines.s4, &batch, "S = 4");
 }
 
 #[test]
 fn per_request_errors_do_not_poison_the_batch() {
+    fn check<S: ServeSnapshot>(server: &Server<S>, feature: &[f64]) {
+        let batch = vec![
+            QueryRequest::in_database(0, 5),
+            QueryRequest::in_database(server.len() + 10, 5), // node out of range
+            QueryRequest::out_of_sample(vec![1.0, 2.0], 5),  // wrong dimensionality
+            QueryRequest::out_of_sample(feature.to_vec(), 5),
+            QueryRequest::in_database(1, 0), // k = 0
+        ];
+        let answers = server.serve_batch(&batch);
+        assert!(answers[0].is_ok());
+        assert!(answers[1].is_err());
+        assert!(answers[2].is_err());
+        assert!(answers[3].is_ok());
+        assert!(answers[4].is_err());
+    }
     let (db, queries) = dataset();
-    let engine = RetrievalEngine::builder()
-        .build(db.features().to_vec())
-        .unwrap();
-    let server = QueryServer::from_engine(engine, ServeOptions::with_workers(3));
-
-    let batch = vec![
-        QueryRequest::in_database(0, 5),
-        QueryRequest::in_database(db.len() + 10, 5), // node out of range
-        QueryRequest::out_of_sample(vec![1.0, 2.0], 5), // wrong dimensionality
-        QueryRequest::out_of_sample(queries[0].0.clone(), 5),
-        QueryRequest::in_database(1, 0), // k = 0
-    ];
-    let answers = server.serve_batch(&batch);
-    assert!(answers[0].is_ok());
-    assert!(answers[1].is_err());
-    assert!(answers[2].is_err());
-    assert!(answers[3].is_ok());
-    assert!(answers[4].is_err());
+    let engines = engines(&db, 3);
+    check(&engines.single, &queries[0].0);
+    check(&engines.s1, &queries[0].0);
+    check(&engines.s4, &queries[0].0);
 }
 
 #[test]
@@ -196,45 +285,56 @@ fn batched_answers_match_single_queries_across_worker_counts() {
     // `serve_batch(batch)[i] == query(&batch[i])`: homogeneous runs are
     // where panels actually form (alternating kinds make panels of one), and
     // a request's answer must not depend on the panel or the worker it lands
-    // in, for Mogul and MogulE alike.
+    // in, for Mogul and MogulE alike, on every engine.
+    fn check<S: ServeSnapshot>(server: &Server<S>, batch: &[QueryRequest], what: &str) {
+        let batched = server.serve_batch(batch);
+        for (i, request) in batch.iter().enumerate() {
+            let want = server.query(request).unwrap();
+            let what = format!("{what}, workers={}, request {i}", server.workers());
+            assert_same(&want, batched[i].as_ref().unwrap(), &what);
+        }
+    }
     let (db, queries) = dataset();
+    // Runs longer than the longest job of any engine here (`PANEL_WIDTH`
+    // per shard, four shards), so every engine cuts them: a long
+    // in-database run, a long out-of-sample run, a k change in the middle
+    // of a run (splits the panel), alternating kinds with mixed k, and a
+    // ragged tail.
+    let long = PANEL_WIDTH * 4 + 5;
+    let mut batch = Vec::new();
+    for i in 0..long {
+        batch.push(QueryRequest::in_database(i * 5 % db.len(), 4));
+    }
+    for i in 0..long {
+        batch.push(QueryRequest::out_of_sample(
+            queries[i % queries.len()].0.clone(),
+            6,
+        ));
+    }
+    batch.push(QueryRequest::in_database(1, 4));
+    batch.push(QueryRequest::in_database(2, 9));
+    batch.push(QueryRequest::in_database(3, 4));
+    batch.extend(mixed_batch(&db, &queries));
+    batch.push(QueryRequest::in_database(4, 4));
+
     for exact in [false, true] {
-        let mut builder = RetrievalEngine::builder();
-        if exact {
-            builder = builder.exact_ranking();
-        }
-        let engine = builder.build(db.features().to_vec()).unwrap();
-        let index = Arc::new(engine.into_out_of_sample());
-
-        // A long in-database run, a long out-of-sample run, a k change in
-        // the middle of a run (splits the panel), and a ragged tail.
-        let mut batch = Vec::new();
-        for i in 0..21 {
-            batch.push(QueryRequest::in_database(i * 5 % db.len(), 4));
-        }
-        for (feature, _) in queries.iter().take(11) {
-            batch.push(QueryRequest::out_of_sample(feature.clone(), 6));
-        }
-        batch.push(QueryRequest::in_database(1, 4));
-        batch.push(QueryRequest::in_database(2, 9));
-        batch.push(QueryRequest::in_database(3, 4));
-
+        let snapshots = snapshots(&db, exact);
         for workers in [1usize, 2, 3, 8] {
-            let server = QueryServer::new(Arc::clone(&index), ServeOptions::with_workers(workers));
-            let batched = server.serve_batch(&batch);
-            for (i, request) in batch.iter().enumerate() {
-                let want = server.query(request).unwrap();
-                match (&want, batched[i].as_ref().unwrap()) {
-                    (QueryResponse::InDatabase(a), QueryResponse::InDatabase(b)) => {
-                        assert_eq!(a, b, "request {i} (exact={exact}, workers={workers})")
-                    }
-                    (QueryResponse::OutOfSample(a), QueryResponse::OutOfSample(b)) => {
-                        assert_eq!(a.top_k, b.top_k, "request {i} (exact={exact})");
-                        assert_eq!(a.neighbors, b.neighbors);
-                        assert_eq!(a.stats, b.stats);
-                    }
-                    _ => panic!("response kinds diverge at {i}"),
-                }
+            let engines = snapshots.servers(workers);
+            check(
+                &engines.single,
+                &batch,
+                &format!("single index, exact={exact}"),
+            );
+            check(&engines.s1, &batch, &format!("S = 1, exact={exact}"));
+            check(&engines.s4, &batch, &format!("S = 4, exact={exact}"));
+
+            // One shard is the single index with an id router in front.
+            let unsharded = engines.single.serve_batch(&batch);
+            let sharded = engines.s1.serve_batch(&batch);
+            for (i, (want, got)) in unsharded.iter().zip(&sharded).enumerate() {
+                let what = format!("S = 1 vs unsharded, exact={exact}, request {i}");
+                assert_same(want.as_ref().unwrap(), got.as_ref().unwrap(), &what);
             }
         }
     }
@@ -244,60 +344,64 @@ fn batched_answers_match_single_queries_across_worker_counts() {
 fn panel_jobs_keep_per_request_error_isolation() {
     // An invalid request in the middle of a compatible run must not cost
     // its healthy neighbours their answers.
+    fn check<S: ServeSnapshot>(server: &Server<S>) {
+        let batch = vec![
+            QueryRequest::in_database(0, 5),
+            QueryRequest::in_database(1, 5),
+            QueryRequest::in_database(server.len() + 7, 5), // invalid, same panel
+            QueryRequest::in_database(2, 5),
+            QueryRequest::in_database(3, 5),
+        ];
+        let answers = server.serve_batch(&batch);
+        assert!(answers[0].is_ok());
+        assert!(answers[1].is_ok());
+        assert!(
+            matches!(answers[2], Err(ServeError::BadRequest { .. })),
+            "an unknown id must be rejected at admission with a typed BadRequest, got {:?}",
+            answers[2]
+        );
+        assert!(answers[3].is_ok());
+        assert!(answers[4].is_ok());
+    }
     let (db, _) = dataset();
-    let engine = RetrievalEngine::builder()
-        .build(db.features().to_vec())
-        .unwrap();
-    let server = QueryServer::from_engine(engine, ServeOptions::with_workers(1));
-    let batch = vec![
-        QueryRequest::in_database(0, 5),
-        QueryRequest::in_database(1, 5),
-        QueryRequest::in_database(db.len() + 7, 5), // invalid, same panel
-        QueryRequest::in_database(2, 5),
-        QueryRequest::in_database(3, 5),
-    ];
-    let answers = server.serve_batch(&batch);
-    assert!(answers[0].is_ok());
-    assert!(answers[1].is_ok());
-    assert!(
-        matches!(answers[2], Err(ServeError::BadRequest { .. })),
-        "an unknown id must be rejected at admission with a typed BadRequest, got {:?}",
-        answers[2]
-    );
-    assert!(answers[3].is_ok());
-    assert!(answers[4].is_ok());
+    let engines = engines(&db, 1);
+    check(&engines.single);
+    check(&engines.s1);
+    check(&engines.s4);
 }
 
 #[test]
 fn admission_validation_rejects_malformed_requests_with_typed_errors() {
-    let (db, _) = dataset();
-    let engine = RetrievalEngine::builder()
-        .build(db.features().to_vec())
-        .unwrap();
-    let dim = db.features()[0].len();
-    let server = QueryServer::from_engine(engine, ServeOptions::with_workers(1));
     // k = 0, unknown id, wrong dimension, and a non-finite component are all
     // BadRequest — and none of them reach the solve path.
-    for request in [
-        QueryRequest::in_database(0, 0),
-        QueryRequest::in_database(db.len() + 1, 5),
-        QueryRequest::out_of_sample(vec![0.25; dim + 3], 5),
-        QueryRequest::out_of_sample(
-            {
-                let mut f = vec![0.25; dim];
-                f[dim / 2] = f64::NAN;
-                f
-            },
-            5,
-        ),
-    ] {
-        match server.query(&request) {
-            Err(ServeError::BadRequest { reason }) => {
-                assert!(!reason.is_empty(), "reason must name the violation")
+    fn check<S: ServeSnapshot>(server: &Server<S>, dim: usize) {
+        for request in [
+            QueryRequest::in_database(0, 0),
+            QueryRequest::in_database(server.len() + 1, 5),
+            QueryRequest::out_of_sample(vec![0.25; dim + 3], 5),
+            QueryRequest::out_of_sample(
+                {
+                    let mut f = vec![0.25; dim];
+                    f[dim / 2] = f64::NAN;
+                    f
+                },
+                5,
+            ),
+        ] {
+            match server.query(&request) {
+                Err(ServeError::BadRequest { reason }) => {
+                    assert!(!reason.is_empty(), "reason must name the violation")
+                }
+                other => panic!("expected BadRequest for {request:?}, got {other:?}"),
             }
-            other => panic!("expected BadRequest for {request:?}, got {other:?}"),
         }
     }
+    let (db, _) = dataset();
+    let dim = db.features()[0].len();
+    let engines = engines(&db, 1);
+    check(&engines.single, dim);
+    check(&engines.s1, dim);
+    check(&engines.s4, dim);
     // Retryability is part of the contract: overload sheds are retryable,
     // client mistakes are not.
     assert!(ServeError::Overloaded {
@@ -315,9 +419,8 @@ fn admission_validation_rejects_malformed_requests_with_typed_errors() {
 #[test]
 fn empty_batch_is_a_no_op() {
     let (db, _) = dataset();
-    let engine = RetrievalEngine::builder()
-        .build(db.features().to_vec())
-        .unwrap();
-    let server = QueryServer::from_engine(engine, ServeOptions::with_workers(4));
-    assert!(server.serve_batch(&[]).is_empty());
+    let engines = engines(&db, 4);
+    assert!(engines.single.serve_batch(&[]).is_empty());
+    assert!(engines.s1.serve_batch(&[]).is_empty());
+    assert!(engines.s4.serve_batch(&[]).is_empty());
 }
