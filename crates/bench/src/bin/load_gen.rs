@@ -1,11 +1,13 @@
-//! Socket-level load generator for the network front door: drives a running
-//! `serve_net` (or any `MGW1` server) with closed- and open-loop load and
-//! merges the measured saturation rows into `BENCH_query.json`.
+//! Socket-level load generator for the network front door: an operator tool
+//! that drives a running `serve_net` (or any `MGW1` server) with closed- and
+//! open-loop load, prints one table row per scenario to stderr and keeps its
+//! gates in the exit code. It writes no file; performance claims rest on
+//! `BENCHMARK.json` (see `docs/PERFORMANCE.md`).
 //!
 //! ```text
 //! cargo run --release -p mogul-bench --bin load_gen -- --addr HOST:PORT [options]
 //!   --smoke          short run: closed-loop only, asserts zero shed at trivial
-//!                    load, writes target/BENCH_query.net.smoke.json
+//!                    load
 //!   --drain          send a drain request when done (shuts the server down)
 //!   --chaos-seed N   also run a chaos loop: route queries through a seeded
 //!                    fault-injection proxy (drops, delays, truncations,
@@ -13,29 +15,30 @@
 //!                    query still completes (row `net_chaos_c1`)
 //! ```
 //!
-//! Scenarios (rows are merged into the baseline file by name, alongside the
-//! in-process rows written by `perf_baseline`):
+//! Scenarios:
 //!
 //! * `net_closed_c{1,2,4}` — closed loop: N connections, each issuing one
 //!   in-database query at a time. Measures the latency floor and how it
-//!   scales with concurrency; `p50_us`/`p95_us` are per-query round trips.
+//!   scales with concurrency; p50 / p95 are per-query round trips.
 //! * `net_open_half` — open loop at ~0.5x the closed-loop capacity: the
 //!   healthy regime; sheds must be zero.
 //! * `net_open_10x` — open loop at ~10x capacity: the overload regime; the
 //!   server must keep answering at its capacity and shed the excess with
-//!   typed `Overloaded` frames (the row records the *successful* completions;
-//!   shed counts go to stderr and are asserted > 0).
+//!   typed `Overloaded` frames (the row's latencies are those of the
+//!   *successful* completions; the shed count is asserted > 0).
 //! * `net_chaos_c1` (with `--chaos-seed`) — closed loop through a
 //!   corrupting proxy, driven by the failover client: measures the
 //!   end-to-end latency of queries that may need retries, and asserts the
 //!   resilience contract (every query completes, zero non-typed failures).
 //!
+//! Open-loop request `i` is *due* at `started + interval x i` and its latency
+//! runs from that due time, so a generator or server stall is charged to
+//! every request it delays; `late p99` beside the row is how far behind its
+//! schedule the generator itself sent.
+//!
 //! The generator never panics on a shed — typed `Overloaded`/`Draining`
 //! responses are part of the contract being measured.
 
-use mogul_bench::baseline::{
-    merge_rows, parse_scenarios, percentile_us, render_json, validate_json, ScenarioRow,
-};
 use mogul_serve::net::NetClient;
 use mogul_serve::resilience::{FaultPlan, FaultProxy, ReplicaSet, ReplicaSetConfig};
 use mogul_serve::{QueryRequest, ServeError};
@@ -101,8 +104,8 @@ fn connect(addr: &str) -> NetClient {
 }
 
 /// Closed loop: `conns` connections, each issuing one query at a time for
-/// `duration`. Returns (latencies in seconds, completed queries).
-fn closed_loop(addr: &str, items: usize, conns: usize, duration: Duration) -> (Vec<f64>, usize) {
+/// `duration`. Returns one latency (seconds) per completed query.
+fn closed_loop(addr: &str, items: usize, conns: usize, duration: Duration) -> Vec<f64> {
     let deadline = Instant::now() + duration;
     let handles: Vec<_> = (0..conns)
         .map(|c| {
@@ -131,81 +134,86 @@ fn closed_loop(addr: &str, items: usize, conns: usize, duration: Duration) -> (V
     for handle in handles {
         all.extend(handle.join().expect("closed-loop worker panicked"));
     }
-    let completed = all.len();
-    (all, completed)
+    all
 }
 
 /// Open loop: send at a fixed rate regardless of completions (one pipelined
 /// connection; a reader thread drains responses concurrently). Returns
-/// (latencies of successful queries, completed, shed).
+/// (latencies of successful queries from their due times, shed, how late
+/// the generator sent each request).
 fn open_loop(
     addr: &str,
     items: usize,
     rate_qps: f64,
     duration: Duration,
-) -> (Vec<f64>, usize, usize) {
-    let sender = connect(addr);
-    let receiver = sender.try_clone().expect("clone socket");
-    let mut sender = sender;
+) -> (Vec<f64>, usize, Vec<f64>) {
+    let mut sender = connect(addr);
+    let mut receiver = sender.try_clone().expect("clone socket");
     let total = (rate_qps * duration.as_secs_f64()).max(1.0) as usize;
+    let interval = Duration::from_secs_f64(1.0 / rate_qps);
+    let started = Instant::now();
+    // When the request with (0-based) sequence number `i` is due.
+    let due_of = move |i: u64| started + interval.mul_f64(i as f64);
 
     // Responses on a pipelined connection may complete out of order (the
-    // worker pool races); pair each response with its send time by request
-    // id, fed through a channel alongside the sends.
-    let (times_tx, times_rx) = std::sync::mpsc::channel::<(u64, Instant)>();
+    // worker pool races); a fresh connection numbers its requests from 1 in
+    // send order, so the id alone names the due time.
     let reader = std::thread::spawn(move || {
-        let mut receiver = receiver;
-        let mut pending: std::collections::HashMap<u64, Instant> = std::collections::HashMap::new();
         let mut latencies = Vec::new();
-        let mut completed = 0usize;
         let mut shed = 0usize;
         for _ in 0..total {
             let (id, answer) = receiver.recv_answer().expect("open-loop response missing");
-            let sent_at = loop {
-                if let Some(at) = pending.remove(&id) {
-                    break at;
-                }
-                // The response can only arrive after its send, so the time
-                // is either already here or one channel recv away.
-                let (got, at) = times_rx.recv().expect("send-time channel closed early");
-                pending.insert(got, at);
-            };
+            assert!(
+                (1..=total as u64).contains(&id),
+                "answer to request id {id}, which was never sent"
+            );
             match answer {
-                Ok(_) => {
-                    latencies.push(sent_at.elapsed().as_secs_f64());
-                    completed += 1;
-                }
+                Ok(_) => latencies.push(due_of(id - 1).elapsed().as_secs_f64()),
                 Err(ServeError::Overloaded { .. }) | Err(ServeError::Draining) => shed += 1,
                 Err(other) => panic!("unexpected open-loop rejection: {other}"),
             }
         }
-        (latencies, completed, shed)
+        (latencies, shed)
     });
 
-    let interval = Duration::from_secs_f64(1.0 / rate_qps);
-    let started = Instant::now();
+    let mut late = Vec::with_capacity(total);
     for i in 0..total {
-        let target = started + interval.mul_f64(i as f64);
-        if let Some(wait) = target.checked_duration_since(Instant::now()) {
+        let due = due_of(i as u64);
+        if let Some(wait) = due.checked_duration_since(Instant::now()) {
             std::thread::sleep(wait);
         }
-        let sent_at = Instant::now();
+        late.push(due.elapsed().as_secs_f64());
         let id = sender
             .send_query(&QueryRequest::in_database((i * 131) % items, 10))
             .expect("open-loop send failed");
-        times_tx.send((id, sent_at)).expect("reader hung up");
+        assert_eq!(id, i as u64 + 1, "request ids follow send order");
     }
-    drop(times_tx);
-    reader.join().expect("open-loop reader panicked")
+    let (latencies, shed) = reader.join().expect("open-loop reader panicked");
+    (latencies, shed, late)
 }
 
-fn row(name: &str, latencies: &[f64], completed: usize, wall: Duration) -> ScenarioRow {
-    ScenarioRow {
-        name: name.to_string(),
-        p50_us: percentile_us(latencies, 0.50),
-        p95_us: percentile_us(latencies, 0.95),
-        qps: completed as f64 / wall.as_secs_f64().max(1e-9),
+/// Percentile (0.0 ..= 1.0) in microseconds of a sample in seconds.
+fn percentile_us(samples: &[f64], q: f64) -> f64 {
+    if samples.is_empty() {
+        return 0.0;
     }
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    sorted[((sorted.len() as f64 - 1.0) * q).round() as usize] * 1e6
+}
+
+/// Print one table row, `extra` being the scenario's own columns, and
+/// return the completion rate.
+fn print_row(name: &str, latencies: &[f64], wall: Duration, extra: &str) -> f64 {
+    let qps = latencies.len() as f64 / wall.as_secs_f64().max(1e-9);
+    eprintln!(
+        "  {:<16} p50 {:>9.1} us   p95 {:>9.1} us   {:>9.0} q/s{extra}",
+        name,
+        percentile_us(latencies, 0.50),
+        percentile_us(latencies, 0.95),
+        qps
+    );
+    qps
 }
 
 fn main() {
@@ -229,22 +237,20 @@ fn main() {
     } else {
         Duration::from_secs(3)
     };
-    let mut rows: Vec<ScenarioRow> = Vec::new();
+    // Queries this client saw answered, for the cross-check against the
+    // server's own count at the end.
+    let mut answered = 0usize;
 
     // -- closed loop -------------------------------------------------------
     let concurrencies: &[usize] = if args.smoke { &[1, 2] } else { &[1, 2, 4] };
     let mut capacity_qps = 0.0f64;
     for &c in concurrencies {
         let started = Instant::now();
-        let (latencies, completed) = closed_loop(&args.addr, items, c, duration);
-        let wall = started.elapsed();
-        let r = row(&format!("net_closed_c{c}"), &latencies, completed, wall);
-        eprintln!(
-            "  {:<16} p50 {:>9.1} us   p95 {:>9.1} us   {:>9.0} q/s",
-            r.name, r.p50_us, r.p95_us, r.qps
-        );
-        capacity_qps = capacity_qps.max(r.qps);
-        rows.push(r);
+        let latencies = closed_loop(&args.addr, items, c, duration);
+        let name = format!("net_closed_c{c}");
+        let qps = print_row(&name, &latencies, started.elapsed(), "");
+        capacity_qps = capacity_qps.max(qps);
+        answered += latencies.len();
     }
     assert!(capacity_qps > 0.0, "closed loop completed no queries");
 
@@ -253,13 +259,12 @@ fn main() {
         for (name, factor) in [("net_open_half", 0.5f64), ("net_open_10x", 10.0)] {
             let rate = (capacity_qps * factor).max(10.0);
             let started = Instant::now();
-            let (latencies, completed, shed) = open_loop(&args.addr, items, rate, duration);
-            let wall = started.elapsed();
-            let r = row(name, &latencies, completed, wall);
-            eprintln!(
-                "  {:<16} p50 {:>9.1} us   p95 {:>9.1} us   {:>9.0} q/s   offered {:>9.0} q/s   shed {}",
-                r.name, r.p50_us, r.p95_us, r.qps, rate, shed
+            let (latencies, shed, late) = open_loop(&args.addr, items, rate, duration);
+            let extra = format!(
+                "   offered {rate:>9.0} q/s   shed {shed}   late p99 {:.1} us",
+                percentile_us(&late, 0.99)
             );
+            print_row(name, &latencies, started.elapsed(), &extra);
             if factor < 1.0 {
                 assert_eq!(shed, 0, "the healthy open-loop regime must not shed");
             } else {
@@ -267,9 +272,12 @@ fn main() {
                     shed > 0,
                     "a {factor}x overload against a bounded queue must shed"
                 );
-                assert!(completed > 0, "overload must not starve admitted work");
+                assert!(
+                    !latencies.is_empty(),
+                    "overload must not starve admitted work"
+                );
             }
-            rows.push(r);
+            answered += latencies.len();
         }
     }
 
@@ -312,13 +320,9 @@ fn main() {
             assert_eq!(response.top_k().len(), 10);
             latencies.push(start.elapsed().as_secs_f64());
         }
-        let wall = started.elapsed();
-        let r = row("net_chaos_c1", &latencies, total, wall);
-        eprintln!(
-            "  {:<16} p50 {:>9.1} us   p95 {:>9.1} us   {:>9.0} q/s   seed {seed}  ({total} queries, all completed)",
-            r.name, r.p50_us, r.p95_us, r.qps
-        );
-        rows.push(r);
+        let extra = format!("   seed {seed}  ({total} queries, all completed)");
+        print_row("net_chaos_c1", &latencies, started.elapsed(), &extra);
+        answered += total;
     }
 
     // -- server-side accounting --------------------------------------------
@@ -332,7 +336,10 @@ fn main() {
         after.queue_depth,
         after.queue_capacity
     );
-    assert!(after.completed >= before.completed + rows[0].qps as u64 / 10);
+    assert!(
+        after.completed - before.completed >= answered as u64,
+        "the server counted fewer completions than the {answered} answers this client received"
+    );
     assert_eq!(
         after.bad_requests, before.bad_requests,
         "load_gen sent only valid requests"
@@ -343,35 +350,6 @@ fn main() {
             "smoke gate: trivial load must not shed"
         );
     }
-
-    // -- write the baseline rows -------------------------------------------
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("..")
-        .join("..");
-    let path = if args.smoke {
-        let dir = root.join("target");
-        std::fs::create_dir_all(&dir).expect("create target dir");
-        dir.join("BENCH_query.net.smoke.json")
-    } else {
-        root.join("BENCH_query.json")
-    };
-    let merged = match std::fs::read_to_string(&path) {
-        Ok(existing) => merge_rows(&parse_scenarios(&existing).unwrap_or_default(), &rows),
-        Err(_) => rows.clone(),
-    };
-    let json = render_json(&merged, args.smoke);
-    validate_json(&json).expect("load_gen emitted invalid JSON");
-    std::fs::write(&path, &json).expect("write baseline file");
-    let reread = std::fs::read_to_string(&path).expect("re-read baseline file");
-    let landed = parse_scenarios(&reread).expect("baseline file on disk is invalid");
-    for r in &rows {
-        assert!(
-            landed.iter().any(|l| l.name == r.name && l.qps > 0.0),
-            "row {} missing from the baseline file",
-            r.name
-        );
-    }
-    eprintln!("wrote {}", path.display());
 
     if args.drain {
         control.drain_server().expect("drain request failed");

@@ -1,22 +1,19 @@
 //! # mogul-bench
 //!
-//! Benchmark harness reproducing every table and figure of the paper's
-//! evaluation section.
-//!
-//! Two kinds of targets live here:
+//! Runners reproducing every table and figure of the paper's evaluation
+//! section, and two operator tools for the network front door.
 //!
 //! * **Figure/table runners** (`src/bin/fig*.rs`, `src/bin/table2*.rs`,
 //!   `src/bin/run_all.rs`): binaries that execute the experiments defined in
 //!   `mogul-eval` and print the same rows/series the paper reports. Run them
 //!   with `cargo run -p mogul-bench --release --bin <name> [scale]`, where
 //!   `scale` is one of `tiny`, `small`, `medium`, `large` (default `small`).
-//! * **Criterion benches** (`benches/*.rs`): micro/meso benchmarks of the
-//!   individual operations behind each figure, runnable with
-//!   `cargo bench -p mogul-bench`.
+//! * **`serve_net` / `load_gen`** (`src/bin/`): a standalone `MGW1` server
+//!   and a socket-level load generator that prints its table and keeps its
+//!   gates in the exit code. Neither is a benchmark of record: performance
+//!   claims rest on `BENCHMARK.json` (the `benchmark/` package).
 
 #![warn(missing_docs)]
-
-pub mod baseline;
 
 use mogul_data::suite::SuiteScale;
 use mogul_eval::ScenarioConfig;

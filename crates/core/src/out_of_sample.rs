@@ -354,30 +354,36 @@ impl OutOfSampleIndex {
         picked.clear();
         ws.candidates = picked;
 
-        // Heat-kernel weights over the neighbours, normalized to sum 1.
-        let sigma = {
-            let mean: f64 =
-                ws.scored.iter().map(|&(_, d)| d).sum::<f64>() / ws.scored.len().max(1) as f64;
-            mean.max(1e-12)
-        };
-        ws.weights.clear();
-        ws.weights.extend(
-            ws.scored
-                .iter()
-                .map(|&(node, d)| (node, (-d * d / (2.0 * sigma * sigma)).exp())),
-        );
-        let total: f64 = ws.weights.iter().map(|&(_, w)| w).sum();
-        if total > 1e-300 {
-            for w in ws.weights.iter_mut() {
-                w.1 /= total;
-            }
-        } else {
-            let uniform = 1.0 / ws.weights.len().max(1) as f64;
-            for w in ws.weights.iter_mut() {
-                w.1 = uniform;
-            }
-        }
+        heat_kernel_weights(&ws.scored, &mut ws.weights);
         Ok(())
+    }
+}
+
+/// Heat-kernel weights of an out-of-sample query over its selected
+/// `(node, distance)` neighbours, written to `weights`: `σ` is the mean
+/// distance, each weight is `exp(−d²/2σ²)`, and the weights are normalized
+/// to sum 1 (uniform when every one of them underflows).
+pub(crate) fn heat_kernel_weights(scored: &[(usize, f64)], weights: &mut Vec<(usize, f64)>) {
+    let sigma = {
+        let mean: f64 = scored.iter().map(|&(_, d)| d).sum::<f64>() / scored.len().max(1) as f64;
+        mean.max(1e-12)
+    };
+    weights.clear();
+    weights.extend(
+        scored
+            .iter()
+            .map(|&(node, d)| (node, (-d * d / (2.0 * sigma * sigma)).exp())),
+    );
+    let total: f64 = weights.iter().map(|&(_, w)| w).sum();
+    if total > 1e-300 {
+        for w in weights.iter_mut() {
+            w.1 /= total;
+        }
+    } else {
+        let uniform = 1.0 / weights.len().max(1) as f64;
+        for w in weights.iter_mut() {
+            w.1 = uniform;
+        }
     }
 }
 

@@ -196,11 +196,6 @@ impl ShardRouter {
         self.base_total
     }
 
-    /// Number of overflow ids handed out so far.
-    pub fn overflow_len(&self) -> usize {
-        self.overflow.len()
-    }
-
     /// Overflow global ids owned by `shard`, in insertion order.
     pub(crate) fn overflow_of_shard(&self, shard: usize) -> &[usize] {
         &self.overflow_of_shard[shard]

@@ -49,7 +49,9 @@ use crate::engine::RetrievalEngineBuilder;
 use crate::mogul::{
     MogulConfig, MogulIndex, SearchMode, SearchStats, SearchWorkspace, PANEL_WIDTH,
 };
-use crate::out_of_sample::{OutOfSampleConfig, OutOfSampleIndex, OutOfSampleResult};
+use crate::out_of_sample::{
+    heat_kernel_weights, OutOfSampleConfig, OutOfSampleIndex, OutOfSampleResult,
+};
 use crate::ranking::{check_k, RankedNode, TopKResult};
 use crate::topk::BoundedTopK;
 use crate::{CoreError, Result};
@@ -1320,8 +1322,7 @@ impl IndexSnapshot {
                 }
 
                 // Phase 1: exact nearest neighbours among live items, then
-                // normalized heat-kernel weights (mirrors
-                // `OutOfSampleIndex::query_in`).
+                // the same heat-kernel weights as `OutOfSampleIndex`.
                 let nn_start = Instant::now();
                 let num_neighbors = self.oos.config().num_neighbors;
                 ws.scored.clear();
@@ -1330,28 +1331,7 @@ impl IndexSnapshot {
                         .into_iter()
                         .map(|(u, d2)| (u, d2.sqrt())),
                 );
-                let sigma = {
-                    let mean: f64 = ws.scored.iter().map(|&(_, d)| d).sum::<f64>()
-                        / ws.scored.len().max(1) as f64;
-                    mean.max(1e-12)
-                };
-                ws.weights.clear();
-                ws.weights.extend(
-                    ws.scored
-                        .iter()
-                        .map(|&(node, d)| (node, (-d * d / (2.0 * sigma * sigma)).exp())),
-                );
-                let total: f64 = ws.weights.iter().map(|&(_, w)| w).sum();
-                if total > 1e-300 {
-                    for w in ws.weights.iter_mut() {
-                        w.1 /= total;
-                    }
-                } else {
-                    let uniform = 1.0 / ws.weights.len().max(1) as f64;
-                    for w in ws.weights.iter_mut() {
-                        w.1 = uniform;
-                    }
-                }
+                heat_kernel_weights(&ws.scored, &mut ws.weights);
                 let nearest_neighbor_secs = nn_start.elapsed().as_secs_f64();
 
                 // Phase 2: corrected solve over the weighted query vector.

@@ -639,3 +639,52 @@ fn scatter_gather_is_merge_scatter_over_the_probed_legs() {
         }
     }
 }
+
+#[test]
+fn parallel_build_report_follows_the_config_and_answers_like_the_serial_build() {
+    // The report says scoped threads were used exactly when the config asks
+    // for them and there is more than one shard — a statement about the
+    // build path taken, so it holds whatever the core count.
+    let features = translated_clusters(4, 8, 3);
+    let build = |shards: usize, parallel: bool| {
+        let config = ShardedConfig::with_shards(shards)
+            .builder(builder(false))
+            .parallel(parallel);
+        ShardedIndex::build(features.clone(), config).unwrap()
+    };
+    let (parallel, parallel_report) = build(4, true);
+    let (serial, serial_report) = build(4, false);
+    assert!(parallel_report.parallel);
+    assert!(!serial_report.parallel);
+    assert!(
+        !build(1, true).1.parallel,
+        "one shard has nothing to spread"
+    );
+    assert!(!build(1, false).1.parallel);
+
+    // The two S = 4 builds are the same index: same partition, same ids,
+    // same answers to the bit, in-database and out-of-sample.
+    assert_eq!(parallel_report.groups, serial_report.groups);
+    assert_eq!(parallel_report.id_of_position, serial_report.id_of_position);
+    let (a, b) = (parallel.snapshot(), serial.snapshot());
+    let mut ws = ShardedWorkspace::new();
+    for &global in &parallel_report.id_of_position {
+        let what = format!("in-database id {global}");
+        let want = b.query_by_id_in(&mut ws, global, QUERY_K).unwrap();
+        let got = a.query_by_id_in(&mut ws, global, QUERY_K).unwrap();
+        assert_bit_identical(&got, &want, &what);
+    }
+    for feature in [
+        vec![0.3, 0.5, 0.2],
+        vec![1000.4, 0.1, 0.9],
+        vec![2500.0, 0.5, 0.5],
+        vec![3000.1, 0.8, 0.3],
+    ] {
+        let what = format!("out-of-sample {feature:?}");
+        let want = b.query_by_feature_in(&mut ws, &feature, QUERY_K).unwrap();
+        let got = a.query_by_feature_in(&mut ws, &feature, QUERY_K).unwrap();
+        assert_bit_identical(&got.top_k, &want.top_k, &what);
+        assert_eq!(got.neighbors, want.neighbors, "{what}");
+        assert_eq!(got.stats, want.stats, "{what}");
+    }
+}
