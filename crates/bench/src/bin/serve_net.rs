@@ -15,13 +15,16 @@
 //! Prints exactly one `listening on <addr>` line to stdout once the socket
 //! is bound (scripts wait for it), then serves until a drain request
 //! ([`mogul_serve::net::FrameKind::Drain`] on the wire, e.g. from
-//! `load_gen --drain`) completes. Exits 0 after a clean drain.
+//! `load_gen --drain`) completes. Exits 0 after a clean drain. Progress goes
+//! to stderr, starting with one `kernel: avx2|scalar` line naming the lane
+//! kernel this host runs ([`mogul_sparse::active_kernel`]).
 
 use mogul_core::{MogulConfig, MogulIndex, OutOfSampleConfig, OutOfSampleIndex};
 use mogul_data::web::{web_like, WebLikeConfig};
 use mogul_graph::knn::{knn_graph, KnnConfig};
 use mogul_serve::net::NetServer;
 use mogul_serve::{QueryServer, ServeOptions};
+use mogul_sparse::KernelKind;
 use std::io::Write;
 use std::sync::Arc;
 
@@ -79,6 +82,8 @@ fn parse_args() -> Args {
 
 fn main() {
     let args = parse_args();
+    let avx2 = mogul_sparse::active_kernel() == KernelKind::Simd;
+    eprintln!("kernel: {}", if avx2 { "avx2" } else { "scalar" });
     let options = ServeOptions::builder()
         .workers(args.workers)
         .queue_capacity(args.queue_capacity)

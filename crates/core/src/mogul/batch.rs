@@ -44,9 +44,7 @@ use crate::ranking::{check_k, check_query, RankedNode, TopKResult};
 use crate::topk::BoundedTopK;
 use crate::Result;
 use mogul_graph::ordering::ClusterRange;
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-use mogul_sparse::kernel::Avx2Kernel;
-use mogul_sparse::kernel::{LaneKernel, ScalarKernel};
+use mogul_sparse::kernel::{dispatch, LaneKernel, Sweep};
 use mogul_sparse::{CsrMatrix, SolveWorkspace};
 use std::cmp::Ordering as CmpOrdering;
 
@@ -513,16 +511,16 @@ impl MogulIndex {
     /// the other lanes' entries stay zero.
     ///
     /// With more than [`MASKED_LANE_CUTOFF`] lanes active this runs the
-    /// full-width sweep through the active lane kernel (scalar, or AVX2
-    /// under the `simd` feature when the CPU supports it — bit-identical
-    /// either way, see `mogul_sparse::kernel`): an inactive lane's query
+    /// full-width sweep through the lane kernel `mogul_sparse::kernel`
+    /// picks (AVX2 where the CPU has it, scalar elsewhere — bit-identical
+    /// either way): an inactive lane's query
     /// panel is zero on the cluster, so the recurrence computes exact zeros
     /// for it, and the shared structure traversal beats per-lane passes.
     /// With only a few active lanes — always, on a panel that narrow — the
     /// over-compute and the kernel call per nonzero stop paying, and each
     /// active lane gets one tight strided scalar recurrence instead. The
-    /// choice is made here, before kernel dispatch, so both `simd` feature
-    /// configurations take the same path.
+    /// choice is made here, before kernel dispatch, so it is the same on
+    /// every host.
     fn forward_rows(
         &self,
         range: ClusterRange,
@@ -537,32 +535,14 @@ impl MogulIndex {
             }
             return;
         }
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        if let Some(kernel) = Avx2Kernel::if_active() {
-            // SAFETY: `try_new` inside `Avx2Kernel::if_active` proved AVX2
-            // is available on this CPU.
-            unsafe {
-                avx2_shells::forward(
-                    kernel,
-                    &self.factors.l,
-                    &self.factors.d,
-                    range,
-                    &ws.q_panel,
-                    &mut ws.y_panel,
-                    width,
-                )
-            };
-            return;
-        }
-        forward_range_sweep(
-            ScalarKernel,
-            &self.factors.l,
-            &self.factors.d,
+        dispatch(ForwardSweep {
+            l: &self.factors.l,
+            d: &self.factors.d,
             range,
-            &ws.q_panel,
-            &mut ws.y_panel,
+            q_panel: &ws.q_panel,
+            y_panel: &mut ws.y_panel,
             width,
-        );
+        });
     }
 
     /// Back substitution `U X' = Y` restricted to one cluster range for the
@@ -595,30 +575,13 @@ impl MogulIndex {
             }
             return;
         }
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        if let Some(kernel) = Avx2Kernel::if_active() {
-            // SAFETY: `try_new` inside `Avx2Kernel::if_active` proved AVX2
-            // is available on this CPU.
-            unsafe {
-                avx2_shells::back(
-                    kernel,
-                    &self.factors.u,
-                    range,
-                    &ws.y_panel,
-                    &mut ws.x_panel,
-                    width,
-                )
-            };
-            return;
-        }
-        back_range_sweep(
-            ScalarKernel,
-            &self.factors.u,
+        dispatch(BackSweep {
+            u: &self.factors.u,
             range,
-            &ws.y_panel,
-            &mut ws.x_panel,
+            y_panel: &ws.y_panel,
+            x_panel: &mut ws.x_panel,
             width,
-        );
+        });
     }
 
     /// Run Algorithm 2 over the staged panel, leaving one `(result, stats)`
@@ -878,10 +841,9 @@ fn back_range_lane(
 /// The full-width forward-recurrence sweep body, generic over the lane
 /// kernel (see [`MogulIndex::forward_rows`] for when it runs).
 ///
-/// `#[inline(always)]` so that instantiating this inside a
-/// `#[target_feature(enable = "avx2")]` shell inlines the kernel's
-/// intrinsics into the whole CSR traversal — one dispatch per cluster range,
-/// not one per node row.
+/// `#[inline(always)]`, like the [`Sweep`] that carries its arguments to
+/// [`dispatch`], so the kernel's intrinsics inline into the whole CSR
+/// traversal — one dispatch per cluster range, not one per node row.
 #[inline(always)]
 fn forward_range_sweep<K: LaneKernel>(
     kernel: K,
@@ -932,40 +894,54 @@ fn back_range_sweep<K: LaneKernel>(
     }
 }
 
-/// `#[target_feature(enable = "avx2")]` instantiations of the generic sweep
-/// bodies: the attribute lets the compiler emit AVX2 throughout the inlined
-/// traversal instead of fencing each kernel call behind a feature check.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-mod avx2_shells {
-    use super::*;
+/// [`forward_range_sweep`] over one cluster range.
+struct ForwardSweep<'a> {
+    l: &'a CsrMatrix,
+    d: &'a [f64],
+    range: ClusterRange,
+    q_panel: &'a [f64],
+    y_panel: &'a mut [f64],
+    width: usize,
+}
 
-    /// # Safety
-    /// The caller must have verified AVX2 support (holding an [`Avx2Kernel`]
-    /// is that proof).
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn forward(
-        kernel: Avx2Kernel,
-        l: &CsrMatrix,
-        d: &[f64],
-        range: ClusterRange,
-        q_panel: &[f64],
-        y_panel: &mut [f64],
-        width: usize,
-    ) {
+impl Sweep for ForwardSweep<'_> {
+    type Out = ();
+
+    #[inline(always)]
+    fn run<K: LaneKernel>(self, kernel: K) {
+        let Self {
+            l,
+            d,
+            range,
+            q_panel,
+            y_panel,
+            width,
+        } = self;
         forward_range_sweep(kernel, l, d, range, q_panel, y_panel, width)
     }
+}
 
-    /// # Safety
-    /// As in [`forward`].
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn back(
-        kernel: Avx2Kernel,
-        u: &CsrMatrix,
-        range: ClusterRange,
-        y_panel: &[f64],
-        x_panel: &mut [f64],
-        width: usize,
-    ) {
+/// [`back_range_sweep`] over one cluster range.
+struct BackSweep<'a> {
+    u: &'a CsrMatrix,
+    range: ClusterRange,
+    y_panel: &'a [f64],
+    x_panel: &'a mut [f64],
+    width: usize,
+}
+
+impl Sweep for BackSweep<'_> {
+    type Out = ();
+
+    #[inline(always)]
+    fn run<K: LaneKernel>(self, kernel: K) {
+        let Self {
+            u,
+            range,
+            y_panel,
+            x_panel,
+            width,
+        } = self;
         back_range_sweep(kernel, u, range, y_panel, x_panel, width)
     }
 }

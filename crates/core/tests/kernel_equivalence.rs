@@ -5,18 +5,37 @@
 //! batched result (scores, rankings, `SearchStats` work counters, pruning
 //! decisions) is bit-identical under the forced-scalar and forced-SIMD
 //! kernels, across panel widths, search modes and the masked shrinking-width
-//! transitions of pruned panels. Without `--features simd` the SIMD request
-//! falls back to scalar and the comparisons hold trivially; the CI feature
-//! matrix runs both configurations.
+//! transitions of pruned panels. The AVX2 kernel is compiled into every
+//! `x86_64` build, so on an AVX2 host each `==` here compares the real AVX2
+//! instructions with the scalar reference, and `pin_kernel` fails the test if
+//! a pin did not select the kernel it names; on any other host both pins run
+//! the scalar kernel, which is all such a host ever runs.
 //!
 //! This lives in its own test binary because `set_kernel_override` is
-//! process-wide: no other test shares the process, so forcing a kernel here
-//! cannot race another test's dispatch.
+//! process-wide, and the tests that use it take turns under [`KERNEL_PIN`]:
+//! a pin cannot be flipped by another test between `pin_kernel` and the
+//! search it is for.
 
 use mogul_core::{BatchWorkspace, CoreError, MogulConfig, MogulIndex, SearchMode, PANEL_WIDTH};
 use mogul_data::coil::{coil_like, CoilLikeConfig};
 use mogul_graph::knn::{knn_graph, KnnConfig};
-use mogul_sparse::{set_kernel_override, KernelKind};
+use mogul_sparse::{active_kernel, set_kernel_override, KernelKind};
+use std::sync::Mutex;
+
+/// Held by every test that pins a kernel, for as long as the pin matters.
+static KERNEL_PIN: Mutex<()> = Mutex::new(());
+
+/// Pin `kind` and check the pin took: the kernel named on an AVX2 host,
+/// scalar anywhere else.
+fn pin_kernel(kind: KernelKind) {
+    set_kernel_override(Some(kind));
+    #[cfg(target_arch = "x86_64")]
+    let avx2 = std::arch::is_x86_feature_detected!("avx2");
+    #[cfg(not(target_arch = "x86_64"))]
+    let avx2 = false;
+    let want = if avx2 { kind } else { KernelKind::Scalar };
+    assert_eq!(active_kernel(), want, "pin {kind:?}, AVX2 {avx2}");
+}
 
 fn build_indices() -> (MogulIndex, MogulIndex) {
     let data = coil_like(&CoilLikeConfig {
@@ -33,12 +52,12 @@ fn build_indices() -> (MogulIndex, MogulIndex) {
     (approx, exact)
 }
 
-/// Run `f` once with each kernel forced, clearing the override afterwards,
-/// and return both results.
+/// Run `f` once with each kernel pinned, clearing the override afterwards,
+/// and return both results. The caller holds [`KERNEL_PIN`].
 fn under_both_kernels<T>(mut f: impl FnMut() -> T) -> (T, T) {
-    set_kernel_override(Some(KernelKind::Scalar));
+    pin_kernel(KernelKind::Scalar);
     let scalar = f();
-    set_kernel_override(Some(KernelKind::Simd));
+    pin_kernel(KernelKind::Simd);
     let simd = f();
     set_kernel_override(None);
     (scalar, simd)
@@ -46,6 +65,7 @@ fn under_both_kernels<T>(mut f: impl FnMut() -> T) -> (T, T) {
 
 #[test]
 fn batched_searches_are_bit_identical_under_both_kernels() {
+    let _pin = KERNEL_PIN.lock().unwrap_or_else(|e| e.into_inner());
     let (approx, exact) = build_indices();
     let mut ws = BatchWorkspace::new();
     for (label, index) in [("incomplete", &approx), ("exact", &exact)] {
@@ -71,7 +91,7 @@ fn batched_searches_are_bit_identical_under_both_kernels() {
         // Pruning must actually fire somewhere for the masked transitions to
         // be covered (not just full-width sweeps).
         let all: Vec<usize> = (0..n).collect();
-        set_kernel_override(Some(KernelKind::Simd));
+        pin_kernel(KernelKind::Simd);
         let results = index
             .search_batch_in(&mut ws, &all, 10, SearchMode::Pruned)
             .unwrap();
@@ -85,6 +105,7 @@ fn batched_searches_are_bit_identical_under_both_kernels() {
 
 #[test]
 fn panel_solves_match_under_both_kernels() {
+    let _pin = KERNEL_PIN.lock().unwrap_or_else(|e| e.into_inner());
     let (approx, exact) = build_indices();
     let mut ws = BatchWorkspace::new();
     for index in [&approx, &exact] {

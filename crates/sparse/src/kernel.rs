@@ -6,11 +6,11 @@
 //! SIMD instructions. This module names those inner loops as an explicit
 //! [`LaneKernel`] trait with two implementations:
 //!
-//! * [`ScalarKernel`] — the plain `f64` loops the sweeps have always run.
-//!   Always available, always the default.
-//! * `Avx2Kernel` — AVX2 intrinsics (4 `f64` lanes per instruction),
-//!   compiled only under the `simd` cargo feature on `x86_64` and selected at
-//!   runtime only when the CPU reports AVX2 support.
+//! * [`ScalarKernel`] — plain `f64` loops: the path every target other than
+//!   `x86_64` runs, and the reference the identity batteries compare against.
+//! * an AVX2 kernel — intrinsics on 4 `f64` lanes per instruction, compiled
+//!   on every `x86_64` build and selected at run time only when the CPU
+//!   reports AVX2 support.
 //!
 //! # Exactness contract
 //!
@@ -29,94 +29,94 @@
 //! right-hand side, and a lane's sum has the bits of the row-by-row
 //! `squared_euclidean_unchecked` it replaces.
 //!
-//! # Dispatch rules
+//! # Dispatch
 //!
-//! [`active_kernel`] resolves once per call site in this order:
-//!
-//! 1. a process-wide override installed by [`set_kernel_override`]
-//!    (benchmarks and the bit-identity test batteries use this to pin a path);
-//! 2. [`KernelKind::Simd`] when the crate was built with `--features simd`,
-//!    the target is `x86_64` and the running CPU reports AVX2;
-//! 3. [`KernelKind::Scalar`] otherwise.
-//!
-//! Requesting [`KernelKind::Simd`] when the SIMD path is unavailable (feature
-//! off, non-x86 target, or no AVX2 at runtime) silently falls back to the
-//! scalar kernel — the request is a performance hint, never a correctness
-//! switch.
+//! A sweep is written once, generic over the kernel, as a [`Sweep`], and
+//! handed to [`dispatch`] — the only place in the workspace that chooses a
+//! kernel. It runs the sweep with the AVX2 kernel when the target is
+//! `x86_64`, the running CPU reports AVX2 and no scalar pin is installed
+//! ([`set_kernel_override`], for the bit-identity test batteries), and with
+//! [`ScalarKernel`] otherwise. [`active_kernel`] reports that choice.
 //!
 //! A sweep over a panel too narrow to feed a lane kernel (width 1 in
 //! [`triangular`](crate::triangular), at most two active lanes in
 //! `mogul-core`'s engine) runs one strided scalar recurrence per lane instead
 //! and never dispatches; the sweep decides that from the width it is given.
 
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Which kernel implementation a panel sweep should run.
+/// Which kernel implementation a panel sweep runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelKind {
-    /// Plain `f64` loops. Always available; the default.
+    /// Plain `f64` loops. Available everywhere.
     Scalar,
-    /// The vectorized path (AVX2 on `x86_64` under `--features simd`).
-    /// Falls back to [`KernelKind::Scalar`] when unavailable.
+    /// The vectorized path (AVX2 on `x86_64`).
     Simd,
 }
 
-/// Process-wide kernel override: 0 = none, 1 = force scalar, 2 = force SIMD.
-static KERNEL_OVERRIDE: AtomicU8 = AtomicU8::new(0);
+/// The process-wide scalar pin of [`set_kernel_override`].
+static FORCE_SCALAR: AtomicBool = AtomicBool::new(false);
 
-/// Whether the SIMD kernel can actually run in this process: the `simd`
-/// feature was compiled in, the target is `x86_64`, and the CPU has AVX2.
-pub fn simd_available() -> bool {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    {
-        use std::sync::OnceLock;
-        static DETECTED: OnceLock<bool> = OnceLock::new();
-        *DETECTED.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
-    }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-    {
-        false
-    }
+/// Pin the process to one kernel, or clear the pin with `None`.
+///
+/// For the bit-identity test batteries, which run one workload under both
+/// kernels and compare the results bit for bit. Only
+/// [`KernelKind::Scalar`] changes anything: [`KernelKind::Simd`] asks for
+/// what [`dispatch`] picks unpinned, and like it runs scalar on a host
+/// without AVX2.
+pub fn set_kernel_override(kind: Option<KernelKind>) {
+    FORCE_SCALAR.store(kind == Some(KernelKind::Scalar), Ordering::Relaxed);
 }
 
-/// The kernel the panel sweeps will use right now (override, then runtime
-/// detection, then scalar — see the module docs for the full dispatch rules).
+/// The kernel [`dispatch`] runs sweeps with right now.
 pub fn active_kernel() -> KernelKind {
-    match KERNEL_OVERRIDE.load(Ordering::Relaxed) {
-        1 => KernelKind::Scalar,
-        2 if simd_available() => KernelKind::Simd,
-        2 => KernelKind::Scalar,
-        _ => {
-            if simd_available() {
-                KernelKind::Simd
-            } else {
-                KernelKind::Scalar
-            }
+    struct Probe;
+    impl Sweep for Probe {
+        type Out = KernelKind;
+        fn run<K: LaneKernel>(self, _: K) -> KernelKind {
+            K::KIND
         }
     }
+    dispatch(Probe)
 }
 
-/// Install (or clear, with `None`) a process-wide kernel override.
-///
-/// Intended for benchmarks and for the bit-identity test batteries, which run
-/// the same workload under both kernels and compare results bit for bit.
-/// Forcing [`KernelKind::Simd`] where it is unavailable still runs scalar.
-pub fn set_kernel_override(kind: Option<KernelKind>) {
-    let code = match kind {
-        None => 0,
-        Some(KernelKind::Scalar) => 1,
-        Some(KernelKind::Simd) => 2,
-    };
-    KERNEL_OVERRIDE.store(code, Ordering::Relaxed);
+/// A traversal written once, generic over the [`LaneKernel`] that executes
+/// its per-node lane loops: the arguments of one sweep, run by [`dispatch`].
+pub trait Sweep {
+    /// What the sweep returns.
+    type Out;
+
+    /// Run the sweep with `kernel`. Mark the implementation
+    /// `#[inline(always)]`, so that the whole traversal, not only the
+    /// primitives, is compiled inside the kernel's shell and the intrinsics
+    /// inline into it.
+    fn run<K: LaneKernel>(self, kernel: K) -> Self::Out;
+}
+
+/// Run `sweep` with the kernel this process should use (see the module
+/// docs): one choice per sweep, not one per node row.
+pub fn dispatch<S: Sweep>(sweep: S) -> S::Out {
+    #[cfg(target_arch = "x86_64")]
+    if !FORCE_SCALAR.load(Ordering::Relaxed) {
+        if let Some(kernel) = avx2::Avx2Kernel::try_new() {
+            // SAFETY: holding an `Avx2Kernel` proves the CPU reported AVX2.
+            return unsafe { avx2::run(kernel, sweep) };
+        }
+    }
+    sweep.run(ScalarKernel)
 }
 
 /// The lane primitives every panel sweep is built from.
 ///
 /// Implementations must satisfy the exactness contract in the module docs:
 /// per lane, the same IEEE-754 operations in the same order as
-/// [`ScalarKernel`]. All slices passed to a kernel have equal length (the
-/// panel width); implementations may not read or write outside them.
+/// [`ScalarKernel`]. The slices passed to a primitive have equal length (the
+/// panel width); given unequal ones, every implementation stops at the
+/// shorter.
 pub trait LaneKernel: Copy {
+    /// What [`active_kernel`] reports while this implementation runs.
+    const KIND: KernelKind;
+
     /// `acc[b] -= v * x[b]` for every lane `b` — the elimination update of
     /// the forward/back substitution sweeps.
     fn axpy_neg(self, acc: &mut [f64], x: &[f64], v: f64);
@@ -140,6 +140,8 @@ pub trait LaneKernel: Copy {
 pub struct ScalarKernel;
 
 impl LaneKernel for ScalarKernel {
+    const KIND: KernelKind = KernelKind::Scalar;
+
     #[inline(always)]
     fn axpy_neg(self, acc: &mut [f64], x: &[f64], v: f64) {
         for (a, &xv) in acc.iter_mut().zip(x.iter()) {
@@ -170,127 +172,128 @@ impl LaneKernel for ScalarKernel {
     }
 }
 
-/// AVX2 implementation: 4 `f64` lanes per instruction, unaligned loads and
-/// stores (panels carry no alignment guarantee), remainder lanes scalar.
-///
-/// Only constructible through [`Avx2Kernel::try_new`], which performs the
-/// runtime CPUID check — holding a value is proof the instructions can run.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[derive(Debug, Clone, Copy)]
-pub struct Avx2Kernel(());
+/// The AVX2 kernel and the one shell that runs sweeps with it — the only
+/// architecture-specific region in the workspace.
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use super::{KernelKind, LaneKernel, Sweep};
+    use std::arch::x86_64::*;
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-impl Avx2Kernel {
-    /// The AVX2 kernel, if the running CPU supports it.
-    pub fn try_new() -> Option<Self> {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            Some(Avx2Kernel(()))
-        } else {
-            None
+    /// AVX2 implementation: 4 `f64` lanes per instruction, unaligned loads
+    /// and stores (panels carry no alignment guarantee), remainder lanes
+    /// scalar.
+    ///
+    /// Only constructible through [`Avx2Kernel::try_new`], which performs
+    /// the runtime CPUID check — holding a value is proof the instructions
+    /// can run.
+    #[derive(Debug, Clone, Copy)]
+    pub struct Avx2Kernel(());
+
+    impl Avx2Kernel {
+        /// The AVX2 kernel, if the running CPU supports it.
+        pub fn try_new() -> Option<Self> {
+            std::arch::is_x86_feature_detected!("avx2").then_some(Avx2Kernel(()))
         }
     }
 
-    /// The AVX2 kernel iff [`active_kernel`] currently selects the SIMD path
-    /// — what a sweep asks once, before choosing its instantiation.
-    pub fn if_active() -> Option<Self> {
-        match active_kernel() {
-            KernelKind::Simd => Self::try_new(),
-            KernelKind::Scalar => None,
-        }
-    }
-}
-
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-impl LaneKernel for Avx2Kernel {
-    #[inline(always)]
-    fn axpy_neg(self, acc: &mut [f64], x: &[f64], v: f64) {
-        use std::arch::x86_64::*;
-        let len = acc.len();
-        debug_assert_eq!(len, x.len());
-        // SAFETY: construction proved AVX2 is available; all pointer
-        // arithmetic stays inside the equal-length `acc` and `x` slices.
-        unsafe {
-            let vv = _mm256_set1_pd(v);
-            let mut i = 0usize;
-            while i + 4 <= len {
-                let a = _mm256_loadu_pd(acc.as_ptr().add(i));
-                let xv = _mm256_loadu_pd(x.as_ptr().add(i));
-                // mul + sub, never FMA: FMA skips the intermediate rounding
-                // step and would break bit-identity with the scalar kernel.
-                let prod = _mm256_mul_pd(vv, xv);
-                _mm256_storeu_pd(acc.as_mut_ptr().add(i), _mm256_sub_pd(a, prod));
-                i += 4;
-            }
-            while i < len {
-                *acc.get_unchecked_mut(i) -= v * *x.get_unchecked(i);
-                i += 1;
-            }
-        }
+    /// Run `sweep` with the AVX2 kernel: the attribute lets LLVM compile the
+    /// monomorphized, fully inlined sweep body with AVX2 enabled.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2, which holding an [`Avx2Kernel`] proves;
+    /// the function is `unsafe` only because `target_feature` requires it.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn run<S: Sweep>(kernel: Avx2Kernel, sweep: S) -> S::Out {
+        sweep.run(kernel)
     }
 
-    #[inline(always)]
-    fn div_store(self, out: &mut [f64], acc: &[f64], d: f64) {
-        use std::arch::x86_64::*;
-        let len = out.len();
-        debug_assert_eq!(len, acc.len());
-        // SAFETY: as in `axpy_neg`.
-        unsafe {
-            let dv = _mm256_set1_pd(d);
-            let mut i = 0usize;
-            while i + 4 <= len {
-                let a = _mm256_loadu_pd(acc.as_ptr().add(i));
-                _mm256_storeu_pd(out.as_mut_ptr().add(i), _mm256_div_pd(a, dv));
-                i += 4;
-            }
-            while i < len {
-                *out.get_unchecked_mut(i) = *acc.get_unchecked(i) / d;
-                i += 1;
+    impl LaneKernel for Avx2Kernel {
+        const KIND: KernelKind = KernelKind::Simd;
+
+        #[inline(always)]
+        fn axpy_neg(self, acc: &mut [f64], x: &[f64], v: f64) {
+            let len = acc.len().min(x.len());
+            // SAFETY: construction proved AVX2 is available; all pointer
+            // arithmetic stays below `len`, inside both `acc` and `x`.
+            unsafe {
+                let vv = _mm256_set1_pd(v);
+                let mut i = 0usize;
+                while i + 4 <= len {
+                    let a = _mm256_loadu_pd(acc.as_ptr().add(i));
+                    let xv = _mm256_loadu_pd(x.as_ptr().add(i));
+                    // mul + sub, never FMA: FMA skips the intermediate
+                    // rounding step and would break bit-identity with the
+                    // scalar kernel.
+                    let prod = _mm256_mul_pd(vv, xv);
+                    _mm256_storeu_pd(acc.as_mut_ptr().add(i), _mm256_sub_pd(a, prod));
+                    i += 4;
+                }
+                while i < len {
+                    *acc.get_unchecked_mut(i) -= v * *x.get_unchecked(i);
+                    i += 1;
+                }
             }
         }
-    }
 
-    #[inline(always)]
-    fn div_assign(self, row: &mut [f64], d: f64) {
-        use std::arch::x86_64::*;
-        let len = row.len();
-        // SAFETY: as in `axpy_neg`.
-        unsafe {
-            let dv = _mm256_set1_pd(d);
-            let mut i = 0usize;
-            while i + 4 <= len {
-                let a = _mm256_loadu_pd(row.as_ptr().add(i));
-                _mm256_storeu_pd(row.as_mut_ptr().add(i), _mm256_div_pd(a, dv));
-                i += 4;
-            }
-            while i < len {
-                let p = row.get_unchecked_mut(i);
-                *p /= d;
-                i += 1;
+        #[inline(always)]
+        fn div_store(self, out: &mut [f64], acc: &[f64], d: f64) {
+            let len = out.len().min(acc.len());
+            // SAFETY: as in `axpy_neg`.
+            unsafe {
+                let dv = _mm256_set1_pd(d);
+                let mut i = 0usize;
+                while i + 4 <= len {
+                    let a = _mm256_loadu_pd(acc.as_ptr().add(i));
+                    _mm256_storeu_pd(out.as_mut_ptr().add(i), _mm256_div_pd(a, dv));
+                    i += 4;
+                }
+                while i < len {
+                    *out.get_unchecked_mut(i) = *acc.get_unchecked(i) / d;
+                    i += 1;
+                }
             }
         }
-    }
 
-    #[inline(always)]
-    fn sq_diff_acc(self, acc: &mut [f64], x: &[f64], q: f64) {
-        use std::arch::x86_64::*;
-        let len = acc.len();
-        debug_assert_eq!(len, x.len());
-        // SAFETY: as in `axpy_neg`.
-        unsafe {
-            let qv = _mm256_set1_pd(q);
-            let mut i = 0usize;
-            while i + 4 <= len {
-                let a = _mm256_loadu_pd(acc.as_ptr().add(i));
-                let d = _mm256_sub_pd(qv, _mm256_loadu_pd(x.as_ptr().add(i)));
-                // mul + add, never FMA (see `axpy_neg`).
-                let sq = _mm256_mul_pd(d, d);
-                _mm256_storeu_pd(acc.as_mut_ptr().add(i), _mm256_add_pd(a, sq));
-                i += 4;
+        #[inline(always)]
+        fn div_assign(self, row: &mut [f64], d: f64) {
+            let len = row.len();
+            // SAFETY: as in `axpy_neg`.
+            unsafe {
+                let dv = _mm256_set1_pd(d);
+                let mut i = 0usize;
+                while i + 4 <= len {
+                    let a = _mm256_loadu_pd(row.as_ptr().add(i));
+                    _mm256_storeu_pd(row.as_mut_ptr().add(i), _mm256_div_pd(a, dv));
+                    i += 4;
+                }
+                while i < len {
+                    let p = row.get_unchecked_mut(i);
+                    *p /= d;
+                    i += 1;
+                }
             }
-            while i < len {
-                let d = q - *x.get_unchecked(i);
-                *acc.get_unchecked_mut(i) += d * d;
-                i += 1;
+        }
+
+        #[inline(always)]
+        fn sq_diff_acc(self, acc: &mut [f64], x: &[f64], q: f64) {
+            let len = acc.len().min(x.len());
+            // SAFETY: as in `axpy_neg`.
+            unsafe {
+                let qv = _mm256_set1_pd(q);
+                let mut i = 0usize;
+                while i + 4 <= len {
+                    let a = _mm256_loadu_pd(acc.as_ptr().add(i));
+                    let d = _mm256_sub_pd(qv, _mm256_loadu_pd(x.as_ptr().add(i)));
+                    // mul + add, never FMA (see `axpy_neg`).
+                    let sq = _mm256_mul_pd(d, d);
+                    _mm256_storeu_pd(acc.as_mut_ptr().add(i), _mm256_add_pd(a, sq));
+                    i += 4;
+                }
+                while i < len {
+                    let d = q - *x.get_unchecked(i);
+                    *acc.get_unchecked_mut(i) += d * d;
+                    i += 1;
+                }
             }
         }
     }
@@ -318,12 +321,23 @@ pub fn tile_sq_distances<const LANES: usize>(
     bound: f64,
 ) -> Option<[f64; LANES]> {
     assert_eq!(tile.len(), query.len() * LANES, "tile and query widths");
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if let Some(k) = Avx2Kernel::if_active() {
-        // SAFETY: holding an `Avx2Kernel` proves AVX2 is available.
-        return unsafe { tile_sq_distances_avx2(k, tile, query, bound) };
+    dispatch(TileDistances::<LANES> { tile, query, bound })
+}
+
+/// The arguments of [`tile_sq_distances_with`], as [`dispatch`] takes them.
+struct TileDistances<'a, const LANES: usize> {
+    tile: &'a [f64],
+    query: &'a [f64],
+    bound: f64,
+}
+
+impl<const LANES: usize> Sweep for TileDistances<'_, LANES> {
+    type Out = Option<[f64; LANES]>;
+
+    #[inline(always)]
+    fn run<K: LaneKernel>(self, kern: K) -> Self::Out {
+        tile_sq_distances_with(kern, self.tile, self.query, self.bound)
     }
-    tile_sq_distances_with(ScalarKernel, tile, query, bound)
 }
 
 #[inline(always)]
@@ -346,20 +360,6 @@ fn tile_sq_distances_with<K: LaneKernel, const LANES: usize>(
         }
     }
     Some(acc)
-}
-
-// SAFETY: callable only with an `Avx2Kernel`, whose construction performed the
-// runtime AVX2 check; the attribute lets LLVM compile the monomorphized body,
-// intrinsics inlined, with AVX2 enabled (as the shells in `triangular`).
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[target_feature(enable = "avx2")]
-unsafe fn tile_sq_distances_avx2<const LANES: usize>(
-    kern: Avx2Kernel,
-    tile: &[f64],
-    query: &[f64],
-    bound: f64,
-) -> Option<[f64; LANES]> {
-    tile_sq_distances_with(kern, tile, query, bound)
 }
 
 #[cfg(test)]
@@ -438,21 +438,22 @@ mod tests {
         }
     }
 
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     #[test]
     fn avx2_kernel_is_bit_identical_to_scalar() {
-        let Some(avx2) = Avx2Kernel::try_new() else {
+        let Some(avx2) = avx2::Avx2Kernel::try_new() else {
             return; // CPU without AVX2: nothing to compare.
         };
-        // Every length 0..=19 so all remainder shapes are covered.
+        // Every length 0..=19 so all remainder shapes are covered; `x` one
+        // longer than the rest so "stops at the shorter" is too.
         for len in 0..20usize {
-            let x: Vec<f64> = (0..len).map(|i| 0.1 + i as f64 * 0.3).collect();
+            let x: Vec<f64> = (0..=len).map(|i| 0.1 + i as f64 * 0.3).collect();
             let base: Vec<f64> = (0..len).map(|i| 1.7 - i as f64 * 0.913).collect();
             let (mut a_s, mut a_v) = (base.clone(), base.clone());
             ScalarKernel.axpy_neg(&mut a_s, &x, 0.37);
             avx2.axpy_neg(&mut a_v, &x, 0.37);
             assert_eq!(a_s, a_v, "axpy_neg len {len}");
-            let (mut o_s, mut o_v) = (vec![0.0; len], vec![0.0; len]);
+            let (mut o_s, mut o_v) = (vec![0.0; len + 1], vec![0.0; len + 1]);
             ScalarKernel.div_store(&mut o_s, &a_s, 0.7);
             avx2.div_store(&mut o_v, &a_v, 0.7);
             assert_eq!(o_s, o_v, "div_store len {len}");
@@ -460,7 +461,7 @@ mod tests {
             ScalarKernel.div_assign(&mut r_s, -3.3);
             avx2.div_assign(&mut r_v, -3.3);
             assert_eq!(r_s, r_v, "div_assign len {len}");
-            let (mut q_s, mut q_v) = (o_s.clone(), o_v.clone());
+            let (mut q_s, mut q_v) = (a_s.clone(), a_v.clone());
             ScalarKernel.sq_diff_acc(&mut q_s, &x, 0.37);
             avx2.sq_diff_acc(&mut q_v, &x, 0.37);
             assert_eq!(q_s, q_v, "sq_diff_acc len {len}");
@@ -471,18 +472,16 @@ mod tests {
     fn override_controls_dispatch() {
         set_kernel_override(Some(KernelKind::Scalar));
         assert_eq!(active_kernel(), KernelKind::Scalar);
+        // A SIMD pin is the unpinned choice: AVX2 exactly where the CPU
+        // has it.
         set_kernel_override(Some(KernelKind::Simd));
-        if simd_available() {
-            assert_eq!(active_kernel(), KernelKind::Simd);
-        } else {
-            assert_eq!(active_kernel(), KernelKind::Scalar);
-        }
+        let pinned = active_kernel();
         set_kernel_override(None);
-        let expected = if simd_available() {
-            KernelKind::Simd
-        } else {
-            KernelKind::Scalar
-        };
-        assert_eq!(active_kernel(), expected);
+        assert_eq!(active_kernel(), pinned);
+        #[cfg(target_arch = "x86_64")]
+        let avx2 = std::arch::is_x86_feature_detected!("avx2");
+        #[cfg(not(target_arch = "x86_64"))]
+        let avx2 = false;
+        assert_eq!(pinned == KernelKind::Simd, avx2);
     }
 }

@@ -18,8 +18,8 @@
 //!   lone right-hand side is the panel of width 1.
 //! * [`kernel`] — the lane-kernel trait under every panel sweep and under the
 //!   tile distance kernel of k-NN graph construction: a scalar reference
-//!   implementation and a runtime-dispatched AVX2 implementation (behind the
-//!   `simd` cargo feature), bit-identical by construction.
+//!   implementation and an AVX2 implementation picked by CPUID in one
+//!   dispatcher, bit-identical by construction.
 //! * [`FeatureMatrix`] — the one contiguous, validated store of item feature
 //!   vectors every layer above reads from.
 //! * [`parallel`] — the audited `available_parallelism` policy
@@ -71,7 +71,7 @@ pub use dense::DenseMatrix;
 pub use error::{Result, SparseError};
 pub use features::FeatureMatrix;
 pub use ichol::{incomplete_ldl, incomplete_ldl_threaded, LdlFactors};
-pub use kernel::{active_kernel, set_kernel_override, simd_available, KernelKind};
+pub use kernel::{active_kernel, set_kernel_override, KernelKind};
 pub use ldl::{complete_ldl, complete_ldl_threaded, CompleteLdl};
 pub use parallel::effective_threads;
 pub use permutation::Permutation;

@@ -19,9 +19,7 @@
 
 use crate::csr::CsrMatrix;
 use crate::error::{Result, SparseError};
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-use crate::kernel::Avx2Kernel;
-use crate::kernel::{LaneKernel, ScalarKernel};
+use crate::kernel::{dispatch, LaneKernel, ScalarKernel, Sweep};
 
 /// Smallest pivot magnitude accepted before a solve is declared singular.
 const PIVOT_TOL: f64 = 1e-300;
@@ -31,8 +29,8 @@ const PIVOT_TOL: f64 = 1e-300;
 /// costs more than the arithmetic it performs (2.1× on a 2 000-node exact
 /// factor at width 1). Same operations in the same order per lane, so bits
 /// do not change. The choice is made from the width alone, before kernel
-/// dispatch, so both `simd` feature configurations take the same path — the
-/// rule `mogul-core`'s engine applies to its masked sweeps.
+/// dispatch, so it is the same on every host — the rule `mogul-core`'s engine
+/// applies to its masked sweeps.
 const NARROW_PANEL_WIDTH: usize = 1;
 
 /// Reusable scratch for the composite [`ldl_solve_multi_into`] operation: the
@@ -125,12 +123,10 @@ fn unit_upper_lane(u: &CsrMatrix, b: &[f64], width: usize, lane: usize, x: &mut 
 // --- Kernel-generic sweep bodies -------------------------------------------
 //
 // Each sweep is written once, generic over the [`LaneKernel`] that executes
-// its per-node lane loops, and instantiated twice: with [`ScalarKernel`]
-// directly, and with [`Avx2Kernel`] inside an `#[target_feature(enable =
-// "avx2")]` shell so the whole sweep (not just the primitives) is compiled
-// for AVX2 and the intrinsics inline into the traversal. Only the shells need
-// a safety argument; the runtime CPU check in `Avx2Kernel::try_new` is what
-// discharges it.
+// its per-node lane loops, and reaches [`dispatch`] as a [`Sweep`] carrying
+// its arguments, so the whole sweep (not just the primitives) is compiled
+// for the kernel `dispatch` picks and the intrinsics inline into the
+// traversal.
 
 #[inline(always)]
 fn unit_lower_sweep<K: LaneKernel>(kern: K, l: &CsrMatrix, b: &[f64], width: usize, x: &mut [f64]) {
@@ -178,28 +174,53 @@ fn scale_diag_sweep<K: LaneKernel>(
     Ok(())
 }
 
-// --- AVX2 shells -----------------------------------------------------------
+/// [`unit_lower_sweep`] of one factor over one panel.
+struct LowerSweep<'a> {
+    l: &'a CsrMatrix,
+    b: &'a [f64],
+    width: usize,
+    x: &'a mut [f64],
+}
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-mod avx2_shells {
-    use super::*;
+impl Sweep for LowerSweep<'_> {
+    type Out = ();
 
-    // SAFETY (each shell): callable only with an `Avx2Kernel`, whose
-    // construction performed the runtime AVX2 check; the attribute merely
-    // lets LLVM compile the monomorphized sweep body with AVX2 enabled.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn unit_lower(k: Avx2Kernel, l: &CsrMatrix, b: &[f64], w: usize, x: &mut [f64]) {
-        unit_lower_sweep(k, l, b, w, x)
+    #[inline(always)]
+    fn run<K: LaneKernel>(self, kern: K) {
+        unit_lower_sweep(kern, self.l, self.b, self.width, self.x)
     }
+}
 
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn unit_upper(k: Avx2Kernel, u: &CsrMatrix, b: &[f64], w: usize, x: &mut [f64]) {
-        unit_upper_sweep(k, u, b, w, x)
+/// [`unit_upper_sweep`] of one factor over one panel.
+struct UpperSweep<'a> {
+    u: &'a CsrMatrix,
+    b: &'a [f64],
+    width: usize,
+    x: &'a mut [f64],
+}
+
+impl Sweep for UpperSweep<'_> {
+    type Out = ();
+
+    #[inline(always)]
+    fn run<K: LaneKernel>(self, kern: K) {
+        unit_upper_sweep(kern, self.u, self.b, self.width, self.x)
     }
+}
 
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn scale_diag(k: Avx2Kernel, d: &[f64], w: usize, panel: &mut [f64]) -> Result<()> {
-        scale_diag_sweep(k, d, w, panel)
+/// [`scale_diag_sweep`] of one diagonal over one panel.
+struct ScaleDiag<'a> {
+    d: &'a [f64],
+    width: usize,
+    panel: &'a mut [f64],
+}
+
+impl Sweep for ScaleDiag<'_> {
+    type Out = Result<()>;
+
+    #[inline(always)]
+    fn run<K: LaneKernel>(self, kern: K) -> Result<()> {
+        scale_diag_sweep(kern, self.d, self.width, self.panel)
     }
 }
 
@@ -221,13 +242,7 @@ pub fn solve_unit_lower_multi_into(
         }
         return Ok(());
     }
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if let Some(k) = Avx2Kernel::if_active() {
-        // SAFETY: holding an `Avx2Kernel` proves AVX2 is available.
-        unsafe { avx2_shells::unit_lower(k, l, b, width, x) };
-        return Ok(());
-    }
-    unit_lower_sweep(ScalarKernel, l, b, width, x);
+    dispatch(LowerSweep { l, b, width, x });
     Ok(())
 }
 
@@ -248,13 +263,7 @@ pub fn solve_unit_upper_multi_into(
         }
         return Ok(());
     }
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if let Some(k) = Avx2Kernel::if_active() {
-        // SAFETY: holding an `Avx2Kernel` proves AVX2 is available.
-        unsafe { avx2_shells::unit_upper(k, u, b, width, x) };
-        return Ok(());
-    }
-    unit_upper_sweep(ScalarKernel, u, b, width, x);
+    dispatch(UpperSweep { u, b, width, x });
     Ok(())
 }
 
@@ -271,16 +280,11 @@ pub fn scale_diag_multi_into(d: &[f64], width: usize, panel: &mut [f64]) -> Resu
             right: panel_shape(panel.len(), width),
         });
     }
-    // At narrow widths the scalar kernel's one-element loop *is* the per-lane
-    // recurrence; only the AVX2 shell is skipped.
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if width > NARROW_PANEL_WIDTH {
-        if let Some(k) = Avx2Kernel::if_active() {
-            // SAFETY: holding an `Avx2Kernel` proves AVX2 is available.
-            return unsafe { avx2_shells::scale_diag(k, d, width, panel) };
-        }
+    if width <= NARROW_PANEL_WIDTH {
+        // The scalar kernel's one-element loop *is* the per-lane recurrence.
+        return scale_diag_sweep(ScalarKernel, d, width, panel);
     }
-    scale_diag_sweep(ScalarKernel, d, width, panel)
+    dispatch(ScaleDiag { d, width, panel })
 }
 
 /// Solve `L D Lᵀ X = B` for `width` right-hand sides at once, given the

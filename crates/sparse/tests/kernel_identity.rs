@@ -3,17 +3,18 @@
 //! The kernel engine's exactness contract (`mogul_sparse::kernel`) promises
 //! that the AVX2 path performs per lane exactly the IEEE-754 operations of
 //! the scalar path, in the same order — so every comparison here is exact
-//! `==` on `f64`, never a tolerance. Without `--features simd` (or on a CPU
-//! without AVX2) the `KernelKind::Simd` request falls back to the scalar
-//! kernel and the assertions hold trivially; under the feature matrix the
-//! same battery pins the real AVX2 instructions.
+//! `==` on `f64`, never a tolerance. The AVX2 kernel is compiled into every
+//! `x86_64` build, so on an AVX2 host this battery pins the real AVX2
+//! instructions against the scalar reference, and `pin_kernel` fails the
+//! test if a pin did not select the kernel it names; on any other host both
+//! pins run the scalar kernel, which is all such a host ever runs.
 //!
 //! The second half pins the wave-parallel factorizations: a worker count
 //! must never change a bit of the factors (or the error reported on
 //! breakdown), because the waves only ever parallelize provably disjoint
 //! rows.
 
-use mogul_sparse::kernel::{set_kernel_override, tile_sq_distances, KernelKind};
+use mogul_sparse::kernel::{active_kernel, set_kernel_override, tile_sq_distances, KernelKind};
 use mogul_sparse::triangular::{
     ldl_solve_multi_into, scale_diag_multi_into, solve_unit_lower_multi_into,
     solve_unit_upper_multi_into,
@@ -29,6 +30,18 @@ use std::sync::Mutex;
 /// The kernel override is process-wide and tests run on parallel threads:
 /// whoever pins a kernel holds this for as long as the pin matters.
 static KERNEL_PIN: Mutex<()> = Mutex::new(());
+
+/// Pin `kind` and check the pin took: the kernel named on an AVX2 host,
+/// scalar anywhere else.
+fn pin_kernel(kind: KernelKind) {
+    set_kernel_override(Some(kind));
+    #[cfg(target_arch = "x86_64")]
+    let avx2 = std::arch::is_x86_feature_detected!("avx2");
+    #[cfg(not(target_arch = "x86_64"))]
+    let avx2 = false;
+    let want = if avx2 { kind } else { KernelKind::Scalar };
+    assert_eq!(active_kernel(), want, "pin {kind:?}, AVX2 {avx2}");
+}
 
 /// A random symmetric diagonally-dominant (hence SPD) matrix built from an
 /// edge list, mimicking the `I − α S` matrices Mogul factorizes.
@@ -93,7 +106,7 @@ proptest! {
                 // Per kernel: [unit lower, unit upper, composite, scaled].
                 let mut got: Vec<[Vec<f64>; 4]> = Vec::new();
                 for kind in [KernelKind::Scalar, KernelKind::Simd] {
-                    set_kernel_override(Some(kind));
+                    pin_kernel(kind);
                     let mut out = [Vec::new(), Vec::new(), Vec::new(), b.clone()];
                     solve_unit_lower_multi_into(l, &b, width, &mut out[0]).unwrap();
                     solve_unit_upper_multi_into(u, &b, width, &mut out[1]).unwrap();
@@ -133,7 +146,7 @@ fn simd_knn_distances_are_bit_identical_to_scalar() {
         let bound = dim as f64;
         let mut got = Vec::new();
         for kind in [KernelKind::Scalar, KernelKind::Simd] {
-            set_kernel_override(Some(kind));
+            pin_kernel(kind);
             let mut all = Vec::new();
             for q in 0..features.len() {
                 for tile in tiles.chunks_exact(dim * LANES) {
