@@ -22,7 +22,7 @@ use std::sync::Arc;
 /// How the k-NN graph is constructed.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum GraphConstruction {
-    /// Exact (threaded brute-force) k-NN search.
+    /// Exact (threaded, pivot-partitioned) k-NN search.
     Exact,
     /// Partition-based approximate k-NN search; `partitions` random centers,
     /// `probes` partitions scanned per query point.

@@ -10,10 +10,13 @@
 //! [`FeatureMatrix`] (the `&[Vec<f64>]` entry points [`knn_graph`] and
 //! [`approximate_knn_graph`] pack one first):
 //!
-//! * [`exact_knn_indices`] — threaded brute-force search (exact, `O(n² m)`),
-//!   the reference used for small and medium datasets: a blocked scan that
-//!   hands tiles of rows to the lane-across-rows distance kernel
-//!   ([`tile_sq_distances`]).
+//! * [`exact_knn_indices`] — threaded exact search, the reference used for
+//!   small and medium datasets: the rows are partitioned around `≈ √n` pivot
+//!   rows into tiles that are thin shells, and a query hands the
+//!   lane-across-rows distance kernel ([`tile_sq_distances`]) only the tiles
+//!   the triangle inequality cannot prove beyond its current k-th best. The
+//!   lists are those of the all-pairs scan bit for bit; the cost is its
+//!   `O(n² m)` only in the worst case (points no pivot separates).
 //! * [`approximate_knn_indices`] — partition-based approximate search that
 //!   only scans a few nearby partitions per query, for the larger synthetic
 //!   datasets (the paper's INRIA-scale regime).
@@ -28,6 +31,8 @@ use mogul_sparse::vector::squared_euclidean_unchecked;
 use mogul_sparse::FeatureMatrix;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 
 /// How edge weights are derived from distances.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -52,7 +57,7 @@ pub struct KnnConfig {
     pub k: usize,
     /// Edge weighting scheme.
     pub weighting: EdgeWeighting,
-    /// Number of worker threads for the brute-force search (0 → all cores).
+    /// Number of worker threads for the exact search (0 → all cores).
     pub threads: usize,
 }
 
@@ -168,23 +173,102 @@ pub fn nearest_rows(
 /// Rows per tile of the blocked scan (the width of the lane kernels' panels).
 const TILE_LANES: usize = 8;
 
-/// Queries that take turns on a tile while it is hot in L1. A block streams
-/// the whole corpus past the core once, so the block size divides that
-/// traffic; past 16 the scan is compute-bound and nothing more is gained.
+/// Queries that take turns on a group's tiles while those are in cache. A
+/// block streams the tiles it cannot skip past the core once, so the block
+/// size divides that traffic: nothing to a 12 000 × 32 corpus, which fits in
+/// L2, and 1.9× at 48 000 rows (1 → 16).
 const QUERY_BLOCK: usize = 16;
 
-/// Exact k-NN lists for every point (brute force over tiles of rows, threaded
-/// with scoped threads). Entry `i` holds the `k` nearest other points of
-/// point `i` as `(index, distance)` pairs sorted by ascending distance.
+/// The row id in the lanes that fill up a group's last tile.
+const PAD: usize = usize::MAX;
+
+/// The least triangle-inequality gap a skip may rest on. Far below it, a
+/// square that underflows costs a computed distance an absolute error of up
+/// to `√(dim · 2⁻¹⁰⁷⁴) ≈ √dim · 10⁻¹⁶²`, which the relative slack of
+/// [`Shell::beyond`] does not cover; at `10⁻¹⁰⁰` that error is some sixty
+/// orders of magnitude inside the slack.
+const MIN_GAP: f64 = 1e-100;
+
+/// What one exact scan did, counted where the work happens: plain sums over
+/// the workers that repeat exactly for the same input, whatever the thread
+/// count (a block's work does not depend on who runs it).
 ///
-/// The lists do not depend on the thread count or on the tiling: each pair's
-/// squared distance has the bits of `squared_euclidean_unchecked` (see
-/// [`tile_sq_distances`]), and the `k` kept are the least under `(d², index)`.
+/// `tiles_scanned / (n · tiles)` is the share of the all-pairs scan that still
+/// reached the distance kernel.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct KnnScanStats {
+    /// Pivot groups the rows were partitioned into.
+    pub groups: usize,
+    /// Tiles of the partitioned layout (each group padded to whole tiles).
+    pub tiles: usize,
+    /// (query, group) shell tests; a query's own group is not tested.
+    pub group_tests: u64,
+    /// (query, tile) shell tests, made only inside groups that survived.
+    pub tile_tests: u64,
+    /// (query, tile) pairs handed to `tile_sq_distances`.
+    pub tiles_scanned: u64,
+    /// Of those, the ones not abandoned part-way through their coordinates.
+    pub tiles_completed: u64,
+}
+
+impl KnnScanStats {
+    fn add_work(&mut self, other: &KnnScanStats) {
+        self.group_tests += other.group_tests;
+        self.tile_tests += other.tile_tests;
+        self.tiles_scanned += other.tiles_scanned;
+        self.tiles_completed += other.tiles_completed;
+    }
+}
+
+impl std::fmt::Display for KnnScanStats {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "knn scan: {} groups, {} tiles, {} group tests, {} tile tests, \
+             {} tiles scanned, {} completed",
+            self.groups,
+            self.tiles,
+            self.group_tests,
+            self.tile_tests,
+            self.tiles_scanned,
+            self.tiles_completed
+        )
+    }
+}
+
+/// One neighbour list per point: `(index, distance)` pairs, nearest first.
+pub type NeighborLists = Vec<Vec<(usize, f64)>>;
+
+/// Exact k-NN lists for every point, threaded with scoped threads. Entry `i`
+/// holds the `k` nearest other points of point `i` as `(index, distance)`
+/// pairs sorted by ascending distance.
+///
+/// The rows are partitioned around `≈ √n` pivot rows and a query hands the
+/// distance kernel only the tiles the triangle inequality cannot prove
+/// farther than its current k-th best (the rule and its floating-point slack
+/// are `Shell::beyond` in the source), so the cost is `O(n² m)` in the worst
+/// case — points no pivot separates, such as uniform noise in many dimensions
+/// — and a small fraction of that on clustered data.
+///
+/// The lists do not depend on the thread count, the tiling, the partition or
+/// the order of the rows: each pair's squared distance has the bits of
+/// `squared_euclidean_unchecked` (see [`tile_sq_distances`]), the `k` kept are
+/// the least under `(d², index)`, and a skipped row is one that could not have
+/// been kept.
 pub fn exact_knn_indices(
     features: &FeatureMatrix,
     k: usize,
     threads: usize,
 ) -> Result<Vec<Vec<(usize, f64)>>> {
+    exact_knn_with_stats(features, k, threads).map(|(lists, _)| lists)
+}
+
+/// [`exact_knn_indices`] together with the work counters of its scan.
+pub fn exact_knn_with_stats(
+    features: &FeatureMatrix,
+    k: usize,
+    threads: usize,
+) -> Result<(NeighborLists, KnnScanStats)> {
     blocked_knn::<TILE_LANES, QUERY_BLOCK>(features, k, threads)
 }
 
@@ -192,7 +276,7 @@ fn blocked_knn<const LANES: usize, const BLOCK: usize>(
     features: &FeatureMatrix,
     k: usize,
     threads: usize,
-) -> Result<Vec<Vec<(usize, f64)>>> {
+) -> Result<(NeighborLists, KnnScanStats)> {
     let n = features.len();
     if n == 0 {
         return Err(GraphError::InvalidInput(
@@ -203,60 +287,357 @@ fn blocked_knn<const LANES: usize, const BLOCK: usize>(
         return Err(GraphError::InvalidInput("k must be at least 1".into()));
     }
     let k = k.min(n - 1);
-    let mut results: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
+    let mut results: NeighborLists = vec![Vec::new(); n];
     if k == 0 {
-        return Ok(results);
+        return Ok((results, KnnScanStats::default()));
     }
-    let tiles = features.pack_tiles(LANES);
-    let blocks = n.div_ceil(BLOCK);
-    let workers = mogul_sparse::effective_threads(threads).min(blocks);
-    // Whole query blocks per worker.
-    let chunk = blocks.div_ceil(workers) * BLOCK;
+    let workers = mogul_sparse::effective_threads(threads);
+    let partition = Partition::<LANES>::build(features, workers);
+    // Whole blocks never straddle two groups, so "a block's own group" is one.
+    let blocks: Vec<(usize, &[usize])> = partition
+        .group_members
+        .iter()
+        .enumerate()
+        .flat_map(|(group, members)| {
+            partition.members[members.clone()]
+                .chunks(BLOCK)
+                .map(move |queries| (group, queries))
+        })
+        .collect();
+    let mut stats = KnnScanStats {
+        groups: partition.group_tiles.len(),
+        tiles: partition.tile_shells.len(),
+        ..KnnScanStats::default()
+    };
+    // Blocks cost unevenly (a background row prunes little, a cluster row
+    // nearly everything), so workers draw them from a cursor; no list depends
+    // on which worker computed it. Relaxed: the cursor publishes nothing.
+    let cursor = AtomicUsize::new(0);
     std::thread::scope(|scope| {
-        for (idx, slot) in results.chunks_mut(chunk).enumerate() {
-            let tiles = &tiles;
-            scope
-                .spawn(move || scan_queries::<LANES, BLOCK>(features, tiles, k, idx * chunk, slot));
+        let scans: Vec<_> = (0..workers.min(blocks.len()))
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut work = KnnScanStats::default();
+                    let mut lists = Vec::new();
+                    while let Some(&(group, queries)) =
+                        blocks.get(cursor.fetch_add(1, AtomicOrdering::Relaxed))
+                    {
+                        partition.scan_block(features, k, group, queries, &mut work, &mut lists);
+                    }
+                    (work, lists)
+                })
+            })
+            .collect();
+        for scan in scans {
+            let (work, lists) = scan.join().expect("a k-NN scan worker panicked");
+            stats.add_work(&work);
+            for (query, list) in lists {
+                results[query] = list;
+            }
         }
     });
-    Ok(results)
+    Ok((results, stats))
 }
 
-/// Fill `out[i]` with the neighbour list of point `first + i`: per block of
-/// queries, one pass over the tiles, each tile visited by every query of the
-/// block before the next tile is loaded.
-fn scan_queries<const LANES: usize, const BLOCK: usize>(
-    features: &FeatureMatrix,
-    tiles: &[f64],
-    k: usize,
-    first: usize,
-    out: &mut [Vec<(usize, f64)>],
-) {
-    let n = features.len();
-    for (b, block) in out.chunks_mut(BLOCK).enumerate() {
-        let first = first + b * BLOCK;
-        let mut best: Vec<KBest> = block.iter().map(|_| KBest::new(k)).collect();
-        for (t, tile) in tiles.chunks_exact(features.dim() * LANES).enumerate() {
-            for (i, best) in best.iter_mut().enumerate() {
-                let query = first + i;
-                // A tile whose every row is already beyond the k-th best is
-                // dropped part-way through its coordinates.
-                let Some(d2) = tile_sq_distances::<LANES>(tile, features.row(query), best.bound())
-                else {
-                    continue;
-                };
-                for (lane, &d2) in d2.iter().enumerate() {
-                    let row = t * LANES + lane;
-                    // Lanes past `n` pad the last tile.
-                    if row < n && row != query {
-                        best.offer(d2, row);
+/// The computed distances `[r_min, r_max]` from a pivot to the rows of one
+/// tile, or of one whole group.
+#[derive(Debug, Clone, Copy)]
+struct Shell {
+    r_min: f64,
+    r_max: f64,
+}
+
+impl Shell {
+    /// Whether every row `x` of the shell is *provably* beyond `bound` from a
+    /// query `q` whose computed distance to the shell's pivot `p` is `d`:
+    /// `true` only if the kernel's `d²(q, x)` would come out strictly above
+    /// `bound` for each of them, so none could enter a heap whose bound is
+    /// (or later falls below) `bound`. Rows that merely tie the bound are not
+    /// skipped: they are offered, and win or lose on their index.
+    ///
+    /// With `u = ε/2` the unit round-off and no underflow or overflow, a
+    /// computed squared distance is `s = S (1 + θ)`, `|θ| ≤ (dim + 3) u`, of
+    /// the true `S` (one rounding per difference, square and addition; the
+    /// terms are non-negative, so nothing cancels), and its computed root is
+    /// `D (1 + η)`, `|η| ≤ (dim/2 + 3) u`. By the triangle inequality the true
+    /// `D(q, x)` is at least `D(q, p) − D(x, p)` and at least
+    /// `D(x, p) − D(q, p)`; whichever of the two can be positive is `far −
+    /// near` below, and in true distances it is at least `(far − near) −
+    /// (dim/2 + 4) u (far + near)`. Evaluating `gap` rounds three more times,
+    /// each by at most `u (far + near)`. `slack = (dim + 8) ε = (2 dim + 16) u`
+    /// therefore leaves `gap ≤ D(q, x) (1 − (1.5 dim + 9) u)`, hence — the
+    /// product rounding once more — `gap² ≤ S(q, x) (1 − (dim + 3) u) ≤
+    /// s(q, x)`: the skip needs `gap² > bound`, strictly.
+    ///
+    /// Outside those assumptions nothing is skipped: an overflowed distance
+    /// makes `far − near` infinite or NaN and the slack term infinite, so the
+    /// gap is NaN; one at the mercy of underflow keeps it under [`MIN_GAP`];
+    /// an infinite bound is never exceeded; every comparison with a NaN is
+    /// false.
+    fn beyond(&self, d: f64, bound: f64, slack: f64) -> bool {
+        let (far, near) = if d > self.r_max {
+            (d, self.r_max)
+        } else {
+            (self.r_min, d)
+        };
+        let gap = (far - near) - slack * (far + near);
+        gap > MIN_GAP && gap * gap > bound
+    }
+}
+
+/// The rows regrouped around pivots for one scan.
+///
+/// Every row belongs to the group of its nearest pivot; within a group the
+/// rows are laid out by `(distance to the pivot, row)` and cut into tiles of
+/// `LANES`, so a tile is a thin shell around its pivot. Which rows are
+/// pivots, and hence the layout, depends on the features alone — no RNG, no
+/// thread count.
+struct Partition<const LANES: usize> {
+    /// The pivot rows as tiles, for [`Partition::pivot_distances`].
+    pivot_tiles: Vec<f64>,
+    /// The tiles, dimension-major as in `FeatureMatrix::pack_tiles`; a
+    /// group's last tile is filled up with copies of its last row.
+    tiles: Vec<f64>,
+    /// The row in each lane of each tile, [`PAD`] in the filled-up lanes.
+    rows: Vec<usize>,
+    tile_shells: Vec<Shell>,
+    /// The tiles of each group.
+    group_tiles: Vec<Range<usize>>,
+    group_shells: Vec<Shell>,
+    /// The rows in layout order, without padding: the order queries run in.
+    members: Vec<usize>,
+    /// The part of `members` that is each group's.
+    group_members: Vec<Range<usize>>,
+    /// See [`Shell::beyond`].
+    slack: f64,
+}
+
+impl<const LANES: usize> Partition<LANES> {
+    fn build(features: &FeatureMatrix, workers: usize) -> Self {
+        let (n, dim) = (features.len(), features.dim());
+        let groups = ((n as f64).sqrt().round() as usize).clamp(1, n);
+        // Evenly strided rows: a sample of the corpus in whatever order it
+        // comes, and distinct because `groups <= n`.
+        let pivots = (0..groups).map(|g| g * n / groups);
+        let pivot_tiles = features.select_rows(pivots).pack_tiles(LANES);
+
+        // Each row's nearest pivot and its distance to it. The other
+        // `groups − 1` distances are not kept: `8 · n^1.5` bytes would be the
+        // largest allocation of the whole set-up (see `scan_block`).
+        let mut group_of = vec![0usize; n];
+        let mut radius = vec![0.0; n];
+        let chunk = n.div_ceil(workers.min(n));
+        std::thread::scope(|scope| {
+            let chunks = group_of.chunks_mut(chunk).zip(radius.chunks_mut(chunk));
+            for (idx, (group_of, radius)) in chunks.enumerate() {
+                let pivot_tiles = &pivot_tiles;
+                scope.spawn(move || {
+                    let mut dist = vec![0.0; groups];
+                    for (i, (group_of, radius)) in group_of.iter_mut().zip(radius).enumerate() {
+                        Self::pivot_distances(
+                            pivot_tiles,
+                            features.row(idx * chunk + i),
+                            &mut dist,
+                        );
+                        // `min_by` keeps the first of equal minima: the lower
+                        // pivot.
+                        *group_of = (0..groups)
+                            .min_by(|&a, &b| dist[a].total_cmp(&dist[b]))
+                            .expect("at least one pivot");
+                        *radius = dist[*group_of];
                     }
+                });
+            }
+        });
+
+        let mut members: Vec<usize> = (0..n).collect();
+        members.sort_unstable_by(|&a, &b| {
+            (group_of[a].cmp(&group_of[b]))
+                .then(radius[a].total_cmp(&radius[b]))
+                .then(a.cmp(&b))
+        });
+
+        let shell = |rows: &[usize]| Shell {
+            r_min: radius[rows[0]],
+            r_max: radius[rows[rows.len() - 1]],
+        };
+        // The row each lane is filled from, and the row it stands for.
+        let mut filled_from = Vec::with_capacity(n + groups * (LANES - 1));
+        let mut rows = Vec::with_capacity(filled_from.capacity());
+        let mut tile_shells = Vec::new();
+        let mut group_tiles = Vec::with_capacity(groups);
+        let mut group_shells = Vec::with_capacity(groups);
+        let mut group_members = Vec::with_capacity(groups);
+        let mut first = 0;
+        for group in 0..groups {
+            let len = members[first..]
+                .iter()
+                .take_while(|&&row| group_of[row] == group)
+                .count();
+            let of_group = &members[first..first + len];
+            group_members.push(first..first + len);
+            first += len;
+            let first_tile = tile_shells.len();
+            for tile_rows in of_group.chunks(LANES) {
+                tile_shells.push(shell(tile_rows));
+                let last = tile_rows[tile_rows.len() - 1];
+                for lane in 0..LANES {
+                    filled_from.push(*tile_rows.get(lane).unwrap_or(&last));
+                    rows.push(*tile_rows.get(lane).unwrap_or(&PAD));
+                }
+            }
+            group_tiles.push(first_tile..tile_shells.len());
+            // A pivot that duplicates an earlier one leads an empty group,
+            // which no query visits.
+            group_shells.push(if of_group.is_empty() {
+                Shell {
+                    r_min: 0.0,
+                    r_max: 0.0,
+                }
+            } else {
+                shell(of_group)
+            });
+        }
+        let tiles = features.pack_tiles_of(filled_from, LANES);
+
+        Partition {
+            pivot_tiles,
+            tiles,
+            rows,
+            tile_shells,
+            group_tiles,
+            group_shells,
+            members,
+            group_members,
+            slack: (dim + 8) as f64 * f64::EPSILON,
+        }
+    }
+
+    /// Fill `out[g]` with the computed distance from `row` to pivot `g`:
+    /// the root of the kernel's `d²`, the one definition both the radii of
+    /// the shells and the query side of a shell test use.
+    fn pivot_distances(pivot_tiles: &[f64], row: &[f64], out: &mut [f64]) {
+        let tiles = pivot_tiles.chunks_exact(row.len() * LANES);
+        for (tile, out) in tiles.zip(out.chunks_mut(LANES)) {
+            let d2 = tile_sq_distances::<LANES>(tile, row, f64::INFINITY)
+                .expect("nothing exceeds an infinite bound");
+            for (out, d2) in out.iter_mut().zip(d2) {
+                *out = d2.sqrt();
+            }
+        }
+    }
+
+    /// Push `(query, neighbour list)` for each of `queries`, rows of `group`:
+    /// their own group first, which as a rule holds their neighbours and so
+    /// makes every bound tight at once, then the other groups, each tested as
+    /// a whole before any of its tiles is.
+    fn scan_block(
+        &self,
+        features: &FeatureMatrix,
+        k: usize,
+        group: usize,
+        queries: &[usize],
+        stats: &mut KnnScanStats,
+        lists: &mut Vec<(usize, Vec<(usize, f64)>)>,
+    ) {
+        let groups = self.group_tiles.len();
+        // The block's distances to every pivot, computed a second time here
+        // rather than kept from the assignment: `2 n √n` kernel distances in
+        // all against the `n²` of the all-pairs scan, for `O(n)` memory.
+        let mut pivot_dist = vec![0.0; queries.len() * groups];
+        for (&query, dist) in queries.iter().zip(pivot_dist.chunks_exact_mut(groups)) {
+            Self::pivot_distances(&self.pivot_tiles, features.row(query), dist);
+        }
+        let mut best: Vec<KBest> = queries.iter().map(|_| KBest::new(k)).collect();
+        let others = (0..groups).filter(|&other| other != group);
+        for other in std::iter::once(group).chain(others) {
+            // The group's tiles stay in cache while the block takes turns.
+            for ((&query, best), dist) in queries
+                .iter()
+                .zip(&mut best)
+                .zip(pivot_dist.chunks_exact(groups))
+            {
+                if other != group {
+                    stats.group_tests += 1;
+                    if self.group_shells[other].beyond(dist[other], best.bound(), self.slack) {
+                        continue;
+                    }
+                }
+                self.scan_group(features, other, query, dist[other], best, stats);
+            }
+        }
+        for (&query, best) in queries.iter().zip(best) {
+            lists.push((query, by_distance(best.into_sorted())));
+        }
+    }
+
+    /// Offer `best` the rows of `group` that the shells of its tiles cannot
+    /// rule out for `query`, `d` from the group's pivot.
+    ///
+    /// A tile's shell test is a statement about every row at least `r_min`
+    /// from the pivot when `d` is short of that, and about every row at most
+    /// `r_max` from it when `d` is beyond that; the tiles of a group are in
+    /// ascending order of radius and a bound never grows. So from outside
+    /// the group's ball the walk is nearest shell first and ends at the first
+    /// tile ruled out, and from within it ends at the first tile ruled out
+    /// from outside: a tile is tested at most once per query.
+    fn scan_group(
+        &self,
+        features: &FeatureMatrix,
+        group: usize,
+        query: usize,
+        d: f64,
+        best: &mut KBest,
+        stats: &mut KnnScanStats,
+    ) {
+        let tiles = self.group_tiles[group].clone();
+        if d > self.group_shells[group].r_max {
+            for t in tiles.rev() {
+                if !self.scan_tile(features, t, query, d, best, stats) {
+                    break;
+                }
+            }
+        } else {
+            for t in tiles {
+                if !self.scan_tile(features, t, query, d, best, stats)
+                    && d < self.tile_shells[t].r_min
+                {
+                    break;
                 }
             }
         }
-        for (list, best) in block.iter_mut().zip(best) {
-            *list = by_distance(best.into_sorted());
+    }
+
+    /// Offer `best` the rows of tile `t`, unless its shell rules them out:
+    /// `false` if it does.
+    fn scan_tile(
+        &self,
+        features: &FeatureMatrix,
+        t: usize,
+        query: usize,
+        d: f64,
+        best: &mut KBest,
+        stats: &mut KnnScanStats,
+    ) -> bool {
+        stats.tile_tests += 1;
+        if self.tile_shells[t].beyond(d, best.bound(), self.slack) {
+            return false;
         }
+        stats.tiles_scanned += 1;
+        let tile_len = features.dim() * LANES;
+        let tile = &self.tiles[t * tile_len..(t + 1) * tile_len];
+        // A tile whose every row is already beyond the k-th best is dropped
+        // part-way through its coordinates.
+        if let Some(d2) = tile_sq_distances::<LANES>(tile, features.row(query), best.bound()) {
+            stats.tiles_completed += 1;
+            let rows = &self.rows[t * LANES..(t + 1) * LANES];
+            for (&row, d2) in rows.iter().zip(d2) {
+                if row != PAD && row != query {
+                    best.offer(d2, row);
+                }
+            }
+        }
+        true
     }
 }
 
@@ -293,79 +674,83 @@ pub fn approximate_knn_indices(
     }
     let probes = probes.clamp(1, num_partitions);
     let k = k.min(n - 1);
+    let partitions = CenterPartitions::new(features, num_partitions, seed);
+    Ok((0..n)
+        .map(|i| {
+            let mut best = KBest::new(k);
+            for j in partitions.candidates(features, i, probes) {
+                if j != i {
+                    let d2 = squared_euclidean_unchecked(features.row(i), features.row(j));
+                    best.offer(d2, j);
+                }
+            }
+            by_distance(best.into_sorted())
+        })
+        .collect())
+}
 
-    // Pick partition centers deterministically from the seed.
-    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
-    let mut next = || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
-    let mut centers: Vec<usize> = Vec::with_capacity(num_partitions);
-    while centers.len() < num_partitions {
-        let c = (next() % n as u64) as usize;
-        if !centers.contains(&c) {
-            centers.push(c);
-        }
-    }
+/// The points of a [`FeatureMatrix`] grouped by the nearest of a few center
+/// points, for [`approximate_knn_indices`].
+struct CenterPartitions {
+    centers: Vec<usize>,
+    members: Vec<Vec<usize>>,
+}
 
-    // Assign every point to its nearest center.
-    let mut partition_of = vec![0usize; n];
-    let mut members: Vec<Vec<usize>> = vec![Vec::new(); num_partitions];
-    for i in 0..n {
-        let mut best = 0usize;
-        let mut best_d = f64::INFINITY;
-        for (p, &c) in centers.iter().enumerate() {
-            let d = squared_euclidean_unchecked(features.row(i), features.row(c));
-            if d < best_d {
-                best_d = d;
-                best = p;
+impl CenterPartitions {
+    /// `num_partitions <= features.len()` distinct centers drawn from `seed`.
+    fn new(features: &FeatureMatrix, num_partitions: usize, seed: u64) -> Self {
+        let n = features.len();
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut centers: Vec<usize> = Vec::with_capacity(num_partitions);
+        while centers.len() < num_partitions {
+            let c = (next() % n as u64) as usize;
+            if !centers.contains(&c) {
+                centers.push(c);
             }
         }
-        partition_of[i] = best;
-        members[best].push(i);
+        let mut partitions = CenterPartitions {
+            centers,
+            members: vec![Vec::new(); num_partitions],
+        };
+        for i in 0..n {
+            // A point's own partition is its first probe by construction.
+            let own = partitions.probed(features, i, 1)[0];
+            partitions.members[own].push(i);
+        }
+        partitions
     }
 
-    // For each query, scan its own partition plus the nearest few others.
-    let mut results: Vec<Vec<(usize, f64)>> = Vec::with_capacity(n);
-    for i in 0..n {
-        let mut center_order: Vec<(usize, f64)> = centers
-            .iter()
-            .enumerate()
-            .map(|(p, &c)| {
-                (
-                    p,
-                    squared_euclidean_unchecked(features.row(i), features.row(c)),
-                )
-            })
-            .collect();
-        center_order.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(Ordering::Equal));
-        let mut candidates: Vec<usize> = Vec::new();
-        for &(p, _) in center_order.iter().take(probes) {
-            candidates.extend(members[p].iter().copied());
+    /// The `probes` partitions whose centers are nearest to point `i`,
+    /// nearest first under `(d², partition)`.
+    fn probed(&self, features: &FeatureMatrix, i: usize, probes: usize) -> Vec<usize> {
+        let mut nearest = KBest::new(probes);
+        for (p, &c) in self.centers.iter().enumerate() {
+            nearest.offer(
+                squared_euclidean_unchecked(features.row(i), features.row(c)),
+                p,
+            );
         }
-        if !candidates.contains(&partition_of[i]) {
-            candidates.extend(members[partition_of[i]].iter().copied());
-        }
-        let mut scored: Vec<(usize, f64)> = candidates
-            .into_iter()
-            .filter(|&j| j != i)
-            .map(|j| {
-                let d2 = squared_euclidean_unchecked(features.row(i), features.row(j));
-                (j, d2.sqrt())
-            })
-            .collect();
-        scored.sort_by(|a, b| {
-            a.1.partial_cmp(&b.1)
-                .unwrap_or(Ordering::Equal)
-                .then(a.0.cmp(&b.0))
-        });
-        scored.dedup_by_key(|e| e.0);
-        scored.truncate(k);
-        results.push(scored);
+        nearest.into_sorted().into_iter().map(|(p, _)| p).collect()
     }
-    Ok(results)
+
+    /// Every point of the `probes` partitions nearest to point `i`, once
+    /// each: the partitions are disjoint and no partition is probed twice.
+    fn candidates<'a>(
+        &'a self,
+        features: &FeatureMatrix,
+        i: usize,
+        probes: usize,
+    ) -> impl Iterator<Item = usize> + 'a {
+        self.probed(features, i, probes)
+            .into_iter()
+            .flat_map(|p| self.members[p].iter().copied())
+    }
 }
 
 /// Estimate the heat-kernel bandwidth σ from the supplied k-NN distances.
@@ -444,9 +829,9 @@ pub fn graph_from_neighbor_lists(
     Ok(graph)
 }
 
-/// Build the k-NN graph of a set of feature vectors with exact (brute force)
-/// search: pack them into a [`FeatureMatrix`] (which rejects an empty, ragged
-/// or non-finite set) and run [`exact_knn_indices`].
+/// Build the k-NN graph of a set of feature vectors with exact search: pack
+/// them into a [`FeatureMatrix`] (which rejects an empty, ragged or
+/// non-finite set) and run [`exact_knn_indices`].
 ///
 /// This is the paper's preprocessing step shared by every ranking method.
 pub fn knn_graph(features: &[Vec<f64>], config: KnnConfig) -> Result<Graph> {
@@ -471,6 +856,8 @@ pub fn approximate_knn_graph(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mogul_data::web::{web_like, WebLikeConfig};
+    use proptest::prelude::*;
 
     fn two_cluster_rows() -> Vec<Vec<f64>> {
         // 6 points: two tight clusters far apart.
@@ -530,11 +917,11 @@ mod tests {
                 blocked_knn::<3, 2>(&features, k, threads),
                 blocked_knn::<8, 4>(&features, k, threads),
                 blocked_knn::<16, 5>(&features, k, threads),
-                exact_knn_indices(&features, k, threads),
+                blocked_knn::<8, 16>(&features, k, threads),
             ];
             for (scan, got) in scans.into_iter().enumerate() {
                 assert_eq!(
-                    bits(&got.unwrap()),
+                    bits(&got.unwrap().0),
                     want,
                     "n {n} dim {} k {k} threads {threads} tiling {scan}",
                     features.dim()
@@ -583,6 +970,315 @@ mod tests {
             .map(|p| (0..12).map(|d| p[d % 2]).collect())
             .collect();
         check_against_brute_force(&deep, 4);
+    }
+
+    /// Xorshift64 uniforms in `[-1, 1)`.
+    struct Uniform(u64);
+
+    impl Uniform {
+        fn next(&mut self) -> f64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0 >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+        }
+
+        fn shuffle<T>(&mut self, items: &mut [T]) {
+            for i in (1..items.len()).rev() {
+                items.swap(i, ((self.next() + 1.0) / 2.0 * (i + 1) as f64) as usize);
+            }
+        }
+    }
+
+    /// `clusters` blobs of `per_cluster` rows, `noise` wide, and `background`
+    /// rows of clutter, all in `[-scale, scale)^dim` and in shuffled order:
+    /// the shape on which groups and tiles are actually skipped.
+    fn mixture(
+        rng: &mut Uniform,
+        (clusters, per_cluster, background): (usize, usize, usize),
+        dim: usize,
+        (scale, noise): (f64, f64),
+    ) -> Vec<Vec<f64>> {
+        let mut rows = Vec::new();
+        for _ in 0..clusters {
+            let centre: Vec<f64> = (0..dim).map(|_| scale * rng.next()).collect();
+            for _ in 0..per_cluster {
+                rows.push(centre.iter().map(|c| c + noise * rng.next()).collect());
+            }
+        }
+        for _ in 0..background {
+            rows.push((0..dim).map(|_| scale * rng.next()).collect());
+        }
+        rng.shuffle(&mut rows);
+        rows
+    }
+
+    #[test]
+    fn shell_test_skips_only_what_is_strictly_beyond_the_bound() {
+        let slack = (3 + 8) as f64 * f64::EPSILON;
+        let shell = Shell {
+            r_min: 3.0,
+            r_max: 4.0,
+        };
+        // Outside the shell by exactly 1 on either side: a bound of 1 is a
+        // tie, which is kept; anything the slack cannot reach is skipped.
+        for d in [5.0, 2.0] {
+            assert!(!shell.beyond(d, 1.0, slack));
+            assert!(!shell.beyond(d, 1.0 - 1e-14, slack));
+            assert!(shell.beyond(d, 1.0 - 1e-13, slack));
+            assert!(!shell.beyond(d, f64::INFINITY, slack));
+            assert!(!shell.beyond(d, f64::NAN, slack));
+        }
+        // The comparison itself is strict: a bound the gap only equals stays.
+        let gap = (5.0 - 4.0) - slack * (5.0 + 4.0);
+        assert!(!shell.beyond(5.0, gap * gap, slack));
+        assert!(shell.beyond(5.0, (gap * gap).next_down(), slack));
+        // Inside the shell, or on its edge.
+        for d in [3.0, 3.5, 4.0] {
+            assert!(!shell.beyond(d, 0.0, slack));
+        }
+        // Distances that overflowed, or never were numbers.
+        assert!(!shell.beyond(f64::INFINITY, 1.0, slack));
+        assert!(!shell.beyond(f64::NAN, 1.0, slack));
+        let far = Shell {
+            r_min: 1.0,
+            r_max: f64::INFINITY,
+        };
+        assert!(!far.beyond(1e300, 0.0, slack));
+        assert!(!far.beyond(f64::INFINITY, 0.0, slack));
+        assert!(!Shell {
+            r_min: f64::NAN,
+            r_max: f64::NAN
+        }
+        .beyond(1.0, 0.0, slack));
+        // A gap that large squares to infinity: beyond any finite bound.
+        let huge = Shell {
+            r_min: 0.0,
+            r_max: 1.0,
+        };
+        assert!(huge.beyond(1e200, f64::MAX, slack));
+        // Gaps an underflowed square could have produced.
+        let tiny = Shell {
+            r_min: 3e-150,
+            r_max: 4e-150,
+        };
+        assert!(!tiny.beyond(9e-150, 0.0, slack));
+        assert!(!tiny.beyond(0.0, 0.0, slack));
+    }
+
+    #[test]
+    fn blocked_scan_equals_brute_force_on_concentric_spheres() {
+        // ±r along each axis around the origin, row 0 and so a pivot: radii,
+        // gaps between shells and most k-th distances are small integers,
+        // computed exactly, so shells tie the bound instead of nearly tying it
+        // (from `(r, 0, 0)` both `(r ± 1, 0, 0)` are at 1, one shell in, one
+        // out). A second copy 64 away keeps whole groups at integer gaps.
+        let mut rows = Vec::new();
+        for centre in [0.0, 64.0] {
+            rows.push(vec![centre, 0.0, 0.0]);
+            for r in 1..=9 {
+                for axis in 0..3 {
+                    for sign in [1.0, -1.0] {
+                        let mut point = vec![centre, 0.0, 0.0];
+                        point[axis] += sign * r as f64;
+                        rows.push(point);
+                    }
+                }
+            }
+        }
+        for k in [1, 2, 3, 5, 6, 7, 54] {
+            check_against_brute_force(&rows, k);
+        }
+        // Outer shells first: now the row that ties the bound from the shell
+        // beyond has the lower index, and has to win.
+        rows.reverse();
+        for k in [1, 2, 3, 5, 6, 7] {
+            check_against_brute_force(&rows, k);
+        }
+    }
+
+    #[test]
+    fn blocked_scan_equals_brute_force_under_ties_across_tiles_of_one_group() {
+        // 200 duplicates: one group of 25 production tiles, every radius 0.
+        check_against_brute_force(&vec![vec![0.5, -3.0]; 200], 9);
+        // A 20 × 20 grid: 20 groups of three tiles or so, integer `d²`.
+        let grid: Vec<Vec<f64>> = (0..400)
+            .map(|i| vec![(i % 20) as f64, (i / 20) as f64])
+            .collect();
+        for k in [1, 4, 5, 12] {
+            check_against_brute_force(&grid, k);
+        }
+        // Duplicates of a pivot, at other pivots' rows (7 and 14 of 50 lead
+        // empty groups) and elsewhere, in front of and behind the original.
+        let mut rng = Uniform(0x1234_5678_9ABC_DEF1);
+        let mut rows = mixture(&mut rng, (3, 12, 14), 3, (4.0, 0.1));
+        for copy in [7, 14, 15, 33, 49] {
+            rows[copy] = rows[21].clone();
+        }
+        for k in [1, 4, 6, 49] {
+            check_against_brute_force(&rows, k);
+        }
+    }
+
+    #[test]
+    fn blocked_scan_equals_brute_force_at_small_and_boundary_sizes() {
+        // Below one tile, and on either side of each `n` where `round(√n)`,
+        // the number of pivots, steps.
+        let mut rng = Uniform(0x0DDB_1A5E_5BAD_5EED);
+        for n in [2usize, 3, 4, 5, 6, 7, 12, 13, 20, 21, 30, 31, 42, 43] {
+            let rows = mixture(&mut rng, (2, n / 3, n - 2 * (n / 3)), 3, (5.0, 0.05));
+            for k in [1, 3, n - 2, n - 1, n + 4] {
+                check_against_brute_force(&rows, k.max(1));
+            }
+        }
+    }
+
+    #[test]
+    fn blocked_scan_equals_brute_force_in_one_and_many_dimensions() {
+        let mut rng = Uniform(0xD1CE_D1CE_D1CE_D1CE);
+        // On a line every shell test is as sharp as the distance itself.
+        check_against_brute_force(&mixture(&mut rng, (5, 20, 20), 1, (50.0, 0.5)), 6);
+        // 257 coordinates: the slack scales with `dim`, the abandonment
+        // stride does not divide it.
+        check_against_brute_force(&mixture(&mut rng, (3, 15, 15), 257, (2.0, 0.01)), 6);
+    }
+
+    #[test]
+    fn blocked_scan_equals_brute_force_where_squares_overflow_or_underflow() {
+        let mut rng = Uniform(0xFEED_FACE_CAFE_BEEF);
+        for (scale, noise) in [
+            // Squared differences across clusters overflow to infinity,
+            // within a cluster they do not.
+            (1e154, 1e150),
+            (1e150, 1e146),
+            // Squares underflow to subnormals or to zero.
+            (1e-160, 1e-163),
+            (1e-150, 1e-160),
+            // Radii are ordinary numbers, gaps within a cluster are not.
+            (1.0, 1e-158),
+        ] {
+            let rows = mixture(&mut rng, (4, 14, 8), 3, (scale, noise));
+            for k in [3, 20, 63] {
+                check_against_brute_force(&rows, k);
+            }
+        }
+        // Rows 0, 4 and 8 of 12 are the pivots. Row 0's own group holds one
+        // other row and the group around row 4 makes its bound finite, about
+        // 1.44e308; its distance to pivot 8 overflows, while rows 9 and 10 of
+        // that group are 0.9e154 and 1e154 away and are its second and third
+        // neighbours. An infinite distance proves nothing about them.
+        let line = [
+            0.0, 1e150, -1.204e154, -1.205e154, -1.2e154, -1.201e154, -1.202e154, -1.203e154,
+            1.5e154, 0.9e154, 1e154, 1.6e154,
+        ];
+        let rows: Vec<Vec<f64>> = line.iter().map(|&x| vec![x]).collect();
+        assert_eq!(
+            squared_euclidean_unchecked(&rows[0], &rows[8]),
+            f64::INFINITY
+        );
+        check_against_brute_force(&rows, 3);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn blocked_scan_equals_brute_force_on_clustered_mixtures(
+            seed in 1u64..u64::MAX,
+            shape in (1usize..6, 4usize..40, 0usize..40),
+            dim in 1usize..10,
+            noise in 0.001f64..0.5,
+            k in 1usize..14,
+        ) {
+            let rows = mixture(&mut Uniform(seed), shape, dim, (10.0, noise));
+            check_against_brute_force(&rows, k);
+        }
+    }
+
+    fn web_like_rows(items: usize, topics: usize, seed: u64) -> Vec<Vec<f64>> {
+        let config = WebLikeConfig {
+            num_points: items,
+            num_topics: topics,
+            dim: 32,
+            background_fraction: 0.2,
+            seed,
+            ..WebLikeConfig::default()
+        };
+        web_like(&config).unwrap().features().to_vec()
+    }
+
+    #[test]
+    fn blocked_scan_prunes_clustered_rows_in_any_order() {
+        let rows = web_like_rows(3_000, 15, 267_465);
+        let n = rows.len() as u64;
+        let scan = |rows: &[Vec<f64>]| {
+            let features = FeatureMatrix::from_rows(rows).unwrap();
+            let (lists, stats) = exact_knn_with_stats(&features, 10, 2).unwrap();
+            let (groups, tiles) = (stats.groups as u64, stats.tiles as u64);
+            assert!(
+                4 * stats.tiles_scanned <= n * tiles,
+                "more than a quarter of the all-pairs scan: {stats}"
+            );
+            assert!(
+                4 * (stats.group_tests + stats.tile_tests) <= n * (4 * groups + tiles),
+                "shell tests are not sub-quadratic: {stats}"
+            );
+            assert!(stats.tiles_completed <= stats.tiles_scanned);
+            (lists, stats)
+        };
+        let (as_generated, stats) = scan(&rows);
+        // Counters are sums of per-block work: a second run repeats them.
+        assert_eq!(scan(&rows).1, stats);
+
+        // Row `at` of the shuffled corpus is row `from[at]` of the generated.
+        let mut from: Vec<usize> = (0..rows.len()).collect();
+        Uniform(0x5EED_0F5E_ED5E_ED01).shuffle(&mut from);
+        let shuffled: Vec<Vec<f64>> = from.iter().map(|&row| rows[row].clone()).collect();
+        let (lists, _) = scan(&shuffled);
+        for (at, list) in lists.into_iter().enumerate() {
+            let mut list: Vec<(usize, u64)> =
+                list.iter().map(|&(j, d)| (from[j], d.to_bits())).collect();
+            list.sort_by_key(|&(j, d)| (d, j));
+            assert_eq!(list, bits(&as_generated[from[at]..=from[at]])[0]);
+        }
+    }
+
+    #[test]
+    fn blocked_scan_on_unprunable_noise_is_exact_and_bounded_in_overhead() {
+        // Uniform noise in 32 dimensions: every row is about as far from
+        // every other, no shell is beyond any bound.
+        let rows = mixture(&mut Uniform(0x0BAD_5EED), (0, 0, 600), 32, (3.0, 0.0));
+        let features = FeatureMatrix::from_rows(&rows).unwrap();
+        let (lists, stats) = exact_knn_with_stats(&features, 10, 2).unwrap();
+        assert_eq!(bits(&lists), bits(&brute_force(&rows, 10)));
+        let (n, groups, tiles) = (600, stats.groups as u64, stats.tiles as u64);
+        assert!(stats.group_tests <= n * groups, "{stats}");
+        assert!(stats.tile_tests <= n * tiles, "{stats}");
+        assert!(stats.tiles_scanned <= n * tiles, "{stats}");
+    }
+
+    #[test]
+    fn approximate_knn_probes_the_own_partition_first_and_each_candidate_once() {
+        let rows = mixture(&mut Uniform(0xA55E_55ED), (6, 30, 40), 4, (10.0, 0.3));
+        let features = FeatureMatrix::from_rows(&rows).unwrap();
+        let partitions = CenterPartitions::new(&features, 12, 42);
+        for i in 0..rows.len() {
+            let probed = partitions.probed(&features, i, 4);
+            assert_eq!(probed.len(), 4);
+            assert!(partitions.members[probed[0]].contains(&i), "point {i}");
+            let mut candidates: Vec<usize> = partitions.candidates(&features, i, 4).collect();
+            let offered = candidates.len();
+            candidates.sort_unstable();
+            candidates.dedup();
+            assert_eq!(
+                candidates.len(),
+                offered,
+                "point {i} is offered a row twice"
+            );
+        }
+        // All partitions probed: the exact lists, under the same order.
+        let all = approximate_knn_indices(&features, 5, 12, 12, 42).unwrap();
+        assert_eq!(bits(&all), bits(&brute_force(&rows, 5)));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! cluster-aware node ordering of Algorithm 1 in the paper.
 //!
 //! * [`Graph`] — undirected weighted graph in adjacency-list form.
-//! * [`knn`] — exact (threaded brute-force) and approximate (partition-based)
+//! * [`knn`] — exact (threaded, pivot-partitioned) and approximate (partition-based)
 //!   k-nearest-neighbour graph construction over feature vectors.
 //! * [`adjacency`] — adjacency matrix, degree vector, the symmetric
 //!   normalization `C^{-1/2} A C^{-1/2}` and the ranking system matrix

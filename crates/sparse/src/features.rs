@@ -134,16 +134,32 @@ impl FeatureMatrix {
     /// of [`triangular`](crate::triangular) with rows for lanes. The last tile
     /// is filled up with copies of the last row.
     pub fn pack_tiles(&self, lanes: usize) -> Vec<f64> {
-        let (n, dim) = (self.len(), self.dim());
-        let mut tiles = vec![0.0; n.div_ceil(lanes) * dim * lanes];
-        for (t, tile) in tiles.chunks_exact_mut(dim * lanes).enumerate() {
-            for lane in 0..lanes {
-                let row = self.row((t * lanes + lane).min(n - 1));
-                for (d, &v) in row.iter().enumerate() {
-                    tile[d * lanes + lane] = v;
-                }
+        let n = self.len();
+        self.pack_tiles_of(
+            (0..n.div_ceil(lanes) * lanes).map(|row| row.min(n - 1)),
+            lanes,
+        )
+    }
+
+    /// [`FeatureMatrix::pack_tiles`] over the given rows in the given order,
+    /// lane `l` of tile `t` holding the `t·lanes + l`-th of them. `rows` must
+    /// yield whole tiles: the caller chooses what fills a last one.
+    pub fn pack_tiles_of(&self, rows: impl IntoIterator<Item = usize>, lanes: usize) -> Vec<f64> {
+        let dim = self.dim();
+        let rows = rows.into_iter();
+        let mut tiles = Vec::with_capacity(rows.size_hint().0 * dim);
+        let mut lane = 0;
+        for row in rows {
+            if lane == 0 {
+                tiles.resize(tiles.len() + dim * lanes, 0.0);
             }
+            let tile = tiles.len() - dim * lanes;
+            for (d, &v) in self.row(row).iter().enumerate() {
+                tiles[tile + d * lanes + lane] = v;
+            }
+            lane = (lane + 1) % lanes;
         }
+        assert_eq!(lane, 0, "rows fill whole tiles");
         tiles
     }
 }
@@ -210,5 +226,11 @@ mod tests {
         );
         // One lane per tile is the row-major buffer itself.
         assert_eq!(m.pack_tiles(1), m.as_slice());
+        // Any rows in any order, the caller's own filler.
+        assert_eq!(
+            m.pack_tiles_of([2, 0, 1, 1], 2),
+            vec![5.0, 1.0, 6.0, 2.0, 3.0, 3.0, 4.0, 4.0]
+        );
+        assert!(m.pack_tiles_of([], 2).is_empty());
     }
 }

@@ -13,7 +13,9 @@
 //!
 //! * `save` builds an index over a deterministic synthetic corpus and writes
 //!   it (an updatable index by default; `--immutable` writes the plain
-//!   serving flavor).
+//!   serving flavor), after one line of work counters of the exact k-NN scan
+//!   (`KnnScanStats`: groups, tiles, shell tests, tiles that reached the
+//!   distance kernel).
 //! * `inspect` validates every checksum and prints the section table.
 //! * `load` cold-starts a `QueryServer` from the file — no k-NN
 //!   construction, no clustering, no factorization — runs a query, and
@@ -39,7 +41,9 @@ use mogul_suite::core::persist;
 use mogul_suite::core::update::IndexBuilder;
 use mogul_suite::core::wal;
 use mogul_suite::data::web::{web_like, WebLikeConfig};
+use mogul_suite::graph::knn::exact_knn_with_stats;
 use mogul_suite::serve::{IndexWriter, QueryServer, ServeOptions, UpdateRequest, WalSync};
+use mogul_suite::sparse::FeatureMatrix;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -89,6 +93,13 @@ fn save(path: &Path, options: &SaveOptions) {
         options.knn
     );
     let features = corpus(options.items, options.dim);
+    // What the build's k-NN scan will do, counted on a scan of its own (the
+    // counters repeat exactly) so that the precompute time below stays the
+    // build's alone.
+    let packed = FeatureMatrix::from_rows(&features).expect("pack corpus");
+    let (_, scan) = exact_knn_with_stats(&packed, options.knn, 0).expect("k-NN scan");
+    println!("{scan}");
+    drop(packed);
     let start = Instant::now();
     let mut builder = IndexBuilder::new().knn_k(options.knn);
     if options.exact {
