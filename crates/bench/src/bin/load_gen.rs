@@ -39,6 +39,8 @@
 //! The generator never panics on a shed — typed `Overloaded`/`Draining`
 //! responses are part of the contract being measured.
 
+#![forbid(unsafe_code)]
+
 use mogul_serve::net::NetClient;
 use mogul_serve::resilience::{FaultPlan, FaultProxy, ReplicaSet, ReplicaSetConfig};
 use mogul_serve::{QueryRequest, ServeError};

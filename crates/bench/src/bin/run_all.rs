@@ -1,73 +1,80 @@
-//! Run every figure/table experiment in sequence and print the full report.
+//! Run the figure/table experiments and print the report: every section in
+//! sequence, or the one named by `--only`.
 //!
-//! `cargo run -p mogul-bench --release --bin run_all [tiny|small|medium|large]`
+//! `cargo run -p mogul-bench --release --bin run_all -- [tiny|small|medium|large] [--only <name>]`
+//!
+//! Sections: `fig1` … `fig9`, `table2`, `ablation_parameters`,
+//! `ablation_scaling`. The scale falls back to `MOGUL_SCALE`, then `small`.
 
-use mogul_bench::{runner_config, scale_from_args};
+#![forbid(unsafe_code)]
+
+use mogul_bench::{parse_args, runner_config, SECTIONS};
 use mogul_eval::experiments::{
-    anchor_sweep, fig1_search_time, fig5_pruning, fig6_sparsity, fig7_out_of_sample,
+    ablations, anchor_sweep, fig1_search_time, fig5_pruning, fig6_sparsity, fig7_out_of_sample,
     fig8_precompute, fig9_case_study,
 };
 use mogul_eval::scenarios::{limited_scenarios, standard_scenarios};
+use std::cell::LazyCell;
 
 fn main() {
-    let scale = scale_from_args();
-    let config = runner_config(scale);
-    println!("# Mogul evaluation suite (scale: {scale:?})\n");
+    let env_scale = std::env::var("MOGUL_SCALE").ok();
+    let args = parse_args(std::env::args().skip(1), env_scale).unwrap_or_else(|message| {
+        eprintln!("run_all: {message}");
+        std::process::exit(2);
+    });
+    let config = runner_config(args.scale);
+    let wanted = |section: &str| args.only.as_deref().is_none_or(|only| only == section);
 
-    let scenarios = standard_scenarios(&config).expect("build scenarios");
-    for s in &scenarios {
-        println!(
-            "dataset {:<14} n = {:>6}  edges = {:>7}  classes = {}",
-            s.name(),
-            s.len(),
-            s.graph.num_edges(),
-            s.spec.dataset.num_classes()
-        );
+    // Inputs shared between sections, built when the first of them runs.
+    let scenarios = LazyCell::new(|| standard_scenarios(&config).expect("build scenarios"));
+    let coil = LazyCell::new(|| {
+        limited_scenarios(&config, 1)
+            .expect("coil scenario")
+            .remove(0)
+    });
+    let sweep = LazyCell::new(|| {
+        anchor_sweep::run_sweep(&coil, &config, &anchor_sweep::AnchorSweepOptions::default())
+            .expect("anchor sweep")
+    });
+    let oos = LazyCell::new(|| {
+        fig7_out_of_sample::measure(
+            &scenarios,
+            &config,
+            &fig7_out_of_sample::Fig7Options::default(),
+        )
+        .expect("figure 7 / table 2")
+    });
+
+    if args.only.is_none() {
+        println!("# Mogul evaluation suite (scale: {:?})\n", args.scale);
+        for s in scenarios.iter() {
+            println!(
+                "dataset {:<14} n = {:>6}  edges = {:>7}  classes = {}",
+                s.name(),
+                s.len(),
+                s.graph.num_edges(),
+                s.spec.dataset.num_classes()
+            );
+        }
+        println!();
     }
-    println!();
 
-    let fig1 = fig1_search_time::run(
-        &scenarios,
-        &config,
-        &fig1_search_time::Fig1Options::default(),
-    )
-    .expect("figure 1");
-    println!("{fig1}");
-
-    let coil = &limited_scenarios(&config, 1).expect("coil scenario")[0];
-    let points =
-        anchor_sweep::run_sweep(coil, &config, &anchor_sweep::AnchorSweepOptions::default())
-            .expect("anchor sweep");
-    println!("{}", anchor_sweep::figure2_table(&points));
-    println!("{}", anchor_sweep::figure3_table(&points));
-    println!("{}", anchor_sweep::figure4_table(&points));
-
-    let fig5 = fig5_pruning::run(&scenarios, &config, &fig5_pruning::Fig5Options::default())
-        .expect("figure 5");
-    println!("{fig5}");
-
-    let fig6 = fig6_sparsity::run(&scenarios, &config, &fig6_sparsity::Fig6Options::default())
-        .expect("figure 6");
-    println!("{fig6}");
-
-    let oos = fig7_out_of_sample::measure(
-        &scenarios,
-        &config,
-        &fig7_out_of_sample::Fig7Options::default(),
-    )
-    .expect("figure 7 / table 2");
-    println!("{}", fig7_out_of_sample::figure7_table(&oos));
-    println!("{}", fig7_out_of_sample::table2(&oos));
-
-    let fig8 = fig8_precompute::run(
-        &scenarios,
-        &config,
-        &fig8_precompute::Fig8Options::default(),
-    )
-    .expect("figure 8");
-    println!("{fig8}");
-
-    let fig9 = fig9_case_study::run(coil, &config, &fig9_case_study::Fig9Options::default())
-        .expect("figure 9");
-    println!("{fig9}");
+    for section in SECTIONS.into_iter().filter(|s| wanted(s)) {
+        let table = match section {
+            "fig1" => fig1_search_time::run(&scenarios, &config, &Default::default()),
+            "fig2" => Ok(anchor_sweep::figure2_table(&sweep)),
+            "fig3" => Ok(anchor_sweep::figure3_table(&sweep)),
+            "fig4" => Ok(anchor_sweep::figure4_table(&sweep)),
+            "fig5" => fig5_pruning::run(&scenarios, &config, &Default::default()),
+            "fig6" => fig6_sparsity::run(&scenarios, &config, &Default::default()),
+            "fig7" => Ok(fig7_out_of_sample::figure7_table(&oos)),
+            "table2" => Ok(fig7_out_of_sample::table2(&oos)),
+            "fig8" => fig8_precompute::run(&scenarios, &config, &Default::default()),
+            "fig9" => fig9_case_study::run(&coil, &config, &Default::default()),
+            "ablation_parameters" => ablations::run_parameters(&config, &Default::default()),
+            "ablation_scaling" => ablations::run_scaling(&config, &Default::default()),
+            other => unreachable!("section `{other}` has no runner"),
+        };
+        println!("{}", table.unwrap_or_else(|e| panic!("{section}: {e}")));
+    }
 }

@@ -19,6 +19,8 @@
 //! to stderr, starting with one `kernel: avx2|scalar` line naming the lane
 //! kernel this host runs ([`mogul_sparse::active_kernel`]).
 
+#![forbid(unsafe_code)]
+
 use mogul_core::{MogulConfig, MogulIndex, OutOfSampleConfig, OutOfSampleIndex};
 use mogul_data::web::{web_like, WebLikeConfig};
 use mogul_graph::knn::{knn_graph, KnnConfig};

@@ -14,8 +14,10 @@ use crate::params::MrParams;
 use crate::ranking::TopKResult;
 use crate::{CoreError, Result};
 use mogul_graph::knn::{
-    approximate_knn_indices, exact_knn_indices, graph_from_neighbor_lists, EdgeWeighting,
+    approximate_knn_indices, estimate_sigma, exact_knn_indices, graph_from_neighbor_lists,
+    EdgeWeighting,
 };
+use mogul_graph::Graph;
 use mogul_sparse::FeatureMatrix;
 use std::sync::Arc;
 
@@ -96,10 +98,25 @@ impl RetrievalEngineBuilder {
                 "cannot build a retrieval engine over zero items".into(),
             ));
         }
-        let params = MrParams::new(self.alpha)?;
         let features = Arc::new(FeatureMatrix::from_rows(&features)?);
+        Ok(RetrievalEngine {
+            oos: self.assemble(features, 0)?.oos,
+        })
+    }
+
+    /// The one precomputation pipeline behind [`RetrievalEngineBuilder::build`]
+    /// and the updatable `IndexBuilder`: neighbour lists (the exact scan on
+    /// `threads` workers, `0` = one per core) → heat-kernel graph with the
+    /// bandwidth estimated from those lists → [`MogulIndex::build`] →
+    /// out-of-sample layer over the same feature store.
+    pub(crate) fn assemble(
+        &self,
+        features: Arc<FeatureMatrix>,
+        threads: usize,
+    ) -> Result<Assembly> {
+        let params = MrParams::new(self.alpha)?;
         let lists = match self.graph {
-            GraphConstruction::Exact => exact_knn_indices(&features, self.knn_k, 0)?,
+            GraphConstruction::Exact => exact_knn_indices(&features, self.knn_k, threads)?,
             GraphConstruction::Approximate { partitions, probes } => {
                 // The low-level builder silently clamps out-of-range values;
                 // at this level a nonsensical configuration is a caller bug
@@ -119,25 +136,44 @@ impl RetrievalEngineBuilder {
                 approximate_knn_indices(&features, self.knn_k, partitions, probes, self.seed)?
             }
         };
-        let graph = graph_from_neighbor_lists(&lists, EdgeWeighting::HeatKernel { sigma: None })?;
-        let index = MogulIndex::build(
-            &graph,
-            MogulConfig {
-                params,
-                factorization: self.factorization,
-                ..MogulConfig::default()
-            },
-        )?;
+        // Pinned here so an updatable index weights inserted edges on the
+        // scale of the initial graph.
+        let sigma = estimate_sigma(&lists);
+        let graph =
+            graph_from_neighbor_lists(&lists, EdgeWeighting::HeatKernel { sigma: Some(sigma) })?;
+        let config = MogulConfig {
+            params,
+            factorization: self.factorization,
+            ..MogulConfig::default()
+        };
         let oos = OutOfSampleIndex::with_features(
-            index,
+            MogulIndex::build(&graph, config)?,
             features,
             OutOfSampleConfig {
                 num_neighbors: self.out_of_sample_neighbors,
                 cluster_probes: 1,
             },
         )?;
-        Ok(RetrievalEngine { oos })
+        Ok(Assembly {
+            sigma,
+            graph,
+            config,
+            oos,
+        })
     }
+}
+
+/// What [`RetrievalEngineBuilder::assemble`] leaves behind: the queryable
+/// index plus what an updatable index keeps to edit it.
+pub(crate) struct Assembly {
+    /// Heat-kernel bandwidth the graph was weighted with.
+    pub(crate) sigma: f64,
+    /// The k-NN graph the index was factorized from.
+    pub(crate) graph: Graph,
+    /// Configuration the index was built with.
+    pub(crate) config: MogulConfig,
+    /// The index with its out-of-sample layer.
+    pub(crate) oos: OutOfSampleIndex,
 }
 
 /// A ready-to-query retrieval engine over a fixed collection of items.

@@ -37,6 +37,7 @@
 //! treat them uniformly.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 // Index-based loops mirror the forward/back-substitution recurrences of the paper.
 #![allow(clippy::needless_range_loop)]
 

@@ -10,11 +10,11 @@ use crate::mogul::bounds::ClusterBounds;
 use crate::params::MrParams;
 use crate::Result;
 use mogul_graph::adjacency::ranking_system_matrix;
-use mogul_graph::clustering::modularity::{modularity_clustering_threaded, ModularityConfig};
+use mogul_graph::clustering::modularity::{modularity_clustering, ModularityConfig};
 use mogul_graph::ordering::{mogul_ordering, NodeOrdering};
 use mogul_graph::Graph;
-use mogul_sparse::ichol::{incomplete_ldl_threaded, LdlFactors};
-use mogul_sparse::ldl::complete_ldl_threaded;
+use mogul_sparse::ichol::{incomplete_ldl, LdlFactors};
+use mogul_sparse::ldl::complete_ldl;
 use mogul_sparse::CsrMatrix;
 use std::time::Instant;
 
@@ -105,21 +105,11 @@ impl MogulIndex {
     /// Build the index with the default pipeline: modularity clustering →
     /// Algorithm 1 ordering → permuted factorization → bound precomputation.
     pub fn build(graph: &Graph, config: MogulConfig) -> Result<Self> {
-        Self::build_threaded(graph, config, 0)
-    }
-
-    /// [`MogulIndex::build`] on `threads` workers (`0` = one per core), for
-    /// the clustering and the factorization alike.
-    pub(crate) fn build_threaded(
-        graph: &Graph,
-        config: MogulConfig,
-        threads: usize,
-    ) -> Result<Self> {
         let start = Instant::now();
-        let clustering = modularity_clustering_threaded(graph, &config.clustering, threads);
+        let clustering = modularity_clustering(graph, &config.clustering);
         let ordering = mogul_ordering(graph, &clustering)?;
         let ordering_secs = start.elapsed().as_secs_f64();
-        Self::build_with_ordering_timed(graph, config, ordering, ordering_secs, threads)
+        Self::build_with_ordering_timed(graph, config, ordering, ordering_secs)
     }
 
     /// Build the index from a caller-supplied node ordering (used for the
@@ -129,7 +119,7 @@ impl MogulIndex {
         config: MogulConfig,
         ordering: NodeOrdering,
     ) -> Result<Self> {
-        Self::build_with_ordering_timed(graph, config, ordering, 0.0, 0)
+        Self::build_with_ordering_timed(graph, config, ordering, 0.0)
     }
 
     fn build_with_ordering_timed(
@@ -137,7 +127,6 @@ impl MogulIndex {
         config: MogulConfig,
         ordering: NodeOrdering,
         ordering_secs: f64,
-        threads: usize,
     ) -> Result<Self> {
         let n = graph.num_nodes();
         if ordering.len() != n {
@@ -156,12 +145,12 @@ impl MogulIndex {
         let fact_start = Instant::now();
         let (factors, boosted_pivots, fill_in) = match config.factorization {
             Factorization::Incomplete => {
-                let f = incomplete_ldl_threaded(&w_permuted, threads)?;
+                let f = incomplete_ldl(&w_permuted)?;
                 let boosted = f.boosted_pivots;
                 (f, boosted, 0)
             }
             Factorization::Complete => {
-                let f = complete_ldl_threaded(&w_permuted, threads)?;
+                let f = complete_ldl(&w_permuted)?;
                 let fill = f.fill_in();
                 (f.factors, 0, fill)
             }

@@ -45,7 +45,7 @@
 //! never reused); dense node indices are an internal detail that changes at
 //! every rebuild.
 
-use crate::engine::RetrievalEngineBuilder;
+use crate::engine::{Assembly, RetrievalEngineBuilder};
 use crate::mogul::{
     MogulConfig, MogulIndex, SearchMode, SearchStats, SearchWorkspace, PANEL_WIDTH,
 };
@@ -55,10 +55,7 @@ use crate::out_of_sample::{
 use crate::ranking::{check_k, RankedNode, TopKResult};
 use crate::topk::BoundedTopK;
 use crate::{CoreError, Result};
-use mogul_graph::knn::{
-    by_distance, estimate_sigma, exact_knn_indices, graph_from_neighbor_lists, nearest_rows,
-    EdgeWeighting,
-};
+use mogul_graph::knn::{by_distance, nearest_rows};
 use mogul_graph::Graph;
 use mogul_sparse::{CorrectionWorkspace, FeatureMatrix, WoodburyCorrection};
 use std::collections::BTreeSet;
@@ -273,38 +270,24 @@ impl IndexBuilder {
         self.build_packed(Arc::new(packed), 0)
     }
 
-    /// [`IndexBuilder::build`] over packed features on `threads` workers
-    /// (`0` = one per core): a sharded build hands each shard its share of
-    /// the cores here.
+    /// [`IndexBuilder::build`] over packed features, the k-NN scan on
+    /// `threads` workers (`0` = one per core): a sharded build hands each
+    /// shard its share of the cores here.
     pub(crate) fn build_packed(
         self,
         features: Arc<FeatureMatrix>,
         threads: usize,
     ) -> Result<UpdatableIndex> {
-        let params = crate::MrParams::new(self.engine.alpha)?;
-        let lists = exact_knn_indices(&features, self.engine.knn_k, threads)?;
-        // Pin the heat-kernel bandwidth now: inserted edges must be weighted
-        // on the same scale as the initial graph.
-        let sigma = estimate_sigma(&lists);
-        let graph =
-            graph_from_neighbor_lists(&lists, EdgeWeighting::HeatKernel { sigma: Some(sigma) })?;
-        let config = MogulConfig {
-            params,
-            factorization: self.engine.factorization,
-            ..MogulConfig::default()
-        };
-        let oos_config = OutOfSampleConfig {
-            num_neighbors: self.engine.out_of_sample_neighbors,
-            cluster_probes: 1,
-        };
         let n = features.len();
         let dim = features.dim();
-        let index = MogulIndex::build_threaded(&graph, config, threads)?;
-        let oos = Arc::new(OutOfSampleIndex::with_features(
-            index,
-            Arc::clone(&features),
-            oos_config,
-        )?);
+        let Assembly {
+            sigma,
+            graph,
+            config,
+            oos,
+        } = self.engine.assemble(Arc::clone(&features), threads)?;
+        let oos_config = oos.config();
+        let oos = Arc::new(oos);
 
         let ids: Vec<usize> = (0..n).collect();
         let node_of_id: Vec<Option<usize>> = (0..n).map(Some).collect();

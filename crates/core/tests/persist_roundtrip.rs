@@ -8,7 +8,8 @@
 use mogul_core::persist;
 use mogul_core::update::{IndexBuilder, IndexDelta, RebuildPolicy, SnapshotWorkspace};
 use mogul_core::{
-    BatchWorkspace, MogulConfig, MogulIndex, OutOfSampleConfig, OutOfSampleIndex, SearchMode,
+    BatchWorkspace, MogulConfig, MogulIndex, OutOfSampleConfig, OutOfSampleIndex, RetrievalEngine,
+    SearchMode,
 };
 use mogul_graph::knn::{knn_graph, KnnConfig};
 use proptest::prelude::*;
@@ -303,4 +304,40 @@ fn emr_round_trip_is_bit_identical() {
         &loaded.scores_for_feature(probe).unwrap(),
         "emr out-of-sample scores",
     );
+}
+
+/// `RetrievalEngineBuilder::build` and `IndexBuilder::build` run one assembly:
+/// over the same features they save byte-identical `MOG1` index sections
+/// (`meta` names the flavor and `stats` holds wall-clock timings, so those two
+/// differ by design).
+#[test]
+fn both_builders_save_identical_index_sections() {
+    let features = blob_features(60, 3, 0.8, 5.0);
+    for exact in [false, true] {
+        let mut engine = RetrievalEngine::builder().knn_k(4);
+        let mut updatable = IndexBuilder::new().knn_k(4);
+        if exact {
+            engine = engine.exact_ranking();
+            updatable = updatable.exact_ranking();
+        }
+        let engine = engine.build(features.clone()).unwrap();
+        let updatable = updatable.build(features.clone()).unwrap();
+        let a = persist::save_index_to(engine.out_of_sample(), Vec::new()).unwrap();
+        let b = persist::save_updatable_to(&updatable, Vec::new()).unwrap();
+        let (info_a, info_b) = (
+            persist::inspect_bytes(&a).unwrap(),
+            persist::inspect_bytes(&b).unwrap(),
+        );
+        for name in ["ordering", "factors", "bounds", "features"] {
+            let section = |bytes: &[u8], info: &persist::IndexFileInfo| {
+                let s = info.sections.iter().find(|s| s.name == name).unwrap();
+                bytes[s.offset..s.offset + s.len].to_vec()
+            };
+            assert_eq!(
+                section(&a, &info_a),
+                section(&b, &info_b),
+                "{name}, exact = {exact}"
+            );
+        }
+    }
 }

@@ -22,6 +22,7 @@
 //! with ground-truth labels used for the retrieval-precision metric.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 #![allow(clippy::needless_range_loop)]
 
 pub mod coil;

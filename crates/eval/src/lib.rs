@@ -14,6 +14,7 @@
 //!   series the paper plots.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod experiments;
 pub mod metrics;

@@ -51,37 +51,6 @@ pub fn retrieval_precision(
     Ok(hits as f64 / result.len() as f64)
 }
 
-/// Normalized discounted cumulative gain at `k`, with binary relevance
-/// derived from ground-truth labels. Not reported in the paper but useful as
-/// an additional rank-aware quality check.
-pub fn ndcg(result: &TopKResult, labels: &[usize], query_label: usize) -> Result<f64> {
-    if result.is_empty() {
-        return Ok(0.0);
-    }
-    let mut dcg = 0.0;
-    for (rank, node) in result.nodes().into_iter().enumerate() {
-        if node >= labels.len() {
-            return Err(EvalError::IndexOutOfBounds {
-                index: (node, 0),
-                shape: (labels.len(), 1),
-            });
-        }
-        if labels[node] == query_label {
-            dcg += 1.0 / ((rank as f64 + 2.0).log2());
-        }
-    }
-    let relevant_total = labels.iter().filter(|&&l| l == query_label).count();
-    let ideal_hits = relevant_total.min(result.len());
-    let idcg: f64 = (0..ideal_hits)
-        .map(|r| 1.0 / ((r as f64 + 2.0).log2()))
-        .sum();
-    if idcg == 0.0 {
-        Ok(0.0)
-    } else {
-        Ok(dcg / idcg)
-    }
-}
-
 /// Mean of a slice (0 for an empty slice).
 pub fn mean(values: &[f64]) -> f64 {
     if values.is_empty() {
@@ -128,21 +97,6 @@ mod tests {
         assert!((p - 2.0 / 3.0).abs() < 1e-12);
         assert_eq!(retrieval_precision(&result(&[]), &labels, 0).unwrap(), 0.0);
         assert!(retrieval_precision(&result(&[9]), &labels, 0).is_err());
-    }
-
-    #[test]
-    fn ndcg_rewards_early_hits() {
-        let labels = vec![0, 0, 1, 1];
-        let good = result(&[1, 2]); // relevant first
-        let bad = result(&[2, 1]); // relevant second
-        let g = ndcg(&good, &labels, 0).unwrap();
-        let b = ndcg(&bad, &labels, 0).unwrap();
-        assert!(g > b);
-        assert!(g <= 1.0 + 1e-12);
-        assert_eq!(ndcg(&result(&[]), &labels, 0).unwrap(), 0.0);
-        assert!(ndcg(&result(&[9]), &labels, 0).is_err());
-        // No relevant items at all.
-        assert_eq!(ndcg(&result(&[2, 3]), &labels, 5).unwrap(), 0.0);
     }
 
     #[test]

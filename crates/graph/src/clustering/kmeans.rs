@@ -126,8 +126,7 @@ fn init_centroids(points: &[Vec<f64>], k: usize, rng: &mut XorShift64) -> Vec<Ve
 
 /// Assign `labels[i]`/`dists[i]` for the contiguous point block starting at
 /// `start`: nearest centroid and its squared distance. This is the per-point
-/// independent half of a Lloyd iteration, shared by the serial and threaded
-/// drivers.
+/// independent half of a Lloyd iteration.
 fn assign_block(
     points: &[Vec<f64>],
     centroids: &[Vec<f64>],
@@ -182,25 +181,12 @@ fn assign_all(
 /// Run Lloyd's k-means on a set of points.
 ///
 /// Empty clusters are re-seeded with the point farthest from its centroid so
-/// the requested `k` is always realized (as long as `k ≤ n`). Equivalent to
-/// [`kmeans_threaded`] with `threads = 0` (one assignment worker per core).
-pub fn kmeans(points: &[Vec<f64>], config: &KmeansConfig) -> Result<KmeansResult> {
-    kmeans_threaded(points, config, 0)
-}
-
-/// [`kmeans`] with an explicit worker count for the assignment step
-/// (`0` = one per core, resolved through
-/// [`mogul_sparse::effective_threads`]).
+/// the requested `k` is always realized (as long as `k ≤ n`).
 ///
-/// Only the per-point nearest-centroid assignment is parallel; the centroid
-/// sums, empty-cluster re-seeding and inertia fold stay serial in point
-/// order, so the result is **bit-identical** for every worker count (the
-/// determinism suite pins `threads = 1` against `threads = 8` exactly).
-pub fn kmeans_threaded(
-    points: &[Vec<f64>],
-    config: &KmeansConfig,
-    threads: usize,
-) -> Result<KmeansResult> {
+/// Only the per-point nearest-centroid assignment runs on workers (one per
+/// core); the centroid sums, empty-cluster re-seeding and inertia fold stay
+/// serial in point order, so the result does not depend on the machine.
+pub fn kmeans(points: &[Vec<f64>], config: &KmeansConfig) -> Result<KmeansResult> {
     if points.is_empty() {
         return Err(GraphError::InvalidInput(
             "k-means requires at least one point".into(),
@@ -231,7 +217,7 @@ pub fn kmeans_threaded(
     }
     let k = config.k.min(n);
 
-    let workers = effective_threads(threads).min(n.max(1));
+    let workers = effective_threads(0).min(n);
 
     let mut rng = XorShift64::new(config.seed);
     let mut centroids = init_centroids(points, k, &mut rng);
@@ -371,29 +357,27 @@ mod tests {
     }
 
     #[test]
-    fn worker_count_never_changes_a_bit() {
+    fn worker_count_never_changes_an_assignment_bit() {
         // Large enough to cross PAR_MIN_POINTS so the threaded arm really
-        // fans out; the serial run must match it bit for bit (labels,
-        // centroids and the inertia fold).
+        // fans out; labels and distances must match the one-worker sweep bit
+        // for bit, uneven last chunk included.
         let mut rng = XorShift64::new(7);
-        let points: Vec<Vec<f64>> = (0..1200)
+        let points: Vec<Vec<f64>> = (0..1201)
             .map(|i| {
                 let cx = (i % 5) as f64 * 8.0;
                 vec![cx + rng.next_f64(), cx - rng.next_f64(), rng.next_f64()]
             })
             .collect();
-        let config = KmeansConfig::with_k(16);
-        let serial = kmeans_threaded(&points, &config, 1).unwrap();
-        for threads in [2usize, 4, 8] {
-            let parallel = kmeans_threaded(&points, &config, threads).unwrap();
-            assert_eq!(serial.clustering, parallel.clustering, "{threads} threads");
-            assert_eq!(serial.centroids, parallel.centroids, "{threads} threads");
-            assert_eq!(
-                serial.inertia.to_bits(),
-                parallel.inertia.to_bits(),
-                "{threads} threads"
-            );
-            assert_eq!(serial.iterations, parallel.iterations);
+        let centroids = init_centroids(&points, 16, &mut rng);
+        let assign = |workers: usize| {
+            let (mut labels, mut dists) = (vec![usize::MAX; 1201], vec![f64::NAN; 1201]);
+            assign_all(&points, &centroids, &mut labels, &mut dists, workers);
+            let bits: Vec<u64> = dists.iter().map(|d| d.to_bits()).collect();
+            (labels, bits)
+        };
+        let serial = assign(1);
+        for workers in [2usize, 4, 8] {
+            assert_eq!(serial, assign(workers), "{workers} workers");
         }
     }
 

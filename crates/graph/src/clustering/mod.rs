@@ -19,10 +19,8 @@ pub mod modularity;
 pub mod partition;
 pub mod spectral;
 
-pub use kmeans::{kmeans, kmeans_threaded, KmeansConfig, KmeansResult};
+pub use kmeans::{kmeans, KmeansConfig, KmeansResult};
 pub use labels::Clustering;
-pub use modularity::{
-    modularity_clustering, modularity_clustering_threaded, modularity_score, ModularityConfig,
-};
+pub use modularity::{modularity_clustering, modularity_score, ModularityConfig};
 pub use partition::{partition_points, PartitionConfig};
 pub use spectral::{spectral_clustering, SpectralConfig};

@@ -12,9 +12,6 @@
 use crate::clustering::labels::Clustering;
 use crate::graph::Graph;
 
-/// Smallest level size worth fanning the degree precomputation out for.
-const PAR_MIN_NODES: usize = 1024;
-
 /// Configuration of the modularity clustering.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ModularityConfig {
@@ -97,42 +94,14 @@ impl LevelGraph {
         self.adj[u].iter().map(|&(_, w)| w).sum::<f64>() + self.self_loops[u]
     }
 
-    /// All weighted degrees, fanned out over `workers` scoped threads on
-    /// disjoint chunks. Each node's degree is a sum over its own adjacency
-    /// list written to its own slot, so the split is bit-identical to the
-    /// serial sweep for every worker count.
-    fn weighted_degrees(&self, workers: usize) -> Vec<f64> {
-        let n = self.num_nodes();
-        let mut degrees = vec![0.0f64; n];
-        if workers <= 1 || n < PAR_MIN_NODES {
-            for (u, d) in degrees.iter_mut().enumerate() {
-                *d = self.weighted_degree(u);
-            }
-            return degrees;
-        }
-        let chunk = n.div_ceil(workers);
-        std::thread::scope(|scope| {
-            for (idx, slot) in degrees.chunks_mut(chunk).enumerate() {
-                let start = idx * chunk;
-                scope.spawn(move || {
-                    for (offset, d) in slot.iter_mut().enumerate() {
-                        *d = self.weighted_degree(start + offset);
-                    }
-                });
-            }
-        });
-        degrees
-    }
-
-    /// One full Louvain local-moving pass. The moving itself is inherently
+    /// One full Louvain local-moving pass. The moving is inherently
     /// sequential — each move reads the community state left by every
-    /// earlier move, which is what makes Louvain converge — so only the
-    /// per-node degree precomputation fans out across workers.
-    fn local_moving(&self, config: &ModularityConfig, workers: usize) -> (Vec<usize>, f64) {
+    /// earlier move, which is what makes Louvain converge.
+    fn local_moving(&self, config: &ModularityConfig) -> (Vec<usize>, f64) {
         let n = self.num_nodes();
         let two_m = 2.0 * self.total_weight;
         let mut community: Vec<usize> = (0..n).collect();
-        let degrees = self.weighted_degrees(workers);
+        let degrees: Vec<f64> = (0..n).map(|u| self.weighted_degree(u)).collect();
         let mut sigma_tot: Vec<f64> = degrees.clone();
         let mut total_gain = 0.0;
         if two_m <= 0.0 {
@@ -242,24 +211,7 @@ impl LevelGraph {
 ///
 /// Returns a [`Clustering`] over the graph's nodes; the number of clusters is
 /// determined automatically (nodes of disconnected components never merge).
-/// Equivalent to [`modularity_clustering_threaded`] with `threads = 0`.
 pub fn modularity_clustering(graph: &Graph, config: &ModularityConfig) -> Clustering {
-    modularity_clustering_threaded(graph, config, 0)
-}
-
-/// [`modularity_clustering`] with an explicit worker count (`0` = one per
-/// core, resolved through
-/// [`effective_threads`](mogul_sparse::effective_threads)).
-///
-/// Louvain's local-moving sweep is inherently sequential (each move depends
-/// on all earlier moves), so only the per-level degree precomputation is
-/// parallel — results are **bit-identical** for every worker count.
-pub fn modularity_clustering_threaded(
-    graph: &Graph,
-    config: &ModularityConfig,
-    threads: usize,
-) -> Clustering {
-    let workers = mogul_sparse::effective_threads(threads);
     let n = graph.num_nodes();
     if n == 0 {
         return Clustering::from_labels(&[]);
@@ -273,7 +225,7 @@ pub fn modularity_clustering_threaded(
     let mut level = LevelGraph::from_graph(graph);
 
     for _ in 0..config.max_levels {
-        let (community, gain) = level.local_moving(config, workers);
+        let (community, gain) = level.local_moving(config);
         let changed = community.iter().enumerate().any(|(i, &c)| c != i);
         if !changed {
             break;
@@ -338,10 +290,10 @@ mod tests {
     }
 
     #[test]
-    fn worker_count_never_changes_the_clustering() {
-        // 1280 nodes (256 cliques of 5 in a ring) crosses PAR_MIN_NODES, so
-        // the threaded degree precomputation really fans out; every worker
-        // count must produce the identical clustering.
+    fn repeated_runs_return_the_identical_clustering() {
+        // 1280 nodes (256 cliques of 5 in a ring): every local-moving pass
+        // fills a freshly seeded `HashMap` per run, so an answer that leaned
+        // on its iteration order (PR 10's bug) would differ between runs.
         let clique = 5usize;
         let groups = 256usize;
         let n = clique * groups;
@@ -357,10 +309,9 @@ mod tests {
             g.add_edge(base, b, 0.05).unwrap();
         }
         let config = ModularityConfig::default();
-        let serial = modularity_clustering_threaded(&g, &config, 1);
-        for threads in [2usize, 8] {
-            let parallel = modularity_clustering_threaded(&g, &config, threads);
-            assert_eq!(serial, parallel, "{threads} threads");
+        let first = modularity_clustering(&g, &config);
+        for run in 1..3 {
+            assert_eq!(first, modularity_clustering(&g, &config), "run {run}");
         }
     }
 

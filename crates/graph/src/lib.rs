@@ -19,6 +19,7 @@
 //!   the on-disk index format (`mogul-core::persist`).
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 // Index-based loops mirror the adjacency/permutation arithmetic of the paper.
 #![allow(clippy::needless_range_loop)]
 

@@ -83,6 +83,7 @@
 //! `docs/NETWORKING.md` covers the wire protocol and the load harness.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 

@@ -352,12 +352,6 @@ impl ReplicaSet {
         self.replicas[self.cursor].addr
     }
 
-    /// Breaker states by replica index, in address order (observability
-    /// and test assertions).
-    pub fn breaker_states(&self) -> Vec<BreakerState> {
-        self.replicas.iter().map(|r| r.breaker.state()).collect()
-    }
-
     /// Query with the configured completeness requirement. See
     /// [`ReplicaSet::query_opts`].
     pub fn query(

@@ -12,6 +12,7 @@
 //! case panics with the assertion message from the offending inputs.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::ops::Range;
 

@@ -8,6 +8,7 @@
 //! stream-compatible with upstream `rand`.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 /// Types that [`Rng::gen`] can produce.
 pub trait Standard: Sized {

@@ -14,11 +14,6 @@
 
 use crate::csr::CsrMatrix;
 use crate::error::{Result, SparseError};
-use crate::parallel::{
-    chunk_range, effective_threads, SharedSlice, WaveSchedule, PAR_MIN_DIM, PAR_MIN_WAVE_WIDTH,
-};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Barrier, Mutex};
 
 /// Relative floor applied to non-positive pivots during the factorization.
 const PIVOT_BOOST: f64 = 1e-10;
@@ -80,114 +75,8 @@ impl LdlFactors {
 /// ```
 ///
 /// Runs in `O(Σ_i nnz(row i)²)` time, which is `O(n)` for bounded-degree k-NN
-/// graphs (Lemma 2). Delegates to [`incomplete_ldl_threaded`] with automatic
-/// worker selection — the parallel schedule is **bit-identical** to the
-/// serial sweep (see there), so the thread count never changes the factors.
+/// graphs (Lemma 2): one serial sweep over the rows in index order.
 pub fn incomplete_ldl(w: &CsrMatrix) -> Result<LdlFactors> {
-    incomplete_ldl_threaded(w, 0)
-}
-
-/// Compute row `i` of the incomplete factor.
-///
-/// Fills `values[indptr[i] .. indptr[i+1]]` and returns `(d_i, boosted)`.
-/// The arithmetic is the paper's Equations (6)/(7) verbatim — every caller
-/// (serial or parallel) runs the exact same operation sequence per row, which
-/// is what makes the parallel schedule bit-identical.
-///
-/// # Safety
-///
-/// Every row `j` in row `i`'s strictly-lower pattern — and its `d[j]` entry —
-/// must be fully written and no longer under mutation, and no other thread
-/// may access row `i`'s own value slice concurrently. The wave schedule plus
-/// its barrier provide exactly this (rows of one wave have pairwise-disjoint
-/// value slices, dependencies sit in earlier waves).
-unsafe fn ichol_row(
-    w: &CsrMatrix,
-    indptr: &[usize],
-    indices: &[usize],
-    vals: &SharedSlice<'_, f64>,
-    d: &SharedSlice<'_, f64>,
-    i: usize,
-) -> Result<(f64, bool)> {
-    let row_start = indptr[i];
-    let row_end = indptr[i + 1];
-    // SAFETY: row `i`'s slice is this caller's exclusively (contract above).
-    let row_vals = unsafe { vals.slice_mut(row_start, row_end - row_start) };
-    let (w_cols, w_vals) = w.row(i);
-    let w_ii = match w_cols.binary_search(&i) {
-        Ok(pos) => w_vals[pos],
-        Err(_) => 0.0,
-    };
-
-    // Off-diagonal entries of row i, ascending in j.
-    for pos in 0..row_end - row_start - 1 {
-        let j = indices[row_start + pos];
-        // W_ij is guaranteed stored (the pattern came from W).
-        let w_ij = match w_cols.binary_search(&j) {
-            Ok(p) => w_vals[p],
-            Err(_) => 0.0,
-        };
-        // Σ_{k<j} L_ik L_jk D_k over the intersection of the two row patterns.
-        let mut sum = 0.0;
-        let ri_cols = &indices[row_start..row_start + pos];
-        let ri_vals = &row_vals[..pos];
-        let (rj_start, rj_end) = (indptr[j], indptr[j + 1] - 1); // exclude diag of row j
-        let rj_cols = &indices[rj_start..rj_end];
-        // SAFETY: row `j` is in row `i`'s pattern, hence fully computed and
-        // immutable for the rest of this wave (contract above).
-        let rj_vals = unsafe { vals.slice(rj_start, rj_end - rj_start) };
-        let (mut a, mut b) = (0usize, 0usize);
-        while a < ri_cols.len() && b < rj_cols.len() {
-            let (ka, kb) = (ri_cols[a], rj_cols[b]);
-            if ka == kb {
-                // SAFETY: ka < j is in row i's pattern — computed earlier.
-                sum += ri_vals[a] * rj_vals[b] * unsafe { d.get(ka) };
-                a += 1;
-                b += 1;
-            } else if ka < kb {
-                a += 1;
-            } else {
-                b += 1;
-            }
-        }
-        // SAFETY: d[j] computed in an earlier wave (contract above).
-        row_vals[pos] = (w_ij - sum) / unsafe { d.get(j) };
-    }
-
-    // Diagonal D_ii.
-    let mut diag = w_ii;
-    for pos in 0..row_end - row_start - 1 {
-        let k = indices[row_start + pos];
-        // SAFETY: k is in row i's pattern — d[k] computed earlier.
-        diag -= row_vals[pos] * row_vals[pos] * unsafe { d.get(k) };
-    }
-    if !diag.is_finite() {
-        return Err(SparseError::Breakdown {
-            index: i,
-            value: diag,
-        });
-    }
-    let floor = PIVOT_BOOST * w_ii.abs().max(1.0);
-    let boosted = diag <= floor;
-    if boosted {
-        diag = floor;
-    }
-    row_vals[row_end - row_start - 1] = 1.0; // unit diagonal of L
-    Ok((diag, boosted))
-}
-
-/// [`incomplete_ldl`] with an explicit worker count (`0` = one per core, via
-/// [`effective_threads`]).
-///
-/// Rows are levelized over the fixed factor pattern (row `i`'s level is one
-/// past the deepest level in its strictly-lower pattern) and executed wave by
-/// wave under a barrier. Because row `i` reads only rows in its pattern —
-/// all in strictly earlier waves — and each row runs the identical operation
-/// sequence as the serial loop, the result is **bit-identical for every
-/// worker count**, including factor values, `boosted_pivots`, and the error
-/// returned on breakdown. Small or chain-shaped problems (where waves are
-/// narrow) fall back to the serial sweep automatically.
-pub fn incomplete_ldl_threaded(w: &CsrMatrix, threads: usize) -> Result<LdlFactors> {
     if w.nrows() != w.ncols() {
         return Err(SparseError::NotSquare {
             nrows: w.nrows(),
@@ -214,91 +103,13 @@ pub fn incomplete_ldl_threaded(w: &CsrMatrix, threads: usize) -> Result<LdlFacto
     let mut d = vec![0.0; n];
     let mut boosted = 0usize;
 
-    let workers = effective_threads(threads).min(n.max(1));
-    let schedule = if workers > 1 && n >= PAR_MIN_DIM {
-        // Dependency levels over the fixed pattern.
-        let mut levels = vec![0usize; n];
-        for i in 0..n {
-            let mut level = 0usize;
-            for &j in &indices[indptr[i]..indptr[i + 1] - 1] {
-                level = level.max(levels[j] + 1);
-            }
-            levels[i] = level;
-        }
-        let s = WaveSchedule::from_levels(&levels);
-        (s.mean_wave_width() >= PAR_MIN_WAVE_WIDTH).then_some(s)
-    } else {
-        None
-    };
-
-    match schedule {
-        None => {
-            // Serial sweep: rows in index order.
-            let vals = SharedSlice::new(&mut values);
-            let d_cell = SharedSlice::new(&mut d);
-            for i in 0..n {
-                // SAFETY: single-threaded — rows < i are complete, row i is
-                // touched by nobody else.
-                let (di, b) = unsafe { ichol_row(w, &indptr, &indices, &vals, &d_cell, i)? };
-                // SAFETY: single-threaded.
-                unsafe { d_cell.set(i, di) };
-                boosted += usize::from(b);
-            }
-        }
-        Some(schedule) => {
-            let vals = SharedSlice::new(&mut values);
-            let d_cell = SharedSlice::new(&mut d);
-            let boosted_total = AtomicUsize::new(0);
-            // On breakdown every wave still runs to completion (failed rows
-            // poison `d` with NaN, which only dependents of the failed row
-            // can observe); the recorded minimum failing row is then exactly
-            // the row where the serial sweep would have stopped, so the
-            // returned error is bit-identical to the serial one.
-            let first_error: Mutex<Option<(usize, SparseError)>> = Mutex::new(None);
-            let barrier = Barrier::new(workers);
-            std::thread::scope(|scope| {
-                for tid in 0..workers {
-                    let (vals, d_cell) = (&vals, &d_cell);
-                    let (schedule, barrier) = (&schedule, &barrier);
-                    let (boosted_total, first_error) = (&boosted_total, &first_error);
-                    let (indptr, indices) = (&indptr, &indices);
-                    scope.spawn(move || {
-                        let mut local_boost = 0usize;
-                        for wave in 0..schedule.num_waves() {
-                            let rows = schedule.wave(wave);
-                            let (lo, hi) = chunk_range(rows.len(), workers, tid);
-                            for &i in &rows[lo..hi] {
-                                // SAFETY: dependencies of row i live in
-                                // earlier waves (levelization) and the
-                                // barrier below sequences waves; within a
-                                // wave, row slices are disjoint.
-                                match unsafe { ichol_row(w, indptr, indices, vals, d_cell, i) } {
-                                    Ok((di, b)) => {
-                                        // SAFETY: only this worker owns row i.
-                                        unsafe { d_cell.set(i, di) };
-                                        local_boost += usize::from(b);
-                                    }
-                                    Err(e) => {
-                                        // SAFETY: only this worker owns row i.
-                                        unsafe { d_cell.set(i, f64::NAN) };
-                                        let mut slot = first_error.lock().unwrap();
-                                        if slot.as_ref().is_none_or(|(row, _)| i < *row) {
-                                            *slot = Some((i, e));
-                                        }
-                                    }
-                                }
-                            }
-                            barrier.wait();
-                        }
-                        boosted_total.fetch_add(local_boost, Ordering::Relaxed);
-                    });
-                }
-            });
-            if let Some((_, e)) = first_error.into_inner().unwrap() {
-                return Err(e);
-            }
-            boosted = boosted_total.into_inner();
-        }
+    for i in 0..n {
+        // Rows `< i` are complete and only read; row `i` is the one written.
+        let (done, rest) = values.split_at_mut(indptr[i]);
+        let row_vals = &mut rest[..indptr[i + 1] - indptr[i]];
+        let (di, b) = ichol_row(w, &indptr, &indices, done, row_vals, &d, i)?;
+        d[i] = di;
+        boosted += usize::from(b);
     }
 
     let l = CsrMatrix::from_raw_parts(n, n, indptr, indices, values)?;
@@ -309,6 +120,81 @@ pub fn incomplete_ldl_threaded(w: &CsrMatrix, threads: usize) -> Result<LdlFacto
         d,
         boosted_pivots: boosted,
     })
+}
+
+/// Compute row `i` of the incomplete factor — the paper's Equations (6)/(7)
+/// verbatim.
+///
+/// `done` holds the values of rows `0..i` (`values[..indptr[i]]`), `d` their
+/// pivots; fills `row_vals` (row `i`'s slice of the value array) and returns
+/// `(d_i, boosted)`.
+fn ichol_row(
+    w: &CsrMatrix,
+    indptr: &[usize],
+    indices: &[usize],
+    done: &[f64],
+    row_vals: &mut [f64],
+    d: &[f64],
+    i: usize,
+) -> Result<(f64, bool)> {
+    let row_start = indptr[i];
+    let lower = row_vals.len() - 1; // strictly-lower entries of row i
+    let (w_cols, w_vals) = w.row(i);
+    let w_ii = match w_cols.binary_search(&i) {
+        Ok(pos) => w_vals[pos],
+        Err(_) => 0.0,
+    };
+
+    // Off-diagonal entries of row i, ascending in j.
+    for pos in 0..lower {
+        let j = indices[row_start + pos];
+        // W_ij is guaranteed stored (the pattern came from W).
+        let w_ij = match w_cols.binary_search(&j) {
+            Ok(p) => w_vals[p],
+            Err(_) => 0.0,
+        };
+        // Σ_{k<j} L_ik L_jk D_k over the intersection of the two row patterns.
+        let mut sum = 0.0;
+        let ri_cols = &indices[row_start..row_start + pos];
+        let ri_vals = &row_vals[..pos];
+        let (rj_start, rj_end) = (indptr[j], indptr[j + 1] - 1); // exclude diag of row j
+        let rj_cols = &indices[rj_start..rj_end];
+        let rj_vals = &done[rj_start..rj_end];
+        let (mut a, mut b) = (0usize, 0usize);
+        while a < ri_cols.len() && b < rj_cols.len() {
+            let (ka, kb) = (ri_cols[a], rj_cols[b]);
+            if ka == kb {
+                sum += ri_vals[a] * rj_vals[b] * d[ka];
+                a += 1;
+                b += 1;
+            } else if ka < kb {
+                a += 1;
+            } else {
+                b += 1;
+            }
+        }
+        row_vals[pos] = (w_ij - sum) / d[j];
+    }
+
+    // Diagonal D_ii.
+    let mut diag = w_ii;
+    for pos in 0..lower {
+        let k = indices[row_start + pos];
+        diag -= row_vals[pos] * row_vals[pos] * d[k];
+    }
+    if !diag.is_finite() {
+        return Err(SparseError::Breakdown {
+            index: i,
+            value: diag,
+        });
+    }
+    let floor = PIVOT_BOOST * w_ii.abs().max(1.0);
+    let boosted = diag <= floor;
+    if boosted {
+        diag = floor;
+    }
+    row_vals[lower] = 1.0; // unit diagonal of L
+    Ok((diag, boosted))
 }
 
 #[cfg(test)]

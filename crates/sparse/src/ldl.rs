@@ -14,10 +14,6 @@
 use crate::csr::CsrMatrix;
 use crate::error::{Result, SparseError};
 use crate::ichol::LdlFactors;
-use crate::parallel::{
-    chunk_range, effective_threads, SharedSlice, WaveSchedule, PAR_MIN_DIM, PAR_MIN_WAVE_WIDTH,
-};
-use std::sync::{Barrier, Mutex};
 
 /// Complete `L D Lᵀ` factorization together with fill-in statistics.
 #[derive(Debug, Clone)]
@@ -50,15 +46,108 @@ impl CompleteLdl {
 /// numerically indefinite in a way the factorization cannot handle). For the
 /// paper's matrices `W = I − α S` with `α < 1` the input is positive definite
 /// and the factorization always succeeds.
-///
-/// Delegates to [`complete_ldl_threaded`] with automatic worker selection;
-/// the parallel schedule is **bit-identical** to the serial sweep (see
-/// there), so the thread count never changes the factors.
 pub fn complete_ldl(w: &CsrMatrix) -> Result<CompleteLdl> {
-    complete_ldl_threaded(w, 0)
+    if w.nrows() != w.ncols() {
+        return Err(SparseError::NotSquare {
+            nrows: w.nrows(),
+            ncols: w.ncols(),
+        });
+    }
+    let n = w.nrows();
+
+    // --- Symbolic pass: elimination tree + column counts ---------------------
+    // For the symmetric matrix stored in CSR, row k restricted to columns
+    // j < k is column k of the strictly-upper triangle, which is what the
+    // up-looking algorithm consumes. The flag walk enumerates exactly row
+    // k's pattern (the union of elimination-tree paths).
+    let mut parent = vec![usize::MAX; n];
+    let mut flag = vec![usize::MAX; n];
+    let mut col_nnz = vec![0usize; n]; // strictly-lower nnz of each column of L
+    for k in 0..n {
+        flag[k] = k;
+        let (cols, _) = w.row(k);
+        for &j in cols {
+            if j >= k {
+                continue;
+            }
+            let mut i = j;
+            while flag[i] != k {
+                if parent[i] == usize::MAX {
+                    parent[i] = k;
+                }
+                col_nnz[i] += 1;
+                flag[i] = k;
+                i = parent[i];
+            }
+        }
+    }
+
+    // Column pointers for the strictly-lower part of L in CSC layout.
+    let mut col_ptr = vec![0usize; n + 1];
+    for i in 0..n {
+        col_ptr[i + 1] = col_ptr[i] + col_nnz[i];
+    }
+    let total_lower = col_ptr[n];
+    let mut l_rows = vec![0usize; total_lower];
+    let mut l_vals = vec![0.0f64; total_lower];
+    let mut col_len = vec![0usize; n];
+    let mut d = vec![0.0f64; n];
+
+    // --- Numeric pass: rows in index order -----------------------------------
+    let mut scratch = UpLookScratch::new(n);
+    for k in 0..n {
+        d[k] = uplook_row(
+            w,
+            &parent,
+            &col_ptr,
+            &mut l_rows,
+            &mut l_vals,
+            &mut col_len,
+            &d,
+            &mut scratch,
+            k,
+        )?;
+    }
+
+    // --- Assemble CSR factors ------------------------------------------------
+    // The CSC arrays of the strictly-lower L are, read as CSR, the strictly
+    // upper factor U = Lᵀ. Add explicit unit diagonals to both.
+    let mut u_indptr = Vec::with_capacity(n + 1);
+    let mut u_indices = Vec::with_capacity(total_lower + n);
+    let mut u_values = Vec::with_capacity(total_lower + n);
+    u_indptr.push(0);
+    for i in 0..n {
+        u_indices.push(i);
+        u_values.push(1.0);
+        let start = col_ptr[i];
+        let end = start + col_len[i];
+        // Row indices within a column are produced in increasing k, already sorted.
+        for p in start..end {
+            u_indices.push(l_rows[p]);
+            u_values.push(l_vals[p]);
+        }
+        u_indptr.push(u_indices.len());
+    }
+    let u = CsrMatrix::from_raw_parts(n, n, u_indptr, u_indices, u_values)?;
+    let l = u.transpose();
+
+    let input_lower_nnz = w.lower_triangle(false).nnz();
+    let factor_lower_nnz = total_lower;
+
+    Ok(CompleteLdl {
+        factors: LdlFactors {
+            l,
+            u,
+            d,
+            boosted_pivots: 0,
+        },
+        etree: parent,
+        input_lower_nnz,
+        factor_lower_nnz,
+    })
 }
 
-/// Per-worker scratch of the up-looking numeric pass.
+/// Scratch of the up-looking numeric pass.
 struct UpLookScratch {
     /// Dense accumulator of the sparse triangular solve.
     y: Vec<f64>,
@@ -82,25 +171,18 @@ impl UpLookScratch {
 /// solve over row `k`'s elimination-tree pattern, appending `l_ki` into every
 /// column `i` of the pattern and returning `d_k`.
 ///
-/// # Safety
-///
-/// Row `k`'s pattern columns must be owned exclusively by this call for the
-/// duration of the wave: the rows stored in column `i` of `L` are exactly the
-/// elimination-tree ancestors of `i`, which form a chain — so any two rows
-/// whose patterns share a column are ordered by the wave levelization, and
-/// within a wave at most one row reads or appends to any column. Earlier
-/// waves (sequenced by the caller's barrier) have fully written everything
-/// this row reads: the column prefixes `l_rows/l_vals[col_ptr[i] ..
-/// col_ptr[i] + col_len[i]]` and the `d[i]` pivots.
+/// Rows `< k` have written everything this row reads: the column prefixes
+/// `l_rows/l_vals[col_ptr[i] .. col_ptr[i] + col_len[i]]` and the `d[i]`
+/// pivots.
 #[allow(clippy::too_many_arguments)] // mirrors the factorization's working set
-unsafe fn uplook_row(
+fn uplook_row(
     w: &CsrMatrix,
     parent: &[usize],
     col_ptr: &[usize],
-    l_rows: &SharedSlice<'_, usize>,
-    l_vals: &SharedSlice<'_, f64>,
-    col_len: &SharedSlice<'_, usize>,
-    d: &SharedSlice<'_, f64>,
+    l_rows: &mut [usize],
+    l_vals: &mut [f64],
+    col_len: &mut [usize],
+    d: &[f64],
     scratch: &mut UpLookScratch,
     k: usize,
 ) -> Result<f64> {
@@ -141,18 +223,13 @@ unsafe fn uplook_row(
     for &i in &pattern[top..n] {
         let yi = y[i];
         y[i] = 0.0;
-        // SAFETY: this row owns column `i` for the wave (see contract).
-        let len_i = unsafe { col_len.get(i) };
+        let len_i = col_len[i];
         let start = col_ptr[i];
         for p in start..start + len_i {
-            // SAFETY: prefix entries were written by earlier waves.
-            y[unsafe { l_rows.get(p) }] -= unsafe { l_vals.get(p) } * yi;
+            y[l_rows[p]] -= l_vals[p] * yi;
         }
-        // SAFETY: d[i] was written by an earlier wave.
-        let d_i = unsafe { d.get(i) };
+        let d_i = d[i];
         if d_i == 0.0 {
-            // Leave the remaining pattern columns untouched — exactly where
-            // the serial sweep stops. The caller records the error.
             return Err(SparseError::Breakdown {
                 index: i,
                 value: d_i,
@@ -161,12 +238,9 @@ unsafe fn uplook_row(
         let l_ki = yi / d_i;
         d_k -= l_ki * yi;
         let slot = start + len_i;
-        // SAFETY: this row owns column `i`'s append slot for the wave.
-        unsafe {
-            l_rows.set(slot, k);
-            l_vals.set(slot, l_ki);
-            col_len.set(i, len_i + 1);
-        }
+        l_rows[slot] = k;
+        l_vals[slot] = l_ki;
+        col_len[i] = len_i + 1;
     }
     if d_k == 0.0 || !d_k.is_finite() {
         return Err(SparseError::Breakdown {
@@ -175,216 +249,6 @@ unsafe fn uplook_row(
         });
     }
     Ok(d_k)
-}
-
-/// [`complete_ldl`] with an explicit worker count (`0` = one per core, via
-/// [`effective_threads`]).
-///
-/// The numeric pass is parallelized over *column waves* of the elimination
-/// tree: row `k`'s level is one past the deepest level in its symbolic
-/// pattern, so every column a row reads or appends to was finalized in an
-/// earlier wave, and — because the rows stored in a column form an ancestor
-/// chain — no two rows of one wave ever touch the same column. Appends land
-/// in the same ascending-row order and each row runs the identical operation
-/// sequence as the serial sweep, so the factors (and any breakdown error)
-/// are **bit-identical for every worker count**. Small or chain-shaped
-/// problems fall back to the serial sweep automatically.
-pub fn complete_ldl_threaded(w: &CsrMatrix, threads: usize) -> Result<CompleteLdl> {
-    if w.nrows() != w.ncols() {
-        return Err(SparseError::NotSquare {
-            nrows: w.nrows(),
-            ncols: w.ncols(),
-        });
-    }
-    let n = w.nrows();
-
-    // --- Symbolic pass: elimination tree + column counts + wave levels ------
-    // For the symmetric matrix stored in CSR, row k restricted to columns
-    // j < k is column k of the strictly-upper triangle, which is what the
-    // up-looking algorithm consumes. The flag walk enumerates exactly row
-    // k's pattern (the union of elimination-tree paths), which is also what
-    // the wave levelization needs.
-    let mut parent = vec![usize::MAX; n];
-    let mut flag = vec![usize::MAX; n];
-    let mut col_nnz = vec![0usize; n]; // strictly-lower nnz of each column of L
-    let mut levels = vec![0usize; n];
-    for k in 0..n {
-        flag[k] = k;
-        let mut level = 0usize;
-        let (cols, _) = w.row(k);
-        for &j in cols {
-            if j >= k {
-                continue;
-            }
-            let mut i = j;
-            while flag[i] != k {
-                if parent[i] == usize::MAX {
-                    parent[i] = k;
-                }
-                col_nnz[i] += 1;
-                flag[i] = k;
-                level = level.max(levels[i] + 1);
-                i = parent[i];
-            }
-        }
-        levels[k] = level;
-    }
-
-    // Column pointers for the strictly-lower part of L in CSC layout.
-    let mut col_ptr = vec![0usize; n + 1];
-    for i in 0..n {
-        col_ptr[i + 1] = col_ptr[i] + col_nnz[i];
-    }
-    let total_lower = col_ptr[n];
-    let mut l_rows = vec![0usize; total_lower];
-    let mut l_vals = vec![0.0f64; total_lower];
-    let mut col_len = vec![0usize; n];
-    let mut d = vec![0.0f64; n];
-
-    // --- Numeric pass --------------------------------------------------------
-    let workers = effective_threads(threads).min(n.max(1));
-    let schedule = if workers > 1 && n >= PAR_MIN_DIM {
-        let s = WaveSchedule::from_levels(&levels);
-        (s.mean_wave_width() >= PAR_MIN_WAVE_WIDTH).then_some(s)
-    } else {
-        None
-    };
-
-    let numeric_result: Result<()> = {
-        let rows_cell = SharedSlice::new(&mut l_rows);
-        let vals_cell = SharedSlice::new(&mut l_vals);
-        let len_cell = SharedSlice::new(&mut col_len);
-        let d_cell = SharedSlice::new(&mut d);
-        match schedule {
-            None => {
-                let mut scratch = UpLookScratch::new(n);
-                let mut out = Ok(());
-                for k in 0..n {
-                    // SAFETY: single-threaded — rows < k are complete, and
-                    // nobody else touches any column.
-                    match unsafe {
-                        uplook_row(
-                            w,
-                            &parent,
-                            &col_ptr,
-                            &rows_cell,
-                            &vals_cell,
-                            &len_cell,
-                            &d_cell,
-                            &mut scratch,
-                            k,
-                        )
-                    } {
-                        // SAFETY: single-threaded.
-                        Ok(dk) => unsafe { d_cell.set(k, dk) },
-                        Err(e) => {
-                            out = Err(e);
-                            break;
-                        }
-                    }
-                }
-                out
-            }
-            Some(schedule) => {
-                // On breakdown the waves still run to completion: a failed
-                // row skips its remaining appends and poisons d[k] with NaN,
-                // which only its dependents (all later waves, higher row
-                // indices) can observe. The minimum failing row index is
-                // therefore the exact row where the serial sweep would have
-                // stopped, and its error is bit-identical to the serial one.
-                let first_error: Mutex<Option<(usize, SparseError)>> = Mutex::new(None);
-                let barrier = Barrier::new(workers);
-                std::thread::scope(|scope| {
-                    for tid in 0..workers {
-                        let (rows_cell, vals_cell) = (&rows_cell, &vals_cell);
-                        let (len_cell, d_cell) = (&len_cell, &d_cell);
-                        let (schedule, barrier) = (&schedule, &barrier);
-                        let first_error = &first_error;
-                        let (parent, col_ptr) = (&parent, &col_ptr);
-                        scope.spawn(move || {
-                            let mut scratch = UpLookScratch::new(n);
-                            for wave in 0..schedule.num_waves() {
-                                let rows = schedule.wave(wave);
-                                let (lo, hi) = chunk_range(rows.len(), workers, tid);
-                                for &k in &rows[lo..hi] {
-                                    // SAFETY: see `uplook_row` — waves are
-                                    // sequenced by the barrier below and no
-                                    // two rows of a wave share a column.
-                                    match unsafe {
-                                        uplook_row(
-                                            w,
-                                            parent,
-                                            col_ptr,
-                                            rows_cell,
-                                            vals_cell,
-                                            len_cell,
-                                            d_cell,
-                                            &mut scratch,
-                                            k,
-                                        )
-                                    } {
-                                        // SAFETY: only this worker owns d[k].
-                                        Ok(dk) => unsafe { d_cell.set(k, dk) },
-                                        Err(e) => {
-                                            // SAFETY: only this worker owns d[k].
-                                            unsafe { d_cell.set(k, f64::NAN) };
-                                            let mut slot = first_error.lock().unwrap();
-                                            if slot.as_ref().is_none_or(|(row, _)| k < *row) {
-                                                *slot = Some((k, e));
-                                            }
-                                        }
-                                    }
-                                }
-                                barrier.wait();
-                            }
-                        });
-                    }
-                });
-                match first_error.into_inner().unwrap() {
-                    Some((_, e)) => Err(e),
-                    None => Ok(()),
-                }
-            }
-        }
-    };
-    numeric_result?;
-
-    // --- Assemble CSR factors ------------------------------------------------
-    // The CSC arrays of the strictly-lower L are, read as CSR, the strictly
-    // upper factor U = Lᵀ. Add explicit unit diagonals to both.
-    let mut u_indptr = Vec::with_capacity(n + 1);
-    let mut u_indices = Vec::with_capacity(total_lower + n);
-    let mut u_values = Vec::with_capacity(total_lower + n);
-    u_indptr.push(0);
-    for i in 0..n {
-        u_indices.push(i);
-        u_values.push(1.0);
-        let start = col_ptr[i];
-        let end = start + col_len[i];
-        // Row indices within a column are produced in increasing k, already sorted.
-        for p in start..end {
-            u_indices.push(l_rows[p]);
-            u_values.push(l_vals[p]);
-        }
-        u_indptr.push(u_indices.len());
-    }
-    let u = CsrMatrix::from_raw_parts(n, n, u_indptr, u_indices, u_values)?;
-    let l = u.transpose();
-
-    let input_lower_nnz = w.lower_triangle(false).nnz();
-    let factor_lower_nnz = total_lower;
-
-    Ok(CompleteLdl {
-        factors: LdlFactors {
-            l,
-            u,
-            d,
-            boosted_pivots: 0,
-        },
-        etree: parent,
-        input_lower_nnz,
-        factor_lower_nnz,
-    })
 }
 
 #[cfg(test)]

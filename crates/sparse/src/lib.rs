@@ -23,12 +23,12 @@
 //! * [`FeatureMatrix`] — the one contiguous, validated store of item feature
 //!   vectors every layer above reads from.
 //! * [`parallel`] — the audited `available_parallelism` policy
-//!   ([`effective_threads`]) and the wave-scheduling machinery behind the
-//!   scoped-thread parallel factorizations.
+//!   ([`effective_threads`]) every thread-count knob resolves through.
 //! * [`ichol`] — Incomplete Cholesky `L D Lᵀ` factorization restricted to the
 //!   sparsity pattern of `W` (Equations (6) and (7)).
 //! * [`ldl`] — complete ("Modified Cholesky" in the paper's terminology)
 //!   sparse `L D Lᵀ` factorization with fill-in, used by MogulE (Section 4.6.1).
+//!   Both factorizations are one serial sweep over the rows.
 //! * [`eigen`] / [`lowrank`] — Lanczos and Jacobi eigensolvers plus truncated
 //!   low-rank approximation, used by the FMR baseline and spectral clustering.
 //! * [`woodbury`] — Woodbury-identity solves: the anchor-graph form used by
@@ -41,8 +41,11 @@
 //!   section checksum (the container lives in `mogul-core::persist`).
 //!
 //! All numerics use `f64`. The crate has no third-party dependencies.
+//! The `unsafe_code` lint is denied crate-wide and allowed on [`kernel`] alone
+//! (the AVX2 intrinsics and their `target_feature` shell).
 
 #![deny(missing_docs)]
+#![deny(unsafe_code)]
 // Index-based loops are used deliberately throughout the numerical kernels:
 // they mirror the paper's equations and index several arrays in lockstep.
 #![allow(clippy::needless_range_loop)]
@@ -54,6 +57,7 @@ pub mod eigen;
 pub mod error;
 pub mod features;
 pub mod ichol;
+#[allow(unsafe_code)]
 pub mod kernel;
 pub mod ldl;
 pub mod lowrank;
@@ -70,9 +74,9 @@ pub use csr::CsrMatrix;
 pub use dense::DenseMatrix;
 pub use error::{Result, SparseError};
 pub use features::FeatureMatrix;
-pub use ichol::{incomplete_ldl, incomplete_ldl_threaded, LdlFactors};
+pub use ichol::{incomplete_ldl, LdlFactors};
 pub use kernel::{active_kernel, set_kernel_override, KernelKind};
-pub use ldl::{complete_ldl, complete_ldl_threaded, CompleteLdl};
+pub use ldl::{complete_ldl, CompleteLdl};
 pub use parallel::effective_threads;
 pub use permutation::Permutation;
 pub use triangular::SolveWorkspace;

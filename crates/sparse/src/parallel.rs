@@ -1,32 +1,13 @@
-//! Scoped-thread plumbing for the parallel numeric kernels.
+//! The workspace's one thread-count policy.
 //!
-//! Three things live here:
-//!
-//! * [`effective_threads`] — the one audited `available_parallelism` policy
-//!   every thread-count knob in the workspace resolves through (`0` means
-//!   "one worker per core", anything else is taken literally, and the result
-//!   is never below 1 even when the OS refuses to answer).
-//! * [`WaveSchedule`] — a dependency levelization: rows grouped into *waves*
-//!   such that every row's dependencies sit in strictly earlier waves. All
-//!   rows of one wave can run concurrently; a barrier separates waves.
-//! * `SharedSlice` — the unsafe cell the wave workers write through. Rows
-//!   of one wave touch pairwise-disjoint parts of the output arrays (that is
-//!   exactly what the wave construction proves), so the aliasing is benign,
-//!   but the borrow checker cannot see it across `scope.spawn` closures.
-//!
-//! The factorization modules ([`crate::ldl`], [`crate::ichol`]) own the
-//! proofs that their wave usage is race-free and bit-identical to the serial
-//! sweeps; this module only provides the mechanics.
-
-use std::marker::PhantomData;
-
-/// Smallest dimension worth spawning workers for: below this the whole
-/// factorization costs less than creating the thread pool.
-pub(crate) const PAR_MIN_DIM: usize = 1024;
-
-/// Smallest mean wave width worth parallelizing. A path-shaped elimination
-/// tree produces `n` waves of width 1 — all barrier, no parallelism.
-pub(crate) const PAR_MIN_WAVE_WIDTH: usize = 8;
+//! [`effective_threads`] is the audited `available_parallelism` call every
+//! thread-count knob in the workspace resolves through (`0` means "one worker
+//! per core", anything else is taken literally, and the result is never below
+//! 1 even when the OS refuses to answer). What runs on those workers lives
+//! with its owner: the k-NN scan and the k-means assignment in `mogul-graph`,
+//! concurrent shard builds in `mogul-core`, batch serving in `mogul-serve`.
+//! The factorizations ([`crate::ldl`], [`crate::ichol`]) are serial row
+//! recurrences.
 
 /// Resolve a requested worker count against the machine.
 ///
@@ -48,136 +29,6 @@ pub fn effective_threads(requested: usize) -> usize {
     resolved.max(1)
 }
 
-/// Rows grouped into dependency levels ("waves").
-///
-/// Wave `w` holds every row whose longest dependency chain has length `w`;
-/// rows within a wave are stored in ascending index order. The schedule is
-/// valid for concurrent execution iff each row depends only on rows with a
-/// strictly smaller level — which the producer guarantees by construction
-/// (`level[row] = 1 + max(level[dep])`).
-#[derive(Debug, Clone)]
-pub struct WaveSchedule {
-    /// Rows sorted by (wave, row index).
-    rows: Vec<usize>,
-    /// `rows[ptr[w]..ptr[w + 1]]` is wave `w`.
-    ptr: Vec<usize>,
-}
-
-impl WaveSchedule {
-    /// Build the schedule from per-row levels (`level[i] < n` for all `i`).
-    pub fn from_levels(levels: &[usize]) -> WaveSchedule {
-        let n = levels.len();
-        let num_waves = levels.iter().map(|&l| l + 1).max().unwrap_or(0);
-        let mut ptr = vec![0usize; num_waves + 1];
-        for &l in levels {
-            ptr[l + 1] += 1;
-        }
-        for w in 0..num_waves {
-            ptr[w + 1] += ptr[w];
-        }
-        let mut cursor = ptr.clone();
-        let mut rows = vec![0usize; n];
-        // Ascending row order within each wave falls out of the stable scan.
-        for (i, &l) in levels.iter().enumerate() {
-            rows[cursor[l]] = i;
-            cursor[l] += 1;
-        }
-        WaveSchedule { rows, ptr }
-    }
-
-    /// Number of waves (sequential phases).
-    pub fn num_waves(&self) -> usize {
-        self.ptr.len().saturating_sub(1)
-    }
-
-    /// The rows of wave `w`, ascending.
-    pub fn wave(&self, w: usize) -> &[usize] {
-        &self.rows[self.ptr[w]..self.ptr[w + 1]]
-    }
-
-    /// Mean rows per wave — the available parallelism. Serial chains (a path
-    /// elimination tree) score ~1; wide cluster structures score high.
-    pub fn mean_wave_width(&self) -> usize {
-        self.rows.len().checked_div(self.num_waves()).unwrap_or(0)
-    }
-}
-
-/// A raw view of a `&mut [T]` that several scoped workers write through.
-///
-/// # Safety contract
-///
-/// The creator must guarantee that concurrent accesses through clones of the
-/// view never overlap: every index is written by at most one worker between
-/// two synchronization points, and never read by another worker in the same
-/// phase. The wave factorizations satisfy this via their elimination-tree
-/// chain arguments; the `Barrier` between waves provides the happens-before
-/// edge that makes earlier-wave writes visible.
-pub(crate) struct SharedSlice<'a, T> {
-    ptr: *mut T,
-    len: usize,
-    _marker: PhantomData<&'a mut [T]>,
-}
-
-// SAFETY: the view is only a pointer; all access is through `unsafe` methods
-// whose disjointness the caller proves (see the struct docs).
-unsafe impl<T: Send> Send for SharedSlice<'_, T> {}
-unsafe impl<T: Send> Sync for SharedSlice<'_, T> {}
-
-impl<'a, T> SharedSlice<'a, T> {
-    pub(crate) fn new(slice: &'a mut [T]) -> Self {
-        SharedSlice {
-            ptr: slice.as_mut_ptr(),
-            len: slice.len(),
-            _marker: PhantomData,
-        }
-    }
-
-    /// Read `idx`. Caller proves no concurrent writer (see struct docs).
-    #[inline(always)]
-    pub(crate) unsafe fn get(&self, idx: usize) -> T
-    where
-        T: Copy,
-    {
-        debug_assert!(idx < self.len);
-        unsafe { *self.ptr.add(idx) }
-    }
-
-    /// Write `idx`. Caller proves exclusive access (see struct docs).
-    #[inline(always)]
-    pub(crate) unsafe fn set(&self, idx: usize, value: T) {
-        debug_assert!(idx < self.len);
-        unsafe { *self.ptr.add(idx) = value }
-    }
-
-    /// A subslice `range` of the underlying data. Caller proves no other
-    /// worker touches any index of `range` concurrently (see struct docs).
-    #[inline(always)]
-    #[allow(clippy::mut_from_ref)] // the whole point of the cell; see docs
-    pub(crate) unsafe fn slice_mut(&self, start: usize, len: usize) -> &mut [T] {
-        debug_assert!(start + len <= self.len);
-        unsafe { std::slice::from_raw_parts_mut(self.ptr.add(start), len) }
-    }
-
-    /// A read-only subslice. Caller proves no worker writes any index of the
-    /// range concurrently (concurrent readers are fine — see struct docs).
-    #[inline(always)]
-    pub(crate) unsafe fn slice(&self, start: usize, len: usize) -> &[T] {
-        debug_assert!(start + len <= self.len);
-        unsafe { std::slice::from_raw_parts(self.ptr.add(start), len) }
-    }
-}
-
-/// Split `len` items into `workers` near-equal contiguous chunks; returns the
-/// half-open range of chunk `worker`. Contiguous (not strided) assignment
-/// keeps each worker's writes on its own cache lines.
-pub(crate) fn chunk_range(len: usize, workers: usize, worker: usize) -> (usize, usize) {
-    let base = len / workers;
-    let extra = len % workers;
-    let start = worker * base + worker.min(extra);
-    let size = base + usize::from(worker < extra);
-    (start, start + size)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,39 +42,5 @@ mod tests {
         let auto = effective_threads(0);
         assert!(auto >= 1);
         assert!(auto <= 4096);
-    }
-
-    #[test]
-    fn wave_schedule_orders_rows() {
-        // levels: row 0 -> 0, row 1 -> 1, row 2 -> 0, row 3 -> 1, row 4 -> 2
-        let s = WaveSchedule::from_levels(&[0, 1, 0, 1, 2]);
-        assert_eq!(s.num_waves(), 3);
-        assert_eq!(s.wave(0), &[0, 2]);
-        assert_eq!(s.wave(1), &[1, 3]);
-        assert_eq!(s.wave(2), &[4]);
-        assert_eq!(s.mean_wave_width(), 1);
-    }
-
-    #[test]
-    fn wave_schedule_empty() {
-        let s = WaveSchedule::from_levels(&[]);
-        assert_eq!(s.num_waves(), 0);
-        assert_eq!(s.mean_wave_width(), 0);
-    }
-
-    #[test]
-    fn chunks_cover_everything_once() {
-        for len in [0usize, 1, 5, 16, 17] {
-            for workers in [1usize, 2, 3, 8] {
-                let mut seen = vec![0u32; len];
-                for w in 0..workers {
-                    let (a, b) = chunk_range(len, workers, w);
-                    for item in seen.iter_mut().take(b).skip(a) {
-                        *item += 1;
-                    }
-                }
-                assert!(seen.iter().all(|&c| c == 1), "len {len} workers {workers}");
-            }
-        }
     }
 }

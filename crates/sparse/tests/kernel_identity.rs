@@ -1,4 +1,5 @@
-//! SIMD-vs-scalar bit-identity and parallel-vs-serial determinism.
+//! SIMD-vs-scalar bit-identity, and the factorizations against independent
+//! references at the sizes the retired wave-parallel path used to take.
 //!
 //! The kernel engine's exactness contract (`mogul_sparse::kernel`) promises
 //! that the AVX2 path performs per lane exactly the IEEE-754 operations of
@@ -9,20 +10,21 @@
 //! test if a pin did not select the kernel it names; on any other host both
 //! pins run the scalar kernel, which is all such a host ever runs.
 //!
-//! The second half pins the wave-parallel factorizations: a worker count
-//! must never change a bit of the factors (or the error reported on
-//! breakdown), because the waves only ever parallelize provably disjoint
-//! rows.
+//! The second half checks the serial factorizations on a wide, shallow
+//! matrix of `n ≥ 1024` against references that share no code with them:
+//! `L D Lᵀ` multiplied back out through `matvec`, the dense LU solve, and the
+//! exact pivot of a singular block.
 
 use mogul_sparse::kernel::{active_kernel, set_kernel_override, tile_sq_distances, KernelKind};
 use mogul_sparse::triangular::{
     ldl_solve_multi_into, scale_diag_multi_into, solve_unit_lower_multi_into,
     solve_unit_upper_multi_into,
 };
+use mogul_sparse::vector::max_abs_diff;
 use mogul_sparse::vector::squared_euclidean_unchecked;
 use mogul_sparse::{
-    complete_ldl_threaded, incomplete_ldl_threaded, CooMatrix, CsrMatrix, FeatureMatrix,
-    SolveWorkspace, SparseError,
+    complete_ldl, incomplete_ldl, CooMatrix, CsrMatrix, FeatureMatrix, LdlFactors, SolveWorkspace,
+    SparseError,
 };
 use proptest::prelude::*;
 use std::sync::Mutex;
@@ -93,8 +95,8 @@ proptest! {
     fn simd_solves_are_bit_identical_to_scalar((n, edges) in edge_strategy(20), w in 0.05f64..0.45) {
         let _pin = KERNEL_PIN.lock().unwrap_or_else(|e| e.into_inner());
         let matrix = spd_matrix(n, &edges, w);
-        let complete = complete_ldl_threaded(&matrix, 1).unwrap().factors;
-        let incomplete = incomplete_ldl_threaded(&matrix, 1).unwrap();
+        let complete = complete_ldl(&matrix).unwrap().factors;
+        let incomplete = incomplete_ldl(&matrix).unwrap();
         let mut ws = SolveWorkspace::new();
         for factors in [&complete, &incomplete] {
             let (l, u, d) = (&factors.l, &factors.u, &factors.d);
@@ -185,10 +187,9 @@ fn simd_knn_distances_are_bit_identical_to_scalar() {
     }
 }
 
-/// A graph large and wide enough to actually engage the wave-parallel
-/// numeric path (`n ≥ PAR_MIN_DIM = 1024`, mean wave width ≥ 8): many small
-/// rings — shallow elimination trees, hundreds of rows per wave — sprinkled
-/// with a few cross-ring edges.
+/// Many small rings — shallow elimination trees, hundreds of independent
+/// rows per dependency level — sprinkled with a few cross-ring edges. At
+/// `n ≥ 1024` this is the shape the retired wave-parallel path engaged on.
 fn wide_wave_matrix(rings: usize, ring_len: usize, weight: f64) -> CsrMatrix {
     let n = rings * ring_len;
     let mut edges = Vec::new();
@@ -204,41 +205,55 @@ fn wide_wave_matrix(rings: usize, ring_len: usize, weight: f64) -> CsrMatrix {
     spd_matrix(n, &edges, weight)
 }
 
+/// Column `j` of `L D Lᵀ`, multiplied out through `matvec` alone.
+fn product_column(f: &LdlFactors, j: usize) -> Vec<f64> {
+    let mut e = vec![0.0; f.dim()];
+    e[j] = 1.0;
+    let mut x = f.u.matvec(&e).unwrap();
+    for (v, d) in x.iter_mut().zip(&f.d) {
+        *v *= d;
+    }
+    f.l.matvec(&x).unwrap()
+}
+
 #[test]
-fn parallel_factorizations_match_serial_bit_for_bit() {
-    // 1280 nodes ≥ PAR_MIN_DIM; 256 rings give wave widths in the hundreds.
+fn complete_ldl_reconstructs_and_solves_a_wide_matrix() {
     let matrix = wide_wave_matrix(256, 5, 0.2);
-    let serial_c = complete_ldl_threaded(&matrix, 1).unwrap();
-    let serial_i = incomplete_ldl_threaded(&matrix, 1).unwrap();
-    for threads in [2usize, 4, 8] {
-        let par_c = complete_ldl_threaded(&matrix, threads).unwrap();
-        assert_eq!(
-            serial_c.factors.d, par_c.factors.d,
-            "complete d, {threads} threads"
-        );
-        assert_eq!(
-            serial_c.factors.l.to_dense().data(),
-            par_c.factors.l.to_dense().data(),
-            "complete l, {threads} threads"
-        );
-        assert_eq!(serial_c.factor_lower_nnz, par_c.factor_lower_nnz);
-        let par_i = incomplete_ldl_threaded(&matrix, threads).unwrap();
-        assert_eq!(serial_i.d, par_i.d, "incomplete d, {threads} threads");
-        assert_eq!(
-            serial_i.l.to_dense().data(),
-            par_i.l.to_dense().data(),
-            "incomplete l, {threads} threads"
-        );
-        assert_eq!(serial_i.boosted_pivots, par_i.boosted_pivots);
+    let n = matrix.nrows();
+    let f = complete_ldl(&matrix).unwrap();
+    assert!(f.fill_in() > 0, "closing a ring fills in");
+    assert_eq!(f.factors.boosted_pivots, 0);
+    let dense = matrix.to_dense();
+    for j in 0..n {
+        let diff = max_abs_diff(&product_column(&f.factors, j), dense.row(j)).unwrap();
+        assert!(diff < 1e-12, "column {j}: reconstruction error {diff}");
+    }
+    let b = panel(n, 1, 7);
+    let diff = max_abs_diff(&f.solve(&b).unwrap(), &dense.solve(&b).unwrap()).unwrap();
+    assert!(diff < 1e-10, "solve differs from dense LU by {diff}");
+}
+
+#[test]
+fn incomplete_ldl_reproduces_a_wide_matrix_on_its_pattern() {
+    let matrix = wide_wave_matrix(256, 5, 0.2);
+    let f = incomplete_ldl(&matrix).unwrap();
+    assert_eq!(f.boosted_pivots, 0);
+    assert_eq!(f.l.nnz(), matrix.lower_triangle(true).nnz(), "no fill");
+    for j in 0..matrix.nrows() {
+        let column = product_column(&f, j);
+        let (rows, values) = matrix.row(j); // symmetric: row j is column j
+        for (&i, &v) in rows.iter().zip(values) {
+            let diff = (column[i] - v).abs();
+            assert!(diff < 1e-12, "stored entry ({i},{j}) off by {diff}");
+        }
     }
 }
 
 #[test]
-fn parallel_breakdown_reports_the_serial_error() {
-    // A big well-conditioned wave-parallel matrix plus one exactly singular
-    // 2×2 block `[[1, -1], [-1, 1]]` as its own component: eliminating the
-    // second block node produces pivot `1 - 1 = 0` exactly, in serial and in
-    // every wave schedule.
+fn breakdown_names_the_singular_row() {
+    // A big well-conditioned matrix plus one exactly singular 2×2 block
+    // `[[1, -1], [-1, 1]]` as its own component: eliminating the second
+    // block node produces pivot `1 - 1 = 0` exactly.
     let base = wide_wave_matrix(256, 5, 0.2);
     let n = base.nrows() + 2;
     let (a, b) = (n - 2, n - 1);
@@ -249,20 +264,9 @@ fn parallel_breakdown_reports_the_serial_error() {
     coo.push(a, a, 1.0).unwrap();
     coo.push(b, b, 1.0).unwrap();
     coo.push_symmetric(a, b, -1.0).unwrap();
-    let matrix = coo.to_csr();
-    let serial = complete_ldl_threaded(&matrix, 1).unwrap_err();
-    let SparseError::Breakdown { index, .. } = serial else {
-        panic!("expected Breakdown, got {serial:?}");
+    let error = complete_ldl(&coo.to_csr()).unwrap_err();
+    let SparseError::Breakdown { index, value } = error else {
+        panic!("expected Breakdown, got {error:?}");
     };
-    assert_eq!(index, b);
-    for threads in [2usize, 8] {
-        let parallel = complete_ldl_threaded(&matrix, threads).unwrap_err();
-        let SparseError::Breakdown {
-            index: par_index, ..
-        } = parallel
-        else {
-            panic!("expected Breakdown, got {parallel:?}");
-        };
-        assert_eq!(index, par_index, "{threads} threads");
-    }
+    assert_eq!((index, value.to_bits()), (b, 0.0f64.to_bits()));
 }

@@ -8,6 +8,8 @@
 //! (`mogul-core`, `mogul-graph`, `mogul-data`, `mogul-eval`, `mogul-serve`,
 //! `mogul-sparse`) directly.
 
+#![forbid(unsafe_code)]
+
 pub use mogul_core as core;
 pub use mogul_data as data;
 pub use mogul_eval as eval;
