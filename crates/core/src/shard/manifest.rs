@@ -4,11 +4,15 @@
 //! A saved sharded index is a **directory**:
 //!
 //! ```text
-//! <dir>/manifest.mog1      MOG1 container, one `shard-manifest` section
-//! <dir>/shard-0000.mog1    ordinary updatable-index file (PR-5 format)
-//! <dir>/shard-0001.mog1
+//! <dir>/manifest.mog1                            MOG1 container, one `shard-manifest` section
+//! <dir>/shard-0000-e00000000000000000012.mog1    ordinary updatable-index file, named by
+//! <dir>/shard-0001-e00000000000000000007.mog1    shard and pinned shard epoch
 //! ...
 //! ```
+//!
+//! The manifest rename commits a save (see [`save_sharded`]); the loader
+//! takes every name from the manifest, so directories written with the
+//! older fixed names (`shard-0000.mog1`) load unchanged.
 //!
 //! The manifest is itself a MOG1 container — it inherits the whole
 //! container discipline for free (magic, version, section table, footer,
@@ -54,9 +58,10 @@ const MAX_DIM: usize = 1 << 20;
 /// Largest accepted per-shard build length / overflow count.
 const MAX_IDS: usize = 1 << 28;
 
-/// The canonical file name of shard `shard`.
-pub fn shard_file_name(shard: usize) -> String {
-    format!("shard-{shard:04}.mog1")
+/// The file name [`save_sharded`] gives shard `shard` at shard epoch
+/// `epoch`.
+pub fn shard_file_name(shard: usize, epoch: u64) -> String {
+    format!("shard-{shard:04}-e{epoch:020}.mog1")
 }
 
 /// One shard's entry in the manifest.
@@ -307,11 +312,17 @@ pub fn inspect_manifest(path: impl AsRef<Path>) -> Result<ShardManifestInfo, Per
 
 /// Checkpoint a sharded index into `dir` (created if absent): one MOG1 file
 /// per shard plus [`MANIFEST_FILE_NAME`], every file written atomically
-/// (temp + rename) with the manifest last — a crash mid-save never
-/// invalidates a previous complete checkpoint.
+/// (temp + rename). Shard files are named by shard and epoch
+/// ([`shard_file_name`]): a shard that changed gets a name the committed
+/// manifest cannot pin, and one that did not is rewritten with the bytes
+/// already there (a shard's encoding is a function of its state). Renaming
+/// the manifest commits the checkpoint, and the shard files it no longer
+/// names are deleted after that. A crash mid-save therefore never
+/// invalidates the previous complete checkpoint.
 ///
 /// Every shard must be on a clean epoch; call
-/// [`ShardedIndex::checkpoint_clean`] first if updates have been applied.
+/// [`rebuild`](crate::update::WritableIndex::rebuild) first if updates have
+/// been applied.
 pub fn save_sharded(
     index: &ShardedIndex,
     dir: impl AsRef<Path>,
@@ -320,7 +331,7 @@ pub fn save_sharded(
     for s in 0..index.num_shards() {
         if !index.shard(s).snapshot().is_clean() {
             return Err(PersistError::InvalidState(format!(
-                "shard {s} is not on a clean epoch; call checkpoint_clean() before saving"
+                "shard {s} is not on a clean epoch; call rebuild() before saving"
             )));
         }
     }
@@ -331,7 +342,7 @@ pub fn save_sharded(
     let mut entries = Vec::with_capacity(index.num_shards());
     for s in 0..index.num_shards() {
         let bytes = save_updatable_to(index.shard(s), Vec::new())?;
-        let file_name = shard_file_name(s);
+        let file_name = shard_file_name(s, index.shard(s).epoch());
         let path = dir.join(&file_name);
         save_file(&path, |sink| {
             use std::io::Write;
@@ -365,7 +376,24 @@ pub fn save_sharded(
         writer.write_section(SectionKind::ShardManifest, &payload)?;
         writer.finish().map(drop)
     })?;
+    collect_stale_shard_files(dir, &info);
     Ok(info)
+}
+
+/// Delete every `shard-*.mog1` file in `dir` that the just-committed
+/// manifest does not name — the shard files of superseded checkpoints.
+/// Best-effort, like wal segment collection: a file that survives is
+/// collected by the next save.
+fn collect_stale_shard_files(dir: &Path, info: &ShardManifestInfo) {
+    for entry in std::fs::read_dir(dir).into_iter().flatten().flatten() {
+        let name = entry.file_name().to_string_lossy().into_owned();
+        if name.starts_with("shard-")
+            && name.ends_with(".mog1")
+            && !info.shards.iter().any(|e| e.file_name == name)
+        {
+            let _ = std::fs::remove_file(entry.path());
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -48,9 +48,13 @@ pub use manifest::{
 };
 pub use snapshot::{ShardScatterStats, ShardedSnapshot, ShardedWorkspace};
 
+use std::path::Path;
 use std::sync::Arc;
 
-use crate::update::{IndexBuilder, IndexDelta, RebuildDebt, UpdatableIndex, UpdateOp};
+use crate::persist::PersistError;
+use crate::update::{
+    sealed, IndexBuilder, IndexDelta, RebuildDebt, UpdatableIndex, UpdateOp, WritableIndex,
+};
 use crate::{CoreError, Result};
 use mogul_graph::clustering::partition::{partition_points, PartitionConfig};
 use mogul_sparse::FeatureMatrix;
@@ -189,11 +193,6 @@ impl ShardRouter {
     /// The `(base, build length)` range of a shard.
     pub fn base_range(&self, shard: usize) -> Option<(usize, usize)> {
         self.bases.get(shard).copied()
-    }
-
-    /// Total build size (the first overflow global id).
-    pub fn base_total(&self) -> usize {
-        self.base_total
     }
 
     /// Overflow global ids owned by `shard`, in insertion order.
@@ -418,11 +417,6 @@ impl ShardedIndex {
         self.epoch
     }
 
-    /// The per-shard snapshot epochs, shard order.
-    pub fn shard_epochs(&self) -> Vec<u64> {
-        self.shards.iter().map(UpdatableIndex::epoch).collect()
-    }
-
     /// Number of shards.
     pub fn num_shards(&self) -> usize {
         self.shards.len()
@@ -469,11 +463,6 @@ impl ShardedIndex {
     /// Read access to one shard's index (tests, persistence, inspection).
     pub fn shard(&self, shard: usize) -> &UpdatableIndex {
         &self.shards[shard]
-    }
-
-    /// Rebuild debt per shard.
-    pub fn shard_debts(&self) -> Vec<RebuildDebt> {
-        self.shards.iter().map(UpdatableIndex::debt).collect()
     }
 
     /// Apply a delta with global semantics: inserts route to the shard with
@@ -593,40 +582,71 @@ impl ShardedIndex {
     pub fn route_insert(&self, feature: &[f64]) -> Result<usize> {
         route_by_centroid(self.shards.iter().map(|s| s.snapshot()), feature)
     }
+}
 
-    /// Force a full refactorization of one shard, publishing a fresh
-    /// (debt-free) epoch for it. The other shards are untouched — this is
-    /// how rebuild debt is paid incrementally, shard by shard.
-    pub fn rebuild_shard(&mut self, shard: usize) -> Result<()> {
-        if shard >= self.shards.len() {
-            return Err(CoreError::InvalidInput(format!(
-                "shard {shard} does not exist ({} shards)",
-                self.shards.len()
-            )));
-        }
-        self.shards[shard].rebuild()?;
-        self.epoch += 1;
-        self.refresh_snapshot();
-        Ok(())
+impl sealed::Sealed for ShardedIndex {}
+
+impl WritableIndex for ShardedIndex {
+    type Snapshot = ShardedSnapshot;
+    type Report = ShardedUpdateReport;
+
+    fn epoch(&self) -> u64 {
+        self.epoch
     }
-
-    /// Rebuild every shard that is not on a clean epoch, returning the
-    /// shards rebuilt. After this the index is checkpointable
+    fn snapshot(&self) -> Arc<ShardedSnapshot> {
+        ShardedIndex::snapshot(self)
+    }
+    fn is_clean(&self) -> bool {
+        self.snapshot.is_clean()
+    }
+    /// Rebuild debt over all shards: support and live items add up, and the
+    /// correction rank is the largest any shard carries — the worst
+    /// per-query correction a scatter can pay.
+    fn debt(&self) -> RebuildDebt {
+        let mut total = RebuildDebt::default();
+        for debt in self.shards.iter().map(UpdatableIndex::debt) {
+            total.support += debt.support;
+            total.correction_rank = total.correction_rank.max(debt.correction_rank);
+            total.live_items += debt.live_items;
+        }
+        total
+    }
+    fn apply(&mut self, delta: &IndexDelta) -> Result<ShardedUpdateReport> {
+        ShardedIndex::apply(self, delta)
+    }
+    /// Refactorize every shard that is not on a clean epoch and publish the
+    /// result as the next sharded epoch. Clean shards are left alone, so
+    /// maintenance costs only the dirty shards; the epoch advances by
+    /// exactly one even when nothing was dirty, so a logged rebuild replays
+    /// to the same epoch. Afterwards the index is checkpointable
     /// ([`save_sharded`]) and every query runs against a fresh
     /// factorization.
-    pub fn checkpoint_clean(&mut self) -> Result<Vec<usize>> {
-        let mut rebuilt = Vec::new();
-        for s in 0..self.shards.len() {
-            if !self.shards[s].snapshot().is_clean() {
-                self.shards[s].rebuild()?;
-                rebuilt.push(s);
+    fn rebuild(&mut self) -> Result<ShardedUpdateReport> {
+        let mut rebuilt_shards = Vec::new();
+        for (s, shard) in self.shards.iter_mut().enumerate() {
+            if !shard.snapshot().is_clean() {
+                shard.rebuild()?;
+                rebuilt_shards.push(s);
             }
         }
-        if !rebuilt.is_empty() {
-            self.epoch += 1;
-            self.refresh_snapshot();
-        }
-        Ok(rebuilt)
+        self.epoch += 1;
+        self.refresh_snapshot();
+        Ok(ShardedUpdateReport {
+            epoch: self.epoch,
+            inserted: Vec::new(),
+            removed: 0,
+            touched_shards: rebuilt_shards.clone(),
+            rebuilt_shards,
+        })
+    }
+    fn rebuilt(report: &ShardedUpdateReport) -> bool {
+        !report.rebuilt_shards.is_empty()
+    }
+    fn save(&self, dir: &Path) -> std::result::Result<(), PersistError> {
+        save_sharded(self, dir).map(drop)
+    }
+    fn load(dir: &Path) -> std::result::Result<Self, PersistError> {
+        load_sharded(dir)
     }
 }
 

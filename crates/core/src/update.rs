@@ -52,6 +52,7 @@ use crate::mogul::{
 use crate::out_of_sample::{
     heat_kernel_weights, OutOfSampleConfig, OutOfSampleIndex, OutOfSampleResult,
 };
+use crate::persist::PersistError;
 use crate::ranking::{check_k, RankedNode, TopKResult};
 use crate::topk::BoundedTopK;
 use crate::{CoreError, Result};
@@ -59,6 +60,7 @@ use mogul_graph::knn::{by_distance, nearest_rows};
 use mogul_graph::Graph;
 use mogul_sparse::{CorrectionWorkspace, FeatureMatrix, WoodburyCorrection};
 use std::collections::BTreeSet;
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -169,7 +171,7 @@ impl RebuildPolicy {
 }
 
 /// Snapshot of the accumulated rebuild debt (see [`RebuildPolicy`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RebuildDebt {
     /// Rows of `W` that differ from the factorized base (`|R|`).
     pub support: usize,
@@ -204,6 +206,49 @@ pub struct UpdateReport {
     pub rebuilt: bool,
     /// Rebuild debt after this application (zero after a rebuild).
     pub debt: RebuildDebt,
+}
+
+pub(crate) mod sealed {
+    /// Keeps [`WritableIndex`](super::WritableIndex) closed to this crate.
+    pub trait Sealed {}
+}
+
+/// What a durable writer and its write-ahead log need of an index. Sealed:
+/// implemented by [`UpdatableIndex`] and by
+/// [`ShardedIndex`](crate::ShardedIndex), so one log replay
+/// ([`crate::wal::replay`]) and one writer (`mogul_serve::Writer`) serve
+/// both engines.
+///
+/// Every operation is deterministic and advances [`WritableIndex::epoch`]
+/// by exactly one (an empty delta by none), which is what lets a logged
+/// operation replay to the same epoch, bit for bit, after a crash.
+pub trait WritableIndex: sealed::Sealed + std::fmt::Debug + Send + Sized + 'static {
+    /// The immutable snapshot queries run against.
+    type Snapshot;
+    /// What one [`WritableIndex::apply`] or [`WritableIndex::rebuild`] did.
+    type Report;
+
+    /// Epoch of the published snapshot.
+    fn epoch(&self) -> u64;
+    /// The published snapshot (cheap `Arc` clone).
+    fn snapshot(&self) -> Arc<Self::Snapshot>;
+    /// `true` when no correction debt is carried anywhere — the only state
+    /// [`WritableIndex::save`] accepts.
+    fn is_clean(&self) -> bool;
+    /// Current rebuild debt.
+    fn debt(&self) -> RebuildDebt;
+    /// Apply a delta and publish the next epoch.
+    fn apply(&mut self, delta: &IndexDelta) -> Result<Self::Report>;
+    /// Refactorize whatever carries debt and publish the next epoch.
+    fn rebuild(&mut self) -> Result<Self::Report>;
+    /// `true` when the operation that produced `report` refactorized
+    /// anything.
+    fn rebuilt(report: &Self::Report) -> bool;
+    /// Persist a clean epoch to `path` (a file or a directory, per engine),
+    /// atomically.
+    fn save(&self, path: &Path) -> std::result::Result<(), PersistError>;
+    /// Load what [`WritableIndex::save`] wrote.
+    fn load(path: &Path) -> std::result::Result<Self, PersistError>;
 }
 
 // ---------------------------------------------------------------------------
@@ -425,11 +470,6 @@ impl UpdatableIndex {
         self.node_of_id.get(id).copied().flatten().is_some()
     }
 
-    /// The configured rebuild policy.
-    pub fn policy(&self) -> RebuildPolicy {
-        self.policy
-    }
-
     /// Current rebuild debt.
     pub fn debt(&self) -> RebuildDebt {
         RebuildDebt {
@@ -437,12 +477,6 @@ impl UpdatableIndex {
             correction_rank: self.snapshot.correction_rank(),
             live_items: self.live_count,
         }
-    }
-
-    /// `true` when the next [`UpdatableIndex::apply`] would trigger a full
-    /// refactorization even without further changes.
-    pub fn needs_rebuild(&self) -> bool {
-        !self.dirty.is_empty() && self.policy.should_rebuild(self.debt())
     }
 
     /// Apply a delta: validate every operation, mutate the collection, and
@@ -931,6 +965,41 @@ impl UpdatableIndex {
             dim: self.dim,
         });
         Ok(())
+    }
+}
+
+impl sealed::Sealed for UpdatableIndex {}
+
+impl WritableIndex for UpdatableIndex {
+    type Snapshot = IndexSnapshot;
+    type Report = UpdateReport;
+
+    fn epoch(&self) -> u64 {
+        self.epoch
+    }
+    fn snapshot(&self) -> Arc<IndexSnapshot> {
+        UpdatableIndex::snapshot(self)
+    }
+    fn is_clean(&self) -> bool {
+        self.snapshot.is_clean()
+    }
+    fn debt(&self) -> RebuildDebt {
+        UpdatableIndex::debt(self)
+    }
+    fn apply(&mut self, delta: &IndexDelta) -> Result<UpdateReport> {
+        UpdatableIndex::apply(self, delta)
+    }
+    fn rebuild(&mut self) -> Result<UpdateReport> {
+        UpdatableIndex::rebuild(self)
+    }
+    fn rebuilt(report: &UpdateReport) -> bool {
+        report.rebuilt
+    }
+    fn save(&self, path: &Path) -> std::result::Result<(), PersistError> {
+        crate::persist::save_updatable(self, path)
+    }
+    fn load(path: &Path) -> std::result::Result<Self, PersistError> {
+        crate::persist::load_updatable(path)
     }
 }
 
@@ -1700,7 +1769,6 @@ mod tests {
         // The inserted item survived the rebuild under its stable id.
         assert!(snapshot.contains(16));
         assert!(snapshot.query_by_id(16, 3).is_ok());
-        assert!(!index.needs_rebuild());
     }
 
     #[test]

@@ -16,9 +16,9 @@
 //!   records at or below the checkpoint epoch are skipped (the **watermark**
 //!   check — this is what makes a crash *between* checkpoint save and
 //!   stale-segment GC harmless), the rest must form a contiguous epoch
-//!   chain and are re-applied. Because [`UpdatableIndex::apply`] is
-//!   deterministic, the recovered index is bit-identical to one that never
-//!   crashed.
+//!   chain and are re-applied. Because [`WritableIndex::apply`] is
+//!   deterministic — for a single index and for a sharded one alike — the
+//!   recovered index is bit-identical to one that never crashed.
 //! * Segments **rotate** at every successful checkpoint: a fresh segment
 //!   based at the checkpoint epoch is created and fsync'd, then stale
 //!   segments are garbage-collected.
@@ -56,8 +56,8 @@
 //! [`WalError`] rather than serve a silently wrong index. See
 //! `docs/PERSISTENCE.md` for the full decision table.
 
-use crate::persist::{self, PersistError};
-use crate::update::{IndexDelta, UpdatableIndex, UpdateOp};
+use crate::persist::PersistError;
+use crate::update::{IndexDelta, UpdatableIndex, UpdateOp, WritableIndex};
 use mogul_sparse::persist::{checksum64, put_f64_slice, put_u64, ByteReader};
 use std::fmt;
 use std::fs::{File, OpenOptions};
@@ -269,8 +269,8 @@ pub enum WalOp {
     /// An applied [`IndexDelta`] (always non-empty; empty deltas do not
     /// advance the epoch and are never logged).
     Delta(IndexDelta),
-    /// An explicit full refactorization ([`UpdatableIndex::rebuild`]),
-    /// which advances the epoch without changing the collection.
+    /// An explicit refactorization ([`WritableIndex::rebuild`]), which
+    /// advances the epoch without changing the collection.
     Rebuild,
 }
 
@@ -627,7 +627,7 @@ impl ScannedLog {
 }
 
 /// Read and validate every segment of a log directory: the shared core of
-/// [`Wal::recover`], [`read_log`] and [`inspect_dir`]. Applies the full
+/// [`Wal::recover`], [`recover_read_only`] and [`inspect_dir`]. Applies the full
 /// fail-closed rule set — header/record/chain validation, with the
 /// torn-tail carve-out only on the final segment — without modifying any
 /// file.
@@ -715,17 +715,6 @@ fn scan_log(dir: &Path) -> Result<ScannedLog, WalError> {
     })
 }
 
-/// Read a log without taking ownership of it: every decoded record in
-/// epoch order plus the scan report, with nothing on disk modified (a torn
-/// tail is reported but left in place). This is the serving-only recovery
-/// path — [`crate::update::UpdatableIndex`]-over-checkpoint replay for a
-/// read replica that will never append.
-pub fn read_log(dir: impl AsRef<Path>) -> Result<(Vec<WalRecord>, RecoveryReport), WalError> {
-    let scan = scan_log(dir.as_ref())?;
-    let report = scan.report();
-    Ok((scan.records, report))
-}
-
 // ---------------------------------------------------------------------------
 // The open log
 // ---------------------------------------------------------------------------
@@ -764,8 +753,8 @@ pub struct RecoveryReport {
 /// An open write-ahead log: one append-only segment file plus the rotation
 /// and garbage-collection lifecycle.
 ///
-/// A `Wal` is single-writer by construction — [`crate::update::UpdatableIndex`]
-/// has one owner, and the serve layer drives both under one mutex.
+/// A `Wal` is single-writer by construction — a [`WritableIndex`] has one
+/// owner, and the serve layer drives both under one mutex.
 #[derive(Debug)]
 pub struct Wal {
     dir: PathBuf,
@@ -1052,7 +1041,7 @@ pub struct ReplayReport {
     pub epoch: u64,
 }
 
-/// Re-apply logged records over a checkpoint.
+/// Re-apply logged records over a checkpoint of either engine.
 ///
 /// Records with `epoch <= index.epoch()` are skipped — the **watermark**
 /// check that makes a crash between checkpoint save and stale-segment GC
@@ -1060,7 +1049,10 @@ pub struct ReplayReport {
 /// would double-apply their deltas). The remaining records must start at
 /// exactly `watermark + 1` and stay contiguous; any hole means a lost
 /// segment and refuses with [`WalError::EpochGap`].
-pub fn replay(index: &mut UpdatableIndex, records: &[WalRecord]) -> Result<ReplayReport, WalError> {
+pub fn replay<I: WritableIndex>(
+    index: &mut I,
+    records: &[WalRecord],
+) -> Result<ReplayReport, WalError> {
     let watermark = index.epoch();
     let mut skipped = 0usize;
     let mut applied = 0usize;
@@ -1080,16 +1072,16 @@ pub fn replay(index: &mut UpdatableIndex, records: &[WalRecord]) -> Result<Repla
             WalOp::Delta(delta) => index.apply(delta),
             WalOp::Rebuild => index.rebuild(),
         };
-        let report = result.map_err(|e| WalError::Replay {
+        result.map_err(|e| WalError::Replay {
             epoch: record.epoch,
             detail: e.to_string(),
         })?;
-        if report.epoch != record.epoch {
+        if index.epoch() != record.epoch {
             return Err(WalError::Replay {
                 epoch: record.epoch,
                 detail: format!(
                     "index landed on epoch {} after re-applying the record",
-                    report.epoch
+                    index.epoch()
                 ),
             });
         }
@@ -1104,7 +1096,7 @@ pub fn replay(index: &mut UpdatableIndex, records: &[WalRecord]) -> Result<Repla
     })
 }
 
-/// Combined outcome of [`recover_updatable`].
+/// Combined outcome of [`recover`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecoveryOutcome {
     /// What scanning the log found.
@@ -1113,9 +1105,9 @@ pub struct RecoveryOutcome {
     pub replay: ReplayReport,
 }
 
-/// Full crash recovery: load the checkpoint, scan the log, replay it, and
-/// return the recovered index together with the re-opened log positioned
-/// to keep appending.
+/// Full crash recovery of either engine: load the checkpoint, scan the log,
+/// replay it, and return the recovered index together with the re-opened
+/// log positioned to keep appending.
 ///
 /// The recovered index is on exactly [`RecoveryReport::last_epoch`] — the
 /// last epoch the crashed writer acknowledged (or further, if a final
@@ -1123,25 +1115,57 @@ pub struct RecoveryOutcome {
 /// either way an epoch the writer's protocol committed to). No rebuild is
 /// forced: corrected epochs recover as corrected epochs, so answers are
 /// bit-identical to the uncrashed writer's.
+pub fn recover<I: WritableIndex>(
+    checkpoint: impl AsRef<Path>,
+    wal_dir: impl AsRef<Path>,
+    sync: WalSync,
+) -> Result<(I, Wal, RecoveryOutcome), WalError> {
+    let mut index = I::load(checkpoint.as_ref())?;
+    let (wal, records, log) = Wal::recover(wal_dir, sync)?;
+    let replay = replay_to_log_head(&mut index, &records, &log)?;
+    Ok((index, wal, RecoveryOutcome { log, replay }))
+}
+
+/// [`recover`] for a single [`UpdatableIndex`].
 pub fn recover_updatable(
     checkpoint: impl AsRef<Path>,
     wal_dir: impl AsRef<Path>,
     sync: WalSync,
 ) -> Result<(UpdatableIndex, Wal, RecoveryOutcome), WalError> {
-    let mut index = persist::load_updatable(checkpoint.as_ref())?;
-    let (wal, records, log) = Wal::recover(wal_dir, sync)?;
-    if index.epoch() > wal.last_epoch() {
-        // The checkpoint is *ahead* of the log: rotation always leaves a
-        // segment based at the checkpoint epoch, so this means the log's
-        // newest segments were lost.
+    recover(checkpoint, wal_dir, sync)
+}
+
+/// [`recover`] for a read replica that will never append: nothing on disk
+/// is modified (a torn tail is skipped, not truncated) and no [`Wal`] is
+/// opened.
+pub fn recover_read_only<I: WritableIndex>(
+    checkpoint: impl AsRef<Path>,
+    wal_dir: impl AsRef<Path>,
+) -> Result<I, WalError> {
+    let mut index = I::load(checkpoint.as_ref())?;
+    let scan = scan_log(wal_dir.as_ref())?;
+    replay_to_log_head(&mut index, &scan.records, &scan.report())?;
+    Ok(index)
+}
+
+/// [`replay`] over a freshly loaded checkpoint, which must land exactly on
+/// the head of the scanned log. A checkpoint *ahead* of the log means the
+/// log's newest segments were lost (rotation always leaves a segment based
+/// at the checkpoint epoch); one behind a log head that no record bridges
+/// means the segments in between were.
+fn replay_to_log_head<I: WritableIndex>(
+    index: &mut I,
+    records: &[WalRecord],
+    log: &RecoveryReport,
+) -> Result<ReplayReport, WalError> {
+    let replay = replay(index, records)?;
+    if replay.epoch != log.last_epoch {
         return Err(WalError::EpochGap {
-            expected: index.epoch(),
-            found: wal.last_epoch(),
+            expected: replay.epoch,
+            found: log.last_epoch,
         });
     }
-    let replay = replay(&mut index, &records)?;
-    debug_assert_eq!(replay.epoch, wal.last_epoch());
-    Ok((index, wal, RecoveryOutcome { log, replay }))
+    Ok(replay)
 }
 
 // ---------------------------------------------------------------------------

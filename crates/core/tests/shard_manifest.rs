@@ -26,10 +26,10 @@ use std::path::{Path, PathBuf};
 use mogul_core::persist::PersistError;
 use mogul_core::persist::{SectionKind, SectionWriter};
 use mogul_core::shard::{
-    inspect_manifest_bytes, load_sharded, save_sharded, shard_file_name, ShardedConfig,
-    ShardedIndex, ShardedWorkspace, MANIFEST_FILE_NAME,
+    inspect_manifest, inspect_manifest_bytes, load_sharded, save_sharded, shard_file_name,
+    ShardedConfig, ShardedIndex, ShardedSnapshot, ShardedWorkspace, MANIFEST_FILE_NAME,
 };
-use mogul_core::update::{IndexBuilder, IndexDelta, RebuildPolicy};
+use mogul_core::update::{IndexBuilder, IndexDelta, RebuildPolicy, WritableIndex};
 use mogul_sparse::persist::put_u64;
 
 // ---------------------------------------------------------------------------
@@ -64,7 +64,7 @@ fn fixture_index() -> ShardedIndex {
         .insert(vec![50.3, 0.5, 0.6])
         .remove(3);
     index.apply(&delta).unwrap();
-    index.checkpoint_clean().unwrap();
+    index.rebuild().unwrap();
     index
 }
 
@@ -85,6 +85,26 @@ fn manifest_bytes(dir: &Path) -> Vec<u8> {
     std::fs::read(dir.join(MANIFEST_FILE_NAME)).unwrap()
 }
 
+/// Path of shard `s`'s file, as the directory's manifest names it.
+fn shard_path(dir: &Path, s: usize) -> PathBuf {
+    dir.join(&inspect_manifest(dir).unwrap().shards[s].file_name)
+}
+
+/// Assert two snapshots hold the same items and answer every one of them
+/// bit-identically.
+fn assert_same_answers(a: &ShardedSnapshot, b: &ShardedSnapshot, context: &str) {
+    assert_eq!(a.item_ids(), b.item_ids(), "{context}");
+    let mut ws = ShardedWorkspace::new();
+    for id in a.item_ids() {
+        let x = a.query_by_id_in(&mut ws, id, 4).unwrap();
+        let y = b.query_by_id_in(&mut ws, id, 4).unwrap();
+        assert_eq!(x.nodes(), y.nodes(), "{context}: id {id}");
+        for (i, j) in x.items().iter().zip(y.items()) {
+            assert_eq!(i.score.to_bits(), j.score.to_bits(), "{context}: id {id}");
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Round trip & warm start
 // ---------------------------------------------------------------------------
@@ -99,22 +119,63 @@ fn round_trip_answers_bit_identically() {
 
     let loaded = load_sharded(&dir).unwrap();
     assert_eq!(loaded.epoch(), index.epoch());
-    assert_eq!(loaded.shard_epochs(), index.shard_epochs());
+    let epochs = index.snapshot().shard_epochs();
+    assert_eq!(loaded.snapshot().shard_epochs(), epochs);
     assert_eq!(loaded.len(), index.len());
     assert_eq!(loaded.router(), index.router());
-
-    let (a, b) = (index.snapshot(), loaded.snapshot());
-    assert_eq!(a.item_ids(), b.item_ids());
-    let mut ws = ShardedWorkspace::new();
-    for id in a.item_ids() {
-        let x = a.query_by_id_in(&mut ws, id, 4).unwrap();
-        let y = b.query_by_id_in(&mut ws, id, 4).unwrap();
-        assert_eq!(x.nodes(), y.nodes(), "id {id}");
-        for (i, j) in x.items().iter().zip(y.items()) {
-            assert_eq!(i.score.to_bits(), j.score.to_bits(), "id {id}");
-        }
+    for (s, entry) in info.shards.iter().enumerate() {
+        assert_eq!(entry.file_name, shard_file_name(s, epochs[s]));
     }
+    assert_same_answers(&index.snapshot(), &loaded.snapshot(), "round trip");
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The sharded checkpoint is crash-atomic. A save writes every shard file
+/// first and commits by renaming the manifest, so a crash before that
+/// rename leaves the previous manifest in charge — and every file it pins
+/// must still be on disk, unchanged. That state is built here by hand:
+/// checkpoint B's shard files land in checkpoint A's directory (exactly
+/// what B's save writes before its commit point) while A's manifest stays.
+/// The load must come back at A, with A's answers.
+#[test]
+fn a_crash_before_the_manifest_commit_keeps_the_previous_checkpoint() {
+    let mut index = fixture_index();
+    let dir = temp_dir("commit");
+    let info_a = save_sharded(&index, &dir).unwrap();
+    let at_a = index.snapshot();
+
+    let mut delta = IndexDelta::new();
+    delta.insert(vec![0.2, 0.2, 0.2]);
+    index.apply(&delta).unwrap();
+    index.rebuild().unwrap();
+    let staged = temp_dir("commit_staged");
+    let info_b = save_sharded(&index, &staged).unwrap();
+    for entry in &info_b.shards {
+        std::fs::copy(staged.join(&entry.file_name), dir.join(&entry.file_name)).unwrap();
+    }
+    let loaded = load_sharded(&dir).expect("the previous checkpoint must survive");
+    assert_eq!(loaded.epoch(), info_a.epoch);
+    assert_same_answers(&at_a, &loaded.snapshot(), "crash before commit");
+
+    // Completing the save commits B and collects A's superseded files.
+    save_sharded(&index, &dir).unwrap();
+    let loaded = load_sharded(&dir).unwrap();
+    assert_eq!(loaded.epoch(), info_b.epoch);
+    assert_same_answers(&index.snapshot(), &loaded.snapshot(), "after commit");
+    let mut on_disk: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    on_disk.sort();
+    let mut expected: Vec<String> = info_b.shards.iter().map(|e| e.file_name.clone()).collect();
+    expected.push(MANIFEST_FILE_NAME.to_string());
+    expected.sort();
+    assert_eq!(
+        on_disk, expected,
+        "superseded shard files must be collected"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::remove_dir_all(&staged).unwrap();
 }
 
 #[test]
@@ -161,7 +222,7 @@ fn saving_a_dirty_index_is_rejected() {
     let dir = temp_dir("dirty");
     match save_sharded(&index, &dir) {
         Err(PersistError::InvalidState(msg)) => {
-            assert!(msg.contains("checkpoint_clean"), "unhelpful message: {msg}")
+            assert!(msg.contains("rebuild"), "unhelpful message: {msg}")
         }
         other => panic!("expected InvalidState, got {other:?}"),
     }
@@ -447,7 +508,7 @@ fn expect_shard_file_corrupt(dir: &Path, what: &str) {
 #[test]
 fn missing_shard_file_fails_closed() {
     let dir = saved_fixture("missing");
-    std::fs::remove_file(dir.join(shard_file_name(1))).unwrap();
+    std::fs::remove_file(shard_path(&dir, 1)).unwrap();
     match load_sharded(&dir) {
         Err(PersistError::Io { op, .. }) => assert_eq!(op, "read shard file"),
         other => panic!("expected Io, got {other:?}"),
@@ -458,7 +519,7 @@ fn missing_shard_file_fails_closed() {
 #[test]
 fn truncated_shard_file_fails_closed() {
     let dir = saved_fixture("shard_trunc");
-    let path = dir.join(shard_file_name(0));
+    let path = shard_path(&dir, 0);
     let bytes = std::fs::read(&path).unwrap();
     std::fs::write(&path, &bytes[..bytes.len() - 1]).unwrap();
     expect_shard_file_corrupt(&dir, "truncated shard file");
@@ -468,7 +529,7 @@ fn truncated_shard_file_fails_closed() {
 #[test]
 fn bit_flipped_shard_file_fails_closed() {
     let dir = saved_fixture("shard_flip");
-    let path = dir.join(shard_file_name(0));
+    let path = shard_path(&dir, 0);
     let mut bytes = std::fs::read(&path).unwrap();
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x10;
@@ -480,8 +541,8 @@ fn bit_flipped_shard_file_fails_closed() {
 #[test]
 fn swapped_shard_files_fail_closed() {
     let dir = saved_fixture("swap");
-    let a = dir.join(shard_file_name(0));
-    let b = dir.join(shard_file_name(1));
+    let a = shard_path(&dir, 0);
+    let b = shard_path(&dir, 1);
     let bytes_a = std::fs::read(&a).unwrap();
     let bytes_b = std::fs::read(&b).unwrap();
     std::fs::write(&a, &bytes_b).unwrap();
@@ -501,7 +562,7 @@ fn stale_shard_file_fails_closed() {
     let mut delta = IndexDelta::new();
     delta.insert(vec![0.2, 0.2, 0.2]);
     let report = index.apply(&delta).unwrap();
-    index.checkpoint_clean().unwrap();
+    index.rebuild().unwrap();
     let dir_new = temp_dir("stale_new");
     save_sharded(&index, &dir_new).unwrap();
 
@@ -509,11 +570,7 @@ fn stale_shard_file_fails_closed() {
         .router()
         .locate(report.inserted[0])
         .map_or(0, |(s, _)| s);
-    std::fs::copy(
-        dir_old.join(shard_file_name(touched)),
-        dir_new.join(shard_file_name(touched)),
-    )
-    .unwrap();
+    std::fs::copy(shard_path(&dir_old, touched), shard_path(&dir_new, touched)).unwrap();
     expect_shard_file_corrupt(&dir_new, "stale shard file");
     std::fs::remove_dir_all(&dir_old).unwrap();
     std::fs::remove_dir_all(&dir_new).unwrap();
@@ -530,6 +587,8 @@ const GOLDEN_SHARD_1: &[u8] = include_bytes!("fixtures/golden_shards_v1/shard-00
 /// Regenerate the committed fixture. Run manually after an *intentional*,
 /// version-bumped layout change:
 /// `cargo test -p mogul-core --test shard_manifest -- --ignored regenerate`
+/// (the shard files now come out epoch-named: point the `include_bytes!`
+/// paths above at the new names).
 #[test]
 #[ignore = "writes the committed fixture; run only on intentional format changes"]
 fn regenerate_golden_fixture() {
@@ -561,8 +620,8 @@ fn golden_fixture_pins_sharded_layout_v1() {
     let dir = temp_dir("golden");
     std::fs::create_dir_all(&dir).unwrap();
     std::fs::write(dir.join(MANIFEST_FILE_NAME), GOLDEN_MANIFEST).unwrap();
-    std::fs::write(dir.join(shard_file_name(0)), GOLDEN_SHARD_0).unwrap();
-    std::fs::write(dir.join(shard_file_name(1)), GOLDEN_SHARD_1).unwrap();
+    std::fs::write(shard_path(&dir, 0), GOLDEN_SHARD_0).unwrap();
+    std::fs::write(shard_path(&dir, 1), GOLDEN_SHARD_1).unwrap();
     let loaded = load_sharded(&dir).unwrap();
     let reference = fixture_index();
     assert_eq!(loaded.epoch(), reference.epoch());

@@ -421,6 +421,27 @@ fn checkpoint_ahead_of_the_log_refuses() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+#[test]
+fn checkpoint_behind_a_record_less_log_head_refuses() {
+    // The log's head is a segment based at epoch 2 holding no record (what
+    // a rotation leaves), but the checkpoint is at epoch 0: nothing bridges
+    // the two, so recovery must refuse rather than resume at epoch 0.
+    let dir = temp_dir("ckpt-behind");
+    let ckpt = dir.join("ckpt.mog1");
+    let wal_dir = dir.join("wal");
+    std::fs::create_dir_all(&dir).unwrap();
+    persist::save_updatable(&build_index(false), &ckpt).unwrap();
+    drop(Wal::create(&wal_dir, 2, WalSync::EveryRecord).unwrap());
+
+    match wal::recover_updatable(&ckpt, &wal_dir, WalSync::EveryRecord) {
+        Err(WalError::EpochGap { expected, found }) => {
+            assert_eq!((expected, found), (0, 2));
+        }
+        other => panic!("expected EpochGap, got {other:?}"),
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 // ---------------------------------------------------------------------------
 // Golden fixture: WAL format v1 compatibility pin
 // ---------------------------------------------------------------------------

@@ -39,12 +39,16 @@
 //!   drain, and a statistics endpoint (p50/p95, qps, shed counts, epoch,
 //!   rebuild debt). Answers over the socket are bit-identical to in-process
 //!   answers. See `docs/NETWORKING.md`.
-//! * [`UpdateRequest`] / [`IndexWriter`] — the write side: updates are
-//!   applied to an [`UpdatableIndex`](mogul_core::update::UpdatableIndex)
-//!   off the query path and the resulting snapshot is swapped in atomically
-//!   ([`Server::install_snapshot`]). In-flight queries finish on the
-//!   epoch they started with — **zero downtime**, no query ever waits on a
-//!   writer.
+//! * [`UpdateRequest`] / [`Writer`] — the **one write side**: updates are
+//!   applied to a writable index off the query path and the resulting
+//!   snapshot is swapped in atomically ([`Server::install_snapshot`]).
+//!   In-flight queries finish on the epoch they started with — **zero
+//!   downtime**, no query ever waits on a writer. The write-ahead log,
+//!   checkpoints and crash recovery are written once, for both engines:
+//!   [`IndexWriter`] is the writer over an
+//!   [`UpdatableIndex`](mogul_core::update::UpdatableIndex),
+//!   [`ShardedWriter`] the same writer over a
+//!   [`ShardedIndex`](mogul_core::ShardedIndex).
 //! * [`resilience`] — the **fault-tolerant serving tier**: a replica
 //!   failover client ([`resilience::ReplicaSet`]) with per-request
 //!   deadlines, retry with decorrelated-jitter backoff and per-replica
@@ -53,8 +57,8 @@
 //!   [`ResponseStatus::Degraded`] when a shard fails); and a deterministic
 //!   fault-injection harness ([`resilience::FaultProxy`]) that proves the
 //!   typed-outcome contract under kills, corruption and stalls.
-//! * [`ShardedServer`] / [`ShardedWriter`] — the shell over a
-//!   [`ShardedIndex`](mogul_core::ShardedIndex): scatter-gather queries
+//! * [`ShardedServer`] / [`ShardedWriter`] — the shell and the writer over
+//!   a [`ShardedIndex`](mogul_core::ShardedIndex): scatter-gather queries
 //!   against an epoch-versioned sharded snapshot (each batch observes every
 //!   shard at exactly one epoch, even while shards rebuild one at a time),
 //!   updates routed to their owning shard so only the touched shard accrues
@@ -65,11 +69,12 @@
 //!   per-connection cap. Invalid configurations
 //!   are rejected with [`ServeError::Config`], never silently clamped.
 //! * **Cold start** — [`QueryServer::warm_start`] and
-//!   [`IndexWriter::warm_start`] reconstruct a serving index from a
-//!   checksummed `MOG1` file (see [`mogul_core::persist`] and
+//!   [`Writer::warm_start`] reconstruct a serving index from a
+//!   checksummed `MOG1` checkpoint (see [`mogul_core::persist`] and
 //!   `docs/PERSISTENCE.md`) with no precompute, and
-//!   [`IndexWriter::set_checkpoint`] re-saves the index after every full
-//!   refactorization so restarts pick up from the last rebuild.
+//!   [`Writer::set_checkpoint`] re-saves the index after every
+//!   refactorization that leaves it clean, so restarts pick up from the
+//!   last rebuild.
 //!
 //! Each worker owns a reusable workspace
 //! ([`ServeSnapshot::Workspace`]), so after warm-up the
@@ -101,16 +106,15 @@ pub use options::{ServeOptions, ServeOptionsBuilder, MAX_QUEUE_CAPACITY, MAX_WOR
 pub use request::{QueryRequest, QueryResponse, ResponseStatus, UpdateRequest};
 pub use server::{QueryServer, ServeSnapshot, Server};
 pub use sharded::{DegradedPolicy, ShardFault, ShardFaultFn, ShardedServer, ShardedWriter};
-pub use updater::IndexWriter;
+pub use updater::{IndexWriter, Writer};
 
 /// Re-export of the persistence error type surfaced by the warm-start and
 /// checkpointing entry points.
 pub use mogul_core::persist::PersistError;
 
 /// Re-exports of the write-ahead-log types surfaced by the durability
-/// entry points ([`IndexWriter::enable_wal`],
-/// [`IndexWriter::warm_start_durable`],
-/// [`QueryServer::warm_start_replay`]).
+/// entry points ([`Writer::enable_wal`], [`Writer::warm_start_durable`],
+/// [`Server::warm_start_replay`]).
 pub use mogul_core::wal::{RecoveryOutcome, WalError, WalSync};
 
 /// Lock a mutex, poisoned or not — the crate's one poisoning policy. What

@@ -47,7 +47,9 @@ use crate::net::wire::{
 };
 use crate::options::ServeOptions;
 use crate::request::QueryRequest;
-use crate::updater::IndexWriter;
+use crate::server::ServeSnapshot;
+use crate::updater::Writer;
+use mogul_core::update::{RebuildDebt, WritableIndex};
 use std::collections::VecDeque;
 use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -96,7 +98,8 @@ struct Work {
 /// State shared by the accept thread, readers, workers and [`NetHandle`]s.
 struct Shared {
     backend: Arc<dyn ServeBackend>,
-    writer: Option<Arc<IndexWriter>>,
+    /// The rebuild debt of the attached writer, if any.
+    debt: Option<Box<dyn Fn() -> RebuildDebt + Send + Sync>>,
     options: ServeOptions,
     stats: NetStats,
     local_addr: SocketAddr,
@@ -132,9 +135,9 @@ impl Shared {
     fn stats_report(&self) -> ServerStatsReport {
         let queue_depth = lock(&self.queue).len() as u64;
         let (p50_us, p95_us, qps) = self.stats.latency_summary();
-        let (rebuild_support, rebuild_fraction) = match &self.writer {
-            Some(writer) => {
-                let debt = writer.debt();
+        let (rebuild_support, rebuild_fraction) = match &self.debt {
+            Some(debt) => {
+                let debt = debt();
                 (debt.support as u64, debt.support_fraction())
             }
             None => (0, 0.0),
@@ -357,7 +360,7 @@ impl Shared {
 /// [`ShardedServer`](crate::ShardedServer).
 ///
 /// Construct with [`NetServer::bind`], optionally attach the
-/// [`IndexWriter`] whose rebuild debt the stats endpoint should report
+/// [`Writer`] whose rebuild debt the stats endpoint should report
 /// ([`NetServer::with_writer`]), grab a [`NetHandle`] for out-of-band
 /// control, then hand the thread to [`NetServer::run`].
 ///
@@ -404,7 +407,7 @@ impl NetServer {
             listener,
             shared: Arc::new(Shared {
                 backend,
-                writer: None,
+                debt: None,
                 options,
                 stats: NetStats::new(),
                 local_addr,
@@ -418,13 +421,17 @@ impl NetServer {
         })
     }
 
-    /// Attach the writer whose rebuild debt the stats endpoint reports.
-    /// (The writer must publish to the same `QueryServer` this front door
-    /// serves — nothing checks this, the stats would simply be misleading.)
-    pub fn with_writer(mut self, writer: Arc<IndexWriter>) -> Self {
+    /// Attach the writer — of either engine — whose rebuild debt the stats
+    /// endpoint reports. (The writer must publish to the same server this
+    /// front door serves — nothing checks this, the stats would simply be
+    /// misleading.)
+    pub fn with_writer<I: WritableIndex>(mut self, writer: Arc<Writer<I>>) -> Self
+    where
+        I::Snapshot: ServeSnapshot,
+    {
         let shared = Arc::get_mut(&mut self.shared)
             .expect("with_writer must be called before run()/handle() share the state");
-        shared.writer = Some(writer);
+        shared.debt = Some(Box::new(move || writer.debt()));
         self
     }
 

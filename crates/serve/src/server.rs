@@ -18,10 +18,12 @@ use crate::error::{ServeError, ServeResult};
 use crate::lock;
 use crate::options::ServeOptions;
 use crate::request::{QueryRequest, QueryResponse, ResponseStatus};
-use mogul_core::update::{IndexSnapshot, SnapshotWorkspace};
+use mogul_core::update::{IndexSnapshot, SnapshotWorkspace, UpdatableIndex, WritableIndex};
+use mogul_core::wal::{self, WalError};
 use mogul_core::{OutOfSampleIndex, OutOfSampleResult, PersistError, RetrievalEngine, TopKResult};
 use std::fmt::Debug;
 use std::ops::Range;
+use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::thread;
@@ -40,6 +42,8 @@ pub trait ServeSnapshot: sealed::Sealed + Debug + Send + Sync + Sized + 'static 
     type Workspace: Debug + Default + Send;
     /// Server state only this engine has (`()` for a single index).
     type Engine: Debug + Default + Send + Sync;
+    /// The writable index that publishes these snapshots.
+    type Index: WritableIndex<Snapshot = Self>;
 
     /// Epoch the snapshot was published at.
     fn epoch(&self) -> u64;
@@ -51,6 +55,8 @@ pub trait ServeSnapshot: sealed::Sealed + Debug + Send + Sync + Sized + 'static 
     fn feature_dim(&self) -> usize;
     /// Longest run of compatible requests one batch job may take.
     fn max_job_len(&self) -> usize;
+    /// Load a servable checkpoint from disk (see [`Server::warm_start`]).
+    fn load(path: &Path) -> Result<Arc<Self>, PersistError>;
 
     /// Top-k for a live item, by stable id.
     fn by_id(
@@ -103,6 +109,7 @@ impl sealed::Sealed for IndexSnapshot {}
 impl ServeSnapshot for IndexSnapshot {
     type Workspace = SnapshotWorkspace;
     type Engine = ();
+    type Index = UpdatableIndex;
 
     fn epoch(&self) -> u64 {
         IndexSnapshot::epoch(self)
@@ -118,6 +125,9 @@ impl ServeSnapshot for IndexSnapshot {
     }
     fn max_job_len(&self) -> usize {
         mogul_core::PANEL_WIDTH
+    }
+    fn load(path: &Path) -> Result<Arc<Self>, PersistError> {
+        mogul_core::persist::load_serving(path)
     }
     fn by_id(
         &self,
@@ -196,9 +206,9 @@ impl<W: Default> WorkspacePool<W> {
 /// extra dependencies). Answers are bit-identical to the sequential
 /// snapshot paths (and, for a single index, to [`RetrievalEngine`]).
 ///
-/// When the collection changes, a writer ([`IndexWriter`](crate::IndexWriter),
-/// [`ShardedWriter`](crate::ShardedWriter)) produces the next snapshot off
-/// the hot path and publishes it with [`Server::install_snapshot`]; each
+/// When the collection changes, the engine's [`Writer`](crate::Writer)
+/// produces the next snapshot off the hot path and publishes it with
+/// [`Server::install_snapshot`]; each
 /// batch reads its snapshot exactly once, so every batch observes one
 /// consistent epoch.
 ///
@@ -251,55 +261,6 @@ impl Server<IndexSnapshot> {
     pub fn from_engine(engine: RetrievalEngine, options: ServeOptions) -> Self {
         QueryServer::new(Arc::new(engine.into_out_of_sample()), options)
     }
-
-    /// Warm-start a server from an index file written by
-    /// [`mogul_core::persist`] — the cold-start path: the factorization,
-    /// ordering and pruning bounds are reconstructed directly from the file,
-    /// with **no precompute** (no k-NN construction, no clustering, no
-    /// factorization). Works for both serveable flavors: an `index` file
-    /// becomes an epoch-0 snapshot with identity ids; an `updatable` file
-    /// restores its persisted epoch and stable-id mapping, so item ids
-    /// handed out before the save keep resolving after the restart.
-    ///
-    /// Answers are bit-identical to a server over the index that was saved.
-    pub fn warm_start(
-        path: impl AsRef<std::path::Path>,
-        options: ServeOptions,
-    ) -> std::result::Result<Self, PersistError> {
-        Ok(QueryServer::from_snapshot(
-            mogul_core::persist::load_serving(path)?,
-            options,
-        ))
-    }
-
-    /// Warm-start with **crash recovery**: load an updatable-index
-    /// checkpoint, then replay its write-ahead log over it (see
-    /// [`mogul_core::wal`]), landing on the exact epoch the crashed writer
-    /// last acknowledged — including the corrected epochs a checkpoint
-    /// alone would lose. Answers are bit-identical to the uncrashed
-    /// writer's at that epoch.
-    ///
-    /// This is the **read-replica** flavor: nothing on disk is modified
-    /// (even a torn tail is only skipped, not truncated) and no writer is
-    /// stood up. A process that will keep applying updates should use
-    /// [`IndexWriter::warm_start_durable`](crate::IndexWriter::warm_start_durable)
-    /// instead, which re-opens the log for appending.
-    pub fn warm_start_replay(
-        checkpoint: impl AsRef<std::path::Path>,
-        wal_dir: impl AsRef<std::path::Path>,
-        options: ServeOptions,
-    ) -> std::result::Result<Self, mogul_core::wal::WalError> {
-        let mut index = mogul_core::persist::load_updatable(checkpoint.as_ref())?;
-        let (records, report) = mogul_core::wal::read_log(wal_dir)?;
-        if index.epoch() > report.last_epoch {
-            return Err(mogul_core::wal::WalError::EpochGap {
-                expected: index.epoch(),
-                found: report.last_epoch,
-            });
-        }
-        mogul_core::wal::replay(&mut index, &records)?;
-        Ok(QueryServer::from_snapshot(index.snapshot(), options))
-    }
 }
 
 impl<S: ServeSnapshot> Server<S> {
@@ -319,6 +280,40 @@ impl<S: ServeSnapshot> Server<S> {
             },
             engine: S::Engine::default(),
         }
+    }
+
+    /// Warm-start a server from a checkpoint — the cold-start path, with
+    /// **no precompute** (no k-NN construction, no clustering, no
+    /// factorization): answers are bit-identical to a server over the index
+    /// that was saved. A single-index server reads either serveable file
+    /// flavor of [`mogul_core::persist`] — an `index` file becomes an
+    /// epoch-0 snapshot with identity ids, an `updatable` file restores its
+    /// epoch and stable ids — and a sharded one a directory written by
+    /// [`mogul_core::save_sharded`], its shards in parallel when the
+    /// manifest says the index was built parallel.
+    pub fn warm_start(path: impl AsRef<Path>, options: ServeOptions) -> Result<Self, PersistError> {
+        Ok(Server::from_snapshot(S::load(path.as_ref())?, options))
+    }
+
+    /// Warm-start with **crash recovery**: load a checkpoint (an
+    /// updatable-index file, or a sharded directory), then replay its
+    /// write-ahead log over it (see [`mogul_core::wal`]), landing on the
+    /// exact epoch the crashed writer last acknowledged — including the
+    /// corrected epochs a checkpoint alone would lose. Answers are
+    /// bit-identical to the uncrashed writer's at that epoch.
+    ///
+    /// This is the **read-replica** flavor: nothing on disk is modified
+    /// (even a torn tail is only skipped, not truncated) and no writer is
+    /// stood up. A process that will keep applying updates should use
+    /// [`Writer::warm_start_durable`](crate::Writer::warm_start_durable)
+    /// instead, which re-opens the log for appending.
+    pub fn warm_start_replay(
+        checkpoint: impl AsRef<Path>,
+        wal_dir: impl AsRef<Path>,
+        options: ServeOptions,
+    ) -> Result<Self, WalError> {
+        let index = wal::recover_read_only::<S::Index>(checkpoint, wal_dir)?;
+        Ok(Server::from_snapshot(index.snapshot(), options))
     }
 
     /// The snapshot new queries are answered from (cheap `Arc` clone; the

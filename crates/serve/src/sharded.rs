@@ -1,23 +1,23 @@
 //! Serving over a [`ShardedIndex`]: [`ShardedServer`] is the one serving
 //! shell ([`Server`]) over an epoch-versioned [`ShardedSnapshot`], plus what
 //! only a scatter-gather engine has — scatter statistics and degraded-mode
-//! answers — and [`ShardedWriter`] is the single-writer handle that routes
-//! updates to their owning shards and rebuilds shards independently.
+//! answers — and [`ShardedWriter`] is the one writer ([`Writer`]) over a
+//! sharded index, routing updates to their owning shards.
 //!
 //! The concurrency model is [`Server`]'s: readers clone an `Arc` out of an
-//! [`RwLock`] (one uncontended read-lock per dispatch), the writer owns the
+//! `RwLock` (one uncontended read-lock per dispatch), the writer owns the
 //! mutable [`ShardedIndex`] behind a [`Mutex`] and publishes each new
 //! sharded snapshot atomically. A [`ShardedSnapshot`] is assembled from
 //! per-shard `Arc`s **once**, under the writer lock — so every batch
-//! observes each shard at exactly one epoch, even while another thread
-//! rebuilds shards one at a time: a rebuild of shard 2 never tears into a
-//! batch that started before it was published.
+//! observes each shard at exactly one epoch, even while the writer's
+//! updates rebuild shards one at a time: a rebuild of shard 2 never tears
+//! into a batch that started before it was published.
 //!
 //! What sharding buys the serving layer (see `docs/SHARDING.md`):
 //!
 //! * **per-shard rebuild debt** — an insert routed to shard 0 leaves the
-//!   other shards' factorizations untouched, so background refactorization
-//!   is per-shard and proportionally cheaper;
+//!   other shards' factorizations untouched, so refactorization is
+//!   per-shard and proportionally cheaper;
 //! * **shard skipping** — in-database queries touch exactly one shard
 //!   (the block-diagonal union graph makes every other shard's scores
 //!   identically zero), and out-of-sample queries probe only the
@@ -29,10 +29,9 @@
 use crate::error::{ServeError, ServeResult};
 use crate::lock;
 use crate::options::ServeOptions;
-use crate::request::{QueryRequest, QueryResponse, ResponseStatus, UpdateRequest};
+use crate::request::{QueryRequest, QueryResponse, ResponseStatus};
 use crate::server::{sealed, ServeSnapshot, Server};
-use mogul_core::shard::ShardedUpdateReport;
-use mogul_core::update::{IndexDelta, RebuildDebt};
+use crate::updater::Writer;
 use mogul_core::{
     OutOfSampleResult, PersistError, ShardScatterStats, ShardedIndex, ShardedSnapshot,
     ShardedWorkspace, TopKResult,
@@ -93,6 +92,7 @@ impl sealed::Sealed for ShardedSnapshot {}
 impl ServeSnapshot for ShardedSnapshot {
     type Workspace = ShardedWorkspace;
     type Engine = Mutex<DegradedState>;
+    type Index = ShardedIndex;
 
     fn epoch(&self) -> u64 {
         ShardedSnapshot::epoch(self)
@@ -108,6 +108,9 @@ impl ServeSnapshot for ShardedSnapshot {
     }
     fn max_job_len(&self) -> usize {
         mogul_core::PANEL_WIDTH * self.num_shards()
+    }
+    fn load(dir: &Path) -> Result<Arc<Self>, PersistError> {
+        Ok(mogul_core::load_sharded(dir)?.snapshot())
     }
     fn by_id(
         &self,
@@ -183,21 +186,6 @@ impl ServeSnapshot for ShardedSnapshot {
 pub type ShardedServer = Server<ShardedSnapshot>;
 
 impl Server<ShardedSnapshot> {
-    /// Warm-start a server from a sharded checkpoint directory written by
-    /// [`mogul_core::shard::save_sharded`] — every shard is reconstructed
-    /// with no precompute (in parallel, when the manifest says the index
-    /// was built parallel) and answers are bit-identical to a server over
-    /// the index that was saved.
-    pub fn warm_start(
-        dir: impl AsRef<Path>,
-        options: ServeOptions,
-    ) -> std::result::Result<Self, PersistError> {
-        Ok(ShardedServer::from_snapshot(
-            mogul_core::load_sharded(dir)?.snapshot(),
-            options,
-        ))
-    }
-
     /// [`Server::query`] plus the query's [`ShardScatterStats`]: how many
     /// shards the scatter probed and how many it skipped, with the
     /// Algorithm-2 pruning counters summed across the probed shards.
@@ -376,107 +364,21 @@ impl DegradedState {
     }
 }
 
-/// The single-writer handle pairing a [`ShardedIndex`] with the
-/// [`ShardedServer`] that serves its snapshots — the sharded counterpart of
-/// [`IndexWriter`](crate::IndexWriter).
-///
-/// Updates route to their owning shards ([`ShardedIndex::apply`]) and only
-/// the touched shards accrue rebuild debt; [`ShardedWriter::rebuild_shard`]
-/// refactorizes one shard while queries keep answering from the previous
-/// sharded snapshot, and every mutation publishes exactly one new snapshot
-/// (each batch therefore observes each shard at exactly one epoch).
-#[derive(Debug)]
-pub struct ShardedWriter {
-    server: Arc<ShardedServer>,
-    inner: Mutex<ShardedIndex>,
-}
+/// The writer over a [`ShardedIndex`], publishing to a [`ShardedServer`]:
+/// the same [`Writer`] — write-ahead log, checkpoints, crash recovery — as
+/// [`IndexWriter`](crate::IndexWriter). Updates route to their owning
+/// shards and only the touched shards accrue rebuild debt (each pays it
+/// through its own [`RebuildPolicy`](mogul_core::update::RebuildPolicy)),
+/// [`Writer::rebuild`] refactorizes only the dirty shards, and every
+/// mutation publishes exactly one new sharded snapshot (each batch
+/// therefore observes each shard at exactly one epoch).
+pub type ShardedWriter = Writer<ShardedIndex>;
 
-impl ShardedWriter {
+impl Writer<ShardedIndex> {
     /// Take ownership of a sharded index and stand up a server (with
-    /// [`ServeOptions::default`]) on its current snapshot.
+    /// [`ServeOptions::default`]) on its current snapshot. To choose the
+    /// options, checkpoint the index and [`Writer::warm_start`] it.
     pub fn new(index: ShardedIndex) -> (Arc<ShardedServer>, ShardedWriter) {
-        let server = Arc::new(ShardedServer::from_snapshot(
-            index.snapshot(),
-            ServeOptions::default(),
-        ));
-        let writer = ShardedWriter {
-            server: Arc::clone(&server),
-            inner: Mutex::new(index),
-        };
-        (server, writer)
-    }
-
-    /// Warm-start from a sharded checkpoint directory written by
-    /// [`ShardedWriter::save_to`] (or [`mogul_core::save_sharded`]).
-    pub fn warm_start(
-        dir: impl AsRef<Path>,
-    ) -> std::result::Result<(Arc<ShardedServer>, ShardedWriter), PersistError> {
-        Ok(ShardedWriter::new(mogul_core::load_sharded(dir)?))
-    }
-
-    /// The server this writer publishes to.
-    pub fn server(&self) -> Arc<ShardedServer> {
-        Arc::clone(&self.server)
-    }
-
-    /// Apply a batch of update requests as one atomic delta — inserts route
-    /// to the shard with the nearest base-cluster centroid, removals route
-    /// through the shard router — and publish the resulting sharded epoch.
-    /// Global insert ids are reported in request order. Rejections surface
-    /// as [`ServeError::Index`] with no shard mutated.
-    pub fn apply(&self, updates: &[UpdateRequest]) -> ServeResult<ShardedUpdateReport> {
-        self.apply_delta(&UpdateRequest::stage(updates))
-    }
-
-    /// Apply an already-staged [`IndexDelta`] with global routing semantics
-    /// and publish the resulting sharded snapshot.
-    pub fn apply_delta(&self, delta: &IndexDelta) -> ServeResult<ShardedUpdateReport> {
-        let mut inner = lock(&self.inner);
-        let report = inner.apply(delta).map_err(ServeError::from)?;
-        self.server.install_snapshot(inner.snapshot());
-        Ok(report)
-    }
-
-    /// Refactorize **one shard** (its debt back to zero) and publish the
-    /// result. The other shards' factorizations — and all in-flight
-    /// queries — are untouched: this is the per-shard background rebuild
-    /// that makes maintenance cost proportional to the dirty shard, not the
-    /// whole collection.
-    pub fn rebuild_shard(&self, shard: usize) -> ServeResult<()> {
-        let mut inner = lock(&self.inner);
-        inner.rebuild_shard(shard).map_err(ServeError::from)?;
-        self.server.install_snapshot(inner.snapshot());
-        Ok(())
-    }
-
-    /// Rebuild every shard that is not on a clean epoch and publish the
-    /// result; returns the shards that were rebuilt. After this the state
-    /// is checkpointable with [`ShardedWriter::save_to`].
-    pub fn checkpoint_clean(&self) -> ServeResult<Vec<usize>> {
-        let mut inner = lock(&self.inner);
-        let rebuilt = inner.checkpoint_clean().map_err(ServeError::from)?;
-        if !rebuilt.is_empty() {
-            self.server.install_snapshot(inner.snapshot());
-        }
-        Ok(rebuilt)
-    }
-
-    /// Save the sharded index as a checkpoint directory (one `MOG1` file
-    /// per shard plus a checksummed manifest, written atomically, manifest
-    /// last). Every shard must be clean — call
-    /// [`ShardedWriter::checkpoint_clean`] first after updates.
-    pub fn save_to(&self, dir: impl AsRef<Path>) -> std::result::Result<(), PersistError> {
-        let inner = lock(&self.inner);
-        mogul_core::save_sharded(&inner, dir).map(|_| ())
-    }
-
-    /// Current rebuild debt, per shard.
-    pub fn shard_debts(&self) -> Vec<RebuildDebt> {
-        lock(&self.inner).shard_debts()
-    }
-
-    /// Per-shard snapshot epochs, shard order.
-    pub fn shard_epochs(&self) -> Vec<u64> {
-        lock(&self.inner).shard_epochs()
+        Writer::serve(index, ServeOptions::default())
     }
 }

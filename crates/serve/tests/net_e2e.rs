@@ -7,13 +7,19 @@
 //!   never a panic, never an unbounded buffer;
 //! * malformed requests are rejected with typed `BadRequest` (including the
 //!   admission-time feature-dimension check);
-//! * drain is graceful: admitted queries complete, then the server exits.
+//! * drain is graceful: admitted queries complete, then the server exits;
+//! * the stats frame reports the rebuild debt of the attached writer, for
+//!   either engine.
 
-use mogul_core::RetrievalEngine;
+use mogul_core::update::{IndexBuilder, RebuildPolicy};
+use mogul_core::{RetrievalEngine, ShardedConfig, ShardedIndex};
 use mogul_data::coil::{coil_like, CoilLikeConfig};
 use mogul_data::Dataset;
 use mogul_serve::net::{NetClient, NetError, NetHandle, NetServer};
-use mogul_serve::{QueryRequest, QueryResponse, QueryServer, ServeError, ServeOptions};
+use mogul_serve::{
+    QueryRequest, QueryResponse, QueryServer, ServeError, ServeOptions, ShardedWriter,
+    UpdateRequest,
+};
 use std::io::Write;
 use std::sync::Arc;
 use std::time::Duration;
@@ -320,4 +326,42 @@ fn wire_drain_frame_equals_handle_drain() {
     let report = handle.stats_report();
     assert!(report.draining);
     assert_eq!(report.connections, 0);
+}
+
+#[test]
+fn stats_report_the_rebuild_debt_of_a_sharded_writer() {
+    let (db, _) = dataset();
+    let config = ShardedConfig::with_shards(2).builder(
+        IndexBuilder::new()
+            .knn_k(4)
+            .rebuild_policy(RebuildPolicy::never()),
+    );
+    let (index, _) = ShardedIndex::build(db.features().to_vec(), config).unwrap();
+    let (server, writer) = ShardedWriter::new(index);
+    let writer = Arc::new(writer);
+    let options = ServeOptions::builder().workers(2).build().unwrap();
+    let net = NetServer::bind("127.0.0.1:0", Arc::clone(&server), options)
+        .unwrap()
+        .with_writer(Arc::clone(&writer));
+    let handle = net.handle();
+    let join = std::thread::spawn(move || net.run());
+    let mut client = connect(&handle);
+    assert_eq!(client.stats().unwrap().rebuild_support, 0);
+
+    let feature: Vec<f64> = db.features()[0].iter().map(|v| v + 0.01).collect();
+    writer.apply(&[UpdateRequest::insert(feature)]).unwrap();
+    let stats = client.stats().unwrap();
+    assert!(stats.rebuild_support > 0, "an insert must leave debt");
+    assert!(stats.rebuild_fraction > 0.0);
+    assert_eq!(stats.rebuild_support, writer.debt().support as u64);
+    assert_eq!(stats.epoch, server.epoch());
+
+    writer.rebuild().unwrap();
+    let stats = client.stats().unwrap();
+    assert_eq!(stats.rebuild_support, 0, "a rebuild pays the debt");
+    assert_eq!(stats.rebuild_fraction, 0.0);
+    assert_eq!(stats.epoch, server.epoch());
+
+    handle.drain();
+    join.join().unwrap().unwrap();
 }

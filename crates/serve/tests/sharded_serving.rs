@@ -87,7 +87,8 @@ fn sharded_server_matches_its_snapshot_and_fails_per_request() {
 }
 
 /// Inserts routed to shard 0 never dirty shard 1: its snapshot epoch stays
-/// at 0 and it carries no rebuild debt — maintenance cost is per-shard.
+/// at 0 and it carries no rebuild debt — and `rebuild()` refactorizes only
+/// the dirty shard, so maintenance cost is per-shard.
 #[test]
 fn updates_only_dirty_their_owning_shard() {
     let index = build_sharded(RebuildPolicy::never());
@@ -100,25 +101,36 @@ fn updates_only_dirty_their_owning_shard() {
             .unwrap();
         inserted.push(report.inserted[0]);
     }
-    let epochs = writer.shard_epochs();
+    let snapshot = server.snapshot();
+    let epochs = snapshot.shard_epochs();
     assert_eq!(epochs[1], 0, "untouched shard must stay at epoch 0");
     assert_eq!(epochs[0], 3, "owning shard advances once per delta");
-    assert_eq!(server.snapshot().shard_epochs(), epochs);
 
-    // All three landed in shard 0 (the router agrees), and rebuilding the
-    // clean shard 1 is a no-op for its answers.
+    // All three landed in shard 0 (the router agrees), which alone carries
+    // the debt the writer reports.
     for &id in &inserted {
-        assert_eq!(server.snapshot().shard_of(id), Some(0));
+        assert_eq!(snapshot.shard_of(id), Some(0));
     }
-    let debts = writer.shard_debts();
-    assert_eq!(debts[1].support, 0, "clean shard carries no debt");
-    assert!(debts[0].support > 0, "dirty shard carries the debt");
+    let [dirty, clean] = snapshot.shards() else {
+        panic!("two shards")
+    };
+    assert!(clean.is_clean(), "clean shard carries no debt");
+    assert_eq!(clean.correction_rank(), 0);
+    assert!(dirty.correction_rank() > 0, "dirty shard carries the debt");
+    let debt = writer.debt();
+    assert!(debt.support > 0);
+    assert_eq!(debt.correction_rank, dirty.correction_rank());
+    assert_eq!(debt.live_items, snapshot.len());
 
-    // Per-shard rebuild: shard 0 comes back clean, shard 1 still at 0.
-    writer.rebuild_shard(0).unwrap();
-    let epochs = writer.shard_epochs();
-    assert_eq!(epochs[1], 0);
+    // The rebuild pays only shard 0: it comes back clean, shard 1's epoch
+    // does not move, and the sharded epoch advances by exactly one.
+    let report = writer.rebuild().unwrap();
+    assert_eq!(report.rebuilt_shards, vec![0]);
+    assert_eq!(report.epoch, snapshot.epoch() + 1);
+    let epochs = server.snapshot().shard_epochs();
+    assert_eq!(epochs, vec![4, 0]);
     assert!(server.snapshot().is_clean());
+    assert_eq!(writer.debt().support, 0);
 }
 
 /// In-database queries touch exactly one shard and out-of-sample queries
@@ -158,7 +170,9 @@ fn scatter_stats_report_skipped_shards() {
 }
 
 /// The torn-merge detector: batches with duplicated requests race a writer
-/// that interleaves routed inserts, removals and single-shard rebuilds.
+/// that interleaves routed inserts and removals; a tiny per-shard
+/// [`RebuildPolicy`] makes the shards refactorize one at a time under the
+/// readers.
 /// Duplicates inside one batch must answer bit-identically (one snapshot,
 /// therefore one epoch per shard, for the whole batch), and the epoch
 /// observed by each reader must be monotone.
@@ -175,10 +189,10 @@ fn batches_racing_shard_rebuilds_never_tear() {
     const MAX_STEPS: usize = 4_000;
     const MIN_EPOCHS_SEEN: usize = 3;
 
-    // Tiny support ceiling: corrected epochs and full per-shard
-    // refactorizations both occur during the run.
+    // Tiny support ceiling: corrected epochs and per-shard refactorizations
+    // (each shard on its own schedule) both occur during the run.
     let index = build_sharded(RebuildPolicy {
-        max_support: 12,
+        max_support: 6,
         max_support_fraction: 1.0,
     });
     let (server, writer) = ShardedWriter::new(index);
@@ -249,9 +263,13 @@ fn batches_racing_shard_rebuilds_never_tear() {
     );
 
     // Writer: insert into alternating clusters (so both shards change and
-    // both answers drift between epochs), remove the previous insert, and
-    // rebuild each shard in turn.
-    let mut pending: Option<usize> = None;
+    // both answers drift between epochs) and, once `LIVE` inserts are
+    // pending, remove the oldest — inserted `LIVE` steps ago, so into the
+    // same shard: every delta touches one shard. Debt accumulates per shard
+    // until the policy rebuilds that shard alone.
+    const LIVE: usize = 6;
+    let mut pending = std::collections::VecDeque::new();
+    let (mut rebuilt, mut corrected) = ([false; 2], false);
     for step in 0..MAX_STEPS {
         let overlapped = epochs_seen
             .iter()
@@ -268,14 +286,16 @@ fn batches_racing_shard_rebuilds_never_tear() {
             vec![100.4 + drift, 9.06]
         };
         let mut updates = vec![UpdateRequest::insert(feature)];
-        if let Some(id) = pending.take() {
-            updates.push(UpdateRequest::remove(id));
+        if pending.len() == LIVE {
+            updates.push(UpdateRequest::remove(pending.pop_front().unwrap()));
         }
         let report = writer.apply(&updates).unwrap();
-        pending = Some(report.inserted[0]);
-        if step % 5 == 4 {
-            writer.rebuild_shard(step % 2).unwrap();
+        pending.push_back(report.inserted[0]);
+        assert_eq!(report.touched_shards.len(), 1, "one shard per delta");
+        for &shard in &report.rebuilt_shards {
+            rebuilt[shard] = true;
         }
+        corrected |= writer.debt().correction_rank > 0;
     }
     done.store(true, Ordering::Relaxed);
 
@@ -291,7 +311,22 @@ fn batches_racing_shard_rebuilds_never_tear() {
         );
     }
 
+    assert_eq!(
+        rebuilt, [true; 2],
+        "every shard must rebuild under the readers"
+    );
+    assert!(
+        corrected,
+        "corrected epochs must occur between the rebuilds"
+    );
+
     // Post-race sanity: the final published snapshot and the writer's own
     // state agree shard by shard.
-    assert_eq!(server.snapshot().shard_epochs(), writer.shard_epochs());
+    let snapshot = server.snapshot();
+    let debt = writer.debt();
+    assert_eq!(debt.live_items, snapshot.len());
+    assert_eq!(
+        Some(debt.correction_rank),
+        snapshot.shards().iter().map(|s| s.correction_rank()).max()
+    );
 }

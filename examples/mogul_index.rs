@@ -26,11 +26,13 @@
 //!   that never crashed. This is what the CI `wal-smoke` job runs.
 //! * `wal_inspect` validates a WAL directory (`MWAL` segments; see
 //!   `docs/PERSISTENCE.md`) read-only and prints the segment table.
-//! * `shard_demo` runs the sharding cycle (see `docs/SHARDING.md`): build a
-//!   cluster-aligned S-shard index, apply routed updates, checkpoint it as
-//!   a manifested shard directory, warm-start it back in parallel, and
-//!   verify the reloaded index answers bit-identically — including the
-//!   shard-skip statistics of the scatter-gather path. This is what the CI
+//! * `shard_demo` runs the same durability cycle on the sharded engine (see
+//!   `docs/SHARDING.md`): build a cluster-aligned S-shard index, checkpoint
+//!   it as a manifested shard directory with the write-ahead log on, apply
+//!   routed updates with a checkpoint mid-stream, simulate a crash, and
+//!   recover by parallel warm start plus log replay — verified
+//!   bit-identical to the writer that never crashed, shard-skip statistics
+//!   of the scatter-gather path included. This is what the CI
 //!   `shard-smoke` job runs.
 //!
 //! With no arguments the demo performs the whole cycle (save → inspect →
@@ -286,9 +288,11 @@ fn wal_demo(dir: &Path) {
 }
 
 fn shard_demo(dir: &Path, items: usize, shards: usize) {
-    use mogul_suite::core::{inspect_manifest, load_sharded, ShardedConfig, ShardedIndex};
+    use mogul_suite::core::{inspect_manifest, ShardedConfig, ShardedIndex};
     use mogul_suite::serve::ShardedWriter;
 
+    let ckpt = dir.join("ckpt");
+    let wal_dir = dir.join("wal");
     let _ = std::fs::remove_dir_all(dir);
     let dim = 16;
 
@@ -300,7 +304,7 @@ fn shard_demo(dir: &Path, items: usize, shards: usize) {
             .rebuild_policy(mogul_suite::core::update::RebuildPolicy::never()),
     );
     let start = Instant::now();
-    let (index, report) = ShardedIndex::build(features.clone(), config).expect("sharded build");
+    let (index, report) = ShardedIndex::build(features, config).expect("sharded build");
     let sizes: Vec<usize> = report.groups.iter().map(Vec::len).collect();
     println!(
         "partitioned precompute in {:.2} s (parallel = {}), shard sizes {:?}",
@@ -309,36 +313,54 @@ fn shard_demo(dir: &Path, items: usize, shards: usize) {
         sizes
     );
 
-    println!("\n== routed updates ==");
+    println!("\n== enable durability ==");
     let (server, writer) = ShardedWriter::new(index);
-    let mut inserted = Vec::new();
-    for i in 0..6u64 {
-        let feature: Vec<f64> = (0..dim).map(|d| ((i * 7 + d as u64) % 10) as f64).collect();
-        let report = writer
-            .apply(&[UpdateRequest::insert(feature)])
-            .expect("apply insert");
-        inserted.push(report.inserted[0]);
-    }
+    writer.set_checkpoint(Some(ckpt.clone()));
     writer
-        .apply(&[UpdateRequest::remove(inserted[0])])
-        .expect("apply remove");
+        .enable_wal(&wal_dir, WalSync::EveryRecord)
+        .expect("enable wal");
     println!(
-        "6 inserts + 1 removal routed; per-shard epochs {:?} (only owning shards advanced)",
-        writer.shard_epochs()
+        "checkpoint -> {}\nwal segment -> {}",
+        ckpt.display(),
+        writer.wal_segment_path().expect("wal segment").display()
     );
 
-    println!("\n== checkpoint ==");
-    let rebuilt = writer.checkpoint_clean().expect("checkpoint clean");
-    writer.save_to(dir).expect("save sharded");
-    let info = inspect_manifest(dir.join("manifest.mog1")).expect("inspect manifest");
+    println!("\n== routed updates (append-before-apply, fsync per record) ==");
+    let mut inserted = Vec::new();
+    let mut apply_one = |i: u64| {
+        if i % 4 == 3 {
+            let victim = inserted.remove(0);
+            writer
+                .apply(&[UpdateRequest::remove(victim)])
+                .expect("apply remove");
+        } else {
+            let feature: Vec<f64> = (0..dim).map(|d| ((i * 7 + d as u64) % 10) as f64).collect();
+            let report = writer
+                .apply(&[UpdateRequest::insert(feature)])
+                .expect("apply insert");
+            inserted.extend(report.inserted);
+        }
+    };
+    for i in 0..12u64 {
+        apply_one(i);
+    }
     println!(
-        "rebuilt shards {rebuilt:?}, wrote {} shard file(s) + manifest -> {}",
+        "12 updates routed; per-shard epochs {:?} (only owning shards advanced)",
+        server.snapshot().shard_epochs()
+    );
+    // Mid-stream checkpoint: refactorize the dirty shards, save, rotate the
+    // log, collect the stale segment and the superseded shard files.
+    writer.checkpoint_now().expect("checkpoint");
+    let info = inspect_manifest(&ckpt).expect("inspect manifest");
+    println!(
+        "checkpointed at epoch {}: {} shard file(s) + manifest -> {}",
+        info.epoch,
         info.shards.len(),
-        dir.display()
+        ckpt.display()
     );
     for entry in &info.shards {
         println!(
-            "  {:<18} ids [{}, {})  epoch {:>2}  {:>8} bytes  checksum {:016x}",
+            "  {:<38} ids [{}, {})  epoch {:>2}  {:>8} bytes  checksum {:016x}",
             entry.file_name,
             entry.id_base,
             entry.id_base + entry.id_len,
@@ -347,42 +369,74 @@ fn shard_demo(dir: &Path, items: usize, shards: usize) {
             entry.checksum
         );
     }
+    for i in 12..24u64 {
+        apply_one(i);
+    }
+    let epoch = server.epoch();
+    println!("writer acknowledged epoch {epoch}");
 
-    println!("\n== parallel warm start ==");
+    println!("\n== simulated crash (torn record appended to the segment) ==");
+    let segment = writer.wal_segment_path().expect("wal segment");
+    drop(writer);
+    let mut bytes = std::fs::read(&segment).expect("read segment");
+    bytes.extend_from_slice(&[0x7F; 11]);
+    std::fs::write(&segment, &bytes).expect("tear segment");
+    println!("appended 11 garbage bytes to {}", segment.display());
+
+    println!("\n== recover (parallel warm start + log replay) ==");
     let start = Instant::now();
-    let loaded = load_sharded(dir).expect("load sharded");
+    let (recovered, _writer, outcome) = ShardedWriter::warm_start_durable(
+        &ckpt,
+        &wal_dir,
+        WalSync::EveryRecord,
+        ServeOptions::with_workers(1),
+    )
+    .expect("recover");
     println!(
-        "{} items across {} shards ready in {:.4} s (no precompute)",
-        loaded.len(),
-        loaded.num_shards(),
-        start.elapsed().as_secs_f64()
+        "recovered to epoch {} in {:.4} s: {} record(s) scanned, {} skipped (<= checkpoint \
+         watermark {}), {} replayed, {} torn byte(s) discarded",
+        recovered.epoch(),
+        start.elapsed().as_secs_f64(),
+        outcome.log.records,
+        outcome.replay.skipped,
+        outcome.replay.watermark,
+        outcome.replay.applied,
+        outcome.log.truncated_bytes
+    );
+    assert_eq!(
+        recovered.epoch(),
+        epoch,
+        "recovery missed acknowledged epochs"
     );
 
     let live = server.snapshot();
-    let cold = loaded.snapshot();
+    let cold = recovered.snapshot();
     assert_eq!(live.item_ids(), cold.item_ids());
-    for id in live.item_ids().into_iter().step_by(97) {
-        assert_eq!(
-            live.query_by_id(id, 5).expect("live query"),
-            cold.query_by_id(id, 5).expect("cold query"),
-            "reloaded answers diverged at id {id}"
-        );
-    }
-    println!("verified: warm-started answers are bit-identical to the live index");
-
+    assert_eq!(live.shard_epochs(), cold.shard_epochs());
     let mut ws = mogul_suite::core::ShardedWorkspace::new();
-    let probe = live.item_ids()[0];
-    let (_, stats) = cold
-        .query_by_id_with_stats_in(&mut ws, probe, 5)
-        .expect("stats query");
+    let mut probes = 0;
+    for id in live.item_ids().into_iter().step_by(97) {
+        let (a, a_stats) = live
+            .query_by_id_with_stats_in(&mut ws, id, 5)
+            .expect("live query");
+        let (b, b_stats) = cold
+            .query_by_id_with_stats_in(&mut ws, id, 5)
+            .expect("recovered query");
+        assert_eq!(a, b, "recovered answers diverged at id {id}");
+        assert_eq!(a_stats, b_stats, "scatter stats diverged at id {id}");
+        assert!(
+            b_stats.shards_skipped >= 1 || shards == 1,
+            "in-database queries must skip every foreign shard"
+        );
+        probes += 1;
+    }
     println!(
-        "scatter: {} of {} shard(s) probed, {} skipped (block-diagonal bound)",
-        stats.shards_probed, stats.shards_total, stats.shards_skipped
+        "verified: {probes} recovered answers (ids, scores, scatter stats) are bit-identical \
+         to the uncrashed writer"
     );
-    assert!(
-        stats.shards_skipped >= 1 || shards == 1,
-        "in-database queries must skip every foreign shard"
-    );
+
+    println!("\n== wal_inspect ==");
+    wal_inspect(&wal_dir);
 }
 
 fn demo() {
