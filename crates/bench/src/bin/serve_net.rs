@@ -21,9 +21,8 @@
 
 #![forbid(unsafe_code)]
 
-use mogul_core::{MogulConfig, MogulIndex, OutOfSampleConfig, OutOfSampleIndex};
+use mogul_core::IndexBuilder;
 use mogul_data::web::{web_like, WebLikeConfig};
-use mogul_graph::knn::{knn_graph, KnnConfig};
 use mogul_serve::net::NetServer;
 use mogul_serve::{QueryServer, ServeOptions};
 use mogul_sparse::KernelKind;
@@ -119,15 +118,11 @@ fn main() {
                 ..Default::default()
             })
             .expect("generate dataset");
-            let graph = knn_graph(dataset.features(), KnnConfig::with_k(10)).expect("knn graph");
-            let index = MogulIndex::build(&graph, MogulConfig::default()).expect("build index");
-            let oos = OutOfSampleIndex::new(
-                index,
-                dataset.features().to_vec(),
-                OutOfSampleConfig::default(),
-            )
-            .expect("attach features");
-            Arc::new(QueryServer::new(Arc::new(oos), options))
+            let index = IndexBuilder::new()
+                .knn_k(10)
+                .build(dataset.features().to_vec())
+                .expect("build index");
+            Arc::new(QueryServer::from_snapshot(index.snapshot(), options))
         }
     };
 

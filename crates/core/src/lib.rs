@@ -19,6 +19,12 @@
 //! | [`mogul::MogulIndex`] (exact mode) | §4.6.1 | `O(m)` | complete `LDLᵀ` (MogulE) |
 //! | [`out_of_sample::OutOfSampleIndex`] | §4.6.2 | `O(n)` | queries outside the database |
 //!
+//! [`update::IndexBuilder`] is the one precomputation pipeline (k-NN graph —
+//! exact, or approximate for larger collections — → clustering → ordering →
+//! factorization → out-of-sample layer): its index answers in-database and
+//! out-of-sample queries through [`update::IndexSnapshot`], and the same
+//! builder feeds the shards of a [`shard::ShardedIndex`].
+//!
 //! Beyond the paper, [`update`] makes the index **mutable after precompute**:
 //! inserts and removals are applied as Woodbury low-rank corrections against
 //! the existing factorization and published as immutable, epoch-versioned
@@ -42,7 +48,6 @@
 #![allow(clippy::needless_range_loop)]
 
 pub mod emr;
-pub mod engine;
 pub mod exact;
 pub mod fmr;
 pub mod iterative;
@@ -57,7 +62,6 @@ pub mod update;
 pub mod wal;
 
 pub use emr::{EmrConfig, EmrSolver};
-pub use engine::{RetrievalEngine, RetrievalEngineBuilder};
 pub use exact::InverseSolver;
 pub use fmr::{FmrConfig, FmrSolver};
 pub use iterative::{IterativeConfig, IterativeSolver};

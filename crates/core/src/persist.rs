@@ -1089,7 +1089,7 @@ fn load_updatable_from_sections(
         factorization: meta.factorization,
         clustering: u.clustering,
     };
-    UpdatableIndex::from_persist_parts(
+    UpdatableIndex::from_parts(
         config,
         u.knn_k,
         meta.oos_config,
@@ -1165,18 +1165,20 @@ pub fn load_serving_from_bytes(bytes: &[u8]) -> Result<Arc<IndexSnapshot>, Persi
     let sections = parse_container(bytes)?;
     let meta = decode_meta(find_section(&sections, SectionKind::Meta)?)?;
     match meta.flavor {
-        FileFlavor::Index => {
-            let oos = decode_oos(&sections, &meta)?;
-            Ok(Arc::new(IndexSnapshot::wrap(Arc::new(oos))))
-        }
         // Serving needs only the snapshot: skip the writer-side state (the
         // graph decode, adjacency/degree tables and feature clone a
         // read-only snapshot never touches). `load_updatable` is the path
         // that reconstructs the full writer.
-        FileFlavor::Updatable => {
+        FileFlavor::Index | FileFlavor::Updatable => {
             let oos = Arc::new(decode_oos(&sections, &meta)?);
-            let u = decode_updatable_meta(find_section(&sections, SectionKind::Updatable)?)?;
-            crate::update::snapshot_from_persist_parts(oos, u.ids, u.next_id, u.epoch)
+            let n = oos.index().num_nodes();
+            let (ids, next_id, epoch) = if meta.flavor == FileFlavor::Updatable {
+                let u = decode_updatable_meta(find_section(&sections, SectionKind::Updatable)?)?;
+                (u.ids, u.next_id, u.epoch)
+            } else {
+                ((0..n).collect(), n, 0)
+            };
+            crate::update::clean_snapshot(oos, ids, next_id, epoch)
                 .map_err(decode_err(SectionKind::Updatable))
         }
         FileFlavor::Emr => Err(PersistError::InvalidState(

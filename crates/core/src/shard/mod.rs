@@ -380,7 +380,7 @@ impl ShardedIndex {
         seed: u64,
         parallel: bool,
     ) -> Self {
-        let snapshot = Arc::new(ShardedSnapshot::assemble(
+        let snapshot = Arc::new(ShardedSnapshot::new(
             shards.iter().map(UpdatableIndex::snapshot).collect(),
             router.clone(),
             epoch,
@@ -398,7 +398,7 @@ impl ShardedIndex {
     }
 
     fn refresh_snapshot(&mut self) {
-        self.snapshot = Arc::new(ShardedSnapshot::assemble(
+        self.snapshot = Arc::new(ShardedSnapshot::new(
             self.shards.iter().map(UpdatableIndex::snapshot).collect(),
             self.router.clone(),
             self.epoch,

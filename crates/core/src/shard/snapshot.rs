@@ -69,7 +69,7 @@ pub struct ShardedSnapshot {
 }
 
 impl ShardedSnapshot {
-    pub(crate) fn assemble(
+    pub(crate) fn new(
         shards: Vec<Arc<IndexSnapshot>>,
         router: ShardRouter,
         epoch: u64,

@@ -45,18 +45,21 @@
 //! never reused); dense node indices are an internal detail that changes at
 //! every rebuild.
 
-use crate::engine::{Assembly, RetrievalEngineBuilder};
 use crate::mogul::{
-    MogulConfig, MogulIndex, SearchMode, SearchStats, SearchWorkspace, PANEL_WIDTH,
+    Factorization, MogulConfig, MogulIndex, SearchMode, SearchStats, SearchWorkspace, PANEL_WIDTH,
 };
 use crate::out_of_sample::{
     heat_kernel_weights, OutOfSampleConfig, OutOfSampleIndex, OutOfSampleResult,
 };
+use crate::params::MrParams;
 use crate::persist::PersistError;
 use crate::ranking::{check_k, RankedNode, TopKResult};
 use crate::topk::BoundedTopK;
 use crate::{CoreError, Result};
-use mogul_graph::knn::{by_distance, nearest_rows};
+use mogul_graph::knn::{
+    approximate_knn_indices, by_distance, estimate_sigma, exact_knn_indices,
+    graph_from_neighbor_lists, nearest_rows, EdgeWeighting,
+};
 use mogul_graph::Graph;
 use mogul_sparse::{CorrectionWorkspace, FeatureMatrix, WoodburyCorrection};
 use std::collections::BTreeSet;
@@ -255,12 +258,36 @@ pub trait WritableIndex: sealed::Sealed + std::fmt::Debug + Send + Sized + 'stat
 // Builder
 // ---------------------------------------------------------------------------
 
-/// Builder for [`UpdatableIndex`] — the updatable counterpart of
-/// [`RetrievalEngineBuilder`].
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+/// Seed of the approximate k-NN graph's random partition centres.
+const APPROXIMATE_GRAPH_SEED: u64 = 2014;
+
+/// The one precomputation pipeline: k-NN graph → heat-kernel weights →
+/// [`MogulIndex::build`] (clustering, ordering, factorization, bounds) →
+/// out-of-sample layer, yielding an [`UpdatableIndex`] whose snapshots
+/// answer in-database and out-of-sample queries. A sharded build runs it
+/// once per shard.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IndexBuilder {
-    engine: RetrievalEngineBuilder,
+    alpha: f64,
+    knn_k: usize,
+    /// `Some((partitions, probes))` for the approximate k-NN graph.
+    approximate: Option<(usize, usize)>,
+    factorization: Factorization,
+    out_of_sample_neighbors: usize,
     policy: RebuildPolicy,
+}
+
+impl Default for IndexBuilder {
+    fn default() -> Self {
+        IndexBuilder {
+            alpha: 0.99,
+            knn_k: 5,
+            approximate: None,
+            factorization: Factorization::Incomplete,
+            out_of_sample_neighbors: 5,
+            policy: RebuildPolicy::default(),
+        }
+    }
 }
 
 impl IndexBuilder {
@@ -271,28 +298,38 @@ impl IndexBuilder {
 
     /// Override the Manifold Ranking `α`.
     pub fn alpha(mut self, alpha: f64) -> Self {
-        self.engine.alpha = alpha;
+        self.alpha = alpha;
         self
     }
 
     /// Override the k-NN degree used both for the initial graph and for
     /// connecting inserted items.
     pub fn knn_k(mut self, k: usize) -> Self {
-        self.engine.knn_k = k;
+        self.knn_k = k;
         self
     }
 
     /// Use the exact (MogulE, complete factorization) configuration; with it
     /// incremental answers match a from-scratch refactorization exactly.
     pub fn exact_ranking(mut self) -> Self {
-        self.engine = self.engine.exact_ranking();
+        self.factorization = Factorization::Complete;
+        self
+    }
+
+    /// Build the initial graph with the partition-based approximate k-NN
+    /// search (for larger collections): `partitions` random centres,
+    /// `probes` partitions scanned per point. Checked at build time: both
+    /// must be at least 1 and `probes ≤ partitions`. Inserted items are
+    /// always connected to their exact nearest neighbours.
+    pub fn approximate_graph(mut self, partitions: usize, probes: usize) -> Self {
+        self.approximate = Some((partitions, probes));
         self
     }
 
     /// Override the number of database neighbours used by out-of-sample
     /// queries.
     pub fn out_of_sample_neighbors(mut self, neighbors: usize) -> Self {
-        self.engine.out_of_sample_neighbors = neighbors;
+        self.out_of_sample_neighbors = neighbors;
         self
     }
 
@@ -323,51 +360,66 @@ impl IndexBuilder {
         features: Arc<FeatureMatrix>,
         threads: usize,
     ) -> Result<UpdatableIndex> {
+        let params = MrParams::new(self.alpha)?;
+        let lists = match self.approximate {
+            None => exact_knn_indices(&features, self.knn_k, threads)?,
+            Some((partitions, probes)) => {
+                // The low-level builder silently clamps out-of-range values;
+                // at this level a nonsensical configuration is a caller bug
+                // and deserves a loud, descriptive error.
+                if partitions == 0 || probes == 0 {
+                    return Err(CoreError::InvalidInput(format!(
+                        "approximate graph construction needs at least one partition and one \
+                         probe (got partitions = {partitions}, probes = {probes})"
+                    )));
+                }
+                if probes > partitions {
+                    return Err(CoreError::InvalidInput(format!(
+                        "approximate graph construction cannot probe {probes} partitions when \
+                         only {partitions} exist (probes must be ≤ partitions)"
+                    )));
+                }
+                approximate_knn_indices(
+                    &features,
+                    self.knn_k,
+                    partitions,
+                    probes,
+                    APPROXIMATE_GRAPH_SEED,
+                )?
+            }
+        };
+        // Pinned here so inserted edges are weighted on the scale of the
+        // initial graph.
+        let sigma = estimate_sigma(&lists);
+        let graph =
+            graph_from_neighbor_lists(&lists, EdgeWeighting::HeatKernel { sigma: Some(sigma) })?;
+        let config = MogulConfig {
+            params,
+            factorization: self.factorization,
+            ..MogulConfig::default()
+        };
+        let oos_config = OutOfSampleConfig {
+            num_neighbors: self.out_of_sample_neighbors,
+            cluster_probes: 1,
+        };
         let n = features.len();
-        let dim = features.dim();
-        let Assembly {
-            sigma,
-            graph,
-            config,
-            oos,
-        } = self.engine.assemble(Arc::clone(&features), threads)?;
-        let oos_config = oos.config();
-        let oos = Arc::new(oos);
-
-        let ids: Vec<usize> = (0..n).collect();
-        let node_of_id: Vec<Option<usize>> = (0..n).map(Some).collect();
-        let snapshot = Arc::new(IndexSnapshot {
-            epoch: 0,
-            oos: Arc::clone(&oos),
-            state: SnapshotState::Clean,
-            ids: ids.clone(),
-            node_of_id: node_of_id.clone(),
-            live_count: n,
-            dim,
-        });
-        let base_neighbors = (0..n).map(|u| graph.neighbors(u).to_vec()).collect();
-        let base_degrees = (0..n).map(|u| graph.weighted_degree(u)).collect();
-        Ok(UpdatableIndex {
-            config,
-            knn_k: self.engine.knn_k,
-            oos_config,
-            policy: self.policy,
-            sigma,
-            graph,
+        let base = OutOfSampleIndex::with_features(
+            MogulIndex::build(&graph, config)?,
             features,
-            live: vec![true; n],
-            ids,
-            node_of_id,
-            next_id: n,
-            dim,
-            live_count: n,
-            base: oos,
-            base_neighbors,
-            base_degrees,
-            dirty: BTreeSet::new(),
-            epoch: 0,
-            snapshot,
-        })
+            oos_config,
+        )?;
+        UpdatableIndex::from_parts(
+            config,
+            self.knn_k,
+            oos_config,
+            self.policy,
+            sigma,
+            graph,
+            Arc::new(base),
+            (0..n).collect(),
+            n,
+            0,
+        )
     }
 }
 
@@ -439,11 +491,6 @@ pub struct UpdatableIndex {
 }
 
 impl UpdatableIndex {
-    /// Start building an updatable index with the paper's defaults.
-    pub fn builder() -> IndexBuilder {
-        IndexBuilder::new()
-    }
-
     /// The currently published snapshot (cheap `Arc` clone).
     pub fn snapshot(&self) -> Arc<IndexSnapshot> {
         Arc::clone(&self.snapshot)
@@ -587,12 +634,12 @@ impl UpdatableIndex {
         })
     }
 
-    /// Reassemble an updatable index from persisted parts (the loader of
-    /// `crate::persist`). The reconstructed index is on a clean epoch: the
-    /// supplied `base` is both the factorized base and the current
-    /// collection state.
+    /// The one constructor: an index on a clean epoch, whose `base` is both
+    /// the factorized base and the current collection state and whose node
+    /// `u` is item `ids[u]` — what [`IndexBuilder`] builds (identity ids,
+    /// epoch 0) and what the loader of `crate::persist` restores.
     #[allow(clippy::too_many_arguments)] // mirrors the persisted field list 1:1
-    pub(crate) fn from_persist_parts(
+    pub(crate) fn from_parts(
         config: MogulConfig,
         knn_k: usize,
         oos_config: OutOfSampleConfig,
@@ -611,12 +658,6 @@ impl UpdatableIndex {
                 graph.num_nodes()
             )));
         }
-        if ids.len() != n {
-            return Err(CoreError::InvalidInput(format!(
-                "persisted id map covers {} nodes but the index covers {n}",
-                ids.len()
-            )));
-        }
         if knn_k == 0 {
             return Err(CoreError::InvalidInput(
                 "persisted k-NN degree must be at least 1".into(),
@@ -627,18 +668,7 @@ impl UpdatableIndex {
                 "persisted heat-kernel bandwidth must be positive and finite, got {sigma}"
             )));
         }
-        let node_of_id = node_map_from_ids(&ids, next_id)?;
-        let features = Arc::clone(base.features());
-        let dim = base.feature_dim();
-        let snapshot = Arc::new(IndexSnapshot {
-            epoch,
-            oos: Arc::clone(&base),
-            state: SnapshotState::Clean,
-            ids: ids.clone(),
-            node_of_id: node_of_id.clone(),
-            live_count: n,
-            dim,
-        });
+        let snapshot = clean_snapshot(Arc::clone(&base), ids, next_id, epoch)?;
         let base_neighbors = (0..n).map(|u| graph.neighbors(u).to_vec()).collect();
         let base_degrees = (0..n).map(|u| graph.weighted_degree(u)).collect();
         Ok(UpdatableIndex {
@@ -648,12 +678,12 @@ impl UpdatableIndex {
             policy,
             sigma,
             graph,
-            features,
+            features: Arc::clone(base.features()),
             live: vec![true; n],
-            ids,
-            node_of_id,
+            ids: snapshot.ids.clone(),
+            node_of_id: snapshot.node_of_id.clone(),
             next_id,
-            dim,
+            dim: snapshot.dim,
             live_count: n,
             base,
             base_neighbors,
@@ -884,21 +914,26 @@ impl UpdatableIndex {
             Ok(())
         })?;
 
-        self.epoch += 1;
-        self.snapshot = Arc::new(IndexSnapshot {
-            epoch: self.epoch,
-            oos: Arc::clone(&self.base),
-            state: SnapshotState::Corrected {
-                correction,
-                features: Arc::clone(&self.features),
-                live: self.live.clone(),
-            },
-            ids: self.ids.clone(),
-            node_of_id: self.node_of_id.clone(),
-            live_count: self.live_count,
-            dim: self.dim,
+        self.publish(SnapshotState::Corrected {
+            correction,
+            features: Arc::clone(&self.features),
+            live: self.live.clone(),
         });
         Ok(())
+    }
+
+    /// Publish the current collection state over the current base as the
+    /// next epoch.
+    fn publish(&mut self, state: SnapshotState) {
+        self.epoch += 1;
+        self.snapshot = Arc::new(IndexSnapshot::new(
+            self.epoch,
+            Arc::clone(&self.base),
+            state,
+            self.ids.clone(),
+            self.node_of_id.clone(),
+            self.live_count,
+        ));
     }
 
     /// Full refactorization of the current graph: compact tombstones,
@@ -951,19 +986,9 @@ impl UpdatableIndex {
             self.node_of_id[id] = Some(new);
         }
         self.ids = new_ids;
-        self.base = Arc::clone(&oos);
+        self.base = oos;
         self.dirty.clear();
-
-        self.epoch += 1;
-        self.snapshot = Arc::new(IndexSnapshot {
-            epoch: self.epoch,
-            oos,
-            state: SnapshotState::Clean,
-            ids: self.ids.clone(),
-            node_of_id: self.node_of_id.clone(),
-            live_count: self.live_count,
-            dim: self.dim,
-        });
+        self.publish(SnapshotState::Clean);
         Ok(())
     }
 }
@@ -1023,11 +1048,13 @@ fn node_map_from_ids(ids: &[usize], next_id: usize) -> Result<Vec<Option<usize>>
     Ok(node_of_id)
 }
 
-/// Reassemble a read-only clean snapshot from persisted parts — the
-/// serving-only loader of `crate::persist::load_serving`, which skips the
-/// writer-side state (graph, adjacency tables, feature clone) a pure
-/// [`IndexSnapshot`] never touches.
-pub(crate) fn snapshot_from_persist_parts(
+/// A clean snapshot of the factorized `oos`, whose node `u` is item
+/// `ids[u]` (validated against `next_id`). Shared by
+/// [`UpdatableIndex::from_parts`] and the serving-only loader of
+/// `crate::persist::load_serving` (an `index` file passes identity ids at
+/// epoch 0), which skips the writer-side state (graph, adjacency tables,
+/// feature clone) a pure [`IndexSnapshot`] never touches.
+pub(crate) fn clean_snapshot(
     oos: Arc<OutOfSampleIndex>,
     ids: Vec<usize>,
     next_id: usize,
@@ -1041,16 +1068,8 @@ pub(crate) fn snapshot_from_persist_parts(
         )));
     }
     let node_of_id = node_map_from_ids(&ids, next_id)?;
-    let dim = oos.feature_dim();
-    Ok(Arc::new(IndexSnapshot {
-        epoch,
-        oos,
-        state: SnapshotState::Clean,
-        ids,
-        node_of_id,
-        live_count: n,
-        dim,
-    }))
+    let snapshot = IndexSnapshot::new(epoch, oos, SnapshotState::Clean, ids, node_of_id, n);
+    Ok(Arc::new(snapshot))
 }
 
 /// Borrowed clean-epoch state handed to the persistence writer
@@ -1144,20 +1163,24 @@ pub struct IndexSnapshot {
 }
 
 impl IndexSnapshot {
-    /// Wrap a plain immutable [`OutOfSampleIndex`] as epoch-0 clean snapshot
-    /// with identity ids — how `mogul-serve` adapts indexes that never
-    /// update.
-    pub fn wrap(oos: Arc<OutOfSampleIndex>) -> Self {
-        let n = oos.index().num_nodes();
-        let dim = oos.feature_dim();
+    /// The one constructor, over the factorized base `oos`: the writer's
+    /// publishes, a fresh build and both serving loaders all end here.
+    fn new(
+        epoch: u64,
+        oos: Arc<OutOfSampleIndex>,
+        state: SnapshotState,
+        ids: Vec<usize>,
+        node_of_id: Vec<Option<usize>>,
+        live_count: usize,
+    ) -> Self {
         IndexSnapshot {
-            epoch: 0,
+            epoch,
+            dim: oos.feature_dim(),
             oos,
-            state: SnapshotState::Clean,
-            ids: (0..n).collect(),
-            node_of_id: (0..n).map(Some).collect(),
-            live_count: n,
-            dim,
+            state,
+            ids,
+            node_of_id,
+            live_count,
         }
     }
 
@@ -1856,26 +1879,51 @@ mod tests {
     }
 
     #[test]
-    fn wrapped_snapshot_matches_the_underlying_index() {
-        let features = two_cluster_features();
-        let engine = crate::RetrievalEngine::builder()
-            .knn_k(3)
-            .build(features.clone())
+    fn builder_settings_are_respected() {
+        let index = IndexBuilder::new()
+            .exact_ranking()
+            .alpha(0.9)
+            .knn_k(4)
+            .out_of_sample_neighbors(2)
+            .build(two_cluster_features())
             .unwrap();
-        let oos = Arc::new(engine.into_out_of_sample());
-        let snapshot = IndexSnapshot::wrap(Arc::clone(&oos));
-        assert_eq!(snapshot.epoch(), 0);
-        assert!(snapshot.is_clean());
-        assert_eq!(snapshot.len(), features.len());
-        assert_eq!(snapshot.feature_dim(), 2);
-        // Identity ids: snapshot answers equal the raw index answers.
-        assert_eq!(
-            snapshot.query_by_id(2, 4).unwrap(),
-            oos.index().search(2, 4).unwrap()
-        );
-        let a = snapshot.query_by_feature(&features[5], 4).unwrap();
-        let b = oos.query(&features[5], 4).unwrap();
-        assert_eq!(a.top_k, b.top_k);
-        assert_eq!(a.neighbors, b.neighbors);
+        let snapshot = index.snapshot();
+        let base = snapshot.base().index();
+        assert_eq!(base.factorization(), Factorization::Complete);
+        assert_eq!(base.params().alpha, 0.9);
+        assert_eq!(index.knn_k, 4);
+        assert_eq!(index.oos_config.num_neighbors, 2);
+        assert!(IndexBuilder::new().build(vec![]).is_err());
+        assert!(IndexBuilder::new()
+            .alpha(1.5)
+            .build(two_cluster_features())
+            .is_err());
+    }
+
+    #[test]
+    fn approximate_graph_parameters_are_validated() {
+        let features: Vec<Vec<f64>> = (0..40)
+            .map(|i| vec![(i % 8) as f64 + 0.01 * i as f64, (i / 8) as f64])
+            .collect();
+        // probes > partitions used to silently degrade (the low-level builder
+        // clamps); the builder rejects it up front with a clear message.
+        for (partitions, probes) in [(4, 5), (0, 1), (4, 0), (0, 0)] {
+            let err = IndexBuilder::new()
+                .approximate_graph(partitions, probes)
+                .build(features.clone())
+                .unwrap_err();
+            assert!(matches!(err, CoreError::InvalidInput(_)), "{err:?}");
+            let msg = err.to_string();
+            assert!(
+                msg.contains("partition") || msg.contains("probe"),
+                "unhelpful error for partitions={partitions}, probes={probes}: {msg}"
+            );
+        }
+        // A valid configuration still builds and answers.
+        let index = IndexBuilder::new()
+            .approximate_graph(5, 5)
+            .build(features)
+            .unwrap();
+        assert_eq!(index.snapshot().query_by_id(3, 4).unwrap().len(), 4);
     }
 }

@@ -6,10 +6,12 @@
 //! engines, and post-update clean epochs of an `UpdatableIndex`.
 
 use mogul_core::persist;
-use mogul_core::update::{IndexBuilder, IndexDelta, RebuildPolicy, SnapshotWorkspace};
+use mogul_core::update::{
+    IndexBuilder, IndexDelta, IndexSnapshot, RebuildPolicy, SnapshotWorkspace,
+};
 use mogul_core::{
-    BatchWorkspace, MogulConfig, MogulIndex, OutOfSampleConfig, OutOfSampleIndex, RetrievalEngine,
-    SearchMode,
+    BatchWorkspace, MogulConfig, MogulIndex, OutOfSampleConfig, OutOfSampleIndex, SearchMode,
+    SearchWorkspace,
 };
 use mogul_graph::knn::{knn_graph, KnnConfig};
 use proptest::prelude::*;
@@ -306,38 +308,90 @@ fn emr_round_trip_is_bit_identical() {
     );
 }
 
-/// `RetrievalEngineBuilder::build` and `IndexBuilder::build` run one assembly:
-/// over the same features they save byte-identical `MOG1` index sections
-/// (`meta` names the flavor and `stats` holds wall-clock timings, so those two
-/// differ by design).
+/// An updatable index over the approximate k-NN graph round-trips through
+/// `MOG1` with `==` answers, and keeps updating identically afterwards.
 #[test]
-fn both_builders_save_identical_index_sections() {
-    let features = blob_features(60, 3, 0.8, 5.0);
+fn approximate_graph_updatable_round_trips() {
+    let features = blob_features(90, 3, 0.9, 6.0);
     for exact in [false, true] {
-        let mut engine = RetrievalEngine::builder().knn_k(4);
-        let mut updatable = IndexBuilder::new().knn_k(4);
+        let mut builder = IndexBuilder::new().knn_k(4).approximate_graph(9, 2);
         if exact {
-            engine = engine.exact_ranking();
-            updatable = updatable.exact_ranking();
+            builder = builder.exact_ranking();
         }
-        let engine = engine.build(features.clone()).unwrap();
-        let updatable = updatable.build(features.clone()).unwrap();
-        let a = persist::save_index_to(engine.out_of_sample(), Vec::new()).unwrap();
-        let b = persist::save_updatable_to(&updatable, Vec::new()).unwrap();
-        let (info_a, info_b) = (
-            persist::inspect_bytes(&a).unwrap(),
-            persist::inspect_bytes(&b).unwrap(),
+        let mut original = builder.build(features.clone()).unwrap();
+        let bytes = persist::save_updatable_to(&original, Vec::new()).unwrap();
+        let mut loaded = persist::load_updatable_from_bytes(&bytes).unwrap();
+        let probes = [&features[4][..], &features[57][..]];
+        assert_same_answers(&original.snapshot(), &loaded.snapshot(), &probes);
+        let mut delta = IndexDelta::new();
+        delta.insert(vec![0.3, 0.6, 0.2]).remove(11);
+        original.apply(&delta).unwrap();
+        loaded.apply(&delta).unwrap();
+        assert_same_answers(&original.snapshot(), &loaded.snapshot(), &probes);
+    }
+}
+
+/// `==` answers of two snapshots: every live id, and each probe out of
+/// sample (neighbours and work counters included).
+fn assert_same_answers(a: &IndexSnapshot, b: &IndexSnapshot, probes: &[&[f64]]) {
+    assert_eq!(a.item_ids(), b.item_ids());
+    for id in a.item_ids() {
+        assert_eq!(
+            a.query_by_id(id, 5).unwrap(),
+            b.query_by_id(id, 5).unwrap(),
+            "epoch {}, id {id}",
+            a.epoch()
         );
-        for name in ["ordering", "factors", "bounds", "features"] {
-            let section = |bytes: &[u8], info: &persist::IndexFileInfo| {
-                let s = info.sections.iter().find(|s| s.name == name).unwrap();
-                bytes[s.offset..s.offset + s.len].to_vec()
-            };
-            assert_eq!(
-                section(&a, &info_a),
-                section(&b, &info_b),
-                "{name}, exact = {exact}"
-            );
-        }
+    }
+    for probe in probes {
+        let (x, y) = (
+            a.query_by_feature(probe, 5).unwrap(),
+            b.query_by_feature(probe, 5).unwrap(),
+        );
+        assert_eq!(x.top_k, y.top_k);
+        assert_eq!(x.neighbors, y.neighbors);
+        assert_eq!(x.stats, y.stats);
+    }
+}
+
+/// An `index` file — the factorized base of a fresh build, saved with
+/// `save_index` — loads for serving as an epoch-0 clean snapshot with
+/// identity ids, whose answers equal the base's own, in-database and
+/// out-of-sample.
+#[test]
+fn an_index_file_serves_at_epoch_zero_with_identity_ids() {
+    let features = blob_features(30, 2, 0.7, 7.0);
+    let built = IndexBuilder::new()
+        .knn_k(3)
+        .build(features.clone())
+        .unwrap()
+        .snapshot();
+    let base = built.base();
+    let dir = std::env::temp_dir().join(format!("mogul_serving_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("index.mog1");
+    persist::save_index(base, &path).unwrap();
+    let snapshot = persist::load_serving(&path).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    assert_eq!(snapshot.epoch(), 0);
+    assert!(snapshot.is_clean());
+    assert_eq!(snapshot.len(), features.len());
+    assert_eq!(snapshot.feature_dim(), 2);
+    assert_eq!(snapshot.item_ids(), (0..features.len()).collect::<Vec<_>>());
+    let mut ws = SnapshotWorkspace::new();
+    let mut base_ws = SearchWorkspace::new();
+    for q in [0usize, 2, 17, 29] {
+        assert_eq!(
+            snapshot.query_by_id_in(&mut ws, q, 4).unwrap(),
+            base.index().search_in(&mut base_ws, q, 4).unwrap()
+        );
+    }
+    for probe in [&features[5], &features[22]] {
+        let a = snapshot.query_by_feature_in(&mut ws, probe, 4).unwrap();
+        let b = base.query_in(&mut base_ws, probe, 4).unwrap();
+        assert_eq!(a.top_k, b.top_k);
+        assert_eq!(a.neighbors, b.neighbors);
+        assert_eq!(a.stats, b.stats);
     }
 }

@@ -142,6 +142,65 @@ fn single_shard_is_bit_identical_to_monolithic() {
 // Tier 2: sharded == per-group references, bit-identically
 // ---------------------------------------------------------------------------
 
+/// The approximate k-NN graph reaches every shard through the one builder:
+/// an S = 2 build answers in-database and out-of-sample queries exactly as
+/// approximate-graph references built on its two groups do.
+#[test]
+fn approximate_graph_shards_answer_like_per_group_references() {
+    let mut state = 0x2014_u64;
+    let mut next = move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let features: Vec<Vec<f64>> = (0..160)
+        .map(|i| {
+            (0..3)
+                .map(|d| 5.0 * ((i + d) % 4) as f64 + next())
+                .collect()
+        })
+        .collect();
+    for exact in [false, true] {
+        let b = builder(exact).approximate_graph(6, 2);
+        let (sharded, report) =
+            ShardedIndex::build(features.clone(), ShardedConfig::with_shards(2).builder(b))
+                .unwrap();
+        let refs = References {
+            indexes: report
+                .groups
+                .iter()
+                .map(|group| {
+                    b.build(group.iter().map(|&p| features[p].clone()).collect())
+                        .unwrap()
+                })
+                .collect(),
+        };
+        let snap = sharded.snapshot();
+        let mut ws = ShardedWorkspace::new();
+        for id in (0..features.len()).step_by(7) {
+            let (shard, local) = sharded.router().locate(id).unwrap();
+            let got = snap.query_by_id_in(&mut ws, id, QUERY_K).unwrap();
+            assert_eq!(got.len(), QUERY_K);
+            let want = refs.translated_query(&sharded, shard, local, QUERY_K);
+            assert_bit_identical(&got, &want, &format!("exact={exact} id {id}"));
+        }
+        for probe in [&features[3], &features[90]] {
+            let routed = sharded.route_insert(probe).unwrap();
+            let got = snap.query_by_feature_in(&mut ws, probe, QUERY_K).unwrap();
+            assert_eq!(got.top_k.len(), QUERY_K);
+            let want = refs.indexes[routed]
+                .snapshot()
+                .query_by_feature(probe, QUERY_K)
+                .unwrap();
+            for (x, y) in got.top_k.items().iter().zip(want.top_k.items()) {
+                let global = sharded.router().global_of_local(routed, y.node).unwrap();
+                assert_eq!((x.node, x.score.to_bits()), (global, y.score.to_bits()));
+            }
+        }
+    }
+}
+
 #[derive(Debug, Clone)]
 struct Scenario {
     features: Vec<Vec<f64>>,

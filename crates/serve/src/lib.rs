@@ -79,9 +79,12 @@
 //! Each worker owns a reusable workspace
 //! ([`ServeSnapshot::Workspace`]), so after warm-up the
 //! substitution/pruning path performs zero heap allocations; workspaces
-//! are recycled across batches through an internal pool. Answers are **bit-identical** to the sequential
-//! [`RetrievalEngine`](mogul_core::RetrievalEngine) — concurrency changes
-//! throughput, never results.
+//! are recycled across batches through an internal pool. Answers are
+//! **bit-identical** to the snapshot's own sequential query paths —
+//! concurrency changes throughput, never results. Every server is built by
+//! [`Server::from_snapshot`] over what
+//! [`IndexBuilder`](mogul_core::update::IndexBuilder) (or a writer) publishes,
+//! or by one of the `warm_start*` functions from disk.
 //!
 //! `docs/OPERATIONS.md` is the operator's guide to sizing workers, batches
 //! and admission queues; `docs/UPDATES.md` covers the update lifecycle;
@@ -132,7 +135,6 @@ fn static_assert_shared_state_is_send_sync() {
     fn check<T: Send + Sync>() {}
     check::<mogul_core::MogulIndex>();
     check::<mogul_core::OutOfSampleIndex>();
-    check::<mogul_core::RetrievalEngine>();
     check::<mogul_core::update::IndexSnapshot>();
     check::<mogul_core::update::UpdatableIndex>();
     check::<mogul_core::ShardedSnapshot>();

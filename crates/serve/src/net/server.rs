@@ -366,13 +366,13 @@ impl Shared {
 ///
 /// ```no_run
 /// use std::sync::Arc;
-/// use mogul_core::RetrievalEngine;
+/// use mogul_core::update::IndexBuilder;
 /// use mogul_serve::net::NetServer;
 /// use mogul_serve::{QueryServer, ServeOptions};
 ///
 /// let features: Vec<Vec<f64>> = (0..32).map(|i| vec![i as f64, 0.0]).collect();
-/// let engine = RetrievalEngine::builder().knn_k(4).build(features)?;
-/// let server = Arc::new(QueryServer::from_engine(engine, ServeOptions::default()));
+/// let index = IndexBuilder::new().knn_k(4).build(features)?;
+/// let server = Arc::new(QueryServer::from_snapshot(index.snapshot(), ServeOptions::default()));
 /// let net = NetServer::bind("127.0.0.1:0", server, ServeOptions::default())?;
 /// let handle = net.handle();
 /// println!("listening on {}", handle.local_addr());

@@ -55,8 +55,13 @@ pub struct ServerStatsReport {
     /// Rebuild debt (correction support) of the attached writer, `0` when no
     /// writer is attached.
     pub rebuild_support: u64,
-    /// Rebuild debt as a fraction of the rebuild threshold (`0.0` when no
-    /// writer is attached).
+    /// Correction support divided by live items
+    /// ([`RebuildDebt::support_fraction`](mogul_core::RebuildDebt::support_fraction))
+    /// — the quantity a rebuild policy compares against its
+    /// [`max_support_fraction`](mogul_core::RebuildPolicy::max_support_fraction).
+    /// For a sharded writer both terms are summed over the shards, while
+    /// each shard's policy compares its own ratio. `0.0` when no writer is
+    /// attached.
     pub rebuild_fraction: f64,
     /// `true` once the server has begun draining.
     pub draining: bool,

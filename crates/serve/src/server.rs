@@ -20,7 +20,7 @@ use crate::options::ServeOptions;
 use crate::request::{QueryRequest, QueryResponse, ResponseStatus};
 use mogul_core::update::{IndexSnapshot, SnapshotWorkspace, UpdatableIndex, WritableIndex};
 use mogul_core::wal::{self, WalError};
-use mogul_core::{OutOfSampleIndex, OutOfSampleResult, PersistError, RetrievalEngine, TopKResult};
+use mogul_core::{OutOfSampleResult, PersistError, TopKResult};
 use std::fmt::Debug;
 use std::ops::Range;
 use std::path::Path;
@@ -204,7 +204,8 @@ impl<W: Default> WorkspacePool<W> {
 /// threads may submit batches concurrently, each dispatch spawning scoped
 /// workers that die with the call (no background threads, no channels, no
 /// extra dependencies). Answers are bit-identical to the sequential
-/// snapshot paths (and, for a single index, to [`RetrievalEngine`]).
+/// snapshot paths (and, on a fresh single index, to its base
+/// [`OutOfSampleIndex`](mogul_core::OutOfSampleIndex)).
 ///
 /// When the collection changes, the engine's [`Writer`](crate::Writer)
 /// produces the next snapshot off the hot path and publishes it with
@@ -213,14 +214,14 @@ impl<W: Default> WorkspacePool<W> {
 /// consistent epoch.
 ///
 /// ```
-/// use mogul_core::RetrievalEngine;
+/// use mogul_core::update::IndexBuilder;
 /// use mogul_serve::{QueryRequest, QueryServer, ServeOptions};
 ///
 /// // Twelve items along a line, then a server with two workers.
 /// let features: Vec<Vec<f64>> = (0..12).map(|i| vec![i as f64, 0.0]).collect();
-/// let engine = RetrievalEngine::builder().knn_k(3).build(features)?;
+/// let index = IndexBuilder::new().knn_k(3).build(features)?;
 /// let options = ServeOptions::builder().workers(2).build()?;
-/// let server = QueryServer::from_engine(engine, options);
+/// let server = QueryServer::from_snapshot(index.snapshot(), options);
 ///
 /// // One batch may mix in-database and out-of-sample requests.
 /// let answers = server.serve_batch(&[
@@ -249,24 +250,11 @@ pub type QueryServer = Server<IndexSnapshot>;
 /// answered through the snapshot's panel entry points.
 type Job = Range<usize>;
 
-impl Server<IndexSnapshot> {
-    /// Build a server over an already-shared immutable index (wrapped as an
-    /// epoch-0 snapshot with identity item ids; the `Arc` may also be held
-    /// by other servers or by non-serving code).
-    pub fn new(index: Arc<OutOfSampleIndex>, options: ServeOptions) -> Self {
-        QueryServer::from_snapshot(Arc::new(IndexSnapshot::wrap(index)), options)
-    }
-
-    /// Build a server by taking over a [`RetrievalEngine`]'s index.
-    pub fn from_engine(engine: RetrievalEngine, options: ServeOptions) -> Self {
-        QueryServer::new(Arc::new(engine.into_out_of_sample()), options)
-    }
-}
-
 impl<S: ServeSnapshot> Server<S> {
     /// Build a server over an existing snapshot (e.g. the current epoch of
     /// an [`UpdatableIndex`](mogul_core::update::UpdatableIndex) or of a
-    /// [`ShardedIndex`](mogul_core::ShardedIndex)).
+    /// [`ShardedIndex`](mogul_core::ShardedIndex)); any number of servers
+    /// may share one snapshot `Arc`.
     pub fn from_snapshot(snapshot: Arc<S>, options: ServeOptions) -> Self {
         let workers = options.resolve_workers();
         Server {

@@ -12,7 +12,7 @@
 //!   either engine.
 
 use mogul_core::update::{IndexBuilder, RebuildPolicy};
-use mogul_core::{RetrievalEngine, ShardedConfig, ShardedIndex};
+use mogul_core::{ShardedConfig, ShardedIndex};
 use mogul_data::coil::{coil_like, CoilLikeConfig};
 use mogul_data::Dataset;
 use mogul_serve::net::{NetClient, NetError, NetHandle, NetServer};
@@ -53,11 +53,11 @@ fn dataset() -> (Dataset, Vec<(Vec<f64>, usize)>) {
 /// handle.
 fn start_server(options: ServeOptions) -> Harness {
     let (db, held_out) = dataset();
-    let engine = RetrievalEngine::builder()
+    let index = IndexBuilder::new()
         .knn_k(4)
         .build(db.features().to_vec())
         .unwrap();
-    let server = Arc::new(QueryServer::from_engine(engine, options));
+    let server = Arc::new(QueryServer::from_snapshot(index.snapshot(), options));
     let net = NetServer::bind("127.0.0.1:0", Arc::clone(&server), options).unwrap();
     let handle = net.handle();
     let join = std::thread::spawn(move || net.run());

@@ -5,10 +5,8 @@
 
 use mogul_core::persist;
 use mogul_core::update::{IndexBuilder, RebuildPolicy};
-use mogul_core::RetrievalEngine;
 use mogul_serve::{IndexWriter, QueryRequest, QueryServer, ServeOptions, UpdateRequest};
 use std::path::PathBuf;
-use std::sync::Arc;
 
 fn features() -> Vec<Vec<f64>> {
     (0..30)
@@ -28,15 +26,15 @@ fn temp_path(tag: &str) -> PathBuf {
 
 #[test]
 fn warm_started_server_matches_the_in_memory_server() {
-    let engine = RetrievalEngine::builder()
+    let snapshot = IndexBuilder::new()
         .knn_k(4)
         .build(features())
-        .unwrap();
-    let oos = Arc::new(engine.into_out_of_sample());
+        .unwrap()
+        .snapshot();
     let path = temp_path("index");
-    persist::save_index(&oos, &path).unwrap();
+    persist::save_index(snapshot.base(), &path).unwrap();
 
-    let live = QueryServer::new(Arc::clone(&oos), ServeOptions::with_workers(2));
+    let live = QueryServer::from_snapshot(snapshot, ServeOptions::with_workers(2));
     let cold = QueryServer::warm_start(&path, ServeOptions::with_workers(2)).unwrap();
     assert_eq!(cold.len(), live.len());
     assert_eq!(cold.epoch(), 0);

@@ -4,15 +4,19 @@
 //! Every answer produced by a multi-worker [`Server`] — under concurrent
 //! load, with recycled workspaces, in Mogul and MogulE (exact) mode alike —
 //! must be **bit-identical** to the sequential answer for the same request:
-//! the [`RetrievalEngine`]'s for a [`QueryServer`] built from one, and the
-//! snapshot's own single-query paths for every engine.
+//! for a [`QueryServer`] over a fresh build, the answer one layer below the
+//! snapshot — its base [`OutOfSampleIndex`](mogul_core::OutOfSampleIndex),
+//! whose node ids are the item ids — and the snapshot's own single-query
+//! paths for every engine.
 //!
 //! There is one serving shell, so there is one battery: every check takes
 //! the engine as an input and runs over a single index and over S = 1 and
 //! S = 4 sharded indexes built on the same database.
 
 use mogul_core::update::{IndexBuilder, IndexSnapshot};
-use mogul_core::{RetrievalEngine, ShardedConfig, ShardedIndex, ShardedSnapshot, PANEL_WIDTH};
+use mogul_core::{
+    OosWorkspace, SearchWorkspace, ShardedConfig, ShardedIndex, ShardedSnapshot, PANEL_WIDTH,
+};
 use mogul_data::coil::{coil_like, CoilLikeConfig};
 use mogul_data::Dataset;
 use mogul_serve::{
@@ -99,15 +103,20 @@ fn mixed_batch(db: &Dataset, queries: &[(Vec<f64>, usize)]) -> Vec<QueryRequest>
     batch
 }
 
-/// The sequential reference answer of a [`RetrievalEngine`].
-fn engine_answer(engine: &RetrievalEngine, request: &QueryRequest) -> QueryResponse {
+/// The sequential reference answer of a freshly built snapshot's base
+/// index, no snapshot involved (ids are the identity on a fresh build).
+fn base_answer(snapshot: &IndexSnapshot, request: &QueryRequest) -> QueryResponse {
+    let base = snapshot.base();
     match request {
-        QueryRequest::InDatabase { node, k } => {
-            QueryResponse::InDatabase(engine.query_by_id(*node, *k).unwrap())
-        }
-        QueryRequest::OutOfSample { feature, k } => {
-            QueryResponse::OutOfSample(Box::new(engine.query_by_feature(feature, *k).unwrap()))
-        }
+        QueryRequest::InDatabase { node, k } => QueryResponse::InDatabase(
+            base.index()
+                .search_in(&mut SearchWorkspace::new(), *node, *k)
+                .unwrap(),
+        ),
+        QueryRequest::OutOfSample { feature, k } => QueryResponse::OutOfSample(Box::new(
+            base.query_in(&mut OosWorkspace::new(), feature, *k)
+                .unwrap(),
+        )),
     }
 }
 
@@ -173,20 +182,18 @@ fn concurrent_batches_are_bit_identical_to_sequential_engine() {
     let (db, queries) = dataset();
     let batch = mixed_batch(&db, &queries);
     for exact in [false, true] {
-        let mut builder = RetrievalEngine::builder();
-        if exact {
-            builder = builder.exact_ranking();
-        }
-        let engine = builder.build(db.features().to_vec()).unwrap();
-        let expected: Vec<_> = batch.iter().map(|r| engine_answer(&engine, r)).collect();
-        let server = QueryServer::from_engine(engine, ServeOptions::with_workers(4));
-        check_batches_match(&server, &batch, &expected, "engine");
+        let snapshots = snapshots(&db, exact);
+        let expected: Vec<_> = batch
+            .iter()
+            .map(|r| base_answer(&snapshots.single, r))
+            .collect();
+        let engines = snapshots.servers(4);
+        check_batches_match(&engines.single, &batch, &expected, "single index vs base");
 
         fn check<S: ServeSnapshot>(server: &Server<S>, batch: &[QueryRequest], what: &str) {
             let expected: Vec<_> = batch.iter().map(|r| sequential_answer(server, r)).collect();
             check_batches_match(server, batch, &expected, what);
         }
-        let engines = snapshots(&db, exact).servers(4);
         check(&engines.single, &batch, "single index");
         check(&engines.s1, &batch, "S = 1");
         check(&engines.s4, &batch, "S = 4");
@@ -248,16 +255,22 @@ fn per_request_errors_do_not_poison_the_batch() {
 #[test]
 fn single_query_paths_match_the_engine() {
     let (db, queries) = dataset();
-    let engine = RetrievalEngine::builder()
+    let snapshot = IndexBuilder::new()
         .build(db.features().to_vec())
+        .unwrap()
+        .snapshot();
+    let base = snapshot.base();
+    let expected_id = base
+        .index()
+        .search_in(&mut SearchWorkspace::new(), 4, 6)
         .unwrap();
-    let expected_id = engine.query_by_id(4, 6).unwrap();
-    let expected_oos = engine.query_by_feature(&queries[2].0, 6).unwrap();
+    let expected_oos = base
+        .query_in(&mut OosWorkspace::new(), &queries[2].0, 6)
+        .unwrap();
 
-    // Two servers may share one index behind the same `Arc`.
-    let index = Arc::new(engine.into_out_of_sample());
-    let server_a = QueryServer::new(Arc::clone(&index), ServeOptions::default());
-    let server_b = QueryServer::new(index, ServeOptions::with_workers(1));
+    // Two servers may share one snapshot behind the same `Arc`.
+    let server_a = QueryServer::from_snapshot(Arc::clone(&snapshot), ServeOptions::default());
+    let server_b = QueryServer::from_snapshot(Arc::clone(&snapshot), ServeOptions::with_workers(1));
 
     for server in [&server_a, &server_b] {
         assert_eq!(server.len(), db.len());

@@ -1,12 +1,12 @@
-//! The high-level `RetrievalEngine` on a larger collection, using the
-//! approximate (partition-based) k-NN graph construction so the indexing step
-//! stays fast as the collection grows.
+//! `IndexBuilder` on a larger collection, using the approximate
+//! (partition-based) k-NN graph construction so the indexing step stays fast
+//! as the collection grows.
 //!
 //! ```text
 //! cargo run --example large_scale_engine --release
 //! ```
 
-use mogul_suite::core::RetrievalEngine;
+use mogul_suite::core::IndexBuilder;
 use mogul_suite::data::sift::{sift_like, SiftLikeConfig};
 use std::time::Instant;
 
@@ -28,17 +28,19 @@ fn main() {
 
     // Index with the approximate k-NN graph (≈ sqrt(n) partitions, 4 probes).
     let build_start = Instant::now();
-    let engine = RetrievalEngine::builder()
+    let snapshot = IndexBuilder::new()
         .knn_k(5)
         .approximate_graph(140, 4)
         .build(dataset.features().to_vec())
-        .expect("build retrieval engine");
+        .expect("build index")
+        .snapshot();
+    let index = snapshot.base().index();
     println!(
         "indexed in {:.2} s ({} clusters, {} non-zeros in L, {:.1} bytes/item)",
         build_start.elapsed().as_secs_f64(),
-        engine.index().ordering().num_clusters(),
-        engine.precompute_stats().l_nnz,
-        engine.index().memory_bytes() as f64 / dataset.len() as f64,
+        index.ordering().num_clusters(),
+        index.precompute_stats().l_nnz,
+        index.memory_bytes() as f64 / dataset.len() as f64,
     );
 
     // In-collection queries.
@@ -47,7 +49,7 @@ fn main() {
     let mut hits = 0usize;
     let mut total = 0usize;
     for q in (0..dataset.len()).step_by(dataset.len() / num_queries) {
-        let top = engine.query_by_id(q, 10).expect("query");
+        let top = snapshot.query_by_id(q, 10).expect("query");
         for node in top.nodes() {
             total += 1;
             if dataset.label(node) == dataset.label(q) {
@@ -68,7 +70,7 @@ fn main() {
         .iter()
         .map(|v| (v + 3.0).min(255.0))
         .collect();
-    let oos = engine
+    let oos = snapshot
         .query_by_feature(&novel, 10)
         .expect("out-of-sample query");
     println!(

@@ -12,7 +12,7 @@
 //! cargo run --example serving --release -- 4     # sweep 1 ..= 4 workers
 //! ```
 
-use mogul_suite::core::RetrievalEngine;
+use mogul_suite::core::IndexBuilder;
 use mogul_suite::data::sift::{sift_like, SiftLikeConfig};
 use mogul_suite::serve::{QueryRequest, QueryServer, ServeOptions};
 use std::sync::Arc;
@@ -62,10 +62,11 @@ fn main() {
     );
 
     let build_start = Instant::now();
-    let engine = RetrievalEngine::builder()
+    let snapshot = IndexBuilder::new()
         .knn_k(5)
         .build(db.features().to_vec())
-        .expect("build retrieval engine");
+        .expect("build index")
+        .snapshot();
     println!("indexed in {:.2} s", build_start.elapsed().as_secs_f64());
 
     // A mixed batch: every held-out vector as an out-of-sample request,
@@ -76,14 +77,14 @@ fn main() {
         batch.push(QueryRequest::out_of_sample(feature.clone(), 10));
     }
 
-    // One immutable index shared by every server configuration.
-    let index = Arc::new(engine.into_out_of_sample());
+    // One immutable snapshot shared by every server configuration.
     let rounds = 5usize;
     let mut baseline = None;
     let cores = mogul_suite::sparse::effective_threads(0);
     println!("host parallelism: {cores} (see docs/OPERATIONS.md for sizing guidance)");
     for workers in worker_counts() {
-        let server = QueryServer::new(Arc::clone(&index), ServeOptions::with_workers(workers));
+        let server =
+            QueryServer::from_snapshot(Arc::clone(&snapshot), ServeOptions::with_workers(workers));
         server.serve_batch(&batch); // warm the workspace pool
         let start = Instant::now();
         for _ in 0..rounds {
@@ -107,7 +108,7 @@ fn main() {
     // docs/PERFORMANCE.md; `web_indb` vs `web_batch` in BENCHMARK.json tracks
     // this across commits).
     println!("\nbatch-size scaling (1 worker, in-database requests, k = 10):");
-    let server = QueryServer::new(Arc::clone(&index), ServeOptions::with_workers(1));
+    let server = QueryServer::from_snapshot(snapshot, ServeOptions::with_workers(1));
     let n = db.len();
     let mut single = None;
     for batch_size in [1usize, 8, 32, 128] {

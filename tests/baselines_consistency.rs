@@ -3,8 +3,9 @@
 //! and stay close in the regimes where it is approximate.
 
 use mogul_suite::core::{
-    EmrConfig, EmrSolver, FmrConfig, FmrSolver, InverseSolver, IterativeConfig, IterativeSolver,
-    MogulConfig, MogulIndex, MrParams, OosWorkspace, Ranker, SearchMode, SearchWorkspace,
+    EmrConfig, EmrSolver, FmrConfig, FmrSolver, IndexBuilder, InverseSolver, IterativeConfig,
+    IterativeSolver, MogulConfig, MogulIndex, MrParams, OosWorkspace, Ranker, SearchMode,
+    SearchWorkspace, SnapshotWorkspace,
 };
 use mogul_suite::data::coil::{coil_like, CoilLikeConfig};
 use mogul_suite::eval::metrics::{mean, precision_at_k};
@@ -188,22 +189,36 @@ fn workspace_entry_points_match_allocating_paths_at_the_workspace_tier() {
         );
     }
 
-    // The engine-level `_in` entry points, through the same reused scratch.
-    let engine = mogul_suite::core::RetrievalEngine::builder()
+    // The index-level `_in` entry points, through reused scratch: the
+    // snapshot's, and those of the factorized base under it.
+    let snapshot = IndexBuilder::new()
         .knn_k(5)
         .build(features)
-        .unwrap();
-    let mut search_ws = SearchWorkspace::new();
+        .unwrap()
+        .snapshot();
+    let base = snapshot.base();
+    let mut snapshot_ws = SnapshotWorkspace::new();
     let mut oos_ws = OosWorkspace::new();
     for q in [2usize, 77] {
         assert_eq!(
-            engine.query_by_id(q, 5).unwrap(),
-            engine.query_by_id_in(&mut search_ws, q, 5).unwrap()
+            snapshot.query_by_id(q, 5).unwrap(),
+            snapshot.query_by_id_in(&mut snapshot_ws, q, 5).unwrap()
+        );
+        assert_eq!(
+            base.index().search(q, 5).unwrap(),
+            base.index().search_in(&mut oos_ws, q, 5).unwrap()
         );
     }
     for probe in [data.feature(9), data.feature(123)] {
-        let allocating = engine.query_by_feature(probe, 5).unwrap();
-        let reused = engine.query_by_feature_in(&mut oos_ws, probe, 5).unwrap();
+        let allocating = base.query(probe, 5).unwrap();
+        let reused = base.query_in(&mut oos_ws, probe, 5).unwrap();
+        assert_eq!(allocating.top_k, reused.top_k);
+        assert_eq!(allocating.neighbors, reused.neighbors);
+        assert_eq!(allocating.stats, reused.stats);
+        let allocating = snapshot.query_by_feature(probe, 5).unwrap();
+        let reused = snapshot
+            .query_by_feature_in(&mut snapshot_ws, probe, 5)
+            .unwrap();
         assert_eq!(allocating.top_k, reused.top_k);
         assert_eq!(allocating.neighbors, reused.neighbors);
         assert_eq!(allocating.stats, reused.stats);
