@@ -578,9 +578,10 @@ impl ShardedIndex {
 
     /// The shard an insert (or out-of-sample query) routes to: the one whose
     /// nearest base-cluster centroid is nearest overall, ties to the lower
-    /// shard index.
+    /// shard index — the first of [`ShardedSnapshot::probe_order`] on the
+    /// current snapshot, which every mutation refreshes.
     pub fn route_insert(&self, feature: &[f64]) -> Result<usize> {
-        route_by_centroid(self.shards.iter().map(|s| s.snapshot()), feature)
+        Ok(self.snapshot.probe_order(feature)?[0])
     }
 }
 
@@ -648,31 +649,6 @@ impl WritableIndex for ShardedIndex {
     fn load(dir: &Path) -> std::result::Result<Self, PersistError> {
         load_sharded(dir)
     }
-}
-
-/// Route a feature to the shard whose nearest non-empty base-cluster
-/// centroid is nearest overall; ties break to the lower shard index.
-pub(crate) fn route_by_centroid(
-    snapshots: impl Iterator<Item = Arc<crate::update::IndexSnapshot>>,
-    feature: &[f64],
-) -> Result<usize> {
-    let mut best: Option<(u64, usize)> = None;
-    for (s, snap) in snapshots.enumerate() {
-        let Some(d2) = snap.base().min_centroid_distance2(feature) else {
-            continue;
-        };
-        let key = (crate::topk::f64_sort_key(d2), s);
-        if best.is_none_or(|b| key < b) {
-            best = Some(key);
-        }
-    }
-    best.map(|(_, s)| s).ok_or_else(|| {
-        CoreError::InvalidInput(
-            "feature cannot be routed: wrong dimension, non-finite values, \
-             or no shard has a non-empty cluster"
-                .into(),
-        )
-    })
 }
 
 /// Build one index per feature group on `threads` workers each, one after

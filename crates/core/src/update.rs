@@ -58,7 +58,7 @@ use crate::topk::BoundedTopK;
 use crate::{CoreError, Result};
 use mogul_graph::knn::{
     approximate_knn_indices, by_distance, estimate_sigma, exact_knn_indices,
-    graph_from_neighbor_lists, nearest_rows, EdgeWeighting,
+    graph_from_neighbor_lists, heat_kernel_weight, nearest_rows,
 };
 use mogul_graph::Graph;
 use mogul_sparse::{CorrectionWorkspace, FeatureMatrix, WoodburyCorrection};
@@ -258,9 +258,6 @@ pub trait WritableIndex: sealed::Sealed + std::fmt::Debug + Send + Sized + 'stat
 // Builder
 // ---------------------------------------------------------------------------
 
-/// Seed of the approximate k-NN graph's random partition centres.
-const APPROXIMATE_GRAPH_SEED: u64 = 2014;
-
 /// The one precomputation pipeline: k-NN graph → heat-kernel weights →
 /// [`MogulIndex::build`] (clustering, ordering, factorization, bounds) →
 /// out-of-sample layer, yielding an [`UpdatableIndex`] whose snapshots
@@ -270,8 +267,8 @@ const APPROXIMATE_GRAPH_SEED: u64 = 2014;
 pub struct IndexBuilder {
     alpha: f64,
     knn_k: usize,
-    /// `Some((partitions, probes))` for the approximate k-NN graph.
-    approximate: Option<(usize, usize)>,
+    /// `Some(probes)` for the approximate k-NN graph.
+    approximate: Option<usize>,
     factorization: Factorization,
     out_of_sample_neighbors: usize,
     policy: RebuildPolicy,
@@ -316,13 +313,15 @@ impl IndexBuilder {
         self
     }
 
-    /// Build the initial graph with the partition-based approximate k-NN
-    /// search (for larger collections): `partitions` random centres,
-    /// `probes` partitions scanned per point. Checked at build time: both
-    /// must be at least 1 and `probes ≤ partitions`. Inserted items are
-    /// always connected to their exact nearest neighbours.
-    pub fn approximate_graph(mut self, partitions: usize, probes: usize) -> Self {
-        self.approximate = Some((partitions, probes));
+    /// Build the initial graph with the approximate k-NN scan (for larger
+    /// collections): the exact scan's `≈ √n` pivot groups, of which a point
+    /// visits its own and the `probes − 1` whose pivots are nearest to it
+    /// (see [`approximate_knn_indices`]); `probes` at or above the number of
+    /// groups gives the exact graph. `probes = 0` fails the build with
+    /// [`CoreError::InvalidInput`]. Inserted items are always connected to
+    /// their exact nearest neighbours.
+    pub fn approximate_graph(mut self, probes: usize) -> Self {
+        self.approximate = Some(probes);
         self
     }
 
@@ -352,9 +351,9 @@ impl IndexBuilder {
         self.build_packed(Arc::new(packed), 0)
     }
 
-    /// [`IndexBuilder::build`] over packed features, the k-NN scan on
-    /// `threads` workers (`0` = one per core): a sharded build hands each
-    /// shard its share of the cores here.
+    /// [`IndexBuilder::build`] over packed features, the k-NN scan (exact or
+    /// approximate) on `threads` workers (`0` = one per core): a sharded
+    /// build hands each shard its share of the cores here.
     pub(crate) fn build_packed(
         self,
         features: Arc<FeatureMatrix>,
@@ -363,36 +362,12 @@ impl IndexBuilder {
         let params = MrParams::new(self.alpha)?;
         let lists = match self.approximate {
             None => exact_knn_indices(&features, self.knn_k, threads)?,
-            Some((partitions, probes)) => {
-                // The low-level builder silently clamps out-of-range values;
-                // at this level a nonsensical configuration is a caller bug
-                // and deserves a loud, descriptive error.
-                if partitions == 0 || probes == 0 {
-                    return Err(CoreError::InvalidInput(format!(
-                        "approximate graph construction needs at least one partition and one \
-                         probe (got partitions = {partitions}, probes = {probes})"
-                    )));
-                }
-                if probes > partitions {
-                    return Err(CoreError::InvalidInput(format!(
-                        "approximate graph construction cannot probe {probes} partitions when \
-                         only {partitions} exist (probes must be ≤ partitions)"
-                    )));
-                }
-                approximate_knn_indices(
-                    &features,
-                    self.knn_k,
-                    partitions,
-                    probes,
-                    APPROXIMATE_GRAPH_SEED,
-                )?
-            }
+            Some(probes) => approximate_knn_indices(&features, self.knn_k, probes, threads)?,
         };
         // Pinned here so inserted edges are weighted on the scale of the
         // initial graph.
         let sigma = estimate_sigma(&lists);
-        let graph =
-            graph_from_neighbor_lists(&lists, EdgeWeighting::HeatKernel { sigma: Some(sigma) })?;
+        let graph = graph_from_neighbor_lists(&lists, sigma)?;
         let config = MogulConfig {
             params,
             factorization: self.factorization,
@@ -758,10 +733,9 @@ impl UpdatableIndex {
         self.live_count += 1;
 
         for &(u, d) in &scored {
-            // Same heat-kernel weighting (and pinned bandwidth) as the
-            // initial graph construction.
-            let weight = (-d * d / (2.0 * self.sigma * self.sigma)).exp().max(1e-300);
-            self.graph.add_edge(node, u, weight)?;
+            // The pinned bandwidth of the initial graph construction.
+            self.graph
+                .add_edge(node, u, heat_kernel_weight(d, self.sigma))?;
             self.dirty.insert(u);
         }
         self.dirty.insert(node);
@@ -1901,29 +1875,23 @@ mod tests {
     }
 
     #[test]
-    fn approximate_graph_parameters_are_validated() {
+    fn approximate_graph_needs_a_probe() {
         let features: Vec<Vec<f64>> = (0..40)
             .map(|i| vec![(i % 8) as f64 + 0.01 * i as f64, (i / 8) as f64])
             .collect();
-        // probes > partitions used to silently degrade (the low-level builder
-        // clamps); the builder rejects it up front with a clear message.
-        for (partitions, probes) in [(4, 5), (0, 1), (4, 0), (0, 0)] {
-            let err = IndexBuilder::new()
-                .approximate_graph(partitions, probes)
+        let err = IndexBuilder::new()
+            .approximate_graph(0)
+            .build(features.clone())
+            .unwrap_err();
+        assert!(matches!(err, CoreError::InvalidInput(_)), "{err:?}");
+        assert!(err.to_string().contains("probe"), "unhelpful error: {err}");
+        // Any budget of one or more builds and answers.
+        for probes in [1, 5, usize::MAX] {
+            let index = IndexBuilder::new()
+                .approximate_graph(probes)
                 .build(features.clone())
-                .unwrap_err();
-            assert!(matches!(err, CoreError::InvalidInput(_)), "{err:?}");
-            let msg = err.to_string();
-            assert!(
-                msg.contains("partition") || msg.contains("probe"),
-                "unhelpful error for partitions={partitions}, probes={probes}: {msg}"
-            );
+                .unwrap();
+            assert_eq!(index.snapshot().query_by_id(3, 4).unwrap().len(), 4);
         }
-        // A valid configuration still builds and answers.
-        let index = IndexBuilder::new()
-            .approximate_graph(5, 5)
-            .build(features)
-            .unwrap();
-        assert_eq!(index.snapshot().query_by_id(3, 4).unwrap().len(), 4);
     }
 }

@@ -314,7 +314,7 @@ fn emr_round_trip_is_bit_identical() {
 fn approximate_graph_updatable_round_trips() {
     let features = blob_features(90, 3, 0.9, 6.0);
     for exact in [false, true] {
-        let mut builder = IndexBuilder::new().knn_k(4).approximate_graph(9, 2);
+        let mut builder = IndexBuilder::new().knn_k(4).approximate_graph(2);
         if exact {
             builder = builder.exact_ranking();
         }
@@ -328,6 +328,36 @@ fn approximate_graph_updatable_round_trips() {
         original.apply(&delta).unwrap();
         loaded.apply(&delta).unwrap();
         assert_same_answers(&original.snapshot(), &loaded.snapshot(), &probes);
+    }
+}
+
+/// An unbounded probe budget is the exact scan: the approximate-graph build
+/// writes the exact build's `MOG1` sections byte for byte (all but `stats`,
+/// which holds the build's timings).
+#[test]
+fn approximate_graph_without_a_budget_writes_the_exact_build() {
+    let features = blob_features(90, 3, 0.9, 6.0);
+    for exact in [false, true] {
+        let sections = |approximate: bool| {
+            let mut builder = IndexBuilder::new().knn_k(4);
+            if approximate {
+                builder = builder.approximate_graph(usize::MAX);
+            }
+            if exact {
+                builder = builder.exact_ranking();
+            }
+            let index = builder.build(features.clone()).unwrap();
+            let bytes = persist::save_updatable_to(&index, Vec::new()).unwrap();
+            let info = persist::inspect_bytes(&bytes).unwrap();
+            info.sections
+                .iter()
+                .filter(|s| s.name != "stats")
+                .map(|s| (s.name, bytes[s.offset..s.offset + s.len].to_vec()))
+                .collect::<Vec<_>>()
+        };
+        let want = sections(false);
+        assert_eq!(want.len(), 7, "exact={exact}");
+        assert_eq!(sections(true), want, "exact={exact}");
     }
 }
 

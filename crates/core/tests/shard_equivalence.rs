@@ -162,7 +162,7 @@ fn approximate_graph_shards_answer_like_per_group_references() {
         })
         .collect();
     for exact in [false, true] {
-        let b = builder(exact).approximate_graph(6, 2);
+        let b = builder(exact).approximate_graph(2);
         let (sharded, report) =
             ShardedIndex::build(features.clone(), ShardedConfig::with_shards(2).builder(b))
                 .unwrap();

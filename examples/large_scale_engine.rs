@@ -1,6 +1,6 @@
-//! `IndexBuilder` on a larger collection, using the approximate
-//! (partition-based) k-NN graph construction so the indexing step stays fast
-//! as the collection grows.
+//! `IndexBuilder` on a larger collection, using the approximate k-NN graph
+//! construction (the exact scan's pivot groups under a probe budget) so the
+//! indexing step stays fast as the collection grows.
 //!
 //! ```text
 //! cargo run --example large_scale_engine --release
@@ -26,11 +26,12 @@ fn main() {
         dataset.dim()
     );
 
-    // Index with the approximate k-NN graph (≈ sqrt(n) partitions, 4 probes).
+    // Index with the approximate k-NN graph: each point scans its own pivot
+    // group and the 3 whose pivots are nearest, of ≈ sqrt(n) groups.
     let build_start = Instant::now();
     let snapshot = IndexBuilder::new()
         .knn_k(5)
-        .approximate_graph(140, 4)
+        .approximate_graph(4)
         .build(dataset.features().to_vec())
         .expect("build index")
         .snapshot();
