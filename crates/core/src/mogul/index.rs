@@ -13,21 +13,11 @@ use mogul_graph::adjacency::ranking_system_matrix;
 use mogul_graph::clustering::modularity::{modularity_clustering, ModularityConfig};
 use mogul_graph::ordering::{mogul_ordering, NodeOrdering};
 use mogul_graph::Graph;
-use mogul_sparse::ichol::{incomplete_ldl, LdlFactors};
-use mogul_sparse::ldl::complete_ldl;
+use mogul_sparse::ldl::{factorize, LdlFactors};
 use mogul_sparse::CsrMatrix;
 use std::time::Instant;
 
-/// Which `L D Lᵀ` factorization the index uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Factorization {
-    /// Incomplete Cholesky restricted to the pattern of `W` — the default
-    /// Mogul configuration (approximate scores, smallest factors).
-    Incomplete,
-    /// Complete ("Modified Cholesky") factorization with fill-in — the MogulE
-    /// extension of Section 4.6.1 (exact scores, larger factors).
-    Complete,
-}
+pub use mogul_sparse::ldl::Factorization;
 
 /// Configuration of the index construction.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -79,7 +69,8 @@ pub struct PrecomputeStats {
     /// Number of pivots the incomplete factorization had to boost
     /// (always 0 for the complete factorization).
     pub boosted_pivots: usize,
-    /// Fill-in of the complete factorization (0 for the incomplete one).
+    /// Fill-in: entries of `L` beyond the lower triangle of `W` (0 for the
+    /// incomplete factorization, whose pattern is that triangle).
     pub fill_in: usize,
 }
 
@@ -143,18 +134,7 @@ impl MogulIndex {
         let assembly_secs = assembly_start.elapsed().as_secs_f64();
 
         let fact_start = Instant::now();
-        let (factors, boosted_pivots, fill_in) = match config.factorization {
-            Factorization::Incomplete => {
-                let f = incomplete_ldl(&w_permuted)?;
-                let boosted = f.boosted_pivots;
-                (f, boosted, 0)
-            }
-            Factorization::Complete => {
-                let f = complete_ldl(&w_permuted)?;
-                let fill = f.fill_in();
-                (f.factors, 0, fill)
-            }
-        };
+        let factors = factorize(&w_permuted, config.factorization)?;
         let factorization_secs = fact_start.elapsed().as_secs_f64();
 
         let bounds_start = Instant::now();
@@ -167,8 +147,8 @@ impl MogulIndex {
             factorization_secs,
             bounds_secs,
             l_nnz: factors.l.nnz(),
-            boosted_pivots,
-            fill_in,
+            boosted_pivots: factors.boosted_pivots,
+            fill_in: factors.l.nnz() - n - w_permuted.lower_triangle(false).nnz(),
         };
 
         Ok(MogulIndex {

@@ -109,8 +109,8 @@ mod tests {
         assert!(w.is_symmetric(1e-12));
         assert_eq!(w.get(0, 0), 1.0);
         // Positive definiteness: complete LDLᵀ succeeds with positive pivots.
-        let f = mogul_sparse::complete_ldl(&w).unwrap();
-        assert!(f.factors.d.iter().all(|&d| d > 0.0));
+        let f = mogul_sparse::factorize(&w, mogul_sparse::Factorization::Complete).unwrap();
+        assert!(f.d.iter().all(|&d| d > 0.0));
     }
 
     #[test]

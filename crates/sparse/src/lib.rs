@@ -24,11 +24,10 @@
 //!   vectors every layer above reads from.
 //! * [`parallel`] — the audited `available_parallelism` policy
 //!   ([`effective_threads`]) every thread-count knob resolves through.
-//! * [`ichol`] — Incomplete Cholesky `L D Lᵀ` factorization restricted to the
-//!   sparsity pattern of `W` (Equations (6) and (7)).
-//! * [`ldl`] — complete ("Modified Cholesky" in the paper's terminology)
-//!   sparse `L D Lᵀ` factorization with fill-in, used by MogulE (Section 4.6.1).
-//!   Both factorizations are one serial sweep over the rows.
+//! * [`ldl`] — the `L D Lᵀ` factorization: one serial row recurrence
+//!   (Equations (6) and (7)) over the pattern a [`Factorization`] rule picks —
+//!   the lower triangle of `W` for Mogul's incomplete Cholesky, the full fill
+//!   for MogulE's complete ("Modified Cholesky", Section 4.6.1) one.
 //! * [`eigen`] / [`lowrank`] — Lanczos and Jacobi eigensolvers plus truncated
 //!   low-rank approximation, used by the FMR baseline and spectral clustering.
 //! * [`woodbury`] — Woodbury-identity solves: the anchor-graph form used by
@@ -56,7 +55,6 @@ pub mod dense;
 pub mod eigen;
 pub mod error;
 pub mod features;
-pub mod ichol;
 #[allow(unsafe_code)]
 pub mod kernel;
 pub mod ldl;
@@ -74,9 +72,8 @@ pub use csr::CsrMatrix;
 pub use dense::DenseMatrix;
 pub use error::{Result, SparseError};
 pub use features::FeatureMatrix;
-pub use ichol::{incomplete_ldl, LdlFactors};
 pub use kernel::{active_kernel, set_kernel_override, KernelKind};
-pub use ldl::{complete_ldl, CompleteLdl};
+pub use ldl::{factorize, Factorization, LdlFactors};
 pub use parallel::effective_threads;
 pub use permutation::Permutation;
 pub use triangular::SolveWorkspace;

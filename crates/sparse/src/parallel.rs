@@ -6,8 +6,7 @@
 //! 1 even when the OS refuses to answer). What runs on those workers lives
 //! with its owner: the k-NN scan and the k-means assignment in `mogul-graph`,
 //! concurrent shard builds in `mogul-core`, batch serving in `mogul-serve`.
-//! The factorizations ([`crate::ldl`], [`crate::ichol`]) are serial row
-//! recurrences.
+//! The factorization ([`crate::ldl`]) is a serial row recurrence.
 
 /// Resolve a requested worker count against the machine.
 ///

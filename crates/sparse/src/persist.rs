@@ -24,7 +24,7 @@
 
 use crate::csr::CsrMatrix;
 use crate::error::{Result, SparseError};
-use crate::ichol::LdlFactors;
+use crate::ldl::LdlFactors;
 use crate::permutation::Permutation;
 
 /// FNV-1a 64-bit hash — the per-section checksum of the index file format.
@@ -281,7 +281,7 @@ pub fn decode_ldl_factors(reader: &mut ByteReader<'_>, what: &str) -> Result<Ldl
 mod tests {
     use super::*;
     use crate::coo::CooMatrix;
-    use crate::ichol::incomplete_ldl;
+    use crate::ldl::{factorize, Factorization};
 
     fn sample_matrix() -> CsrMatrix {
         let mut coo = CooMatrix::new(5, 5);
@@ -307,7 +307,7 @@ mod tests {
 
     #[test]
     fn ldl_round_trip_reconstructs_u_bit_identically() {
-        let factors = incomplete_ldl(&sample_matrix()).unwrap();
+        let factors = factorize(&sample_matrix(), Factorization::Incomplete).unwrap();
         let mut bytes = Vec::new();
         encode_ldl_factors(&factors, &mut bytes);
         let mut reader = ByteReader::new(&bytes);

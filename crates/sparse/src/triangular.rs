@@ -325,8 +325,7 @@ mod tests {
     use super::*;
     use crate::coo::CooMatrix;
     use crate::dense::DenseMatrix;
-    use crate::ichol::{incomplete_ldl, LdlFactors};
-    use crate::ldl::complete_ldl;
+    use crate::ldl::{factorize, Factorization, LdlFactors};
     use crate::vector::max_abs_diff;
 
     // --- The oracle: textbook substitutions on `CsrMatrix::row` only. Same
@@ -383,10 +382,8 @@ mod tests {
             }
         }
         let w = coo.to_csr();
-        [
-            complete_ldl(&w).unwrap().factors,
-            incomplete_ldl(&w).unwrap(),
-        ]
+        [Factorization::Complete, Factorization::Incomplete]
+            .map(|rule| factorize(&w, rule).unwrap())
     }
 
     /// Lane-distinct right-hand sides whose values round at every operation.

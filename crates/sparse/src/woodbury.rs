@@ -124,7 +124,7 @@ impl CorrectionWorkspace {
 /// `U` and `V` are supplied as sparse columns (`(row, value)` pairs); the
 /// base matrix itself is abstracted behind a solver callback, so any
 /// factorization (the incomplete or complete `L D Lᵀ` of a
-/// [`crate::ichol::LdlFactors`], a dense LU, …) can serve as `W₀⁻¹`.
+/// [`crate::ldl::LdlFactors`], a dense LU, …) can serve as `W₀⁻¹`.
 /// Construction performs `r` base solves to form `Z = W₀⁻¹ U` and one dense
 /// LU factorization of the `r × r` capacitance matrix `I_r + Vᵀ Z`;
 /// afterwards [`WoodburyCorrection::apply_in`] upgrades a base solution

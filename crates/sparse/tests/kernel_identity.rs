@@ -10,10 +10,11 @@
 //! test if a pin did not select the kernel it names; on any other host both
 //! pins run the scalar kernel, which is all such a host ever runs.
 //!
-//! The second half checks the serial factorizations on a wide, shallow
-//! matrix of `n ≥ 1024` against references that share no code with them:
-//! `L D Lᵀ` multiplied back out through `matvec`, the dense LU solve, and the
-//! exact pivot of a singular block.
+//! The second half checks the factorization under both rules on a wide,
+//! shallow matrix of `n ≥ 1024` against references that share no code with
+//! it: `L D Lᵀ` multiplied back out through `matvec`, the dense LU solve, the
+//! exact pivot of a singular block, and the fill count of a dense symbolic
+//! elimination.
 
 use mogul_sparse::kernel::{active_kernel, set_kernel_override, tile_sq_distances, KernelKind};
 use mogul_sparse::triangular::{
@@ -23,7 +24,7 @@ use mogul_sparse::triangular::{
 use mogul_sparse::vector::max_abs_diff;
 use mogul_sparse::vector::squared_euclidean_unchecked;
 use mogul_sparse::{
-    complete_ldl, incomplete_ldl, CooMatrix, CsrMatrix, FeatureMatrix, LdlFactors, SolveWorkspace,
+    factorize, CooMatrix, CsrMatrix, Factorization, FeatureMatrix, LdlFactors, SolveWorkspace,
     SparseError,
 };
 use proptest::prelude::*;
@@ -95,8 +96,8 @@ proptest! {
     fn simd_solves_are_bit_identical_to_scalar((n, edges) in edge_strategy(20), w in 0.05f64..0.45) {
         let _pin = KERNEL_PIN.lock().unwrap_or_else(|e| e.into_inner());
         let matrix = spd_matrix(n, &edges, w);
-        let complete = complete_ldl(&matrix).unwrap().factors;
-        let incomplete = incomplete_ldl(&matrix).unwrap();
+        let complete = factorize(&matrix, Factorization::Complete).unwrap();
+        let incomplete = factorize(&matrix, Factorization::Incomplete).unwrap();
         let mut ws = SolveWorkspace::new();
         for factors in [&complete, &incomplete] {
             let (l, u, d) = (&factors.l, &factors.u, &factors.d);
@@ -217,15 +218,14 @@ fn product_column(f: &LdlFactors, j: usize) -> Vec<f64> {
 }
 
 #[test]
-fn complete_ldl_reconstructs_and_solves_a_wide_matrix() {
+fn complete_factors_reconstruct_and_solve_a_wide_matrix() {
     let matrix = wide_wave_matrix(256, 5, 0.2);
     let n = matrix.nrows();
-    let f = complete_ldl(&matrix).unwrap();
-    assert!(f.fill_in() > 0, "closing a ring fills in");
-    assert_eq!(f.factors.boosted_pivots, 0);
+    let f = factorize(&matrix, Factorization::Complete).unwrap();
+    assert_eq!(f.boosted_pivots, 0);
     let dense = matrix.to_dense();
     for j in 0..n {
-        let diff = max_abs_diff(&product_column(&f.factors, j), dense.row(j)).unwrap();
+        let diff = max_abs_diff(&product_column(&f, j), dense.row(j)).unwrap();
         assert!(diff < 1e-12, "column {j}: reconstruction error {diff}");
     }
     let b = panel(n, 1, 7);
@@ -234,9 +234,9 @@ fn complete_ldl_reconstructs_and_solves_a_wide_matrix() {
 }
 
 #[test]
-fn incomplete_ldl_reproduces_a_wide_matrix_on_its_pattern() {
+fn incomplete_factors_reproduce_a_wide_matrix_on_their_pattern() {
     let matrix = wide_wave_matrix(256, 5, 0.2);
-    let f = incomplete_ldl(&matrix).unwrap();
+    let f = factorize(&matrix, Factorization::Incomplete).unwrap();
     assert_eq!(f.boosted_pivots, 0);
     assert_eq!(f.l.nnz(), matrix.lower_triangle(true).nnz(), "no fill");
     for j in 0..matrix.nrows() {
@@ -264,9 +264,42 @@ fn breakdown_names_the_singular_row() {
     coo.push(a, a, 1.0).unwrap();
     coo.push(b, b, 1.0).unwrap();
     coo.push_symmetric(a, b, -1.0).unwrap();
-    let error = complete_ldl(&coo.to_csr()).unwrap_err();
+    let error = factorize(&coo.to_csr(), Factorization::Complete).unwrap_err();
     let SparseError::Breakdown { index, value } = error else {
         panic!("expected Breakdown, got {error:?}");
     };
     assert_eq!((index, value.to_bits()), (b, 0.0f64.to_bits()));
+}
+
+/// Strictly-lower entries of the complete factor by symbolic Gaussian
+/// elimination on a dense boolean lower triangle — no elimination tree.
+fn dense_symbolic_lower_nnz(w: &CsrMatrix) -> usize {
+    let n = w.nrows();
+    let mut filled = vec![vec![false; n]; n];
+    for (i, j, _) in w.iter() {
+        if j < i {
+            filled[i][j] = true;
+        }
+    }
+    for k in 0..n {
+        let below: Vec<usize> = (k + 1..n).filter(|&i| filled[i][k]).collect();
+        for (a, &j) in below.iter().enumerate() {
+            for &i in &below[a + 1..] {
+                filled[i][j] = true;
+            }
+        }
+    }
+    filled.iter().flatten().filter(|&&f| f).count()
+}
+
+#[test]
+fn complete_fill_matches_the_dense_symbolic_count() {
+    let matrix = wide_wave_matrix(256, 5, 0.2);
+    let n = matrix.nrows();
+    let input_lower = matrix.lower_triangle(false).nnz();
+    let f = factorize(&matrix, Factorization::Complete).unwrap();
+    let fill = f.l.nnz() - n - input_lower;
+    assert_eq!(fill, dense_symbolic_lower_nnz(&matrix) - input_lower);
+    // Closing each ring fills in; the count is the elimination tree's too.
+    assert_eq!(fill, 660);
 }

@@ -2,7 +2,7 @@
 
 use mogul_sparse::triangular::{solve_unit_lower_multi_into, solve_unit_upper_multi_into};
 use mogul_sparse::vector::max_abs_diff;
-use mogul_sparse::{complete_ldl, incomplete_ldl, CooMatrix, CsrMatrix, Permutation};
+use mogul_sparse::{factorize, CooMatrix, CsrMatrix, Factorization, Permutation};
 use proptest::prelude::*;
 
 /// A random symmetric diagonally-dominant (hence SPD) matrix built from an
@@ -38,10 +38,10 @@ proptest! {
     /// The complete LDLᵀ factorization reconstructs the input exactly and its
     /// solve inverts the matrix.
     #[test]
-    fn complete_ldl_reconstructs_and_solves((n, edges) in edge_strategy(24), w in 0.05f64..0.45) {
+    fn complete_factors_reconstruct_and_solve((n, edges) in edge_strategy(24), w in 0.05f64..0.45) {
         let matrix = spd_matrix(n, &edges, w);
-        let factored = complete_ldl(&matrix).unwrap();
-        let recon = factored.factors.reconstruct_dense();
+        let factored = factorize(&matrix, Factorization::Complete).unwrap();
+        let recon = factored.reconstruct_dense();
         prop_assert!(recon.max_abs_diff(&matrix.to_dense()).unwrap() < 1e-9);
 
         let b: Vec<f64> = (0..n).map(|i| ((i * 37 + 11) % 17) as f64 / 17.0 - 0.5).collect();
@@ -54,9 +54,9 @@ proptest! {
     /// pattern, matches the input exactly on diagonally stored positions when
     /// there is no fill to drop, and keeps positive pivots.
     #[test]
-    fn incomplete_ldl_respects_the_pattern((n, edges) in edge_strategy(24), w in 0.05f64..0.45) {
+    fn incomplete_factors_respect_the_pattern((n, edges) in edge_strategy(24), w in 0.05f64..0.45) {
         let matrix = spd_matrix(n, &edges, w);
-        let factors = incomplete_ldl(&matrix).unwrap();
+        let factors = factorize(&matrix, Factorization::Incomplete).unwrap();
         for (i, j, v) in factors.l.iter() {
             if i != j && v != 0.0 {
                 prop_assert!(matrix.get(i, j) != 0.0, "fill-in at ({i},{j})");
@@ -76,7 +76,7 @@ proptest! {
     #[test]
     fn triangular_solves_invert_matvec((n, edges) in edge_strategy(20), w in 0.05f64..0.45) {
         let matrix = spd_matrix(n, &edges, w);
-        let factors = complete_ldl(&matrix).unwrap().factors;
+        let factors = factorize(&matrix, Factorization::Complete).unwrap();
         let x_true: Vec<f64> = (0..n).map(|i| ((i * 13 + 3) % 11) as f64 / 11.0).collect();
 
         let lx = {
