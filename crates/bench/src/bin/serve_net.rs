@@ -120,7 +120,7 @@ fn main() {
             .expect("generate dataset");
             let index = IndexBuilder::new()
                 .knn_k(10)
-                .build(dataset.features().to_vec())
+                .build(dataset.features())
                 .expect("build index");
             Arc::new(QueryServer::from_snapshot(index.snapshot(), options))
         }

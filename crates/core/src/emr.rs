@@ -16,7 +16,7 @@ use crate::topk::{f64_sort_key, BoundedTopK, Entry};
 use crate::{CoreError, Result};
 use mogul_graph::clustering::kmeans::{kmeans, KmeansConfig};
 use mogul_sparse::woodbury::woodbury_solve_csr;
-use mogul_sparse::{CooMatrix, CsrMatrix};
+use mogul_sparse::{CooMatrix, CsrMatrix, FeatureMatrix};
 
 /// Configuration of the EMR baseline.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -57,7 +57,7 @@ impl EmrConfig {
 pub struct EmrSolver {
     params: MrParams,
     /// Anchor coordinates (`d × dim`).
-    anchors: Vec<Vec<f64>>,
+    anchors: FeatureMatrix,
     /// Column sums of the weight matrix `Z` (anchor "degrees").
     lambda: Vec<f64>,
     /// The factor `H = Z Λ^{-1/2}` with `S ≈ H Hᵀ`.
@@ -84,10 +84,10 @@ fn epanechnikov(t: f64) -> f64 {
 /// kernel bandwidth), so the scan runs through the shared bounded top-k
 /// collector — `O(d log s)` instead of a full `O(d log d)` sort, with ties
 /// pinned to the lower anchor index as before.
-fn anchor_weights(feature: &[f64], anchors: &[Vec<f64>], s: usize) -> Vec<(usize, f64)> {
+fn anchor_weights(feature: &[f64], anchors: &FeatureMatrix, s: usize) -> Vec<(usize, f64)> {
     let s = s.min(anchors.len()).max(1);
     let mut nearest = BoundedTopK::new((s + 1).min(anchors.len()));
-    for (a, anchor) in anchors.iter().enumerate() {
+    for (a, anchor) in anchors.rows().enumerate() {
         let d = mogul_sparse::vector::squared_euclidean_unchecked(feature, anchor).sqrt();
         nearest.offer(Entry {
             key: (f64_sort_key(d), a),
@@ -127,7 +127,7 @@ fn anchor_weights(feature: &[f64], anchors: &[Vec<f64>], s: usize) -> Vec<(usize
 
 impl EmrSolver {
     /// Build the anchor graph from the raw feature vectors.
-    pub fn new(features: &[Vec<f64>], params: MrParams, config: EmrConfig) -> Result<Self> {
+    pub fn new(features: &FeatureMatrix, params: MrParams, config: EmrConfig) -> Result<Self> {
         if features.is_empty() {
             return Err(CoreError::InvalidInput(
                 "EMR requires at least one data point".into(),
@@ -155,7 +155,7 @@ impl EmrSolver {
         let d = anchors.len();
         let mut z_coo = CooMatrix::with_capacity(n, d, n * config.anchor_neighbors.max(1));
         let mut lambda = vec![0.0; d];
-        for (i, feature) in features.iter().enumerate() {
+        for (i, feature) in features.rows().enumerate() {
             for (a, w) in anchor_weights(feature, &anchors, config.anchor_neighbors) {
                 z_coo.push(i, a, w)?;
                 lambda[a] += w;
@@ -190,7 +190,7 @@ impl EmrSolver {
     #[allow(clippy::type_complexity)]
     pub(crate) fn persist_parts(
         &self,
-    ) -> (MrParams, &[Vec<f64>], &[f64], &CsrMatrix, usize, usize) {
+    ) -> (MrParams, &FeatureMatrix, &[f64], &CsrMatrix, usize, usize) {
         (
             self.params,
             &self.anchors,
@@ -203,10 +203,10 @@ impl EmrSolver {
 
     /// Reassemble a solver from persisted parts (the loader of
     /// `crate::persist`), re-validating the shape invariants `EmrSolver::new`
-    /// guarantees.
+    /// guarantees beyond those the anchor matrix holds itself.
     pub(crate) fn from_persist_parts(
         params: MrParams,
-        anchors: Vec<Vec<f64>>,
+        anchors: FeatureMatrix,
         lambda: Vec<f64>,
         h: CsrMatrix,
         anchor_neighbors: usize,
@@ -215,12 +215,6 @@ impl EmrSolver {
         if anchors.is_empty() {
             return Err(CoreError::InvalidInput(
                 "persisted EMR state has no anchors".into(),
-            ));
-        }
-        let dim = anchors[0].len();
-        if anchors.iter().any(|a| a.len() != dim) {
-            return Err(CoreError::InvalidInput(
-                "persisted EMR anchors have inconsistent dimensions".into(),
             ));
         }
         if lambda.len() != anchors.len() || h.ncols() != anchors.len() || h.nrows() != n {
@@ -247,8 +241,8 @@ impl EmrSolver {
         })
     }
 
-    /// The anchor coordinates.
-    pub fn anchors(&self) -> &[Vec<f64>] {
+    /// The anchor coordinates, one row per anchor.
+    pub fn anchors(&self) -> &FeatureMatrix {
         &self.anchors
     }
 
@@ -259,13 +253,10 @@ impl EmrSolver {
     /// graph with the query point and re-running the `O(n d + d³)` solve.
     /// The returned vector holds the scores of the `n` database points.
     pub fn scores_for_feature(&self, feature: &[f64]) -> Result<Vec<f64>> {
-        if self.anchors.is_empty() {
-            return Err(CoreError::InvalidInput("EMR has no anchors".into()));
-        }
-        if feature.len() != self.anchors[0].len() {
+        if feature.len() != self.anchors.dim() {
             return Err(CoreError::DimensionMismatch {
                 op: "EMR out-of-sample query",
-                left: (1, self.anchors[0].len()),
+                left: (1, self.anchors.dim()),
                 right: (1, feature.len()),
             });
         }
@@ -362,12 +353,8 @@ mod tests {
 
     #[test]
     fn anchor_weights_sum_to_one() {
-        let anchors = vec![
-            vec![0.0, 0.0],
-            vec![1.0, 0.0],
-            vec![0.0, 1.0],
-            vec![5.0, 5.0],
-        ];
+        let anchors =
+            FeatureMatrix::from_vec(2, vec![0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 5.0, 5.0]).unwrap();
         let w = anchor_weights(&[0.2, 0.1], &anchors, 3);
         let total: f64 = w.iter().map(|&(_, v)| v).sum();
         assert!((total - 1.0).abs() < 1e-12);
@@ -445,7 +432,8 @@ mod tests {
     #[test]
     fn validation() {
         let data = small_coil();
-        assert!(EmrSolver::new(&[], MrParams::default(), EmrConfig::default()).is_err());
+        let empty = FeatureMatrix::from_vec(8, Vec::new()).unwrap();
+        assert!(EmrSolver::new(&empty, MrParams::default(), EmrConfig::default()).is_err());
         assert!(EmrSolver::new(
             data.features(),
             MrParams::default(),
@@ -468,7 +456,7 @@ mod tests {
 
     #[test]
     fn anchors_clamped_to_dataset_size() {
-        let feats = vec![vec![0.0, 0.0], vec![1.0, 1.0], vec![2.0, 2.0]];
+        let feats = FeatureMatrix::from_vec(2, vec![0.0, 0.0, 1.0, 1.0, 2.0, 2.0]).unwrap();
         let solver =
             EmrSolver::new(&feats, MrParams::default(), EmrConfig::with_anchors(50)).unwrap();
         assert!(solver.num_anchors() <= 3);

@@ -104,22 +104,9 @@ pub struct OutOfSampleIndex {
 }
 
 impl OutOfSampleIndex {
-    /// Attach database features to a prebuilt [`MogulIndex`], packing them
-    /// into a [`FeatureMatrix`] (which rejects ragged or non-finite vectors).
+    /// Attach database features (row `i` being node `i`) to a prebuilt
+    /// [`MogulIndex`] and compute its per-cluster centroids.
     pub fn new(
-        index: MogulIndex,
-        features: Vec<Vec<f64>>,
-        config: OutOfSampleConfig,
-    ) -> Result<Self> {
-        Self::with_features(
-            index,
-            Arc::new(FeatureMatrix::from_rows(&features)?),
-            config,
-        )
-    }
-
-    /// [`OutOfSampleIndex::new`] over features that are already packed.
-    pub fn with_features(
         index: MogulIndex,
         features: Arc<FeatureMatrix>,
         config: OutOfSampleConfig,
@@ -410,9 +397,8 @@ mod tests {
         let (db, queries) = data.split_out_queries(6, 11).unwrap();
         let graph = knn_graph(db.features(), KnnConfig::with_k(5)).unwrap();
         let index = MogulIndex::build(&graph, MogulConfig::default()).unwrap();
-        let oos =
-            OutOfSampleIndex::new(index, db.features().to_vec(), OutOfSampleConfig::default())
-                .unwrap();
+        let features = Arc::new(db.features().clone());
+        let oos = OutOfSampleIndex::new(index, features, OutOfSampleConfig::default()).unwrap();
         (db, queries, oos)
     }
 
@@ -491,23 +477,13 @@ mod tests {
         // Mismatched feature count at construction.
         let graph = knn_graph(db.features(), KnnConfig::with_k(5)).unwrap();
         let index = MogulIndex::build(&graph, MogulConfig::default()).unwrap();
-        assert!(OutOfSampleIndex::new(
-            index.clone(),
-            db.features()[..3].to_vec(),
-            OutOfSampleConfig::default()
-        )
-        .is_err());
-        // A non-finite or ragged database feature.
-        for bad in [vec![f64::NAN; 12], vec![0.0; 11]] {
-            let mut features = db.features().to_vec();
-            features[2] = bad;
-            let result = OutOfSampleIndex::new(index.clone(), features, Default::default());
-            assert!(matches!(result, Err(CoreError::InvalidInput(_))));
-        }
+        let three = Arc::new(db.features().select_rows(0..3));
+        let result = OutOfSampleIndex::new(index.clone(), three, Default::default());
+        assert!(matches!(result, Err(CoreError::InvalidInput(_))));
         // Zero neighbours.
         assert!(OutOfSampleIndex::new(
             index,
-            db.features().to_vec(),
+            Arc::new(db.features().clone()),
             OutOfSampleConfig {
                 num_neighbors: 0,
                 cluster_probes: 1

@@ -647,40 +647,15 @@ fn decode_bounds(bytes: &[u8]) -> Result<ClusterBounds, PersistError> {
     ClusterBounds::from_raw_parts(max_within, border_columns).map_err(&err)
 }
 
-fn encode_features(features: &FeatureMatrix) -> Vec<u8> {
-    let values = features.as_slice();
-    let mut out = Vec::with_capacity(16 + values.len() * 8);
-    codec::put_usize(&mut out, features.len());
-    codec::put_usize(&mut out, features.dim());
-    for &v in values {
-        codec::put_f64(&mut out, v);
-    }
-    out
-}
-
 /// The features section. A checksum only proves the bytes are the ones that
 /// were written: a NaN or infinity in them is rejected here, by the
 /// [`FeatureMatrix`] constructor, before it can reach a distance.
 fn decode_features(bytes: &[u8]) -> Result<FeatureMatrix, PersistError> {
     let err = decode_err(SectionKind::Features);
     let mut r = ByteReader::new(bytes);
-    let n = r.take_usize("features row count").map_err(&err)?;
-    let dim = r.take_usize("features dimensionality").map_err(&err)?;
-    let total = n.checked_mul(dim).and_then(|t| t.checked_mul(8));
-    match total {
-        Some(t) if t == r.remaining() => {}
-        _ => {
-            return Err(err(CoreError::InvalidInput(format!(
-                "features payload holds {} bytes but {n} x {dim} vectors were declared",
-                r.remaining()
-            ))))
-        }
-    }
-    let mut values = Vec::with_capacity(n * dim);
-    for _ in 0..n * dim {
-        values.push(r.take_f64("feature value").map_err(&err)?);
-    }
-    FeatureMatrix::from_vec(dim, values).map_err(&err)
+    let features = codec::decode_features(&mut r, "features").map_err(&err)?;
+    r.finish("features").map_err(&err)?;
+    Ok(features)
 }
 
 fn encode_stats(stats: &PrecomputeStats) -> Vec<u8> {
@@ -774,7 +749,9 @@ fn write_index_sections<W: Write>(
     writer.write_section(SectionKind::Factors, &payload)?;
 
     writer.write_section(SectionKind::Bounds, &encode_bounds(&index.bounds))?;
-    writer.write_section(SectionKind::Features, &encode_features(oos.features()))?;
+    payload.clear();
+    codec::encode_features(oos.features(), &mut payload);
+    writer.write_section(SectionKind::Features, &payload)?;
     writer.write_section(SectionKind::Stats, &encode_stats(&index.precompute_stats()))?;
     Ok(())
 }
@@ -863,14 +840,13 @@ pub fn save_updatable(index: &UpdatableIndex, path: impl AsRef<Path>) -> Result<
 /// Write the EMR baseline solver's anchor-graph state to a sink.
 pub fn save_emr_to<W: Write>(solver: &EmrSolver, sink: W) -> Result<W, PersistError> {
     let (params, anchors, lambda, h, anchor_neighbors, n) = solver.persist_parts();
-    let dim = anchors.first().map_or(0, |a| a.len());
     let meta = Meta {
         flavor: FileFlavor::Emr,
         params,
         factorization: Factorization::Incomplete,
         oos_config: OutOfSampleConfig::default(),
         items: n,
-        dim,
+        dim: anchors.dim(),
     };
     let mut writer = SectionWriter::new(sink)?;
     writer.write_section(SectionKind::Meta, &encode_meta(&meta))?;
@@ -878,13 +854,7 @@ pub fn save_emr_to<W: Write>(solver: &EmrSolver, sink: W) -> Result<W, PersistEr
     codec::put_usize(&mut payload, anchor_neighbors);
     codec::put_usize(&mut payload, n);
     codec::put_f64_slice(&mut payload, lambda);
-    codec::put_usize(&mut payload, anchors.len());
-    codec::put_usize(&mut payload, dim);
-    for anchor in anchors {
-        for &v in anchor {
-            codec::put_f64(&mut payload, v);
-        }
-    }
+    codec::encode_features(anchors, &mut payload);
     codec::encode_csr(h, &mut payload);
     writer.write_section(SectionKind::Emr, &payload)?;
     writer.finish()
@@ -1030,7 +1000,7 @@ fn decode_oos(sections: &[RawSection<'_>], meta: &Meta) -> Result<OutOfSampleInd
         bounds,
         stats,
     };
-    OutOfSampleIndex::with_features(index, Arc::new(features), meta.oos_config)
+    OutOfSampleIndex::new(index, Arc::new(features), meta.oos_config)
         .map_err(decode_err(SectionKind::Meta))
 }
 
@@ -1127,24 +1097,7 @@ pub fn load_emr_from_bytes(bytes: &[u8]) -> Result<EmrSolver, PersistError> {
     let anchor_neighbors = r.take_usize("emr anchor neighbours").map_err(&err)?;
     let n = r.take_usize("emr item count").map_err(&err)?;
     let lambda = r.take_f64_vec("emr anchor degrees").map_err(&err)?;
-    let num_anchors = r.take_usize("emr anchor count").map_err(&err)?;
-    let dim = r.take_usize("emr dimensionality").map_err(&err)?;
-    match num_anchors.checked_mul(dim).and_then(|t| t.checked_mul(8)) {
-        Some(total) if total <= r.remaining() => {}
-        _ => {
-            return Err(err(CoreError::InvalidInput(format!(
-                "emr anchors declare {num_anchors} x {dim} values but the payload is shorter"
-            ))))
-        }
-    }
-    let mut anchors = Vec::with_capacity(num_anchors);
-    for _ in 0..num_anchors {
-        let mut anchor = Vec::with_capacity(dim);
-        for _ in 0..dim {
-            anchor.push(r.take_f64("emr anchor value").map_err(&err)?);
-        }
-        anchors.push(anchor);
-    }
+    let anchors = codec::decode_features(&mut r, "emr anchors").map_err(&err)?;
     let h = codec::decode_csr(&mut r, "emr factor H").map_err(&err)?;
     r.finish("emr").map_err(&err)?;
     EmrSolver::from_persist_parts(meta.params, anchors, lambda, h, anchor_neighbors, n)

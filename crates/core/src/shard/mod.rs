@@ -57,6 +57,7 @@ use crate::update::{
 };
 use crate::{CoreError, Result};
 use mogul_graph::clustering::partition::{partition_points, PartitionConfig};
+use mogul_sparse::features::IntoFeatureMatrix;
 use mogul_sparse::FeatureMatrix;
 
 /// Hard ceiling on the shard count (also enforced by the manifest loader —
@@ -308,13 +309,15 @@ impl ShardedIndex {
     /// build one index per group — with scoped threads when
     /// `config.parallel` and more than one shard.
     ///
-    /// Requires at least `2 · shards` items so every shard can build a k-NN
+    /// Takes rows or a [`FeatureMatrix`] (see [`IntoFeatureMatrix`]), and
+    /// requires at least `2 · shards` items so every shard can build a k-NN
     /// graph and survive removals.
-    pub fn build(
-        features: Vec<Vec<f64>>,
+    pub fn build<'a>(
+        features: impl IntoFeatureMatrix<'a>,
         config: ShardedConfig,
     ) -> Result<(Self, ShardedBuildReport)> {
         config.validate()?;
+        let features = features.into_feature_matrix()?;
         let groups = partition_points(
             &features,
             &PartitionConfig {
@@ -326,11 +329,8 @@ impl ShardedIndex {
 
         let per_shard_features = groups
             .iter()
-            .map(|group| {
-                let rows: Vec<&[f64]> = group.iter().map(|&pos| features[pos].as_slice()).collect();
-                FeatureMatrix::from_rows(&rows).map(Arc::new)
-            })
-            .collect::<Result<Vec<_>>>()?;
+            .map(|group| Arc::new(features.select_rows(group.iter().copied())))
+            .collect();
         let items = features.len();
         drop(features);
 

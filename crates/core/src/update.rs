@@ -61,6 +61,7 @@ use mogul_graph::knn::{
     graph_from_neighbor_lists, heat_kernel_weight, nearest_rows,
 };
 use mogul_graph::Graph;
+use mogul_sparse::features::IntoFeatureMatrix;
 use mogul_sparse::{CorrectionWorkspace, FeatureMatrix, WoodburyCorrection};
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -338,17 +339,17 @@ impl IndexBuilder {
         self
     }
 
-    /// Build the updatable index over the initial collection. Initial items
-    /// receive stable ids `0..features.len()` in input order.
-    pub fn build(self, features: Vec<Vec<f64>>) -> Result<UpdatableIndex> {
+    /// Build the updatable index over the initial collection, rows or a
+    /// [`FeatureMatrix`] (see [`IntoFeatureMatrix`]). Initial items receive
+    /// stable ids `0..features.len()` in input order.
+    pub fn build<'a>(self, features: impl IntoFeatureMatrix<'a>) -> Result<UpdatableIndex> {
+        let features = features.into_feature_matrix()?.into_owned();
         if features.is_empty() {
             return Err(CoreError::InvalidInput(
                 "cannot build an updatable index over zero items".into(),
             ));
         }
-        let packed = FeatureMatrix::from_rows(&features)?;
-        drop(features);
-        self.build_packed(Arc::new(packed), 0)
+        self.build_packed(Arc::new(features), 0)
     }
 
     /// [`IndexBuilder::build`] over packed features, the k-NN scan (exact or
@@ -378,11 +379,7 @@ impl IndexBuilder {
             cluster_probes: 1,
         };
         let n = features.len();
-        let base = OutOfSampleIndex::with_features(
-            MogulIndex::build(&graph, config)?,
-            features,
-            oos_config,
-        )?;
+        let base = OutOfSampleIndex::new(MogulIndex::build(&graph, config)?, features, oos_config)?;
         UpdatableIndex::from_parts(
             config,
             self.knn_k,
@@ -942,7 +939,7 @@ impl UpdatableIndex {
         }
 
         let index = MogulIndex::build(&new_graph, self.config)?;
-        let oos = Arc::new(OutOfSampleIndex::with_features(
+        let oos = Arc::new(OutOfSampleIndex::new(
             index,
             Arc::clone(&new_features),
             self.oos_config,
@@ -1867,7 +1864,7 @@ mod tests {
         assert_eq!(base.params().alpha, 0.9);
         assert_eq!(index.knn_k, 4);
         assert_eq!(index.oos_config.num_neighbors, 2);
-        assert!(IndexBuilder::new().build(vec![]).is_err());
+        assert!(IndexBuilder::new().build(Vec::<Vec<f64>>::new()).is_err());
         assert!(IndexBuilder::new()
             .alpha(1.5)
             .build(two_cluster_features())

@@ -20,10 +20,18 @@
 //! excluded — on a clean snapshot (Algorithm 2's threshold) and on a
 //! Woodbury-corrected one alike. A `k` that asks for every other item
 //! therefore gets every other item.
+//!
+//! **The row doors:** `knn_graph`, `IndexBuilder::build` and
+//! `ShardedIndex::build` are where a collection of vectors becomes a
+//! `FeatureMatrix`. Rows and a matrix holding the same values give `==`
+//! results; empty, ragged and non-finite rows fail typed at each of them.
 
 use mogul_core::persist;
-use mogul_core::update::{IndexBuilder, IndexDelta, IndexSnapshot, RebuildPolicy};
-use mogul_core::{CoreError, TopKResult};
+use mogul_core::shard::ShardedBuildReport;
+use mogul_core::update::{IndexBuilder, IndexDelta, IndexSnapshot, RebuildPolicy, UpdatableIndex};
+use mogul_core::{CoreError, ShardedConfig, ShardedIndex, TopKResult};
+use mogul_graph::knn::{knn_graph, KnnConfig};
+use mogul_sparse::FeatureMatrix;
 
 /// Items along a line, spaced by `step`.
 fn line(n: usize, step: f64) -> Vec<Vec<f64>> {
@@ -232,5 +240,156 @@ fn zero_score_items_are_eligible_across_components() {
         let corrected = index.snapshot();
         assert!(!corrected.is_clean());
         check(&corrected, &format!("corrected, exact = {exact}"));
+    }
+}
+
+/// The forms a row door accepts.
+#[derive(Debug, Clone, Copy)]
+enum Form {
+    Matrix,
+    MatrixRef,
+    Rows,
+    RowSlice,
+    RowsRef,
+}
+
+const FORMS: [Form; 5] = [
+    Form::Matrix,
+    Form::MatrixRef,
+    Form::Rows,
+    Form::RowSlice,
+    Form::RowsRef,
+];
+
+/// Evaluate `$call` with `$f` bound to the rows `$rows` in form `$form`. A
+/// matrix form packs the rows first, so it applies to valid rows only.
+macro_rules! in_form {
+    ($form:expr, $rows:expr, |$f:ident| $call:expr) => {{
+        let rows: &Vec<Vec<f64>> = $rows;
+        match $form {
+            Form::Matrix => {
+                let $f = FeatureMatrix::from_rows(rows).unwrap();
+                $call
+            }
+            Form::MatrixRef => {
+                let matrix = FeatureMatrix::from_rows(rows).unwrap();
+                let $f = &matrix;
+                $call
+            }
+            Form::Rows => {
+                let $f = rows.clone();
+                $call
+            }
+            Form::RowSlice => {
+                let $f = &rows[..];
+                $call
+            }
+            Form::RowsRef => {
+                let $f = rows;
+                $call
+            }
+        }
+    }};
+}
+
+/// Every in-database answer and one out-of-sample answer of a single index.
+fn single_answers(index: &UpdatableIndex, probe: &[f64]) -> Vec<TopKResult> {
+    let snapshot = index.snapshot();
+    let mut answers: Vec<TopKResult> = (0..snapshot.len())
+        .map(|id| snapshot.query_by_id(id, 5).unwrap())
+        .collect();
+    answers.push(snapshot.query_by_feature(probe, 5).unwrap().top_k);
+    answers
+}
+
+/// The same over a sharded index, with its shard groups.
+fn sharded_answers(
+    (index, report): (ShardedIndex, ShardedBuildReport),
+    probe: &[f64],
+) -> (Vec<Vec<usize>>, Vec<TopKResult>) {
+    let snapshot = index.snapshot();
+    let mut answers: Vec<TopKResult> = (0..snapshot.len())
+        .map(|id| snapshot.query_by_id(id, 5).unwrap())
+        .collect();
+    answers.push(snapshot.query_by_feature(probe, 5).unwrap().top_k);
+    (report.groups, answers)
+}
+
+/// The three entry points that take a collection of vectors — `knn_graph`,
+/// `IndexBuilder::build` and `ShardedIndex::build` — give `==` graphs,
+/// answers and shard groups for a matrix, owned or borrowed, and for rows
+/// holding the same values; empty, ragged and non-finite rows fail typed at
+/// each of them, and so does an empty matrix.
+#[test]
+fn every_row_door_takes_rows_and_matrices_alike() {
+    let rows = two_components(3.0);
+    let builder = IndexBuilder::new().knn_k(3);
+    let sharded = |shards| ShardedConfig::with_shards(shards).builder(builder);
+    let probe = [1.0, 0.05];
+
+    let graph = knn_graph(&rows, KnnConfig::with_k(3)).unwrap();
+    let single = single_answers(&builder.build(&rows).unwrap(), &probe);
+    let shard_1 = sharded_answers(ShardedIndex::build(&rows, sharded(1)).unwrap(), &probe);
+    let shard_4 = sharded_answers(ShardedIndex::build(&rows, sharded(4)).unwrap(), &probe);
+    assert_eq!(shard_4.0.len(), 4);
+    for form in FORMS {
+        let got = in_form!(form, &rows, |f| knn_graph(f, KnnConfig::with_k(3)));
+        assert_eq!(got.unwrap(), graph, "knn_graph, {form:?}");
+        let got = in_form!(form, &rows, |f| builder.build(f));
+        assert_eq!(
+            single_answers(&got.unwrap(), &probe),
+            single,
+            "build, {form:?}"
+        );
+        for (shards, expected) in [(1, &shard_1), (4, &shard_4)] {
+            let got = in_form!(form, &rows, |f| ShardedIndex::build(f, sharded(shards)));
+            let got = sharded_answers(got.unwrap(), &probe);
+            assert_eq!(&got, expected, "sharded build, S = {shards}, {form:?}");
+        }
+    }
+
+    let mut ragged = rows.clone();
+    ragged[3].push(1.0);
+    let mut non_finite = rows.clone();
+    non_finite[5][1] = f64::NAN;
+    let mut infinite = rows.clone();
+    infinite[7][0] = f64::INFINITY;
+    let typed = |result: Result<(), CoreError>, what: &str| match result {
+        Err(CoreError::InvalidInput(_)) => {}
+        other => panic!("{what}: expected InvalidInput, got {other:?}"),
+    };
+    for (what, bad) in [
+        ("empty", Vec::new()),
+        ("ragged", ragged),
+        ("NaN", non_finite),
+        ("infinite", infinite),
+    ] {
+        for form in [Form::Rows, Form::RowSlice, Form::RowsRef] {
+            let what = format!("{what} rows, {form:?}");
+            let got = in_form!(form, &bad, |f| knn_graph(f, KnnConfig::with_k(3)));
+            typed(got.map(drop), &format!("knn_graph, {what}"));
+            let got = in_form!(form, &bad, |f| builder.build(f));
+            typed(got.map(drop), &format!("build, {what}"));
+            for shards in [1, 4] {
+                let got = in_form!(form, &bad, |f| ShardedIndex::build(f, sharded(shards)));
+                typed(
+                    got.map(drop),
+                    &format!("sharded build S = {shards}, {what}"),
+                );
+            }
+        }
+    }
+    let empty = FeatureMatrix::from_vec(2, Vec::new()).unwrap();
+    typed(
+        knn_graph(&empty, KnnConfig::with_k(3)).map(drop),
+        "knn_graph, empty matrix",
+    );
+    typed(builder.build(&empty).map(drop), "build, empty matrix");
+    for shards in [1, 4] {
+        let got = ShardedIndex::build(&empty, sharded(shards));
+        typed(
+            got.map(drop),
+            &format!("sharded build S = {shards}, empty matrix"),
+        );
     }
 }

@@ -187,9 +187,8 @@ fn out_of_sample_answers_do_not_depend_on_the_panel() {
     let graph = knn_graph(db.features(), KnnConfig::with_k(5)).unwrap();
     for config in [MogulConfig::default(), MogulConfig::exact()] {
         let index = MogulIndex::build(&graph, config).unwrap();
-        let oos =
-            OutOfSampleIndex::new(index, db.features().to_vec(), OutOfSampleConfig::default())
-                .unwrap();
+        let features = std::sync::Arc::new(db.features().clone());
+        let oos = OutOfSampleIndex::new(index, features, OutOfSampleConfig::default()).unwrap();
         let mut panel_ws = SearchWorkspace::new();
         let mut solo_ws = SearchWorkspace::new();
         // Each lane is a weighted multi-node query vector (the probe's

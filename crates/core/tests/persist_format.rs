@@ -7,8 +7,12 @@
 
 use mogul_core::persist::{self, FileFlavor, PersistError, SectionKind, SectionWriter};
 use mogul_core::update::{IndexBuilder, IndexDelta, RebuildPolicy};
-use mogul_core::{MogulConfig, MogulIndex, OutOfSampleConfig, OutOfSampleIndex};
+use mogul_core::{
+    EmrConfig, EmrSolver, MogulConfig, MogulIndex, MrParams, OutOfSampleConfig, OutOfSampleIndex,
+};
 use mogul_graph::knn::{knn_graph, KnnConfig};
+use mogul_sparse::FeatureMatrix;
+use std::sync::Arc;
 
 /// Small deterministic corpus shared by every test here.
 fn features() -> Vec<Vec<f64>> {
@@ -25,11 +29,18 @@ fn features() -> Vec<Vec<f64>> {
 }
 
 fn index_bytes() -> Vec<u8> {
-    let features = features();
+    let features = FeatureMatrix::from_rows(&features()).unwrap();
     let graph = knn_graph(&features, KnnConfig::with_k(4)).unwrap();
     let index = MogulIndex::build(&graph, MogulConfig::default()).unwrap();
-    let oos = OutOfSampleIndex::new(index, features, OutOfSampleConfig::default()).unwrap();
+    let oos =
+        OutOfSampleIndex::new(index, Arc::new(features), OutOfSampleConfig::default()).unwrap();
     persist::save_index_to(&oos, Vec::new()).unwrap()
+}
+
+fn emr_bytes() -> Vec<u8> {
+    let features = FeatureMatrix::from_rows(&features()).unwrap();
+    let solver = EmrSolver::new(&features, MrParams::default(), EmrConfig::with_anchors(4));
+    persist::save_emr_to(&solver.unwrap(), Vec::new()).unwrap()
 }
 
 fn updatable_bytes() -> Vec<u8> {
@@ -346,6 +357,36 @@ fn non_finite_feature_values_are_rejected_at_load() {
         persist::load_index_from_bytes(&rebuild_with_section(&index_file, "features", clean))
             .is_ok()
     );
+}
+
+#[test]
+fn hostile_emr_anchor_blocks_fail_typed() {
+    // The anchor block is decoded like the features section: a zero width
+    // with a huge anchor count (which must not size an allocation) and a NaN
+    // anchor value both fail typed, naming the section.
+    let bytes = emr_bytes();
+    let info = persist::inspect_bytes(&bytes).unwrap();
+    let emr = info.sections.iter().find(|s| s.name == "emr").unwrap();
+    let clean = &bytes[emr.offset..emr.offset + emr.len];
+    // Layout: anchor neighbours, item count, anchor degrees (length-prefixed),
+    // then the anchor count, the width and the anchor values.
+    let degrees = u64::from_le_bytes(clean[16..24].try_into().unwrap()) as usize;
+    let anchors = 24 + 8 * degrees;
+    let mut zero_width = clean.to_vec();
+    zero_width[anchors..anchors + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+    zero_width[anchors + 8..anchors + 16].copy_from_slice(&0u64.to_le_bytes());
+    let mut nan = clean.to_vec();
+    nan[anchors + 16..anchors + 24].copy_from_slice(&f64::NAN.to_bits().to_le_bytes());
+    for payload in [zero_width, nan] {
+        match persist::load_emr_from_bytes(&rebuild_with_section(&bytes, "emr", &payload)) {
+            Err(PersistError::SectionDecode { section, .. }) => {
+                assert_eq!(section, SectionKind::Emr.name())
+            }
+            other => panic!("hostile emr anchor block gave {other:?}"),
+        }
+    }
+    // The untouched payload still loads through the same rebuild.
+    assert!(persist::load_emr_from_bytes(&rebuild_with_section(&bytes, "emr", clean)).is_ok());
 }
 
 #[test]

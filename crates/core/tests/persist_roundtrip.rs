@@ -14,7 +14,9 @@ use mogul_core::{
     SearchWorkspace,
 };
 use mogul_graph::knn::{knn_graph, KnnConfig};
+use mogul_sparse::FeatureMatrix;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// Deterministic two-blob features: enough cluster structure for pruning to
 /// fire, parameterized so every case sees a different geometry.
@@ -40,7 +42,8 @@ fn build_oos(features: &[Vec<f64>], exact: bool) -> OutOfSampleIndex {
         MogulConfig::default()
     };
     let index = MogulIndex::build(&graph, config).unwrap();
-    OutOfSampleIndex::new(index, features.to_vec(), OutOfSampleConfig::default()).unwrap()
+    let features = Arc::new(FeatureMatrix::from_rows(features).unwrap());
+    OutOfSampleIndex::new(index, features, OutOfSampleConfig::default()).unwrap()
 }
 
 fn save_load(oos: &OutOfSampleIndex) -> OutOfSampleIndex {
@@ -287,7 +290,7 @@ fn file_round_trip_and_atomic_write() {
 fn emr_round_trip_is_bit_identical() {
     use mogul_core::ranking::Ranker;
     use mogul_core::{EmrConfig, EmrSolver, MrParams};
-    let features = blob_features(40, 4, 0.9, 6.0);
+    let features = FeatureMatrix::from_rows(&blob_features(40, 4, 0.9, 6.0)).unwrap();
     let solver =
         EmrSolver::new(&features, MrParams::default(), EmrConfig::with_anchors(8)).unwrap();
     let bytes = persist::save_emr_to(&solver, Vec::new()).unwrap();
@@ -300,7 +303,7 @@ fn emr_round_trip_is_bit_identical() {
             "emr in-database scores",
         );
     }
-    let probe = &features[21];
+    let probe = features.row(21);
     assert_bits_eq(
         &solver.scores_for_feature(probe).unwrap(),
         &loaded.scores_for_feature(probe).unwrap(),

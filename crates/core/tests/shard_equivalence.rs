@@ -171,7 +171,7 @@ fn approximate_graph_shards_answer_like_per_group_references() {
                 .groups
                 .iter()
                 .map(|group| {
-                    b.build(group.iter().map(|&p| features[p].clone()).collect())
+                    b.build(group.iter().map(|&p| &features[p]).collect::<Vec<_>>())
                         .unwrap()
                 })
                 .collect(),
@@ -277,7 +277,7 @@ proptest! {
                 .groups
                 .iter()
                 .map(|group| {
-                    b.build(group.iter().map(|&p| s.features[p].clone()).collect())
+                    b.build(group.iter().map(|&p| &s.features[p]).collect::<Vec<_>>())
                         .unwrap()
                 })
                 .collect(),

@@ -14,6 +14,7 @@
 use crate::dataset::Dataset;
 use crate::synth::{random_orthonormal_pair, ring_point};
 use crate::{DataError, Result};
+use mogul_sparse::FeatureMatrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -77,7 +78,7 @@ pub fn coil_like(config: &CoilLikeConfig) -> Result<Dataset> {
         ));
     }
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut features = Vec::with_capacity(config.num_points());
+    let mut features = Vec::with_capacity(config.num_points() * config.dim);
     let mut labels = Vec::with_capacity(config.num_points());
 
     for object in 0..config.num_objects {
@@ -97,7 +98,7 @@ pub fn coil_like(config: &CoilLikeConfig) -> Result<Dataset> {
                 theta,
                 config.noise,
             );
-            features.push(point);
+            features.extend(point);
             labels.push(object);
         }
     }
@@ -106,7 +107,7 @@ pub fn coil_like(config: &CoilLikeConfig) -> Result<Dataset> {
             "coil-like({}x{})",
             config.num_objects, config.poses_per_object
         ),
-        features,
+        FeatureMatrix::from_vec(config.dim, features)?,
         labels,
     )
 }
@@ -114,7 +115,7 @@ pub fn coil_like(config: &CoilLikeConfig) -> Result<Dataset> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::distance::euclidean;
+    use mogul_sparse::vector::squared_euclidean_unchecked;
 
     #[test]
     fn shape_and_labels() {
@@ -140,8 +141,8 @@ mod tests {
         };
         let d = coil_like(&config).unwrap();
         // Points 0 and 1 are adjacent poses of object 0; 0 and 12 are opposite.
-        let near = euclidean(d.feature(0), d.feature(1)).unwrap();
-        let far = euclidean(d.feature(0), d.feature(12)).unwrap();
+        let near = squared_euclidean_unchecked(d.feature(0), d.feature(1)).sqrt();
+        let far = squared_euclidean_unchecked(d.feature(0), d.feature(12)).sqrt();
         assert!(near < far);
         assert!((far - 2.0 * config.ring_radius).abs() < 1e-9);
     }

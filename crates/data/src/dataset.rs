@@ -1,6 +1,7 @@
 //! The labelled feature-vector dataset type shared by all generators.
 
 use crate::{DataError, Result};
+use mogul_sparse::FeatureMatrix;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
@@ -8,7 +9,8 @@ use rand::SeedableRng;
 /// a `(feature vector, ground-truth label)` pair.
 pub type HeldOutQueries = Vec<(Vec<f64>, usize)>;
 
-/// A labelled dataset of dense feature vectors.
+/// A labelled dataset of dense feature vectors, held in one
+/// [`FeatureMatrix`] (so they are rectangular and finite by construction).
 ///
 /// `labels[i]` is the ground-truth class of point `i` (e.g. the COIL object
 /// id); it is what the paper's *retrieval precision* metric is measured
@@ -16,15 +18,15 @@ pub type HeldOutQueries = Vec<(Vec<f64>, usize)>;
 #[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
     name: String,
-    features: Vec<Vec<f64>>,
+    features: FeatureMatrix,
     labels: Vec<usize>,
 }
 
 impl Dataset {
-    /// Create a dataset, validating shape consistency and finiteness.
+    /// Create a dataset: one label per feature vector.
     pub fn new(
         name: impl Into<String>,
-        features: Vec<Vec<f64>>,
+        features: FeatureMatrix,
         labels: Vec<usize>,
     ) -> Result<Self> {
         if features.len() != labels.len() {
@@ -33,20 +35,6 @@ impl Dataset {
                 features.len(),
                 labels.len()
             )));
-        }
-        let dim = features.first().map_or(0, |f| f.len());
-        for (i, f) in features.iter().enumerate() {
-            if f.len() != dim {
-                return Err(DataError::InvalidInput(format!(
-                    "feature {i} has dimension {} but expected {dim}",
-                    f.len()
-                )));
-            }
-            if !f.iter().all(|v| v.is_finite()) {
-                return Err(DataError::InvalidInput(format!(
-                    "feature {i} contains non-finite values"
-                )));
-            }
         }
         Ok(Dataset {
             name: name.into(),
@@ -70,13 +58,13 @@ impl Dataset {
         self.features.is_empty()
     }
 
-    /// Feature dimensionality (0 for an empty dataset).
+    /// Feature dimensionality.
     pub fn dim(&self) -> usize {
-        self.features.first().map_or(0, |f| f.len())
+        self.features.dim()
     }
 
     /// All feature vectors.
-    pub fn features(&self) -> &[Vec<f64>] {
+    pub fn features(&self) -> &FeatureMatrix {
         &self.features
     }
 
@@ -87,7 +75,7 @@ impl Dataset {
 
     /// Feature vector of point `i`.
     pub fn feature(&self, i: usize) -> &[f64] {
-        &self.features[i]
+        self.features.row(i)
     }
 
     /// Ground-truth label of point `i`.
@@ -135,18 +123,17 @@ impl Dataset {
         let held: std::collections::HashSet<usize> =
             indices[..num_queries].iter().copied().collect();
 
-        let mut db_features = Vec::with_capacity(self.len() - num_queries);
-        let mut db_labels = Vec::with_capacity(self.len() - num_queries);
-        let mut queries = Vec::with_capacity(num_queries);
-        for i in 0..self.len() {
-            if held.contains(&i) {
-                queries.push((self.features[i].clone(), self.labels[i]));
-            } else {
-                db_features.push(self.features[i].clone());
-                db_labels.push(self.labels[i]);
-            }
-        }
-        let db = Dataset::new(format!("{}-db", self.name), db_features, db_labels)?;
+        let (queries, kept): (Vec<usize>, Vec<usize>) =
+            (0..self.len()).partition(|i| held.contains(i));
+        let db = Dataset::new(
+            format!("{}-db", self.name),
+            self.features.select_rows(kept.iter().copied()),
+            kept.iter().map(|&i| self.labels[i]).collect(),
+        )?;
+        let queries = queries
+            .into_iter()
+            .map(|i| (self.feature(i).to_vec(), self.labels[i]))
+            .collect();
         Ok((db, queries))
     }
 
@@ -164,17 +151,9 @@ mod tests {
     use super::*;
 
     fn toy() -> Dataset {
-        Dataset::new(
-            "toy",
-            vec![
-                vec![0.0, 0.0],
-                vec![1.0, 0.0],
-                vec![0.0, 1.0],
-                vec![5.0, 5.0],
-            ],
-            vec![0, 0, 1, 1],
-        )
-        .unwrap()
+        let features =
+            FeatureMatrix::from_vec(2, vec![0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 5.0, 5.0]).unwrap();
+        Dataset::new("toy", features, vec![0, 0, 1, 1]).unwrap()
     }
 
     #[test]
@@ -192,10 +171,12 @@ mod tests {
 
     #[test]
     fn validation() {
-        assert!(Dataset::new("bad", vec![vec![1.0]], vec![0, 1]).is_err());
-        assert!(Dataset::new("bad", vec![vec![1.0], vec![1.0, 2.0]], vec![0, 1]).is_err());
-        assert!(Dataset::new("bad", vec![vec![f64::INFINITY]], vec![0]).is_err());
-        assert!(Dataset::new("empty", vec![], vec![]).is_ok());
+        // Ragged and non-finite rows cannot reach a dataset: the matrix
+        // constructor rejects them (see `mogul_sparse::features`).
+        let one = FeatureMatrix::from_vec(1, vec![1.0]).unwrap();
+        assert!(Dataset::new("bad", one, vec![0, 1]).is_err());
+        let empty = FeatureMatrix::from_vec(3, Vec::new()).unwrap();
+        assert!(Dataset::new("empty", empty, vec![]).is_ok());
     }
 
     #[test]

@@ -10,6 +10,7 @@
 use crate::dataset::Dataset;
 use crate::synth::normal_vector;
 use crate::{DataError, Result};
+use mogul_sparse::FeatureMatrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -108,7 +109,7 @@ pub fn attribute_like(config: &AttributeLikeConfig) -> Result<Dataset> {
     }
 
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut features = Vec::with_capacity(config.num_points);
+    let mut features = Vec::with_capacity(config.num_points * config.dim);
     let mut labels = Vec::with_capacity(config.num_points);
     for (person, &size) in sizes.iter().enumerate() {
         // Attribute profile of this person: values roughly in [-1, 1].
@@ -117,18 +118,13 @@ pub fn attribute_like(config: &AttributeLikeConfig) -> Result<Dataset> {
             .collect();
         for _ in 0..size {
             let noise = normal_vector(&mut rng, config.dim, config.within_spread);
-            let point: Vec<f64> = center
-                .iter()
-                .zip(noise.iter())
-                .map(|(c, n)| c + n)
-                .collect();
-            features.push(point);
+            features.extend(center.iter().zip(noise.iter()).map(|(c, n)| c + n));
             labels.push(person);
         }
     }
     Dataset::new(
         format!("attribute-like({} people)", config.num_people),
-        features,
+        FeatureMatrix::from_vec(config.dim, features)?,
         labels,
     )
 }

@@ -1,6 +1,6 @@
 //! # mogul-data
 //!
-//! Synthetic datasets and feature-space utilities for the Mogul workspace.
+//! Synthetic labelled datasets for the Mogul workspace.
 //!
 //! The paper evaluates on four real image datasets (COIL-100, PubFig,
 //! NUS-WIDE, INRIA/BIGANN) that are not available offline. Each generator in
@@ -27,7 +27,6 @@
 
 pub mod coil;
 pub mod dataset;
-pub mod distance;
 pub mod faces;
 pub mod sift;
 pub mod suite;

@@ -12,6 +12,7 @@
 use crate::dataset::Dataset;
 use crate::synth::normal_vector;
 use crate::{DataError, Result};
+use mogul_sparse::FeatureMatrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -100,7 +101,7 @@ pub fn sift_like(config: &SiftLikeConfig) -> Result<Dataset> {
 
     let per_word = config.num_points / config.num_words;
     let mut remainder = config.num_points % config.num_words;
-    let mut features = Vec::with_capacity(config.num_points);
+    let mut features = Vec::with_capacity(config.num_points * config.dim);
     let mut labels = Vec::with_capacity(config.num_points);
     for word in 0..config.num_words {
         let count = per_word + usize::from(remainder > 0);
@@ -108,19 +109,19 @@ pub fn sift_like(config: &SiftLikeConfig) -> Result<Dataset> {
         for i in 0..count {
             let cell = i % config.cells_per_word;
             let noise = normal_vector(&mut rng, config.dim, config.cell_spread);
-            let point: Vec<f64> = cell_centers[word][cell]
-                .iter()
-                .zip(noise.iter())
-                // Quantize to integers in [0, max_value] like real SIFT bins.
-                .map(|(c, n)| (c + n).clamp(0.0, config.max_value).round())
-                .collect();
-            features.push(point);
+            features.extend(
+                cell_centers[word][cell]
+                    .iter()
+                    .zip(noise.iter())
+                    // Quantize to integers in [0, max_value] like real SIFT bins.
+                    .map(|(c, n)| (c + n).clamp(0.0, config.max_value).round()),
+            );
             labels.push(word);
         }
     }
     Dataset::new(
         format!("sift-like({} words)", config.num_words),
-        features,
+        FeatureMatrix::from_vec(config.dim, features)?,
         labels,
     )
 }
@@ -142,7 +143,7 @@ mod tests {
         assert_eq!(d.dim(), 32);
         assert_eq!(d.num_classes(), 10);
         // All coordinates are quantized non-negative integers within range.
-        for f in d.features() {
+        for f in d.features().rows() {
             for &v in f {
                 assert!(v >= 0.0 && v <= config.max_value);
                 assert_eq!(v, v.round());
@@ -169,7 +170,9 @@ mod tests {
                 if i == j {
                     continue;
                 }
-                let dist = crate::distance::euclidean(d.feature(i), d.feature(j)).unwrap();
+                let dist =
+                    mogul_sparse::vector::squared_euclidean_unchecked(d.feature(i), d.feature(j))
+                        .sqrt();
                 if d.label(i) == d.label(j) {
                     within.0 += dist;
                     within.1 += 1;

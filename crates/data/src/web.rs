@@ -10,6 +10,7 @@
 use crate::dataset::Dataset;
 use crate::synth::{random_unit_vector, segment_point};
 use crate::{DataError, Result};
+use mogul_sparse::FeatureMatrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -83,7 +84,7 @@ pub fn web_like(config: &WebLikeConfig) -> Result<Dataset> {
     }
 
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut features = Vec::with_capacity(config.num_points);
+    let mut features = Vec::with_capacity(config.num_points * config.dim);
     let mut labels = Vec::with_capacity(config.num_points);
 
     // Topic segments.
@@ -98,22 +99,19 @@ pub fn web_like(config: &WebLikeConfig) -> Result<Dataset> {
         let direction = random_unit_vector(&mut rng, config.dim);
         for i in 0..count {
             let t = config.segment_length * (i as f64 + rng.gen::<f64>()) / count.max(1) as f64;
-            features.push(segment_point(&mut rng, &start, &direction, t, config.noise));
+            features.extend(segment_point(&mut rng, &start, &direction, t, config.noise));
             labels.push(topic);
         }
     }
     // Background clutter.
     for _ in 0..background_points {
-        let point: Vec<f64> = (0..config.dim)
-            .map(|_| (rng.gen::<f64>() - 0.5) * 2.0 * config.spread)
-            .collect();
-        features.push(point);
+        features.extend((0..config.dim).map(|_| (rng.gen::<f64>() - 0.5) * 2.0 * config.spread));
         labels.push(config.num_topics);
     }
 
     Dataset::new(
         format!("web-like({} topics)", config.num_topics),
-        features,
+        FeatureMatrix::from_vec(config.dim, features)?,
         labels,
     )
 }
@@ -165,9 +163,9 @@ mod tests {
         };
         let d = web_like(&config).unwrap();
         // Points of topic 0 span a distance comparable to segment_length.
-        let topic0: Vec<&Vec<f64>> = d
+        let topic0: Vec<&[f64]> = d
             .features()
-            .iter()
+            .rows()
             .zip(d.labels())
             .filter(|&(_, &l)| l == 0)
             .map(|(f, _)| f)
@@ -175,7 +173,7 @@ mod tests {
         let mut max_dist: f64 = 0.0;
         for a in &topic0 {
             for b in &topic0 {
-                let dist = crate::distance::euclidean(a, b).unwrap();
+                let dist = mogul_sparse::vector::squared_euclidean_unchecked(a, b).sqrt();
                 max_dist = max_dist.max(dist);
             }
         }

@@ -5,11 +5,11 @@
 //! different-class points).
 
 use mogul_data::coil::{coil_like, CoilLikeConfig};
-use mogul_data::distance::euclidean;
 use mogul_data::faces::{attribute_like, AttributeLikeConfig};
 use mogul_data::sift::{sift_like, SiftLikeConfig};
 use mogul_data::web::{web_like, WebLikeConfig};
 use mogul_data::Dataset;
+use mogul_sparse::vector::squared_euclidean_unchecked;
 use proptest::prelude::*;
 
 /// Average within-class and across-class pairwise distances over a subsample.
@@ -22,7 +22,7 @@ fn class_distance_ratio(data: &Dataset) -> (f64, f64) {
             if i == j {
                 continue;
             }
-            let d = euclidean(data.feature(i), data.feature(j)).unwrap();
+            let d = squared_euclidean_unchecked(data.feature(i), data.feature(j)).sqrt();
             if data.label(i) == data.label(j) {
                 within.0 += d;
                 within.1 += 1;
@@ -40,10 +40,7 @@ fn class_distance_ratio(data: &Dataset) -> (f64, f64) {
 
 fn check_validity(data: &Dataset, expected_len: usize) {
     assert_eq!(data.len(), expected_len);
-    assert!(data
-        .features()
-        .iter()
-        .all(|f| f.iter().all(|v| v.is_finite())));
+    assert!(data.features().as_slice().iter().all(|v| v.is_finite()));
     assert_eq!(data.labels().len(), data.len());
     assert!(data.num_classes() >= 1);
 }
@@ -131,7 +128,7 @@ proptest! {
         let data = sift_like(&config).unwrap();
         check_validity(&data, points.max(words));
         prop_assert_eq!(data.num_classes(), words);
-        for f in data.features() {
+        for f in data.features().rows() {
             for &v in f {
                 prop_assert!(v >= 0.0 && v <= config.max_value);
                 prop_assert_eq!(v, v.round());

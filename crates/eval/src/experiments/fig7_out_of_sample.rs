@@ -15,6 +15,7 @@ use mogul_core::{
     OutOfSampleIndex, TopKResult,
 };
 use mogul_graph::knn::{knn_graph, KnnConfig};
+use std::sync::Arc;
 
 /// Options of the out-of-sample experiments.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -80,8 +81,8 @@ pub fn measure(
                 ..MogulConfig::default()
             },
         )?;
-        let oos =
-            OutOfSampleIndex::new(index, db.features().to_vec(), OutOfSampleConfig::default())?;
+        let features = Arc::new(db.features().clone());
+        let oos = OutOfSampleIndex::new(index, features, OutOfSampleConfig::default())?;
         let emr = EmrSolver::new(
             db.features(),
             params,

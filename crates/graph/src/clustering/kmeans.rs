@@ -9,6 +9,7 @@ use crate::clustering::labels::Clustering;
 use crate::{GraphError, Result};
 use mogul_sparse::effective_threads;
 use mogul_sparse::vector::squared_euclidean_unchecked;
+use mogul_sparse::FeatureMatrix;
 
 /// Smallest point count worth spawning assignment workers for.
 const PAR_MIN_POINTS: usize = 1024;
@@ -52,8 +53,8 @@ impl KmeansConfig {
 pub struct KmeansResult {
     /// Cluster assignment of every point.
     pub clustering: Clustering,
-    /// Final centroids (`k × dim`), one per cluster label.
-    pub centroids: Vec<Vec<f64>>,
+    /// Final centroids (`k × dim`), one row per cluster label.
+    pub centroids: FeatureMatrix,
     /// Final within-cluster sum of squared distances.
     pub inertia: f64,
     /// Number of Lloyd iterations performed.
@@ -85,17 +86,19 @@ impl XorShift64 {
 
 /// k-means++ style initialization: the first centroid is uniform, each later
 /// centroid is sampled proportionally to the squared distance from the
-/// closest already-chosen centroid.
-fn init_centroids(points: &[Vec<f64>], k: usize, rng: &mut XorShift64) -> Vec<Vec<f64>> {
+/// closest already-chosen centroid. The centroids are rows of a `k × dim`
+/// row-major buffer.
+fn init_centroids(points: &FeatureMatrix, k: usize, rng: &mut XorShift64) -> Vec<f64> {
     let n = points.len();
-    let mut centroids: Vec<Vec<f64>> = Vec::with_capacity(k);
+    let dim = points.dim();
+    let mut centroids: Vec<f64> = Vec::with_capacity(k * dim);
     let first = (rng.next_u64() % n as u64) as usize;
-    centroids.push(points[first].clone());
+    centroids.extend_from_slice(points.row(first));
     let mut dist2: Vec<f64> = points
-        .iter()
-        .map(|p| squared_euclidean_unchecked(p, &centroids[0]))
+        .rows()
+        .map(|p| squared_euclidean_unchecked(p, &centroids))
         .collect();
-    while centroids.len() < k {
+    while centroids.len() < k * dim {
         let total: f64 = dist2.iter().sum();
         let chosen = if total <= 1e-300 {
             // All points coincide with existing centroids; pick uniformly.
@@ -112,9 +115,9 @@ fn init_centroids(points: &[Vec<f64>], k: usize, rng: &mut XorShift64) -> Vec<Ve
             }
             idx
         };
-        centroids.push(points[chosen].clone());
-        let new_c = centroids.last().unwrap();
-        for (d, p) in dist2.iter_mut().zip(points.iter()) {
+        centroids.extend_from_slice(points.row(chosen));
+        let new_c = points.row(chosen);
+        for (d, p) in dist2.iter_mut().zip(points.rows()) {
             let nd = squared_euclidean_unchecked(p, new_c);
             if nd < *d {
                 *d = nd;
@@ -128,17 +131,17 @@ fn init_centroids(points: &[Vec<f64>], k: usize, rng: &mut XorShift64) -> Vec<Ve
 /// `start`: nearest centroid and its squared distance. This is the per-point
 /// independent half of a Lloyd iteration.
 fn assign_block(
-    points: &[Vec<f64>],
-    centroids: &[Vec<f64>],
+    points: &FeatureMatrix,
+    centroids: &[f64],
     start: usize,
     labels: &mut [usize],
     dists: &mut [f64],
 ) {
     for (offset, (label, dist)) in labels.iter_mut().zip(dists.iter_mut()).enumerate() {
-        let p = &points[start + offset];
+        let p = points.row(start + offset);
         let mut best = 0usize;
         let mut best_d = f64::INFINITY;
-        for (c, centroid) in centroids.iter().enumerate() {
+        for (c, centroid) in centroids.chunks_exact(points.dim()).enumerate() {
             let d = squared_euclidean_unchecked(p, centroid);
             if d < best_d {
                 best_d = d;
@@ -155,8 +158,8 @@ fn assign_block(
 /// independent and lands in its own slot, so the parallel split is
 /// bit-identical to the serial sweep by construction.
 fn assign_all(
-    points: &[Vec<f64>],
-    centroids: &[Vec<f64>],
+    points: &FeatureMatrix,
+    centroids: &[f64],
     labels: &mut [usize],
     dists: &mut [f64],
     workers: usize,
@@ -186,31 +189,13 @@ fn assign_all(
 /// Only the per-point nearest-centroid assignment runs on workers (one per
 /// core); the centroid sums, empty-cluster re-seeding and inertia fold stay
 /// serial in point order, so the result does not depend on the machine.
-pub fn kmeans(points: &[Vec<f64>], config: &KmeansConfig) -> Result<KmeansResult> {
+pub fn kmeans(points: &FeatureMatrix, config: &KmeansConfig) -> Result<KmeansResult> {
     if points.is_empty() {
         return Err(GraphError::InvalidInput(
             "k-means requires at least one point".into(),
         ));
     }
-    let dim = points[0].len();
-    if dim == 0 {
-        return Err(GraphError::InvalidInput(
-            "k-means requires non-empty feature vectors".into(),
-        ));
-    }
-    for (i, p) in points.iter().enumerate() {
-        if p.len() != dim {
-            return Err(GraphError::InvalidInput(format!(
-                "point {i} has dimension {} but expected {dim}",
-                p.len()
-            )));
-        }
-        if !p.iter().all(|v| v.is_finite()) {
-            return Err(GraphError::InvalidInput(format!(
-                "point {i} contains non-finite values"
-            )));
-        }
-    }
+    let dim = points.dim();
     let n = points.len();
     if config.k == 0 {
         return Err(GraphError::InvalidInput("k must be at least 1".into()));
@@ -230,11 +215,11 @@ pub fn kmeans(points: &[Vec<f64>], config: &KmeansConfig) -> Result<KmeansResult
         // Assignment step (the parallel half of the iteration).
         assign_all(points, &centroids, &mut labels, &mut dists, workers);
         // Update step.
-        let mut sums = vec![vec![0.0; dim]; k];
+        let mut sums = vec![0.0; k * dim];
         let mut counts = vec![0usize; k];
-        for (i, p) in points.iter().enumerate() {
+        for (i, p) in points.rows().enumerate() {
             counts[labels[i]] += 1;
-            for (s, v) in sums[labels[i]].iter_mut().zip(p.iter()) {
+            for (s, v) in sums[labels[i] * dim..][..dim].iter_mut().zip(p) {
                 *s += v;
             }
         }
@@ -242,24 +227,30 @@ pub fn kmeans(points: &[Vec<f64>], config: &KmeansConfig) -> Result<KmeansResult
         for c in 0..k {
             if counts[c] == 0 {
                 let (far_idx, _) = points
-                    .iter()
+                    .rows()
                     .enumerate()
-                    .map(|(i, p)| (i, squared_euclidean_unchecked(p, &centroids[labels[i]])))
+                    .map(|(i, p)| {
+                        let centroid = &centroids[labels[i] * dim..][..dim];
+                        (i, squared_euclidean_unchecked(p, centroid))
+                    })
                     .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
                     .unwrap();
-                sums[c] = points[far_idx].clone();
+                sums[c * dim..][..dim].copy_from_slice(points.row(far_idx));
                 counts[c] = 1;
                 labels[far_idx] = c;
             }
         }
         let mut movement = 0.0;
-        for c in 0..k {
-            let mut new_centroid = sums[c].clone();
+        for ((new_centroid, centroid), &count) in sums
+            .chunks_exact_mut(dim)
+            .zip(centroids.chunks_exact_mut(dim))
+            .zip(&counts)
+        {
             for v in new_centroid.iter_mut() {
-                *v /= counts[c] as f64;
+                *v /= count as f64;
             }
-            movement += squared_euclidean_unchecked(&new_centroid, &centroids[c]).sqrt();
-            centroids[c] = new_centroid;
+            movement += squared_euclidean_unchecked(new_centroid, centroid).sqrt();
+            centroid.copy_from_slice(new_centroid);
         }
         if movement < config.tol {
             break;
@@ -276,7 +267,7 @@ pub fn kmeans(points: &[Vec<f64>], config: &KmeansConfig) -> Result<KmeansResult
 
     Ok(KmeansResult {
         clustering: Clustering::from_labels(&labels),
-        centroids,
+        centroids: FeatureMatrix::from_vec(dim, centroids)?,
         inertia,
         iterations,
     })
@@ -286,16 +277,20 @@ pub fn kmeans(points: &[Vec<f64>], config: &KmeansConfig) -> Result<KmeansResult
 mod tests {
     use super::*;
 
-    fn three_blobs() -> Vec<Vec<f64>> {
+    fn matrix(rows: &[Vec<f64>]) -> FeatureMatrix {
+        FeatureMatrix::from_rows(rows).unwrap()
+    }
+
+    fn three_blobs() -> FeatureMatrix {
         let mut pts = Vec::new();
         for c in 0..3 {
             let cx = c as f64 * 10.0;
             for i in 0..10 {
                 let jitter = (i as f64) * 0.01;
-                pts.push(vec![cx + jitter, cx - jitter]);
+                pts.extend([cx + jitter, cx - jitter]);
             }
         }
-        pts
+        FeatureMatrix::from_vec(2, pts).unwrap()
     }
 
     #[test]
@@ -326,7 +321,7 @@ mod tests {
 
     #[test]
     fn k_clamped_to_number_of_points() {
-        let pts = vec![vec![0.0], vec![1.0]];
+        let pts = matrix(&[vec![0.0], vec![1.0]]);
         let result = kmeans(&pts, &KmeansConfig::with_k(10)).unwrap();
         assert_eq!(result.centroids.len(), 2);
         assert_eq!(result.clustering.num_clusters(), 2);
@@ -334,7 +329,7 @@ mod tests {
 
     #[test]
     fn duplicate_points_are_handled() {
-        let pts = vec![vec![1.0, 1.0]; 8];
+        let pts = matrix(&vec![vec![1.0, 1.0]; 8]);
         let result = kmeans(&pts, &KmeansConfig::with_k(3)).unwrap();
         assert!(result.inertia < 1e-12);
         assert!(result.clustering.num_clusters() >= 1);
@@ -342,12 +337,12 @@ mod tests {
 
     #[test]
     fn input_validation() {
-        assert!(kmeans(&[], &KmeansConfig::with_k(2)).is_err());
-        assert!(kmeans(&[vec![]], &KmeansConfig::with_k(1)).is_err());
-        assert!(kmeans(&[vec![1.0], vec![1.0, 2.0]], &KmeansConfig::with_k(1)).is_err());
-        assert!(kmeans(&[vec![f64::NAN]], &KmeansConfig::with_k(1)).is_err());
+        // Empty, ragged and NaN vectors cannot reach k-means: the matrix
+        // constructor rejects them (see `mogul_sparse::features`).
+        let empty = FeatureMatrix::from_vec(1, Vec::new()).unwrap();
+        assert!(kmeans(&empty, &KmeansConfig::with_k(2)).is_err());
         assert!(kmeans(
-            &[vec![1.0]],
+            &matrix(&[vec![1.0]]),
             &KmeansConfig {
                 k: 0,
                 ..Default::default()
@@ -368,6 +363,7 @@ mod tests {
                 vec![cx + rng.next_f64(), cx - rng.next_f64(), rng.next_f64()]
             })
             .collect();
+        let points = matrix(&points);
         let centroids = init_centroids(&points, 16, &mut rng);
         let assign = |workers: usize| {
             let (mut labels, mut dists) = (vec![usize::MAX; 1201], vec![f64::NAN; 1201]);
@@ -383,9 +379,9 @@ mod tests {
 
     #[test]
     fn single_cluster_centroid_is_mean() {
-        let pts = vec![vec![0.0, 0.0], vec![2.0, 4.0]];
+        let pts = matrix(&[vec![0.0, 0.0], vec![2.0, 4.0]]);
         let result = kmeans(&pts, &KmeansConfig::with_k(1)).unwrap();
-        assert!((result.centroids[0][0] - 1.0).abs() < 1e-9);
-        assert!((result.centroids[0][1] - 2.0).abs() < 1e-9);
+        assert!((result.centroids.row(0)[0] - 1.0).abs() < 1e-9);
+        assert!((result.centroids.row(0)[1] - 2.0).abs() < 1e-9);
     }
 }

@@ -17,6 +17,7 @@
 use crate::clustering::kmeans::{kmeans, KmeansConfig};
 use crate::{GraphError, Result};
 use mogul_sparse::vector::squared_euclidean_unchecked;
+use mogul_sparse::FeatureMatrix;
 
 /// Configuration of [`partition_points`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -70,8 +71,11 @@ impl PartitionConfig {
 /// repair that terminates after at most `shards · min_group_size` moves.
 ///
 /// Errors ([`GraphError::InvalidInput`]): zero shards, a zero minimum size,
-/// fewer than `shards · min_group_size` points, or inconsistent dimensions.
-pub fn partition_points(points: &[Vec<f64>], config: &PartitionConfig) -> Result<Vec<Vec<usize>>> {
+/// or fewer than `shards · min_group_size` points.
+pub fn partition_points(
+    points: &FeatureMatrix,
+    config: &PartitionConfig,
+) -> Result<Vec<Vec<usize>>> {
     if config.shards == 0 {
         return Err(GraphError::InvalidInput(
             "cannot partition into zero shards".into(),
@@ -88,15 +92,6 @@ pub fn partition_points(points: &[Vec<f64>], config: &PartitionConfig) -> Result
             "{n} points cannot fill {} shards of at least {} items each",
             config.shards, config.min_group_size
         )));
-    }
-    let dim = points[0].len();
-    for (i, p) in points.iter().enumerate() {
-        if p.len() != dim {
-            return Err(GraphError::InvalidInput(format!(
-                "point {i} has dimension {} but expected {dim}",
-                p.len()
-            )));
-        }
     }
     if config.shards == 1 {
         return Ok(vec![(0..n).collect()]);
@@ -127,17 +122,16 @@ pub fn partition_points(points: &[Vec<f64>], config: &PartitionConfig) -> Result
             .filter(|&g| g != deficient && groups[g].len() > config.min_group_size)
             .max_by_key(|&g| (groups[g].len(), usize::MAX - g))
             .expect("n >= shards * min_group_size guarantees a donor group");
-        let centroid = &result.centroids[deficient];
+        let centroid = result.centroids.row(deficient);
         let take = groups[donor]
             .iter()
             .enumerate()
             .map(|(slot, &pos)| {
-                let d2 = if centroid.is_empty() {
-                    0.0
-                } else {
-                    squared_euclidean_unchecked(&points[pos], centroid)
-                };
-                (d2, pos, slot)
+                (
+                    squared_euclidean_unchecked(points.row(pos), centroid),
+                    pos,
+                    slot,
+                )
             })
             .min_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal))
             .expect("donor group is non-empty")
@@ -157,17 +151,17 @@ mod tests {
     use super::*;
 
     /// `count` points around each of `centers`, deterministic.
-    fn blobs(centers: &[(f64, f64)], count: usize) -> Vec<Vec<f64>> {
+    fn blobs(centers: &[(f64, f64)], count: usize) -> FeatureMatrix {
         let mut points = Vec::new();
         for (c, &(x, y)) in centers.iter().enumerate() {
             for i in 0..count {
-                points.push(vec![
+                points.extend([
                     x + ((i * 31 + c * 7) % 13) as f64 / 26.0,
                     y + ((i * 17 + c * 5) % 11) as f64 / 22.0,
                 ]);
             }
         }
-        points
+        FeatureMatrix::from_vec(2, points).unwrap()
     }
 
     #[test]
@@ -216,6 +210,8 @@ mod tests {
 
     #[test]
     fn invalid_inputs_are_rejected() {
+        // Ragged vectors cannot reach the partition: the matrix constructor
+        // rejects them (see `mogul_sparse::features`).
         let points = blobs(&[(0.0, 0.0)], 6);
         assert!(partition_points(&points, &PartitionConfig::with_shards(0)).is_err());
         assert!(partition_points(&points, &PartitionConfig::with_shards(4)).is_err());
@@ -224,8 +220,5 @@ mod tests {
             ..PartitionConfig::with_shards(2)
         };
         assert!(partition_points(&points, &bad).is_err());
-        let mut ragged = points.clone();
-        ragged[3] = vec![1.0];
-        assert!(partition_points(&ragged, &PartitionConfig::with_shards(2)).is_err());
     }
 }

@@ -14,6 +14,7 @@ use crate::clustering::labels::Clustering;
 use crate::graph::Graph;
 use crate::{GraphError, Result};
 use mogul_sparse::eigen::lanczos_largest;
+use mogul_sparse::FeatureMatrix;
 
 /// Configuration for [`spectral_clustering`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -74,22 +75,28 @@ pub fn spectral_clustering(graph: &Graph, config: &SpectralConfig) -> Result<Clu
     let num_components = components.iter().copied().max().map_or(0, |m| m + 1);
 
     // Row-normalized spectral embedding (+ component indicator).
-    let mut embedding: Vec<Vec<f64>> = Vec::with_capacity(n);
-    for i in 0..n {
-        let mut row: Vec<f64> = (0..found).map(|j| pairs.vectors.get(i, j)).collect();
-        mogul_sparse::vector::normalize(&mut row);
-        if num_components > 1 {
-            let mut indicator = vec![0.0; num_components];
+    let indicators = if num_components > 1 {
+        num_components
+    } else {
+        0
+    };
+    let width = found + indicators;
+    let mut embedding = vec![0.0; n * width];
+    for (i, row) in embedding.chunks_exact_mut(width).enumerate() {
+        let (spectral, indicator) = row.split_at_mut(found);
+        for (j, v) in spectral.iter_mut().enumerate() {
+            *v = pairs.vectors.get(i, j);
+        }
+        mogul_sparse::vector::normalize(spectral);
+        if indicators > 0 {
             // Weight the indicator strongly so k-means never merges across
             // components while components outnumber the requested clusters.
             indicator[components[i]] = 2.0;
-            row.extend(indicator);
         }
-        embedding.push(row);
     }
 
     let km = kmeans(
-        &embedding,
+        &FeatureMatrix::from_vec(width, embedding)?,
         &KmeansConfig {
             k,
             max_iter: config.kmeans_max_iter,

@@ -6,9 +6,8 @@
 //! `A_ij = exp(−d²(u_i, u_j) / 2σ²)` (Section 3 of the paper, k is typically
 //! 5–20).
 //!
-//! The lists come from one threaded scan over a [`FeatureMatrix`] (the
-//! `&[Vec<f64>]` entry point [`knn_graph`] packs one first): the rows are
-//! partitioned around `≈ √n` pivot rows into groups of tiles that are thin
+//! The lists come from one threaded scan over a [`FeatureMatrix`] ([`knn_graph`]
+//! also takes rows, and packs them first): the rows are partitioned around `≈ √n` pivot rows into groups of tiles that are thin
 //! shells, and a query hands the lane-across-rows distance kernel
 //! ([`tile_sq_distances`]) only the tiles the triangle inequality cannot
 //! prove beyond its current k-th best. It runs with or without a budget of
@@ -26,6 +25,7 @@
 
 use crate::graph::Graph;
 use crate::{GraphError, Result};
+use mogul_sparse::features::IntoFeatureMatrix;
 use mogul_sparse::kernel::tile_sq_distances;
 use mogul_sparse::vector::squared_euclidean_unchecked;
 use mogul_sparse::FeatureMatrix;
@@ -752,14 +752,15 @@ pub fn graph_from_neighbor_lists(
     Ok(graph)
 }
 
-/// Build the k-NN graph of a set of feature vectors with exact search: pack
-/// them into a [`FeatureMatrix`] (which rejects an empty, ragged or
-/// non-finite set), run [`exact_knn_indices`] and weight the edges with σ
-/// from [`estimate_sigma`].
+/// Build the k-NN graph of a set of feature vectors with exact search: run
+/// [`exact_knn_indices`] and weight the edges with σ from
+/// [`estimate_sigma`]. Rows are packed into a [`FeatureMatrix`] first (which
+/// rejects an empty, ragged or non-finite set); a matrix, borrowed or owned,
+/// is scanned as it is.
 ///
 /// This is the paper's preprocessing step shared by every ranking method.
-pub fn knn_graph(features: &[Vec<f64>], config: KnnConfig) -> Result<Graph> {
-    let features = FeatureMatrix::from_rows(features)?;
+pub fn knn_graph<'a>(features: impl IntoFeatureMatrix<'a>, config: KnnConfig) -> Result<Graph> {
+    let features = features.into_feature_matrix()?;
     let lists = exact_knn_indices(&features, config.k, config.threads)?;
     graph_from_neighbor_lists(&lists, estimate_sigma(&lists))
 }
@@ -1382,11 +1383,11 @@ mod tests {
     #[test]
     fn input_validation() {
         let config = KnnConfig::with_k(3);
-        assert!(knn_graph(&[], config).is_err());
-        assert!(knn_graph(&[vec![]], config).is_err());
-        assert!(knn_graph(&[vec![1.0], vec![1.0, 2.0]], config).is_err());
-        assert!(knn_graph(&[vec![f64::NAN], vec![0.0]], config).is_err());
-        assert!(knn_graph(&[vec![f64::INFINITY], vec![0.0]], config).is_err());
+        assert!(knn_graph(Vec::<Vec<f64>>::new(), config).is_err());
+        assert!(knn_graph(vec![Vec::<f64>::new()], config).is_err());
+        assert!(knn_graph(vec![vec![1.0], vec![1.0, 2.0]], config).is_err());
+        assert!(knn_graph(vec![vec![f64::NAN], vec![0.0]], config).is_err());
+        assert!(knn_graph(vec![vec![f64::INFINITY], vec![0.0]], config).is_err());
         assert!(exact_knn_indices(&two_clusters(), 0, 1).is_err());
         let empty = FeatureMatrix::from_vec(2, Vec::new()).unwrap();
         assert!(exact_knn_indices(&empty, 3, 1).is_err());
@@ -1398,7 +1399,7 @@ mod tests {
 
     #[test]
     fn heat_kernel_graph_weights_are_in_unit_interval() {
-        let g = knn_graph(&two_cluster_rows(), KnnConfig::with_k(2)).unwrap();
+        let g = knn_graph(two_cluster_rows(), KnnConfig::with_k(2)).unwrap();
         assert_eq!(g.num_nodes(), 6);
         assert!(g.num_edges() >= 6);
         for u in 0..g.num_nodes() {

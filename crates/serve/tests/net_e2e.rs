@@ -53,10 +53,7 @@ fn dataset() -> (Dataset, Vec<(Vec<f64>, usize)>) {
 /// handle.
 fn start_server(options: ServeOptions) -> Harness {
     let (db, held_out) = dataset();
-    let index = IndexBuilder::new()
-        .knn_k(4)
-        .build(db.features().to_vec())
-        .unwrap();
+    let index = IndexBuilder::new().knn_k(4).build(db.features()).unwrap();
     let server = Arc::new(QueryServer::from_snapshot(index.snapshot(), options));
     let net = NetServer::bind("127.0.0.1:0", Arc::clone(&server), options).unwrap();
     let handle = net.handle();
@@ -336,7 +333,7 @@ fn stats_report_the_rebuild_debt_of_a_sharded_writer() {
             .knn_k(4)
             .rebuild_policy(RebuildPolicy::never()),
     );
-    let (index, _) = ShardedIndex::build(db.features().to_vec(), config).unwrap();
+    let (index, _) = ShardedIndex::build(db.features(), config).unwrap();
     let (server, writer) = ShardedWriter::new(index);
     let writer = Arc::new(writer);
     let options = ServeOptions::builder().workers(2).build().unwrap();
@@ -348,7 +345,7 @@ fn stats_report_the_rebuild_debt_of_a_sharded_writer() {
     let mut client = connect(&handle);
     assert_eq!(client.stats().unwrap().rebuild_support, 0);
 
-    let feature: Vec<f64> = db.features()[0].iter().map(|v| v + 0.01).collect();
+    let feature: Vec<f64> = db.feature(0).iter().map(|v| v + 0.01).collect();
     writer.apply(&[UpdateRequest::insert(feature)]).unwrap();
     let stats = client.stats().unwrap();
     assert!(stats.rebuild_support > 0, "an insert must leave debt");

@@ -66,12 +66,12 @@ fn snapshots(db: &Dataset, exact: bool) -> Snapshots {
         let config = ShardedConfig::with_shards(shards)
             .shard_probes(probes)
             .builder(builder);
-        let (index, _) = ShardedIndex::build(db.features().to_vec(), config).unwrap();
+        let (index, _) = ShardedIndex::build(db.features(), config).unwrap();
         assert_eq!(index.num_shards(), shards);
         index.snapshot()
     };
     Snapshots {
-        single: builder.build(db.features().to_vec()).unwrap().snapshot(),
+        single: builder.build(db.features()).unwrap().snapshot(),
         s1: sharded(1, 1),
         s4: sharded(4, 2),
     }
@@ -255,10 +255,7 @@ fn per_request_errors_do_not_poison_the_batch() {
 #[test]
 fn single_query_paths_match_the_engine() {
     let (db, queries) = dataset();
-    let snapshot = IndexBuilder::new()
-        .build(db.features().to_vec())
-        .unwrap()
-        .snapshot();
+    let snapshot = IndexBuilder::new().build(db.features()).unwrap().snapshot();
     let base = snapshot.base();
     let expected_id = base
         .index()
@@ -410,7 +407,7 @@ fn admission_validation_rejects_malformed_requests_with_typed_errors() {
         }
     }
     let (db, _) = dataset();
-    let dim = db.features()[0].len();
+    let dim = db.dim();
     let engines = engines(&db, 1);
     check(&engines.single, dim);
     check(&engines.s1, dim);

@@ -52,6 +52,7 @@ impl DenseMatrix {
     }
 
     /// Create a matrix from a slice of equal-length rows.
+    #[cfg(test)]
     pub fn from_rows(rows: &[Vec<f64>]) -> Result<Self> {
         let nrows = rows.len();
         let ncols = rows.first().map_or(0, |r| r.len());

@@ -11,9 +11,15 @@
 //!
 //! The storage is [`DenseMatrix`]'s row-major buffer; this type adds the
 //! invariants, not a second matrix implementation.
+//!
+//! Rows become a matrix in one place: the entry points that accept a
+//! collection of vectors from outside (`knn_graph`, `IndexBuilder::build`,
+//! `ShardedIndex::build`) take any [`IntoFeatureMatrix`], which packs rows
+//! and passes a matrix through untouched.
 
 use crate::dense::DenseMatrix;
 use crate::error::{Result, SparseError};
+use std::borrow::Cow;
 
 /// A rectangular, finite, row-major matrix of feature vectors (`dim ≥ 1`).
 #[derive(Debug, Clone, PartialEq)]
@@ -109,6 +115,11 @@ impl FeatureMatrix {
         self.rows.data()
     }
 
+    /// Every row copied out as its own vector.
+    pub fn to_vec(&self) -> Vec<Vec<f64>> {
+        self.rows().map(<[f64]>::to_vec).collect()
+    }
+
     /// Append one row.
     pub fn push_row(&mut self, row: &[f64]) -> Result<()> {
         check_finite(row, self.len())?;
@@ -164,6 +175,46 @@ impl FeatureMatrix {
     }
 }
 
+/// What a row door accepts: a [`FeatureMatrix`], owned or borrowed, which
+/// passes through without a copy or a second validation, or a collection of
+/// rows, packed by [`FeatureMatrix::from_rows`] (so an empty, ragged or
+/// non-finite collection fails with [`SparseError::InvalidInput`]). Rows
+/// taken by value are dropped as soon as they are packed.
+pub trait IntoFeatureMatrix<'a> {
+    /// The matrix, borrowed when it already was one.
+    fn into_feature_matrix(self) -> Result<Cow<'a, FeatureMatrix>>;
+}
+
+impl<'a> IntoFeatureMatrix<'a> for FeatureMatrix {
+    fn into_feature_matrix(self) -> Result<Cow<'a, FeatureMatrix>> {
+        Ok(Cow::Owned(self))
+    }
+}
+
+impl<'a> IntoFeatureMatrix<'a> for &'a FeatureMatrix {
+    fn into_feature_matrix(self) -> Result<Cow<'a, FeatureMatrix>> {
+        Ok(Cow::Borrowed(self))
+    }
+}
+
+impl<'a, R: AsRef<[f64]>> IntoFeatureMatrix<'a> for Vec<R> {
+    fn into_feature_matrix(self) -> Result<Cow<'a, FeatureMatrix>> {
+        FeatureMatrix::from_rows(&self).map(Cow::Owned)
+    }
+}
+
+impl<'a, R: AsRef<[f64]>> IntoFeatureMatrix<'a> for &[R] {
+    fn into_feature_matrix(self) -> Result<Cow<'a, FeatureMatrix>> {
+        FeatureMatrix::from_rows(self).map(Cow::Owned)
+    }
+}
+
+impl<'a, R: AsRef<[f64]>> IntoFeatureMatrix<'a> for &Vec<R> {
+    fn into_feature_matrix(self) -> Result<Cow<'a, FeatureMatrix>> {
+        FeatureMatrix::from_rows(self).map(Cow::Owned)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,6 +239,8 @@ mod tests {
         assert_eq!(empty.dim(), 4);
     }
 
+    // The shape and finiteness cases k-means, the shard partition and
+    // `Dataset::new` used to check by hand: they now hold a matrix.
     #[test]
     fn every_way_in_rejects_ragged_empty_and_non_finite_input() {
         assert!(FeatureMatrix::from_rows::<Vec<f64>>(&[]).is_err());
@@ -204,6 +257,22 @@ mod tests {
             assert!(m.push_row(&[1.0]).is_err());
             assert_eq!(m.len(), 1);
         }
+    }
+
+    #[test]
+    fn a_matrix_passes_the_row_doors_untouched_and_rows_are_packed() {
+        let rows = vec![vec![1.0, 2.0], vec![3.0, 4.0]];
+        let m = FeatureMatrix::from_rows(&rows).unwrap();
+        assert!(matches!((&m).into_feature_matrix(), Ok(Cow::Borrowed(b)) if std::ptr::eq(b, &m)));
+        assert!(matches!(m.clone().into_feature_matrix(), Ok(Cow::Owned(o)) if o == m));
+        assert_eq!(*(&rows).into_feature_matrix().unwrap(), m);
+        assert_eq!(*rows[..].into_feature_matrix().unwrap(), m);
+        assert_eq!(*rows.clone().into_feature_matrix().unwrap(), m);
+        assert_eq!(m.to_vec(), rows);
+        assert!(vec![vec![1.0], vec![f64::NAN]]
+            .into_feature_matrix()
+            .is_err());
+        assert!(Vec::<Vec<f64>>::new().into_feature_matrix().is_err());
     }
 
     #[test]

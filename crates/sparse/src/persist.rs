@@ -4,7 +4,8 @@
 //! `mogul-core::persist` for the container): a little-endian, length-prefixed
 //! codec for the primitive shapes every persisted structure is made of —
 //! integers, `f64` slices (stored bit-exactly via [`f64::to_bits`]), CSR
-//! matrices and [`Permutation`]s — plus the `L D Lᵀ` factor codec.
+//! matrices, [`FeatureMatrix`]es and [`Permutation`]s — plus the `L D Lᵀ`
+//! factor codec.
 //!
 //! Design rules, shared by every `decode_*` function:
 //!
@@ -14,9 +15,10 @@
 //!   number of bytes actually remaining *before* any allocation, so a
 //!   corrupted length cannot trigger a huge allocation.
 //! * **Validate structurally.** Decoded matrices go through
-//!   [`CsrMatrix::from_raw_parts`] and decoded permutations through
-//!   [`Permutation::from_new_to_old`], so malformed payloads are rejected
-//!   with the same errors a malformed in-memory construction would produce.
+//!   [`CsrMatrix::from_raw_parts`] or [`FeatureMatrix::from_vec`] and
+//!   decoded permutations through [`Permutation::from_new_to_old`], so
+//!   malformed payloads are rejected with the same errors a malformed
+//!   in-memory construction would produce.
 //!
 //! Values round-trip bit-exactly: floats are stored as raw IEEE-754 bits, so
 //! a loaded factor produces *identical* substitution results, not merely
@@ -24,6 +26,7 @@
 
 use crate::csr::CsrMatrix;
 use crate::error::{Result, SparseError};
+use crate::features::FeatureMatrix;
 use crate::ldl::LdlFactors;
 use crate::permutation::Permutation;
 
@@ -210,6 +213,37 @@ pub fn decode_csr(reader: &mut ByteReader<'_>, what: &str) -> Result<CsrMatrix> 
     CsrMatrix::from_raw_parts(nrows, ncols, indptr, indices, values)
 }
 
+/// Append a feature matrix (row count, width, row-major values).
+pub fn encode_features(features: &FeatureMatrix, out: &mut Vec<u8>) {
+    put_usize(out, features.len());
+    put_usize(out, features.dim());
+    for &v in features.as_slice() {
+        put_f64(out, v);
+    }
+}
+
+/// Decode a feature matrix through [`FeatureMatrix::from_vec`]: a zero
+/// width or a non-finite value is rejected like an in-memory one, and no
+/// allocation is larger than the payload's remaining bytes.
+pub fn decode_features(reader: &mut ByteReader<'_>, what: &str) -> Result<FeatureMatrix> {
+    let n = reader.take_usize(what)?;
+    let dim = reader.take_usize(what)?;
+    let values = n
+        .checked_mul(dim)
+        .filter(|&count| count <= reader.remaining() / 8)
+        .ok_or_else(|| {
+            SparseError::InvalidInput(format!(
+                "{what}: {n} x {dim} values declared but only {} bytes remain",
+                reader.remaining()
+            ))
+        })?;
+    let mut data = Vec::with_capacity(values);
+    for _ in 0..values {
+        data.push(reader.take_f64(what)?);
+    }
+    FeatureMatrix::from_vec(dim, data)
+}
+
 /// Append a permutation (its `new → old` map).
 pub fn encode_permutation(perm: &Permutation, out: &mut Vec<u8>) {
     put_usize_slice(out, perm.new_to_old());
@@ -317,6 +351,31 @@ mod tests {
         assert_eq!(factors.u, back.u);
         assert_eq!(factors.d, back.d);
         assert_eq!(factors.boosted_pivots, back.boosted_pivots);
+    }
+
+    #[test]
+    fn feature_round_trip_and_hostile_shapes() {
+        let m = FeatureMatrix::from_vec(2, vec![1.0, -2.5, 3.0, 0.0]).unwrap();
+        let mut bytes = Vec::new();
+        encode_features(&m, &mut bytes);
+        let mut reader = ByteReader::new(&bytes);
+        assert_eq!(decode_features(&mut reader, "features").unwrap(), m);
+        reader.finish("features").unwrap();
+        // A huge row count of zero width, a count past the payload, a NaN.
+        let header = |n: u64, dim: u64, values: &[f64]| {
+            let mut bytes = Vec::new();
+            put_u64(&mut bytes, n);
+            put_u64(&mut bytes, dim);
+            values.iter().for_each(|&v| put_f64(&mut bytes, v));
+            bytes
+        };
+        for bytes in [
+            header(1 << 40, 0, &[]),
+            header(u64::MAX, 2, &[1.0, 2.0]),
+            header(1, 2, &[1.0, f64::NAN]),
+        ] {
+            assert!(decode_features(&mut ByteReader::new(&bytes), "features").is_err());
+        }
     }
 
     #[test]

@@ -25,8 +25,9 @@ fn main() {
         ..Default::default()
     })
     .expect("generate descriptors");
-    let features = dataset.features().to_vec();
-    let (initial, arriving) = features.split_at(2_800);
+    let features = dataset.features();
+    let initial = features.select_rows(0..2_800);
+    let arriving: Vec<&[f64]> = (2_800..features.len()).map(|i| features.row(i)).collect();
 
     let build_start = Instant::now();
     let index = IndexBuilder::new()
@@ -35,11 +36,11 @@ fn main() {
             max_support: 120,
             max_support_fraction: 0.25,
         })
-        .build(initial.to_vec())
+        .build(initial)
         .expect("build updatable index");
     println!(
         "indexed {} items in {:.2} s (epoch 0)",
-        initial.len(),
+        index.len(),
         build_start.elapsed().as_secs_f64()
     );
 
@@ -47,18 +48,18 @@ fn main() {
 
     // A reference query we re-run at every epoch: results may change as the
     // collection changes, but the query itself never waits for a writer.
-    let probe = arriving[0].clone();
+    let probe = arriving[0];
 
     let mut inserted = Vec::new();
     for (round, chunk) in arriving.chunks(40).enumerate() {
         let updates: Vec<UpdateRequest> = chunk
             .iter()
-            .map(|f| UpdateRequest::insert(f.clone()))
+            .map(|f| UpdateRequest::insert(f.to_vec()))
             .collect();
         let apply_start = Instant::now();
         let report = writer.apply(&updates).expect("apply updates");
         inserted.extend(report.inserted.iter().copied());
-        let top = server.query_by_feature(&probe, 5).expect("probe query");
+        let top = server.query_by_feature(probe, 5).expect("probe query");
         println!(
             "epoch {:>2}: +{} items in {:>6.1} ms  [{}]  debt {:>3} rows ({} live)  probe hits: {:?}",
             report.epoch,

@@ -32,7 +32,7 @@ fn main() {
     let snapshot = IndexBuilder::new()
         .knn_k(5)
         .approximate_graph(4)
-        .build(dataset.features().to_vec())
+        .build(dataset.features())
         .expect("build index")
         .snapshot();
     let index = snapshot.base().index();

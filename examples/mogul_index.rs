@@ -69,7 +69,7 @@ impl Default for SaveOptions {
     }
 }
 
-fn corpus(items: usize, dim: usize) -> Vec<Vec<f64>> {
+fn corpus(items: usize, dim: usize) -> FeatureMatrix {
     web_like(&WebLikeConfig {
         num_points: items,
         num_topics: (items / 100).max(4),
@@ -79,7 +79,7 @@ fn corpus(items: usize, dim: usize) -> Vec<Vec<f64>> {
     })
     .expect("generate corpus")
     .features()
-    .to_vec()
+    .clone()
 }
 
 fn save(path: &Path, options: &SaveOptions) {
@@ -98,10 +98,8 @@ fn save(path: &Path, options: &SaveOptions) {
     // What the build's k-NN scan will do, counted on a scan of its own (the
     // counters repeat exactly) so that the precompute time below stays the
     // build's alone.
-    let packed = FeatureMatrix::from_rows(&features).expect("pack corpus");
-    let (_, scan) = exact_knn_with_stats(&packed, options.knn, 0).expect("k-NN scan");
+    let (_, scan) = exact_knn_with_stats(&features, options.knn, 0).expect("k-NN scan");
     println!("{scan}");
-    drop(packed);
     let start = Instant::now();
     let mut builder = IndexBuilder::new().knn_k(options.knn);
     if options.exact {

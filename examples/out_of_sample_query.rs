@@ -9,6 +9,7 @@ use mogul_suite::core::out_of_sample::OutOfSampleConfig;
 use mogul_suite::core::{MogulConfig, MogulIndex, MrParams, OutOfSampleIndex};
 use mogul_suite::data::coil::{coil_like, CoilLikeConfig};
 use mogul_suite::graph::knn::{knn_graph, KnnConfig};
+use std::sync::Arc;
 
 fn main() {
     // Generate a collection and hold out 10 images as never-indexed queries.
@@ -38,7 +39,7 @@ fn main() {
     .expect("mogul index");
     let oos = OutOfSampleIndex::new(
         index,
-        database.features().to_vec(),
+        Arc::new(database.features().clone()),
         OutOfSampleConfig::default(),
     )
     .expect("out-of-sample index");

@@ -64,7 +64,7 @@ fn main() {
     let build_start = Instant::now();
     let snapshot = IndexBuilder::new()
         .knn_k(5)
-        .build(db.features().to_vec())
+        .build(db.features())
         .expect("build index")
         .snapshot();
     println!("indexed in {:.2} s", build_start.elapsed().as_secs_f64());

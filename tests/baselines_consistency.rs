@@ -146,7 +146,6 @@ fn workspace_entry_points_match_allocating_paths_at_the_workspace_tier() {
     // tier, across one long-lived workspace reused over every call — the
     // exact shape a serving loop uses.
     let data = coil_dataset();
-    let features = data.features().to_vec();
     let graph = knn_graph(data.features(), KnnConfig::with_k(5)).unwrap();
     let params = MrParams::default();
 
@@ -193,7 +192,7 @@ fn workspace_entry_points_match_allocating_paths_at_the_workspace_tier() {
     // snapshot's, and those of the factorized base under it.
     let snapshot = IndexBuilder::new()
         .knn_k(5)
-        .build(features)
+        .build(data.features())
         .unwrap()
         .snapshot();
     let base = snapshot.base();

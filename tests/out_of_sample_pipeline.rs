@@ -8,6 +8,7 @@ use mogul_suite::core::{
 };
 use mogul_suite::data::coil::{coil_like, CoilLikeConfig};
 use mogul_suite::graph::knn::{knn_graph, KnnConfig};
+use std::sync::Arc;
 
 #[test]
 fn out_of_sample_pipeline_retrieves_the_correct_objects() {
@@ -31,8 +32,8 @@ fn out_of_sample_pipeline_retrieves_the_correct_objects() {
         },
     )
     .unwrap();
-    let oos =
-        OutOfSampleIndex::new(index, db.features().to_vec(), OutOfSampleConfig::default()).unwrap();
+    let features = Arc::new(db.features().clone());
+    let oos = OutOfSampleIndex::new(index, features, OutOfSampleConfig::default()).unwrap();
     let emr = EmrSolver::new(db.features(), params, EmrConfig::with_anchors(20)).unwrap();
 
     let mut mogul_hits = 0usize;
@@ -83,7 +84,7 @@ fn queries_far_from_every_cluster_still_return_k_results() {
     let index = MogulIndex::build(&graph, MogulConfig::default()).unwrap();
     let oos = OutOfSampleIndex::new(
         index,
-        dataset.features().to_vec(),
+        Arc::new(dataset.features().clone()),
         OutOfSampleConfig {
             num_neighbors: 3,
             cluster_probes: 2,
