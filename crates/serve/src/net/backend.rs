@@ -1,16 +1,17 @@
 //! [`ServeBackend`]: the answering engine behind a
 //! [`NetServer`](crate::net::NetServer).
 //!
-//! The front door does admission control, framing and statistics; *what*
-//! answers an admitted query is this trait, implemented once for every
-//! [`Server`] — admission, epoch and item count are the shell's, and only
-//! the handling of `require_complete` differs per engine
-//! ([`ServeSnapshot::answer_tagged`]):
+//! The front door does admission control, framing, statistics and the
+//! cutting of its queue into runs; *what* answers an admitted run is this
+//! trait, implemented once for every [`Server`] — admission, the run cap,
+//! epoch and item count are the shell's, and only how a run is answered
+//! differs per engine ([`ServeSnapshot::answer_tagged`]):
 //!
-//! * [`QueryServer`](crate::QueryServer) — the single-index server. Always
-//!   answers [`ResponseStatus::Complete`]; there is no shard to lose.
+//! * [`QueryServer`](crate::QueryServer) — the single-index server. Answers
+//!   a run as one panel job of [`Server::serve_batch`] on the calling
+//!   thread, always [`ResponseStatus::Complete`]; there is no shard to lose.
 //! * [`ShardedServer`](crate::ShardedServer) — the sharded scatter-gather
-//!   server, answering through
+//!   server, answering each request of a run on its own through
 //!   [`ShardedServer::query_degraded`](crate::ShardedServer::query_degraded):
 //!   a probed shard that fails (injected fault, panic, per-scatter
 //!   deadline) is dropped from the merge and the answer is tagged
@@ -29,14 +30,20 @@ pub trait ServeBackend: Send + Sync + 'static {
     /// (never touches the solve path; see [`QueryRequest::validate`]).
     fn validate(&self, request: &QueryRequest) -> ServeResult<()>;
 
-    /// Answer one admitted request. `require_complete` is the wire strict
-    /// flag: an engine that cannot answer completely must fail typed
-    /// instead of degrading.
-    fn answer(
+    /// Longest run the front door may hand to [`ServeBackend::answer_run`]
+    /// (the snapshot's [`ServeSnapshot::max_job_len`]).
+    fn max_job_len(&self) -> usize;
+
+    /// Answer one admitted run: compatible requests (same kind, same `k`),
+    /// at most [`ServeBackend::max_job_len`] of them, sharing the wire's
+    /// strict flag `require_complete` — an engine that cannot answer
+    /// completely must fail typed instead of degrading. `answers[i]`
+    /// belongs to `run[i]`, and failures are per-request.
+    fn answer_run(
         &self,
-        request: &QueryRequest,
+        run: &[QueryRequest],
         require_complete: bool,
-    ) -> ServeResult<(QueryResponse, ResponseStatus)>;
+    ) -> Vec<ServeResult<(QueryResponse, ResponseStatus)>>;
 
     /// Epoch of the snapshot currently answering queries (for the stats
     /// endpoint).
@@ -51,12 +58,16 @@ impl<S: ServeSnapshot> ServeBackend for Server<S> {
         request.validate(&*self.snapshot())
     }
 
-    fn answer(
+    fn max_job_len(&self) -> usize {
+        self.snapshot().max_job_len()
+    }
+
+    fn answer_run(
         &self,
-        request: &QueryRequest,
+        run: &[QueryRequest],
         require_complete: bool,
-    ) -> ServeResult<(QueryResponse, ResponseStatus)> {
-        S::answer_tagged(self, request, require_complete)
+    ) -> Vec<ServeResult<(QueryResponse, ResponseStatus)>> {
+        S::answer_tagged(self, run, require_complete)
     }
 
     fn epoch(&self) -> u64 {

@@ -14,7 +14,7 @@ use crate::net::wire::{
     encode_query_request_opts, read_frame, Frame, FrameKind, WireError,
 };
 use crate::request::{QueryRequest, QueryResponse, ResponseStatus};
-use std::io::Write;
+use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -84,28 +84,39 @@ impl NetError {
     }
 }
 
+/// Bytes a client pulls from its socket per `read`: answers that arrived
+/// together are decoded from one `read`.
+const READ_BUFFER: usize = 16 * 1024;
+
 /// A blocking connection to a [`NetServer`](crate::net::NetServer).
 #[derive(Debug)]
 pub struct NetClient {
     stream: TcpStream,
+    /// Buffered read half, over a clone of `stream`.
+    reader: BufReader<TcpStream>,
     next_id: u64,
 }
 
 impl NetClient {
     /// Connect to a serving address.
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<NetClient> {
-        let stream = TcpStream::connect(addr)?;
+        NetClient::over(TcpStream::connect(addr)?)
+    }
+
+    fn over(stream: TcpStream) -> std::io::Result<NetClient> {
         let _ = stream.set_nodelay(true);
-        Ok(NetClient { stream, next_id: 1 })
+        Ok(NetClient {
+            reader: BufReader::with_capacity(READ_BUFFER, stream.try_clone()?),
+            stream,
+            next_id: 1,
+        })
     }
 
     /// Connect to a serving address, bounding the TCP handshake itself.
     /// A replica that is down-but-not-refusing (dropped SYNs, a dead NAT
     /// entry) fails within `timeout` instead of the OS connect timeout.
     pub fn connect_timeout(addr: &SocketAddr, timeout: Duration) -> std::io::Result<NetClient> {
-        let stream = TcpStream::connect_timeout(addr, timeout)?;
-        let _ = stream.set_nodelay(true);
-        Ok(NetClient { stream, next_id: 1 })
+        NetClient::over(TcpStream::connect_timeout(addr, timeout)?)
     }
 
     /// Bound every subsequent read. A read past the deadline surfaces as
@@ -126,10 +137,15 @@ impl NetClient {
     /// Clone the underlying socket into a second handle — the pipelined
     /// pattern: one thread `send_query`s on the original while another
     /// `recv_answer`s on the clone.
+    ///
+    /// Reads are buffered per handle, and the clone starts with an empty
+    /// read buffer: bytes the original has already pulled off the socket
+    /// stay with the original. Receive on one handle only — the clone, in
+    /// the pattern above.
     pub fn try_clone(&self) -> std::io::Result<NetClient> {
         Ok(NetClient {
-            stream: self.stream.try_clone()?,
             next_id: self.next_id,
+            ..NetClient::over(self.stream.try_clone()?)?
         })
     }
 
@@ -191,7 +207,7 @@ impl NetClient {
     }
 
     fn read_some_frame(&mut self) -> Result<Frame, NetError> {
-        match read_frame(&mut self.stream)? {
+        match read_frame(&mut self.reader)? {
             Some(frame) => Ok(frame),
             None => Err(NetError::Protocol(
                 "server closed the connection before answering".into(),

@@ -1,6 +1,6 @@
 //! The [`NetServer`]: a TCP front door over a [`ServeBackend`] — either
-//! instantiation of the serving shell — with admission control and graceful
-//! drain.
+//! instantiation of the serving shell — with admission control, panel runs
+//! and graceful drain.
 //!
 //! # Threading model
 //!
@@ -9,9 +9,29 @@
 //! ([`ServeOptions::workers`], auto-detected when `0`). Readers **admit**
 //! requests — decode, validate against the current snapshot, and either
 //! enqueue them or shed them with a typed error frame — and workers
-//! **execute** them, writing the answer frame back under the connection's
-//! write lock (responses may interleave across requests of one connection;
-//! the request id correlates them).
+//! **execute** them.
+//!
+//! A reader pulls frames through a 16 KiB buffer, so frames that arrived
+//! together are decoded from one `read`. It admits them without waking
+//! anyone; only when its buffer holds no whole frame any more — just
+//! before it would block on the socket — does it wake parked workers, and
+//! only if it admitted something since its last wake. Frames that arrived
+//! together are therefore queued together, and a lone request still wakes
+//! a worker at once.
+//!
+//! A worker that wakes takes a **run**: the front request plus the
+//! compatible requests (same kind, same `k`, same `require_complete`)
+//! queued right behind it, at most [`ServeBackend::max_job_len`] of them
+//! and at most `ceil(queued / (parked + 1))`, where `parked` counts the
+//! workers waiting for work. With every other worker busy, a run is as wide
+//! as the backlog and the engine answers it as one panel job — concurrent
+//! queries share one traversal of the factors. With workers parked, the
+//! backlog is split between them instead, so no core idles while requests
+//! wait. There is no timer: at depth one every run is a run of one, and
+//! panels form exactly when there is a backlog. A run's answers leave in
+//! one `write_all` per connection, under that connection's write lock
+//! (answers of one connection may arrive out of send order; the request
+//! id correlates them).
 //!
 //! # Admission control
 //!
@@ -25,7 +45,10 @@
 //! admitted requests stays flat. A single connection pipelining more than
 //! [`ServeOptions::max_inflight_per_conn`] requests is shed the same way
 //! before it can monopolize the shared queue. Malformed-but-framed requests
-//! are rejected with `BadRequest` *before* they occupy a queue slot.
+//! are rejected with `BadRequest` *before* they occupy a queue slot. Inside
+//! a run every request keeps its own fate: one that waited past
+//! [`ServeOptions::queue_deadline`] is shed, one that a snapshot swap made
+//! invalid gets its own `BadRequest`, and the rest are answered.
 //!
 //! # Drain
 //!
@@ -42,16 +65,16 @@ use crate::lock;
 use crate::net::backend::ServeBackend;
 use crate::net::stats::{NetStats, ServerStatsReport};
 use crate::net::wire::{
-    encode_frame, encode_query_response_status, encode_serve_error, encode_stats_report,
-    read_frame, Frame, FrameKind, WireError,
+    append_frame, encode_frame, encode_query_response_status, encode_serve_error,
+    encode_stats_report, holds_whole_frame, read_frame, Frame, FrameKind, WireError,
 };
 use crate::options::ServeOptions;
 use crate::request::QueryRequest;
-use crate::server::ServeSnapshot;
+use crate::server::{compatible, ServeSnapshot};
 use crate::updater::Writer;
 use mogul_core::update::{RebuildDebt, WritableIndex};
 use std::collections::VecDeque;
-use std::io::Write;
+use std::io::{BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -69,13 +92,22 @@ struct Conn {
     id: u64,
 }
 
+/// Bytes a reader pulls from its socket per `read`: a few dozen request
+/// frames (an out-of-sample frame of dimension 64 is 556 B).
+const READ_BUFFER: usize = 16 * 1024;
+
 impl Conn {
-    /// Serialize one frame onto this connection. Write failures are
-    /// swallowed: the client is gone, and its reader thread will notice.
+    /// Write encoded frames onto this connection in one `write_all`. Write
+    /// failures are swallowed: the client is gone, and its reader thread
+    /// will notice.
+    fn write(&self, frames: &[u8]) {
+        let _ = lock(&self.writer).write_all(frames);
+    }
+
+    /// Serialize one frame onto this connection.
     fn send(&self, kind: FrameKind, request_id: u64, payload: &[u8]) {
         if let Ok(frame) = encode_frame(kind, request_id, payload) {
-            let mut writer = lock(&self.writer);
-            let _ = writer.write_all(&frame);
+            self.write(&frame);
         }
     }
 
@@ -88,11 +120,76 @@ impl Conn {
 
 /// One admitted query waiting for (or undergoing) execution.
 struct Work {
-    conn: Arc<Conn>,
-    request_id: u64,
+    ticket: Ticket,
     request: QueryRequest,
     require_complete: bool,
+}
+
+/// Where an admitted query's answer goes, and when it was admitted.
+struct Ticket {
+    conn: Arc<Conn>,
+    request_id: u64,
     admitted: Instant,
+}
+
+/// The admission queue, and how many workers are parked waiting on it.
+#[derive(Default)]
+struct Queue {
+    work: VecDeque<Work>,
+    /// Workers waiting on [`Shared::queue_cv`], counting any notified but
+    /// not yet running: the workers a backlog can still be split with.
+    parked: usize,
+}
+
+/// How many requests at the front of the queue one worker takes as its
+/// run: the front request and the compatible ones (same kind, same `k`,
+/// same `require_complete`) queued right behind it, at most `max_job_len`,
+/// and at most an even share `ceil(queued / (parked + 1))` of the backlog,
+/// so that parked workers get the rest. `0` only for an empty queue.
+fn run_len<'a>(
+    mut queue: impl ExactSizeIterator<Item = (&'a QueryRequest, bool)>,
+    parked: usize,
+    max_job_len: usize,
+) -> usize {
+    let cap = queue.len().div_ceil(parked + 1).min(max_job_len);
+    let Some((front, strict)) = queue.next() else {
+        return 0;
+    };
+    1 + queue
+        .take(cap.saturating_sub(1))
+        .take_while(|&(next, next_strict)| next_strict == strict && compatible(front, next))
+        .count()
+}
+
+/// The frames a run answers with, gathered per connection so each
+/// connection gets one `write_all`.
+#[derive(Default)]
+struct Outbox(Vec<(Arc<Conn>, Vec<u8>)>);
+
+impl Outbox {
+    fn push(&mut self, conn: &Arc<Conn>, kind: FrameKind, request_id: u64, payload: &[u8]) {
+        let at = match self.0.iter().position(|(c, _)| Arc::ptr_eq(c, conn)) {
+            Some(at) => at,
+            None => {
+                self.0.push((Arc::clone(conn), Vec::new()));
+                self.0.len() - 1
+            }
+        };
+        // An unencodable (oversized) answer is dropped, as a failed write is.
+        let _ = append_frame(kind, request_id, payload, &mut self.0[at].1);
+    }
+
+    fn push_error(&mut self, conn: &Arc<Conn>, request_id: u64, error: &ServeError) {
+        let mut payload = Vec::new();
+        encode_serve_error(error, &mut payload);
+        self.push(conn, FrameKind::Error, request_id, &payload);
+    }
+
+    fn send(self) {
+        for (conn, frames) in self.0 {
+            conn.write(&frames);
+        }
+    }
 }
 
 /// State shared by the accept thread, readers, workers and [`NetHandle`]s.
@@ -103,8 +200,9 @@ struct Shared {
     options: ServeOptions,
     stats: NetStats,
     local_addr: SocketAddr,
-    queue: Mutex<VecDeque<Work>>,
-    /// Signaled when work is enqueued or drain begins (workers wait here).
+    queue: Mutex<Queue>,
+    /// Signaled when a reader has queued work or drain begins (workers wait
+    /// here).
     queue_cv: Condvar,
     /// Signaled when the last in-flight request completes (drain waits here).
     idle_cv: Condvar,
@@ -133,7 +231,7 @@ impl Shared {
     }
 
     fn stats_report(&self) -> ServerStatsReport {
-        let queue_depth = lock(&self.queue).len() as u64;
+        let queue_depth = lock(&self.queue).work.len() as u64;
         let (p50_us, p95_us, qps) = self.stats.latency_summary();
         let (rebuild_support, rebuild_fraction) = match &self.debt {
             Some(debt) => {
@@ -165,28 +263,30 @@ impl Shared {
         }
     }
 
-    /// Admit or shed one decoded query request (reader thread).
+    /// Admit or shed one decoded query request (reader thread). Returns
+    /// whether it was queued; the reader wakes the workers for it later
+    /// ([`Shared::wake_workers`]).
     fn admit(
         &self,
         conn: &Arc<Conn>,
         request_id: u64,
         request: QueryRequest,
         require_complete: bool,
-    ) {
+    ) -> bool {
         if self.draining.load(Ordering::SeqCst) {
             self.stats.shed_draining.fetch_add(1, Ordering::Relaxed);
             conn.send_error(request_id, &ServeError::Draining);
-            return;
+            return false;
         }
         // Validation before queueing: a malformed request must not occupy an
         // admission slot (and is answered even under full queue).
         if let Err(err) = self.backend.validate(&request) {
             self.stats.bad_requests.fetch_add(1, Ordering::Relaxed);
             conn.send_error(request_id, &err);
-            return;
+            return false;
         }
         let mut queue = lock(&self.queue);
-        let queue_depth = queue.len();
+        let queue_depth = queue.work.len();
         if queue_depth >= self.options.queue_capacity()
             || conn.inflight.load(Ordering::SeqCst) >= self.options.max_inflight_per_conn()
         {
@@ -199,103 +299,160 @@ impl Shared {
                     queue_capacity: self.options.queue_capacity(),
                 },
             );
-            return;
+            return false;
         }
         conn.inflight.fetch_add(1, Ordering::SeqCst);
         self.stats.inflight.fetch_add(1, Ordering::SeqCst);
-        queue.push_back(Work {
-            conn: Arc::clone(conn),
-            request_id,
+        queue.work.push_back(Work {
+            ticket: Ticket {
+                conn: Arc::clone(conn),
+                request_id,
+                admitted: Instant::now(),
+            },
             request,
             require_complete,
-            admitted: Instant::now(),
         });
-        drop(queue);
-        self.queue_cv.notify_one();
+        true
     }
 
-    /// Worker loop: pop admitted work until drain empties the queue.
+    /// Wake as many parked workers as `admitted` new requests can use.
+    fn wake_workers(&self, admitted: usize) {
+        let parked = lock(&self.queue).parked;
+        for _ in 0..admitted.min(parked) {
+            self.queue_cv.notify_one();
+        }
+    }
+
+    /// Worker loop: take runs of admitted work until drain empties the
+    /// queue.
     fn worker_loop(&self) {
+        while let Some(run) = self.next_run() {
+            self.execute_run(run);
+        }
+    }
+
+    /// Park until the queue holds work, then cut a run off its front
+    /// ([`run_len`]); `None` once draining has emptied the queue.
+    fn next_run(&self) -> Option<Vec<Work>> {
+        let max_job_len = self.backend.max_job_len();
+        let mut queue = lock(&self.queue);
         loop {
-            let work = {
-                let mut queue = lock(&self.queue);
-                loop {
-                    if let Some(work) = queue.pop_front() {
-                        break work;
-                    }
-                    if self.draining.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    queue = self
-                        .queue_cv
-                        .wait(queue)
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
-            };
-            self.execute(work);
+            if !queue.work.is_empty() {
+                let keys = queue.work.iter().map(|w| (&w.request, w.require_complete));
+                let len = run_len(keys, queue.parked, max_job_len);
+                return Some(queue.work.drain(..len).collect());
+            }
+            if self.draining.load(Ordering::SeqCst) {
+                return None;
+            }
+            queue.parked += 1;
+            queue = self
+                .queue_cv
+                .wait(queue)
+                .unwrap_or_else(PoisonError::into_inner);
+            queue.parked -= 1;
         }
     }
 
-    fn execute(&self, work: Work) {
-        self.execute_inner(&work);
-        work.conn.inflight.fetch_sub(1, Ordering::SeqCst);
-        if self.stats.inflight.fetch_sub(1, Ordering::SeqCst) == 1 {
-            self.idle_cv.notify_all();
-        }
-    }
-
-    fn execute_inner(&self, work: &Work) {
+    /// Answer one run: shed what waited past the deadline, answer the rest
+    /// as one backend run, write each connection's frames at once, then
+    /// retire every request.
+    fn execute_run(&self, run: Vec<Work>) {
+        let mut outbox = Outbox::default();
         // Queue-wait deadline: a request that sat past it is shed instead
         // of executed — its client has almost certainly timed out and
         // retried elsewhere, so executing it would only delay the requests
         // queued behind it. Same typed `Overloaded` answer as a queue-full
         // shed; the stats distinguish the cause via `shed_deadline`.
-        if let Some(deadline) = self.options.queue_deadline() {
-            if work.admitted.elapsed() > deadline {
+        let (stale, fresh): (Vec<Work>, Vec<Work>) = run.into_iter().partition(|work| {
+            self.options
+                .queue_deadline()
+                .is_some_and(|deadline| work.ticket.admitted.elapsed() > deadline)
+        });
+        let stale: Vec<Ticket> = stale.into_iter().map(|work| work.ticket).collect();
+        if !stale.is_empty() {
+            let queue_depth = lock(&self.queue).work.len();
+            for ticket in &stale {
                 self.stats.shed_overloaded.fetch_add(1, Ordering::Relaxed);
                 self.stats.shed_deadline.fetch_add(1, Ordering::Relaxed);
-                let queue_depth = lock(&self.queue).len();
-                work.conn.send_error(
-                    work.request_id,
+                outbox.push_error(
+                    &ticket.conn,
+                    ticket.request_id,
                     &ServeError::Overloaded {
                         queue_depth,
                         queue_capacity: self.options.queue_capacity(),
                     },
                 );
-                return;
             }
         }
-        match self.backend.answer(&work.request, work.require_complete) {
-            Ok((response, status)) => {
-                let mut payload = Vec::new();
-                encode_query_response_status(&response, status, &mut payload);
-                // Count before sending: a client that has seen N answers
-                // must never read a stats report claiming fewer than N.
-                self.stats.record_completion(work.admitted);
-                work.conn.send(FrameKind::Answer, work.request_id, &payload);
-            }
-            Err(err) => {
-                if matches!(err, ServeError::Index(_) | ServeError::Incomplete { .. }) {
-                    self.stats.index_errors.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    // Admission re-validates against the *current* snapshot;
-                    // a request admitted just before a swap can turn bad.
-                    self.stats.bad_requests.fetch_add(1, Ordering::Relaxed);
+        // A run shares one `require_complete` (see `run_len`).
+        let require_complete = fresh.first().is_some_and(|work| work.require_complete);
+        let (fresh, requests): (Vec<Ticket>, Vec<QueryRequest>) = fresh
+            .into_iter()
+            .map(|work| (work.ticket, work.request))
+            .unzip();
+        let answers = if requests.is_empty() {
+            Vec::new()
+        } else {
+            self.backend.answer_run(&requests, require_complete)
+        };
+        for (ticket, answer) in fresh.iter().zip(answers) {
+            match answer {
+                Ok((response, status)) => {
+                    let mut payload = Vec::new();
+                    encode_query_response_status(&response, status, &mut payload);
+                    // Count before sending: a client that has seen N answers
+                    // must never read a stats report claiming fewer than N.
+                    self.stats.record_completion(ticket.admitted);
+                    let (conn, id) = (&ticket.conn, ticket.request_id);
+                    outbox.push(conn, FrameKind::Answer, id, &payload);
                 }
-                work.conn.send_error(work.request_id, &err);
+                Err(err) => {
+                    if matches!(err, ServeError::Index(_) | ServeError::Incomplete { .. }) {
+                        self.stats.index_errors.fetch_add(1, Ordering::Relaxed);
+                    } else {
+                        // Admission re-validates against the *current*
+                        // snapshot; a request admitted just before a swap
+                        // can turn bad.
+                        self.stats.bad_requests.fetch_add(1, Ordering::Relaxed);
+                    }
+                    outbox.push_error(&ticket.conn, ticket.request_id, &err);
+                }
+            }
+        }
+        outbox.send();
+        // Retire only after the bytes are out: drain waits for `inflight`
+        // to reach zero before it shuts the sockets down.
+        for ticket in stale.iter().chain(&fresh) {
+            ticket.conn.inflight.fetch_sub(1, Ordering::SeqCst);
+            if self.stats.inflight.fetch_sub(1, Ordering::SeqCst) == 1 {
+                self.idle_cv.notify_all();
             }
         }
     }
 
     /// Reader thread: frames off one connection until EOF, error, or drain
     /// shuts the socket down.
-    fn reader_loop(&self, shared: &Arc<Shared>, conn: &Arc<Conn>, stream: &mut TcpStream) {
+    fn reader_loop(
+        &self,
+        shared: &Arc<Shared>,
+        conn: &Arc<Conn>,
+        reader: &mut BufReader<TcpStream>,
+    ) {
+        // Requests admitted since the workers were last woken.
+        let mut unannounced = 0usize;
         loop {
-            match read_frame(stream) {
+            // About to block on the socket: hand what was queued to the
+            // workers first.
+            if unannounced > 0 && !holds_whole_frame(reader.buffer()) {
+                self.wake_workers(unannounced);
+                unannounced = 0;
+            }
+            match read_frame(reader) {
                 Ok(None) => break,
                 Ok(Some(frame)) => {
-                    if !self.handle_frame(shared, conn, frame) {
-                        break;
+                    if self.handle_frame(shared, conn, frame) {
+                        unannounced += 1;
                     }
                 }
                 Err(WireError::Io { .. }) | Err(WireError::TimedOut { .. }) => break,
@@ -314,9 +471,10 @@ impl Shared {
                 }
             }
         }
+        self.wake_workers(unannounced);
     }
 
-    /// Dispatch one intact frame. Returns `false` to close the connection.
+    /// Dispatch one intact frame. Returns whether it queued a request.
     fn handle_frame(&self, shared: &Arc<Shared>, conn: &Arc<Conn>, frame: Frame) -> bool {
         match frame.kind {
             FrameKind::Query => match crate::net::wire::decode_query_request_opts(&frame.payload) {
@@ -326,12 +484,14 @@ impl Shared {
                 Err(err) => {
                     self.stats.bad_requests.fetch_add(1, Ordering::Relaxed);
                     conn.send_error(frame.request_id, &ServeError::bad_request(err.to_string()));
+                    false
                 }
             },
             FrameKind::Stats => {
                 let mut payload = Vec::new();
                 encode_stats_report(&self.stats_report(), &mut payload);
                 conn.send(FrameKind::StatsReport, frame.request_id, &payload);
+                false
             }
             FrameKind::Drain => {
                 // Flip into draining BEFORE acking: the ack is the client's
@@ -339,6 +499,7 @@ impl Shared {
                 // be observable while the flag is still clear.
                 shared.begin_drain();
                 conn.send(FrameKind::DrainStarted, frame.request_id, &[]);
+                false
             }
             FrameKind::Answer
             | FrameKind::StatsReport
@@ -349,9 +510,9 @@ impl Shared {
                     frame.request_id,
                     &ServeError::bad_request("response frame kinds are not valid requests"),
                 );
+                false
             }
         }
-        true
     }
 }
 
@@ -411,7 +572,7 @@ impl NetServer {
                 options,
                 stats: NetStats::new(),
                 local_addr,
-                queue: Mutex::new(VecDeque::new()),
+                queue: Mutex::new(Queue::default()),
                 queue_cv: Condvar::new(),
                 idle_cv: Condvar::new(),
                 draining: AtomicBool::new(false),
@@ -469,7 +630,7 @@ impl NetServer {
             if self.shared.draining.load(Ordering::SeqCst) {
                 break; // the drain wake-up connection lands here
             }
-            let mut stream = match stream {
+            let stream = match stream {
                 Ok(s) => s,
                 Err(_) => continue,
             };
@@ -493,8 +654,9 @@ impl NetServer {
                 .fetch_add(1, Ordering::Relaxed);
             let shared = Arc::clone(&self.shared);
             reader_handles.push(std::thread::spawn(move || {
-                shared.reader_loop(&shared, &conn, &mut stream);
-                let _ = stream.shutdown(Shutdown::Both);
+                let mut reader = BufReader::with_capacity(READ_BUFFER, stream);
+                shared.reader_loop(&shared, &conn, &mut reader);
+                let _ = reader.get_ref().shutdown(Shutdown::Both);
                 lock(&shared.conns).retain(|c| c.id != conn.id);
                 shared.stats.connections.fetch_sub(1, Ordering::Relaxed);
             }));
@@ -507,7 +669,7 @@ impl NetServer {
         // notify.
         {
             let mut queue = lock(&self.shared.queue);
-            while !queue.is_empty() || self.shared.inflight_total() > 0 {
+            while !queue.work.is_empty() || self.shared.inflight_total() > 0 {
                 let (guard, _timeout) = self
                     .shared
                     .idle_cv
@@ -603,5 +765,87 @@ impl std::fmt::Debug for NetHandle {
         f.debug_struct("NetHandle")
             .field("local_addr", &self.shared.local_addr)
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::run_len;
+    use crate::request::QueryRequest;
+
+    const WIDE: usize = 64;
+
+    fn by_id(k: usize) -> (QueryRequest, bool) {
+        (QueryRequest::in_database(0, k), false)
+    }
+
+    fn by_feature(k: usize) -> (QueryRequest, bool) {
+        (QueryRequest::out_of_sample(vec![0.0; 4], k), false)
+    }
+
+    fn strict((request, _): (QueryRequest, bool)) -> (QueryRequest, bool) {
+        (request, true)
+    }
+
+    fn cut(queue: &[(QueryRequest, bool)], parked: usize, max_job_len: usize) -> usize {
+        run_len(queue.iter().map(|(r, s)| (r, *s)), parked, max_job_len)
+    }
+
+    #[test]
+    fn a_run_ends_at_the_first_incompatible_request() {
+        let kind = [by_id(10), by_id(10), by_feature(10), by_id(10)];
+        assert_eq!(cut(&kind, 0, WIDE), 2, "kind breaks a run");
+        let k = [
+            by_feature(10),
+            by_feature(10),
+            by_feature(10),
+            by_feature(5),
+        ];
+        assert_eq!(cut(&k, 0, WIDE), 3, "k breaks a run");
+        let flag = [by_id(10), strict(by_id(10)), by_id(10)];
+        assert_eq!(cut(&flag, 0, WIDE), 1, "require_complete breaks a run");
+        let strict_run = [strict(by_id(10)), strict(by_id(10)), by_id(10)];
+        assert_eq!(cut(&strict_run, 0, WIDE), 2);
+    }
+
+    #[test]
+    fn a_run_never_skips_ahead_to_later_compatible_requests() {
+        let queue = [by_id(10), by_feature(10), by_id(10), by_id(10)];
+        assert_eq!(cut(&queue, 0, WIDE), 1);
+    }
+
+    #[test]
+    fn a_lone_request_is_a_run_of_one_and_an_empty_queue_none() {
+        assert_eq!(cut(&[by_feature(10)], 0, WIDE), 1);
+        assert_eq!(cut(&[by_feature(10)], 3, WIDE), 1);
+        assert_eq!(cut(&[by_id(10)], 0, 1), 1);
+        assert_eq!(cut(&[], 0, WIDE), 0);
+        assert_eq!(cut(&[], 2, WIDE), 0);
+    }
+
+    #[test]
+    fn max_job_len_caps_a_run() {
+        let queue = vec![by_id(10); 20];
+        assert_eq!(cut(&queue, 0, 8), 8);
+        assert_eq!(cut(&queue, 0, 32), 20);
+        assert_eq!(cut(&queue[..5], 0, 8), 5);
+    }
+
+    #[test]
+    fn a_backlog_is_split_across_parked_workers() {
+        let queue = vec![by_id(10); 8];
+        assert_eq!(cut(&queue, 0, WIDE), 8, "nobody to share with");
+        assert_eq!(cut(&queue, 1, WIDE), 4);
+        assert_eq!(cut(&queue, 2, WIDE), 3, "ceil(8 / 3)");
+        assert_eq!(cut(&queue, 7, WIDE), 1);
+        assert_eq!(cut(&queue, 20, WIDE), 1, "never less than one");
+        assert_eq!(cut(&queue[..7], 1, WIDE), 4, "ceil(7 / 2)");
+        // The share and the cap both apply; the smaller wins.
+        let queue = vec![by_feature(10); 40];
+        assert_eq!(cut(&queue, 1, 8), 8);
+        assert_eq!(cut(&queue, 9, 8), 4);
+        // The share is of the whole backlog, compatible or not.
+        let mixed = [by_id(10), by_id(10), by_id(10), by_feature(10)];
+        assert_eq!(cut(&mixed, 1, WIDE), 2);
     }
 }

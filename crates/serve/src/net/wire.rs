@@ -240,22 +240,47 @@ pub fn encode_frame(
     request_id: u64,
     payload: &[u8],
 ) -> Result<Vec<u8>, WireError> {
+    let mut out = Vec::with_capacity(FRAME_HEADER_LEN + payload.len() + 8);
+    append_frame(kind, request_id, payload, &mut out)?;
+    Ok(out)
+}
+
+/// [`encode_frame`] appending to `out`, so several frames can leave in one
+/// `write_all`. On error `out` is unchanged.
+pub(crate) fn append_frame(
+    kind: FrameKind,
+    request_id: u64,
+    payload: &[u8],
+    out: &mut Vec<u8>,
+) -> Result<(), WireError> {
     if payload.len() > MAX_FRAME_PAYLOAD {
         return Err(WireError::FrameTooLarge {
             declared: payload.len(),
             max: MAX_FRAME_PAYLOAD,
         });
     }
-    let mut out = Vec::with_capacity(FRAME_HEADER_LEN + payload.len() + 8);
+    let start = out.len();
     out.extend_from_slice(&WIRE_MAGIC);
     out.extend_from_slice(&WIRE_VERSION.to_le_bytes());
     out.push(kind.code());
     out.extend_from_slice(&request_id.to_le_bytes());
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(payload);
-    let sum = checksum64(&out);
+    let sum = checksum64(&out[start..]);
     out.extend_from_slice(&sum.to_le_bytes());
-    Ok(out)
+    Ok(())
+}
+
+/// Whether `buffered` starts with a whole frame by its declared length, so
+/// [`read_frame`] over a buffered reader holding these bytes returns
+/// without touching the socket. (Only the length is read: a frame that
+/// will fail validation counts as whole too.)
+pub(crate) fn holds_whole_frame(buffered: &[u8]) -> bool {
+    let Some(declared) = buffered.get(15..FRAME_HEADER_LEN) else {
+        return false;
+    };
+    let declared = u32::from_le_bytes(declared.try_into().expect("4-byte slice")) as usize;
+    buffered.len() - FRAME_HEADER_LEN >= declared.saturating_add(8)
 }
 
 /// Fill `buf` from the reader, distinguishing a clean end-of-stream before

@@ -90,17 +90,27 @@ pub trait ServeSnapshot: sealed::Sealed + Debug + Send + Sync + Sized + 'static 
         k: usize,
     ) -> mogul_core::Result<Vec<OutOfSampleResult>>;
 
-    /// Answer one request for the network front door, honouring the wire's
-    /// `require_complete` flag. An engine with no shards to lose answers
-    /// every request complete, so the flag is trivially satisfied.
+    /// Answer one run of the network front door — compatible requests (same
+    /// kind, same `k`) sharing the wire's `require_complete` flag, at most
+    /// [`ServeSnapshot::max_job_len`] of them — honouring the flag;
+    /// `answers[i]` belongs to `run[i]`. An engine with no shards to lose
+    /// answers the run as one panel job on the calling thread and tags every
+    /// answer complete, so the flag is trivially satisfied.
     fn answer_tagged(
         server: &Server<Self>,
-        request: &QueryRequest,
+        run: &[QueryRequest],
         _require_complete: bool,
-    ) -> ServeResult<(QueryResponse, ResponseStatus)> {
+    ) -> Vec<ServeResult<(QueryResponse, ResponseStatus)>> {
+        debug_assert!(
+            run.len() <= server.snapshot().max_job_len()
+                && run.windows(2).all(|pair| compatible(&pair[0], &pair[1])),
+            "a front-door run is one compatible panel job"
+        );
         server
-            .query(request)
-            .map(|response| (response, ResponseStatus::Complete))
+            .dispatch(run, 1)
+            .into_iter()
+            .map(|answer| answer.map(|response| (response, ResponseStatus::Complete)))
+            .collect()
     }
 }
 
@@ -163,15 +173,20 @@ impl ServeSnapshot for IndexSnapshot {
     }
 }
 
-/// Recycles per-worker scratch workspaces across batches so the hot
-/// substitution/pruning path allocates nothing after warm-up. Retains at
-/// most `cap`: a spike of concurrent batches allocates extras, and the
-/// surplus is dropped on the way back instead of pinning index-sized
-/// buffers for the server's lifetime.
+/// Recycles scratch workspaces across batches so the hot
+/// substitution/pruning path allocates nothing after warm-up.
+///
+/// Every workspace goes back to the pool, so it retains exactly its
+/// high-water mark of simultaneous checkouts: [`Server::workers`] for one
+/// batch at a time, one more for each thread that queries concurrently (a
+/// [`NetServer`](crate::net::NetServer) worker, an in-process caller). That
+/// is the memory the pool pins for the server's lifetime — per workspace,
+/// three index-sized solve panels plus the out-of-sample scratch. Dropping
+/// the surplus instead would make every round of more concurrent queries
+/// than `workers` start one of them from a cold workspace.
 #[derive(Debug)]
 pub(crate) struct WorkspacePool<W> {
     stack: Mutex<Vec<W>>,
-    cap: usize,
 }
 
 impl<W: Default> WorkspacePool<W> {
@@ -182,10 +197,7 @@ impl<W: Default> WorkspacePool<W> {
     pub(crate) fn with<R>(&self, work: impl FnOnce(&mut W) -> R) -> R {
         let mut ws = lock(&self.stack).pop().unwrap_or_default();
         let result = work(&mut ws);
-        let mut stack = lock(&self.stack);
-        if stack.len() < self.cap {
-            stack.push(ws);
-        }
+        lock(&self.stack).push(ws);
         result
     }
 }
@@ -245,6 +257,11 @@ pub struct Server<S: ServeSnapshot> {
 /// [`IndexSnapshot`].
 pub type QueryServer = Server<IndexSnapshot>;
 
+/// Whether two requests may share a panel: same kind, same `k`.
+pub(crate) fn compatible(a: &QueryRequest, b: &QueryRequest) -> bool {
+    std::mem::discriminant(a) == std::mem::discriminant(b) && a.k() == b.k()
+}
+
 /// One unit of work a batch worker claims: the index range of a contiguous
 /// panel of compatible requests (same kind, same `k`), possibly of one,
 /// answered through the snapshot's panel entry points.
@@ -260,11 +277,8 @@ impl<S: ServeSnapshot> Server<S> {
         Server {
             state: RwLock::new(snapshot),
             workers,
-            // One retained workspace per worker covers the steady state; a
-            // spike of concurrent batches allocates extras and drops them.
             pool: WorkspacePool {
                 stack: Mutex::new(Vec::new()),
-                cap: workers,
             },
             engine: S::Engine::default(),
         }
@@ -400,6 +414,16 @@ impl<S: ServeSnapshot> Server<S> {
     /// workers through an atomic cursor; a single-worker server (or a
     /// one-job batch) runs on the calling thread with no thread spawned.
     pub fn serve_batch(&self, requests: &[QueryRequest]) -> Vec<ServeResult<QueryResponse>> {
+        self.dispatch(requests, self.workers)
+    }
+
+    /// [`Server::serve_batch`] on at most `workers` threads (the calling
+    /// thread alone when `1`).
+    fn dispatch(
+        &self,
+        requests: &[QueryRequest],
+        workers: usize,
+    ) -> Vec<ServeResult<QueryResponse>> {
         let snapshot = self.snapshot();
         // Admission: validate every request against the batch's snapshot
         // once, up front. Rejected requests are answered from this table and
@@ -424,7 +448,7 @@ impl<S: ServeSnapshot> Server<S> {
             });
             local
         };
-        let workers = self.workers.min(jobs.len());
+        let workers = workers.min(jobs.len());
         let mut answered = if workers <= 1 {
             drain()
         } else {
@@ -450,9 +474,6 @@ impl<S: ServeSnapshot> Server<S> {
         admission: &[Option<ServeError>],
         max_len: usize,
     ) -> Vec<Job> {
-        let compatible = |a: &QueryRequest, b: &QueryRequest| {
-            std::mem::discriminant(a) == std::mem::discriminant(b) && a.k() == b.k()
-        };
         let mut jobs = Vec::new();
         let mut start = 0usize;
         while start < requests.len() {
@@ -551,5 +572,53 @@ impl<S: ServeSnapshot> Server<S> {
                 snapshot.by_feature(ws, feature, *k)?,
             ))),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::WorkspacePool;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::{Barrier, Mutex};
+
+    static CONSTRUCTED: AtomicUsize = AtomicUsize::new(0);
+
+    /// A workspace that counts its constructions.
+    #[derive(Debug)]
+    struct Counted;
+
+    impl Default for Counted {
+        fn default() -> Self {
+            CONSTRUCTED.fetch_add(1, Ordering::SeqCst);
+            Counted
+        }
+    }
+
+    /// Two threads hold a workspace at the same time.
+    fn round_at_concurrency_two(pool: &WorkspacePool<Counted>) {
+        let both_out = Barrier::new(2);
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| pool.with(|_| both_out.wait()));
+            }
+        });
+    }
+
+    #[test]
+    fn pool_retains_its_high_water_mark_of_simultaneous_checkouts() {
+        let pool = WorkspacePool {
+            stack: Mutex::new(Vec::new()),
+        };
+        round_at_concurrency_two(&pool);
+        assert_eq!(CONSTRUCTED.load(Ordering::SeqCst), 2);
+        for _ in 0..10 {
+            round_at_concurrency_two(&pool);
+            pool.with(|_| ());
+        }
+        assert_eq!(
+            CONSTRUCTED.load(Ordering::SeqCst),
+            2,
+            "a warm pool constructs nothing at or below its high-water mark"
+        );
     }
 }

@@ -145,14 +145,18 @@ impl ServeSnapshot for ShardedSnapshot {
         self.query_batch_by_feature_in(ws, features, k)
     }
 
-    /// A probed shard that fails degrades the answer instead of failing the
-    /// query, unless the request demanded completeness.
+    /// Each request of the run scatters on its own through
+    /// [`ShardedServer::query_degraded`]: a probed shard that fails degrades
+    /// that answer instead of failing it, unless the run demanded
+    /// completeness.
     fn answer_tagged(
         server: &ShardedServer,
-        request: &QueryRequest,
+        run: &[QueryRequest],
         require_complete: bool,
-    ) -> ServeResult<(QueryResponse, ResponseStatus)> {
-        server.query_degraded(request, require_complete)
+    ) -> Vec<ServeResult<(QueryResponse, ResponseStatus)>> {
+        run.iter()
+            .map(|request| server.query_degraded(request, require_complete))
+            .collect()
     }
 }
 

@@ -10,14 +10,15 @@
 //! [`ShardedServer::set_fault_injector`], the in-process half of the
 //! fault-injection harness.
 
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use mogul_core::update::IndexBuilder;
 use mogul_core::{ShardedConfig, ShardedIndex, ShardedSnapshot, ShardedWorkspace};
+use mogul_serve::net::{NetClient, NetServer};
 use mogul_serve::{
-    DegradedPolicy, QueryRequest, QueryResponse, ResponseStatus, ServeError, ShardFault,
-    ShardedServer, ShardedWriter,
+    DegradedPolicy, QueryRequest, QueryResponse, ResponseStatus, ServeError, ServeOptions,
+    ShardFault, ShardedServer, ShardedWriter,
 };
 
 const K: usize = 5;
@@ -274,4 +275,102 @@ fn every_probed_shard_failing_is_incomplete_regardless_of_strictness() {
             "strict={strict}: expected Incomplete(0/3), got {err:?}"
         );
     }
+}
+
+#[test]
+fn a_pipelined_run_over_the_wire_fails_and_degrades_request_by_request() {
+    // Four well-separated clusters over S = 4 shards; every out-of-sample
+    // query probes all four, so one failed shard touches every query.
+    let features: Vec<Vec<f64>> = (0..4)
+        .flat_map(|c| {
+            (0..16).map(move |i| {
+                vec![
+                    100.0 * c as f64 + 0.07 * i as f64,
+                    10.0 * c as f64 + 0.03 * (i % 5) as f64,
+                ]
+            })
+        })
+        .collect();
+    let config = ShardedConfig::with_shards(4)
+        .shard_probes(4)
+        .builder(IndexBuilder::new().knn_k(4).exact_ranking());
+    let (index, _report) = ShardedIndex::build(features, config).unwrap();
+    let (server, _writer) = ShardedWriter::new(index);
+    // Shard 2 fails. The very first leg waits for the test's go, holding
+    // the front door's only worker while the runs queue up behind it.
+    let (go, hold) = mpsc::channel::<()>();
+    let hold = Mutex::new(Some(hold));
+    server.set_fault_injector(Some(Arc::new(move |shard| {
+        let first = hold.lock().unwrap().take();
+        if let Some(first) = first {
+            first.recv().unwrap();
+        }
+        (shard == 2).then(|| {
+            ShardFault::Error(ServeError::Config {
+                reason: "injected fault on shard 2".into(),
+            })
+        })
+    })));
+    let options = ServeOptions::builder().workers(1).build().unwrap();
+    let net = NetServer::bind("127.0.0.1:0", Arc::clone(&server), options).unwrap();
+    let handle = net.handle();
+    let join = std::thread::spawn(move || net.run());
+    let mut client = NetClient::connect(handle.local_addr()).unwrap();
+    client
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+
+    let query = |i: usize| {
+        let c = (i % 4) as f64;
+        QueryRequest::out_of_sample(vec![100.0 * c + 0.5, 10.0 * c + 0.01], K)
+    };
+    client.send_query_opts(&query(0), false).unwrap();
+    let wait_until = |done: &dyn Fn(u64, u64) -> bool| {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let report = handle.stats_report();
+            if done(report.inflight, report.queue_depth) {
+                break;
+            }
+            assert!(Instant::now() < deadline, "the runs never queued up");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    };
+    wait_until(&|inflight, queued| inflight == 1 && queued == 0);
+    // Two runs of eight behind it: strict, then lenient.
+    let mut sent = Vec::new();
+    for i in 0..16 {
+        let strict = i < 8;
+        let id = client.send_query_opts(&query(i), strict).unwrap();
+        sent.push((id, query(i), strict));
+    }
+    wait_until(&|_, queued| queued == 16);
+    go.send(()).unwrap();
+
+    let degraded = ResponseStatus::Degraded {
+        shards_answered: 3,
+        shards_total: 4,
+    };
+    let mut answers = std::collections::HashMap::new();
+    for _ in 0..17 {
+        let (id, answer) = client.recv_answer_status().unwrap();
+        answers.insert(id, answer);
+    }
+    for (id, request, strict) in &sent {
+        match &answers[id] {
+            Err(ServeError::Incomplete {
+                shards_answered: 3,
+                shards_total: 4,
+            }) if *strict => {}
+            Ok((response, status)) if !*strict => {
+                assert_eq!(*status, degraded);
+                let (want, want_status) = server.query_degraded(request, false).unwrap();
+                assert_eq!(want_status, degraded);
+                assert_eq!(response.top_k(), want.top_k());
+            }
+            other => panic!("request {id} (strict {strict}): unexpected {other:?}"),
+        }
+    }
+    handle.drain();
+    join.join().unwrap().unwrap();
 }

@@ -8,6 +8,9 @@
 //! * malformed requests are rejected with typed `BadRequest` (including the
 //!   admission-time feature-dimension check);
 //! * drain is graceful: admitted queries complete, then the server exits;
+//! * a backlog is answered in runs — panels over the wire — whose answers
+//!   are still bit-identical, and inside which every request keeps its own
+//!   fate (deadline shed, `BadRequest` after a snapshot swap);
 //! * the stats frame reports the rebuild debt of the attached writer, for
 //!   either engine.
 
@@ -15,14 +18,25 @@ use mogul_core::update::{IndexBuilder, RebuildPolicy};
 use mogul_core::{ShardedConfig, ShardedIndex};
 use mogul_data::coil::{coil_like, CoilLikeConfig};
 use mogul_data::Dataset;
-use mogul_serve::net::{NetClient, NetError, NetHandle, NetServer};
-use mogul_serve::{
-    QueryRequest, QueryResponse, QueryServer, ServeError, ServeOptions, ShardedWriter,
-    UpdateRequest,
+use mogul_serve::net::wire::{
+    decode_query_response_status, decode_serve_error, encode_frame, encode_query_request_opts,
+    read_frame,
 };
-use std::io::Write;
-use std::sync::Arc;
-use std::time::Duration;
+use mogul_serve::net::{
+    FrameKind, NetClient, NetError, NetHandle, NetServer, ServeBackend, ServerStatsReport,
+};
+use mogul_serve::{
+    IndexWriter, QueryRequest, QueryResponse, QueryServer, ResponseStatus, ServeError,
+    ServeOptions, ServeResult, ShardedWriter, UpdateRequest,
+};
+use std::collections::HashMap;
+use std::io::{BufReader, Write};
+use std::net::TcpStream;
+use std::sync::{mpsc, Arc, Mutex};
+use std::time::{Duration, Instant};
+
+/// Held-out query vectors and their labels.
+type HeldOut = Vec<(Vec<f64>, usize)>;
 
 /// Everything a test needs about a freshly started server: the in-process
 /// server (for reference answers), the control handle, the run-thread join
@@ -32,11 +46,11 @@ type Harness = (
     NetHandle,
     std::thread::JoinHandle<std::io::Result<()>>,
     Dataset,
-    Vec<(Vec<f64>, usize)>,
+    HeldOut,
 );
 
 /// A small COIL-like corpus plus held-out query vectors.
-fn dataset() -> (Dataset, Vec<(Vec<f64>, usize)>) {
+fn dataset() -> (Dataset, HeldOut) {
     let data = coil_like(&CoilLikeConfig {
         num_objects: 6,
         poses_per_object: 16,
@@ -48,17 +62,153 @@ fn dataset() -> (Dataset, Vec<(Vec<f64>, usize)>) {
     data.split_out_queries(6, 11).unwrap()
 }
 
+/// An in-process server over the corpus, and the corpus.
+fn query_server(options: ServeOptions) -> (Arc<QueryServer>, Dataset, HeldOut) {
+    let (db, held_out) = dataset();
+    let index = IndexBuilder::new().knn_k(4).build(db.features()).unwrap();
+    let server = Arc::new(QueryServer::from_snapshot(index.snapshot(), options));
+    (server, db, held_out)
+}
+
 /// Stand up a server on an OS-assigned port; returns the in-process server
 /// (for reference answers), the control handle, and the run-thread join
 /// handle.
 fn start_server(options: ServeOptions) -> Harness {
-    let (db, held_out) = dataset();
-    let index = IndexBuilder::new().knn_k(4).build(db.features()).unwrap();
-    let server = Arc::new(QueryServer::from_snapshot(index.snapshot(), options));
-    let net = NetServer::bind("127.0.0.1:0", Arc::clone(&server), options).unwrap();
-    let handle = net.handle();
-    let join = std::thread::spawn(move || net.run());
+    let (server, db, held_out) = query_server(options);
+    let (handle, join) = serve(Arc::clone(&server), options);
     (server, handle, join, db, held_out)
+}
+
+/// A front-door backend answering through a [`QueryServer`] that holds the
+/// first run it is handed until the test opens the gate: a worker made
+/// busy on cue, so a backlog queues up behind it deterministically.
+struct Gated {
+    server: Arc<QueryServer>,
+    hold: Mutex<Option<mpsc::Receiver<()>>>,
+}
+
+impl Gated {
+    fn new(server: Arc<QueryServer>) -> (Arc<Gated>, mpsc::Sender<()>) {
+        let (open, hold) = mpsc::channel();
+        let gated = Gated {
+            server,
+            hold: Mutex::new(Some(hold)),
+        };
+        (Arc::new(gated), open)
+    }
+}
+
+impl ServeBackend for Gated {
+    fn validate(&self, request: &QueryRequest) -> ServeResult<()> {
+        self.server.validate(request)
+    }
+    fn max_job_len(&self) -> usize {
+        self.server.max_job_len()
+    }
+    fn answer_run(
+        &self,
+        run: &[QueryRequest],
+        require_complete: bool,
+    ) -> Vec<ServeResult<(QueryResponse, ResponseStatus)>> {
+        let hold = self.hold.lock().unwrap().take();
+        if let Some(gate) = hold {
+            gate.recv().unwrap();
+        }
+        self.server.answer_run(run, require_complete)
+    }
+    fn epoch(&self) -> u64 {
+        ServeBackend::epoch(&*self.server)
+    }
+    fn items(&self) -> u64 {
+        self.server.items()
+    }
+}
+
+/// Bind a front door over `backend` and run it on its own thread.
+fn serve(
+    backend: Arc<impl ServeBackend>,
+    options: ServeOptions,
+) -> (NetHandle, std::thread::JoinHandle<std::io::Result<()>>) {
+    let net = NetServer::bind("127.0.0.1:0", backend, options).unwrap();
+    let handle = net.handle();
+    (handle, std::thread::spawn(move || net.run()))
+}
+
+/// Poll the server's stats until `done` holds (or fail after 10 s).
+fn wait_for(handle: &NetHandle, done: impl Fn(&ServerStatsReport) -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !done(&handle.stats_report()) {
+        assert!(Instant::now() < deadline, "the server never got there");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// A raw connection: frames are written as bytes, answers read back by id.
+struct Raw {
+    stream: TcpStream,
+    reader: BufReader<TcpStream>,
+}
+
+type Verdict = Result<(QueryResponse, ResponseStatus), ServeError>;
+
+impl Raw {
+    fn connect(handle: &NetHandle) -> Raw {
+        let stream = TcpStream::connect(handle.local_addr()).unwrap();
+        stream.set_nodelay(true).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let reader = BufReader::new(stream.try_clone().unwrap());
+        Raw { stream, reader }
+    }
+
+    /// Query frames for `requests`, request ids `first_id..`, back to back.
+    fn frames(requests: &[(QueryRequest, bool)], first_id: u64) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        for (id, (request, require_complete)) in (first_id..).zip(requests) {
+            let mut payload = Vec::new();
+            encode_query_request_opts(request, *require_complete, &mut payload);
+            bytes.extend(encode_frame(FrameKind::Query, id, &payload).unwrap());
+        }
+        bytes
+    }
+
+    /// Send the requests in one `write_all`: one segment on loopback.
+    fn send(&mut self, requests: &[(QueryRequest, bool)], first_id: u64) {
+        self.stream
+            .write_all(&Raw::frames(requests, first_id))
+            .unwrap();
+    }
+
+    /// Read `n` answer or error frames, keyed by request id.
+    fn recv(&mut self, n: usize) -> HashMap<u64, Verdict> {
+        let mut answers = HashMap::new();
+        for _ in 0..n {
+            let frame = read_frame(&mut self.reader).unwrap().expect("an answer");
+            let verdict = match frame.kind {
+                FrameKind::Answer => Ok(decode_query_response_status(&frame.payload).unwrap()),
+                FrameKind::Error => Err(decode_serve_error(&frame.payload).unwrap()),
+                other => panic!("expected an answer, got {other:?}"),
+            };
+            assert!(answers.insert(frame.request_id, verdict).is_none());
+        }
+        answers
+    }
+}
+
+/// `over_wire` is `==` the in-process answer, field by field.
+fn assert_same_answer(over_wire: &QueryResponse, in_process: &QueryResponse) {
+    match (over_wire, in_process) {
+        (QueryResponse::InDatabase(a), QueryResponse::InDatabase(b)) => {
+            assert_eq!(a, b, "scores must compare == after the wire round trip")
+        }
+        (QueryResponse::OutOfSample(a), QueryResponse::OutOfSample(b)) => {
+            assert_eq!(a.top_k, b.top_k);
+            assert_eq!(a.neighbors, b.neighbors);
+            assert_eq!(a.stats, b.stats);
+        }
+        _ => panic!("response kind diverged from the request kind"),
+    }
 }
 
 fn connect(handle: &NetHandle) -> NetClient {
@@ -83,18 +233,7 @@ fn socket_answers_are_bit_identical_to_in_process_answers() {
     }
     for request in &requests {
         let over_wire = client.query(request).unwrap();
-        let in_process = server.query(request).unwrap();
-        match (&over_wire, &in_process) {
-            (QueryResponse::InDatabase(a), QueryResponse::InDatabase(b)) => {
-                assert_eq!(a, b, "scores must compare == after the wire round trip")
-            }
-            (QueryResponse::OutOfSample(a), QueryResponse::OutOfSample(b)) => {
-                assert_eq!(a.top_k, b.top_k);
-                assert_eq!(a.neighbors, b.neighbors);
-                assert_eq!(a.stats, b.stats);
-            }
-            _ => panic!("response kind diverged from the request kind"),
-        }
+        assert_same_answer(&over_wire, &server.query(request).unwrap());
     }
 
     let stats = client.stats().unwrap();
@@ -250,53 +389,48 @@ fn overload_burst_sheds_typed_overloaded_frames_and_answers_the_rest() {
 #[test]
 fn drain_completes_admitted_work_then_rejects_and_exits() {
     let options = ServeOptions::builder().workers(2).build().unwrap();
-    let (_server, handle, join, db, _held_out) = start_server(options);
+    let (server, db, _) = query_server(options);
+    let (gated, open) = Gated::new(server);
+    let (handle, join) = serve(gated, options);
 
-    // Pipeline a handful of queries, then drain from a second connection
-    // before reading the rest of the answers: every admitted query must
-    // still be answered.
-    let sender = connect(&handle);
-    let mut receiver = sender.try_clone().unwrap();
-    let mut sender = sender;
+    // Pipeline a handful of queries; the first run holds one worker, so
+    // the drain below begins with admitted work still unanswered.
+    let mut sender = Raw::connect(&handle);
     let admitted = 16usize;
-    for i in 0..admitted {
-        sender
-            .send_query(&QueryRequest::in_database(i % db.len(), 3))
-            .unwrap();
-    }
-
-    // The first answer is read before the drain frame is sent, so one query
-    // was admitted whatever the other fifteen race against the drain flag.
-    let mut answered = 0usize;
-    match receiver.recv_answer() {
-        Ok((_id, Ok(response))) => {
-            assert_eq!(response.top_k().len(), 3);
-            answered += 1;
-        }
-        other => panic!("no answer before the drain: {other:?}"),
-    }
+    let queries: Vec<_> = (0..admitted)
+        .map(|i| (QueryRequest::in_database(i % db.len(), 3), false))
+        .collect();
+    sender.send(&queries, 1);
+    wait_for(&handle, |r| r.inflight + r.completed == admitted as u64);
 
     let mut control = connect(&handle);
     control.drain_server().unwrap();
     assert!(handle.is_draining());
 
-    for _ in 1..admitted {
-        match receiver.recv_answer() {
-            Ok((_id, Ok(response))) => {
-                assert_eq!(response.top_k().len(), 3);
-                answered += 1;
+    // Frames written after the drain began, in one segment, sit in the
+    // reader's buffer behind one another: each is answered `Draining`,
+    // none is dropped.
+    let late = 20usize;
+    let late_queries: Vec<_> = (0..late)
+        .map(|i| (QueryRequest::in_database(i % db.len(), 3), false))
+        .collect();
+    sender.send(&late_queries, 1000);
+    open.send(()).unwrap();
+
+    let answers = sender.recv(admitted + late);
+    for (id, verdict) in &answers {
+        match verdict {
+            Ok((response, _)) if *id <= admitted as u64 => {
+                assert_eq!(response.top_k().len(), 3)
             }
-            // A request that raced the drain flag is shed with the typed
-            // Draining error — acceptable; silence or a panic is not.
-            Ok((_id, Err(ServeError::Draining))) => {}
-            Ok((_id, Err(other))) => panic!("unexpected error during drain: {other:?}"),
-            Err(err) => panic!("no answer for an admitted request: {err}"),
+            Err(ServeError::Draining) if *id >= 1000 => {}
+            other => panic!("request {id}: unexpected {other:?}"),
         }
     }
-    assert!(answered >= 1);
 
     // run() returns once the drain completes.
     join.join().unwrap().unwrap();
+    assert_eq!(handle.stats_report().shed_draining, late as u64);
 
     // After drain, new connections are refused or immediately closed.
     match NetClient::connect(handle.local_addr()) {
@@ -309,6 +443,165 @@ fn drain_completes_admitted_work_then_rejects_and_exits() {
             }
         }
     }
+}
+
+#[test]
+fn pipelined_mixed_runs_answer_like_in_process_queries() {
+    // Six request classes in blocks of five: each block boundary breaks a
+    // run by kind, by `k` or by `require_complete`.
+    let (_, held_out) = dataset();
+    let classes = |i: usize, feature: &[f64]| match (i / 5) % 6 {
+        0 => (QueryRequest::in_database(i % 80, 10), false),
+        1 => (QueryRequest::out_of_sample(feature.to_vec(), 10), false),
+        2 => (QueryRequest::out_of_sample(feature.to_vec(), 5), true),
+        3 => (QueryRequest::in_database(i % 80, 10), true),
+        4 => (QueryRequest::out_of_sample(feature.to_vec(), 10), true),
+        _ => (QueryRequest::in_database(i % 80, 5), false),
+    };
+    let requests: Vec<(QueryRequest, bool)> = (0..64)
+        .map(|i| classes(i, &held_out[i % held_out.len()].0))
+        .collect();
+
+    for workers in [1, 2] {
+        let options = ServeOptions::builder().workers(workers).build().unwrap();
+        let (server, _, _) = query_server(options);
+        let (gated, open) = Gated::new(Arc::clone(&server));
+        let (handle, join) = serve(gated, options);
+        // A first request, on a connection of its own (the 64 fill one
+        // connection's in-flight cap), holds one worker; the 64 queue up
+        // behind it and leave in runs.
+        let mut first = Raw::connect(&handle);
+        first.send(&[(QueryRequest::in_database(0, 10), false)], 0);
+        wait_for(&handle, |r| r.inflight == 1 && r.queue_depth == 0);
+        let mut client = Raw::connect(&handle);
+        client.send(&requests, 1);
+        wait_for(&handle, |r| r.inflight + r.completed == 65);
+        open.send(()).unwrap();
+
+        assert!(first.recv(1)[&0].is_ok());
+        let answers = client.recv(requests.len());
+        for (id, (request, _)) in (1..).zip(&requests) {
+            let (response, status) = answers[&id].as_ref().unwrap();
+            assert_eq!(*status, ResponseStatus::Complete);
+            assert_same_answer(response, &server.query(request).unwrap());
+        }
+        let stats = handle.stats_report();
+        assert_eq!(stats.completed, 1 + answers.len() as u64);
+        assert_eq!(stats.bad_requests + stats.shed_overloaded, 0);
+        handle.drain();
+        join.join().unwrap().unwrap();
+    }
+}
+
+#[test]
+fn a_snapshot_swap_fails_only_the_removed_request_of_a_run() {
+    let (db, _) = dataset();
+    let options = ServeOptions::builder().workers(1).build().unwrap();
+    let index = IndexBuilder::new().knn_k(4).build(db.features()).unwrap();
+    let (server, writer) = IndexWriter::new(index, options);
+    let (gated, open) = Gated::new(Arc::clone(&server));
+    let (handle, join) = serve(gated, options);
+    let mut client = Raw::connect(&handle);
+
+    client.send(&[(QueryRequest::in_database(0, 5), false)], 0);
+    wait_for(&handle, |r| r.inflight == 1 && r.queue_depth == 0);
+    let removed = 7;
+    let run: Vec<_> = [3, 5, removed, 9, 11]
+        .into_iter()
+        .map(|id| (QueryRequest::in_database(id, 5), false))
+        .collect();
+    client.send(&run, 1);
+    wait_for(&handle, |r| r.queue_depth == run.len() as u64);
+    // Admitted against the old snapshot; answered from the new one.
+    writer.apply(&[UpdateRequest::remove(removed)]).unwrap();
+    open.send(()).unwrap();
+
+    let answers = client.recv(1 + run.len());
+    for (id, (request, _)) in (1..).zip(&run) {
+        match (&answers[&id], request) {
+            (Err(ServeError::BadRequest { .. }), QueryRequest::InDatabase { node, .. })
+                if *node == removed => {}
+            (Ok((response, _)), _) => assert_same_answer(response, &server.query(request).unwrap()),
+            (other, _) => panic!("request {id}: unexpected {other:?}"),
+        }
+    }
+    let stats = handle.stats_report();
+    assert_eq!(stats.bad_requests, 1);
+    assert_eq!(stats.completed, run.len() as u64);
+    handle.drain();
+    join.join().unwrap().unwrap();
+}
+
+#[test]
+fn requests_past_the_queue_deadline_are_shed_inside_their_run() {
+    let deadline = Duration::from_millis(200);
+    let options = ServeOptions::builder()
+        .workers(1)
+        .queue_deadline(deadline)
+        .build()
+        .unwrap();
+    let (server, _, _) = query_server(options);
+    let (gated, open) = Gated::new(server);
+    let (handle, join) = serve(gated, options);
+    let mut client = Raw::connect(&handle);
+
+    client.send(&[(QueryRequest::in_database(0, 5), false)], 0);
+    wait_for(&handle, |r| r.inflight == 1 && r.queue_depth == 0);
+    // Two compatible requests, one run: the first waits past the deadline,
+    // the second arrives just before the worker frees up.
+    client.send(&[(QueryRequest::in_database(1, 5), false)], 1);
+    std::thread::sleep(deadline + Duration::from_millis(100));
+    client.send(&[(QueryRequest::in_database(2, 5), false)], 2);
+    wait_for(&handle, |r| r.queue_depth == 2);
+    open.send(()).unwrap();
+
+    let answers = client.recv(3);
+    assert!(answers[&0].is_ok());
+    assert!(
+        matches!(answers[&1], Err(ServeError::Overloaded { .. })),
+        "stale: {:?}",
+        answers[&1]
+    );
+    assert!(answers[&2].is_ok(), "fresh: {:?}", answers[&2]);
+    let stats = handle.stats_report();
+    assert_eq!((stats.shed_deadline, stats.completed), (1, 2));
+    handle.drain();
+    join.join().unwrap().unwrap();
+}
+
+#[test]
+fn frames_trickled_byte_by_byte_decode_like_frames_in_one_segment() {
+    let options = ServeOptions::builder().workers(2).build().unwrap();
+    let (server, handle, join, db, held_out) = start_server(options);
+    let requests: Vec<(QueryRequest, bool)> = (0..20)
+        .map(|i| match i % 3 {
+            0 => (QueryRequest::in_database(i * 7 % db.len(), 4), false),
+            1 => (
+                QueryRequest::out_of_sample(held_out[i % 6].0.clone(), 4),
+                false,
+            ),
+            _ => (QueryRequest::in_database(i % db.len(), 6), true),
+        })
+        .collect();
+
+    let mut one_segment = Raw::connect(&handle);
+    one_segment.send(&requests, 1);
+    let whole = one_segment.recv(requests.len());
+
+    let mut trickle = Raw::connect(&handle);
+    for byte in Raw::frames(&requests, 1) {
+        trickle.stream.write_all(&[byte]).unwrap();
+    }
+    let trickled = trickle.recv(requests.len());
+
+    for (id, (request, _)) in (1..).zip(&requests) {
+        let (a, _) = whole[&id].as_ref().unwrap();
+        let (b, _) = trickled[&id].as_ref().unwrap();
+        assert_same_answer(a, b);
+        assert_same_answer(a, &server.query(request).unwrap());
+    }
+    handle.drain();
+    join.join().unwrap().unwrap();
 }
 
 #[test]
