@@ -340,8 +340,9 @@ fn main() {
     // -- server-side accounting --------------------------------------------
     let after = control.stats().expect("final stats request failed");
     eprintln!(
-        "  server: completed {}  shed_overloaded {}  shed_draining {}  bad_requests {}  queue {}/{}",
+        "  server: completed {}  answered_by_reader {}  shed_overloaded {}  shed_draining {}  bad_requests {}  queue {}/{}",
         after.completed,
+        after.answered_by_reader,
         after.shed_overloaded,
         after.shed_draining,
         after.bad_requests,

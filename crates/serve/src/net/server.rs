@@ -14,10 +14,37 @@
 //! A reader pulls frames through a 16 KiB buffer, so frames that arrived
 //! together are decoded from one `read`. It admits them without waking
 //! anyone; only when its buffer holds no whole frame any more — just
-//! before it would block on the socket — does it wake parked workers, and
-//! only if it admitted something since its last wake. Frames that arrived
-//! together are therefore queued together, and a lone request still wakes
-//! a worker at once.
+//! before it would block on the socket — does it hand off what it admitted
+//! since its last hand-off. Frames that arrived together are therefore
+//! queued together.
+//!
+//! # Run to completion on the reader
+//!
+//! At that hand-off the reader answers the request itself — through the
+//! same run execution a worker uses — and wakes no worker, when all three
+//! of these hold:
+//!
+//! 1. **A lone request**: it admitted exactly one request since its last
+//!    hand-off (and its buffer holds no further whole frame). A batch of
+//!    frames is the workers' to split into runs.
+//! 2. **A lockstep connection**: this request and the one before it each
+//!    found nothing of their connection in flight when admitted. Such a
+//!    client waits for every answer, so the reader has nothing to read
+//!    ahead while it answers. A pipelining client never qualifies: a
+//!    reader busy answering would stop reading its next frames while the
+//!    workers sit idle. A connection's first request never qualifies
+//!    either.
+//! 3. **An idle server**: the queue holds only that request, every worker
+//!    is parked, and no other reader is answering inline. At most one
+//!    reader runs inline, so a burst of single-request clients still goes
+//!    to the pool.
+//!
+//! Otherwise the reader wakes as many parked workers as it admitted
+//! requests. The inline path saves the reader → worker thread wake, one of
+//! the four wakes (client → reader → worker → client) of a request at an
+//! idle server. On this path a stalled client's answer write (bounded by
+//! the 30 s write timeout) stalls that client's own reader instead of a
+//! worker that every connection shares.
 //!
 //! A worker that wakes takes a **run**: the front request plus the
 //! compatible requests (same kind, same `k`, same `require_complete`)
@@ -77,7 +104,7 @@ use std::collections::VecDeque;
 use std::io::{BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Per-connection state shared between its reader thread, the workers
@@ -88,6 +115,10 @@ struct Conn {
     writer: Mutex<TcpStream>,
     /// Requests admitted from this connection and not yet answered.
     inflight: AtomicUsize,
+    /// Whether the latest admitted request, and the one before it, found
+    /// nothing of this connection in flight: a lockstep client. Only the
+    /// connection's reader touches them (in [`Shared::admit`]).
+    alone: [AtomicBool; 2],
     /// Connection id (key into the live-connection registry).
     id: u64,
 }
@@ -97,6 +128,14 @@ struct Conn {
 const READ_BUFFER: usize = 16 * 1024;
 
 impl Conn {
+    /// Whether the latest admitted request, and the one before it, found
+    /// nothing of this connection in flight.
+    fn lockstep(&self) -> [bool; 2] {
+        self.alone
+            .each_ref()
+            .map(|alone| alone.load(Ordering::Relaxed))
+    }
+
     /// Write encoded frames onto this connection in one `write_all`. Write
     /// failures are swallowed: the client is gone, and its reader thread
     /// will notice.
@@ -132,13 +171,16 @@ struct Ticket {
     admitted: Instant,
 }
 
-/// The admission queue, and how many workers are parked waiting on it.
+/// The admission queue, how many workers are parked waiting on it, and
+/// how many readers are answering a request themselves.
 #[derive(Default)]
 struct Queue {
     work: VecDeque<Work>,
     /// Workers waiting on [`Shared::queue_cv`], counting any notified but
     /// not yet running: the workers a backlog can still be split with.
     parked: usize,
+    /// Readers answering a request inline ([`answers_inline`]): `0` or `1`.
+    inline: usize,
 }
 
 /// How many requests at the front of the queue one worker takes as its
@@ -159,6 +201,30 @@ fn run_len<'a>(
         .take(cap.saturating_sub(1))
         .take_while(|&(next, next_strict)| next_strict == strict && compatible(front, next))
         .count()
+}
+
+/// Whether a reader about to block on its socket answers what it admitted
+/// since its last hand-off itself, instead of waking a worker: exactly one
+/// request (`admitted`), from a lockstep connection (`lockstep`: the latest
+/// admitted request and the one before it each found nothing of the
+/// connection in flight), at an idle server — the queue holds only that
+/// request (`queue` yields, per queued request, whether it is this
+/// connection's), all `workers` are `parked`, and no other reader is
+/// answering `inline`.
+fn answers_inline(
+    admitted: usize,
+    lockstep: [bool; 2],
+    mut queue: impl ExactSizeIterator<Item = bool>,
+    parked: usize,
+    workers: usize,
+    inline: usize,
+) -> bool {
+    admitted == 1
+        && lockstep == [true; 2]
+        && queue.len() == 1
+        && queue.next() == Some(true)
+        && parked == workers
+        && inline == 0
 }
 
 /// The frames a run answers with, gathered per connection so each
@@ -195,6 +261,8 @@ impl Outbox {
 /// State shared by the accept thread, readers, workers and [`NetHandle`]s.
 struct Shared {
     backend: Arc<dyn ServeBackend>,
+    /// Size of the worker pool.
+    workers: usize,
     /// The rebuild debt of the attached writer, if any.
     debt: Option<Box<dyn Fn() -> RebuildDebt + Send + Sync>>,
     options: ServeOptions,
@@ -223,6 +291,12 @@ impl Shared {
         // connection gets it to re-check the flag).
         self.queue_cv.notify_all();
         let _ = TcpStream::connect(self.local_addr);
+    }
+
+    /// Deregister a connection whose reader has exited.
+    fn forget(&self, id: u64) {
+        lock(&self.conns).retain(|c| c.id != id);
+        self.stats.connections.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// Total requests admitted and not yet answered (queued + executing).
@@ -260,12 +334,13 @@ impl Shared {
             rebuild_fraction,
             draining: self.draining.load(Ordering::SeqCst),
             shed_deadline: self.stats.shed_deadline.load(Ordering::Relaxed),
+            answered_by_reader: self.stats.answered_by_reader.load(Ordering::Relaxed),
         }
     }
 
     /// Admit or shed one decoded query request (reader thread). Returns
-    /// whether it was queued; the reader wakes the workers for it later
-    /// ([`Shared::wake_workers`]).
+    /// whether it was queued; the reader hands it off later
+    /// ([`Shared::hand_off`]).
     fn admit(
         &self,
         conn: &Arc<Conn>,
@@ -301,7 +376,9 @@ impl Shared {
             );
             return false;
         }
-        conn.inflight.fetch_add(1, Ordering::SeqCst);
+        let alone = conn.inflight.fetch_add(1, Ordering::SeqCst) == 0;
+        let before = conn.alone[0].swap(alone, Ordering::Relaxed);
+        conn.alone[1].store(before, Ordering::Relaxed);
         self.stats.inflight.fetch_add(1, Ordering::SeqCst);
         queue.work.push_back(Work {
             ticket: Ticket {
@@ -315,35 +392,52 @@ impl Shared {
         true
     }
 
-    /// Wake as many parked workers as `admitted` new requests can use.
-    fn wake_workers(&self, admitted: usize) {
-        let parked = lock(&self.queue).parked;
-        for _ in 0..admitted.min(parked) {
-            self.queue_cv.notify_one();
+    /// Hand off the `admitted` requests a reader queued since its last
+    /// hand-off: answer the one request itself when [`answers_inline`]
+    /// says so, else wake as many parked workers as they can use.
+    fn hand_off(&self, conn: &Arc<Conn>, admitted: usize) {
+        let mut queue = lock(&self.queue);
+        let ours = queue.work.iter().map(|w| Arc::ptr_eq(&w.ticket.conn, conn));
+        let (parked, inline) = (queue.parked, queue.inline);
+        if !answers_inline(
+            admitted,
+            conn.lockstep(),
+            ours,
+            parked,
+            self.workers,
+            inline,
+        ) {
+            drop(queue);
+            for _ in 0..admitted.min(parked) {
+                self.queue_cv.notify_one();
+            }
+            return;
         }
+        queue.inline += 1;
+        let run = queue.work.drain(..).collect();
+        drop(queue);
+        self.stats
+            .answered_by_reader
+            .fetch_add(1, Ordering::Relaxed);
+        self.execute_run(run).inline -= 1;
     }
 
-    /// Worker loop: take runs of admitted work until drain empties the
-    /// queue.
+    /// Worker loop: park until the queue holds work, cut a run off its
+    /// front ([`run_len`]) and answer it; return once draining has emptied
+    /// the queue.
     fn worker_loop(&self) {
-        while let Some(run) = self.next_run() {
-            self.execute_run(run);
-        }
-    }
-
-    /// Park until the queue holds work, then cut a run off its front
-    /// ([`run_len`]); `None` once draining has emptied the queue.
-    fn next_run(&self) -> Option<Vec<Work>> {
-        let max_job_len = self.backend.max_job_len();
         let mut queue = lock(&self.queue);
         loop {
             if !queue.work.is_empty() {
                 let keys = queue.work.iter().map(|w| (&w.request, w.require_complete));
-                let len = run_len(keys, queue.parked, max_job_len);
-                return Some(queue.work.drain(..len).collect());
+                let len = run_len(keys, queue.parked, self.backend.max_job_len());
+                let run = queue.work.drain(..len).collect();
+                drop(queue);
+                queue = self.execute_run(run);
+                continue;
             }
             if self.draining.load(Ordering::SeqCst) {
-                return None;
+                return;
             }
             queue.parked += 1;
             queue = self
@@ -356,8 +450,12 @@ impl Shared {
 
     /// Answer one run: shed what waited past the deadline, answer the rest
     /// as one backend run, write each connection's frames at once, then
-    /// retire every request.
-    fn execute_run(&self, run: Vec<Work>) {
+    /// retire every request. Returns holding the queue lock, under which
+    /// the requests were retired: a worker parks again before a reader can
+    /// see its connection's request retired, so a lockstep client's next
+    /// request finds the server idle ([`answers_inline`]), and drain's
+    /// wait on [`Shared::idle_cv`] misses no wake.
+    fn execute_run(&self, run: Vec<Work>) -> MutexGuard<'_, Queue> {
         let mut outbox = Outbox::default();
         // Queue-wait deadline: a request that sat past it is shed instead
         // of executed — its client has almost certainly timed out and
@@ -423,12 +521,14 @@ impl Shared {
         outbox.send();
         // Retire only after the bytes are out: drain waits for `inflight`
         // to reach zero before it shuts the sockets down.
+        let queue = lock(&self.queue);
         for ticket in stale.iter().chain(&fresh) {
             ticket.conn.inflight.fetch_sub(1, Ordering::SeqCst);
             if self.stats.inflight.fetch_sub(1, Ordering::SeqCst) == 1 {
                 self.idle_cv.notify_all();
             }
         }
+        queue
     }
 
     /// Reader thread: frames off one connection until EOF, error, or drain
@@ -439,13 +539,13 @@ impl Shared {
         conn: &Arc<Conn>,
         reader: &mut BufReader<TcpStream>,
     ) {
-        // Requests admitted since the workers were last woken.
+        // Requests admitted since the last hand-off.
         let mut unannounced = 0usize;
         loop {
-            // About to block on the socket: hand what was queued to the
-            // workers first.
+            // About to block on the socket: answer or hand off what was
+            // queued first.
             if unannounced > 0 && !holds_whole_frame(reader.buffer()) {
-                self.wake_workers(unannounced);
+                self.hand_off(conn, unannounced);
                 unannounced = 0;
             }
             match read_frame(reader) {
@@ -471,7 +571,7 @@ impl Shared {
                 }
             }
         }
-        self.wake_workers(unannounced);
+        self.hand_off(conn, unannounced);
     }
 
     /// Dispatch one intact frame. Returns whether it queued a request.
@@ -568,6 +668,7 @@ impl NetServer {
             listener,
             shared: Arc::new(Shared {
                 backend,
+                workers: options.resolve_workers(),
                 debt: None,
                 options,
                 stats: NetStats::new(),
@@ -617,13 +718,25 @@ impl NetServer {
     /// answered, shuts down all connection sockets (unblocking their reader
     /// threads), joins readers and workers, and returns.
     pub fn run(self) -> std::io::Result<()> {
-        let workers = self.shared.options.resolve_workers();
-        let worker_handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let shared = Arc::clone(&self.shared);
-                std::thread::spawn(move || shared.worker_loop())
-            })
-            .collect();
+        let mut worker_handles = Vec::with_capacity(self.shared.workers);
+        for i in 0..self.shared.workers {
+            let shared = Arc::clone(&self.shared);
+            let spawned = std::thread::Builder::new()
+                .name(format!("mogul-net-worker-{i}"))
+                .spawn(move || shared.worker_loop());
+            match spawned {
+                Ok(handle) => worker_handles.push(handle),
+                Err(err) => {
+                    // Nothing is admitted yet: the workers already running
+                    // see draining and an empty queue, and exit.
+                    self.shared.begin_drain();
+                    for handle in worker_handles {
+                        let _ = handle.join();
+                    }
+                    return Err(err);
+                }
+            }
+        }
 
         let mut reader_handles = Vec::new();
         for stream in self.listener.incoming() {
@@ -635,17 +748,20 @@ impl NetServer {
                 Err(_) => continue,
             };
             let _ = stream.set_nodelay(true);
-            // A worker blocked on a stalled client's full socket buffer
-            // would hold up drain forever; bound response writes instead.
+            // A worker (or an inline reader) blocked on a stalled client's
+            // full socket buffer would hold up drain forever; bound
+            // response writes instead.
             let _ = stream.set_write_timeout(Some(Duration::from_secs(30)));
             let writer_half = match stream.try_clone() {
                 Ok(w) => w,
                 Err(_) => continue,
             };
+            let id = self.shared.next_conn_id.fetch_add(1, Ordering::Relaxed);
             let conn = Arc::new(Conn {
                 writer: Mutex::new(writer_half),
                 inflight: AtomicUsize::new(0),
-                id: self.shared.next_conn_id.fetch_add(1, Ordering::Relaxed),
+                alone: Default::default(),
+                id,
             });
             lock(&self.shared.conns).push(Arc::clone(&conn));
             self.shared
@@ -653,29 +769,34 @@ impl NetServer {
                 .connections
                 .fetch_add(1, Ordering::Relaxed);
             let shared = Arc::clone(&self.shared);
-            reader_handles.push(std::thread::spawn(move || {
-                let mut reader = BufReader::with_capacity(READ_BUFFER, stream);
-                shared.reader_loop(&shared, &conn, &mut reader);
-                let _ = reader.get_ref().shutdown(Shutdown::Both);
-                lock(&shared.conns).retain(|c| c.id != conn.id);
-                shared.stats.connections.fetch_sub(1, Ordering::Relaxed);
-            }));
+            let spawned = std::thread::Builder::new()
+                .name(format!("mogul-net-reader-{id}"))
+                .spawn(move || {
+                    let mut reader = BufReader::with_capacity(READ_BUFFER, stream);
+                    shared.reader_loop(&shared, &conn, &mut reader);
+                    let _ = reader.get_ref().shutdown(Shutdown::Both);
+                    shared.forget(id);
+                });
+            match spawned {
+                Ok(handle) => reader_handles.push(handle),
+                // No thread to read it: close this connection (dropping the
+                // closure dropped its stream) and keep serving the others.
+                Err(_) => self.shared.forget(id),
+            }
         }
 
         // Draining: the flag is set, so readers shed every new arrival;
         // wait until everything already admitted (queued or executing) has
-        // been answered. The short timeout re-checks the predicate, covering
-        // the unsynchronized gap between a worker's final decrement and its
-        // notify.
+        // been answered. Requests are retired under the queue lock, so the
+        // last retirement's notify cannot slip past this check.
         {
             let mut queue = lock(&self.shared.queue);
             while !queue.work.is_empty() || self.shared.inflight_total() > 0 {
-                let (guard, _timeout) = self
+                queue = self
                     .shared
                     .idle_cv
-                    .wait_timeout(queue, Duration::from_millis(10))
+                    .wait(queue)
                     .unwrap_or_else(PoisonError::into_inner);
-                queue = guard;
             }
         }
 
@@ -770,7 +891,7 @@ impl std::fmt::Debug for NetHandle {
 
 #[cfg(test)]
 mod tests {
-    use super::run_len;
+    use super::{answers_inline, run_len};
     use crate::request::QueryRequest;
 
     const WIDE: usize = 64;
@@ -847,5 +968,36 @@ mod tests {
         // The share is of the whole backlog, compatible or not.
         let mixed = [by_id(10), by_id(10), by_id(10), by_feature(10)];
         assert_eq!(cut(&mixed, 1, WIDE), 2);
+    }
+
+    #[test]
+    fn a_reader_answers_only_a_lone_lockstep_request_at_an_idle_server() {
+        const YES: [bool; 2] = [true, true];
+        // Two workers. The last row is the one inline case; every other row
+        // changes one of its inputs.
+        // Why, admitted, lockstep, whose the queued requests are (ours?),
+        // parked, inline, and whether the reader answers.
+        #[rustfmt::skip]
+        type Row = (&'static str, usize, [bool; 2], &'static [bool], usize, usize, bool);
+        #[rustfmt::skip]
+        let rows: [Row; 12] = [
+            ("nothing admitted",                          0, YES,            &[],             2, 0, false),
+            ("two frames from one read",                  2, YES,            &[true, true],   2, 0, false),
+            ("the latest request found one in flight",    1, [false, true],  &[true],         2, 0, false),
+            ("the one before found one, or was none",     1, [true, false],  &[true],         2, 0, false),
+            ("another request queued behind it",          1, YES,            &[true, false],  2, 0, false),
+            ("another request queued ahead of it",        1, YES,            &[false, true],  2, 0, false),
+            ("a worker already took it",                  1, YES,            &[],             2, 0, false),
+            ("the queued request is another's",           1, YES,            &[false],        2, 0, false),
+            ("a worker is busy",                          1, YES,            &[true],         1, 0, false),
+            ("no worker is parked",                       1, YES,            &[true],         0, 0, false),
+            ("another reader is answering inline",        1, YES,            &[true],         2, 1, false),
+            ("a lone lockstep request at an idle server", 1, YES,            &[true],         2, 0, true),
+        ];
+        for (why, admitted, lockstep, queue, parked, inline, answers) in rows {
+            let queue = queue.iter().copied();
+            let got = answers_inline(admitted, lockstep, queue, parked, 2, inline);
+            assert_eq!(got, answers, "{why}");
+        }
     }
 }

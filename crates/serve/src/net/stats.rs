@@ -72,6 +72,12 @@ pub struct ServerStatsReport {
     /// counts both). Additive wire field: reports from servers predating it
     /// decode with `0`.
     pub shed_deadline: u64,
+    /// Requests a connection's reader thread answered itself instead of
+    /// waking a worker: a lone request from a lockstep client at an idle
+    /// server (see [`NetServer`](crate::net::NetServer)). Each is counted
+    /// by its outcome too (`completed`, a shed, an error). Additive wire
+    /// field: reports from servers predating it decode with `0`.
+    pub answered_by_reader: u64,
 }
 
 /// Sample ring: completion timestamp (seconds since server start) and
@@ -89,6 +95,7 @@ pub(crate) struct NetStats {
     pub(crate) shed_overloaded: AtomicU64,
     pub(crate) shed_draining: AtomicU64,
     pub(crate) shed_deadline: AtomicU64,
+    pub(crate) answered_by_reader: AtomicU64,
     pub(crate) bad_requests: AtomicU64,
     pub(crate) index_errors: AtomicU64,
     pub(crate) inflight: AtomicU64,
@@ -104,6 +111,7 @@ impl NetStats {
             shed_overloaded: AtomicU64::new(0),
             shed_draining: AtomicU64::new(0),
             shed_deadline: AtomicU64::new(0),
+            answered_by_reader: AtomicU64::new(0),
             bad_requests: AtomicU64::new(0),
             index_errors: AtomicU64::new(0),
             inflight: AtomicU64::new(0),

@@ -770,6 +770,7 @@ pub fn encode_stats_report(report: &ServerStatsReport, out: &mut Vec<u8>) {
     // Additive trailing field (see the decoder): keep appending new fields
     // here, never reorder the ones above.
     put_u64(out, report.shed_deadline);
+    put_u64(out, report.answered_by_reader);
 }
 
 /// Decode a [`ServerStatsReport`] payload (must consume the payload
@@ -809,6 +810,11 @@ pub fn decode_stats_report(payload: &[u8]) -> Result<ServerStatsReport, WireErro
         // payloads keep decoding.
         shed_deadline: if reader.remaining() > 0 {
             u("stats shed deadline", &mut reader)?
+        } else {
+            0
+        },
+        answered_by_reader: if reader.remaining() > 0 {
+            u("stats answered by reader", &mut reader)?
         } else {
             0
         },

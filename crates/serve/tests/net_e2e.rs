@@ -11,6 +11,9 @@
 //! * a backlog is answered in runs — panels over the wire — whose answers
 //!   are still bit-identical, and inside which every request keeps its own
 //!   fate (deadline shed, `BadRequest` after a snapshot swap);
+//! * a lockstep request at an idle server is answered by its connection's
+//!   reader thread, and nothing else ever is: not a pipelined burst, not a
+//!   second reader while one is answering, and drain waits for it;
 //! * the stats frame reports the rebuild debt of the attached writer, for
 //!   either engine.
 
@@ -81,20 +84,48 @@ fn start_server(options: ServeOptions) -> Harness {
 
 /// A front-door backend answering through a [`QueryServer`] that holds the
 /// first run it is handed until the test opens the gate: a worker made
-/// busy on cue, so a backlog queues up behind it deterministically.
+/// busy on cue, so a backlog queues up behind it deterministically. It logs
+/// every run it answers: the name of the thread and the run's width.
 struct Gated {
     server: Arc<QueryServer>,
     hold: Mutex<Option<mpsc::Receiver<()>>>,
+    /// Hold only a run answered on a reader thread.
+    readers_only: bool,
+    runs: Mutex<Vec<(String, usize)>>,
 }
+
+const READER: &str = "mogul-net-reader-";
+const WORKER: &str = "mogul-net-worker-";
 
 impl Gated {
     fn new(server: Arc<QueryServer>) -> (Arc<Gated>, mpsc::Sender<()>) {
+        Gated::holding(server, false)
+    }
+
+    /// Hold the first run a reader answers itself, not the first run.
+    fn on_reader(server: Arc<QueryServer>) -> (Arc<Gated>, mpsc::Sender<()>) {
+        Gated::holding(server, true)
+    }
+
+    /// Hold nothing (the gate's sender is dropped); only log the runs.
+    fn recording(server: Arc<QueryServer>) -> Arc<Gated> {
+        Gated::holding(server, false).0
+    }
+
+    fn holding(server: Arc<QueryServer>, readers_only: bool) -> (Arc<Gated>, mpsc::Sender<()>) {
         let (open, hold) = mpsc::channel();
         let gated = Gated {
             server,
             hold: Mutex::new(Some(hold)),
+            readers_only,
+            runs: Mutex::default(),
         };
         (Arc::new(gated), open)
+    }
+
+    /// The threads that answered the runs so far, and the runs' widths.
+    fn runs(&self) -> Vec<(String, usize)> {
+        self.runs.lock().unwrap().clone()
     }
 }
 
@@ -110,9 +141,17 @@ impl ServeBackend for Gated {
         run: &[QueryRequest],
         require_complete: bool,
     ) -> Vec<ServeResult<(QueryResponse, ResponseStatus)>> {
-        let hold = self.hold.lock().unwrap().take();
+        let thread = std::thread::current().name().unwrap_or_default().to_owned();
+        let held = !self.readers_only || thread.starts_with(READER);
+        self.runs.lock().unwrap().push((thread, run.len()));
+        let hold = if held {
+            self.hold.lock().unwrap().take()
+        } else {
+            None
+        };
         if let Some(gate) = hold {
-            gate.recv().unwrap();
+            // A message or a dropped sender opens the gate.
+            let _ = gate.recv();
         }
         self.server.answer_run(run, require_complete)
     }
@@ -654,4 +693,224 @@ fn stats_report_the_rebuild_debt_of_a_sharded_writer() {
 
     handle.drain();
     join.join().unwrap().unwrap();
+}
+
+/// One lockstep round trip on `client`: the answer must be `==` the
+/// in-process one.
+fn lockstep_query(client: &mut NetClient, server: &QueryServer, request: &QueryRequest) {
+    assert_same_answer(
+        &client.query(request).unwrap(),
+        &server.query(request).unwrap(),
+    );
+}
+
+#[test]
+fn lockstep_queries_at_an_idle_server_are_answered_by_their_reader() {
+    let options = ServeOptions::builder().workers(2).build().unwrap();
+    let (server, db, held_out) = query_server(options);
+    let backend = Gated::recording(Arc::clone(&server));
+    let (handle, join) = serve(Arc::clone(&backend), options);
+    let mut client = connect(&handle);
+
+    // A connection's first query goes to a worker. The worker retires it
+    // after parking again, so once it is retired the next lockstep query
+    // finds the server idle.
+    lockstep_query(&mut client, &server, &QueryRequest::in_database(0, 5));
+    wait_for(&handle, |r| r.inflight == 0);
+    let mut n = 1;
+    for (i, (feature, _)) in held_out.iter().enumerate() {
+        lockstep_query(
+            &mut client,
+            &server,
+            &QueryRequest::in_database(i * 11 % db.len(), 4),
+        );
+        lockstep_query(
+            &mut client,
+            &server,
+            &QueryRequest::out_of_sample(feature.clone(), 6),
+        );
+        n += 2;
+    }
+
+    let runs = backend.runs();
+    assert_eq!(runs.len(), n, "one run per lockstep request");
+    assert!(runs[0].0.starts_with(WORKER), "first: {runs:?}");
+    let reader = &runs[1].0;
+    assert!(reader.starts_with(READER), "{runs:?}");
+    assert!(
+        runs[1..]
+            .iter()
+            .all(|(thread, len)| thread == reader && *len == 1),
+        "{runs:?}"
+    );
+    let stats = handle.stats_report();
+    assert_eq!(stats.answered_by_reader, n as u64 - 1);
+    assert_eq!(stats.completed, n as u64);
+    handle.drain();
+    join.join().unwrap().unwrap();
+}
+
+#[test]
+fn a_sharded_server_answers_lockstep_queries_on_the_reader_too() {
+    let (db, held_out) = dataset();
+    let config = ShardedConfig::with_shards(2).builder(IndexBuilder::new().knn_k(4));
+    let (index, _) = ShardedIndex::build(db.features(), config).unwrap();
+    let (server, _writer) = ShardedWriter::new(index);
+    let options = ServeOptions::builder().workers(2).build().unwrap();
+    let (handle, join) = serve(Arc::clone(&server), options);
+    let mut client = connect(&handle);
+
+    let requests: Vec<QueryRequest> = held_out
+        .iter()
+        .enumerate()
+        .flat_map(|(i, (feature, _))| {
+            [
+                QueryRequest::in_database(i * 7 % db.len(), 5),
+                QueryRequest::out_of_sample(feature.clone(), 5),
+            ]
+        })
+        .collect();
+    for (i, request) in requests.iter().enumerate() {
+        let over_wire = client.query(request).unwrap();
+        assert_same_answer(&over_wire, &server.query(request).unwrap());
+        if i == 0 {
+            wait_for(&handle, |r| r.inflight == 0);
+        }
+    }
+    let stats = handle.stats_report();
+    assert_eq!(stats.answered_by_reader, requests.len() as u64 - 1);
+    handle.drain();
+    join.join().unwrap().unwrap();
+}
+
+#[test]
+fn a_pipelined_burst_never_takes_the_reader_path() {
+    let options = ServeOptions::builder().workers(1).build().unwrap();
+    let (server, db, _) = query_server(options);
+    let (gated, open) = Gated::new(Arc::clone(&server));
+    let (handle, join) = serve(Arc::clone(&gated), options);
+    // The first request holds the one worker; a burst of 23 — blocks of 5
+    // by `k` — queues behind it.
+    let mut first = Raw::connect(&handle);
+    first.send(&[(QueryRequest::in_database(0, 10), false)], 0);
+    wait_for(&handle, |r| r.inflight == 1 && r.queue_depth == 0);
+    let burst: Vec<_> = (0..23)
+        .map(|i| (QueryRequest::in_database(i % db.len(), 3 + i / 5), false))
+        .collect();
+    let mut client = Raw::connect(&handle);
+    client.send(&burst, 1);
+    wait_for(&handle, |r| r.queue_depth == burst.len() as u64);
+    open.send(()).unwrap();
+
+    assert!(first.recv(1)[&0].is_ok());
+    let answers = client.recv(burst.len());
+    for (id, (request, _)) in (1..).zip(&burst) {
+        let (response, _) = answers[&id].as_ref().unwrap();
+        assert_same_answer(response, &server.query(request).unwrap());
+    }
+    // The one worker cut the backlog at each change of `k`.
+    let widths: Vec<usize> = gated.runs().iter().map(|(_, len)| *len).collect();
+    assert_eq!(widths, [1, 5, 5, 5, 5, 3]);
+    assert!(gated
+        .runs()
+        .iter()
+        .all(|(thread, _)| thread == "mogul-net-worker-0"));
+    assert_eq!(handle.stats_report().answered_by_reader, 0);
+    handle.drain();
+    join.join().unwrap().unwrap();
+}
+
+#[test]
+fn a_reader_answering_inline_holds_up_no_other_connection() {
+    let options = ServeOptions::builder().workers(1).build().unwrap();
+    let (server, _, _) = query_server(options);
+    let (gated, open) = Gated::on_reader(Arc::clone(&server));
+    let (handle, join) = serve(Arc::clone(&gated), options);
+
+    // Connection A's second, lockstep query is answered by its reader,
+    // and the gate holds it there.
+    let mut a = Raw::connect(&handle);
+    a.send(&[(QueryRequest::in_database(1, 5), false)], 0);
+    assert!(a.recv(1)[&0].is_ok());
+    wait_for(&handle, |r| r.inflight == 0);
+    let held = QueryRequest::in_database(2, 5);
+    a.send(&[(held.clone(), false)], 1);
+    wait_for(&handle, |r| r.answered_by_reader == 1 && r.inflight == 1);
+
+    // Connection B goes lockstep too, at a server whose worker is parked.
+    // Its reader may not answer inline while A's does: a worker answers,
+    // and A's held reader delays nothing.
+    let mut b = connect(&handle);
+    lockstep_query(&mut b, &server, &QueryRequest::in_database(0, 5));
+    wait_for(&handle, |r| r.inflight == 1);
+    lockstep_query(&mut b, &server, &QueryRequest::in_database(3, 5));
+    let runs = gated.runs();
+    assert_eq!(runs.len(), 4, "{runs:?}");
+    assert!(runs[1].0.starts_with(READER), "A's held run: {runs:?}");
+    assert!(runs[3].0.starts_with(WORKER), "B's lockstep run: {runs:?}");
+    assert_eq!(handle.stats_report().answered_by_reader, 1);
+
+    open.send(()).unwrap();
+    let (response, _) = a.recv(1).remove(&1).unwrap().unwrap();
+    assert_same_answer(&response, &server.query(&held).unwrap());
+    // With A's inline run done, B's reader may answer inline again.
+    wait_for(&handle, |r| r.inflight == 0);
+    lockstep_query(&mut b, &server, &QueryRequest::in_database(4, 5));
+    assert_eq!(handle.stats_report().answered_by_reader, 2);
+    handle.drain();
+    join.join().unwrap().unwrap();
+}
+
+#[test]
+fn a_busy_worker_keeps_lockstep_requests_off_the_reader() {
+    let options = ServeOptions::builder().workers(2).build().unwrap();
+    let (server, _, _) = query_server(options);
+    let (gated, open) = Gated::new(Arc::clone(&server));
+    let (handle, join) = serve(Arc::clone(&gated), options);
+    // Connection X's first request holds one of the two workers.
+    let mut x = Raw::connect(&handle);
+    x.send(&[(QueryRequest::in_database(1, 5), false)], 0);
+    wait_for(&handle, |r| r.inflight == 1 && r.queue_depth == 0);
+
+    // Connection B goes lockstep while the other worker is parked: the
+    // server is not idle, so a worker answers.
+    let mut b = connect(&handle);
+    lockstep_query(&mut b, &server, &QueryRequest::in_database(2, 5));
+    wait_for(&handle, |r| r.inflight == 1);
+    lockstep_query(&mut b, &server, &QueryRequest::in_database(3, 5));
+    let runs = gated.runs();
+    assert!(
+        runs.iter().all(|(thread, _)| thread.starts_with(WORKER)),
+        "{runs:?}"
+    );
+    assert_eq!(handle.stats_report().answered_by_reader, 0);
+
+    open.send(()).unwrap();
+    assert!(x.recv(1)[&0].is_ok());
+    handle.drain();
+    join.join().unwrap().unwrap();
+}
+
+#[test]
+fn drain_delivers_the_answer_of_a_reader_answering_inline() {
+    let options = ServeOptions::builder().workers(1).build().unwrap();
+    let (server, _, _) = query_server(options);
+    let (gated, open) = Gated::on_reader(Arc::clone(&server));
+    let (handle, join) = serve(gated, options);
+    let mut client = Raw::connect(&handle);
+    client.send(&[(QueryRequest::in_database(1, 5), false)], 0);
+    assert!(client.recv(1)[&0].is_ok());
+    wait_for(&handle, |r| r.inflight == 0);
+    let held = QueryRequest::in_database(2, 5);
+    client.send(&[(held.clone(), false)], 1);
+    wait_for(&handle, |r| r.answered_by_reader == 1 && r.inflight == 1);
+
+    handle.drain();
+    assert!(handle.is_draining());
+    open.send(()).unwrap();
+    let (response, _) = client.recv(1).remove(&1).unwrap().unwrap();
+    assert_same_answer(&response, &server.query(&held).unwrap());
+    join.join().unwrap().unwrap();
+    let stats = handle.stats_report();
+    assert_eq!((stats.completed, stats.answered_by_reader), (2, 1));
 }

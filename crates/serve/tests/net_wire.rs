@@ -206,6 +206,7 @@ fn stats_report_payload_round_trips() {
         rebuild_fraction: 0.256,
         draining: true,
         shed_deadline: 7,
+        answered_by_reader: 65_432,
     };
     let mut payload = Vec::new();
     encode_stats_report(&report, &mut payload);
@@ -214,8 +215,10 @@ fn stats_report_payload_round_trips() {
 
 #[test]
 fn stats_report_without_trailing_shed_deadline_decodes_zero() {
-    // A v1 server never wrote the trailing `shed_deadline` field; a new
-    // client must decode its payloads with the counter defaulting to zero.
+    // A v1 server never wrote the trailing `shed_deadline` field, and a
+    // server predating the reader path never wrote `answered_by_reader`; a
+    // new client must decode their payloads with the missing counters
+    // defaulting to zero.
     let mut report = ServerStatsReport {
         epoch: 3,
         items: 10,
@@ -236,14 +239,17 @@ fn stats_report_without_trailing_shed_deadline_decodes_zero() {
         rebuild_fraction: 0.0,
         draining: false,
         shed_deadline: 42,
+        answered_by_reader: 9,
     };
     let mut payload = Vec::new();
     encode_stats_report(&report, &mut payload);
-    // Strip the trailing u64 to reconstruct the old-server payload.
+    // Strip trailing u64s to reconstruct the old-server payloads.
     payload.truncate(payload.len() - 8);
-    let decoded = decode_stats_report(&payload).unwrap();
+    report.answered_by_reader = 0;
+    assert_eq!(decode_stats_report(&payload).unwrap(), report);
+    payload.truncate(payload.len() - 8);
     report.shed_deadline = 0;
-    assert_eq!(decoded, report);
+    assert_eq!(decode_stats_report(&payload).unwrap(), report);
 }
 
 // ---------------------------------------------------------------------------
