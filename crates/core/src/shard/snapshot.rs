@@ -215,38 +215,34 @@ impl ShardedSnapshot {
             .map(|(t, _)| t)
     }
 
-    /// [`Self::query_by_id_in`] plus scatter statistics.
+    /// [`Self::query_by_id_in`] plus scatter statistics: the batch of one.
     pub fn query_by_id_with_stats_in(
         &self,
         ws: &mut ShardedWorkspace,
         global: usize,
         k: usize,
     ) -> Result<(TopKResult, ShardScatterStats)> {
-        let (shard, local) = self.locate_query(global)?;
-        let (top, search) =
-            self.shards[shard].query_by_id_with_stats_in(&mut ws.inner, local, k)?;
-        Ok((
-            self.translate_top_k(shard, &top),
-            self.scatter_stats(1, search),
-        ))
+        let mut answers = self.query_batch_by_id_in(ws, &[global], k)?;
+        Ok(answers.pop().expect("a batch of one yields one answer"))
     }
 
-    /// Batched in-database queries: ids are grouped by owning shard, each
-    /// group runs through the shard's panel-blocked batch entry point, and
-    /// the answers scatter back into request order — bit-identical to
-    /// [`Self::query_by_id_in`] per query. Like the monolithic batch call,
-    /// one unknown id fails the whole call.
+    /// In-database queries by global id, each with its scatter statistics —
+    /// the one body of every in-database entry point: ids are grouped by
+    /// owning shard, each group runs through the shard's panel-blocked batch
+    /// entry point, and the answers scatter back into request order. A
+    /// query's answer does not depend on what it is batched with. Like the
+    /// monolithic batch call, one unknown id fails the whole call.
     pub fn query_batch_by_id_in(
         &self,
         ws: &mut ShardedWorkspace,
         globals: &[usize],
         k: usize,
-    ) -> Result<Vec<TopKResult>> {
+    ) -> Result<Vec<(TopKResult, ShardScatterStats)>> {
         let mut located = Vec::with_capacity(globals.len());
         for &global in globals {
             located.push(self.locate_query(global)?);
         }
-        let mut out: Vec<Option<TopKResult>> = vec![None; globals.len()];
+        let mut out = vec![None; globals.len()];
         for shard in 0..self.shards.len() {
             let members: Vec<usize> = (0..globals.len())
                 .filter(|&pos| located[pos].0 == shard)
@@ -256,8 +252,11 @@ impl ShardedSnapshot {
             }
             let locals: Vec<usize> = members.iter().map(|&pos| located[pos].1).collect();
             let results = self.shards[shard].query_batch_by_id_in(&mut ws.inner, &locals, k)?;
-            for (&pos, top) in members.iter().zip(results) {
-                out[pos] = Some(self.translate_top_k(shard, &top));
+            for (&pos, (top, search)) in members.iter().zip(results) {
+                out[pos] = Some((
+                    self.translate_top_k(shard, &top),
+                    self.scatter_stats(1, search),
+                ));
             }
         }
         Ok(out
@@ -291,36 +290,31 @@ impl ShardedSnapshot {
             .map(|(r, _)| r)
     }
 
-    /// [`Self::query_by_feature_in`] plus scatter statistics.
+    /// [`Self::query_by_feature_in`] plus scatter statistics: the batch of
+    /// one.
     pub fn query_by_feature_with_stats_in(
         &self,
         ws: &mut ShardedWorkspace,
         feature: &[f64],
         k: usize,
     ) -> Result<(OutOfSampleResult, ShardScatterStats)> {
-        let probe_order = self.probe_order(feature)?;
-        let probes = &probe_order[..self.shard_probes.min(probe_order.len())];
-        let mut legs = Vec::with_capacity(probes.len());
-        for &shard in probes {
-            legs.push(self.query_shard_by_feature_in(ws, shard, feature, k)?);
-        }
-        let merged = Self::merge_scatter(ws, k, &legs);
-        let stats = self.scatter_stats(probes.len(), merged.stats);
-        Ok((merged, stats))
+        let mut answers = self.query_batch_by_feature_in(ws, &[feature], k)?;
+        Ok(answers.pop().expect("a batch of one yields one answer"))
     }
 
-    /// Batched [`Self::query_by_feature_in`]: for each probe rank, the
+    /// Out-of-sample queries, each with its scatter statistics — the one
+    /// body of every out-of-sample entry point: for each probe rank, the
     /// features whose probe of that rank is the same shard run as one call
     /// of the shard's panel-blocked batch entry point, and every feature's
-    /// legs (in its probe order) go through [`Self::merge_scatter`] —
-    /// bit-identical to [`Self::query_by_feature_in`] per feature. Like the
+    /// legs (in its probe order) go through [`Self::merge_scatter`]. A
+    /// query's answer does not depend on what it is batched with. Like the
     /// in-database batch call, one unroutable feature fails the whole call.
     pub fn query_batch_by_feature_in(
         &self,
         ws: &mut ShardedWorkspace,
         features: &[&[f64]],
         k: usize,
-    ) -> Result<Vec<OutOfSampleResult>> {
+    ) -> Result<Vec<(OutOfSampleResult, ShardScatterStats)>> {
         let mut orders = Vec::with_capacity(features.len());
         for feature in features {
             orders.push(self.probe_order(feature)?);
@@ -344,7 +338,11 @@ impl ShardedSnapshot {
         }
         Ok(legs
             .iter()
-            .map(|legs| Self::merge_scatter(ws, k, legs))
+            .map(|legs| {
+                let merged = Self::merge_scatter(ws, k, legs);
+                let stats = self.scatter_stats(legs.len(), merged.stats);
+                (merged, stats)
+            })
             .collect())
     }
 

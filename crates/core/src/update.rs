@@ -1102,8 +1102,8 @@ pub struct SnapshotWorkspace {
     corr: CorrectionWorkspace,
     /// Phase-1 `(node, distance)` pairs of corrected out-of-sample queries.
     scored: Vec<(usize, f64)>,
-    /// Phase-1 weighted query vector.
-    weights: Vec<(usize, f64)>,
+    /// Phase-1 weighted query vectors, one per lane of the panel.
+    lanes: Vec<Vec<(usize, f64)>>,
 }
 
 impl SnapshotWorkspace {
@@ -1234,46 +1234,23 @@ impl IndexSnapshot {
     }
 
     /// [`IndexSnapshot::query_by_id_in`] plus the search's work counters (a
-    /// corrected snapshot scores every node and prunes nothing).
+    /// corrected snapshot scores every node and prunes nothing): the batch
+    /// of one.
     pub fn query_by_id_with_stats_in(
         &self,
         ws: &mut SnapshotWorkspace,
         id: usize,
         k: usize,
     ) -> Result<(TopKResult, SearchStats)> {
-        check_k(k)?;
-        let node = self.node_of_id.get(id).copied().flatten().ok_or_else(|| {
-            CoreError::InvalidInput(format!(
-                "item {id} is not in this snapshot (never inserted, or removed)"
-            ))
-        })?;
-        match &self.state {
-            SnapshotState::Clean => {
-                let (top, stats) = self.oos.index().search_with_stats_in(
-                    &mut ws.search,
-                    node,
-                    k,
-                    SearchMode::Pruned,
-                )?;
-                Ok((self.remap_top_k(&top), stats))
-            }
-            SnapshotState::Corrected {
-                correction, live, ..
-            } => {
-                let mut top = TopKResult::default();
-                self.corrected_scores(ws, correction, &[[(node, 1.0)]], |_, scores| {
-                    top = self.select_top_k(scores, live, k, Some(node));
-                })?;
-                Ok((top, Self::full_solve_stats(correction.dim())))
-            }
-        }
+        let mut answers = self.query_batch_by_id_in(ws, &[id], k)?;
+        Ok(answers.pop().expect("a batch of one yields one answer"))
     }
 
-    /// Batched [`IndexSnapshot::query_by_id`]: one call answers many
-    /// in-database queries, panel-blocked through the Algorithm 2 engine
-    /// (clean snapshots) or the multi-RHS `L D Lᵀ` solve plus per-lane
-    /// Woodbury corrections (corrected snapshots). Results are bit-identical
-    /// to [`IndexSnapshot::query_by_id_in`] per query.
+    /// In-database queries by stable id, each with its work counters — the
+    /// one body of every in-database entry point. Clean snapshots run the
+    /// panel-blocked Algorithm 2 engine; corrected snapshots run the
+    /// multi-RHS `L D Lᵀ` solve plus per-lane Woodbury corrections. A
+    /// query's answer does not depend on what it is batched with.
     ///
     /// One unknown id fails the whole call (callers needing per-request
     /// error isolation, like `mogul-serve`, re-run the affected batch query
@@ -1283,7 +1260,7 @@ impl IndexSnapshot {
         ws: &mut SnapshotWorkspace,
         ids: &[usize],
         k: usize,
-    ) -> Result<Vec<TopKResult>> {
+    ) -> Result<Vec<(TopKResult, SearchStats)>> {
         check_k(k)?;
         let mut nodes = Vec::with_capacity(ids.len());
         for &id in ids {
@@ -1303,18 +1280,20 @@ impl IndexSnapshot {
                 )?;
                 Ok(results
                     .into_iter()
-                    .map(|(top, _)| self.remap_top_k(&top))
+                    .map(|(top, stats)| (self.remap_top_k(&top), stats))
                     .collect())
             }
             SnapshotState::Corrected {
                 correction, live, ..
             } => {
+                let stats = Self::full_solve_stats(correction.dim());
                 let mut out = Vec::with_capacity(ids.len());
                 let queries: Vec<[(usize, f64); 1]> =
                     nodes.iter().map(|&node| [(node, 1.0)]).collect();
                 for chunk in queries.chunks(PANEL_WIDTH) {
                     self.corrected_scores(ws, correction, chunk, |lane, scores| {
-                        out.push(self.select_top_k(scores, live, k, Some(chunk[lane][0].0)));
+                        let top = self.select_top_k(scores, live, k, Some(chunk[lane][0].0));
+                        out.push((top, stats));
                     })?;
                 }
                 Ok(out)
@@ -1332,28 +1311,63 @@ impl IndexSnapshot {
         self.query_by_feature_in(&mut SnapshotWorkspace::new(), feature, k)
     }
 
-    /// [`IndexSnapshot::query_by_feature`] with caller-owned scratch.
+    /// [`IndexSnapshot::query_by_feature`] with caller-owned scratch: the
+    /// batch of one.
     pub fn query_by_feature_in(
         &self,
         ws: &mut SnapshotWorkspace,
         feature: &[f64],
         k: usize,
     ) -> Result<OutOfSampleResult> {
-        match &self.state {
+        let mut answers = self.query_batch_by_feature_in(ws, &[feature], k)?;
+        Ok(answers.pop().expect("a batch of one yields one answer"))
+    }
+
+    /// Out-of-sample queries — the one body of every out-of-sample entry
+    /// point. Each result carries its neighbours (stable ids) and work
+    /// counters. Phase 1 runs per feature; phase 2 packs the weighted query
+    /// vectors into [`PANEL_WIDTH`]-wide panels: on a clean snapshot through
+    /// [`OutOfSampleIndex::query_batch_in`], on a corrected one through the
+    /// corrected solve (after the exact nearest-neighbour scan over the live
+    /// features described at [`IndexSnapshot::query_by_feature`]). A query's
+    /// answer does not depend on what it is batched with; only the timing
+    /// split does (`top_k_secs` is each lane's even share of its panel).
+    ///
+    /// One invalid feature fails the whole call.
+    pub fn query_batch_by_feature_in(
+        &self,
+        ws: &mut SnapshotWorkspace,
+        features: &[&[f64]],
+        k: usize,
+    ) -> Result<Vec<OutOfSampleResult>> {
+        let (correction, items, live) = match &self.state {
             SnapshotState::Clean => {
-                let mut result = self.oos.query_in(&mut ws.search, feature, k)?;
-                result.top_k = self.remap_top_k(&result.top_k);
-                for node in result.neighbors.iter_mut() {
-                    *node = self.ids[*node];
+                let mut results = self.oos.query_batch_in(&mut ws.search, features, k)?;
+                for result in results.iter_mut() {
+                    result.top_k = self.remap_top_k(&result.top_k);
+                    for node in result.neighbors.iter_mut() {
+                        *node = self.ids[*node];
+                    }
                 }
-                Ok(result)
+                return Ok(results);
             }
             SnapshotState::Corrected {
                 correction,
                 features,
                 live,
-            } => {
-                check_k(k)?;
+            } => (correction, features, live),
+        };
+        check_k(k)?;
+        let num_neighbors = self.oos.config().num_neighbors;
+        let mut out: Vec<OutOfSampleResult> = Vec::with_capacity(features.len());
+        // The lane buffers leave the workspace for the call; a failed call
+        // drops them, which leaves the workspace sound.
+        let mut lanes = std::mem::take(&mut ws.lanes);
+        for chunk in features.chunks(PANEL_WIDTH) {
+            // Phase 1: exact nearest neighbours among live items, then the
+            // same heat-kernel weights as `OutOfSampleIndex`.
+            lanes.resize_with(chunk.len(), Vec::new);
+            for (&feature, weights) in chunk.iter().zip(lanes.iter_mut()) {
                 if feature.len() != self.dim {
                     return Err(CoreError::DimensionMismatch {
                         op: "out-of-sample query feature",
@@ -1366,71 +1380,37 @@ impl IndexSnapshot {
                         "query feature contains non-finite values".into(),
                     ));
                 }
-
-                // Phase 1: exact nearest neighbours among live items, then
-                // the same heat-kernel weights as `OutOfSampleIndex`.
                 let nn_start = Instant::now();
-                let num_neighbors = self.oos.config().num_neighbors;
                 ws.scored.clear();
                 ws.scored.extend(
-                    nearest_rows(features, feature, num_neighbors, |u| !live[u])
+                    nearest_rows(items, feature, num_neighbors, |u| !live[u])
                         .into_iter()
                         .map(|(u, d2)| (u, d2.sqrt())),
                 );
-                heat_kernel_weights(&ws.scored, &mut ws.weights);
-                let nearest_neighbor_secs = nn_start.elapsed().as_secs_f64();
-
-                // Phase 2: corrected solve over the weighted query vector.
-                let search_start = Instant::now();
-                let weights = std::mem::take(&mut ws.weights);
-                let mut top_k = TopKResult::default();
-                let solved = self.corrected_scores(ws, correction, &[&weights], |_, scores| {
-                    top_k = self.select_top_k(scores, live, k, None);
-                });
-                ws.weights = weights;
-                solved?;
-                let top_k_secs = search_start.elapsed().as_secs_f64();
-
-                Ok(OutOfSampleResult {
-                    top_k,
+                heat_kernel_weights(&ws.scored, weights);
+                out.push(OutOfSampleResult {
+                    top_k: TopKResult::default(),
                     neighbors: ws.scored.iter().map(|&(node, _)| self.ids[node]).collect(),
-                    nearest_neighbor_secs,
-                    top_k_secs,
+                    nearest_neighbor_secs: nn_start.elapsed().as_secs_f64(),
+                    top_k_secs: 0.0,
                     stats: Self::full_solve_stats(correction.dim()),
-                })
+                });
             }
-        }
-    }
 
-    /// Batched [`IndexSnapshot::query_by_feature`]: on a clean snapshot the
-    /// batch runs through the panel-blocked
-    /// [`OutOfSampleIndex::query_batch_in`]; on a corrected snapshot each
-    /// feature takes the corrected path on its own (phase 1 — the exact
-    /// nearest-neighbour scan — dominates there, and it is per-query work
-    /// either way). Results are bit-identical to
-    /// [`IndexSnapshot::query_by_feature_in`] per query.
-    pub fn query_batch_by_feature_in(
-        &self,
-        ws: &mut SnapshotWorkspace,
-        features: &[&[f64]],
-        k: usize,
-    ) -> Result<Vec<OutOfSampleResult>> {
-        match &self.state {
-            SnapshotState::Clean => {
-                let mut results = self.oos.query_batch_in(&mut ws.search, features, k)?;
-                for result in results.iter_mut() {
-                    result.top_k = self.remap_top_k(&result.top_k);
-                    for node in result.neighbors.iter_mut() {
-                        *node = self.ids[*node];
-                    }
-                }
-                Ok(results)
+            // Phase 2: one corrected solve over the panel of weighted query
+            // vectors.
+            let search_start = Instant::now();
+            let first = out.len() - chunk.len();
+            self.corrected_scores(ws, correction, &lanes, |lane, scores| {
+                out[first + lane].top_k = self.select_top_k(scores, live, k, None);
+            })?;
+            let per_lane_secs = search_start.elapsed().as_secs_f64() / chunk.len() as f64;
+            for result in &mut out[first..] {
+                result.top_k_secs = per_lane_secs;
             }
-            SnapshotState::Corrected { .. } => features
-                .iter()
-                .map(|feature| self.query_by_feature_in(ws, feature, k))
-                .collect(),
         }
+        ws.lanes = lanes;
+        Ok(out)
     }
 
     // -- internals ----------------------------------------------------------
@@ -1685,7 +1665,9 @@ mod tests {
             .collect();
         for size in [1usize, 2, 3, 8, 11] {
             for (chunk, want) in ids.chunks(size).zip(singles.chunks(size)) {
-                assert_eq!(snapshot.query_batch_by_id_in(ws, chunk, k).unwrap(), want);
+                let batch = snapshot.query_batch_by_id_in(ws, chunk, k).unwrap();
+                let tops: Vec<TopKResult> = batch.into_iter().map(|(top, _)| top).collect();
+                assert_eq!(tops, want);
             }
         }
         for (&id, single) in ids.iter().zip(&singles) {

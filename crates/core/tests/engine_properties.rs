@@ -248,7 +248,8 @@ fn snapshot_answers_do_not_depend_on_the_batch_on_clean_and_corrected_epochs() {
             let (solo, stats) = snapshot
                 .query_by_id_with_stats_in(&mut solo_ws, id, 4)
                 .unwrap();
-            assert_eq!(batched[lane], solo, "corrected={corrected} id {id}");
+            assert_eq!(batched[lane].0, solo, "corrected={corrected} id {id}");
+            assert_eq!(batched[lane].1, stats, "corrected={corrected} id {id}");
             assert_eq!(solo, snapshot.query_by_id_in(&mut solo_ws, id, 4).unwrap());
             if corrected {
                 // One dense solve scores all 28 base + 2 inserted nodes.
@@ -273,6 +274,10 @@ fn snapshot_answers_do_not_depend_on_the_batch_on_clean_and_corrected_epochs() {
             assert_eq!(batched[lane].top_k, solo.top_k, "corrected={corrected}");
             assert_eq!(batched[lane].neighbors, solo.neighbors);
             assert_eq!(batched[lane].stats, solo.stats);
+            if corrected {
+                let stats = batched[lane].stats;
+                assert_eq!((stats.nodes_scored, stats.bound_evaluations), (30, 0));
+            }
         }
 
         // Unknown ids and bad features fail the whole batch.

@@ -124,7 +124,7 @@ fn single_shard_is_bit_identical_to_monolithic() {
             .query_batch_by_id_in(&mut mono_ws, &live, QUERY_K)
             .unwrap();
         for ((a, b), &id) in batch_a.iter().zip(&batch_b).zip(&live) {
-            assert_bit_identical(a, b, &format!("exact={exact} batch id {id}"));
+            assert_bit_identical(&a.0, &b.0, &format!("exact={exact} batch id {id}"));
         }
 
         let probe = vec![0.45, 0.55, 0.5];
@@ -348,7 +348,7 @@ proptest! {
             assert_bit_identical(&got, &want, &format!("scalar id {id}"));
         }
         let batch = snap.query_batch_by_id_in(&mut ws, &live, QUERY_K).unwrap();
-        for (&id, got) in live.iter().zip(&batch) {
+        for (&id, (got, _)) in live.iter().zip(&batch) {
             let (shard, local) = sharded.router().locate(id).unwrap();
             let want = refs.translated_query(&sharded, shard, local, QUERY_K);
             assert_bit_identical(got, &want, &format!("batch id {id}"));
@@ -670,7 +670,7 @@ fn scatter_gather_is_merge_scatter_over_the_probed_legs() {
             let batched = snap
                 .query_batch_by_feature_in(&mut ws, &panel, QUERY_K)
                 .unwrap();
-            for (feature, batched) in probes_between.iter().zip(&batched) {
+            for (feature, (batched, batched_scatter)) in probes_between.iter().zip(&batched) {
                 let what = format!("probes={shard_probes} corrected={corrected} {feature:?}");
                 let order = snap.probe_order(feature).unwrap();
                 let legs: Vec<_> = order[..shard_probes]
@@ -692,6 +692,7 @@ fn scatter_gather_is_merge_scatter_over_the_probed_legs() {
                 let mut summed = SearchStats::default();
                 legs.iter().for_each(|leg| summed.merge(&leg.stats));
                 assert_eq!(scatter.search, summed, "{what}");
+                assert_eq!(*batched_scatter, scatter, "{what} batch");
                 assert_eq!(scatter.shards_probed, shard_probes, "{what}");
                 assert_eq!(scatter.shards_skipped, shards - shard_probes, "{what}");
             }

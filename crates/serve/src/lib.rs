@@ -79,9 +79,11 @@
 //! Each worker owns a reusable workspace
 //! ([`ServeSnapshot::Workspace`]), so after warm-up the
 //! substitution/pruning path performs zero heap allocations; workspaces
-//! are recycled across batches through an internal pool. Answers are
-//! **bit-identical** to the snapshot's own sequential query paths —
-//! concurrency changes throughput, never results. Every server is built by
+//! are recycled across batches through an internal pool. A lone query and
+//! a batch take one answer path — the snapshot's panel entry points, a
+//! lone query being the panel of one — and a query's answer does not
+//! depend on its panel or worker: concurrency changes throughput, never
+//! results. Every server is built by
 //! [`Server::from_snapshot`] over what
 //! [`IndexBuilder`](mogul_core::update::IndexBuilder) (or a writer) publishes,
 //! or by one of the `warm_start*` functions from disk.

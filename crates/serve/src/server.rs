@@ -34,7 +34,11 @@ pub(crate) mod sealed {
 }
 
 /// What the serving shell needs from the immutable, epoch-stamped snapshot
-/// it answers from. Sealed: implemented for [`IndexSnapshot`] and for
+/// it answers from. Its two panel entry points are the shell's only answer
+/// path: [`Server::query`] and [`Server::serve_batch`] (and so a single
+/// index's front-door runs) end in [`ServeSnapshot::panel_by_id`] or
+/// [`ServeSnapshot::panel_by_feature`], a lone query as the panel of one.
+/// Sealed: implemented for [`IndexSnapshot`] and for
 /// [`ShardedSnapshot`](mogul_core::ShardedSnapshot).
 #[allow(clippy::len_without_is_empty)]
 pub trait ServeSnapshot: sealed::Sealed + Debug + Send + Sync + Sized + 'static {
@@ -58,31 +62,18 @@ pub trait ServeSnapshot: sealed::Sealed + Debug + Send + Sync + Sized + 'static 
     /// Load a servable checkpoint from disk (see [`Server::warm_start`]).
     fn load(path: &Path) -> Result<Arc<Self>, PersistError>;
 
-    /// Top-k for a live item, by stable id.
-    fn by_id(
-        &self,
-        ws: &mut Self::Workspace,
-        id: usize,
-        k: usize,
-    ) -> mogul_core::Result<TopKResult>;
-    /// Top-k for an arbitrary feature vector.
-    fn by_feature(
-        &self,
-        ws: &mut Self::Workspace,
-        feature: &[f64],
-        k: usize,
-    ) -> mogul_core::Result<OutOfSampleResult>;
-    /// A panel of in-database queries sharing `k`; bit-identical to
-    /// [`ServeSnapshot::by_id`] per query, and one failure fails the panel.
+    /// Top-k for a panel of live items sharing `k`, by stable id — the
+    /// only in-database answer path, a lone query being the panel of one.
+    /// One failure fails the panel.
     fn panel_by_id(
         &self,
         ws: &mut Self::Workspace,
         ids: &[usize],
         k: usize,
     ) -> mogul_core::Result<Vec<TopKResult>>;
-    /// A panel of out-of-sample queries sharing `k`; bit-identical to
-    /// [`ServeSnapshot::by_feature`] per query, and one failure fails the
-    /// panel.
+    /// Top-k for a panel of arbitrary feature vectors sharing `k` — the
+    /// only out-of-sample answer path, a lone query being the panel of one.
+    /// One failure fails the panel.
     fn panel_by_feature(
         &self,
         ws: &mut Self::Workspace,
@@ -139,29 +130,14 @@ impl ServeSnapshot for IndexSnapshot {
     fn load(path: &Path) -> Result<Arc<Self>, PersistError> {
         mogul_core::persist::load_serving(path)
     }
-    fn by_id(
-        &self,
-        ws: &mut SnapshotWorkspace,
-        id: usize,
-        k: usize,
-    ) -> mogul_core::Result<TopKResult> {
-        self.query_by_id_in(ws, id, k)
-    }
-    fn by_feature(
-        &self,
-        ws: &mut SnapshotWorkspace,
-        feature: &[f64],
-        k: usize,
-    ) -> mogul_core::Result<OutOfSampleResult> {
-        self.query_by_feature_in(ws, feature, k)
-    }
     fn panel_by_id(
         &self,
         ws: &mut SnapshotWorkspace,
         ids: &[usize],
         k: usize,
     ) -> mogul_core::Result<Vec<TopKResult>> {
-        self.query_batch_by_id_in(ws, ids, k)
+        let answers = self.query_batch_by_id_in(ws, ids, k)?;
+        Ok(answers.into_iter().map(|(top, _)| top).collect())
     }
     fn panel_by_feature(
         &self,
@@ -215,9 +191,11 @@ impl<W: Default> WorkspacePool<W> {
 /// door ([`crate::net`]). The server is itself `Send + Sync`: any number of
 /// threads may submit batches concurrently, each dispatch spawning scoped
 /// workers that die with the call (no background threads, no channels, no
-/// extra dependencies). Answers are bit-identical to the sequential
-/// snapshot paths (and, on a fresh single index, to its base
-/// [`OutOfSampleIndex`](mogul_core::OutOfSampleIndex)).
+/// extra dependencies). Every answer of `query` and `serve_batch` (and of
+/// a single index's front-door run) comes out of one path, the snapshot's
+/// panel entry points, and does not depend on its panel, its worker or the
+/// worker count (on a fresh single index it equals its base
+/// [`OutOfSampleIndex`](mogul_core::OutOfSampleIndex)'s answer).
 ///
 /// When the collection changes, the engine's [`Writer`](crate::Writer)
 /// produces the next snapshot off the hot path and publishes it with
@@ -355,15 +333,15 @@ impl<S: ServeSnapshot> Server<S> {
         self.len() == 0
     }
 
-    /// Answer one request of either kind on the calling thread — the
-    /// canonical single-query entry point. The request is validated at
-    /// admission ([`QueryRequest::validate`]); a malformed request returns
+    /// Answer one request of either kind on the calling thread: the batch
+    /// of one, answered as a panel of one through the same job path as
+    /// [`Server::serve_batch`]. The request is validated at admission
+    /// ([`QueryRequest::validate`]); a malformed request returns
     /// [`ServeError::BadRequest`](crate::ServeError::BadRequest) without
     /// touching the solve path.
     pub fn query(&self, request: &QueryRequest) -> ServeResult<QueryResponse> {
-        let snapshot = self.snapshot();
-        request.validate(&*snapshot)?;
-        self.pool.with(|ws| Self::answer(&snapshot, ws, request))
+        let mut answers = self.dispatch(std::slice::from_ref(request), 1);
+        answers.pop().expect("one request yields one answer")
     }
 
     /// Top-k for an item already in the database, by stable item id (the
@@ -402,11 +380,11 @@ impl<S: ServeSnapshot> Server<S> {
     /// [`ServeSnapshot::max_job_len`] requests —
     /// [`mogul_core::PANEL_WIDTH`] for a single index, that many per shard
     /// for a sharded one, so every shard still receives whole panels —
-    /// answered through the snapshot's panel entry points; a request with
-    /// no compatible neighbour is a panel of one. A panel whose batched call
-    /// fails re-runs its requests individually, so error reporting stays
-    /// per-request. `answers[i]` is bit-identical to [`Server::query`] of
-    /// `requests[i]`.
+    /// answered through the snapshot's panel entry points, the one answer
+    /// path; a request with no compatible neighbour is a panel of one, and
+    /// [`Server::query`] is the batch of one. A panel whose batched call
+    /// fails re-answers its requests as panels of one, so error reporting
+    /// stays per-request.
     ///
     /// The snapshot is read once per batch, so all answers of one batch come
     /// from one epoch (and, sharded, see every shard at one epoch) even if
@@ -468,7 +446,7 @@ impl<S: ServeSnapshot> Server<S> {
     /// Cut a batch into panel jobs of at most `max_len` requests (see
     /// [`Server::serve_batch`]). Requests that failed admission are always
     /// singleton jobs — they are answered from the admission table and must
-    /// not drag a healthy panel onto the request-by-request re-run.
+    /// not drag a healthy panel onto the re-run as panels of one.
     fn build_jobs(
         requests: &[QueryRequest],
         admission: &[Option<ServeError>],
@@ -494,6 +472,9 @@ impl<S: ServeSnapshot> Server<S> {
     }
 
     /// Answer one job, appending `(request index, answer)` pairs to `local`.
+    /// A job of several whose panel fails re-answers each request as its own
+    /// job of one, so every request gets its precise result or error; a
+    /// failed job of one is that request's error.
     fn answer_job(
         snapshot: &S,
         ws: &mut S::Workspace,
@@ -507,70 +488,54 @@ impl<S: ServeSnapshot> Server<S> {
             local.push((start, Err(err.clone())));
             return;
         }
-        let slice = &requests[job];
-        let batched = match &slice[0] {
+        match Self::answer_panel(snapshot, ws, &requests[job.clone()]) {
+            Ok(answers) => {
+                for (offset, answer) in answers.into_iter().enumerate() {
+                    local.push((start + offset, Ok(answer)));
+                }
+            }
+            Err(err) if job.len() == 1 => local.push((start, Err(err.into()))),
+            Err(_) => {
+                for i in job {
+                    Self::answer_job(snapshot, ws, requests, admission, i..i + 1, local);
+                }
+            }
+        }
+    }
+
+    /// Answer a panel of compatible requests (same kind, same `k`) through
+    /// the snapshot's panel entry point of that kind.
+    fn answer_panel(
+        snapshot: &S,
+        ws: &mut S::Workspace,
+        panel: &[QueryRequest],
+    ) -> mogul_core::Result<Vec<QueryResponse>> {
+        match &panel[0] {
             QueryRequest::InDatabase { k, .. } => {
-                let ids: Vec<usize> = slice
+                let ids: Vec<usize> = panel
                     .iter()
                     .map(|r| match r {
                         QueryRequest::InDatabase { node, .. } => *node,
                         QueryRequest::OutOfSample { .. } => unreachable!("homogeneous job"),
                     })
                     .collect();
-                snapshot.panel_by_id(ws, &ids, *k).map(|results| {
-                    results
-                        .into_iter()
-                        .map(QueryResponse::InDatabase)
-                        .collect::<Vec<_>>()
-                })
+                let results = snapshot.panel_by_id(ws, &ids, *k)?;
+                Ok(results.into_iter().map(QueryResponse::InDatabase).collect())
             }
             QueryRequest::OutOfSample { k, .. } => {
-                let features: Vec<&[f64]> = slice
+                let features: Vec<&[f64]> = panel
                     .iter()
                     .map(|r| match r {
                         QueryRequest::OutOfSample { feature, .. } => feature.as_slice(),
                         QueryRequest::InDatabase { .. } => unreachable!("homogeneous job"),
                     })
                     .collect();
-                snapshot.panel_by_feature(ws, &features, *k).map(|results| {
-                    results
-                        .into_iter()
-                        .map(|r| QueryResponse::OutOfSample(Box::new(r)))
-                        .collect::<Vec<_>>()
-                })
+                let results = snapshot.panel_by_feature(ws, &features, *k)?;
+                Ok(results
+                    .into_iter()
+                    .map(|r| QueryResponse::OutOfSample(Box::new(r)))
+                    .collect())
             }
-        };
-        match batched {
-            Ok(answers) => {
-                for (offset, answer) in answers.into_iter().enumerate() {
-                    local.push((start + offset, Ok(answer)));
-                }
-            }
-            // Panels contain only admission-validated requests, but the
-            // panel entry points still fail the whole panel on an execution
-            // fault; re-run the job's requests individually so each gets its
-            // precise per-request result or error.
-            Err(_) => {
-                for (offset, request) in slice.iter().enumerate() {
-                    local.push((start + offset, Self::answer(snapshot, ws, request)));
-                }
-            }
-        }
-    }
-
-    /// Dispatch one request onto the right snapshot entry point.
-    fn answer(
-        snapshot: &S,
-        ws: &mut S::Workspace,
-        request: &QueryRequest,
-    ) -> ServeResult<QueryResponse> {
-        match request {
-            QueryRequest::InDatabase { node, k } => {
-                Ok(QueryResponse::InDatabase(snapshot.by_id(ws, *node, *k)?))
-            }
-            QueryRequest::OutOfSample { feature, k } => Ok(QueryResponse::OutOfSample(Box::new(
-                snapshot.by_feature(ws, feature, *k)?,
-            ))),
         }
     }
 }

@@ -112,29 +112,14 @@ impl ServeSnapshot for ShardedSnapshot {
     fn load(dir: &Path) -> Result<Arc<Self>, PersistError> {
         Ok(mogul_core::load_sharded(dir)?.snapshot())
     }
-    fn by_id(
-        &self,
-        ws: &mut ShardedWorkspace,
-        id: usize,
-        k: usize,
-    ) -> mogul_core::Result<TopKResult> {
-        self.query_by_id_in(ws, id, k)
-    }
-    fn by_feature(
-        &self,
-        ws: &mut ShardedWorkspace,
-        feature: &[f64],
-        k: usize,
-    ) -> mogul_core::Result<OutOfSampleResult> {
-        self.query_by_feature_in(ws, feature, k)
-    }
     fn panel_by_id(
         &self,
         ws: &mut ShardedWorkspace,
         ids: &[usize],
         k: usize,
     ) -> mogul_core::Result<Vec<TopKResult>> {
-        self.query_batch_by_id_in(ws, ids, k)
+        let answers = self.query_batch_by_id_in(ws, ids, k)?;
+        Ok(answers.into_iter().map(|(top, _)| top).collect())
     }
     fn panel_by_feature(
         &self,
@@ -142,7 +127,8 @@ impl ServeSnapshot for ShardedSnapshot {
         features: &[&[f64]],
         k: usize,
     ) -> mogul_core::Result<Vec<OutOfSampleResult>> {
-        self.query_batch_by_feature_in(ws, features, k)
+        let answers = self.query_batch_by_feature_in(ws, features, k)?;
+        Ok(answers.into_iter().map(|(result, _)| result).collect())
     }
 
     /// Each request of the run scatters on its own through

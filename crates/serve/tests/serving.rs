@@ -6,14 +6,16 @@
 //! must be **bit-identical** to the sequential answer for the same request:
 //! for a [`QueryServer`] over a fresh build, the answer one layer below the
 //! snapshot — its base [`OutOfSampleIndex`](mogul_core::OutOfSampleIndex),
-//! whose node ids are the item ids — and the snapshot's own single-query
-//! paths for every engine.
+//! whose node ids are the item ids — and, for every engine on clean and
+//! corrected epochs, the snapshot's panel entry point at width one (a
+//! query's answer must not depend on its panel, its worker or the worker
+//! count).
 //!
 //! There is one serving shell, so there is one battery: every check takes
 //! the engine as an input and runs over a single index and over S = 1 and
 //! S = 4 sharded indexes built on the same database.
 
-use mogul_core::update::{IndexBuilder, IndexSnapshot};
+use mogul_core::update::{IndexBuilder, IndexDelta, IndexSnapshot, RebuildPolicy};
 use mogul_core::{
     OosWorkspace, SearchWorkspace, ShardedConfig, ShardedIndex, ShardedSnapshot, PANEL_WIDTH,
 };
@@ -57,8 +59,10 @@ struct Engines {
     s4: ShardedServer,
 }
 
-fn snapshots(db: &Dataset, exact: bool) -> Snapshots {
-    let mut builder = IndexBuilder::new();
+/// The snapshots of a fresh build, or of the epoch after `delta` when one
+/// is given (never rebuilt, so every engine serves a corrected epoch).
+fn snapshots(db: &Dataset, exact: bool, delta: Option<&IndexDelta>) -> Snapshots {
+    let mut builder = IndexBuilder::new().rebuild_policy(RebuildPolicy::never());
     if exact {
         builder = builder.exact_ranking();
     }
@@ -66,12 +70,20 @@ fn snapshots(db: &Dataset, exact: bool) -> Snapshots {
         let config = ShardedConfig::with_shards(shards)
             .shard_probes(probes)
             .builder(builder);
-        let (index, _) = ShardedIndex::build(db.features(), config).unwrap();
+        let (mut index, _) = ShardedIndex::build(db.features(), config).unwrap();
         assert_eq!(index.num_shards(), shards);
+        if let Some(delta) = delta {
+            index.apply(delta).unwrap();
+        }
         index.snapshot()
     };
+    let mut single = builder.build(db.features()).unwrap();
+    if let Some(delta) = delta {
+        single.apply(delta).unwrap();
+        assert!(!single.snapshot().is_clean());
+    }
     Snapshots {
-        single: builder.build(db.features()).unwrap().snapshot(),
+        single: single.snapshot(),
         s1: sharded(1, 1),
         s4: sharded(4, 2),
     }
@@ -89,7 +101,7 @@ impl Snapshots {
 }
 
 fn engines(db: &Dataset, workers: usize) -> Engines {
-    snapshots(db, false).servers(workers)
+    snapshots(db, false, None).servers(workers)
 }
 
 /// A mixed batch alternating in-database and out-of-sample requests with
@@ -120,8 +132,9 @@ fn base_answer(snapshot: &IndexSnapshot, request: &QueryRequest) -> QueryRespons
     }
 }
 
-/// The sequential reference answer of whatever snapshot a server serves:
-/// its single-query path on a fresh workspace, no server involved.
+/// The answer of whatever snapshot a server serves to the request alone:
+/// its panel entry point at width one on a fresh workspace, no server
+/// involved — so a batch compared against it checks lane independence.
 fn sequential_answer<S: ServeSnapshot>(
     server: &Server<S>,
     request: &QueryRequest,
@@ -129,12 +142,18 @@ fn sequential_answer<S: ServeSnapshot>(
     let snapshot = server.snapshot();
     let mut ws = S::Workspace::default();
     match request {
-        QueryRequest::InDatabase { node, k } => {
-            QueryResponse::InDatabase(snapshot.by_id(&mut ws, *node, *k).unwrap())
-        }
-        QueryRequest::OutOfSample { feature, k } => {
-            QueryResponse::OutOfSample(Box::new(snapshot.by_feature(&mut ws, feature, *k).unwrap()))
-        }
+        QueryRequest::InDatabase { node, k } => QueryResponse::InDatabase(
+            snapshot
+                .panel_by_id(&mut ws, &[*node], *k)
+                .unwrap()
+                .remove(0),
+        ),
+        QueryRequest::OutOfSample { feature, k } => QueryResponse::OutOfSample(Box::new(
+            snapshot
+                .panel_by_feature(&mut ws, &[feature.as_slice()], *k)
+                .unwrap()
+                .remove(0),
+        )),
     }
 }
 
@@ -182,7 +201,7 @@ fn concurrent_batches_are_bit_identical_to_sequential_engine() {
     let (db, queries) = dataset();
     let batch = mixed_batch(&db, &queries);
     for exact in [false, true] {
-        let snapshots = snapshots(&db, exact);
+        let snapshots = snapshots(&db, exact, None);
         let expected: Vec<_> = batch
             .iter()
             .map(|r| base_answer(&snapshots.single, r))
@@ -327,23 +346,33 @@ fn batched_answers_match_single_queries_across_worker_counts() {
     batch.extend(mixed_batch(&db, &queries));
     batch.push(QueryRequest::in_database(4, 4));
 
-    for exact in [false, true] {
-        let snapshots = snapshots(&db, exact);
+    // The corrected epoch every `Server::query` after a write answers from:
+    // two inserts near held-out queries and a removal no request names.
+    let mut delta = IndexDelta::new();
+    for q in [0, 3] {
+        delta.insert(queries[q].0.iter().map(|v| v + 0.01).collect());
+    }
+    delta.remove(db.len() - 1);
+
+    for (exact, delta) in [
+        (false, None),
+        (true, None),
+        (false, Some(&delta)),
+        (true, Some(&delta)),
+    ] {
+        let snapshots = snapshots(&db, exact, delta);
+        let epoch = format!("exact={exact}, corrected={}", delta.is_some());
         for workers in [1usize, 2, 3, 8] {
             let engines = snapshots.servers(workers);
-            check(
-                &engines.single,
-                &batch,
-                &format!("single index, exact={exact}"),
-            );
-            check(&engines.s1, &batch, &format!("S = 1, exact={exact}"));
-            check(&engines.s4, &batch, &format!("S = 4, exact={exact}"));
+            check(&engines.single, &batch, &format!("single index, {epoch}"));
+            check(&engines.s1, &batch, &format!("S = 1, {epoch}"));
+            check(&engines.s4, &batch, &format!("S = 4, {epoch}"));
 
             // One shard is the single index with an id router in front.
             let unsharded = engines.single.serve_batch(&batch);
             let sharded = engines.s1.serve_batch(&batch);
             for (i, (want, got)) in unsharded.iter().zip(&sharded).enumerate() {
-                let what = format!("S = 1 vs unsharded, exact={exact}, request {i}");
+                let what = format!("S = 1 vs unsharded, {epoch}, request {i}");
                 assert_same(want.as_ref().unwrap(), got.as_ref().unwrap(), &what);
             }
         }

@@ -11,7 +11,7 @@
 //!    ```
 //!
 //!    which costs `O(n d + d³)` — the complexity quoted for EMR in Section 2
-//!    ([`woodbury_solve_csr`] / [`woodbury_solve_dense`]).
+//!    ([`woodbury_solve_csr`]).
 //!
 //! 2. The **incremental index update** machinery (`mogul-core::update`): when
 //!    database items are inserted or removed, the new ranking system matrix
@@ -54,33 +54,6 @@ pub fn woodbury_solve_csr(h: &CsrMatrix, alpha: f64, q: &[f64]) -> Result<Vec<f6
         }
     }
     // Reduced system matrix M = I_d − α G.
-    let mut m = DenseMatrix::identity(d);
-    for i in 0..d {
-        for j in 0..d {
-            m.add_to(i, j, -alpha * gram.get(i, j));
-        }
-    }
-    let ht_q = h.matvec_transpose(q)?;
-    let z = m.solve(&ht_q)?;
-    let hz = h.matvec(&z)?;
-    let mut x = q.to_vec();
-    for (xi, hzi) in x.iter_mut().zip(hz.iter()) {
-        *xi += alpha * hzi;
-    }
-    Ok(x)
-}
-
-/// Solve `(I − α H Hᵀ) x = q` for a dense `n × d` factor `H`.
-pub fn woodbury_solve_dense(h: &DenseMatrix, alpha: f64, q: &[f64]) -> Result<Vec<f64>> {
-    if q.len() != h.nrows() {
-        return Err(SparseError::DimensionMismatch {
-            op: "woodbury rhs",
-            left: (h.nrows(), h.ncols()),
-            right: (q.len(), 1),
-        });
-    }
-    let d = h.ncols();
-    let gram = h.gram();
     let mut m = DenseMatrix::identity(d);
     for i in 0..d {
         for j in 0..d {
@@ -310,43 +283,35 @@ mod tests {
         .unwrap()
     }
 
-    #[test]
-    fn dense_woodbury_matches_direct_solve() {
-        let h = example_h();
-        let q = vec![1.0, 0.0, 0.0, 0.5, -0.2];
-        let alpha = 0.9;
-        let x = woodbury_solve_dense(&h, alpha, &q).unwrap();
-        let x_ref = reference_solve(&h, alpha, &q);
-        assert!(max_abs_diff(&x, &x_ref).unwrap() < 1e-10);
+    /// The anchor-graph solve of a dense `H`, through its CSR form.
+    fn solve(h: &DenseMatrix, alpha: f64, q: &[f64]) -> Result<Vec<f64>> {
+        woodbury_solve_csr(&CsrMatrix::from_dense(h, 0.0), alpha, q)
     }
 
     #[test]
-    fn sparse_woodbury_matches_dense_path() {
-        let h_dense = example_h();
-        let h_sparse = CsrMatrix::from_dense(&h_dense, 0.0);
-        let q = vec![0.0, 1.0, 0.0, 0.0, 0.0];
-        let alpha = 0.99;
-        let x_sparse = woodbury_solve_csr(&h_sparse, alpha, &q).unwrap();
-        let x_dense = woodbury_solve_dense(&h_dense, alpha, &q).unwrap();
-        assert!(max_abs_diff(&x_sparse, &x_dense).unwrap() < 1e-10);
-        let x_ref = reference_solve(&h_dense, alpha, &q);
-        assert!(max_abs_diff(&x_sparse, &x_ref).unwrap() < 1e-10);
+    fn woodbury_matches_direct_solve() {
+        let h = example_h();
+        for (alpha, q) in [
+            (0.9, vec![1.0, 0.0, 0.0, 0.5, -0.2]),
+            (0.99, vec![0.0, 1.0, 0.0, 0.0, 0.0]),
+        ] {
+            let x = solve(&h, alpha, &q).unwrap();
+            let x_ref = reference_solve(&h, alpha, &q);
+            assert!(max_abs_diff(&x, &x_ref).unwrap() < 1e-10);
+        }
     }
 
     #[test]
     fn zero_alpha_is_identity() {
         let h = example_h();
         let q = vec![1.0, 2.0, 3.0, 4.0, 5.0];
-        let x = woodbury_solve_dense(&h, 0.0, &q).unwrap();
+        let x = solve(&h, 0.0, &q).unwrap();
         assert!(max_abs_diff(&x, &q).unwrap() < 1e-14);
     }
 
     #[test]
     fn dimension_validation() {
-        let h = example_h();
-        assert!(woodbury_solve_dense(&h, 0.5, &[1.0]).is_err());
-        let hs = CsrMatrix::from_dense(&h, 0.0);
-        assert!(woodbury_solve_csr(&hs, 0.5, &[1.0]).is_err());
+        assert!(solve(&example_h(), 0.5, &[1.0]).is_err());
     }
 
     #[test]
@@ -354,7 +319,7 @@ mod tests {
         // d = 0 columns: H Hᵀ = 0, so the solve returns q.
         let h = DenseMatrix::zeros(4, 0);
         let q = vec![1.0, -1.0, 2.0, 0.5];
-        let x = woodbury_solve_dense(&h, 0.7, &q).unwrap();
+        let x = solve(&h, 0.7, &q).unwrap();
         assert!(max_abs_diff(&x, &q).unwrap() < 1e-14);
     }
 
