@@ -74,8 +74,8 @@ pub use params::MrParams;
 pub use persist::{IndexFileInfo, PersistError};
 pub use ranking::{RankedNode, Ranker, TopKResult};
 pub use shard::{
-    inspect_manifest, load_sharded, save_sharded, ShardManifestInfo, ShardRouter,
-    ShardScatterStats, ShardedConfig, ShardedIndex, ShardedSnapshot, ShardedWorkspace,
+    inspect_manifest, load_sharded, save_sharded, HealthyLegs, LegPolicy, ShardManifestInfo,
+    ShardRouter, ShardScatterStats, ShardedConfig, ShardedIndex, ShardedSnapshot, ShardedWorkspace,
 };
 pub use topk::{f64_sort_key, BoundedTopK};
 pub use update::{

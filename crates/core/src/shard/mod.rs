@@ -46,7 +46,7 @@ pub use manifest::{
     inspect_manifest, inspect_manifest_bytes, load_sharded, save_sharded, shard_file_name,
     ShardFileEntry, ShardManifestInfo, MANIFEST_FILE_NAME,
 };
-pub use snapshot::{ShardScatterStats, ShardedSnapshot, ShardedWorkspace};
+pub use snapshot::{HealthyLegs, LegPolicy, ShardScatterStats, ShardedSnapshot, ShardedWorkspace};
 
 use std::path::Path;
 use std::sync::Arc;

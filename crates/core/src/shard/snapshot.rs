@@ -7,13 +7,15 @@
 //! every answer in the batch sees the same per-shard epochs.
 //!
 //! Query semantics follow the block-diagonal union graph (see the
-//! [module docs](super)): an in-database query routes to the single owning
-//! shard — every other shard's Algorithm-2 bound is exactly zero, so the
-//! gather phase records them as skipped without touching them — and an
+//! [module docs](super)): an in-database query routes to its owning shard
+//! (every other shard's Algorithm-2 bound is exactly zero), and an
 //! out-of-sample query probes the nearest shard(s) by base-cluster centroid
-//! distance, merging candidates through the shared bounded top-k collector
-//! with the same `(score desc, stable id asc)` tie-break as the monolithic
-//! index.
+//! distance and merges their candidates under the monolithic index's
+//! `(score desc, stable id asc)` tie-break. Either kind is one scatter: a
+//! batch's queries that route to one shard run as one **leg**, that shard's
+//! panel-blocked batch call, and a [`LegPolicy`] says how a leg runs —
+//! [`HealthyLegs`] lets its error fail the call, the serving layer's
+//! degraded policy drops a failed leg from every lane it would have joined.
 
 use std::cmp::Reverse;
 use std::sync::Arc;
@@ -26,12 +28,14 @@ use crate::topk::{f64_sort_key, BoundedTopK, Entry};
 use crate::update::{IndexSnapshot, SnapshotWorkspace};
 use crate::{CoreError, Result};
 
-/// How scatter-gather spread one query across the shards.
+/// How scatter-gather spread one query across the shards. The query
+/// planned a leg on `shards_total - shards_skipped` shards; a leg its
+/// [`LegPolicy`] dropped counts as neither probed nor skipped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ShardScatterStats {
     /// Shards in the index.
     pub shards_total: usize,
-    /// Shards actually searched.
+    /// Shards whose leg answered and was merged.
     pub shards_probed: usize,
     /// Shards skipped by the zero cross-shard bound (in-database queries)
     /// or by centroid-distance routing (out-of-sample queries).
@@ -39,6 +43,36 @@ pub struct ShardScatterStats {
     /// Per-shard search counters, summed over every probed shard — never
     /// clobbered by whichever shard answered last.
     pub search: SearchStats,
+}
+
+/// How one scatter leg — one shard's panel call — runs.
+pub trait LegPolicy {
+    /// Run `leg`, a panel call on `shard`, over the shard workspace `ws`:
+    /// `Ok(Some(answer))` when it answered, `Ok(None)` when the policy
+    /// drops the leg (its shard then leaves every lane of the panel), and
+    /// `Err` to fail the whole scatter.
+    fn run<T>(
+        &self,
+        shard: usize,
+        ws: &mut SnapshotWorkspace,
+        leg: impl FnOnce(&mut SnapshotWorkspace) -> Result<T>,
+    ) -> Result<Option<T>>;
+}
+
+/// The in-process [`LegPolicy`]: every leg runs, and its error fails the
+/// call.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct HealthyLegs;
+
+impl LegPolicy for HealthyLegs {
+    fn run<T>(
+        &self,
+        _shard: usize,
+        ws: &mut SnapshotWorkspace,
+        leg: impl FnOnce(&mut SnapshotWorkspace) -> Result<T>,
+    ) -> Result<Option<T>> {
+        leg(ws).map(Some)
+    }
 }
 
 /// Caller-owned scratch for sharded queries: the per-shard workspace plus
@@ -215,53 +249,51 @@ impl ShardedSnapshot {
             .map(|(t, _)| t)
     }
 
-    /// [`Self::query_by_id_in`] plus scatter statistics: the batch of one.
+    /// [`Self::query_by_id_in`] plus scatter statistics: the healthy batch
+    /// of one.
     pub fn query_by_id_with_stats_in(
         &self,
         ws: &mut ShardedWorkspace,
         global: usize,
         k: usize,
     ) -> Result<(TopKResult, ShardScatterStats)> {
-        let mut answers = self.query_batch_by_id_in(ws, &[global], k)?;
-        Ok(answers.pop().expect("a batch of one yields one answer"))
+        let (answer, stats) = self
+            .query_batch_by_id_in(ws, &[global], k, &HealthyLegs)?
+            .remove(0);
+        Ok((answer.expect("the healthy policy drops no leg"), stats))
     }
 
     /// In-database queries by global id, each with its scatter statistics —
-    /// the one body of every in-database entry point: ids are grouped by
-    /// owning shard, each group runs through the shard's panel-blocked batch
-    /// entry point, and the answers scatter back into request order. A
-    /// query's answer does not depend on what it is batched with. Like the
-    /// monolithic batch call, one unknown id fails the whole call.
-    pub fn query_batch_by_id_in(
+    /// the one body of every in-database entry point: the ids of one owning
+    /// shard run as one leg under `legs`, and a lane whose leg was dropped
+    /// gets no answer. A query's answer does not depend on what it is
+    /// batched with. One unknown id fails the whole call.
+    pub fn query_batch_by_id_in<P: LegPolicy>(
         &self,
         ws: &mut ShardedWorkspace,
         globals: &[usize],
         k: usize,
-    ) -> Result<Vec<(TopKResult, ShardScatterStats)>> {
-        let mut located = Vec::with_capacity(globals.len());
-        for &global in globals {
-            located.push(self.locate_query(global)?);
-        }
-        let mut out = vec![None; globals.len()];
-        for shard in 0..self.shards.len() {
-            let members: Vec<usize> = (0..globals.len())
-                .filter(|&pos| located[pos].0 == shard)
-                .collect();
-            if members.is_empty() {
-                continue;
-            }
-            let locals: Vec<usize> = members.iter().map(|&pos| located[pos].1).collect();
-            let results = self.shards[shard].query_batch_by_id_in(&mut ws.inner, &locals, k)?;
-            for (&pos, (top, search)) in members.iter().zip(results) {
-                out[pos] = Some((
-                    self.translate_top_k(shard, &top),
-                    self.scatter_stats(1, search),
-                ));
-            }
-        }
-        Ok(out
+        legs: &P,
+    ) -> Result<Vec<(Option<TopKResult>, ShardScatterStats)>> {
+        let located = globals
+            .iter()
+            .map(|&global| self.locate_query(global))
+            .collect::<Result<Vec<_>>>()?;
+        let routes: Vec<Vec<usize>> = located.iter().map(|&(shard, _)| vec![shard]).collect();
+        let answers = self.scatter(ws, &routes, legs, |shard, ws, lanes| {
+            let locals: Vec<usize> = lanes.iter().map(|&pos| located[pos].1).collect();
+            let results = self.shards[shard].query_batch_by_id_in(ws, &locals, k)?;
+            Ok(results
+                .into_iter()
+                .map(|(top, search)| (self.translate_top_k(shard, &top), search))
+                .collect())
+        })?;
+        Ok(answers
             .into_iter()
-            .map(|t| t.expect("every request position was answered by its shard group"))
+            .map(|mut lane| match lane.pop().flatten() {
+                Some((top, search)) => (Some(top), self.lane_stats(1, 1, search)),
+                None => (None, self.lane_stats(1, 0, SearchStats::default())),
+            })
             .collect())
     }
 
@@ -290,58 +322,62 @@ impl ShardedSnapshot {
             .map(|(r, _)| r)
     }
 
-    /// [`Self::query_by_feature_in`] plus scatter statistics: the batch of
-    /// one.
+    /// [`Self::query_by_feature_in`] plus scatter statistics: the healthy
+    /// batch of one.
     pub fn query_by_feature_with_stats_in(
         &self,
         ws: &mut ShardedWorkspace,
         feature: &[f64],
         k: usize,
     ) -> Result<(OutOfSampleResult, ShardScatterStats)> {
-        let mut answers = self.query_batch_by_feature_in(ws, &[feature], k)?;
-        Ok(answers.pop().expect("a batch of one yields one answer"))
+        let (answer, stats) = self
+            .query_batch_by_feature_in(ws, &[feature], k, &HealthyLegs)?
+            .remove(0);
+        Ok((answer.expect("the healthy policy drops no leg"), stats))
     }
 
     /// Out-of-sample queries, each with its scatter statistics — the one
-    /// body of every out-of-sample entry point: for each probe rank, the
-    /// features whose probe of that rank is the same shard run as one call
-    /// of the shard's panel-blocked batch entry point, and every feature's
-    /// legs (in its probe order) go through [`Self::merge_scatter`]. A
-    /// query's answer does not depend on what it is batched with. Like the
-    /// in-database batch call, one unroutable feature fails the whole call.
-    pub fn query_batch_by_feature_in(
+    /// body of every out-of-sample entry point: a feature has a leg on each
+    /// of its first [`shard_probes`](Self::shard_probes) shards in
+    /// [`probe_order`](Self::probe_order), the features of one shard run as
+    /// one leg under `legs`, and each feature's surviving legs are merged in
+    /// its probe order (a lane with none gets no answer). A query's answer
+    /// does not depend on what it is batched with. One unroutable feature
+    /// fails the whole call.
+    pub fn query_batch_by_feature_in<P: LegPolicy>(
         &self,
         ws: &mut ShardedWorkspace,
         features: &[&[f64]],
         k: usize,
-    ) -> Result<Vec<(OutOfSampleResult, ShardScatterStats)>> {
-        let mut orders = Vec::with_capacity(features.len());
-        for feature in features {
-            orders.push(self.probe_order(feature)?);
-        }
-        let mut legs: Vec<Vec<OutOfSampleResult>> = vec![Vec::new(); features.len()];
-        for rank in 0..self.shard_probes {
-            for shard in 0..self.shards.len() {
-                let members: Vec<usize> = (0..features.len())
-                    .filter(|&pos| orders[pos].get(rank) == Some(&shard))
-                    .collect();
-                if members.is_empty() {
-                    continue;
-                }
-                let panel: Vec<&[f64]> = members.iter().map(|&pos| features[pos]).collect();
-                let results =
-                    self.shards[shard].query_batch_by_feature_in(&mut ws.inner, &panel, k)?;
-                for (&pos, leg) in members.iter().zip(results) {
-                    legs[pos].push(self.translate_leg(shard, leg));
-                }
-            }
-        }
-        Ok(legs
+        legs: &P,
+    ) -> Result<Vec<(Option<OutOfSampleResult>, ShardScatterStats)>> {
+        let routes = features
             .iter()
-            .map(|legs| {
-                let merged = Self::merge_scatter(ws, k, legs);
-                let stats = self.scatter_stats(legs.len(), merged.stats);
-                (merged, stats)
+            .map(|feature| {
+                let mut order = self.probe_order(feature)?;
+                order.truncate(self.shard_probes);
+                Ok(order)
+            })
+            .collect::<Result<Vec<_>>>()?;
+        let answers = self.scatter(ws, &routes, legs, |shard, ws, lanes| {
+            let panel: Vec<&[f64]> = lanes.iter().map(|&pos| features[pos]).collect();
+            let results = self.shards[shard].query_batch_by_feature_in(ws, &panel, k)?;
+            Ok(results
+                .into_iter()
+                .map(|leg| self.translate_leg(shard, leg))
+                .collect())
+        })?;
+        Ok(answers
+            .into_iter()
+            .map(|lane| {
+                let planned = lane.len();
+                let survived: Vec<OutOfSampleResult> = lane.into_iter().flatten().collect();
+                if survived.is_empty() {
+                    return (None, self.lane_stats(planned, 0, SearchStats::default()));
+                }
+                let merged = gather(ws, k, &survived);
+                let stats = self.lane_stats(planned, survived.len(), merged.stats);
+                (Some(merged), stats)
             })
             .collect())
     }
@@ -349,8 +385,6 @@ impl ShardedSnapshot {
     /// Shards in probe order: ascending minimum centroid distance, ties to
     /// the lower shard index. Errors when no shard can score the feature
     /// (wrong dimension, non-finite values, or no non-empty cluster).
-    /// Public so the serving layer's degraded scatter loop probes exactly
-    /// the shards (and in exactly the order) the in-process path would.
     pub fn probe_order(&self, feature: &[f64]) -> Result<Vec<usize>> {
         let mut keyed: Vec<(u64, usize)> = self
             .shards
@@ -373,44 +407,55 @@ impl ShardedSnapshot {
         Ok(keyed.into_iter().map(|(_, s)| s).collect())
     }
 
-    fn scatter_stats(&self, probed: usize, search: SearchStats) -> ShardScatterStats {
+    fn lane_stats(&self, legs: usize, answered: usize, search: SearchStats) -> ShardScatterStats {
         ShardScatterStats {
             shards_total: self.shards.len(),
-            shards_probed: probed,
-            shards_skipped: self.shards.len() - probed,
+            shards_probed: answered,
+            shards_skipped: self.shards.len() - legs,
             search,
         }
     }
 
-    // -- scatter-gather building blocks --------------------------------------
-    //
-    // One scatter leg and one gather. The healthy paths above compose them
-    // over every probed shard; the serving layer's fault-tolerant scatter
-    // loop (per-shard fault containment, deadlines, partial answers, in
-    // `mogul_serve`) composes them over whatever subset survived.
-
-    /// Probe a **single** shard for an out-of-sample query, translating the
-    /// shard-local ids of the answer to global stable ids.
-    ///
-    /// This is one scatter leg of [`Self::query_by_feature_in`], which is
-    /// [`Self::merge_scatter`] over every probed shard's leg; merging a
-    /// subset is the degraded-mode answer (a true sub-merge of the healthy
-    /// shards).
-    pub fn query_shard_by_feature_in(
+    /// The one shard loop of every query: lane `pos` has a leg on each
+    /// shard of `routes[pos]`, and the lanes with a leg on one shard run as
+    /// one call of `leg(shard, workspace, lanes)` — one answer per lane, in
+    /// `lanes` order — under `policy`. Shards run in the order the lanes
+    /// reach them (by route position, then lane), so a lone query's legs
+    /// run in its probe order. Returns each lane's leg answers in route
+    /// order, `None` where the policy dropped the leg.
+    fn scatter<R, P: LegPolicy>(
         &self,
         ws: &mut ShardedWorkspace,
-        shard: usize,
-        feature: &[f64],
-        k: usize,
-    ) -> Result<OutOfSampleResult> {
-        let snap = self.shards.get(shard).ok_or_else(|| {
-            CoreError::InvalidInput(format!(
-                "shard {shard} is out of range ({} shards)",
-                self.shards.len()
-            ))
-        })?;
-        let leg = snap.query_by_feature_in(&mut ws.inner, feature, k)?;
-        Ok(self.translate_leg(shard, leg))
+        routes: &[Vec<usize>],
+        policy: &P,
+        leg: impl Fn(usize, &mut SnapshotWorkspace, &[usize]) -> Result<Vec<R>>,
+    ) -> Result<Vec<Vec<Option<R>>>> {
+        // Each shard with the (lane, route position) pairs that reach it.
+        let mut groups: Vec<(usize, Vec<(usize, usize)>)> = Vec::new();
+        for slot in 0..routes.iter().map(Vec::len).max().unwrap_or(0) {
+            for (pos, route) in routes.iter().enumerate() {
+                if let Some(&shard) = route.get(slot) {
+                    match groups.iter_mut().find(|(s, _)| *s == shard) {
+                        Some((_, members)) => members.push((pos, slot)),
+                        None => groups.push((shard, vec![(pos, slot)])),
+                    }
+                }
+            }
+        }
+        let mut answers: Vec<Vec<Option<R>>> = routes
+            .iter()
+            .map(|route| route.iter().map(|_| None).collect())
+            .collect();
+        for (shard, members) in groups {
+            let lanes: Vec<usize> = members.iter().map(|&(pos, _)| pos).collect();
+            let leg = |ws: &mut SnapshotWorkspace| leg(shard, ws, &lanes);
+            if let Some(results) = policy.run(shard, &mut ws.inner, leg)? {
+                for (&(pos, slot), answer) in members.iter().zip(results) {
+                    answers[pos][slot] = Some(answer);
+                }
+            }
+        }
+        Ok(answers)
     }
 
     /// A shard's out-of-sample answer with its shard-local ids translated
@@ -426,46 +471,40 @@ impl ShardedSnapshot {
             ..leg
         }
     }
+}
 
-    /// Gather already-translated per-shard legs (see
-    /// [`Self::query_shard_by_feature_in`]) into one answer: bounded top-k
-    /// under the `(score desc, global id asc)` tie-break, neighbours
-    /// concatenated in leg order, phase timings and search counters summed
-    /// in leg order. This is the gather phase of
-    /// [`Self::query_by_feature_in`]; the workspace lends the collector its
-    /// recycled buffer.
-    pub fn merge_scatter(
-        ws: &mut ShardedWorkspace,
-        k: usize,
-        legs: &[OutOfSampleResult],
-    ) -> OutOfSampleResult {
-        let mut merged = BoundedTopK::with_buffer(k, std::mem::take(&mut ws.merge));
-        let mut neighbors = Vec::new();
-        let mut nearest_neighbor_secs = 0.0;
-        let mut top_k_secs = 0.0;
-        let mut search = SearchStats::default();
-        for leg in legs {
-            for item in leg.top_k.items() {
-                merged.offer(Entry {
-                    key: (Reverse(f64_sort_key(item.score)), item.node),
-                    value: *item,
-                });
-            }
-            neighbors.extend_from_slice(&leg.neighbors);
-            nearest_neighbor_secs += leg.nearest_neighbor_secs;
-            top_k_secs += leg.top_k_secs;
-            search.merge(&leg.stats);
+/// Gather one lane's surviving, already-translated legs into one answer:
+/// bounded top-k under the `(score desc, global id asc)` tie-break,
+/// neighbours concatenated in leg order, phase timings and search counters
+/// summed in leg order. The workspace lends the collector its recycled
+/// buffer.
+fn gather(ws: &mut ShardedWorkspace, k: usize, legs: &[OutOfSampleResult]) -> OutOfSampleResult {
+    let mut merged = BoundedTopK::with_buffer(k, std::mem::take(&mut ws.merge));
+    let mut neighbors = Vec::new();
+    let mut nearest_neighbor_secs = 0.0;
+    let mut top_k_secs = 0.0;
+    let mut search = SearchStats::default();
+    for leg in legs {
+        for item in leg.top_k.items() {
+            merged.offer(Entry {
+                key: (Reverse(f64_sort_key(item.score)), item.node),
+                value: *item,
+            });
         }
-        let mut picked = merged.into_sorted_vec();
-        let top_k = TopKResult::new(picked.iter().map(|e| e.value).collect());
-        picked.clear();
-        ws.merge = picked;
-        OutOfSampleResult {
-            top_k,
-            neighbors,
-            nearest_neighbor_secs,
-            top_k_secs,
-            stats: search,
-        }
+        neighbors.extend_from_slice(&leg.neighbors);
+        nearest_neighbor_secs += leg.nearest_neighbor_secs;
+        top_k_secs += leg.top_k_secs;
+        search.merge(&leg.stats);
+    }
+    let mut picked = merged.into_sorted_vec();
+    let top_k = TopKResult::new(picked.iter().map(|e| e.value).collect());
+    picked.clear();
+    ws.merge = picked;
+    OutOfSampleResult {
+        top_k,
+        neighbors,
+        nearest_neighbor_secs,
+        top_k_secs,
+        stats: search,
     }
 }

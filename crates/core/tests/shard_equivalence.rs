@@ -29,9 +29,11 @@
 //! along: multi-probe scatter-gather must *sum* the per-shard counters, not
 //! clobber them with whichever shard answered last.
 
-use mogul_core::shard::{ShardedConfig, ShardedIndex, ShardedWorkspace};
+use mogul_core::shard::{
+    HealthyLegs, ShardedConfig, ShardedIndex, ShardedSnapshot, ShardedWorkspace,
+};
 use mogul_core::update::{IndexBuilder, IndexDelta, UpdatableIndex};
-use mogul_core::SearchStats;
+use mogul_core::{RankedNode, SearchStats, TopKResult};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -117,14 +119,15 @@ fn single_shard_is_bit_identical_to_monolithic() {
             assert_bit_identical(&a, &b, &format!("exact={exact} scalar id {id}"));
         }
         let batch_a = shard_snap
-            .query_batch_by_id_in(&mut ws, &live, QUERY_K)
+            .query_batch_by_id_in(&mut ws, &live, QUERY_K, &HealthyLegs)
             .unwrap();
         let mut mono_ws = mogul_core::update::SnapshotWorkspace::new();
         let batch_b = mono_snap
             .query_batch_by_id_in(&mut mono_ws, &live, QUERY_K)
             .unwrap();
         for ((a, b), &id) in batch_a.iter().zip(&batch_b).zip(&live) {
-            assert_bit_identical(&a.0, &b.0, &format!("exact={exact} batch id {id}"));
+            let a = a.0.as_ref().expect("a healthy lane answers");
+            assert_bit_identical(a, &b.0, &format!("exact={exact} batch id {id}"));
         }
 
         let probe = vec![0.45, 0.55, 0.5];
@@ -347,10 +350,13 @@ proptest! {
             let want = refs.translated_query(&sharded, shard, local, QUERY_K);
             assert_bit_identical(&got, &want, &format!("scalar id {id}"));
         }
-        let batch = snap.query_batch_by_id_in(&mut ws, &live, QUERY_K).unwrap();
+        let batch = snap
+            .query_batch_by_id_in(&mut ws, &live, QUERY_K, &HealthyLegs)
+            .unwrap();
         for (&id, (got, _)) in live.iter().zip(&batch) {
             let (shard, local) = sharded.router().locate(id).unwrap();
             let want = refs.translated_query(&sharded, shard, local, QUERY_K);
+            let got = got.as_ref().expect("a healthy lane answers");
             assert_bit_identical(got, &want, &format!("batch id {id}"));
         }
 
@@ -634,13 +640,38 @@ fn in_database_scatter_stats_carry_the_owning_shards_search_counters() {
 // The healthy scatter-gather is leg + merge
 // ---------------------------------------------------------------------------
 
+/// The out-of-sample answer of the shards `legs`, in that order, built
+/// without the scatter under test: each shard's own answer, its ids mapped
+/// to global ids through the router, then a top-k by `(score desc, id
+/// asc)`; neighbours concatenated and counters summed in leg order.
+fn sub_merge(
+    snap: &ShardedSnapshot,
+    legs: &[usize],
+    feature: &[f64],
+    k: usize,
+) -> (TopKResult, Vec<usize>, SearchStats) {
+    let (mut items, mut neighbors, mut stats) = (Vec::new(), Vec::new(), SearchStats::default());
+    for &shard in legs {
+        let leg = snap.shards()[shard].query_by_feature(feature, k).unwrap();
+        let global = |local| snap.router().global_of_local(shard, local).unwrap();
+        items.extend(leg.top_k.items().iter().map(|item| RankedNode {
+            node: global(item.node),
+            score: item.score,
+        }));
+        neighbors.extend(leg.neighbors.iter().map(|&local| global(local)));
+        stats.merge(&leg.stats);
+    }
+    items.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.node.cmp(&b.node)));
+    items.truncate(k);
+    (TopKResult::new(items), neighbors, stats)
+}
+
 #[test]
 fn scatter_gather_is_merge_scatter_over_the_probed_legs() {
     // At one probe, two probes and all of them: the out-of-sample answer is
-    // `merge_scatter` over one `query_shard_by_feature_in` leg per probed
-    // shard, in `probe_order` — ids, score bits, neighbours and the summed
-    // counters — and a batch answers each feature the same way, on a clean
-    // epoch and on a corrected one.
+    // the merge of each probed shard's own answer, in `probe_order` — ids,
+    // score bits, neighbours and the summed counters — and a batch answers
+    // each feature the same way, on a clean epoch and on a corrected one.
     let shards = 3usize;
     let probes_between = [
         vec![500.0, 0.4, 0.4],
@@ -668,29 +699,22 @@ fn scatter_gather_is_merge_scatter_over_the_probed_legs() {
             let mut ws = ShardedWorkspace::new();
             let panel: Vec<&[f64]> = probes_between.iter().map(Vec::as_slice).collect();
             let batched = snap
-                .query_batch_by_feature_in(&mut ws, &panel, QUERY_K)
+                .query_batch_by_feature_in(&mut ws, &panel, QUERY_K, &HealthyLegs)
                 .unwrap();
             for (feature, (batched, batched_scatter)) in probes_between.iter().zip(&batched) {
                 let what = format!("probes={shard_probes} corrected={corrected} {feature:?}");
                 let order = snap.probe_order(feature).unwrap();
-                let legs: Vec<_> = order[..shard_probes]
-                    .iter()
-                    .map(|&shard| {
-                        snap.query_shard_by_feature_in(&mut ws, shard, feature, QUERY_K)
-                            .unwrap()
-                    })
-                    .collect();
-                let want = mogul_core::ShardedSnapshot::merge_scatter(&mut ws, QUERY_K, &legs);
+                let (top_k, neighbors, summed) =
+                    sub_merge(&snap, &order[..shard_probes], feature, QUERY_K);
                 let (got, scatter) = snap
                     .query_by_feature_with_stats_in(&mut ws, feature, QUERY_K)
                     .unwrap();
+                let batched = batched.as_ref().expect("a healthy lane answers");
                 for (answer, path) in [(&got, "single"), (batched, "batch")] {
-                    assert_bit_identical(&answer.top_k, &want.top_k, &format!("{what} {path}"));
-                    assert_eq!(answer.neighbors, want.neighbors, "{what} {path}");
-                    assert_eq!(answer.stats, want.stats, "{what} {path}");
+                    assert_bit_identical(&answer.top_k, &top_k, &format!("{what} {path}"));
+                    assert_eq!(answer.neighbors, neighbors, "{what} {path}");
+                    assert_eq!(answer.stats, summed, "{what} {path}");
                 }
-                let mut summed = SearchStats::default();
-                legs.iter().for_each(|leg| summed.merge(&leg.stats));
                 assert_eq!(scatter.search, summed, "{what}");
                 assert_eq!(*batched_scatter, scatter, "{what} batch");
                 assert_eq!(scatter.shards_probed, shard_probes, "{what}");

@@ -53,8 +53,10 @@
 //!   failover client ([`resilience::ReplicaSet`]) with per-request
 //!   deadlines, retry with decorrelated-jitter backoff and per-replica
 //!   circuit breakers; degraded-mode scatter-gather on the sharded engine
-//!   ([`ShardedServer::query_degraded`], answers tagged
-//!   [`ResponseStatus::Degraded`] when a shard fails); and a deterministic
+//!   (the leg policy every [`ShardedServer`] answer runs under; lenient
+//!   answers — [`ShardedServer::query_degraded`], relaxed wire requests —
+//!   are tagged [`ResponseStatus::Degraded`] when a shard fails, strict
+//!   ones fail `Incomplete`); and a deterministic
 //!   fault-injection harness ([`resilience::FaultProxy`]) that proves the
 //!   typed-outcome contract under kills, corruption and stalls.
 //! * [`ShardedServer`] / [`ShardedWriter`] — the shell and the writer over
@@ -65,8 +67,8 @@
 //!   rebuild debt, and warm start from a manifested shard directory. See
 //!   `docs/SHARDING.md`.
 //! * [`ServeOptions`] — validated configuration through
-//!   [`ServeOptions::builder`]: worker count, admission-queue capacity and
-//!   per-connection cap. Invalid configurations
+//!   [`ServeOptions::builder`]: worker count, admission-queue capacity,
+//!   per-connection cap and queue-wait deadline. Invalid configurations
 //!   are rejected with [`ServeError::Config`], never silently clamped.
 //! * **Cold start** — [`QueryServer::warm_start`] and
 //!   [`Writer::warm_start`] reconstruct a serving index from a
@@ -80,7 +82,7 @@
 //! ([`ServeSnapshot::Workspace`]), so after warm-up the
 //! substitution/pruning path performs zero heap allocations; workspaces
 //! are recycled across batches through an internal pool. A lone query and
-//! a batch take one answer path — the snapshot's panel entry points, a
+//! a batch take one answer path — the snapshot's one answer method, a
 //! lone query being the panel of one — and a query's answer does not
 //! depend on its panel or worker: concurrency changes throughput, never
 //! results. Every server is built by

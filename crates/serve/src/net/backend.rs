@@ -3,20 +3,19 @@
 //!
 //! The front door does admission control, framing, statistics and the
 //! cutting of its queue into runs; *what* answers an admitted run is this
-//! trait, implemented once for every [`Server`] — admission, the run cap,
-//! epoch and item count are the shell's, and only how a run is answered
-//! differs per engine ([`ServeSnapshot::answer_tagged`]):
+//! trait, implemented once for every [`Server`]: the run is one panel job
+//! of the shell's dispatch on the calling thread, answered through
+//! [`ServeSnapshot::answer`] under the wire's `require_complete` flag.
 //!
-//! * [`QueryServer`](crate::QueryServer) — the single-index server. Answers
-//!   a run as one panel job of [`Server::serve_batch`] on the calling
-//!   thread, always [`ResponseStatus::Complete`]; there is no shard to lose.
+//! * [`QueryServer`](crate::QueryServer) — the single-index server. Every
+//!   answer is [`ResponseStatus::Complete`]; there is no shard to lose.
 //! * [`ShardedServer`](crate::ShardedServer) — the sharded scatter-gather
-//!   server, answering each request of a run on its own through
-//!   [`ShardedServer::query_degraded`](crate::ShardedServer::query_degraded):
-//!   a probed shard that fails (injected fault, panic, per-scatter
-//!   deadline) is dropped from the merge and the answer is tagged
-//!   [`ResponseStatus::Degraded`] — unless the request demanded
-//!   completeness, in which case it fails typed with
+//!   server. The run scatters as one panel per shard under the degraded
+//!   leg policy: a probed shard that fails (injected fault, panic,
+//!   per-scatter deadline) is dropped from the merge of every answer it
+//!   would have joined, and each such answer is tagged
+//!   [`ResponseStatus::Degraded`] — unless the run demanded completeness,
+//!   in which case it fails typed with
 //!   [`ServeError::Incomplete`](crate::ServeError::Incomplete).
 
 use crate::error::ServeResult;
@@ -67,7 +66,7 @@ impl<S: ServeSnapshot> ServeBackend for Server<S> {
         run: &[QueryRequest],
         require_complete: bool,
     ) -> Vec<ServeResult<(QueryResponse, ResponseStatus)>> {
-        S::answer_tagged(self, run, require_complete)
+        self.dispatch(run, 1, require_complete)
     }
 
     fn epoch(&self) -> u64 {

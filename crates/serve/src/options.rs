@@ -5,8 +5,8 @@
 //! [`ServeError::Config`](crate::ServeError::Config) instead of silently
 //! clamping them**. One options value configures both the in-process
 //! [`QueryServer`](crate::QueryServer) (worker count) and the network front
-//! door of [`crate::net`] (admission-queue capacity,
-//! per-connection in-flight cap).
+//! door of [`crate::net`] (admission-queue capacity, per-connection
+//! in-flight cap, queue-wait deadline).
 
 use crate::error::{ServeError, ServeResult};
 use std::time::Duration;
@@ -27,7 +27,8 @@ pub const MAX_QUEUE_CAPACITY: usize = 1 << 20;
 /// Build one with [`ServeOptions::builder`]; the fields are private because
 /// every constructed value is guaranteed valid. [`ServeOptions::default`] is
 /// the validated default configuration (auto worker count, 1024-deep
-/// admission queue, 64 in-flight requests per connection).
+/// admission queue, 64 in-flight requests per connection, no queue-wait
+/// deadline).
 ///
 /// ```
 /// use mogul_serve::ServeOptions;

@@ -120,6 +120,37 @@ impl QueryRequest {
     }
 }
 
+/// A run of compatible requests (same kind, same `k`) as one panel of its
+/// kind: the shape of the snapshots' batch calls.
+pub(crate) enum Panel<'a> {
+    ById { ids: Vec<usize>, k: usize },
+    ByFeature { features: Vec<&'a [f64]>, k: usize },
+}
+
+impl<'a> Panel<'a> {
+    /// The panel of a non-empty compatible run.
+    pub(crate) fn of(run: &'a [QueryRequest]) -> Self {
+        let k = run[0].k();
+        let mut panel = match run[0] {
+            QueryRequest::InDatabase { .. } => Panel::ById { ids: Vec::new(), k },
+            QueryRequest::OutOfSample { .. } => Panel::ByFeature {
+                features: Vec::new(),
+                k,
+            },
+        };
+        for request in run {
+            match (&mut panel, request) {
+                (Panel::ById { ids, .. }, QueryRequest::InDatabase { node, .. }) => ids.push(*node),
+                (Panel::ByFeature { features, .. }, QueryRequest::OutOfSample { feature, .. }) => {
+                    features.push(feature)
+                }
+                _ => unreachable!("a run holds one kind"),
+            }
+        }
+        panel
+    }
+}
+
 /// One mutation of the indexed collection, submitted to an
 /// [`IndexWriter`](crate::IndexWriter). A slice of update requests is
 /// applied as a single atomic delta: one new snapshot epoch, or (on

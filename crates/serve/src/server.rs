@@ -17,7 +17,7 @@
 use crate::error::{ServeError, ServeResult};
 use crate::lock;
 use crate::options::ServeOptions;
-use crate::request::{QueryRequest, QueryResponse, ResponseStatus};
+use crate::request::{Panel, QueryRequest, QueryResponse, ResponseStatus};
 use mogul_core::update::{IndexSnapshot, SnapshotWorkspace, UpdatableIndex, WritableIndex};
 use mogul_core::wal::{self, WalError};
 use mogul_core::{OutOfSampleResult, PersistError, TopKResult};
@@ -34,12 +34,10 @@ pub(crate) mod sealed {
 }
 
 /// What the serving shell needs from the immutable, epoch-stamped snapshot
-/// it answers from. Its two panel entry points are the shell's only answer
-/// path: [`Server::query`] and [`Server::serve_batch`] (and so a single
-/// index's front-door runs) end in [`ServeSnapshot::panel_by_id`] or
-/// [`ServeSnapshot::panel_by_feature`], a lone query as the panel of one.
-/// Sealed: implemented for [`IndexSnapshot`] and for
-/// [`ShardedSnapshot`](mogul_core::ShardedSnapshot).
+/// it answers from. [`ServeSnapshot::answer`] is the shell's only answer
+/// path: [`Server::query`], [`Server::serve_batch`] and every front-door
+/// run end in it, a lone query as the run of one. Sealed: implemented for
+/// [`IndexSnapshot`] and for [`ShardedSnapshot`](mogul_core::ShardedSnapshot).
 #[allow(clippy::len_without_is_empty)]
 pub trait ServeSnapshot: sealed::Sealed + Debug + Send + Sync + Sized + 'static {
     /// Per-worker scratch of the query paths.
@@ -62,47 +60,21 @@ pub trait ServeSnapshot: sealed::Sealed + Debug + Send + Sync + Sized + 'static 
     /// Load a servable checkpoint from disk (see [`Server::warm_start`]).
     fn load(path: &Path) -> Result<Arc<Self>, PersistError>;
 
-    /// Top-k for a panel of live items sharing `k`, by stable id — the
-    /// only in-database answer path, a lone query being the panel of one.
-    /// One failure fails the panel.
-    fn panel_by_id(
+    /// Answer a run of admitted, compatible requests (same kind, same `k`)
+    /// as one panel job under the server's engine state, honouring
+    /// `require_complete`: `answers[i]` belongs to `run[i]`, tagged with
+    /// how complete it is, or that request's typed failure
+    /// ([`ServeError::Incomplete`](crate::ServeError::Incomplete) when it
+    /// could not be answered completely and the run demanded it). An
+    /// engine with no shards to lose tags every answer complete. `Err`
+    /// fails the whole run.
+    fn answer(
         &self,
+        engine: &Self::Engine,
         ws: &mut Self::Workspace,
-        ids: &[usize],
-        k: usize,
-    ) -> mogul_core::Result<Vec<TopKResult>>;
-    /// Top-k for a panel of arbitrary feature vectors sharing `k` — the
-    /// only out-of-sample answer path, a lone query being the panel of one.
-    /// One failure fails the panel.
-    fn panel_by_feature(
-        &self,
-        ws: &mut Self::Workspace,
-        features: &[&[f64]],
-        k: usize,
-    ) -> mogul_core::Result<Vec<OutOfSampleResult>>;
-
-    /// Answer one run of the network front door — compatible requests (same
-    /// kind, same `k`) sharing the wire's `require_complete` flag, at most
-    /// [`ServeSnapshot::max_job_len`] of them — honouring the flag;
-    /// `answers[i]` belongs to `run[i]`. An engine with no shards to lose
-    /// answers the run as one panel job on the calling thread and tags every
-    /// answer complete, so the flag is trivially satisfied.
-    fn answer_tagged(
-        server: &Server<Self>,
         run: &[QueryRequest],
-        _require_complete: bool,
-    ) -> Vec<ServeResult<(QueryResponse, ResponseStatus)>> {
-        debug_assert!(
-            run.len() <= server.snapshot().max_job_len()
-                && run.windows(2).all(|pair| compatible(&pair[0], &pair[1])),
-            "a front-door run is one compatible panel job"
-        );
-        server
-            .dispatch(run, 1)
-            .into_iter()
-            .map(|answer| answer.map(|response| (response, ResponseStatus::Complete)))
-            .collect()
-    }
+        require_complete: bool,
+    ) -> mogul_core::Result<Vec<ServeResult<(QueryResponse, ResponseStatus)>>>;
 }
 
 impl sealed::Sealed for IndexSnapshot {}
@@ -130,22 +102,29 @@ impl ServeSnapshot for IndexSnapshot {
     fn load(path: &Path) -> Result<Arc<Self>, PersistError> {
         mogul_core::persist::load_serving(path)
     }
-    fn panel_by_id(
+    fn answer(
         &self,
+        _engine: &(),
         ws: &mut SnapshotWorkspace,
-        ids: &[usize],
-        k: usize,
-    ) -> mogul_core::Result<Vec<TopKResult>> {
-        let answers = self.query_batch_by_id_in(ws, ids, k)?;
-        Ok(answers.into_iter().map(|(top, _)| top).collect())
-    }
-    fn panel_by_feature(
-        &self,
-        ws: &mut SnapshotWorkspace,
-        features: &[&[f64]],
-        k: usize,
-    ) -> mogul_core::Result<Vec<OutOfSampleResult>> {
-        self.query_batch_by_feature_in(ws, features, k)
+        run: &[QueryRequest],
+        _require_complete: bool,
+    ) -> mogul_core::Result<Vec<ServeResult<(QueryResponse, ResponseStatus)>>> {
+        let responses: Vec<QueryResponse> = match Panel::of(run) {
+            Panel::ById { ids, k } => self
+                .query_batch_by_id_in(ws, &ids, k)?
+                .into_iter()
+                .map(|(top, _)| QueryResponse::InDatabase(top))
+                .collect(),
+            Panel::ByFeature { features, k } => self
+                .query_batch_by_feature_in(ws, &features, k)?
+                .into_iter()
+                .map(|result| QueryResponse::OutOfSample(Box::new(result)))
+                .collect(),
+        };
+        Ok(responses
+            .into_iter()
+            .map(|response| Ok((response, ResponseStatus::Complete)))
+            .collect())
     }
 }
 
@@ -191,17 +170,13 @@ impl<W: Default> WorkspacePool<W> {
 /// door ([`crate::net`]). The server is itself `Send + Sync`: any number of
 /// threads may submit batches concurrently, each dispatch spawning scoped
 /// workers that die with the call (no background threads, no channels, no
-/// extra dependencies). Every answer of `query` and `serve_batch` (and of
-/// a single index's front-door run) comes out of one path, the snapshot's
-/// panel entry points, and does not depend on its panel, its worker or the
-/// worker count (on a fresh single index it equals its base
-/// [`OutOfSampleIndex`](mogul_core::OutOfSampleIndex)'s answer).
+/// extra dependencies). Every answer — of `query`, `serve_batch` and every
+/// front-door run — comes out of [`ServeSnapshot::answer`] and does not
+/// depend on its panel, its worker or the worker count.
 ///
 /// When the collection changes, the engine's [`Writer`](crate::Writer)
-/// produces the next snapshot off the hot path and publishes it with
-/// [`Server::install_snapshot`]; each
-/// batch reads its snapshot exactly once, so every batch observes one
-/// consistent epoch.
+/// publishes the next snapshot with [`Server::install_snapshot`]; each
+/// batch reads its snapshot exactly once, so it observes one epoch.
 ///
 /// ```
 /// use mogul_core::update::IndexBuilder;
@@ -242,7 +217,7 @@ pub(crate) fn compatible(a: &QueryRequest, b: &QueryRequest) -> bool {
 
 /// One unit of work a batch worker claims: the index range of a contiguous
 /// panel of compatible requests (same kind, same `k`), possibly of one,
-/// answered through the snapshot's panel entry points.
+/// answered through [`ServeSnapshot::answer`].
 type Job = Range<usize>;
 
 impl<S: ServeSnapshot> Server<S> {
@@ -338,9 +313,11 @@ impl<S: ServeSnapshot> Server<S> {
     /// [`Server::serve_batch`]. The request is validated at admission
     /// ([`QueryRequest::validate`]); a malformed request returns
     /// [`ServeError::BadRequest`](crate::ServeError::BadRequest) without
-    /// touching the solve path.
+    /// touching the solve path. Strict: an answer that could not be given
+    /// completely fails
+    /// [`ServeError::Incomplete`](crate::ServeError::Incomplete).
     pub fn query(&self, request: &QueryRequest) -> ServeResult<QueryResponse> {
-        let mut answers = self.dispatch(std::slice::from_ref(request), 1);
+        let mut answers = self.dispatch_strict(std::slice::from_ref(request), 1);
         answers.pop().expect("one request yields one answer")
     }
 
@@ -373,35 +350,44 @@ impl<S: ServeSnapshot> Server<S> {
     /// invalid request never poisons the rest of the batch. Each request is
     /// validated at admission; invalid requests receive their
     /// [`ServeError::BadRequest`](crate::ServeError::BadRequest) without
-    /// executing, and never join a panel.
+    /// executing, and never join a panel. Strict, like [`Server::query`].
     ///
-    /// The batch is first cut into **jobs**: contiguous runs of compatible
-    /// requests (same kind, same `k`) become panels of up to
-    /// [`ServeSnapshot::max_job_len`] requests —
-    /// [`mogul_core::PANEL_WIDTH`] for a single index, that many per shard
-    /// for a sharded one, so every shard still receives whole panels —
-    /// answered through the snapshot's panel entry points, the one answer
-    /// path; a request with no compatible neighbour is a panel of one, and
-    /// [`Server::query`] is the batch of one. A panel whose batched call
-    /// fails re-answers its requests as panels of one, so error reporting
-    /// stays per-request.
-    ///
-    /// The snapshot is read once per batch, so all answers of one batch come
-    /// from one epoch (and, sharded, see every shard at one epoch) even if
-    /// a writer swaps mid-batch. Jobs are spread over `min(workers, jobs)`
-    /// workers through an atomic cursor; a single-worker server (or a
-    /// one-job batch) runs on the calling thread with no thread spawned.
+    /// The batch is cut into **jobs**: contiguous runs of compatible
+    /// requests (same kind, same `k`) of up to [`ServeSnapshot::max_job_len`]
+    /// (`PANEL_WIDTH`, times `S` when sharded so each shard gets whole
+    /// panels), each answered as one panel by [`ServeSnapshot::answer`]. A
+    /// failed job re-answers its requests as jobs of one, so errors stay
+    /// per-request. The snapshot is read once per batch (one epoch, and
+    /// every shard at one epoch). Jobs are spread over `min(workers, jobs)`
+    /// workers through an atomic cursor; one worker (or one job) runs on the
+    /// calling thread.
     pub fn serve_batch(&self, requests: &[QueryRequest]) -> Vec<ServeResult<QueryResponse>> {
-        self.dispatch(requests, self.workers)
+        self.dispatch_strict(requests, self.workers)
     }
 
-    /// [`Server::serve_batch`] on at most `workers` threads (the calling
-    /// thread alone when `1`).
-    fn dispatch(
+    /// [`Server::dispatch`] demanding completeness, answers untagged (a
+    /// strict answer is complete).
+    fn dispatch_strict(
         &self,
         requests: &[QueryRequest],
         workers: usize,
     ) -> Vec<ServeResult<QueryResponse>> {
+        let answers = self.dispatch(requests, workers, true).into_iter();
+        answers
+            .map(|answer| answer.map(|(response, _)| response))
+            .collect()
+    }
+
+    /// Answer `requests` as [`Server::serve_batch`] does, on at most
+    /// `workers` threads (the calling thread alone when `1`), honouring
+    /// `require_complete` and tagging each answer with its
+    /// [`ResponseStatus`].
+    pub(crate) fn dispatch(
+        &self,
+        requests: &[QueryRequest],
+        workers: usize,
+        require_complete: bool,
+    ) -> Vec<ServeResult<(QueryResponse, ResponseStatus)>> {
         let snapshot = self.snapshot();
         // Admission: validate every request against the batch's snapshot
         // once, up front. Rejected requests are answered from this table and
@@ -421,7 +407,17 @@ impl<S: ServeSnapshot> Server<S> {
             let mut local = Vec::new();
             self.pool.with(|ws| {
                 while let Some(job) = jobs.get(next.fetch_add(1, Ordering::Relaxed)) {
-                    Self::answer_job(&snapshot, ws, requests, &admission, job.clone(), &mut local);
+                    match &admission[job.start] {
+                        Some(err) => local.push((job.start, Err(err.clone()))),
+                        None => self.answer_job(
+                            &snapshot,
+                            ws,
+                            &requests[job.clone()],
+                            job.start,
+                            require_complete,
+                            &mut local,
+                        ),
+                    }
                 }
             });
             local
@@ -471,70 +467,28 @@ impl<S: ServeSnapshot> Server<S> {
         jobs
     }
 
-    /// Answer one job, appending `(request index, answer)` pairs to `local`.
-    /// A job of several whose panel fails re-answers each request as its own
-    /// job of one, so every request gets its precise result or error; a
-    /// failed job of one is that request's error.
+    /// Answer one job of admitted requests, `run`, whose first request is
+    /// request `start` of the batch, appending `(request index, answer)`
+    /// pairs to `local`. A job of several that fails re-answers each
+    /// request as its own job of one, so every request gets its precise
+    /// result or error; a failed job of one is that request's error.
     fn answer_job(
+        &self,
         snapshot: &S,
         ws: &mut S::Workspace,
-        requests: &[QueryRequest],
-        admission: &[Option<ServeError>],
-        job: Job,
-        local: &mut Vec<(usize, ServeResult<QueryResponse>)>,
+        run: &[QueryRequest],
+        start: usize,
+        require_complete: bool,
+        local: &mut Vec<(usize, ServeResult<(QueryResponse, ResponseStatus)>)>,
     ) {
-        let start = job.start;
-        if let Some(err) = &admission[start] {
-            local.push((start, Err(err.clone())));
-            return;
-        }
-        match Self::answer_panel(snapshot, ws, &requests[job.clone()]) {
-            Ok(answers) => {
-                for (offset, answer) in answers.into_iter().enumerate() {
-                    local.push((start + offset, Ok(answer)));
-                }
-            }
-            Err(err) if job.len() == 1 => local.push((start, Err(err.into()))),
+        match snapshot.answer(&self.engine, ws, run, require_complete) {
+            Ok(answers) => local.extend((start..).zip(answers)),
+            Err(err) if run.len() == 1 => local.push((start, Err(err.into()))),
             Err(_) => {
-                for i in job {
-                    Self::answer_job(snapshot, ws, requests, admission, i..i + 1, local);
+                for (offset, request) in run.iter().enumerate() {
+                    let lone = std::slice::from_ref(request);
+                    self.answer_job(snapshot, ws, lone, start + offset, require_complete, local);
                 }
-            }
-        }
-    }
-
-    /// Answer a panel of compatible requests (same kind, same `k`) through
-    /// the snapshot's panel entry point of that kind.
-    fn answer_panel(
-        snapshot: &S,
-        ws: &mut S::Workspace,
-        panel: &[QueryRequest],
-    ) -> mogul_core::Result<Vec<QueryResponse>> {
-        match &panel[0] {
-            QueryRequest::InDatabase { k, .. } => {
-                let ids: Vec<usize> = panel
-                    .iter()
-                    .map(|r| match r {
-                        QueryRequest::InDatabase { node, .. } => *node,
-                        QueryRequest::OutOfSample { .. } => unreachable!("homogeneous job"),
-                    })
-                    .collect();
-                let results = snapshot.panel_by_id(ws, &ids, *k)?;
-                Ok(results.into_iter().map(QueryResponse::InDatabase).collect())
-            }
-            QueryRequest::OutOfSample { k, .. } => {
-                let features: Vec<&[f64]> = panel
-                    .iter()
-                    .map(|r| match r {
-                        QueryRequest::OutOfSample { feature, .. } => feature.as_slice(),
-                        QueryRequest::InDatabase { .. } => unreachable!("homogeneous job"),
-                    })
-                    .collect();
-                let results = snapshot.panel_by_feature(ws, &features, *k)?;
-                Ok(results
-                    .into_iter()
-                    .map(|r| QueryResponse::OutOfSample(Box::new(r)))
-                    .collect())
             }
         }
     }

@@ -1,40 +1,28 @@
 //! Serving over a [`ShardedIndex`]: [`ShardedServer`] is the one serving
-//! shell ([`Server`]) over an epoch-versioned [`ShardedSnapshot`], plus what
-//! only a scatter-gather engine has — scatter statistics and degraded-mode
-//! answers — and [`ShardedWriter`] is the one writer ([`Writer`]) over a
-//! sharded index, routing updates to their owning shards.
+//! shell ([`Server`]) over an epoch-versioned [`ShardedSnapshot`], and
+//! [`ShardedWriter`] the one writer ([`Writer`]), routing updates to their
+//! owning shards so only those accrue rebuild debt. A snapshot pins every
+//! shard at one epoch, so no batch sees a torn mix of shard rebuilds.
 //!
-//! The concurrency model is [`Server`]'s: readers clone an `Arc` out of an
-//! `RwLock` (one uncontended read-lock per dispatch), the writer owns the
-//! mutable [`ShardedIndex`] behind a [`Mutex`] and publishes each new
-//! sharded snapshot atomically. A [`ShardedSnapshot`] is assembled from
-//! per-shard `Arc`s **once**, under the writer lock — so every batch
-//! observes each shard at exactly one epoch, even while the writer's
-//! updates rebuild shards one at a time: a rebuild of shard 2 never tears
-//! into a batch that started before it was published.
-//!
-//! What sharding buys the serving layer (see `docs/SHARDING.md`):
-//!
-//! * **per-shard rebuild debt** — an insert routed to shard 0 leaves the
-//!   other shards' factorizations untouched, so refactorization is
-//!   per-shard and proportionally cheaper;
-//! * **shard skipping** — in-database queries touch exactly one shard
-//!   (the block-diagonal union graph makes every other shard's scores
-//!   identically zero), and out-of-sample queries probe only the
-//!   [`shard_probes`](mogul_core::ShardedConfig::shard_probes) nearest
-//!   shards — the [`ShardScatterStats`] of
-//!   [`ShardedServer::query_with_stats`] report how many shards each query
-//!   skipped.
+//! What this module adds is how a scatter leg runs, not a scatter: every
+//! answer a [`ShardedServer`] gives is one run of
+//! `ShardedSnapshot::query_batch_by_{id,feature}_in` under the degraded
+//! [`LegPolicy`] — the [`DegradedPolicy::scatter_deadline`], the
+//! [`ShardFault`] injector and panic containment, a failed leg dropped
+//! from every answer it would have joined. Each answer is then tagged
+//! [`ResponseStatus::Complete`] or [`ResponseStatus::Degraded`], or fails
+//! [`ServeError::Incomplete`] when the caller demanded completeness
+//! (`query` and `serve_batch` always do). See `docs/SHARDING.md`.
 
 use crate::error::{ServeError, ServeResult};
 use crate::lock;
 use crate::options::ServeOptions;
-use crate::request::{QueryRequest, QueryResponse, ResponseStatus};
+use crate::request::{Panel, QueryRequest, QueryResponse, ResponseStatus};
 use crate::server::{sealed, ServeSnapshot, Server};
 use crate::updater::Writer;
 use mogul_core::{
-    OutOfSampleResult, PersistError, ShardScatterStats, ShardedIndex, ShardedSnapshot,
-    ShardedWorkspace, TopKResult,
+    LegPolicy, PersistError, ShardScatterStats, ShardedIndex, ShardedSnapshot, ShardedWorkspace,
+    SnapshotWorkspace,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -48,7 +36,7 @@ use std::time::{Duration, Instant};
 pub enum ShardFault {
     /// The shard answers with this typed error instead of a result.
     Error(ServeError),
-    /// The shard's solve panics; the degraded scatter loop contains the
+    /// The shard's solve panics; the degraded leg policy contains the
     /// panic (and discards the possibly-poisoned workspace).
     Panic,
     /// The shard stalls for this long before answering — long enough, and
@@ -60,12 +48,13 @@ pub enum ShardFault {
 /// probed; `None` means the shard is healthy.
 pub type ShardFaultFn = dyn Fn(usize) -> Option<ShardFault> + Send + Sync;
 
-/// Policy knobs of [`ShardedServer::query_degraded`].
+/// Policy knobs of every scatter a [`ShardedServer`] runs (see
+/// [`ShardedServer::query_degraded`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DegradedPolicy {
-    /// Wall-clock budget for one whole scatter: once a query has been
-    /// scattering longer than this, every not-yet-probed leg is treated as
-    /// failed (the answer degrades to the legs already gathered). `None`
+    /// Wall-clock budget for one whole scatter (one panel job): once it has
+    /// been scattering longer than this, every not-yet-run leg is treated
+    /// as failed (the answers degrade to the legs already gathered). `None`
     /// (the default) disables the deadline.
     pub scatter_deadline: Option<Duration>,
 }
@@ -112,37 +101,75 @@ impl ServeSnapshot for ShardedSnapshot {
     fn load(dir: &Path) -> Result<Arc<Self>, PersistError> {
         Ok(mogul_core::load_sharded(dir)?.snapshot())
     }
-    fn panel_by_id(
-        &self,
-        ws: &mut ShardedWorkspace,
-        ids: &[usize],
-        k: usize,
-    ) -> mogul_core::Result<Vec<TopKResult>> {
-        let answers = self.query_batch_by_id_in(ws, ids, k)?;
-        Ok(answers.into_iter().map(|(top, _)| top).collect())
-    }
-    fn panel_by_feature(
-        &self,
-        ws: &mut ShardedWorkspace,
-        features: &[&[f64]],
-        k: usize,
-    ) -> mogul_core::Result<Vec<OutOfSampleResult>> {
-        let answers = self.query_batch_by_feature_in(ws, features, k)?;
-        Ok(answers.into_iter().map(|(result, _)| result).collect())
-    }
 
-    /// Each request of the run scatters on its own through
-    /// [`ShardedServer::query_degraded`]: a probed shard that fails degrades
-    /// that answer instead of failing it, unless the run demanded
-    /// completeness.
-    fn answer_tagged(
-        server: &ShardedServer,
+    /// The run scatters as one panel job under the degraded leg policy: a
+    /// probed shard that fails degrades the answers it would have joined
+    /// instead of failing them, unless the run demanded completeness.
+    fn answer(
+        &self,
+        engine: &Mutex<DegradedState>,
+        ws: &mut ShardedWorkspace,
         run: &[QueryRequest],
         require_complete: bool,
-    ) -> Vec<ServeResult<(QueryResponse, ResponseStatus)>> {
-        run.iter()
-            .map(|request| server.query_degraded(request, require_complete))
-            .collect()
+    ) -> mogul_core::Result<Vec<ServeResult<(QueryResponse, ResponseStatus)>>> {
+        let lanes = scatter(self, ws, run, &DegradedLegs::start(engine))?;
+        Ok(lanes
+            .into_iter()
+            .map(|(response, stats)| tag(response, stats, require_complete))
+            .collect())
+    }
+}
+
+/// Scatter a compatible run over the shards under `legs`: each request's
+/// response (`None` when no leg of it survived) and its scatter
+/// statistics.
+fn scatter(
+    snapshot: &ShardedSnapshot,
+    ws: &mut ShardedWorkspace,
+    run: &[QueryRequest],
+    legs: &DegradedLegs,
+) -> mogul_core::Result<Vec<(Option<QueryResponse>, ShardScatterStats)>> {
+    Ok(match Panel::of(run) {
+        Panel::ById { ids, k } => snapshot
+            .query_batch_by_id_in(ws, &ids, k, legs)?
+            .into_iter()
+            .map(|(top, stats)| (top.map(QueryResponse::InDatabase), stats))
+            .collect(),
+        Panel::ByFeature { features, k } => snapshot
+            .query_batch_by_feature_in(ws, &features, k, legs)?
+            .into_iter()
+            .map(|(result, stats)| {
+                let response = result.map(|r| QueryResponse::OutOfSample(Box::new(r)));
+                (response, stats)
+            })
+            .collect(),
+    })
+}
+
+/// Tag one scattered answer: complete when every planned leg survived,
+/// degraded when some did and the caller allows it, and otherwise a
+/// retryable [`ServeError::Incomplete`].
+fn tag(
+    response: Option<QueryResponse>,
+    stats: ShardScatterStats,
+    require_complete: bool,
+) -> ServeResult<(QueryResponse, ResponseStatus)> {
+    let shards_total = stats.shards_total - stats.shards_skipped;
+    let shards_answered = stats.shards_probed;
+    let status = if shards_answered == shards_total {
+        ResponseStatus::Complete
+    } else {
+        ResponseStatus::Degraded {
+            shards_answered,
+            shards_total,
+        }
+    };
+    match response {
+        Some(response) if status.is_complete() || !require_complete => Ok((response, status)),
+        _ => Err(ServeError::Incomplete {
+            shards_answered,
+            shards_total,
+        }),
     }
 }
 
@@ -185,31 +212,23 @@ impl Server<ShardedSnapshot> {
     ) -> ServeResult<(QueryResponse, ShardScatterStats)> {
         let snapshot = self.snapshot();
         request.validate(&*snapshot)?;
-        self.pool.with(|ws| match request {
-            QueryRequest::InDatabase { node, k } => {
-                let (top, stats) = snapshot.query_by_id_with_stats_in(ws, *node, *k)?;
-                Ok((QueryResponse::InDatabase(top), stats))
-            }
-            QueryRequest::OutOfSample { feature, k } => {
-                let (res, stats) = snapshot.query_by_feature_with_stats_in(ws, feature, *k)?;
-                Ok((QueryResponse::OutOfSample(Box::new(res)), stats))
-            }
-        })
+        let legs = DegradedLegs::start(&self.engine);
+        let mut lanes = self
+            .pool
+            .with(|ws| scatter(&snapshot, ws, std::slice::from_ref(request), &legs))?;
+        let (response, stats) = lanes.pop().expect("one request yields one answer");
+        let (response, _) = tag(response, stats, true)?;
+        Ok((response, stats))
     }
 
-    /// The active [`DegradedPolicy`].
-    pub fn degraded_policy(&self) -> DegradedPolicy {
-        self.degraded().policy
-    }
-
-    /// Install a [`DegradedPolicy`] (applies to queries starting after the
+    /// Install a [`DegradedPolicy`] (applies to scatters starting after the
     /// call).
     pub fn set_degraded_policy(&self, policy: DegradedPolicy) {
         lock(&self.engine).policy = policy;
     }
 
     /// Install (or clear) the deterministic fault injector consulted once
-    /// per scatter leg by [`ShardedServer::query_degraded`]. Production
+    /// per scatter leg — by every answer this server gives. Production
     /// servers leave this `None`; the fault-injection harness and the
     /// chaos benchmarks use it to fail, stall or panic specific shards on
     /// a seeded schedule.
@@ -217,120 +236,74 @@ impl Server<ShardedSnapshot> {
         lock(&self.engine).injector = injector;
     }
 
-    /// The policy and injector a scatter starting now runs under.
-    fn degraded(&self) -> DegradedState {
-        lock(&self.engine).clone()
-    }
-
-    /// Answer one request with **degraded-mode scatter-gather**: a probed
-    /// shard that fails — typed error, contained panic, injected fault, or
-    /// the [`DegradedPolicy::scatter_deadline`] — is dropped from the
-    /// gather instead of failing the whole query, and the merged answer of
-    /// the surviving legs is tagged [`ResponseStatus::Degraded`]. The
-    /// healthy out-of-sample answer is itself
-    /// [`ShardedSnapshot::merge_scatter`] over one
-    /// [`ShardedSnapshot::query_shard_by_feature_in`] leg per probed shard,
-    /// and this is the same composition with faults let in, so:
+    /// Answer one request, honouring `require_complete`: the dispatch of
+    /// one. A probed shard that fails — typed error, contained panic,
+    /// injected fault, or the [`DegradedPolicy::scatter_deadline`] — is
+    /// dropped from the gather: when every probed shard answers, the
+    /// response is **bit-identical** to [`Server::query`] and tagged
+    /// [`ResponseStatus::Complete`]; when a subset answers, it is the true
+    /// sub-merge of their answers, tagged [`ResponseStatus::Degraded`].
     ///
-    /// * when every probed shard answers, the response is **bit-identical**
-    ///   to [`Server::query`] and tagged [`ResponseStatus::Complete`];
-    /// * when a subset answers, the response is a true sub-merge of the
-    ///   healthy shards' answers.
-    ///
-    /// `require_complete` demands completeness: a query that would degrade
-    /// fails typed with [`ServeError::Incomplete`] instead (retryable —
-    /// another replica may hold every shard healthy). A query no probed
-    /// shard could answer fails the same way regardless of the flag. An
-    /// in-database query has exactly one owning shard, so it either
-    /// answers complete or fails `Incomplete { 0, 1 }`.
+    /// `require_complete` turns a degraded answer into a typed, retryable
+    /// [`ServeError::Incomplete`] (another replica may be whole). A query
+    /// no probed shard could answer fails the same way regardless of the
+    /// flag; an in-database query has one owning shard, so it answers
+    /// complete or fails `Incomplete { 0, 1 }`.
     pub fn query_degraded(
         &self,
         request: &QueryRequest,
         require_complete: bool,
     ) -> ServeResult<(QueryResponse, ResponseStatus)> {
-        let snapshot = self.snapshot();
-        request.validate(&*snapshot)?;
-        let faults = self.degraded();
-        let started = Instant::now();
-        let probes = match request {
-            QueryRequest::InDatabase { node, .. } => {
-                vec![snapshot.shard_of(*node).expect("validated id is live")]
-            }
-            QueryRequest::OutOfSample { feature, .. } => {
-                let mut order = snapshot.probe_order(feature)?;
-                order.truncate(snapshot.shard_probes());
-                order
-            }
-        };
-        // The answer of the legs that survived, and how many did.
-        let gathered = self.pool.with(|ws| match request {
-            QueryRequest::InDatabase { node, k } => faults
-                .leg(started, ws, probes[0], |ws| {
-                    snapshot.query_by_id_in(ws, *node, *k)
-                })
-                .map(|top| (QueryResponse::InDatabase(top), 1)),
-            QueryRequest::OutOfSample { feature, k } => {
-                let mut legs = Vec::with_capacity(probes.len());
-                for &shard in &probes {
-                    legs.extend(faults.leg(started, ws, shard, |ws| {
-                        snapshot.query_shard_by_feature_in(ws, shard, feature, *k)
-                    }));
-                }
-                (!legs.is_empty()).then(|| {
-                    let merged = ShardedSnapshot::merge_scatter(ws, *k, &legs);
-                    (QueryResponse::OutOfSample(Box::new(merged)), legs.len())
-                })
-            }
-        });
-        let shards_total = probes.len();
-        match gathered {
-            Some((response, answered)) if answered == shards_total => {
-                Ok((response, ResponseStatus::Complete))
-            }
-            Some((response, shards_answered)) if !require_complete => Ok((
-                response,
-                ResponseStatus::Degraded {
-                    shards_answered,
-                    shards_total,
-                },
-            )),
-            _ => Err(ServeError::Incomplete {
-                shards_answered: gathered.map_or(0, |(_, answered)| answered),
-                shards_total,
-            }),
+        let mut answers = self.dispatch(std::slice::from_ref(request), 1, require_complete);
+        answers.pop().expect("one request yields one answer")
+    }
+}
+
+/// The degraded [`LegPolicy`] of one scatter: the server's
+/// [`DegradedState`] as the scatter began, and when it began.
+struct DegradedLegs {
+    state: DegradedState,
+    started: Instant,
+}
+
+impl DegradedLegs {
+    /// The policy of a scatter starting now.
+    fn start(engine: &Mutex<DegradedState>) -> Self {
+        DegradedLegs {
+            state: lock(engine).clone(),
+            started: Instant::now(),
         }
     }
 }
 
-impl DegradedState {
-    /// Run one leg, against `shard`, of the scatter that began at
-    /// `started`; `None` when the leg failed — over the scatter's budget
-    /// (before or after an injected stall), an injected or real typed
-    /// error, or a contained panic.
-    fn leg<T>(
+impl LegPolicy for DegradedLegs {
+    /// Run the leg unless it fails — over the scatter's budget (before or
+    /// after an injected stall), an injected or real typed error, or a
+    /// contained panic — in which case it is dropped.
+    fn run<T>(
         &self,
-        started: Instant,
-        ws: &mut ShardedWorkspace,
         shard: usize,
-        probe: impl FnOnce(&mut ShardedWorkspace) -> mogul_core::Result<T>,
-    ) -> Option<T> {
+        ws: &mut SnapshotWorkspace,
+        leg: impl FnOnce(&mut SnapshotWorkspace) -> mogul_core::Result<T>,
+    ) -> mogul_core::Result<Option<T>> {
         let over_deadline = || {
-            self.policy
+            self.state
+                .policy
                 .scatter_deadline
-                .is_some_and(|d| started.elapsed() > d)
+                .is_some_and(|d| self.started.elapsed() > d)
         };
         // Over budget: this leg and every remaining one fail (degrading
-        // the answer to the legs already gathered).
+        // the answers to the legs already gathered).
         if over_deadline() {
-            return None;
+            return Ok(None);
         }
-        let fault = self.injector.as_ref().and_then(|f| f(shard));
+        let fault = self.state.injector.as_ref().and_then(|f| f(shard));
         match &fault {
-            Some(ShardFault::Error(_)) => return None,
+            Some(ShardFault::Error(_)) => return Ok(None),
             Some(ShardFault::Stall(pause)) => {
                 std::thread::sleep(*pause);
                 if over_deadline() {
-                    return None;
+                    return Ok(None);
                 }
             }
             _ => {}
@@ -340,17 +313,17 @@ impl DegradedState {
             if inject_panic {
                 panic!("injected shard fault: panic in shard {shard}");
             }
-            probe(ws)
+            leg(ws)
         }));
-        match outcome {
+        Ok(match outcome {
             Ok(answer) => answer.ok(),
             Err(_) => {
                 // A panicking leg may leave the workspace mid-mutation;
                 // replace it rather than reuse (or pool) it.
-                *ws = ShardedWorkspace::new();
+                *ws = SnapshotWorkspace::default();
                 None
             }
-        }
+        })
     }
 }
 

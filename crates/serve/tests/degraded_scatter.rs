@@ -2,23 +2,28 @@
 //! contained panic, or blown per-scatter deadline — the merged answer of
 //! the surviving shards comes back tagged
 //! [`ResponseStatus::Degraded`], and it is a **true sub-merge**: bit-
-//! identical to [`ShardedSnapshot::merge_scatter`] over exactly the legs
-//! that answered, in probe order. Strict callers (`require_complete`) fail
-//! typed with [`ServeError::Incomplete`] instead of degrading.
+//! identical to the merge of exactly the shards that answered, built here
+//! from each shard's own answer. Strict callers (`require_complete`, and
+//! every `query` / `serve_batch`) fail typed with
+//! [`ServeError::Incomplete`] instead of degrading.
 //!
 //! Shard failures are injected deterministically through
 //! [`ShardedServer::set_fault_injector`], the in-process half of the
 //! fault-injection harness.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use mogul_core::update::IndexBuilder;
-use mogul_core::{ShardedConfig, ShardedIndex, ShardedSnapshot, ShardedWorkspace};
+use mogul_core::{
+    RankedNode, SearchStats, ShardedConfig, ShardedIndex, ShardedSnapshot, ShardedWorkspace,
+    TopKResult,
+};
 use mogul_serve::net::{NetClient, NetServer};
 use mogul_serve::{
     DegradedPolicy, QueryRequest, QueryResponse, ResponseStatus, ServeError, ServeOptions,
-    ShardFault, ShardedServer, ShardedWriter,
+    ShardFault, ShardFaultFn, ShardedServer, ShardedWriter,
 };
 
 const K: usize = 5;
@@ -54,6 +59,33 @@ fn probe_feature() -> Vec<f64> {
     // Near cluster 0 but not on any item: all three shards contribute real
     // distance-ordered legs.
     vec![0.5, 0.01]
+}
+
+/// The merged out-of-sample answer of the shards `legs`, in that order,
+/// built without the scatter under test: each shard's own answer, its ids
+/// mapped to global ids through the router, then a top-k by `(score desc,
+/// id asc)`; neighbours concatenated and counters summed in leg order.
+fn sub_merge(
+    snapshot: &ShardedSnapshot,
+    legs: &[usize],
+    feature: &[f64],
+) -> (TopKResult, Vec<usize>, SearchStats) {
+    let (mut items, mut neighbors, mut stats) = (Vec::new(), Vec::new(), SearchStats::default());
+    for &shard in legs {
+        let leg = snapshot.shards()[shard]
+            .query_by_feature(feature, K)
+            .unwrap();
+        let global = |local| snapshot.router().global_of_local(shard, local).unwrap();
+        items.extend(leg.top_k.items().iter().map(|item| RankedNode {
+            node: global(item.node),
+            score: item.score,
+        }));
+        neighbors.extend(leg.neighbors.iter().map(|&local| global(local)));
+        stats.merge(&leg.stats);
+    }
+    items.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.node.cmp(&b.node)));
+    items.truncate(K);
+    (TopKResult::new(items), neighbors, stats)
 }
 
 /// Fail exactly the given shards with a typed error.
@@ -119,29 +151,19 @@ fn degraded_answer_is_the_exact_merge_of_the_surviving_legs() {
         }
     );
 
-    // Reference merge: the surviving legs, queried directly against the
-    // snapshot, merged with the gather's own merge — in probe order.
-    let mut ws = ShardedWorkspace::new();
-    let legs: Vec<_> = order
-        .iter()
-        .filter(|&&shard| shard != failed)
-        .map(|&shard| {
-            snapshot
-                .query_shard_by_feature_in(&mut ws, shard, &feature, K)
-                .unwrap()
-        })
-        .collect();
-    let want = ShardedSnapshot::merge_scatter(&mut ws, K, &legs);
+    // Reference merge: the surviving shards' own answers, in probe order.
+    let survivors: Vec<usize> = order.into_iter().filter(|&s| s != failed).collect();
+    let (top_k, neighbors, stats) = sub_merge(&snapshot, &survivors, &feature);
     let got = match &response {
         QueryResponse::OutOfSample(result) => result,
         other => panic!("wrong response shape: {other:?}"),
     };
     assert_eq!(
-        got.top_k, want.top_k,
+        got.top_k, top_k,
         "degraded answer must be the exact sub-merge"
     );
-    assert_eq!(got.neighbors, want.neighbors);
-    assert_eq!(got.stats, want.stats);
+    assert_eq!(got.neighbors, neighbors);
+    assert_eq!(got.stats, stats);
 }
 
 #[test]
@@ -171,9 +193,9 @@ fn require_complete_fails_typed_instead_of_degrading() {
 #[test]
 fn a_panicking_shard_is_contained_and_the_server_stays_healthy() {
     let (server, snapshot) = build_server();
-    server.set_fault_injector(Some(Arc::new(|shard| {
-        (shard == 1).then_some(ShardFault::Panic)
-    })));
+    let panics_on_1: Arc<ShardFaultFn> =
+        Arc::new(|shard| (shard == 1).then_some(ShardFault::Panic));
+    server.set_fault_injector(Some(Arc::clone(&panics_on_1)));
     let request = QueryRequest::out_of_sample(probe_feature(), K);
     let (_, status) = server.query_degraded(&request, false).unwrap();
     assert_eq!(
@@ -184,6 +206,55 @@ fn a_panicking_shard_is_contained_and_the_server_stays_healthy() {
         },
         "a panic inside one shard must degrade, not poison the query"
     );
+
+    // The strict batch path runs the same legs, on two workers: requests
+    // the panicking shard serves fail typed, the rest answer, and no panic
+    // reaches the caller. Alternating kinds cut the batch into many jobs.
+    let batch_server =
+        ShardedServer::from_snapshot(Arc::clone(&snapshot), ServeOptions::with_workers(2));
+    batch_server.set_fault_injector(Some(panics_on_1));
+    let batch: Vec<QueryRequest> = (0..12)
+        .flat_map(|i| {
+            let c = (i % 3) as f64;
+            [
+                QueryRequest::in_database(4 * i, K),
+                QueryRequest::out_of_sample(vec![100.0 * c + 0.5, 10.0 * c + 0.01], K),
+            ]
+        })
+        .collect();
+    let mut ws = ShardedWorkspace::new();
+    for (request, answer) in batch.iter().zip(batch_server.serve_batch(&batch)) {
+        match (request, answer) {
+            (QueryRequest::InDatabase { node, .. }, answer)
+                if snapshot.shard_of(*node) == Some(1) =>
+            {
+                assert!(
+                    matches!(
+                        answer,
+                        Err(ServeError::Incomplete {
+                            shards_answered: 0,
+                            shards_total: 1
+                        })
+                    ),
+                    "item {node} on the panicking shard: got {answer:?}"
+                );
+            }
+            (QueryRequest::InDatabase { node, .. }, answer) => {
+                let want = snapshot.query_by_id_in(&mut ws, *node, K).unwrap();
+                assert_eq!(answer.unwrap().top_k(), &want, "item {node}");
+            }
+            (QueryRequest::OutOfSample { .. }, answer) => assert!(
+                matches!(
+                    answer,
+                    Err(ServeError::Incomplete {
+                        shards_answered: 2,
+                        shards_total: 3
+                    })
+                ),
+                "every feature probes the panicking shard: got {answer:?}"
+            ),
+        }
+    }
 
     // Clear the fault: the server (and its workspace pool) must be fully
     // healthy again, answering complete and bit-identical.
@@ -300,7 +371,10 @@ fn a_pipelined_run_over_the_wire_fails_and_degrades_request_by_request() {
     // the front door's only worker while the runs queue up behind it.
     let (go, hold) = mpsc::channel::<()>();
     let hold = Mutex::new(Some(hold));
+    let legs = Arc::new(AtomicUsize::new(0));
+    let counted = Arc::clone(&legs);
     server.set_fault_injector(Some(Arc::new(move |shard| {
+        counted.fetch_add(1, Ordering::SeqCst);
         let first = hold.lock().unwrap().take();
         if let Some(first) = first {
             first.recv().unwrap();
@@ -356,6 +430,15 @@ fn a_pipelined_run_over_the_wire_fails_and_degrades_request_by_request() {
         let (id, answer) = client.recv_answer_status().unwrap();
         answers.insert(id, answer);
     }
+    // Three runs — the lone first request, then the strict and the lenient
+    // eight — each scatter as one panel per shard: at most one injector
+    // call per (shard, run), plus the held first leg. One scatter per
+    // request would make one per (request, shard): 68.
+    let calls = legs.load(Ordering::SeqCst);
+    assert!(
+        calls <= 4 * 3 + 1,
+        "{calls} injector calls: the runs did not form panels"
+    );
     for (id, request, strict) in &sent {
         match &answers[id] {
             Err(ServeError::Incomplete {

@@ -22,7 +22,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mogul_core::update::IndexBuilder;
-use mogul_core::{ShardedConfig, ShardedIndex, ShardedSnapshot, ShardedWorkspace};
+use mogul_core::{RankedNode, ShardedConfig, ShardedIndex, ShardedWorkspace, TopKResult};
 use mogul_serve::net::{NetClient, NetError, NetServer};
 use mogul_serve::resilience::{FailoverError, FaultPlan, FaultProxy, ReplicaSet, ReplicaSetConfig};
 use mogul_serve::{
@@ -338,25 +338,31 @@ fn degraded_answers_cross_the_wire_and_strict_requests_fail_typed() {
             shards_total: 3
         }
     );
-    let mut ws = ShardedWorkspace::new();
+    // The sub-merge, built from the surviving shards' own answers (ids
+    // mapped to global ids), in probe order: top-k by (score desc, id asc).
     let order = reference.probe_order(&feature).unwrap();
-    let legs: Vec<_> = order
-        .iter()
-        .filter(|&&shard| shard != 1)
-        .map(|&shard| {
-            reference
-                .query_shard_by_feature_in(&mut ws, shard, &feature, K)
-                .unwrap()
-        })
-        .collect();
-    let want = ShardedSnapshot::merge_scatter(&mut ws, K, &legs);
+    let (mut items, mut neighbors) = (Vec::new(), Vec::new());
+    for shard in order.into_iter().filter(|&shard| shard != 1) {
+        let leg = reference.shards()[shard]
+            .query_by_feature(&feature, K)
+            .unwrap();
+        let global = |local| reference.router().global_of_local(shard, local).unwrap();
+        items.extend(leg.top_k.items().iter().map(|item| RankedNode {
+            node: global(item.node),
+            score: item.score,
+        }));
+        neighbors.extend(leg.neighbors.iter().map(|&local| global(local)));
+    }
+    items.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.node.cmp(&b.node)));
+    items.truncate(K);
     match &response {
         QueryResponse::OutOfSample(got) => {
             assert_eq!(
-                got.top_k, want.top_k,
+                got.top_k,
+                TopKResult::new(items),
                 "wire degraded answer must be the sub-merge"
             );
-            assert_eq!(got.neighbors, want.neighbors);
+            assert_eq!(got.neighbors, neighbors);
         }
         other => panic!("wrong response shape: {other:?}"),
     }

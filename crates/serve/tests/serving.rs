@@ -7,7 +7,7 @@
 //! for a [`QueryServer`] over a fresh build, the answer one layer below the
 //! snapshot — its base [`OutOfSampleIndex`](mogul_core::OutOfSampleIndex),
 //! whose node ids are the item ids — and, for every engine on clean and
-//! corrected epochs, the snapshot's panel entry point at width one (a
+//! corrected epochs, the snapshot's one answer method at width one (a
 //! query's answer must not depend on its panel, its worker or the worker
 //! count).
 //!
@@ -133,28 +133,23 @@ fn base_answer(snapshot: &IndexSnapshot, request: &QueryRequest) -> QueryRespons
 }
 
 /// The answer of whatever snapshot a server serves to the request alone:
-/// its panel entry point at width one on a fresh workspace, no server
-/// involved — so a batch compared against it checks lane independence.
+/// its one answer method at width one on a fresh workspace and fresh engine
+/// state, no server involved — so a batch compared against it checks lane
+/// independence.
 fn sequential_answer<S: ServeSnapshot>(
     server: &Server<S>,
     request: &QueryRequest,
 ) -> QueryResponse {
-    let snapshot = server.snapshot();
     let mut ws = S::Workspace::default();
-    match request {
-        QueryRequest::InDatabase { node, k } => QueryResponse::InDatabase(
-            snapshot
-                .panel_by_id(&mut ws, &[*node], *k)
-                .unwrap()
-                .remove(0),
-        ),
-        QueryRequest::OutOfSample { feature, k } => QueryResponse::OutOfSample(Box::new(
-            snapshot
-                .panel_by_feature(&mut ws, &[feature.as_slice()], *k)
-                .unwrap()
-                .remove(0),
-        )),
-    }
+    let engine = S::Engine::default();
+    let (response, status) = server
+        .snapshot()
+        .answer(&engine, &mut ws, std::slice::from_ref(request), true)
+        .unwrap()
+        .remove(0)
+        .unwrap();
+    assert!(status.is_complete());
+    response
 }
 
 /// Bit-exact comparison (scores compared with `==`, not a tolerance).
