@@ -69,7 +69,9 @@ pub use mogul::{
     BatchWorkspace, Factorization, MogulConfig, MogulIndex, PrecomputeStats, SearchMode,
     SearchStats, SearchWorkspace, PANEL_WIDTH,
 };
-pub use out_of_sample::{OosWorkspace, OutOfSampleConfig, OutOfSampleIndex, OutOfSampleResult};
+pub use out_of_sample::{
+    OosWorkspace, OutOfSampleConfig, OutOfSampleIndex, OutOfSampleResult, Query,
+};
 pub use params::MrParams;
 pub use persist::{IndexFileInfo, PersistError};
 pub use ranking::{RankedNode, Ranker, TopKResult};

@@ -47,6 +47,7 @@ use mogul_graph::ordering::ClusterRange;
 use mogul_sparse::kernel::{dispatch, LaneKernel, Sweep};
 use mogul_sparse::{CsrMatrix, SolveWorkspace};
 use std::cmp::Ordering as CmpOrdering;
+use std::time::Instant;
 
 /// Panel width the engine blocks queries into.
 ///
@@ -113,6 +114,8 @@ pub struct SearchWorkspace {
     lane_cluster_offsets: Vec<usize>,
     /// Per-lane excluded permuted node (the in-database query itself).
     excludes: Vec<Option<usize>>,
+    /// Per-lane `k`.
+    lane_k: Vec<usize>,
     /// Union of the staged lanes' query clusters (sorted, deduplicated).
     union_clusters: Vec<usize>,
     /// The per-lane collectors of the running search (empty between
@@ -121,8 +124,8 @@ pub struct SearchWorkspace {
     /// Recycled per-lane top-k heap buffers.
     heap_bufs: Vec<Vec<HeapEntry>>,
     /// Per-lane `(result, stats)` of the last panel, in lane order; the
-    /// entry points drain it.
-    pub(crate) results: Vec<(TopKResult, SearchStats)>,
+    /// panel loop drains it.
+    results: Vec<(TopKResult, SearchStats)>,
     /// Phase-1 scratch of the out-of-sample path.
     pub(crate) neighbors: NeighborScratch,
     /// Permuted right-hand-side panel, intermediate and permuted solution
@@ -273,37 +276,39 @@ impl MogulIndex {
         mode: SearchMode,
     ) -> Result<Vec<(TopKResult, SearchStats)>> {
         check_k(k)?;
-        for &query in queries {
-            check_query(query, self.num_nodes())?;
-        }
-        let mut out = Vec::with_capacity(queries.len());
-        for chunk in queries.chunks(PANEL_WIDTH) {
-            self.batch_begin(ws);
-            for &query in chunk {
-                let permuted = self.ordering.permutation.new_index(query);
-                self.batch_push_lane(ws, &[(query, 1.0)], Some(permuted))?;
-            }
-            self.search_panel_staged(ws, k, mode);
-            out.append(&mut ws.results);
-        }
-        Ok(out)
+        let results = self.search_panels_in(ws, queries, mode, |ws, &query| {
+            self.batch_push_lane(ws, &[(query, 1.0)], Some(query), k)
+        })?;
+        Ok(results
+            .into_iter()
+            .map(|(top, stats, _)| (top, stats))
+            .collect())
     }
 
-    /// One weighted query vector (original node ids) as a panel of one: the
-    /// body of every single-query search entry point. `exclude` is the
-    /// permuted node to drop from the result.
-    pub(crate) fn search_lane_in(
+    /// The panel loop of every search: `lanes` are staged [`PANEL_WIDTH`] at
+    /// a time, each by one `stage` call (which pushes it with
+    /// [`MogulIndex::batch_push_lane`], with its own `k`), and each panel
+    /// runs Algorithm 2 in `mode`. Every lane's result comes back with its
+    /// even share of its panel's search seconds.
+    pub(crate) fn search_panels_in<L>(
         &self,
         ws: &mut SearchWorkspace,
-        weights: &[(usize, f64)],
-        exclude: Option<usize>,
-        k: usize,
+        lanes: &[L],
         mode: SearchMode,
-    ) -> Result<(TopKResult, SearchStats)> {
-        self.batch_begin(ws);
-        self.batch_push_lane(ws, weights, exclude)?;
-        self.search_panel_staged(ws, k, mode);
-        Ok(ws.results.pop().expect("a panel of one yields one result"))
+        mut stage: impl FnMut(&mut SearchWorkspace, &L) -> Result<()>,
+    ) -> Result<Vec<(TopKResult, SearchStats, f64)>> {
+        let mut out = Vec::with_capacity(lanes.len());
+        for panel in lanes.chunks(PANEL_WIDTH) {
+            self.batch_begin(ws);
+            for lane in panel {
+                stage(ws, lane)?;
+            }
+            let start = Instant::now();
+            self.search_panel_staged(ws, mode);
+            let secs = start.elapsed().as_secs_f64() / panel.len() as f64;
+            out.extend(ws.results.drain(..).map(|(top, stats)| (top, stats, secs)));
+        }
+        Ok(out)
     }
 
     /// Approximate scores of **all** nodes (original node order) for one
@@ -315,7 +320,8 @@ impl MogulIndex {
         weights: &[(usize, f64)],
     ) -> Result<Vec<f64>> {
         self.batch_begin(ws);
-        self.batch_push_lane(ws, weights, None)?;
+        // Every score is returned: no collector runs, so `k` is unused.
+        self.batch_push_lane(ws, weights, None, 0)?;
         let n = self.num_nodes();
         let mut scores = vec![0.0; n];
         if n == 0 {
@@ -415,18 +421,21 @@ impl MogulIndex {
         ws.lane_cluster_offsets.clear();
         ws.lane_cluster_offsets.push(0);
         ws.excludes.clear();
+        ws.lane_k.clear();
         ws.results.clear();
     }
 
     /// Stage one lane: validate, `(1 − α)`-scale and permute its weighted
     /// query vector (original node ids) and record its interior query
-    /// clusters. `exclude` is the permuted node to drop from the lane's
-    /// result (the in-database query itself).
+    /// clusters. `exclude`, one of the weighted nodes, is dropped from the
+    /// lane's result (the in-database query itself); the lane's collector
+    /// keeps `k` results.
     pub(crate) fn batch_push_lane(
         &self,
         ws: &mut SearchWorkspace,
         weights: &[(usize, f64)],
         exclude: Option<usize>,
+        k: usize,
     ) -> Result<()> {
         debug_assert!(ws.staged() < PANEL_WIDTH, "panel overflow");
         for &(node, weight) in weights {
@@ -453,7 +462,9 @@ impl MogulIndex {
             }
         }
         ws.lane_clusters[cluster_start..].sort_unstable();
-        ws.excludes.push(exclude);
+        ws.excludes
+            .push(exclude.map(|node| self.ordering.permutation.new_index(node)));
+        ws.lane_k.push(k);
         ws.lane_offsets.push(ws.lane_entries.len());
         ws.lane_cluster_offsets.push(ws.lane_clusters.len());
         Ok(())
@@ -585,9 +596,9 @@ impl MogulIndex {
     }
 
     /// Run Algorithm 2 over the staged panel, leaving one `(result, stats)`
-    /// pair per lane, in lane order, in `ws.results`. Thresholds, pruning
-    /// decisions, tie-breaks and work counters are per lane.
-    pub(crate) fn search_panel_staged(&self, ws: &mut SearchWorkspace, k: usize, mode: SearchMode) {
+    /// pair per lane, in lane order, in `ws.results`. Thresholds, `k`,
+    /// pruning decisions, tie-breaks and work counters are per lane.
+    fn search_panel_staged(&self, ws: &mut SearchWorkspace, mode: SearchMode) {
         let width = ws.staged();
         let n = self.num_nodes();
         if n == 0 {
@@ -599,8 +610,9 @@ impl MogulIndex {
         let mut stats = [SearchStats::default(); PANEL_WIDTH];
         let mut collectors = std::mem::take(&mut ws.collectors);
         collectors.extend(
-            (0..width)
-                .map(|_| TopKCollector::with_buffer(k, ws.heap_bufs.pop().unwrap_or_default())),
+            ws.lane_k
+                .iter()
+                .map(|&k| TopKCollector::with_buffer(k, ws.heap_bufs.pop().unwrap_or_default())),
         );
         let lanes = &ALL_LANES[..width];
 

@@ -23,7 +23,7 @@
 
 use crate::mogul::batch::SearchWorkspace;
 use crate::mogul::index::{Factorization, MogulIndex};
-use crate::ranking::{check_k, check_query, Ranker, TopKResult};
+use crate::ranking::{check_k, Ranker, TopKResult};
 use crate::Result;
 
 /// How much of Mogul's machinery the search uses. The three modes correspond
@@ -110,10 +110,8 @@ impl MogulIndex {
         k: usize,
         mode: SearchMode,
     ) -> Result<(TopKResult, SearchStats)> {
-        check_query(query, self.num_nodes())?;
-        check_k(k)?;
-        let permuted_query = self.ordering.permutation.new_index(query);
-        self.search_lane_in(ws, &[(query, 1.0)], Some(permuted_query), k, mode)
+        let mut results = self.search_batch_in(ws, &[query], k, mode)?;
+        Ok(results.pop().expect("a batch of one yields one result"))
     }
 
     /// Top-k search for a weighted query vector given in *original* node ids
@@ -136,7 +134,11 @@ impl MogulIndex {
         mode: SearchMode,
     ) -> Result<(TopKResult, SearchStats)> {
         check_k(k)?;
-        self.search_lane_in(ws, query_weights, None, k, mode)
+        let mut results = self.search_panels_in(ws, &[query_weights], mode, |ws, weights| {
+            self.batch_push_lane(ws, weights, None, k)
+        })?;
+        let (top, stats, _) = results.pop().expect("a panel of one yields one result");
+        Ok((top, stats))
     }
 
     /// Approximate ranking scores of **all** nodes (original node order),

@@ -9,7 +9,7 @@
 //! Algorithm 2 search. Both phases are `O(n)`; Table 2 of the paper breaks
 //! the total time into exactly these two parts.
 
-use crate::mogul::{MogulIndex, SearchMode, SearchStats, SearchWorkspace, PANEL_WIDTH};
+use crate::mogul::{MogulIndex, SearchMode, SearchStats, SearchWorkspace};
 use crate::ranking::{check_k, TopKResult};
 use crate::topk::{f64_sort_key, BoundedTopK, Entry};
 use crate::{CoreError, Result};
@@ -65,9 +65,25 @@ impl Default for OutOfSampleConfig {
     }
 }
 
-/// Result of one out-of-sample query, including the timing breakdown that
-/// Table 2 of the paper reports.
-#[derive(Debug, Clone)]
+/// One lane of a query panel, asked for with its own `k`. Either kind is a
+/// seed of the ordinary Algorithm 2 (Section 4.6.2): an `Item` is its own
+/// node with weight 1, excluded from its own answer, and a `Feature` is
+/// phase 1's heat-kernel weights over its nearest database nodes. An
+/// `Item` is an original node id of an [`OutOfSampleIndex`], a stable id of
+/// an [`IndexSnapshot`](crate::update::IndexSnapshot) and a global id of a
+/// [`ShardedSnapshot`](crate::ShardedSnapshot).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Query<'a> {
+    /// An item already in the database.
+    Item(usize),
+    /// An arbitrary feature vector.
+    Feature(&'a [f64]),
+}
+
+/// Result of one query lane, including the timing breakdown that Table 2
+/// of the paper reports (an [`Query::Item`] lane has no neighbours and no
+/// phase-1 time).
+#[derive(Debug, Clone, Default)]
 pub struct OutOfSampleResult {
     /// Top-k database nodes.
     pub top_k: TopKResult,
@@ -75,7 +91,8 @@ pub struct OutOfSampleResult {
     pub neighbors: Vec<usize>,
     /// Seconds spent finding the nearest cluster and neighbours.
     pub nearest_neighbor_secs: f64,
-    /// Seconds spent in the top-k search itself.
+    /// Seconds of the top-k search: the lane's even share of its panel's
+    /// phase-2 time, whatever kind its panel mates are.
     pub top_k_secs: f64,
     /// Work counters of the top-k search.
     pub stats: SearchStats,
@@ -204,59 +221,63 @@ impl OutOfSampleIndex {
         Ok(results.pop().expect("a batch of one yields one result"))
     }
 
-    /// [`OutOfSampleIndex::query`] over many feature vectors.
-    ///
-    /// Phase 1 (nearest cluster / nearest neighbours / weight construction)
-    /// runs per query; phase 2 packs the weighted query vectors into
-    /// [`PANEL_WIDTH`]-wide panels and runs the Algorithm 2 engine, so the
-    /// factor structure is traversed once per panel instead of once per
-    /// query. Rankings, neighbours and work counters of a query do not
-    /// depend on what it is batched with; only the timing split does —
-    /// `top_k_secs` reports each lane's even share of its panel's phase-2
-    /// wall clock.
-    ///
-    /// One invalid feature fails the whole call (callers needing per-query
-    /// error isolation, like `mogul-serve`, re-run the affected batch query
-    /// by query).
+    /// [`OutOfSampleIndex::query`] over many feature vectors: the lanes of
+    /// [`OutOfSampleIndex::query_lanes_in`].
     pub fn query_batch_in(
         &self,
         ws: &mut SearchWorkspace,
         features: &[&[f64]],
         k: usize,
     ) -> Result<Vec<OutOfSampleResult>> {
-        check_k(k)?;
-        let mut out: Vec<OutOfSampleResult> = Vec::with_capacity(features.len());
-        for chunk in features.chunks(PANEL_WIDTH) {
-            // Phase 1: nearest cluster(s) by centroid, then nearest
-            // neighbours inside them, turned into a normalized weighted
-            // query vector — one staged lane per feature.
-            self.index.batch_begin(ws);
-            for &feature in chunk {
-                let nn_start = Instant::now();
-                self.collect_query_weights(&mut ws.neighbors, feature)?;
-                let nearest_neighbor_secs = nn_start.elapsed().as_secs_f64();
-                let weights = std::mem::take(&mut ws.neighbors.weights);
-                let pushed = self.index.batch_push_lane(ws, &weights, None);
-                ws.neighbors.weights = weights;
-                pushed?;
-                out.push(OutOfSampleResult {
-                    top_k: TopKResult::default(),
-                    neighbors: ws.neighbors.scored.iter().map(|&(node, _)| node).collect(),
-                    nearest_neighbor_secs,
-                    top_k_secs: 0.0,
-                    stats: SearchStats::default(),
-                });
-            }
-            // Phase 2: ordinary Mogul search over the weighted query vectors.
-            let search_start = Instant::now();
-            self.index.search_panel_staged(ws, k, SearchMode::Pruned);
-            let per_lane_secs = search_start.elapsed().as_secs_f64() / chunk.len() as f64;
-            let first = out.len() - chunk.len();
-            for (result, (top_k, stats)) in out[first..].iter_mut().zip(ws.results.drain(..)) {
-                result.top_k = top_k;
-                result.top_k_secs = per_lane_secs;
-                result.stats = stats;
-            }
+        let lanes: Vec<_> = features.iter().map(|&f| (Query::Feature(f), k)).collect();
+        self.query_lanes_in(ws, &lanes)
+    }
+
+    /// Queries of either kind, each with its own `k` — the one query body of
+    /// this index. Each lane resolves to a seed ([`Query`]; phase 1 — nearest
+    /// cluster(s) by centroid, nearest neighbours inside them — for a
+    /// feature), and phase 2 packs the seeds into
+    /// [`PANEL_WIDTH`](crate::PANEL_WIDTH)-wide panels of the Algorithm 2
+    /// engine, whatever their kinds and `k`: the factor structure is
+    /// traversed once per panel instead of once per query. Rankings,
+    /// neighbours and work counters of a lane do not depend on its panel
+    /// mates; only the timing split does — `top_k_secs` is each lane's even
+    /// share of its panel's phase-2 wall clock, whatever kind its panel
+    /// mates are. One invalid lane fails the whole call.
+    pub fn query_lanes_in(
+        &self,
+        ws: &mut SearchWorkspace,
+        lanes: &[(Query, usize)],
+    ) -> Result<Vec<OutOfSampleResult>> {
+        // Each lane's answer, phase 1 filled in while it is staged.
+        let mut out = Vec::with_capacity(lanes.len());
+        let searched =
+            self.index
+                .search_panels_in(ws, lanes, SearchMode::Pruned, |ws, &(query, k)| {
+                    check_k(k)?;
+                    let mut result = OutOfSampleResult::default();
+                    let pushed = match query {
+                        Query::Item(node) => {
+                            self.index
+                                .batch_push_lane(ws, &[(node, 1.0)], Some(node), k)
+                        }
+                        Query::Feature(feature) => {
+                            let nn_start = Instant::now();
+                            self.collect_query_weights(&mut ws.neighbors, feature)?;
+                            result.nearest_neighbor_secs = nn_start.elapsed().as_secs_f64();
+                            result.neighbors =
+                                ws.neighbors.scored.iter().map(|&(n, _)| n).collect();
+                            let weights = std::mem::take(&mut ws.neighbors.weights);
+                            let pushed = self.index.batch_push_lane(ws, &weights, None, k);
+                            ws.neighbors.weights = weights;
+                            pushed
+                        }
+                    };
+                    out.push(result);
+                    pushed
+                })?;
+        for (result, (top_k, stats, top_k_secs)) in out.iter_mut().zip(searched) {
+            (result.top_k, result.stats, result.top_k_secs) = (top_k, stats, top_k_secs);
         }
         Ok(out)
     }
@@ -287,20 +308,7 @@ impl OutOfSampleIndex {
     /// (`O(n log k)`, no full sort); ties are pinned to the earlier
     /// candidate, matching the stable sort this replaced.
     fn collect_query_weights(&self, ws: &mut NeighborScratch, feature: &[f64]) -> Result<()> {
-        let dim = self.feature_dim();
-        if feature.len() != dim {
-            return Err(CoreError::DimensionMismatch {
-                op: "out-of-sample query feature",
-                left: (1, dim),
-                right: (1, feature.len()),
-            });
-        }
-        if !feature.iter().all(|v| v.is_finite()) {
-            return Err(CoreError::InvalidInput(
-                "query feature contains non-finite values".into(),
-            ));
-        }
-
+        check_feature(feature, self.feature_dim())?;
         let non_empty = self.live_centroids().count();
         if non_empty == 0 {
             return Err(CoreError::InvalidInput(
@@ -344,6 +352,24 @@ impl OutOfSampleIndex {
         heat_kernel_weights(&ws.scored, &mut ws.weights);
         Ok(())
     }
+}
+
+/// Validate an out-of-sample query feature against the indexed dimension
+/// `dim`: the right length, every component finite.
+pub(crate) fn check_feature(feature: &[f64], dim: usize) -> Result<()> {
+    if feature.len() != dim {
+        return Err(CoreError::DimensionMismatch {
+            op: "out-of-sample query feature",
+            left: (1, dim),
+            right: (1, feature.len()),
+        });
+    }
+    if !feature.iter().all(|v| v.is_finite()) {
+        return Err(CoreError::InvalidInput(
+            "query feature contains non-finite values".into(),
+        ));
+    }
+    Ok(())
 }
 
 /// Heat-kernel weights of an out-of-sample query over its selected

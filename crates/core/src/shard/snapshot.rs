@@ -11,9 +11,10 @@
 //! (every other shard's Algorithm-2 bound is exactly zero), and an
 //! out-of-sample query probes the nearest shard(s) by base-cluster centroid
 //! distance and merges their candidates under the monolithic index's
-//! `(score desc, stable id asc)` tie-break. Either kind is one scatter: a
-//! batch's queries that route to one shard run as one **leg**, that shard's
-//! panel-blocked batch call, and a [`LegPolicy`] says how a leg runs —
+//! `(score desc, stable id asc)` tie-break. A batch of either kind or both
+//! is one scatter: its lanes that route to one shard run as one **leg**,
+//! that shard's panel-blocked batch call, and a [`LegPolicy`] says how a
+//! leg runs —
 //! [`HealthyLegs`] lets its error fail the call, the serving layer's
 //! degraded policy drops a failed leg from every lane it would have joined.
 
@@ -22,7 +23,7 @@ use std::sync::Arc;
 
 use super::ShardRouter;
 use crate::mogul::SearchStats;
-use crate::out_of_sample::OutOfSampleResult;
+use crate::out_of_sample::{OutOfSampleResult, Query};
 use crate::ranking::{RankedNode, TopKResult};
 use crate::topk::{f64_sort_key, BoundedTopK, Entry};
 use crate::update::{IndexSnapshot, SnapshotWorkspace};
@@ -199,35 +200,11 @@ impl ShardedSnapshot {
             .filter(|&(s, local)| self.shards[s].contains(local))
     }
 
-    /// The `(shard, local id)` of a query item, or the error every
-    /// in-database entry point reports for an id that is not live.
-    fn locate_query(&self, global: usize) -> Result<(usize, usize)> {
-        self.locate_live(global).ok_or_else(|| {
-            CoreError::InvalidInput(format!(
-                "item {global} is not in this sharded snapshot (never inserted, or removed)"
-            ))
-        })
-    }
-
     fn global_of_local(&self, shard: usize, local: usize) -> usize {
         self.router
             .global_of_local(shard, local)
             .expect("shard handed out a local id the router does not know")
     }
-
-    fn translate_top_k(&self, shard: usize, top: &TopKResult) -> TopKResult {
-        TopKResult::new(
-            top.items()
-                .iter()
-                .map(|item| RankedNode {
-                    node: self.global_of_local(shard, item.node),
-                    score: item.score,
-                })
-                .collect(),
-        )
-    }
-
-    // -- in-database queries ------------------------------------------------
 
     /// Top-k for a database item by global id (allocating convenience).
     pub fn query_by_id(&self, global: usize, k: usize) -> Result<TopKResult> {
@@ -249,7 +226,7 @@ impl ShardedSnapshot {
             .map(|(t, _)| t)
     }
 
-    /// [`Self::query_by_id_in`] plus scatter statistics: the healthy batch
+    /// [`Self::query_by_id_in`] plus scatter statistics: the healthy lane
     /// of one.
     pub fn query_by_id_with_stats_in(
         &self,
@@ -257,47 +234,13 @@ impl ShardedSnapshot {
         global: usize,
         k: usize,
     ) -> Result<(TopKResult, ShardScatterStats)> {
-        let (answer, stats) = self
-            .query_batch_by_id_in(ws, &[global], k, &HealthyLegs)?
-            .remove(0);
-        Ok((answer.expect("the healthy policy drops no leg"), stats))
+        let lane = [(Query::Item(global), k)];
+        let (answer, stats) = self.query_batch_in(ws, &lane, &HealthyLegs)?.remove(0);
+        Ok((
+            answer.expect("the healthy policy drops no leg").top_k,
+            stats,
+        ))
     }
-
-    /// In-database queries by global id, each with its scatter statistics —
-    /// the one body of every in-database entry point: the ids of one owning
-    /// shard run as one leg under `legs`, and a lane whose leg was dropped
-    /// gets no answer. A query's answer does not depend on what it is
-    /// batched with. One unknown id fails the whole call.
-    pub fn query_batch_by_id_in<P: LegPolicy>(
-        &self,
-        ws: &mut ShardedWorkspace,
-        globals: &[usize],
-        k: usize,
-        legs: &P,
-    ) -> Result<Vec<(Option<TopKResult>, ShardScatterStats)>> {
-        let located = globals
-            .iter()
-            .map(|&global| self.locate_query(global))
-            .collect::<Result<Vec<_>>>()?;
-        let routes: Vec<Vec<usize>> = located.iter().map(|&(shard, _)| vec![shard]).collect();
-        let answers = self.scatter(ws, &routes, legs, |shard, ws, lanes| {
-            let locals: Vec<usize> = lanes.iter().map(|&pos| located[pos].1).collect();
-            let results = self.shards[shard].query_batch_by_id_in(ws, &locals, k)?;
-            Ok(results
-                .into_iter()
-                .map(|(top, search)| (self.translate_top_k(shard, &top), search))
-                .collect())
-        })?;
-        Ok(answers
-            .into_iter()
-            .map(|mut lane| match lane.pop().flatten() {
-                Some((top, search)) => (Some(top), self.lane_stats(1, 1, search)),
-                None => (None, self.lane_stats(1, 0, SearchStats::default())),
-            })
-            .collect())
-    }
-
-    // -- out-of-sample queries ----------------------------------------------
 
     /// Top-k for an arbitrary feature vector (allocating convenience).
     pub fn query_by_feature(&self, feature: &[f64], k: usize) -> Result<OutOfSampleResult> {
@@ -323,53 +266,86 @@ impl ShardedSnapshot {
     }
 
     /// [`Self::query_by_feature_in`] plus scatter statistics: the healthy
-    /// batch of one.
+    /// lane of one.
     pub fn query_by_feature_with_stats_in(
         &self,
         ws: &mut ShardedWorkspace,
         feature: &[f64],
         k: usize,
     ) -> Result<(OutOfSampleResult, ShardScatterStats)> {
-        let (answer, stats) = self
-            .query_batch_by_feature_in(ws, &[feature], k, &HealthyLegs)?
-            .remove(0);
+        let lane = [(Query::Feature(feature), k)];
+        let (answer, stats) = self.query_batch_in(ws, &lane, &HealthyLegs)?.remove(0);
         Ok((answer.expect("the healthy policy drops no leg"), stats))
     }
 
-    /// Out-of-sample queries, each with its scatter statistics — the one
-    /// body of every out-of-sample entry point: a feature has a leg on each
-    /// of its first [`shard_probes`](Self::shard_probes) shards in
-    /// [`probe_order`](Self::probe_order), the features of one shard run as
-    /// one leg under `legs`, and each feature's surviving legs are merged in
-    /// its probe order (a lane with none gets no answer). A query's answer
-    /// does not depend on what it is batched with. One unroutable feature
-    /// fails the whole call.
-    pub fn query_batch_by_feature_in<P: LegPolicy>(
+    /// Queries of either kind, each with its own `k` and its scatter
+    /// statistics — the one body and the one scatter of every sharded entry
+    /// point. An `Item` has a leg on its owning shard, a `Feature` one on
+    /// each of its first [`shard_probes`](Self::shard_probes) shards in
+    /// [`probe_order`](Self::probe_order). The lanes with a leg on one shard
+    /// run as one [`IndexSnapshot::query_batch_in`] call under `legs`, shards
+    /// in the order the lanes reach them (by route position, then lane), and
+    /// each lane's surviving legs are gathered in route order (a lane with
+    /// none gets no answer). A lane's answer does not depend on what it is
+    /// batched with. One unknown id or unroutable feature fails the call.
+    pub fn query_batch_in<P: LegPolicy>(
         &self,
         ws: &mut ShardedWorkspace,
-        features: &[&[f64]],
-        k: usize,
+        lanes: &[(Query, usize)],
         legs: &P,
     ) -> Result<Vec<(Option<OutOfSampleResult>, ShardScatterStats)>> {
-        let routes = features
+        // Each lane's shards, and the lane as they see it.
+        let mut routes = Vec::with_capacity(lanes.len());
+        let mut local = Vec::with_capacity(lanes.len());
+        for &(query, k) in lanes {
+            match query {
+                Query::Item(global) => {
+                    let (shard, id) = self.locate_live(global).ok_or_else(|| {
+                        CoreError::InvalidInput(format!(
+                            "item {global} is not in this sharded snapshot \
+                             (never inserted, or removed)"
+                        ))
+                    })?;
+                    routes.push(vec![shard]);
+                    local.push((Query::Item(id), k));
+                }
+                Query::Feature(feature) => {
+                    let mut order = self.probe_order(feature)?;
+                    order.truncate(self.shard_probes);
+                    routes.push(order);
+                    local.push((query, k));
+                }
+            }
+        }
+        // Each shard with the (lane, route position) pairs that reach it.
+        let mut groups: Vec<(usize, Vec<(usize, usize)>)> = Vec::new();
+        for slot in 0..routes.iter().map(Vec::len).max().unwrap_or(0) {
+            for (pos, route) in routes.iter().enumerate() {
+                if let Some(&shard) = route.get(slot) {
+                    match groups.iter_mut().find(|(s, _)| *s == shard) {
+                        Some((_, members)) => members.push((pos, slot)),
+                        None => groups.push((shard, vec![(pos, slot)])),
+                    }
+                }
+            }
+        }
+        let mut answers: Vec<Vec<Option<OutOfSampleResult>>> = routes
             .iter()
-            .map(|feature| {
-                let mut order = self.probe_order(feature)?;
-                order.truncate(self.shard_probes);
-                Ok(order)
-            })
-            .collect::<Result<Vec<_>>>()?;
-        let answers = self.scatter(ws, &routes, legs, |shard, ws, lanes| {
-            let panel: Vec<&[f64]> = lanes.iter().map(|&pos| features[pos]).collect();
-            let results = self.shards[shard].query_batch_by_feature_in(ws, &panel, k)?;
-            Ok(results
-                .into_iter()
-                .map(|leg| self.translate_leg(shard, leg))
-                .collect())
-        })?;
+            .map(|route| route.iter().map(|_| None).collect())
+            .collect();
+        for (shard, members) in groups {
+            let panel: Vec<_> = members.iter().map(|&(pos, _)| local[pos]).collect();
+            let leg = |ws: &mut SnapshotWorkspace| self.shards[shard].query_batch_in(ws, &panel);
+            if let Some(results) = legs.run(shard, &mut ws.inner, leg)? {
+                for (&(pos, slot), answer) in members.iter().zip(results) {
+                    answers[pos][slot] = Some(self.translate_leg(shard, answer));
+                }
+            }
+        }
         Ok(answers
             .into_iter()
-            .map(|lane| {
+            .zip(lanes)
+            .map(|(lane, &(_, k))| {
                 let planned = lane.len();
                 let survived: Vec<OutOfSampleResult> = lane.into_iter().flatten().collect();
                 if survived.is_empty() {
@@ -416,65 +392,30 @@ impl ShardedSnapshot {
         }
     }
 
-    /// The one shard loop of every query: lane `pos` has a leg on each
-    /// shard of `routes[pos]`, and the lanes with a leg on one shard run as
-    /// one call of `leg(shard, workspace, lanes)` — one answer per lane, in
-    /// `lanes` order — under `policy`. Shards run in the order the lanes
-    /// reach them (by route position, then lane), so a lone query's legs
-    /// run in its probe order. Returns each lane's leg answers in route
-    /// order, `None` where the policy dropped the leg.
-    fn scatter<R, P: LegPolicy>(
-        &self,
-        ws: &mut ShardedWorkspace,
-        routes: &[Vec<usize>],
-        policy: &P,
-        leg: impl Fn(usize, &mut SnapshotWorkspace, &[usize]) -> Result<Vec<R>>,
-    ) -> Result<Vec<Vec<Option<R>>>> {
-        // Each shard with the (lane, route position) pairs that reach it.
-        let mut groups: Vec<(usize, Vec<(usize, usize)>)> = Vec::new();
-        for slot in 0..routes.iter().map(Vec::len).max().unwrap_or(0) {
-            for (pos, route) in routes.iter().enumerate() {
-                if let Some(&shard) = route.get(slot) {
-                    match groups.iter_mut().find(|(s, _)| *s == shard) {
-                        Some((_, members)) => members.push((pos, slot)),
-                        None => groups.push((shard, vec![(pos, slot)])),
-                    }
-                }
-            }
-        }
-        let mut answers: Vec<Vec<Option<R>>> = routes
-            .iter()
-            .map(|route| route.iter().map(|_| None).collect())
-            .collect();
-        for (shard, members) in groups {
-            let lanes: Vec<usize> = members.iter().map(|&(pos, _)| pos).collect();
-            let leg = |ws: &mut SnapshotWorkspace| leg(shard, ws, &lanes);
-            if let Some(results) = policy.run(shard, &mut ws.inner, leg)? {
-                for (&(pos, slot), answer) in members.iter().zip(results) {
-                    answers[pos][slot] = Some(answer);
-                }
-            }
-        }
-        Ok(answers)
-    }
-
-    /// A shard's out-of-sample answer with its shard-local ids translated
-    /// to global stable ids.
+    /// A shard's answer with its shard-local ids translated to global
+    /// stable ids.
     fn translate_leg(&self, shard: usize, leg: OutOfSampleResult) -> OutOfSampleResult {
+        let global = |local| self.global_of_local(shard, local);
         OutOfSampleResult {
-            top_k: self.translate_top_k(shard, &leg.top_k),
-            neighbors: leg
-                .neighbors
-                .iter()
-                .map(|&local| self.global_of_local(shard, local))
-                .collect(),
+            top_k: TopKResult::new(
+                leg.top_k
+                    .items()
+                    .iter()
+                    .map(|item| RankedNode {
+                        node: global(item.node),
+                        score: item.score,
+                    })
+                    .collect(),
+            ),
+            neighbors: leg.neighbors.iter().map(|&local| global(local)).collect(),
             ..leg
         }
     }
 }
 
-/// Gather one lane's surviving, already-translated legs into one answer:
-/// bounded top-k under the `(score desc, global id asc)` tie-break,
+/// Gather one lane's surviving, already-translated legs into one answer
+/// (a lone leg's too): bounded top-k under the `(score desc, global id
+/// asc)` tie-break — the order a lone leg's translated top-k already has —
 /// neighbours concatenated in leg order, phase timings and search counters
 /// summed in leg order. The workspace lends the collector its recycled
 /// buffer.

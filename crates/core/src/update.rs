@@ -46,10 +46,11 @@
 //! every rebuild.
 
 use crate::mogul::{
-    Factorization, MogulConfig, MogulIndex, SearchMode, SearchStats, SearchWorkspace, PANEL_WIDTH,
+    Factorization, MogulConfig, MogulIndex, SearchStats, SearchWorkspace, PANEL_WIDTH,
 };
 use crate::out_of_sample::{
-    heat_kernel_weights, OutOfSampleConfig, OutOfSampleIndex, OutOfSampleResult,
+    check_feature, heat_kernel_weights, OutOfSampleConfig, OutOfSampleIndex, OutOfSampleResult,
+    Query,
 };
 use crate::params::MrParams;
 use crate::persist::PersistError;
@@ -1102,7 +1103,7 @@ pub struct SnapshotWorkspace {
     corr: CorrectionWorkspace,
     /// Phase-1 `(node, distance)` pairs of corrected out-of-sample queries.
     scored: Vec<(usize, f64)>,
-    /// Phase-1 weighted query vectors, one per lane of the panel.
+    /// Seeds (weighted query vectors) of a corrected panel, one per lane.
     lanes: Vec<Vec<(usize, f64)>>,
 }
 
@@ -1234,7 +1235,7 @@ impl IndexSnapshot {
     }
 
     /// [`IndexSnapshot::query_by_id_in`] plus the search's work counters (a
-    /// corrected snapshot scores every node and prunes nothing): the batch
+    /// corrected snapshot scores every node and prunes nothing): the lane
     /// of one.
     pub fn query_by_id_with_stats_in(
         &self,
@@ -1242,63 +1243,8 @@ impl IndexSnapshot {
         id: usize,
         k: usize,
     ) -> Result<(TopKResult, SearchStats)> {
-        let mut answers = self.query_batch_by_id_in(ws, &[id], k)?;
-        Ok(answers.pop().expect("a batch of one yields one answer"))
-    }
-
-    /// In-database queries by stable id, each with its work counters — the
-    /// one body of every in-database entry point. Clean snapshots run the
-    /// panel-blocked Algorithm 2 engine; corrected snapshots run the
-    /// multi-RHS `L D Lᵀ` solve plus per-lane Woodbury corrections. A
-    /// query's answer does not depend on what it is batched with.
-    ///
-    /// One unknown id fails the whole call (callers needing per-request
-    /// error isolation, like `mogul-serve`, re-run the affected batch query
-    /// by query).
-    pub fn query_batch_by_id_in(
-        &self,
-        ws: &mut SnapshotWorkspace,
-        ids: &[usize],
-        k: usize,
-    ) -> Result<Vec<(TopKResult, SearchStats)>> {
-        check_k(k)?;
-        let mut nodes = Vec::with_capacity(ids.len());
-        for &id in ids {
-            nodes.push(self.node_of_id.get(id).copied().flatten().ok_or_else(|| {
-                CoreError::InvalidInput(format!(
-                    "item {id} is not in this snapshot (never inserted, or removed)"
-                ))
-            })?);
-        }
-        match &self.state {
-            SnapshotState::Clean => {
-                let results = self.oos.index().search_batch_in(
-                    &mut ws.search,
-                    &nodes,
-                    k,
-                    SearchMode::Pruned,
-                )?;
-                Ok(results
-                    .into_iter()
-                    .map(|(top, stats)| (self.remap_top_k(&top), stats))
-                    .collect())
-            }
-            SnapshotState::Corrected {
-                correction, live, ..
-            } => {
-                let stats = Self::full_solve_stats(correction.dim());
-                let mut out = Vec::with_capacity(ids.len());
-                let queries: Vec<[(usize, f64); 1]> =
-                    nodes.iter().map(|&node| [(node, 1.0)]).collect();
-                for chunk in queries.chunks(PANEL_WIDTH) {
-                    self.corrected_scores(ws, correction, chunk, |lane, scores| {
-                        let top = self.select_top_k(scores, live, k, Some(chunk[lane][0].0));
-                        out.push((top, stats));
-                    })?;
-                }
-                Ok(out)
-            }
-        }
+        let answer = self.query_batch_in(ws, &[(Query::Item(id), k)])?.remove(0);
+        Ok((answer.top_k, answer.stats))
     }
 
     /// Top-k for an arbitrary feature vector (out-of-sample query).
@@ -1312,37 +1258,58 @@ impl IndexSnapshot {
     }
 
     /// [`IndexSnapshot::query_by_feature`] with caller-owned scratch: the
-    /// batch of one.
+    /// lane of one.
     pub fn query_by_feature_in(
         &self,
         ws: &mut SnapshotWorkspace,
         feature: &[f64],
         k: usize,
     ) -> Result<OutOfSampleResult> {
-        let mut answers = self.query_batch_by_feature_in(ws, &[feature], k)?;
-        Ok(answers.pop().expect("a batch of one yields one answer"))
+        Ok(self
+            .query_batch_in(ws, &[(Query::Feature(feature), k)])?
+            .remove(0))
     }
 
-    /// Out-of-sample queries — the one body of every out-of-sample entry
-    /// point. Each result carries its neighbours (stable ids) and work
-    /// counters. Phase 1 runs per feature; phase 2 packs the weighted query
-    /// vectors into [`PANEL_WIDTH`]-wide panels: on a clean snapshot through
-    /// [`OutOfSampleIndex::query_batch_in`], on a corrected one through the
-    /// corrected solve (after the exact nearest-neighbour scan over the live
-    /// features described at [`IndexSnapshot::query_by_feature`]). A query's
-    /// answer does not depend on what it is batched with; only the timing
-    /// split does (`top_k_secs` is each lane's even share of its panel).
+    /// Queries of either kind, each with its own `k` — the one body of every
+    /// snapshot entry point. Each result carries its neighbours (stable
+    /// ids; none for an [`Query::Item`]) and work counters.
     ///
-    /// One invalid feature fails the whole call.
-    pub fn query_batch_by_feature_in(
+    /// Each lane resolves to a seed: an `Item` is its stable id's node with
+    /// weight 1, excluded from its own answer; a `Feature` goes through
+    /// phase 1 — the centroid probe on a clean snapshot, the exact
+    /// nearest-neighbour scan over the live features on a corrected one
+    /// (see [`IndexSnapshot::query_by_feature`]). Phase 2 runs one panel
+    /// per [`PANEL_WIDTH`] lanes, whatever their kinds and `k`: on a clean
+    /// snapshot through [`OutOfSampleIndex::query_lanes_in`], on a
+    /// corrected one through the multi-RHS `L D Lᵀ` solve plus per-lane
+    /// Woodbury corrections. A lane's answer does not depend on what it is
+    /// batched with; only the timing split does (`top_k_secs` is each
+    /// lane's even share of its panel's phase-2 time).
+    ///
+    /// One invalid lane fails the whole call (callers needing per-request
+    /// error isolation, like `mogul-serve`, re-run the affected batch query
+    /// by query).
+    pub fn query_batch_in(
         &self,
         ws: &mut SnapshotWorkspace,
-        features: &[&[f64]],
-        k: usize,
+        lanes: &[(Query, usize)],
     ) -> Result<Vec<OutOfSampleResult>> {
+        // Every `Item` as its dense node.
+        let lanes = lanes
+            .iter()
+            .map(|&(query, k)| match query {
+                Query::Item(id) => match self.node_of_id.get(id).copied().flatten() {
+                    Some(node) => Ok((Query::Item(node), k)),
+                    None => Err(CoreError::InvalidInput(format!(
+                        "item {id} is not in this snapshot (never inserted, or removed)"
+                    ))),
+                },
+                feature => Ok((feature, k)),
+            })
+            .collect::<Result<Vec<_>>>()?;
         let (correction, items, live) = match &self.state {
             SnapshotState::Clean => {
-                let mut results = self.oos.query_batch_in(&mut ws.search, features, k)?;
+                let mut results = self.oos.query_lanes_in(&mut ws.search, &lanes)?;
                 for result in results.iter_mut() {
                     result.top_k = self.remap_top_k(&result.top_k);
                     for node in result.neighbors.iter_mut() {
@@ -1357,59 +1324,58 @@ impl IndexSnapshot {
                 live,
             } => (correction, features, live),
         };
-        check_k(k)?;
         let num_neighbors = self.oos.config().num_neighbors;
-        let mut out: Vec<OutOfSampleResult> = Vec::with_capacity(features.len());
-        // The lane buffers leave the workspace for the call; a failed call
+        let mut out: Vec<OutOfSampleResult> = Vec::with_capacity(lanes.len());
+        // The seed buffers leave the workspace for the call; a failed call
         // drops them, which leaves the workspace sound.
-        let mut lanes = std::mem::take(&mut ws.lanes);
-        for chunk in features.chunks(PANEL_WIDTH) {
-            // Phase 1: exact nearest neighbours among live items, then the
-            // same heat-kernel weights as `OutOfSampleIndex`.
-            lanes.resize_with(chunk.len(), Vec::new);
-            for (&feature, weights) in chunk.iter().zip(lanes.iter_mut()) {
-                if feature.len() != self.dim {
-                    return Err(CoreError::DimensionMismatch {
-                        op: "out-of-sample query feature",
-                        left: (1, self.dim),
-                        right: (1, feature.len()),
-                    });
-                }
-                if !feature.iter().all(|v| v.is_finite()) {
-                    return Err(CoreError::InvalidInput(
-                        "query feature contains non-finite values".into(),
-                    ));
-                }
-                let nn_start = Instant::now();
-                ws.scored.clear();
-                ws.scored.extend(
-                    nearest_rows(items, feature, num_neighbors, |u| !live[u])
-                        .into_iter()
-                        .map(|(u, d2)| (u, d2.sqrt())),
-                );
-                heat_kernel_weights(&ws.scored, weights);
-                out.push(OutOfSampleResult {
-                    top_k: TopKResult::default(),
-                    neighbors: ws.scored.iter().map(|&(node, _)| self.ids[node]).collect(),
-                    nearest_neighbor_secs: nn_start.elapsed().as_secs_f64(),
-                    top_k_secs: 0.0,
+        let mut seeds = std::mem::take(&mut ws.lanes);
+        for panel in lanes.chunks(PANEL_WIDTH) {
+            seeds.resize_with(panel.len(), Vec::new);
+            let mut excludes = [None; PANEL_WIDTH];
+            for (lane, &(query, k)) in panel.iter().enumerate() {
+                check_k(k)?;
+                let seed = &mut seeds[lane];
+                let mut result = OutOfSampleResult {
                     stats: Self::full_solve_stats(correction.dim()),
-                });
+                    ..OutOfSampleResult::default()
+                };
+                match query {
+                    Query::Item(node) => {
+                        seed.clear();
+                        seed.push((node, 1.0));
+                        excludes[lane] = Some(node);
+                    }
+                    // Exact nearest neighbours among live items, then the
+                    // same heat-kernel weights as `OutOfSampleIndex`.
+                    Query::Feature(feature) => {
+                        check_feature(feature, self.dim)?;
+                        let nn_start = Instant::now();
+                        ws.scored.clear();
+                        ws.scored.extend(
+                            nearest_rows(items, feature, num_neighbors, |u| !live[u])
+                                .into_iter()
+                                .map(|(u, d2)| (u, d2.sqrt())),
+                        );
+                        heat_kernel_weights(&ws.scored, seed);
+                        result.neighbors = ws.scored.iter().map(|&(u, _)| self.ids[u]).collect();
+                        result.nearest_neighbor_secs = nn_start.elapsed().as_secs_f64();
+                    }
+                }
+                out.push(result);
             }
 
-            // Phase 2: one corrected solve over the panel of weighted query
-            // vectors.
             let search_start = Instant::now();
-            let first = out.len() - chunk.len();
-            self.corrected_scores(ws, correction, &lanes, |lane, scores| {
-                out[first + lane].top_k = self.select_top_k(scores, live, k, None);
+            let first = out.len() - panel.len();
+            self.corrected_scores(ws, correction, &seeds, |lane, scores| {
+                let k = panel[lane].1;
+                out[first + lane].top_k = self.select_top_k(scores, live, k, excludes[lane]);
             })?;
-            let per_lane_secs = search_start.elapsed().as_secs_f64() / chunk.len() as f64;
+            let per_lane_secs = search_start.elapsed().as_secs_f64() / panel.len() as f64;
             for result in &mut out[first..] {
                 result.top_k_secs = per_lane_secs;
             }
         }
-        ws.lanes = lanes;
+        ws.lanes = seeds;
         Ok(out)
     }
 
@@ -1665,8 +1631,9 @@ mod tests {
             .collect();
         for size in [1usize, 2, 3, 8, 11] {
             for (chunk, want) in ids.chunks(size).zip(singles.chunks(size)) {
-                let batch = snapshot.query_batch_by_id_in(ws, chunk, k).unwrap();
-                let tops: Vec<TopKResult> = batch.into_iter().map(|(top, _)| top).collect();
+                let lanes: Vec<_> = chunk.iter().map(|&id| (Query::Item(id), k)).collect();
+                let batch = snapshot.query_batch_in(ws, &lanes).unwrap();
+                let tops: Vec<TopKResult> = batch.into_iter().map(|r| r.top_k).collect();
                 assert_eq!(tops, want);
             }
         }

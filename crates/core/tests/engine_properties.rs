@@ -18,8 +18,8 @@
 
 use mogul_core::update::{IndexBuilder, IndexDelta, RebuildPolicy, SnapshotWorkspace};
 use mogul_core::{
-    MogulConfig, MogulIndex, OutOfSampleConfig, OutOfSampleIndex, SearchMode, SearchWorkspace,
-    PANEL_WIDTH,
+    MogulConfig, MogulIndex, OutOfSampleConfig, OutOfSampleIndex, Query, SearchMode,
+    SearchWorkspace, PANEL_WIDTH,
 };
 use mogul_data::coil::{coil_like, CoilLikeConfig};
 use mogul_data::web::{web_like, WebLikeConfig};
@@ -243,13 +243,16 @@ fn snapshot_answers_do_not_depend_on_the_batch_on_clean_and_corrected_epochs() {
 
         // In-database batches by stable id (spanning several panels).
         let ids: Vec<usize> = snapshot.item_ids();
-        let batched = snapshot.query_batch_by_id_in(&mut ws, &ids, 4).unwrap();
+        let lanes: Vec<(Query, usize)> = ids.iter().map(|&id| (Query::Item(id), 4)).collect();
+        let batched = snapshot.query_batch_in(&mut ws, &lanes).unwrap();
         for (lane, &id) in ids.iter().enumerate() {
             let (solo, stats) = snapshot
                 .query_by_id_with_stats_in(&mut solo_ws, id, 4)
                 .unwrap();
-            assert_eq!(batched[lane].0, solo, "corrected={corrected} id {id}");
-            assert_eq!(batched[lane].1, stats, "corrected={corrected} id {id}");
+            assert_eq!(batched[lane].top_k, solo, "corrected={corrected} id {id}");
+            assert_eq!(batched[lane].stats, stats, "corrected={corrected} id {id}");
+            assert!(batched[lane].neighbors.is_empty());
+            assert_eq!(batched[lane].nearest_neighbor_secs, 0.0);
             assert_eq!(solo, snapshot.query_by_id_in(&mut solo_ws, id, 4).unwrap());
             if corrected {
                 // One dense solve scores all 28 base + 2 inserted nodes.
@@ -263,11 +266,9 @@ fn snapshot_answers_do_not_depend_on_the_batch_on_clean_and_corrected_epochs() {
         let probes: Vec<Vec<f64>> = (0..(PANEL_WIDTH + 2))
             .map(|i| vec![0.1 * i as f64 + 0.03, 0.05])
             .collect();
-        let probe_refs: Vec<&[f64]> = probes.iter().map(|f| f.as_slice()).collect();
-        let batched = snapshot
-            .query_batch_by_feature_in(&mut ws, &probe_refs, 3)
-            .unwrap();
-        for (lane, &feature) in probe_refs.iter().enumerate() {
+        let lanes: Vec<(Query, usize)> = probes.iter().map(|f| (Query::Feature(f), 3)).collect();
+        let batched = snapshot.query_batch_in(&mut ws, &lanes).unwrap();
+        for (lane, feature) in probes.iter().enumerate() {
             let solo = snapshot
                 .query_by_feature_in(&mut solo_ws, feature, 3)
                 .unwrap();
@@ -280,15 +281,48 @@ fn snapshot_answers_do_not_depend_on_the_batch_on_clean_and_corrected_epochs() {
             }
         }
 
+        // Mixed panels: kinds alternate lane by lane and `k` cycles through
+        // 1, 3 and 10, over several panels; every lane answers as it does
+        // alone.
+        let mixed: Vec<(Query, usize)> = (0..(2 * PANEL_WIDTH + 3))
+            .map(|i| {
+                let query = match i % 2 {
+                    0 => Query::Item(ids[(i * 5) % ids.len()]),
+                    _ => Query::Feature(&probes[i % probes.len()]),
+                };
+                (query, [1, 3, 10][i % 3])
+            })
+            .collect();
+        let batched = snapshot.query_batch_in(&mut ws, &mixed).unwrap();
+        for (lane, &(query, k)) in mixed.iter().enumerate() {
+            let got = &batched[lane];
+            let why = format!("corrected={corrected} lane {lane}");
+            match query {
+                Query::Item(id) => {
+                    let (solo, stats) = snapshot
+                        .query_by_id_with_stats_in(&mut solo_ws, id, k)
+                        .unwrap();
+                    assert_eq!((&got.top_k, got.stats), (&solo, stats), "{why}");
+                    assert!(got.neighbors.is_empty(), "{why}");
+                }
+                Query::Feature(feature) => {
+                    let solo = snapshot
+                        .query_by_feature_in(&mut solo_ws, feature, k)
+                        .unwrap();
+                    assert_eq!(got.top_k, solo.top_k, "{why}");
+                    assert_eq!(got.neighbors, solo.neighbors, "{why}");
+                    assert_eq!(got.stats, solo.stats, "{why}");
+                }
+            }
+            assert_eq!(got.top_k.len(), k, "{why}");
+        }
+
         // Unknown ids and bad features fail the whole batch.
-        assert!(snapshot
-            .query_batch_by_id_in(&mut ws, &[0, 10_000], 3)
-            .is_err());
+        let unknown = [(Query::Item(0), 3), (Query::Item(10_000), 3)];
+        assert!(snapshot.query_batch_in(&mut ws, &unknown).is_err());
         let bad = vec![f64::NAN; dim];
-        let bad_refs: Vec<&[f64]> = vec![&probes[0], &bad];
-        assert!(snapshot
-            .query_batch_by_feature_in(&mut ws, &bad_refs, 3)
-            .is_err());
+        let bad_lanes = [(Query::Feature(&probes[0]), 3), (Query::Feature(&bad), 3)];
+        assert!(snapshot.query_batch_in(&mut ws, &bad_lanes).is_err());
     }
 }
 

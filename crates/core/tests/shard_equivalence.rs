@@ -33,7 +33,7 @@ use mogul_core::shard::{
     HealthyLegs, ShardedConfig, ShardedIndex, ShardedSnapshot, ShardedWorkspace,
 };
 use mogul_core::update::{IndexBuilder, IndexDelta, UpdatableIndex};
-use mogul_core::{RankedNode, SearchStats, TopKResult};
+use mogul_core::{Query, RankedNode, SearchStats, TopKResult};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -118,16 +118,15 @@ fn single_shard_is_bit_identical_to_monolithic() {
             let b = mono_snap.query_by_id(id, QUERY_K).unwrap();
             assert_bit_identical(&a, &b, &format!("exact={exact} scalar id {id}"));
         }
+        let lanes = item_lanes(&live);
         let batch_a = shard_snap
-            .query_batch_by_id_in(&mut ws, &live, QUERY_K, &HealthyLegs)
+            .query_batch_in(&mut ws, &lanes, &HealthyLegs)
             .unwrap();
         let mut mono_ws = mogul_core::update::SnapshotWorkspace::new();
-        let batch_b = mono_snap
-            .query_batch_by_id_in(&mut mono_ws, &live, QUERY_K)
-            .unwrap();
+        let batch_b = mono_snap.query_batch_in(&mut mono_ws, &lanes).unwrap();
         for ((a, b), &id) in batch_a.iter().zip(&batch_b).zip(&live) {
             let a = a.0.as_ref().expect("a healthy lane answers");
-            assert_bit_identical(a, &b.0, &format!("exact={exact} batch id {id}"));
+            assert_bit_identical(&a.top_k, &b.top_k, &format!("exact={exact} batch id {id}"));
         }
 
         let probe = vec![0.45, 0.55, 0.5];
@@ -351,13 +350,13 @@ proptest! {
             assert_bit_identical(&got, &want, &format!("scalar id {id}"));
         }
         let batch = snap
-            .query_batch_by_id_in(&mut ws, &live, QUERY_K, &HealthyLegs)
+            .query_batch_in(&mut ws, &item_lanes(&live), &HealthyLegs)
             .unwrap();
         for (&id, (got, _)) in live.iter().zip(&batch) {
             let (shard, local) = sharded.router().locate(id).unwrap();
             let want = refs.translated_query(&sharded, shard, local, QUERY_K);
             let got = got.as_ref().expect("a healthy lane answers");
-            assert_bit_identical(got, &want, &format!("batch id {id}"));
+            assert_bit_identical(&got.top_k, &want, &format!("batch id {id}"));
         }
 
         // Out-of-sample: the sharded answer is the routed reference shard's
@@ -697,10 +696,11 @@ fn scatter_gather_is_merge_scatter_over_the_probed_legs() {
             let snap = sharded.snapshot();
             assert_eq!(snap.is_clean(), !corrected);
             let mut ws = ShardedWorkspace::new();
-            let panel: Vec<&[f64]> = probes_between.iter().map(Vec::as_slice).collect();
-            let batched = snap
-                .query_batch_by_feature_in(&mut ws, &panel, QUERY_K, &HealthyLegs)
-                .unwrap();
+            let panel: Vec<(Query, usize)> = probes_between
+                .iter()
+                .map(|f| (Query::Feature(f), QUERY_K))
+                .collect();
+            let batched = snap.query_batch_in(&mut ws, &panel, &HealthyLegs).unwrap();
             for (feature, (batched, batched_scatter)) in probes_between.iter().zip(&batched) {
                 let what = format!("probes={shard_probes} corrected={corrected} {feature:?}");
                 let order = snap.probe_order(feature).unwrap();
@@ -722,6 +722,64 @@ fn scatter_gather_is_merge_scatter_over_the_probed_legs() {
             }
         }
     }
+
+    // A mixed run at S = 4: kinds alternate lane by lane and `k` cycles
+    // through 1, 3 and 10, and every lane answers — answer and scatter
+    // statistics — as it does alone, on a clean epoch and a corrected one.
+    let (mut sharded, _) = ShardedIndex::build(
+        translated_clusters(4, 8, 3),
+        ShardedConfig::with_shards(4)
+            .shard_probes(2)
+            .builder(builder(false).rebuild_policy(mogul_core::RebuildPolicy::never())),
+    )
+    .unwrap();
+    for corrected in [false, true] {
+        if corrected {
+            let mut delta = IndexDelta::new();
+            delta.insert(vec![2000.3, 0.5, 0.2]).remove(9);
+            sharded.apply(&delta).unwrap();
+        }
+        let snap = sharded.snapshot();
+        let ids = snap.item_ids();
+        let mixed: Vec<(Query, usize)> = (0..21)
+            .map(|i| {
+                let query = match i % 2 {
+                    0 => Query::Item(ids[(i * 7) % ids.len()]),
+                    _ => Query::Feature(&probes_between[i % probes_between.len()]),
+                };
+                (query, [1, 3, 10][i % 3])
+            })
+            .collect();
+        let mut ws = ShardedWorkspace::new();
+        let batched = snap.query_batch_in(&mut ws, &mixed, &HealthyLegs).unwrap();
+        for (lane, (&(query, k), (got, got_scatter))) in mixed.iter().zip(&batched).enumerate() {
+            let what = format!("S=4 corrected={corrected} lane {lane}");
+            let got = got.as_ref().expect("a healthy lane answers");
+            let (want, scatter) = match query {
+                Query::Item(id) => {
+                    let (top_k, scatter) = snap.query_by_id_with_stats_in(&mut ws, id, k).unwrap();
+                    assert!(got.neighbors.is_empty(), "{what}");
+                    assert_eq!(got.stats, scatter.search, "{what}");
+                    (top_k, scatter)
+                }
+                Query::Feature(feature) => {
+                    let (alone, scatter) = snap
+                        .query_by_feature_with_stats_in(&mut ws, feature, k)
+                        .unwrap();
+                    assert_eq!(got.neighbors, alone.neighbors, "{what}");
+                    assert_eq!(got.stats, alone.stats, "{what}");
+                    (alone.top_k, scatter)
+                }
+            };
+            assert_eq!(got.top_k, want, "{what}");
+            assert_eq!(*got_scatter, scatter, "{what}");
+        }
+    }
+}
+
+/// Every id as an in-database lane with `QUERY_K`.
+fn item_lanes(ids: &[usize]) -> Vec<(Query<'static>, usize)> {
+    ids.iter().map(|&id| (Query::Item(id), QUERY_K)).collect()
 }
 
 #[test]

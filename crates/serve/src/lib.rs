@@ -27,10 +27,11 @@
 //!   and mixed in-database / out-of-sample top-k requests across a
 //!   [`std::thread::scope`]-based worker pool, reading from an
 //!   epoch-versioned snapshot (a [`ServeSnapshot`]). Batch dispatch is
-//!   **panel-blocked**: workers claim contiguous runs of compatible
-//!   requests (same kind, same `k`) and answer each run as one panel of the
-//!   Algorithm 2 engine of `mogul-core` (see `docs/PERFORMANCE.md`); a lone
-//!   request is a panel of one. [`QueryServer`] is the shell over a single
+//!   **panel-blocked**: workers claim contiguous runs of admitted requests
+//!   and answer each run as one panel of the Algorithm 2 engine of
+//!   `mogul-core` (see `docs/PERFORMANCE.md`); a lone request is a panel of
+//!   one. Kind and `k` do not cut a run: either kind is one lane, a seed
+//!   with its own `k`, of the engine's one query body. [`QueryServer`] is the shell over a single
 //!   index, [`ShardedServer`] the same shell over a sharded one.
 //! * [`net`] — the **network front door**: a plain-`std` TCP server
 //!   ([`net::NetServer`]) speaking a length-prefixed, checksummed, versioned

@@ -33,9 +33,9 @@ pub trait ServeBackend: Send + Sync + 'static {
     /// (the snapshot's [`ServeSnapshot::max_job_len`]).
     fn max_job_len(&self) -> usize;
 
-    /// Answer one admitted run: compatible requests (same kind, same `k`),
-    /// at most [`ServeBackend::max_job_len`] of them, sharing the wire's
-    /// strict flag `require_complete` — an engine that cannot answer
+    /// Answer one admitted run: requests of any kinds and `k`, at most
+    /// [`ServeBackend::max_job_len`] of them, sharing the wire's strict
+    /// flag `require_complete` — an engine that cannot answer
     /// completely must fail typed instead of degrading. `answers[i]`
     /// belongs to `run[i]`, and failures are per-request.
     fn answer_run(

@@ -47,8 +47,9 @@
 //! worker that every connection shares.
 //!
 //! A worker that wakes takes a **run**: the front request plus the
-//! compatible requests (same kind, same `k`, same `require_complete`)
-//! queued right behind it, at most [`ServeBackend::max_job_len`] of them
+//! requests queued right behind it with the same `require_complete` flag —
+//! of any kind and `k`, which share a panel — at most
+//! [`ServeBackend::max_job_len`] of them
 //! and at most `ceil(queued / (parked + 1))`, where `parked` counts the
 //! workers waiting for work. With every other worker busy, a run is as wide
 //! as the backlog and the engine answers it as one panel job — concurrent
@@ -97,7 +98,7 @@ use crate::net::wire::{
 };
 use crate::options::ServeOptions;
 use crate::request::QueryRequest;
-use crate::server::{compatible, ServeSnapshot};
+use crate::server::ServeSnapshot;
 use crate::updater::Writer;
 use mogul_core::update::{RebuildDebt, WritableIndex};
 use std::collections::VecDeque;
@@ -184,22 +185,23 @@ struct Queue {
 }
 
 /// How many requests at the front of the queue one worker takes as its
-/// run: the front request and the compatible ones (same kind, same `k`,
-/// same `require_complete`) queued right behind it, at most `max_job_len`,
-/// and at most an even share `ceil(queued / (parked + 1))` of the backlog,
-/// so that parked workers get the rest. `0` only for an empty queue.
-fn run_len<'a>(
-    mut queue: impl ExactSizeIterator<Item = (&'a QueryRequest, bool)>,
+/// run, given each queued request's `require_complete` flag: the front
+/// request and the ones queued right behind it with the same flag, of any
+/// kind and `k`, at most `max_job_len`, and at most an even share
+/// `ceil(queued / (parked + 1))` of the backlog, so that parked workers get
+/// the rest. `0` only for an empty queue.
+fn run_len(
+    mut queue: impl ExactSizeIterator<Item = bool>,
     parked: usize,
     max_job_len: usize,
 ) -> usize {
     let cap = queue.len().div_ceil(parked + 1).min(max_job_len);
-    let Some((front, strict)) = queue.next() else {
+    let Some(strict) = queue.next() else {
         return 0;
     };
     1 + queue
         .take(cap.saturating_sub(1))
-        .take_while(|&(next, next_strict)| next_strict == strict && compatible(front, next))
+        .take_while(|&next| next == strict)
         .count()
 }
 
@@ -429,8 +431,8 @@ impl Shared {
         let mut queue = lock(&self.queue);
         loop {
             if !queue.work.is_empty() {
-                let keys = queue.work.iter().map(|w| (&w.request, w.require_complete));
-                let len = run_len(keys, queue.parked, self.backend.max_job_len());
+                let flags = queue.work.iter().map(|w| w.require_complete);
+                let len = run_len(flags, queue.parked, self.backend.max_job_len());
                 let run = queue.work.drain(..len).collect();
                 drop(queue);
                 queue = self.execute_run(run);
@@ -908,30 +910,27 @@ mod tests {
         (request, true)
     }
 
+    /// The run a worker cuts off `queue`, which it reads as the worker loop
+    /// does: by each request's `require_complete` flag alone.
     fn cut(queue: &[(QueryRequest, bool)], parked: usize, max_job_len: usize) -> usize {
-        run_len(queue.iter().map(|(r, s)| (r, *s)), parked, max_job_len)
+        run_len(queue.iter().map(|&(_, s)| s), parked, max_job_len)
     }
 
     #[test]
     fn a_run_ends_at_the_first_incompatible_request() {
         let kind = [by_id(10), by_id(10), by_feature(10), by_id(10)];
-        assert_eq!(cut(&kind, 0, WIDE), 2, "kind breaks a run");
-        let k = [
-            by_feature(10),
-            by_feature(10),
-            by_feature(10),
-            by_feature(5),
-        ];
-        assert_eq!(cut(&k, 0, WIDE), 3, "k breaks a run");
+        assert_eq!(cut(&kind, 0, WIDE), 4, "kind does not break a run");
+        let k = [by_feature(10), by_id(9), by_feature(3), by_feature(5)];
+        assert_eq!(cut(&k, 0, WIDE), 4, "k does not break a run");
         let flag = [by_id(10), strict(by_id(10)), by_id(10)];
         assert_eq!(cut(&flag, 0, WIDE), 1, "require_complete breaks a run");
-        let strict_run = [strict(by_id(10)), strict(by_id(10)), by_id(10)];
+        let strict_run = [strict(by_id(10)), strict(by_feature(3)), by_id(10)];
         assert_eq!(cut(&strict_run, 0, WIDE), 2);
     }
 
     #[test]
     fn a_run_never_skips_ahead_to_later_compatible_requests() {
-        let queue = [by_id(10), by_feature(10), by_id(10), by_id(10)];
+        let queue = [by_id(10), strict(by_feature(10)), by_id(10), by_id(10)];
         assert_eq!(cut(&queue, 0, WIDE), 1);
     }
 
@@ -965,8 +964,8 @@ mod tests {
         let queue = vec![by_feature(10); 40];
         assert_eq!(cut(&queue, 1, 8), 8);
         assert_eq!(cut(&queue, 9, 8), 4);
-        // The share is of the whole backlog, compatible or not.
-        let mixed = [by_id(10), by_id(10), by_id(10), by_feature(10)];
+        // The share is of the whole backlog, whatever its flags.
+        let mixed = [by_id(10), by_id(10), by_id(10), strict(by_feature(10))];
         assert_eq!(cut(&mixed, 1, WIDE), 2);
     }
 

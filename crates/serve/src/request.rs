@@ -6,7 +6,9 @@
 //! [`Server::serve_batch`](crate::Server::serve_batch) of either engine, the
 //! `query_by_*` conveniences, and the `MGW1` wire protocol of [`crate::net`]
 //! — speaks exactly this vocabulary. A batch may mix both request kinds
-//! freely; each request carries its own `k`.
+//! freely; each request carries its own `k`, and either kind is one lane
+//! ([`mogul_core::Query`]) of the engine's one query body, so a panel
+//! mixes kinds and `k` too.
 //!
 //! Requests are **validated at admission time**
 //! ([`QueryRequest::validate`]): a zero `k`, an unknown item id, a feature
@@ -24,7 +26,7 @@ use crate::error::ServeResult;
 use crate::server::ServeSnapshot;
 use crate::ServeError;
 use mogul_core::update::IndexDelta;
-use mogul_core::{OutOfSampleResult, TopKResult};
+use mogul_core::{OutOfSampleResult, Query, TopKResult};
 
 /// One top-k request — the canonical query shape of the serving layer,
 /// in-process and on the wire alike.
@@ -67,6 +69,22 @@ impl QueryRequest {
     pub fn k(&self) -> usize {
         match self {
             QueryRequest::InDatabase { k, .. } | QueryRequest::OutOfSample { k, .. } => *k,
+        }
+    }
+
+    /// The request as a lane of the engines' one query body.
+    pub(crate) fn lane(&self) -> (Query<'_>, usize) {
+        match self {
+            QueryRequest::InDatabase { node, k } => (Query::Item(*node), *k),
+            QueryRequest::OutOfSample { feature, k } => (Query::Feature(feature), *k),
+        }
+    }
+
+    /// This request's response, from its lane's answer.
+    pub(crate) fn response(&self, answer: OutOfSampleResult) -> QueryResponse {
+        match self {
+            QueryRequest::InDatabase { .. } => QueryResponse::InDatabase(answer.top_k),
+            QueryRequest::OutOfSample { .. } => QueryResponse::OutOfSample(Box::new(answer)),
         }
     }
 
@@ -117,37 +135,6 @@ impl QueryRequest {
             }
         }
         Ok(())
-    }
-}
-
-/// A run of compatible requests (same kind, same `k`) as one panel of its
-/// kind: the shape of the snapshots' batch calls.
-pub(crate) enum Panel<'a> {
-    ById { ids: Vec<usize>, k: usize },
-    ByFeature { features: Vec<&'a [f64]>, k: usize },
-}
-
-impl<'a> Panel<'a> {
-    /// The panel of a non-empty compatible run.
-    pub(crate) fn of(run: &'a [QueryRequest]) -> Self {
-        let k = run[0].k();
-        let mut panel = match run[0] {
-            QueryRequest::InDatabase { .. } => Panel::ById { ids: Vec::new(), k },
-            QueryRequest::OutOfSample { .. } => Panel::ByFeature {
-                features: Vec::new(),
-                k,
-            },
-        };
-        for request in run {
-            match (&mut panel, request) {
-                (Panel::ById { ids, .. }, QueryRequest::InDatabase { node, .. }) => ids.push(*node),
-                (Panel::ByFeature { features, .. }, QueryRequest::OutOfSample { feature, .. }) => {
-                    features.push(feature)
-                }
-                _ => unreachable!("a run holds one kind"),
-            }
-        }
-        panel
     }
 }
 

@@ -17,7 +17,7 @@
 use crate::error::{ServeError, ServeResult};
 use crate::lock;
 use crate::options::ServeOptions;
-use crate::request::{Panel, QueryRequest, QueryResponse, ResponseStatus};
+use crate::request::{QueryRequest, QueryResponse, ResponseStatus};
 use mogul_core::update::{IndexSnapshot, SnapshotWorkspace, UpdatableIndex, WritableIndex};
 use mogul_core::wal::{self, WalError};
 use mogul_core::{OutOfSampleResult, PersistError, TopKResult};
@@ -55,13 +55,15 @@ pub trait ServeSnapshot: sealed::Sealed + Debug + Send + Sync + Sized + 'static 
     fn contains(&self, id: usize) -> bool;
     /// Dimensionality of the indexed feature vectors.
     fn feature_dim(&self) -> usize;
-    /// Longest run of compatible requests one batch job may take.
+    /// Longest run of requests, of any kinds and `k`, one batch job may
+    /// take.
     fn max_job_len(&self) -> usize;
     /// Load a servable checkpoint from disk (see [`Server::warm_start`]).
     fn load(path: &Path) -> Result<Arc<Self>, PersistError>;
 
-    /// Answer a run of admitted, compatible requests (same kind, same `k`)
-    /// as one panel job under the server's engine state, honouring
+    /// Answer a run of admitted requests, of any kinds and `k` (each is one
+    /// lane of the engine's one query body, [`mogul_core::Query`]), as one
+    /// panel job under the server's engine state, honouring
     /// `require_complete`: `answers[i]` belongs to `run[i]`, tagged with
     /// how complete it is, or that request's typed failure
     /// ([`ServeError::Incomplete`](crate::ServeError::Incomplete) when it
@@ -109,21 +111,12 @@ impl ServeSnapshot for IndexSnapshot {
         run: &[QueryRequest],
         _require_complete: bool,
     ) -> mogul_core::Result<Vec<ServeResult<(QueryResponse, ResponseStatus)>>> {
-        let responses: Vec<QueryResponse> = match Panel::of(run) {
-            Panel::ById { ids, k } => self
-                .query_batch_by_id_in(ws, &ids, k)?
-                .into_iter()
-                .map(|(top, _)| QueryResponse::InDatabase(top))
-                .collect(),
-            Panel::ByFeature { features, k } => self
-                .query_batch_by_feature_in(ws, &features, k)?
-                .into_iter()
-                .map(|result| QueryResponse::OutOfSample(Box::new(result)))
-                .collect(),
-        };
-        Ok(responses
-            .into_iter()
-            .map(|response| Ok((response, ResponseStatus::Complete)))
+        let lanes: Vec<_> = run.iter().map(QueryRequest::lane).collect();
+        let answers = self.query_batch_in(ws, &lanes)?;
+        Ok(run
+            .iter()
+            .zip(answers)
+            .map(|(request, answer)| Ok((request.response(answer), ResponseStatus::Complete)))
             .collect())
     }
 }
@@ -210,14 +203,9 @@ pub struct Server<S: ServeSnapshot> {
 /// [`IndexSnapshot`].
 pub type QueryServer = Server<IndexSnapshot>;
 
-/// Whether two requests may share a panel: same kind, same `k`.
-pub(crate) fn compatible(a: &QueryRequest, b: &QueryRequest) -> bool {
-    std::mem::discriminant(a) == std::mem::discriminant(b) && a.k() == b.k()
-}
-
 /// One unit of work a batch worker claims: the index range of a contiguous
-/// panel of compatible requests (same kind, same `k`), possibly of one,
-/// answered through [`ServeSnapshot::answer`].
+/// run of admitted requests of any kinds and `k`, possibly of one,
+/// answered as one panel job through [`ServeSnapshot::answer`].
 type Job = Range<usize>;
 
 impl<S: ServeSnapshot> Server<S> {
@@ -327,10 +315,8 @@ impl<S: ServeSnapshot> Server<S> {
     /// Thin convenience over [`Server::query`] with a
     /// [`QueryRequest::InDatabase`] request.
     pub fn query_by_id(&self, item: usize, k: usize) -> ServeResult<TopKResult> {
-        match self.query(&QueryRequest::in_database(item, k))? {
-            QueryResponse::InDatabase(top_k) => Ok(top_k),
-            QueryResponse::OutOfSample(_) => unreachable!("in-database request"),
-        }
+        let request = QueryRequest::in_database(item, k);
+        self.query(&request).map(QueryResponse::into_top_k)
     }
 
     /// Top-k for an arbitrary feature vector (out-of-sample query).
@@ -352,8 +338,8 @@ impl<S: ServeSnapshot> Server<S> {
     /// [`ServeError::BadRequest`](crate::ServeError::BadRequest) without
     /// executing, and never join a panel. Strict, like [`Server::query`].
     ///
-    /// The batch is cut into **jobs**: contiguous runs of compatible
-    /// requests (same kind, same `k`) of up to [`ServeSnapshot::max_job_len`]
+    /// The batch is cut into **jobs**: contiguous runs of admitted requests,
+    /// of any kinds and `k`, of up to [`ServeSnapshot::max_job_len`]
     /// (`PANEL_WIDTH`, times `S` when sharded so each shard gets whole
     /// panels), each answered as one panel by [`ServeSnapshot::answer`]. A
     /// failed job re-answers its requests as jobs of one, so errors stay
@@ -396,7 +382,7 @@ impl<S: ServeSnapshot> Server<S> {
             .iter()
             .map(|r| r.validate(&*snapshot).err())
             .collect();
-        let jobs = Self::build_jobs(requests, &admission, snapshot.max_job_len());
+        let jobs = build_jobs(&admission, snapshot.max_job_len());
 
         // Atomic cursor hands jobs to whichever worker is free next; each
         // worker buffers `(index, answer)` pairs locally — every request is
@@ -439,34 +425,6 @@ impl<S: ServeSnapshot> Server<S> {
         answered.into_iter().map(|(_, answer)| answer).collect()
     }
 
-    /// Cut a batch into panel jobs of at most `max_len` requests (see
-    /// [`Server::serve_batch`]). Requests that failed admission are always
-    /// singleton jobs — they are answered from the admission table and must
-    /// not drag a healthy panel onto the re-run as panels of one.
-    fn build_jobs(
-        requests: &[QueryRequest],
-        admission: &[Option<ServeError>],
-        max_len: usize,
-    ) -> Vec<Job> {
-        let mut jobs = Vec::new();
-        let mut start = 0usize;
-        while start < requests.len() {
-            let mut end = start + 1;
-            if admission[start].is_none() {
-                while end < requests.len()
-                    && end - start < max_len
-                    && admission[end].is_none()
-                    && compatible(&requests[start], &requests[end])
-                {
-                    end += 1;
-                }
-            }
-            jobs.push(start..end);
-            start = end;
-        }
-        jobs
-    }
-
     /// Answer one job of admitted requests, `run`, whose first request is
     /// request `start` of the batch, appending `(request index, answer)`
     /// pairs to `local`. A job of several that fails re-answers each
@@ -494,11 +452,56 @@ impl<S: ServeSnapshot> Server<S> {
     }
 }
 
+/// Cut a batch, by its admission table, into panel jobs of at most
+/// `max_len` requests of any kinds and `k` (see [`Server::serve_batch`]).
+/// Requests that failed admission are always singleton jobs — they are
+/// answered from the admission table and must not drag a healthy panel
+/// onto the re-run as panels of one.
+fn build_jobs(admission: &[Option<ServeError>], max_len: usize) -> Vec<Job> {
+    let mut jobs = Vec::new();
+    let mut start = 0;
+    for run in admission.chunk_by(|a, b| a.is_none() && b.is_none()) {
+        for job in run.chunks(max_len) {
+            jobs.push(start..start + job.len());
+            start += job.len();
+        }
+    }
+    jobs
+}
+
 #[cfg(test)]
 mod tests {
-    use super::WorkspacePool;
+    use super::{build_jobs, WorkspacePool};
+    use crate::request::QueryRequest;
+    use crate::ServeError;
+    use mogul_core::update::IndexBuilder;
+    use mogul_core::PANEL_WIDTH;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::{Barrier, Mutex};
+
+    #[test]
+    fn jobs_form_across_kinds_and_k() {
+        let features: Vec<Vec<f64>> = (0..20).map(|i| vec![i as f64, 0.0]).collect();
+        let index = IndexBuilder::new().knn_k(3).build(features).unwrap();
+        let snapshot = index.snapshot();
+        // Strictly alternating kinds, `k` alternating with them: admitted
+        // as `dispatch` admits a batch, it forms two panel jobs, not 16.
+        let mut requests: Vec<QueryRequest> = (0..16)
+            .map(|i| match i % 2 {
+                0 => QueryRequest::in_database(i, 10),
+                _ => QueryRequest::out_of_sample(vec![i as f64 + 0.5, 0.0], 9),
+            })
+            .collect();
+        let admit = |requests: &[QueryRequest]| -> Vec<Option<ServeError>> {
+            let admission = requests.iter().map(|r| r.validate(&*snapshot).err());
+            admission.collect()
+        };
+        assert_eq!(build_jobs(&admit(&requests), PANEL_WIDTH), [0..8, 8..16]);
+        // A request that fails admission is still a job of its own.
+        requests[3] = QueryRequest::in_database(3, 0);
+        let jobs = build_jobs(&admit(&requests), PANEL_WIDTH);
+        assert_eq!(jobs, [0..3, 3..4, 4..12, 12..16]);
+    }
 
     static CONSTRUCTED: AtomicUsize = AtomicUsize::new(0);
 

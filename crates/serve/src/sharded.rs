@@ -6,7 +6,7 @@
 //!
 //! What this module adds is how a scatter leg runs, not a scatter: every
 //! answer a [`ShardedServer`] gives is one run of
-//! `ShardedSnapshot::query_batch_by_{id,feature}_in` under the degraded
+//! [`ShardedSnapshot::query_batch_in`] under the degraded
 //! [`LegPolicy`] — the [`DegradedPolicy::scatter_deadline`], the
 //! [`ShardFault`] injector and panic containment, a failed leg dropped
 //! from every answer it would have joined. Each answer is then tagged
@@ -17,7 +17,7 @@
 use crate::error::{ServeError, ServeResult};
 use crate::lock;
 use crate::options::ServeOptions;
-use crate::request::{Panel, QueryRequest, QueryResponse, ResponseStatus};
+use crate::request::{QueryRequest, QueryResponse, ResponseStatus};
 use crate::server::{sealed, ServeSnapshot, Server};
 use crate::updater::Writer;
 use mogul_core::{
@@ -120,30 +120,22 @@ impl ServeSnapshot for ShardedSnapshot {
     }
 }
 
-/// Scatter a compatible run over the shards under `legs`: each request's
-/// response (`None` when no leg of it survived) and its scatter
-/// statistics.
+/// Scatter a run of either kind or both over the shards under `legs`:
+/// each request's response (`None` when no leg of it survived) and its
+/// scatter statistics.
 fn scatter(
     snapshot: &ShardedSnapshot,
     ws: &mut ShardedWorkspace,
     run: &[QueryRequest],
     legs: &DegradedLegs,
 ) -> mogul_core::Result<Vec<(Option<QueryResponse>, ShardScatterStats)>> {
-    Ok(match Panel::of(run) {
-        Panel::ById { ids, k } => snapshot
-            .query_batch_by_id_in(ws, &ids, k, legs)?
-            .into_iter()
-            .map(|(top, stats)| (top.map(QueryResponse::InDatabase), stats))
-            .collect(),
-        Panel::ByFeature { features, k } => snapshot
-            .query_batch_by_feature_in(ws, &features, k, legs)?
-            .into_iter()
-            .map(|(result, stats)| {
-                let response = result.map(|r| QueryResponse::OutOfSample(Box::new(r)));
-                (response, stats)
-            })
-            .collect(),
-    })
+    let lanes: Vec<_> = run.iter().map(QueryRequest::lane).collect();
+    let answers = snapshot.query_batch_in(ws, &lanes, legs)?;
+    Ok(run
+        .iter()
+        .zip(answers)
+        .map(|(request, (answer, stats))| (answer.map(|a| request.response(a)), stats))
+        .collect())
 }
 
 /// Tag one scattered answer: complete when every planned leg survived,

@@ -20,7 +20,7 @@ use mogul_core::{
     RankedNode, SearchStats, ShardedConfig, ShardedIndex, ShardedSnapshot, ShardedWorkspace,
     TopKResult,
 };
-use mogul_serve::net::{NetClient, NetServer};
+use mogul_serve::net::{NetClient, NetServer, ServeBackend};
 use mogul_serve::{
     DegradedPolicy, QueryRequest, QueryResponse, ResponseStatus, ServeError, ServeOptions,
     ShardFault, ShardFaultFn, ShardedServer, ShardedWriter,
@@ -326,6 +326,85 @@ fn in_database_queries_have_one_owning_shard_and_fail_incomplete() {
     server.set_fault_injector(None);
     let (_, status) = server.query_degraded(&request, false).unwrap();
     assert_eq!(status, ResponseStatus::Complete);
+}
+
+#[test]
+fn a_mixed_run_fails_completes_and_degrades_lane_by_lane() {
+    // One lenient run, kinds alternating lane by lane: in-database lanes
+    // owned by the failing shard fail `Incomplete`, those owned by the
+    // others answer complete, and out-of-sample lanes — which probe every
+    // shard — degrade to the exact merge of the two survivors. The run is
+    // one scatter, so the injector is consulted at most once per shard.
+    let (server, snapshot) = build_server();
+    let failing = snapshot.shard_of(20).unwrap();
+    let calls = Arc::new(AtomicUsize::new(0));
+    let counted = Arc::clone(&calls);
+    server.set_fault_injector(Some(Arc::new(move |shard| {
+        counted.fetch_add(1, Ordering::SeqCst);
+        (shard == failing).then(|| {
+            ShardFault::Error(ServeError::Config {
+                reason: format!("injected fault on shard {shard}"),
+            })
+        })
+    })));
+    let feature = probe_feature();
+    let run: Vec<QueryRequest> = (0..12)
+        .map(|i| match i % 2 {
+            0 => QueryRequest::in_database(i * 4, [1, 3, K][i % 3]),
+            _ => QueryRequest::out_of_sample(feature.clone(), K),
+        })
+        .collect();
+    let answers = server.answer_run(&run, false);
+    assert!(
+        calls.load(Ordering::SeqCst) <= 3,
+        "{} injector calls: the run was not one scatter",
+        calls.load(Ordering::SeqCst)
+    );
+
+    let survivors: Vec<usize> = (snapshot.probe_order(&feature).unwrap().into_iter())
+        .filter(|&shard| shard != failing)
+        .collect();
+    let (top_k, neighbors, _) = sub_merge(&snapshot, &survivors, &feature);
+    let mut ws = ShardedWorkspace::new();
+    let mut fates = [0usize; 3];
+    for (request, answer) in run.iter().zip(&answers) {
+        match (request, answer) {
+            (QueryRequest::InDatabase { node, k }, answer) => {
+                if snapshot.shard_of(*node) == Some(failing) {
+                    assert!(
+                        matches!(
+                            answer,
+                            Err(ServeError::Incomplete {
+                                shards_answered: 0,
+                                shards_total: 1
+                            })
+                        ),
+                        "item {node}: {answer:?}"
+                    );
+                    fates[0] += 1;
+                } else {
+                    let (response, status) = answer.as_ref().unwrap();
+                    assert_eq!(*status, ResponseStatus::Complete, "item {node}");
+                    let want = snapshot.query_by_id_in(&mut ws, *node, *k).unwrap();
+                    assert_eq!(response.top_k(), &want, "item {node}");
+                    fates[1] += 1;
+                }
+            }
+            (QueryRequest::OutOfSample { .. }, answer) => {
+                let (response, status) = answer.as_ref().unwrap();
+                let degraded = ResponseStatus::Degraded {
+                    shards_answered: 2,
+                    shards_total: 3,
+                };
+                assert_eq!(*status, degraded);
+                let got = response.out_of_sample().unwrap();
+                assert_eq!(got.top_k, top_k);
+                assert_eq!(got.neighbors, neighbors);
+                fates[2] += 1;
+            }
+        }
+    }
+    assert!(fates.iter().all(|&n| n > 0), "every fate occurs: {fates:?}");
 }
 
 #[test]

@@ -18,7 +18,7 @@
 //!   either engine.
 
 use mogul_core::update::{IndexBuilder, RebuildPolicy};
-use mogul_core::{ShardedConfig, ShardedIndex};
+use mogul_core::{ShardedConfig, ShardedIndex, PANEL_WIDTH};
 use mogul_data::coil::{coil_like, CoilLikeConfig};
 use mogul_data::Dataset;
 use mogul_serve::net::wire::{
@@ -486,16 +486,20 @@ fn drain_completes_admitted_work_then_rejects_and_exits() {
 
 #[test]
 fn pipelined_mixed_runs_answer_like_in_process_queries() {
-    // Six request classes in blocks of five: each block boundary breaks a
-    // run by kind, by `k` or by `require_complete`.
+    // Seven request classes in blocks of five. Only a change of
+    // `require_complete` breaks a run: kind and `k` change at block
+    // boundaries, and the seventh class alternates both request by request,
+    // all inside runs.
     let (_, held_out) = dataset();
-    let classes = |i: usize, feature: &[f64]| match (i / 5) % 6 {
+    let classes = |i: usize, feature: &[f64]| match (i / 5) % 7 {
         0 => (QueryRequest::in_database(i % 80, 10), false),
         1 => (QueryRequest::out_of_sample(feature.to_vec(), 10), false),
         2 => (QueryRequest::out_of_sample(feature.to_vec(), 5), true),
         3 => (QueryRequest::in_database(i % 80, 10), true),
         4 => (QueryRequest::out_of_sample(feature.to_vec(), 10), true),
-        _ => (QueryRequest::in_database(i % 80, 5), false),
+        5 => (QueryRequest::in_database(i % 80, 5), false),
+        _ if i.is_multiple_of(2) => (QueryRequest::in_database(i % 80, 3), false),
+        _ => (QueryRequest::out_of_sample(feature.to_vec(), 7), false),
     };
     let requests: Vec<(QueryRequest, bool)> = (0..64)
         .map(|i| classes(i, &held_out[i % held_out.len()].0))
@@ -789,8 +793,8 @@ fn a_pipelined_burst_never_takes_the_reader_path() {
     let (server, db, _) = query_server(options);
     let (gated, open) = Gated::new(Arc::clone(&server));
     let (handle, join) = serve(Arc::clone(&gated), options);
-    // The first request holds the one worker; a burst of 23 — blocks of 5
-    // by `k` — queues behind it.
+    // The first request holds the one worker; a burst of 23 — `k` changing
+    // every 5 — queues behind it.
     let mut first = Raw::connect(&handle);
     first.send(&[(QueryRequest::in_database(0, 10), false)], 0);
     wait_for(&handle, |r| r.inflight == 1 && r.queue_depth == 0);
@@ -808,9 +812,10 @@ fn a_pipelined_burst_never_takes_the_reader_path() {
         let (response, _) = answers[&id].as_ref().unwrap();
         assert_same_answer(response, &server.query(request).unwrap());
     }
-    // The one worker cut the backlog at each change of `k`.
+    // The one worker cut the backlog into runs of `max_job_len`, across
+    // the changes of `k`.
     let widths: Vec<usize> = gated.runs().iter().map(|(_, len)| *len).collect();
-    assert_eq!(widths, [1, 5, 5, 5, 5, 3]);
+    assert_eq!(widths, [1, PANEL_WIDTH, PANEL_WIDTH, 7]);
     assert!(gated
         .runs()
         .iter()

@@ -306,10 +306,9 @@ fn single_query_paths_match_the_engine() {
 
 #[test]
 fn batched_answers_match_single_queries_across_worker_counts() {
-    // `serve_batch(batch)[i] == query(&batch[i])`: homogeneous runs are
-    // where panels actually form (alternating kinds make panels of one), and
-    // a request's answer must not depend on the panel or the worker it lands
-    // in, for Mogul and MogulE alike, on every engine.
+    // `serve_batch(batch)[i] == query(&batch[i])`: panels form across kinds
+    // and `k`, and a request's answer must not depend on the panel or the
+    // worker it lands in, for Mogul and MogulE alike, on every engine.
     fn check<S: ServeSnapshot>(server: &Server<S>, batch: &[QueryRequest], what: &str) {
         let batched = server.serve_batch(batch);
         for (i, request) in batch.iter().enumerate() {
@@ -322,8 +321,9 @@ fn batched_answers_match_single_queries_across_worker_counts() {
     // Runs longer than the longest job of any engine here (`PANEL_WIDTH`
     // per shard, four shards), so every engine cuts them: a long
     // in-database run, a long out-of-sample run, a k change in the middle
-    // of a run (splits the panel), alternating kinds with mixed k, and a
-    // ragged tail.
+    // of a run, alternating kinds with mixed k, a long run alternating kind
+    // request by request with k cycling through 1, 3 and 10, and a ragged
+    // tail.
     let long = PANEL_WIDTH * 4 + 5;
     let mut batch = Vec::new();
     for i in 0..long {
@@ -339,6 +339,13 @@ fn batched_answers_match_single_queries_across_worker_counts() {
     batch.push(QueryRequest::in_database(2, 9));
     batch.push(QueryRequest::in_database(3, 4));
     batch.extend(mixed_batch(&db, &queries));
+    for i in 0..long {
+        let k = [1, 3, 10][i % 3];
+        batch.push(match i % 2 {
+            0 => QueryRequest::in_database(i * 3 % db.len(), k),
+            _ => QueryRequest::out_of_sample(queries[i % queries.len()].0.clone(), k),
+        });
+    }
     batch.push(QueryRequest::in_database(4, 4));
 
     // The corrected epoch every `Server::query` after a write answers from:
@@ -376,8 +383,8 @@ fn batched_answers_match_single_queries_across_worker_counts() {
 
 #[test]
 fn panel_jobs_keep_per_request_error_isolation() {
-    // An invalid request in the middle of a compatible run must not cost
-    // its healthy neighbours their answers.
+    // An invalid request in the middle of a run must not cost its healthy
+    // neighbours their answers.
     fn check<S: ServeSnapshot>(server: &Server<S>) {
         let batch = vec![
             QueryRequest::in_database(0, 5),
