@@ -5,11 +5,20 @@
 //! Every search, single or batched, runs as a **panel**: up to
 //! [`PANEL_WIDTH`] query vectors packed into an `n × B` buffer with the `B`
 //! lane values of each node adjacent (`panel[node * width + lane]`), so one
-//! traversal of the CSR structure applies every nonzero to all lanes through
-//! a short, contiguous, auto-vectorizable inner loop — the same blocking the
-//! `mogul-sparse` `*_multi_into` kernels use for unrestricted solves. A
-//! single query is the panel of width one; the public single-query entry
-//! points in [`super::search`] stage one lane and run this engine.
+//! traversal of the factor structure applies every nonzero to all lanes
+//! through a short, contiguous, auto-vectorizable inner loop — the same
+//! blocking the `mogul-sparse` `*_multi_into` kernels use for unrestricted
+//! solves. A single query is the panel of width one; the public
+//! single-query entry points in [`super::search`] stage one lane and run
+//! this engine, whose per-lane recurrences compile a stride-1 copy for it.
+//!
+//! Every sweep reads the index's **search layout**
+//! (`crate::mogul::layout`), never the CSR factors: strictly triangular
+//! rows with `u32` columns, `D` folded into `L` (a forward value is
+//! `l_ij · d_j`), and for each interior cluster the segments of the border
+//! rows of `L` that point into it. A border row's forward step subtracts
+//! only the segments of the panel's query clusters — everywhere else `Y`
+//! is exactly zero (Lemma 4) — and then its tail of border columns.
 //!
 //! Algorithm 2's semantics hold **per column**:
 //!
@@ -34,10 +43,14 @@
 //! counters) does not depend on what it was batched with —
 //! `crates/core/tests/engine_properties.rs` pins this with exact `==`
 //! comparisons, and `crates/core/tests/reference_oracle.rs` compares the
-//! engine against a textbook substitution. See `docs/PERFORMANCE.md` for the
-//! layout diagram and tuning notes.
+//! engine against a textbook substitution over the CSR factors. The terms
+//! the segment rule skips are products with an exact zero, so skipping one
+//! can at most flip the sign of a zero score, which `==` and every gate
+//! treat as equal. See `docs/PERFORMANCE.md` for the layout diagram, the
+//! search layout and tuning notes.
 
 use crate::mogul::index::MogulIndex;
+use crate::mogul::layout::{ClusterSegments, RowSpans};
 use crate::mogul::search::{SearchMode, SearchStats};
 use crate::out_of_sample::NeighborScratch;
 use crate::ranking::{check_k, check_query, RankedNode, TopKResult};
@@ -45,7 +58,7 @@ use crate::topk::BoundedTopK;
 use crate::Result;
 use mogul_graph::ordering::ClusterRange;
 use mogul_sparse::kernel::{dispatch, LaneKernel, Sweep};
-use mogul_sparse::{CsrMatrix, SolveWorkspace};
+use mogul_sparse::SolveWorkspace;
 use std::cmp::Ordering as CmpOrdering;
 use std::time::Instant;
 
@@ -77,7 +90,7 @@ const ALL_LANES: [usize; PANEL_WIDTH] = [0, 1, 2, 3, 4, 5, 6, 7];
 /// ([`BatchWorkspace`] and [`OosWorkspace`](crate::OosWorkspace) are aliases
 /// of it).
 ///
-/// Three `n × B` panels (query, forward result, scores), the staged lane
+/// Two `n × B` panels (forward result, scores), the staged lane
 /// descriptors, one top-k collector per lane, and the phase-1 / full-solve
 /// scratch of the out-of-sample and unrestricted-solve paths. It is an inert
 /// buffer bag — it carries no index state, any workspace works with any
@@ -87,17 +100,17 @@ const ALL_LANES: [usize; PANEL_WIDTH] = [0, 1, 2, 3, 4, 5, 6, 7];
 ///
 /// # Panel zeroing invariant
 ///
-/// The three panels are kept **all-zero between searches**: a search
-/// re-zeroes exactly the rows it visited (the query scatter, the forwarded
-/// cluster ranges and the scored cluster ranges) instead of clearing the
-/// whole `n × B` buffers up front. On heavily pruned workloads a query
-/// touches a few dozen rows of a many-thousand-row index, so this turns the
-/// dominant per-search cost — three `O(n · B)` memsets — into `O(visited)`.
+/// The two panels are kept **all-zero between searches**: a search
+/// re-zeroes exactly the rows it visited (the forwarded cluster ranges,
+/// which hold the query scatter, and the scored cluster ranges) instead of
+/// clearing the whole `n × B` buffers up front. On heavily pruned workloads
+/// a query touches a few dozen rows of a many-thousand-row index, so this
+/// turns the dominant per-search cost — two `O(n · B)` memsets — into
+/// `O(visited)`.
 #[derive(Debug, Clone, Default)]
 pub struct SearchWorkspace {
-    /// Densified query panel `Q'` (node-major, stride = staged width).
-    q_panel: Vec<f64>,
-    /// Forward-substitution panel `Y` of `L' Y = Q'`.
+    /// Forward-substitution panel `Y` of `L' Y = Q'` (node-major, stride =
+    /// staged width); the query scatter `Q'` seeds it in place.
     y_panel: Vec<f64>,
     /// Score panel `X'` of `U X' = Y`.
     x_panel: Vec<f64>,
@@ -160,16 +173,10 @@ impl SearchWorkspace {
         }
     }
 
-    /// Re-zero everything the current panel search wrote (the staged query
-    /// scatter plus the dirty cluster ranges), restoring the all-zero
+    /// Re-zero everything the current panel search wrote (the dirty cluster
+    /// ranges, which cover the query scatter), restoring the all-zero
     /// invariant in `O(visited)` instead of `O(n · B)`.
     fn cleanup_panels(&mut self, width: usize) {
-        for lane in 0..width {
-            for idx in self.lane_offsets[lane]..self.lane_offsets[lane + 1] {
-                let (node, _) = self.lane_entries[idx];
-                self.q_panel[node * width + lane] = 0.0;
-            }
-        }
         for range in &self.dirty_ranges {
             let rows = range.start * width..(range.start + range.len) * width;
             self.y_panel[rows.clone()].fill(0.0);
@@ -472,13 +479,17 @@ impl MogulIndex {
 
     /// Restricted forward substitution `L' Y = Q'` over the staged panel.
     ///
-    /// Interior query clusters are swept at **masked width** — only the
-    /// lanes whose query actually touches a cluster pay for its rows — and
-    /// the border cluster (the work every lane shares) is swept once for
-    /// every lane, which is where the batching wins: one structure
-    /// traversal, one `B`-wide independent-accumulator inner loop instead of
-    /// `B` serial dependency chains. With `full` set the whole index is
-    /// swept for every lane instead (the `FullSubstitution` mode).
+    /// The query scatter seeds `Y`. Interior query clusters are swept at
+    /// **masked width** — only the lanes whose query touches a cluster pay
+    /// for its rows — and right after its rows each one's border segments
+    /// are subtracted from the border rows for the same lanes, in ascending
+    /// cluster order: every other interior column of a border row multiplies
+    /// a `Y` entry that is exactly zero (Lemma 4). The border tails — the
+    /// work every lane shares — are then swept once for every lane, which is
+    /// where the batching wins: one structure traversal, one `B`-wide
+    /// independent-accumulator inner loop instead of `B` serial dependency
+    /// chains. With `full` set every row is swept in full for every lane
+    /// instead (the `FullSubstitution` mode).
     fn forward_staged(&self, ws: &mut SearchWorkspace, width: usize, full: bool) {
         let n = self.num_nodes();
         ws.union_clusters.clear();
@@ -488,7 +499,6 @@ impl MogulIndex {
             ws.union_clusters.dedup();
         }
 
-        SearchWorkspace::ensure_panel(&mut ws.q_panel, n * width);
         SearchWorkspace::ensure_panel(&mut ws.y_panel, n * width);
         SearchWorkspace::ensure_panel(&mut ws.x_panel, n * width);
         for lane in 0..width {
@@ -496,14 +506,15 @@ impl MogulIndex {
             let end = ws.lane_offsets[lane + 1];
             for idx in start..end {
                 let (node, value) = ws.lane_entries[idx];
-                ws.q_panel[node * width + lane] += value;
+                ws.y_panel[node * width + lane] += value;
             }
         }
 
+        let layout = &self.layout;
         if full {
             let all = ClusterRange { start: 0, len: n };
             ws.dirty_ranges.push(all);
-            self.forward_rows(all, ws, width, &ALL_LANES[..width]);
+            self.forward_rows(layout.lower_rows(all), ws, width, &ALL_LANES[..width]);
             return;
         }
         for idx in 0..ws.union_clusters.len() {
@@ -511,46 +522,67 @@ impl MogulIndex {
             let range = self.ordering.clusters[cluster];
             ws.dirty_ranges.push(range);
             let (lanes, len) = lanes_with_cluster(ws, width, cluster);
-            self.forward_rows(range, ws, width, &lanes[..len]);
+            self.forward_rows(layout.lower_rows(range), ws, width, &lanes[..len]);
+            self.subtract_segments(layout.segments(cluster), ws, width, &lanes[..len]);
         }
-        let border = self.ordering.clusters[self.ordering.border_cluster()];
-        ws.dirty_ranges.push(border);
-        self.forward_rows(border, ws, width, &ALL_LANES[..width]);
+        ws.dirty_ranges.push(self.ordering.border_range());
+        self.forward_rows(layout.border_tails(), ws, width, &ALL_LANES[..width]);
     }
 
-    /// One cluster range of the forward recurrence for the `active` lanes;
-    /// the other lanes' entries stay zero.
+    /// The forward recurrence over `rows` for the `active` lanes, in place
+    /// on the seeded `Y`; the other lanes' entries stay as they are.
     ///
     /// With more than [`MASKED_LANE_CUTOFF`] lanes active this runs the
     /// full-width sweep through the lane kernel `mogul_sparse::kernel`
     /// picks (AVX2 where the CPU has it, scalar elsewhere — bit-identical
-    /// either way): an inactive lane's query
-    /// panel is zero on the cluster, so the recurrence computes exact zeros
-    /// for it, and the shared structure traversal beats per-lane passes.
-    /// With only a few active lanes — always, on a panel that narrow — the
-    /// over-compute and the kernel call per nonzero stop paying, and each
-    /// active lane gets one tight strided scalar recurrence instead. The
-    /// choice is made here, before kernel dispatch, so it is the same on
-    /// every host.
+    /// either way): an inactive lane's `Y` is zero on an interior cluster it
+    /// does not own, so the recurrence computes exact zeros for it, and the
+    /// shared structure traversal beats per-lane passes. With only a few
+    /// active lanes — always, on a panel that narrow — the over-compute and
+    /// the kernel call per nonzero stop paying, and each active lane gets one
+    /// tight strided scalar recurrence instead. The choice is made here,
+    /// before kernel dispatch, so it is the same on every host.
     fn forward_rows(
         &self,
-        range: ClusterRange,
+        rows: RowSpans<'_>,
+        ws: &mut SearchWorkspace,
+        width: usize,
+        active: &[usize],
+    ) {
+        let d = &self.factors.d;
+        if active.len() <= MASKED_LANE_CUTOFF {
+            for &lane in active {
+                forward_range_lane(rows, d, &mut ws.y_panel, width, lane);
+            }
+            return;
+        }
+        dispatch(ForwardSweep {
+            rows,
+            d,
+            y_panel: &mut ws.y_panel,
+            width,
+        });
+    }
+
+    /// Subtract one interior cluster's border segments from the border rows
+    /// of `Y` for the `active` lanes (the width rule of
+    /// [`MogulIndex::forward_rows`]; an inactive lane's `Y` is zero on the
+    /// cluster, so over-computing it subtracts exact zeros).
+    fn subtract_segments(
+        &self,
+        segments: ClusterSegments<'_>,
         ws: &mut SearchWorkspace,
         width: usize,
         active: &[usize],
     ) {
         if active.len() <= MASKED_LANE_CUTOFF {
-            let (l, d) = (&self.factors.l, &self.factors.d);
             for &lane in active {
-                forward_range_lane(l, d, range, &ws.q_panel, &mut ws.y_panel, width, lane);
+                segments_range_lane(segments, &mut ws.y_panel, width, lane);
             }
             return;
         }
-        dispatch(ForwardSweep {
-            l: &self.factors.l,
-            d: &self.factors.d,
-            range,
-            q_panel: &ws.q_panel,
+        dispatch(SegmentSweep {
+            segments,
             y_panel: &mut ws.y_panel,
             width,
         });
@@ -573,22 +605,15 @@ impl MogulIndex {
         width: usize,
         active: &[usize],
     ) {
+        let rows = self.layout.upper_rows(range);
         if active.len() <= MASKED_LANE_CUTOFF {
             for &lane in active {
-                back_range_lane(
-                    &self.factors.u,
-                    range,
-                    &ws.y_panel,
-                    &mut ws.x_panel,
-                    width,
-                    lane,
-                );
+                back_range_lane(rows, &ws.y_panel, &mut ws.x_panel, width, lane);
             }
             return;
         }
         dispatch(BackSweep {
-            u: &self.factors.u,
-            range,
+            rows,
             y_panel: &ws.y_panel,
             x_panel: &mut ws.x_panel,
             width,
@@ -801,52 +826,94 @@ fn scatter_rows(src: &[f64], width: usize, dst: &mut [f64], target: impl Fn(usiz
     }
 }
 
-/// The forward recurrence of one lane over one cluster range: a strided
-/// scalar loop over plain slices. Kept out of line: inlined into the
-/// engine's per-cluster loop it loses its registers to the caller (7 % of a
-/// width-1 search on the `web_indb` benchmark corpus).
+/// The forward recurrence of one lane over `rows`, in place on `y_panel`:
+/// a strided scalar loop over plain slices, with a stride-1 copy for a
+/// panel of one. Kept out of line: inlined into the engine's per-cluster
+/// loop it loses its registers to the caller (7 % of a width-1 search on
+/// the `web_indb` benchmark corpus).
 #[inline(never)]
 fn forward_range_lane(
-    l: &CsrMatrix,
+    rows: RowSpans<'_>,
     d: &[f64],
-    range: ClusterRange,
-    q_panel: &[f64],
     y_panel: &mut [f64],
     width: usize,
     lane: usize,
 ) {
-    for i in range.indices() {
-        let mut acc = q_panel[i * width + lane];
-        let (cols, vals) = l.row(i);
-        for (&j, &v) in cols.iter().zip(vals.iter()) {
-            if j < i {
-                acc -= v * d[j] * y_panel[j * width + lane];
-            }
-        }
-        y_panel[i * width + lane] = acc / d[i];
+    if width == 1 {
+        forward_lane(rows, d, y_panel, 1, 0)
+    } else {
+        forward_lane(rows, d, y_panel, width, lane)
     }
 }
 
-/// The back substitution of one lane over one cluster range (out of line
-/// for the reason given at [`forward_range_lane`]).
+#[inline(always)]
+fn forward_lane(rows: RowSpans<'_>, d: &[f64], y: &mut [f64], stride: usize, lane: usize) {
+    for r in 0..rows.len() {
+        let i = rows.first + r;
+        let (cols, vals) = rows.entries(r);
+        let mut acc = y[i * stride + lane];
+        for (&j, &v) in cols.iter().zip(vals) {
+            acc -= v * y[j as usize * stride + lane];
+        }
+        y[i * stride + lane] = acc / d[i];
+    }
+}
+
+/// One cluster's border segments subtracted for one lane (out of line and
+/// stride-1 at width one, as [`forward_range_lane`]).
+#[inline(never)]
+fn segments_range_lane(
+    segments: ClusterSegments<'_>,
+    y_panel: &mut [f64],
+    width: usize,
+    lane: usize,
+) {
+    if width == 1 {
+        segments_lane(segments, y_panel, 1, 0)
+    } else {
+        segments_lane(segments, y_panel, width, lane)
+    }
+}
+
+#[inline(always)]
+fn segments_lane(segments: ClusterSegments<'_>, y: &mut [f64], stride: usize, lane: usize) {
+    for s in 0..segments.segments.len() {
+        let (i, cols, vals) = segments.entries(s);
+        let mut acc = y[i * stride + lane];
+        for (&j, &v) in cols.iter().zip(vals) {
+            acc -= v * y[j as usize * stride + lane];
+        }
+        y[i * stride + lane] = acc;
+    }
+}
+
+/// The back substitution of one lane over `rows`, last row first (out of
+/// line and stride-1 at width one, as [`forward_range_lane`]).
 #[inline(never)]
 fn back_range_lane(
-    u: &CsrMatrix,
-    range: ClusterRange,
+    rows: RowSpans<'_>,
     y_panel: &[f64],
     x_panel: &mut [f64],
     width: usize,
     lane: usize,
 ) {
-    for i in range.indices().rev() {
-        let mut acc = y_panel[i * width + lane];
-        let (cols, vals) = u.row(i);
-        for (&j, &v) in cols.iter().zip(vals.iter()) {
-            if j > i {
-                acc -= v * x_panel[j * width + lane];
-            }
+    if width == 1 {
+        back_lane(rows, y_panel, x_panel, 1, 0)
+    } else {
+        back_lane(rows, y_panel, x_panel, width, lane)
+    }
+}
+
+#[inline(always)]
+fn back_lane(rows: RowSpans<'_>, y: &[f64], x: &mut [f64], stride: usize, lane: usize) {
+    for r in (0..rows.len()).rev() {
+        let i = rows.first + r;
+        let (cols, vals) = rows.entries(r);
+        let mut acc = y[i * stride + lane];
+        for (&j, &v) in cols.iter().zip(vals) {
+            acc -= v * x[j as usize * stride + lane];
         }
-        x_panel[i * width + lane] = acc;
+        x[i * stride + lane] = acc;
     }
 }
 
@@ -854,30 +921,49 @@ fn back_range_lane(
 /// kernel (see [`MogulIndex::forward_rows`] for when it runs).
 ///
 /// `#[inline(always)]`, like the [`Sweep`] that carries its arguments to
-/// [`dispatch`], so the kernel's intrinsics inline into the whole CSR
-/// traversal — one dispatch per cluster range, not one per node row.
+/// [`dispatch`], so the kernel's intrinsics inline into the whole row
+/// traversal — one dispatch per row run, not one per node row.
 #[inline(always)]
 fn forward_range_sweep<K: LaneKernel>(
     kernel: K,
-    l: &CsrMatrix,
+    rows: RowSpans<'_>,
     d: &[f64],
-    range: ClusterRange,
-    q_panel: &[f64],
     y_panel: &mut [f64],
     width: usize,
 ) {
     let mut acc = [0.0f64; PANEL_WIDTH];
     let acc = &mut acc[..width];
-    for i in range.indices() {
-        acc.copy_from_slice(&q_panel[i * width..(i + 1) * width]);
-        let (cols, vals) = l.row(i);
-        for (&j, &v) in cols.iter().zip(vals.iter()) {
-            if j < i {
-                let vd = v * d[j];
-                kernel.axpy_neg(acc, &y_panel[j * width..(j + 1) * width], vd);
-            }
+    for r in 0..rows.len() {
+        let i = rows.first + r;
+        acc.copy_from_slice(&y_panel[i * width..(i + 1) * width]);
+        let (cols, vals) = rows.entries(r);
+        for (&j, &v) in cols.iter().zip(vals) {
+            let j = j as usize;
+            kernel.axpy_neg(acc, &y_panel[j * width..(j + 1) * width], v);
         }
         kernel.div_store(&mut y_panel[i * width..(i + 1) * width], acc, d[i]);
+    }
+}
+
+/// The full-width border-segment subtraction, generic over the lane kernel
+/// (see [`forward_range_sweep`] for the dispatch and inlining notes).
+#[inline(always)]
+fn segments_sweep<K: LaneKernel>(
+    kernel: K,
+    segments: ClusterSegments<'_>,
+    y_panel: &mut [f64],
+    width: usize,
+) {
+    let mut acc = [0.0f64; PANEL_WIDTH];
+    let acc = &mut acc[..width];
+    for s in 0..segments.segments.len() {
+        let (i, cols, vals) = segments.entries(s);
+        acc.copy_from_slice(&y_panel[i * width..(i + 1) * width]);
+        for (&j, &v) in cols.iter().zip(vals) {
+            let j = j as usize;
+            kernel.axpy_neg(acc, &y_panel[j * width..(j + 1) * width], v);
+        }
+        y_panel[i * width..(i + 1) * width].copy_from_slice(acc);
     }
 }
 
@@ -886,32 +972,29 @@ fn forward_range_sweep<K: LaneKernel>(
 #[inline(always)]
 fn back_range_sweep<K: LaneKernel>(
     kernel: K,
-    u: &CsrMatrix,
-    range: ClusterRange,
+    rows: RowSpans<'_>,
     y_panel: &[f64],
     x_panel: &mut [f64],
     width: usize,
 ) {
     let mut acc = [0.0f64; PANEL_WIDTH];
     let acc = &mut acc[..width];
-    for i in range.indices().rev() {
+    for r in (0..rows.len()).rev() {
+        let i = rows.first + r;
         acc.copy_from_slice(&y_panel[i * width..(i + 1) * width]);
-        let (cols, vals) = u.row(i);
-        for (&j, &v) in cols.iter().zip(vals.iter()) {
-            if j > i {
-                kernel.axpy_neg(acc, &x_panel[j * width..(j + 1) * width], v);
-            }
+        let (cols, vals) = rows.entries(r);
+        for (&j, &v) in cols.iter().zip(vals) {
+            let j = j as usize;
+            kernel.axpy_neg(acc, &x_panel[j * width..(j + 1) * width], v);
         }
         x_panel[i * width..(i + 1) * width].copy_from_slice(acc);
     }
 }
 
-/// [`forward_range_sweep`] over one cluster range.
+/// [`forward_range_sweep`] over one row run.
 struct ForwardSweep<'a> {
-    l: &'a CsrMatrix,
+    rows: RowSpans<'a>,
     d: &'a [f64],
-    range: ClusterRange,
-    q_panel: &'a [f64],
     y_panel: &'a mut [f64],
     width: usize,
 }
@@ -921,22 +1004,29 @@ impl Sweep for ForwardSweep<'_> {
 
     #[inline(always)]
     fn run<K: LaneKernel>(self, kernel: K) {
-        let Self {
-            l,
-            d,
-            range,
-            q_panel,
-            y_panel,
-            width,
-        } = self;
-        forward_range_sweep(kernel, l, d, range, q_panel, y_panel, width)
+        forward_range_sweep(kernel, self.rows, self.d, self.y_panel, self.width)
     }
 }
 
-/// [`back_range_sweep`] over one cluster range.
+/// [`segments_sweep`] over one cluster's segments.
+struct SegmentSweep<'a> {
+    segments: ClusterSegments<'a>,
+    y_panel: &'a mut [f64],
+    width: usize,
+}
+
+impl Sweep for SegmentSweep<'_> {
+    type Out = ();
+
+    #[inline(always)]
+    fn run<K: LaneKernel>(self, kernel: K) {
+        segments_sweep(kernel, self.segments, self.y_panel, self.width)
+    }
+}
+
+/// [`back_range_sweep`] over one row run.
 struct BackSweep<'a> {
-    u: &'a CsrMatrix,
-    range: ClusterRange,
+    rows: RowSpans<'a>,
     y_panel: &'a [f64],
     x_panel: &'a mut [f64],
     width: usize,
@@ -947,14 +1037,7 @@ impl Sweep for BackSweep<'_> {
 
     #[inline(always)]
     fn run<K: LaneKernel>(self, kernel: K) {
-        let Self {
-            u,
-            range,
-            y_panel,
-            x_panel,
-            width,
-        } = self;
-        back_range_sweep(kernel, u, range, y_panel, x_panel, width)
+        back_range_sweep(kernel, self.rows, self.y_panel, self.x_panel, self.width)
     }
 }
 

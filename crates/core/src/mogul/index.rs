@@ -7,6 +7,7 @@
 //! answered by [`super::search`].
 
 use crate::mogul::bounds::ClusterBounds;
+use crate::mogul::layout::SearchLayout;
 use crate::params::MrParams;
 use crate::Result;
 use mogul_graph::adjacency::ranking_system_matrix;
@@ -88,6 +89,9 @@ pub struct MogulIndex {
     pub(crate) factorization: Factorization,
     pub(crate) ordering: NodeOrdering,
     pub(crate) factors: LdlFactors,
+    /// The factors as the Algorithm 2 sweeps read them, derived from
+    /// `factors` and `ordering` whenever the index is built or loaded.
+    pub(crate) layout: SearchLayout,
     pub(crate) bounds: ClusterBounds,
     pub(crate) stats: PrecomputeStats,
 }
@@ -140,6 +144,7 @@ impl MogulIndex {
         let bounds_start = Instant::now();
         let bounds = ClusterBounds::precompute(&factors.u, &ordering);
         let bounds_secs = bounds_start.elapsed().as_secs_f64();
+        let layout = SearchLayout::new(&factors, &ordering)?;
 
         let stats = PrecomputeStats {
             ordering_secs,
@@ -156,6 +161,7 @@ impl MogulIndex {
             factorization: config.factorization,
             ordering,
             factors,
+            layout,
             bounds,
             stats,
         })
@@ -198,8 +204,8 @@ impl MogulIndex {
     }
 
     /// Estimated memory footprint of the index in bytes: the factors
-    /// (`L`, `U`, `D`), the permutation and the bound metadata — all `O(n)`
-    /// structures (Theorem 3).
+    /// (`L`, `U`, `D`), their search layout, the permutation and the bound
+    /// metadata — all `O(n)` structures (Theorem 3).
     pub fn memory_bytes(&self) -> usize {
         let idx = std::mem::size_of::<usize>();
         let val = std::mem::size_of::<f64>();
@@ -210,7 +216,7 @@ impl MogulIndex {
         let bounds: usize = (0..self.ordering.num_clusters())
             .map(|c| self.bounds.border_columns(c).len() * (idx + val) + val)
             .sum();
-        l + u + d + perm + bounds
+        l + u + d + perm + bounds + self.layout.memory_bytes()
     }
 }
 

@@ -21,9 +21,11 @@
 mod batch;
 mod bounds;
 mod index;
+mod layout;
 mod search;
 
 pub use batch::{BatchWorkspace, SearchWorkspace, PANEL_WIDTH};
 pub use bounds::ClusterBounds;
 pub use index::{Factorization, MogulConfig, MogulIndex, PrecomputeStats};
+pub(crate) use layout::SearchLayout;
 pub use search::{SearchMode, SearchStats};

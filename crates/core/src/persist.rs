@@ -47,7 +47,9 @@
 //! model, checkpointing recipes).
 
 use crate::emr::EmrSolver;
-use crate::mogul::{ClusterBounds, Factorization, MogulConfig, MogulIndex, PrecomputeStats};
+use crate::mogul::{
+    ClusterBounds, Factorization, MogulConfig, MogulIndex, PrecomputeStats, SearchLayout,
+};
 use crate::out_of_sample::{OutOfSampleConfig, OutOfSampleIndex};
 use crate::params::MrParams;
 use crate::update::{IndexSnapshot, UpdatableIndex};
@@ -992,11 +994,14 @@ fn decode_oos(sections: &[RawSection<'_>], meta: &Meta) -> Result<OutOfSampleInd
         });
     }
 
+    let layout =
+        SearchLayout::new(&factors, &ordering).map_err(decode_err(SectionKind::Factors))?;
     let index = MogulIndex {
         params: meta.params,
         factorization: meta.factorization,
         ordering,
         factors,
+        layout,
         bounds,
         stats,
     };

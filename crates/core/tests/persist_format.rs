@@ -307,6 +307,32 @@ fn hostile_counts_fail_closed_without_allocating() {
 }
 
 #[test]
+fn factors_whose_search_layout_overflows_fail_typed_at_load() {
+    // Every value finite and every pivot non-zero, so the factors decode;
+    // but `l_ij * d_j` overflows, and the search layout stores that product.
+    let index_file = index_bytes();
+    let oos = persist::load_index_from_bytes(&index_file).unwrap();
+    let index = oos.index();
+    let factors = mogul_sparse::LdlFactors {
+        l: index
+            .factor_l()
+            .map_values(|v| if v == 1.0 { v } else { v * 1e300 }),
+        u: index.factor_l().transpose(),
+        d: index.factor_d().iter().map(|d| d * 1e300).collect(),
+        boosted_pivots: 0,
+    };
+    let mut payload = Vec::new();
+    mogul_sparse::persist::encode_ldl_factors(&factors, &mut payload);
+    match persist::load_index_from_bytes(&rebuild_with_section(&index_file, "factors", &payload)) {
+        Err(PersistError::SectionDecode { section, source }) => {
+            assert_eq!(section, SectionKind::Factors.name());
+            assert!(source.to_string().contains("not finite"), "{source}");
+        }
+        other => panic!("an overflowing factor product gave {other:?}"),
+    }
+}
+
+#[test]
 fn non_finite_feature_values_are_rejected_at_load() {
     // A checksum proves the bytes are the ones that were written, not that
     // they are numbers a distance can be taken over: a well-formed file

@@ -144,13 +144,154 @@ fn engine_matches_the_textbook_substitution_exactly() {
                     ((query + 1) % n, 0.1),
                 ];
                 let want = reference_top_k(&reference_scores(index, &weights), 6, None);
-                let (got, _) = index
-                    .search_weighted_in(&mut ws, &weights, 6, SearchMode::Pruned)
-                    .unwrap();
-                assert_eq!(got, want, "weighted query {query}");
+                for mode in MODES {
+                    let (got, _) = index
+                        .search_weighted_in(&mut ws, &weights, 6, mode)
+                        .unwrap();
+                    assert_eq!(got, want, "weighted query {query} {mode:?}");
+                }
             }
         }
     }
+}
+
+const MODES: [SearchMode; 3] = [
+    SearchMode::Pruned,
+    SearchMode::NoPruning,
+    SearchMode::FullSubstitution,
+];
+
+/// One original node of each non-empty cluster of `index`, border last.
+fn one_node_per_cluster(index: &MogulIndex) -> Vec<usize> {
+    let ordering = index.ordering();
+    ordering
+        .clusters
+        .iter()
+        .filter(|range| !range.is_empty())
+        .map(|range| ordering.permutation.old_index(range.start + range.len / 2))
+        .collect()
+}
+
+#[test]
+fn weighted_seeds_across_clusters_and_the_border_match_the_textbook_substitution() {
+    let mut ws = SearchWorkspace::new();
+    let mut spanned = 0;
+    for (_, approx, exact) in &fixtures() {
+        for index in [approx, exact] {
+            let n = index.num_nodes();
+            let seeds = one_node_per_cluster(index);
+            // Windows of four consecutive clusters: three or more interior
+            // ones, and the border node too where the window reaches it.
+            for window in seeds.windows(4.min(seeds.len())) {
+                let weights: Vec<(usize, f64)> = window
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &node)| (node, 0.4 / (i + 1) as f64))
+                    .collect();
+                let scores = reference_scores(index, &weights);
+                for k in [3, n] {
+                    let want = reference_top_k(&scores, k, None);
+                    for mode in MODES {
+                        let (got, stats) = index
+                            .search_weighted_in(&mut ws, &weights, k, mode)
+                            .unwrap();
+                        assert_eq!(got, want, "seeds {window:?} k {k} {mode:?}");
+                        if mode != SearchMode::Pruned {
+                            assert_eq!(stats.nodes_scored, n);
+                        }
+                    }
+                }
+                spanned += 1;
+            }
+        }
+    }
+    assert!(spanned > 0);
+}
+
+#[test]
+fn panels_match_the_textbook_substitution_under_every_mode() {
+    let mut ws = SearchWorkspace::new();
+    for (_, approx, exact) in &fixtures() {
+        for index in [approx, exact] {
+            let n = index.num_nodes();
+            // Eight lanes, four of them in the largest interior cluster, so
+            // that cluster, its border segments and the border tails run the
+            // full-width lane kernels.
+            let ordering = index.ordering();
+            let largest = ordering.clusters[..ordering.border_cluster()]
+                .iter()
+                .max_by_key(|range| range.len)
+                .expect("every fixture has an interior cluster");
+            let queries: Vec<usize> = largest
+                .indices()
+                .take(4)
+                .map(|permuted| ordering.permutation.old_index(permuted))
+                .chain((0..4).map(|i| (i * 37 + 5) % n))
+                .collect();
+            for mode in MODES {
+                for k in [4, n] {
+                    let got = index.search_batch_in(&mut ws, &queries, k, mode).unwrap();
+                    for (&query, (top, _)) in queries.iter().zip(&got) {
+                        let want = reference_top_k(
+                            &reference_scores(index, &[(query, 1.0)]),
+                            k,
+                            Some(query),
+                        );
+                        assert_eq!(top, &want, "query {query} k {k} {mode:?}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn a_cluster_no_border_row_reaches_matches_the_textbook_substitution() {
+    let mut ws = SearchWorkspace::new();
+    let mut found = 0;
+    for (_, approx, exact) in &fixtures() {
+        for index in [approx, exact] {
+            let ordering = index.ordering();
+            let l = index.factor_l();
+            let border = ordering.border_range();
+            let n = index.num_nodes();
+            for (cluster, range) in ordering.clusters.iter().enumerate() {
+                if cluster == ordering.border_cluster() || range.is_empty() {
+                    continue;
+                }
+                let coupled = border
+                    .indices()
+                    .any(|i| l.row(i).0.iter().any(|&j| range.contains(j)));
+                if coupled {
+                    continue;
+                }
+                found += 1;
+                let query = ordering.permutation.old_index(range.start);
+                let scores = reference_scores(index, &[(query, 1.0)]);
+                assert_eq!(index.all_scores_in(&mut ws, query).unwrap(), scores);
+                for mode in MODES {
+                    let want = reference_top_k(&scores, 10, Some(query));
+                    let (got, _) = index
+                        .search_with_stats_in(&mut ws, query, 10, mode)
+                        .unwrap();
+                    assert_eq!(got, want, "uncoupled cluster {cluster} {mode:?}");
+                    // The same query as one lane of a full panel.
+                    let panel: Vec<usize> = std::iter::once(query)
+                        .chain((1..8).map(|i| (query + i * 13) % n))
+                        .collect();
+                    let got = index.search_batch_in(&mut ws, &panel, 10, mode).unwrap();
+                    assert_eq!(
+                        got[0].0, want,
+                        "uncoupled cluster {cluster} in a panel {mode:?}"
+                    );
+                }
+            }
+        }
+    }
+    assert!(
+        found > 0,
+        "no fixture has a cluster that no border row reaches"
+    );
 }
 
 #[test]

@@ -53,6 +53,16 @@ pub enum SparseError {
     },
     /// The input violated a documented precondition.
     InvalidInput(String),
+    /// A length does not fit the narrower integer a compact layout stores
+    /// it in.
+    TooLarge {
+        /// What was counted.
+        what: &'static str,
+        /// The length that was asked for.
+        len: usize,
+        /// The largest length the layout can store.
+        limit: usize,
+    },
 }
 
 impl fmt::Display for SparseError {
@@ -86,6 +96,9 @@ impl fmt::Display for SparseError {
                 "iteration did not converge after {iterations} iterations (residual {residual:e})"
             ),
             SparseError::InvalidInput(msg) => write!(f, "invalid input: {msg}"),
+            SparseError::TooLarge { what, len, limit } => {
+                write!(f, "{what} of {len} exceeds the limit of {limit}")
+            }
         }
     }
 }
@@ -133,6 +146,17 @@ mod tests {
             residual: 0.5,
         };
         assert!(err.to_string().contains("100"));
+    }
+
+    #[test]
+    fn display_too_large() {
+        let err = SparseError::TooLarge {
+            what: "factor nnz",
+            len: 5,
+            limit: 4,
+        };
+        let msg = err.to_string();
+        assert!(msg.contains("factor nnz") && msg.contains('5') && msg.contains('4'));
     }
 
     #[test]
