@@ -6,11 +6,11 @@
 //! [`PANEL_WIDTH`] query vectors packed into an `n × B` buffer with the `B`
 //! lane values of each node adjacent (`panel[node * width + lane]`), so one
 //! traversal of the factor structure applies every nonzero to all lanes
-//! through a short, contiguous, auto-vectorizable inner loop — the same
-//! blocking the `mogul-sparse` `*_multi_into` kernels use for unrestricted
-//! solves. A single query is the panel of width one; the public
-//! single-query entry points in [`super::search`] stage one lane and run
-//! this engine, whose per-lane recurrences compile a stride-1 copy for it.
+//! through a short, contiguous, auto-vectorizable inner loop. A single
+//! query is the panel of width one; the public single-query entry points in
+//! [`super::search`] stage one lane and run this engine, whose per-lane
+//! recurrences compile a stride-1 copy for it. The unrestricted solve runs
+//! the `FullSubstitution` sweeps of the same panels on dense right-hand sides.
 //!
 //! Every sweep reads the index's **search layout**
 //! (`crate::mogul::layout`), never the CSR factors: strictly triangular
@@ -58,7 +58,6 @@ use crate::topk::BoundedTopK;
 use crate::Result;
 use mogul_graph::ordering::ClusterRange;
 use mogul_sparse::kernel::{dispatch, LaneKernel, Sweep};
-use mogul_sparse::SolveWorkspace;
 use std::cmp::Ordering as CmpOrdering;
 use std::time::Instant;
 
@@ -91,8 +90,9 @@ const ALL_LANES: [usize; PANEL_WIDTH] = [0, 1, 2, 3, 4, 5, 6, 7];
 /// of it).
 ///
 /// Two `n × B` panels (forward result, scores), the staged lane
-/// descriptors, one top-k collector per lane, and the phase-1 / full-solve
-/// scratch of the out-of-sample and unrestricted-solve paths. It is an inert
+/// descriptors, one top-k collector per lane, and the phase-1 scratch of the
+/// out-of-sample path; the unrestricted solve runs in the same two panels,
+/// [`PANEL_WIDTH`] right-hand sides at a time. It is an inert
 /// buffer bag — it carries no index state, any workspace works with any
 /// index, and results are bit-identical to fresh allocation; once the
 /// buffers have grown to the index size the substitution/pruning path
@@ -141,13 +141,6 @@ pub struct SearchWorkspace {
     results: Vec<(TopKResult, SearchStats)>,
     /// Phase-1 scratch of the out-of-sample path.
     pub(crate) neighbors: NeighborScratch,
-    /// Permuted right-hand-side panel, intermediate and permuted solution
-    /// panel of the unrestricted
-    /// [`MogulIndex::solve_ranking_system_batch_in`]. Dense, and its own: the
-    /// three panels above stay untouched and all-zero.
-    solve_rhs: Vec<f64>,
-    solve: SolveWorkspace,
-    solve_out: Vec<f64>,
 }
 
 /// The workspace of the batched entry points — the same struct as
@@ -165,11 +158,13 @@ impl SearchWorkspace {
         self.lane_offsets.len().saturating_sub(1)
     }
 
-    /// Grow a panel to at least `len` entries (new entries zero; existing
-    /// entries are zero by the workspace invariant).
-    fn ensure_panel(panel: &mut Vec<f64>, len: usize) {
-        if panel.len() < len {
-            panel.resize(len, 0.0);
+    /// Grow both panels to at least `len` entries (new entries zero;
+    /// existing entries are zero by the workspace invariant).
+    fn ensure_panels(&mut self, len: usize) {
+        for panel in [&mut self.y_panel, &mut self.x_panel] {
+            if panel.len() < len {
+                panel.resize(len, 0.0);
+            }
         }
     }
 
@@ -320,7 +315,7 @@ impl MogulIndex {
 
     /// Approximate scores of **all** nodes (original node order) for one
     /// weighted query vector, as a panel of one: the restricted forward pass,
-    /// then back substitution over every cluster, no pruning.
+    /// then one back substitution over every row, no pruning.
     pub(crate) fn scores_lane_in(
         &self,
         ws: &mut SearchWorkspace,
@@ -334,18 +329,15 @@ impl MogulIndex {
         if n == 0 {
             return Ok(scores);
         }
-        let lane = &ALL_LANES[..1];
-        self.forward_staged(ws, 1, false);
-        // Border first (its scores feed every other cluster via Lemma 5),
-        // then every cluster: the whole panel becomes dirty.
-        ws.dirty_ranges.push(ClusterRange { start: 0, len: n });
-        let border_idx = self.ordering.border_cluster();
-        self.back_rows(self.ordering.clusters[border_idx], ws, 1, lane);
-        for (ci, &range) in self.ordering.clusters.iter().enumerate() {
-            if ci != border_idx {
-                self.back_rows(range, ws, 1, lane);
-            }
-        }
+        self.seed_staged(ws, 1);
+        self.forward_staged(ws, 1);
+        // Last row first, so the border (its scores feed every other cluster
+        // via Lemma 5) before the clusters; an interior row reads only later
+        // rows of its own cluster and the border (Lemma 3), so the order of
+        // the clusters does not move a bit. The whole panel becomes dirty.
+        let all = ClusterRange { start: 0, len: n };
+        ws.dirty_ranges.push(all);
+        self.back_rows(all, ws, 1, &ALL_LANES[..1]);
         for (new, &score) in ws.x_panel[..n].iter().enumerate() {
             scores[self.ordering.permutation.old_index(new)] = score;
         }
@@ -356,13 +348,14 @@ impl MogulIndex {
     /// Solve the factorized ranking system `W X = rhs` for a panel of dense
     /// right-hand sides (`rhs[i * width + lane]`, **original** node order).
     ///
-    /// The solve runs in permuted space (`L D Lᵀ X' = P rhs`, full forward
-    /// and back substitution through the `mogul-sparse` panel sweeps — no
-    /// restriction, no pruning) and unpermutes the result. With the complete
-    /// (MogulE) factorization this is the exact `W⁻¹ rhs`; with the
-    /// incomplete factorization it is the same approximation every search in
-    /// this index is built on. Lane `l` of the output panel does not depend
-    /// on the panel's width or its other lanes.
+    /// The solve runs in permuted space (`L D Lᵀ X' = P rhs`, the
+    /// `FullSubstitution` sweeps of the engine's panels, [`PANEL_WIDTH`]
+    /// right-hand sides at a time — no restriction, no pruning, and a seed's
+    /// solve is its `FullSubstitution` scores bit for bit) and unpermutes the
+    /// result. With the complete (MogulE) factorization this is the exact
+    /// `W⁻¹ rhs`; with the incomplete factorization it is the same
+    /// approximation every search in this index is built on. Lane `l` of the
+    /// output panel does not depend on the panel's width or its other lanes.
     ///
     /// This is the base solver of the incremental-update module
     /// ([`crate::update`]): inserts and removals are applied as Woodbury
@@ -392,26 +385,21 @@ impl MogulIndex {
                 right,
             });
         }
-        // Permute the right-hand sides: Q'[P(i)] = rhs[i], lane-wise.
-        ws.solve_rhs.clear();
-        ws.solve_rhs.resize(n * width, 0.0);
-        let permutation = &self.ordering.permutation;
-        scatter_rows(rhs, width, &mut ws.solve_rhs, |old| {
-            permutation.new_index(old)
-        });
-        mogul_sparse::triangular::ldl_solve_multi_into(
-            &self.factors.l,
-            &self.factors.u,
-            &self.factors.d,
-            &ws.solve_rhs,
-            width,
-            &mut ws.solve,
-            &mut ws.solve_out,
-        )?;
-        // Unpermute: out[i] = X'[P(i)], lane-wise.
         out.clear();
         out.resize(n * width, 0.0);
-        scatter_rows(&ws.solve_out, width, out, |new| permutation.old_index(new));
+        let perm = &self.ordering.permutation;
+        for first in (0..width).step_by(PANEL_WIDTH) {
+            let lanes = PANEL_WIDTH.min(width - first);
+            ws.ensure_panels(n * lanes);
+            // Permute this panel's right-hand sides: Q'[P(i)] = rhs[i].
+            let (src, dst) = (&rhs[first..], &mut ws.y_panel[..]);
+            move_rows(n, lanes, (src, width), (dst, lanes), |i| perm.new_index(i));
+            self.substitute_all(ws, lanes);
+            // Unpermute: out[i] = X'[P(i)].
+            let (src, dst) = (&ws.x_panel[..], &mut out[first..]);
+            move_rows(n, lanes, (src, lanes), (dst, width), |i| perm.old_index(i));
+            ws.cleanup_panels(lanes);
+        }
         Ok(())
     }
 
@@ -477,30 +465,10 @@ impl MogulIndex {
         Ok(())
     }
 
-    /// Restricted forward substitution `L' Y = Q'` over the staged panel.
-    ///
-    /// The query scatter seeds `Y`. Interior query clusters are swept at
-    /// **masked width** — only the lanes whose query touches a cluster pay
-    /// for its rows — and right after its rows each one's border segments
-    /// are subtracted from the border rows for the same lanes, in ascending
-    /// cluster order: every other interior column of a border row multiplies
-    /// a `Y` entry that is exactly zero (Lemma 4). The border tails — the
-    /// work every lane shares — are then swept once for every lane, which is
-    /// where the batching wins: one structure traversal, one `B`-wide
-    /// independent-accumulator inner loop instead of `B` serial dependency
-    /// chains. With `full` set every row is swept in full for every lane
-    /// instead (the `FullSubstitution` mode).
-    fn forward_staged(&self, ws: &mut SearchWorkspace, width: usize, full: bool) {
-        let n = self.num_nodes();
-        ws.union_clusters.clear();
-        if !full {
-            ws.union_clusters.extend_from_slice(&ws.lane_clusters);
-            ws.union_clusters.sort_unstable();
-            ws.union_clusters.dedup();
-        }
-
-        SearchWorkspace::ensure_panel(&mut ws.y_panel, n * width);
-        SearchWorkspace::ensure_panel(&mut ws.x_panel, n * width);
+    /// Seed `Y` with the staged lanes' query scatter `Q'`, growing both
+    /// panels to the index size first.
+    fn seed_staged(&self, ws: &mut SearchWorkspace, width: usize) {
+        ws.ensure_panels(self.num_nodes() * width);
         for lane in 0..width {
             let start = ws.lane_offsets[lane];
             let end = ws.lane_offsets[lane + 1];
@@ -509,14 +477,39 @@ impl MogulIndex {
                 ws.y_panel[node * width + lane] += value;
             }
         }
+    }
 
+    /// Unrestricted forward and back substitution, `L' Y = Q'` then
+    /// `U X' = Y`, over every row for every lane of the seeded `Y` — the
+    /// `FullSubstitution` mode and the dense solve. The whole panel becomes
+    /// dirty.
+    fn substitute_all(&self, ws: &mut SearchWorkspace, width: usize) {
+        let n = self.num_nodes();
+        let all = ClusterRange { start: 0, len: n };
+        ws.dirty_ranges.push(all);
+        let lanes = &ALL_LANES[..width];
+        self.forward_rows(self.layout.lower_rows(all), ws, width, lanes);
+        self.back_rows(all, ws, width, lanes);
+    }
+
+    /// Restricted forward substitution `L' Y = Q'` over the staged panel,
+    /// whose query scatter seeds `Y` ([`MogulIndex::seed_staged`]).
+    ///
+    /// Interior query clusters are swept at **masked width** — only the
+    /// lanes whose query touches a cluster pay for its rows — and right after
+    /// its rows each one's border segments are subtracted from the border
+    /// rows for the same lanes, in ascending cluster order: every other
+    /// interior column of a border row multiplies a `Y` entry that is exactly
+    /// zero (Lemma 4). The border tails — the work every lane shares — are
+    /// then swept once for every lane, which is where the batching wins: one
+    /// structure traversal, one `B`-wide independent-accumulator inner loop
+    /// instead of `B` serial dependency chains.
+    fn forward_staged(&self, ws: &mut SearchWorkspace, width: usize) {
+        ws.union_clusters.clear();
+        ws.union_clusters.extend_from_slice(&ws.lane_clusters);
+        ws.union_clusters.sort_unstable();
+        ws.union_clusters.dedup();
         let layout = &self.layout;
-        if full {
-            let all = ClusterRange { start: 0, len: n };
-            ws.dirty_ranges.push(all);
-            self.forward_rows(layout.lower_rows(all), ws, width, &ALL_LANES[..width]);
-            return;
-        }
         for idx in 0..ws.union_clusters.len() {
             let cluster = ws.union_clusters[idx];
             let range = self.ordering.clusters[cluster];
@@ -641,20 +634,19 @@ impl MogulIndex {
         );
         let lanes = &ALL_LANES[..width];
 
-        let full_substitution = mode == SearchMode::FullSubstitution;
-        self.forward_staged(ws, width, full_substitution);
-
-        if full_substitution {
+        self.seed_staged(ws, width);
+        if mode == SearchMode::FullSubstitution {
             // Ignore the sparse structure entirely: one pass of forward and
             // back substitution over every node.
-            let full = ClusterRange { start: 0, len: n };
-            self.back_rows(full, ws, width, lanes);
+            self.substitute_all(ws, width);
             for s in stats.iter_mut().take(width) {
                 s.nodes_scored = n;
             }
+            let full = ClusterRange { start: 0, len: n };
             self.offer_range(full, ws, width, lanes, &mut collectors);
             return self.finish_panel(ws, collectors, &stats);
         }
+        self.forward_staged(ws, width);
 
         let border_idx = self.ordering.border_cluster();
         let border_range = self.ordering.clusters[border_idx];
@@ -810,19 +802,24 @@ impl MogulIndex {
     }
 }
 
-/// `dst[target(i)] = src[i]` for every `width`-lane row `i` of a panel. A
-/// panel of one moves scalars: a slice copy per row would be a `memcpy` call
-/// per node there (7 % of a 2 000-node exact solve).
-fn scatter_rows(src: &[f64], width: usize, dst: &mut [f64], target: impl Fn(usize) -> usize) {
-    if width == 1 {
-        for (i, &value) in src.iter().enumerate() {
-            dst[target(i)] = value;
+/// Row `target(i)` of `dst` = row `i` of `src` for `rows` rows, a row being
+/// the first `lanes` values at `i * stride` of each `(panel, stride)`. One
+/// lane moves as scalars: a slice copy per row would be a `memcpy` call per
+/// node there (7 % of a 2 000-node exact solve).
+fn move_rows(
+    rows: usize,
+    lanes: usize,
+    (src, src_stride): (&[f64], usize),
+    (dst, dst_stride): (&mut [f64], usize),
+    target: impl Fn(usize) -> usize,
+) {
+    for i in 0..rows {
+        let (from, to) = (i * src_stride, target(i) * dst_stride);
+        if lanes == 1 {
+            dst[to] = src[from];
+        } else {
+            dst[to..to + lanes].copy_from_slice(&src[from..from + lanes]);
         }
-        return;
-    }
-    for (i, row) in src.chunks_exact(width).enumerate() {
-        let t = target(i);
-        dst[t * width..(t + 1) * width].copy_from_slice(row);
     }
 }
 

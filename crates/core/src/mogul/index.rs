@@ -63,7 +63,7 @@ pub struct PrecomputeStats {
     pub assembly_secs: f64,
     /// Seconds spent in the `L D Lᵀ` factorization.
     pub factorization_secs: f64,
-    /// Seconds spent precomputing the upper-bound quantities.
+    /// Seconds spent transposing `L` and precomputing the upper bounds.
     pub bounds_secs: f64,
     /// Non-zeros stored in `L` (including the unit diagonal).
     pub l_nnz: usize,
@@ -142,9 +142,10 @@ impl MogulIndex {
         let factorization_secs = fact_start.elapsed().as_secs_f64();
 
         let bounds_start = Instant::now();
-        let bounds = ClusterBounds::precompute(&factors.u, &ordering);
+        let upper = factors.l.transpose();
+        let bounds = ClusterBounds::precompute(&upper, &ordering);
         let bounds_secs = bounds_start.elapsed().as_secs_f64();
-        let layout = SearchLayout::new(&factors, &ordering)?;
+        let layout = SearchLayout::new(&factors, &upper, &ordering)?;
 
         let stats = PrecomputeStats {
             ordering_secs,
@@ -204,19 +205,18 @@ impl MogulIndex {
     }
 
     /// Estimated memory footprint of the index in bytes: the factors
-    /// (`L`, `U`, `D`), their search layout, the permutation and the bound
-    /// metadata — all `O(n)` structures (Theorem 3).
+    /// (`L`, `D`), their search layout (the only `U`), the permutation and
+    /// the bound metadata — all `O(n)` structures (Theorem 3).
     pub fn memory_bytes(&self) -> usize {
         let idx = std::mem::size_of::<usize>();
         let val = std::mem::size_of::<f64>();
         let l = self.factors.l.nnz() * (idx + val) + self.factors.l.nrows() * idx;
-        let u = self.factors.u.nnz() * (idx + val) + self.factors.u.nrows() * idx;
         let d = self.factors.d.len() * val;
         let perm = 2 * self.ordering.len() * idx;
         let bounds: usize = (0..self.ordering.num_clusters())
             .map(|c| self.bounds.border_columns(c).len() * (idx + val) + val)
             .sum();
-        l + u + d + perm + bounds + self.layout.memory_bytes()
+        l + d + perm + bounds + self.layout.memory_bytes()
     }
 }
 

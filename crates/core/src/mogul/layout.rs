@@ -1,8 +1,8 @@
 //! The search layout: the factors as Algorithm 2's sweeps read them.
 //!
-//! [`LdlFactors`] keeps `L` and `U` as generic CSR with `usize` indices and
-//! an explicit unit diagonal, which is what the MOG1 codec, the bound
-//! precomputation and the unrestricted solves want. The engine wants less:
+//! [`LdlFactors`] keeps `L` as generic CSR with `usize` indices and an
+//! explicit unit diagonal, which is what the factorization writes and the
+//! MOG1 codec stores. The engine wants less:
 //!
 //! * **strictly triangular rows** — the diagonal is never read, so a sweep
 //!   needs no `j < i` test per nonzero;
@@ -20,7 +20,8 @@
 //!   interior cluster lists the `(row, start, end)` runs that point into it.
 //!
 //! The layout is derived from the factors and the ordering whenever an index
-//! is built or loaded; it is never persisted.
+//! is built or loaded; it is never persisted. Its upper rows come from a
+//! transient `Lᵀ`: the layout is the only `U` an index keeps.
 
 use crate::{CoreError, Result};
 use mogul_graph::ordering::{ClusterRange, NodeOrdering};
@@ -174,11 +175,15 @@ pub(crate) struct SearchLayout {
 }
 
 impl SearchLayout {
-    /// Derive the layout of `factors` under `ordering` (clusters tiling the
-    /// permuted index space, the border last). Fails typed when `n` or a
-    /// factor's strict nonzero count does not fit a `u32`, or when a product
-    /// `l_ij · d_j` is not finite.
-    pub(crate) fn new(factors: &LdlFactors, ordering: &NodeOrdering) -> Result<Self> {
+    /// Derive the layout of `factors` and `upper = Lᵀ` under `ordering`
+    /// (clusters tiling the permuted index space, the border last). Fails
+    /// typed when `n` or a factor's strict nonzero count does not fit a
+    /// `u32`, or when a product `l_ij · d_j` is not finite.
+    pub(crate) fn new(
+        factors: &LdlFactors,
+        upper: &CsrMatrix,
+        ordering: &NodeOrdering,
+    ) -> Result<Self> {
         let n = factors.dim();
         if ordering.len() != n || !ordering.validate() {
             return Err(CoreError::InvalidInput(format!(
@@ -200,7 +205,7 @@ impl SearchLayout {
             )));
         }
         let upper = StrictRows::from_csr(
-            &factors.u,
+            upper,
             |i, cols| cols.partition_point(|&j| j <= i)..cols.len(),
             |_, v| v,
             "strictly-upper nnz of U",
@@ -336,7 +341,7 @@ mod tests {
         let index = MogulIndex::build(&g, MogulConfig::default()).unwrap();
         let mut factors = index.factors.clone();
         factors.d.fill(f64::INFINITY);
-        let err = SearchLayout::new(&factors, &index.ordering).unwrap_err();
+        let err = SearchLayout::new(&factors, &factors.l.transpose(), &index.ordering).unwrap_err();
         assert!(matches!(err, CoreError::InvalidInput(ref msg) if msg.contains("not finite")));
     }
 

@@ -994,8 +994,8 @@ fn decode_oos(sections: &[RawSection<'_>], meta: &Meta) -> Result<OutOfSampleInd
         });
     }
 
-    let layout =
-        SearchLayout::new(&factors, &ordering).map_err(decode_err(SectionKind::Factors))?;
+    let layout = SearchLayout::new(&factors, &factors.l.transpose(), &ordering)
+        .map_err(decode_err(SectionKind::Factors))?;
     let index = MogulIndex {
         params: meta.params,
         factorization: meta.factorization,

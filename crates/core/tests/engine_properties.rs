@@ -357,15 +357,15 @@ fn an_invalid_lane_rejects_the_batch_and_leaves_the_workspace_usable() {
 #[test]
 fn one_workspace_serves_every_entry_point_like_a_fresh_one() {
     // Widths 1, 3 and 8, indices of different sizes and factors, restricted
-    // searches, full score vectors and the dense solves (which keep to
-    // their own buffers and must leave the engine's panels all-zero) all
-    // interleaved on one workspace.
+    // searches, full score vectors and the dense solves (which run in the
+    // engine's panels, two of them at width 11, and must leave them
+    // all-zero) all interleaved on one workspace.
     let indices = fixtures();
     let mut ws = SearchWorkspace::new();
     for round in 0..3 {
         for (_, index) in &indices {
             let n = index.num_nodes();
-            let rhs: Vec<f64> = (0..3 * n)
+            let rhs: Vec<f64> = (0..11 * n)
                 .map(|i| ((i * 29 + 7) % 23) as f64 / 23.0)
                 .collect();
             let wide: Vec<usize> = (0..PANEL_WIDTH).map(|i| (i * 41 + 2) % n).collect();
@@ -388,13 +388,16 @@ fn one_workspace_serves_every_entry_point_like_a_fresh_one() {
                 index.all_scores_in(&mut fresh(), q).unwrap()
             );
             let (mut got, mut want) = (Vec::new(), Vec::new());
-            index
-                .solve_ranking_system_batch_in(&mut ws, &rhs, 3, &mut got)
-                .unwrap();
-            index
-                .solve_ranking_system_batch_in(&mut fresh(), &rhs, 3, &mut want)
-                .unwrap();
-            assert_eq!(got, want);
+            for width in [3, 11] {
+                let rhs = &rhs[..width * n];
+                index
+                    .solve_ranking_system_batch_in(&mut ws, rhs, width, &mut got)
+                    .unwrap();
+                index
+                    .solve_ranking_system_batch_in(&mut fresh(), rhs, width, &mut want)
+                    .unwrap();
+                assert_eq!(got, want, "width {width}");
+            }
             index
                 .solve_ranking_system_in(&mut ws, &rhs[..n], &mut got)
                 .unwrap();

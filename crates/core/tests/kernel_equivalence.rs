@@ -110,18 +110,20 @@ fn panel_solves_match_under_both_kernels() {
     let mut ws = BatchWorkspace::new();
     for index in [&approx, &exact] {
         let n = index.num_nodes();
-        let width = 5usize;
-        let rhs: Vec<f64> = (0..n * width)
-            .map(|i| ((i * 29 + 7) % 23) as f64 / 23.0 - 0.5)
-            .collect();
-        let (scalar, simd) = under_both_kernels(|| {
-            let mut out = Vec::new();
-            index
-                .solve_ranking_system_batch_in(&mut ws, &rhs, width, &mut out)
-                .unwrap();
-            out
-        });
-        assert_eq!(scalar, simd);
+        // Width 11 is a panel of eight and a panel of three.
+        for width in [5usize, 11] {
+            let rhs: Vec<f64> = (0..n * width)
+                .map(|i| ((i * 29 + 7) % 23) as f64 / 23.0 - 0.5)
+                .collect();
+            let (scalar, simd) = under_both_kernels(|| {
+                let mut out = Vec::new();
+                index
+                    .solve_ranking_system_batch_in(&mut ws, &rhs, width, &mut out)
+                    .unwrap();
+                out
+            });
+            assert_eq!(scalar, simd, "width {width}");
+        }
     }
 }
 

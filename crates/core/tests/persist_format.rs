@@ -317,7 +317,6 @@ fn factors_whose_search_layout_overflows_fail_typed_at_load() {
         l: index
             .factor_l()
             .map_values(|v| if v == 1.0 { v } else { v * 1e300 }),
-        u: index.factor_l().transpose(),
         d: index.factor_d().iter().map(|d| d * 1e300).collect(),
         boosted_pivots: 0,
     };

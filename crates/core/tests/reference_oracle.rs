@@ -17,19 +17,38 @@ use mogul_graph::Graph;
 /// substitution for the border and for every other cluster (Lemma 5).
 fn reference_scores(index: &MogulIndex, weights: &[(usize, f64)]) -> Vec<f64> {
     let ordering = index.ordering();
-    let (l, d) = (index.factor_l(), index.factor_d());
-    let u = l.transpose();
-    let n = ordering.len();
-    let border = ordering.border_cluster();
-
-    let mut q = vec![0.0; n];
+    let mut q = vec![0.0; ordering.len()];
     let mut forwarded = vec![false; ordering.num_clusters()];
-    forwarded[border] = true;
+    forwarded[ordering.border_cluster()] = true;
     for &(node, weight) in weights {
         let permuted = ordering.permutation.new_index(node);
         q[permuted] += weight * index.params().query_scale();
         forwarded[ordering.cluster_of_permuted(permuted)] = true;
     }
+    reference_substitution(index, &q, &forwarded)
+}
+
+/// The solve of one dense right-hand side (original order, unscaled): the
+/// same substitution with every cluster forwarded.
+fn reference_solve(index: &MogulIndex, rhs: &[f64]) -> Vec<f64> {
+    let ordering = index.ordering();
+    let mut q = vec![0.0; ordering.len()];
+    for (node, &value) in rhs.iter().enumerate() {
+        q[ordering.permutation.new_index(node)] = value;
+    }
+    reference_substitution(index, &q, &vec![true; ordering.num_clusters()])
+}
+
+/// The textbook substitution over `factor_l()` / `factor_d()` for a
+/// permuted right-hand side `q`: forward over the `forwarded` clusters only
+/// (`y` is zero elsewhere), then back over the border and every other
+/// cluster. Returns the scores in original order.
+fn reference_substitution(index: &MogulIndex, q: &[f64], forwarded: &[bool]) -> Vec<f64> {
+    let ordering = index.ordering();
+    let (l, d) = (index.factor_l(), index.factor_d());
+    let u = l.transpose();
+    let n = ordering.len();
+    let border = ordering.border_cluster();
 
     let mut y = vec![0.0; n];
     for (cluster, range) in ordering.clusters.iter().enumerate() {
@@ -292,6 +311,52 @@ fn a_cluster_no_border_row_reaches_matches_the_textbook_substitution() {
         found > 0,
         "no fixture has a cluster that no border row reaches"
     );
+}
+
+#[test]
+fn the_dense_solve_is_the_textbook_substitution_and_full_substitution_scores() {
+    let mut ws = SearchWorkspace::new();
+    for (_, approx, exact) in &fixtures() {
+        for index in [approx, exact] {
+            let n = index.num_nodes();
+            // Widths 1, 3 and 8 fill one panel; 11 spans two.
+            for width in [1usize, 3, 8, 11] {
+                let rhs: Vec<f64> = (0..n * width)
+                    .map(|i| ((i * 29 + 7) % 23) as f64 / 23.0 - 0.3)
+                    .collect();
+                let mut got = Vec::new();
+                index
+                    .solve_ranking_system_batch_in(&mut ws, &rhs, width, &mut got)
+                    .unwrap();
+                for lane in 0..width {
+                    let column: Vec<f64> = rhs.iter().skip(lane).step_by(width).copied().collect();
+                    let solved: Vec<f64> = got.iter().skip(lane).step_by(width).copied().collect();
+                    assert_eq!(
+                        solved,
+                        reference_solve(index, &column),
+                        "width {width} lane {lane}"
+                    );
+                }
+            }
+            // A seed's `FullSubstitution` scores are its solve, bit for bit.
+            let scale = index.params().query_scale();
+            for query in (0..n).step_by(11) {
+                let weights = [(query, 0.7), ((query * 31 + 7) % n, 0.3)];
+                let mut rhs = vec![0.0; n];
+                for &(node, weight) in &weights {
+                    rhs[node] += weight * scale;
+                }
+                let mut solved = Vec::new();
+                index
+                    .solve_ranking_system_in(&mut ws, &rhs, &mut solved)
+                    .unwrap();
+                let (got, _) = index
+                    .search_weighted_in(&mut ws, &weights, n, SearchMode::FullSubstitution)
+                    .unwrap();
+                assert_eq!(got, reference_top_k(&solved, n, None), "seed {weights:?}");
+            }
+        }
+    }
 }
 
 #[test]

@@ -48,9 +48,8 @@ pub enum Factorization {
 #[derive(Debug, Clone)]
 pub struct LdlFactors {
     /// Unit lower-triangular factor with an explicit diagonal of ones (CSR).
+    /// `U = Lᵀ` is not kept: a caller that wants its rows transposes `L`.
     pub l: CsrMatrix,
-    /// Upper-triangular factor `U = Lᵀ` with an explicit diagonal of ones (CSR).
-    pub u: CsrMatrix,
     /// Diagonal factor `D`.
     pub d: Vec<f64>,
     /// Number of pivots that had to be boosted to keep the factorization
@@ -84,9 +83,9 @@ impl LdlFactors {
     /// Solve `L D Lᵀ x = b` using the stored factors — the allocating
     /// convenience over [`crate::triangular::ldl_solve_multi_into`] at width 1.
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>> {
-        let mut x = Vec::new();
+        let (mut x, u) = (Vec::new(), self.l.transpose());
         let ws = &mut crate::triangular::SolveWorkspace::new();
-        crate::triangular::ldl_solve_multi_into(&self.l, &self.u, &self.d, b, 1, ws, &mut x)?;
+        crate::triangular::ldl_solve_multi_into(&self.l, &u, &self.d, b, 1, ws, &mut x)?;
         Ok(x)
     }
 }
@@ -161,11 +160,8 @@ pub fn factorize(w: &CsrMatrix, rule: Factorization) -> Result<LdlFactors> {
         boosted += usize::from(was_boosted);
     }
 
-    let l = CsrMatrix::from_raw_parts(n, n, indptr, indices, values)?;
-    let u = l.transpose();
     Ok(LdlFactors {
-        l,
-        u,
+        l: CsrMatrix::from_raw_parts(n, n, indptr, indices, values)?,
         d,
         boosted_pivots: boosted,
     })
@@ -383,9 +379,7 @@ mod tests {
             let f = factorize(&w, rule).unwrap();
             for i in 0..5 {
                 assert_eq!(f.l.get(i, i), 1.0);
-                assert_eq!(f.u.get(i, i), 1.0);
             }
-            assert_eq!(f.u, f.l.transpose());
             assert_eq!(f.dim(), 5);
             assert_eq!(f.l_nnz(), 9);
         }

@@ -256,10 +256,9 @@ pub fn decode_permutation(reader: &mut ByteReader<'_>, what: &str) -> Result<Per
 
 /// Append `L D Lᵀ` factors.
 ///
-/// Only `L`, `D` and the boosted-pivot count are stored: `U = Lᵀ` is
-/// reconstructed by [`decode_ldl_factors`] through [`CsrMatrix::transpose`],
-/// which moves values without arithmetic — the loaded `U` is bit-identical
-/// to the one that was in memory, at roughly half the file size.
+/// Only `L`, `D` and the boosted-pivot count are stored, as they are all
+/// [`LdlFactors`] holds: a reader that wants the rows of `U = Lᵀ` gets them
+/// from [`CsrMatrix::transpose`], which moves values without arithmetic.
 pub fn encode_ldl_factors(factors: &LdlFactors, out: &mut Vec<u8>) {
     encode_csr(&factors.l, out);
     put_f64_slice(out, &factors.d);
@@ -302,10 +301,8 @@ pub fn decode_ldl_factors(reader: &mut ByteReader<'_>, what: &str) -> Result<Ldl
             d[i]
         )));
     }
-    let u = l.transpose();
     Ok(LdlFactors {
         l,
-        u,
         d,
         boosted_pivots,
     })
@@ -340,7 +337,7 @@ mod tests {
     }
 
     #[test]
-    fn ldl_round_trip_reconstructs_u_bit_identically() {
+    fn ldl_round_trip_is_bit_identical() {
         let factors = factorize(&sample_matrix(), Factorization::Incomplete).unwrap();
         let mut bytes = Vec::new();
         encode_ldl_factors(&factors, &mut bytes);
@@ -348,7 +345,6 @@ mod tests {
         let back = decode_ldl_factors(&mut reader, "factors").unwrap();
         reader.finish("factors").unwrap();
         assert_eq!(factors.l, back.l);
-        assert_eq!(factors.u, back.u);
         assert_eq!(factors.d, back.d);
         assert_eq!(factors.boosted_pivots, back.boosted_pivots);
     }

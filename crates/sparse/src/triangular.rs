@@ -293,12 +293,12 @@ pub fn scale_diag_multi_into(d: &[f64], width: usize, panel: &mut [f64]) -> Resu
 /// unit-upper sweep, each traversing the factor structure once for the whole
 /// panel.
 ///
-/// This is the composite operation Mogul performs when it computes the
-/// approximate scores of *all* nodes (the "Incomplete Cholesky" baseline of
-/// Figure 5, and the base solve of the update path); the selective
-/// per-cluster variant lives in `mogul-core`. The intermediate of the forward
-/// phase lives in `ws` and the solution is written to `x`, so a warm loop of
-/// solves performs no heap allocation.
+/// The textbook composite over generic CSR factors, behind
+/// [`LdlFactors::solve`](crate::ldl::LdlFactors::solve); `mogul-core` runs
+/// its own sweeps over its search layout instead, for Figure 5's "Incomplete
+/// Cholesky" baseline too. The intermediate of the forward phase lives in
+/// `ws` and the solution is written to `x`, so a warm loop of solves
+/// performs no heap allocation.
 pub fn ldl_solve_multi_into(
     l: &CsrMatrix,
     u: &CsrMatrix,
@@ -367,7 +367,7 @@ mod tests {
         for (yi, &di) in y.iter_mut().zip(&f.d) {
             *yi /= di;
         }
-        ref_unit_upper(&f.u, &y)
+        ref_unit_upper(&f.l.transpose(), &y)
     }
 
     /// Complete and incomplete factors of a ring-with-chords SPD matrix (the
@@ -411,11 +411,12 @@ mod tests {
     /// `[unit lower, unit upper, scaled, composite]` of one panel.
     fn solve_all(f: &LdlFactors, panel: &[f64], width: usize) -> [Vec<f64>; 4] {
         let mut out = [Vec::new(), Vec::new(), panel.to_vec(), Vec::new()];
+        let u = f.l.transpose();
         solve_unit_lower_multi_into(&f.l, panel, width, &mut out[0]).unwrap();
-        solve_unit_upper_multi_into(&f.u, panel, width, &mut out[1]).unwrap();
+        solve_unit_upper_multi_into(&u, panel, width, &mut out[1]).unwrap();
         scale_diag_multi_into(&f.d, width, &mut out[2]).unwrap();
         let ws = &mut SolveWorkspace::new();
-        ldl_solve_multi_into(&f.l, &f.u, &f.d, panel, width, ws, &mut out[3]).unwrap();
+        ldl_solve_multi_into(&f.l, &u, &f.d, panel, width, ws, &mut out[3]).unwrap();
         out
     }
 
@@ -429,7 +430,10 @@ mod tests {
                 for (lane, b) in lanes.iter().enumerate() {
                     let scaled: Vec<f64> = b.iter().zip(&f.d).map(|(bi, di)| bi / di).collect();
                     assert_eq!(lane_of(&got[0], width, lane), ref_unit_lower(&f.l, b));
-                    assert_eq!(lane_of(&got[1], width, lane), ref_unit_upper(&f.u, b));
+                    assert_eq!(
+                        lane_of(&got[1], width, lane),
+                        ref_unit_upper(&f.l.transpose(), b)
+                    );
                     assert_eq!(lane_of(&got[2], width, lane), scaled);
                     assert_eq!(lane_of(&got[3], width, lane), ref_ldl(f, b));
                 }
@@ -472,12 +476,12 @@ mod tests {
             for f in &both_flavours(n) {
                 let lanes: Vec<Vec<f64>> = (0..width).map(|lane| lane_rhs(n, lane)).collect();
                 let panel = pack(&lanes);
-                let fresh = solve_all(f, &panel, width);
+                let (fresh, u) = (solve_all(f, &panel, width), f.l.transpose());
                 solve_unit_lower_multi_into(&f.l, &panel, width, &mut out).unwrap();
                 assert_eq!(out, fresh[0]);
-                solve_unit_upper_multi_into(&f.u, &panel, width, &mut out).unwrap();
+                solve_unit_upper_multi_into(&u, &panel, width, &mut out).unwrap();
                 assert_eq!(out, fresh[1]);
-                ldl_solve_multi_into(&f.l, &f.u, &f.d, &panel, width, &mut ws, &mut out).unwrap();
+                ldl_solve_multi_into(&f.l, &u, &f.d, &panel, width, &mut ws, &mut out).unwrap();
                 assert_eq!(out, fresh[3]);
             }
         }

@@ -100,7 +100,7 @@ proptest! {
         let incomplete = factorize(&matrix, Factorization::Incomplete).unwrap();
         let mut ws = SolveWorkspace::new();
         for factors in [&complete, &incomplete] {
-            let (l, u, d) = (&factors.l, &factors.u, &factors.d);
+            let (l, u, d) = (&factors.l, &factors.l.transpose(), &factors.d);
             // Widths 1..=8 cover the narrow-panel rule and every lane
             // remainder of the 4-wide AVX2 chunking; 17 is four chunks and
             // a remainder.
@@ -210,7 +210,7 @@ fn wide_wave_matrix(rings: usize, ring_len: usize, weight: f64) -> CsrMatrix {
 fn product_column(f: &LdlFactors, j: usize) -> Vec<f64> {
     let mut e = vec![0.0; f.dim()];
     e[j] = 1.0;
-    let mut x = f.u.matvec(&e).unwrap();
+    let mut x = f.l.transpose().matvec(&e).unwrap();
     for (v, d) in x.iter_mut().zip(&f.d) {
         *v *= d;
     }

@@ -90,8 +90,9 @@ proptest! {
         solve_unit_lower_multi_into(&factors.l, &lx, 1, &mut x_back).unwrap();
         prop_assert!(max_abs_diff(&x_back, &x_true).unwrap() < 1e-9);
 
-        let ux = factors.u.matvec(&x_true).unwrap();
-        solve_unit_upper_multi_into(&factors.u, &ux, 1, &mut x_back).unwrap();
+        let u = factors.l.transpose();
+        let ux = u.matvec(&x_true).unwrap();
+        solve_unit_upper_multi_into(&u, &ux, 1, &mut x_back).unwrap();
         prop_assert!(max_abs_diff(&x_back, &x_true).unwrap() < 1e-9);
 
         // Composite LDLᵀ solve (the width-1 panel) agrees with the dense
