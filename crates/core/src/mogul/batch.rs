@@ -313,36 +313,50 @@ impl MogulIndex {
         Ok(out)
     }
 
-    /// Approximate scores of **all** nodes (original node order) for one
-    /// weighted query vector, as a panel of one: the restricted forward pass,
-    /// then one back substitution over every row, no pruning.
-    pub(crate) fn scores_lane_in(
+    /// Approximate scores of **all** nodes for every staged lane (each
+    /// pushed with [`MogulIndex::batch_push_lane`]): the restricted forward
+    /// pass, then one back substitution over every row, no pruning. Lane by
+    /// lane, `scores` is cleared and refilled with the lane's score vector
+    /// (original node order) and handed to `visit`, which may grow or edit
+    /// it in place. A lane's vector does not depend on the panel's width or
+    /// its other lanes, and its nonzero scores are its `FullSubstitution`
+    /// scores bit for bit: the rows and columns the restriction skips hold
+    /// exact zeros (Lemma 4).
+    pub(crate) fn scores_staged_in(
         &self,
         ws: &mut SearchWorkspace,
-        weights: &[(usize, f64)],
-    ) -> Result<Vec<f64>> {
-        self.batch_begin(ws);
-        // Every score is returned: no collector runs, so `k` is unused.
-        self.batch_push_lane(ws, weights, None, 0)?;
+        scores: &mut Vec<f64>,
+        mut visit: impl FnMut(usize, &mut Vec<f64>) -> Result<()>,
+    ) -> Result<()> {
+        let width = ws.staged();
         let n = self.num_nodes();
-        let mut scores = vec![0.0; n];
         if n == 0 {
-            return Ok(scores);
+            for lane in 0..width {
+                scores.clear();
+                visit(lane, scores)?;
+            }
+            return Ok(());
         }
-        self.seed_staged(ws, 1);
-        self.forward_staged(ws, 1);
+        self.seed_staged(ws, width);
+        self.forward_staged(ws, width);
         // Last row first, so the border (its scores feed every other cluster
         // via Lemma 5) before the clusters; an interior row reads only later
         // rows of its own cluster and the border (Lemma 3), so the order of
-        // the clusters does not move a bit. The whole panel becomes dirty.
+        // the clusters does not move a bit. The whole panel becomes dirty,
+        // which covers every range the forward pass marked.
         let all = ClusterRange { start: 0, len: n };
+        ws.dirty_ranges.clear();
         ws.dirty_ranges.push(all);
-        self.back_rows(all, ws, 1, &ALL_LANES[..1]);
-        for (new, &score) in ws.x_panel[..n].iter().enumerate() {
-            scores[self.ordering.permutation.old_index(new)] = score;
-        }
-        ws.cleanup_panels(1);
-        Ok(scores)
+        self.back_rows(all, ws, width, &ALL_LANES[..width]);
+        let perm = &self.ordering.permutation;
+        let x_panel = &ws.x_panel;
+        let visited = (0..width).try_for_each(|lane| {
+            scores.clear();
+            scores.extend((0..n).map(|old| x_panel[perm.new_index(old) * width + lane]));
+            visit(lane, scores)
+        });
+        ws.cleanup_panels(width);
+        visited
     }
 
     /// Solve the factorized ranking system `W X = rhs` for a panel of dense
@@ -357,10 +371,11 @@ impl MogulIndex {
     /// approximation every search in this index is built on. Lane `l` of the
     /// output panel does not depend on the panel's width or its other lanes.
     ///
-    /// This is the base solver of the incremental-update module
-    /// ([`crate::update`]): inserts and removals are applied as Woodbury
-    /// corrections *around* this solve, and note that no `(1 − α)` query
-    /// scaling is applied here — callers scale the right-hand side.
+    /// This is the base solver of the incremental-update module's Woodbury
+    /// build ([`crate::update`]): one column of `Z = W₀⁻¹ U` per call, on
+    /// the apply side (a corrected read solves its sparse seeds through
+    /// [`MogulIndex::scores_staged_in`] instead). No `(1 − α)` query scaling
+    /// is applied here — callers scale the right-hand side.
     pub fn solve_ranking_system_batch_in(
         &self,
         ws: &mut SearchWorkspace,

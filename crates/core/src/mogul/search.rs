@@ -151,7 +151,12 @@ impl MogulIndex {
     /// [`MogulIndex::all_scores`] with caller-owned scratch (the returned
     /// score vector itself is still freshly allocated).
     pub fn all_scores_in(&self, ws: &mut SearchWorkspace, query: usize) -> Result<Vec<f64>> {
-        self.scores_lane_in(ws, &[(query, 1.0)])
+        self.batch_begin(ws);
+        // Every score is returned: no collector runs, so `k` is unused.
+        self.batch_push_lane(ws, &[(query, 1.0)], None, 0)?;
+        let mut scores = Vec::new();
+        self.scores_staged_in(ws, &mut scores, |_, _| Ok(()))?;
+        Ok(scores)
     }
 
     /// [`MogulIndex::solve_ranking_system_batch_in`] for one dense right-hand

@@ -64,6 +64,7 @@ use mogul_graph::knn::{
 use mogul_graph::Graph;
 use mogul_sparse::features::IntoFeatureMatrix;
 use mogul_sparse::{CorrectionWorkspace, FeatureMatrix, WoodburyCorrection};
+use std::cmp::Reverse;
 use std::collections::BTreeSet;
 use std::path::Path;
 use std::sync::Arc;
@@ -828,24 +829,20 @@ impl UpdatableIndex {
         out
     }
 
-    /// Publish a corrected snapshot: decompose the accumulated `Δ` into
-    /// `U Vᵀ` and precompute the Woodbury correction against the base
-    /// factors.
-    fn publish_corrected(&mut self) -> Result<()> {
+    /// The accumulated `Δ = E_R A_R + B E_Rᵀ` over the dirty rows `R`, as
+    /// the sparse columns of `U = [E_R | B]` and `V = [A_Rᵀ | E_R]`, plus the
+    /// dirty rows that reverted to their base values.
+    fn correction_factors(&self) -> (SparseColumns, SparseColumns, Vec<usize>) {
         let total = self.graph.num_nodes();
-        let base_len = self.base.index().num_nodes();
         let degrees: Vec<f64> = (0..total).map(|u| self.graph.weighted_degree(u)).collect();
-        let support: Vec<usize> = self.dirty.iter().copied().collect();
         let mut in_support = vec![false; total];
-        for &u in &support {
+        for &u in &self.dirty {
             in_support[u] = true;
         }
-
-        // Δ = E_R A_R + B E_Rᵀ → U = [E_R | B], V = [A_Rᵀ | E_R].
-        let mut u_cols: Vec<Vec<(usize, f64)>> = Vec::with_capacity(2 * support.len());
-        let mut v_cols: Vec<Vec<(usize, f64)>> = Vec::with_capacity(2 * support.len());
+        let mut u_cols: SparseColumns = Vec::with_capacity(2 * self.dirty.len());
+        let mut v_cols: SparseColumns = Vec::with_capacity(2 * self.dirty.len());
         let mut settled = Vec::new();
-        for &row in &support {
+        for &row in &self.dirty {
             let delta_row = self.delta_row(row, &degrees);
             if delta_row.is_empty() {
                 // The row reverted to its base value (e.g. insert-then-remove
@@ -867,6 +864,16 @@ impl UpdatableIndex {
                 v_cols.push(vec![(row, 1.0)]);
             }
         }
+        (u_cols, v_cols, settled)
+    }
+
+    /// Publish a corrected snapshot: decompose the accumulated `Δ` into
+    /// `U Vᵀ` and precompute the Woodbury correction against the base
+    /// factors.
+    fn publish_corrected(&mut self) -> Result<()> {
+        let total = self.graph.num_nodes();
+        let base_len = self.base.index().num_nodes();
+        let (u_cols, v_cols, settled) = self.correction_factors();
         for row in settled {
             self.dirty.remove(&row);
         }
@@ -1060,6 +1067,9 @@ pub(crate) struct PersistView<'a> {
     pub epoch: u64,
 }
 
+/// Sparse `(row, value)` columns of a correction factor `U` or `V`.
+type SparseColumns = Vec<Vec<(usize, f64)>>;
+
 // ---------------------------------------------------------------------------
 // Snapshots (reader side)
 // ---------------------------------------------------------------------------
@@ -1087,25 +1097,29 @@ enum SnapshotState {
 ///
 /// Wraps the one [`SearchWorkspace`] every clean path and base solve runs on,
 /// plus the correction buffers. Carries no snapshot state: any workspace
-/// works with any snapshot and results are identical either way.
+/// works with any snapshot and results are identical either way. Once its
+/// buffers have grown, a corrected read allocates only what it returns.
 #[derive(Debug, Clone, Default)]
 pub struct SnapshotWorkspace {
     /// Scratch of the Algorithm 2 paths and of the base solves.
     search: SearchWorkspace,
-    /// Densified right-hand-side panel of the corrected solve (up to
-    /// [`PANEL_WIDTH`] columns; one for a single query).
-    rhs: Vec<f64>,
     /// Corrected score vector of the lane being answered.
     scores: Vec<f64>,
-    /// Output panel of the corrected base solve.
-    solved: Vec<f64>,
+    /// The base-node entries of the seed being staged.
+    base_seed: Vec<(usize, f64)>,
     /// Woodbury scratch.
     corr: CorrectionWorkspace,
     /// Phase-1 `(node, distance)` pairs of corrected out-of-sample queries.
     scored: Vec<(usize, f64)>,
     /// Seeds (weighted query vectors) of a corrected panel, one per lane.
     lanes: Vec<Vec<(usize, f64)>>,
+    /// Heap buffer of the corrected top-k selection.
+    top: Vec<ScoreKey>,
 }
+
+/// A corrected top-k key: `(Reverse(score bits), stable id)`, so a smaller
+/// key is a better answer (see [`IndexSnapshot::select_top_k`]).
+type ScoreKey = (Reverse<u64>, usize);
 
 impl SnapshotWorkspace {
     /// An empty workspace; buffers grow to the index size on first use.
@@ -1281,10 +1295,11 @@ impl IndexSnapshot {
     /// (see [`IndexSnapshot::query_by_feature`]). Phase 2 runs one panel
     /// per [`PANEL_WIDTH`] lanes, whatever their kinds and `k`: on a clean
     /// snapshot through [`OutOfSampleIndex::query_lanes_in`], on a
-    /// corrected one through the multi-RHS `L D Lᵀ` solve plus per-lane
-    /// Woodbury corrections. A lane's answer does not depend on what it is
-    /// batched with; only the timing split does (`top_k_secs` is each
-    /// lane's even share of its panel's phase-2 time).
+    /// corrected one through the engine's restricted forward and one back
+    /// substitution over the base rows plus per-lane Woodbury corrections.
+    /// A lane's answer does not depend on what it is batched with; only the
+    /// timing split does (`top_k_secs` is each lane's even share of its
+    /// panel's phase-2 time).
     ///
     /// One invalid lane fails the whole call (callers needing per-request
     /// error isolation, like `mogul-serve`, re-run the affected batch query
@@ -1329,6 +1344,7 @@ impl IndexSnapshot {
         // The seed buffers leave the workspace for the call; a failed call
         // drops them, which leaves the workspace sound.
         let mut seeds = std::mem::take(&mut ws.lanes);
+        let mut top = std::mem::take(&mut ws.top);
         for panel in lanes.chunks(PANEL_WIDTH) {
             seeds.resize_with(panel.len(), Vec::new);
             let mut excludes = [None; PANEL_WIDTH];
@@ -1368,7 +1384,8 @@ impl IndexSnapshot {
             let first = out.len() - panel.len();
             self.corrected_scores(ws, correction, &seeds, |lane, scores| {
                 let k = panel[lane].1;
-                out[first + lane].top_k = self.select_top_k(scores, live, k, excludes[lane]);
+                out[first + lane].top_k =
+                    self.select_top_k(&mut top, scores, live, k, excludes[lane]);
             })?;
             let per_lane_secs = search_start.elapsed().as_secs_f64() / panel.len() as f64;
             for result in &mut out[first..] {
@@ -1376,17 +1393,21 @@ impl IndexSnapshot {
             }
         }
         ws.lanes = seeds;
+        ws.top = top;
         Ok(out)
     }
 
     // -- internals ----------------------------------------------------------
 
-    /// The one corrected-scores path: stage a panel of sparse weighted
-    /// queries (dense node space, at most [`PANEL_WIDTH`] lanes,
-    /// `(1 − α)`-scaled), run the base solve on the factorized block
-    /// (identity on the appended block), then hand each lane's
-    /// Woodbury-corrected score vector to `visit`, in lane order. A single
-    /// query is the panel of one, whose solved panel *is* its score vector.
+    /// The one corrected-scores path, over a panel of sparse weighted
+    /// queries (dense node space, at most [`PANEL_WIDTH`] lanes, unscaled).
+    /// Each lane's base-node entries are staged on the base index, which
+    /// runs its restricted forward and one back substitution over the base
+    /// rows — `Y` is exactly zero outside the seed's clusters (Lemma 4), so
+    /// this is the unrestricted base solve bit for bit on every nonzero. Its
+    /// appended nodes (identity rows of `W₀`) go `(1 − α)`-scaled straight
+    /// into the appended block. Each lane's Woodbury-corrected score vector
+    /// is then handed to `visit`, in lane order.
     fn corrected_scores(
         &self,
         ws: &mut SnapshotWorkspace,
@@ -1396,47 +1417,36 @@ impl IndexSnapshot {
     ) -> Result<()> {
         let SnapshotWorkspace {
             search,
-            rhs,
             scores,
-            solved,
+            base_seed,
             corr,
             ..
         } = ws;
-        let width = queries.len();
+        let index = self.oos.index();
+        let base_len = index.num_nodes();
         let total = correction.dim();
-        let base_len = self.oos.index().num_nodes();
-        let scale = self.oos.index().params().query_scale();
-        // Rows `0..base_len` of the panel form the contiguous prefix handed
-        // to the factorized base solve.
-        rhs.clear();
-        rhs.resize(total * width, 0.0);
-        for (lane, query) in queries.iter().enumerate() {
-            for &(node, weight) in query.as_ref() {
-                rhs[node * width + lane] += weight * scale;
-            }
+        let scale = index.params().query_scale();
+        index.batch_begin(search);
+        for query in queries {
+            base_seed.clear();
+            base_seed.extend(query.as_ref().iter().filter(|&&(node, _)| node < base_len));
+            index.batch_push_lane(search, base_seed, None, 0)?;
         }
-        self.oos.index().solve_ranking_system_batch_in(
-            search,
-            &rhs[..base_len * width],
-            width,
-            solved,
-        )?;
-        for lane in 0..width {
-            if width == 1 {
-                std::mem::swap(scores, solved);
-            } else {
-                scores.clear();
-                scores.extend(solved.iter().skip(lane).step_by(width));
+        index.scores_staged_in(search, scores, |lane, scores| {
+            scores.resize(total, 0.0);
+            for &(node, weight) in queries[lane].as_ref() {
+                if node >= base_len {
+                    scores[node] += weight * scale;
+                }
             }
-            scores.extend(rhs[base_len * width..].iter().skip(lane).step_by(width));
             correction.apply_in(corr, scores)?;
             visit(lane, scores);
-        }
-        Ok(())
+            Ok(())
+        })
     }
 
-    /// Work counters of a corrected query: one unrestricted solve scores
-    /// every node and evaluates no bound.
+    /// Work counters of a corrected query: its back substitution and the
+    /// correction score every node, and no bound is evaluated.
     fn full_solve_stats(nodes_scored: usize) -> SearchStats {
         SearchStats {
             nodes_scored,
@@ -1449,6 +1459,7 @@ impl IndexSnapshot {
     /// threshold semantics: only non-negative scores are eligible.
     fn select_top_k(
         &self,
+        buf: &mut Vec<ScoreKey>,
         scores: &[f64],
         live: &[bool],
         k: usize,
@@ -1459,10 +1470,9 @@ impl IndexSnapshot {
         // "better" (higher score, ties to the lower id); eligible scores are
         // finite and ≥ 0, so their IEEE bit patterns order like the values
         // once −0.0 is normalized.
-        // `k` arrives off the wire unbounded; it must not size the buffer.
-        use std::cmp::Reverse;
-        let mut top: BoundedTopK<(Reverse<u64>, usize)> =
-            BoundedTopK::with_buffer(k, Vec::with_capacity(k.min(scores.len())));
+        // `k` arrives off the wire unbounded; it must not size the buffer,
+        // which grows only with what is offered and is recycled.
+        let mut top = BoundedTopK::with_buffer(k, std::mem::take(buf));
         for (node, &score) in scores.iter().enumerate() {
             if !live[node] || Some(node) == exclude || !score.is_finite() || score < 0.0 {
                 continue;
@@ -1470,15 +1480,19 @@ impl IndexSnapshot {
             let score = if score == 0.0 { 0.0 } else { score };
             top.offer((Reverse(score.to_bits()), self.ids[node]));
         }
-        TopKResult::new(
-            top.into_sorted_vec()
-                .into_iter()
-                .map(|(Reverse(bits), id)| RankedNode {
+        let mut sorted = top.into_sorted_vec();
+        let result = TopKResult::new(
+            sorted
+                .iter()
+                .map(|&(Reverse(bits), id)| RankedNode {
                     node: id,
                     score: f64::from_bits(bits),
                 })
                 .collect(),
-        )
+        );
+        sorted.clear();
+        *buf = sorted;
+        result
     }
 
     /// Translate a dense-node top-k into stable ids.
@@ -1499,6 +1513,7 @@ impl IndexSnapshot {
 mod tests {
     use super::*;
     use crate::exact::InverseSolver;
+    use mogul_sparse::DenseMatrix;
 
     /// Two well-separated clusters of 2-D points.
     fn two_cluster_features() -> Vec<Vec<f64>> {
@@ -1664,6 +1679,245 @@ mod tests {
                     Some(got) => assert!((got - want).abs() < 1e-9, "{id} -> {other}"),
                     // Only non-negative scores are eligible for an answer.
                     None => assert!(want < 1e-9, "{id} -> {other} missing, oracle {want}"),
+                }
+            }
+        }
+    }
+
+    /// The textbook corrected solve of the writer's current state, one score
+    /// vector per seed (dense node space, unscaled): the seeds densified
+    /// and `(1 − α)`-scaled into one right-hand-side panel, its base rows
+    /// through the dense `solve_ranking_system_batch_in` (the appended block
+    /// as it is: identity rows of `W₀`), then the Woodbury correction with a
+    /// row-major `Z` — one dense base solve per column of `U` — applied row by
+    /// row.
+    fn reference_scores(index: &UpdatableIndex, seeds: &[Vec<(usize, f64)>]) -> Vec<Vec<f64>> {
+        let base = index.base.index();
+        let (base_len, total) = (base.num_nodes(), index.graph.num_nodes());
+        let mut ws = SearchWorkspace::new();
+        let (u_cols, v_cols, settled) = index.correction_factors();
+        assert!(
+            settled.is_empty(),
+            "a published epoch keeps no settled rows"
+        );
+        let r = u_cols.len();
+        let mut z = DenseMatrix::zeros(total, r);
+        let mut solved = Vec::new();
+        for (j, col) in u_cols.iter().enumerate() {
+            let mut rhs = vec![0.0; total];
+            for &(row, value) in col {
+                rhs[row] += value;
+            }
+            base.solve_ranking_system_in(&mut ws, &rhs[..base_len], &mut solved)
+                .unwrap();
+            for i in 0..total {
+                z.set(i, j, if i < base_len { solved[i] } else { rhs[i] });
+            }
+        }
+        let mut cap = DenseMatrix::identity(r);
+        for (i, col) in v_cols.iter().enumerate() {
+            for j in 0..r {
+                let dot: f64 = col.iter().map(|&(row, value)| value * z.get(row, j)).sum();
+                cap.add_to(i, j, dot);
+            }
+        }
+        let cap = cap.lu().unwrap();
+
+        let width = seeds.len();
+        let scale = base.params().query_scale();
+        let mut rhs = vec![0.0; total * width];
+        for (lane, seed) in seeds.iter().enumerate() {
+            for &(node, weight) in seed {
+                rhs[node * width + lane] += weight * scale;
+            }
+        }
+        base.solve_ranking_system_batch_in(&mut ws, &rhs[..base_len * width], width, &mut solved)
+            .unwrap();
+        (0..width)
+            .map(|lane| {
+                let panel = |i: usize| {
+                    if i < base_len {
+                        solved[i * width + lane]
+                    } else {
+                        rhs[i * width + lane]
+                    }
+                };
+                let mut x: Vec<f64> = (0..total).map(panel).collect();
+                let t: Vec<f64> = v_cols
+                    .iter()
+                    .map(|col| col.iter().map(|&(row, value)| value * x[row]).sum())
+                    .collect();
+                let y = cap.solve(&t).unwrap();
+                for (i, xi) in x.iter_mut().enumerate() {
+                    let mut correction = 0.0;
+                    for (j, yj) in y.iter().enumerate() {
+                        correction += z.get(i, j) * yj;
+                    }
+                    *xi -= correction;
+                }
+                x
+            })
+            .collect()
+    }
+
+    /// A lane's seed and excluded node as `query_batch_in` derives them on
+    /// a corrected snapshot.
+    fn reference_seed(
+        snapshot: &IndexSnapshot,
+        query: Query,
+    ) -> (Vec<(usize, f64)>, Option<usize>) {
+        let SnapshotState::Corrected { features, live, .. } = &snapshot.state else {
+            panic!("a corrected snapshot");
+        };
+        match query {
+            Query::Item(id) => {
+                let node = snapshot.node_of_id[id].unwrap();
+                (vec![(node, 1.0)], Some(node))
+            }
+            Query::Feature(feature) => {
+                let neighbors = snapshot.oos.config().num_neighbors;
+                let scored: Vec<(usize, f64)> =
+                    nearest_rows(features, feature, neighbors, |u| !live[u])
+                        .into_iter()
+                        .map(|(u, d2)| (u, d2.sqrt()))
+                        .collect();
+                let mut seed = Vec::new();
+                heat_kernel_weights(&scored, &mut seed);
+                (seed, None)
+            }
+        }
+    }
+
+    #[test]
+    fn corrected_reads_match_the_dense_solve_and_a_row_major_correction_bit_for_bit() {
+        // Nonzero scores compare by bits, zeros by `==` (a term the
+        // restricted forward skips is a product with an exact zero, which
+        // can only flip a zero's sign).
+        let same = |got: &[f64], want: &[f64]| {
+            got.len() == want.len()
+                && got.iter().zip(want).all(|(&g, &w)| {
+                    if w == 0.0 {
+                        g == 0.0
+                    } else {
+                        g.to_bits() == w.to_bits()
+                    }
+                })
+        };
+        let bits = |top: &TopKResult| {
+            top.items()
+                .iter()
+                .map(|item| (item.node, item.score.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut jitter = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut point = |cluster: usize| vec![4.0 * cluster as f64 + jitter(), jitter()];
+        let features: Vec<Vec<f64>> = (0..36).map(|i| point(i % 3)).collect();
+        for exact in [true, false] {
+            let mut builder = IndexBuilder::new()
+                .knn_k(3)
+                .rebuild_policy(RebuildPolicy::never());
+            if exact {
+                builder = builder.exact_ranking();
+            }
+            let mut index = builder.build(features.clone()).unwrap();
+            // Item 4 loses every neighbour; inserts and removals then grow
+            // the correction past one row block of rank.
+            let lonely = 4;
+            let node = index.node_of_id[lonely].unwrap();
+            let mut delta = IndexDelta::new();
+            for &(v, _) in index.graph.neighbors(node) {
+                delta.remove(index.ids[v]);
+            }
+            index.apply(&delta).unwrap();
+            let mut inserted = Vec::new();
+            for round in 0..3usize {
+                let mut delta = IndexDelta::new();
+                for i in 0..3 {
+                    delta.insert(point(i + round));
+                }
+                for id in [9 + 7 * round, 11 + 7 * round] {
+                    if index.contains(id) {
+                        delta.remove(id);
+                    }
+                }
+                inserted.extend(index.apply(&delta).unwrap().inserted);
+            }
+            let snapshot = index.snapshot();
+            assert!(
+                snapshot.correction_rank() > 8,
+                "rank {}",
+                snapshot.correction_rank()
+            );
+            let SnapshotState::Corrected {
+                correction, live, ..
+            } = &snapshot.state
+            else {
+                panic!("a corrected snapshot");
+            };
+
+            // Both lane kinds, seeds on appended nodes (an inserted item;
+            // a probe at an inserted item's place) and on the stranded item.
+            let probes: Vec<Vec<f64>> = inserted
+                .iter()
+                .map(|&id| {
+                    index
+                        .features
+                        .row(snapshot.node_of_id[id].unwrap())
+                        .to_vec()
+                })
+                .chain((0..3).map(|c| vec![4.0 * c as f64 + 0.5, 0.5]))
+                .collect();
+            let ids = snapshot.item_ids();
+            let mut lanes: Vec<(Query, usize)> = vec![(Query::Item(lonely), 5)];
+            lanes.extend(inserted.iter().map(|&id| (Query::Item(id), 7)));
+            lanes.extend(probes.iter().map(|probe| (Query::Feature(probe), 4)));
+            lanes.extend(
+                ids.iter()
+                    .step_by(5)
+                    .map(|&id| (Query::Item(id), ids.len())),
+            );
+            let ws = &mut SnapshotWorkspace::new();
+            for width in [1usize, 3, 8, 11] {
+                for chunk in lanes.chunks(width) {
+                    let (seeds, excludes): (Vec<_>, Vec<_>) = chunk
+                        .iter()
+                        .map(|&(query, _)| reference_seed(&snapshot, query))
+                        .unzip();
+                    let want = reference_scores(&index, &seeds);
+                    for (p, panel) in seeds.chunks(PANEL_WIDTH).enumerate() {
+                        snapshot
+                            .corrected_scores(ws, correction, panel, |lane, scores| {
+                                let lane = p * PANEL_WIDTH + lane;
+                                assert!(
+                                    same(scores, &want[lane]),
+                                    "exact {exact}, width {width}, {:?}",
+                                    chunk[lane].0
+                                );
+                            })
+                            .unwrap();
+                    }
+                    let got = snapshot.query_batch_in(ws, chunk).unwrap();
+                    for (lane, answer) in got.iter().enumerate() {
+                        let k = chunk[lane].1;
+                        let top = snapshot.select_top_k(
+                            &mut Vec::new(),
+                            &want[lane],
+                            live,
+                            k,
+                            excludes[lane],
+                        );
+                        let why = format!("exact {exact}, width {width}, {:?}", chunk[lane].0);
+                        assert_eq!(bits(&answer.top_k), bits(&top), "{why}");
+                        assert_eq!(
+                            answer.stats,
+                            IndexSnapshot::full_solve_stats(correction.dim()),
+                            "{why}"
+                        );
+                    }
                 }
             }
         }

@@ -12,7 +12,8 @@
 //!   `NoPruning` return `==` results.
 //! * **Workspace hygiene** — one workspace driven through every entry point
 //!   in turn answers like a fresh one (the all-zero panel invariant holds
-//!   across widths, indices and the dense solves).
+//!   across widths, indices and the dense solves), and so does one snapshot
+//!   workspace across clean and corrected epochs.
 //!
 //! That a lone query's answer is the *right* one is `reference_oracle.rs`.
 
@@ -422,6 +423,68 @@ fn one_workspace_serves_every_entry_point_like_a_fresh_one() {
                     .search_batch_in(&mut fresh(), &wide[..3], 5, SearchMode::Pruned)
                     .unwrap()
             );
+        }
+    }
+
+    // One layer up: a snapshot workspace alternating between clean and
+    // corrected epochs of both factorizations — restricted base solves,
+    // appended seeds, Woodbury buffers and the recycled top-k buffer at
+    // widths 1, 3, 8 and 11 — answers like a fresh one every time.
+    let noisy = web_like(&WebLikeConfig {
+        num_points: 300,
+        num_topics: 6,
+        dim: 12,
+        background_fraction: 0.2,
+        ..Default::default()
+    })
+    .unwrap();
+    let features = noisy.features().to_vec();
+    let mut snapshots = Vec::new();
+    for exact in [false, true] {
+        let mut builder = IndexBuilder::new()
+            .knn_k(5)
+            .rebuild_policy(RebuildPolicy::never());
+        if exact {
+            builder = builder.exact_ranking();
+        }
+        let mut index = builder.build(features.clone()).unwrap();
+        snapshots.push(index.snapshot());
+        for round in 0..4usize {
+            let mut delta = IndexDelta::new();
+            delta
+                .insert(features[round * 31].iter().map(|v| v + 0.01).collect())
+                .remove(round * 17 + 3);
+            index.apply(&delta).unwrap();
+        }
+        snapshots.push(index.snapshot());
+    }
+    let mut ws = SnapshotWorkspace::new();
+    for round in 0..2 {
+        for snapshot in &snapshots {
+            let ids = snapshot.item_ids();
+            let appended = *ids.last().unwrap();
+            let probe: Vec<f64> = features[round * 7 + 1].iter().map(|v| v - 0.02).collect();
+            let lanes: Vec<(Query, usize)> = (0..11)
+                .map(|i| match i % 3 {
+                    0 => (Query::Item(ids[(i * 23 + round) % ids.len()]), 5),
+                    1 => (Query::Feature(&probe), 3 + i),
+                    _ => (Query::Item(appended), 8),
+                })
+                .collect();
+            for width in [1, 3, 8, 11] {
+                for chunk in lanes.chunks(width) {
+                    let warm = snapshot.query_batch_in(&mut ws, chunk).unwrap();
+                    let cold = snapshot
+                        .query_batch_in(&mut SnapshotWorkspace::new(), chunk)
+                        .unwrap();
+                    for (w, c) in warm.iter().zip(&cold) {
+                        let why = format!("clean {} width {width}", snapshot.is_clean());
+                        assert_eq!(w.top_k, c.top_k, "{why}");
+                        assert_eq!(w.neighbors, c.neighbors, "{why}");
+                        assert_eq!(w.stats, c.stats, "{why}");
+                    }
+                }
+            }
         }
     }
 }

@@ -439,9 +439,35 @@ impl LuDecomposition {
                 right: (b.len(), 1),
             });
         }
-        // Apply the row permutation, then forward- and back-substitute.
+        // Apply the row permutation, then forward- and back-substitute, each
+        // row as one slice of the factors (the operations and their order of
+        // an entry-by-entry loop, without its per-entry indexing).
         x.clear();
         x.extend(self.perm.iter().map(|&p| b[p]));
+        for i in 1..n {
+            let mut sum = x[i];
+            for (l, xj) in self.lu.row(i)[..i].iter().zip(&x[..i]) {
+                sum -= l * xj;
+            }
+            x[i] = sum;
+        }
+        for i in (0..n).rev() {
+            let row = self.lu.row(i);
+            let mut sum = x[i];
+            for (u, xj) in row[i + 1..].iter().zip(&x[i + 1..]) {
+                sum -= u * xj;
+            }
+            x[i] = sum / row[i];
+        }
+        Ok(())
+    }
+
+    /// [`LuDecomposition::solve_into`] as an entry-by-entry loop: the
+    /// oracle its row slices must match bit for bit.
+    #[cfg(test)]
+    fn solve_by_entry(&self, b: &[f64]) -> Vec<f64> {
+        let n = self.lu.nrows;
+        let mut x: Vec<f64> = self.perm.iter().map(|&p| b[p]).collect();
         for i in 1..n {
             let mut sum = x[i];
             for j in 0..i {
@@ -456,7 +482,7 @@ impl LuDecomposition {
             }
             x[i] = sum / self.lu.get(i, i);
         }
-        Ok(())
+        x
     }
 
     /// Determinant of the factorized matrix.
@@ -595,6 +621,42 @@ mod tests {
         assert!((x[1] - 2.0).abs() < 1e-12);
         let det = a.lu().unwrap().determinant();
         assert!((det + 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn lu_solve_rows_match_the_entry_loop_bit_for_bit() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+        };
+        for n in [1usize, 2, 7, 170] {
+            // A small diagonal under random off-diagonal entries: partial
+            // pivoting swaps rows at almost every step.
+            let mut a = DenseMatrix::zeros(n, n);
+            for i in 0..n {
+                for j in 0..n {
+                    a.set(i, j, if i == j { 1e-3 * next() } else { next() });
+                }
+            }
+            if n == 1 {
+                a.set(0, 0, 0.75);
+            }
+            let lu = a.lu().unwrap();
+            if n > 1 {
+                assert!(lu.perm.iter().enumerate().any(|(i, &p)| i != p), "n = {n}");
+            }
+            let mut x = Vec::new();
+            for _ in 0..3 {
+                let b: Vec<f64> = (0..n).map(|_| next()).collect();
+                lu.solve_into(&b, &mut x).unwrap();
+                let want = lu.solve_by_entry(&b);
+                let bits = |v: &[f64]| v.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&x), bits(&want), "n = {n}");
+            }
+        }
     }
 
     #[test]

@@ -32,6 +32,7 @@
 use crate::csr::CsrMatrix;
 use crate::dense::{DenseMatrix, LuDecomposition};
 use crate::error::{Result, SparseError};
+use crate::kernel::{dispatch, LaneKernel, Sweep};
 
 /// Solve `(I − α H Hᵀ) x = q` for a sparse `n × d` factor `H`.
 pub fn woodbury_solve_csr(h: &CsrMatrix, alpha: f64, q: &[f64]) -> Result<Vec<f64>> {
@@ -68,6 +69,51 @@ pub fn woodbury_solve_csr(h: &CsrMatrix, alpha: f64, q: &[f64]) -> Result<Vec<f6
         *xi += alpha * hzi;
     }
     Ok(x)
+}
+
+/// Rows of `Z` per block of [`WoodburyCorrection`]'s streamed layout: a
+/// block's eight entries of one column are 64 contiguous bytes, a cache
+/// line's worth, and one lane-kernel step.
+const ROW_BLOCK: usize = 8;
+
+/// Offset of `Z`'s entry `(i, j)` in the row-blocked layout of a rank-`r`
+/// correction.
+fn z_slot(r: usize, i: usize, j: usize) -> usize {
+    (i / ROW_BLOCK) * ROW_BLOCK * r + j * ROW_BLOCK + i % ROW_BLOCK
+}
+
+/// `x ← x − Z y` over the row-blocked `Z` of a rank-`r` correction, run by
+/// [`dispatch`]: each block's eight rows keep one accumulator each, so one
+/// lane-kernel step per column serves eight independent chains.
+///
+/// Row `i` still sums `z_ij · y_j` from `0.0` in ascending `j` and then
+/// subtracts once — the bits of a row-by-row dot product. The kernel's
+/// primitive subtracts, so each step is `acc -= (−y_j) · z_ij`: negation is
+/// exact and rounding is sign-symmetric, so that is `acc + z_ij · y_j` bit
+/// for bit.
+struct StreamZ<'a> {
+    x: &'a mut [f64],
+    z: &'a [f64],
+    y: &'a [f64],
+    r: usize,
+}
+
+impl Sweep for StreamZ<'_> {
+    type Out = ();
+
+    #[inline(always)]
+    fn run<K: LaneKernel>(self, kernel: K) {
+        let blocks = self.z.chunks_exact(ROW_BLOCK * self.r);
+        for (rows, block) in self.x.chunks_mut(ROW_BLOCK).zip(blocks) {
+            let mut acc = [0.0f64; ROW_BLOCK];
+            for (column, &yj) in block.chunks_exact(ROW_BLOCK).zip(self.y) {
+                kernel.axpy_neg(&mut acc, column, -yj);
+            }
+            for (xi, c) in rows.iter_mut().zip(acc) {
+                *xi -= c;
+            }
+        }
+    }
 }
 
 /// Reusable scratch for [`WoodburyCorrection::apply_in`].
@@ -108,8 +154,10 @@ pub struct WoodburyCorrection {
     dim: usize,
     /// Sparse columns of `V` (validated, in-range).
     v_cols: Vec<Vec<(usize, f64)>>,
-    /// `Z = W₀⁻¹ U`, one dense column per correction direction (`dim × r`).
-    z: DenseMatrix,
+    /// `Z = W₀⁻¹ U` (`dim × r`) in blocks of [`ROW_BLOCK`] rows, each block
+    /// column-interleaved (`block[j · 8 + t]` = row `8b + t`, column `j`;
+    /// see [`z_slot`]); the last block is zero-padded.
+    z: Vec<f64>,
     /// LU factors of the capacitance matrix `I_r + Vᵀ Z`.
     cap: LuDecomposition,
 }
@@ -152,7 +200,7 @@ impl WoodburyCorrection {
         }
 
         // Z = W₀⁻¹ U, one base solve per correction direction.
-        let mut z = DenseMatrix::zeros(dim, r);
+        let mut z = vec![0.0; dim.div_ceil(ROW_BLOCK) * ROW_BLOCK * r];
         let mut rhs = vec![0.0; dim];
         let mut solved = Vec::new();
         for (j, col) in u_cols.iter().enumerate() {
@@ -168,7 +216,7 @@ impl WoodburyCorrection {
                 });
             }
             for (i, &value) in solved.iter().enumerate() {
-                z.set(i, j, value);
+                z[z_slot(r, i, j)] = value;
             }
             for &(row, _) in col {
                 rhs[row] = 0.0;
@@ -179,7 +227,10 @@ impl WoodburyCorrection {
         let mut cap = DenseMatrix::identity(r);
         for (i, col) in v_cols.iter().enumerate() {
             for j in 0..r {
-                let dot: f64 = col.iter().map(|&(row, value)| value * z.get(row, j)).sum();
+                let dot: f64 = col
+                    .iter()
+                    .map(|&(row, value)| value * z[z_slot(r, row, j)])
+                    .sum();
                 cap.add_to(i, j, dot);
             }
         }
@@ -204,13 +255,14 @@ impl WoodburyCorrection {
     }
 
     /// Estimated memory footprint in bytes (dominated by the `n × r` dense
-    /// block `Z` — this is what the rebuild-debt policy upstream bounds).
+    /// block `Z`, counted with its last row block's padding — this is what
+    /// the rebuild-debt policy upstream bounds).
     pub fn memory_bytes(&self) -> usize {
         let val = std::mem::size_of::<f64>();
         let idx = std::mem::size_of::<usize>();
         let r = self.rank();
         let v_nnz: usize = self.v_cols.iter().map(Vec::len).sum();
-        self.dim * r * val            // Z
+        self.z.len() * val            // Z, padded to whole row blocks
             + 2 * r * r * val         // capacitance LU (factors + permutation rounding up)
             + v_nnz * (idx + val) // sparse V
     }
@@ -241,15 +293,13 @@ impl WoodburyCorrection {
         );
         // y = (I + Vᵀ Z)⁻¹ t.
         self.cap.solve_into(&ws.t, &mut ws.y)?;
-        // x ← x₀ − Z y, streaming over the row-major dense block.
-        for (i, xi) in x.iter_mut().enumerate() {
-            let row = self.z.row(i);
-            let mut correction = 0.0;
-            for (zij, yj) in row.iter().zip(ws.y.iter()) {
-                correction += zij * yj;
-            }
-            *xi -= correction;
-        }
+        // x ← x₀ − Z y, one streamed pass over Z.
+        dispatch(StreamZ {
+            x,
+            z: &self.z,
+            y: &ws.y,
+            r,
+        });
         Ok(())
     }
 
@@ -462,6 +512,155 @@ mod tests {
         let before = x.clone();
         correction.apply(&mut x).unwrap();
         assert_eq!(x, before);
+    }
+
+    /// A seeded stream of values in `[-1, 1)`.
+    fn stream(mut state: u64) -> impl FnMut() -> f64 {
+        move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+        }
+    }
+
+    /// `W₀⁻¹ b` for the lower-bidiagonal `W₀` (1 on the diagonal, −0.9
+    /// below it): every column of `Z` is dense below its first entry.
+    fn bidiagonal_solve(b: &[f64], out: &mut Vec<f64>) -> Result<()> {
+        out.clear();
+        let mut prev = 0.0;
+        for &bi in b {
+            prev = bi + 0.9 * prev;
+            out.push(prev);
+        }
+        Ok(())
+    }
+
+    /// `r` seeded sparse columns of one to three entries over `dim` rows,
+    /// values in `[-scale, scale)` (a row may repeat within a column).
+    fn seeded_columns(
+        dim: usize,
+        r: usize,
+        scale: f64,
+        next: &mut impl FnMut() -> f64,
+    ) -> Vec<Vec<(usize, f64)>> {
+        (0..r)
+            .map(|_| {
+                let len = 1 + ((next() + 1.0) * 1.5) as usize;
+                (0..len)
+                    .map(|_| {
+                        let row = (((next() + 1.0) / 2.0) * dim as f64) as usize;
+                        (row.min(dim - 1), scale * next())
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// The textbook correction: `Z` row-major, one base solve per column,
+    /// the capacitance `I + Vᵀ Z` from it, then `x_i -= Σ_j z_ij y_j` row by
+    /// row.
+    fn textbook_apply(u_cols: &[Vec<(usize, f64)>], v_cols: &[Vec<(usize, f64)>], x: &mut [f64]) {
+        let (dim, r) = (x.len(), u_cols.len());
+        let mut z = DenseMatrix::zeros(dim, r);
+        let mut solved = Vec::new();
+        for (j, col) in u_cols.iter().enumerate() {
+            let mut rhs = vec![0.0; dim];
+            for &(row, value) in col {
+                rhs[row] += value;
+            }
+            bidiagonal_solve(&rhs, &mut solved).unwrap();
+            for (i, &value) in solved.iter().enumerate() {
+                z.set(i, j, value);
+            }
+        }
+        let mut cap = DenseMatrix::identity(r);
+        for (i, col) in v_cols.iter().enumerate() {
+            for j in 0..r {
+                let dot: f64 = col.iter().map(|&(row, value)| value * z.get(row, j)).sum();
+                cap.add_to(i, j, dot);
+            }
+        }
+        let t: Vec<f64> = v_cols
+            .iter()
+            .map(|col| col.iter().map(|&(row, value)| value * x[row]).sum())
+            .collect();
+        let y = cap.lu().unwrap().solve(&t).unwrap();
+        for (i, xi) in x.iter_mut().enumerate() {
+            let mut correction = 0.0;
+            for (j, yj) in y.iter().enumerate() {
+                correction += z.get(i, j) * yj;
+            }
+            *xi -= correction;
+        }
+    }
+
+    /// The streamed `apply_in` against [`textbook_apply`] on a seeded
+    /// correction, compared bit for bit.
+    fn assert_apply_matches_textbook(dim: usize, r: usize) {
+        let mut next = stream((dim * 131 + r) as u64);
+        let u_cols = seeded_columns(dim, r, 0.3, &mut next);
+        let v_cols = seeded_columns(dim, r, 0.05, &mut next);
+        let correction =
+            WoodburyCorrection::new(dim, &u_cols, v_cols.clone(), bidiagonal_solve).unwrap();
+        let mut ws = CorrectionWorkspace::new();
+        for _ in 0..2 {
+            let x0: Vec<f64> = (0..dim).map(|_| next()).collect();
+            let mut got = x0.clone();
+            correction.apply_in(&mut ws, &mut got).unwrap();
+            let mut want = x0.clone();
+            textbook_apply(&u_cols, &v_cols, &mut want);
+            let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "dim {dim}, rank {r}");
+            if r > 0 {
+                // The streamed pass under the scalar kernel, whatever
+                // `dispatch` picks on this host.
+                let mut scalar = x0;
+                let t: Vec<f64> = v_cols
+                    .iter()
+                    .map(|col| col.iter().map(|&(row, value)| value * scalar[row]).sum())
+                    .collect();
+                let y = correction.cap.solve(&t).unwrap();
+                let (z, x) = (&correction.z, &mut scalar);
+                StreamZ { x, z, y: &y, r }.run(crate::kernel::ScalarKernel);
+                assert_eq!(bits(&scalar), bits(&want), "scalar, dim {dim}, rank {r}");
+            }
+        }
+    }
+
+    #[test]
+    fn apply_matches_the_row_major_textbook_bit_for_bit() {
+        // Dims below, at and past one row block and a ragged second block;
+        // rank 0 leaves x alone.
+        for dim in [1usize, 7, 8, 9, 17] {
+            for r in [0usize, 1, 3, 8, 9] {
+                assert_apply_matches_textbook(dim, r);
+            }
+        }
+    }
+
+    #[test]
+    fn apply_matches_the_row_major_textbook_at_serving_size() {
+        // The rank a corrected `churn_rw` epoch reaches, over its 2 000 rows.
+        assert_apply_matches_textbook(2_000, 170);
+    }
+
+    #[test]
+    fn memory_bytes_counts_the_padded_row_blocks() {
+        let val = std::mem::size_of::<f64>();
+        let entry = std::mem::size_of::<usize>() + val;
+        for (dim, blocks) in [(8usize, 1usize), (9, 2), (17, 3)] {
+            let u_cols = vec![vec![(0usize, 0.1)], vec![(dim - 1, 0.2)], vec![(1, 0.3)]];
+            let v_cols = vec![
+                vec![(2usize, 0.1), (3, 0.1)],
+                vec![(0, 0.2)],
+                vec![(4, 0.1)],
+            ];
+            let correction =
+                WoodburyCorrection::new(dim, &u_cols, v_cols, bidiagonal_solve).unwrap();
+            let z = blocks * ROW_BLOCK * 3 * val;
+            assert_eq!(correction.memory_bytes(), z + 2 * 3 * 3 * val + 4 * entry);
+        }
     }
 
     #[test]
