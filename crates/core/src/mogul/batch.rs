@@ -43,11 +43,11 @@
 //! counters) does not depend on what it was batched with —
 //! `crates/core/tests/engine_properties.rs` pins this with exact `==`
 //! comparisons, and `crates/core/tests/reference_oracle.rs` compares the
-//! engine against a textbook substitution over the CSR factors. The terms
-//! the segment rule skips are products with an exact zero, so skipping one
-//! can at most flip the sign of a zero score, which `==` and every gate
-//! treat as equal. See `docs/PERFORMANCE.md` for the layout diagram, the
-//! search layout and tuning notes.
+//! engine against a textbook substitution over CSR factors the test
+//! computes itself. The terms the segment rule skips are products with an
+//! exact zero, so skipping one can at most flip the sign of a zero score,
+//! which `==` and every gate treat as equal. See `docs/PERFORMANCE.md` for
+//! the layout diagram, the search layout and tuning notes.
 
 use crate::mogul::index::MogulIndex;
 use crate::mogul::layout::{ClusterSegments, RowSpans};
@@ -374,7 +374,7 @@ impl MogulIndex {
     /// This is the base solver of the incremental-update module's Woodbury
     /// build ([`crate::update`]): one column of `Z = W₀⁻¹ U` per call, on
     /// the apply side (a corrected read solves its sparse seeds through
-    /// [`MogulIndex::scores_staged_in`] instead). No `(1 − α)` query scaling
+    /// `MogulIndex::scores_staged_in` instead). No `(1 − α)` query scaling
     /// is applied here — callers scale the right-hand side.
     pub fn solve_ranking_system_batch_in(
         &self,
@@ -557,7 +557,7 @@ impl MogulIndex {
         width: usize,
         active: &[usize],
     ) {
-        let d = &self.factors.d;
+        let d = self.layout.d();
         if active.len() <= MASKED_LANE_CUTOFF {
             for &lane in active {
                 forward_range_lane(rows, d, &mut ws.y_panel, width, lane);

@@ -11,12 +11,13 @@
 //! ```
 //!
 //! (Definition 1, Definition 2, Lemmas 6–7.) `Ū_i` and the per-column maxima
-//! `Ū_{i:j}` depend only on the factor `U = Lᵀ` and are precomputed in `O(n)`
-//! time; `X_i` depends on the border scores `x'_j` (j ∈ C_N) of the current
-//! query and is evaluated at search time.
+//! `Ū_{i:j}` depend only on the strictly-upper entries of `U = Lᵀ` and are
+//! precomputed in `O(n)` time from the search layout's upper rows; `X_i`
+//! depends on the border scores `x'_j` (j ∈ C_N) of the current query and
+//! is evaluated at search time.
 
+use crate::mogul::layout::SearchLayout;
 use mogul_graph::ordering::NodeOrdering;
-use mogul_sparse::CsrMatrix;
 
 /// Precomputed per-cluster quantities used by the upper-bounding estimation.
 #[derive(Debug, Clone)]
@@ -30,21 +31,23 @@ pub struct ClusterBounds {
 }
 
 impl ClusterBounds {
-    /// Precompute `Ū_i` and `Ū_{i:j}` from the factor `U = Lᵀ` (rows = CSR)
-    /// and the node ordering. Runs in time linear in `nnz(U)`.
-    pub fn precompute(u: &CsrMatrix, ordering: &NodeOrdering) -> Self {
+    /// Precompute `Ū_i` and `Ū_{i:j}` from the strictly-upper rows of
+    /// `U = Lᵀ` in `layout` and the node ordering. Runs in time linear in
+    /// `nnz(U)`.
+    pub(crate) fn precompute(layout: &SearchLayout, ordering: &NodeOrdering) -> Self {
         let num_clusters = ordering.num_clusters();
         let border = ordering.border_range();
         let mut max_within = vec![0.0f64; num_clusters];
         let mut border_maps: Vec<std::collections::HashMap<usize, f64>> =
             vec![std::collections::HashMap::new(); num_clusters];
 
-        for (cluster_idx, range) in ordering.clusters.iter().enumerate() {
-            for k in range.indices() {
-                let (cols, vals) = u.row(k);
+        for (cluster_idx, &range) in ordering.clusters.iter().enumerate() {
+            let rows = layout.upper_rows(range);
+            for (r, k) in range.indices().enumerate() {
+                let (cols, vals) = rows.entries(r);
                 for (&j, &v) in cols.iter().zip(vals.iter()) {
-                    let abs = v.abs();
-                    if j != k && range.contains(j) && abs > max_within[cluster_idx] {
+                    let (j, abs) = (j as usize, v.abs());
+                    if range.contains(j) && abs > max_within[cluster_idx] {
                         max_within[cluster_idx] = abs;
                     }
                     if j >= border.start && !border.contains(k) {
@@ -184,8 +187,9 @@ impl ClusterBounds {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mogul::layout::StrictRows;
     use mogul_graph::ordering::{ClusterRange, NodeOrdering};
-    use mogul_sparse::Permutation;
+    use mogul_sparse::{CsrMatrix, Permutation};
 
     /// Hand-built ordering: cluster 0 = {0,1}, cluster 1 = {2,3}, border = {4,5}.
     fn ordering() -> NodeOrdering {
@@ -222,9 +226,15 @@ mod tests {
         .unwrap()
     }
 
+    /// [`u_factor`] as a search layout (`D = I`), what the bounds read.
+    fn layout() -> SearchLayout {
+        let upper = StrictRows::upper_of_unit_lower(&u_factor().transpose()).unwrap();
+        SearchLayout::new(upper, vec![1.0; 6], &ordering()).unwrap()
+    }
+
     #[test]
     fn precomputed_maxima_match_hand_calculation() {
-        let bounds = ClusterBounds::precompute(&u_factor(), &ordering());
+        let bounds = ClusterBounds::precompute(&layout(), &ordering());
         assert!((bounds.max_within(0) - 0.5).abs() < 1e-12);
         assert!((bounds.max_within(1) - 0.25).abs() < 1e-12);
         // Border columns of cluster 0: column 4 (0.2) and column 5 (0.3).
@@ -245,7 +255,7 @@ mod tests {
 
     #[test]
     fn estimate_formula() {
-        let bounds = ClusterBounds::precompute(&u_factor(), &ordering());
+        let bounds = ClusterBounds::precompute(&layout(), &ordering());
         // Border scores: x'_4 = 2, x'_5 = -1.
         // Cluster 0: X_0 = 0.2*2 + 0.3*1 = 0.7, bound = 0.7 * 1.5^(2-1) = 1.05.
         assert!((estimate(&bounds, 0, 2, 2.0, -1.0) - 1.05).abs() < 1e-12);
@@ -255,7 +265,7 @@ mod tests {
 
     #[test]
     fn panel_form_bounds_each_lane_like_the_lane_form() {
-        let bounds = ClusterBounds::precompute(&u_factor(), &ordering());
+        let bounds = ClusterBounds::precompute(&layout(), &ordering());
         // Lane 0 carries the scores above, lane 1 is all zero, lane 2 differs.
         let mut x_panel = [0.0; 18];
         x_panel[12..].copy_from_slice(&[2.0, 0.0, 0.3, -1.0, 0.0, 7.0]);
@@ -273,20 +283,20 @@ mod tests {
 
     #[test]
     fn zero_coupling_gives_zero_estimate() {
-        let bounds = ClusterBounds::precompute(&u_factor(), &ordering());
+        let bounds = ClusterBounds::precompute(&layout(), &ordering());
         assert_eq!(estimate(&bounds, 1, 2, 0.0, 0.0), 0.0);
     }
 
     #[test]
     fn singleton_cluster_estimate_is_just_x() {
-        let bounds = ClusterBounds::precompute(&u_factor(), &ordering());
+        let bounds = ClusterBounds::precompute(&layout(), &ordering());
         // 0.2 + 0.3, no geometric factor.
         assert!((estimate(&bounds, 0, 1, 1.0, 1.0) - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn huge_clusters_do_not_panic_on_overflow() {
-        let bounds = ClusterBounds::precompute(&u_factor(), &ordering());
+        let bounds = ClusterBounds::precompute(&layout(), &ordering());
         let est = estimate(&bounds, 0, 100_000, 1.0, 1.0);
         assert!(est.is_infinite() || est > 1e100);
     }

@@ -7,7 +7,7 @@
 //! answered by [`super::search`].
 
 use crate::mogul::bounds::ClusterBounds;
-use crate::mogul::layout::SearchLayout;
+use crate::mogul::layout::{SearchLayout, StrictRows};
 use crate::params::MrParams;
 use crate::Result;
 use mogul_graph::adjacency::ranking_system_matrix;
@@ -16,6 +16,7 @@ use mogul_graph::ordering::{mogul_ordering, NodeOrdering};
 use mogul_graph::Graph;
 use mogul_sparse::ldl::{factorize, LdlFactors};
 use mogul_sparse::CsrMatrix;
+use std::sync::OnceLock;
 use std::time::Instant;
 
 pub use mogul_sparse::ldl::Factorization;
@@ -63,7 +64,9 @@ pub struct PrecomputeStats {
     pub assembly_secs: f64,
     /// Seconds spent in the `L D Lᵀ` factorization.
     pub factorization_secs: f64,
-    /// Seconds spent transposing `L` and precomputing the upper bounds.
+    /// Seconds spent laying the factors out for search (transposing `L`,
+    /// folding `D` into it, the border segments) and precomputing the upper
+    /// bounds.
     pub bounds_secs: f64,
     /// Non-zeros stored in `L` (including the unit diagonal).
     pub l_nnz: usize,
@@ -88,12 +91,13 @@ pub struct MogulIndex {
     pub(crate) params: MrParams,
     pub(crate) factorization: Factorization,
     pub(crate) ordering: NodeOrdering,
-    pub(crate) factors: LdlFactors,
-    /// The factors as the Algorithm 2 sweeps read them, derived from
-    /// `factors` and `ordering` whenever the index is built or loaded.
+    /// The factors as the Algorithm 2 sweeps read them: the index's only
+    /// copy of `L` and `D`.
     pub(crate) layout: SearchLayout,
     pub(crate) bounds: ClusterBounds,
     pub(crate) stats: PrecomputeStats,
+    /// [`MogulIndex::factor_l`]'s CSR, derived from `layout` on first call.
+    pub(crate) unit_lower: OnceLock<CsrMatrix>,
 }
 
 impl MogulIndex {
@@ -138,33 +142,39 @@ impl MogulIndex {
         let assembly_secs = assembly_start.elapsed().as_secs_f64();
 
         let fact_start = Instant::now();
-        let factors = factorize(&w_permuted, config.factorization)?;
+        let LdlFactors {
+            l,
+            d,
+            boosted_pivots,
+        } = factorize(&w_permuted, config.factorization)?;
         let factorization_secs = fact_start.elapsed().as_secs_f64();
+        let l_nnz = l.nnz();
+        let fill_in = l_nnz - n - w_permuted.lower_triangle(false).nnz();
 
+        // The CSR `L` lives only until its upper rows are laid out.
         let bounds_start = Instant::now();
-        let upper = factors.l.transpose();
-        let bounds = ClusterBounds::precompute(&upper, &ordering);
-        let bounds_secs = bounds_start.elapsed().as_secs_f64();
-        let layout = SearchLayout::new(&factors, &upper, &ordering)?;
-
+        let upper = StrictRows::upper_of_unit_lower(&l)?;
+        drop(l);
+        let layout = SearchLayout::new(upper, d, &ordering)?;
+        let bounds = ClusterBounds::precompute(&layout, &ordering);
         let stats = PrecomputeStats {
             ordering_secs,
             assembly_secs,
             factorization_secs,
-            bounds_secs,
-            l_nnz: factors.l.nnz(),
-            boosted_pivots: factors.boosted_pivots,
-            fill_in: factors.l.nnz() - n - w_permuted.lower_triangle(false).nnz(),
+            bounds_secs: bounds_start.elapsed().as_secs_f64(),
+            l_nnz,
+            boosted_pivots,
+            fill_in,
         };
 
         Ok(MogulIndex {
             params: config.params,
             factorization: config.factorization,
             ordering,
-            factors,
             layout,
             bounds,
             stats,
+            unit_lower: OnceLock::new(),
         })
     }
 
@@ -188,15 +198,23 @@ impl MogulIndex {
         &self.ordering
     }
 
-    /// The lower-triangular factor `L` in the permuted index space (used by
-    /// the Figure 6 sparsity-pattern experiment).
+    /// The unit lower-triangular factor `L` in the permuted index space, as
+    /// CSR with an explicit unit diagonal (used by the Figure 6
+    /// sparsity-pattern experiment and by tests).
+    ///
+    /// The index stores `L` only in its search layout, so the first call
+    /// derives this CSR from the layout's `U = Lᵀ` rows (bit for bit the
+    /// factorization's output: the values are moved, never recomputed) and
+    /// caches it. That is a diagnostic allocation of `O(nnz)` `usize`s,
+    /// which [`MogulIndex::memory_bytes`] counts once it exists; no query
+    /// reads it.
     pub fn factor_l(&self) -> &CsrMatrix {
-        &self.factors.l
+        self.unit_lower.get_or_init(|| self.layout.unit_lower())
     }
 
     /// The diagonal factor `D`.
     pub fn factor_d(&self) -> &[f64] {
-        &self.factors.d
+        self.layout.d()
     }
 
     /// Precomputation statistics (time breakdown, factor sizes).
@@ -204,19 +222,23 @@ impl MogulIndex {
         self.stats
     }
 
-    /// Estimated memory footprint of the index in bytes: the factors
-    /// (`L`, `D`), their search layout (the only `U`), the permutation and
-    /// the bound metadata — all `O(n)` structures (Theorem 3).
+    /// Estimated memory footprint of the index in bytes: the factors in
+    /// their search layout (`L · D` and `U` rows, `D`, the border segments),
+    /// the permutation and the bound metadata — all `O(n)` structures
+    /// (Theorem 3) — plus [`MogulIndex::factor_l`]'s CSR once a caller has
+    /// asked for it.
     pub fn memory_bytes(&self) -> usize {
         let idx = std::mem::size_of::<usize>();
         let val = std::mem::size_of::<f64>();
-        let l = self.factors.l.nnz() * (idx + val) + self.factors.l.nrows() * idx;
-        let d = self.factors.d.len() * val;
         let perm = 2 * self.ordering.len() * idx;
         let bounds: usize = (0..self.ordering.num_clusters())
             .map(|c| self.bounds.border_columns(c).len() * (idx + val) + val)
             .sum();
-        l + d + perm + bounds + self.layout.memory_bytes()
+        let l = self
+            .unit_lower
+            .get()
+            .map_or(0, |l| l.nnz() * (idx + val) + (l.nrows() + 1) * idx);
+        perm + bounds + self.layout.memory_bytes() + l
     }
 }
 

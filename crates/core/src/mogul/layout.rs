@@ -1,8 +1,8 @@
-//! The search layout: the factors as Algorithm 2's sweeps read them.
+//! The search layout: the index's one copy of the factors, as Algorithm 2's
+//! sweeps read them.
 //!
-//! [`LdlFactors`] keeps `L` as generic CSR with `usize` indices and an
-//! explicit unit diagonal, which is what the factorization writes and the
-//! MOG1 codec stores. The engine wants less:
+//! The factorization writes `L` as generic CSR with `usize` indices and an
+//! explicit unit diagonal. The engine wants less:
 //!
 //! * **strictly triangular rows** — the diagonal is never read, so a sweep
 //!   needs no `j < i` test per nonzero;
@@ -19,15 +19,21 @@
 //!   step needs only the runs of the query's clusters plus the tail. Each
 //!   interior cluster lists the `(row, start, end)` runs that point into it.
 //!
-//! The layout is derived from the factors and the ordering whenever an index
-//! is built or loaded; it is never persisted. Its upper rows come from a
-//! transient `Lᵀ`: the layout is the only `U` an index keeps.
+//! The layout is built by one constructor, [`SearchLayout::new`], from the
+//! strictly-upper rows of `U = Lᵀ` (raw values `l_ji`), `D` and the
+//! ordering. The index build reaches it by transposing the factorization's
+//! `L` once and then drops that CSR; the MOG1 v2 loader reaches it straight
+//! from the file, which stores exactly those upper rows and `D`; the v1
+//! loader transposes the CSR `L` those files hold. The lower rows are
+//! always derived — a transpose with one IEEE multiply `l_ij · d_j` per
+//! entry — so a built, a v1-loaded and a v2-loaded index hold the same bits.
+//! [`MogulIndex::factor_l`](crate::MogulIndex::factor_l) rebuilds the CSR
+//! `L` from the upper rows on demand: their values are `L`'s moved without
+//! arithmetic.
 
 use crate::{CoreError, Result};
 use mogul_graph::ordering::{ClusterRange, NodeOrdering};
-use mogul_sparse::ldl::LdlFactors;
 use mogul_sparse::CsrMatrix;
-use std::ops::Range;
 
 /// `len` as a `u32`, or [`CoreError::TooLarge`] naming `what`. The one
 /// narrowing conversion of the layout build.
@@ -39,49 +45,121 @@ pub(crate) fn checked_u32(len: usize, what: &'static str) -> Result<u32> {
     })
 }
 
+fn invalid(msg: String) -> CoreError {
+    CoreError::InvalidInput(msg)
+}
+
 /// Strictly triangular rows in CSR form with `u32` offsets and columns
 /// (columns ascending within a row).
-#[derive(Debug, Clone, Default)]
-struct StrictRows {
-    ptr: Vec<u32>,
-    cols: Vec<u32>,
-    vals: Vec<f64>,
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct StrictRows {
+    pub(crate) ptr: Vec<u32>,
+    pub(crate) cols: Vec<u32>,
+    pub(crate) vals: Vec<f64>,
 }
 
 impl StrictRows {
-    /// The entries of `m`'s rows that `strict(i, columns)` selects — one
-    /// contiguous span per row, as columns ascend within a CSR row — each
-    /// value mapped through `value(j, v)`; `what` names the count in errors.
-    fn from_csr(
-        m: &CsrMatrix,
-        strict: impl Fn(usize, &[usize]) -> Range<usize>,
-        value: impl Fn(usize, f64) -> f64,
-        what: &'static str,
-    ) -> Result<Self> {
-        checked_u32(m.ncols(), "factor dimension")?;
-        let kept = (0..m.nrows()).map(|i| strict(i, m.row(i).0).len()).sum();
-        checked_u32(kept, what)?;
-        let mut rows = StrictRows {
-            ptr: Vec::with_capacity(m.nrows() + 1),
-            cols: Vec::with_capacity(kept),
-            vals: Vec::with_capacity(kept),
+    /// The strictly-upper rows of `U = Lᵀ` for a unit lower-triangular CSR
+    /// `l` (columns ascending within a row): its strictly-lower entries
+    /// transposed, values moved without arithmetic. Fails typed when `n` or
+    /// the strict nonzero count does not fit a `u32`.
+    pub(crate) fn upper_of_unit_lower(l: &CsrMatrix) -> Result<Self> {
+        checked_u32(l.nrows(), "factor dimension")?;
+        let mut lower = StrictRows {
+            ptr: vec![0],
+            ..StrictRows::default()
         };
-        rows.ptr.push(0);
-        for i in 0..m.nrows() {
-            let (cols, vals) = m.row(i);
-            let span = strict(i, cols);
-            let (cols, vals) = (&cols[span.clone()], &vals[span]);
-            rows.cols.extend(
-                cols.iter()
-                    .map(|&j| u32::try_from(j).expect("a column is below ncols, which fits")),
-            );
-            rows.vals
-                .extend(cols.iter().zip(vals).map(|(&j, &v)| value(j, v)));
-            rows.ptr.push(
-                u32::try_from(rows.cols.len()).expect("an offset is at most `kept`, which fits"),
-            );
+        for i in 0..l.nrows() {
+            let (cols, vals) = l.row(i);
+            let strict = cols.partition_point(|&j| j < i);
+            // `j < i < n`, and `n` fits a `u32`.
+            lower.cols.extend(cols[..strict].iter().map(|&j| j as u32));
+            lower.vals.extend_from_slice(&vals[..strict]);
+            lower
+                .ptr
+                .push(checked_u32(lower.cols.len(), "strictly-lower nnz of L")?);
         }
-        Ok(rows)
+        Ok(lower.transpose(|_, v| v))
+    }
+
+    /// Number of rows.
+    fn nrows(&self) -> usize {
+        self.ptr.len() - 1
+    }
+
+    /// The transpose of these square rows, each value mapped through
+    /// `value(i, v)` with `i` the row it is read from: a counting sort
+    /// over rows in ascending order, so every output row's columns ascend.
+    fn transpose(&self, value: impl Fn(usize, f64) -> f64) -> Self {
+        let n = self.nrows();
+        let mut ptr = vec![0u32; n + 1];
+        for &j in &self.cols {
+            ptr[j as usize + 1] += 1;
+        }
+        for j in 0..n {
+            ptr[j + 1] += ptr[j];
+        }
+        let mut next = ptr.clone();
+        let (mut cols, mut vals) = (vec![0u32; self.cols.len()], vec![0.0; self.vals.len()]);
+        for i in 0..n {
+            let span = self.ptr[i] as usize..self.ptr[i + 1] as usize;
+            for (&j, &v) in self.cols[span.clone()].iter().zip(&self.vals[span]) {
+                let at = next[j as usize] as usize;
+                cols[at] = i as u32;
+                vals[at] = value(i, v);
+                next[j as usize] += 1;
+            }
+        }
+        StrictRows { ptr, cols, vals }
+    }
+
+    /// Check that these are the strictly-upper rows of an `n × n` factor:
+    /// `n + 1` offsets from 0, monotone, ending at the entry count; in each
+    /// row `i`, columns in `(i, n)` strictly ascending; every value finite.
+    fn check_upper(&self, n: usize) -> Result<()> {
+        if self.ptr.len() != n + 1 || self.ptr[0] != 0 {
+            return Err(invalid(format!(
+                "the strict upper rows have {} offsets starting at {:?}; {n} rows need {} from 0",
+                self.ptr.len(),
+                self.ptr.first(),
+                n + 1
+            )));
+        }
+        let nnz = self.cols.len();
+        if self.vals.len() != nnz || self.ptr[n] as usize != nnz {
+            return Err(invalid(format!(
+                "the strict upper rows end at offset {} but hold {nnz} columns and {} values",
+                self.ptr[n],
+                self.vals.len()
+            )));
+        }
+        if let Some(i) = self.ptr.windows(2).position(|w| w[0] > w[1]) {
+            return Err(invalid(format!(
+                "the strict upper row offsets fall from {} to {} at row {i}",
+                self.ptr[i],
+                self.ptr[i + 1]
+            )));
+        }
+        for i in 0..n {
+            let (start, end) = (self.ptr[i] as usize, self.ptr[i + 1] as usize);
+            let mut floor = i;
+            for &j in &self.cols[start..end] {
+                let j = j as usize;
+                if j <= floor || j >= n {
+                    return Err(invalid(format!(
+                        "strict upper row {i} holds column {j}: columns must ascend within ({i}, {n})"
+                    )));
+                }
+                floor = j;
+            }
+        }
+        if let Some(at) = self.vals.iter().position(|v| !v.is_finite()) {
+            return Err(invalid(format!(
+                "strict upper value {at} is {} (must be finite)",
+                self.vals[at]
+            )));
+        }
+        Ok(())
     }
 
     /// Every entry of rows `range`.
@@ -156,13 +234,15 @@ impl ClusterSegments<'_> {
 }
 
 /// The factors of a [`MogulIndex`](crate::MogulIndex) laid out for the
-/// Algorithm 2 sweeps (see the module docs).
+/// Algorithm 2 sweeps (see the module docs): the index's only copy of them.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SearchLayout {
     /// Strictly-lower rows of `L`, values `l_ij · d_j`.
     lower: StrictRows,
-    /// Strictly-upper rows of `U = Lᵀ`.
+    /// Strictly-upper rows of `U = Lᵀ`, values `l_ji`: what MOG1 v2 stores.
     upper: StrictRows,
+    /// The diagonal factor `D`.
+    d: Vec<f64>,
     /// First row of the border cluster `C_N` (the last cluster).
     border_start: usize,
     /// Per border row, the offset in `lower` where its border tail (the
@@ -175,41 +255,35 @@ pub(crate) struct SearchLayout {
 }
 
 impl SearchLayout {
-    /// Derive the layout of `factors` and `upper = Lᵀ` under `ordering`
-    /// (clusters tiling the permuted index space, the border last). Fails
-    /// typed when `n` or a factor's strict nonzero count does not fit a
-    /// `u32`, or when a product `l_ij · d_j` is not finite.
-    pub(crate) fn new(
-        factors: &LdlFactors,
-        upper: &CsrMatrix,
-        ordering: &NodeOrdering,
-    ) -> Result<Self> {
-        let n = factors.dim();
+    /// The layout of the factors whose strictly-upper rows of `U = Lᵀ` are
+    /// `upper` and whose diagonal is `d`, under `ordering` (clusters tiling
+    /// the permuted index space, the border last). Fails typed when `upper`
+    /// is not the strict upper triangle of a `d.len()`-square factor (see
+    /// [`StrictRows`]'s checks), a value or a pivot is not finite, a pivot
+    /// is zero, `n` does not fit a `u32`, or a product `l_ij · d_j` is not
+    /// finite.
+    pub(crate) fn new(upper: StrictRows, d: Vec<f64>, ordering: &NodeOrdering) -> Result<Self> {
+        let n = d.len();
         if ordering.len() != n || !ordering.validate() {
-            return Err(CoreError::InvalidInput(format!(
+            return Err(invalid(format!(
                 "the ordering's clusters do not tile the factors' {n} rows"
             )));
         }
         checked_u32(n, "factor dimension")?;
-        let d = &factors.d;
-        let lower = StrictRows::from_csr(
-            &factors.l,
-            |i, cols| 0..cols.partition_point(|&j| j < i),
-            |j, v| v * d[j],
-            "strictly-lower nnz of L",
-        )?;
+        upper.check_upper(n)?;
+        if let Some(i) = d.iter().position(|v| !v.is_finite() || *v == 0.0) {
+            return Err(invalid(format!(
+                "diagonal pivot {i} is {} (must be finite and non-zero)",
+                d[i]
+            )));
+        }
+        let lower = upper.transpose(|j, v| v * d[j]);
         if let Some(at) = lower.vals.iter().position(|v| !v.is_finite()) {
-            return Err(CoreError::InvalidInput(format!(
+            return Err(invalid(format!(
                 "factor product l_ij * d_j at column {} is not finite",
                 lower.cols[at]
             )));
         }
-        let upper = StrictRows::from_csr(
-            upper,
-            |i, cols| cols.partition_point(|&j| j <= i)..cols.len(),
-            |_, v| v,
-            "strictly-upper nnz of U",
-        )?;
 
         let clusters = &ordering.clusters;
         let border_start = clusters.last().map_or(n, |c| c.start);
@@ -261,11 +335,46 @@ impl SearchLayout {
         Ok(SearchLayout {
             lower,
             upper,
+            d,
             border_start,
             tails,
             segment_ptr,
             segments,
         })
+    }
+
+    /// The stored factors: the strictly-upper rows of `U = Lᵀ` and `D`.
+    pub(crate) fn factors(&self) -> (&StrictRows, &[f64]) {
+        (&self.upper, &self.d)
+    }
+
+    /// The diagonal factor `D`.
+    pub(crate) fn d(&self) -> &[f64] {
+        &self.d
+    }
+
+    /// The unit lower-triangular `L` as CSR with `usize` columns and an
+    /// explicit unit diagonal — the factorization's own output, rebuilt by
+    /// transposing the upper rows (values moved without arithmetic, so bit
+    /// for bit). A fresh allocation of `O(nnz)` `usize`s: a diagnostic view,
+    /// never read by a query.
+    pub(crate) fn unit_lower(&self) -> CsrMatrix {
+        let strict = self.upper.transpose(|_, v| v);
+        let n = self.d.len();
+        let mut indptr = Vec::with_capacity(n + 1);
+        let mut indices = Vec::with_capacity(strict.cols.len() + n);
+        let mut values = Vec::with_capacity(strict.cols.len() + n);
+        indptr.push(0);
+        for i in 0..n {
+            let span = strict.ptr[i] as usize..strict.ptr[i + 1] as usize;
+            indices.extend(strict.cols[span.clone()].iter().map(|&j| j as usize));
+            values.extend_from_slice(&strict.vals[span]);
+            indices.push(i);
+            values.push(1.0);
+            indptr.push(indices.len());
+        }
+        CsrMatrix::from_raw_parts(n, n, indptr, indices, values)
+            .expect("checked strict rows plus a unit diagonal form a valid CSR")
     }
 
     /// Every strictly-lower entry of rows `range` (values `l_ij · d_j`).
@@ -305,6 +414,7 @@ impl SearchLayout {
     pub(crate) fn memory_bytes(&self) -> usize {
         self.lower.memory_bytes()
             + self.upper.memory_bytes()
+            + self.d.len() * std::mem::size_of::<f64>()
             + (self.tails.len() + self.segment_ptr.len()) * std::mem::size_of::<u32>()
             + self.segments.len() * std::mem::size_of::<Segment>()
     }
@@ -314,7 +424,9 @@ impl SearchLayout {
 mod tests {
     use super::*;
     use crate::mogul::index::{Factorization, MogulConfig, MogulIndex};
+    use mogul_graph::adjacency::ranking_system_matrix;
     use mogul_graph::Graph;
+    use mogul_sparse::factorize;
     use proptest::prelude::*;
 
     #[test]
@@ -339,9 +451,15 @@ mod tests {
             g.add_edge(i - 1, i, 1.0).unwrap();
         }
         let index = MogulIndex::build(&g, MogulConfig::default()).unwrap();
-        let mut factors = index.factors.clone();
-        factors.d.fill(f64::INFINITY);
-        let err = SearchLayout::new(&factors, &factors.l.transpose(), &index.ordering).unwrap_err();
+        // Every value and pivot finite and non-zero, but `l_ij * d_j`
+        // overflows.
+        let (upper, d) = index.layout.factors();
+        let upper = StrictRows {
+            vals: upper.vals.iter().map(|v| v * 1e300).collect(),
+            ..upper.clone()
+        };
+        let d = d.iter().map(|v| v * 1e300).collect();
+        let err = SearchLayout::new(upper, d, &index.ordering).unwrap_err();
         assert!(matches!(err, CoreError::InvalidInput(ref msg) if msg.contains("not finite")));
     }
 
@@ -360,18 +478,16 @@ mod tests {
             + layout.upper.cols.len()
             + layout.tails.len()
             + layout.segment_ptr.len();
-        let f64s = layout.lower.vals.len() + layout.upper.vals.len();
+        let f64s = layout.lower.vals.len() + layout.upper.vals.len() + layout.d.len();
         let expected = u32s * 4 + f64s * 8 + layout.segments.len() * 12;
         assert_eq!(layout.memory_bytes(), expected);
         assert_eq!(std::mem::size_of::<Segment>(), 12);
-        let without = MogulIndex {
-            layout: SearchLayout::default(),
-            ..index.clone()
-        };
+        let mut without = index.clone();
+        without.layout = SearchLayout::default();
         assert_eq!(
             index.memory_bytes(),
             without.memory_bytes() + expected,
-            "the index counts the layout on top of the factors"
+            "the index counts the layout on top of the ordering and the bounds"
         );
     }
 
@@ -410,6 +526,8 @@ mod tests {
         /// The layout is the factors minus their diagonals, `D` folded into
         /// `L` bit for bit, and each border row's segments plus its tail
         /// partition its strictly-lower entries along the cluster ranges.
+        /// The factors are computed here from the graph, not read back from
+        /// the index, and `factor_l()` rebuilds them bit for bit.
         #[test]
         fn the_layout_reproduces_the_factors(
             (n, edges) in graph_strategy(),
@@ -419,7 +537,19 @@ mod tests {
             let factorization = if complete { Factorization::Complete } else { Factorization::Incomplete };
             let index = MogulIndex::build(&graph, MogulConfig { factorization, ..MogulConfig::default() }).unwrap();
             let (layout, ordering) = (&index.layout, index.ordering());
-            let (l, d) = (index.factor_l(), index.factor_d());
+            let w = ranking_system_matrix(&graph.adjacency_matrix(), index.params().alpha)
+                .unwrap()
+                .permute_symmetric(&ordering.permutation)
+                .unwrap();
+            let factors = factorize(&w, factorization).unwrap();
+            let (l, d) = (&factors.l, &factors.d);
+            let bits = |m: &CsrMatrix| (m.indptr().to_vec(), m.indices().to_vec(),
+                m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>());
+            prop_assert_eq!(bits(index.factor_l()), bits(l));
+            prop_assert_eq!(
+                index.factor_d().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                d.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+            );
             let u = l.transpose();
             let all = ClusterRange { start: 0, len: n };
             let (lower, upper) = (layout.lower_rows(all), layout.upper_rows(all));

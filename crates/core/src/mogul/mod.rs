@@ -27,5 +27,5 @@ mod search;
 pub use batch::{BatchWorkspace, SearchWorkspace, PANEL_WIDTH};
 pub use bounds::ClusterBounds;
 pub use index::{Factorization, MogulConfig, MogulIndex, PrecomputeStats};
-pub(crate) use layout::SearchLayout;
+pub(crate) use layout::{SearchLayout, StrictRows};
 pub use search::{SearchMode, SearchStats};

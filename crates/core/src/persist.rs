@@ -11,11 +11,11 @@
 //! round-trip suite in `crates/core/tests/persist_roundtrip.rs` asserts
 //! exact `==` on scores, rankings and work counters).
 //!
-//! # Container layout (format version 1)
+//! # Container layout (format versions 1 and 2)
 //!
 //! ```text
 //! offset 0    magic  b"MOG1"            (4 bytes)
-//! offset 4    format version, u32 LE    (currently 1)
+//! offset 4    format version, u32 LE    (1 or 2; this build writes 2)
 //! offset 8    section payloads, back to back (raw bytes)
 //! ...         section table: one 28-byte entry per section
 //!             { kind: u32, offset: u64, len: u64, checksum: u64 }
@@ -34,14 +34,25 @@
 //! # Versioning & compatibility policy
 //!
 //! * The magic plus the `u32` version gate the whole file: a loader only
-//!   parses versions it knows ([`FORMAT_VERSION`]); anything newer fails
-//!   closed with [`PersistError::UnsupportedVersion`]. Any incompatible
-//!   layout change MUST bump the version (the golden-fixture test pins v1).
+//!   parses the versions it knows ([`OLDEST_FORMAT_VERSION`] through
+//!   [`FORMAT_VERSION`]); anything else fails closed with
+//!   [`PersistError::UnsupportedVersion`]. Any incompatible layout change
+//!   MUST bump the version; a golden-fixture test pins each version.
+//! * Versions 1 and 2 differ only in the `factors` payload. Version 1
+//!   stores the factorization's CSR `L` (`u64` columns, explicit unit
+//!   diagonal), `D` and the boosted-pivot count; the loader transposes
+//!   `L` into the search layout. Version 2 stores what the search layout
+//!   keeps: the strictly-upper rows of `U = Lᵀ` with `u32` offsets and
+//!   columns and raw `l_ji` values, then `D` and the boosted-pivot count
+//!   (see `encode_factors`). Both build the layout through one
+//!   constructor, so a v1 and a v2 load answer bit for bit alike.
 //! * *Within* a version, unknown section kinds are ignored by loaders (and
 //!   listed by [`inspect`]), so purely additive sections do not require a
 //!   bump.
 //! * Floats are stored as raw IEEE-754 bits; integers as little-endian
-//!   `u64`. Nothing in the format depends on the writing platform.
+//!   `u64`, except the v2 `factors` payload's offsets and columns, which
+//!   are little-endian `u32`. Nothing in the format depends on the writing
+//!   platform.
 //!
 //! See `docs/PERSISTENCE.md` for the operator-facing view (cold-start cost
 //! model, checkpointing recipes).
@@ -49,6 +60,7 @@
 use crate::emr::EmrSolver;
 use crate::mogul::{
     ClusterBounds, Factorization, MogulConfig, MogulIndex, PrecomputeStats, SearchLayout,
+    StrictRows,
 };
 use crate::out_of_sample::{OutOfSampleConfig, OutOfSampleIndex};
 use crate::params::MrParams;
@@ -68,17 +80,19 @@ use std::sync::Arc;
 pub const MAGIC: [u8; 4] = *b"MOG1";
 /// Trailer magic: the last eight bytes of every index file.
 pub const FOOTER_MAGIC: [u8; 8] = *b"MOG1TRLR";
-/// The format version this build reads and writes.
-pub const FORMAT_VERSION: u32 = 1;
+/// The format version this build writes, and the newest it reads.
+pub const FORMAT_VERSION: u32 = 2;
+/// The oldest format version this build reads.
+pub const OLDEST_FORMAT_VERSION: u32 = 1;
 
-/// Format-v1 limit on the lifetime stable-id counter of an updatable index
-/// (`next_id`): 2²⁸ ids. Stable ids are allocated once per insert and never
-/// reused, and both the writer and the loader materialize an id → node
-/// table of `next_id` slots, so this bound is what keeps a crafted file
-/// from demanding an allocation unrelated to the file's actual size. It is
-/// enforced symmetrically at save and load time; a legitimate writer would
-/// need ~268 million lifetime inserts (and would itself hold the multi-GB
-/// table in memory) before hitting it.
+/// Format limit (versions 1 and 2) on the lifetime stable-id counter of an
+/// updatable index (`next_id`): 2²⁸ ids. Stable ids are allocated once per
+/// insert and never reused, and both the writer and the loader materialize
+/// an id → node table of `next_id` slots, so this bound is what keeps a
+/// crafted file from demanding an allocation unrelated to the file's actual
+/// size. It is enforced symmetrically at save and load time; a legitimate
+/// writer would need ~268 million lifetime inserts (and would itself hold
+/// the multi-GB table in memory) before hitting it.
 pub const MAX_STABLE_IDS: usize = 1 << 28;
 
 const HEADER_LEN: usize = 8;
@@ -166,8 +180,9 @@ impl fmt::Display for PersistError {
             ),
             PersistError::UnsupportedVersion { found } => write!(
                 f,
-                "unsupported index format version {found} (this build reads version \
-                 {FORMAT_VERSION}; the file was probably written by a newer release)"
+                "unsupported index format version {found} (this build reads versions \
+                 {OLDEST_FORMAT_VERSION} to {FORMAT_VERSION}; the file was probably written \
+                 by a newer release)"
             ),
             PersistError::Truncated {
                 what,
@@ -216,7 +231,7 @@ pub(crate) fn io_err(op: &'static str, path: Option<&Path>, err: std::io::Error)
 // Sections
 // ---------------------------------------------------------------------------
 
-/// The section kinds of format version 1.
+/// The section kinds of format versions 1 and 2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SectionKind {
     /// Flavor, parameters, item count, dimensionality.
@@ -409,6 +424,13 @@ impl<W: Write> SectionWriter<W> {
 // Container parsing
 // ---------------------------------------------------------------------------
 
+/// A parsed container: its header's format version and its sections.
+#[derive(Debug)]
+pub(crate) struct Container<'a> {
+    pub(crate) version: u32,
+    pub(crate) sections: Vec<RawSection<'a>>,
+}
+
 #[derive(Debug)]
 pub(crate) struct RawSection<'a> {
     pub(crate) code: u32,
@@ -421,10 +443,10 @@ fn read_u64_at(bytes: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8-byte slice"))
 }
 
-/// Validate the container structure and every checksum, returning the raw
-/// sections. This is the only path into the payload bytes: nothing is
-/// interpreted before its checksum has been verified.
-pub(crate) fn parse_container(bytes: &[u8]) -> Result<Vec<RawSection<'_>>, PersistError> {
+/// Validate the container structure and every checksum, returning the
+/// version and the raw sections. This is the only path into the payload
+/// bytes: nothing is interpreted before its checksum has been verified.
+pub(crate) fn parse_container(bytes: &[u8]) -> Result<Container<'_>, PersistError> {
     if bytes.len() < 4 {
         return Err(PersistError::Truncated {
             what: "file header",
@@ -444,7 +466,7 @@ pub(crate) fn parse_container(bytes: &[u8]) -> Result<Vec<RawSection<'_>>, Persi
         });
     }
     let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4-byte slice"));
-    if version != FORMAT_VERSION {
+    if !(OLDEST_FORMAT_VERSION..=FORMAT_VERSION).contains(&version) {
         return Err(PersistError::UnsupportedVersion { found: version });
     }
     if bytes.len() < HEADER_LEN + FOOTER_LEN {
@@ -520,7 +542,7 @@ pub(crate) fn parse_container(bytes: &[u8]) -> Result<Vec<RawSection<'_>>, Persi
             bytes: payload,
         });
     }
-    Ok(sections)
+    Ok(Container { version, sections })
 }
 
 pub(crate) fn find_section<'a>(
@@ -649,6 +671,68 @@ fn decode_bounds(bytes: &[u8]) -> Result<ClusterBounds, PersistError> {
     ClusterBounds::from_raw_parts(max_within, border_columns).map_err(&err)
 }
 
+/// The v2 `factors` payload: exactly what the search layout keeps of the
+/// factors, so a load decodes it without a transpose of its own.
+///
+/// ```text
+/// n, nnz                  u64 each: the dimension, the strictly-upper nonzeros
+/// ptr                     (n + 1) × u32: row offsets of U = Lᵀ's strict rows
+/// cols                    nnz × u32: columns, ascending within a row
+/// vals                    nnz × f64: the values l_ji, as the factorization wrote them
+/// d                       n × f64: the diagonal factor D
+/// boosted pivots          u64
+/// ```
+fn encode_factors(index: &MogulIndex) -> Vec<u8> {
+    let (upper, d) = index.layout.factors();
+    let nnz = upper.cols.len();
+    let mut out = Vec::with_capacity(24 + 4 * (upper.ptr.len() + nnz) + 8 * (nnz + d.len()));
+    codec::put_usize(&mut out, d.len());
+    codec::put_usize(&mut out, nnz);
+    for &offset in &upper.ptr {
+        codec::put_u32(&mut out, offset);
+    }
+    for &j in &upper.cols {
+        codec::put_u32(&mut out, j);
+    }
+    for &v in upper.vals.iter().chain(d) {
+        codec::put_f64(&mut out, v);
+    }
+    codec::put_usize(&mut out, index.stats.boosted_pivots);
+    out
+}
+
+/// The stored factors as the search layout's constructor takes them —
+/// strictly-upper rows of `U = Lᵀ` and `D` — plus the boosted-pivot
+/// count. A v2 payload holds them as they are (every count is checked
+/// against the remaining bytes before its vector is allocated); a v1
+/// payload holds the CSR `L`, whose strictly-lower entries are transposed.
+/// Their structure is checked by [`SearchLayout::new`].
+fn decode_factors(
+    bytes: &[u8],
+    version: u32,
+) -> Result<(StrictRows, Vec<f64>, usize), PersistError> {
+    let err = decode_err(SectionKind::Factors);
+    let mut r = ByteReader::new(bytes);
+    let stored = if version == 1 {
+        let factors = codec::decode_ldl_factors(&mut r, "factors").map_err(&err)?;
+        let upper = StrictRows::upper_of_unit_lower(&factors.l).map_err(&err)?;
+        (upper, factors.d, factors.boosted_pivots)
+    } else {
+        let n = r.take_usize("factor dimension").map_err(&err)?;
+        let nnz = r.take_usize("strictly-upper nnz").map_err(&err)?;
+        let ptr = r
+            .take_u32s(n.saturating_add(1), "strictly-upper row offsets")
+            .map_err(&err)?;
+        let cols = r.take_u32s(nnz, "strictly-upper columns").map_err(&err)?;
+        let vals = r.take_f64s(nnz, "strictly-upper values").map_err(&err)?;
+        let d = r.take_f64s(n, "diagonal factor").map_err(&err)?;
+        let boosted = r.take_usize("boosted pivots").map_err(&err)?;
+        (StrictRows { ptr, cols, vals }, d, boosted)
+    };
+    r.finish("factors").map_err(&err)?;
+    Ok(stored)
+}
+
 /// The features section. A checksum only proves the bytes are the ones that
 /// were written: a NaN or infinity in them is rejected here, by the
 /// [`FeatureMatrix`] constructor, before it can reach a distance.
@@ -746,10 +830,7 @@ fn write_index_sections<W: Write>(
     graph_codec::encode_ordering(index.ordering(), &mut payload);
     writer.write_section(SectionKind::Ordering, &payload)?;
 
-    payload.clear();
-    codec::encode_ldl_factors(&index.factors, &mut payload);
-    writer.write_section(SectionKind::Factors, &payload)?;
-
+    writer.write_section(SectionKind::Factors, &encode_factors(index))?;
     writer.write_section(SectionKind::Bounds, &encode_bounds(&index.bounds))?;
     payload.clear();
     codec::encode_features(oos.features(), &mut payload);
@@ -796,7 +877,7 @@ pub fn save_updatable_to<W: Write>(index: &UpdatableIndex, sink: W) -> Result<W,
     })?;
     if view.next_id > MAX_STABLE_IDS {
         return Err(PersistError::InvalidState(format!(
-            "the lifetime stable-id counter ({}) exceeds the format-v1 limit of \
+            "the lifetime stable-id counter ({}) exceeds the format limit of \
              {MAX_STABLE_IDS} ids",
             view.next_id
         )));
@@ -929,30 +1010,40 @@ fn read_file(path: &Path) -> Result<Vec<u8>, PersistError> {
 /// Decode the sections shared by the `index` and `updatable` flavors into a
 /// ready-to-serve [`OutOfSampleIndex`] — straight reconstruction, no
 /// clustering and no factorization.
-fn decode_oos(sections: &[RawSection<'_>], meta: &Meta) -> Result<OutOfSampleIndex, PersistError> {
+fn decode_oos(container: &Container<'_>, meta: &Meta) -> Result<OutOfSampleIndex, PersistError> {
+    let sections = &container.sections;
     let mut r = ByteReader::new(find_section(sections, SectionKind::Ordering)?);
     let ordering = graph_codec::decode_ordering(&mut r, "ordering")
         .and_then(|o| r.finish("ordering").map(|_| o))
         .map_err(decode_err(SectionKind::Ordering))?;
 
-    let mut r = ByteReader::new(find_section(sections, SectionKind::Factors)?);
-    let factors = codec::decode_ldl_factors(&mut r, "factors")
-        .and_then(|f| r.finish("factors").map(|_| f))
-        .map_err(decode_err(SectionKind::Factors))?;
+    let (upper, d, boosted_pivots) = decode_factors(
+        find_section(sections, SectionKind::Factors)?,
+        container.version,
+    )?;
 
     let bounds = decode_bounds(find_section(sections, SectionKind::Bounds)?)?;
     let features = decode_features(find_section(sections, SectionKind::Features)?)?;
     let stats = decode_stats(find_section(sections, SectionKind::Stats)?)?;
 
     let n = meta.items;
-    if ordering.len() != n || factors.dim() != n || features.len() != n {
+    if ordering.len() != n || d.len() != n || features.len() != n {
         return Err(PersistError::Corrupt {
             what: "cross-section consistency",
             detail: format!(
                 "meta declares {n} items but ordering covers {}, factors {}, features {}",
                 ordering.len(),
-                factors.dim(),
+                d.len(),
                 features.len()
+            ),
+        });
+    }
+    if boosted_pivots != stats.boosted_pivots {
+        return Err(PersistError::Corrupt {
+            what: "cross-section consistency",
+            detail: format!(
+                "factors record {boosted_pivots} boosted pivots but stats record {}",
+                stats.boosted_pivots
             ),
         });
     }
@@ -994,16 +1085,16 @@ fn decode_oos(sections: &[RawSection<'_>], meta: &Meta) -> Result<OutOfSampleInd
         });
     }
 
-    let layout = SearchLayout::new(&factors, &factors.l.transpose(), &ordering)
-        .map_err(decode_err(SectionKind::Factors))?;
+    let layout =
+        SearchLayout::new(upper, d, &ordering).map_err(decode_err(SectionKind::Factors))?;
     let index = MogulIndex {
         params: meta.params,
         factorization: meta.factorization,
         ordering,
-        factors,
         layout,
         bounds,
         stats,
+        unit_lower: std::sync::OnceLock::new(),
     };
     OutOfSampleIndex::new(index, Arc::new(features), meta.oos_config)
         .map_err(decode_err(SectionKind::Meta))
@@ -1011,8 +1102,8 @@ fn decode_oos(sections: &[RawSection<'_>], meta: &Meta) -> Result<OutOfSampleInd
 
 /// Load an immutable serving index from raw container bytes.
 pub fn load_index_from_bytes(bytes: &[u8]) -> Result<OutOfSampleIndex, PersistError> {
-    let sections = parse_container(bytes)?;
-    let meta = decode_meta(find_section(&sections, SectionKind::Meta)?)?;
+    let container = parse_container(bytes)?;
+    let meta = decode_meta(find_section(&container.sections, SectionKind::Meta)?)?;
     if meta.flavor != FileFlavor::Index {
         return Err(PersistError::InvalidState(format!(
             "this is an {} file; load it with the matching loader \
@@ -1020,7 +1111,7 @@ pub fn load_index_from_bytes(bytes: &[u8]) -> Result<OutOfSampleIndex, PersistEr
             meta.flavor
         )));
     }
-    decode_oos(&sections, &meta)
+    decode_oos(&container, &meta)
 }
 
 /// Load an immutable serving index from a file written by [`save_index`].
@@ -1030,26 +1121,27 @@ pub fn load_index(path: impl AsRef<Path>) -> Result<OutOfSampleIndex, PersistErr
 
 /// Load an [`UpdatableIndex`] from raw container bytes.
 pub fn load_updatable_from_bytes(bytes: &[u8]) -> Result<UpdatableIndex, PersistError> {
-    let sections = parse_container(bytes)?;
-    let meta = decode_meta(find_section(&sections, SectionKind::Meta)?)?;
-    load_updatable_from_sections(&sections, &meta)
+    let container = parse_container(bytes)?;
+    let meta = decode_meta(find_section(&container.sections, SectionKind::Meta)?)?;
+    load_updatable_from_container(&container, &meta)
 }
 
 /// The updatable-flavor loader over an already-parsed (and
 /// checksum-verified) container — shared by [`load_updatable_from_bytes`]
 /// and [`load_serving_from_bytes`] so the warm-start path checksums the
 /// file once, not twice.
-fn load_updatable_from_sections(
-    sections: &[RawSection<'_>],
+fn load_updatable_from_container(
+    container: &Container<'_>,
     meta: &Meta,
 ) -> Result<UpdatableIndex, PersistError> {
+    let sections = &container.sections;
     if meta.flavor != FileFlavor::Updatable {
         return Err(PersistError::InvalidState(format!(
             "this is an {} file, not an updatable-index file",
             meta.flavor
         )));
     }
-    let oos = Arc::new(decode_oos(sections, meta)?);
+    let oos = Arc::new(decode_oos(container, meta)?);
 
     let mut r = ByteReader::new(find_section(sections, SectionKind::Graph)?);
     // A clean epoch's graph covers exactly the indexed items; the bound
@@ -1089,7 +1181,7 @@ pub fn load_updatable(path: impl AsRef<Path>) -> Result<UpdatableIndex, PersistE
 
 /// Load an [`EmrSolver`] from raw container bytes.
 pub fn load_emr_from_bytes(bytes: &[u8]) -> Result<EmrSolver, PersistError> {
-    let sections = parse_container(bytes)?;
+    let sections = parse_container(bytes)?.sections;
     let meta = decode_meta(find_section(&sections, SectionKind::Meta)?)?;
     if meta.flavor != FileFlavor::Emr {
         return Err(PersistError::InvalidState(format!(
@@ -1120,18 +1212,19 @@ pub fn load_emr(path: impl AsRef<Path>) -> Result<EmrSolver, PersistError> {
 /// persisted epoch and stable-id mapping (so ids handed out before the save
 /// keep resolving after the restart).
 pub fn load_serving_from_bytes(bytes: &[u8]) -> Result<Arc<IndexSnapshot>, PersistError> {
-    let sections = parse_container(bytes)?;
-    let meta = decode_meta(find_section(&sections, SectionKind::Meta)?)?;
+    let container = parse_container(bytes)?;
+    let sections = &container.sections;
+    let meta = decode_meta(find_section(sections, SectionKind::Meta)?)?;
     match meta.flavor {
         // Serving needs only the snapshot: skip the writer-side state (the
         // graph decode, adjacency/degree tables and feature clone a
         // read-only snapshot never touches). `load_updatable` is the path
         // that reconstructs the full writer.
         FileFlavor::Index | FileFlavor::Updatable => {
-            let oos = Arc::new(decode_oos(&sections, &meta)?);
+            let oos = Arc::new(decode_oos(&container, &meta)?);
             let n = oos.index().num_nodes();
             let (ids, next_id, epoch) = if meta.flavor == FileFlavor::Updatable {
-                let u = decode_updatable_meta(find_section(&sections, SectionKind::Updatable)?)?;
+                let u = decode_updatable_meta(find_section(sections, SectionKind::Updatable)?)?;
                 (u.ids, u.next_id, u.epoch)
             } else {
                 ((0..n).collect(), n, 0)
@@ -1221,10 +1314,10 @@ impl fmt::Display for IndexFileInfo {
 /// Validate a container (all checksums included) and summarize it without
 /// reconstructing the index.
 pub fn inspect_bytes(bytes: &[u8]) -> Result<IndexFileInfo, PersistError> {
-    let sections = parse_container(bytes)?;
+    let Container { version, sections } = parse_container(bytes)?;
     let meta = decode_meta(find_section(&sections, SectionKind::Meta)?)?;
     Ok(IndexFileInfo {
-        version: FORMAT_VERSION,
+        version,
         file_len: bytes.len(),
         flavor: meta.flavor,
         items: meta.items,

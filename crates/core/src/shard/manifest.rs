@@ -287,7 +287,7 @@ fn decode_manifest(payload: &[u8]) -> Result<ShardManifestInfo, PersistError> {
 /// Decode and fully validate a manifest from raw bytes, without touching
 /// any shard file.
 pub fn inspect_manifest_bytes(bytes: &[u8]) -> Result<ShardManifestInfo, PersistError> {
-    let sections = parse_container(bytes)?;
+    let sections = parse_container(bytes)?.sections;
     let payload = find_section(&sections, SectionKind::ShardManifest)?;
     decode_manifest(payload)
 }

@@ -1,14 +1,16 @@
 //! Format-level hardening of the `MOG1` container: the corruption matrix
 //! (truncation, bit flips in every region, wrong magic, future versions,
-//! missing sections) must fail **closed** — a typed [`PersistError`], never
-//! a panic, never a silently wrong index — and the committed golden fixture
-//! pins format version 1 so any incompatible layout change must bump
-//! [`persist::FORMAT_VERSION`] rather than silently break old files.
+//! missing sections, hostile `factors` payloads) must fail **closed** — a
+//! typed [`PersistError`], never a panic, never a silently wrong index — and
+//! the committed golden fixtures pin format versions 1 and 2, so any
+//! incompatible layout change must bump [`persist::FORMAT_VERSION`] rather
+//! than silently break old files.
 
 use mogul_core::persist::{self, FileFlavor, PersistError, SectionKind, SectionWriter};
 use mogul_core::update::{IndexBuilder, IndexDelta, RebuildPolicy};
 use mogul_core::{
     EmrConfig, EmrSolver, MogulConfig, MogulIndex, MrParams, OutOfSampleConfig, OutOfSampleIndex,
+    Query,
 };
 use mogul_graph::knn::{knn_graph, KnnConfig};
 use mogul_sparse::FeatureMatrix;
@@ -74,13 +76,19 @@ fn wrong_magic_is_rejected() {
 #[test]
 fn unsupported_future_version_is_rejected() {
     let mut bytes = index_bytes();
-    for future in [2u32, 7, u32::MAX] {
+    for future in [persist::FORMAT_VERSION + 1, 7, u32::MAX] {
         bytes[4..8].copy_from_slice(&future.to_le_bytes());
         match persist::load_index_from_bytes(&bytes) {
             Err(PersistError::UnsupportedVersion { found }) => assert_eq!(found, future),
             other => panic!("expected UnsupportedVersion({future}), got {other:?}"),
         }
     }
+    // Version 0 predates the format: refused alike, and the message names
+    // the range this build reads.
+    bytes[4..8].copy_from_slice(&0u32.to_le_bytes());
+    let err = persist::load_index_from_bytes(&bytes).unwrap_err();
+    assert_eq!(err, PersistError::UnsupportedVersion { found: 0 });
+    assert!(err.to_string().contains("versions 1 to 2"), "{err}");
 }
 
 #[test]
@@ -306,6 +314,87 @@ fn hostile_counts_fail_closed_without_allocating() {
     }
 }
 
+/// `bytes` with its header's format version set to `version` (the header
+/// is outside every checksum).
+fn with_version(mut bytes: Vec<u8>, version: u32) -> Vec<u8> {
+    bytes[4..8].copy_from_slice(&version.to_le_bytes());
+    bytes
+}
+
+/// The fields of a v2 `factors` payload: `n`, the strictly-upper rows of
+/// `U = Lᵀ` (`u32` offsets and columns, `f64` values), `D` and the
+/// boosted-pivot count, each count stored as a `u64`.
+#[derive(Debug, Clone)]
+struct V2Factors {
+    n: u64,
+    nnz: u64,
+    ptr: Vec<u32>,
+    cols: Vec<u32>,
+    vals: Vec<f64>,
+    d: Vec<f64>,
+    boosted: u64,
+}
+
+impl V2Factors {
+    fn parse(bytes: &[u8]) -> Self {
+        let u64_at = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+        let (n, nnz) = (u64_at(0), u64_at(8));
+        let (n_, nnz_) = (n as usize, nnz as usize);
+        let u32s = |at: usize, len: usize| -> Vec<u32> {
+            (0..len)
+                .map(|i| u32::from_le_bytes(bytes[at + 4 * i..at + 4 * i + 4].try_into().unwrap()))
+                .collect()
+        };
+        let f64s = |at: usize, len: usize| -> Vec<f64> {
+            (0..len)
+                .map(|i| f64::from_bits(u64_at(at + 8 * i)))
+                .collect()
+        };
+        let cols_at = 16 + 4 * (n_ + 1);
+        let vals_at = cols_at + 4 * nnz_;
+        let d_at = vals_at + 8 * nnz_;
+        assert_eq!(bytes.len(), d_at + 8 * n_ + 8, "the v2 factors layout");
+        V2Factors {
+            n,
+            nnz,
+            ptr: u32s(16, n_ + 1),
+            cols: u32s(cols_at, nnz_),
+            vals: f64s(vals_at, nnz_),
+            d: f64s(d_at, n_),
+            boosted: u64_at(d_at + 8 * n_),
+        }
+    }
+
+    fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        out.extend_from_slice(&self.n.to_le_bytes());
+        out.extend_from_slice(&self.nnz.to_le_bytes());
+        for &x in self.ptr.iter().chain(&self.cols) {
+            out.extend_from_slice(&x.to_le_bytes());
+        }
+        for &v in self.vals.iter().chain(&self.d) {
+            out.extend_from_slice(&v.to_bits().to_le_bytes());
+        }
+        out.extend_from_slice(&self.boosted.to_le_bytes());
+        out
+    }
+
+    /// A row other than the first holding at least `entries` strictly-upper
+    /// entries.
+    fn row_with(&self, entries: usize) -> usize {
+        (1..self.ptr.len() - 1)
+            .find(|&i| (self.ptr[i + 1] - self.ptr[i]) as usize >= entries)
+            .expect("the fixture has such a row")
+    }
+}
+
+/// The `factors` payload of a saved file.
+fn factors_payload(bytes: &[u8]) -> Vec<u8> {
+    let info = persist::inspect_bytes(bytes).unwrap();
+    let s = info.sections.iter().find(|s| s.name == "factors").unwrap();
+    bytes[s.offset..s.offset + s.len].to_vec()
+}
+
 #[test]
 fn factors_whose_search_layout_overflows_fail_typed_at_load() {
     // Every value finite and every pivot non-zero, so the factors decode;
@@ -320,15 +409,121 @@ fn factors_whose_search_layout_overflows_fail_typed_at_load() {
         d: index.factor_d().iter().map(|d| d * 1e300).collect(),
         boosted_pivots: 0,
     };
+    // Format v1: the CSR `L` under a v1 header.
     let mut payload = Vec::new();
     mogul_sparse::persist::encode_ldl_factors(&factors, &mut payload);
-    match persist::load_index_from_bytes(&rebuild_with_section(&index_file, "factors", &payload)) {
-        Err(PersistError::SectionDecode { section, source }) => {
-            assert_eq!(section, SectionKind::Factors.name());
-            assert!(source.to_string().contains("not finite"), "{source}");
+    let v1 = with_version(rebuild_with_section(&index_file, "factors", &payload), 1);
+    // Format v2: the strictly-upper rows and `D`.
+    let mut v2 = V2Factors::parse(&factors_payload(&index_file));
+    v2.vals.iter_mut().for_each(|v| *v *= 1e300);
+    v2.d.iter_mut().for_each(|v| *v *= 1e300);
+    let v2 = rebuild_with_section(&index_file, "factors", &v2.encode());
+    for (version, file) in [(1, v1), (2, v2)] {
+        assert_eq!(persist::inspect_bytes(&file).unwrap().version, version);
+        match persist::load_index_from_bytes(&file) {
+            Err(PersistError::SectionDecode { section, source }) => {
+                assert_eq!(section, SectionKind::Factors.name());
+                assert!(
+                    source.to_string().contains("not finite"),
+                    "v{version}: {source}"
+                );
+            }
+            other => panic!("v{version}: an overflowing factor product gave {other:?}"),
         }
-        other => panic!("an overflowing factor product gave {other:?}"),
     }
+}
+
+#[test]
+fn hostile_v2_factors_payloads_fail_typed() {
+    // Checksum-valid files whose v2 `factors` payload breaks one structural
+    // rule each. Every one fails typed, naming the section and the rule it
+    // broke; the counts declared past the payload would ask for terabytes
+    // if allocated.
+    let index_file = index_bytes();
+    let clean = V2Factors::parse(&factors_payload(&index_file));
+    let n = clean.n as usize;
+    let nnz = clean.nnz as usize;
+    let two = clean.row_with(2);
+    let (first, second) = (clean.ptr[two] as usize, clean.ptr[two] as usize + 1);
+    let edit = |case: &'static str, rule: &'static str, change: &dyn Fn(&mut V2Factors)| {
+        let mut hostile = clean.clone();
+        change(&mut hostile);
+        (case, rule, hostile.encode())
+    };
+    let ascend = "columns must ascend";
+    let mut cases = vec![
+        edit("offsets not monotone", "offsets fall", &|f| {
+            f.ptr[n / 2] = f.ptr[n / 2 + 1] + 1
+        }),
+        edit("last offset below nnz", "end at offset", &|f| {
+            f.ptr[n] = nnz as u32 - 1
+        }),
+        edit("first offset not 0", "offsets starting at", &|f| {
+            f.ptr[0] = 1
+        }),
+        edit("a column on its row", ascend, &|f| {
+            f.cols[first] = two as u32
+        }),
+        edit("a column below its row", ascend, &|f| {
+            f.cols[first] = two as u32 - 1
+        }),
+        edit("a column past n", ascend, &|f| f.cols[second] = n as u32),
+        edit("columns not ascending", ascend, &|f| {
+            f.cols.swap(first, second)
+        }),
+        edit("a repeated column", ascend, &|f| {
+            f.cols[second] = f.cols[first]
+        }),
+        edit("a NaN value", "strict upper value", &|f| {
+            f.vals[nnz / 2] = f64::NAN
+        }),
+        edit("an infinite value", "strict upper value", &|f| {
+            f.vals[0] = f64::NEG_INFINITY
+        }),
+        edit("a zero pivot", "diagonal pivot 3", &|f| f.d[3] = 0.0),
+        edit("a NaN pivot", "diagonal pivot 3", &|f| f.d[3] = f64::NAN),
+        edit("an infinite pivot", "diagonal pivot", &|f| {
+            f.d[n - 1] = f64::INFINITY
+        }),
+        edit("an overflowing product", "l_ij * d_j", &|f| {
+            f.vals.iter_mut().for_each(|v| *v *= 1e300);
+            f.d.iter_mut().for_each(|v| *v *= 1e300);
+        }),
+        edit("n declared past the payload", "row offsets", &|f| {
+            f.n = 1 << 40
+        }),
+        edit(
+            "nnz declared past the payload",
+            "strictly-upper columns",
+            &|f| f.nnz = 1 << 40,
+        ),
+        edit("nnz whose byte size overflows", "overflows", &|f| {
+            f.nnz = u64::MAX / 2
+        }),
+        edit("n one short", "trailing bytes", &|f| f.n -= 1),
+    ];
+    let truncated = clean.encode();
+    cases.push((
+        "a payload cut short",
+        "truncated payload",
+        truncated[..truncated.len() - 9].to_vec(),
+    ));
+    let mut trailing = clean.encode();
+    trailing.push(0);
+    cases.push(("a trailing byte", "trailing bytes", trailing));
+    for (case, rule, payload) in &cases {
+        let file = rebuild_with_section(&index_file, "factors", payload);
+        match persist::load_index_from_bytes(&file) {
+            Err(PersistError::SectionDecode { section, source }) => {
+                assert_eq!(section, SectionKind::Factors.name(), "{case}");
+                assert!(source.to_string().contains(rule), "{case}: {source}");
+            }
+            other => panic!("{case}: expected a factors decode error, got {other:?}"),
+        }
+    }
+    // The untouched payload still loads through the same rebuild.
+    let file = rebuild_with_section(&index_file, "factors", &clean.encode());
+    assert!(persist::load_index_from_bytes(&file).is_ok());
 }
 
 #[test]
@@ -456,14 +651,31 @@ fn dirty_updatable_state_refuses_to_persist() {
 }
 
 // ---------------------------------------------------------------------------
-// Golden fixture: format v1 compatibility pin
+// Golden fixtures: format v1 and v2 compatibility pins
 // ---------------------------------------------------------------------------
 
-/// The committed golden fixture (written by `regenerate_golden_fixture`
-/// below). Every future build must keep loading this byte-for-byte file; an
+/// The committed format-v1 golden fixture, written by the last v1 build.
+/// Every future build must keep loading this byte-for-byte file; an
 /// incompatible format change must bump `FORMAT_VERSION` and add a new
 /// fixture instead of breaking this one.
 const GOLDEN: &[u8] = include_bytes!("fixtures/golden_v1.mog1");
+
+/// The committed format-v2 golden fixture (written by
+/// `regenerate_golden_fixture` below), under the same rule.
+const GOLDEN_V2: &[u8] = include_bytes!("fixtures/golden_v2.mog1");
+
+/// The section set of an updatable file, in table order (the same in v1
+/// and v2: the versions differ only in the `factors` payload).
+const UPDATABLE_SECTIONS: [&str; 8] = [
+    "meta",
+    "ordering",
+    "factors",
+    "bounds",
+    "features",
+    "stats",
+    "graph",
+    "updatable",
+];
 
 /// The exact corpus the fixture was built from (kept for regeneration and
 /// for the equivalence assertion below).
@@ -483,14 +695,15 @@ fn golden_index() -> mogul_core::update::UpdatableIndex {
     index
 }
 
-/// Regenerate the golden fixture. Run manually after an *intentional*,
-/// version-bumped format change:
+/// Regenerate the golden fixture of the current format version. Run manually
+/// after an *intentional*, version-bumped format change (and point `path`
+/// at the new version's file first, so no older fixture is overwritten):
 /// `cargo test -p mogul-core --test persist_format -- --ignored regenerate`
 #[test]
 #[ignore = "writes the committed fixture; run only on intentional format changes"]
 fn regenerate_golden_fixture() {
     let index = golden_index();
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/golden_v1.mog1");
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/golden_v2.mog1");
     persist::save_updatable(&index, path).unwrap();
     eprintln!("wrote {path}");
 }
@@ -505,24 +718,50 @@ fn golden_fixture_pins_format_v1() {
     assert_eq!(info.dim, 3);
     let names: Vec<&str> = info.sections.iter().map(|s| s.name).collect();
     assert_eq!(
-        names,
-        [
-            "meta",
-            "ordering",
-            "factors",
-            "bounds",
-            "features",
-            "stats",
-            "graph",
-            "updatable"
-        ],
+        names, UPDATABLE_SECTIONS,
         "v1 section set changed — bump FORMAT_VERSION instead"
     );
+    assert_golden_answers_like_a_rebuild(GOLDEN);
+}
 
-    // Semantics: the fixture answers queries exactly like the index it was
-    // built from (the build is deterministic), including the stable-id
-    // remapping of the removed item 7 / appended item 24.
-    let loaded = persist::load_updatable_from_bytes(GOLDEN).unwrap();
+#[test]
+fn golden_fixture_pins_format_v2() {
+    let info = persist::inspect_bytes(GOLDEN_V2).expect("golden fixture must stay loadable");
+    assert_eq!(info.version, 2, "golden fixture must remain format v2");
+    assert_eq!(
+        info.version,
+        persist::FORMAT_VERSION,
+        "the writer's version"
+    );
+    assert_eq!(info.flavor, FileFlavor::Updatable);
+    assert_eq!(info.items, 24);
+    assert_eq!(info.dim, 3);
+    let names: Vec<&str> = info.sections.iter().map(|s| s.name).collect();
+    assert_eq!(
+        names, UPDATABLE_SECTIONS,
+        "v2 section set changed — bump FORMAT_VERSION instead"
+    );
+    // The factors payload is the v2 layout, and it holds the rebuilt
+    // index's factors bit for bit.
+    let stored = V2Factors::parse(&factors_payload(GOLDEN_V2));
+    let reference = golden_index();
+    let base = reference.snapshot();
+    let index = base.base().index();
+    assert_eq!(stored.n, 24);
+    assert_eq!(stored.nnz as usize + 24, index.precompute_stats().l_nnz);
+    assert_eq!(bits(&stored.d), bits(index.factor_d()));
+    assert_golden_answers_like_a_rebuild(GOLDEN_V2);
+}
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// The fixture answers queries exactly like the index it was built from
+/// (the build is deterministic), including the stable-id remapping of the
+/// removed item 7 / appended item 24.
+fn assert_golden_answers_like_a_rebuild(golden: &[u8]) {
+    let loaded = persist::load_updatable_from_bytes(golden).unwrap();
     let reference = golden_index();
     assert_eq!(loaded.epoch(), reference.epoch());
     let loaded_snap = loaded.snapshot();
@@ -536,5 +775,56 @@ fn golden_fixture_pins_format_v1() {
             reference_snap.query_by_id(id, 5).unwrap(),
             "golden fixture answers diverged at id {id}"
         );
+    }
+}
+
+#[test]
+fn a_v1_file_and_its_v2_resave_hold_the_same_factors_and_answers() {
+    let from_v1 = persist::load_updatable_from_bytes(GOLDEN).unwrap();
+    let resaved = persist::save_updatable_to(&from_v1, Vec::new()).unwrap();
+    assert_eq!(persist::inspect_bytes(&resaved).unwrap().version, 2);
+    assert!(
+        resaved.len() < GOLDEN.len(),
+        "v2 ({} B) must be smaller than v1 ({} B)",
+        resaved.len(),
+        GOLDEN.len()
+    );
+    let from_v2 = persist::load_updatable_from_bytes(&resaved).unwrap();
+    let (a, b) = (from_v1.snapshot(), from_v2.snapshot());
+    let (ia, ib) = (a.base().index(), b.base().index());
+    assert_eq!(ia.factor_l().indptr(), ib.factor_l().indptr());
+    assert_eq!(ia.factor_l().indices(), ib.factor_l().indices());
+    assert_eq!(bits(ia.factor_l().values()), bits(ib.factor_l().values()));
+    assert_eq!(bits(ia.factor_d()), bits(ib.factor_d()));
+    assert_eq!(ia.memory_bytes(), ib.memory_bytes());
+
+    // Item and feature lanes, one panel and lanes of one: score bits,
+    // neighbours and work counters.
+    let probes: Vec<Vec<f64>> = features()
+        .iter()
+        .map(|row| row.iter().map(|x| x + 0.05).collect())
+        .collect();
+    let lanes: Vec<(Query, usize)> = a
+        .item_ids()
+        .into_iter()
+        .map(|id| (Query::Item(id), 6))
+        .chain(probes.iter().map(|p| (Query::Feature(p), 4)))
+        .collect();
+    let mut ws = mogul_core::update::SnapshotWorkspace::new();
+    for chunk in [&lanes[..], &lanes[..1], &lanes[lanes.len() - 1..]] {
+        let got_a = a.query_batch_in(&mut ws, chunk).unwrap();
+        let got_b = b.query_batch_in(&mut ws, chunk).unwrap();
+        for (x, y) in got_a.iter().zip(&got_b) {
+            let answer = |r: &mogul_core::OutOfSampleResult| {
+                let top: Vec<(usize, u64)> = r
+                    .top_k
+                    .items()
+                    .iter()
+                    .map(|item| (item.node, item.score.to_bits()))
+                    .collect();
+                (top, r.neighbors.clone(), r.stats)
+            };
+            assert_eq!(answer(x), answer(y));
+        }
     }
 }

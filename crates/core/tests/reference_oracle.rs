@@ -1,7 +1,11 @@
 //! An independent oracle for the Algorithm 2 engine: a textbook
-//! substitution written against the index's public accessors only, compared
-//! with exact `==` (it performs the same floating-point operations in the
-//! same order), and MogulE compared against the dense inverse of `exact.rs`.
+//! substitution over factors the oracle computes itself — `factorize` on
+//! the permuted `W` of the index's graph and ordering, never the storage
+//! the engine sweeps — compared with exact `==` (it performs the same
+//! floating-point operations in the same order), and MogulE compared
+//! against the dense inverse of `exact.rs`. One assertion pins those
+//! factors to the index's `factor_l()` / `factor_d()` bit for bit, so the
+//! oracle still tests the index's own factors.
 
 use mogul_core::{
     InverseSolver, MogulConfig, MogulIndex, MrParams, RankedNode, Ranker, SearchMode,
@@ -9,13 +13,35 @@ use mogul_core::{
 };
 use mogul_data::coil::{coil_like, CoilLikeConfig};
 use mogul_data::web::{web_like, WebLikeConfig};
+use mogul_graph::adjacency::ranking_system_matrix;
 use mogul_graph::knn::{knn_graph, KnnConfig};
 use mogul_graph::Graph;
+use mogul_sparse::{factorize, LdlFactors};
+
+/// An index and the factors the oracle substitutes over.
+struct Case {
+    index: MogulIndex,
+    factors: LdlFactors,
+}
+
+impl Case {
+    /// Build the index, then factorize its permuted `W` independently.
+    fn build(graph: &Graph, config: MogulConfig) -> Self {
+        let index = MogulIndex::build(graph, config).unwrap();
+        let w = ranking_system_matrix(&graph.adjacency_matrix(), index.params().alpha)
+            .unwrap()
+            .permute_symmetric(&index.ordering().permutation)
+            .unwrap();
+        let factors = factorize(&w, index.factorization()).unwrap();
+        Case { index, factors }
+    }
+}
 
 /// Scores of every node (original order) for a weighted query vector:
 /// forward substitution restricted to `C_Q ∪ C_N` (Lemma 4), then back
 /// substitution for the border and for every other cluster (Lemma 5).
-fn reference_scores(index: &MogulIndex, weights: &[(usize, f64)]) -> Vec<f64> {
+fn reference_scores(case: &Case, weights: &[(usize, f64)]) -> Vec<f64> {
+    let index = &case.index;
     let ordering = index.ordering();
     let mut q = vec![0.0; ordering.len()];
     let mut forwarded = vec![false; ordering.num_clusters()];
@@ -25,27 +51,27 @@ fn reference_scores(index: &MogulIndex, weights: &[(usize, f64)]) -> Vec<f64> {
         q[permuted] += weight * index.params().query_scale();
         forwarded[ordering.cluster_of_permuted(permuted)] = true;
     }
-    reference_substitution(index, &q, &forwarded)
+    reference_substitution(case, &q, &forwarded)
 }
 
 /// The solve of one dense right-hand side (original order, unscaled): the
 /// same substitution with every cluster forwarded.
-fn reference_solve(index: &MogulIndex, rhs: &[f64]) -> Vec<f64> {
-    let ordering = index.ordering();
+fn reference_solve(case: &Case, rhs: &[f64]) -> Vec<f64> {
+    let ordering = case.index.ordering();
     let mut q = vec![0.0; ordering.len()];
     for (node, &value) in rhs.iter().enumerate() {
         q[ordering.permutation.new_index(node)] = value;
     }
-    reference_substitution(index, &q, &vec![true; ordering.num_clusters()])
+    reference_substitution(case, &q, &vec![true; ordering.num_clusters()])
 }
 
-/// The textbook substitution over `factor_l()` / `factor_d()` for a
-/// permuted right-hand side `q`: forward over the `forwarded` clusters only
-/// (`y` is zero elsewhere), then back over the border and every other
-/// cluster. Returns the scores in original order.
-fn reference_substitution(index: &MogulIndex, q: &[f64], forwarded: &[bool]) -> Vec<f64> {
-    let ordering = index.ordering();
-    let (l, d) = (index.factor_l(), index.factor_d());
+/// The textbook substitution over the case's own factors for a permuted
+/// right-hand side `q`: forward over the `forwarded` clusters only (`y` is
+/// zero elsewhere), then back over the border and every other cluster.
+/// Returns the scores in original order.
+fn reference_substitution(case: &Case, q: &[f64], forwarded: &[bool]) -> Vec<f64> {
+    let ordering = case.index.ordering();
+    let (l, d) = (&case.factors.l, &case.factors.d);
     let u = l.transpose();
     let n = ordering.len();
     let border = ordering.border_cluster();
@@ -104,7 +130,7 @@ fn reference_top_k(scores: &[f64], k: usize, exclude: Option<usize>) -> TopKResu
 
 /// A clean corpus (separated clusters, empty border) and a noisy one (a
 /// 47-node border, partial pruning), each as `(graph, Mogul, MogulE)`.
-fn fixtures() -> Vec<(Graph, MogulIndex, MogulIndex)> {
+fn fixtures() -> Vec<(Graph, Case, Case)> {
     let clean = coil_like(&CoilLikeConfig {
         num_objects: 8,
         poses_per_object: 18,
@@ -125,21 +151,36 @@ fn fixtures() -> Vec<(Graph, MogulIndex, MogulIndex)> {
         .iter()
         .map(|data| {
             let graph = knn_graph(data.features(), KnnConfig::with_k(5)).unwrap();
-            let approx = MogulIndex::build(&graph, MogulConfig::default()).unwrap();
-            let exact = MogulIndex::build(&graph, MogulConfig::exact()).unwrap();
+            let approx = Case::build(&graph, MogulConfig::default());
+            let exact = Case::build(&graph, MogulConfig::exact());
             (graph, approx, exact)
         })
         .collect()
 }
 
 #[test]
+fn the_oracle_factors_are_the_index_factors_bit_for_bit() {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for (_, approx, exact) in &fixtures() {
+        for case in [approx, exact] {
+            let (l, own) = (case.index.factor_l(), &case.factors.l);
+            assert_eq!(l.indptr(), own.indptr());
+            assert_eq!(l.indices(), own.indices());
+            assert_eq!(bits(l.values()), bits(own.values()));
+            assert_eq!(bits(case.index.factor_d()), bits(&case.factors.d));
+        }
+    }
+}
+
+#[test]
 fn engine_matches_the_textbook_substitution_exactly() {
     let mut ws = SearchWorkspace::new();
     for (_, approx, exact) in &fixtures() {
-        for index in [approx, exact] {
+        for case in [approx, exact] {
+            let index = &case.index;
             let n = index.num_nodes();
             for query in (0..n).step_by(7) {
-                let scores = reference_scores(index, &[(query, 1.0)]);
+                let scores = reference_scores(case, &[(query, 1.0)]);
                 assert_eq!(index.all_scores_in(&mut ws, query).unwrap(), scores);
                 for k in [1, 10, n] {
                     let want = reference_top_k(&scores, k, Some(query));
@@ -162,7 +203,7 @@ fn engine_matches_the_textbook_substitution_exactly() {
                     ((query * 31 + 7) % n, 0.3),
                     ((query + 1) % n, 0.1),
                 ];
-                let want = reference_top_k(&reference_scores(index, &weights), 6, None);
+                let want = reference_top_k(&reference_scores(case, &weights), 6, None);
                 for mode in MODES {
                     let (got, _) = index
                         .search_weighted_in(&mut ws, &weights, 6, mode)
@@ -196,7 +237,8 @@ fn weighted_seeds_across_clusters_and_the_border_match_the_textbook_substitution
     let mut ws = SearchWorkspace::new();
     let mut spanned = 0;
     for (_, approx, exact) in &fixtures() {
-        for index in [approx, exact] {
+        for case in [approx, exact] {
+            let index = &case.index;
             let n = index.num_nodes();
             let seeds = one_node_per_cluster(index);
             // Windows of four consecutive clusters: three or more interior
@@ -207,7 +249,7 @@ fn weighted_seeds_across_clusters_and_the_border_match_the_textbook_substitution
                     .enumerate()
                     .map(|(i, &node)| (node, 0.4 / (i + 1) as f64))
                     .collect();
-                let scores = reference_scores(index, &weights);
+                let scores = reference_scores(case, &weights);
                 for k in [3, n] {
                     let want = reference_top_k(&scores, k, None);
                     for mode in MODES {
@@ -231,7 +273,8 @@ fn weighted_seeds_across_clusters_and_the_border_match_the_textbook_substitution
 fn panels_match_the_textbook_substitution_under_every_mode() {
     let mut ws = SearchWorkspace::new();
     for (_, approx, exact) in &fixtures() {
-        for index in [approx, exact] {
+        for case in [approx, exact] {
+            let index = &case.index;
             let n = index.num_nodes();
             // Eight lanes, four of them in the largest interior cluster, so
             // that cluster, its border segments and the border tails run the
@@ -252,7 +295,7 @@ fn panels_match_the_textbook_substitution_under_every_mode() {
                     let got = index.search_batch_in(&mut ws, &queries, k, mode).unwrap();
                     for (&query, (top, _)) in queries.iter().zip(&got) {
                         let want = reference_top_k(
-                            &reference_scores(index, &[(query, 1.0)]),
+                            &reference_scores(case, &[(query, 1.0)]),
                             k,
                             Some(query),
                         );
@@ -269,9 +312,10 @@ fn a_cluster_no_border_row_reaches_matches_the_textbook_substitution() {
     let mut ws = SearchWorkspace::new();
     let mut found = 0;
     for (_, approx, exact) in &fixtures() {
-        for index in [approx, exact] {
+        for case in [approx, exact] {
+            let index = &case.index;
             let ordering = index.ordering();
-            let l = index.factor_l();
+            let l = &case.factors.l;
             let border = ordering.border_range();
             let n = index.num_nodes();
             for (cluster, range) in ordering.clusters.iter().enumerate() {
@@ -286,7 +330,7 @@ fn a_cluster_no_border_row_reaches_matches_the_textbook_substitution() {
                 }
                 found += 1;
                 let query = ordering.permutation.old_index(range.start);
-                let scores = reference_scores(index, &[(query, 1.0)]);
+                let scores = reference_scores(case, &[(query, 1.0)]);
                 assert_eq!(index.all_scores_in(&mut ws, query).unwrap(), scores);
                 for mode in MODES {
                     let want = reference_top_k(&scores, 10, Some(query));
@@ -317,7 +361,8 @@ fn a_cluster_no_border_row_reaches_matches_the_textbook_substitution() {
 fn the_dense_solve_is_the_textbook_substitution_and_full_substitution_scores() {
     let mut ws = SearchWorkspace::new();
     for (_, approx, exact) in &fixtures() {
-        for index in [approx, exact] {
+        for case in [approx, exact] {
+            let index = &case.index;
             let n = index.num_nodes();
             // Widths 1, 3 and 8 fill one panel; 11 spans two.
             for width in [1usize, 3, 8, 11] {
@@ -333,7 +378,7 @@ fn the_dense_solve_is_the_textbook_substitution_and_full_substitution_scores() {
                     let solved: Vec<f64> = got.iter().skip(lane).step_by(width).copied().collect();
                     assert_eq!(
                         solved,
-                        reference_solve(index, &column),
+                        reference_solve(case, &column),
                         "width {width} lane {lane}"
                     );
                 }
@@ -362,7 +407,7 @@ fn the_dense_solve_is_the_textbook_substitution_and_full_substitution_scores() {
 #[test]
 fn mogul_e_matches_the_dense_inverse() {
     let mut ws = SearchWorkspace::new();
-    for (graph, _, exact) in &fixtures() {
+    for (graph, _, Case { index: exact, .. }) in &fixtures() {
         let dense = InverseSolver::new(graph, MrParams::default()).unwrap();
         for query in (0..exact.num_nodes()).step_by(5) {
             let got = exact.all_scores_in(&mut ws, query).unwrap();

@@ -23,7 +23,7 @@
 
 use std::path::{Path, PathBuf};
 
-use mogul_core::persist::PersistError;
+use mogul_core::persist::{PersistError, FORMAT_VERSION};
 use mogul_core::persist::{SectionKind, SectionWriter};
 use mogul_core::shard::{
     inspect_manifest, inspect_manifest_bytes, load_sharded, save_sharded, shard_file_name,
@@ -272,7 +272,7 @@ fn every_single_bit_flip_fails_closed() {
 fn future_container_versions_are_rejected() {
     let dir = saved_fixture("future");
     let bytes = manifest_bytes(&dir);
-    for version in [2u32, 7, u32::MAX] {
+    for version in [FORMAT_VERSION + 1, 7, u32::MAX] {
         let mut corrupted = bytes.clone();
         corrupted[4..8].copy_from_slice(&version.to_le_bytes());
         match inspect_manifest_bytes(&corrupted) {
@@ -587,8 +587,10 @@ const GOLDEN_SHARD_1: &[u8] = include_bytes!("fixtures/golden_shards_v1/shard-00
 /// Regenerate the committed fixture. Run manually after an *intentional*,
 /// version-bumped layout change:
 /// `cargo test -p mogul-core --test shard_manifest -- --ignored regenerate`
-/// (the shard files now come out epoch-named: point the `include_bytes!`
-/// paths above at the new names).
+/// (the shard files now come out epoch-named and in the current MOG1
+/// format version: point `dir` at a new fixture directory first, so the
+/// committed one is not overwritten, and the `include_bytes!` paths above
+/// at the new files).
 #[test]
 #[ignore = "writes the committed fixture; run only on intentional format changes"]
 fn regenerate_golden_fixture() {

@@ -52,6 +52,11 @@ pub fn put_u64(out: &mut Vec<u8>, value: u64) {
     out.extend_from_slice(&value.to_le_bytes());
 }
 
+/// Append a `u32` in little-endian order.
+pub fn put_u32(out: &mut Vec<u8>, value: u32) {
+    out.extend_from_slice(&value.to_le_bytes());
+}
+
 /// Append a `usize` as a `u64`.
 pub fn put_usize(out: &mut Vec<u8>, value: usize) {
     put_u64(out, value as u64);
@@ -155,6 +160,34 @@ impl<'a> ByteReader<'a> {
             )));
         }
         Ok(len)
+    }
+
+    /// Read `len` little-endian `u32`s (no length prefix): the bytes are
+    /// taken, and so checked against the remaining payload, before the
+    /// vector is allocated.
+    pub fn take_u32s(&mut self, len: usize, what: &str) -> Result<Vec<u32>> {
+        let bytes = self.take_array_bytes(len, 4, what)?;
+        Ok(bytes
+            .chunks_exact(4)
+            .map(|b| u32::from_le_bytes(b.try_into().expect("4-byte chunk")))
+            .collect())
+    }
+
+    /// Read `len` `f64`s stored as raw bits (no length prefix), checked
+    /// against the remaining payload like [`ByteReader::take_u32s`].
+    pub fn take_f64s(&mut self, len: usize, what: &str) -> Result<Vec<f64>> {
+        let bytes = self.take_array_bytes(len, 8, what)?;
+        Ok(bytes
+            .chunks_exact(8)
+            .map(|b| f64::from_bits(u64::from_le_bytes(b.try_into().expect("8-byte chunk"))))
+            .collect())
+    }
+
+    fn take_array_bytes(&mut self, len: usize, elem_bytes: usize, what: &str) -> Result<&'a [u8]> {
+        let needed = len
+            .checked_mul(elem_bytes)
+            .ok_or_else(|| SparseError::InvalidInput(format!("{what}: length {len} overflows")))?;
+        self.take_bytes(needed, what)
     }
 
     /// Read a length-prefixed `usize` slice.
@@ -427,6 +460,26 @@ mod tests {
         let mut bytes = Vec::new();
         put_u64(&mut bytes, u64::MAX / 4);
         assert!(ByteReader::new(&bytes).take_f64_vec("vec").is_err());
+    }
+
+    #[test]
+    fn unprefixed_arrays_round_trip_and_refuse_short_input() {
+        let (words, floats) = ([0u32, 7, u32::MAX], [-0.0, 2.5, f64::NAN]);
+        let mut bytes = Vec::new();
+        words.iter().for_each(|&w| put_u32(&mut bytes, w));
+        floats.iter().for_each(|&v| put_f64(&mut bytes, v));
+        let mut reader = ByteReader::new(&bytes);
+        assert_eq!(reader.take_u32s(3, "words").unwrap(), words);
+        let back = reader.take_f64s(3, "floats").unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&back), bits(&floats));
+        reader.finish("arrays").unwrap();
+        // One element past the payload, and a count whose byte size
+        // overflows: both refused before anything is allocated.
+        assert!(ByteReader::new(&bytes).take_u32s(10, "words").is_err());
+        assert!(ByteReader::new(&bytes)
+            .take_f64s(usize::MAX / 4, "floats")
+            .is_err());
     }
 
     #[test]
