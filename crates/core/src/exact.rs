@@ -33,11 +33,6 @@ impl InverseSolver {
         let inverse = w.to_dense().inverse()?;
         Ok(InverseSolver { inverse, params })
     }
-
-    /// The precomputed dense inverse (exposed for tests and memory studies).
-    pub fn inverse_matrix(&self) -> &DenseMatrix {
-        &self.inverse
-    }
 }
 
 impl Ranker for InverseSolver {

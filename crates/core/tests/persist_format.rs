@@ -402,16 +402,16 @@ fn factors_whose_search_layout_overflows_fail_typed_at_load() {
     let index_file = index_bytes();
     let oos = persist::load_index_from_bytes(&index_file).unwrap();
     let index = oos.index();
-    let factors = mogul_sparse::LdlFactors {
-        l: index
-            .factor_l()
-            .map_values(|v| if v == 1.0 { v } else { v * 1e300 }),
-        d: index.factor_d().iter().map(|d| d * 1e300).collect(),
-        boosted_pivots: 0,
-    };
-    // Format v1: the CSR `L` under a v1 header.
+    let l = index
+        .factor_l()
+        .map_values(|v| if v == 1.0 { v } else { v * 1e300 });
+    let d: Vec<f64> = index.factor_d().iter().map(|d| d * 1e300).collect();
+    // Format v1: the CSR `L`, `D` and the boosted-pivot count under a v1
+    // header.
     let mut payload = Vec::new();
-    mogul_sparse::persist::encode_ldl_factors(&factors, &mut payload);
+    mogul_sparse::persist::encode_csr(&l, &mut payload);
+    mogul_sparse::persist::put_f64_slice(&mut payload, &d);
+    mogul_sparse::persist::put_usize(&mut payload, 0);
     let v1 = with_version(rebuild_with_section(&index_file, "factors", &payload), 1);
     // Format v2: the strictly-upper rows and `D`.
     let mut v2 = V2Factors::parse(&factors_payload(&index_file));

@@ -2,11 +2,11 @@
 //!
 //! The ranking scores of Manifold Ranking are the solution of
 //! `(I − α C^{-1/2} A C^{-1/2}) x = (1 − α) q` (Equation (2) of the paper).
-//! This module builds the three ingredients of that system from a [`Graph`]:
-//! the adjacency matrix `A`, the degree matrix `C` (as a vector), the
-//! symmetric normalization `S = C^{-1/2} A C^{-1/2}`, and `W = I − α S`.
+//! This module builds the ingredients of that system from the adjacency
+//! matrix `A` of a [`Graph`](crate::graph::Graph): the degree matrix `C` (as
+//! a vector), the symmetric normalization `S = C^{-1/2} A C^{-1/2}`, and
+//! `W = I − α S`.
 
-use crate::graph::Graph;
 use crate::{GraphError, Result};
 use mogul_sparse::CsrMatrix;
 
@@ -50,21 +50,11 @@ pub fn ranking_system_matrix(adjacency: &CsrMatrix, alpha: f64) -> Result<CsrMat
     identity.add_scaled(-alpha, &s)
 }
 
-/// Convenience: build `A`, `C` and `W` directly from a graph.
-pub fn ranking_system_from_graph(
-    graph: &Graph,
-    alpha: f64,
-) -> Result<(CsrMatrix, Vec<f64>, CsrMatrix)> {
-    let adjacency = graph.adjacency_matrix();
-    let degrees = degree_vector(&adjacency);
-    let w = ranking_system_matrix(&adjacency, alpha)?;
-    Ok((adjacency, degrees, w))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mogul_sparse::eigen::{lanczos_largest, LinearOperator};
+    use crate::graph::Graph;
+    use mogul_sparse::eigen::lanczos_largest;
 
     fn ring_graph(n: usize) -> Graph {
         let edges: Vec<(usize, usize, f64)> = (0..n).map(|i| (i, (i + 1) % n, 1.0)).collect();
@@ -126,18 +116,5 @@ mod tests {
     fn normalization_rejects_rectangular() {
         let rect = CsrMatrix::from_triplets(2, 3, &[(0, 0, 1.0)]).unwrap();
         assert!(symmetric_normalization(&rect).is_err());
-    }
-
-    #[test]
-    fn convenience_builder_is_consistent() {
-        let g = ring_graph(7);
-        let (a, c, w) = ranking_system_from_graph(&g, 0.9).unwrap();
-        assert_eq!(a.nrows(), 7);
-        assert_eq!(c.len(), 7);
-        assert_eq!(w.nrows(), 7);
-        let w_direct = ranking_system_matrix(&a, 0.9).unwrap();
-        assert_eq!(w, w_direct);
-        // Verifies the LinearOperator impl is usable on the produced matrix.
-        assert_eq!(LinearOperator::dim(&w), 7);
     }
 }

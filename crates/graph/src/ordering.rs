@@ -8,7 +8,6 @@
 //! within-cluster edge count so that the left side of `W` stays sparse.
 
 use crate::clustering::labels::Clustering;
-use crate::clustering::modularity::{modularity_clustering, ModularityConfig};
 use crate::graph::Graph;
 use crate::Result;
 use mogul_sparse::Permutation;
@@ -206,22 +205,6 @@ pub fn mogul_ordering(graph: &Graph, clustering: &Clustering) -> Result<NodeOrde
     Ok(ordering)
 }
 
-/// Convenience: modularity clustering followed by [`mogul_ordering`].
-pub fn mogul_ordering_from_graph(graph: &Graph, config: &ModularityConfig) -> Result<NodeOrdering> {
-    let clustering = modularity_clustering(graph, config);
-    mogul_ordering(graph, &clustering)
-}
-
-/// The identity ordering with a single (border) cluster. Used as the
-/// "no clustering information" baseline: every node is treated as a border
-/// node, so no pruning is possible.
-pub fn identity_ordering(n: usize) -> NodeOrdering {
-    NodeOrdering {
-        permutation: Permutation::identity(n),
-        clusters: vec![ClusterRange { start: 0, len: n }],
-    }
-}
-
 /// A uniformly random ordering with a single (border) cluster. This is the
 /// "Random" configuration of Figures 6 and 8 in the paper.
 pub fn random_ordering(n: usize, seed: u64) -> NodeOrdering {
@@ -247,7 +230,7 @@ pub fn random_ordering(n: usize, seed: u64) -> NodeOrdering {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clustering::modularity::ModularityConfig;
+    use crate::clustering::modularity::{modularity_clustering, ModularityConfig};
 
     /// Two triangles joined by one bridge edge: nodes 2 and 3 become border nodes.
     fn bridged_triangles() -> (Graph, Clustering) {
@@ -368,20 +351,15 @@ mod tests {
             }
         }
         g.add_edge(0, 6, 0.01).unwrap();
-        let ordering = mogul_ordering_from_graph(&g, &ModularityConfig::default()).unwrap();
+        let clustering = modularity_clustering(&g, &ModularityConfig::default());
+        let ordering = mogul_ordering(&g, &clustering).unwrap();
         assert!(ordering.validate());
         assert!(ordering.num_clusters() >= 3);
         assert_eq!(ordering.border_range().len, 2);
     }
 
     #[test]
-    fn identity_and_random_orderings() {
-        let id = identity_ordering(5);
-        assert!(id.validate());
-        assert_eq!(id.num_clusters(), 1);
-        assert_eq!(id.border_cluster(), 0);
-        assert!(id.permutation.is_identity());
-
+    fn random_orderings() {
         let rnd = random_ordering(50, 7);
         assert!(rnd.validate());
         assert_eq!(rnd.len(), 50);

@@ -458,10 +458,9 @@ pub fn decode_query_request_opts(payload: &[u8]) -> Result<(QueryRequest, bool),
         REQ_OUT_OF_SAMPLE | REQ_OUT_OF_SAMPLE_STRICT => {
             let k = reader.take_usize("request k").map_err(payload_err)?;
             let len = reader.take_len(8, "request feature").map_err(payload_err)?;
-            let mut feature = Vec::with_capacity(len);
-            for _ in 0..len {
-                feature.push(reader.take_f64("request feature").map_err(payload_err)?);
-            }
+            let feature = reader
+                .take_f64s(len, "request feature")
+                .map_err(payload_err)?;
             QueryRequest::OutOfSample { feature, k }
         }
         other => {

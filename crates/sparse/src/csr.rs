@@ -191,12 +191,6 @@ impl CsrMatrix {
         (&self.indices[start..end], &self.values[start..end])
     }
 
-    /// Number of stored entries in row `i`.
-    #[inline]
-    pub fn row_nnz(&self, i: usize) -> usize {
-        self.indptr[i + 1] - self.indptr[i]
-    }
-
     /// Value at `(i, j)`, `0.0` if not stored. Binary search over the row.
     pub fn get(&self, i: usize, j: usize) -> f64 {
         let (cols, vals) = self.row(i);
@@ -450,12 +444,6 @@ impl CsrMatrix {
         self.filter(|i, j| if include_diagonal { j <= i } else { j < i })
     }
 
-    /// Upper-triangular part (entries with `col >= row` when
-    /// `include_diagonal`, else `col > row`).
-    pub fn upper_triangle(&self, include_diagonal: bool) -> CsrMatrix {
-        self.filter(|i, j| if include_diagonal { j >= i } else { j > i })
-    }
-
     /// Keep only entries for which `keep(row, col)` returns true.
     pub fn filter(&self, mut keep: impl FnMut(usize, usize) -> bool) -> CsrMatrix {
         let mut indptr = Vec::with_capacity(self.nrows + 1);
@@ -488,11 +476,6 @@ impl CsrMatrix {
             dense.set(i, j, v);
         }
         dense
-    }
-
-    /// Maximum absolute value of stored entries (`0.0` if empty).
-    pub fn max_abs_value(&self) -> f64 {
-        self.values.iter().fold(0.0f64, |m, v| m.max(v.abs()))
     }
 }
 
@@ -535,10 +518,8 @@ mod tests {
         assert_eq!(m.get(0, 2), 1.0);
         assert_eq!(m.get(0, 1), 0.0);
         assert_eq!(m.row(2).0, &[0, 2]);
-        assert_eq!(m.row_nnz(1), 1);
         assert_eq!(m.diagonal(), vec![2.0, 3.0, 4.0]);
         assert_eq!(m.row_sums(), vec![3.0, 3.0, 5.0]);
-        assert_eq!(m.max_abs_value(), 4.0);
     }
 
     #[test]
@@ -644,9 +625,6 @@ mod tests {
         assert_eq!(lower.get(0, 2), 0.0);
         let strict_lower = m.lower_triangle(false);
         assert_eq!(strict_lower.nnz(), 1);
-        let upper = m.upper_triangle(true);
-        assert_eq!(upper.nnz(), 4);
-        assert_eq!(upper.get(2, 0), 0.0);
     }
 
     #[test]

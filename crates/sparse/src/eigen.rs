@@ -362,45 +362,6 @@ pub fn lanczos_largest<O: LinearOperator>(
     Ok(EigenPairs { values, vectors })
 }
 
-/// Power iteration for the single dominant eigenpair of a symmetric operator.
-pub fn power_iteration<O: LinearOperator>(
-    op: &O,
-    max_iter: usize,
-    tol: f64,
-    seed: u64,
-) -> Result<(f64, Vec<f64>)> {
-    let n = op.dim();
-    if n == 0 {
-        return Err(SparseError::InvalidInput(
-            "power iteration on an empty operator".into(),
-        ));
-    }
-    let mut rng = SplitMix64::new(seed ^ 0xDEAD_BEEF);
-    let mut x: Vec<f64> = (0..n).map(|_| rng.next_symmetric()).collect();
-    vector::normalize(&mut x);
-    let mut y = vec![0.0; n];
-    let mut lambda = 0.0;
-    for it in 0..max_iter {
-        op.apply(&x, &mut y);
-        let new_lambda = vector::dot_unchecked(&x, &y);
-        let norm = vector::norm2(&y);
-        if norm < 1e-300 {
-            return Ok((0.0, x));
-        }
-        for (xi, yi) in x.iter_mut().zip(y.iter()) {
-            *xi = yi / norm;
-        }
-        if (new_lambda - lambda).abs() <= tol * new_lambda.abs().max(1.0) {
-            return Ok((new_lambda, x));
-        }
-        lambda = new_lambda;
-        if it + 1 == max_iter {
-            return Ok((lambda, x));
-        }
-    }
-    Ok((lambda, x))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -499,17 +460,6 @@ mod tests {
         // Requesting more pairs than the dimension returns at most n.
         let pairs = lanczos_largest(&a, 10, 10, 1).unwrap();
         assert!(pairs.len() <= 3);
-    }
-
-    #[test]
-    fn power_iteration_finds_dominant_eigenvalue() {
-        let a = symmetric_dense();
-        let pairs = jacobi_eigen(&a).unwrap();
-        let (lambda, v) = power_iteration(&a, 500, 1e-12, 3).unwrap();
-        assert!((lambda - pairs.values[0]).abs() < 1e-6);
-        let av = a.matvec(&v).unwrap();
-        let lv: Vec<f64> = v.iter().map(|x| lambda * x).collect();
-        assert!(vector::max_abs_diff(&av, &lv).unwrap() < 1e-5);
     }
 
     #[test]

@@ -38,10 +38,11 @@
 //! ([`set_kernel_override`], for the bit-identity test batteries), and with
 //! [`ScalarKernel`] otherwise. [`active_kernel`] reports that choice.
 //!
-//! A sweep over a panel too narrow to feed a lane kernel (width 1 in
-//! [`triangular`](crate::triangular), at most two active lanes in
-//! `mogul-core`'s engine) runs one strided scalar recurrence per lane instead
-//! and never dispatches; the sweep decides that from the width it is given.
+//! `mogul-core`'s engine runs a sweep with at most two active lanes as one
+//! strided scalar recurrence per lane instead, and never dispatches it; the
+//! engine decides that from the width it is given. The CSR sweeps of
+//! [`triangular`](crate::triangular) have no such fork: every width, 1
+//! included, goes through [`dispatch`].
 
 use std::sync::atomic::{AtomicBool, Ordering};
 

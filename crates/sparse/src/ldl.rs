@@ -79,15 +79,6 @@ impl LdlFactors {
         ld.matmul(&self.l.to_dense().transpose())
             .expect("shape mismatch in LDL reconstruction")
     }
-
-    /// Solve `L D Lᵀ x = b` using the stored factors — the allocating
-    /// convenience over [`crate::triangular::ldl_solve_multi_into`] at width 1.
-    pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>> {
-        let (mut x, u) = (Vec::new(), self.l.transpose());
-        let ws = &mut crate::triangular::SolveWorkspace::new();
-        crate::triangular::ldl_solve_multi_into(&self.l, &u, &self.d, b, 1, ws, &mut x)?;
-        Ok(x)
-    }
 }
 
 /// `L D Lᵀ` factorization of the symmetric matrix `w` under `rule`:
@@ -241,6 +232,7 @@ mod tests {
     use super::*;
     use crate::coo::CooMatrix;
     use crate::dense::DenseMatrix;
+    use crate::triangular::tests::ref_ldl;
     use crate::vector::max_abs_diff;
     use proptest::prelude::*;
 
@@ -345,7 +337,7 @@ mod tests {
             assert_eq!(f.boosted_pivots, 0);
             let diff = f.reconstruct_dense().max_abs_diff(&w.to_dense()).unwrap();
             assert!(diff < 1e-12, "{rule:?}: reconstruction error {diff}");
-            let x = f.solve(&b).unwrap();
+            let x = ref_ldl(&f, &b);
             assert!(max_abs_diff(&x, &x_dense).unwrap() < 1e-10);
         }
     }
@@ -469,7 +461,7 @@ mod tests {
         assert!(diff < 0.1, "approximation error too large: {diff}");
         // Solving with the incomplete factors approximates the true solution.
         let b = vec![1.0, 0.0, 0.0, 0.0, 0.0, 0.0];
-        let approx = f.solve(&b).unwrap();
+        let approx = ref_ldl(&f, &b);
         let exact = w.to_dense().solve(&b).unwrap();
         assert!(max_abs_diff(&approx, &exact).unwrap() < 0.05);
     }
@@ -509,7 +501,7 @@ mod tests {
         let w = graph_matrix(n, &edges, 0.2);
         let f = factorize(&w, Factorization::Complete).unwrap();
         let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
-        let x = f.solve(&b).unwrap();
+        let x = ref_ldl(&f, &b);
         let x_ref = w.to_dense().solve(&b).unwrap();
         assert!(max_abs_diff(&x, &x_ref).unwrap() < 1e-10);
     }

@@ -11,11 +11,12 @@
 //!   k-NN adjacency matrix and everything derived from it.
 //! * [`Permutation`] — the node permutation matrix `P` of Section 4.2.2
 //!   (`A' = P A Pᵀ`).
-//! * [`triangular`] — forward/back substitution (Equations (4) and (5)) over
-//!   the unit-triangular `L D Lᵀ` factors: one family of `*_multi_into`
-//!   solves that take a whole panel of right-hand sides per traversal of the
-//!   factor and write into caller-owned buffers (see [`SolveWorkspace`]); a
-//!   lone right-hand side is the panel of width 1.
+//! * [`triangular`] — the three panel sweeps of Equations (4) and (5) over
+//!   CSR unit-triangular factors (forward substitution, diagonal scaling,
+//!   back substitution), each taking a whole panel of right-hand sides per
+//!   traversal and writing into a caller-owned buffer. `mogul-core`'s engine
+//!   runs its own sweeps over its search layout; these remain for the
+//!   benchmark ladder's width-8 rungs.
 //! * [`kernel`] — the lane-kernel trait under every panel sweep and under the
 //!   tile distance kernel of k-NN graph construction: a scalar reference
 //!   implementation and an AVX2 implementation picked by CPUID in one
@@ -36,8 +37,10 @@
 //! * [`dense`] — dense matrices with LU decomposition and inversion, used by
 //!   the `O(n³)` Inverse baseline and for verification in tests.
 //! * [`persist`] — the byte-level codec of the on-disk index format: bit-exact
-//!   `f64`/CSR/permutation/`L D Lᵀ`-factor (de)serialization plus the FNV-1a
-//!   section checksum (the container lives in `mogul-core::persist`).
+//!   `f64`/CSR/feature/permutation (de)serialization, the decoder of format
+//!   v1's CSR `L D Lᵀ` factors (v1 files still load; nothing writes them),
+//!   plus the FNV-1a section checksum (the container lives in
+//!   `mogul-core::persist`).
 //!
 //! All numerics use `f64`. The crate has no third-party dependencies.
 //! The `unsafe_code` lint is denied crate-wide and allowed on [`kernel`] alone
@@ -76,5 +79,4 @@ pub use kernel::{active_kernel, set_kernel_override, KernelKind};
 pub use ldl::{factorize, Factorization, LdlFactors};
 pub use parallel::effective_threads;
 pub use permutation::Permutation;
-pub use triangular::SolveWorkspace;
 pub use woodbury::{CorrectionWorkspace, WoodburyCorrection};

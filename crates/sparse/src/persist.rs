@@ -4,8 +4,8 @@
 //! `mogul-core::persist` for the container): a little-endian, length-prefixed
 //! codec for the primitive shapes every persisted structure is made of —
 //! integers, `f64` slices (stored bit-exactly via [`f64::to_bits`]), CSR
-//! matrices, [`FeatureMatrix`]es and [`Permutation`]s — plus the `L D Lᵀ`
-//! factor codec.
+//! matrices, [`FeatureMatrix`]es and [`Permutation`]s — plus the decoder of
+//! format v1's CSR `L D Lᵀ` factors, which v1 files still need.
 //!
 //! Design rules, shared by every `decode_*` function:
 //!
@@ -203,11 +203,7 @@ impl<'a> ByteReader<'a> {
     /// Read a length-prefixed `f64` slice (bit-exact).
     pub fn take_f64_vec(&mut self, what: &str) -> Result<Vec<f64>> {
         let len = self.take_len(8, what)?;
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(self.take_f64(what)?);
-        }
-        Ok(out)
+        self.take_f64s(len, what)
     }
 
     /// Assert that the payload was consumed exactly (no trailing bytes).
@@ -270,11 +266,7 @@ pub fn decode_features(reader: &mut ByteReader<'_>, what: &str) -> Result<Featur
                 reader.remaining()
             ))
         })?;
-    let mut data = Vec::with_capacity(values);
-    for _ in 0..values {
-        data.push(reader.take_f64(what)?);
-    }
-    FeatureMatrix::from_vec(dim, data)
+    FeatureMatrix::from_vec(dim, reader.take_f64s(values, what)?)
 }
 
 /// Append a permutation (its `new → old` map).
@@ -287,18 +279,10 @@ pub fn decode_permutation(reader: &mut ByteReader<'_>, what: &str) -> Result<Per
     Permutation::from_new_to_old(reader.take_usize_vec(what)?)
 }
 
-/// Append `L D Lᵀ` factors.
-///
-/// Only `L`, `D` and the boosted-pivot count are stored, as they are all
-/// [`LdlFactors`] holds: a reader that wants the rows of `U = Lᵀ` gets them
-/// from [`CsrMatrix::transpose`], which moves values without arithmetic.
-pub fn encode_ldl_factors(factors: &LdlFactors, out: &mut Vec<u8>) {
-    encode_csr(&factors.l, out);
-    put_f64_slice(out, &factors.d);
-    put_usize(out, factors.boosted_pivots);
-}
-
-/// Decode `L D Lᵀ` factors (see [`encode_ldl_factors`]).
+/// Decode the `L D Lᵀ` factors of a format v1 `factors` payload: the CSR
+/// `L` ([`encode_csr`]), `D` as a length-prefixed `f64` slice and the
+/// boosted-pivot count. Only format v1 files hold this layout: the writer
+/// emits v2.
 pub fn decode_ldl_factors(reader: &mut ByteReader<'_>, what: &str) -> Result<LdlFactors> {
     let l = decode_csr(reader, what)?;
     let d = reader.take_f64_vec(what)?;
@@ -371,9 +355,12 @@ mod tests {
 
     #[test]
     fn ldl_round_trip_is_bit_identical() {
+        // A v1 `factors` payload, written from the primitives.
         let factors = factorize(&sample_matrix(), Factorization::Incomplete).unwrap();
         let mut bytes = Vec::new();
-        encode_ldl_factors(&factors, &mut bytes);
+        encode_csr(&factors.l, &mut bytes);
+        put_f64_slice(&mut bytes, &factors.d);
+        put_usize(&mut bytes, factors.boosted_pivots);
         let mut reader = ByteReader::new(&bytes);
         let back = decode_ldl_factors(&mut reader, "factors").unwrap();
         reader.finish("factors").unwrap();

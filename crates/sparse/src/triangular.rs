@@ -1,54 +1,31 @@
-//! Forward and back substitution for sparse unit-triangular systems.
+//! Forward and back substitution over sparse unit-triangular CSR factors.
 //!
-//! Mogul obtains the approximate ranking scores by forward substitution on
-//! `L' y = q'` (Equation (4)) followed by back substitution on `U x' = y`
-//! (Equation (5)); both factors come from the `L D Lᵀ` factorization of `W`
-//! and are stored row-wise (CSR), which is exactly the access pattern the two
-//! substitutions need. The factors are unit-triangular by construction, so
-//! the only division is the diagonal scaling between the two sweeps.
+//! The three sweeps of the paper's query path over factors stored row-wise
+//! (CSR): forward substitution on `L y = q` (Equation (4)), the diagonal
+//! scaling by `D`, and back substitution on `U x = y` (Equation (5)). The
+//! factors are unit-triangular by construction, so the only division is the
+//! diagonal scaling between the two substitutions. `mogul-core`'s engine does
+//! not call them: it runs its own sweeps over its search layout, the index's
+//! only copy of the factors. They remain as the benchmark ladder's
+//! `sparse.*_b8_us` rungs, timed at width 8 over the CSR `L` that
+//! `MogulIndex::factor_l()` rebuilds.
 //!
-//! There is one solve family: every function takes a **panel** of `width`
-//! right-hand sides with the `width` lane values of each node adjacent
-//! (`panel[node * width + lane]`, length `n · width`), so one traversal of
-//! the factor's CSR structure applies every non-zero to all lanes through a
-//! short contiguous inner loop (see [`crate::kernel`]). A lone right-hand
-//! side is the panel of width 1. Each lane performs the same floating-point
-//! operations in the same order whatever the width, its position in the
-//! panel and the kernel in use, so lane `l` of a panel result is
-//! **bit-identical** to the width-1 solve of lane `l`'s right-hand side.
+//! Every function takes a **panel** of `width` right-hand sides with the
+//! `width` lane values of each node adjacent (`panel[node * width + lane]`,
+//! length `n · width`), so one traversal of the factor's CSR structure
+//! applies every non-zero to all lanes through a short contiguous inner loop
+//! (see [`crate::kernel`]). Every width, 1 included, runs through
+//! [`dispatch`]. Each lane performs the same floating-point operations in the
+//! same order whatever the width, its position in the panel and the kernel in
+//! use, so lane `l` of a panel result is **bit-identical** to the width-1
+//! solve of lane `l`'s right-hand side.
 
 use crate::csr::CsrMatrix;
 use crate::error::{Result, SparseError};
-use crate::kernel::{dispatch, LaneKernel, ScalarKernel, Sweep};
+use crate::kernel::{dispatch, LaneKernel, Sweep};
 
 /// Smallest pivot magnitude accepted before a solve is declared singular.
 const PIVOT_TOL: f64 = 1e-300;
-
-/// Panels this narrow run one strided scalar recurrence per lane instead of
-/// a lane-kernel sweep: a kernel call on one-element slices per non-zero
-/// costs more than the arithmetic it performs (2.1× on a 2 000-node exact
-/// factor at width 1). Same operations in the same order per lane, so bits
-/// do not change. The choice is made from the width alone, before kernel
-/// dispatch, so it is the same on every host — the rule `mogul-core`'s engine
-/// applies to its masked sweeps.
-const NARROW_PANEL_WIDTH: usize = 1;
-
-/// Reusable scratch for the composite [`ldl_solve_multi_into`] operation: the
-/// intermediate `n × width` panel of the two-phase solve, so a warm loop of
-/// solves (for example a serving worker of `mogul-serve`) performs no heap
-/// allocation — the buffer grows once and is then reused.
-#[derive(Debug, Clone, Default)]
-pub struct SolveWorkspace {
-    /// Intermediate panel of `L Y = B` before the diagonal scaling.
-    intermediate: Vec<f64>,
-}
-
-impl SolveWorkspace {
-    /// An empty workspace; the panel grows on first use.
-    pub fn new() -> Self {
-        SolveWorkspace::default()
-    }
-}
 
 /// Reset `out` to `n` zeros, reusing its existing capacity.
 fn reset(out: &mut Vec<f64>, n: usize) {
@@ -90,34 +67,6 @@ fn check_square_and_panel(
         });
     }
     Ok(())
-}
-
-// --- Narrow panels: one strided scalar recurrence per lane -----------------
-
-fn unit_lower_lane(l: &CsrMatrix, b: &[f64], width: usize, lane: usize, x: &mut [f64]) {
-    for i in 0..l.nrows() {
-        let (cols, vals) = l.row(i);
-        let mut sum = b[i * width + lane];
-        for (&j, &v) in cols.iter().zip(vals.iter()) {
-            if j < i {
-                sum -= v * x[j * width + lane];
-            }
-        }
-        x[i * width + lane] = sum;
-    }
-}
-
-fn unit_upper_lane(u: &CsrMatrix, b: &[f64], width: usize, lane: usize, x: &mut [f64]) {
-    for i in (0..u.nrows()).rev() {
-        let (cols, vals) = u.row(i);
-        let mut sum = b[i * width + lane];
-        for (&j, &v) in cols.iter().zip(vals.iter()) {
-            if j > i {
-                sum -= v * x[j * width + lane];
-            }
-        }
-        x[i * width + lane] = sum;
-    }
 }
 
 // --- Kernel-generic sweep bodies -------------------------------------------
@@ -166,7 +115,7 @@ fn scale_diag_sweep<K: LaneKernel>(
     panel: &mut [f64],
 ) -> Result<()> {
     for (i, (&di, row)) in d.iter().zip(panel.chunks_exact_mut(width)).enumerate() {
-        if di.abs() < PIVOT_TOL {
+        if !di.is_finite() || di.abs() < PIVOT_TOL {
             return Err(SparseError::SingularMatrix { pivot: i });
         }
         kern.div_assign(row, di);
@@ -236,12 +185,6 @@ pub fn solve_unit_lower_multi_into(
 ) -> Result<()> {
     check_square_and_panel(l, b.len(), width, "solve_unit_lower_multi")?;
     reset(x, l.nrows() * width);
-    if width <= NARROW_PANEL_WIDTH {
-        for lane in 0..width {
-            unit_lower_lane(l, b, width, lane, x);
-        }
-        return Ok(());
-    }
     dispatch(LowerSweep { l, b, width, x });
     Ok(())
 }
@@ -257,19 +200,14 @@ pub fn solve_unit_upper_multi_into(
 ) -> Result<()> {
     check_square_and_panel(u, b.len(), width, "solve_unit_upper_multi")?;
     reset(x, u.nrows() * width);
-    if width <= NARROW_PANEL_WIDTH {
-        for lane in 0..width {
-            unit_upper_lane(u, b, width, lane, x);
-        }
-        return Ok(());
-    }
     dispatch(UpperSweep { u, b, width, x });
     Ok(())
 }
 
 /// Scale every row of an `n × width` panel by the inverse diagonal, in place:
-/// `panel[i, lane] /= d[i]` for every lane. A diagonal entry too small to
-/// divide by is reported as [`SparseError::SingularMatrix`].
+/// `panel[i, lane] /= d[i]` for every lane. A diagonal entry that is not
+/// finite, or too small to divide by, is reported as
+/// [`SparseError::SingularMatrix`].
 pub fn scale_diag_multi_into(d: &[f64], width: usize, panel: &mut [f64]) -> Result<()> {
     if width == 0 || panel.len() != d.len() * width {
         // As in `check_square_and_panel`: report the requested shape
@@ -280,48 +218,11 @@ pub fn scale_diag_multi_into(d: &[f64], width: usize, panel: &mut [f64]) -> Resu
             right: panel_shape(panel.len(), width),
         });
     }
-    if width <= NARROW_PANEL_WIDTH {
-        // The scalar kernel's one-element loop *is* the per-lane recurrence.
-        return scale_diag_sweep(ScalarKernel, d, width, panel);
-    }
     dispatch(ScaleDiag { d, width, panel })
 }
 
-/// Solve `L D Lᵀ X = B` for `width` right-hand sides at once, given the
-/// unit-lower factor `L` (rows, CSR), its transpose `U = Lᵀ` (rows, CSR) and
-/// the diagonal `D`: one unit-lower sweep, one diagonal scaling and one
-/// unit-upper sweep, each traversing the factor structure once for the whole
-/// panel.
-///
-/// The textbook composite over generic CSR factors, behind
-/// [`LdlFactors::solve`](crate::ldl::LdlFactors::solve); `mogul-core` runs
-/// its own sweeps over its search layout instead, for Figure 5's "Incomplete
-/// Cholesky" baseline too. The intermediate of the forward phase lives in
-/// `ws` and the solution is written to `x`, so a warm loop of solves
-/// performs no heap allocation.
-pub fn ldl_solve_multi_into(
-    l: &CsrMatrix,
-    u: &CsrMatrix,
-    d: &[f64],
-    b: &[f64],
-    width: usize,
-    ws: &mut SolveWorkspace,
-    x: &mut Vec<f64>,
-) -> Result<()> {
-    if d.len() != l.nrows() {
-        return Err(SparseError::DimensionMismatch {
-            op: "ldl_solve_multi diagonal",
-            left: (l.nrows(), l.ncols()),
-            right: (d.len(), 1),
-        });
-    }
-    solve_unit_lower_multi_into(l, b, width, &mut ws.intermediate)?;
-    scale_diag_multi_into(d, width, &mut ws.intermediate)?;
-    solve_unit_upper_multi_into(u, &ws.intermediate, width, x)
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::coo::CooMatrix;
     use crate::dense::DenseMatrix;
@@ -329,8 +230,8 @@ mod tests {
     use crate::vector::max_abs_diff;
 
     // --- The oracle: textbook substitutions on `CsrMatrix::row` only. Same
-    // operations in the same order as every lane of the panel family, so the
-    // comparisons below are exact `==`.
+    // operations in the same order as every lane of the three sweeps, so the
+    // comparisons below are exact `==`. `ldl::tests` solves with `ref_ldl`.
 
     fn ref_unit_lower(l: &CsrMatrix, b: &[f64]) -> Vec<f64> {
         let mut x = vec![0.0; b.len()];
@@ -362,7 +263,8 @@ mod tests {
         x
     }
 
-    fn ref_ldl(f: &LdlFactors, b: &[f64]) -> Vec<f64> {
+    /// `L D Lᵀ x = b` by the two textbook substitutions and the division.
+    pub(crate) fn ref_ldl(f: &LdlFactors, b: &[f64]) -> Vec<f64> {
         let mut y = ref_unit_lower(&f.l, b);
         for (yi, &di) in y.iter_mut().zip(&f.d) {
             *yi /= di;
@@ -408,23 +310,21 @@ mod tests {
         panel.iter().skip(lane).step_by(width).copied().collect()
     }
 
-    /// `[unit lower, unit upper, scaled, composite]` of one panel.
-    fn solve_all(f: &LdlFactors, panel: &[f64], width: usize) -> [Vec<f64>; 4] {
-        let mut out = [Vec::new(), Vec::new(), panel.to_vec(), Vec::new()];
-        let u = f.l.transpose();
+    /// `[unit lower, unit upper, scaled]` of one panel.
+    fn solve_all(f: &LdlFactors, panel: &[f64], width: usize) -> [Vec<f64>; 3] {
+        let mut out = [Vec::new(), Vec::new(), panel.to_vec()];
         solve_unit_lower_multi_into(&f.l, panel, width, &mut out[0]).unwrap();
-        solve_unit_upper_multi_into(&u, panel, width, &mut out[1]).unwrap();
+        solve_unit_upper_multi_into(&f.l.transpose(), panel, width, &mut out[1]).unwrap();
         scale_diag_multi_into(&f.d, width, &mut out[2]).unwrap();
-        let ws = &mut SolveWorkspace::new();
-        ldl_solve_multi_into(&f.l, &u, &f.d, panel, width, ws, &mut out[3]).unwrap();
         out
     }
 
     #[test]
     fn every_solve_matches_the_textbook_substitution_exactly() {
-        // Width 1 takes the narrow-panel recurrence, width 3 the lane kernels.
+        // Every width from a lone right-hand side to four AVX2 chunks and a
+        // remainder, all through `dispatch`.
         for f in &both_flavours(11) {
-            for width in [1usize, 3] {
+            for width in 1usize..=17 {
                 let lanes: Vec<Vec<f64>> = (0..width).map(|lane| lane_rhs(11, lane)).collect();
                 let got = solve_all(f, &pack(&lanes), width);
                 for (lane, b) in lanes.iter().enumerate() {
@@ -435,7 +335,6 @@ mod tests {
                         ref_unit_upper(&f.l.transpose(), b)
                     );
                     assert_eq!(lane_of(&got[2], width, lane), scaled);
-                    assert_eq!(lane_of(&got[3], width, lane), ref_ldl(f, b));
                 }
             }
         }
@@ -445,8 +344,7 @@ mod tests {
     fn a_lane_does_not_depend_on_the_panel_around_it() {
         // Lane `l` of a width-`w` panel == the width-1 solve of lane `l`'s
         // right-hand side, for every lane position of every width (ragged
-        // ones and one well past a vector register included) — across the
-        // narrow-panel boundary on purpose.
+        // ones and one well past a vector register included).
         for n in [13usize, 6] {
             for f in &both_flavours(n) {
                 for width in [1usize, 2, 3, 4, 5, 6, 7, 8, 17] {
@@ -469,20 +367,18 @@ mod tests {
 
     #[test]
     fn buffers_are_reusable_across_widths_and_dimensions() {
-        // One output buffer and one workspace, reused across solve kinds,
-        // widths and dimensions (growing and shrinking), answer like fresh ones.
-        let (mut out, mut ws) = (vec![f64::NAN; 3], SolveWorkspace::new());
+        // One output buffer, reused across solve kinds, widths and
+        // dimensions (growing and shrinking), answers like fresh ones.
+        let mut out = vec![f64::NAN; 3];
         for (n, width) in [(13usize, 8usize), (6, 1), (13, 3), (6, 17)] {
             for f in &both_flavours(n) {
                 let lanes: Vec<Vec<f64>> = (0..width).map(|lane| lane_rhs(n, lane)).collect();
                 let panel = pack(&lanes);
-                let (fresh, u) = (solve_all(f, &panel, width), f.l.transpose());
+                let fresh = solve_all(f, &panel, width);
                 solve_unit_lower_multi_into(&f.l, &panel, width, &mut out).unwrap();
                 assert_eq!(out, fresh[0]);
-                solve_unit_upper_multi_into(&u, &panel, width, &mut out).unwrap();
+                solve_unit_upper_multi_into(&f.l.transpose(), &panel, width, &mut out).unwrap();
                 assert_eq!(out, fresh[1]);
-                ldl_solve_multi_into(&f.l, &u, &f.d, &panel, width, &mut ws, &mut out).unwrap();
-                assert_eq!(out, fresh[3]);
             }
         }
     }
@@ -501,7 +397,6 @@ mod tests {
 
     #[test]
     fn singular_diagonals_are_reported() {
-        // Both sides of the narrow-panel rule, alone and through the composite.
         assert!(matches!(
             scale_diag_multi_into(&[1.0, 0.0], 1, &mut [1.0; 2]),
             Err(SparseError::SingularMatrix { pivot: 1 })
@@ -510,20 +405,14 @@ mod tests {
             scale_diag_multi_into(&[0.0, 1.0], 2, &mut [1.0; 4]),
             Err(SparseError::SingularMatrix { pivot: 0 })
         ));
+        // Between the two substitutions: the forward sweep's output is
+        // refused at the zero pivot.
         let l = CsrMatrix::from_triplets(2, 2, &[(1, 0, 1.0)]).unwrap();
-        let (mut ws, mut out) = (SolveWorkspace::new(), Vec::new());
+        let mut y = Vec::new();
         for width in [1usize, 2] {
-            let b = vec![1.0; 2 * width];
+            solve_unit_lower_multi_into(&l, &[1.0; 4][..2 * width], width, &mut y).unwrap();
             assert!(matches!(
-                ldl_solve_multi_into(
-                    &l,
-                    &l.transpose(),
-                    &[1.0, 0.0],
-                    &b,
-                    width,
-                    &mut ws,
-                    &mut out
-                ),
+                scale_diag_multi_into(&[1.0, 0.0], width, &mut y),
                 Err(SparseError::SingularMatrix { pivot: 1 })
             ));
         }
@@ -556,8 +445,6 @@ mod tests {
         let rect = CsrMatrix::from_triplets(2, 3, &[(0, 0, 1.0)]).unwrap();
         assert!(solve_unit_lower_multi_into(&rect, &[1.0; 4], 2, &mut out).is_err());
         assert!(scale_diag_multi_into(&[1.0], 2, &mut [1.0; 3]).is_err());
-        let mut ws = SolveWorkspace::new();
-        assert!(ldl_solve_multi_into(&l, &l, &[1.0], &[1.0; 6], 2, &mut ws, &mut out).is_err());
     }
 
     #[test]
@@ -616,7 +503,8 @@ mod tests {
 
     #[test]
     fn ldl_solve_reconstructs_spd_solution() {
-        // Build an SPD matrix A = L D L^T and verify the solve inverts it.
+        // Build an SPD matrix A = L D L^T and verify the three sweeps, run
+        // in the order of Equations (4)-(5), invert it.
         let l = CsrMatrix::from_triplets(
             3,
             3,
@@ -630,7 +518,6 @@ mod tests {
         )
         .unwrap();
         let d = vec![4.0, 2.0, 1.0];
-        let u = l.transpose();
 
         // Dense A = L * D * L^T for reference.
         let ld = l
@@ -640,12 +527,15 @@ mod tests {
         let a = ld.matmul(&l.to_dense().transpose()).unwrap();
 
         let b = vec![1.0, -2.0, 3.0];
-        let (mut ws, mut x) = (SolveWorkspace::new(), Vec::new());
-        ldl_solve_multi_into(&l, &u, &d, &b, 1, &mut ws, &mut x).unwrap();
+        let (mut y, mut x) = (Vec::new(), Vec::new());
+        solve_unit_lower_multi_into(&l, &b, 1, &mut y).unwrap();
+        scale_diag_multi_into(&d, 1, &mut y).unwrap();
+        solve_unit_upper_multi_into(&l.transpose(), &y, 1, &mut x).unwrap();
         let ax = a.matvec(&x).unwrap();
         assert!(max_abs_diff(&ax, &b).unwrap() < 1e-12);
         assert!(max_abs_diff(&x, &a.solve(&b).unwrap()).unwrap() < 1e-12);
 
-        assert!(ldl_solve_multi_into(&l, &u, &[1.0], &b, 1, &mut ws, &mut x).is_err());
+        // A diagonal of the wrong length is refused.
+        assert!(scale_diag_multi_into(&[1.0], 1, &mut y).is_err());
     }
 }

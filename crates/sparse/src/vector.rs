@@ -32,12 +32,6 @@ pub fn norm2(a: &[f64]) -> f64 {
     dot_unchecked(a, a).sqrt()
 }
 
-/// L1 norm (sum of absolute values).
-#[inline]
-pub fn norm1(a: &[f64]) -> f64 {
-    a.iter().map(|x| x.abs()).sum()
-}
-
 /// Maximum absolute entry; `0.0` for an empty slice.
 #[inline]
 pub fn norm_inf(a: &[f64]) -> f64 {
@@ -153,7 +147,6 @@ mod tests {
     fn norms() {
         let v = [3.0, -4.0];
         assert!((norm2(&v) - 5.0).abs() < 1e-12);
-        assert!((norm1(&v) - 7.0).abs() < 1e-12);
         assert!((norm_inf(&v) - 4.0).abs() < 1e-12);
         assert_eq!(norm_inf(&[]), 0.0);
     }

@@ -16,16 +16,16 @@
 //! exact pivot of a singular block, and the fill count of a dense symbolic
 //! elimination.
 
+mod support;
+
 use mogul_sparse::kernel::{active_kernel, set_kernel_override, tile_sq_distances, KernelKind};
 use mogul_sparse::triangular::{
-    ldl_solve_multi_into, scale_diag_multi_into, solve_unit_lower_multi_into,
-    solve_unit_upper_multi_into,
+    scale_diag_multi_into, solve_unit_lower_multi_into, solve_unit_upper_multi_into,
 };
 use mogul_sparse::vector::max_abs_diff;
 use mogul_sparse::vector::squared_euclidean_unchecked;
 use mogul_sparse::{
-    factorize, CooMatrix, CsrMatrix, Factorization, FeatureMatrix, LdlFactors, SolveWorkspace,
-    SparseError,
+    factorize, CooMatrix, CsrMatrix, Factorization, FeatureMatrix, LdlFactors, SparseError,
 };
 use proptest::prelude::*;
 use std::sync::Mutex;
@@ -88,8 +88,8 @@ fn panel(n: usize, width: usize, salt: u64) -> Vec<f64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The three sweeps and their composite produce bit-identical panels
-    /// under the scalar and SIMD kernels, across narrow, full and misaligned
+    /// The three sweeps produce bit-identical panels under the scalar and
+    /// SIMD kernels, across a lone right-hand side, full and misaligned
     /// widths, for both factorization flavors' factors. The kernel is pinned
     /// through the process-wide override, under [`KERNEL_PIN`].
     #[test]
@@ -98,23 +98,21 @@ proptest! {
         let matrix = spd_matrix(n, &edges, w);
         let complete = factorize(&matrix, Factorization::Complete).unwrap();
         let incomplete = factorize(&matrix, Factorization::Incomplete).unwrap();
-        let mut ws = SolveWorkspace::new();
         for factors in [&complete, &incomplete] {
             let (l, u, d) = (&factors.l, &factors.l.transpose(), &factors.d);
-            // Widths 1..=8 cover the narrow-panel rule and every lane
-            // remainder of the 4-wide AVX2 chunking; 17 is four chunks and
-            // a remainder.
+            // Widths 1..=8 cover every lane remainder of the 4-wide AVX2
+            // chunking, a lone right-hand side included; 17 is four chunks
+            // and a remainder.
             for width in [1usize, 2, 3, 4, 5, 6, 7, 8, 17] {
                 let b = panel(n, width, width as u64);
-                // Per kernel: [unit lower, unit upper, composite, scaled].
-                let mut got: Vec<[Vec<f64>; 4]> = Vec::new();
+                // Per kernel: [unit lower, unit upper, scaled].
+                let mut got: Vec<[Vec<f64>; 3]> = Vec::new();
                 for kind in [KernelKind::Scalar, KernelKind::Simd] {
                     pin_kernel(kind);
-                    let mut out = [Vec::new(), Vec::new(), Vec::new(), b.clone()];
+                    let mut out = [Vec::new(), Vec::new(), b.clone()];
                     solve_unit_lower_multi_into(l, &b, width, &mut out[0]).unwrap();
                     solve_unit_upper_multi_into(u, &b, width, &mut out[1]).unwrap();
-                    ldl_solve_multi_into(l, u, d, &b, width, &mut ws, &mut out[2]).unwrap();
-                    scale_diag_multi_into(d, width, &mut out[3]).unwrap();
+                    scale_diag_multi_into(d, width, &mut out[2]).unwrap();
                     got.push(out);
                 }
                 set_kernel_override(None);
@@ -122,6 +120,33 @@ proptest! {
             }
         }
     }
+}
+
+/// A pivot that is not finite or below the tolerance fails typed, at the
+/// position of the first such pivot, under the scalar pin, the SIMD pin and
+/// no pin, at a lone right-hand side and at the ladder's width 8.
+#[test]
+fn bad_pivots_fail_typed_under_every_kernel() {
+    let _pin = KERNEL_PIN.lock().unwrap_or_else(|e| e.into_inner());
+    for pin in [Some(KernelKind::Scalar), Some(KernelKind::Simd), None] {
+        match pin {
+            Some(kind) => pin_kernel(kind),
+            None => set_kernel_override(None),
+        }
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, 1e-301] {
+            for width in [1usize, 8] {
+                let mut panel = vec![1.0; 3 * width];
+                assert!(
+                    matches!(
+                        scale_diag_multi_into(&[2.0, bad, bad], width, &mut panel),
+                        Err(SparseError::SingularMatrix { pivot: 1 })
+                    ),
+                    "pivot {bad}, width {width}, pin {pin:?}"
+                );
+            }
+        }
+    }
+    set_kernel_override(None);
 }
 
 /// The k-NN distance kernel: every (query, tile) of a seeded corpus, with no
@@ -229,7 +254,8 @@ fn complete_factors_reconstruct_and_solve_a_wide_matrix() {
         assert!(diff < 1e-12, "column {j}: reconstruction error {diff}");
     }
     let b = panel(n, 1, 7);
-    let diff = max_abs_diff(&f.solve(&b).unwrap(), &dense.solve(&b).unwrap()).unwrap();
+    let x = support::ldl_solve(&f, &b);
+    let diff = max_abs_diff(&x, &dense.solve(&b).unwrap()).unwrap();
     assert!(diff < 1e-10, "solve differs from dense LU by {diff}");
 }
 
