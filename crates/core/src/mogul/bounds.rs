@@ -38,8 +38,13 @@ impl ClusterBounds {
         let num_clusters = ordering.num_clusters();
         let border = ordering.border_range();
         let mut max_within = vec![0.0f64; num_clusters];
-        let mut border_maps: Vec<std::collections::HashMap<usize, f64>> =
-            vec![std::collections::HashMap::new(); num_clusters];
+        let mut border_columns = Vec::with_capacity(num_clusters);
+        // `Ū_{i:j}` of the current cluster over border columns, indexed by
+        // `j − c_N`, with the columns the cluster touched. A max is
+        // order-free, so the scan order of the rows does not matter.
+        let mut column_max = vec![0.0f64; border.len];
+        let mut seen = vec![false; border.len];
+        let mut touched: Vec<usize> = Vec::new();
 
         for (cluster_idx, &range) in ordering.clusters.iter().enumerate() {
             let rows = layout.upper_rows(range);
@@ -51,23 +56,30 @@ impl ClusterBounds {
                         max_within[cluster_idx] = abs;
                     }
                     if j >= border.start && !border.contains(k) {
-                        let entry = border_maps[cluster_idx].entry(j).or_insert(0.0);
-                        if abs > *entry {
-                            *entry = abs;
+                        let slot = j - border.start;
+                        if !seen[slot] {
+                            seen[slot] = true;
+                            column_max[slot] = 0.0;
+                            touched.push(slot);
+                        }
+                        if abs > column_max[slot] {
+                            column_max[slot] = abs;
                         }
                     }
                 }
             }
+            touched.sort_unstable();
+            border_columns.push(
+                touched
+                    .iter()
+                    .map(|&slot| (border.start + slot, column_max[slot]))
+                    .collect(),
+            );
+            for &slot in &touched {
+                seen[slot] = false;
+            }
+            touched.clear();
         }
-
-        let border_columns = border_maps
-            .into_iter()
-            .map(|m| {
-                let mut v: Vec<(usize, f64)> = m.into_iter().collect();
-                v.sort_unstable_by_key(|&(j, _)| j);
-                v
-            })
-            .collect();
 
         ClusterBounds {
             max_within,
@@ -188,6 +200,7 @@ impl ClusterBounds {
 mod tests {
     use super::*;
     use crate::mogul::layout::StrictRows;
+    use crate::mogul::reference;
     use mogul_graph::ordering::{ClusterRange, NodeOrdering};
     use mogul_sparse::{CsrMatrix, Permutation};
 
@@ -246,6 +259,52 @@ mod tests {
         // Cluster 1 touches only column 4.
         let cols1 = bounds.border_columns(1);
         assert_eq!(cols1, &[(4, 0.1)]);
+    }
+
+    fn bits(bounds: &ClusterBounds) -> (Vec<u64>, Vec<Vec<(usize, u64)>>) {
+        (
+            bounds.max_within.iter().map(|v| v.to_bits()).collect(),
+            bounds
+                .border_columns
+                .iter()
+                .map(|c| c.iter().map(|&(j, v)| (j, v.to_bits())).collect())
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn dense_border_maxima_match_the_hash_map_bounds() {
+        use crate::mogul::{MogulConfig, MogulIndex};
+        use mogul_data::web::{web_like, WebLikeConfig};
+        use mogul_graph::knn::{knn_graph, KnnConfig};
+        use mogul_sparse::Factorization;
+
+        let reference = reference::hash_map_bounds(&layout(), &ordering());
+        assert_eq!(
+            bits(&ClusterBounds::precompute(&layout(), &ordering())),
+            bits(&reference)
+        );
+        for (topics, background_fraction) in [(8, 0.2), (30, 0.02)] {
+            let data = web_like(&WebLikeConfig {
+                num_points: 800,
+                num_topics: topics,
+                dim: 16,
+                background_fraction,
+                ..WebLikeConfig::default()
+            })
+            .unwrap();
+            let graph = knn_graph(data.features(), KnnConfig::with_k(8)).unwrap();
+            for factorization in [Factorization::Incomplete, Factorization::Complete] {
+                let config = MogulConfig {
+                    factorization,
+                    ..MogulConfig::default()
+                };
+                let index = MogulIndex::build(&graph, config).unwrap();
+                let reference = reference::hash_map_bounds(&index.layout, &index.ordering);
+                assert!(reference.border_columns.iter().any(|c| !c.is_empty()));
+                assert_eq!(bits(&index.bounds), bits(&reference));
+            }
+        }
     }
 
     /// The bound of a lone lane whose border scores are `x4`, `x5`.

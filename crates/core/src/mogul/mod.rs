@@ -22,6 +22,8 @@ mod batch;
 mod bounds;
 mod index;
 mod layout;
+#[cfg(test)]
+mod reference;
 mod search;
 
 pub use batch::{BatchWorkspace, SearchWorkspace, PANEL_WIDTH};

@@ -933,18 +933,18 @@ impl UpdatableIndex {
             self.features
                 .select_rows((0..total).filter(|&old| self.live[old])),
         );
-        let mut new_graph = Graph::empty(m);
-        for old in 0..total {
-            if !self.live[old] {
-                continue;
-            }
-            for &(v, w) in self.graph.neighbors(old) {
-                debug_assert!(self.live[v], "tombstones are always disconnected");
-                if v > old {
-                    new_graph.add_edge(new_of_old[old], new_of_old[v], w)?;
-                }
-            }
-        }
+        let (live, new_of_old) = (&self.live, &new_of_old);
+        let edges = (0..total).filter(|&old| live[old]).flat_map(|old| {
+            self.graph
+                .neighbors(old)
+                .iter()
+                .filter(move |&&(v, _)| v > old)
+                .map(move |&(v, w)| {
+                    debug_assert!(live[v], "tombstones are always disconnected");
+                    (new_of_old[old], new_of_old[v], w)
+                })
+        });
+        let new_graph = Graph::from_first_proposals(m, edges, |w| w)?;
 
         let index = MogulIndex::build(&new_graph, self.config)?;
         let oos = Arc::new(OutOfSampleIndex::new(

@@ -1,8 +1,9 @@
 //! Property-based tests of the synthetic dataset generators: every generated
 //! dataset must be structurally valid (finite features, consistent labels)
 //! and must exhibit the manifold/cluster structure the substitution argument
-//! in DESIGN.md relies on (same-class points are closer on average than
-//! different-class points).
+//! in `docs/ARCHITECTURE.md` ("Synthetic datasets stand in for the paper's
+//! image sets") relies on: same-class points are closer on average than
+//! different-class points.
 
 use mogul_data::coil::{coil_like, CoilLikeConfig};
 use mogul_data::faces::{attribute_like, AttributeLikeConfig};

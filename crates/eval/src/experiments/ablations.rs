@@ -1,6 +1,7 @@
 //! Ablation studies beyond the paper's figures.
 //!
-//! `DESIGN.md` calls out three design choices worth isolating:
+//! `docs/ARCHITECTURE.md` ("Ablations beyond the paper's figures") calls out
+//! three design choices worth isolating:
 //!
 //! * **Scaling** — Theorems 2 and 3 claim `O(n)` search time and memory; the
 //!   scaling ablation measures Mogul's precomputation time, per-query search

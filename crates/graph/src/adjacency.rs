@@ -26,12 +26,16 @@ pub fn symmetric_normalization(adjacency: &CsrMatrix) -> Result<CsrMatrix> {
             ncols: adjacency.ncols(),
         });
     }
-    let degrees = degree_vector(adjacency);
-    let inv_sqrt: Vec<f64> = degrees
+    let inv_sqrt = inv_sqrt_degrees(adjacency);
+    adjacency.scale_rows_cols(&inv_sqrt, &inv_sqrt)
+}
+
+/// `C^{-1/2}` as a vector, `0` for isolated nodes.
+fn inv_sqrt_degrees(adjacency: &CsrMatrix) -> Vec<f64> {
+    degree_vector(adjacency)
         .iter()
         .map(|&d| if d > 0.0 { 1.0 / d.sqrt() } else { 0.0 })
-        .collect();
-    adjacency.scale_rows_cols(&inv_sqrt, &inv_sqrt)
+        .collect()
 }
 
 /// The ranking system matrix `W = I − α S` with `S = C^{-1/2} A C^{-1/2}`.
@@ -45,15 +49,14 @@ pub fn ranking_system_matrix(adjacency: &CsrMatrix, alpha: f64) -> Result<CsrMat
             "alpha must lie strictly between 0 and 1, got {alpha}"
         )));
     }
-    let s = symmetric_normalization(adjacency)?;
-    let identity = CsrMatrix::identity(adjacency.nrows());
-    identity.add_scaled(-alpha, &s)
+    adjacency.identity_plus_scaled_congruence(-alpha, &inv_sqrt_degrees(adjacency))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::graph::Graph;
+    use crate::reference;
     use mogul_sparse::eigen::lanczos_largest;
 
     fn ring_graph(n: usize) -> Graph {
@@ -101,6 +104,51 @@ mod tests {
         // Positive definiteness: complete LDLᵀ succeeds with positive pivots.
         let f = mogul_sparse::factorize(&w, mogul_sparse::Factorization::Complete).unwrap();
         assert!(f.d.iter().all(|&d| d > 0.0));
+    }
+
+    #[test]
+    fn system_matrix_matches_the_scaled_copy_and_merge() {
+        for seed in 0..10u64 {
+            let g = reference::random_graph(seed, 250, 6, 11, seed % 2 == 1);
+            let a = g.adjacency_matrix();
+            for alpha in [0.99, 0.5, 1e-3] {
+                reference::assert_same_csr(
+                    &ranking_system_matrix(&a, alpha).unwrap(),
+                    &reference::ranking_system_matrix(&a, alpha).unwrap(),
+                );
+            }
+        }
+        // Not an adjacency matrix, but the same rounding and drops: stored
+        // diagonals, a zero-sum row (a zero scale, so an explicit-zero
+        // product), a product that underflows to zero, an empty row, and a
+        // 0 × 0 matrix.
+        let odd = CsrMatrix::from_triplets(
+            5,
+            5,
+            &[
+                (0, 0, 2.0),
+                (0, 3, 1.5),
+                (1, 0, 1.0),
+                (1, 2, -1.0),
+                (2, 1, 1e-300),
+                (2, 4, 1e300),
+                (3, 3, 0.25),
+                (3, 2, 1e-300),
+                (4, 2, 1e300),
+            ],
+        )
+        .unwrap();
+        for m in [odd, CsrMatrix::identity(0)] {
+            reference::assert_same_csr(
+                &ranking_system_matrix(&m, 0.99).unwrap(),
+                &reference::ranking_system_matrix(&m, 0.99).unwrap(),
+            );
+        }
+        let rect = CsrMatrix::from_triplets(2, 3, &[(0, 0, 1.0)]).unwrap();
+        assert_eq!(
+            ranking_system_matrix(&rect, 0.99).unwrap_err(),
+            reference::ranking_system_matrix(&rect, 0.99).unwrap_err()
+        );
     }
 
     #[test]

@@ -16,16 +16,38 @@ impl Clustering {
     /// Build from raw labels, renumbering them to be contiguous from zero
     /// (in order of first appearance).
     pub fn from_labels(raw: &[usize]) -> Self {
-        let mut remap: std::collections::HashMap<usize, usize> = std::collections::HashMap::new();
-        let mut labels = Vec::with_capacity(raw.len());
-        for &l in raw {
-            let next = remap.len();
-            let id = *remap.entry(l).or_insert(next);
-            labels.push(id);
+        // Each raw label gets a slot below `raw.len()`: the label itself when
+        // every label is below it (the case of every clustering in this
+        // crate), else its rank among the distinct labels.
+        let mut distinct = Vec::new();
+        if raw.iter().any(|&l| l >= raw.len()) {
+            distinct = raw.to_vec();
+            distinct.sort_unstable();
+            distinct.dedup();
         }
+        let slot = |l: usize| {
+            if distinct.is_empty() {
+                l
+            } else {
+                distinct.binary_search(&l).expect("every label is listed")
+            }
+        };
+        let mut remap = vec![usize::MAX; raw.len()];
+        let mut num_clusters = 0;
+        let labels = raw
+            .iter()
+            .map(|&l| {
+                let id = &mut remap[slot(l)];
+                if *id == usize::MAX {
+                    *id = num_clusters;
+                    num_clusters += 1;
+                }
+                *id
+            })
+            .collect();
         Clustering {
             labels,
-            num_clusters: remap.len(),
+            num_clusters,
         }
     }
 
@@ -114,6 +136,7 @@ impl Clustering {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::{self, Stream};
 
     #[test]
     fn renumbering_is_contiguous() {
@@ -123,6 +146,20 @@ mod tests {
         assert_eq!(c.sizes(), vec![2, 2, 1]);
         assert!(c.same_cluster(0, 2));
         assert!(!c.same_cluster(0, 1));
+    }
+
+    #[test]
+    fn renumbering_matches_first_appearance_order() {
+        let mut rng = Stream::new(7);
+        for len in [0, 1, 2, 9, 100, 1_000] {
+            for spread in [1, 3, len.max(1), 4 * len + 1] {
+                let dense: Vec<usize> = (0..len).map(|_| rng.below(spread)).collect();
+                let sparse: Vec<usize> = dense.iter().map(|&l| usize::MAX - 3 * l).collect();
+                for raw in [dense, sparse] {
+                    assert_eq!(Clustering::from_labels(&raw), reference::from_labels(&raw));
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,13 @@
 //! runs in time linear in the number of edges, and (3) the number of clusters
 //! is chosen automatically. The classic Louvain procedure implemented here
 //! (greedy local moving + graph aggregation) has exactly those properties; the
-//! substitution is documented in `DESIGN.md`.
+//! substitution is documented in `docs/ARCHITECTURE.md` ("Louvain stands in
+//! for Shiokawa et al.").
+//!
+//! Both phases run on flat arrays: a level graph is CSR, and the weights
+//! from a node (or a community) to its neighbouring communities gather in a
+//! dense buffer indexed by community with a list of the entries touched, so
+//! a sweep costs time linear in the edges with no hashing.
 
 use crate::clustering::labels::Clustering;
 use crate::graph::Graph;
@@ -62,36 +68,94 @@ pub fn modularity_score(graph: &Graph, clustering: &Clustering) -> f64 {
         .sum()
 }
 
-/// Weighted graph in contracted (community) space used between levels.
+/// Weighted graph in contracted (community) space used between levels, in
+/// CSR form: node `u`'s `(neighbour, weight)` pairs are
+/// `edges[offsets[u]..offsets[u + 1]]`, ascending by neighbour and without
+/// self-loops (a contracted community's internal weight is its self-loop).
 struct LevelGraph {
-    /// Adjacency lists including self-loops (`(neighbor, weight)`).
-    adj: Vec<Vec<(usize, f64)>>,
+    offsets: Vec<usize>,
+    edges: Vec<(usize, f64)>,
     /// Self-loop weight per node (intra-community weight folded during
     /// contraction).
     self_loops: Vec<f64>,
     total_weight: f64,
 }
 
+/// Per-community weights gathered over a run of edges: a dense buffer
+/// indexed by community plus the list of communities it touched, so that
+/// reading and clearing cost the run's length rather than the community
+/// count. Each community's weights are summed in edge order, starting from
+/// `0.0`.
+struct CommunityWeights {
+    weight: Vec<f64>,
+    seen: Vec<bool>,
+    touched: Vec<usize>,
+}
+
+impl CommunityWeights {
+    fn new(communities: usize) -> Self {
+        CommunityWeights {
+            weight: vec![0.0; communities],
+            seen: vec![false; communities],
+            touched: Vec::new(),
+        }
+    }
+
+    fn add(&mut self, community: usize, w: f64) {
+        if !self.seen[community] {
+            self.seen[community] = true;
+            self.weight[community] = 0.0;
+            self.touched.push(community);
+        }
+        self.weight[community] += w;
+    }
+
+    fn get(&self, community: usize) -> Option<f64> {
+        self.seen[community].then(|| self.weight[community])
+    }
+
+    /// Sort the touched communities ascending: the order every scan of them
+    /// follows, so that near-ties resolve the same way from run to run.
+    fn sort_touched(&mut self) {
+        self.touched.sort_unstable();
+    }
+
+    fn clear(&mut self) {
+        for &c in &self.touched {
+            self.seen[c] = false;
+        }
+        self.touched.clear();
+    }
+}
+
 impl LevelGraph {
     fn from_graph(graph: &Graph) -> Self {
         let n = graph.num_nodes();
-        let mut adj = Vec::with_capacity(n);
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut edges = Vec::with_capacity(2 * graph.num_edges());
+        offsets.push(0);
         for u in 0..n {
-            adj.push(graph.neighbors(u).to_vec());
+            edges.extend_from_slice(graph.neighbors(u));
+            offsets.push(edges.len());
         }
         LevelGraph {
-            adj,
+            offsets,
+            edges,
             self_loops: vec![0.0; n],
             total_weight: graph.total_weight(),
         }
     }
 
     fn num_nodes(&self) -> usize {
-        self.adj.len()
+        self.self_loops.len()
+    }
+
+    fn neighbors(&self, u: usize) -> &[(usize, f64)] {
+        &self.edges[self.offsets[u]..self.offsets[u + 1]]
     }
 
     fn weighted_degree(&self, u: usize) -> f64 {
-        self.adj[u].iter().map(|&(_, w)| w).sum::<f64>() + self.self_loops[u]
+        self.neighbors(u).iter().map(|&(_, w)| w).sum::<f64>() + self.self_loops[u]
     }
 
     /// One full Louvain local-moving pass. The moving is inherently
@@ -108,50 +172,43 @@ impl LevelGraph {
             return (community, 0.0);
         }
 
-        let mut neighbor_weights: std::collections::HashMap<usize, f64> =
-            std::collections::HashMap::new();
-        let mut candidates: Vec<(usize, f64)> = Vec::new();
+        let mut neighbor_weights = CommunityWeights::new(n);
         for _ in 0..config.max_sweeps {
             let mut moved = false;
             for u in 0..n {
                 let cu = community[u];
                 // Weights from u to each neighbouring community.
-                neighbor_weights.clear();
-                for &(v, w) in &self.adj[u] {
-                    if v == u {
-                        continue;
+                for &(v, w) in self.neighbors(u) {
+                    if v != u {
+                        neighbor_weights.add(community[v], w);
                     }
-                    *neighbor_weights.entry(community[v]).or_insert(0.0) += w;
                 }
                 // Temporarily remove u from its community.
                 sigma_tot[cu] -= degrees[u];
-                let w_to_own = neighbor_weights.get(&cu).copied().unwrap_or(0.0);
+                let w_to_own = neighbor_weights.get(cu).unwrap_or(0.0);
 
                 // Gain of joining community c: k_{u,c} − Σ_tot(c)·k_u / 2m
                 // (constant terms dropped; removal cost handled via w_to_own).
                 // The tie-breaking epsilon is relative to the node's weighted
                 // degree so that graphs with very small absolute edge weights
                 // (e.g. heat-kernel weights of far-apart points) still move.
-                // Candidates are scanned in ascending community order: the
-                // HashMap's iteration order is randomized per instance, and
-                // letting it pick among near-ties would make the clustering
-                // differ from run to run (and process to process).
+                // Candidates are scanned in ascending community order, so a
+                // near-tie resolves the same way in every run.
                 let epsilon = 1e-12 * degrees[u].max(f64::MIN_POSITIVE);
                 let mut best_community = cu;
                 let mut best_gain = w_to_own - sigma_tot[cu] * degrees[u] / two_m;
-                candidates.clear();
-                candidates.extend(neighbor_weights.iter().map(|(&c, &w)| (c, w)));
-                candidates.sort_unstable_by_key(|&(c, _)| c);
-                for &(c, w_uc) in &candidates {
+                neighbor_weights.sort_touched();
+                for &c in &neighbor_weights.touched {
                     if c == cu {
                         continue;
                     }
-                    let gain = w_uc - sigma_tot[c] * degrees[u] / two_m;
+                    let gain = neighbor_weights.weight[c] - sigma_tot[c] * degrees[u] / two_m;
                     if gain > best_gain + epsilon {
                         best_gain = gain;
                         best_community = c;
                     }
                 }
+                neighbor_weights.clear();
                 sigma_tot[best_community] += degrees[u];
                 if best_community != cu {
                     let old_gain = w_to_own - sigma_tot[cu] * degrees[u] / two_m;
@@ -168,37 +225,57 @@ impl LevelGraph {
     }
 
     /// Contract communities into super-nodes.
+    ///
+    /// Members are grouped per community by a counting sort (ascending node
+    /// order inside each), so every community's self-loop and every
+    /// `(community, community)` weight is summed in ascending member order,
+    /// each member's edges in adjacency order.
     fn aggregate(&self, community: &[usize]) -> (LevelGraph, Vec<usize>) {
         // Renumber communities contiguously.
         let clustering = Clustering::from_labels(community);
         let k = clustering.num_clusters();
-        let mut adj_maps: Vec<std::collections::HashMap<usize, f64>> =
-            vec![std::collections::HashMap::new(); k];
+        let labels = clustering.labels();
+        let mut starts = vec![0usize; k + 1];
+        for &c in labels {
+            starts[c + 1] += 1;
+        }
+        for c in 0..k {
+            starts[c + 1] += starts[c];
+        }
+        let mut members = vec![0usize; labels.len()];
+        let mut cursor = starts[..k].to_vec();
+        for (u, &c) in labels.iter().enumerate() {
+            members[cursor[c]] = u;
+            cursor[c] += 1;
+        }
+
+        let mut offsets = Vec::with_capacity(k + 1);
+        let mut edges = Vec::new();
         let mut self_loops = vec![0.0; k];
-        for u in 0..self.num_nodes() {
-            let cu = clustering.label(u);
-            self_loops[cu] += self.self_loops[u];
-            for &(v, w) in &self.adj[u] {
-                let cv = clustering.label(v);
-                if cu == cv {
-                    // Each undirected intra edge visited twice; fold half each time.
-                    self_loops[cu] += w / 2.0;
-                } else {
-                    *adj_maps[cu].entry(cv).or_insert(0.0) += w;
+        let mut weights = CommunityWeights::new(k);
+        offsets.push(0);
+        for cu in 0..k {
+            for &u in &members[starts[cu]..starts[cu + 1]] {
+                self_loops[cu] += self.self_loops[u];
+                for &(v, w) in self.neighbors(u) {
+                    let cv = labels[v];
+                    if cu == cv {
+                        // Each undirected intra edge visited twice; fold half each time.
+                        self_loops[cu] += w / 2.0;
+                    } else {
+                        weights.add(cv, w);
+                    }
                 }
             }
+            weights.sort_touched();
+            edges.extend(weights.touched.iter().map(|&cv| (cv, weights.weight[cv])));
+            weights.clear();
+            offsets.push(edges.len());
         }
-        let adj: Vec<Vec<(usize, f64)>> = adj_maps
-            .into_iter()
-            .map(|m| {
-                let mut v: Vec<(usize, f64)> = m.into_iter().collect();
-                v.sort_unstable_by_key(|&(id, _)| id);
-                v
-            })
-            .collect();
         (
             LevelGraph {
-                adj,
+                offsets,
+                edges,
                 self_loops,
                 total_weight: self.total_weight,
             },
@@ -245,8 +322,40 @@ pub fn modularity_clustering(graph: &Graph, config: &ModularityConfig) -> Cluste
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::reference;
+
+    /// Every level of the array Louvain, recorded like the oracle's: the
+    /// driver loop of [`modularity_clustering`] without the relabelling.
+    pub(crate) fn levels(graph: &Graph, config: &ModularityConfig) -> Vec<reference::Level> {
+        let mut trace = Vec::new();
+        if graph.num_nodes() == 0 || graph.num_edges() == 0 {
+            return trace;
+        }
+        let mut level = LevelGraph::from_graph(graph);
+        for _ in 0..config.max_levels {
+            let (community, gain) = level.local_moving(config);
+            let unchanged = community.iter().enumerate().all(|(i, &c)| c == i);
+            let rows = (0..level.num_nodes()).map(|u| level.neighbors(u));
+            trace.push(reference::Level::new(
+                rows,
+                &level.self_loops,
+                community.clone(),
+                gain,
+            ));
+            if unchanged {
+                break;
+            }
+            let (next_level, _) = level.aggregate(&community);
+            let converged = next_level.num_nodes() == level.num_nodes() || gain < config.min_gain;
+            level = next_level;
+            if converged {
+                break;
+            }
+        }
+        trace
+    }
 
     /// Two well-separated cliques joined by a single weak edge.
     fn two_cliques(size: usize) -> Graph {
@@ -291,9 +400,9 @@ mod tests {
 
     #[test]
     fn repeated_runs_return_the_identical_clustering() {
-        // 1280 nodes (256 cliques of 5 in a ring): every local-moving pass
-        // fills a freshly seeded `HashMap` per run, so an answer that leaned
-        // on its iteration order (PR 10's bug) would differ between runs.
+        // 1280 nodes (256 cliques of 5 in a ring): an answer that leaned on
+        // anything but the graph (a hash map's per-instance iteration order
+        // was once such a thing) would differ between runs.
         let clique = 5usize;
         let groups = 256usize;
         let n = clique * groups;
@@ -372,6 +481,68 @@ mod tests {
         let pair = Graph::from_edges(2, &[(0, 1, 1.0)]).unwrap();
         let c = modularity_clustering(&pair, &ModularityConfig::default());
         assert_eq!(c.len(), 2);
+    }
+
+    /// Two copies of `graph` side by side, with no edge between them.
+    fn disjoint_pair(graph: &Graph) -> Graph {
+        let n = graph.num_nodes();
+        let edges = (0..2 * n).flat_map(|u| {
+            graph
+                .neighbors(u % n)
+                .iter()
+                .filter(move |&&(v, _)| v > u % n)
+                .map(move |&(v, w)| (u, v + u / n * n, w))
+        });
+        Graph::from_first_proposals(2 * n, edges, |w| w).unwrap()
+    }
+
+    #[test]
+    fn matches_the_hash_map_louvain_on_random_graphs() {
+        let config = ModularityConfig::default();
+        let (mut multi_level, mut cases) = (0, 0);
+        for seed in 0..12u64 {
+            for (n, groups, isolated) in [(40, 3, 0), (200, 12, 5), (600, 30, 17)] {
+                for tied in [true, false] {
+                    let g = reference::random_graph(seed, n, groups, isolated, tied);
+                    for g in [disjoint_pair(&g), g] {
+                        let (want, want_levels) = reference::modularity_clustering(&g, &config);
+                        let got = modularity_clustering(&g, &config);
+                        assert_eq!(got, want, "seed {seed} n {} tied {tied}", g.num_nodes());
+                        assert!(
+                            levels(&g, &config) == want_levels,
+                            "seed {seed} tied {tied}"
+                        );
+                        multi_level += usize::from(want_levels.len() >= 3);
+                        cases += 1;
+                    }
+                }
+            }
+        }
+        // Most cases contract at least twice, so the later levels' CSR
+        // graphs (self-loops, aggregated weight bits) are compared too.
+        assert!(
+            multi_level * 2 > cases,
+            "{multi_level} of {cases} multi-level"
+        );
+    }
+
+    #[test]
+    fn matches_the_hash_map_louvain_under_tight_limits() {
+        // One sweep per level and a high gain floor stop Louvain early, on
+        // levels whose communities are still far from converged.
+        for (max_levels, max_sweeps, min_gain) in [(1, 1, 0.0), (3, 1, 1e-7), (12, 2, 1e-2)] {
+            let config = ModularityConfig {
+                max_levels,
+                max_sweeps,
+                min_gain,
+            };
+            for seed in 0..6u64 {
+                let g = reference::random_graph(seed, 300, 10, 3, seed % 2 == 0);
+                let (want, want_levels) = reference::modularity_clustering(&g, &config);
+                assert_eq!(modularity_clustering(&g, &config), want, "seed {seed}");
+                assert!(levels(&g, &config) == want_levels, "seed {seed}");
+            }
+        }
     }
 
     #[test]

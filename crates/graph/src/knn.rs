@@ -737,19 +737,15 @@ pub fn graph_from_neighbor_lists(
             "heat-kernel bandwidth must be positive and finite, got {sigma}"
         )));
     }
-    let mut graph = Graph::empty(neighbor_lists.len());
-    for (i, list) in neighbor_lists.iter().enumerate() {
-        for &(j, d) in list {
-            if i == j {
-                continue;
-            }
-            if graph.has_edge(i, j) {
-                continue;
-            }
-            graph.add_edge(i, j, heat_kernel_weight(d, sigma))?;
-        }
-    }
-    Ok(graph)
+    // The first listing of a pair, in list order, sets its weight.
+    let proposals = neighbor_lists.iter().enumerate().flat_map(|(i, list)| {
+        list.iter()
+            .filter(move |&&(j, _)| j != i)
+            .map(move |&(j, d)| (i, j, d))
+    });
+    Graph::from_first_proposals(neighbor_lists.len(), proposals, |d| {
+        heat_kernel_weight(d, sigma)
+    })
 }
 
 /// Build the k-NN graph of a set of feature vectors with exact search: run

@@ -29,6 +29,8 @@ pub mod graph;
 pub mod knn;
 pub mod ordering;
 pub mod persist;
+#[cfg(test)]
+mod reference;
 
 pub use clustering::labels::Clustering;
 pub use graph::Graph;

@@ -330,49 +330,63 @@ impl CsrMatrix {
         Ok(out)
     }
 
-    /// Sparse sum `self + alpha * other`. The result contains the union of
-    /// the two patterns (entries cancelling to exactly zero are dropped).
-    pub fn add_scaled(&self, alpha: f64, other: &CsrMatrix) -> Result<CsrMatrix> {
-        if self.nrows != other.nrows || self.ncols != other.ncols {
-            return Err(SparseError::DimensionMismatch {
-                op: "csr add_scaled",
-                left: (self.nrows, self.ncols),
-                right: (other.nrows, other.ncols),
+    /// `I + alpha · diag(scale) · self · diag(scale)` in one row pass.
+    ///
+    /// With `alpha = −α` and `scale = C^{-1/2}` this is the ranking system
+    /// matrix `W = I − α C^{-1/2} A C^{-1/2}` of Equation (2). Each entry is
+    /// `alpha · (a_ij · (s_i · s_j))` — the rounding of
+    /// [`CsrMatrix::scale_rows_cols`] scaled by `alpha` — plus `1.0` on the
+    /// diagonal, and an entry that comes out exactly zero (a diagonal only
+    /// if a stored `a_ii` cancels it) is dropped.
+    pub fn identity_plus_scaled_congruence(&self, alpha: f64, scale: &[f64]) -> Result<CsrMatrix> {
+        if self.nrows != self.ncols {
+            return Err(SparseError::NotSquare {
+                nrows: self.nrows,
+                ncols: self.ncols,
             });
         }
-        let mut indptr = Vec::with_capacity(self.nrows + 1);
-        let mut indices = Vec::with_capacity(self.nnz() + other.nnz());
-        let mut values = Vec::with_capacity(self.nnz() + other.nnz());
+        if scale.len() != self.nrows {
+            return Err(SparseError::DimensionMismatch {
+                op: "identity_plus_scaled_congruence",
+                left: (self.nrows, self.ncols),
+                right: (scale.len(), scale.len()),
+            });
+        }
+        let n = self.nrows;
+        let mut indptr = Vec::with_capacity(n + 1);
+        let mut indices = Vec::with_capacity(self.nnz() + n);
+        let mut values = Vec::with_capacity(self.nnz() + n);
         indptr.push(0);
-        for i in 0..self.nrows {
-            let (ac, av) = self.row(i);
-            let (bc, bv) = other.row(i);
-            let (mut pa, mut pb) = (0usize, 0usize);
-            while pa < ac.len() || pb < bc.len() {
-                let (col, val) = if pb >= bc.len() || (pa < ac.len() && ac[pa] < bc[pb]) {
-                    let out = (ac[pa], av[pa]);
-                    pa += 1;
-                    out
-                } else if pa >= ac.len() || bc[pb] < ac[pa] {
-                    let out = (bc[pb], alpha * bv[pb]);
-                    pb += 1;
-                    out
+        for i in 0..n {
+            let (cols, vals) = self.row(i);
+            let mut diagonal_done = false;
+            for (&j, &a) in cols.iter().zip(vals) {
+                if j > i && !diagonal_done {
+                    indices.push(i);
+                    values.push(1.0);
+                    diagonal_done = true;
+                }
+                let scaled = alpha * (a * (scale[i] * scale[j]));
+                let val = if j == i {
+                    diagonal_done = true;
+                    1.0 + scaled
                 } else {
-                    let out = (ac[pa], av[pa] + alpha * bv[pb]);
-                    pa += 1;
-                    pb += 1;
-                    out
+                    scaled
                 };
                 if val != 0.0 {
-                    indices.push(col);
+                    indices.push(j);
                     values.push(val);
                 }
+            }
+            if !diagonal_done {
+                indices.push(i);
+                values.push(1.0);
             }
             indptr.push(indices.len());
         }
         Ok(CsrMatrix {
-            nrows: self.nrows,
-            ncols: self.ncols,
+            nrows: n,
+            ncols: n,
             indptr,
             indices,
             values,
@@ -572,22 +586,24 @@ mod tests {
     }
 
     #[test]
-    fn add_scaled_merges_patterns() {
-        let a = CsrMatrix::from_triplets(2, 2, &[(0, 0, 1.0), (1, 1, 2.0)]).unwrap();
-        let b = CsrMatrix::from_triplets(2, 2, &[(0, 1, 3.0), (1, 1, 4.0)]).unwrap();
-        let c = a.add_scaled(2.0, &b).unwrap();
+    fn identity_plus_scaled_congruence_merges_the_diagonal() {
+        // Row 0 has no stored diagonal, row 1 one past its off-diagonal.
+        let a = CsrMatrix::from_triplets(2, 2, &[(0, 1, 3.0), (1, 0, 3.0), (1, 1, 4.0)]).unwrap();
+        let c = a.identity_plus_scaled_congruence(2.0, &[1.0, 0.5]).unwrap();
+        assert_eq!(c.indptr(), &[0, 2, 4]);
         assert_eq!(c.get(0, 0), 1.0);
-        assert_eq!(c.get(0, 1), 6.0);
-        assert_eq!(c.get(1, 1), 10.0);
-        // Cancellation drops the entry.
+        assert_eq!(c.get(0, 1), 2.0 * (3.0 * 0.5));
+        assert_eq!(c.get(1, 1), 1.0 + 2.0 * (4.0 * 0.25));
+        // A zero scale drops its products; row 1's diagonal cancels to
+        // exactly zero and is dropped too.
         let d = a
-            .add_scaled(
-                -0.5,
-                &CsrMatrix::from_triplets(2, 2, &[(0, 0, 2.0)]).unwrap(),
-            )
+            .identity_plus_scaled_congruence(-1.0, &[0.0, 0.5])
             .unwrap();
-        assert_eq!(d.nnz(), 1);
-        assert!(a.add_scaled(1.0, &CsrMatrix::identity(3)).is_err());
+        assert_eq!(d.indptr(), &[0, 1, 1]);
+        assert_eq!((d.indices(), d.values()), (&[0][..], &[1.0][..]));
+        assert!(a.identity_plus_scaled_congruence(1.0, &[1.0]).is_err());
+        let rect = CsrMatrix::from_triplets(1, 2, &[(0, 1, 1.0)]).unwrap();
+        assert!(rect.identity_plus_scaled_congruence(1.0, &[1.0]).is_err());
     }
 
     #[test]
