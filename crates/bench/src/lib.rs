@@ -8,7 +8,8 @@
 //!   every section, or one with `--only <name>` (see [`SECTIONS`]). Run it
 //!   with `cargo run -p mogul-bench --release --bin run_all -- [scale]
 //!   [--only <name>]`, where `scale` is one of `tiny`, `small`, `medium`,
-//!   `large` (default `MOGUL_SCALE`, then `small`).
+//!   `large` (default `MOGUL_SCALE`, then `small`). The scale and `--only`
+//!   are its only settings: every experiment runs at the paper's constants.
 //! * **`serve_net` / `load_gen`** (`src/bin/`): a standalone `MGW1` server
 //!   and a socket-level load generator that prints its table and keeps its
 //!   gates in the exit code. Neither is a benchmark of record: performance
@@ -18,7 +19,6 @@
 #![forbid(unsafe_code)]
 
 use mogul_data::suite::SuiteScale;
-use mogul_eval::ScenarioConfig;
 
 /// The sections `run_all` prints, in order; `--only` takes one of them.
 pub const SECTIONS: [&str; 12] = [
@@ -47,7 +47,8 @@ pub struct RunnerArgs {
 
 /// Parse `[scale] [--only <name>]` (in either order) from the arguments after
 /// the program name. The scale falls back to `env_scale` (`MOGUL_SCALE`),
-/// then to `small`; a `--only` name outside [`SECTIONS`] is an error.
+/// then to `small`; a scale name other than `tiny`, `small`, `medium` or
+/// `large` and a `--only` name outside [`SECTIONS`] are errors.
 pub fn parse_args(
     args: impl IntoIterator<Item = String>,
     env_scale: Option<String>,
@@ -70,27 +71,25 @@ pub fn parse_args(
         }
     }
     Ok(RunnerArgs {
-        scale: parse_scale(scale.or(env_scale).as_deref()),
+        scale: parse_scale(scale.or(env_scale).as_deref())?,
         only,
     })
 }
 
-/// Parse a scale name; unknown names fall back to `Small`.
-pub fn parse_scale(name: Option<&str>) -> SuiteScale {
-    match name.map(|s| s.to_ascii_lowercase()) {
-        Some(ref s) if s == "tiny" => SuiteScale::Tiny,
-        Some(ref s) if s == "medium" => SuiteScale::Medium,
-        Some(ref s) if s == "large" => SuiteScale::Large,
-        _ => SuiteScale::Small,
-    }
-}
-
-/// The experiment configuration used by every figure runner at a given scale.
-pub fn runner_config(scale: SuiteScale) -> ScenarioConfig {
-    ScenarioConfig {
-        scale,
-        num_queries: 10,
-        ..ScenarioConfig::default()
+/// Parse a scale name (any case); `None` is `Small`, an unknown name an
+/// error.
+pub fn parse_scale(name: Option<&str>) -> Result<SuiteScale, String> {
+    let Some(name) = name else {
+        return Ok(SuiteScale::Small);
+    };
+    match name.to_ascii_lowercase().as_str() {
+        "tiny" => Ok(SuiteScale::Tiny),
+        "small" => Ok(SuiteScale::Small),
+        "medium" => Ok(SuiteScale::Medium),
+        "large" => Ok(SuiteScale::Large),
+        _ => Err(format!(
+            "unknown scale `{name}`; one of: tiny, small, medium, large"
+        )),
     }
 }
 
@@ -100,11 +99,13 @@ mod tests {
 
     #[test]
     fn scale_parsing() {
-        assert_eq!(parse_scale(Some("tiny")), SuiteScale::Tiny);
-        assert_eq!(parse_scale(Some("MEDIUM")), SuiteScale::Medium);
-        assert_eq!(parse_scale(Some("large")), SuiteScale::Large);
-        assert_eq!(parse_scale(Some("bogus")), SuiteScale::Small);
-        assert_eq!(parse_scale(None), SuiteScale::Small);
+        assert_eq!(parse_scale(Some("tiny")), Ok(SuiteScale::Tiny));
+        assert_eq!(parse_scale(Some("small")), Ok(SuiteScale::Small));
+        assert_eq!(parse_scale(Some("MEDIUM")), Ok(SuiteScale::Medium));
+        assert_eq!(parse_scale(Some("large")), Ok(SuiteScale::Large));
+        assert_eq!(parse_scale(None), Ok(SuiteScale::Small));
+        let err = parse_scale(Some("bogus")).unwrap_err();
+        assert!(err.contains("`bogus`") && err.contains("tiny"), "{err}");
     }
 
     #[test]
@@ -128,13 +129,17 @@ mod tests {
         assert_eq!(parse(&[], None).unwrap().scale, SuiteScale::Small);
         assert!(parse(&["--only"], None).is_err());
         assert!(parse(&["--only", "fig10"], None).is_err());
+        // An unknown scale fails from the arguments and from the environment.
+        assert!(parse(&["huge"], None).is_err());
+        assert!(parse(&["--only", "fig1"], Some("huge")).is_err());
     }
 
     #[test]
-    fn runner_config_uses_paper_defaults() {
-        let config = runner_config(SuiteScale::Tiny);
-        assert_eq!(config.alpha, 0.99);
-        assert_eq!(config.knn_k, 5);
-        assert_eq!(config.num_queries, 10);
+    fn experiments_run_at_the_paper_settings() {
+        use mogul_eval::scenarios::{ALPHA, KNN_K, NUM_QUERIES, TOP_K};
+        assert_eq!(ALPHA, 0.99);
+        assert_eq!(KNN_K, 5);
+        assert_eq!(NUM_QUERIES, 10);
+        assert_eq!(TOP_K, 5);
     }
 }

@@ -15,37 +15,25 @@
 
 use crate::metrics::{mean, precision_at_k, retrieval_precision};
 use crate::report::Table;
-use crate::scenarios::{pick_queries, ScenarioConfig};
-use crate::timer::{format_secs, time_mean};
+use crate::scenarios::{params, pick_queries, KNN_K, NUM_QUERIES, SEED, TOP_K};
+use crate::timer::{format_secs, time_alternating, REPETITIONS};
 use crate::Result;
 use mogul_core::{InverseSolver, MogulConfig, MogulIndex, MrParams, Ranker};
 use mogul_data::coil::{coil_like, CoilLikeConfig};
 use mogul_graph::knn::{knn_graph, KnnConfig};
 
-/// Options of the scaling ablation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScalingOptions {
-    /// Numbers of objects for the COIL-like generator (24 poses each).
-    pub object_counts: Vec<usize>,
-    /// Poses per object.
-    pub poses_per_object: usize,
-    /// Queries measured per size.
-    pub num_queries: usize,
-}
-
-impl Default for ScalingOptions {
-    fn default() -> Self {
-        ScalingOptions {
-            object_counts: vec![10, 20, 40, 80],
-            poses_per_object: 24,
-            num_queries: 10,
-        }
-    }
-}
+/// Object counts of the scaling sweep's COIL-like databases.
+pub const SCALING_OBJECTS: [usize; 4] = [10, 20, 40, 80];
+/// Poses per object in the scaling sweep.
+pub const SCALING_POSES: usize = 24;
+/// α values of the parameter ablation (the paper fixes 0.99).
+pub const ALPHAS: [f64; 3] = [0.5, 0.9, 0.99];
+/// k-NN graph degrees of the parameter ablation (the paper fixes 5).
+pub const KNN_KS: [usize; 3] = [5, 10, 20];
 
 /// Scaling ablation: Mogul cost versus database size (Theorems 2 and 3).
-pub fn run_scaling(config: &ScenarioConfig, options: &ScalingOptions) -> Result<Table> {
-    let params = config.params()?;
+pub fn run_scaling() -> Result<Table> {
+    let params = params()?;
     let mut table = Table::new(
         "Ablation - Mogul cost vs database size (Theorems 2 and 3)",
         &[
@@ -57,14 +45,14 @@ pub fn run_scaling(config: &ScenarioConfig, options: &ScalingOptions) -> Result<
             "bytes / node",
         ],
     );
-    for &objects in &options.object_counts {
+    for objects in SCALING_OBJECTS {
         let data = coil_like(&CoilLikeConfig {
             num_objects: objects,
-            poses_per_object: options.poses_per_object,
+            poses_per_object: SCALING_POSES,
             dim: 32,
             ..Default::default()
         })?;
-        let graph = knn_graph(data.features(), KnnConfig::with_k(config.knn_k))?;
+        let graph = knn_graph(data.features(), KnnConfig::with_k(KNN_K))?;
         let index = MogulIndex::build(
             &graph,
             MogulConfig {
@@ -72,12 +60,13 @@ pub fn run_scaling(config: &ScenarioConfig, options: &ScalingOptions) -> Result<
                 ..MogulConfig::default()
             },
         )?;
-        let queries = pick_queries(data.len(), options.num_queries, config.seed);
-        let search_secs = time_mean(3, || {
+        let queries = pick_queries(data.len(), NUM_QUERIES, SEED);
+        let search_secs = time_alternating(REPETITIONS, 1, |_| {
             for &q in &queries {
-                let _ = index.search(q, 5).expect("search");
+                let _ = index.search(q, TOP_K).expect("search");
             }
-        }) / queries.len().max(1) as f64;
+        })[0]
+            / queries.len().max(1) as f64;
         let bytes = index.memory_bytes();
         table.add_row(vec![
             data.len().to_string(),
@@ -92,40 +81,16 @@ pub fn run_scaling(config: &ScenarioConfig, options: &ScalingOptions) -> Result<
     Ok(table)
 }
 
-/// Options of the parameter ablation (α and k-NN degree sweeps).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ParameterOptions {
-    /// α values to sweep (the paper fixes 0.99).
-    pub alphas: Vec<f64>,
-    /// k-NN graph degrees to sweep (the paper fixes 5).
-    pub knn_ks: Vec<usize>,
-    /// Number of answer nodes.
-    pub k: usize,
-    /// Queries per configuration.
-    pub num_queries: usize,
-}
-
-impl Default for ParameterOptions {
-    fn default() -> Self {
-        ParameterOptions {
-            alphas: vec![0.5, 0.9, 0.99],
-            knn_ks: vec![5, 10, 20],
-            k: 5,
-            num_queries: 10,
-        }
-    }
-}
-
 /// Parameter ablation on the COIL-like dataset: how α and the k-NN degree
 /// affect Mogul's accuracy and factor size.
-pub fn run_parameters(config: &ScenarioConfig, options: &ParameterOptions) -> Result<Table> {
+pub fn run_parameters() -> Result<Table> {
     let data = coil_like(&CoilLikeConfig {
         num_objects: 12,
         poses_per_object: 24,
         dim: 32,
         ..Default::default()
     })?;
-    let queries = pick_queries(data.len(), options.num_queries, config.seed);
+    let queries = pick_queries(data.len(), NUM_QUERIES, SEED);
     let mut table = Table::new(
         "Ablation - alpha and k-NN degree (COIL-like, top-5)",
         &[
@@ -138,9 +103,9 @@ pub fn run_parameters(config: &ScenarioConfig, options: &ParameterOptions) -> Re
         ],
     );
 
-    for &knn_k in &options.knn_ks {
+    for knn_k in KNN_KS {
         let graph = knn_graph(data.features(), KnnConfig::with_k(knn_k))?;
-        for &alpha in &options.alphas {
+        for alpha in ALPHAS {
             let params = MrParams::new(alpha)?;
             let inverse = InverseSolver::new(&graph, params)?;
             let index = MogulIndex::build(
@@ -155,9 +120,9 @@ pub fn run_parameters(config: &ScenarioConfig, options: &ParameterOptions) -> Re
             let mut pruned = 0usize;
             let mut considered = 0usize;
             for &q in &queries {
-                let reference = inverse.top_k(q, options.k)?;
+                let reference = inverse.top_k(q, TOP_K)?;
                 let (top, stats) =
-                    index.search_with_stats(q, options.k, mogul_core::SearchMode::Pruned)?;
+                    index.search_with_stats(q, TOP_K, mogul_core::SearchMode::Pruned)?;
                 p_at_k.push(precision_at_k(&top, &reference));
                 retrieval.push(retrieval_precision(&top, data.labels(), data.label(q))?);
                 pruned += stats.clusters_pruned;
@@ -180,47 +145,25 @@ pub fn run_parameters(config: &ScenarioConfig, options: &ParameterOptions) -> Re
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mogul_data::suite::SuiteScale;
-
-    fn tiny_config() -> ScenarioConfig {
-        ScenarioConfig {
-            scale: SuiteScale::Tiny,
-            num_queries: 3,
-            ..Default::default()
-        }
-    }
 
     #[test]
     fn scaling_table_grows_linearly_in_rows() {
-        let table = run_scaling(
-            &tiny_config(),
-            &ScalingOptions {
-                object_counts: vec![4, 8],
-                poses_per_object: 15,
-                num_queries: 3,
-            },
-        )
-        .unwrap();
-        assert_eq!(table.num_rows(), 2);
+        let table = run_scaling().unwrap();
+        assert_eq!(table.num_rows(), SCALING_OBJECTS.len());
         // The per-node footprint should stay in the same ballpark (O(n) memory).
         let small: f64 = table.cell(0, 5).unwrap().parse().unwrap();
-        let large: f64 = table.cell(1, 5).unwrap().parse().unwrap();
+        let large: f64 = table
+            .cell(table.num_rows() - 1, 5)
+            .unwrap()
+            .parse()
+            .unwrap();
         assert!(large < 3.0 * small, "per-node bytes {small} -> {large}");
     }
 
     #[test]
     fn parameter_table_covers_the_grid() {
-        let table = run_parameters(
-            &tiny_config(),
-            &ParameterOptions {
-                alphas: vec![0.9, 0.99],
-                knn_ks: vec![5],
-                k: 5,
-                num_queries: 3,
-            },
-        )
-        .unwrap();
-        assert_eq!(table.num_rows(), 2);
+        let table = run_parameters().unwrap();
+        assert_eq!(table.num_rows(), ALPHAS.len() * KNN_KS.len());
         for row in 0..table.num_rows() {
             let p: f64 = table.cell(row, 2).unwrap().parse().unwrap();
             assert!((0.0..=1.0).contains(&p));

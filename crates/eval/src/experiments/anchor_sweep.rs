@@ -10,33 +10,16 @@
 
 use crate::metrics::{mean, precision_at_k, retrieval_precision};
 use crate::report::Table;
-use crate::scenarios::{Scenario, ScenarioConfig};
-use crate::timer::{format_secs, time_mean};
+use crate::scenarios::{params, Scenario, TOP_K};
+use crate::timer::{format_secs, time_alternating, REPETITIONS};
 use crate::Result;
 use mogul_core::{
     EmrConfig, EmrSolver, InverseSolver, MogulConfig, MogulIndex, Ranker, TopKResult,
 };
 
-/// Options for the anchor sweep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AnchorSweepOptions {
-    /// Anchor counts to sweep (the paper goes from 10 to 1000 on a log axis).
-    pub anchor_counts: Vec<usize>,
-    /// Number of answer nodes (the paper uses the top five).
-    pub k: usize,
-    /// Repetitions when averaging search time.
-    pub repetitions: usize,
-}
-
-impl Default for AnchorSweepOptions {
-    fn default() -> Self {
-        AnchorSweepOptions {
-            anchor_counts: vec![10, 20, 50, 100, 200, 400],
-            k: 5,
-            repetitions: 3,
-        }
-    }
-}
+/// Anchor counts of the EMR sweep (the paper goes from 10 to 1000 on a log
+/// axis).
+pub const ANCHOR_COUNTS: [usize; 6] = [10, 20, 50, 100, 200, 400];
 
 /// One measured point of the sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,84 +37,57 @@ pub struct SweepPoint {
 }
 
 /// Run the sweep on one scenario (the paper uses the COIL-100 dataset).
-pub fn run_sweep(
-    scenario: &Scenario,
-    config: &ScenarioConfig,
-    options: &AnchorSweepOptions,
-) -> Result<Vec<SweepPoint>> {
-    let params = config.params()?;
+pub fn run_sweep(scenario: &Scenario) -> Result<Vec<SweepPoint>> {
+    let params = params()?;
     let labels = scenario.spec.dataset.labels();
     let queries = &scenario.queries;
-    let k = options.k;
 
     // Ground truth for P@k: the inverse-matrix top-k.
     let inverse = InverseSolver::new(&scenario.graph, params)?;
     let reference: Vec<TopKResult> = queries
         .iter()
-        .map(|&q| inverse.top_k(q, k))
+        .map(|&q| inverse.top_k(q, TOP_K))
         .collect::<Result<_>>()?;
 
-    let mut points = Vec::new();
-
-    // Anchor-free reference lines: Mogul and MogulE.
-    for exact in [false, true] {
-        let index = MogulIndex::build(
-            &scenario.graph,
-            MogulConfig {
-                params,
-                ..if exact {
-                    MogulConfig::exact()
-                } else {
-                    MogulConfig::default()
-                }
-            },
-        )?;
-        let mut p_at_k = Vec::new();
-        let mut retrieval = Vec::new();
-        for (qi, &q) in queries.iter().enumerate() {
-            let top = index.search(q, k)?;
-            p_at_k.push(precision_at_k(&top, &reference[qi]));
-            retrieval.push(retrieval_precision(&top, labels, labels[q])?);
-        }
-        let secs = time_mean(options.repetitions, || {
-            for &q in queries {
-                let _ = index.search(q, k).expect("mogul search");
-            }
-        }) / queries.len().max(1) as f64;
-        points.push(SweepPoint {
-            method: if exact { "MogulE" } else { "Mogul" }.to_string(),
-            anchors: 0,
-            precision_at_k: mean(&p_at_k),
-            retrieval_precision: mean(&retrieval),
-            search_secs: secs,
-        });
+    // The anchor-free reference lines, Mogul and MogulE, then EMR for every
+    // anchor count.
+    let mut methods: Vec<(String, usize, Box<dyn Ranker>)> = Vec::new();
+    for (name, config) in [
+        ("Mogul", MogulConfig::default()),
+        ("MogulE", MogulConfig::exact()),
+    ] {
+        let index = MogulIndex::build(&scenario.graph, MogulConfig { params, ..config })?;
+        methods.push((name.to_string(), 0, Box::new(index)));
     }
-
-    // EMR for every anchor count.
-    for &anchors in &options.anchor_counts {
+    for anchors in ANCHOR_COUNTS {
         let emr = EmrSolver::new(
             scenario.spec.dataset.features(),
             params,
             EmrConfig::with_anchors(anchors),
         )?;
+        methods.push((format!("EMR(d={anchors})"), anchors, Box::new(emr)));
+    }
+
+    let secs = time_alternating(REPETITIONS, methods.len(), |m| {
+        for &q in queries {
+            let _ = methods[m].2.top_k(q, TOP_K).expect("search");
+        }
+    });
+    let mut points = Vec::new();
+    for ((method, anchors, ranker), secs) in methods.into_iter().zip(secs) {
         let mut p_at_k = Vec::new();
         let mut retrieval = Vec::new();
         for (qi, &q) in queries.iter().enumerate() {
-            let top = emr.top_k(q, k)?;
+            let top = ranker.top_k(q, TOP_K)?;
             p_at_k.push(precision_at_k(&top, &reference[qi]));
             retrieval.push(retrieval_precision(&top, labels, labels[q])?);
         }
-        let secs = time_mean(options.repetitions, || {
-            for &q in queries {
-                let _ = emr.top_k(q, k).expect("emr search");
-            }
-        }) / queries.len().max(1) as f64;
         points.push(SweepPoint {
-            method: format!("EMR(d={anchors})"),
+            method,
             anchors,
             precision_at_k: mean(&p_at_k),
             retrieval_precision: mean(&retrieval),
-            search_secs: secs,
+            search_secs: secs / queries.len().max(1) as f64,
         });
     }
     Ok(points)
@@ -206,19 +162,9 @@ mod tests {
 
     #[test]
     fn sweep_produces_expected_series() {
-        let config = ScenarioConfig {
-            scale: SuiteScale::Tiny,
-            num_queries: 3,
-            ..Default::default()
-        };
-        let scenario = &limited_scenarios(&config, 1).unwrap()[0];
-        let options = AnchorSweepOptions {
-            anchor_counts: vec![5, 20],
-            k: 5,
-            repetitions: 1,
-        };
-        let points = run_sweep(scenario, &config, &options).unwrap();
-        assert_eq!(points.len(), 4); // Mogul, MogulE, EMR(5), EMR(20)
+        let scenario = &limited_scenarios(SuiteScale::Tiny, 1).unwrap()[0];
+        let points = run_sweep(scenario).unwrap();
+        assert_eq!(points.len(), 2 + ANCHOR_COUNTS.len()); // Mogul, MogulE, one EMR per count
         for p in &points {
             assert!((0.0..=1.0).contains(&p.precision_at_k), "{p:?}");
             assert!((0.0..=1.0).contains(&p.retrieval_precision), "{p:?}");
@@ -234,9 +180,9 @@ mod tests {
         let t2 = figure2_table(&points);
         let t3 = figure3_table(&points);
         let t4 = figure4_table(&points);
-        assert_eq!(t2.num_rows(), 4);
-        assert_eq!(t3.num_rows(), 4);
-        assert_eq!(t4.num_rows(), 4);
-        assert!(t2.to_string().contains("EMR(d=5)"));
+        assert_eq!(t2.num_rows(), points.len());
+        assert_eq!(t3.num_rows(), points.len());
+        assert_eq!(t4.num_rows(), points.len());
+        assert!(t2.to_string().contains("EMR(d=10)"));
     }
 }

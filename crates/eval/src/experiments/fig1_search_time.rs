@@ -8,52 +8,27 @@
 //! reproduction scale.
 
 use crate::report::Table;
-use crate::scenarios::{Scenario, ScenarioConfig};
-use crate::timer::{format_secs, time_mean};
+use crate::scenarios::{params, Scenario, EMR_ANCHORS, TOP_K};
+use crate::timer::{format_secs, time_alternating, REPETITIONS};
 use crate::Result;
 use mogul_core::{
     EmrConfig, EmrSolver, FmrConfig, FmrSolver, InverseSolver, IterativeConfig, IterativeSolver,
     MogulConfig, MogulIndex, Ranker,
 };
 
-/// Options of the Figure 1 experiment.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Fig1Options {
-    /// Values of k for the Mogul(k) columns.
-    pub mogul_ks: Vec<usize>,
-    /// Number of EMR anchor points (the paper uses 10 in this figure).
-    pub emr_anchors: usize,
-    /// FMR low-rank target (the paper uses 250).
-    pub fmr_rank: usize,
-    /// Skip the dense Inverse baseline on datasets larger than this.
-    pub inverse_max_n: usize,
-    /// Skip FMR on datasets larger than this (its block solves degenerate
-    /// towards dense behaviour on badly partitioned graphs).
-    pub fmr_max_n: usize,
-    /// Repetitions per query when averaging search time.
-    pub repetitions: usize,
-}
-
-impl Default for Fig1Options {
-    fn default() -> Self {
-        Fig1Options {
-            mogul_ks: vec![5, 10, 15, 20],
-            emr_anchors: 10,
-            fmr_rank: 250,
-            inverse_max_n: 2_500,
-            fmr_max_n: 6_000,
-            repetitions: 3,
-        }
-    }
-}
+/// Values of k for the Mogul(k) rows.
+pub const MOGUL_KS: [usize; 4] = [5, 10, 15, 20];
+/// FMR's low-rank target.
+pub const FMR_RANK: usize = 250;
+/// Datasets larger than this skip the dense Inverse baseline.
+pub const INVERSE_MAX_N: usize = 2_500;
+/// Datasets larger than this skip FMR (its block solves degenerate towards
+/// dense behaviour on badly partitioned graphs).
+pub const FMR_MAX_N: usize = 6_000;
 
 /// Run the Figure 1 measurement over the supplied scenarios.
-pub fn run(
-    scenarios: &[Scenario],
-    config: &ScenarioConfig,
-    options: &Fig1Options,
-) -> Result<Table> {
-    let params = config.params()?;
+pub fn run(scenarios: &[Scenario]) -> Result<Table> {
+    let params = params()?;
     let mut table = Table::new(
         "Figure 1 - search time per query [wall clock]",
         &["method", "dataset", "n", "search time", "seconds"],
@@ -63,8 +38,6 @@ pub fn run(
     for scenario in scenarios {
         let n = scenario.len();
         let queries = &scenario.queries;
-
-        // --- Mogul(k) -------------------------------------------------------
         let index = MogulIndex::build(
             &scenario.graph,
             MogulConfig {
@@ -72,81 +45,72 @@ pub fn run(
                 ..MogulConfig::default()
             },
         )?;
-        for &k in &options.mogul_ks {
-            let secs = time_mean(options.repetitions, || {
-                for &q in queries {
-                    let _ = index.search(q, k).expect("mogul search");
-                }
-            }) / queries.len().max(1) as f64;
-            add_time_row(&mut table, &format!("Mogul({k})"), scenario, n, secs);
-        }
-
-        // --- EMR -------------------------------------------------------------
         let emr = EmrSolver::new(
             scenario.spec.dataset.features(),
             params,
-            EmrConfig::with_anchors(options.emr_anchors),
+            EmrConfig::with_anchors(EMR_ANCHORS),
         )?;
-        let secs = time_mean(options.repetitions, || {
-            for &q in queries {
-                let _ = emr.top_k(q, 5).expect("emr search");
-            }
-        }) / queries.len().max(1) as f64;
-        add_time_row(&mut table, "EMR", scenario, n, secs);
-
-        // --- FMR -------------------------------------------------------------
-        if n <= options.fmr_max_n {
-            let fmr = FmrSolver::new(
-                &scenario.graph,
-                params,
-                FmrConfig {
-                    rank: options.fmr_rank,
-                    ..FmrConfig::default()
-                },
-            )?;
-            let secs = time_mean(1, || {
-                for &q in queries {
-                    let _ = fmr.top_k(q, 5).expect("fmr search");
-                }
-            }) / queries.len().max(1) as f64;
-            add_time_row(&mut table, "FMR", scenario, n, secs);
+        let fmr = if n <= FMR_MAX_N {
+            let config = FmrConfig {
+                rank: FMR_RANK,
+                ..FmrConfig::default()
+            };
+            Some(FmrSolver::new(&scenario.graph, params, config)?)
         } else {
-            add_skip_row(&mut table, "FMR", scenario, n);
-        }
-
-        // --- Iterative --------------------------------------------------------
+            None
+        };
         let iterative = IterativeSolver::new(&scenario.graph, params, IterativeConfig::default())?;
-        let secs = time_mean(1, || {
-            for &q in queries {
-                let _ = iterative.top_k(q, 5).expect("iterative search");
-            }
-        }) / queries.len().max(1) as f64;
-        add_time_row(&mut table, "Iterative", scenario, n, secs);
-
-        // --- Inverse -----------------------------------------------------------
-        if n <= options.inverse_max_n {
-            let inverse = InverseSolver::new(&scenario.graph, params)?;
-            // The per-query cost of the Inverse approach is the full dense
-            // score computation; the paper additionally charges the inverse
-            // itself to the search, which we report as a note instead.
-            let (_, build_secs) = crate::timer::time_once(|| {
-                InverseSolver::new(&scenario.graph, params).expect("inverse build")
+        // The paper charges the inversion itself to the Inverse search; it
+        // is clocked on its own and added to the per-query row.
+        let (inverse, inversion_secs) = if n <= INVERSE_MAX_N {
+            let mut inverse = None;
+            let secs = time_alternating(REPETITIONS, 1, |_| {
+                inverse = Some(InverseSolver::new(&scenario.graph, params).expect("inverse build"))
             });
-            let secs = time_mean(1, || {
-                for &q in queries {
-                    let _ = inverse.top_k(q, 5).expect("inverse search");
-                }
-            }) / queries.len().max(1) as f64;
-            add_time_row(&mut table, "Inverse (per query)", scenario, n, secs);
-            add_time_row(
-                &mut table,
-                "Inverse (incl. inversion)",
-                scenario,
-                n,
-                secs + build_secs,
-            );
+            (inverse, secs[0])
         } else {
-            add_skip_row(&mut table, "Inverse", scenario, n);
+            (None, 0.0)
+        };
+
+        // Every method's row (`None`: skipped at this size), the timed ones
+        // clocked in the same rounds.
+        let mut rows: Vec<(String, usize, Option<&dyn Ranker>)> = MOGUL_KS
+            .iter()
+            .map(|&k| (format!("Mogul({k})"), k, Some(&index as &dyn Ranker)))
+            .collect();
+        rows.push(("EMR".into(), TOP_K, Some(&emr)));
+        rows.push(("FMR".into(), TOP_K, fmr.as_ref().map(|f| f as &dyn Ranker)));
+        rows.push(("Iterative".into(), TOP_K, Some(&iterative)));
+        let inverse_row = match inverse {
+            Some(_) => "Inverse (per query)",
+            None => "Inverse",
+        };
+        let inverse = inverse.as_ref().map(|i| i as &dyn Ranker);
+        rows.push((inverse_row.into(), TOP_K, inverse));
+        let timed: Vec<(usize, &dyn Ranker)> = rows
+            .iter()
+            .filter_map(|&(_, k, ranker)| Some((k, ranker?)))
+            .collect();
+        let secs = time_alternating(REPETITIONS, timed.len(), |m| {
+            let (k, ranker) = timed[m];
+            for &q in queries {
+                let _ = ranker.top_k(q, k).expect("search");
+            }
+        });
+        let mut per_query = secs.iter().map(|s| s / queries.len().max(1) as f64);
+        let mut last = 0.0;
+        for (method, _, ranker) in &rows {
+            match ranker {
+                Some(_) => {
+                    last = per_query.next().expect("one time per timed row");
+                    add_time_row(&mut table, method, scenario, n, last);
+                }
+                None => add_skip_row(&mut table, method, scenario, n),
+            }
+        }
+        if inverse.is_some() {
+            let total = last + inversion_secs;
+            add_time_row(&mut table, "Inverse (incl. inversion)", scenario, n, total);
         }
     }
     Ok(table)
@@ -180,20 +144,10 @@ mod tests {
 
     #[test]
     fn produces_a_row_per_method_and_dataset() {
-        let config = ScenarioConfig {
-            scale: SuiteScale::Tiny,
-            num_queries: 2,
-            ..Default::default()
-        };
-        let scenarios = limited_scenarios(&config, 1).unwrap();
-        let options = Fig1Options {
-            repetitions: 1,
-            mogul_ks: vec![5, 10],
-            ..Default::default()
-        };
-        let table = run(&scenarios, &config, &options).unwrap();
-        // 2 Mogul rows + EMR + FMR + Iterative + 2 Inverse rows = 7.
-        assert_eq!(table.num_rows(), 7);
+        let scenarios = limited_scenarios(SuiteScale::Tiny, 1).unwrap();
+        let table = run(&scenarios).unwrap();
+        // The Mogul rows + EMR + FMR + Iterative + 2 Inverse rows.
+        assert_eq!(table.num_rows(), MOGUL_KS.len() + 5);
         let rendered = table.to_string();
         assert!(rendered.contains("Mogul(5)"));
         assert!(rendered.contains("EMR"));

@@ -6,36 +6,14 @@
 //! Incomplete-Cholesky solve that ignores the sparse structure entirely.
 
 use crate::report::Table;
-use crate::scenarios::{Scenario, ScenarioConfig};
-use crate::timer::{format_secs, time_mean};
+use crate::scenarios::{params, Scenario, TOP_K};
+use crate::timer::{format_secs, time_alternating, REPETITIONS};
 use crate::Result;
 use mogul_core::{MogulConfig, MogulIndex, SearchMode};
 
-/// Options of the pruning ablation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Fig5Options {
-    /// Number of answer nodes (the paper uses the top five).
-    pub k: usize,
-    /// Repetitions per query when averaging.
-    pub repetitions: usize,
-}
-
-impl Default for Fig5Options {
-    fn default() -> Self {
-        Fig5Options {
-            k: 5,
-            repetitions: 3,
-        }
-    }
-}
-
 /// Run the Figure 5 ablation over the supplied scenarios.
-pub fn run(
-    scenarios: &[Scenario],
-    config: &ScenarioConfig,
-    options: &Fig5Options,
-) -> Result<Table> {
-    let params = config.params()?;
+pub fn run(scenarios: &[Scenario]) -> Result<Table> {
+    let params = params()?;
     let mut table = Table::new(
         "Figure 5 - effect of the pruning approach (top-5 search time)",
         &[
@@ -56,28 +34,26 @@ pub fn run(
             },
         )?;
         let queries = &scenario.queries;
-        let mut mode_secs = [0.0f64; 3];
-        for (slot, mode) in [
+        let modes = [
             SearchMode::Pruned,
             SearchMode::NoPruning,
             SearchMode::FullSubstitution,
-        ]
+        ];
+        let mode_secs: Vec<f64> = time_alternating(REPETITIONS, modes.len(), |m| {
+            for &q in queries {
+                let _ = index
+                    .search_with_stats(q, TOP_K, modes[m])
+                    .expect("mogul search");
+            }
+        })
         .into_iter()
-        .enumerate()
-        {
-            mode_secs[slot] = time_mean(options.repetitions, || {
-                for &q in queries {
-                    let _ = index
-                        .search_with_stats(q, options.k, mode)
-                        .expect("mogul search");
-                }
-            }) / queries.len().max(1) as f64;
-        }
+        .map(|secs| secs / queries.len().max(1) as f64)
+        .collect();
         // Pruning statistics (informative, matches the paper's discussion).
         let mut pruned = 0usize;
         let mut considered = 0usize;
         for &q in queries {
-            let (_, stats) = index.search_with_stats(q, options.k, SearchMode::Pruned)?;
+            let (_, stats) = index.search_with_stats(q, TOP_K, SearchMode::Pruned)?;
             pruned += stats.clusters_pruned;
             considered += stats.clusters_considered;
         }
@@ -104,21 +80,8 @@ mod tests {
 
     #[test]
     fn table_has_one_row_per_dataset() {
-        let config = ScenarioConfig {
-            scale: SuiteScale::Tiny,
-            num_queries: 3,
-            ..Default::default()
-        };
-        let scenarios = limited_scenarios(&config, 2).unwrap();
-        let table = run(
-            &scenarios,
-            &config,
-            &Fig5Options {
-                repetitions: 1,
-                k: 5,
-            },
-        )
-        .unwrap();
+        let scenarios = limited_scenarios(SuiteScale::Tiny, 2).unwrap();
+        let table = run(&scenarios).unwrap();
         assert_eq!(table.num_rows(), 2);
         let rendered = table.to_string();
         assert!(rendered.contains("COIL-100-like"));

@@ -7,7 +7,7 @@
 //! as pattern statistics plus an ASCII density plot per configuration.
 
 use crate::report::Table;
-use crate::scenarios::{Scenario, ScenarioConfig};
+use crate::scenarios::{params, Scenario, SEED};
 use crate::Result;
 use mogul_core::{MogulConfig, MogulIndex};
 use mogul_graph::ordering::random_ordering;
@@ -15,31 +15,12 @@ use mogul_sparse::stats::{
     block_diagonal_fraction, density_grid, pattern_stats, render_density_ascii,
 };
 
-/// Options of the sparsity-pattern experiment.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Fig6Options {
-    /// Side length of the ASCII density grid.
-    pub grid: usize,
-    /// Include the ASCII spy plots as table notes.
-    pub render_ascii: bool,
-}
-
-impl Default for Fig6Options {
-    fn default() -> Self {
-        Fig6Options {
-            grid: 24,
-            render_ascii: true,
-        }
-    }
-}
+/// Side length of the ASCII spy plots.
+pub const GRID: usize = 24;
 
 /// Run the Figure 6 comparison over the supplied scenarios.
-pub fn run(
-    scenarios: &[Scenario],
-    config: &ScenarioConfig,
-    options: &Fig6Options,
-) -> Result<Table> {
-    let params = config.params()?;
+pub fn run(scenarios: &[Scenario]) -> Result<Table> {
+    let params = params()?;
     let mut table = Table::new(
         "Figure 6 - non-zero structure of matrix L (Mogul ordering vs random ordering)",
         &[
@@ -72,7 +53,7 @@ pub fn run(
                         params,
                         ..MogulConfig::default()
                     },
-                    random_ordering(n, config.seed),
+                    random_ordering(n, SEED),
                 )?,
             ),
         ] {
@@ -89,14 +70,11 @@ pub fn run(
                 format!("{:.3}", block_fraction),
                 index.precompute_stats().boosted_pivots.to_string(),
             ]);
-            if options.render_ascii {
-                let grid = density_grid(l, options.grid);
-                table.add_note(format!(
-                    "{} / {label} ordering, L spy plot:\n{}",
-                    scenario.name(),
-                    render_density_ascii(&grid)
-                ));
-            }
+            table.add_note(format!(
+                "{} / {label} ordering, L spy plot:\n{}",
+                scenario.name(),
+                render_density_ascii(&density_grid(l, GRID))
+            ));
         }
     }
     table.add_note(
@@ -115,21 +93,8 @@ mod tests {
 
     #[test]
     fn mogul_ordering_is_more_block_diagonal_than_random() {
-        let config = ScenarioConfig {
-            scale: SuiteScale::Tiny,
-            num_queries: 1,
-            ..Default::default()
-        };
-        let scenarios = limited_scenarios(&config, 1).unwrap();
-        let table = run(
-            &scenarios,
-            &config,
-            &Fig6Options {
-                grid: 8,
-                render_ascii: false,
-            },
-        )
-        .unwrap();
+        let scenarios = limited_scenarios(SuiteScale::Tiny, 1).unwrap();
+        let table = run(&scenarios).unwrap();
         assert_eq!(table.num_rows(), 2);
         // Column 4 is the block-diagonal fraction; Mogul row comes first.
         let mogul_fraction: f64 = table.cell(0, 4).unwrap().parse().unwrap();

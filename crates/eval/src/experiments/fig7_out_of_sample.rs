@@ -7,8 +7,8 @@
 
 use crate::metrics::mean;
 use crate::report::Table;
-use crate::scenarios::{Scenario, ScenarioConfig};
-use crate::timer::{format_secs, time_once};
+use crate::scenarios::{params, Scenario, EMR_ANCHORS, KNN_K, NUM_QUERIES, SEED, TOP_K};
+use crate::timer::{format_secs, median, time_alternating, REPETITIONS};
 use crate::Result;
 use mogul_core::{
     out_of_sample::OutOfSampleConfig, EmrConfig, EmrSolver, MogulConfig, MogulIndex,
@@ -16,27 +16,6 @@ use mogul_core::{
 };
 use mogul_graph::knn::{knn_graph, KnnConfig};
 use std::sync::Arc;
-
-/// Options of the out-of-sample experiments.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Fig7Options {
-    /// Number of held-out query images per dataset.
-    pub num_queries: usize,
-    /// Number of answer nodes.
-    pub k: usize,
-    /// EMR anchor count.
-    pub emr_anchors: usize,
-}
-
-impl Default for Fig7Options {
-    fn default() -> Self {
-        Fig7Options {
-            num_queries: 10,
-            k: 5,
-            emr_anchors: 10,
-        }
-    }
-}
 
 /// Measured out-of-sample results for one dataset.
 #[derive(Debug, Clone)]
@@ -56,24 +35,14 @@ pub struct OutOfSampleMeasurement {
 }
 
 /// Run the measurement for every scenario.
-pub fn measure(
-    scenarios: &[Scenario],
-    config: &ScenarioConfig,
-    options: &Fig7Options,
-) -> Result<Vec<OutOfSampleMeasurement>> {
-    let params = config.params()?;
+pub fn measure(scenarios: &[Scenario]) -> Result<Vec<OutOfSampleMeasurement>> {
+    let params = params()?;
     let mut out = Vec::new();
     for scenario in scenarios {
-        let holdout = options
-            .num_queries
-            .min(scenario.len().saturating_sub(2))
-            .max(1);
-        let (db, queries) = scenario
-            .spec
-            .dataset
-            .split_out_queries(holdout, config.seed)?;
+        let holdout = NUM_QUERIES.min(scenario.len().saturating_sub(2)).max(1);
+        let (db, queries) = scenario.spec.dataset.split_out_queries(holdout, SEED)?;
         // The database graph must be rebuilt without the held-out points.
-        let graph = knn_graph(db.features(), KnnConfig::with_k(config.knn_k))?;
+        let graph = knn_graph(db.features(), KnnConfig::with_k(KNN_K))?;
         let index = MogulIndex::build(
             &graph,
             MogulConfig {
@@ -83,33 +52,40 @@ pub fn measure(
         )?;
         let features = Arc::new(db.features().clone());
         let oos = OutOfSampleIndex::new(index, features, OutOfSampleConfig::default())?;
-        let emr = EmrSolver::new(
-            db.features(),
-            params,
-            EmrConfig::with_anchors(options.emr_anchors),
-        )?;
+        let emr = EmrSolver::new(db.features(), params, EmrConfig::with_anchors(EMR_ANCHORS))?;
 
-        let mut nn_secs = Vec::new();
-        let mut topk_secs = Vec::new();
-        let mut emr_secs = Vec::new();
+        // Mogul's two phases are timed by the query itself; each round
+        // contributes its mean over the queries.
+        let (mut nn_rounds, mut topk_rounds) = (Vec::new(), Vec::new());
+        let secs = time_alternating(REPETITIONS, 2, |m| {
+            if m == 0 {
+                let (mut nn, mut topk) = (Vec::new(), Vec::new());
+                for (feature, _) in &queries {
+                    let result = oos.query(feature, TOP_K).expect("mogul out-of-sample");
+                    nn.push(result.nearest_neighbor_secs);
+                    topk.push(result.top_k_secs);
+                }
+                nn_rounds.push(mean(&nn));
+                topk_rounds.push(mean(&topk));
+            } else {
+                for (feature, _) in &queries {
+                    let _ = emr
+                        .top_k_for_feature(feature, TOP_K)
+                        .expect("emr out-of-sample");
+                }
+            }
+        });
         let mut precisions = Vec::new();
         for (feature, label) in &queries {
-            let result = oos.query(feature, options.k)?;
-            nn_secs.push(result.nearest_neighbor_secs);
-            topk_secs.push(result.top_k_secs);
+            let result = oos.query(feature, TOP_K)?;
             precisions.push(label_precision(&result.top_k, db.labels(), *label));
-            let (_, secs) = time_once(|| {
-                emr.top_k_for_feature(feature, options.k)
-                    .expect("emr out-of-sample")
-            });
-            emr_secs.push(secs);
         }
         out.push(OutOfSampleMeasurement {
             dataset: scenario.name().to_string(),
             n: db.len(),
-            mogul_nn_secs: mean(&nn_secs),
-            mogul_topk_secs: mean(&topk_secs),
-            emr_secs: mean(&emr_secs),
+            mogul_nn_secs: median(&mut nn_rounds),
+            mogul_topk_secs: median(&mut topk_rounds),
+            emr_secs: secs[1] / queries.len() as f64,
             mogul_precision: mean(&precisions),
         });
     }
@@ -184,18 +160,8 @@ mod tests {
 
     #[test]
     fn measurements_and_tables_are_produced() {
-        let config = ScenarioConfig {
-            scale: SuiteScale::Tiny,
-            num_queries: 2,
-            ..Default::default()
-        };
-        let scenarios = limited_scenarios(&config, 1).unwrap();
-        let options = Fig7Options {
-            num_queries: 3,
-            k: 5,
-            emr_anchors: 8,
-        };
-        let measurements = measure(&scenarios, &config, &options).unwrap();
+        let scenarios = limited_scenarios(SuiteScale::Tiny, 1).unwrap();
+        let measurements = measure(&scenarios).unwrap();
         assert_eq!(measurements.len(), 1);
         let m = &measurements[0];
         assert!(m.mogul_nn_secs >= 0.0);

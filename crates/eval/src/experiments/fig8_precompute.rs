@@ -7,32 +7,19 @@
 //! overall precomputation growing linearly in the number of nodes.
 
 use crate::report::Table;
-use crate::scenarios::{Scenario, ScenarioConfig};
-use crate::timer::format_secs;
+use crate::scenarios::{params, Scenario, SEED};
+use crate::timer::{format_secs, median, time_alternating, REPETITIONS};
 use crate::Result;
 use mogul_core::{MogulConfig, MogulIndex};
 use mogul_graph::ordering::random_ordering;
 
-/// Options of the precomputation experiment.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Fig8Options {
-    /// Repetitions used to stabilize the timing.
-    pub repetitions: usize,
-}
-
-impl Default for Fig8Options {
-    fn default() -> Self {
-        Fig8Options { repetitions: 3 }
-    }
-}
-
 /// Run the Figure 8 measurement over the supplied scenarios.
-pub fn run(
-    scenarios: &[Scenario],
-    config: &ScenarioConfig,
-    options: &Fig8Options,
-) -> Result<Table> {
-    let params = config.params()?;
+pub fn run(scenarios: &[Scenario]) -> Result<Table> {
+    let params = params()?;
+    let config = MogulConfig {
+        params,
+        ..MogulConfig::default()
+    };
     let mut table = Table::new(
         "Figure 8 - precomputation time (Mogul ordering vs random ordering)",
         &[
@@ -45,34 +32,24 @@ pub fn run(
         ],
     );
     for scenario in scenarios {
-        let reps = options.repetitions.max(1);
-        let mut mogul_total = 0.0;
-        let mut mogul_fact = 0.0;
-        let mut random_fact = 0.0;
-        for rep in 0..reps {
-            let mogul_index = MogulIndex::build(
-                &scenario.graph,
-                MogulConfig {
-                    params,
-                    ..MogulConfig::default()
-                },
-            )?;
-            mogul_total += mogul_index.precompute_stats().total_secs();
-            mogul_fact += mogul_index.precompute_stats().factorization_secs;
-
-            let random_index = MogulIndex::build_with_ordering(
-                &scenario.graph,
-                MogulConfig {
-                    params,
-                    ..MogulConfig::default()
-                },
-                random_ordering(scenario.graph.num_nodes(), config.seed + rep as u64),
-            )?;
-            random_fact += random_index.precompute_stats().factorization_secs;
-        }
-        mogul_total /= reps as f64;
-        mogul_fact /= reps as f64;
-        random_fact /= reps as f64;
+        // The two builds alternate; the factorization columns are the
+        // builds' own clocks, a fresh random ordering each round.
+        let graph = &scenario.graph;
+        let (mut mogul_fact, mut random_fact) = (Vec::new(), Vec::new());
+        let secs = time_alternating(REPETITIONS, 2, |m| {
+            if m == 0 {
+                let index = MogulIndex::build(graph, config).expect("mogul build");
+                mogul_fact.push(index.precompute_stats().factorization_secs);
+            } else {
+                let seed = SEED + random_fact.len() as u64;
+                let ordering = random_ordering(graph.num_nodes(), seed);
+                let index =
+                    MogulIndex::build_with_ordering(graph, config, ordering).expect("random build");
+                random_fact.push(index.precompute_stats().factorization_secs);
+            }
+        });
+        let (mogul_total, mogul_fact, random_fact) =
+            (secs[0], median(&mut mogul_fact), median(&mut random_fact));
         let saving = if random_fact > 0.0 {
             100.0 * (1.0 - mogul_fact / random_fact)
         } else {
@@ -101,13 +78,8 @@ mod tests {
 
     #[test]
     fn produces_one_row_per_dataset() {
-        let config = ScenarioConfig {
-            scale: SuiteScale::Tiny,
-            num_queries: 1,
-            ..Default::default()
-        };
-        let scenarios = limited_scenarios(&config, 2).unwrap();
-        let table = run(&scenarios, &config, &Fig8Options { repetitions: 1 }).unwrap();
+        let scenarios = limited_scenarios(SuiteScale::Tiny, 2).unwrap();
+        let table = run(&scenarios).unwrap();
         assert_eq!(table.num_rows(), 2);
         let rendered = table.to_string();
         assert!(rendered.contains("Mogul factorization"));

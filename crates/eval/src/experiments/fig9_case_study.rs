@@ -9,31 +9,19 @@
 //! label agreement.
 
 use crate::report::Table;
-use crate::scenarios::{Scenario, ScenarioConfig};
+use crate::scenarios::{params, Scenario};
 use crate::Result;
 use mogul_core::{EmrConfig, EmrSolver, MogulConfig, MogulIndex, Ranker};
 
-/// Options of the case study.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Fig9Options {
-    /// Number of retrieved items shown per query.
-    pub k: usize,
-    /// Number of queries shown.
-    pub num_queries: usize,
-    /// EMR anchor count. The paper uses 100 anchors for the 7,200-image
-    /// COIL-100 collection; `0` keeps that anchor-to-image ratio on the
-    /// synthetic stand-in (`max(5, n / 72)`).
-    pub emr_anchors: usize,
-}
+/// Queries shown.
+pub const CASE_QUERIES: usize = 4;
+/// Retrieved items shown per query.
+pub const CASE_K: usize = 4;
 
-impl Default for Fig9Options {
-    fn default() -> Self {
-        Fig9Options {
-            k: 4,
-            num_queries: 4,
-            emr_anchors: 0,
-        }
-    }
+/// EMR anchors for `n` items: the paper uses 100 anchors for the 7,200-image
+/// COIL-100 collection, and the synthetic stand-in keeps that ratio.
+fn case_anchors(n: usize) -> usize {
+    (n / 72).max(5)
 }
 
 fn describe(data: &mogul_data::Dataset, nodes: &[usize], query_label: usize) -> String {
@@ -49,8 +37,8 @@ fn describe(data: &mogul_data::Dataset, nodes: &[usize], query_label: usize) -> 
 }
 
 /// Run the case study on one scenario (the paper uses COIL-100).
-pub fn run(scenario: &Scenario, config: &ScenarioConfig, options: &Fig9Options) -> Result<Table> {
-    let params = config.params()?;
+pub fn run(scenario: &Scenario) -> Result<Table> {
+    let params = params()?;
     let data = &scenario.spec.dataset;
     let index = MogulIndex::build(
         &scenario.graph,
@@ -59,30 +47,24 @@ pub fn run(scenario: &Scenario, config: &ScenarioConfig, options: &Fig9Options) 
             ..MogulConfig::default()
         },
     )?;
-    let emr_anchors = if options.emr_anchors == 0 {
-        (data.len() / 72).max(5)
-    } else {
-        options.emr_anchors
-    };
     let emr = EmrSolver::new(
         data.features(),
         params,
-        EmrConfig::with_anchors(emr_anchors),
+        EmrConfig::with_anchors(case_anchors(data.len())),
     )?;
 
     let mut table = Table::new(
         "Figure 9 - retrieval case study (obj<label>, '=' same object as query, '!' different)",
         &["query", "Connected (k-NN)", "Mogul", "EMR"],
     );
-    for &query in scenario.queries.iter().take(options.num_queries) {
+    for &query in scenario.queries.iter().take(CASE_QUERIES) {
         let query_label = data.label(query);
         // "Connected": direct neighbours in the k-NN graph, strongest first.
         let mut connected: Vec<(usize, f64)> = scenario.graph.neighbors(query).to_vec();
         connected.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-        let connected_nodes: Vec<usize> =
-            connected.iter().take(options.k).map(|&(n, _)| n).collect();
-        let mogul_nodes = index.search(query, options.k)?.nodes();
-        let emr_nodes = emr.top_k(query, options.k)?.nodes();
+        let connected_nodes: Vec<usize> = connected.iter().take(CASE_K).map(|&(n, _)| n).collect();
+        let mogul_nodes = index.search(query, CASE_K)?.nodes();
+        let emr_nodes = emr.top_k(query, CASE_K)?.nodes();
         table.add_row(vec![
             format!("node {query} (obj{query_label})"),
             describe(data, &connected_nodes, query_label),
@@ -102,23 +84,9 @@ mod tests {
 
     #[test]
     fn case_study_rows_reference_objects() {
-        let config = ScenarioConfig {
-            scale: SuiteScale::Tiny,
-            num_queries: 3,
-            ..Default::default()
-        };
-        let scenario = &limited_scenarios(&config, 1).unwrap()[0];
-        let table = run(
-            scenario,
-            &config,
-            &Fig9Options {
-                k: 3,
-                num_queries: 2,
-                emr_anchors: 10,
-            },
-        )
-        .unwrap();
-        assert_eq!(table.num_rows(), 2);
+        let scenario = &limited_scenarios(SuiteScale::Tiny, 1).unwrap()[0];
+        let table = run(scenario).unwrap();
+        assert_eq!(table.num_rows(), CASE_QUERIES);
         let rendered = table.to_string();
         assert!(rendered.contains("obj"));
         // Mogul's retrieved objects on the ring dataset should match the query object.

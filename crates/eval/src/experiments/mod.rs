@@ -11,8 +11,12 @@
 //! | [`fig9_case_study`] | Figure 9 — qualitative retrieval comparison on the COIL-like dataset | §5.3 |
 //!
 //! Every module exposes a `run*` function returning [`crate::Table`]s with
-//! the same rows/series the paper plots; the binaries in `mogul-bench` print
-//! them.
+//! the same rows/series the paper plots; `run_all` in `mogul-bench` prints
+//! them. A runner takes only its scenarios (or nothing, for the ablations'
+//! own COIL-like databases): the shared settings are the constants of
+//! [`crate::scenarios`], and each figure's own ones (Fig. 1's Mogul(k) list,
+//! the anchor sweep, the ablation grids, Fig. 9's case size) sit next to it.
+//! Every clocked cell is timed by [`crate::timer::time_alternating`].
 
 pub mod ablations;
 pub mod anchor_sweep;

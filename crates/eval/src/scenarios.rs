@@ -1,4 +1,5 @@
-//! Shared experiment setup: synthetic dataset → k-NN graph → query workload.
+//! Shared experiment setup: synthetic dataset → k-NN graph → query workload,
+//! at the paper's fixed settings (§5).
 
 use crate::Result;
 use mogul_core::MrParams;
@@ -6,38 +7,22 @@ use mogul_data::suite::{standard_suite, DatasetSpec, SuiteScale};
 use mogul_graph::knn::{knn_graph, KnnConfig};
 use mogul_graph::Graph;
 
-/// Configuration shared by every experiment runner.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScenarioConfig {
-    /// Size of the synthetic stand-ins for the paper's four datasets.
-    pub scale: SuiteScale,
-    /// Number of nearest neighbours of the k-NN graph (the paper uses 5).
-    pub knn_k: usize,
-    /// Manifold Ranking `α` (the paper uses 0.99).
-    pub alpha: f64,
-    /// Number of query nodes sampled per dataset when averaging.
-    pub num_queries: usize,
-    /// Seed controlling query selection.
-    pub seed: u64,
-}
+/// Manifold Ranking `α` of every experiment.
+pub const ALPHA: f64 = 0.99;
+/// Nearest neighbours of every k-NN graph.
+pub const KNN_K: usize = 5;
+/// Answer nodes per query.
+pub const TOP_K: usize = 5;
+/// Query nodes sampled per dataset when averaging.
+pub const NUM_QUERIES: usize = 10;
+/// Seed of query selection, held-out splits and random orderings.
+pub const SEED: u64 = 2014;
+/// EMR anchor points where a figure does not sweep them.
+pub const EMR_ANCHORS: usize = 10;
 
-impl Default for ScenarioConfig {
-    fn default() -> Self {
-        ScenarioConfig {
-            scale: SuiteScale::Small,
-            knn_k: 5,
-            alpha: 0.99,
-            num_queries: 10,
-            seed: 2014,
-        }
-    }
-}
-
-impl ScenarioConfig {
-    /// Manifold Ranking parameters derived from the configuration.
-    pub fn params(&self) -> Result<MrParams> {
-        MrParams::new(self.alpha)
-    }
+/// Manifold Ranking parameters at [`ALPHA`].
+pub fn params() -> Result<MrParams> {
+    MrParams::new(ALPHA)
 }
 
 /// One prepared dataset: features, labels, k-NN graph and query workload.
@@ -53,9 +38,9 @@ pub struct Scenario {
 
 impl Scenario {
     /// Build a scenario from a dataset specification.
-    pub fn build(spec: DatasetSpec, config: &ScenarioConfig) -> Result<Scenario> {
-        let graph = knn_graph(spec.dataset.features(), KnnConfig::with_k(config.knn_k))?;
-        let queries = pick_queries(spec.dataset.len(), config.num_queries, config.seed);
+    pub fn build(spec: DatasetSpec) -> Result<Scenario> {
+        let graph = knn_graph(spec.dataset.features(), KnnConfig::with_k(KNN_K))?;
+        let queries = pick_queries(spec.dataset.len(), NUM_QUERIES, SEED);
         Ok(Scenario {
             spec,
             graph,
@@ -90,22 +75,18 @@ pub fn pick_queries(n: usize, count: usize, seed: u64) -> Vec<usize> {
 }
 
 /// Build all four standard scenarios in the paper's size order.
-pub fn standard_scenarios(config: &ScenarioConfig) -> Result<Vec<Scenario>> {
-    standard_suite(config.scale)?
-        .into_iter()
-        .map(|spec| Scenario::build(spec, config))
-        .collect()
+pub fn standard_scenarios(scale: SuiteScale) -> Result<Vec<Scenario>> {
+    limited_scenarios(scale, usize::MAX)
 }
 
 /// Build only the first `limit` standard scenarios (smallest datasets first);
 /// used by tests and by experiments that are too expensive for the larger
 /// datasets.
-pub fn limited_scenarios(config: &ScenarioConfig, limit: usize) -> Result<Vec<Scenario>> {
-    let mut specs = standard_suite(config.scale)?;
-    specs.truncate(limit);
-    specs
+pub fn limited_scenarios(scale: SuiteScale, limit: usize) -> Result<Vec<Scenario>> {
+    standard_suite(scale)?
         .into_iter()
-        .map(|spec| Scenario::build(spec, config))
+        .take(limit)
+        .map(Scenario::build)
         .collect()
 }
 
@@ -127,19 +108,14 @@ mod tests {
 
     #[test]
     fn limited_scenarios_build_graphs() {
-        let config = ScenarioConfig {
-            scale: SuiteScale::Tiny,
-            num_queries: 3,
-            ..Default::default()
-        };
-        let scenarios = limited_scenarios(&config, 1).unwrap();
+        let scenarios = limited_scenarios(SuiteScale::Tiny, 1).unwrap();
         assert_eq!(scenarios.len(), 1);
         let s = &scenarios[0];
         assert_eq!(s.name(), "COIL-100-like");
         assert!(!s.is_empty());
         assert_eq!(s.graph.num_nodes(), s.len());
         assert!(s.graph.num_edges() > 0);
-        assert_eq!(s.queries.len(), 3);
-        assert!(config.params().is_ok());
+        assert_eq!(s.queries.len(), NUM_QUERIES);
+        assert!(params().is_ok());
     }
 }

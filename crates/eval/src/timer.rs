@@ -1,23 +1,42 @@
-//! Wall-clock measurement helpers.
+//! The harness's one clock.
+//!
+//! Every timed cell of every table goes through [`time_alternating`]: it runs
+//! [`REPETITIONS`] rounds, each round calls every method the table compares
+//! once — forward on even rounds, in reverse on odd ones, so no method always
+//! runs first — and each method reports its median round.
 
 use std::time::Instant;
 
-/// Run `f` once and return its result together with the elapsed seconds.
-pub fn time_once<T>(f: impl FnOnce() -> T) -> (T, f64) {
-    let start = Instant::now();
-    let out = f();
-    (out, start.elapsed().as_secs_f64())
+/// Rounds of every clocked cell.
+pub const REPETITIONS: usize = 3;
+
+/// Run `rounds` rounds (at least one) of `methods` methods, calling
+/// `run(m)` once per method per round — `m` ascending on even rounds,
+/// descending on odd ones — and return each method's median wall-clock
+/// seconds over the rounds.
+pub fn time_alternating(rounds: usize, methods: usize, mut run: impl FnMut(usize)) -> Vec<f64> {
+    let rounds = rounds.max(1);
+    let mut secs = vec![Vec::with_capacity(rounds); methods];
+    for round in 0..rounds {
+        for i in 0..methods {
+            let m = if round % 2 == 0 { i } else { methods - 1 - i };
+            let start = Instant::now();
+            run(m);
+            secs[m].push(start.elapsed().as_secs_f64());
+        }
+    }
+    secs.iter_mut().map(|s| median(s)).collect()
 }
 
-/// Run `f` `iters` times and return the *mean* elapsed seconds per run
-/// (at least one run is always performed).
-pub fn time_mean(iters: usize, mut f: impl FnMut()) -> f64 {
-    let iters = iters.max(1);
-    let start = Instant::now();
-    for _ in 0..iters {
-        f();
+/// The median of `values` (the mean of the middle two for an even count,
+/// `NaN` for none); sorts `values` in place.
+pub fn median(values: &mut [f64]) -> f64 {
+    values.sort_by(f64::total_cmp);
+    match values.len() {
+        0 => f64::NAN,
+        n if n % 2 == 1 => values[n / 2],
+        n => (values[n / 2 - 1] + values[n / 2]) / 2.0,
     }
-    start.elapsed().as_secs_f64() / iters as f64
 }
 
 /// Format seconds compactly for the experiment tables: sub-millisecond values
@@ -39,24 +58,41 @@ pub fn format_secs(secs: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
-    fn time_once_returns_value_and_duration() {
-        let (value, secs) = time_once(|| 21 * 2);
-        assert_eq!(value, 42);
-        assert!(secs >= 0.0);
+    fn methods_alternate_direction_and_run_once_per_round() {
+        let mut calls = Vec::new();
+        let secs = time_alternating(REPETITIONS, 3, |m| calls.push(m));
+        assert_eq!(secs.len(), 3);
+        assert!(secs.iter().all(|&s| s >= 0.0));
+        let want: Vec<usize> = (0..REPETITIONS)
+            .flat_map(|round| if round % 2 == 0 { [0, 1, 2] } else { [2, 1, 0] })
+            .collect();
+        assert_eq!(calls, want);
+        for m in 0..3 {
+            assert_eq!(calls.iter().filter(|&&c| c == m).count(), REPETITIONS);
+        }
+        // Zero rounds still runs one.
+        let mut count = 0usize;
+        time_alternating(0, 1, |_| count += 1);
+        assert_eq!(count, 1);
     }
 
     #[test]
-    fn time_mean_averages() {
-        let mut count = 0usize;
-        let secs = time_mean(5, || count += 1);
-        assert_eq!(count, 5);
-        assert!(secs >= 0.0);
-        // Zero iterations still runs once.
-        let mut count = 0usize;
-        time_mean(0, || count += 1);
-        assert_eq!(count, 1);
+    fn the_reported_time_is_the_median_round() {
+        // Rounds of 0, 300 and 10 ms: the median is the 10 ms round, the
+        // mean would be above 100 ms.
+        let naps = [0u64, 300, 10];
+        let mut round = 0;
+        let secs = time_alternating(naps.len(), 1, |_| {
+            std::thread::sleep(Duration::from_millis(naps[round]));
+            round += 1;
+        })[0];
+        assert!((0.010..0.100).contains(&secs), "{secs}");
+        assert_eq!(median(&mut [3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(median(&mut [4.0, 1.0, 2.0, 3.0]), 2.5);
+        assert!(median(&mut []).is_nan());
     }
 
     #[test]

@@ -710,30 +710,35 @@ fn lockstep_query(client: &mut NetClient, server: &QueryServer, request: &QueryR
 
 #[test]
 fn lockstep_queries_at_an_idle_server_are_answered_by_their_reader() {
-    let options = ServeOptions::builder().workers(2).build().unwrap();
+    // One worker: an idle server is one whose workers are all parked, and
+    // the test can see that only of a worker that has answered something.
+    // A second worker whose thread has not yet run (a spawned thread can
+    // wait several milliseconds for a CPU under load) has never parked, so
+    // the reader hands the early queries to the first worker instead.
+    let options = ServeOptions::builder().workers(1).build().unwrap();
     let (server, db, held_out) = query_server(options);
     let backend = Gated::recording(Arc::clone(&server));
     let (handle, join) = serve(Arc::clone(&backend), options);
     let mut client = connect(&handle);
 
-    // A connection's first query goes to a worker. The worker retires it
-    // after parking again, so once it is retired the next lockstep query
-    // finds the server idle.
-    lockstep_query(&mut client, &server, &QueryRequest::in_database(0, 5));
-    wait_for(&handle, |r| r.inflight == 0);
-    let mut n = 1;
+    // A connection's first query goes to the worker; every later one must
+    // find the server idle. A worker writes a run's answers before it takes
+    // the queue lock to retire them, so a client can read its answer and get
+    // its next request admitted while the previous one still counts in the
+    // connection's `inflight`: that request is then not lockstep, and it and
+    // the next go to the worker. An answer received does not mean the server
+    // is idle, so wait for the retirement (the worker parks again under the
+    // same lock) before each query.
+    let mut n = 0;
+    let mut idle_query = |request: QueryRequest| {
+        wait_for(&handle, |r| r.inflight == 0);
+        lockstep_query(&mut client, &server, &request);
+        n += 1;
+    };
+    idle_query(QueryRequest::in_database(0, 5));
     for (i, (feature, _)) in held_out.iter().enumerate() {
-        lockstep_query(
-            &mut client,
-            &server,
-            &QueryRequest::in_database(i * 11 % db.len(), 4),
-        );
-        lockstep_query(
-            &mut client,
-            &server,
-            &QueryRequest::out_of_sample(feature.clone(), 6),
-        );
-        n += 2;
+        idle_query(QueryRequest::in_database(i * 11 % db.len(), 4));
+        idle_query(QueryRequest::out_of_sample(feature.clone(), 6));
     }
 
     let runs = backend.runs();
@@ -760,7 +765,7 @@ fn a_sharded_server_answers_lockstep_queries_on_the_reader_too() {
     let config = ShardedConfig::with_shards(2).builder(IndexBuilder::new().knn_k(4));
     let (index, _) = ShardedIndex::build(db.features(), config).unwrap();
     let (server, _writer) = ShardedWriter::new(index);
-    let options = ServeOptions::builder().workers(2).build().unwrap();
+    let options = ServeOptions::builder().workers(1).build().unwrap();
     let (handle, join) = serve(Arc::clone(&server), options);
     let mut client = connect(&handle);
 
@@ -774,12 +779,14 @@ fn a_sharded_server_answers_lockstep_queries_on_the_reader_too() {
             ]
         })
         .collect();
-    for (i, request) in requests.iter().enumerate() {
+    // As in the single-index test: one worker, which has parked once it has
+    // answered the first query, and an answer can reach the client before
+    // its worker retires it, so wait for the server to be idle before each
+    // lockstep query.
+    for request in &requests {
+        wait_for(&handle, |r| r.inflight == 0);
         let over_wire = client.query(request).unwrap();
         assert_same_answer(&over_wire, &server.query(request).unwrap());
-        if i == 0 {
-            wait_for(&handle, |r| r.inflight == 0);
-        }
     }
     let stats = handle.stats_report();
     assert_eq!(stats.answered_by_reader, requests.len() as u64 - 1);

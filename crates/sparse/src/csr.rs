@@ -254,17 +254,31 @@ impl CsrMatrix {
 
     /// Transpose into a new CSR matrix.
     pub fn transpose(&self) -> CsrMatrix {
-        let mut col_counts = vec![0usize; self.ncols];
+        self.transpose_into(Vec::new(), Vec::new(), Vec::new())
+    }
+
+    /// [`CsrMatrix::transpose`] into the given buffers (their contents are
+    /// discarded): a counting sort by column, which leaves every row of the
+    /// result in ascending column order.
+    fn transpose_into(
+        &self,
+        mut indptr: Vec<usize>,
+        mut indices: Vec<usize>,
+        mut values: Vec<f64>,
+    ) -> CsrMatrix {
+        indptr.clear();
+        indptr.resize(self.ncols + 1, 0);
         for &j in &self.indices {
-            col_counts[j] += 1;
+            indptr[j + 1] += 1;
         }
-        let mut indptr = vec![0usize; self.ncols + 1];
         for j in 0..self.ncols {
-            indptr[j + 1] = indptr[j] + col_counts[j];
+            indptr[j + 1] += indptr[j];
         }
-        let mut indices = vec![0usize; self.nnz()];
-        let mut values = vec![0.0; self.nnz()];
-        let mut next = indptr.clone();
+        indices.clear();
+        indices.resize(self.nnz(), 0);
+        values.clear();
+        values.resize(self.nnz(), 0.0);
+        let mut next = indptr[..self.ncols].to_vec();
         for i in 0..self.nrows {
             let (cols, vals) = self.row(i);
             for (&j, &v) in cols.iter().zip(vals.iter()) {
@@ -407,8 +421,9 @@ impl CsrMatrix {
     }
 
     /// Symmetric permutation `A' = P A Pᵀ`: entry `(i, j)` of the result is
-    /// entry `(old(i), old(j))` of `self`.
-    pub fn permute_symmetric(&self, perm: &Permutation) -> Result<CsrMatrix> {
+    /// entry `(old(i), old(j))` of `self`. Takes `self`: its buffers hold
+    /// the result.
+    pub fn permute_symmetric(self, perm: &Permutation) -> Result<CsrMatrix> {
         if self.nrows != self.ncols {
             return Err(SparseError::NotSquare {
                 nrows: self.nrows,
@@ -422,34 +437,40 @@ impl CsrMatrix {
                 right: (perm.len(), perm.len()),
             });
         }
-        let mut indptr = Vec::with_capacity(self.nrows + 1);
-        let mut indices = Vec::with_capacity(self.nnz());
-        let mut values = Vec::with_capacity(self.nnz());
-        indptr.push(0);
-        let mut row_buf: Vec<(usize, f64)> = Vec::new();
-        for new_i in 0..self.nrows {
-            let old_i = perm.old_index(new_i);
-            let (cols, vals) = self.row(old_i);
-            row_buf.clear();
-            row_buf.extend(
-                cols.iter()
-                    .zip(vals.iter())
-                    .map(|(&old_j, &v)| (perm.new_index(old_j), v)),
-            );
-            row_buf.sort_unstable_by_key(|&(j, _)| j);
-            for &(j, v) in &row_buf {
-                indices.push(j);
-                values.push(v);
-            }
-            indptr.push(indices.len());
+        // Two counting-sort passes, no comparison: scatter every entry of
+        // the permuted rows into its new column (the result's transpose),
+        // then transpose back, which leaves every row in ascending column
+        // order. The second pass writes into `self`'s buffers, so at most
+        // two copies of the matrix are alive, as with a sort of each row
+        // into a new matrix.
+        let n = self.nrows;
+        let mut indptr = vec![0usize; n + 1];
+        for &old_j in &self.indices {
+            indptr[perm.new_index(old_j) + 1] += 1;
         }
-        Ok(CsrMatrix {
-            nrows: self.nrows,
-            ncols: self.ncols,
+        for j in 0..n {
+            indptr[j + 1] += indptr[j];
+        }
+        let mut next = indptr[..n].to_vec();
+        let mut indices = vec![0usize; self.nnz()];
+        let mut values = vec![0.0; self.nnz()];
+        for new_i in 0..n {
+            let (cols, vals) = self.row(perm.old_index(new_i));
+            for (&old_j, &v) in cols.iter().zip(vals) {
+                let slot = &mut next[perm.new_index(old_j)];
+                indices[*slot] = new_i;
+                values[*slot] = v;
+                *slot += 1;
+            }
+        }
+        let transposed = CsrMatrix {
+            nrows: n,
+            ncols: n,
             indptr,
             indices,
             values,
-        })
+        };
+        Ok(transposed.transpose_into(self.indptr, self.indices, self.values))
     }
 
     /// Lower-triangular part (entries with `col <= row` when
@@ -496,6 +517,7 @@ impl CsrMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eigen::SplitMix64;
 
     fn sample() -> CsrMatrix {
         // [ 2 0 1 ]
@@ -620,7 +642,7 @@ mod tests {
     fn symmetric_permutation_matches_dense() {
         let m = sample();
         let perm = Permutation::from_new_to_old(vec![2, 0, 1]).unwrap();
-        let pm = m.permute_symmetric(&perm).unwrap();
+        let pm = m.clone().permute_symmetric(&perm).unwrap();
         for new_i in 0..3 {
             for new_j in 0..3 {
                 assert_eq!(
@@ -631,6 +653,119 @@ mod tests {
             }
         }
         assert!(m.permute_symmetric(&Permutation::identity(2)).is_err());
+    }
+
+    /// The comparison-sorting symmetric permutation `permute_symmetric`
+    /// replaced: gather each permuted row, sort it by new column.
+    fn permute_symmetric_by_sorting(m: &CsrMatrix, perm: &Permutation) -> CsrMatrix {
+        let mut indptr = vec![0];
+        let mut indices = Vec::new();
+        let mut values = Vec::new();
+        let mut row_buf: Vec<(usize, f64)> = Vec::new();
+        for new_i in 0..m.nrows {
+            let (cols, vals) = m.row(perm.old_index(new_i));
+            row_buf.clear();
+            row_buf.extend(
+                cols.iter()
+                    .zip(vals.iter())
+                    .map(|(&old_j, &v)| (perm.new_index(old_j), v)),
+            );
+            row_buf.sort_unstable_by_key(|&(j, _)| j);
+            for &(j, v) in &row_buf {
+                indices.push(j);
+                values.push(v);
+            }
+            indptr.push(indices.len());
+        }
+        CsrMatrix::from_raw_parts(m.nrows, m.ncols, indptr, indices, values).unwrap()
+    }
+
+    fn assert_same_bits(got: &CsrMatrix, want: &CsrMatrix) {
+        assert_eq!((got.nrows, got.ncols), (want.nrows, want.ncols));
+        assert_eq!(got.indptr, want.indptr);
+        assert_eq!(got.indices, want.indices);
+        let bits = |m: &CsrMatrix| m.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(got), bits(want));
+    }
+
+    /// A uniformly random permutation of `0..n` (Fisher–Yates).
+    fn random_permutation(rng: &mut SplitMix64, n: usize) -> Permutation {
+        let mut order: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            order.swap(i, rng.next_u64() as usize % (i + 1));
+        }
+        Permutation::from_new_to_old(order).unwrap()
+    }
+
+    #[test]
+    fn counting_permutation_matches_the_sorting_one_bit_for_bit() {
+        let mut rng = SplitMix64::new(43);
+        for n in [0, 1, 2, 3, 7, 40, 200] {
+            for density in [0.0, 0.05, 0.3, 1.0] {
+                // Random entries (signed zeros and subnormals among them),
+                // empty rows wherever a row draws nothing.
+                let (mut indptr, mut indices, mut values) = (vec![0], Vec::new(), Vec::new());
+                for _ in 0..n {
+                    for j in 0..n {
+                        if (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64 >= density {
+                            continue;
+                        }
+                        indices.push(j);
+                        values.push(match rng.next_u64() % 8 {
+                            0 => -0.0,
+                            1 => f64::MIN_POSITIVE / 4.0,
+                            _ => rng.next_symmetric(),
+                        });
+                    }
+                    indptr.push(indices.len());
+                }
+                let m = CsrMatrix::from_raw_parts(n, n, indptr, indices, values).unwrap();
+                for perm in [Permutation::identity(n), random_permutation(&mut rng, n)] {
+                    let got = m.clone().permute_symmetric(&perm).unwrap();
+                    assert_same_bits(&got, &permute_symmetric_by_sorting(&m, &perm));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn counting_permutation_matches_on_a_benchmark_shaped_w() {
+        // The `web_indb` shape: 12 000 nodes in 60 topics, five or six
+        // neighbours each — four in the node's topic, the rest anywhere —
+        // symmetrized, with a unit diagonal, under a topic-grouping
+        // ordering (what Algorithm 1 produces) and under a random one.
+        let (n, topics) = (12_000, 60);
+        let mut rng = SplitMix64::new(267_465);
+        let topic: Vec<usize> = (0..n).map(|_| rng.next_u64() as usize % topics).collect();
+        let mut members = vec![Vec::new(); topics];
+        for (i, &t) in topic.iter().enumerate() {
+            members[t].push(i);
+        }
+        let mut triplets: Vec<(usize, usize, f64)> = (0..n).map(|i| (i, i, 1.0)).collect();
+        for i in 0..n {
+            let near = &members[topic[i]];
+            for e in 0..5 + rng.next_u64() as usize % 2 {
+                let j = if e < 4 {
+                    near[rng.next_u64() as usize % near.len()]
+                } else {
+                    rng.next_u64() as usize % n
+                };
+                if j != i {
+                    let w = -0.99 * (rng.next_symmetric() + 1.0) / 12.0;
+                    triplets.extend([(i, j, w), (j, i, w)]);
+                }
+            }
+        }
+        let w = CsrMatrix::from_triplets(n, n, &triplets).unwrap();
+        assert!(w.nnz() > 120_000, "{}", w.nnz());
+        let mut grouped: Vec<usize> = members.concat();
+        let random = random_permutation(&mut rng, n);
+        grouped.rotate_left(n / 3);
+        let grouped = Permutation::from_new_to_old(grouped).unwrap();
+        for perm in [grouped, random] {
+            let got = w.clone().permute_symmetric(&perm).unwrap();
+            assert_same_bits(&got, &permute_symmetric_by_sorting(&w, &perm));
+        }
     }
 
     #[test]

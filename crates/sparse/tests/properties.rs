@@ -124,7 +124,7 @@ proptest! {
             order.swap(i, (state % (i as u64 + 1)) as usize);
         }
         let perm = Permutation::from_new_to_old(order).unwrap();
-        let permuted = matrix.permute_symmetric(&perm).unwrap();
+        let permuted = matrix.clone().permute_symmetric(&perm).unwrap();
         let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).cos()).collect();
 
         let ax = matrix.matvec(&x).unwrap();

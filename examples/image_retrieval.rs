@@ -12,7 +12,7 @@ use mogul_suite::core::{
 };
 use mogul_suite::data::coil::{coil_like, CoilLikeConfig};
 use mogul_suite::eval::metrics::{mean, precision_at_k, retrieval_precision};
-use mogul_suite::eval::timer::{format_secs, time_mean};
+use mogul_suite::eval::timer::{format_secs, time_alternating, REPETITIONS};
 use mogul_suite::graph::knn::{knn_graph, KnnConfig};
 
 fn main() {
@@ -52,41 +52,33 @@ fn main() {
     let emr = EmrSolver::new(dataset.features(), params, EmrConfig::with_anchors(10))
         .expect("emr solver");
 
-    for (name, top_k_fn) in [
-        (
-            "Mogul",
-            Box::new(|q: usize| mogul.search(q, k).expect("mogul"))
-                as Box<dyn Fn(usize) -> mogul_suite::core::TopKResult>,
-        ),
-        (
-            "EMR(d=10)",
-            Box::new(|q: usize| emr.top_k(q, k).expect("emr")),
-        ),
-        (
-            "Inverse",
-            Box::new(|q: usize| inverse.top_k(q, k).expect("inverse")),
-        ),
-    ] {
+    let methods: [(&str, &dyn Ranker); 3] = [
+        ("Mogul", &mogul),
+        ("EMR(d=10)", &emr),
+        ("Inverse", &inverse),
+    ];
+    // The three methods alternate over the rounds; each reports its median.
+    let secs = time_alternating(REPETITIONS, methods.len(), |m| {
+        for &q in &queries {
+            std::hint::black_box(methods[m].1.top_k(q, k).expect("search"));
+        }
+    });
+    for ((name, ranker), secs) in methods.into_iter().zip(secs) {
         let mut p_at_k = Vec::new();
         let mut retrieval = Vec::new();
         for (qi, &q) in queries.iter().enumerate() {
-            let top = top_k_fn(q);
+            let top = ranker.top_k(q, k).expect("search");
             p_at_k.push(precision_at_k(&top, &reference[qi]));
             retrieval.push(
                 retrieval_precision(&top, dataset.labels(), dataset.label(q))
                     .expect("retrieval precision"),
             );
         }
-        let secs = time_mean(3, || {
-            for &q in &queries {
-                std::hint::black_box(top_k_fn(q));
-            }
-        }) / queries.len() as f64;
         println!(
             "{name:<10}  P@{k} = {:.3}   retrieval precision = {:.3}   search time = {}",
             mean(&p_at_k),
             mean(&retrieval),
-            format_secs(secs)
+            format_secs(secs / queries.len() as f64)
         );
     }
 
