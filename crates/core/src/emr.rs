@@ -185,67 +185,6 @@ impl EmrSolver {
         self.anchors.len()
     }
 
-    /// Borrow the full solver state for the persistence writer (see
-    /// `crate::persist`): `(params, anchors, lambda, h, anchor_neighbors, n)`.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn persist_parts(
-        &self,
-    ) -> (MrParams, &FeatureMatrix, &[f64], &CsrMatrix, usize, usize) {
-        (
-            self.params,
-            &self.anchors,
-            &self.lambda,
-            &self.h,
-            self.anchor_neighbors,
-            self.n,
-        )
-    }
-
-    /// Reassemble a solver from persisted parts (the loader of
-    /// `crate::persist`), re-validating the shape invariants `EmrSolver::new`
-    /// guarantees beyond those the anchor matrix holds itself.
-    pub(crate) fn from_persist_parts(
-        params: MrParams,
-        anchors: FeatureMatrix,
-        lambda: Vec<f64>,
-        h: CsrMatrix,
-        anchor_neighbors: usize,
-        n: usize,
-    ) -> Result<Self> {
-        if anchors.is_empty() {
-            return Err(CoreError::InvalidInput(
-                "persisted EMR state has no anchors".into(),
-            ));
-        }
-        if lambda.len() != anchors.len() || h.ncols() != anchors.len() || h.nrows() != n {
-            return Err(CoreError::InvalidInput(format!(
-                "persisted EMR shapes disagree: {} anchors, {} degrees, H is {}x{}, n = {n}",
-                anchors.len(),
-                lambda.len(),
-                h.nrows(),
-                h.ncols()
-            )));
-        }
-        if anchor_neighbors == 0 {
-            return Err(CoreError::InvalidInput(
-                "persisted EMR anchor-neighbour count must be at least 1".into(),
-            ));
-        }
-        Ok(EmrSolver {
-            params,
-            anchors,
-            lambda,
-            h,
-            anchor_neighbors,
-            n,
-        })
-    }
-
-    /// The anchor coordinates, one row per anchor.
-    pub fn anchors(&self) -> &FeatureMatrix {
-        &self.anchors
-    }
-
     /// Ranking scores for a query that is **not** part of the database
     /// (out-of-sample query, Section 5.2.3 of the paper).
     ///
@@ -451,7 +390,7 @@ mod tests {
         assert!(solver.scores_for_feature(&[1.0]).is_err());
         assert_eq!(solver.name(), "EMR");
         assert_eq!(solver.num_nodes(), data.len());
-        assert_eq!(solver.anchors().len(), 8);
+        assert_eq!(solver.num_anchors(), 8);
     }
 
     #[test]

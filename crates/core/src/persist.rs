@@ -57,7 +57,6 @@
 //! See `docs/PERSISTENCE.md` for the operator-facing view (cold-start cost
 //! model, checkpointing recipes).
 
-use crate::emr::EmrSolver;
 use crate::mogul::{
     ClusterBounds, Factorization, MogulConfig, MogulIndex, PrecomputeStats, SearchLayout,
     StrictRows,
@@ -231,7 +230,9 @@ pub(crate) fn io_err(op: &'static str, path: Option<&Path>, err: std::io::Error)
 // Sections
 // ---------------------------------------------------------------------------
 
-/// The section kinds of format versions 1 and 2.
+/// The section kinds of format versions 1 and 2. Code 9 (the retired EMR
+/// baseline's anchor-graph state) is reserved: a loader skips it like any
+/// unknown section, and it is never reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SectionKind {
     /// Flavor, parameters, item count, dimensionality.
@@ -250,8 +251,6 @@ pub enum SectionKind {
     Graph,
     /// The updatable-index writer state (stable ids, policy, epoch).
     Updatable,
-    /// The EMR baseline's anchor-graph state.
-    Emr,
     /// The sharded-index manifest (shard files, checksums, id ranges).
     ShardManifest,
 }
@@ -268,7 +267,6 @@ impl SectionKind {
             SectionKind::Stats => 6,
             SectionKind::Graph => 7,
             SectionKind::Updatable => 8,
-            SectionKind::Emr => 9,
             SectionKind::ShardManifest => 10,
         }
     }
@@ -284,7 +282,6 @@ impl SectionKind {
             6 => SectionKind::Stats,
             7 => SectionKind::Graph,
             8 => SectionKind::Updatable,
-            9 => SectionKind::Emr,
             10 => SectionKind::ShardManifest,
             _ => return None,
         })
@@ -301,7 +298,6 @@ impl SectionKind {
             SectionKind::Stats => "stats",
             SectionKind::Graph => "graph",
             SectionKind::Updatable => "updatable",
-            SectionKind::Emr => "emr",
             SectionKind::ShardManifest => "shard-manifest",
         }
     }
@@ -311,15 +307,15 @@ fn name_of_code(code: u32) -> &'static str {
     SectionKind::from_code(code).map_or("unknown", SectionKind::name)
 }
 
-/// What an index file holds.
+/// What an index file holds. Code 2 (the retired EMR baseline flavor) is
+/// reserved: it fails to load like any unknown flavor, and it is never
+/// reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FileFlavor {
     /// An immutable serving index ([`OutOfSampleIndex`]).
     Index,
     /// The clean-epoch state of an [`UpdatableIndex`] (graph + ids included).
     Updatable,
-    /// The EMR baseline solver's anchor-graph state.
-    Emr,
 }
 
 impl FileFlavor {
@@ -327,7 +323,6 @@ impl FileFlavor {
         match self {
             FileFlavor::Index => 0,
             FileFlavor::Updatable => 1,
-            FileFlavor::Emr => 2,
         }
     }
 
@@ -335,7 +330,6 @@ impl FileFlavor {
         Some(match code {
             0 => FileFlavor::Index,
             1 => FileFlavor::Updatable,
-            2 => FileFlavor::Emr,
             _ => return None,
         })
     }
@@ -346,7 +340,6 @@ impl fmt::Display for FileFlavor {
         f.write_str(match self {
             FileFlavor::Index => "index",
             FileFlavor::Updatable => "updatable-index",
-            FileFlavor::Emr => "emr-baseline",
         })
     }
 }
@@ -920,35 +913,6 @@ pub fn save_updatable(index: &UpdatableIndex, path: impl AsRef<Path>) -> Result<
     })
 }
 
-/// Write the EMR baseline solver's anchor-graph state to a sink.
-pub fn save_emr_to<W: Write>(solver: &EmrSolver, sink: W) -> Result<W, PersistError> {
-    let (params, anchors, lambda, h, anchor_neighbors, n) = solver.persist_parts();
-    let meta = Meta {
-        flavor: FileFlavor::Emr,
-        params,
-        factorization: Factorization::Incomplete,
-        oos_config: OutOfSampleConfig::default(),
-        items: n,
-        dim: anchors.dim(),
-    };
-    let mut writer = SectionWriter::new(sink)?;
-    writer.write_section(SectionKind::Meta, &encode_meta(&meta))?;
-    let mut payload = Vec::new();
-    codec::put_usize(&mut payload, anchor_neighbors);
-    codec::put_usize(&mut payload, n);
-    codec::put_f64_slice(&mut payload, lambda);
-    codec::encode_features(anchors, &mut payload);
-    codec::encode_csr(h, &mut payload);
-    writer.write_section(SectionKind::Emr, &payload)?;
-    writer.finish()
-}
-
-/// Write the EMR baseline solver to a file (atomically, like
-/// [`save_index`]).
-pub fn save_emr(solver: &EmrSolver, path: impl AsRef<Path>) -> Result<(), PersistError> {
-    save_file(path.as_ref(), |sink| save_emr_to(solver, sink).map(drop))
-}
-
 /// Stream through a temp file + fsync + atomic rename so `path` only ever
 /// holds a complete container — even across a crash or power loss.
 ///
@@ -1107,7 +1071,7 @@ pub fn load_index_from_bytes(bytes: &[u8]) -> Result<OutOfSampleIndex, PersistEr
     if meta.flavor != FileFlavor::Index {
         return Err(PersistError::InvalidState(format!(
             "this is an {} file; load it with the matching loader \
-             (load_updatable / load_emr) or serve it via load_serving",
+             (load_updatable) or serve it via load_serving",
             meta.flavor
         )));
     }
@@ -1179,34 +1143,7 @@ pub fn load_updatable(path: impl AsRef<Path>) -> Result<UpdatableIndex, PersistE
     load_updatable_from_bytes(&read_file(path.as_ref())?)
 }
 
-/// Load an [`EmrSolver`] from raw container bytes.
-pub fn load_emr_from_bytes(bytes: &[u8]) -> Result<EmrSolver, PersistError> {
-    let sections = parse_container(bytes)?.sections;
-    let meta = decode_meta(find_section(&sections, SectionKind::Meta)?)?;
-    if meta.flavor != FileFlavor::Emr {
-        return Err(PersistError::InvalidState(format!(
-            "this is an {} file, not an EMR baseline file",
-            meta.flavor
-        )));
-    }
-    let err = decode_err(SectionKind::Emr);
-    let mut r = ByteReader::new(find_section(&sections, SectionKind::Emr)?);
-    let anchor_neighbors = r.take_usize("emr anchor neighbours").map_err(&err)?;
-    let n = r.take_usize("emr item count").map_err(&err)?;
-    let lambda = r.take_f64_vec("emr anchor degrees").map_err(&err)?;
-    let anchors = codec::decode_features(&mut r, "emr anchors").map_err(&err)?;
-    let h = codec::decode_csr(&mut r, "emr factor H").map_err(&err)?;
-    r.finish("emr").map_err(&err)?;
-    EmrSolver::from_persist_parts(meta.params, anchors, lambda, h, anchor_neighbors, n)
-        .map_err(&err)
-}
-
-/// Load an [`EmrSolver`] from a file written by [`save_emr`].
-pub fn load_emr(path: impl AsRef<Path>) -> Result<EmrSolver, PersistError> {
-    load_emr_from_bytes(&read_file(path.as_ref())?)
-}
-
-/// Load any serveable flavor as an epoch-stamped [`IndexSnapshot`] — the
+/// Load either flavor as an epoch-stamped [`IndexSnapshot`] — the
 /// warm-start entry point `mogul-serve` builds on. An `index` file becomes
 /// an epoch-0 snapshot with identity ids; an `updatable` file restores its
 /// persisted epoch and stable-id mapping (so ids handed out before the save
@@ -1215,27 +1152,21 @@ pub fn load_serving_from_bytes(bytes: &[u8]) -> Result<Arc<IndexSnapshot>, Persi
     let container = parse_container(bytes)?;
     let sections = &container.sections;
     let meta = decode_meta(find_section(sections, SectionKind::Meta)?)?;
-    match meta.flavor {
-        // Serving needs only the snapshot: skip the writer-side state (the
-        // graph decode, adjacency/degree tables and feature clone a
-        // read-only snapshot never touches). `load_updatable` is the path
-        // that reconstructs the full writer.
-        FileFlavor::Index | FileFlavor::Updatable => {
-            let oos = Arc::new(decode_oos(&container, &meta)?);
-            let n = oos.index().num_nodes();
-            let (ids, next_id, epoch) = if meta.flavor == FileFlavor::Updatable {
-                let u = decode_updatable_meta(find_section(sections, SectionKind::Updatable)?)?;
-                (u.ids, u.next_id, u.epoch)
-            } else {
-                ((0..n).collect(), n, 0)
-            };
-            crate::update::clean_snapshot(oos, ids, next_id, epoch)
-                .map_err(decode_err(SectionKind::Updatable))
+    // Serving needs only the snapshot: skip the writer-side state (the graph
+    // decode, adjacency/degree tables and feature clone a read-only snapshot
+    // never touches). `load_updatable` is the path that reconstructs the
+    // full writer.
+    let oos = Arc::new(decode_oos(&container, &meta)?);
+    let n = oos.index().num_nodes();
+    let (ids, next_id, epoch) = match meta.flavor {
+        FileFlavor::Index => ((0..n).collect(), n, 0),
+        FileFlavor::Updatable => {
+            let u = decode_updatable_meta(find_section(sections, SectionKind::Updatable)?)?;
+            (u.ids, u.next_id, u.epoch)
         }
-        FileFlavor::Emr => Err(PersistError::InvalidState(
-            "an EMR baseline file holds no serving index".into(),
-        )),
-    }
+    };
+    crate::update::clean_snapshot(oos, ids, next_id, epoch)
+        .map_err(decode_err(SectionKind::Updatable))
 }
 
 /// [`load_serving_from_bytes`] over a file path.

@@ -265,7 +265,9 @@ pub trait WritableIndex: sealed::Sealed + std::fmt::Debug + Send + Sized + 'stat
 /// [`MogulIndex::build`] (clustering, ordering, factorization, bounds) →
 /// out-of-sample layer, yielding an [`UpdatableIndex`] whose snapshots
 /// answer in-database and out-of-sample queries. A sharded build runs it
-/// once per shard.
+/// once per shard. Out-of-sample queries take
+/// [`OutOfSampleConfig::default()`]: five database neighbours, one probed
+/// cluster.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IndexBuilder {
     alpha: f64,
@@ -273,7 +275,6 @@ pub struct IndexBuilder {
     /// `Some(probes)` for the approximate k-NN graph.
     approximate: Option<usize>,
     factorization: Factorization,
-    out_of_sample_neighbors: usize,
     policy: RebuildPolicy,
 }
 
@@ -284,7 +285,6 @@ impl Default for IndexBuilder {
             knn_k: 5,
             approximate: None,
             factorization: Factorization::Incomplete,
-            out_of_sample_neighbors: 5,
             policy: RebuildPolicy::default(),
         }
     }
@@ -325,13 +325,6 @@ impl IndexBuilder {
     /// their exact nearest neighbours.
     pub fn approximate_graph(mut self, probes: usize) -> Self {
         self.approximate = Some(probes);
-        self
-    }
-
-    /// Override the number of database neighbours used by out-of-sample
-    /// queries.
-    pub fn out_of_sample_neighbors(mut self, neighbors: usize) -> Self {
-        self.out_of_sample_neighbors = neighbors;
         self
     }
 
@@ -376,10 +369,7 @@ impl IndexBuilder {
             factorization: self.factorization,
             ..MogulConfig::default()
         };
-        let oos_config = OutOfSampleConfig {
-            num_neighbors: self.out_of_sample_neighbors,
-            cluster_probes: 1,
-        };
+        let oos_config = OutOfSampleConfig::default();
         let n = features.len();
         let base = OutOfSampleIndex::new(MogulIndex::build(&graph, config)?, features, oos_config)?;
         UpdatableIndex::from_parts(
@@ -1534,6 +1524,31 @@ mod tests {
             .rebuild_policy(RebuildPolicy::never())
     }
 
+    /// A freshly built `index` whose out-of-sample queries take one
+    /// database neighbour, so an item's own feature seeds exactly that item.
+    fn with_one_out_of_sample_neighbor(index: UpdatableIndex) -> UpdatableIndex {
+        let oos_config = OutOfSampleConfig {
+            num_neighbors: 1,
+            ..OutOfSampleConfig::default()
+        };
+        let base = index.base.index().clone();
+        let base = OutOfSampleIndex::new(base, Arc::clone(&index.features), oos_config).unwrap();
+        let n = index.len();
+        UpdatableIndex::from_parts(
+            index.config,
+            index.knn_k,
+            oos_config,
+            index.policy,
+            index.sigma,
+            index.graph,
+            Arc::new(base),
+            index.ids,
+            n,
+            0,
+        )
+        .unwrap()
+    }
+
     #[test]
     fn insert_is_visible_and_old_snapshots_are_not_disturbed() {
         let mut index = builder().build(two_cluster_features()).unwrap();
@@ -1620,10 +1635,7 @@ mod tests {
         };
         let mut point = |cluster: usize| vec![4.0 * cluster as f64 + jitter(), jitter()];
         let features: Vec<Vec<f64>> = (0..36).map(|i| point(i % 3)).collect();
-        let mut index = builder()
-            .out_of_sample_neighbors(1)
-            .build(features)
-            .unwrap();
+        let mut index = with_one_out_of_sample_neighbor(builder().build(features).unwrap());
         for round in 0..2usize {
             let mut delta = IndexDelta::new();
             for i in 0..4 {
@@ -2058,7 +2070,6 @@ mod tests {
             .exact_ranking()
             .alpha(0.9)
             .knn_k(4)
-            .out_of_sample_neighbors(2)
             .build(two_cluster_features())
             .unwrap();
         let snapshot = index.snapshot();
@@ -2066,7 +2077,7 @@ mod tests {
         assert_eq!(base.factorization(), Factorization::Complete);
         assert_eq!(base.params().alpha, 0.9);
         assert_eq!(index.knn_k, 4);
-        assert_eq!(index.oos_config.num_neighbors, 2);
+        assert_eq!(index.oos_config, OutOfSampleConfig::default());
         assert!(IndexBuilder::new().build(Vec::<Vec<f64>>::new()).is_err());
         assert!(IndexBuilder::new()
             .alpha(1.5)

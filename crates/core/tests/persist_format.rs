@@ -8,10 +8,7 @@
 
 use mogul_core::persist::{self, FileFlavor, PersistError, SectionKind, SectionWriter};
 use mogul_core::update::{IndexBuilder, IndexDelta, RebuildPolicy};
-use mogul_core::{
-    EmrConfig, EmrSolver, MogulConfig, MogulIndex, MrParams, OutOfSampleConfig, OutOfSampleIndex,
-    Query,
-};
+use mogul_core::{MogulConfig, MogulIndex, OutOfSampleConfig, OutOfSampleIndex, Query};
 use mogul_graph::knn::{knn_graph, KnnConfig};
 use mogul_sparse::FeatureMatrix;
 use std::sync::Arc;
@@ -37,12 +34,6 @@ fn index_bytes() -> Vec<u8> {
     let oos =
         OutOfSampleIndex::new(index, Arc::new(features), OutOfSampleConfig::default()).unwrap();
     persist::save_index_to(&oos, Vec::new()).unwrap()
-}
-
-fn emr_bytes() -> Vec<u8> {
-    let features = FeatureMatrix::from_rows(&features()).unwrap();
-    let solver = EmrSolver::new(&features, MrParams::default(), EmrConfig::with_anchors(4));
-    persist::save_emr_to(&solver.unwrap(), Vec::new()).unwrap()
 }
 
 fn updatable_bytes() -> Vec<u8> {
@@ -580,36 +571,6 @@ fn non_finite_feature_values_are_rejected_at_load() {
 }
 
 #[test]
-fn hostile_emr_anchor_blocks_fail_typed() {
-    // The anchor block is decoded like the features section: a zero width
-    // with a huge anchor count (which must not size an allocation) and a NaN
-    // anchor value both fail typed, naming the section.
-    let bytes = emr_bytes();
-    let info = persist::inspect_bytes(&bytes).unwrap();
-    let emr = info.sections.iter().find(|s| s.name == "emr").unwrap();
-    let clean = &bytes[emr.offset..emr.offset + emr.len];
-    // Layout: anchor neighbours, item count, anchor degrees (length-prefixed),
-    // then the anchor count, the width and the anchor values.
-    let degrees = u64::from_le_bytes(clean[16..24].try_into().unwrap()) as usize;
-    let anchors = 24 + 8 * degrees;
-    let mut zero_width = clean.to_vec();
-    zero_width[anchors..anchors + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
-    zero_width[anchors + 8..anchors + 16].copy_from_slice(&0u64.to_le_bytes());
-    let mut nan = clean.to_vec();
-    nan[anchors + 16..anchors + 24].copy_from_slice(&f64::NAN.to_bits().to_le_bytes());
-    for payload in [zero_width, nan] {
-        match persist::load_emr_from_bytes(&rebuild_with_section(&bytes, "emr", &payload)) {
-            Err(PersistError::SectionDecode { section, .. }) => {
-                assert_eq!(section, SectionKind::Emr.name())
-            }
-            other => panic!("hostile emr anchor block gave {other:?}"),
-        }
-    }
-    // The untouched payload still loads through the same rebuild.
-    assert!(persist::load_emr_from_bytes(&rebuild_with_section(&bytes, "emr", clean)).is_ok());
-}
-
-#[test]
 fn flavor_mismatches_are_typed_not_garbled() {
     let index = index_bytes();
     let updatable = updatable_bytes();
@@ -621,13 +582,87 @@ fn flavor_mismatches_are_typed_not_garbled() {
         persist::load_index_from_bytes(&updatable),
         Err(PersistError::InvalidState(_))
     ));
-    assert!(matches!(
-        persist::load_emr_from_bytes(&index),
-        Err(PersistError::InvalidState(_))
-    ));
     // Both serveable flavors dispatch correctly through load_serving.
     assert!(persist::load_serving_from_bytes(&index).is_ok());
     assert!(persist::load_serving_from_bytes(&updatable).is_ok());
+}
+
+/// The retired EMR baseline's on-disk codes: reserved, never reused.
+const RETIRED_EMR_FLAVOR: u64 = 2;
+const RETIRED_EMR_SECTION: u32 = 9;
+
+/// `index_bytes()` re-written section by section with its meta saying
+/// `flavor` and one extra section of kind `extra` appended. Every checksum
+/// is valid, so only the flavor and the extra section differ.
+fn index_file_with(flavor: u64, extra: u32) -> Vec<u8> {
+    let bytes = index_bytes();
+    let info = persist::inspect_bytes(&bytes).unwrap();
+    let mut writer = SectionWriter::new(Vec::new()).unwrap();
+    for s in &info.sections {
+        let payload = &bytes[s.offset..s.offset + s.len];
+        if s.name == "meta" {
+            // The meta payload opens with the flavor code (0: an index).
+            assert_eq!(payload[..8], 0u64.to_le_bytes());
+            let mut meta = Vec::new();
+            mogul_sparse::persist::put_u64(&mut meta, flavor);
+            meta.extend_from_slice(&payload[8..]);
+            writer.write_section(SectionKind::Meta, &meta).unwrap();
+        } else {
+            writer.write_raw_section(s.code, payload).unwrap();
+        }
+    }
+    writer
+        .write_raw_section(extra, b"anchor-graph state")
+        .unwrap();
+    writer.finish().unwrap()
+}
+
+fn assert_unknown_flavor<T: std::fmt::Debug>(loaded: Result<T, PersistError>) {
+    match loaded {
+        Err(PersistError::SectionDecode { section, source }) => {
+            assert_eq!(section, SectionKind::Meta.name());
+            assert!(
+                source.to_string().contains("unknown file flavor 2"),
+                "{source}"
+            );
+        }
+        other => panic!("a flavor-2 file gave {other:?}"),
+    }
+}
+
+#[test]
+fn the_retired_emr_flavor_fails_typed_like_any_unknown_flavor() {
+    let bytes = index_file_with(RETIRED_EMR_FLAVOR, RETIRED_EMR_SECTION);
+    assert_unknown_flavor(persist::load_serving_from_bytes(&bytes));
+    assert_unknown_flavor(persist::load_index_from_bytes(&bytes));
+    assert_unknown_flavor(persist::load_updatable_from_bytes(&bytes));
+    assert_unknown_flavor(persist::inspect_bytes(&bytes));
+    // An unused flavor code fails the same way.
+    let bytes = index_file_with(3, RETIRED_EMR_SECTION);
+    assert!(matches!(
+        persist::load_index_from_bytes(&bytes),
+        Err(PersistError::SectionDecode {
+            section: "meta",
+            ..
+        })
+    ));
+}
+
+#[test]
+fn a_stray_retired_emr_section_is_skipped_like_any_unknown_section() {
+    let bytes = index_file_with(0, RETIRED_EMR_SECTION);
+    let info = persist::inspect_bytes(&bytes).unwrap();
+    let stray = info.sections.last().unwrap();
+    assert_eq!((stray.code, stray.name), (RETIRED_EMR_SECTION, "unknown"));
+    assert_eq!(SectionKind::from_code(RETIRED_EMR_SECTION), None);
+
+    let original = persist::load_index_from_bytes(&index_bytes()).unwrap();
+    let loaded = persist::load_index_from_bytes(&bytes).unwrap();
+    assert_eq!(
+        original.index().search(3, 5).unwrap(),
+        loaded.index().search(3, 5).unwrap()
+    );
+    assert!(persist::load_serving_from_bytes(&bytes).is_ok());
 }
 
 #[test]

@@ -284,33 +284,6 @@ fn file_round_trip_and_atomic_write() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// The EMR baseline's anchor state round-trips: scores for in-database and
-/// out-of-sample queries are bit-identical.
-#[test]
-fn emr_round_trip_is_bit_identical() {
-    use mogul_core::ranking::Ranker;
-    use mogul_core::{EmrConfig, EmrSolver, MrParams};
-    let features = FeatureMatrix::from_rows(&blob_features(40, 4, 0.9, 6.0)).unwrap();
-    let solver =
-        EmrSolver::new(&features, MrParams::default(), EmrConfig::with_anchors(8)).unwrap();
-    let bytes = persist::save_emr_to(&solver, Vec::new()).unwrap();
-    let loaded = persist::load_emr_from_bytes(&bytes).unwrap();
-    assert_eq!(loaded.num_anchors(), solver.num_anchors());
-    for q in [0usize, 13, 39] {
-        assert_bits_eq(
-            &solver.scores(q).unwrap(),
-            &loaded.scores(q).unwrap(),
-            "emr in-database scores",
-        );
-    }
-    let probe = features.row(21);
-    assert_bits_eq(
-        &solver.scores_for_feature(probe).unwrap(),
-        &loaded.scores_for_feature(probe).unwrap(),
-        "emr out-of-sample scores",
-    );
-}
-
 /// An updatable index over the approximate k-NN graph round-trips through
 /// `MOG1` with `==` answers, and keeps updating identically afterwards.
 #[test]

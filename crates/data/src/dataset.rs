@@ -136,14 +136,6 @@ impl Dataset {
             .collect();
         Ok((db, queries))
     }
-
-    /// Indices of all points sharing the label of point `query`.
-    pub fn same_class_indices(&self, query: usize) -> Vec<usize> {
-        let target = self.labels[query];
-        (0..self.len())
-            .filter(|&i| self.labels[i] == target)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -165,7 +157,6 @@ mod tests {
         assert_eq!(d.label(2), 1);
         assert_eq!(d.num_classes(), 2);
         assert_eq!(d.class_sizes(), vec![2, 2]);
-        assert_eq!(d.same_class_indices(0), vec![0, 1]);
         assert_eq!(d.feature(3), &[5.0, 5.0]);
     }
 

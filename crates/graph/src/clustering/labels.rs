@@ -97,15 +97,6 @@ impl Clustering {
         &self.labels
     }
 
-    /// Size of each cluster.
-    pub fn sizes(&self) -> Vec<usize> {
-        let mut sizes = vec![0usize; self.num_clusters];
-        for &l in &self.labels {
-            sizes[l] += 1;
-        }
-        sizes
-    }
-
     /// Members of each cluster, in ascending item order.
     pub fn members(&self) -> Vec<Vec<usize>> {
         let mut members = vec![Vec::new(); self.num_clusters];
@@ -143,7 +134,6 @@ mod tests {
         let c = Clustering::from_labels(&[7, 3, 7, 9, 3]);
         assert_eq!(c.num_clusters(), 3);
         assert_eq!(c.labels(), &[0, 1, 0, 2, 1]);
-        assert_eq!(c.sizes(), vec![2, 2, 1]);
         assert!(c.same_cluster(0, 2));
         assert!(!c.same_cluster(0, 1));
     }
@@ -174,10 +164,10 @@ mod tests {
     fn trivial_clusterings() {
         let single = Clustering::single_cluster(4);
         assert_eq!(single.num_clusters(), 1);
-        assert_eq!(single.sizes(), vec![4]);
+        assert_eq!(single.labels(), &[0, 0, 0, 0]);
         let singles = Clustering::singletons(3);
         assert_eq!(singles.num_clusters(), 3);
-        assert_eq!(singles.sizes(), vec![1, 1, 1]);
+        assert_eq!(singles.labels(), &[0, 1, 2]);
         let empty = Clustering::single_cluster(0);
         assert_eq!(empty.num_clusters(), 0);
         assert!(empty.is_empty());

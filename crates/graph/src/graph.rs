@@ -217,29 +217,6 @@ impl Graph {
         twice / 2.0
     }
 
-    /// Remove the undirected edge `(u, v)`; returns `true` if it existed.
-    ///
-    /// Used by the incremental index maintenance in `mogul-core::update`
-    /// (item removal disconnects the node, item insertion may retract stale
-    /// edges); out-of-range endpoints are rejected like in
-    /// [`Graph::add_edge`].
-    pub fn remove_edge(&mut self, u: usize, v: usize) -> Result<bool> {
-        let n = self.num_nodes();
-        if u >= n || v >= n {
-            return Err(GraphError::IndexOutOfBounds {
-                index: (u, v),
-                shape: (n, n),
-            });
-        }
-        let removed_u = Self::remove_neighbor(&mut self.adj[u], v);
-        let removed_v = Self::remove_neighbor(&mut self.adj[v], u);
-        debug_assert_eq!(removed_u, removed_v);
-        if removed_u {
-            self.num_edges -= 1;
-        }
-        Ok(removed_u)
-    }
-
     fn remove_neighbor(list: &mut Vec<(usize, f64)>, target: usize) -> bool {
         match list.binary_search_by_key(&target, |&(id, _)| id) {
             Ok(pos) => {
@@ -323,12 +300,6 @@ impl Graph {
             next_label += 1;
         }
         labels
-    }
-
-    /// `true` if the graph has a single connected component (or no nodes).
-    pub fn is_connected(&self) -> bool {
-        let labels = self.connected_components();
-        labels.iter().all(|&l| l == 0)
     }
 
     /// Number of edges between `u` and nodes for which `predicate` holds.
@@ -431,19 +402,12 @@ mod tests {
     fn incremental_mutation() {
         let mut g = triangle_plus_isolated();
 
-        // Edge removal is symmetric and updates the edge count.
-        assert!(g.remove_edge(0, 1).unwrap());
-        assert!(!g.has_edge(0, 1) && !g.has_edge(1, 0));
-        assert_eq!(g.num_edges(), 2);
-        // Removing a missing edge is a no-op, out-of-range is an error.
-        assert!(!g.remove_edge(0, 1).unwrap());
-        assert!(g.remove_edge(0, 99).is_err());
-
         // Disconnecting a node reports its former neighbourhood.
         let removed = g.disconnect_node(2).unwrap();
         assert_eq!(removed, vec![(0, 0.5), (1, 2.0)]);
         assert_eq!(g.degree(2), 0);
-        assert_eq!(g.num_edges(), 0);
+        assert!(!g.has_edge(0, 2) && !g.has_edge(2, 1));
+        assert_eq!(g.num_edges(), 1);
         assert!(g.disconnect_node(99).is_err());
         assert!(g.disconnect_node(3).unwrap().is_empty());
 
@@ -453,7 +417,7 @@ mod tests {
         assert_eq!(g.num_nodes(), 5);
         g.add_edge(new, 0, 1.25).unwrap();
         assert_eq!(g.edge_weight(0, new), Some(1.25));
-        assert_eq!(g.num_edges(), 1);
+        assert_eq!(g.num_edges(), 2);
     }
 
     #[test]
@@ -511,11 +475,6 @@ mod tests {
         assert_eq!(labels[0], labels[1]);
         assert_eq!(labels[1], labels[2]);
         assert_ne!(labels[0], labels[3]);
-        assert!(!g.is_connected());
-
-        let connected = Graph::from_edges(3, &[(0, 1, 1.0), (1, 2, 1.0)]).unwrap();
-        assert!(connected.is_connected());
-        assert!(Graph::empty(0).is_connected());
     }
 
     #[test]

@@ -40,7 +40,10 @@
 //!   drain, and a statistics endpoint (p50/p95, qps, shed counts, epoch,
 //!   rebuild debt). Answers over the socket are bit-identical to in-process
 //!   answers. See `docs/NETWORKING.md`.
-//! * [`UpdateRequest`] / [`Writer`] — the **one write side**: updates are
+//! * [`Writer`] — the **one write side**: updates, staged as an
+//!   [`IndexDelta`](mogul_core::update::IndexDelta) (the one update
+//!   vocabulary, from the library to the write-ahead log) and handed to
+//!   [`Writer::apply_delta`], are
 //!   applied to a writable index off the query path and the resulting
 //!   snapshot is swapped in atomically ([`Server::install_snapshot`]).
 //!   In-flight queries finish on the epoch they started with — **zero
@@ -111,7 +114,7 @@ mod updater;
 
 pub use error::{ServeError, ServeResult};
 pub use options::{ServeOptions, ServeOptionsBuilder, MAX_QUEUE_CAPACITY, MAX_WORKERS};
-pub use request::{QueryRequest, QueryResponse, ResponseStatus, UpdateRequest};
+pub use request::{QueryRequest, QueryResponse, ResponseStatus};
 pub use server::{QueryServer, ServeSnapshot, Server};
 pub use sharded::{DegradedPolicy, ShardFault, ShardFaultFn, ShardedServer, ShardedWriter};
 pub use updater::{IndexWriter, Writer};
@@ -150,7 +153,6 @@ fn static_assert_shared_state_is_send_sync() {
     check::<ShardedWriter>();
     check::<QueryRequest>();
     check::<QueryResponse>();
-    check::<UpdateRequest>();
     check::<ServeError>();
     check::<ServeOptions>();
     check::<net::NetHandle>();

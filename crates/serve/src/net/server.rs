@@ -20,12 +20,12 @@
 //!
 //! # Run to completion on the reader
 //!
-//! At that hand-off the reader answers the request itself — through the
-//! same run execution a worker uses — and wakes no worker, when all three
-//! of these hold:
+//! A reader admitting a request answers it itself — through the same run
+//! execution a worker uses — instead of queueing it, when all three of
+//! these hold:
 //!
-//! 1. **A lone request**: it admitted exactly one request since its last
-//!    hand-off (and its buffer holds no further whole frame). A batch of
+//! 1. **A lone request**: it is the only request since the reader's last
+//!    hand-off, and its buffer holds no further whole frame. A batch of
 //!    frames is the workers' to split into runs.
 //! 2. **A lockstep connection**: this request and the one before it each
 //!    found nothing of their connection in flight when admitted. Such a
@@ -34,15 +34,19 @@
 //!    reader busy answering would stop reading its next frames while the
 //!    workers sit idle. A connection's first request never qualifies
 //!    either.
-//! 3. **An idle server**: the queue holds only that request, every worker
-//!    is parked, and no other reader is answering inline. At most one
+//! 3. **An idle server**: nothing is queued and no run is executing — on a
+//!    worker or inline on another reader. Whether a worker thread has been
+//!    scheduled yet, or has parked again after its last run, does not
+//!    matter: a worker that is not executing a run is idle. At most one
 //!    reader runs inline, so a burst of single-request clients still goes
 //!    to the pool.
 //!
-//! Otherwise the reader wakes as many parked workers as it admitted
-//! requests. The inline path saves the reader → worker thread wake, one of
-//! the four wakes (client → reader → worker → client) of a request at an
-//! idle server. On this path a stalled client's answer write (bounded by
+//! The reader decides under the same hold of the queue lock that admits
+//! the request, so no worker can take it first. Otherwise the request is
+//! queued, and at the hand-off the reader wakes as many parked workers as
+//! it queued requests. The inline path saves the reader → worker thread
+//! wake, one of the four wakes (client → reader → worker → client) of a
+//! request at an idle server. On this path a stalled client's answer write (bounded by
 //! the 30 s write timeout) stalls that client's own reader instead of a
 //! worker that every connection shares.
 //!
@@ -129,14 +133,6 @@ struct Conn {
 const READ_BUFFER: usize = 16 * 1024;
 
 impl Conn {
-    /// Whether the latest admitted request, and the one before it, found
-    /// nothing of this connection in flight.
-    fn lockstep(&self) -> [bool; 2] {
-        self.alone
-            .each_ref()
-            .map(|alone| alone.load(Ordering::Relaxed))
-    }
-
     /// Write encoded frames onto this connection in one `write_all`. Write
     /// failures are swallowed: the client is gone, and its reader thread
     /// will notice.
@@ -173,15 +169,16 @@ struct Ticket {
 }
 
 /// The admission queue, how many workers are parked waiting on it, and
-/// how many readers are answering a request themselves.
+/// how many runs are executing.
 #[derive(Default)]
 struct Queue {
     work: VecDeque<Work>,
     /// Workers waiting on [`Shared::queue_cv`], counting any notified but
     /// not yet running: the workers a backlog can still be split with.
     parked: usize,
-    /// Readers answering a request inline ([`answers_inline`]): `0` or `1`.
-    inline: usize,
+    /// Runs taken off the queue and not yet retired, by a worker or inline
+    /// by a reader ([`answers_inline`]).
+    running: usize,
 }
 
 /// How many requests at the front of the queue one worker takes as its
@@ -205,28 +202,14 @@ fn run_len(
         .count()
 }
 
-/// Whether a reader about to block on its socket answers what it admitted
-/// since its last hand-off itself, instead of waking a worker: exactly one
-/// request (`admitted`), from a lockstep connection (`lockstep`: the latest
-/// admitted request and the one before it each found nothing of the
-/// connection in flight), at an idle server — the queue holds only that
-/// request (`queue` yields, per queued request, whether it is this
-/// connection's), all `workers` are `parked`, and no other reader is
-/// answering `inline`.
-fn answers_inline(
-    admitted: usize,
-    lockstep: [bool; 2],
-    mut queue: impl ExactSizeIterator<Item = bool>,
-    parked: usize,
-    workers: usize,
-    inline: usize,
-) -> bool {
-    admitted == 1
-        && lockstep == [true; 2]
-        && queue.len() == 1
-        && queue.next() == Some(true)
-        && parked == workers
-        && inline == 0
+/// Whether a reader answers the request it is admitting itself, instead of
+/// queueing it for a worker: a `lone` request (the only one since the
+/// reader's last hand-off, with no further whole frame in its buffer), from
+/// a lockstep connection (`lockstep`: this request and the one before it
+/// each found nothing of the connection in flight), at an idle server —
+/// nothing `queued` and no run `running`, on a worker or on a reader.
+fn answers_inline(lone: bool, lockstep: [bool; 2], queued: usize, running: usize) -> bool {
+    lone && lockstep == [true; 2] && queued == 0 && running == 0
 }
 
 /// The frames a run answers with, gathered per connection so each
@@ -340,8 +323,12 @@ impl Shared {
         }
     }
 
-    /// Admit or shed one decoded query request (reader thread). Returns
-    /// whether it was queued; the reader hands it off later
+    /// Admit or shed one decoded query request (reader thread), `lone`
+    /// when it is the only request since the reader's last hand-off and no
+    /// further whole frame is buffered. When [`answers_inline`] says so the
+    /// reader answers it on the spot; the decision and the admission share
+    /// one hold of the queue lock, so no worker can take the request in
+    /// between. Returns whether it was queued; the reader hands it off later
     /// ([`Shared::hand_off`]).
     fn admit(
         &self,
@@ -349,6 +336,7 @@ impl Shared {
         request_id: u64,
         request: QueryRequest,
         require_complete: bool,
+        lone: bool,
     ) -> bool {
         if self.draining.load(Ordering::SeqCst) {
             self.stats.shed_draining.fetch_add(1, Ordering::Relaxed);
@@ -382,7 +370,7 @@ impl Shared {
         let before = conn.alone[0].swap(alone, Ordering::Relaxed);
         conn.alone[1].store(before, Ordering::Relaxed);
         self.stats.inflight.fetch_add(1, Ordering::SeqCst);
-        queue.work.push_back(Work {
+        let work = Work {
             ticket: Ticket {
                 conn: Arc::clone(conn),
                 request_id,
@@ -390,38 +378,27 @@ impl Shared {
             },
             request,
             require_complete,
-        });
+        };
+        if answers_inline(lone, [alone, before], queue.work.len(), queue.running) {
+            queue.running += 1;
+            drop(queue);
+            self.stats
+                .answered_by_reader
+                .fetch_add(1, Ordering::Relaxed);
+            drop(self.execute_run(vec![work]));
+            return false;
+        }
+        queue.work.push_back(work);
         true
     }
 
     /// Hand off the `admitted` requests a reader queued since its last
-    /// hand-off: answer the one request itself when [`answers_inline`]
-    /// says so, else wake as many parked workers as they can use.
-    fn hand_off(&self, conn: &Arc<Conn>, admitted: usize) {
-        let mut queue = lock(&self.queue);
-        let ours = queue.work.iter().map(|w| Arc::ptr_eq(&w.ticket.conn, conn));
-        let (parked, inline) = (queue.parked, queue.inline);
-        if !answers_inline(
-            admitted,
-            conn.lockstep(),
-            ours,
-            parked,
-            self.workers,
-            inline,
-        ) {
-            drop(queue);
-            for _ in 0..admitted.min(parked) {
-                self.queue_cv.notify_one();
-            }
-            return;
+    /// hand-off: wake as many parked workers as they can use.
+    fn hand_off(&self, admitted: usize) {
+        let parked = lock(&self.queue).parked;
+        for _ in 0..admitted.min(parked) {
+            self.queue_cv.notify_one();
         }
-        queue.inline += 1;
-        let run = queue.work.drain(..).collect();
-        drop(queue);
-        self.stats
-            .answered_by_reader
-            .fetch_add(1, Ordering::Relaxed);
-        self.execute_run(run).inline -= 1;
     }
 
     /// Worker loop: park until the queue holds work, cut a run off its
@@ -434,6 +411,7 @@ impl Shared {
                 let flags = queue.work.iter().map(|w| w.require_complete);
                 let len = run_len(flags, queue.parked, self.backend.max_job_len());
                 let run = queue.work.drain(..len).collect();
+                queue.running += 1;
                 drop(queue);
                 queue = self.execute_run(run);
                 continue;
@@ -450,13 +428,16 @@ impl Shared {
         }
     }
 
-    /// Answer one run: shed what waited past the deadline, answer the rest
-    /// as one backend run, write each connection's frames at once, then
-    /// retire every request. Returns holding the queue lock, under which
-    /// the requests were retired: a worker parks again before a reader can
-    /// see its connection's request retired, so a lockstep client's next
-    /// request finds the server idle ([`answers_inline`]), and drain's
-    /// wait on [`Shared::idle_cv`] misses no wake.
+    /// Answer one run (counted in [`Queue::running`] by the caller): shed
+    /// what waited past the deadline, answer the rest as one backend run,
+    /// retire the run, write each connection's frames at once, then count
+    /// its requests answered. The run is retired under the queue lock before
+    /// any answer is written — each connection's in-flight count and the
+    /// run's `running` mark — so a lockstep client's next request, which
+    /// cannot arrive before its answer, finds the server idle
+    /// ([`answers_inline`]). Returns holding the queue lock, under which
+    /// the global in-flight count dropped, so drain's wait on
+    /// [`Shared::idle_cv`] misses no wake.
     fn execute_run(&self, run: Vec<Work>) -> MutexGuard<'_, Queue> {
         let mut outbox = Outbox::default();
         // Queue-wait deadline: a request that sat past it is shed instead
@@ -520,15 +501,19 @@ impl Shared {
                 }
             }
         }
-        outbox.send();
-        // Retire only after the bytes are out: drain waits for `inflight`
-        // to reach zero before it shuts the sockets down.
-        let queue = lock(&self.queue);
+        let mut queue = lock(&self.queue);
+        queue.running -= 1;
         for ticket in stale.iter().chain(&fresh) {
             ticket.conn.inflight.fetch_sub(1, Ordering::SeqCst);
-            if self.stats.inflight.fetch_sub(1, Ordering::SeqCst) == 1 {
-                self.idle_cv.notify_all();
-            }
+        }
+        drop(queue);
+        outbox.send();
+        // Drain waits for `inflight` to reach zero before it shuts the
+        // sockets down: it drops only after the bytes are out.
+        let queue = lock(&self.queue);
+        let answered = (stale.len() + fresh.len()) as u64;
+        if self.stats.inflight.fetch_sub(answered, Ordering::SeqCst) == answered {
+            self.idle_cv.notify_all();
         }
         queue
     }
@@ -544,16 +529,16 @@ impl Shared {
         // Requests admitted since the last hand-off.
         let mut unannounced = 0usize;
         loop {
-            // About to block on the socket: answer or hand off what was
-            // queued first.
+            // About to block on the socket: hand off what was queued first.
             if unannounced > 0 && !holds_whole_frame(reader.buffer()) {
-                self.hand_off(conn, unannounced);
+                self.hand_off(unannounced);
                 unannounced = 0;
             }
             match read_frame(reader) {
                 Ok(None) => break,
                 Ok(Some(frame)) => {
-                    if self.handle_frame(shared, conn, frame) {
+                    let lone = unannounced == 0 && !holds_whole_frame(reader.buffer());
+                    if self.handle_frame(shared, conn, frame, lone) {
                         unannounced += 1;
                     }
                 }
@@ -573,15 +558,22 @@ impl Shared {
                 }
             }
         }
-        self.hand_off(conn, unannounced);
+        self.hand_off(unannounced);
     }
 
-    /// Dispatch one intact frame. Returns whether it queued a request.
-    fn handle_frame(&self, shared: &Arc<Shared>, conn: &Arc<Conn>, frame: Frame) -> bool {
+    /// Dispatch one intact frame (`lone`: see [`Shared::admit`]). Returns
+    /// whether it queued a request.
+    fn handle_frame(
+        &self,
+        shared: &Arc<Shared>,
+        conn: &Arc<Conn>,
+        frame: Frame,
+        lone: bool,
+    ) -> bool {
         match frame.kind {
             FrameKind::Query => match crate::net::wire::decode_query_request_opts(&frame.payload) {
                 Ok((request, require_complete)) => {
-                    self.admit(conn, frame.request_id, request, require_complete)
+                    self.admit(conn, frame.request_id, request, require_complete, lone)
                 }
                 Err(err) => {
                     self.stats.bad_requests.fetch_add(1, Ordering::Relaxed);
@@ -789,8 +781,8 @@ impl NetServer {
 
         // Draining: the flag is set, so readers shed every new arrival;
         // wait until everything already admitted (queued or executing) has
-        // been answered. Requests are retired under the queue lock, so the
-        // last retirement's notify cannot slip past this check.
+        // been answered. The in-flight count drops under the queue lock, so
+        // the last answer's notify cannot slip past this check.
         {
             let mut queue = lock(&self.shared.queue);
             while !queue.work.is_empty() || self.shared.inflight_total() > 0 {
@@ -972,31 +964,31 @@ mod tests {
     #[test]
     fn a_reader_answers_only_a_lone_lockstep_request_at_an_idle_server() {
         const YES: [bool; 2] = [true, true];
-        // Two workers. The last row is the one inline case; every other row
-        // changes one of its inputs.
-        // Why, admitted, lockstep, whose the queued requests are (ours?),
-        // parked, inline, and whether the reader answers.
+        // The last row is the one inline case; every other row changes one
+        // of its inputs. Parked workers are no input: a worker thread not
+        // yet scheduled, or writing its last run's answers, is idle.
+        // Why, lone, lockstep, requests queued, runs executing, and whether
+        // the reader answers.
         #[rustfmt::skip]
-        type Row = (&'static str, usize, [bool; 2], &'static [bool], usize, usize, bool);
+        type Row = (&'static str, bool, [bool; 2], usize, usize, bool);
         #[rustfmt::skip]
-        let rows: [Row; 12] = [
-            ("nothing admitted",                          0, YES,            &[],             2, 0, false),
-            ("two frames from one read",                  2, YES,            &[true, true],   2, 0, false),
-            ("the latest request found one in flight",    1, [false, true],  &[true],         2, 0, false),
-            ("the one before found one, or was none",     1, [true, false],  &[true],         2, 0, false),
-            ("another request queued behind it",          1, YES,            &[true, false],  2, 0, false),
-            ("another request queued ahead of it",        1, YES,            &[false, true],  2, 0, false),
-            ("a worker already took it",                  1, YES,            &[],             2, 0, false),
-            ("the queued request is another's",           1, YES,            &[false],        2, 0, false),
-            ("a worker is busy",                          1, YES,            &[true],         1, 0, false),
-            ("no worker is parked",                       1, YES,            &[true],         0, 0, false),
-            ("another reader is answering inline",        1, YES,            &[true],         2, 1, false),
-            ("a lone lockstep request at an idle server", 1, YES,            &[true],         2, 0, true),
+        let rows: [Row; 9] = [
+            ("a further whole frame is buffered",         false, YES,            0, 0, false),
+            ("the latest request found one in flight",    true,  [false, true],  0, 0, false),
+            ("the one before found one, or was none",     true,  [true, false],  0, 0, false),
+            ("a request is queued",                       true,  YES,            1, 0, false),
+            ("requests are queued",                       true,  YES,            3, 0, false),
+            ("a worker is executing a run",               true,  YES,            0, 1, false),
+            ("two runs are executing",                    true,  YES,            0, 2, false),
+            ("another reader is answering inline",        true,  YES,            0, 1, false),
+            ("a lone lockstep request at an idle server", true,  YES,            0, 0, true),
         ];
-        for (why, admitted, lockstep, queue, parked, inline, answers) in rows {
-            let queue = queue.iter().copied();
-            let got = answers_inline(admitted, lockstep, queue, parked, 2, inline);
-            assert_eq!(got, answers, "{why}");
+        for (why, lone, lockstep, queued, running, answers) in rows {
+            assert_eq!(
+                answers_inline(lone, lockstep, queued, running),
+                answers,
+                "{why}"
+            );
         }
     }
 }

@@ -18,14 +18,15 @@
 //! request is queued or executed — a malformed request never reaches the
 //! solve path (and, on the wire, never occupies an admission-queue slot).
 //!
-//! Mutations travel separately as [`UpdateRequest`]s through an
-//! [`IndexWriter`](crate::IndexWriter) — queries and updates never share a
-//! queue, which is what keeps the query hot path lock-free.
+//! Mutations travel separately, as an
+//! [`IndexDelta`](mogul_core::update::IndexDelta) handed to
+//! [`Writer::apply_delta`](crate::Writer::apply_delta) — queries and
+//! updates never share a queue, which is what keeps the query hot path
+//! lock-free.
 
 use crate::error::ServeResult;
 use crate::server::ServeSnapshot;
 use crate::ServeError;
-use mogul_core::update::IndexDelta;
 use mogul_core::{OutOfSampleResult, Query, TopKResult};
 
 /// One top-k request — the canonical query shape of the serving layer,
@@ -135,56 +136,6 @@ impl QueryRequest {
             }
         }
         Ok(())
-    }
-}
-
-/// One mutation of the indexed collection, submitted to an
-/// [`IndexWriter`](crate::IndexWriter). A slice of update requests is
-/// applied as a single atomic delta: one new snapshot epoch, or (on
-/// validation failure) no change at all.
-#[derive(Debug, Clone, PartialEq)]
-pub enum UpdateRequest {
-    /// Insert a new item; its stable id is reported by the writer's
-    /// [`UpdateReport`](mogul_core::update::UpdateReport).
-    Insert {
-        /// Feature vector of the new item (must match the index dimension).
-        feature: Vec<f64>,
-    },
-    /// Remove a live item by stable id.
-    Remove {
-        /// Stable id of the item to remove.
-        id: usize,
-    },
-}
-
-impl UpdateRequest {
-    /// Convenience constructor for an insert.
-    pub fn insert(feature: impl Into<Vec<f64>>) -> Self {
-        UpdateRequest::Insert {
-            feature: feature.into(),
-        }
-    }
-
-    /// Convenience constructor for a removal.
-    pub fn remove(id: usize) -> Self {
-        UpdateRequest::Remove { id }
-    }
-
-    /// Stage a slice of update requests, in order, as the one
-    /// [`IndexDelta`] a writer applies atomically.
-    pub(crate) fn stage(updates: &[UpdateRequest]) -> IndexDelta {
-        let mut delta = IndexDelta::new();
-        for update in updates {
-            match update {
-                UpdateRequest::Insert { feature } => {
-                    delta.insert(feature.clone());
-                }
-                UpdateRequest::Remove { id } => {
-                    delta.remove(*id);
-                }
-            }
-        }
-        delta
     }
 }
 

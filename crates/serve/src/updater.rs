@@ -28,7 +28,6 @@
 use crate::error::{ServeError, ServeResult};
 use crate::lock;
 use crate::options::ServeOptions;
-use crate::request::UpdateRequest;
 use crate::server::{QueryServer, ServeSnapshot, Server};
 use mogul_core::persist::PersistError;
 use mogul_core::update::{IndexDelta, RebuildDebt, UpdatableIndex, WritableIndex};
@@ -41,8 +40,8 @@ use std::sync::{Arc, Mutex};
 /// and [`ShardedWriter`](crate::ShardedWriter).
 ///
 /// ```
-/// use mogul_core::update::IndexBuilder;
-/// use mogul_serve::{IndexWriter, ServeOptions, UpdateRequest};
+/// use mogul_core::update::{IndexBuilder, IndexDelta};
+/// use mogul_serve::{IndexWriter, ServeOptions};
 ///
 /// let features: Vec<Vec<f64>> = (0..12).map(|i| vec![i as f64, 0.0]).collect();
 /// let index = IndexBuilder::new().knn_k(3).build(features)?;
@@ -51,7 +50,7 @@ use std::sync::{Arc, Mutex};
 ///
 /// // Queries and updates may now run from different threads; each update
 /// // publishes a new epoch without interrupting in-flight queries.
-/// let report = writer.apply(&[UpdateRequest::insert(vec![2.5, 0.0])])?;
+/// let report = writer.apply_delta(IndexDelta::new().insert(vec![2.5, 0.0]))?;
 /// assert_eq!(server.epoch(), report.epoch);
 /// let top = server.query_by_id(report.inserted[0], 3)?;
 /// assert_eq!(top.len(), 3);
@@ -309,20 +308,15 @@ where
         Arc::clone(&self.server)
     }
 
-    /// Apply a batch of update requests as one atomic delta and publish the
-    /// resulting snapshot epoch. Insert ids are reported in request order
+    /// Apply an [`IndexDelta`] as one atomic update and publish the
+    /// resulting snapshot epoch. Insert ids are reported in staging order
     /// (a sharded index routes each insert to the shard with the nearest
     /// base-cluster centroid, each removal to the shard that owns it).
     /// Index-level rejections surface as
-    /// [`ServeError::Index`](crate::ServeError::Index).
-    pub fn apply(&self, updates: &[UpdateRequest]) -> ServeResult<I::Report> {
-        self.apply_delta(&UpdateRequest::stage(updates))
-    }
-
-    /// Apply an already-staged [`IndexDelta`] and publish the resulting
-    /// snapshot epoch. If the apply refactorized and left the index clean
-    /// and a checkpoint path is configured, the fresh clean epoch is
-    /// re-saved to it (best-effort; see [`Writer::set_checkpoint`]).
+    /// [`ServeError::Index`](crate::ServeError::Index). If the apply
+    /// refactorized and left the index clean and a checkpoint path is
+    /// configured, the fresh clean epoch is re-saved to it (best-effort;
+    /// see [`Writer::set_checkpoint`]).
     ///
     /// With the wal enabled the protocol is **append-before-apply**: the
     /// delta's record is fsync'd to the log first, so by the time any

@@ -17,7 +17,7 @@
 //! * the stats frame reports the rebuild debt of the attached writer, for
 //!   either engine.
 
-use mogul_core::update::{IndexBuilder, RebuildPolicy};
+use mogul_core::update::{IndexBuilder, IndexDelta, RebuildPolicy};
 use mogul_core::{ShardedConfig, ShardedIndex, PANEL_WIDTH};
 use mogul_data::coil::{coil_like, CoilLikeConfig};
 use mogul_data::Dataset;
@@ -30,7 +30,7 @@ use mogul_serve::net::{
 };
 use mogul_serve::{
     IndexWriter, QueryRequest, QueryResponse, QueryServer, ResponseStatus, ServeError,
-    ServeOptions, ServeResult, ShardedWriter, UpdateRequest,
+    ServeOptions, ServeResult, ShardedWriter,
 };
 use std::collections::HashMap;
 use std::io::{BufReader, Write};
@@ -556,7 +556,9 @@ fn a_snapshot_swap_fails_only_the_removed_request_of_a_run() {
     client.send(&run, 1);
     wait_for(&handle, |r| r.queue_depth == run.len() as u64);
     // Admitted against the old snapshot; answered from the new one.
-    writer.apply(&[UpdateRequest::remove(removed)]).unwrap();
+    writer
+        .apply_delta(IndexDelta::new().remove(removed))
+        .unwrap();
     open.send(()).unwrap();
 
     let answers = client.recv(1 + run.len());
@@ -682,7 +684,9 @@ fn stats_report_the_rebuild_debt_of_a_sharded_writer() {
     assert_eq!(client.stats().unwrap().rebuild_support, 0);
 
     let feature: Vec<f64> = db.feature(0).iter().map(|v| v + 0.01).collect();
-    writer.apply(&[UpdateRequest::insert(feature)]).unwrap();
+    writer
+        .apply_delta(IndexDelta::new().insert(feature))
+        .unwrap();
     let stats = client.stats().unwrap();
     assert!(stats.rebuild_support > 0, "an insert must leave debt");
     assert!(stats.rebuild_fraction > 0.0);
@@ -710,35 +714,26 @@ fn lockstep_query(client: &mut NetClient, server: &QueryServer, request: &QueryR
 
 #[test]
 fn lockstep_queries_at_an_idle_server_are_answered_by_their_reader() {
-    // One worker: an idle server is one whose workers are all parked, and
-    // the test can see that only of a worker that has answered something.
-    // A second worker whose thread has not yet run (a spawned thread can
-    // wait several milliseconds for a CPU under load) has never parked, so
-    // the reader hands the early queries to the first worker instead.
-    let options = ServeOptions::builder().workers(1).build().unwrap();
+    let options = ServeOptions::builder().workers(2).build().unwrap();
     let (server, db, held_out) = query_server(options);
     let backend = Gated::recording(Arc::clone(&server));
     let (handle, join) = serve(Arc::clone(&backend), options);
     let mut client = connect(&handle);
 
-    // A connection's first query goes to the worker; every later one must
-    // find the server idle. A worker writes a run's answers before it takes
-    // the queue lock to retire them, so a client can read its answer and get
-    // its next request admitted while the previous one still counts in the
-    // connection's `inflight`: that request is then not lockstep, and it and
-    // the next go to the worker. An answer received does not mean the server
-    // is idle, so wait for the retirement (the worker parks again under the
-    // same lock) before each query.
+    // A connection's first query goes to a worker; every later one must find
+    // the server idle, with no wait in between: whether the second worker's
+    // thread has run yet does not matter, and a worker retires a run before
+    // it writes the answers, so the next request cannot find the last one
+    // still in flight.
     let mut n = 0;
-    let mut idle_query = |request: QueryRequest| {
-        wait_for(&handle, |r| r.inflight == 0);
+    let mut query = |request: QueryRequest| {
         lockstep_query(&mut client, &server, &request);
         n += 1;
     };
-    idle_query(QueryRequest::in_database(0, 5));
+    query(QueryRequest::in_database(0, 5));
     for (i, (feature, _)) in held_out.iter().enumerate() {
-        idle_query(QueryRequest::in_database(i * 11 % db.len(), 4));
-        idle_query(QueryRequest::out_of_sample(feature.clone(), 6));
+        query(QueryRequest::in_database(i * 11 % db.len(), 4));
+        query(QueryRequest::out_of_sample(feature.clone(), 6));
     }
 
     let runs = backend.runs();
@@ -765,7 +760,7 @@ fn a_sharded_server_answers_lockstep_queries_on_the_reader_too() {
     let config = ShardedConfig::with_shards(2).builder(IndexBuilder::new().knn_k(4));
     let (index, _) = ShardedIndex::build(db.features(), config).unwrap();
     let (server, _writer) = ShardedWriter::new(index);
-    let options = ServeOptions::builder().workers(1).build().unwrap();
+    let options = ServeOptions::builder().workers(2).build().unwrap();
     let (handle, join) = serve(Arc::clone(&server), options);
     let mut client = connect(&handle);
 
@@ -779,12 +774,8 @@ fn a_sharded_server_answers_lockstep_queries_on_the_reader_too() {
             ]
         })
         .collect();
-    // As in the single-index test: one worker, which has parked once it has
-    // answered the first query, and an answer can reach the client before
-    // its worker retires it, so wait for the server to be idle before each
-    // lockstep query.
+    // As in the single-index test: two workers and no wait between queries.
     for request in &requests {
-        wait_for(&handle, |r| r.inflight == 0);
         let over_wire = client.query(request).unwrap();
         assert_same_answer(&over_wire, &server.query(request).unwrap());
     }

@@ -4,8 +4,8 @@
 //! process restart.
 
 use mogul_core::persist;
-use mogul_core::update::{IndexBuilder, RebuildPolicy};
-use mogul_serve::{IndexWriter, QueryRequest, QueryServer, ServeOptions, UpdateRequest};
+use mogul_core::update::{IndexBuilder, IndexDelta, RebuildPolicy};
+use mogul_serve::{IndexWriter, QueryRequest, QueryServer, ServeOptions};
 use std::path::PathBuf;
 
 fn features() -> Vec<Vec<f64>> {
@@ -76,10 +76,7 @@ fn checkpoint_after_rebuild_survives_a_restart_with_stable_ids() {
     // no longer matches the stable ids, which is exactly what the
     // checkpoint must preserve.
     let report = writer
-        .apply(&[
-            UpdateRequest::remove(4),
-            UpdateRequest::insert(vec![0.5, 0.3]),
-        ])
+        .apply_delta(IndexDelta::new().remove(4).insert(vec![0.5, 0.3]))
         .unwrap();
     assert!(report.rebuilt, "tiny debt ceiling should force a rebuild");
     assert_eq!(report.inserted, vec![30]);
@@ -123,7 +120,7 @@ fn checkpoint_now_forces_a_clean_epoch() {
     // Leave the writer dirty (no rebuild policy), then checkpoint: the
     // call must refactorize first, publish the clean epoch, and save it.
     writer
-        .apply(&[UpdateRequest::insert(vec![0.4, 0.2])])
+        .apply_delta(IndexDelta::new().insert(vec![0.4, 0.2]))
         .unwrap();
     assert!(!server.snapshot().is_clean());
     let written = writer.checkpoint_now().unwrap();
@@ -162,7 +159,7 @@ fn a_successful_checkpoint_clears_a_stale_auto_checkpoint_error() {
             .join("x.mog1"),
     ));
     let report = writer
-        .apply(&[UpdateRequest::insert(vec![0.5, 0.3])])
+        .apply_delta(IndexDelta::new().insert(vec![0.5, 0.3]))
         .unwrap();
     assert!(report.rebuilt);
     let err = writer.take_checkpoint_error();
@@ -176,13 +173,13 @@ fn a_successful_checkpoint_clears_a_stale_auto_checkpoint_error() {
             .join("y.mog1"),
     ));
     writer
-        .apply(&[UpdateRequest::insert(vec![0.6, 0.1])])
+        .apply_delta(IndexDelta::new().insert(vec![0.6, 0.1]))
         .unwrap();
     assert!(writer.take_checkpoint_error().is_some());
     let good = temp_path("recover");
     writer.set_checkpoint(Some(good.clone()));
     writer
-        .apply(&[UpdateRequest::insert(vec![0.7, 0.2])])
+        .apply_delta(IndexDelta::new().insert(vec![0.7, 0.2]))
         .unwrap();
     assert!(good.exists());
     let written = writer.checkpoint_now().unwrap();

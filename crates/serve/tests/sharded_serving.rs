@@ -9,9 +9,9 @@
 //! detector while hammering the writer. Routing isolation (updates only
 //! dirty their owning shard) and shard-skip statistics are pinned alongside.
 
-use mogul_core::update::{IndexBuilder, RebuildPolicy};
+use mogul_core::update::{IndexBuilder, IndexDelta, RebuildPolicy};
 use mogul_core::{ShardedConfig, ShardedIndex};
-use mogul_serve::{QueryRequest, ServeError, ShardedWriter, UpdateRequest};
+use mogul_serve::{QueryRequest, ServeError, ShardedWriter};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread;
@@ -97,7 +97,7 @@ fn updates_only_dirty_their_owning_shard() {
     let mut inserted = Vec::new();
     for step in 0..3 {
         let report = writer
-            .apply(&[UpdateRequest::insert(vec![0.5 + 0.01 * step as f64, 0.1])])
+            .apply_delta(IndexDelta::new().insert(vec![0.5 + 0.01 * step as f64, 0.1]))
             .unwrap();
         inserted.push(report.inserted[0]);
     }
@@ -285,11 +285,12 @@ fn batches_racing_shard_rebuilds_never_tear() {
         } else {
             vec![100.4 + drift, 9.06]
         };
-        let mut updates = vec![UpdateRequest::insert(feature)];
+        let mut delta = IndexDelta::new();
+        delta.insert(feature);
         if pending.len() == LIVE {
-            updates.push(UpdateRequest::remove(pending.pop_front().unwrap()));
+            delta.remove(pending.pop_front().unwrap());
         }
-        let report = writer.apply(&updates).unwrap();
+        let report = writer.apply_delta(&delta).unwrap();
         pending.push_back(report.inserted[0]);
         assert_eq!(report.touched_shards.len(), 1, "one shard per delta");
         for &shard in &report.rebuilt_shards {

@@ -5,7 +5,7 @@
 //! answers for that query, and every batch is answered by a single epoch.
 
 use mogul_core::update::{IndexBuilder, IndexDelta, RebuildPolicy, UpdatableIndex};
-use mogul_serve::{IndexWriter, QueryRequest, QueryServer, ServeOptions, UpdateRequest};
+use mogul_serve::{IndexWriter, QueryRequest, QueryServer, ServeOptions};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -172,7 +172,7 @@ fn index_writer_publishes_epochs_and_rebuilds() {
 
     // A small update: corrected snapshot, no rebuild.
     let report = writer
-        .apply(&[UpdateRequest::insert(vec![0.1, 0.01])])
+        .apply_delta(IndexDelta::new().insert(vec![0.1, 0.01]))
         .unwrap();
     assert!(!report.rebuilt);
     assert_eq!(server.epoch(), 1);
@@ -189,7 +189,7 @@ fn index_writer_publishes_epochs_and_rebuilds() {
     let mut rebuilt = false;
     for i in 0..8 {
         let report = writer
-            .apply(&[UpdateRequest::insert(vec![0.5 + 0.05 * i as f64, 0.03])])
+            .apply_delta(IndexDelta::new().insert(vec![0.5 + 0.05 * i as f64, 0.03]))
             .unwrap();
         rebuilt |= report.rebuilt;
     }
@@ -202,6 +202,8 @@ fn index_writer_publishes_epochs_and_rebuilds() {
     assert_eq!(server.epoch(), writer.server().epoch());
 
     // Removals through the writer disappear from the served snapshot.
-    writer.apply(&[UpdateRequest::remove(new_id)]).unwrap();
+    writer
+        .apply_delta(IndexDelta::new().remove(new_id))
+        .unwrap();
     assert!(server.query_by_id(new_id, QUERY_K).is_err());
 }

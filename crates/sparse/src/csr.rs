@@ -109,18 +109,6 @@ impl CsrMatrix {
         }
     }
 
-    /// Sparse diagonal matrix from its diagonal entries (zeros are kept).
-    pub fn from_diagonal(diag: &[f64]) -> Self {
-        let n = diag.len();
-        CsrMatrix {
-            nrows: n,
-            ncols: n,
-            indptr: (0..=n).collect(),
-            indices: (0..n).collect(),
-            values: diag.to_vec(),
-        }
-    }
-
     /// Convert a dense matrix to CSR, dropping entries with absolute value
     /// at or below `tol`.
     pub fn from_dense(dense: &DenseMatrix, tol: f64) -> Self {
@@ -295,12 +283,6 @@ impl CsrMatrix {
             indices,
             values,
         }
-    }
-
-    /// Extract the main diagonal (length `min(nrows, ncols)`).
-    pub fn diagonal(&self) -> Vec<f64> {
-        let n = self.nrows.min(self.ncols);
-        (0..n).map(|i| self.get(i, i)).collect()
     }
 
     /// Row sums (the degree vector `C_ii = Σ_j A_ij` of the paper).
@@ -554,17 +536,14 @@ mod tests {
         assert_eq!(m.get(0, 2), 1.0);
         assert_eq!(m.get(0, 1), 0.0);
         assert_eq!(m.row(2).0, &[0, 2]);
-        assert_eq!(m.diagonal(), vec![2.0, 3.0, 4.0]);
         assert_eq!(m.row_sums(), vec![3.0, 3.0, 5.0]);
     }
 
     #[test]
-    fn identity_and_diagonal_constructors() {
+    fn identity_constructor() {
         let i = CsrMatrix::identity(3);
         assert_eq!(i.nnz(), 3);
         assert_eq!(i.get(1, 1), 1.0);
-        let d = CsrMatrix::from_diagonal(&[5.0, 6.0]);
-        assert_eq!(d.get(1, 1), 6.0);
     }
 
     #[test]

@@ -222,23 +222,6 @@ impl DenseMatrix {
         Ok(out)
     }
 
-    /// Gram matrix `Aᵀ A` (ncols × ncols, symmetric).
-    pub fn gram(&self) -> DenseMatrix {
-        let mut out = DenseMatrix::zeros(self.ncols, self.ncols);
-        for i in 0..self.nrows {
-            let row = self.row(i);
-            for (a_idx, &a) in row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                for (b_idx, &b) in row.iter().enumerate() {
-                    out.add_to(a_idx, b_idx, a * b);
-                }
-            }
-        }
-        out
-    }
-
     /// Elementwise sum `A + B`.
     pub fn add(&self, other: &DenseMatrix) -> Result<DenseMatrix> {
         if self.nrows != other.nrows || self.ncols != other.ncols {
@@ -357,8 +340,6 @@ pub struct LuDecomposition {
     /// Row permutation applied during pivoting: `perm[i]` is the original row
     /// now sitting at position `i`.
     perm: Vec<usize>,
-    /// Sign of the permutation (used by [`LuDecomposition::determinant`]).
-    sign: f64,
 }
 
 impl LuDecomposition {
@@ -373,7 +354,6 @@ impl LuDecomposition {
         let n = a.nrows;
         let mut lu = a.clone();
         let mut perm: Vec<usize> = (0..n).collect();
-        let mut sign = 1.0;
 
         for k in 0..n {
             // Partial pivoting: find the largest entry in column k at or below row k.
@@ -396,7 +376,6 @@ impl LuDecomposition {
                     lu.set(pivot_row, j, tmp);
                 }
                 perm.swap(k, pivot_row);
-                sign = -sign;
             }
             let pivot = lu.get(k, k);
             for i in (k + 1)..n {
@@ -411,7 +390,7 @@ impl LuDecomposition {
                 }
             }
         }
-        Ok(LuDecomposition { lu, perm, sign })
+        Ok(LuDecomposition { lu, perm })
     }
 
     /// Solve `A x = b` for the factorized matrix.
@@ -478,16 +457,6 @@ impl LuDecomposition {
             x[i] = sum / self.lu.get(i, i);
         }
         x
-    }
-
-    /// Determinant of the factorized matrix.
-    pub fn determinant(&self) -> f64 {
-        let n = self.lu.nrows;
-        let mut det = self.sign;
-        for i in 0..n {
-            det *= self.lu.get(i, i);
-        }
-        det
     }
 }
 
@@ -567,15 +536,6 @@ mod tests {
     }
 
     #[test]
-    fn gram_is_at_a() {
-        let a = DenseMatrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]]).unwrap();
-        let g = a.gram();
-        let expected = a.transpose().matmul(&a).unwrap();
-        assert!(g.max_abs_diff(&expected).unwrap() < 1e-12);
-        assert!(g.is_symmetric(1e-12));
-    }
-
-    #[test]
     fn add_sub_scale() {
         let a = example();
         let zero = a.sub(&a).unwrap();
@@ -614,8 +574,6 @@ mod tests {
         let x = a.solve(&[2.0, 3.0]).unwrap();
         assert!((x[0] - 3.0).abs() < 1e-12);
         assert!((x[1] - 2.0).abs() < 1e-12);
-        let det = a.lu().unwrap().determinant();
-        assert!((det + 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -652,11 +610,5 @@ mod tests {
                 assert_eq!(bits(&x), bits(&want), "n = {n}");
             }
         }
-    }
-
-    #[test]
-    fn determinant_of_diagonal() {
-        let d = DenseMatrix::from_diagonal(&[2.0, 3.0, 4.0]);
-        assert!((d.lu().unwrap().determinant() - 24.0).abs() < 1e-12);
     }
 }

@@ -57,13 +57,6 @@ impl Permutation {
         })
     }
 
-    /// Build from the `old → new` map (entry `j` holds the new position of
-    /// original node `j`).
-    pub fn from_old_to_new(old_to_new: Vec<usize>) -> Result<Self> {
-        let inv = Permutation::from_new_to_old(old_to_new)?;
-        Ok(inv.inverse())
-    }
-
     /// Number of permuted items.
     #[inline]
     pub fn len(&self) -> usize {
@@ -94,12 +87,6 @@ impl Permutation {
         &self.new_to_old
     }
 
-    /// The full `old → new` map.
-    #[inline]
-    pub fn old_to_new(&self) -> &[usize] {
-        &self.old_to_new
-    }
-
     /// Inverse permutation (`Pᵀ = P⁻¹`).
     pub fn inverse(&self) -> Permutation {
         Permutation {
@@ -124,42 +111,6 @@ impl Permutation {
         }
         Ok(self.new_to_old.iter().map(|&old| x[old]).collect())
     }
-
-    /// Apply the inverse to a vector: returns `x` with `x[old] = x'[new]`
-    /// (i.e. `Pᵀ x'`).
-    pub fn unpermute_vec(&self, x_permuted: &[f64]) -> Result<Vec<f64>> {
-        if x_permuted.len() != self.len() {
-            return Err(SparseError::DimensionMismatch {
-                op: "unpermute_vec",
-                left: (self.len(), 1),
-                right: (x_permuted.len(), 1),
-            });
-        }
-        let mut x = vec![0.0; self.len()];
-        for (new, &old) in self.new_to_old.iter().enumerate() {
-            x[old] = x_permuted[new];
-        }
-        Ok(x)
-    }
-
-    /// Compose with another permutation: the result maps old indices through
-    /// `self` first and then through `other` (i.e. `other ∘ self` as matrices
-    /// `P_other · P_self`).
-    pub fn compose(&self, other: &Permutation) -> Result<Permutation> {
-        if self.len() != other.len() {
-            return Err(SparseError::DimensionMismatch {
-                op: "compose permutations",
-                left: (self.len(), 1),
-                right: (other.len(), 1),
-            });
-        }
-        // new index in the composed permutation = other.new of (self.new of old)
-        let mut old_to_new = vec![0usize; self.len()];
-        for old in 0..self.len() {
-            old_to_new[old] = other.new_index(self.new_index(old));
-        }
-        Permutation::from_old_to_new(old_to_new)
-    }
 }
 
 #[cfg(test)]
@@ -173,7 +124,6 @@ mod tests {
         assert_eq!(p.len(), 4);
         let x = vec![1.0, 2.0, 3.0, 4.0];
         assert_eq!(p.permute_vec(&x).unwrap(), x);
-        assert_eq!(p.unpermute_vec(&x).unwrap(), x);
     }
 
     #[test]
@@ -184,14 +134,13 @@ mod tests {
     }
 
     #[test]
-    fn permute_and_unpermute_are_inverse() {
+    fn permute_moves_entries_to_their_new_positions() {
         let p = Permutation::from_new_to_old(vec![2, 0, 3, 1]).unwrap();
         let x = vec![10.0, 20.0, 30.0, 40.0];
         let px = p.permute_vec(&x).unwrap();
         assert_eq!(px, vec![30.0, 10.0, 40.0, 20.0]);
-        assert_eq!(p.unpermute_vec(&px).unwrap(), x);
+        assert_eq!(p.inverse().permute_vec(&px).unwrap(), x);
         assert!(p.permute_vec(&[1.0]).is_err());
-        assert!(p.unpermute_vec(&[1.0]).is_err());
     }
 
     #[test]
@@ -208,31 +157,6 @@ mod tests {
                 p.old_index(inv.new_index(old))
             );
         }
-        // P composed with its inverse is the identity.
-        let composed = p.compose(&inv).unwrap();
-        assert!(composed.is_identity());
-    }
-
-    #[test]
-    fn from_old_to_new_matches_inverse_construction() {
-        let old_to_new = vec![1, 2, 0];
-        let p = Permutation::from_old_to_new(old_to_new.clone()).unwrap();
-        for (old, &new) in old_to_new.iter().enumerate() {
-            assert_eq!(p.new_index(old), new);
-            assert_eq!(p.old_index(new), old);
-        }
-    }
-
-    #[test]
-    fn compose_applies_left_then_right() {
-        // self: rotate right, other: swap first two.
-        let a = Permutation::from_old_to_new(vec![1, 2, 0]).unwrap();
-        let b = Permutation::from_old_to_new(vec![1, 0, 2]).unwrap();
-        let c = a.compose(&b).unwrap();
-        for old in 0..3 {
-            assert_eq!(c.new_index(old), b.new_index(a.new_index(old)));
-        }
-        assert!(a.compose(&Permutation::identity(4)).is_err());
     }
 
     #[test]

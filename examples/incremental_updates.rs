@@ -10,9 +10,9 @@
 //! insert → Woodbury correction → rebuild-debt growth → full
 //! refactorization → atomic snapshot swap.
 
-use mogul_suite::core::update::{IndexBuilder, RebuildPolicy};
+use mogul_suite::core::update::{IndexBuilder, IndexDelta, RebuildPolicy};
 use mogul_suite::data::sift::{sift_like, SiftLikeConfig};
-use mogul_suite::serve::{IndexWriter, ServeOptions, UpdateRequest};
+use mogul_suite::serve::{IndexWriter, ServeOptions};
 use std::time::Instant;
 
 fn main() {
@@ -52,12 +52,12 @@ fn main() {
 
     let mut inserted = Vec::new();
     for (round, chunk) in arriving.chunks(40).enumerate() {
-        let updates: Vec<UpdateRequest> = chunk
-            .iter()
-            .map(|f| UpdateRequest::insert(f.to_vec()))
-            .collect();
+        let mut delta = IndexDelta::new();
+        for f in chunk {
+            delta.insert(f.to_vec());
+        }
         let apply_start = Instant::now();
-        let report = writer.apply(&updates).expect("apply updates");
+        let report = writer.apply_delta(&delta).expect("apply updates");
         inserted.extend(report.inserted.iter().copied());
         let top = server.query_by_feature(probe, 5).expect("probe query");
         println!(
@@ -79,7 +79,7 @@ fn main() {
             // and show both epochs answering side by side.
             let old = server.snapshot();
             writer
-                .apply(&[UpdateRequest::remove(inserted[0])])
+                .apply_delta(IndexDelta::new().remove(inserted[0]))
                 .expect("remove");
             let new = server.snapshot();
             println!(

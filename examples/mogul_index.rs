@@ -40,11 +40,11 @@
 //! is also what the CI persistence smoke job runs.
 
 use mogul_suite::core::persist;
-use mogul_suite::core::update::IndexBuilder;
+use mogul_suite::core::update::{IndexBuilder, IndexDelta};
 use mogul_suite::core::wal;
 use mogul_suite::data::web::{web_like, WebLikeConfig};
 use mogul_suite::graph::knn::exact_knn_with_stats;
-use mogul_suite::serve::{IndexWriter, QueryServer, ServeOptions, UpdateRequest, WalSync};
+use mogul_suite::serve::{IndexWriter, QueryServer, ServeOptions, WalSync};
 use mogul_suite::sparse::FeatureMatrix;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -211,12 +211,12 @@ fn wal_demo(dir: &Path) {
     let apply_one = |i: u64| {
         if i % 5 == 4 {
             writer
-                .apply(&[UpdateRequest::remove((i * 13 % 600) as usize)])
+                .apply_delta(IndexDelta::new().remove((i * 13 % 600) as usize))
                 .expect("apply remove");
         } else {
             let feature: Vec<f64> = (0..dim).map(|d| ((i * 7 + d as u64) % 10) as f64).collect();
             writer
-                .apply(&[UpdateRequest::insert(feature)])
+                .apply_delta(IndexDelta::new().insert(feature))
                 .expect("apply insert");
         }
     };
@@ -329,12 +329,12 @@ fn shard_demo(dir: &Path, items: usize, shards: usize) {
         if i % 4 == 3 {
             let victim = inserted.remove(0);
             writer
-                .apply(&[UpdateRequest::remove(victim)])
+                .apply_delta(IndexDelta::new().remove(victim))
                 .expect("apply remove");
         } else {
             let feature: Vec<f64> = (0..dim).map(|d| ((i * 7 + d as u64) % 10) as f64).collect();
             let report = writer
-                .apply(&[UpdateRequest::insert(feature)])
+                .apply_delta(IndexDelta::new().insert(feature))
                 .expect("apply insert");
             inserted.extend(report.inserted);
         }
