@@ -19,21 +19,15 @@
 //!
 //! * `net_closed_c{1,2,4}` — closed loop: N connections, each issuing one
 //!   in-database query at a time. Measures the latency floor and how it
-//!   scales with concurrency; p50 / p95 are per-query round trips. A
-//!   lockstep connection's requests are answered on the server's reader
-//!   thread, so these rows measure that path.
-//! * `net_pipelined_c1` (full runs) — closed loop on one connection with
-//!   two queries in flight. A request that finds another of its connection
-//!   in flight goes to the workers, as the open loop's requests do whenever
-//!   one is still in flight. Its rate over the window of two
-//!   (`one at a time`) is, by Little's law, the reciprocal of a request's
-//!   mean round trip on that path.
-//! * `net_open_half` — open loop at ~0.5x `net_pipelined_c1`'s one-at-a-time
-//!   rate: the healthy regime; sheds must be zero. The open loop runs down
-//!   one pipelined connection, so its healthy rate is sized from one
-//!   connection on the workers' path, not from the best concurrency or from
-//!   the lockstep closed loop, which the server answers on its reader
-//!   thread.
+//!   scales with concurrency; p50 / p95 are per-query round trips.
+//! * `net_open_half` — open loop at ~0.5x what one connection carries
+//!   (`net_closed_c1`): the healthy regime; sheds must be zero. The open
+//!   loop runs down one pipelined connection, so its healthy rate is sized
+//!   from one closed-loop connection, not from the best concurrency. At that
+//!   spacing most requests find the one before already answered, so the
+//!   server answers them on its reader thread, the path `net_closed_c1`
+//!   measures; `by reader` beside each open-loop row is the share of its
+//!   answers that took that path (the stats frame's `answered_by_reader`).
 //! * `net_open_10x` — open loop at ~10x the closed-loop capacity (the best
 //!   of `net_closed_c{1,2,4}`): the overload regime; the
 //!   server must keep answering at its capacity and shed the excess with
@@ -152,44 +146,6 @@ fn closed_loop(addr: &str, items: usize, conns: usize, duration: Duration) -> Ve
     all
 }
 
-/// Queries `pipelined_loop` keeps in flight on its one connection.
-const PIPELINE_WINDOW: usize = 2;
-
-/// Closed loop on one pipelined connection with [`PIPELINE_WINDOW`] queries
-/// in flight: a new one goes out as each answer comes back. A request that
-/// finds another of its connection in flight is not lockstep, so workers
-/// answer these, as they answer the open loop's requests whenever one is
-/// still in flight. Returns one latency (seconds) per completed query.
-fn pipelined_loop(addr: &str, items: usize, duration: Duration) -> Vec<f64> {
-    let mut client = connect(addr);
-    let deadline = Instant::now() + duration;
-    let mut in_flight: Vec<(u64, Instant)> = Vec::with_capacity(PIPELINE_WINDOW);
-    let mut latencies = Vec::new();
-    let mut i = 0usize;
-    loop {
-        while in_flight.len() < PIPELINE_WINDOW && Instant::now() < deadline {
-            let request = QueryRequest::in_database((i * 131) % items, 10);
-            let id = client.send_query(&request).expect("pipelined send failed");
-            in_flight.push((id, Instant::now()));
-            i += 1;
-        }
-        if in_flight.is_empty() {
-            return latencies;
-        }
-        let (id, answer) = client.recv_answer().expect("pipelined response missing");
-        let at = in_flight
-            .iter()
-            .position(|&(sent, _)| sent == id)
-            .unwrap_or_else(|| panic!("answer to request id {id}, which is not in flight"));
-        let (_, start) = in_flight.swap_remove(at);
-        match answer {
-            Ok(response) => assert_eq!(response.top_k().len(), 10),
-            Err(err) => panic!("pipelined query failed: {err}"),
-        }
-        latencies.push(start.elapsed().as_secs_f64());
-    }
-}
-
 /// Open loop: send at a fixed rate regardless of completions (one pipelined
 /// connection; a reader thread drains responses concurrently). Returns
 /// (latencies of successful queries from their due times, shed, how late
@@ -297,41 +253,45 @@ fn main() {
     // -- closed loop -------------------------------------------------------
     let concurrencies: &[usize] = if args.smoke { &[1, 2] } else { &[1, 2, 4] };
     let mut capacity_qps = 0.0f64;
+    let mut one_connection_qps = 0.0f64;
     for &c in concurrencies {
         let started = Instant::now();
         let latencies = closed_loop(&args.addr, items, c, duration);
         let name = format!("net_closed_c{c}");
         let qps = print_row(&name, &latencies, started.elapsed(), "");
         capacity_qps = capacity_qps.max(qps);
+        if c == 1 {
+            one_connection_qps = qps;
+        }
         answered += latencies.len();
     }
     assert!(capacity_qps > 0.0, "closed loop completed no queries");
 
     // -- open loop (full runs only: the smoke gate wants zero shed) --------
     if !args.smoke {
-        // The healthy rate's base is measured on the open loop's own path,
-        // one pipelined connection on the workers: by Little's law, the
-        // pipelined rate over its window is the reciprocal of a request's
-        // mean round trip there, what one request at a time carries.
-        let started = Instant::now();
-        let latencies = pipelined_loop(&args.addr, items, duration);
-        let wall = started.elapsed();
-        let serial_qps = latencies.len() as f64 / wall.as_secs_f64() / PIPELINE_WINDOW as f64;
-        let extra = format!("   one at a time {serial_qps:>9.0} q/s");
-        print_row("net_pipelined_c1", &latencies, wall, &extra);
-        answered += latencies.len();
         for (name, base_qps, factor) in [
-            ("net_open_half", serial_qps, 0.5f64),
+            ("net_open_half", one_connection_qps, 0.5f64),
             ("net_open_10x", capacity_qps, 10.0),
         ] {
             let rate = (base_qps * factor).max(10.0);
+            let by_reader_before = control
+                .stats()
+                .expect("stats request failed")
+                .answered_by_reader;
             let started = Instant::now();
             let (latencies, shed, late) = open_loop(&args.addr, items, rate, duration);
+            let wall = started.elapsed();
+            let by_reader = control
+                .stats()
+                .expect("stats request failed")
+                .answered_by_reader
+                - by_reader_before;
             let extra = format!(
-                "   offered {rate:>9.0} q/s   shed {shed}   late p99 {:.1} us",
-                percentile_us(&late, 0.99)
+                "   offered {rate:>9.0} q/s   shed {shed}   late p99 {:.1} us   by reader {:.0} %",
+                percentile_us(&late, 0.99),
+                100.0 * by_reader as f64 / latencies.len().max(1) as f64
             );
-            print_row(name, &latencies, started.elapsed(), &extra);
+            print_row(name, &latencies, wall, &extra);
             if factor < 1.0 {
                 assert_eq!(shed, 0, "the healthy open-loop regime must not shed");
             } else {
