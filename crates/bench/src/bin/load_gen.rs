@@ -44,13 +44,18 @@
 //! schedule the generator itself sent.
 //!
 //! The generator never panics on a shed — typed `Overloaded`/`Draining`
-//! responses are part of the contract being measured.
+//! responses are part of the contract being measured. A gate that fails is
+//! collected, not asserted: every scenario still runs, `--drain` still
+//! drains the server, and then every failure is printed and the exit code
+//! is 1. A scenario that panics (a failed request) ends the run the same
+//! way.
 
 #![forbid(unsafe_code)]
 
 use mogul_serve::net::NetClient;
 use mogul_serve::resilience::{FaultPlan, FaultProxy, ReplicaSet, ReplicaSetConfig};
 use mogul_serve::{QueryRequest, ServeError};
+use std::panic::AssertUnwindSafe;
 use std::time::{Duration, Instant};
 
 struct Args {
@@ -227,15 +232,42 @@ fn print_row(name: &str, latencies: &[f64], wall: Duration, extra: &str) -> f64 
 
 fn main() {
     let args = parse_args();
-
-    // The corpus size comes from the server itself.
     let mut control = connect(&args.addr);
+    // Failed gates, in the order they were checked.
+    let mut failures = Vec::new();
+    let ran = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        run_scenarios(&args, &mut control, &mut failures)
+    }));
+    if ran.is_err() {
+        failures.push("a scenario panicked (message above)".to_string());
+    }
+    if args.drain {
+        match control.drain_server() {
+            Ok(()) => eprintln!("load_gen: server drain acknowledged"),
+            Err(err) => failures.push(format!("drain request failed: {err}")),
+        }
+    }
+    if !failures.is_empty() {
+        for failure in &failures {
+            eprintln!("load_gen: gate failed: {failure}");
+        }
+        std::process::exit(1);
+    }
+}
+
+/// Every scenario against the server `control` is connected to; a failed
+/// gate is pushed onto `failures`.
+fn run_scenarios(args: &Args, control: &mut NetClient, failures: &mut Vec<String>) {
+    // The corpus size comes from the server itself.
     let before = control.stats().unwrap_or_else(|err| {
         eprintln!("stats request failed: {err}");
         std::process::exit(1);
     });
     let items = before.items as usize;
-    assert!(items > 0, "server reports an empty corpus");
+    if items == 0 {
+        failures.push("server reports an empty corpus".into());
+        return;
+    }
     eprintln!(
         "load_gen: target {} — {} items, epoch {}, queue bound {}",
         args.addr, items, before.epoch, before.queue_capacity
@@ -265,7 +297,9 @@ fn main() {
         }
         answered += latencies.len();
     }
-    assert!(capacity_qps > 0.0, "closed loop completed no queries");
+    if capacity_qps == 0.0 {
+        failures.push("closed loop completed no queries".into());
+    }
 
     // -- open loop (full runs only: the smoke gate wants zero shed) --------
     if !args.smoke {
@@ -292,17 +326,14 @@ fn main() {
                 100.0 * by_reader as f64 / latencies.len().max(1) as f64
             );
             print_row(name, &latencies, wall, &extra);
-            if factor < 1.0 {
-                assert_eq!(shed, 0, "the healthy open-loop regime must not shed");
-            } else {
-                assert!(
-                    shed > 0,
-                    "a {factor}x overload against a bounded queue must shed"
-                );
-                assert!(
-                    !latencies.is_empty(),
-                    "overload must not starve admitted work"
-                );
+            if factor < 1.0 && shed > 0 {
+                failures.push(format!("{name}: the healthy regime shed {shed} requests"));
+            }
+            if factor > 1.0 && shed == 0 {
+                failures.push(format!("{name}: a {factor}x overload shed nothing"));
+            }
+            if factor > 1.0 && latencies.is_empty() {
+                failures.push(format!("{name}: overload starved admitted work"));
             }
             answered += latencies.len();
         }
@@ -340,16 +371,27 @@ fn main() {
             let start = Instant::now();
             // The contract under chaos: every query completes — retries and
             // failover absorb the corruption, never the caller.
-            let (response, status) = set
-                .query(&request)
-                .unwrap_or_else(|err| panic!("chaos query {i} failed: {err}"));
-            assert!(status.is_complete(), "single healthy replica: no degrades");
-            assert_eq!(response.top_k().len(), 10);
+            let (response, status) = match set.query(&request) {
+                Ok(answer) => answer,
+                Err(err) => {
+                    failures.push(format!("chaos query {i} failed: {err}"));
+                    break;
+                }
+            };
+            if !status.is_complete() {
+                failures.push(format!(
+                    "chaos query {i}: a single healthy replica degraded"
+                ));
+            }
+            if response.top_k().len() != 10 {
+                let got = response.top_k().len();
+                failures.push(format!("chaos query {i}: {got} results, not 10"));
+            }
             latencies.push(start.elapsed().as_secs_f64());
         }
-        let extra = format!("   seed {seed}  ({total} queries, all completed)");
+        let extra = format!("   seed {seed}  ({} of {total} queries)", latencies.len());
         print_row("net_chaos_c1", &latencies, started.elapsed(), &extra);
-        answered += total;
+        answered += latencies.len();
     }
 
     // -- server-side accounting --------------------------------------------
@@ -364,23 +406,18 @@ fn main() {
         after.queue_depth,
         after.queue_capacity
     );
-    assert!(
-        after.completed - before.completed >= answered as u64,
-        "the server counted fewer completions than the {answered} answers this client received"
-    );
-    assert_eq!(
-        after.bad_requests, before.bad_requests,
-        "load_gen sent only valid requests"
-    );
-    if args.smoke {
-        assert_eq!(
-            after.shed_overloaded, before.shed_overloaded,
-            "smoke gate: trivial load must not shed"
-        );
+    let counted = after.completed - before.completed;
+    if counted < answered as u64 {
+        failures.push(format!(
+            "the server counted {counted} completions for the {answered} answers received"
+        ));
     }
-
-    if args.drain {
-        control.drain_server().expect("drain request failed");
-        eprintln!("load_gen: server drain acknowledged");
+    let bad = after.bad_requests - before.bad_requests;
+    if bad > 0 {
+        failures.push(format!("{bad} of load_gen's valid requests counted bad"));
+    }
+    let shed = after.shed_overloaded - before.shed_overloaded;
+    if args.smoke && shed > 0 {
+        failures.push(format!("smoke gate: trivial load shed {shed}"));
     }
 }

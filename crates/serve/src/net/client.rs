@@ -243,35 +243,33 @@ impl NetClient {
 
     /// Fetch the server's statistics snapshot.
     pub fn stats(&mut self) -> Result<ServerStatsReport, NetError> {
-        let sent = self.send_frame(FrameKind::Stats, &[])?;
-        let frame = self.read_some_frame()?;
-        match frame.kind {
-            FrameKind::StatsReport if frame.request_id == sent => {
-                Ok(decode_stats_report(&frame.payload)?)
-            }
-            FrameKind::Error => {
-                let error = decode_serve_error(&frame.payload)?;
-                Err(NetError::Serve(error))
-            }
-            other => Err(NetError::Protocol(format!(
-                "expected a stats report, got {other:?}"
-            ))),
-        }
+        let reply = self.control(FrameKind::Stats, FrameKind::StatsReport, "a stats report")?;
+        Ok(decode_stats_report(&reply.payload)?)
     }
 
     /// Ask the server to drain gracefully; returns once the drain is
     /// acknowledged (admitted work still completes server-side after this).
     pub fn drain_server(&mut self) -> Result<(), NetError> {
-        let sent = self.send_frame(FrameKind::Drain, &[])?;
+        let ack = "a drain acknowledgement";
+        self.control(FrameKind::Drain, FrameKind::DrainStarted, ack)
+            .map(drop)
+    }
+
+    /// Send a control frame of `kind` and read its reply, of kind `reply`
+    /// (`what`, for the protocol error) or a typed error.
+    fn control(
+        &mut self,
+        kind: FrameKind,
+        reply: FrameKind,
+        what: &str,
+    ) -> Result<Frame, NetError> {
+        let sent = self.send_frame(kind, &[])?;
         let frame = self.read_some_frame()?;
         match frame.kind {
-            FrameKind::DrainStarted if frame.request_id == sent => Ok(()),
-            FrameKind::Error => {
-                let error = decode_serve_error(&frame.payload)?;
-                Err(NetError::Serve(error))
-            }
+            got if got == reply && frame.request_id == sent => Ok(frame),
+            FrameKind::Error => Err(NetError::Serve(decode_serve_error(&frame.payload)?)),
             other => Err(NetError::Protocol(format!(
-                "expected a drain acknowledgement, got {other:?}"
+                "expected {what}, got {other:?}"
             ))),
         }
     }

@@ -25,6 +25,7 @@
 //! [`crate::resilience`] for the fault-tolerant client side (replica
 //! failover, retry/backoff, fault injection).
 
+mod admission;
 pub mod backend;
 pub mod client;
 pub mod server;

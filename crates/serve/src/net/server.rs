@@ -7,93 +7,47 @@
 //! One accept thread (the caller of [`NetServer::run`]), one reader thread
 //! per connection, and a fixed pool of worker threads
 //! ([`ServeOptions::workers`], auto-detected when `0`). Readers **admit**
-//! requests — decode, validate against the current snapshot, and either
-//! enqueue them or shed them with a typed error frame — and workers
-//! **execute** them.
-//!
-//! A reader pulls frames through a 16 KiB buffer, so frames that arrived
-//! together are decoded from one `read`. It admits them without waking
-//! anyone; only when its buffer holds no whole frame any more — just
-//! before it would block on the socket — does it hand off what it admitted
-//! since its last hand-off. Frames that arrived together are therefore
-//! queued together.
+//! requests — decode, validate against the current snapshot, then queue,
+//! answer or shed them with a typed error frame — and workers **execute**
+//! them. Every decision is one hold of one lock over one admission state
+//! (`net::admission`, whose docs hold the rules); validation, execution
+//! and writes happen outside it. A reader decodes the frames that arrived
+//! together from one buffered `read` and hands off what it queued — wakes
+//! parked workers — only when its buffer holds no whole frame.
 //!
 //! # Run to completion on the reader
 //!
-//! A reader admitting a request answers it itself — through the same run
-//! execution a worker uses — instead of queueing it, when all three of
-//! these hold:
+//! A reader answers a lone request from a lockstep connection at an idle
+//! server itself, by the rule in `net::admission`. That saves the reader →
+//! worker wake, one of the four wakes (client → reader → worker → client)
+//! of such a request; a stalled client's answer write (bounded by the 30 s
+//! write timeout) then stalls its own reader, not a shared worker.
 //!
-//! 1. **A lone request**: it is the only request since the reader's last
-//!    hand-off, and its buffer holds no further whole frame. A batch of
-//!    frames is the workers' to split into runs.
-//! 2. **A lockstep connection**: this request and the one before it each
-//!    found nothing of their connection in flight when admitted. Such a
-//!    client waits for every answer, so the reader has nothing to read
-//!    ahead while it answers. A pipelining client never qualifies: a
-//!    reader busy answering would stop reading its next frames while the
-//!    workers sit idle. A connection's first request never qualifies
-//!    either.
-//! 3. **An idle server**: nothing is queued and no run is executing — on a
-//!    worker or inline on another reader. Whether a worker thread has been
-//!    scheduled yet, or has parked again after its last run, does not
-//!    matter: a worker that is not executing a run is idle. At most one
-//!    reader runs inline, so a burst of single-request clients still goes
-//!    to the pool.
+//! A worker takes a **run** off the queue's front: requests of any kind and
+//! `k` sharing a `require_complete` flag, at most
+//! [`ServeBackend::max_job_len`] and an even share of the backlog with the
+//! parked workers, answered as one panel job. There is no timer: panels form
+//! exactly when there is a backlog. A run's answers leave in one
+//! `write_all` per connection (the request id correlates them).
 //!
-//! The reader decides under the same hold of the queue lock that admits
-//! the request, so no worker can take it first. Otherwise the request is
-//! queued, and at the hand-off the reader wakes as many parked workers as
-//! it queued requests. The inline path saves the reader → worker thread
-//! wake, one of the four wakes (client → reader → worker → client) of a
-//! request at an idle server. On this path a stalled client's answer write (bounded by
-//! the 30 s write timeout) stalls that client's own reader instead of a
-//! worker that every connection shares.
+//! # Admission control and drain
 //!
-//! A worker that wakes takes a **run**: the front request plus the
-//! requests queued right behind it with the same `require_complete` flag —
-//! of any kind and `k`, which share a panel — at most
-//! [`ServeBackend::max_job_len`] of them
-//! and at most `ceil(queued / (parked + 1))`, where `parked` counts the
-//! workers waiting for work. With every other worker busy, a run is as wide
-//! as the backlog and the engine answers it as one panel job — concurrent
-//! queries share one traversal of the factors. With workers parked, the
-//! backlog is split between them instead, so no core idles while requests
-//! wait. There is no timer: at depth one every run is a run of one, and
-//! panels form exactly when there is a backlog. A run's answers leave in
-//! one `write_all` per connection, under that connection's write lock
-//! (answers of one connection may arrive out of send order; the request
-//! id correlates them).
-//!
-//! # Admission control
-//!
-//! The queue between readers and workers is **bounded**
-//! ([`ServeOptions::queue_capacity`]). When it is full, the request is
-//! answered immediately with
-//! [`ServeError::Overloaded`] — carrying the
-//! observed depth and the configured bound — instead of being buffered
-//! without limit: under a sustained overload the server keeps answering at
-//! its capacity and sheds the excess, so memory stays bounded and latency of
-//! admitted requests stays flat. A single connection pipelining more than
-//! [`ServeOptions::max_inflight_per_conn`] requests is shed the same way
-//! before it can monopolize the shared queue. Malformed-but-framed requests
-//! are rejected with `BadRequest` *before* they occupy a queue slot. Inside
-//! a run every request keeps its own fate: one that waited past
+//! The queue is **bounded** ([`ServeOptions::queue_capacity`]): a request
+//! that finds it full, or whose connection already has
+//! [`ServeOptions::max_inflight_per_conn`] in flight, is answered at once
+//! with [`ServeError::Overloaded`] (the observed depth and the bound), so
+//! memory stays bounded under overload. A malformed request gets
+//! `BadRequest` without taking a slot. Inside a run one that waited past
 //! [`ServeOptions::queue_deadline`] is shed, one that a snapshot swap made
 //! invalid gets its own `BadRequest`, and the rest are answered.
-//!
-//! # Drain
-//!
-//! [`NetHandle::drain`] (or a [`FrameKind::Drain`] frame) flips the server
-//! into draining: new requests are answered with
-//! [`ServeError::Draining`], already-admitted
-//! requests run to completion and their answers are delivered, then sockets
-//! shut down and [`NetServer::run`] returns. A snapshot swap needs no drain
-//! at all — in-flight queries hold their epoch's `Arc` — so drain exists for
-//! process shutdown, not for index updates.
+//! [`NetHandle::drain`] (or a [`FrameKind::Drain`] frame) makes the server
+//! answer new requests [`ServeError::Draining`], deliver what it admitted,
+//! shut its sockets down and return from [`NetServer::run`]; a snapshot
+//! swap needs no drain.
 
 use crate::error::ServeError;
 use crate::lock;
+use crate::net::admission::{Admission, Admit};
 use crate::net::backend::ServeBackend;
 use crate::net::stats::{NetStats, ServerStatsReport};
 use crate::net::wire::{
@@ -105,26 +59,16 @@ use crate::request::QueryRequest;
 use crate::server::ServeSnapshot;
 use crate::updater::Writer;
 use mogul_core::update::{RebuildDebt, WritableIndex};
-use std::collections::VecDeque;
 use std::io::{BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-/// Per-connection state shared between its reader thread, the workers
-/// answering its requests, and the drain path.
+/// A connection's write half (its reader owns its own clone of the
+/// stream), locked to write whole frames at a time, and its id.
 struct Conn {
-    /// Write half (the reader thread owns its own clone of the stream).
-    /// Workers lock this to write one complete frame at a time.
     writer: Mutex<TcpStream>,
-    /// Requests admitted from this connection and not yet answered.
-    inflight: AtomicUsize,
-    /// Whether the latest admitted request, and the one before it, found
-    /// nothing of this connection in flight: a lockstep client. Only the
-    /// connection's reader touches them (in [`Shared::admit`]).
-    alone: [AtomicBool; 2],
-    /// Connection id (key into the live-connection registry).
     id: u64,
 }
 
@@ -133,9 +77,8 @@ struct Conn {
 const READ_BUFFER: usize = 16 * 1024;
 
 impl Conn {
-    /// Write encoded frames onto this connection in one `write_all`. Write
-    /// failures are swallowed: the client is gone, and its reader thread
-    /// will notice.
+    /// Write encoded frames in one `write_all`. A failure is swallowed: the
+    /// client is gone, and its reader will notice.
     fn write(&self, frames: &[u8]) {
         let _ = lock(&self.writer).write_all(frames);
     }
@@ -166,50 +109,6 @@ struct Ticket {
     conn: Arc<Conn>,
     request_id: u64,
     admitted: Instant,
-}
-
-/// The admission queue, how many workers are parked waiting on it, and
-/// how many runs are executing.
-#[derive(Default)]
-struct Queue {
-    work: VecDeque<Work>,
-    /// Workers waiting on [`Shared::queue_cv`], counting any notified but
-    /// not yet running: the workers a backlog can still be split with.
-    parked: usize,
-    /// Runs taken off the queue and not yet retired, by a worker or inline
-    /// by a reader ([`answers_inline`]).
-    running: usize,
-}
-
-/// How many requests at the front of the queue one worker takes as its
-/// run, given each queued request's `require_complete` flag: the front
-/// request and the ones queued right behind it with the same flag, of any
-/// kind and `k`, at most `max_job_len`, and at most an even share
-/// `ceil(queued / (parked + 1))` of the backlog, so that parked workers get
-/// the rest. `0` only for an empty queue.
-fn run_len(
-    mut queue: impl ExactSizeIterator<Item = bool>,
-    parked: usize,
-    max_job_len: usize,
-) -> usize {
-    let cap = queue.len().div_ceil(parked + 1).min(max_job_len);
-    let Some(strict) = queue.next() else {
-        return 0;
-    };
-    1 + queue
-        .take(cap.saturating_sub(1))
-        .take_while(|&next| next == strict)
-        .count()
-}
-
-/// Whether a reader answers the request it is admitting itself, instead of
-/// queueing it for a worker: a `lone` request (the only one since the
-/// reader's last hand-off, with no further whole frame in its buffer), from
-/// a lockstep connection (`lockstep`: this request and the one before it
-/// each found nothing of the connection in flight), at an idle server —
-/// nothing `queued` and no run `running`, on a worker or on a reader.
-fn answers_inline(lone: bool, lockstep: [bool; 2], queued: usize, running: usize) -> bool {
-    lone && lockstep == [true; 2] && queued == 0 && running == 0
 }
 
 /// The frames a run answers with, gathered per connection so each
@@ -246,29 +145,22 @@ impl Outbox {
 /// State shared by the accept thread, readers, workers and [`NetHandle`]s.
 struct Shared {
     backend: Arc<dyn ServeBackend>,
-    /// Size of the worker pool.
-    workers: usize,
     /// The rebuild debt of the attached writer, if any.
     debt: Option<Box<dyn Fn() -> RebuildDebt + Send + Sync>>,
     options: ServeOptions,
     stats: NetStats,
     local_addr: SocketAddr,
-    queue: Mutex<Queue>,
-    /// Signaled when a reader has queued work or drain begins (workers wait
-    /// here).
+    /// The one lock: every admission decision is made under it.
+    admission: Mutex<Admission<Work, Arc<Conn>>>,
+    /// Workers wait here for queued work or the drain.
     queue_cv: Condvar,
-    /// Signaled when the last in-flight request completes (drain waits here).
+    /// The drain waits here for its last admitted request's delivery.
     idle_cv: Condvar,
-    draining: AtomicBool,
-    /// Live connections, keyed by connection id (for socket shutdown on
-    /// drain).
-    conns: Mutex<Vec<Arc<Conn>>>,
-    next_conn_id: AtomicU64,
 }
 
 impl Shared {
     fn begin_drain(&self) {
-        if self.draining.swap(true, Ordering::SeqCst) {
+        if !lock(&self.admission).begin_drain() {
             return;
         }
         // Wake the workers (so idle ones can observe the flag) and the
@@ -278,35 +170,18 @@ impl Shared {
         let _ = TcpStream::connect(self.local_addr);
     }
 
-    /// Deregister a connection whose reader has exited.
-    fn forget(&self, id: u64) {
-        lock(&self.conns).retain(|c| c.id != id);
-        self.stats.connections.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Total requests admitted and not yet answered (queued + executing).
-    fn inflight_total(&self) -> u64 {
-        self.stats.inflight.load(Ordering::SeqCst)
-    }
-
     fn stats_report(&self) -> ServerStatsReport {
-        let queue_depth = lock(&self.queue).work.len() as u64;
+        let gauges = lock(&self.admission).gauges();
         let (p50_us, p95_us, qps) = self.stats.latency_summary();
-        let (rebuild_support, rebuild_fraction) = match &self.debt {
-            Some(debt) => {
-                let debt = debt();
-                (debt.support as u64, debt.support_fraction())
-            }
-            None => (0, 0.0),
-        };
+        let debt = self.debt.as_ref().map(|debt| debt()).unwrap_or_default();
         ServerStatsReport {
             epoch: self.backend.epoch(),
             items: self.backend.items(),
             uptime_secs: self.stats.uptime_secs(),
-            connections: self.stats.connections.load(Ordering::Relaxed),
-            queue_depth,
+            connections: gauges.connections as u64,
+            queue_depth: gauges.queue_depth as u64,
             queue_capacity: self.options.queue_capacity() as u64,
-            inflight: self.inflight_total(),
+            inflight: gauges.inflight as u64,
             completed: self.stats.completed.load(Ordering::Relaxed),
             shed_overloaded: self.stats.shed_overloaded.load(Ordering::Relaxed),
             shed_draining: self.stats.shed_draining.load(Ordering::Relaxed),
@@ -315,21 +190,17 @@ impl Shared {
             p50_us,
             p95_us,
             qps,
-            rebuild_support,
-            rebuild_fraction,
-            draining: self.draining.load(Ordering::SeqCst),
+            rebuild_support: debt.support as u64,
+            rebuild_fraction: debt.support_fraction(),
+            draining: gauges.draining,
             shed_deadline: self.stats.shed_deadline.load(Ordering::Relaxed),
             answered_by_reader: self.stats.answered_by_reader.load(Ordering::Relaxed),
         }
     }
 
-    /// Admit or shed one decoded query request (reader thread), `lone`
-    /// when it is the only request since the reader's last hand-off and no
-    /// further whole frame is buffered. When [`answers_inline`] says so the
-    /// reader answers it on the spot; the decision and the admission share
-    /// one hold of the queue lock, so no worker can take the request in
-    /// between. Returns whether it was queued; the reader hands it off later
-    /// ([`Shared::hand_off`]).
+    /// Validate, then admit, answer or shed one decoded query request in one
+    /// hold of the lock (`lone`: see [`Admission::admit`]). Returns whether
+    /// it was queued, for the reader's next hand-off.
     fn admit(
         &self,
         conn: &Arc<Conn>,
@@ -338,39 +209,7 @@ impl Shared {
         require_complete: bool,
         lone: bool,
     ) -> bool {
-        if self.draining.load(Ordering::SeqCst) {
-            self.stats.shed_draining.fetch_add(1, Ordering::Relaxed);
-            conn.send_error(request_id, &ServeError::Draining);
-            return false;
-        }
-        // Validation before queueing: a malformed request must not occupy an
-        // admission slot (and is answered even under full queue).
-        if let Err(err) = self.backend.validate(&request) {
-            self.stats.bad_requests.fetch_add(1, Ordering::Relaxed);
-            conn.send_error(request_id, &err);
-            return false;
-        }
-        let mut queue = lock(&self.queue);
-        let queue_depth = queue.work.len();
-        if queue_depth >= self.options.queue_capacity()
-            || conn.inflight.load(Ordering::SeqCst) >= self.options.max_inflight_per_conn()
-        {
-            drop(queue);
-            self.stats.shed_overloaded.fetch_add(1, Ordering::Relaxed);
-            conn.send_error(
-                request_id,
-                &ServeError::Overloaded {
-                    queue_depth,
-                    queue_capacity: self.options.queue_capacity(),
-                },
-            );
-            return false;
-        }
-        let alone = conn.inflight.fetch_add(1, Ordering::SeqCst) == 0;
-        let before = conn.alone[0].swap(alone, Ordering::Relaxed);
-        conn.alone[1].store(before, Ordering::Relaxed);
-        self.stats.inflight.fetch_add(1, Ordering::SeqCst);
-        let work = Work {
+        let work = self.backend.validate(&request).map(|()| Work {
             ticket: Ticket {
                 conn: Arc::clone(conn),
                 request_id,
@@ -378,95 +217,86 @@ impl Shared {
             },
             request,
             require_complete,
+        });
+        let decision = lock(&self.admission).admit(conn.id, lone, work);
+        let error = match decision {
+            Admit::Queued => return true,
+            Admit::Inline(work) => {
+                self.stats
+                    .answered_by_reader
+                    .fetch_add(1, Ordering::Relaxed);
+                drop(self.execute_run(vec![work]));
+                return false;
+            }
+            Admit::Shed(error) => error,
         };
-        if answers_inline(lone, [alone, before], queue.work.len(), queue.running) {
-            queue.running += 1;
-            drop(queue);
-            self.stats
-                .answered_by_reader
-                .fetch_add(1, Ordering::Relaxed);
-            drop(self.execute_run(vec![work]));
-            return false;
-        }
-        queue.work.push_back(work);
-        true
+        let counter = match error {
+            ServeError::Draining => &self.stats.shed_draining,
+            ServeError::Overloaded { .. } => &self.stats.shed_overloaded,
+            _ => &self.stats.bad_requests,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        conn.send_error(request_id, &error);
+        false
     }
 
-    /// Hand off the `admitted` requests a reader queued since its last
-    /// hand-off: wake as many parked workers as they can use.
+    /// Hand off a reader's `admitted` queued requests: wake parked workers.
     fn hand_off(&self, admitted: usize) {
-        let parked = lock(&self.queue).parked;
-        for _ in 0..admitted.min(parked) {
+        let wakes = lock(&self.admission).wakes(admitted);
+        for _ in 0..wakes {
             self.queue_cv.notify_one();
         }
     }
 
-    /// Worker loop: park until the queue holds work, cut a run off its
-    /// front ([`run_len`]) and answer it; return once draining has emptied
-    /// the queue.
+    /// Worker loop: take a run ([`Admission::take_run`]) and answer it, or
+    /// park; return once draining has emptied the queue.
     fn worker_loop(&self) {
-        let mut queue = lock(&self.queue);
+        let mut admission = lock(&self.admission);
         loop {
-            if !queue.work.is_empty() {
-                let flags = queue.work.iter().map(|w| w.require_complete);
-                let len = run_len(flags, queue.parked, self.backend.max_job_len());
-                let run = queue.work.drain(..len).collect();
-                queue.running += 1;
-                drop(queue);
-                queue = self.execute_run(run);
+            let run = admission.take_run(|work| work.require_complete);
+            if !run.is_empty() {
+                drop(admission);
+                admission = self.execute_run(run);
                 continue;
             }
-            if self.draining.load(Ordering::SeqCst) {
+            if admission.draining() {
                 return;
             }
-            queue.parked += 1;
-            queue = self
+            admission.park();
+            admission = self
                 .queue_cv
-                .wait(queue)
+                .wait(admission)
                 .unwrap_or_else(PoisonError::into_inner);
-            queue.parked -= 1;
+            admission.unpark();
         }
     }
 
-    /// Answer one run (counted in [`Queue::running`] by the caller): shed
-    /// what waited past the deadline, answer the rest as one backend run,
-    /// retire the run, write each connection's frames at once, then count
-    /// its requests answered. The run is retired under the queue lock before
-    /// any answer is written — each connection's in-flight count and the
-    /// run's `running` mark — so a lockstep client's next request, which
-    /// cannot arrive before its answer, finds the server idle
-    /// ([`answers_inline`]). Returns holding the queue lock, under which
-    /// the global in-flight count dropped, so drain's wait on
-    /// [`Shared::idle_cv`] misses no wake.
-    fn execute_run(&self, run: Vec<Work>) -> MutexGuard<'_, Queue> {
+    /// Answer a running run: shed what waited past the deadline, answer the
+    /// rest as one backend run, retire the run, write each connection's
+    /// frames, then count them delivered. Returns holding the lock it
+    /// delivered them under, so drain's wait misses no wake.
+    fn execute_run(&self, run: Vec<Work>) -> MutexGuard<'_, Admission<Work, Arc<Conn>>> {
         let mut outbox = Outbox::default();
-        // Queue-wait deadline: a request that sat past it is shed instead
-        // of executed — its client has almost certainly timed out and
-        // retried elsewhere, so executing it would only delay the requests
-        // queued behind it. Same typed `Overloaded` answer as a queue-full
-        // shed; the stats distinguish the cause via `shed_deadline`.
+        // A request queued past the deadline is shed, not executed: its
+        // client has almost certainly given up. Same `Overloaded` answer as
+        // a queue-full shed; `shed_deadline` tells the causes apart.
+        let deadline = self.options.queue_deadline();
         let (stale, fresh): (Vec<Work>, Vec<Work>) = run.into_iter().partition(|work| {
-            self.options
-                .queue_deadline()
-                .is_some_and(|deadline| work.ticket.admitted.elapsed() > deadline)
+            deadline.is_some_and(|deadline| work.ticket.admitted.elapsed() > deadline)
         });
         let stale: Vec<Ticket> = stale.into_iter().map(|work| work.ticket).collect();
         if !stale.is_empty() {
-            let queue_depth = lock(&self.queue).work.len();
+            let shed = ServeError::Overloaded {
+                queue_depth: lock(&self.admission).gauges().queue_depth,
+                queue_capacity: self.options.queue_capacity(),
+            };
             for ticket in &stale {
                 self.stats.shed_overloaded.fetch_add(1, Ordering::Relaxed);
                 self.stats.shed_deadline.fetch_add(1, Ordering::Relaxed);
-                outbox.push_error(
-                    &ticket.conn,
-                    ticket.request_id,
-                    &ServeError::Overloaded {
-                        queue_depth,
-                        queue_capacity: self.options.queue_capacity(),
-                    },
-                );
+                outbox.push_error(&ticket.conn, ticket.request_id, &shed);
             }
         }
-        // A run shares one `require_complete` (see `run_len`).
+        // A run shares one `require_complete` (see `take_run`).
         let require_complete = fresh.first().is_some_and(|work| work.require_complete);
         let (fresh, requests): (Vec<Ticket>, Vec<QueryRequest>) = fresh
             .into_iter()
@@ -492,8 +322,7 @@ impl Shared {
                     if matches!(err, ServeError::Index(_) | ServeError::Incomplete { .. }) {
                         self.stats.index_errors.fetch_add(1, Ordering::Relaxed);
                     } else {
-                        // Admission re-validates against the *current*
-                        // snapshot; a request admitted just before a swap
+                        // A request admitted just before a snapshot swap
                         // can turn bad.
                         self.stats.bad_requests.fetch_add(1, Ordering::Relaxed);
                     }
@@ -501,31 +330,18 @@ impl Shared {
                 }
             }
         }
-        let mut queue = lock(&self.queue);
-        queue.running -= 1;
-        for ticket in stale.iter().chain(&fresh) {
-            ticket.conn.inflight.fetch_sub(1, Ordering::SeqCst);
-        }
-        drop(queue);
+        let tickets = stale.iter().chain(&fresh);
+        lock(&self.admission).retire_run(tickets.map(|ticket| ticket.conn.id));
         outbox.send();
-        // Drain waits for `inflight` to reach zero before it shuts the
-        // sockets down: it drops only after the bytes are out.
-        let queue = lock(&self.queue);
-        let answered = (stale.len() + fresh.len()) as u64;
-        if self.stats.inflight.fetch_sub(answered, Ordering::SeqCst) == answered {
+        let mut admission = lock(&self.admission);
+        if admission.delivered(stale.len() + fresh.len()) {
             self.idle_cv.notify_all();
         }
-        queue
+        admission
     }
 
-    /// Reader thread: frames off one connection until EOF, error, or drain
-    /// shuts the socket down.
-    fn reader_loop(
-        &self,
-        shared: &Arc<Shared>,
-        conn: &Arc<Conn>,
-        reader: &mut BufReader<TcpStream>,
-    ) {
+    /// Reader thread: frames off one connection until EOF, error or drain.
+    fn reader_loop(&self, conn: &Arc<Conn>, reader: &mut BufReader<TcpStream>) {
         // Requests admitted since the last hand-off.
         let mut unannounced = 0usize;
         loop {
@@ -538,22 +354,18 @@ impl Shared {
                 Ok(None) => break,
                 Ok(Some(frame)) => {
                     let lone = unannounced == 0 && !holds_whole_frame(reader.buffer());
-                    if self.handle_frame(shared, conn, frame, lone) {
+                    if self.handle_frame(conn, frame, lone) {
                         unannounced += 1;
                     }
                 }
                 Err(WireError::Io { .. }) | Err(WireError::TimedOut { .. }) => break,
-                Err(WireError::Payload(reason)) => {
-                    // The frame itself was intact; reject it and keep the
-                    // connection (framing is still synchronized).
-                    self.stats.bad_requests.fetch_add(1, Ordering::Relaxed);
-                    conn.send_error(0, &ServeError::bad_request(reason));
-                }
+                // The frame itself was intact: framing is still synchronized,
+                // so the connection stays.
+                Err(WireError::Payload(reason)) => self.reject(conn, 0, reason),
                 Err(err) => {
                     // Framing is lost (bad magic, truncation, checksum,
                     // version): answer once with a typed error, then close.
-                    self.stats.bad_requests.fetch_add(1, Ordering::Relaxed);
-                    conn.send_error(0, &ServeError::bad_request(err.to_string()));
+                    self.reject(conn, 0, err.to_string());
                     break;
                 }
             }
@@ -561,23 +373,15 @@ impl Shared {
         self.hand_off(unannounced);
     }
 
-    /// Dispatch one intact frame (`lone`: see [`Shared::admit`]). Returns
-    /// whether it queued a request.
-    fn handle_frame(
-        &self,
-        shared: &Arc<Shared>,
-        conn: &Arc<Conn>,
-        frame: Frame,
-        lone: bool,
-    ) -> bool {
+    /// Dispatch one intact frame; whether it queued a request.
+    fn handle_frame(&self, conn: &Arc<Conn>, frame: Frame, lone: bool) -> bool {
         match frame.kind {
             FrameKind::Query => match crate::net::wire::decode_query_request_opts(&frame.payload) {
                 Ok((request, require_complete)) => {
                     self.admit(conn, frame.request_id, request, require_complete, lone)
                 }
                 Err(err) => {
-                    self.stats.bad_requests.fetch_add(1, Ordering::Relaxed);
-                    conn.send_error(frame.request_id, &ServeError::bad_request(err.to_string()));
+                    self.reject(conn, frame.request_id, err.to_string());
                     false
                 }
             },
@@ -588,10 +392,9 @@ impl Shared {
                 false
             }
             FrameKind::Drain => {
-                // Flip into draining BEFORE acking: the ack is the client's
-                // license to assume no new work is admitted, so it must not
-                // be observable while the flag is still clear.
-                shared.begin_drain();
+                // Drain before the ack: the ack is the client's license to
+                // assume nothing more is admitted.
+                self.begin_drain();
                 conn.send(FrameKind::DrainStarted, frame.request_id, &[]);
                 false
             }
@@ -599,14 +402,17 @@ impl Shared {
             | FrameKind::StatsReport
             | FrameKind::Error
             | FrameKind::DrainStarted => {
-                self.stats.bad_requests.fetch_add(1, Ordering::Relaxed);
-                conn.send_error(
-                    frame.request_id,
-                    &ServeError::bad_request("response frame kinds are not valid requests"),
-                );
+                let reason = "response frame kinds are not valid requests";
+                self.reject(conn, frame.request_id, reason);
                 false
             }
         }
+    }
+
+    /// Answer a frame that is no valid request with `BadRequest`.
+    fn reject(&self, conn: &Conn, request_id: u64, reason: impl Into<String>) {
+        self.stats.bad_requests.fetch_add(1, Ordering::Relaxed);
+        conn.send_error(request_id, &ServeError::bad_request(reason));
     }
 }
 
@@ -642,15 +448,13 @@ pub struct NetServer {
 }
 
 impl NetServer {
-    /// Bind a listener and assemble the server state over either engine: a
+    /// Bind a listener and assemble the server over either engine: a
     /// [`QueryServer`](crate::QueryServer), or a
-    /// [`ShardedServer`](crate::ShardedServer), whose admitted queries may
-    /// come back degraded (see [`ServeBackend`]). `addr` may be
-    /// `"127.0.0.1:0"` to let the OS pick a free port (read it back with
-    /// [`NetServer::local_addr`]). The same [`ServeOptions`] value that
-    /// configured the engine usually configures the front door too — here
-    /// it contributes the worker count, queue capacity and per-connection
-    /// cap.
+    /// [`ShardedServer`](crate::ShardedServer), whose answers may come back
+    /// degraded (see [`ServeBackend`]). `addr` may be `"127.0.0.1:0"` to let
+    /// the OS pick a port ([`NetServer::local_addr`]). The [`ServeOptions`]
+    /// that configured the engine usually configure the front door too: the
+    /// worker count, queue capacity and per-connection cap.
     pub fn bind(
         addr: impl ToSocketAddrs,
         backend: Arc<impl ServeBackend>,
@@ -661,18 +465,18 @@ impl NetServer {
         Ok(NetServer {
             listener,
             shared: Arc::new(Shared {
-                backend,
-                workers: options.resolve_workers(),
                 debt: None,
-                options,
                 stats: NetStats::new(),
                 local_addr,
-                queue: Mutex::new(Queue::default()),
+                admission: Mutex::new(Admission::new(
+                    options.queue_capacity(),
+                    options.max_inflight_per_conn(),
+                    backend.max_job_len(),
+                )),
                 queue_cv: Condvar::new(),
                 idle_cv: Condvar::new(),
-                draining: AtomicBool::new(false),
-                conns: Mutex::new(Vec::new()),
-                next_conn_id: AtomicU64::new(0),
+                backend,
+                options,
             }),
         })
     }
@@ -704,16 +508,14 @@ impl NetServer {
         }
     }
 
-    /// Run the server on the calling thread until drained.
-    ///
-    /// Spawns the worker pool, then accepts connections until
-    /// [`NetHandle::drain`] (or a wire [`FrameKind::Drain`]) fires. Drain
-    /// then: stops admitting, waits for every admitted request to be
-    /// answered, shuts down all connection sockets (unblocking their reader
-    /// threads), joins readers and workers, and returns.
+    /// Run the server on the calling thread until drained: spawn the
+    /// workers, accept connections until [`NetHandle::drain`] (or a wire
+    /// [`FrameKind::Drain`]), wait for every admitted request's answer,
+    /// shut the sockets down, join readers and workers, and return.
     pub fn run(self) -> std::io::Result<()> {
-        let mut worker_handles = Vec::with_capacity(self.shared.workers);
-        for i in 0..self.shared.workers {
+        let workers = self.shared.options.resolve_workers();
+        let mut worker_handles = Vec::with_capacity(workers);
+        for i in 0..workers {
             let shared = Arc::clone(&self.shared);
             let spawned = std::thread::Builder::new()
                 .name(format!("mogul-net-worker-{i}"))
@@ -734,95 +536,74 @@ impl NetServer {
 
         let mut reader_handles = Vec::new();
         for stream in self.listener.incoming() {
-            if self.shared.draining.load(Ordering::SeqCst) {
+            if lock(&self.shared.admission).draining() {
                 break; // the drain wake-up connection lands here
             }
-            let stream = match stream {
-                Ok(s) => s,
-                Err(_) => continue,
-            };
+            let Ok(stream) = stream else { continue };
             let _ = stream.set_nodelay(true);
             // A worker (or an inline reader) blocked on a stalled client's
             // full socket buffer would hold up drain forever; bound
             // response writes instead.
             let _ = stream.set_write_timeout(Some(Duration::from_secs(30)));
-            let writer_half = match stream.try_clone() {
-                Ok(w) => w,
-                Err(_) => continue,
+            let Ok(writer_half) = stream.try_clone() else {
+                continue;
             };
-            let id = self.shared.next_conn_id.fetch_add(1, Ordering::Relaxed);
-            let conn = Arc::new(Conn {
-                writer: Mutex::new(writer_half),
-                inflight: AtomicUsize::new(0),
-                alone: Default::default(),
-                id,
-            });
-            lock(&self.shared.conns).push(Arc::clone(&conn));
-            self.shared
-                .stats
-                .connections
-                .fetch_add(1, Ordering::Relaxed);
+            let writer = Mutex::new(writer_half);
+            let conn = lock(&self.shared.admission).open(|id| Arc::new(Conn { writer, id }));
+            let id = conn.id;
             let shared = Arc::clone(&self.shared);
             let spawned = std::thread::Builder::new()
                 .name(format!("mogul-net-reader-{id}"))
                 .spawn(move || {
                     let mut reader = BufReader::with_capacity(READ_BUFFER, stream);
-                    shared.reader_loop(&shared, &conn, &mut reader);
+                    shared.reader_loop(&conn, &mut reader);
                     let _ = reader.get_ref().shutdown(Shutdown::Both);
-                    shared.forget(id);
+                    lock(&shared.admission).close(id);
                 });
             match spawned {
                 Ok(handle) => reader_handles.push(handle),
                 // No thread to read it: close this connection (dropping the
                 // closure dropped its stream) and keep serving the others.
-                Err(_) => self.shared.forget(id),
+                Err(_) => lock(&self.shared.admission).close(id),
             }
         }
 
-        // Draining: the flag is set, so readers shed every new arrival;
-        // wait until everything already admitted (queued or executing) has
-        // been answered. The in-flight count drops under the queue lock, so
-        // the last answer's notify cannot slip past this check.
-        {
-            let mut queue = lock(&self.shared.queue);
-            while !queue.work.is_empty() || self.shared.inflight_total() > 0 {
-                queue = self
+        // Draining: nothing is admitted any more; wait until everything
+        // admitted has been delivered.
+        let conns: Vec<Arc<Conn>> = {
+            let mut admission = lock(&self.shared.admission);
+            while !admission.drained() {
+                admission = self
                     .shared
                     .idle_cv
-                    .wait(queue)
+                    .wait(admission)
                     .unwrap_or_else(PoisonError::into_inner);
             }
-        }
+            admission.handles().cloned().collect()
+        };
 
         // Requests a pipelining client wrote before the drain may still sit
-        // unread in a connection's kernel buffer while its reader thread is
-        // between reads; shutting the socket down now would turn them into a
-        // silent EOF instead of the typed `Draining` answer the protocol
-        // promises. A short receive timeout lets each reader pull and shed
-        // whatever is already buffered, then exit on its own the moment its
-        // buffer runs dry (`read_frame` surfaces the timeout and the loop
-        // breaks). The clone shares the socket, so the option reaches the
-        // reader's handle too.
-        for conn in lock(&self.shared.conns).iter() {
-            let writer = lock(&conn.writer);
-            let _ = writer.set_read_timeout(Some(Duration::from_millis(20)));
+        // unread in a connection's kernel buffer; shutting the socket down
+        // now would turn them into a silent EOF instead of the typed
+        // `Draining` answer the protocol promises. A short receive timeout
+        // (on the shared socket) lets each reader shed what is buffered,
+        // then exit once its buffer runs dry. Readers close their
+        // connections as they exit; poll for that, as a join has no timeout.
+        for conn in &conns {
+            let _ = lock(&conn.writer).set_read_timeout(Some(Duration::from_millis(20)));
         }
-        // Readers deregister themselves from `conns` as they exit; poll for
-        // that instead of joining, which has no timeout.
         let grace_deadline = Instant::now() + Duration::from_millis(500);
         while Instant::now() < grace_deadline {
-            if lock(&self.shared.conns).is_empty() {
+            if lock(&self.shared.admission).gauges().connections == 0 {
                 break;
             }
             std::thread::sleep(Duration::from_millis(5));
         }
-        // Backstop: a reader that entered its blocking read before the
-        // timeout landed never observes it — but such a read means its
-        // buffer was empty, so closing the socket under it loses nothing.
-        // This also bounds drain against a client trickling partial frames.
-        for conn in lock(&self.shared.conns).iter() {
-            let writer = lock(&conn.writer);
-            let _ = writer.shutdown(Shutdown::Both);
+        // Backstop: a reader blocked before the timeout landed never sees
+        // it, but then its buffer was empty, so closing the socket loses
+        // nothing. This also bounds drain against a trickling client.
+        for conn in &conns {
+            let _ = lock(&conn.writer).shutdown(Shutdown::Both);
         }
         for handle in reader_handles {
             let _ = handle.join();
@@ -840,7 +621,7 @@ impl std::fmt::Debug for NetServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NetServer")
             .field("local_addr", &self.shared.local_addr)
-            .field("draining", &self.shared.draining.load(Ordering::SeqCst))
+            .field("draining", &lock(&self.shared.admission).draining())
             .finish()
     }
 }
@@ -865,7 +646,7 @@ impl NetHandle {
 
     /// `true` once draining has begun.
     pub fn is_draining(&self) -> bool {
-        self.shared.draining.load(Ordering::SeqCst)
+        lock(&self.shared.admission).draining()
     }
 
     /// A point-in-time statistics snapshot (same data the wire
@@ -885,7 +666,7 @@ impl std::fmt::Debug for NetHandle {
 
 #[cfg(test)]
 mod tests {
-    use super::{answers_inline, run_len};
+    use crate::net::admission::{Admission, Admit};
     use crate::request::QueryRequest;
 
     const WIDE: usize = 64;
@@ -902,10 +683,18 @@ mod tests {
         (request, true)
     }
 
-    /// The run a worker cuts off `queue`, which it reads as the worker loop
-    /// does: by each request's `require_complete` flag alone.
+    /// The run a worker takes off `queue` with `parked` workers parked,
+    /// which it reads as the worker loop does: by each request's
+    /// `require_complete` flag alone.
     fn cut(queue: &[(QueryRequest, bool)], parked: usize, max_job_len: usize) -> usize {
-        run_len(queue.iter().map(|&(_, s)| s), parked, max_job_len)
+        let mut admission = Admission::new(WIDE, WIDE, max_job_len);
+        let conn = admission.open(|id| id);
+        for &(_, strict) in queue {
+            let admitted = admission.admit(conn, false, Ok(strict));
+            assert_eq!(admitted, Admit::Queued);
+        }
+        (0..parked).for_each(|_| admission.park());
+        admission.take_run(|&strict| strict).len()
     }
 
     #[test]
@@ -983,11 +772,9 @@ mod tests {
             ("a lone lockstep request at an idle server",    true,  YES,            0, 0, true),
         ];
         for (why, lone, lockstep, queued, running, answers) in rows {
-            assert_eq!(
-                answers_inline(lone, lockstep, queued, running),
-                answers,
-                "{why}"
-            );
+            let mut admission = Admission::in_state(lockstep, queued, running);
+            let decision = admission.admit(0, lone, Ok(()));
+            assert_eq!(matches!(decision, Admit::Inline(())), answers, "{why}");
         }
     }
 }

@@ -90,7 +90,6 @@ struct LatencyWindow {
 /// Shared mutable statistics of one running network server.
 pub(crate) struct NetStats {
     started: Instant,
-    pub(crate) connections: AtomicU64,
     pub(crate) completed: AtomicU64,
     pub(crate) shed_overloaded: AtomicU64,
     pub(crate) shed_draining: AtomicU64,
@@ -98,7 +97,6 @@ pub(crate) struct NetStats {
     pub(crate) answered_by_reader: AtomicU64,
     pub(crate) bad_requests: AtomicU64,
     pub(crate) index_errors: AtomicU64,
-    pub(crate) inflight: AtomicU64,
     window: Mutex<LatencyWindow>,
 }
 
@@ -106,7 +104,6 @@ impl NetStats {
     pub(crate) fn new() -> Self {
         NetStats {
             started: Instant::now(),
-            connections: AtomicU64::new(0),
             completed: AtomicU64::new(0),
             shed_overloaded: AtomicU64::new(0),
             shed_draining: AtomicU64::new(0),
@@ -114,7 +111,6 @@ impl NetStats {
             answered_by_reader: AtomicU64::new(0),
             bad_requests: AtomicU64::new(0),
             index_errors: AtomicU64::new(0),
-            inflight: AtomicU64::new(0),
             window: Mutex::new(LatencyWindow {
                 samples: Vec::with_capacity(LATENCY_WINDOW),
                 next: 0,
@@ -156,22 +152,11 @@ impl NetStats {
             let idx = ((latencies.len() - 1) as f64 * q).round() as usize;
             latencies[idx] * 1e6
         };
-        let qps = if window.samples.len() >= 2 {
-            let newest = window
-                .samples
-                .iter()
-                .map(|&(at, _)| at)
-                .fold(f64::MIN, f64::max);
-            let oldest = window
-                .samples
-                .iter()
-                .map(|&(at, _)| at)
-                .fold(f64::MAX, f64::min);
-            if newest > oldest {
-                (window.samples.len() - 1) as f64 / (newest - oldest)
-            } else {
-                0.0
-            }
+        let at = window.samples.iter().map(|&(at, _)| at);
+        let newest = at.clone().fold(f64::MIN, f64::max);
+        let oldest = at.fold(f64::MAX, f64::min);
+        let qps = if newest > oldest {
+            (window.samples.len() - 1) as f64 / (newest - oldest)
         } else {
             0.0
         };
