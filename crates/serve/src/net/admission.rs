@@ -2,8 +2,10 @@
 //! [`NetServer`](crate::net::NetServer) keeps under its one lock. It holds
 //! every count a decision reads — queued work, parked workers, running
 //! runs, each connection's in-flight count and lockstep history, the total
-//! in flight and the drain flag — and its methods are the only transitions.
-//! It does no I/O, reads no clock and holds no atomics.
+//! in flight and the drain flag — and the stats report's outcome
+//! [`Counts`], each counted by the transition that decides it. Its methods
+//! are the only transitions. It does no I/O, reads no clock and holds no
+//! atomics.
 //!
 //! # Run to completion on the reader
 //!
@@ -16,7 +18,8 @@
 //! 2. **A lockstep connection**: this request and the one before it each
 //!    found nothing of their connection in flight. Such a client waits for
 //!    each answer, so its reader has nothing to read ahead. A pipelining
-//!    client, or a connection's first request, never qualifies.
+//!    client, or a connection's first request, never qualifies. Only the one
+//!    before's finding is kept: at an idle server (3) this one's holds.
 //! 3. **An idle server**: nothing queued and no run executing, on a worker
 //!    or inline on a reader. Parked workers do not enter: a worker that is
 //!    not executing a run is idle, scheduled yet or not.
@@ -24,7 +27,8 @@
 //! # Order
 //!
 //! A run is retired ([`Admission::retire_run`]) before its answers are
-//! written, so a lockstep client's next request finds the server idle, and
+//! written, so a lockstep client's next request finds the server idle and
+//! a client that has read an answer finds it counted, and
 //! [`Admission::delivered`] after, so the total in flight (what drain and
 //! the stats read) reaches zero only once the bytes are out. After
 //! [`Admission::begin_drain`] nothing is admitted.
@@ -32,7 +36,7 @@
 use crate::error::ServeError;
 use std::collections::{BTreeMap, VecDeque};
 
-/// What [`Admission::admit`] decided for one request.
+/// What [`Admission::admit`] decided (and counted) for one request.
 #[derive(Debug, PartialEq)]
 pub(crate) enum Admit<W> {
     /// Answer it on the reader now, as a running run of one.
@@ -43,22 +47,46 @@ pub(crate) enum Admit<W> {
     Shed(ServeError),
 }
 
-/// The gauges of the stats report, from one hold of the lock.
+/// How a request of a run ended: answered, shed past the queue deadline,
+/// failed in the index, or turned invalid (a snapshot swap).
+#[derive(Clone, Copy, Debug, Hash, PartialEq, Eq)]
+pub(crate) enum Outcome {
+    Completed,
+    Stale,
+    IndexError,
+    BadRequest,
+}
+
+/// The stats report's outcome counters (see
+/// [`ServerStatsReport`](crate::net::ServerStatsReport)).
+#[derive(Clone, Copy, Debug, Default, Hash, PartialEq, Eq)]
+pub(crate) struct Counts {
+    pub(crate) completed: u64,
+    pub(crate) shed_overloaded: u64,
+    pub(crate) shed_draining: u64,
+    pub(crate) shed_deadline: u64,
+    pub(crate) answered_by_reader: u64,
+    pub(crate) bad_requests: u64,
+    pub(crate) index_errors: u64,
+}
+
+/// The gauges and counters of the stats report, from one hold of the lock.
 #[derive(Clone, Copy)]
 pub(crate) struct Gauges {
     pub(crate) queue_depth: usize,
     pub(crate) inflight: usize,
     pub(crate) connections: usize,
     pub(crate) draining: bool,
+    pub(crate) counts: Counts,
 }
 
 /// A connection: its handle while its reader runs, its requests admitted and
-/// not retired, and whether each of its latest two found none of those.
+/// not retired, and whether its latest admitted request found none of those.
 #[derive(Clone, Hash, PartialEq, Eq)]
 struct Lane<C> {
     handle: Option<C>,
     inflight: usize,
-    alone: [bool; 2],
+    alone: bool,
 }
 
 /// The admission state over queued items `W` and connection handles `C`.
@@ -74,6 +102,7 @@ pub(crate) struct Admission<W, C> {
     /// Requests admitted and not yet delivered.
     inflight: usize,
     draining: bool,
+    counts: Counts,
     capacity: usize,
     per_conn: usize,
     max_job_len: usize,
@@ -90,6 +119,7 @@ impl<W, C: Clone> Admission<W, C> {
             next_conn: 0,
             inflight: 0,
             draining: false,
+            counts: Counts::default(),
             capacity,
             per_conn,
             max_job_len,
@@ -102,17 +132,19 @@ impl<W, C: Clone> Admission<W, C> {
         let lane = Lane {
             handle: Some(handle.clone()),
             inflight: 0,
-            alone: [false; 2],
+            alone: false,
         };
         self.conns.insert(self.next_conn, lane);
         self.next_conn += 1;
         handle
     }
 
-    /// Deregister a connection whose reader exited (kept while in flight).
-    pub(crate) fn close(&mut self, id: u64) {
+    /// Deregister a connection whose reader exited (kept while in flight);
+    /// whether that was a draining server's last reader.
+    pub(crate) fn close(&mut self, id: u64) -> bool {
         self.lane(id).handle = None;
         self.forget_if_done(id);
+        self.draining && self.handles().next().is_none()
     }
 
     /// The handles of the connections whose readers still run.
@@ -125,27 +157,32 @@ impl<W, C: Clone> Admission<W, C> {
     /// server sheds every request, valid or not.
     pub(crate) fn admit(&mut self, conn: u64, lone: bool, work: Result<W, ServeError>) -> Admit<W> {
         if self.draining {
+            self.counts.shed_draining += 1;
             return Admit::Shed(ServeError::Draining);
         }
         let work = match work {
             Ok(work) => work,
-            Err(err) => return Admit::Shed(err),
+            Err(err) => {
+                self.counts.bad_requests += 1;
+                return Admit::Shed(err);
+            }
         };
         let (queue_depth, queue_capacity, per_conn) =
             (self.queue.len(), self.capacity, self.per_conn);
         let lane = self.lane(conn);
         if queue_depth >= queue_capacity || lane.inflight >= per_conn {
+            self.counts.shed_overloaded += 1;
             return Admit::Shed(ServeError::Overloaded {
                 queue_depth,
                 queue_capacity,
             });
         }
-        lane.alone = [lane.inflight == 0, lane.alone[0]];
+        let previous_alone = std::mem::replace(&mut lane.alone, lane.inflight == 0);
         lane.inflight += 1;
-        let lockstep = lane.alone == [true; 2];
         self.inflight += 1;
-        if lone && lockstep && queue_depth == 0 && self.running == 0 {
+        if lone && previous_alone && queue_depth == 0 && self.running == 0 {
             self.running += 1;
+            self.counts.answered_by_reader += 1;
             return Admit::Inline(work);
         }
         self.queue.push_back(work);
@@ -182,13 +219,29 @@ impl<W, C: Clone> Admission<W, C> {
     }
 
     /// Retire a run before its answers are written: it stops running, and
-    /// its requests (by connection id) leave their connections' counts.
-    pub(crate) fn retire_run(&mut self, conns: impl IntoIterator<Item = u64>) {
+    /// its requests (by connection id) leave their connections' counts and
+    /// count their outcomes.
+    pub(crate) fn retire_run(&mut self, outcomes: impl IntoIterator<Item = (u64, Outcome)>) {
         self.running -= 1;
-        for id in conns {
+        for (id, outcome) in outcomes {
+            let counts = &mut self.counts;
+            match outcome {
+                Outcome::Completed => counts.completed += 1,
+                Outcome::Stale => {
+                    counts.shed_overloaded += 1;
+                    counts.shed_deadline += 1;
+                }
+                Outcome::IndexError => counts.index_errors += 1,
+                Outcome::BadRequest => counts.bad_requests += 1,
+            }
             self.lane(id).inflight -= 1;
             self.forget_if_done(id);
         }
+    }
+
+    /// Count a frame that is no valid request.
+    pub(crate) fn reject(&mut self) {
+        self.counts.bad_requests += 1;
     }
 
     /// Count `answered` requests delivered, once written; whether that
@@ -218,6 +271,7 @@ impl<W, C: Clone> Admission<W, C> {
             inflight: self.inflight,
             connections: self.handles().count(),
             draining: self.draining,
+            counts: self.counts,
         }
     }
 
@@ -235,26 +289,24 @@ impl<W, C: Clone> Admission<W, C> {
 
 #[cfg(test)]
 impl Admission<(), u64> {
-    /// A server whose connection 0 admits its next request into a given
-    /// state: `lockstep` as that request and the one before it would find
-    /// it (`[true, _]` leaves nothing of the connection in flight), with
-    /// `queued` requests queued and `running` runs executing.
-    pub(crate) fn in_state(lockstep: [bool; 2], queued: usize, running: usize) -> Self {
+    /// A server whose connection 0, with nothing in flight, admits its next
+    /// request into a given state: `previous_alone` as the request before it
+    /// found the connection, with `queued` requests queued and `running`
+    /// runs executing.
+    pub(crate) fn in_state(previous_alone: bool, queued: usize, running: usize) -> Self {
         let mut admission = Admission::new(64, 64, 64);
         admission.open(|id| id);
-        let lane = admission.conns.get_mut(&0).expect("connection 0");
-        lane.alone[0] = lockstep[1];
-        lane.inflight = usize::from(!lockstep[0]);
+        admission.lane(0).alone = previous_alone;
         admission.queue.extend(std::iter::repeat_n((), queued));
         admission.running = running;
-        admission.inflight = lane.inflight + queued;
+        admission.inflight = queued;
         admission
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::{Admission, Admit};
+    use super::{Admission, Admit, Counts, Outcome};
     use crate::error::ServeError;
 
     #[test]
@@ -281,7 +333,7 @@ mod tests {
             "the request admitted before the drain is owed"
         );
         assert_eq!(admission.take_run(|_| false), vec![1]);
-        admission.retire_run([conn]);
+        admission.retire_run([(conn, Outcome::Completed)]);
         assert!(admission.delivered(1), "its delivery drains the server");
     }
 
@@ -320,8 +372,50 @@ mod tests {
             "its request is in flight"
         );
         assert_eq!(admission.take_run(|_| false), vec![1]);
-        admission.retire_run([conn]);
+        admission.retire_run([(conn, Outcome::Completed)]);
         assert!(admission.conns.is_empty());
+    }
+
+    #[test]
+    fn each_outcome_is_counted_by_the_transition_that_decides_it() {
+        let mut admission = Admission::<u8, u64>::new(3, 8, 8);
+        let conn = admission.open(|id| id);
+        // A connection's first request is never lockstep.
+        for work in 1..=3 {
+            assert_eq!(admission.admit(conn, true, Ok(work)), Admit::Queued);
+        }
+        let full = admission.admit(conn, true, Ok(4));
+        assert!(matches!(full, Admit::Shed(ServeError::Overloaded { .. })));
+        let bad = admission.admit(conn, true, Err(ServeError::bad_request("bad")));
+        assert!(matches!(bad, Admit::Shed(ServeError::BadRequest { .. })));
+        admission.reject();
+        assert_eq!(admission.take_run(|_| false), vec![1, 2, 3]);
+        let fates = [Outcome::Stale, Outcome::IndexError, Outcome::BadRequest];
+        admission.retire_run(fates.map(|outcome| (conn, outcome)));
+        admission.delivered(3);
+        // Lone at an idle server: queued, as the one before found two in
+        // flight; then answered inline.
+        for (work, inline) in [(5, false), (6, true)] {
+            let admitted = admission.admit(conn, true, Ok(work));
+            assert_eq!(matches!(admitted, Admit::Inline(_)), inline);
+            if !inline {
+                assert_eq!(admission.take_run(|_| false), vec![work]);
+            }
+            admission.retire_run([(conn, Outcome::Completed)]);
+            admission.delivered(1);
+        }
+        admission.begin_drain();
+        let _ = admission.admit(conn, true, Ok(7));
+        let counts = Counts {
+            completed: 2,
+            shed_overloaded: 2,
+            shed_draining: 1,
+            shed_deadline: 1,
+            answered_by_reader: 1,
+            bad_requests: 3,
+            index_errors: 1,
+        };
+        assert_eq!(admission.gauges().counts, counts);
     }
 }
 
@@ -332,12 +426,14 @@ mod tests {
 /// or one condvar wake-up, in the order `Shared::admit`,
 /// `Shared::reader_loop`, `Shared::worker_loop`, `Shared::execute_run` and
 /// `NetServer::run`'s drain take them; unlocked work that no other thread
-/// reads (answering and counting a run) joins the step before it. At every
-/// state it checks the seven invariants of `State::check`, and at every
-/// final state that each request read was answered and a drain ended.
+/// reads (answering a run) joins the step before it. At every state it
+/// checks the eight invariants of `State::check`, and at every final state
+/// that each request read was answered and its answer reached the client,
+/// and that a drain ended.
 #[cfg(test)]
 mod explorer {
-    use super::{Admission, Admit};
+    use super::{Admission, Admit, Counts, Outcome};
+    use crate::error::ServeError;
     use std::collections::hash_map::DefaultHasher;
     use std::collections::HashSet;
     use std::hash::{Hash, Hasher};
@@ -358,6 +454,14 @@ mod explorer {
         Pipelined,
     }
 
+    /// What becomes of a connection's requests: they fail validation, or
+    /// end with this outcome in their run.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    enum Fate {
+        Invalid,
+        Runs(Outcome),
+    }
+
     #[derive(Clone, Copy, Debug)]
     struct Connection {
         client: Client,
@@ -365,6 +469,7 @@ mod explorer {
         /// The client closes its side after its last request, so its reader
         /// exits while those requests may still be in flight.
         hangs_up: bool,
+        fate: Fate,
     }
 
     #[derive(Clone, Debug)]
@@ -378,6 +483,15 @@ mod explorer {
         max_job_len: usize,
     }
 
+    /// Why a request was answered as it was, as the model decides it.
+    #[derive(Clone, Copy, Debug, Hash, PartialEq, Eq)]
+    enum Cause {
+        Draining,
+        Overloaded,
+        Invalid,
+        Ran(Outcome),
+    }
+
     /// What happened to one request.
     #[derive(Clone, Copy, Debug, Default, Hash, PartialEq, Eq)]
     struct Request {
@@ -386,11 +500,15 @@ mod explorer {
         /// Lone, from a lockstep client, at an idle server: owed an inline
         /// answer.
         inline_due: bool,
+        /// Found nothing of its connection in flight when admitted.
+        alone: bool,
+        /// Answered inline: lone, admitted alone after an admitted request
+        /// that was admitted alone, at an idle server (the two-flag rule).
+        inline: bool,
         /// In the queue: admitted as queued and not yet taken.
         queued: bool,
-        /// The counter that reports its answer (`completed`, or the shed
-        /// counter) is up.
-        counted: bool,
+        /// Counted, by this cause: at its shed, or at its run's retirement.
+        counted: Option<Cause>,
         retired: bool,
         delivered: bool,
         /// Answer frames written for it.
@@ -409,7 +527,7 @@ mod explorer {
         /// Whole frames in the reader's buffer.
         buffered: usize,
         hung_up: bool,
-        /// Shut down by the server: later writes are lost.
+        /// Closed by the server: later writes are lost.
         shut: bool,
     }
 
@@ -423,27 +541,30 @@ mod explorer {
         Notify(usize),
         /// Reader, writing the error frame of a shed request.
         ShedWrite(Token),
-        /// Reader, its loop ended: shut the socket down, then close.
-        Shutdown,
+        /// Reader, its loop ended: close its connection. It shuts nothing
+        /// down; the socket closes with the last handle on it.
         Close,
         /// Worker, before its first hold of the lock.
         Start,
         /// Worker, waiting on the queue condvar; woken, waiting for the lock.
         Parked,
         Woken,
-        /// A run, answered and counted: retire it, write each connection's
-        /// frames (the `usize`-th connection next), deliver it.
+        /// A run, answered: retire it (which counts it), write each
+        /// connection's frames (the `usize`-th connection next), deliver it.
         Retire(Vec<Token>),
         Write(Vec<Token>, usize),
         Deliver(Vec<Token>),
-        /// The drain: begin, wake the workers, wait until drained, then
-        /// (once every reader is gone) wake the workers to exit.
+        /// The drain: begin, wake the workers, wait until drained, wait
+        /// until the last reader has closed its connection, then wake the
+        /// workers to exit. Both waits are on the one `idle_cv`.
         BeginDrain,
         WakeWorkers,
         CheckDrained,
         DrainWait,
         DrainWoken,
-        Drained,
+        Grace,
+        GraceWait,
+        GraceWoken,
         Done,
     }
 
@@ -536,19 +657,30 @@ mod explorer {
             self.threads.iter().filter(running).count()
         }
 
-        /// Answer and count a run taken: work no other thread reads, so it
-        /// joins the step that took the run. Next, retire it.
-        fn execute(&mut self, run: Vec<Token>) -> Pc {
-            run.iter()
-                .for_each(|&token| self.request(token).counted = true);
-            Pc::Retire(run)
-        }
-
         /// Wake up to `n` threads waiting at `from` (the lowest first: the
         /// waiting workers are alike).
         fn notify(&mut self, n: usize, from: Pc, to: Pc) {
             let waiting = self.threads.iter_mut().filter(|t| t.pc == from);
             waiting.take(n).for_each(|t| t.pc = to.clone());
+        }
+
+        /// `idle_cv.notify_all()`: the drain wakes from either of its waits.
+        fn wake_drain(&mut self) {
+            self.notify(usize::MAX, Pc::DrainWait, Pc::DrainWoken);
+            self.notify(usize::MAX, Pc::GraceWait, Pc::GraceWoken);
+        }
+
+        /// The socket of `conn` closes once the server holds no handle on it:
+        /// its reader has exited and nothing of it is owed (an admitted
+        /// request's ticket holds a handle until its run is delivered).
+        fn release(&mut self, conn: usize) {
+            let reading = |t: &Thread| t.reader == Some(conn) && t.pc != Pc::Done;
+            let owed = self.requests[conn]
+                .iter()
+                .any(|r| r.admitted && !r.delivered);
+            if !self.threads.iter().any(reading) && !owed {
+                self.sockets[conn].shut = true;
+            }
         }
 
         /// Write one frame per token onto its connection: one socket event.
@@ -568,7 +700,7 @@ mod explorer {
             self.threads[t].pc = if !run.is_empty() {
                 run.iter()
                     .for_each(|&token| self.request(token).queued = false);
-                self.execute(run)
+                Pc::Retire(run)
             } else if self.admission.draining() {
                 Pc::Done
             } else {
@@ -578,36 +710,67 @@ mod explorer {
         }
 
         /// `Shared::admit` on the reader `t` of `conn`, for the next frame
-        /// in its buffer, under one hold of the lock.
+        /// in its buffer, under one hold of the lock. The model decides, from
+        /// its own records, whether it is shed and why.
         fn admit(&mut self, scenario: &Scenario, t: usize, conn: usize) -> Checked {
             let socket = &mut self.sockets[conn];
             let seq = socket.sent - socket.kernel - socket.buffered;
             socket.buffered -= 1;
             let lone = self.threads[t].unannounced == 0 && socket.buffered == 0;
             let token = Token { conn, seq };
+            let requests = &self.requests[conn];
             let lockstep = scenario.conns[conn].client == Client::Lockstep
-                && self.requests[conn][..seq].iter().any(|r| r.admitted);
-            let idle = self.running() == 0 && !self.all().any(|(_, r)| r.queued);
-            let drain_begun = self.drain_begun;
+                && requests[..seq].iter().any(|r| r.admitted);
+            let queued = self.all().filter(|(_, r)| r.queued).count();
+            let idle = self.running() == 0 && queued == 0;
+            let owed = requests.iter().filter(|r| r.admitted && !r.retired).count();
+            let previous_alone = requests[..seq].iter().rev().find(|r| r.admitted);
+            let inline = lone && owed == 0 && previous_alone.is_some_and(|r| r.alone) && idle;
+            let fate = scenario.conns[conn].fate;
+            let shed = if self.drain_begun {
+                Some(Cause::Draining)
+            } else if fate == Fate::Invalid {
+                Some(Cause::Invalid)
+            } else if queued >= scenario.capacity || owed >= scenario.per_conn {
+                Some(Cause::Overloaded)
+            } else {
+                None
+            };
             self.request(token).read = true;
-            match self.admission.admit(conn as u64, lone, Ok(token)) {
-                Admit::Inline(_) | Admit::Queued if drain_begun => {
+            let work = match fate {
+                Fate::Invalid => Err(ServeError::bad_request("invalid")),
+                Fate::Runs(_) => Ok(token),
+            };
+            match (self.admission.admit(conn as u64, lone, work), shed) {
+                (Admit::Inline(_) | Admit::Queued, Some(Cause::Draining)) => {
                     return fail(5, format!("{token:?} admitted after begin_drain"));
                 }
-                Admit::Inline(_) => self.threads[t].pc = self.execute(vec![token]),
-                Admit::Queued => {
+                (Admit::Shed(_), Some(cause)) => {
+                    self.request(token).counted = Some(cause);
+                    self.threads[t].pc = Pc::ShedWrite(token);
+                    return Ok(());
+                }
+                (Admit::Inline(_), None) if inline => {
+                    self.threads[t].pc = Pc::Retire(vec![token]);
+                }
+                (Admit::Queued, None) if !inline => {
                     self.request(token).queued = true;
                     self.threads[t].unannounced += 1;
                 }
-                Admit::Shed(_) => {
-                    self.request(token).counted = true;
-                    self.threads[t].pc = Pc::ShedWrite(token);
-                    return Ok(());
+                (Admit::Inline(_) | Admit::Queued, None) => {
+                    let what = if inline { "queued" } else { "answered inline" };
+                    return fail(3, format!("{token:?} {what} against the two-flag rule"));
+                }
+                (decision, shed) => {
+                    let what = format!("{token:?}: decided {decision:?}, the model {shed:?}");
+                    return fail(8, what);
                 }
             }
             let request = self.request(token);
             request.admitted = true;
             request.inline_due = lone && lockstep && idle;
+            request.alone = owed == 0;
+            request.inline = inline;
             Ok(())
         }
 
@@ -620,11 +783,7 @@ mod explorer {
                     let eof = socket.hung_up || self.drained;
                     socket.buffered == 0 && socket.kernel == 0 && !eof && thread.unannounced == 0
                 }
-                (Pc::Drained, _) => {
-                    let reading = |t: &Thread| t.reader.is_some() && t.pc != Pc::Done;
-                    self.threads.iter().any(reading)
-                }
-                (pc, _) => matches!(pc, Pc::Parked | Pc::DrainWait | Pc::Done),
+                (pc, _) => matches!(pc, Pc::Parked | Pc::DrainWait | Pc::GraceWait | Pc::Done),
             };
             if blocked {
                 return None;
@@ -646,7 +805,7 @@ mod explorer {
                         Ok(())
                     } else {
                         // EOF, or the read timeout drain sets.
-                        next.threads[t].pc = Pc::Shutdown;
+                        next.threads[t].pc = Pc::Close;
                         Ok(())
                     }
                 }
@@ -660,14 +819,12 @@ mod explorer {
                     next.threads[t].pc = Pc::Read;
                     Ok(())
                 }
-                (Pc::Shutdown, Some(conn)) => {
-                    next.sockets[conn].shut = true;
-                    next.threads[t].pc = Pc::Close;
-                    Ok(())
-                }
                 (Pc::Close, Some(conn)) => {
-                    next.admission.close(conn as u64);
+                    if next.admission.close(conn as u64) {
+                        next.wake_drain();
+                    }
                     next.threads[t].pc = Pc::Done;
+                    next.release(conn);
                     Ok(())
                 }
                 (Pc::Start, _) => {
@@ -680,10 +837,17 @@ mod explorer {
                     Ok(())
                 }
                 (Pc::Retire(run), _) => {
-                    next.admission
-                        .retire_run(run.iter().map(|token| token.conn as u64));
-                    run.iter()
-                        .for_each(|&token| next.request(token).retired = true);
+                    let outcome = |token: &Token| match scenario.conns[token.conn].fate {
+                        Fate::Runs(outcome) => outcome,
+                        Fate::Invalid => unreachable!("shed at admission"),
+                    };
+                    let outcomes = run.iter().map(|token| (token.conn as u64, outcome(token)));
+                    next.admission.retire_run(outcomes);
+                    for token in &run {
+                        let request = next.request(*token);
+                        request.retired = true;
+                        request.counted = Some(Cause::Ran(outcome(token)));
+                    }
                     next.threads[t].pc = Pc::Write(run, 0);
                     Ok(())
                 }
@@ -707,7 +871,7 @@ mod explorer {
                 }
                 (Pc::Deliver(run), reader) => {
                     if next.admission.delivered(run.len()) {
-                        next.notify(1, Pc::DrainWait, Pc::DrainWoken);
+                        next.wake_drain();
                     }
                     run.iter()
                         .for_each(|&token| next.request(token).delivered = true);
@@ -715,6 +879,8 @@ mod explorer {
                         Some(_) => next.threads[t].pc = Pc::Read,
                         None => next.worker_body(t),
                     }
+                    // The run's tickets drop: its connections may close.
+                    run.iter().for_each(|token| next.release(token.conn));
                     Ok(())
                 }
                 (Pc::BeginDrain, _) => {
@@ -731,16 +897,20 @@ mod explorer {
                 (Pc::CheckDrained | Pc::DrainWoken, _) => {
                     if next.admission.drained() {
                         next.drained = true;
-                        next.threads[t].pc = Pc::Drained;
+                        next.threads[t].pc = Pc::Grace;
                         next.check_delivered()
                     } else {
                         next.threads[t].pc = Pc::DrainWait;
                         Ok(())
                     }
                 }
-                (Pc::Drained, _) => {
-                    next.notify(usize::MAX, Pc::Parked, Pc::Woken);
-                    next.threads[t].pc = Pc::Done;
+                (Pc::Grace | Pc::GraceWoken, _) => {
+                    if next.admission.handles().next().is_none() {
+                        next.notify(usize::MAX, Pc::Parked, Pc::Woken);
+                        next.threads[t].pc = Pc::Done;
+                    } else {
+                        next.threads[t].pc = Pc::GraceWait;
+                    }
                     Ok(())
                 }
                 (pc, _) => unreachable!("{pc:?} cannot step"),
@@ -790,7 +960,30 @@ mod explorer {
             steps
         }
 
-        /// The seven invariants, at every state.
+        /// The counters the model's causes add up to.
+        fn tally(&self) -> Counts {
+            let mut counts = Counts::default();
+            for (_, r) in self.all() {
+                counts.answered_by_reader += u64::from(r.inline);
+                match r.counted {
+                    None => {}
+                    Some(Cause::Draining) => counts.shed_draining += 1,
+                    Some(Cause::Overloaded) => counts.shed_overloaded += 1,
+                    Some(Cause::Invalid | Cause::Ran(Outcome::BadRequest)) => {
+                        counts.bad_requests += 1
+                    }
+                    Some(Cause::Ran(Outcome::Completed)) => counts.completed += 1,
+                    Some(Cause::Ran(Outcome::Stale)) => {
+                        counts.shed_overloaded += 1;
+                        counts.shed_deadline += 1;
+                    }
+                    Some(Cause::Ran(Outcome::IndexError)) => counts.index_errors += 1,
+                }
+            }
+            counts
+        }
+
+        /// The eight invariants, at every state.
         fn check(&self) -> Checked {
             let admission = &self.admission;
             for (token, r) in self.all() {
@@ -798,13 +991,15 @@ mod explorer {
                 if r.written > 1 || (r.written == 1 && !r.read) {
                     return fail(1, format!("{token:?} answered {} times", r.written));
                 }
-                // 3. A lone lockstep request at an idle server is not queued.
+                // 3. A lone lockstep request at an idle server is not queued
+                // (and, at its admission, only the two-flag rule's requests
+                // were answered inline).
                 if r.inline_due && r.queued {
                     return fail(3, format!("{token:?} queued at an idle server"));
                 }
                 // 6. No answer before the counters that report it: its
-                // completion or shed is counted, its run retired.
-                if r.written > 0 && (!r.counted || (r.admitted && !r.retired)) {
+                // outcome is counted, its run retired.
+                if r.written > 0 && (r.counted.is_none() || (r.admitted && !r.retired)) {
                     return fail(6, format!("{token:?} answered before its counters: {r:?}"));
                 }
                 if r.delivered && r.written == 0 {
@@ -851,16 +1046,33 @@ mod explorer {
                     ),
                 );
             }
+            // 8. Every outcome is counted once, by its cause: the report's
+            // counters are the model's tally, counter by counter.
+            let tally = self.tally();
+            if gauges.counts != tally {
+                return fail(
+                    8,
+                    format!("counted {:?}, the model {tally:?}", gauges.counts),
+                );
+            }
             Ok(())
         }
 
         /// At a state where nothing can step: every request read was
-        /// answered once (1), and a drain that began has ended (5).
+        /// answered once, before its socket closed (1), and a drain that
+        /// began has ended (5).
         fn check_final(&self) -> Checked {
             if let Some((token, r)) = self.all().find(|(_, r)| r.read && r.written != 1) {
                 return fail(1, format!("{token:?} never answered: {r:?}"));
             }
-            if self.threads.iter().any(|t| t.pc == Pc::DrainWait) {
+            if let Some((token, r)) = self.all().find(|(_, r)| r.read && !r.seen) {
+                return fail(
+                    1,
+                    format!("{token:?} answered after its socket shut: {r:?}"),
+                );
+            }
+            let waiting = |pc: Pc| self.threads.iter().any(|t| t.pc == pc);
+            if waiting(Pc::DrainWait) || waiting(Pc::GraceWait) {
                 return fail(5, "the drain never ends".to_string());
             }
             Ok(())
@@ -906,6 +1118,7 @@ mod explorer {
             client,
             requests,
             hangs_up,
+            fate: Fate::Runs(Outcome::Completed),
         }
     }
 
@@ -978,5 +1191,30 @@ mod explorer {
             vec![conn(P, 1, false), conn(P, 1, true)],
         ];
         explore_all(&sets, &[2], &[true], &[8]);
+    }
+
+    #[test]
+    fn every_outcome_is_counted_by_its_cause_in_every_interleaving() {
+        let fates = [
+            Fate::Invalid,
+            Fate::Runs(Outcome::Stale),
+            Fate::Runs(Outcome::IndexError),
+            Fate::Runs(Outcome::BadRequest),
+        ];
+        let sets = fates.map(|fate| {
+            let failing = Connection {
+                fate,
+                ..conn(P, 2, true)
+            };
+            vec![conn(L, 1, false), failing]
+        });
+        explore_all(&sets, &[1], &[false], &[8]);
+        let sets = fates.map(|fate| {
+            vec![Connection {
+                fate,
+                ..conn(L, 2, false)
+            }]
+        });
+        explore_all(&sets, &[1, 2], &[true], &[8, 1]);
     }
 }

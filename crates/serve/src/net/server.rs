@@ -1,27 +1,21 @@
 //! The [`NetServer`]: a TCP front door over a [`ServeBackend`] — either
 //! instantiation of the serving shell — with admission control, panel runs
-//! and graceful drain.
-//!
-//! # Threading model
+//! and graceful drain (`docs/NETWORKING.md` walks through all three).
 //!
 //! One accept thread (the caller of [`NetServer::run`]), one reader thread
 //! per connection, and a fixed pool of worker threads
 //! ([`ServeOptions::workers`], auto-detected when `0`). Readers **admit**
 //! requests — decode, validate against the current snapshot, then queue,
 //! answer or shed them with a typed error frame — and workers **execute**
-//! them. Every decision is one hold of one lock over one admission state
-//! (`net::admission`, whose docs hold the rules); validation, execution
-//! and writes happen outside it. A reader decodes the frames that arrived
-//! together from one buffered `read` and hands off what it queued — wakes
-//! parked workers — only when its buffer holds no whole frame.
-//!
-//! # Run to completion on the reader
-//!
-//! A reader answers a lone request from a lockstep connection at an idle
-//! server itself, by the rule in `net::admission`. That saves the reader →
-//! worker wake, one of the four wakes (client → reader → worker → client)
-//! of such a request; a stalled client's answer write (bounded by the 30 s
-//! write timeout) then stalls its own reader, not a shared worker.
+//! them. Every decision, and every count the stats report, is one hold of
+//! one lock over one admission state (`net::admission`, whose docs hold
+//! the rules); validation, execution and writes happen outside it. A reader
+//! decodes the frames that arrived together from one buffered `read` and
+//! hands off what it queued — wakes parked workers — only when its buffer
+//! holds no whole frame. It answers a lone request from a lockstep
+//! connection at an idle server itself, which saves the reader → worker
+//! wake; a stalled client's answer write (bounded by the 30 s write
+//! timeout) then stalls its own reader, not a shared worker.
 //!
 //! A worker takes a **run** off the queue's front: requests of any kind and
 //! `k` sharing a `require_complete` flag, at most
@@ -30,24 +24,21 @@
 //! exactly when there is a backlog. A run's answers leave in one
 //! `write_all` per connection (the request id correlates them).
 //!
-//! # Admission control and drain
-//!
 //! The queue is **bounded** ([`ServeOptions::queue_capacity`]): a request
 //! that finds it full, or whose connection already has
 //! [`ServeOptions::max_inflight_per_conn`] in flight, is answered at once
-//! with [`ServeError::Overloaded`] (the observed depth and the bound), so
-//! memory stays bounded under overload. A malformed request gets
-//! `BadRequest` without taking a slot. Inside a run one that waited past
-//! [`ServeOptions::queue_deadline`] is shed, one that a snapshot swap made
-//! invalid gets its own `BadRequest`, and the rest are answered.
-//! [`NetHandle::drain`] (or a [`FrameKind::Drain`] frame) makes the server
-//! answer new requests [`ServeError::Draining`], deliver what it admitted,
-//! shut its sockets down and return from [`NetServer::run`]; a snapshot
-//! swap needs no drain.
+//! with [`ServeError::Overloaded`]; a malformed one gets `BadRequest`
+//! without taking a slot; inside a run, one that waited past
+//! [`ServeOptions::queue_deadline`] is shed. [`NetHandle::drain`] (or a
+//! [`FrameKind::Drain`] frame) makes the server answer new requests
+//! [`ServeError::Draining`], deliver what it admitted, close its sockets
+//! and return from [`NetServer::run`]. A client that half-closes still
+//! reads every answer: a reader shuts nothing down as it exits, and a
+//! socket closes when the last handle on it, an admitted request's, drops.
 
 use crate::error::ServeError;
 use crate::lock;
-use crate::net::admission::{Admission, Admit};
+use crate::net::admission::{Admission, Admit, Outcome};
 use crate::net::backend::ServeBackend;
 use crate::net::stats::{NetStats, ServerStatsReport};
 use crate::net::wire::{
@@ -61,7 +52,6 @@ use crate::updater::Writer;
 use mogul_core::update::{RebuildDebt, WritableIndex};
 use std::io::{BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -91,10 +81,14 @@ impl Conn {
     }
 
     fn send_error(&self, request_id: u64, error: &ServeError) {
-        let mut payload = Vec::new();
-        encode_serve_error(error, &mut payload);
-        self.send(FrameKind::Error, request_id, &payload);
+        self.send(FrameKind::Error, request_id, &error_payload(error));
     }
+}
+
+fn error_payload(error: &ServeError) -> Vec<u8> {
+    let mut payload = Vec::new();
+    encode_serve_error(error, &mut payload);
+    payload
 }
 
 /// One admitted query waiting for (or undergoing) execution.
@@ -130,9 +124,7 @@ impl Outbox {
     }
 
     fn push_error(&mut self, conn: &Arc<Conn>, request_id: u64, error: &ServeError) {
-        let mut payload = Vec::new();
-        encode_serve_error(error, &mut payload);
-        self.push(conn, FrameKind::Error, request_id, &payload);
+        self.push(conn, FrameKind::Error, request_id, &error_payload(error));
     }
 
     fn send(self) {
@@ -154,7 +146,7 @@ struct Shared {
     admission: Mutex<Admission<Work, Arc<Conn>>>,
     /// Workers wait here for queued work or the drain.
     queue_cv: Condvar,
-    /// The drain waits here for its last admitted request's delivery.
+    /// The drain waits here for its last delivery, then its last reader.
     idle_cv: Condvar,
 }
 
@@ -177,30 +169,30 @@ impl Shared {
         ServerStatsReport {
             epoch: self.backend.epoch(),
             items: self.backend.items(),
-            uptime_secs: self.stats.uptime_secs(),
+            uptime_secs: self.stats.started.elapsed().as_secs_f64(),
             connections: gauges.connections as u64,
             queue_depth: gauges.queue_depth as u64,
             queue_capacity: self.options.queue_capacity() as u64,
             inflight: gauges.inflight as u64,
-            completed: self.stats.completed.load(Ordering::Relaxed),
-            shed_overloaded: self.stats.shed_overloaded.load(Ordering::Relaxed),
-            shed_draining: self.stats.shed_draining.load(Ordering::Relaxed),
-            bad_requests: self.stats.bad_requests.load(Ordering::Relaxed),
-            index_errors: self.stats.index_errors.load(Ordering::Relaxed),
+            completed: gauges.counts.completed,
+            shed_overloaded: gauges.counts.shed_overloaded,
+            shed_draining: gauges.counts.shed_draining,
+            bad_requests: gauges.counts.bad_requests,
+            index_errors: gauges.counts.index_errors,
             p50_us,
             p95_us,
             qps,
             rebuild_support: debt.support as u64,
             rebuild_fraction: debt.support_fraction(),
             draining: gauges.draining,
-            shed_deadline: self.stats.shed_deadline.load(Ordering::Relaxed),
-            answered_by_reader: self.stats.answered_by_reader.load(Ordering::Relaxed),
+            shed_deadline: gauges.counts.shed_deadline,
+            answered_by_reader: gauges.counts.answered_by_reader,
         }
     }
 
-    /// Validate, then admit, answer or shed one decoded query request in one
-    /// hold of the lock (`lone`: see [`Admission::admit`]). Returns whether
-    /// it was queued, for the reader's next hand-off.
+    /// Validate, then admit (and count), answer or shed one decoded query
+    /// request in one hold of the lock (`lone`: see [`Admission::admit`]).
+    /// Returns whether it was queued, for the reader's next hand-off.
     fn admit(
         &self,
         conn: &Arc<Conn>,
@@ -219,24 +211,11 @@ impl Shared {
             require_complete,
         });
         let decision = lock(&self.admission).admit(conn.id, lone, work);
-        let error = match decision {
+        match decision {
             Admit::Queued => return true,
-            Admit::Inline(work) => {
-                self.stats
-                    .answered_by_reader
-                    .fetch_add(1, Ordering::Relaxed);
-                drop(self.execute_run(vec![work]));
-                return false;
-            }
-            Admit::Shed(error) => error,
-        };
-        let counter = match error {
-            ServeError::Draining => &self.stats.shed_draining,
-            ServeError::Overloaded { .. } => &self.stats.shed_overloaded,
-            _ => &self.stats.bad_requests,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-        conn.send_error(request_id, &error);
+            Admit::Inline(work) => drop(self.execute_run(vec![work])),
+            Admit::Shed(error) => conn.send_error(request_id, &error),
+        }
         false
     }
 
@@ -272,9 +251,9 @@ impl Shared {
     }
 
     /// Answer a running run: shed what waited past the deadline, answer the
-    /// rest as one backend run, retire the run, write each connection's
-    /// frames, then count them delivered. Returns holding the lock it
-    /// delivered them under, so drain's wait misses no wake.
+    /// rest as one backend run, retire (and count) the run, write each
+    /// connection's frames, then count them delivered. Returns holding the
+    /// lock it delivered them under, so drain's wait misses no wake.
     fn execute_run(&self, run: Vec<Work>) -> MutexGuard<'_, Admission<Work, Arc<Conn>>> {
         let mut outbox = Outbox::default();
         // A request queued past the deadline is shed, not executed: its
@@ -284,15 +263,14 @@ impl Shared {
         let (stale, fresh): (Vec<Work>, Vec<Work>) = run.into_iter().partition(|work| {
             deadline.is_some_and(|deadline| work.ticket.admitted.elapsed() > deadline)
         });
-        let stale: Vec<Ticket> = stale.into_iter().map(|work| work.ticket).collect();
+        let mut outcomes = Vec::with_capacity(stale.len() + fresh.len());
         if !stale.is_empty() {
             let shed = ServeError::Overloaded {
                 queue_depth: lock(&self.admission).gauges().queue_depth,
                 queue_capacity: self.options.queue_capacity(),
             };
-            for ticket in &stale {
-                self.stats.shed_overloaded.fetch_add(1, Ordering::Relaxed);
-                self.stats.shed_deadline.fetch_add(1, Ordering::Relaxed);
+            for Work { ticket, .. } in &stale {
+                outcomes.push((ticket.conn.id, Outcome::Stale));
                 outbox.push_error(&ticket.conn, ticket.request_id, &shed);
             }
         }
@@ -308,30 +286,30 @@ impl Shared {
             self.backend.answer_run(&requests, require_complete)
         };
         for (ticket, answer) in fresh.iter().zip(answers) {
-            match answer {
+            let (conn, id) = (&ticket.conn, ticket.request_id);
+            let outcome = match answer {
                 Ok((response, status)) => {
                     let mut payload = Vec::new();
                     encode_query_response_status(&response, status, &mut payload);
-                    // Count before sending: a client that has seen N answers
-                    // must never read a stats report claiming fewer than N.
-                    self.stats.record_completion(ticket.admitted);
-                    let (conn, id) = (&ticket.conn, ticket.request_id);
+                    self.stats.record_latency(ticket.admitted);
                     outbox.push(conn, FrameKind::Answer, id, &payload);
+                    Outcome::Completed
                 }
+                Err(err @ (ServeError::Index(_) | ServeError::Incomplete { .. })) => {
+                    outbox.push_error(conn, id, &err);
+                    Outcome::IndexError
+                }
+                // A request admitted just before a snapshot swap can turn bad.
                 Err(err) => {
-                    if matches!(err, ServeError::Index(_) | ServeError::Incomplete { .. }) {
-                        self.stats.index_errors.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        // A request admitted just before a snapshot swap
-                        // can turn bad.
-                        self.stats.bad_requests.fetch_add(1, Ordering::Relaxed);
-                    }
-                    outbox.push_error(&ticket.conn, ticket.request_id, &err);
+                    outbox.push_error(conn, id, &err);
+                    Outcome::BadRequest
                 }
-            }
+            };
+            outcomes.push((conn.id, outcome));
         }
-        let tickets = stale.iter().chain(&fresh);
-        lock(&self.admission).retire_run(tickets.map(|ticket| ticket.conn.id));
+        // Retiring counts the outcomes: a client that has seen N answers
+        // never reads a stats report claiming fewer than N.
+        lock(&self.admission).retire_run(outcomes);
         outbox.send();
         let mut admission = lock(&self.admission);
         if admission.delivered(stale.len() + fresh.len()) {
@@ -409,9 +387,9 @@ impl Shared {
         }
     }
 
-    /// Answer a frame that is no valid request with `BadRequest`.
+    /// Count, then answer a frame that is no valid request with `BadRequest`.
     fn reject(&self, conn: &Conn, request_id: u64, reason: impl Into<String>) {
-        self.stats.bad_requests.fetch_add(1, Ordering::Relaxed);
+        lock(&self.admission).reject();
         conn.send_error(request_id, &ServeError::bad_request(reason));
     }
 }
@@ -557,30 +535,30 @@ impl NetServer {
                 .spawn(move || {
                     let mut reader = BufReader::with_capacity(READ_BUFFER, stream);
                     shared.reader_loop(&conn, &mut reader);
-                    let _ = reader.get_ref().shutdown(Shutdown::Both);
-                    lock(&shared.admission).close(id);
+                    // No shutdown: the socket closes when the last handle on
+                    // it drops, after the last in-flight answer is written.
+                    if lock(&shared.admission).close(id) {
+                        shared.idle_cv.notify_all();
+                    }
                 });
             match spawned {
                 Ok(handle) => reader_handles.push(handle),
                 // No thread to read it: close this connection (dropping the
                 // closure dropped its stream) and keep serving the others.
-                Err(_) => lock(&self.shared.admission).close(id),
+                Err(_) => {
+                    lock(&self.shared.admission).close(id);
+                }
             }
         }
 
         // Draining: nothing is admitted any more; wait until everything
         // admitted has been delivered.
-        let conns: Vec<Arc<Conn>> = {
-            let mut admission = lock(&self.shared.admission);
-            while !admission.drained() {
-                admission = self
-                    .shared
-                    .idle_cv
-                    .wait(admission)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-            admission.handles().cloned().collect()
-        };
+        let idle_cv = &self.shared.idle_cv;
+        let admission = lock(&self.shared.admission);
+        let drained = idle_cv.wait_while(admission, |admission| !admission.drained());
+        let drained = drained.unwrap_or_else(PoisonError::into_inner);
+        let conns: Vec<Arc<Conn>> = drained.handles().cloned().collect();
+        drop(drained);
 
         // Requests a pipelining client wrote before the drain may still sit
         // unread in a connection's kernel buffer; shutting the socket down
@@ -588,17 +566,14 @@ impl NetServer {
         // `Draining` answer the protocol promises. A short receive timeout
         // (on the shared socket) lets each reader shed what is buffered,
         // then exit once its buffer runs dry. Readers close their
-        // connections as they exit; poll for that, as a join has no timeout.
+        // connections as they exit, and the last one wakes this wait (a
+        // join has no timeout).
         for conn in &conns {
             let _ = lock(&conn.writer).set_read_timeout(Some(Duration::from_millis(20)));
         }
-        let grace_deadline = Instant::now() + Duration::from_millis(500);
-        while Instant::now() < grace_deadline {
-            if lock(&self.shared.admission).gauges().connections == 0 {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        let reading = |admission: &mut Admission<_, _>| admission.handles().next().is_some();
+        let admission = lock(&self.shared.admission);
+        let _ = idle_cv.wait_timeout_while(admission, Duration::from_millis(500), reading);
         // Backstop: a reader blocked before the timeout landed never sees
         // it, but then its buffer was empty, so closing the socket loses
         // nothing. This also bounds drain against a trickling client.
@@ -752,27 +727,28 @@ mod tests {
 
     #[test]
     fn a_reader_answers_only_a_lone_lockstep_request_at_an_idle_server() {
-        const YES: [bool; 2] = [true, true];
         // The last row is the one inline case; every other row changes one
         // of its inputs. Parked workers are no input: a worker thread not
-        // yet scheduled, or writing its last run's answers, is idle.
-        // Why, lone, lockstep, requests queued, runs executing, and whether
-        // the reader answers.
+        // yet scheduled, or writing its last run's answers, is idle. Nor is
+        // whether this request finds one of its connection in flight: at an
+        // idle server none is.
+        // Why, lone, whether the request before found nothing of its
+        // connection in flight, requests queued, runs executing, and
+        // whether the reader answers.
         #[rustfmt::skip]
-        type Row = (&'static str, bool, [bool; 2], usize, usize, bool);
+        type Row = (&'static str, bool, bool, usize, usize, bool);
         #[rustfmt::skip]
-        let rows: [Row; 8] = [
-            ("a further whole frame is buffered",            false, YES,            0, 0, false),
-            ("the latest request found one in flight",       true,  [false, true],  0, 0, false),
-            ("the one before found one, or was none",        true,  [true, false],  0, 0, false),
-            ("a request is queued",                          true,  YES,            1, 0, false),
-            ("requests are queued",                          true,  YES,            3, 0, false),
-            ("a run is executing (on a worker or a reader)", true,  YES,            0, 1, false),
-            ("two runs are executing",                       true,  YES,            0, 2, false),
-            ("a lone lockstep request at an idle server",    true,  YES,            0, 0, true),
+        let rows: [Row; 7] = [
+            ("a further whole frame is buffered",            false, true,  0, 0, false),
+            ("the one before found one, or was none",        true,  false, 0, 0, false),
+            ("a request is queued",                          true,  true,  1, 0, false),
+            ("requests are queued",                          true,  true,  3, 0, false),
+            ("a run is executing (on a worker or a reader)", true,  true,  0, 1, false),
+            ("two runs are executing",                       true,  true,  0, 2, false),
+            ("a lone lockstep request at an idle server",    true,  true,  0, 0, true),
         ];
-        for (why, lone, lockstep, queued, running, answers) in rows {
-            let mut admission = Admission::in_state(lockstep, queued, running);
+        for (why, lone, previous_alone, queued, running, answers) in rows {
+            let mut admission = Admission::in_state(previous_alone, queued, running);
             let decision = admission.admit(0, lone, Ok(()));
             assert_eq!(matches!(decision, Admit::Inline(())), answers, "{why}");
         }

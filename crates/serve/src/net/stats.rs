@@ -1,8 +1,7 @@
-//! Serving statistics: lock-cheap counters plus a latency ring, snapshotted
-//! into the wire-visible [`ServerStatsReport`].
+//! Serving statistics: the wire-visible [`ServerStatsReport`] and the
+//! latency ring it summarizes (its counters and gauges are `Admission`'s).
 
 use crate::lock;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -16,9 +15,9 @@ const LATENCY_WINDOW: usize = 4096;
 /// [`FrameKind::Stats`](crate::net::FrameKind::Stats) request.
 ///
 /// Counters are monotone over the server lifetime; `queue_depth`,
-/// `inflight` and `connections` are instantaneous gauges; the latency and
-/// throughput figures are computed over a sliding window of the most recent
-/// completed queries.
+/// `inflight` and `connections` are instantaneous gauges, read with them in
+/// one hold; the latency and throughput figures are computed over a sliding
+/// window of the most recent completed queries.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServerStatsReport {
     /// Epoch of the snapshot currently serving queries.
@@ -87,16 +86,9 @@ struct LatencyWindow {
     next: usize,
 }
 
-/// Shared mutable statistics of one running network server.
+/// What a running network server's stats read off the clock.
 pub(crate) struct NetStats {
-    started: Instant,
-    pub(crate) completed: AtomicU64,
-    pub(crate) shed_overloaded: AtomicU64,
-    pub(crate) shed_draining: AtomicU64,
-    pub(crate) shed_deadline: AtomicU64,
-    pub(crate) answered_by_reader: AtomicU64,
-    pub(crate) bad_requests: AtomicU64,
-    pub(crate) index_errors: AtomicU64,
+    pub(crate) started: Instant,
     window: Mutex<LatencyWindow>,
 }
 
@@ -104,13 +96,6 @@ impl NetStats {
     pub(crate) fn new() -> Self {
         NetStats {
             started: Instant::now(),
-            completed: AtomicU64::new(0),
-            shed_overloaded: AtomicU64::new(0),
-            shed_draining: AtomicU64::new(0),
-            shed_deadline: AtomicU64::new(0),
-            answered_by_reader: AtomicU64::new(0),
-            bad_requests: AtomicU64::new(0),
-            index_errors: AtomicU64::new(0),
             window: Mutex::new(LatencyWindow {
                 samples: Vec::with_capacity(LATENCY_WINDOW),
                 next: 0,
@@ -118,14 +103,9 @@ impl NetStats {
         }
     }
 
-    pub(crate) fn uptime_secs(&self) -> f64 {
-        self.started.elapsed().as_secs_f64()
-    }
-
-    /// Record one successful completion: `admitted` is when the request was
-    /// read off the socket.
-    pub(crate) fn record_completion(&self, admitted: Instant) {
-        self.completed.fetch_add(1, Ordering::Relaxed);
+    /// Record one successful completion's latency: `admitted` is when the
+    /// request was read off the socket.
+    pub(crate) fn record_latency(&self, admitted: Instant) {
         let now = Instant::now();
         let at = now.duration_since(self.started).as_secs_f64();
         let latency = now.duration_since(admitted).as_secs_f64();
@@ -180,9 +160,9 @@ mod tests {
         let stats = NetStats::new();
         let admitted = Instant::now() - Duration::from_millis(2);
         for _ in 0..10 {
-            stats.record_completion(admitted);
+            stats.record_latency(admitted);
         }
-        assert_eq!(stats.completed.load(Ordering::Relaxed), 10);
+        assert_eq!(stats.window.lock().unwrap().samples.len(), 10);
         let (p50, p95, _qps) = stats.latency_summary();
         assert!(p50 >= 2_000.0, "p50 {p50}us should cover the 2ms sleep");
         assert!(p95 >= p50);
@@ -193,7 +173,7 @@ mod tests {
         let stats = NetStats::new();
         let admitted = Instant::now();
         for _ in 0..(LATENCY_WINDOW + 17) {
-            stats.record_completion(admitted);
+            stats.record_latency(admitted);
         }
         let window = stats.window.lock().unwrap();
         assert_eq!(window.samples.len(), LATENCY_WINDOW);

@@ -3,21 +3,16 @@
 //! ([`ShardedWriter`](crate::ShardedWriter)) — and publishes each resulting
 //! snapshot to the [`Server`] that answers from it.
 //!
-//! The split of responsibilities is deliberately strict:
-//!
-//! * **Readers** (query threads) only ever touch the server's current
-//!   snapshot — immutable, so no read locks on the per-query hot path.
-//! * **The writer** owns the mutable index behind a [`Mutex`]: updates
-//!   serialize against each other but never against queries. Delta
-//!   application (and, when the rebuild-debt policy fires, the
-//!   refactorization) runs entirely off the query path; queries keep
-//!   hitting the previous epoch until [`Server::install_snapshot`] swaps in
-//!   the new one.
-//!
-//! Any thread may call [`Writer::apply`] — a maintenance thread, a cron
-//! loop, or an ingest pipeline — which is what "background refactorization"
-//! means here: it is background *relative to queries*, not a thread this
-//! crate spawns.
+//! Readers (query threads) only ever touch the server's current snapshot —
+//! immutable, so no read locks on the per-query hot path. The writer keeps
+//! everything it mutates — the index, the write-ahead log, the checkpoint
+//! path and the last auto-checkpoint error — as one value under one
+//! [`Mutex`], which each of its methods takes once: updates serialize
+//! against each other and against the checkpoint and log getters, never
+//! against queries, which keep hitting the previous epoch until
+//! [`Server::install_snapshot`] swaps in the new one. Any thread may call
+//! [`Writer::apply_delta`]; "background refactorization" is background
+//! *relative to queries*, not a thread this crate spawns.
 //!
 //! Durability is one protocol for both engines: the write-ahead log
 //! ([`Writer::enable_wal`]), checkpoints ([`Writer::set_checkpoint`],
@@ -33,7 +28,7 @@ use mogul_core::persist::PersistError;
 use mogul_core::update::{IndexDelta, RebuildDebt, UpdatableIndex, WritableIndex};
 use mogul_core::wal::{self, RecoveryOutcome, Wal, WalError, WalOp, WalSync};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// The single-writer handle pairing a writable index `I` with the
 /// [`Server`] that serves its snapshots — instantiated as [`IndexWriter`]
@@ -62,20 +57,20 @@ where
     I::Snapshot: ServeSnapshot,
 {
     server: Arc<Server<I::Snapshot>>,
-    inner: Mutex<I>,
-    /// The write-ahead log, when durability between checkpoints is enabled
-    /// (see [`Writer::enable_wal`]). Lock order: `inner` before `wal`
-    /// before the checkpoint fields — every path below acquires in that
-    /// order.
-    wal: Mutex<Option<Wal>>,
-    /// When set, the writer re-saves the index here after every operation
-    /// that refactorized and left the whole index clean (the only moment
-    /// the state is persistable). See [`Writer::set_checkpoint`].
-    checkpoint: Mutex<Option<PathBuf>>,
-    /// Outcome of the most recent automatic checkpoint attempt (auto
-    /// checkpoints are best-effort: a failed save must not fail the update
-    /// that triggered it, since the new snapshot is already live).
-    checkpoint_error: Mutex<Option<PersistError>>,
+    /// The one lock, held for a whole operation, checkpoint save included.
+    state: Mutex<WriterState<I>>,
+}
+
+/// Everything a [`Writer`] mutates, as one value under its one lock.
+#[derive(Debug)]
+struct WriterState<I> {
+    index: I,
+    /// See [`Writer::enable_wal`].
+    wal: Option<Wal>,
+    /// See [`Writer::set_checkpoint`].
+    checkpoint: Option<PathBuf>,
+    /// The last automatic checkpoint's failure (see [`Writer::set_checkpoint`]).
+    checkpoint_error: Option<PersistError>,
 }
 
 /// The writer over a single [`UpdatableIndex`], publishing to a
@@ -100,10 +95,12 @@ where
         let server = Arc::new(Server::from_snapshot(index.snapshot(), options));
         let writer = Writer {
             server: Arc::clone(&server),
-            inner: Mutex::new(index),
-            wal: Mutex::new(None),
-            checkpoint: Mutex::new(None),
-            checkpoint_error: Mutex::new(None),
+            state: Mutex::new(WriterState {
+                index,
+                wal: None,
+                checkpoint: None,
+                checkpoint_error: None,
+            }),
         };
         (server, writer)
     }
@@ -145,9 +142,12 @@ where
     ) -> std::result::Result<(Arc<Server<I::Snapshot>>, Self, RecoveryOutcome), WalError> {
         let checkpoint = checkpoint.as_ref().to_path_buf();
         let (index, log, outcome) = wal::recover::<I>(&checkpoint, wal_dir, sync)?;
-        let (server, writer) = Writer::serve(index, options);
-        writer.set_checkpoint(Some(checkpoint));
-        *lock(&writer.wal) = Some(log);
+        let (server, mut writer) = Writer::serve(index, options);
+        let state = writer
+            .state
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner);
+        (state.checkpoint, state.wal) = (Some(checkpoint), Some(log));
         Ok((server, writer, outcome))
     }
 
@@ -168,36 +168,34 @@ where
         dir: impl AsRef<Path>,
         sync: WalSync,
     ) -> std::result::Result<(), WalError> {
-        let path = self.checkpoint_path().ok_or_else(|| {
+        let mut state = lock(&self.state);
+        let path = state.checkpoint.clone().ok_or_else(|| {
             WalError::InvalidState(
                 "a checkpoint path must be configured before enabling the wal; call \
                  set_checkpoint first"
                     .into(),
             )
         })?;
-        let mut inner = lock(&self.inner);
-        let mut wal = lock(&self.wal);
-        if wal.is_some() {
+        if state.wal.is_some() {
             return Err(WalError::InvalidState("the wal is already enabled".into()));
         }
         // With no log yet, a pre-log rebuild needs no record: the
         // checkpoint is saved at the epoch it produces, and the log starts
         // after it.
-        self.checkpoint_locked(&mut inner, &mut wal, &path)?;
-        *wal = Some(Wal::create(dir, inner.epoch(), sync)?);
+        state.save_checkpoint(&self.server, &path)?;
+        state.wal = Some(Wal::create(dir, state.index.epoch(), sync)?);
         Ok(())
     }
 
     /// `true` while the write-ahead log is enabled.
     pub fn wal_enabled(&self) -> bool {
-        lock(&self.wal).is_some()
+        lock(&self.state).wal.is_some()
     }
 
     /// Path of the log's open segment file, when the wal is enabled.
     pub fn wal_segment_path(&self) -> Option<PathBuf> {
-        lock(&self.wal)
-            .as_ref()
-            .map(|w| w.segment_path().to_path_buf())
+        let state = lock(&self.state);
+        state.wal.as_ref().map(|w| w.segment_path().to_path_buf())
     }
 
     /// Configure (or, with `None`, disable) the checkpoint: a `.mog1` file
@@ -213,20 +211,23 @@ where
     ///
     /// Automatic checkpoints are best-effort; a failed save is recorded and
     /// reported by [`Writer::take_checkpoint_error`] instead of failing
-    /// the update (the new snapshot is already serving at that point).
+    /// the update (the new snapshot is already serving at that point). This
+    /// waits for a running update, its save included, so once it returns no
+    /// save to the old path is under way.
     pub fn set_checkpoint(&self, path: Option<PathBuf>) {
-        *lock(&self.checkpoint) = path;
+        lock(&self.state).checkpoint = path;
     }
 
-    /// The configured checkpoint path, if any.
+    /// The configured checkpoint path, if any (waits for a running update).
     pub fn checkpoint_path(&self) -> Option<PathBuf> {
-        lock(&self.checkpoint).clone()
+        lock(&self.state).checkpoint.clone()
     }
 
     /// The error of the most recent failed automatic checkpoint, if any
-    /// (clears on read; successful checkpoints also clear it).
+    /// (clears on read; successful checkpoints also clear it). Waits for a
+    /// running update, so it reports that update's checkpoint too.
     pub fn take_checkpoint_error(&self) -> Option<PersistError> {
-        lock(&self.checkpoint_error).take()
+        lock(&self.state).checkpoint_error.take()
     }
 
     /// Checkpoint the current state to the configured path right now,
@@ -237,70 +238,17 @@ where
     /// checkpoint epoch and the now-redundant older segments are collected.
     /// Returns the path written.
     pub fn checkpoint_now(&self) -> std::result::Result<PathBuf, PersistError> {
-        let path = self.checkpoint_path().ok_or_else(|| {
+        let mut state = lock(&self.state);
+        let path = state.checkpoint.clone().ok_or_else(|| {
             PersistError::InvalidState(
                 "no checkpoint path is configured; call set_checkpoint first".into(),
             )
         })?;
-        let mut inner = lock(&self.inner);
-        let mut wal = lock(&self.wal);
-        self.checkpoint_locked(&mut inner, &mut wal, &path)?;
+        state.save_checkpoint(&self.server, &path)?;
         // The checkpoint on disk is now fresh; clear any stale auto-
         // checkpoint failure so monitoring does not keep reporting it.
-        *lock(&self.checkpoint_error) = None;
+        state.checkpoint_error = None;
         Ok(path)
-    }
-
-    /// Every checkpoint's body: refactorize if the state carries debt
-    /// (logged like any epoch while the log is on) and publish, save, then
-    /// rotate the log to a fresh segment based at the checkpoint epoch.
-    /// Both locks are held by the caller.
-    fn checkpoint_locked(
-        &self,
-        inner: &mut I,
-        wal: &mut Option<Wal>,
-        path: &Path,
-    ) -> std::result::Result<(), PersistError> {
-        if !inner.is_clean() {
-            append_then_mutate(inner, wal, Some(WalOp::Rebuild), I::rebuild)
-                .map_err(|e| {
-                    PersistError::InvalidState(format!("wal append before checkpoint failed: {e}"))
-                })?
-                .map_err(|e| {
-                    PersistError::InvalidState(format!(
-                        "refactorization before checkpoint failed: {e}"
-                    ))
-                })?;
-            self.server.install_snapshot(inner.snapshot());
-        }
-        inner.save(path)?;
-        if let Some(log) = wal.as_mut() {
-            // The save landed; even if rotation fails the stale segments
-            // stay replay-safe (replay skips records at or below the
-            // checkpoint epoch), so surface the error without undoing
-            // anything.
-            log.rotate(inner.epoch()).map_err(|e| {
-                PersistError::InvalidState(format!("wal rotation after checkpoint failed: {e}"))
-            })?;
-        }
-        Ok(())
-    }
-
-    /// Best-effort auto-checkpoint after an operation that refactorized
-    /// and left the whole index clean (for a single index: every rebuild).
-    /// The caller holds the `inner` writer mutex across this call (never
-    /// re-lock it here; note that the fsync'd save extends the writer
-    /// critical section — blocking later updates, not queries — for the
-    /// duration of the write). A failed rotation is recorded the same way
-    /// as a failed save (the log stays replay-correct either way, the
-    /// stale segments just linger).
-    fn maybe_checkpoint(&self, inner: &mut I, report: &I::Report, wal: &mut Option<Wal>) {
-        if !I::rebuilt(report) || !inner.is_clean() {
-            return;
-        }
-        if let Some(path) = self.checkpoint_path() {
-            *lock(&self.checkpoint_error) = self.checkpoint_locked(inner, wal, &path).err();
-        }
     }
 
     /// The server this writer publishes to.
@@ -325,11 +273,10 @@ where
     /// [`ServeError::Durability`] *without* applying it; an apply failure
     /// after the append truncates the record back off the log.
     pub fn apply_delta(&self, delta: &IndexDelta) -> ServeResult<I::Report> {
-        let mut inner = lock(&self.inner);
-        let mut wal = lock(&self.wal);
+        let mut state = lock(&self.state);
         // Empty deltas do not advance the epoch and are never logged.
-        let op = (wal.is_some() && !delta.is_empty()).then(|| WalOp::Delta(delta.clone()));
-        self.apply_logged(&mut inner, &mut wal, op, |index| index.apply(delta))
+        let op = (state.wal.is_some() && !delta.is_empty()).then(|| WalOp::Delta(delta.clone()));
+        state.apply_logged(&self.server, op, |index| index.apply(delta))
     }
 
     /// Refactorize now (debt back to zero; a sharded index rebuilds only
@@ -339,63 +286,105 @@ where
     /// refactorization is logged append-before-apply like any delta (it
     /// advances the epoch, so replay must reproduce it).
     pub fn rebuild(&self) -> ServeResult<I::Report> {
-        let mut inner = lock(&self.inner);
-        let mut wal = lock(&self.wal);
-        self.apply_logged(&mut inner, &mut wal, Some(WalOp::Rebuild), I::rebuild)
-    }
-
-    /// The logged mutation path of [`Writer::apply_delta`] and
-    /// [`Writer::rebuild`]: mutate under the append-before-apply protocol,
-    /// then publish (and maybe checkpoint) the result. Both locks are held
-    /// by the caller.
-    fn apply_logged(
-        &self,
-        inner: &mut I,
-        wal: &mut Option<Wal>,
-        op: Option<WalOp>,
-        mutate: impl FnOnce(&mut I) -> mogul_core::Result<I::Report>,
-    ) -> ServeResult<I::Report> {
-        let report =
-            append_then_mutate(inner, wal, op, mutate).map_err(ServeError::durability)??;
-        if let Some(log) = wal.as_ref() {
-            debug_assert_eq!(inner.epoch(), log.last_epoch());
-        }
-        self.server.install_snapshot(inner.snapshot());
-        self.maybe_checkpoint(inner, &report, wal);
-        Ok(report)
+        let mut state = lock(&self.state);
+        state.apply_logged(&self.server, Some(WalOp::Rebuild), I::rebuild)
     }
 
     /// Current rebuild debt of the writer state (for a sharded index,
     /// support summed over the shards and the largest correction rank).
     pub fn debt(&self) -> RebuildDebt {
-        lock(&self.inner).debt()
+        lock(&self.state).index.debt()
     }
 }
 
-/// The append-before-apply protocol every logged mutation follows: append
-/// `op` (when the log is on and there is an op), run `mutate`, and take the
-/// record back off the log if `mutate` fails. The outer error is the
-/// append's — nothing was mutated — the inner one the mutation's.
-fn append_then_mutate<I: WritableIndex, R>(
-    inner: &mut I,
-    wal: &mut Option<Wal>,
-    op: Option<WalOp>,
-    mutate: impl FnOnce(&mut I) -> mogul_core::Result<R>,
-) -> std::result::Result<mogul_core::Result<R>, WalError> {
-    let logged = match (wal.as_mut(), op) {
-        (Some(log), Some(op)) => {
-            log.append(inner.epoch() + 1, &op)?;
-            Some(log)
+impl<I: WritableIndex> WriterState<I>
+where
+    I::Snapshot: ServeSnapshot,
+{
+    /// [`Writer::apply_delta`] and [`Writer::rebuild`]: mutate
+    /// append-before-apply, then publish (and maybe checkpoint) the result.
+    fn apply_logged(
+        &mut self,
+        server: &Server<I::Snapshot>,
+        op: Option<WalOp>,
+        mutate: impl FnOnce(&mut I) -> mogul_core::Result<I::Report>,
+    ) -> ServeResult<I::Report> {
+        let report = self
+            .append_then_mutate(op, mutate)
+            .map_err(ServeError::durability)??;
+        if let Some(log) = self.wal.as_ref() {
+            debug_assert_eq!(self.index.epoch(), log.last_epoch());
         }
-        _ => None,
-    };
-    let result = mutate(inner);
-    if let (Err(_), Some(log)) = (&result, logged) {
-        // The record is durable but the operation never happened: take it
-        // back off the log so recovery does not replay an epoch nobody
-        // acknowledged. (Validation failures reject before mutating, so the
-        // index state is unchanged.)
-        let _ = log.undo_last_append();
+        server.install_snapshot(self.index.snapshot());
+        self.maybe_checkpoint(server, &report);
+        Ok(report)
     }
-    Ok(result)
+
+    /// Append `op` (when the log is on and there is an op), run `mutate`, and
+    /// take the record back off the log if `mutate` fails. The outer error
+    /// is the append's — nothing was mutated — the inner one the mutation's.
+    fn append_then_mutate<R>(
+        &mut self,
+        op: Option<WalOp>,
+        mutate: impl FnOnce(&mut I) -> mogul_core::Result<R>,
+    ) -> std::result::Result<mogul_core::Result<R>, WalError> {
+        let logged = match (self.wal.as_mut(), op) {
+            (Some(log), Some(op)) => {
+                log.append(self.index.epoch() + 1, &op)?;
+                Some(log)
+            }
+            _ => None,
+        };
+        let result = mutate(&mut self.index);
+        if let (Err(_), Some(log)) = (&result, logged) {
+            // The record is durable but the operation never happened: take
+            // it back off the log so recovery does not replay an epoch
+            // nobody acknowledged. (Validation failures reject before
+            // mutating, so the index state is unchanged.)
+            let _ = log.undo_last_append();
+        }
+        Ok(result)
+    }
+
+    /// Every checkpoint's body: refactorize if the state carries debt
+    /// (logged like any epoch while the log is on) and publish, save, then
+    /// rotate the log to a fresh segment based at the checkpoint epoch.
+    fn save_checkpoint(
+        &mut self,
+        server: &Server<I::Snapshot>,
+        path: &Path,
+    ) -> std::result::Result<(), PersistError> {
+        let failed = |what: &str, e: &dyn std::fmt::Display| {
+            PersistError::InvalidState(format!("{what} failed: {e}"))
+        };
+        if !self.index.is_clean() {
+            self.append_then_mutate(Some(WalOp::Rebuild), I::rebuild)
+                .map_err(|e| failed("wal append before checkpoint", &e))?
+                .map_err(|e| failed("refactorization before checkpoint", &e))?;
+            server.install_snapshot(self.index.snapshot());
+        }
+        self.index.save(path)?;
+        if let Some(log) = self.wal.as_mut() {
+            // The save landed; even if rotation fails the stale segments
+            // stay replay-safe (replay skips records at or below the
+            // checkpoint epoch), so surface the error without undoing
+            // anything.
+            let rotated = log.rotate(self.index.epoch());
+            rotated.map_err(|e| failed("wal rotation after checkpoint", &e))?;
+        }
+        Ok(())
+    }
+
+    /// Best-effort auto-checkpoint after an operation that refactorized and
+    /// left the whole index clean (for a single index: every rebuild). A
+    /// failed rotation is recorded like a failed save (the log stays
+    /// replay-correct either way, the stale segments just linger).
+    fn maybe_checkpoint(&mut self, server: &Server<I::Snapshot>, report: &I::Report) {
+        if !I::rebuilt(report) || !self.index.is_clean() {
+            return;
+        }
+        if let Some(path) = self.checkpoint.clone() {
+            self.checkpoint_error = self.save_checkpoint(server, &path).err();
+        }
+    }
 }

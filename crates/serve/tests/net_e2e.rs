@@ -917,3 +917,34 @@ fn drain_delivers_the_answer_of_a_reader_answering_inline() {
     let stats = handle.stats_report();
     assert_eq!((stats.completed, stats.answered_by_reader), (2, 1));
 }
+
+#[test]
+fn a_pipelining_client_that_half_closes_still_gets_every_answer() {
+    let (server, handle, join, _, _) = start_server(ServeOptions::with_workers(2));
+    let requests: Vec<(QueryRequest, bool)> = (0..8)
+        .map(|i| (QueryRequest::in_database(i * 3, 5), false))
+        .collect();
+    let mut answered = 0;
+    for _ in 0..50 {
+        let mut client = Raw::connect(&handle);
+        client.send(&requests, 0);
+        // The client is done sending: its reader sees EOF while answers are
+        // still in flight, and must not take them down with it.
+        client.stream.shutdown(std::net::Shutdown::Write).unwrap();
+        let mut ids = Vec::new();
+        while let Ok(Some(frame)) = read_frame(&mut client.reader) {
+            assert_eq!(frame.kind, FrameKind::Answer);
+            let (response, _) = decode_query_response_status(&frame.payload).unwrap();
+            let (request, _) = &requests[frame.request_id as usize];
+            assert_same_answer(&response, &server.query(request).unwrap());
+            ids.push(frame.request_id);
+        }
+        ids.sort_unstable();
+        assert_eq!(ids, (0..8).collect::<Vec<u64>>(), "then the server closes");
+        answered += ids.len();
+    }
+    assert_eq!(answered, 400);
+    assert_eq!(handle.stats_report().completed, 400);
+    handle.drain();
+    join.join().unwrap().unwrap();
+}

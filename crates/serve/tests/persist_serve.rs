@@ -190,3 +190,67 @@ fn a_successful_checkpoint_clears_a_stale_auto_checkpoint_error() {
     );
     std::fs::remove_file(&good).unwrap();
 }
+
+#[test]
+fn once_set_checkpoint_none_returns_no_running_update_saves_to_the_old_path() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+
+    const ROUNDS: usize = 50;
+    let index = IndexBuilder::new()
+        .knn_k(3)
+        // No debt allowed: every apply rebuilds, so every apply
+        // auto-checkpoints to the configured path.
+        .rebuild_policy(RebuildPolicy {
+            max_support: 0,
+            max_support_fraction: 1.0,
+        })
+        .build(features())
+        .unwrap();
+    let (server, writer) = IndexWriter::new(index, ServeOptions::with_workers(1));
+    let writer = Arc::new(writer);
+    let path = temp_path("unset");
+    let mut failed = 0;
+    for _ in 0..ROUNDS {
+        writer.set_checkpoint(Some(path.clone()));
+        let start = server.epoch();
+        let stop = Arc::new(AtomicBool::new(false));
+        let applier = {
+            let (writer, stop) = (Arc::clone(&writer), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                // Insert a point and remove it again, until told to stop (or
+                // ten times, so a waiting caller gets the lock in the end).
+                for _ in 0..10 {
+                    if stop.load(Ordering::Relaxed) {
+                        break;
+                    }
+                    let report = writer
+                        .apply_delta(IndexDelta::new().insert(vec![0.5, 0.3]))
+                        .unwrap();
+                    assert!(report.rebuilt);
+                    let id = report.inserted[0];
+                    writer.apply_delta(IndexDelta::new().remove(id)).unwrap();
+                }
+            })
+        };
+        // An apply publishes its epoch, then saves it: once the second
+        // apply's epoch serves, its save is under way.
+        while server.epoch() < start + 2 && !applier.is_finished() {
+            std::thread::yield_now();
+        }
+        writer.set_checkpoint(None);
+        let _ = std::fs::remove_file(&path);
+        // `debt` waits for the apply that is running, if one is.
+        let _ = writer.debt();
+        if path.exists() {
+            failed += 1;
+        }
+        stop.store(true, Ordering::Relaxed);
+        applier.join().unwrap();
+        let _ = std::fs::remove_file(&path);
+    }
+    assert_eq!(
+        failed, 0,
+        "{failed} of {ROUNDS} rounds found a save to the unset path"
+    );
+}
