@@ -16,13 +16,17 @@
 //!
 //! The manifest is itself a MOG1 container — it inherits the whole
 //! container discipline for free (magic, version, section table, footer,
-//! FNV-1a checksums, fail-closed typed errors) — holding one section whose
+//! checksums, fail-closed typed errors) — holding one section whose
 //! payload records: a manifest schema version, the sharded epoch, feature
 //! dimensionality, partitioner seed, probe count, the parallel flag, and
 //! per shard the file name, file checksum, file length, stable-id base
 //! range and pinned epoch, followed by the overflow-id history (the shard
 //! index of every post-build insert, in global-id order — locals are
 //! recomputed at load and cross-checked against each shard's id counter).
+//! Each shard file's checksum is taken with the hash of the manifest
+//! container's format version ([`section_checksum`]): FNV-1a in a v1 or v2
+//! manifest, the four-lane hash in a v3 one, which is what this build
+//! writes.
 //!
 //! Every load path fails closed with a typed [`PersistError`]: truncation
 //! anywhere, bit flips anywhere (manifest *or* shard file), hostile counts
@@ -36,10 +40,10 @@ use std::path::Path;
 use super::{ShardRouter, ShardedIndex, MAX_SHARDS};
 use crate::persist::{
     find_section, io_err, load_updatable_from_bytes, parse_container, save_file, save_updatable_to,
-    PersistError, SectionKind, SectionWriter,
+    section_checksum, PersistError, SectionKind, SectionWriter, FORMAT_VERSION,
 };
 use crate::update::UpdatableIndex;
-use mogul_sparse::persist::{checksum64, put_u64, ByteReader};
+use mogul_sparse::persist::{put_u64, ByteReader};
 
 /// File name of the manifest inside a sharded-index directory.
 pub const MANIFEST_FILE_NAME: &str = "manifest.mog1";
@@ -69,7 +73,8 @@ pub fn shard_file_name(shard: usize, epoch: u64) -> String {
 pub struct ShardFileEntry {
     /// File name, relative to the manifest's directory.
     pub file_name: String,
-    /// FNV-1a checksum of the whole shard file.
+    /// Checksum of the whole shard file, in the hash of the manifest's
+    /// container version ([`section_checksum`]).
     pub checksum: u64,
     /// Length of the shard file in bytes.
     pub file_len: u64,
@@ -287,9 +292,15 @@ fn decode_manifest(payload: &[u8]) -> Result<ShardManifestInfo, PersistError> {
 /// Decode and fully validate a manifest from raw bytes, without touching
 /// any shard file.
 pub fn inspect_manifest_bytes(bytes: &[u8]) -> Result<ShardManifestInfo, PersistError> {
-    let sections = parse_container(bytes)?.sections;
-    let payload = find_section(&sections, SectionKind::ShardManifest)?;
-    decode_manifest(payload)
+    read_manifest(bytes).map(|(_, info)| info)
+}
+
+/// The manifest's container version (it names the hash of the shard file
+/// checksums) and its decoded payload.
+fn read_manifest(bytes: &[u8]) -> Result<(u32, ShardManifestInfo), PersistError> {
+    let container = parse_container(bytes)?;
+    let payload = find_section(&container.sections, SectionKind::ShardManifest)?;
+    Ok((container.version, decode_manifest(payload)?))
 }
 
 /// [`inspect_manifest_bytes`] over the manifest inside a sharded-index
@@ -351,7 +362,7 @@ pub fn save_sharded(
         })?;
         let (id_base, id_len) = router.base_range(s).expect("shard exists");
         entries.push(ShardFileEntry {
-            checksum: checksum64(&bytes),
+            checksum: section_checksum(FORMAT_VERSION, &bytes),
             file_len: bytes.len() as u64,
             file_name,
             id_base,
@@ -415,13 +426,14 @@ pub fn load_sharded(dir: impl AsRef<Path>) -> Result<ShardedIndex, PersistError>
     let manifest_path = dir.join(MANIFEST_FILE_NAME);
     let bytes = std::fs::read(&manifest_path)
         .map_err(|e| io_err("read shard manifest", Some(&manifest_path), e))?;
-    let info = inspect_manifest_bytes(&bytes)?;
+    let (version, info) = read_manifest(&bytes)?;
 
     let mut shard_bytes = Vec::with_capacity(info.shards.len());
     for entry in &info.shards {
         let path = dir.join(&entry.file_name);
         let data = std::fs::read(&path).map_err(|e| io_err("read shard file", Some(&path), e))?;
-        if data.len() as u64 != entry.file_len || checksum64(&data) != entry.checksum {
+        if data.len() as u64 != entry.file_len || section_checksum(version, &data) != entry.checksum
+        {
             return Err(PersistError::Corrupt {
                 what: "shard file",
                 detail: format!(

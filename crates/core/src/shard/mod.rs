@@ -48,7 +48,7 @@ pub use manifest::{
 };
 pub use snapshot::{HealthyLegs, LegPolicy, ShardScatterStats, ShardedSnapshot, ShardedWorkspace};
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use crate::persist::PersistError;
@@ -600,17 +600,9 @@ impl WritableIndex for ShardedIndex {
     fn is_clean(&self) -> bool {
         self.snapshot.is_clean()
     }
-    /// Rebuild debt over all shards: support and live items add up, and the
-    /// correction rank is the largest any shard carries — the worst
-    /// per-query correction a scatter can pay.
+    /// Rebuild debt over all shards ([`RebuildDebt::across`]).
     fn debt(&self) -> RebuildDebt {
-        let mut total = RebuildDebt::default();
-        for debt in self.shards.iter().map(UpdatableIndex::debt) {
-            total.support += debt.support;
-            total.correction_rank = total.correction_rank.max(debt.correction_rank);
-            total.live_items += debt.live_items;
-        }
-        total
+        RebuildDebt::across(self.shards.iter().map(UpdatableIndex::debt))
     }
     fn apply(&mut self, delta: &IndexDelta) -> Result<ShardedUpdateReport> {
         ShardedIndex::apply(self, delta)
@@ -648,6 +640,10 @@ impl WritableIndex for ShardedIndex {
     }
     fn load(dir: &Path) -> std::result::Result<Self, PersistError> {
         load_sharded(dir)
+    }
+    /// The manifest: renaming it commits a save.
+    fn checkpoint_file(dir: &Path) -> PathBuf {
+        dir.join(MANIFEST_FILE_NAME)
     }
 }
 

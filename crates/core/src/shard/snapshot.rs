@@ -26,7 +26,7 @@ use crate::mogul::SearchStats;
 use crate::out_of_sample::{OutOfSampleResult, Query};
 use crate::ranking::{RankedNode, TopKResult};
 use crate::topk::{f64_sort_key, BoundedTopK, Entry};
-use crate::update::{IndexSnapshot, SnapshotWorkspace};
+use crate::update::{IndexSnapshot, RebuildDebt, SnapshotWorkspace};
 use crate::{CoreError, Result};
 
 /// How scatter-gather spread one query across the shards. The query
@@ -133,6 +133,12 @@ impl ShardedSnapshot {
     /// Number of shards.
     pub fn num_shards(&self) -> usize {
         self.shards.len()
+    }
+
+    /// The rebuild debt the shards' epochs were published with, over all
+    /// shards ([`RebuildDebt::across`]).
+    pub fn debt(&self) -> RebuildDebt {
+        RebuildDebt::across(self.shards.iter().map(|s| s.debt()))
     }
 
     /// Live items across all shards.

@@ -66,7 +66,7 @@ use mogul_sparse::features::IntoFeatureMatrix;
 use mogul_sparse::{CorrectionWorkspace, FeatureMatrix, WoodburyCorrection};
 use std::cmp::Reverse;
 use std::collections::BTreeSet;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -188,6 +188,19 @@ pub struct RebuildDebt {
 }
 
 impl RebuildDebt {
+    /// The debt of a sharded index from its shards': support and live
+    /// items add up, and the correction rank is the largest any shard
+    /// carries — the worst per-query correction a scatter can pay.
+    pub fn across(shards: impl IntoIterator<Item = RebuildDebt>) -> RebuildDebt {
+        shards
+            .into_iter()
+            .fold(RebuildDebt::default(), |total, debt| RebuildDebt {
+                support: total.support + debt.support,
+                correction_rank: total.correction_rank.max(debt.correction_rank),
+                live_items: total.live_items + debt.live_items,
+            })
+    }
+
     /// Support as a fraction of the live collection.
     pub fn support_fraction(&self) -> f64 {
         if self.live_items == 0 {
@@ -255,6 +268,10 @@ pub trait WritableIndex: sealed::Sealed + std::fmt::Debug + Send + Sized + 'stat
     fn save(&self, path: &Path) -> std::result::Result<(), PersistError>;
     /// Load what [`WritableIndex::save`] wrote.
     fn load(path: &Path) -> std::result::Result<Self, PersistError>;
+    /// The file whose bytes and metadata stand for the checkpoint at `path`
+    /// (the file a save replaces last): the index file itself, or a
+    /// sharded directory's manifest.
+    fn checkpoint_file(path: &Path) -> PathBuf;
 }
 
 // ---------------------------------------------------------------------------
@@ -884,6 +901,7 @@ impl UpdatableIndex {
         })?;
 
         self.publish(SnapshotState::Corrected {
+            support: self.dirty.len(),
             correction,
             features: Arc::clone(&self.features),
             live: self.live.clone(),
@@ -995,6 +1013,9 @@ impl WritableIndex for UpdatableIndex {
     fn load(path: &Path) -> std::result::Result<Self, PersistError> {
         crate::persist::load_updatable(path)
     }
+    fn checkpoint_file(path: &Path) -> PathBuf {
+        path.to_path_buf()
+    }
 }
 
 /// Invert a dense-node → stable-id map, validating that every id is below
@@ -1074,6 +1095,9 @@ enum SnapshotState {
     /// factors plus a Woodbury correction (full substitution, no pruning),
     /// filtered through the live set.
     Corrected {
+        /// Rows of `W` that differed from the factorized base when the
+        /// epoch was published (`|R|`, the debt's support).
+        support: usize,
         correction: WoodburyCorrection,
         /// Current features in dense node space (phase 1 of out-of-sample
         /// queries scans these), shared with the writer.
@@ -1197,6 +1221,21 @@ impl IndexSnapshot {
         }
         ids.sort_unstable();
         ids
+    }
+
+    /// The rebuild debt this epoch was published with (none on a clean
+    /// epoch): what the writer's [`UpdatableIndex::debt`] read when it
+    /// published this snapshot.
+    pub fn debt(&self) -> RebuildDebt {
+        let support = match &self.state {
+            SnapshotState::Clean => 0,
+            SnapshotState::Corrected { support, .. } => *support,
+        };
+        RebuildDebt {
+            support,
+            correction_rank: self.correction_rank(),
+            live_items: self.live_count,
+        }
     }
 
     /// Rank of the active Woodbury correction (0 for a clean snapshot).
@@ -1327,6 +1366,7 @@ impl IndexSnapshot {
                 correction,
                 features,
                 live,
+                ..
             } => (correction, features, live),
         };
         let num_neighbors = self.oos.config().num_neighbors;

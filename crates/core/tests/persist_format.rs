@@ -2,11 +2,15 @@
 //! (truncation, bit flips in every region, wrong magic, future versions,
 //! missing sections, hostile `factors` payloads) must fail **closed** — a
 //! typed [`PersistError`], never a panic, never a silently wrong index — and
-//! the committed golden fixtures pin format versions 1 and 2, so any
+//! the committed golden fixtures pin format versions 1, 2 and 3, so any
 //! incompatible layout change must bump [`persist::FORMAT_VERSION`] rather
-//! than silently break old files.
+//! than silently break old files. Every file this build writes is version
+//! 3, so the matrix runs over v3 files; the per-section flips run over the
+//! v1 and v2 fixtures too.
 
-use mogul_core::persist::{self, FileFlavor, PersistError, SectionKind, SectionWriter};
+use mogul_core::persist::{
+    self, FileFlavor, PersistError, SectionInfo, SectionKind, SectionWriter,
+};
 use mogul_core::update::{IndexBuilder, IndexDelta, RebuildPolicy};
 use mogul_core::{MogulConfig, MogulIndex, OutOfSampleConfig, OutOfSampleIndex, Query};
 use mogul_graph::knn::{knn_graph, KnnConfig};
@@ -15,7 +19,12 @@ use std::sync::Arc;
 
 /// Small deterministic corpus shared by every test here.
 fn features() -> Vec<Vec<f64>> {
-    (0..24)
+    corpus(24)
+}
+
+/// The first `n` items of the same two-blob corpus.
+fn corpus(n: usize) -> Vec<Vec<f64>> {
+    (0..n)
         .map(|i| {
             let blob = (i % 2) as f64;
             vec![
@@ -79,7 +88,7 @@ fn unsupported_future_version_is_rejected() {
     bytes[4..8].copy_from_slice(&0u32.to_le_bytes());
     let err = persist::load_index_from_bytes(&bytes).unwrap_err();
     assert_eq!(err, PersistError::UnsupportedVersion { found: 0 });
-    assert!(err.to_string().contains("versions 1 to 2"), "{err}");
+    assert!(err.to_string().contains("versions 1 to 3"), "{err}");
 }
 
 #[test]
@@ -101,25 +110,39 @@ fn every_truncation_fails_closed() {
 
 #[test]
 fn a_bit_flip_in_each_section_is_caught_by_its_checksum() {
-    let bytes = updatable_bytes();
-    let info = persist::inspect_bytes(&bytes).unwrap();
-    assert_eq!(
-        info.sections.len(),
-        8,
-        "expected all eight v1 sections in an updatable file: {info}"
-    );
-    for section in &info.sections {
-        let mut corrupted = bytes.clone();
-        let target = section.offset + section.len / 2;
-        corrupted[target] ^= 0x10;
-        match persist::load_updatable_from_bytes(&corrupted) {
-            Err(PersistError::ChecksumMismatch { section: name }) => {
-                assert_eq!(name, section.name, "flip at byte {target}");
+    // A fresh (v3) file and the v1 and v2 fixtures: each version's hash.
+    for (version, bytes) in [
+        (3, updatable_bytes()),
+        (1, GOLDEN.to_vec()),
+        (2, GOLDEN_V2.to_vec()),
+    ] {
+        let info = persist::inspect_bytes(&bytes).unwrap();
+        assert_eq!(info.version, version);
+        assert_eq!(
+            info.sections.len(),
+            8,
+            "expected all eight sections in an updatable file: {info}"
+        );
+        for section in &info.sections {
+            // The first, middle and last byte, one bit each.
+            for target in [
+                section.offset,
+                section.offset + section.len / 2,
+                section.offset + section.len - 1,
+            ] {
+                let mut corrupted = bytes.clone();
+                corrupted[target] ^= 0x10;
+                match persist::load_updatable_from_bytes(&corrupted) {
+                    Err(PersistError::ChecksumMismatch { section: name }) => {
+                        assert_eq!(name, section.name, "v{version}: flip at byte {target}");
+                    }
+                    other => panic!(
+                        "v{version}: bit flip in section '{}' gave {other:?} instead of \
+                         ChecksumMismatch",
+                        section.name
+                    ),
+                }
             }
-            other => panic!(
-                "bit flip in section '{}' gave {other:?} instead of ChecksumMismatch",
-                section.name
-            ),
         }
     }
 }
@@ -233,21 +256,42 @@ fn unknown_sections_are_tolerated_within_a_version() {
     );
 }
 
+/// Re-write the container `bytes` under format `version`, each section's
+/// payload replaced by what `payload_of` returns for it, and re-seal every
+/// checksum with that version's hash ([`persist::section_checksum`]): the
+/// result passes every checksum, so only its payloads can be hostile. The
+/// sections come from the original file's table, so a payload the loader
+/// would refuse can still be re-sealed.
+fn resealed(
+    bytes: &[u8],
+    version: u32,
+    mut payload_of: impl FnMut(&SectionInfo, &[u8]) -> Vec<u8>,
+) -> Vec<u8> {
+    let info = persist::inspect_bytes(bytes).unwrap();
+    let mut out = b"MOG1".to_vec();
+    out.extend_from_slice(&version.to_le_bytes());
+    let mut table = Vec::new();
+    for s in &info.sections {
+        let payload = payload_of(s, &bytes[s.offset..s.offset + s.len]);
+        table.extend_from_slice(&s.code.to_le_bytes());
+        table.extend_from_slice(&(out.len() as u64).to_le_bytes());
+        table.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        table.extend_from_slice(&persist::section_checksum(version, &payload).to_le_bytes());
+        out.extend_from_slice(&payload);
+    }
+    out.extend_from_slice(&table);
+    out.extend_from_slice(&(info.sections.len() as u64).to_le_bytes());
+    out.extend_from_slice(&persist::section_checksum(version, &table).to_le_bytes());
+    out.extend_from_slice(b"MOG1TRLR");
+    out
+}
+
 /// Rebuild a container with one section's payload replaced (checksums are
 /// recomputed, so the result is "valid" — only the payload is hostile).
 fn rebuild_with_section(bytes: &[u8], target: &str, payload: &[u8]) -> Vec<u8> {
-    let info = persist::inspect_bytes(bytes).unwrap();
-    let mut writer = SectionWriter::new(Vec::new()).unwrap();
-    for s in &info.sections {
-        if s.name == target {
-            writer.write_raw_section(s.code, payload).unwrap();
-        } else {
-            writer
-                .write_raw_section(s.code, &bytes[s.offset..s.offset + s.len])
-                .unwrap();
-        }
-    }
-    writer.finish().unwrap()
+    resealed(bytes, persist::FORMAT_VERSION, |s, clean| {
+        if s.name == target { payload } else { clean }.to_vec()
+    })
 }
 
 #[test]
@@ -305,14 +349,7 @@ fn hostile_counts_fail_closed_without_allocating() {
     }
 }
 
-/// `bytes` with its header's format version set to `version` (the header
-/// is outside every checksum).
-fn with_version(mut bytes: Vec<u8>, version: u32) -> Vec<u8> {
-    bytes[4..8].copy_from_slice(&version.to_le_bytes());
-    bytes
-}
-
-/// The fields of a v2 `factors` payload: `n`, the strictly-upper rows of
+/// The fields of a v2 (and v3) `factors` payload: `n`, the strictly-upper rows of
 /// `U = Lᵀ` (`u32` offsets and columns, `f64` values), `D` and the
 /// boosted-pivot count, each count stored as a `u64`.
 #[derive(Debug, Clone)]
@@ -403,13 +440,16 @@ fn factors_whose_search_layout_overflows_fail_typed_at_load() {
     mogul_sparse::persist::encode_csr(&l, &mut payload);
     mogul_sparse::persist::put_f64_slice(&mut payload, &d);
     mogul_sparse::persist::put_usize(&mut payload, 0);
-    let v1 = with_version(rebuild_with_section(&index_file, "factors", &payload), 1);
-    // Format v2: the strictly-upper rows and `D`.
-    let mut v2 = V2Factors::parse(&factors_payload(&index_file));
-    v2.vals.iter_mut().for_each(|v| *v *= 1e300);
-    v2.d.iter_mut().for_each(|v| *v *= 1e300);
-    let v2 = rebuild_with_section(&index_file, "factors", &v2.encode());
-    for (version, file) in [(1, v1), (2, v2)] {
+    let v1 = resealed(&index_file, 1, |s, clean| {
+        if s.name == "factors" { &payload } else { clean }.to_vec()
+    });
+    // Formats v2 and v3: the strictly-upper rows and `D`.
+    let mut upper = V2Factors::parse(&factors_payload(&index_file));
+    upper.vals.iter_mut().for_each(|v| *v *= 1e300);
+    upper.d.iter_mut().for_each(|v| *v *= 1e300);
+    let v3 = rebuild_with_section(&index_file, "factors", &upper.encode());
+    let v2 = resealed(&v3, 2, |_, clean| clean.to_vec());
+    for (version, file) in [(1, v1), (2, v2), (3, v3)] {
         assert_eq!(persist::inspect_bytes(&file).unwrap().version, version);
         match persist::load_index_from_bytes(&file) {
             Err(PersistError::SectionDecode { section, source }) => {
@@ -686,7 +726,7 @@ fn dirty_updatable_state_refuses_to_persist() {
 }
 
 // ---------------------------------------------------------------------------
-// Golden fixtures: format v1 and v2 compatibility pins
+// Golden fixtures: format v1, v2 and v3 compatibility pins
 // ---------------------------------------------------------------------------
 
 /// The committed format-v1 golden fixture, written by the last v1 build.
@@ -695,12 +735,17 @@ fn dirty_updatable_state_refuses_to_persist() {
 /// fixture instead of breaking this one.
 const GOLDEN: &[u8] = include_bytes!("fixtures/golden_v1.mog1");
 
-/// The committed format-v2 golden fixture (written by
-/// `regenerate_golden_fixture` below), under the same rule.
+/// The committed format-v2 golden fixture, written by the last v2 build,
+/// under the same rule.
 const GOLDEN_V2: &[u8] = include_bytes!("fixtures/golden_v2.mog1");
 
-/// The section set of an updatable file, in table order (the same in v1
-/// and v2: the versions differ only in the `factors` payload).
+/// The committed format-v3 golden fixture (written by
+/// `regenerate_golden_fixture` below), under the same rule.
+const GOLDEN_V3: &[u8] = include_bytes!("fixtures/golden_v3.mog1");
+
+/// The section set of an updatable file, in table order (the same in every
+/// version: v1 and v2 differ only in the `factors` payload, v2 and v3 only
+/// in the checksum hash).
 const UPDATABLE_SECTIONS: [&str; 8] = [
     "meta",
     "ordering",
@@ -734,11 +779,16 @@ fn golden_index() -> mogul_core::update::UpdatableIndex {
 /// after an *intentional*, version-bumped format change (and point `path`
 /// at the new version's file first, so no older fixture is overwritten):
 /// `cargo test -p mogul-core --test persist_format -- --ignored regenerate`
+///
+/// The v3 fixture is the v2 fixture loaded and re-saved, so its payloads
+/// (the `stats` section's build timings included) are the v2 file's, and
+/// only the version and the checksums differ. A version that changes a
+/// payload writes `golden_index()` instead.
 #[test]
 #[ignore = "writes the committed fixture; run only on intentional format changes"]
 fn regenerate_golden_fixture() {
-    let index = golden_index();
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/golden_v2.mog1");
+    let index = persist::load_updatable_from_bytes(GOLDEN_V2).unwrap();
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/golden_v3.mog1");
     persist::save_updatable(&index, path).unwrap();
     eprintln!("wrote {path}");
 }
@@ -761,12 +811,27 @@ fn golden_fixture_pins_format_v1() {
 
 #[test]
 fn golden_fixture_pins_format_v2() {
-    let info = persist::inspect_bytes(GOLDEN_V2).expect("golden fixture must stay loadable");
-    assert_eq!(info.version, 2, "golden fixture must remain format v2");
+    assert_pins_upper_factors(GOLDEN_V2, 2);
+}
+
+#[test]
+fn golden_fixture_pins_format_v3() {
+    assert_pins_upper_factors(GOLDEN_V3, 3);
     assert_eq!(
-        info.version,
+        persist::inspect_bytes(GOLDEN_V3).unwrap().version,
         persist::FORMAT_VERSION,
         "the writer's version"
+    );
+}
+
+/// A v2 or v3 fixture: its version, flavor, counts and section set; its
+/// factors payload is the strictly-upper layout and holds the rebuilt
+/// index's factors bit for bit; it answers like a rebuild.
+fn assert_pins_upper_factors(golden: &[u8], version: u32) {
+    let info = persist::inspect_bytes(golden).expect("golden fixture must stay loadable");
+    assert_eq!(
+        info.version, version,
+        "golden fixture must remain format v{version}"
     );
     assert_eq!(info.flavor, FileFlavor::Updatable);
     assert_eq!(info.items, 24);
@@ -774,18 +839,16 @@ fn golden_fixture_pins_format_v2() {
     let names: Vec<&str> = info.sections.iter().map(|s| s.name).collect();
     assert_eq!(
         names, UPDATABLE_SECTIONS,
-        "v2 section set changed — bump FORMAT_VERSION instead"
+        "v{version} section set changed — bump FORMAT_VERSION instead"
     );
-    // The factors payload is the v2 layout, and it holds the rebuilt
-    // index's factors bit for bit.
-    let stored = V2Factors::parse(&factors_payload(GOLDEN_V2));
+    let stored = V2Factors::parse(&factors_payload(golden));
     let reference = golden_index();
     let base = reference.snapshot();
     let index = base.base().index();
     assert_eq!(stored.n, 24);
     assert_eq!(stored.nnz as usize + 24, index.precompute_stats().l_nnz);
     assert_eq!(bits(&stored.d), bits(index.factor_d()));
-    assert_golden_answers_like_a_rebuild(GOLDEN_V2);
+    assert_golden_answers_like_a_rebuild(golden);
 }
 
 fn bits(values: &[f64]) -> Vec<u64> {
@@ -814,13 +877,13 @@ fn assert_golden_answers_like_a_rebuild(golden: &[u8]) {
 }
 
 #[test]
-fn a_v1_file_and_its_v2_resave_hold_the_same_factors_and_answers() {
+fn a_v1_file_and_its_v3_resave_hold_the_same_factors_and_answers() {
     let from_v1 = persist::load_updatable_from_bytes(GOLDEN).unwrap();
     let resaved = persist::save_updatable_to(&from_v1, Vec::new()).unwrap();
-    assert_eq!(persist::inspect_bytes(&resaved).unwrap().version, 2);
+    assert_eq!(persist::inspect_bytes(&resaved).unwrap().version, 3);
     assert!(
         resaved.len() < GOLDEN.len(),
-        "v2 ({} B) must be smaller than v1 ({} B)",
+        "v3 ({} B) must be smaller than v1 ({} B)",
         resaved.len(),
         GOLDEN.len()
     );
@@ -862,4 +925,215 @@ fn a_v1_file_and_its_v2_resave_hold_the_same_factors_and_answers() {
             assert_eq!(answer(x), answer(y));
         }
     }
+}
+
+/// Each section's name and payload bytes, in table order.
+fn payloads(bytes: &[u8]) -> Vec<(&'static str, Vec<u8>)> {
+    let info = persist::inspect_bytes(bytes).unwrap();
+    info.sections
+        .iter()
+        .map(|s| (s.name, bytes[s.offset..s.offset + s.len].to_vec()))
+        .collect()
+}
+
+#[test]
+fn a_v2_file_resaves_as_v3_with_the_same_section_payloads() {
+    let resaved = persist::save_updatable_to(
+        &persist::load_updatable_from_bytes(GOLDEN_V2).unwrap(),
+        Vec::new(),
+    )
+    .unwrap();
+    assert_eq!(persist::inspect_bytes(&resaved).unwrap().version, 3);
+    assert_eq!(payloads(&resaved), payloads(GOLDEN_V2));
+    // Only the hash changed: the same container, byte for byte, outside the
+    // header's version and the checksums.
+    assert_eq!(resaved.len(), GOLDEN_V2.len());
+    assert_eq!(
+        resaved, GOLDEN_V3,
+        "the v3 fixture is the v2 fixture re-sealed"
+    );
+}
+
+#[test]
+fn a_loaded_index_saves_the_bytes_it_was_loaded_from() {
+    for bytes in [updatable_bytes(), GOLDEN_V3.to_vec()] {
+        let loaded = persist::load_updatable_from_bytes(&bytes).unwrap();
+        let first = persist::save_updatable_to(&loaded, Vec::new()).unwrap();
+        let second = persist::save_updatable_to(&loaded, Vec::new()).unwrap();
+        assert!(
+            first == second,
+            "one loaded index saved twice gave two files"
+        );
+        assert!(first == bytes, "a loaded index re-saved other bytes");
+    }
+    let oos = persist::load_index_from_bytes(&index_bytes()).unwrap();
+    let first = persist::save_index_to(&oos, Vec::new()).unwrap();
+    assert!(first == persist::save_index_to(&oos, Vec::new()).unwrap());
+}
+
+#[test]
+fn two_builds_of_one_corpus_differ_only_in_their_stats_section() {
+    // The `stats` section stores the build's wall-clock `*_secs`, so two
+    // builds of the same items may differ there, in its table checksum and
+    // in the table's checksum in the footer, but in no other byte.
+    let build = || {
+        let index = IndexBuilder::new()
+            .knn_k(3)
+            .rebuild_policy(RebuildPolicy::never())
+            .build(corpus(40))
+            .unwrap();
+        persist::save_updatable_to(&index, Vec::new()).unwrap()
+    };
+    let (a, b) = (build(), build());
+    assert_eq!(a.len(), b.len());
+    let info = persist::inspect_bytes(&a).unwrap();
+    let stats = info
+        .sections
+        .iter()
+        .position(|s| s.name == "stats")
+        .unwrap();
+    let (offset, len) = (info.sections[stats].offset, info.sections[stats].len);
+    // A table entry is { code u32, offset u64, len u64, checksum u64 }; the
+    // footer is { count u64, table checksum u64, trailer magic }.
+    let stats_entry = a.len() - 24 - 28 * (info.sections.len() - stats);
+    let may_differ = [
+        offset..offset + len,
+        stats_entry + 20..stats_entry + 28,
+        a.len() - 16..a.len() - 8,
+    ];
+    for (at, (x, y)) in a.iter().zip(&b).enumerate() {
+        assert!(
+            x == y || may_differ.iter().any(|range| range.contains(&at)),
+            "two builds differ at byte {at} of {}, outside `stats`",
+            a.len()
+        );
+    }
+}
+
+/// Every 8-byte count or length field of the `meta`, `ordering`, `factors`
+/// and `features` payloads of `bytes`, as `(section, byte offset, field)`.
+fn count_fields(bytes: &[u8]) -> Vec<(&'static str, usize, String)> {
+    let u64_at = |payload: &[u8], at: usize| {
+        u64::from_le_bytes(payload[at..at + 8].try_into().unwrap()) as usize
+    };
+    let mut fields = Vec::new();
+    for (name, payload) in payloads(bytes) {
+        match name {
+            // flavor, alpha, factorization, then the four counts.
+            "meta" => {
+                for (at, field) in [
+                    (24, "oos neighbours"),
+                    (32, "cluster probes"),
+                    (40, "items"),
+                    (48, "dim"),
+                ] {
+                    fields.push((name, at, field.to_string()));
+                }
+            }
+            // The permutation's length and entries, the cluster count, then
+            // each cluster's start and length.
+            "ordering" => {
+                let n = u64_at(&payload, 0);
+                let clusters_at = 8 + 8 * n;
+                fields.push((name, 0, "permutation length".into()));
+                fields.push((name, clusters_at, "cluster count".into()));
+                for c in 0..u64_at(&payload, clusters_at) {
+                    fields.push((
+                        name,
+                        clusters_at + 8 + 16 * c + 8,
+                        format!("cluster {c} length"),
+                    ));
+                }
+            }
+            // n, nnz, ..., the boosted-pivot count last.
+            "factors" => {
+                fields.push((name, 0, "n".into()));
+                fields.push((name, 8, "nnz".into()));
+                fields.push((name, payload.len() - 8, "boosted pivots".into()));
+            }
+            // Row count, width.
+            "features" => {
+                fields.push((name, 0, "rows".into()));
+                fields.push((name, 8, "dim".into()));
+            }
+            _ => {}
+        }
+    }
+    fields
+}
+
+/// A loaded index must hold together and answer: its ordering validates,
+/// its parts agree on the node count, and queries by id and by feature
+/// return without a panic.
+fn assert_answers(oos: &OutOfSampleIndex, case: &str) {
+    let index = oos.index();
+    assert!(
+        index.ordering().validate(),
+        "{case}: loaded an invalid ordering"
+    );
+    let n = index.num_nodes();
+    assert_eq!(index.factor_d().len(), n, "{case}");
+    for node in [0, n / 2, n - 1] {
+        let _ = index.search(node, 5);
+    }
+    let _ = oos.query(&[0.5, 0.5, 0.1], 5);
+}
+
+#[test]
+fn resealed_hostile_counts_fail_typed_or_load_an_index_that_answers() {
+    // The resealing mutator: every count or length field set to each
+    // hostile value in turn, every checksum re-sealed with the v3 hash, so
+    // the decoders behind the checksum see the value. Each file must fail
+    // with a typed error — the loaders return `Result`, so a panic fails
+    // the test — or load an index that validates and answers.
+    let index_file = index_bytes();
+    let updatable_file = updatable_bytes();
+    let n = persist::inspect_bytes(&index_file).unwrap().items as u64;
+    let values = [0, 1, n + 1, 1 << 32, 1 << 60, u64::MAX];
+    let mut outcomes = (0usize, 0usize);
+    for (file, updatable) in [(&index_file, false), (&updatable_file, true)] {
+        for (section, at, field) in count_fields(file) {
+            for value in values {
+                let hostile = resealed(file, persist::FORMAT_VERSION, |s, clean| {
+                    let mut payload = clean.to_vec();
+                    if s.name == section {
+                        payload[at..at + 8].copy_from_slice(&value.to_le_bytes());
+                    }
+                    payload
+                });
+                let case = format!("{section} {field} = {value}");
+                let served = persist::load_serving_from_bytes(&hostile);
+                if updatable {
+                    match persist::load_updatable_from_bytes(&hostile) {
+                        Ok(index) => {
+                            outcomes.1 += 1;
+                            assert_answers(index.snapshot().base(), &case);
+                            assert!(served.is_ok(), "{case}: only the writer's loader took it");
+                        }
+                        Err(_) => outcomes.0 += 1,
+                    }
+                } else {
+                    match persist::load_index_from_bytes(&hostile) {
+                        Ok(oos) => {
+                            outcomes.1 += 1;
+                            assert_answers(&oos, &case);
+                            assert!(served.is_ok(), "{case}: only the index loader took it");
+                        }
+                        Err(_) => outcomes.0 += 1,
+                    }
+                }
+                if let Ok(snapshot) = served {
+                    assert_answers(snapshot.base(), &case);
+                }
+            }
+        }
+    }
+    // Most values break a count; the ones that load are the fields a
+    // loader may take at any value (e.g. a probe count it clamps).
+    assert!(
+        outcomes.0 > outcomes.1,
+        "typed errors {} vs loads {}",
+        outcomes.0,
+        outcomes.1
+    );
 }

@@ -17,20 +17,22 @@
 //!   shard files — each pinned by the manifest's recorded length, checksum
 //!   and epoch before any shard bytes are decoded.
 //!
-//! A committed `golden_shards_v1` fixture pins the on-disk layout: future
+//! A committed `golden_shards_v1` fixture pins the on-disk layout (a v1
+//! manifest, whose shard checksums are FNV-1a; this build writes v3
+//! manifests, whose are the four-lane hash): future
 //! builds must keep loading it byte-for-byte (regenerate only through the
 //! `#[ignore]` test below after an intentional, version-bumped change).
 
 use std::path::{Path, PathBuf};
 
-use mogul_core::persist::{PersistError, FORMAT_VERSION};
+use mogul_core::persist::{section_checksum, PersistError, FORMAT_VERSION};
 use mogul_core::persist::{SectionKind, SectionWriter};
 use mogul_core::shard::{
     inspect_manifest, inspect_manifest_bytes, load_sharded, save_sharded, shard_file_name,
     ShardedConfig, ShardedIndex, ShardedSnapshot, ShardedWorkspace, MANIFEST_FILE_NAME,
 };
 use mogul_core::update::{IndexBuilder, IndexDelta, RebuildPolicy, WritableIndex};
-use mogul_sparse::persist::put_u64;
+use mogul_sparse::persist::{checksum64, lane_checksum64, put_u64};
 
 // ---------------------------------------------------------------------------
 // Fixture corpus
@@ -128,6 +130,31 @@ fn round_trip_answers_bit_identically() {
     }
     assert_same_answers(&index.snapshot(), &loaded.snapshot(), "round trip");
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn shard_checksums_take_the_hash_of_the_manifest_version() {
+    // A fresh manifest is v3, and pins each shard file by its four-lane
+    // hash; the v1 fixture's manifest pins its files by FNV-1a.
+    let dir = saved_fixture("hash");
+    assert_eq!(&manifest_bytes(&dir)[4..8], &FORMAT_VERSION.to_le_bytes());
+    let info = inspect_manifest(&dir).unwrap();
+    for entry in &info.shards {
+        let file = std::fs::read(dir.join(&entry.file_name)).unwrap();
+        assert_eq!(
+            entry.checksum,
+            lane_checksum64(&file),
+            "{}",
+            entry.file_name
+        );
+        assert_eq!(entry.checksum, section_checksum(3, &file));
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+    let golden = inspect_manifest_bytes(GOLDEN_MANIFEST).unwrap();
+    assert_eq!(&GOLDEN_MANIFEST[4..8], &1u32.to_le_bytes());
+    for (entry, file) in golden.shards.iter().zip([GOLDEN_SHARD_0, GOLDEN_SHARD_1]) {
+        assert_eq!(entry.checksum, checksum64(file), "{}", entry.file_name);
+    }
 }
 
 /// The sharded checkpoint is crash-atomic. A save writes every shard file

@@ -111,15 +111,18 @@ impl NodeOrdering {
         self.cluster_of_permuted(self.permutation.new_index(node))
     }
 
-    /// Consistency check used by tests and debug assertions: clusters tile
-    /// `0..n` contiguously and the permutation is a bijection.
+    /// Consistency check used by tests, debug assertions and the MOG1
+    /// loader: clusters tile `0..n` contiguously and the permutation is a
+    /// bijection. A cluster whose end overflows fails it (a decoded length
+    /// may be any `u64`; a wrapped end could tile `0..n` with overlapping
+    /// clusters).
     pub fn validate(&self) -> bool {
         let mut cursor = 0usize;
         for c in &self.clusters {
-            if c.start != cursor {
-                return false;
+            match c.start.checked_add(c.len) {
+                Some(end) if c.start == cursor => cursor = end,
+                _ => return false,
             }
-            cursor = c.end();
         }
         cursor == self.len()
     }
@@ -249,6 +252,26 @@ mod tests {
         .unwrap();
         let clustering = Clustering::from_labels(&[0, 0, 0, 1, 1, 1]);
         (g, clustering)
+    }
+
+    #[test]
+    fn a_tiling_that_wraps_past_usize_max_fails_validation() {
+        let (g, c) = bridged_triangles();
+        let mut ordering = mogul_ordering(&g, &c).unwrap();
+        assert!(ordering.validate());
+        // Cluster 0 runs to the end of the address space and wraps to 0,
+        // so a third cluster from 0 to n would close the tiling in
+        // wrapping arithmetic while overlapping the first.
+        let first = ordering.clusters[0];
+        ordering.clusters = vec![
+            first,
+            ClusterRange {
+                start: first.end(),
+                len: usize::MAX - first.end() + 1,
+            },
+            ClusterRange { start: 0, len: 6 },
+        ];
+        assert!(!ordering.validate());
     }
 
     #[test]

@@ -21,6 +21,20 @@
 use crate::error::ServeResult;
 use crate::request::{QueryRequest, QueryResponse, ResponseStatus};
 use crate::server::{ServeSnapshot, Server};
+use mogul_core::update::RebuildDebt;
+
+/// What the stats endpoint reports of the snapshot answering queries, all
+/// read from that one snapshot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ServedSnapshot {
+    /// Its epoch.
+    pub epoch: u64,
+    /// Its live items.
+    pub items: u64,
+    /// The rebuild debt it was published with (for a sharded snapshot,
+    /// [`RebuildDebt::across`] its shards).
+    pub debt: RebuildDebt,
+}
 
 /// The answering engine behind a network front door. Object-safe so one
 /// [`NetServer`](crate::net::NetServer) serves both engine shapes.
@@ -44,12 +58,9 @@ pub trait ServeBackend: Send + Sync + 'static {
         require_complete: bool,
     ) -> Vec<ServeResult<(QueryResponse, ResponseStatus)>>;
 
-    /// Epoch of the snapshot currently answering queries (for the stats
-    /// endpoint).
-    fn epoch(&self) -> u64;
-
-    /// Live items in the serving snapshot (for the stats endpoint).
-    fn items(&self) -> u64;
+    /// Epoch, live items and rebuild debt of the snapshot currently
+    /// answering queries (for the stats endpoint), read from one snapshot.
+    fn served(&self) -> ServedSnapshot;
 }
 
 impl<S: ServeSnapshot> ServeBackend for Server<S> {
@@ -69,11 +80,12 @@ impl<S: ServeSnapshot> ServeBackend for Server<S> {
         self.dispatch(run, 1, require_complete)
     }
 
-    fn epoch(&self) -> u64 {
-        Server::epoch(self)
-    }
-
-    fn items(&self) -> u64 {
-        self.len() as u64
+    fn served(&self) -> ServedSnapshot {
+        let snapshot = self.snapshot();
+        ServedSnapshot {
+            epoch: snapshot.epoch(),
+            items: snapshot.len() as u64,
+            debt: snapshot.debt(),
+        }
     }
 }

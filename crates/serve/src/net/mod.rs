@@ -32,7 +32,7 @@ pub mod server;
 pub mod stats;
 pub mod wire;
 
-pub use backend::ServeBackend;
+pub use backend::{ServeBackend, ServedSnapshot};
 pub use client::{NetClient, NetError};
 pub use server::{NetHandle, NetServer};
 pub use stats::ServerStatsReport;

@@ -47,9 +47,6 @@ use crate::net::wire::{
 };
 use crate::options::ServeOptions;
 use crate::request::QueryRequest;
-use crate::server::ServeSnapshot;
-use crate::updater::Writer;
-use mogul_core::update::{RebuildDebt, WritableIndex};
 use std::io::{BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -137,8 +134,6 @@ impl Outbox {
 /// State shared by the accept thread, readers, workers and [`NetHandle`]s.
 struct Shared {
     backend: Arc<dyn ServeBackend>,
-    /// The rebuild debt of the attached writer, if any.
-    debt: Option<Box<dyn Fn() -> RebuildDebt + Send + Sync>>,
     options: ServeOptions,
     stats: NetStats,
     local_addr: SocketAddr,
@@ -165,10 +160,10 @@ impl Shared {
     fn stats_report(&self) -> ServerStatsReport {
         let gauges = lock(&self.admission).gauges();
         let (p50_us, p95_us, qps) = self.stats.latency_summary();
-        let debt = self.debt.as_ref().map(|debt| debt()).unwrap_or_default();
+        let served = self.backend.served();
         ServerStatsReport {
-            epoch: self.backend.epoch(),
-            items: self.backend.items(),
+            epoch: served.epoch,
+            items: served.items,
             uptime_secs: self.stats.started.elapsed().as_secs_f64(),
             connections: gauges.connections as u64,
             queue_depth: gauges.queue_depth as u64,
@@ -182,8 +177,8 @@ impl Shared {
             p50_us,
             p95_us,
             qps,
-            rebuild_support: debt.support as u64,
-            rebuild_fraction: debt.support_fraction(),
+            rebuild_support: served.debt.support as u64,
+            rebuild_fraction: served.debt.support_fraction(),
             draining: gauges.draining,
             shed_deadline: gauges.counts.shed_deadline,
             answered_by_reader: gauges.counts.answered_by_reader,
@@ -398,10 +393,11 @@ impl Shared {
 /// [`QueryServer`](crate::QueryServer) or a
 /// [`ShardedServer`](crate::ShardedServer).
 ///
-/// Construct with [`NetServer::bind`], optionally attach the
-/// [`Writer`] whose rebuild debt the stats endpoint should report
-/// ([`NetServer::with_writer`]), grab a [`NetHandle`] for out-of-band
-/// control, then hand the thread to [`NetServer::run`].
+/// Construct with [`NetServer::bind`], grab a [`NetHandle`] for out-of-band
+/// control, then hand the thread to [`NetServer::run`]. The stats endpoint
+/// reads epoch, items and rebuild debt from the snapshot serving queries
+/// (each epoch is published with its debt), so it never waits for the
+/// [`Writer`](crate::Writer) that publishes them.
 ///
 /// ```no_run
 /// use std::sync::Arc;
@@ -443,7 +439,6 @@ impl NetServer {
         Ok(NetServer {
             listener,
             shared: Arc::new(Shared {
-                debt: None,
                 stats: NetStats::new(),
                 local_addr,
                 admission: Mutex::new(Admission::new(
@@ -457,20 +452,6 @@ impl NetServer {
                 options,
             }),
         })
-    }
-
-    /// Attach the writer — of either engine — whose rebuild debt the stats
-    /// endpoint reports. (The writer must publish to the same server this
-    /// front door serves — nothing checks this, the stats would simply be
-    /// misleading.)
-    pub fn with_writer<I: WritableIndex>(mut self, writer: Arc<Writer<I>>) -> Self
-    where
-        I::Snapshot: ServeSnapshot,
-    {
-        let shared = Arc::get_mut(&mut self.shared)
-            .expect("with_writer must be called before run()/handle() share the state");
-        shared.debt = Some(Box::new(move || writer.debt()));
-        self
     }
 
     /// The bound address (resolves `:0` to the actual port).

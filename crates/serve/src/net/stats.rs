@@ -51,16 +51,16 @@ pub struct ServerStatsReport {
     pub p95_us: f64,
     /// Completed-query throughput over the latency window, queries/second.
     pub qps: f64,
-    /// Rebuild debt (correction support) of the attached writer, `0` when no
-    /// writer is attached.
+    /// Rebuild debt (correction support) the serving snapshot's epoch was
+    /// published with, read from the same snapshot as `epoch` and `items`
+    /// (`0` on a clean epoch).
     pub rebuild_support: u64,
     /// Correction support divided by live items
     /// ([`RebuildDebt::support_fraction`](mogul_core::RebuildDebt::support_fraction))
     /// — the quantity a rebuild policy compares against its
     /// [`max_support_fraction`](mogul_core::RebuildPolicy::max_support_fraction).
-    /// For a sharded writer both terms are summed over the shards, while
-    /// each shard's policy compares its own ratio. `0.0` when no writer is
-    /// attached.
+    /// For a sharded index both terms are summed over the shards, while
+    /// each shard's policy compares its own ratio. `0.0` on a clean epoch.
     pub rebuild_fraction: f64,
     /// `true` once the server has begun draining.
     pub draining: bool,

@@ -18,7 +18,9 @@ use crate::error::{ServeError, ServeResult};
 use crate::lock;
 use crate::options::ServeOptions;
 use crate::request::{QueryRequest, QueryResponse, ResponseStatus};
-use mogul_core::update::{IndexSnapshot, SnapshotWorkspace, UpdatableIndex, WritableIndex};
+use mogul_core::update::{
+    IndexSnapshot, RebuildDebt, SnapshotWorkspace, UpdatableIndex, WritableIndex,
+};
 use mogul_core::wal::{self, WalError};
 use mogul_core::{OutOfSampleResult, PersistError, TopKResult};
 use std::fmt::Debug;
@@ -51,6 +53,8 @@ pub trait ServeSnapshot: sealed::Sealed + Debug + Send + Sync + Sized + 'static 
     fn epoch(&self) -> u64;
     /// Number of live items.
     fn len(&self) -> usize;
+    /// The rebuild debt the epoch was published with.
+    fn debt(&self) -> RebuildDebt;
     /// Whether a stable id refers to a live item.
     fn contains(&self, id: usize) -> bool;
     /// Dimensionality of the indexed feature vectors.
@@ -91,6 +95,9 @@ impl ServeSnapshot for IndexSnapshot {
     }
     fn len(&self) -> usize {
         IndexSnapshot::len(self)
+    }
+    fn debt(&self) -> RebuildDebt {
+        IndexSnapshot::debt(self)
     }
     fn contains(&self, id: usize) -> bool {
         IndexSnapshot::contains(self, id)

@@ -21,8 +21,8 @@ use crate::request::{QueryRequest, QueryResponse, ResponseStatus};
 use crate::server::{sealed, ServeSnapshot, Server};
 use crate::updater::Writer;
 use mogul_core::{
-    LegPolicy, PersistError, ShardScatterStats, ShardedIndex, ShardedSnapshot, ShardedWorkspace,
-    SnapshotWorkspace,
+    LegPolicy, PersistError, RebuildDebt, ShardScatterStats, ShardedIndex, ShardedSnapshot,
+    ShardedWorkspace, SnapshotWorkspace,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -88,6 +88,9 @@ impl ServeSnapshot for ShardedSnapshot {
     }
     fn len(&self) -> usize {
         ShardedSnapshot::len(self)
+    }
+    fn debt(&self) -> RebuildDebt {
+        ShardedSnapshot::debt(self)
     }
     fn contains(&self, id: usize) -> bool {
         ShardedSnapshot::contains(self, id)

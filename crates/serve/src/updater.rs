@@ -27,8 +27,10 @@ use crate::server::{QueryServer, ServeSnapshot, Server};
 use mogul_core::persist::PersistError;
 use mogul_core::update::{IndexDelta, RebuildDebt, UpdatableIndex, WritableIndex};
 use mogul_core::wal::{self, RecoveryOutcome, Wal, WalError, WalOp, WalSync};
+use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, PoisonError};
+use std::time::SystemTime;
 
 /// The single-writer handle pairing a writable index `I` with the
 /// [`Server`] that serves its snapshots — instantiated as [`IndexWriter`]
@@ -71,6 +73,46 @@ struct WriterState<I> {
     checkpoint: Option<PathBuf>,
     /// The last automatic checkpoint's failure (see [`Writer::set_checkpoint`]).
     checkpoint_error: Option<PersistError>,
+    /// What the checkpoint file holds, as of the last load from it or save
+    /// to it; `None` when unknown (see [`Writer::enable_wal`]).
+    on_disk: Option<OnDisk>,
+}
+
+/// A checkpoint this writer loaded or saved: the clean epoch it holds and
+/// the file that held it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct OnDisk {
+    epoch: u64,
+    stamp: FileStamp,
+}
+
+/// The identity of a checkpoint file ([`WritableIndex::checkpoint_file`]):
+/// its length and modification time, and its last 24 bytes — the MOG1
+/// footer, whose table checksum covers every section's checksum, so a file
+/// replaced within one tick of a coarse file clock is told apart by its
+/// content.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct FileStamp {
+    len: u64,
+    modified: SystemTime,
+    footer: [u8; 24],
+}
+
+impl FileStamp {
+    /// The stamp of the checkpoint at `path`, or `None` if it cannot be
+    /// read (which makes [`Writer::enable_wal`] save).
+    fn of<I: WritableIndex>(path: &Path) -> Option<FileStamp> {
+        let mut file = std::fs::File::open(I::checkpoint_file(path)).ok()?;
+        let meta = file.metadata().ok()?;
+        let mut footer = [0; 24];
+        file.seek(SeekFrom::End(-24)).ok()?;
+        file.read_exact(&mut footer).ok()?;
+        Some(FileStamp {
+            len: meta.len(),
+            modified: meta.modified().ok()?,
+            footer,
+        })
+    }
 }
 
 /// The writer over a single [`UpdatableIndex`], publishing to a
@@ -100,6 +142,7 @@ where
                 wal: None,
                 checkpoint: None,
                 checkpoint_error: None,
+                on_disk: None,
             }),
         };
         (server, writer)
@@ -110,15 +153,27 @@ where
     /// written by [`mogul_core::save_sharded`] (or by this writer's own
     /// checkpointing): the graphs, factors, stable ids and epoch are
     /// reconstructed with no precompute, and the same path is installed as
-    /// the checkpoint target so later rebuilds keep refreshing it.
+    /// the checkpoint target so later rebuilds keep refreshing it. The
+    /// writer remembers the file it loaded, so a following
+    /// [`Writer::enable_wal`] does not write it again.
     #[allow(clippy::type_complexity)]
     pub fn warm_start(
         path: impl AsRef<Path>,
         options: ServeOptions,
     ) -> std::result::Result<(Arc<Server<I::Snapshot>>, Self), PersistError> {
         let path = path.as_ref().to_path_buf();
-        let (server, writer) = Writer::serve(I::load(&path)?, options);
-        writer.set_checkpoint(Some(path));
+        // Stamped before the load: a file replaced between the two then
+        // reads as changed, never as the one that was loaded.
+        let stamp = FileStamp::of::<I>(&path);
+        let index = I::load(&path)?;
+        let epoch = index.epoch();
+        let (server, mut writer) = Writer::serve(index, options);
+        let state = writer
+            .state
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner);
+        state.checkpoint = Some(path);
+        state.on_disk = stamp.map(|stamp| OnDisk { epoch, stamp });
         Ok((server, writer))
     }
 
@@ -160,9 +215,14 @@ where
     /// Requires a checkpoint path (see [`Writer::set_checkpoint`]):
     /// the log is replayed *over* a checkpoint, so one is written here —
     /// forcing a refactorization first if the state carries correction
-    /// debt — and the fresh log is based at its epoch. Refuses if `dir`
-    /// already holds segments (recover those with
-    /// [`Writer::warm_start_durable`] instead of logging over them).
+    /// debt — and the fresh log is based at its epoch. The write is
+    /// skipped only when the checkpoint already holds the current state:
+    /// the index is clean at the epoch this writer last loaded from
+    /// ([`Writer::warm_start`]) or saved to the path, and the file is still
+    /// that one (same length, modification time and footer; for a sharded
+    /// directory, its manifest's). Refuses if `dir` already holds segments
+    /// (recover those with [`Writer::warm_start_durable`] instead of
+    /// logging over them).
     pub fn enable_wal(
         &self,
         dir: impl AsRef<Path>,
@@ -182,7 +242,9 @@ where
         // With no log yet, a pre-log rebuild needs no record: the
         // checkpoint is saved at the epoch it produces, and the log starts
         // after it.
-        state.save_checkpoint(&self.server, &path)?;
+        if !state.checkpoint_holds_current_epoch(&path) {
+            state.save_checkpoint(&self.server, &path)?;
+        }
         state.wal = Some(Wal::create(dir, state.index.epoch(), sync)?);
         Ok(())
     }
@@ -213,9 +275,13 @@ where
     /// reported by [`Writer::take_checkpoint_error`] instead of failing
     /// the update (the new snapshot is already serving at that point). This
     /// waits for a running update, its save included, so once it returns no
-    /// save to the old path is under way.
+    /// save to the old path is under way. It also forgets which checkpoint
+    /// the writer last loaded or saved, even when `path` is the same, so
+    /// the next [`Writer::enable_wal`] saves.
     pub fn set_checkpoint(&self, path: Option<PathBuf>) {
-        lock(&self.state).checkpoint = path;
+        let mut state = lock(&self.state);
+        state.checkpoint = path;
+        state.on_disk = None;
     }
 
     /// The configured checkpoint path, if any (waits for a running update).
@@ -363,7 +429,12 @@ where
                 .map_err(|e| failed("refactorization before checkpoint", &e))?;
             server.install_snapshot(self.index.snapshot());
         }
+        self.on_disk = None;
         self.index.save(path)?;
+        self.on_disk = FileStamp::of::<I>(path).map(|stamp| OnDisk {
+            epoch: self.index.epoch(),
+            stamp,
+        });
         if let Some(log) = self.wal.as_mut() {
             // The save landed; even if rotation fails the stale segments
             // stay replay-safe (replay skips records at or below the
@@ -373,6 +444,17 @@ where
             rotated.map_err(|e| failed("wal rotation after checkpoint", &e))?;
         }
         Ok(())
+    }
+
+    /// `true` when the checkpoint at `path` holds the current state: the
+    /// index is clean at the epoch last loaded from or saved to it, and the
+    /// file is still the one that was (see [`Writer::enable_wal`]).
+    fn checkpoint_holds_current_epoch(&self, path: &Path) -> bool {
+        self.on_disk.is_some_and(|on_disk| {
+            self.index.is_clean()
+                && on_disk.epoch == self.index.epoch()
+                && FileStamp::of::<I>(path) == Some(on_disk.stamp)
+        })
     }
 
     /// Best-effort auto-checkpoint after an operation that refactorized and

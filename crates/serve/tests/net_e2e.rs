@@ -14,8 +14,8 @@
 //! * a lockstep request at an idle server is answered by its connection's
 //!   reader thread, and nothing else ever is: not a pipelined burst, not a
 //!   second reader while one is answering, and drain waits for it;
-//! * the stats frame reports the rebuild debt of the attached writer, for
-//!   either engine.
+//! * the stats frame reports the rebuild debt the serving epoch was
+//!   published with, equal to the writer's, for either engine.
 
 use mogul_core::update::{IndexBuilder, IndexDelta, RebuildPolicy};
 use mogul_core::{ShardedConfig, ShardedIndex, PANEL_WIDTH};
@@ -26,7 +26,8 @@ use mogul_serve::net::wire::{
     read_frame,
 };
 use mogul_serve::net::{
-    FrameKind, NetClient, NetError, NetHandle, NetServer, ServeBackend, ServerStatsReport,
+    FrameKind, NetClient, NetError, NetHandle, NetServer, ServeBackend, ServedSnapshot,
+    ServerStatsReport,
 };
 use mogul_serve::{
     IndexWriter, QueryRequest, QueryResponse, QueryServer, ResponseStatus, ServeError,
@@ -155,11 +156,8 @@ impl ServeBackend for Gated {
         }
         self.server.answer_run(run, require_complete)
     }
-    fn epoch(&self) -> u64 {
-        ServeBackend::epoch(&*self.server)
-    }
-    fn items(&self) -> u64 {
-        self.server.items()
+    fn served(&self) -> ServedSnapshot {
+        self.server.served()
     }
 }
 
@@ -675,13 +673,13 @@ fn stats_report_the_rebuild_debt_of_a_sharded_writer() {
     let (server, writer) = ShardedWriter::new(index);
     let writer = Arc::new(writer);
     let options = ServeOptions::builder().workers(2).build().unwrap();
-    let net = NetServer::bind("127.0.0.1:0", Arc::clone(&server), options)
-        .unwrap()
-        .with_writer(Arc::clone(&writer));
+    // No writer is attached: each epoch's snapshot carries its debt.
+    let net = NetServer::bind("127.0.0.1:0", Arc::clone(&server), options).unwrap();
     let handle = net.handle();
     let join = std::thread::spawn(move || net.run());
     let mut client = connect(&handle);
     assert_eq!(client.stats().unwrap().rebuild_support, 0);
+    assert_eq!(writer.debt().support, 0);
 
     let feature: Vec<f64> = db.feature(0).iter().map(|v| v + 0.01).collect();
     writer
@@ -693,9 +691,12 @@ fn stats_report_the_rebuild_debt_of_a_sharded_writer() {
     assert_eq!(stats.rebuild_support, writer.debt().support as u64);
     assert_eq!(stats.epoch, server.epoch());
 
+    assert_eq!(stats.items, server.len() as u64);
+
     writer.rebuild().unwrap();
     let stats = client.stats().unwrap();
     assert_eq!(stats.rebuild_support, 0, "a rebuild pays the debt");
+    assert_eq!(stats.rebuild_support, writer.debt().support as u64);
     assert_eq!(stats.rebuild_fraction, 0.0);
     assert_eq!(stats.epoch, server.epoch());
 

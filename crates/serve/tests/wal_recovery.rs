@@ -615,6 +615,152 @@ fn warm_start_replay_serves_reads_without_mutating_the_log() {
 }
 
 // ---------------------------------------------------------------------------
+// One checkpoint write per durable start
+// ---------------------------------------------------------------------------
+
+/// What happens to the checkpoint between `warm_start` and `enable_wal`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Between {
+    /// Nothing: the checkpoint holds the writer's state, so no write.
+    Nothing,
+    /// Another index is saved over it.
+    Replaced,
+    /// Its modification time moves (for a sharded one, the manifest's).
+    Touched,
+    /// `set_checkpoint` points the writer at a copy of it.
+    Repointed,
+    /// An applied delta leaves the index carrying debt.
+    Debt,
+}
+
+/// Every file of a checkpoint (the file, or each file of the directory)
+/// with its inode, length and modification time: a save renames a new
+/// file over each, so any write changes this.
+fn files_of(path: &Path) -> Vec<(PathBuf, u64, u64, std::time::SystemTime)> {
+    use std::os::unix::fs::MetadataExt;
+    let mut paths: Vec<PathBuf> = if path.is_dir() {
+        std::fs::read_dir(path)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect()
+    } else {
+        vec![path.to_path_buf()]
+    };
+    paths.sort();
+    paths
+        .into_iter()
+        .map(|p| {
+            let meta = std::fs::metadata(&p).unwrap();
+            (p, meta.ino(), meta.len(), meta.modified().unwrap())
+        })
+        .collect()
+}
+
+/// Copy a checkpoint file, or a checkpoint directory's files, to `to`.
+fn copy_checkpoint(from: &Path, to: &Path) {
+    if from.is_dir() {
+        std::fs::create_dir_all(to).unwrap();
+        for entry in std::fs::read_dir(from).unwrap() {
+            let entry = entry.unwrap();
+            std::fs::copy(entry.path(), to.join(entry.file_name())).unwrap();
+        }
+    } else {
+        std::fs::copy(from, to).unwrap();
+    }
+}
+
+fn durable_start<I: Engine>(shards: usize, between: Between)
+where
+    I::Snapshot: ServeSnapshot,
+{
+    let context = format!("S = {shards}, {between:?}");
+    let dir = temp_dir("durable-start");
+    let checkpoint = dir.join(I::CHECKPOINT);
+    {
+        // A checkpoint on a clean epoch past the build's.
+        let (_, writer) = I::writer(I::build(shards, false));
+        writer.set_checkpoint(Some(checkpoint.clone()));
+        drive(&writer, 3, |_| {});
+        writer.checkpoint_now().unwrap();
+    }
+    let (server, writer) =
+        Writer::<I>::warm_start(&checkpoint, ServeOptions::with_workers(1)).unwrap();
+    let mut target = checkpoint.clone();
+    match between {
+        Between::Nothing => {}
+        Between::Replaced => I::build(shards, false).save(&checkpoint).unwrap(),
+        Between::Touched => {
+            let file = I::checkpoint_file(&checkpoint);
+            let modified = std::fs::metadata(&file).unwrap().modified().unwrap();
+            std::fs::File::options()
+                .write(true)
+                .open(&file)
+                .unwrap()
+                .set_modified(modified + Duration::from_secs(1))
+                .unwrap();
+        }
+        Between::Repointed => {
+            target = dir.join(format!("copy-{}", I::CHECKPOINT));
+            copy_checkpoint(&checkpoint, &target);
+            writer.set_checkpoint(Some(target.clone()));
+        }
+        Between::Debt => {
+            let live = I::live_ids(&server.snapshot());
+            writer.apply_delta(&Stream::new().next(&live)).unwrap();
+            assert!(writer.debt().support > 0, "{context}: no debt");
+        }
+    }
+    let before = files_of(&target);
+    writer
+        .enable_wal(dir.join("wal"), WalSync::EveryRecord)
+        .unwrap();
+    let after = files_of(&target);
+    if between == Between::Nothing {
+        assert_eq!(before, after, "{context}: enable_wal wrote the checkpoint");
+    } else {
+        assert_ne!(before, after, "{context}: enable_wal did not save");
+    }
+
+    // Log a few updates, "crash", recover from the checkpoint and the log.
+    let mut stream = Stream::new();
+    for _ in 0..3 {
+        let delta = stream.next(&I::live_ids(&server.snapshot()));
+        writer.apply_delta(&delta).unwrap();
+    }
+    drop(writer);
+    let (recovered, _writer, _) = Writer::<I>::warm_start_durable(
+        &target,
+        dir.join("wal"),
+        WalSync::EveryRecord,
+        ServeOptions::with_workers(1),
+    )
+    .unwrap();
+    assert_answers_match::<I>(&recovered, &server, &context);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn enable_wal_after_an_untouched_warm_start_writes_nothing() {
+    durable_start::<UpdatableIndex>(0, Between::Nothing);
+    durable_start::<ShardedIndex>(1, Between::Nothing);
+    durable_start::<ShardedIndex>(4, Between::Nothing);
+}
+
+#[test]
+fn enable_wal_saves_a_checkpoint_that_changed_moved_or_fell_behind() {
+    for between in [
+        Between::Replaced,
+        Between::Touched,
+        Between::Repointed,
+        Between::Debt,
+    ] {
+        durable_start::<UpdatableIndex>(0, between);
+        durable_start::<ShardedIndex>(1, between);
+        durable_start::<ShardedIndex>(4, between);
+    }
+}
+
+// ---------------------------------------------------------------------------
 // A checkpoint of the other engine
 // ---------------------------------------------------------------------------
 

@@ -30,17 +30,103 @@ use crate::features::FeatureMatrix;
 use crate::ldl::LdlFactors;
 use crate::permutation::Permutation;
 
-/// FNV-1a 64-bit hash — the per-section checksum of the index file format.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// FNV-1a 64-bit hash: the checksum of the write-ahead log (`MWAL`), the
+/// wire protocol (`MGW1`) and MOG1 index files of format versions 1 and 2.
+/// MOG1 version 3 checksums its sections and table with
+/// [`lane_checksum64`] instead.
 ///
 /// Not cryptographic; the goal is detecting torn writes, truncation and
-/// bit rot, for which a 64-bit FNV over the section payload is ample.
+/// bit rot. It is byte-serial — each byte's multiply waits for the last —
+/// so it reads about 0.7 GB/s: 0.2–0.4 µs on a 180–308-byte log record
+/// beside its fsync, but half of a MOG1 save + load when it hashed whole
+/// files.
 pub fn checksum64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut hash = FNV_OFFSET;
     for &b in bytes {
         hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        hash = hash.wrapping_mul(FNV_PRIME);
     }
     hash
+}
+
+/// Odd multiplier of [`lane_checksum64`]'s rounds (2⁶⁴ / φ, rounded to odd).
+const LANE_MULTIPLIER: u64 = 0x9e37_79b9_7f4a_7c15;
+/// The four lanes' starting values: distinct, so a word moved to another
+/// lane is hashed differently.
+const LANE_SEEDS: [u64; 4] = [
+    0x243f_6a88_85a3_08d3,
+    0x1319_8a2e_0370_7344,
+    0xa409_3822_299f_31d0,
+    0x082e_fa98_ec4e_6c89,
+];
+
+/// One round: mix `word` into `state`. For a fixed word it is a bijection
+/// of the state (an xor, a multiply by an odd constant and an xorshift are
+/// each invertible); for a fixed state it is injective in the word (the
+/// same three steps, read as functions of the word).
+#[inline(always)]
+fn lane_round(state: u64, word: u64) -> u64 {
+    let x = (state ^ word).wrapping_mul(LANE_MULTIPLIER);
+    x ^ (x >> 32)
+}
+
+fn le_word(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes.try_into().expect("8-byte word"))
+}
+
+/// The section and table checksum of MOG1 format version 3: a 64-bit hash
+/// over four independent lanes, so it runs at memory speed (≈ 13 GB/s on
+/// one core of a 2-vCPU x86_64 VM, where the byte-serial [`checksum64`]
+/// reads ≈ 0.7 GB/s).
+///
+/// The input is read as little-endian `u64` words, word `i` going to lane
+/// `i mod 4`, each through one round. The four lanes are then
+/// folded into one state by four more rounds, the bytes after the last
+/// whole word are mixed in one at a time (FNV-1a steps), then the length,
+/// and a final avalanche (MurmurHash3's `fmix64`) spreads every bit. Only
+/// `std` arithmetic on `u64`s is used, so the sum is the same on every
+/// platform.
+///
+/// **A change confined to one word always changes the sum** — so does any
+/// change confined to one tail byte, and so every single-bit flip is
+/// caught. Two inputs of one length that differ only in word `i` put its
+/// lane into the same state before word `i`; that round is injective in
+/// the word, so the states after it differ, and every later round of the
+/// lane is a bijection of its state, so the lane ends different while the
+/// other lanes end equal. Each fold round is a bijection of the fold state
+/// and injective in the lane it takes in, each tail step and the length
+/// mix are bijections of the state, and `fmix64` is a bijection: the sums
+/// differ. (The tail byte case is the same argument from the first tail
+/// step on.) Not cryptographic, like [`checksum64`].
+pub fn lane_checksum64(bytes: &[u8]) -> u64 {
+    let mut lanes = LANE_SEEDS;
+    let mut blocks = bytes.chunks_exact(32);
+    for block in &mut blocks {
+        lanes[0] = lane_round(lanes[0], le_word(&block[0..8]));
+        lanes[1] = lane_round(lanes[1], le_word(&block[8..16]));
+        lanes[2] = lane_round(lanes[2], le_word(&block[16..24]));
+        lanes[3] = lane_round(lanes[3], le_word(&block[24..32]));
+    }
+    let mut words = blocks.remainder().chunks_exact(8);
+    for (lane, word) in lanes.iter_mut().zip(&mut words) {
+        *lane = lane_round(*lane, le_word(word));
+    }
+    let mut state = lanes
+        .iter()
+        .fold(FNV_OFFSET, |s, &lane| lane_round(s, lane));
+    for &b in words.remainder() {
+        state = (state ^ b as u64).wrapping_mul(FNV_PRIME);
+    }
+    state ^= bytes.len() as u64;
+    // fmix64: xorshifts and multiplies by odd constants, each invertible.
+    state ^= state >> 33;
+    state = state.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    state ^= state >> 33;
+    state = state.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    state ^ (state >> 33)
 }
 
 // ---------------------------------------------------------------------------
@@ -491,5 +577,44 @@ mod tests {
         // Pinned value: the FNV-1a constant must never drift, or every
         // previously written file would fail its checksum.
         assert_eq!(checksum64(b""), 0xcbf2_9ce4_8422_2325);
+    }
+
+    #[test]
+    fn lane_checksum_catches_every_single_bit_flip() {
+        // Lengths around the 32-byte block and the 8-byte word: empty,
+        // tail bytes only, whole words only, a block plus words plus tail.
+        let data: Vec<u8> = (0..100u32).map(|i| (i * 37 + 11) as u8).collect();
+        let mut sums = std::collections::BTreeSet::new();
+        for len in [0, 1, 7, 8, 9, 31, 32, 33, 40, 63, 64, 65, 99, 100] {
+            let bytes = &data[..len];
+            let clean = lane_checksum64(bytes);
+            assert_eq!(clean, lane_checksum64(bytes));
+            assert!(sums.insert(clean), "two prefixes collide at length {len}");
+            let mut flipped = bytes.to_vec();
+            for bit in 0..8 * len {
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                assert_ne!(lane_checksum64(&flipped), clean, "len {len}, bit {bit}");
+                flipped[bit / 8] ^= 1 << (bit % 8);
+            }
+        }
+        // Zero bytes are not free: every run of zeros hashes apart.
+        let zeros = [0u8; 64];
+        let mut zero_sums: Vec<u64> = (0..=64).map(|n| lane_checksum64(&zeros[..n])).collect();
+        zero_sums.sort_unstable();
+        zero_sums.dedup();
+        assert_eq!(zero_sums.len(), 65);
+    }
+
+    #[test]
+    fn lane_checksum_is_pinned() {
+        // Pinned values: the hash must never drift, or every MOG1 v3 file
+        // written so far would fail its checksums.
+        assert_eq!(lane_checksum64(b""), 0xa497_caaf_912a_dadd);
+        assert_eq!(
+            lane_checksum64(b"mogul index payload"),
+            0x602c_4431_269a_f8b9
+        );
+        let long: Vec<u8> = (0..=255u8).cycle().take(1000).collect();
+        assert_eq!(lane_checksum64(&long), 0x6616_f609_d9ea_7025);
     }
 }
